@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-json check bench-parallel bench-shards bench-maintenance serve-smoke fuzz-smoke stress ingest-crash maintain-crash
+.PHONY: build vet test race lint lint-json check bench-smoke bench-parallel bench-shards bench-maintenance serve-smoke fuzz-smoke stress ingest-crash maintain-crash
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,13 @@ lint-json:
 # and crash-recovery suites run as part of the default test set), then the
 # race detector, then the static-analysis suite.
 check: vet build test race lint
+
+# bench-smoke runs the refinement and query-pipeline benchmarks for one
+# iteration each — not to time anything, but so a benchmark that no
+# longer builds, or whose refined count no longer equals the scan's,
+# fails CI.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline' -benchtime 1x .
 
 # bench-parallel regenerates the committed parallel-construction sweep
 # (1/2/4/NumCPU workers; asserts byte-identical indexes).

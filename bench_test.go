@@ -18,7 +18,9 @@ import (
 	"github.com/fix-index/fix/internal/datagen"
 	"github.com/fix-index/fix/internal/eigen"
 	"github.com/fix-index/fix/internal/experiments"
+	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/obs"
+	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
 )
 
@@ -322,4 +324,79 @@ func BenchmarkQueryTraceOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkNokRefine isolates the refinement step of Algorithm 2: for
+// each of the seven XMark queries of §6 (Table 2 and Figure 6) it runs
+// the NoK matcher over exactly the candidates the index probe returns,
+// with the subtrees fetched outside the timer. One op is one query's
+// refinement; nodes/op is the matcher's visit count (obs nodes_visited),
+// and allocs/op is the steady-state allocation of the pooled matcher.
+func BenchmarkNokRefine(b *testing.B) {
+	env, err := experiments.Setup(datagen.XMarkDataset, datagen.Config{Seed: 42, Scale: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := env.Unclustered()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var queries [][2]string // name, XPath
+	for _, q := range experiments.RepresentativeQueries[datagen.XMarkDataset] {
+		queries = append(queries, [2]string{q.Name, q.XPath})
+	}
+	for _, q := range experiments.RuntimeQueries[datagen.XMarkDataset] {
+		queries = append(queries, [2]string{q.Name, q.XPath})
+	}
+	type subtree struct {
+		cur xmltree.Cursor
+		ref xmltree.Ref
+	}
+	for _, q := range queries {
+		b.Run(q[0], func(b *testing.B) {
+			path, err := xpath.Parse(q[1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			cands, _, err := ix.Candidates(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			subtrees := make([]subtree, len(cands))
+			for i, c := range cands {
+				cur, ref, err := env.Store.ReadSubtree(c.Primary)
+				if err != nil {
+					b.Fatal(err)
+				}
+				subtrees[i] = subtree{cur, ref}
+			}
+			// Every element is an entry of the depth-limited index, so
+			// the leading // is refined as / (Algorithm 2, lines 7-8).
+			rq := path.Tree().Clone()
+			rq.Axis = xpath.Child
+			nq, err := nok.Compile(rq, env.Store.Dict())
+			if err != nil {
+				b.Fatal(err)
+			}
+			want, err := env.NoKScan(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				count := 0
+				for _, s := range subtrees {
+					n, visited := nq.Eval(s.cur, s.ref)
+					count += n
+					nodes += visited
+				}
+				if count != want {
+					b.Fatalf("refined count %d, scan count %d", count, want)
+				}
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+		})
+	}
 }

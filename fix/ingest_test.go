@@ -191,7 +191,11 @@ func TestIngestBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing := db.NewIngester(IngestConfig{QueueDepth: 2, EnqueueWait: -1})
+	// MaxBatch 1: the committer takes one operation off the queue and
+	// then blocks on the ingest lock; with a larger batch it keeps
+	// draining the queue while it lingers for stragglers, and how many
+	// operations fit depends on the schedule.
+	ing := db.NewIngester(IngestConfig{QueueDepth: 2, EnqueueWait: -1, MaxBatch: 1})
 	defer func() { _ = ing.Close() }()
 	before := db.Snapshot().IngestQueueFull
 

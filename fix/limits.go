@@ -54,8 +54,9 @@ type Limits struct {
 	// context.DeadlineExceeded — promptly, even mid-refinement: the
 	// refinement loop re-checks the context every few dozen node visits.
 	Timeout time.Duration
-	// MaxRefineNodes caps the subtree nodes NoK refinement may visit
-	// across the whole query (the nodes_visited unit). It is the paper's
+	// MaxRefineNodes caps the nodes NoK refinement may visit across the
+	// whole query (the nodes_visited unit: nodes the pruned matcher
+	// actually decodes, not candidate subtree sizes). It is the paper's
 	// false-positive problem turned into a control: when the feature
 	// filter is unselective, refinement cost explodes, and this is the
 	// fuse.

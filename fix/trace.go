@@ -51,7 +51,7 @@ type QueryTrace struct {
 	Count      int `json:"count"`
 
 	// Workers is the refinement worker-pool size used; NodesVisited the
-	// subtree nodes the NoK bottom-up pass touched (refinement work).
+	// nodes the NoK matcher's pruned pass decoded (refinement work).
 	Workers      int   `json:"workers"`
 	NodesVisited int64 `json:"nodes_visited"`
 

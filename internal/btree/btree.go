@@ -412,7 +412,7 @@ func (t *Tree) scan(from, to []byte, fn func(key, val []byte) bool) error {
 		return err
 	}
 	i, _ := n.searchLeaf(from)
-	for {
+	for leaves := uint32(1); ; leaves++ {
 		for ; i < len(n.keys); i++ {
 			if to != nil && bytes.Compare(n.keys[i], to) >= 0 {
 				return nil
@@ -423,6 +423,13 @@ func (t *Tree) scan(from, to []byte, fn func(key, val []byte) bool) error {
 		}
 		if n.next == 0 {
 			return nil
+		}
+		// A sound chain visits each leaf once; one that has hopped over
+		// more leaves than the file has pages loops (a torn write-back can
+		// leave such a chain behind) and would never end.
+		if leaves >= t.p.npages {
+			return fmt.Errorf("%w: leaf chain does not end within the file's %d pages (page %d links to %d)",
+				ErrCorrupt, t.p.npages, n.id, n.next)
 		}
 		n, err = t.loadNode(n.next)
 		if err != nil {
@@ -495,13 +502,15 @@ func (t *Tree) Verify() error {
 			return err
 		}
 	}
-	n := 0
-	err := t.scan(nil, nil, func(k, v []byte) bool { n++; return true })
+	// The scan stops one entry past the claimed count: that already
+	// proves the mismatch, and a chain that loops has no last entry.
+	n := uint64(0)
+	err := t.scan(nil, nil, func(k, v []byte) bool { n++; return n <= t.count })
 	if err != nil {
 		return err
 	}
-	if uint64(n) != t.count {
-		return fmt.Errorf("%w: leaf chain holds %d entries, meta page claims %d", ErrCorrupt, n, t.count)
+	if n != t.count {
+		return fmt.Errorf("%w: leaf chain holds %d entries (counted no further than one past the claim), meta page claims %d", ErrCorrupt, n, t.count)
 	}
 	return nil
 }

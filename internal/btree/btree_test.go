@@ -2,10 +2,12 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/fix-index/fix/internal/storage"
 )
@@ -329,5 +331,62 @@ func TestStatsAndClearCache(t *testing.T) {
 	}
 	if tr.Size() <= 0 {
 		t.Error("Size not positive")
+	}
+}
+
+// TestVerifyTerminatesOnLoopingLeafChain hand-builds what a torn
+// write-back can leave behind — a two-leaf tree whose last leaf links
+// back to the first — and requires Verify to report corruption instead
+// of following the chain forever, both when the leaves hold entries (the
+// entry count gives it away) and when they are empty (only the number of
+// leaves hopped over does).
+func TestVerifyTerminatesOnLoopingLeafChain(t *testing.T) {
+	for _, empty := range []bool{false, true} {
+		t.Run(fmt.Sprintf("empty=%v", empty), func(t *testing.T) {
+			tr := newTree(t, 512)
+			var keys [][]byte
+			for i := 0; tr.Height() < 2; i++ {
+				keys = append(keys, []byte(fmt.Sprintf("key-%04d", i)))
+				if err := tr.Put(keys[i], bytes.Repeat([]byte{'v'}, 40)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if empty {
+				for _, k := range keys {
+					if _, err := tr.Delete(k); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := tr.Verify(); err != nil {
+				t.Fatalf("Verify before the damage: %v", err)
+			}
+			first, err := tr.findLeaf(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last, err := tr.loadNode(first.next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.next == 0 || last.next != 0 {
+				t.Fatalf("fixture is not a two-leaf chain: %d -> %d -> %d", first.id, first.next, last.next)
+			}
+			last.next = first.id
+			if err := tr.storeNode(last); err != nil {
+				t.Fatal(err)
+			}
+
+			done := make(chan error, 1)
+			go func() { done <- tr.Verify() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Verify on a looping leaf chain = %v, want ErrCorrupt", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Verify still following a looping leaf chain after 5s")
+			}
+		})
 	}
 }

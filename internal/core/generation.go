@@ -273,71 +273,22 @@ func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *ob
 	if tr != nil {
 		st0 = g.store.Stats()
 	}
-	bud := refineBudget(ctx, lim)
-	var fetchNS, refineNS, visited, running atomic.Int64
-	counts := make([]int, len(cands))
-	err = par.Do(ctx, g.workers, len(cands), func(i int) error {
+	res.Matched, res.Count, err = refine(ctx, g.workers, len(cands), nq, lim, tr, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
 		c := cands[i]
 		if rootAnchored && c.Primary.Off() != 0 {
-			return nil // a /-anchored query only matches document roots
+			return // a /-anchored query only matches document roots
 		}
 		if g.tombs.Has(c.Primary.Rec()) {
-			return nil // tombstoned: entries may outlive the delete until rebuild
+			return // tombstoned: entries may outlive the delete until rebuild
 		}
-		if tr == nil {
-			cur, ref, err := g.store.ReadSubtree(c.Primary)
-			if err != nil {
-				return err
-			}
-			n := 0
-			if bud == nil {
-				n = nq.Count(cur, ref)
-			} else {
-				n, _, err = nq.EvalBudget(cur, ref, bud)
-				if err != nil {
-					return budgetErr(err)
-				}
-			}
-			counts[i] = n
-			if n > 0 {
-				return errResultCap(running.Add(int64(n)), lim)
-			}
-			return nil
-		}
-		fetchStart := time.Now()
-		cur, ref, err := g.store.ReadSubtree(c.Primary)
-		refineStart := time.Now()
-		fetchNS.Add(int64(refineStart.Sub(fetchStart)))
-		if err != nil {
-			return err
-		}
-		n, nodes, err := nq.EvalBudget(cur, ref, bud)
-		refineNS.Add(int64(time.Since(refineStart)))
-		visited.Add(int64(nodes))
-		if err != nil {
-			return budgetErr(err)
-		}
-		counts[i] = n
-		if n > 0 {
-			return errResultCap(running.Add(int64(n)), lim)
-		}
-		return nil
+		cur, ref, err = g.store.ReadSubtree(c.Primary)
+		return cur, ref, true, err
 	})
 	if tr != nil {
-		tr.Phase[obs.PhaseFetch] += time.Duration(fetchNS.Load())
-		tr.Phase[obs.PhaseRefine] += time.Duration(refineNS.Load())
-		tr.NodesVisited += visited.Load()
-		tr.Workers = par.Workers(g.workers)
 		tr.Storage = tr.Storage.Add(storageDelta(g.store.Stats().Sub(st0)))
 	}
 	if err != nil {
 		return Result{}, err
-	}
-	for _, n := range counts {
-		if n > 0 {
-			res.Matched++
-			res.Count += n
-		}
 	}
 	if tr != nil {
 		tr.Entries, tr.Scanned, tr.Candidates = res.Entries, res.Scanned, res.Candidates
@@ -411,72 +362,22 @@ func (g *Generation) ScanCount(ctx context.Context, qt *xpath.QNode, tr *obs.Tra
 	if tr != nil {
 		st0 = g.store.Stats()
 	}
-	bud := refineBudget(ctx, lim)
-	var fetchNS, refineNS, visited, running atomic.Int64
-	nrec := g.store.NumRecords()
-	counts := make([]int, nrec)
-	err = par.Do(ctx, g.workers, nrec, func(i int) error {
+	res := Result{Fallback: markFallback}
+	res.Matched, res.Count, err = refine(ctx, g.workers, g.store.NumRecords(), nq, lim, tr, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
 		if g.tombs.Has(uint32(i)) {
-			return nil // tombstoned records are not part of the collection
+			return // tombstoned records are not part of the collection
 		}
-		if tr == nil {
-			cur, err := g.store.Cursor(uint32(i))
-			if err != nil {
-				return err
-			}
-			n := 0
-			if bud == nil {
-				n = nq.Count(cur, 0)
-			} else {
-				n, _, err = nq.EvalBudget(cur, 0, bud)
-				if err != nil {
-					return budgetErr(err)
-				}
-			}
-			counts[i] = n
-			if n > 0 {
-				return errResultCap(running.Add(int64(n)), lim)
-			}
-			return nil
-		}
-		fetchStart := time.Now()
-		cur, err := g.store.Cursor(uint32(i))
-		refineStart := time.Now()
-		fetchNS.Add(int64(refineStart.Sub(fetchStart)))
-		if err != nil {
-			return err
-		}
-		n, nodes, err := nq.EvalBudget(cur, 0, bud)
-		refineNS.Add(int64(time.Since(refineStart)))
-		visited.Add(int64(nodes))
-		if err != nil {
-			return budgetErr(err)
-		}
-		counts[i] = n
-		if n > 0 {
-			return errResultCap(running.Add(int64(n)), lim)
-		}
-		return nil
+		cur, err = g.store.Cursor(uint32(i))
+		return cur, 0, true, err
 	})
 	if tr != nil {
 		if markFallback {
 			tr.Fallback = true
 		}
-		tr.Workers = par.Workers(g.workers)
-		tr.Phase[obs.PhaseFetch] += time.Duration(fetchNS.Load())
-		tr.Phase[obs.PhaseRefine] += time.Duration(refineNS.Load())
-		tr.NodesVisited += visited.Load()
 		tr.Storage = tr.Storage.Add(storageDelta(g.store.Stats().Sub(st0)))
 	}
 	if err != nil {
 		return Result{}, err
-	}
-	res := Result{Fallback: markFallback}
-	for _, n := range counts {
-		if n > 0 {
-			res.Matched++
-			res.Count += n
-		}
 	}
 	if tr != nil {
 		tr.Matched, tr.Count = res.Matched, res.Count

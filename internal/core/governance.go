@@ -20,9 +20,10 @@ var ErrBudgetExceeded = errors.New("core: query budget exceeded")
 // limits and adds no work to the query pipeline beyond one nil/zero
 // check per phase — governance is strictly opt-in per query.
 type Limits struct {
-	// MaxRefineNodes caps the subtree nodes the NoK refinement pass may
-	// visit across all candidates of the query (the nodes_visited unit
-	// of the observability layer). 0 means unlimited.
+	// MaxRefineNodes caps the nodes the NoK refinement pass may visit
+	// across all candidates of the query (the nodes_visited unit of the
+	// observability layer: nodes the pruned matcher decodes, not
+	// candidate subtree sizes). 0 means unlimited.
 	MaxRefineNodes int64
 	// MaxCandidates caps how many entries may survive the feature
 	// filter; the range scan stops early once the cap is crossed. A

@@ -665,63 +665,19 @@ func (ix *Index) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Tr
 			cl0 = ix.clustered.Stats()
 		}
 	}
-	bud := refineBudget(ctx, lim)
-	var fetchNS, refineNS, visited, running atomic.Int64
-	counts := make([]int, len(cands))
-	err = par.Do(ctx, ix.opts.Workers, len(cands), func(i int) error {
+	res.Matched, res.Count, err = refine(ctx, ix.opts.Workers, len(cands), nq, lim, tr, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
 		c := cands[i]
 		if rootAnchored && c.Primary.Off() != 0 {
-			return nil // a /-anchored query only matches document roots
+			return // a /-anchored query only matches document roots
 		}
 		if ix.store.IsDeleted(c.Primary.Rec()) {
-			return nil // tombstoned: entries may outlive the delete until rebuild
+			return // tombstoned: entries may outlive the delete until rebuild
 		}
-		if tr == nil {
-			cur, ref, err := ix.candidateCursor(c)
-			if err != nil {
-				return err
-			}
-			n := 0
-			if bud == nil {
-				n = nq.Count(cur, ref)
-			} else {
-				n, _, err = nq.EvalBudget(cur, ref, bud)
-				if err != nil {
-					return budgetErr(err)
-				}
-			}
-			counts[i] = n
-			if n > 0 {
-				return errResultCap(running.Add(int64(n)), lim)
-			}
-			return nil
-		}
-		fetchStart := time.Now()
-		cur, ref, err := ix.candidateCursor(c)
-		refineStart := time.Now()
-		fetchNS.Add(int64(refineStart.Sub(fetchStart)))
-		if err != nil {
-			return err
-		}
-		n, nodes, err := nq.EvalBudget(cur, ref, bud)
-		refineNS.Add(int64(time.Since(refineStart)))
-		visited.Add(int64(nodes))
-		if err != nil {
-			return budgetErr(err)
-		}
-		counts[i] = n
-		if n > 0 {
-			return errResultCap(running.Add(int64(n)), lim)
-		}
-		return nil
+		cur, ref, err = ix.candidateCursor(c)
+		return cur, ref, true, err
 	})
 	if tr != nil {
-		tr.Phase[obs.PhaseFetch] += time.Duration(fetchNS.Load())
-		tr.Phase[obs.PhaseRefine] += time.Duration(refineNS.Load())
-		tr.NodesVisited += visited.Load()
-		tr.Workers = par.Workers(ix.opts.Workers)
-		delta := ix.store.Stats().Sub(st0)
-		sd := storageDelta(delta)
+		sd := storageDelta(ix.store.Stats().Sub(st0))
 		if ix.clustered != nil {
 			sd = sd.Add(storageDelta(ix.clustered.Stats().Sub(cl0)))
 		}
@@ -729,12 +685,6 @@ func (ix *Index) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Tr
 	}
 	if err != nil {
 		return Result{}, err
-	}
-	for _, n := range counts {
-		if n > 0 {
-			res.Matched++
-			res.Count += n
-		}
 	}
 	if tr != nil {
 		tr.Entries, tr.Scanned, tr.Candidates = res.Entries, res.Scanned, res.Candidates
@@ -754,6 +704,55 @@ func storageDelta(d storage.Stats) obs.StorageDelta {
 		SubtreeReads: d.SubtreeReads,
 		SubtreeBytes: d.SubtreeBytes,
 	}
+}
+
+// refine is the refinement loop every counting query path shares: it
+// evaluates nq over n work items on the worker pool and returns how many
+// items matched and the total of their output counts (sums, so the
+// result does not depend on the schedule). fetch resolves item i to the
+// subtree to evaluate, or reports ok=false to skip it. Governance is
+// applied here: node visits are drawn from the query's shared budget,
+// and the running total is checked against MaxResults. A non-nil tr
+// accumulates the fetch and refinement wall time (summed across
+// workers), the visit count and the pool size; a nil tr reads no clock.
+func refine(ctx context.Context, workers, n int, nq *nok.Query, lim Limits, tr *obs.Trace,
+	fetch func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error)) (matched, count int, err error) {
+	bud := refineBudget(ctx, lim)
+	var fetchNS, refineNS, visited, hits, total atomic.Int64
+	err = par.Do(ctx, workers, n, func(i int) error {
+		var fetchStart, refineStart time.Time
+		if tr != nil {
+			fetchStart = time.Now()
+		}
+		cur, ref, ok, err := fetch(i)
+		if err != nil || !ok {
+			return err
+		}
+		if tr != nil {
+			refineStart = time.Now()
+		}
+		cnt, nodes, err := nq.EvalBudget(cur, ref, bud)
+		if tr != nil {
+			fetchNS.Add(int64(refineStart.Sub(fetchStart)))
+			refineNS.Add(int64(time.Since(refineStart)))
+			visited.Add(int64(nodes))
+		}
+		if err != nil {
+			return budgetErr(err)
+		}
+		if cnt == 0 {
+			return nil
+		}
+		hits.Add(1)
+		return errResultCap(total.Add(int64(cnt)), lim)
+	})
+	if tr != nil {
+		tr.Phase[obs.PhaseFetch] += time.Duration(fetchNS.Load())
+		tr.Phase[obs.PhaseRefine] += time.Duration(refineNS.Load())
+		tr.NodesVisited += visited.Load()
+		tr.Workers = par.Workers(workers)
+	}
+	return int(hits.Load()), int(total.Load()), err
 }
 
 // Exists reports whether the query has at least one result, refining
@@ -852,70 +851,20 @@ func (ix *Index) scanFallback(ctx context.Context, qt *xpath.QNode, tr *obs.Trac
 	if tr != nil {
 		st0 = ix.store.Stats()
 	}
-	bud := refineBudget(ctx, lim)
-	var fetchNS, refineNS, visited, running atomic.Int64
-	nrec := ix.store.NumRecords()
-	counts := make([]int, nrec)
-	err = par.Do(ctx, ix.opts.Workers, nrec, func(i int) error {
+	res := Result{Fallback: true}
+	res.Matched, res.Count, err = refine(ctx, ix.opts.Workers, ix.store.NumRecords(), nq, lim, tr, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
 		if ix.store.IsDeleted(uint32(i)) {
-			return nil // tombstoned records are not part of the collection
+			return // tombstoned records are not part of the collection
 		}
-		if tr == nil {
-			cur, err := ix.store.Cursor(uint32(i))
-			if err != nil {
-				return err
-			}
-			n := 0
-			if bud == nil {
-				n = nq.Count(cur, 0)
-			} else {
-				n, _, err = nq.EvalBudget(cur, 0, bud)
-				if err != nil {
-					return budgetErr(err)
-				}
-			}
-			counts[i] = n
-			if n > 0 {
-				return errResultCap(running.Add(int64(n)), lim)
-			}
-			return nil
-		}
-		fetchStart := time.Now()
-		cur, err := ix.store.Cursor(uint32(i))
-		refineStart := time.Now()
-		fetchNS.Add(int64(refineStart.Sub(fetchStart)))
-		if err != nil {
-			return err
-		}
-		n, nodes, err := nq.EvalBudget(cur, 0, bud)
-		refineNS.Add(int64(time.Since(refineStart)))
-		visited.Add(int64(nodes))
-		if err != nil {
-			return budgetErr(err)
-		}
-		counts[i] = n
-		if n > 0 {
-			return errResultCap(running.Add(int64(n)), lim)
-		}
-		return nil
+		cur, err = ix.store.Cursor(uint32(i))
+		return cur, 0, true, err
 	})
 	if tr != nil {
 		tr.Fallback = true
-		tr.Workers = par.Workers(ix.opts.Workers)
-		tr.Phase[obs.PhaseFetch] += time.Duration(fetchNS.Load())
-		tr.Phase[obs.PhaseRefine] += time.Duration(refineNS.Load())
-		tr.NodesVisited += visited.Load()
 		tr.Storage = tr.Storage.Add(storageDelta(ix.store.Stats().Sub(st0)))
 	}
 	if err != nil {
 		return Result{}, err
-	}
-	res := Result{Fallback: true}
-	for _, n := range counts {
-		if n > 0 {
-			res.Matched++
-			res.Count += n
-		}
 	}
 	if tr != nil {
 		tr.Matched, tr.Count = res.Matched, res.Count

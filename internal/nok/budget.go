@@ -69,3 +69,10 @@ func (b *Budget) take() (int64, error) {
 		}
 	}
 }
+
+// refund returns n prepaid but unspent node visits.
+func (b *Budget) refund(n int64) {
+	if !b.unlimited {
+		b.remaining.Add(n)
+	}
+}

@@ -56,16 +56,23 @@ func TestEvalBudgetExhaustion(t *testing.T) {
 
 func TestEvalBudgetSharedAcrossEvaluations(t *testing.T) {
 	// One budget drawn down by successive evaluations: the cap is per
-	// query, not per candidate.
-	q, cur := compileOn(t, wideDoc(100), "//a/b")
+	// query, not per candidate, and it charges exactly the nodes visited
+	// — the unspent part of a prepaid chunk goes back — so a budget of
+	// two evaluations' visits admits two evaluations and not a third.
+	q, cur := compileOn(t, wideDoc(100), "/r/a/b")
 	_, visited := q.Eval(cur, 0)
-	b := NewBudget(context.Background(), int64(visited)+budgetChunk)
-	if _, _, err := q.EvalBudget(cur, 0, b); err != nil {
-		t.Fatalf("first evaluation: %v", err)
+	if visited%budgetChunk == 0 {
+		t.Fatalf("fixture visits %d nodes, a whole number of chunks: it would not exercise the refund", visited)
+	}
+	b := NewBudget(context.Background(), 2*int64(visited))
+	for i := 0; i < 2; i++ {
+		if _, _, err := q.EvalBudget(cur, 0, b); err != nil {
+			t.Fatalf("evaluation %d within the budget: %v", i+1, err)
+		}
 	}
 	_, _, err := q.EvalBudget(cur, 0, b)
 	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("second evaluation on drained budget = %v, want ErrBudget", err)
+		t.Fatalf("third evaluation on drained budget = %v, want ErrBudget", err)
 	}
 }
 

@@ -5,21 +5,40 @@
 // as the refinement processor on candidate subtrees (§5); the experiments
 // also run it standalone as the unindexed baseline (§6.3).
 //
-// Evaluation is a two-pass dynamic program over the subtree. The first,
-// bottom-up pass computes for every node the set of query nodes whose
-// subtree constraints it satisfies (a bitmask; twig queries are tiny). The
-// second, top-down pass walks only witnessed bindings to enumerate the
-// distinct matches of the query's output node. Existence checks stop after
-// the first pass.
+// Evaluation is obligation-directed: it visits only the nodes the twig
+// can bind. The first pass walks down from the candidate root carrying
+// two bitmasks of query nodes (twig queries are tiny) — want, the query
+// nodes the parent's binding still needs on the child axis, and pend,
+// those some ancestor's binding needs on the descendant axis. A node is
+// decoded only when it is reached under a non-empty obligation; its
+// children are entered only when a query node that carries its label has
+// children of its own to satisfy, and every other subtree is stepped over
+// in O(1) through the length prefix of the encoding. For a child-axis
+// twig of height h the pass therefore touches only nodes within depth h
+// of the root, however large the subtree; a descendant step keeps exact
+// semantics by staying in pend all the way down, and simply prunes less.
+// On the way back up each node's satisfaction mask is the AND, over the
+// bound query node's children, of the OR of the child masks.
 //
-// A compiled Query is immutable after Compile; every evaluation keeps its
-// state in a per-call evalState, so one Query may be shared by any number
-// of concurrent goroutines. The parallel refinement and scan paths rely
-// on this.
+// The nodes that satisfied something (and their ancestors) are recorded in
+// one preorder slice of (ref, mask, next-sibling) entries. The second
+// pass walks that slice — never the document — top-down under the same
+// pruning, keeping only bindings witnessed by a full embedding and
+// counting the distinct bindings of the output node in document order.
+// It is skipped outright when the root obligation is unmet, and existence
+// checks never run it.
+//
+// A compiled Query is immutable after Compile. Evaluation state (the
+// entry slice and budget allowance) lives in an evalState drawn from a
+// package pool for the duration of one call, so one Query may be shared
+// by any number of concurrent goroutines — the parallel refinement and
+// scan paths rely on this — and steady-state evaluation allocates nothing.
 package nok
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
@@ -28,21 +47,22 @@ import (
 // maxQueryNodes bounds the number of query-tree nodes (bitmask width).
 const maxQueryNodes = 64
 
-// qnode is a flattened query-tree node.
+// qnode is a flattened query-tree node. Bit i of a mask stands for query
+// node i.
 type qnode struct {
-	label    uint32 // element label id; 0 for value leaves
-	isValue  bool
-	value    string
-	desc     bool // incoming axis is descendant
-	output   bool
-	children []int
+	label     uint32 // element label id; 0 for value leaves
+	value     string // text a value leaf must equal
+	childMask uint64 // this node's children on the child axis
+	descMask  uint64 // this node's children on the descendant axis
 }
 
 // Query is a compiled twig query ready for repeated evaluation.
 type Query struct {
-	nodes         []qnode
-	rootDesc      bool // the query's leading axis is //
-	unsatisfiable bool // a query label does not occur in the dictionary
+	nodes         []qnode // preorder; node 0 is the query root
+	valueMask     uint64  // the value leaves
+	outputMask    uint64  // the output node
+	rootDesc      bool    // the query's leading axis is //
+	unsatisfiable bool    // a query label does not occur in the dictionary
 }
 
 // Compile flattens and label-resolves the query tree. A query whose labels
@@ -58,18 +78,19 @@ func Compile(root *xpath.QNode, dict *xmltree.Dict) (*Query, error) {
 			return 0, fmt.Errorf("nok: query exceeds %d nodes", maxQueryNodes)
 		}
 		idx := len(q.nodes)
-		qn := qnode{
-			isValue: n.IsValue,
-			value:   n.Value,
-			desc:    n.Axis == xpath.Descendant,
-			output:  n.Output,
-		}
-		if !n.IsValue {
+		bit := uint64(1) << uint(idx)
+		qn := qnode{value: n.Value}
+		if n.IsValue {
+			q.valueMask |= bit
+		} else {
 			id, ok := dict.Lookup(n.Name)
 			if !ok {
 				q.unsatisfiable = true
 			}
 			qn.label = id
+		}
+		if n.Output {
+			q.outputMask |= bit
 		}
 		q.nodes = append(q.nodes, qn)
 		for _, c := range n.Children {
@@ -77,7 +98,11 @@ func Compile(root *xpath.QNode, dict *xmltree.Dict) (*Query, error) {
 			if err != nil {
 				return 0, err
 			}
-			q.nodes[idx].children = append(q.nodes[idx].children, ci)
+			if c.Axis == xpath.Descendant {
+				q.nodes[idx].descMask |= 1 << uint(ci)
+			} else {
+				q.nodes[idx].childMask |= 1 << uint(ci)
+			}
 		}
 		return idx, nil
 	}
@@ -87,22 +112,35 @@ func Compile(root *xpath.QNode, dict *xmltree.Dict) (*Query, error) {
 	return q, nil
 }
 
-// evalState carries one evaluation's per-node satisfaction masks.
+// entry records one node the first pass found worth remembering: it, or
+// something below it, satisfies a query node it was asked about. Entries
+// are appended in preorder, so the entries of a node's subtree follow it
+// contiguously up to next, which is also where its next sibling starts.
+type entry struct {
+	ref  xmltree.Ref
+	next int32
+	own  uint64 // bit i set: the node satisfies query node i's subtree
+}
+
+// evalState carries one evaluation. States are pooled: release zeroes
+// everything but the capacity of ents and outs.
 type evalState struct {
 	c       xmltree.Cursor
 	q       *Query
-	sat     map[xmltree.Ref]uint64 // bit i set: node satisfies query node i's subtree
-	visited int                    // nodes the bottom-up pass touched
+	ents    []entry
+	outs    []xmltree.Ref // the output bindings the second pass found
+	visited int           // nodes the first pass decoded
 
-	// budget, when non-nil, caps the bottom-up pass's node visits and
-	// checks the query context once per chunk. local is the prepaid
-	// allowance drawn from the shared budget; exceeded latches the first
-	// budget or context error so the recursion unwinds without doing
-	// further work.
+	// budget, when non-nil, caps the first pass's node visits and checks
+	// the query context once per chunk. local is the prepaid allowance
+	// drawn from the shared budget; exceeded latches the first budget or
+	// context error so the recursion unwinds without doing further work.
 	budget   *Budget
 	local    int64
 	exceeded error
 }
+
+var statePool = sync.Pool{New: func() any { return new(evalState) }}
 
 // charge accounts one node visit against the budget. It reports false —
 // after latching the error in s.exceeded — once the budget or the
@@ -127,81 +165,132 @@ func (s *evalState) charge() bool {
 	return true
 }
 
-// pass1 computes the satisfaction mask of the node at r and returns
-// (sat(r), sat(r) | union of descendants' sat).
-func (s *evalState) pass1(r xmltree.Ref) (own, withDesc uint64) {
+// pass1 decodes the node at r, which was reached owing want on the child
+// axis and pend on the descendant axis, and returns the query nodes among
+// want|pend whose subtree constraints it satisfies (own), own united with
+// everything satisfied below it (sub), and the offset of its next sibling.
+func (s *evalState) pass1(r xmltree.Ref, want, pend uint64) (own, sub uint64, end xmltree.Ref) {
+	label, isText, body, end := s.c.Span(r)
 	if !s.charge() {
-		return 0, 0
+		return 0, 0, end
 	}
 	s.visited++
-	var childUnion uint64 // union over children of (sat | descSat)
-	type childInfo struct {
-		ref xmltree.Ref
-		sat uint64
-	}
-	var children []childInfo
-	if !s.c.IsText(r) {
-		it := s.c.Children(r)
-		for {
-			cr, ok := it.Next()
-			if !ok {
-				break
-			}
-			cs, cw := s.pass1(cr)
-			childUnion |= cw
-			children = append(children, childInfo{cr, cs})
-		}
-	}
-	isText := s.c.IsText(r)
-	var labelID uint32
-	var text string
+	q := s.q
 	if isText {
-		text = s.c.Text(r)
-	} else {
-		labelID = s.c.LabelID(r)
-	}
-	for i := range s.q.nodes {
-		qn := &s.q.nodes[i]
-		if qn.isValue {
-			if isText && text == qn.value {
+		for m := (want | pend) & q.valueMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if string(s.c.Buf[body:end]) == q.nodes[i].value { // compared in place
 				own |= 1 << uint(i)
 			}
-			continue
 		}
-		if isText || labelID != qn.label || qn.label == 0 {
-			continue
+		if own != 0 {
+			s.ents = append(s.ents, entry{ref: r, next: int32(len(s.ents) + 1), own: own})
 		}
-		ok := true
-		for _, ci := range qn.children {
-			cq := &s.q.nodes[ci]
-			bit := uint64(1) << uint(ci)
-			if cq.desc {
-				if childUnion&bit == 0 {
-					ok = false
-					break
-				}
-			} else {
-				found := false
-				for _, ch := range children {
-					if ch.sat&bit != 0 {
-						found = true
-						break
-					}
-				}
-				if !found {
-					ok = false
-					break
-				}
-			}
+		return own, own, end
+	}
+	// cand: the query nodes this element may bind; cwant and cpend: what
+	// its children are reached owing.
+	var cand, cwant uint64
+	cpend := pend
+	for m := (want | pend) &^ q.valueMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if qn := &q.nodes[i]; qn.label == label {
+			cand |= 1 << uint(i)
+			cwant |= qn.childMask
+			cpend |= qn.descMask
 		}
-		if ok {
+	}
+	if cwant|cpend == 0 {
+		// Nothing below can bind: every candidate is a query leaf, so the
+		// whole subtree is stepped over.
+		if cand != 0 {
+			s.ents = append(s.ents, entry{ref: r, next: int32(len(s.ents) + 1), own: cand})
+		}
+		return cand, cand, end
+	}
+	k := len(s.ents)
+	s.ents = append(s.ents, entry{ref: r})
+	var childOwn, childSub uint64
+	for pos := body; pos < end && s.exceeded == nil; {
+		var o, u uint64
+		o, u, pos = s.pass1(pos, cwant, cpend)
+		childOwn |= o
+		childSub |= u
+	}
+	for m := cand; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if qn := &q.nodes[i]; qn.childMask&^childOwn == 0 && qn.descMask&^childSub == 0 {
 			own |= 1 << uint(i)
 		}
 	}
-	if s.sat != nil && own != 0 {
-		s.sat[r] = own
+	sub = own | childSub
+	if sub == 0 {
+		s.ents = s.ents[:k] // nothing here for the second pass
+	} else {
+		s.ents[k].own, s.ents[k].next = own, int32(len(s.ents))
 	}
-	return own, own | childUnion
+	return own, sub, end
+}
+
+// pass2 walks the recorded entries top-down from entry k, whose parent's
+// witnessed bindings need want on the child axis and pend on the
+// descendant axis, and collects every entry that binds the output node
+// in a full embedding. Each entry is reached at most once, in preorder,
+// so the outputs are distinct and in document order.
+func (s *evalState) pass2(k int, want, pend uint64) {
+	e := s.ents[k]
+	q := s.q
+	wit := e.own & (want | pend)
+	if wit&q.outputMask != 0 {
+		s.outs = append(s.outs, e.ref)
+	}
+	var cwant uint64
+	cpend := pend
+	for m := wit; m != 0; m &= m - 1 {
+		qn := &q.nodes[bits.TrailingZeros64(m)]
+		cwant |= qn.childMask
+		cpend |= qn.descMask
+	}
+	if cwant|cpend == 0 {
+		return
+	}
+	for c := k + 1; c < int(e.next); c = int(s.ents[c].next) {
+		s.pass2(c, cwant, cpend)
+	}
+}
+
+// run evaluates q on the subtree at r with a pooled state: the first
+// pass always, the second only when enumerate is set and the root
+// obligation is met. The caller reads the results off the state and
+// returns it with release.
+func (q *Query) run(c xmltree.Cursor, r xmltree.Ref, b *Budget, enumerate bool) (s *evalState, matched bool) {
+	s = statePool.Get().(*evalState)
+	s.c, s.q, s.budget = c, q, b
+	var pend uint64
+	if q.rootDesc {
+		pend = 1 // any element of the subtree may bind the query root
+	}
+	own, sub, _ := s.pass1(r, 1, pend)
+	if q.rootDesc {
+		own = sub
+	}
+	matched = s.exceeded == nil && own&1 != 0
+	if matched && enumerate {
+		s.pass2(0, 1, pend)
+	}
+	return s, matched
+}
+
+// release returns a state to the pool, dropping its reference to the
+// caller's buffer, and hands the unspent part of its prepaid allowance
+// back to the budget: a pruned evaluation often visits far fewer nodes
+// than one chunk, and the budget charges visits.
+func (s *evalState) release() {
+	if s.local > 0 {
+		s.budget.refund(s.local)
+	}
+	*s = evalState{ents: s.ents[:0], outs: s.outs[:0]}
+	statePool.Put(s)
 }
 
 // Exists reports whether the query matches the subtree rooted at r: with a
@@ -211,12 +300,9 @@ func (q *Query) Exists(c xmltree.Cursor, r xmltree.Ref) bool {
 	if q.unsatisfiable {
 		return false
 	}
-	s := &evalState{c: c, q: q}
-	own, withDesc := s.pass1(r)
-	if q.rootDesc {
-		return withDesc&1 != 0
-	}
-	return own&1 != 0
+	s, matched := q.run(c, r, nil, false)
+	s.release()
+	return matched
 }
 
 // Outputs returns the distinct nodes (by offset, in document order) that
@@ -226,129 +312,41 @@ func (q *Query) Outputs(c xmltree.Cursor, r xmltree.Ref) []xmltree.Ref {
 	if q.unsatisfiable {
 		return nil
 	}
-	s := &evalState{c: c, q: q, sat: make(map[xmltree.Ref]uint64)}
-	return q.outputs(s, r)
-}
-
-// outputs runs both passes on an initialized state and enumerates the
-// output bindings; Outputs, Eval and EvalBudget share it. A budget
-// error surfaced by the first pass skips the second pass entirely: the
-// satisfaction masks are incomplete, so enumerating from them would
-// produce an arbitrary subset.
-func (q *Query) outputs(s *evalState, r xmltree.Ref) []xmltree.Ref {
-	c := s.c
-	s.pass1(r)
-	if s.exceeded != nil {
-		return nil
-	}
-	// witnessed[q] per node: we propagate top-down which (node, query node)
-	// bindings participate in a full embedding.
-	witnessed := make(map[xmltree.Ref]uint64)
-	var outputs []xmltree.Ref
-	outputBit := uint64(0)
-	for i := range q.nodes {
-		if q.nodes[i].output {
-			outputBit |= 1 << uint(i)
-		}
-	}
-	var mark func(r xmltree.Ref, qi int)
-	var collectDesc func(r xmltree.Ref, qi int)
-	collectDesc = func(r xmltree.Ref, qi int) {
-		it := c.Children(r)
-		for {
-			cr, ok := it.Next()
-			if !ok {
-				break
-			}
-			if s.sat[cr]&(1<<uint(qi)) != 0 {
-				mark(cr, qi)
-			}
-			collectDesc(cr, qi)
-		}
-	}
-	mark = func(r xmltree.Ref, qi int) {
-		bit := uint64(1) << uint(qi)
-		if witnessed[r]&bit != 0 {
-			return
-		}
-		witnessed[r] |= bit
-		for _, ci := range q.nodes[qi].children {
-			if q.nodes[ci].desc {
-				collectDesc(r, ci)
-				continue
-			}
-			it := c.Children(r)
-			for {
-				cr, ok := it.Next()
-				if !ok {
-					break
-				}
-				if s.sat[cr]&(1<<uint(ci)) != 0 {
-					mark(cr, ci)
-				}
-			}
-		}
-	}
-	if q.rootDesc {
-		if s.sat[r]&1 != 0 {
-			mark(r, 0)
-		}
-		collectDesc(r, 0)
-	} else if s.sat[r]&1 != 0 {
-		mark(r, 0)
-	}
-	// Gather outputs in document order.
-	var walk func(r xmltree.Ref)
-	walk = func(r xmltree.Ref) {
-		if witnessed[r]&outputBit != 0 {
-			outputs = append(outputs, r)
-		}
-		it := c.Children(r)
-		for {
-			cr, ok := it.Next()
-			if !ok {
-				break
-			}
-			walk(cr)
-		}
-	}
-	walk(r)
-	return outputs
+	s, _ := q.run(c, r, nil, true)
+	outs := append([]xmltree.Ref(nil), s.outs...)
+	s.release()
+	return outs
 }
 
 // Count returns the number of distinct output-node matches.
 func (q *Query) Count(c xmltree.Cursor, r xmltree.Ref) int {
-	return len(q.Outputs(c, r))
+	count, _ := q.Eval(c, r)
+	return count
 }
 
 // Eval is Count with work accounting: it additionally reports how many
-// subtree nodes the bottom-up pass visited — the unit of refinement work
-// the observability layer records (obs.Trace.NodesVisited). The visit
-// count is deterministic (the pass touches every node of the subtree
-// exactly once), so traces reconcile across worker counts.
+// nodes the first pass visited (decoded) — the unit of refinement work
+// the observability layer records (obs.Trace.NodesVisited) and the unit
+// a Budget charges. The visit count depends only on the query and the
+// subtree, so traces reconcile across worker counts.
 func (q *Query) Eval(c xmltree.Cursor, r xmltree.Ref) (count, visited int) {
-	if q.unsatisfiable {
-		return 0, 0
-	}
-	s := &evalState{c: c, q: q, sat: make(map[xmltree.Ref]uint64)}
-	outs := q.outputs(s, r)
-	return len(outs), s.visited
+	count, visited, _ = q.EvalBudget(c, r, nil)
+	return count, visited
 }
 
-// EvalBudget is Eval under a work budget: every node the bottom-up pass
+// EvalBudget is Eval under a work budget: every node the first pass
 // visits is charged against b, and the budget's context is checked once
 // per chunk, so a deadline interrupts evaluation even inside one large
 // subtree. On exhaustion it returns ErrBudget (or the context's error)
 // with the visits performed so far; the count is then meaningless and
-// returned as zero. A nil budget behaves exactly like Eval.
+// returned as zero — the second pass is not run, since the satisfaction
+// masks are incomplete. A nil budget behaves exactly like Eval.
 func (q *Query) EvalBudget(c xmltree.Cursor, r xmltree.Ref, b *Budget) (count, visited int, err error) {
 	if q.unsatisfiable {
 		return 0, 0, nil
 	}
-	s := &evalState{c: c, q: q, sat: make(map[xmltree.Ref]uint64), budget: b}
-	outs := q.outputs(s, r)
-	if s.exceeded != nil {
-		return 0, s.visited, s.exceeded
-	}
-	return len(outs), s.visited, nil
+	s, _ := q.run(c, r, b, true)
+	count, visited, err = len(s.outs), s.visited, s.exceeded
+	s.release()
+	return count, visited, err
 }

@@ -1,7 +1,9 @@
 package nok
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/fix-index/fix/internal/xmltree"
@@ -124,161 +126,271 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-// naive is an exponential-time reference matcher used to validate the
-// bitmask DP on random inputs.
-func naive(cur xmltree.Cursor, r xmltree.Ref, q *xpath.QNode) bool {
+// naiveBindings is the reference the matcher is validated against: an
+// exponential-time enumeration of every embedding of q's subtree with q
+// bound to the node at r. ok reports whether any embedding exists; outs
+// holds the node the output query node binds in each of them (empty when
+// the output node lies outside q's subtree). It shares nothing with the
+// matcher but the cursor.
+func naiveBindings(cur xmltree.Cursor, r xmltree.Ref, q *xpath.QNode) (outs map[xmltree.Ref]bool, ok bool) {
 	if q.IsValue {
-		return cur.IsText(r) && cur.Text(r) == q.Value
+		if !cur.IsText(r) || cur.Text(r) != q.Value {
+			return nil, false
+		}
+	} else if cur.IsText(r) || cur.Label(r) != q.Name {
+		return nil, false
 	}
-	if cur.IsText(r) || cur.Label(r) != q.Name {
-		return false
+	outs = map[xmltree.Ref]bool{}
+	if q.Output {
+		outs[r] = true
 	}
 	for _, qc := range q.Children {
 		found := false
-		if qc.Axis == xpath.Child {
-			it := cur.Children(r)
-			for {
-				c, ok := it.Next()
-				if !ok {
-					break
-				}
-				if naive(cur, c, qc) {
+		var below func(x xmltree.Ref)
+		below = func(x xmltree.Ref) {
+			it := cur.Children(x)
+			for c, more := it.Next(); more; c, more = it.Next() {
+				if o, ok := naiveBindings(cur, c, qc); ok {
 					found = true
-					break
-				}
-			}
-		} else {
-			var desc func(x xmltree.Ref) bool
-			desc = func(x xmltree.Ref) bool {
-				it := cur.Children(x)
-				for {
-					c, ok := it.Next()
-					if !ok {
-						return false
-					}
-					if naive(cur, c, qc) || desc(c) {
-						return true
+					for b := range o {
+						outs[b] = true
 					}
 				}
+				if qc.Axis == xpath.Descendant {
+					below(c)
+				}
 			}
-			found = desc(r)
 		}
+		below(r)
 		if !found {
-			return false
+			return nil, false
 		}
 	}
-	return true
+	return outs, true
 }
 
-func naiveExists(cur xmltree.Cursor, q *xpath.QNode) bool {
-	if q.Axis == xpath.Child {
-		return naive(cur, 0, q)
-	}
-	var walk func(r xmltree.Ref) bool
-	walk = func(r xmltree.Ref) bool {
-		if naive(cur, r, q) {
-			return true
-		}
-		it := cur.Children(r)
-		for {
-			c, ok := it.Next()
-			if !ok {
-				return false
-			}
-			if walk(c) {
-				return true
+// naiveOutputs returns the reference answer of the whole query on the
+// document: whether it matches, and the output bindings in document
+// order, with the query root bound per the leading axis.
+func naiveOutputs(cur xmltree.Cursor, q *xpath.QNode) ([]xmltree.Ref, bool) {
+	all := map[xmltree.Ref]bool{}
+	matched := false
+	var try func(r xmltree.Ref)
+	try = func(r xmltree.Ref) {
+		if o, ok := naiveBindings(cur, r, q); ok {
+			matched = true
+			for b := range o {
+				all[b] = true
 			}
 		}
+		if q.Axis == xpath.Descendant {
+			it := cur.Children(r)
+			for c, more := it.Next(); more; c, more = it.Next() {
+				try(c)
+			}
+		}
 	}
-	return walk(0)
+	try(0)
+	outs := make([]xmltree.Ref, 0, len(all))
+	for b := range all {
+		outs = append(outs, b)
+	}
+	sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
+	return outs, matched
 }
+
+// Three labels and two text values keep random documents full of
+// same-label siblings and recursive labels, and random queries likely
+// to bind.
+var (
+	testLabels = []string{"a", "b", "c"}
+	testValues = []string{"x", "y"}
+)
 
 func randomDoc(rng *rand.Rand, depth int) *xmltree.Node {
-	labels := []string{"a", "b", "c", "d"}
-	var build func(d int) *xmltree.Node
-	build = func(d int) *xmltree.Node {
-		n := xmltree.Elem(labels[rng.Intn(len(labels))])
-		if d <= 0 {
-			return n
-		}
-		for i := rng.Intn(4); i > 0; i-- {
-			n.Children = append(n.Children, build(d-1))
-		}
+	n := xmltree.Elem(testLabels[rng.Intn(len(testLabels))])
+	if depth <= 0 {
 		return n
 	}
-	return build(depth)
+	for i := rng.Intn(4); i > 0; i-- {
+		if rng.Intn(5) == 0 {
+			n.Children = append(n.Children, xmltree.Text(testValues[rng.Intn(len(testValues))]))
+		} else {
+			n.Children = append(n.Children, randomDoc(rng, depth-1))
+		}
+	}
+	return n
 }
 
-func randomQuery(rng *rand.Rand, depth int) *xpath.QNode {
-	labels := []string{"a", "b", "c", "d"}
-	var build func(d int, axis xpath.Axis) *xpath.QNode
-	build = func(d int, axis xpath.Axis) *xpath.QNode {
-		n := &xpath.QNode{Name: labels[rng.Intn(len(labels))], Axis: axis}
+// randomQuery builds a twig of at most the given depth whose edges are
+// descendant axes with probability descProb, with value leaves mixed in,
+// and marks one uniformly chosen element node as the output.
+func randomQuery(rng *rand.Rand, depth int, descProb float64) *xpath.QNode {
+	axis := func() xpath.Axis {
+		if rng.Float64() < descProb {
+			return xpath.Descendant
+		}
+		return xpath.Child
+	}
+	var elems []*xpath.QNode
+	var build func(d int, a xpath.Axis) *xpath.QNode
+	build = func(d int, a xpath.Axis) *xpath.QNode {
+		n := &xpath.QNode{Name: testLabels[rng.Intn(len(testLabels))], Axis: a}
+		elems = append(elems, n)
 		if d <= 0 {
 			return n
 		}
 		for i := rng.Intn(3); i > 0; i-- {
-			a := xpath.Child
-			if rng.Intn(4) == 0 {
-				a = xpath.Descendant
+			if rng.Intn(6) == 0 {
+				n.Children = append(n.Children, &xpath.QNode{IsValue: true, Value: testValues[rng.Intn(len(testValues))], Axis: axis()})
+			} else {
+				n.Children = append(n.Children, build(d-1, axis()))
 			}
-			n.Children = append(n.Children, build(d-1, a))
 		}
 		return n
 	}
-	root := build(depth, xpath.Descendant)
-	if rng.Intn(3) == 0 {
-		root.Axis = xpath.Child
+	root := build(depth, xpath.Child)
+	if rng.Intn(2) == 0 {
+		root.Axis = xpath.Descendant
 	}
+	elems[rng.Intn(len(elems))].Output = true
 	return root
 }
 
-func TestExistsAgainstNaiveReference(t *testing.T) {
+// TestAgainstNaiveReference is the differential oracle: on seeded random
+// document/query pairs the matcher must agree with the all-embeddings
+// reference on existence, on the count, and on the output nodes in
+// document order; and the budgeted entry point with a nil budget must be
+// the plain one. The coverage map proves the generator reached every
+// shape the matcher treats differently.
+func TestAgainstNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	dict := xmltree.NewDict()
-	for trial := 0; trial < 500; trial++ {
-		doc := randomDoc(rng, 4)
-		buf := xmltree.EncodeBinary(doc, dict)
-		cur := xmltree.Cursor{Buf: buf, Dict: dict}
-		qt := randomQuery(rng, 3)
+	for _, l := range testLabels {
+		dict.ID(l) // a label absent from the data would make queries trivially empty
+	}
+	covered := map[string]int{}
+	const trials = 3000
+	for trial := 0; trial < trials; trial++ {
+		doc := randomDoc(rng, 5)
+		cur := xmltree.Cursor{Buf: xmltree.EncodeBinary(doc, dict), Dict: dict}
+		qt := randomQuery(rng, 3, 0.3)
 		q, err := Compile(qt, dict)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := q.Exists(cur, 0)
-		want := naiveExists(cur, qt)
-		if got != want {
-			t.Fatalf("trial %d: Exists=%v naive=%v\ndoc: %s\nquery: %s",
-				trial, got, want, doc, qt)
+		want, matched := naiveOutputs(cur, qt)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("trial %d: %s\ndoc: %s\nquery: %s", trial, fmt.Sprintf(format, args...), doc, qt)
 		}
-		// Outputs must be non-empty exactly when a match exists and the
-		// output node is the query root... the output marker may be
-		// anywhere, so check consistency only when root is the output.
-		if qt.Output || !hasOutput(qt) {
-			markRootOutput(qt)
-			q2, err := Compile(qt, dict)
-			if err != nil {
-				t.Fatal(err)
+		if got := q.Exists(cur, 0); got != matched {
+			fail("Exists = %v, reference %v", got, matched)
+		}
+		got := q.Outputs(cur, 0)
+		if len(got) != len(want) {
+			fail("Outputs = %v, reference %v", got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				fail("Outputs = %v, reference %v", got, want)
 			}
-			outs := q2.Outputs(cur, 0)
-			if (len(outs) > 0) != want {
-				t.Fatalf("trial %d: outputs=%d but exists=%v", trial, len(outs), want)
+		}
+		count, visited := q.Eval(cur, 0)
+		if count != len(want) || q.Count(cur, 0) != count {
+			fail("Eval count = %d, Count = %d, reference %d", count, q.Count(cur, 0), len(want))
+		}
+		if bc, bv, err := q.EvalBudget(cur, 0, nil); err != nil || bc != count || bv != visited {
+			fail("EvalBudget(nil) = (%d, %d, %v), Eval = (%d, %d)", bc, bv, err, count, visited)
+		}
+
+		covered[fmt.Sprintf("root axis %v", qt.Axis)]++
+		covered[fmt.Sprintf("outputs %d", min(len(want), 2))]++
+		var walk func(n *xpath.QNode, depth int)
+		walk = func(n *xpath.QNode, depth int) {
+			if n.Output {
+				covered[fmt.Sprintf("output at depth %d", depth)]++
 			}
+			if n.IsValue {
+				covered[fmt.Sprintf("value leaf on %v", n.Axis)]++
+			} else if depth > 0 && n.Axis == xpath.Descendant {
+				covered[fmt.Sprintf("inner // at depth %d", depth)]++
+			}
+			for _, c := range n.Children {
+				walk(c, depth+1)
+			}
+		}
+		walk(qt, 0)
+	}
+	for _, shape := range []string{
+		"root axis /", "root axis //", "outputs 0", "outputs 1", "outputs 2",
+		"output at depth 0", "output at depth 1", "output at depth 2", "output at depth 3",
+		"inner // at depth 1", "inner // at depth 2", "inner // at depth 3",
+		"value leaf on /", "value leaf on //",
+	} {
+		if covered[shape] < trials/100 {
+			t.Errorf("only %d of %d trials covered %q", covered[shape], trials, shape)
 		}
 	}
 }
 
-func hasOutput(q *xpath.QNode) bool {
-	found := false
-	q.Walk(func(n *xpath.QNode) {
-		if n.Output {
-			found = true
+// withinDepth counts the nodes of the subtree at r at depth <= h (r is
+// at depth 0) and the nodes of the whole subtree.
+func withinDepth(cur xmltree.Cursor, r xmltree.Ref, h int) (near, all int) {
+	all = 1
+	near = 1
+	it := cur.Children(r)
+	for c, more := it.Next(); more; c, more = it.Next() {
+		n, a := withinDepth(cur, c, h-1)
+		all += a
+		if h > 0 {
+			near += n
 		}
-	})
-	return found
+	}
+	return near, all
 }
 
-func markRootOutput(q *xpath.QNode) {
-	q.Walk(func(n *xpath.QNode) { n.Output = false })
-	q.Output = true
+// TestVisitsBoundedByTwigHeight pins the pruning the refinement speed
+// rests on: a child-axis twig of height h can only bind nodes within
+// depth h of the candidate root, so the matcher must not decode anything
+// deeper, however large the subtree is.
+func TestVisitsBoundedByTwigHeight(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dict := xmltree.NewDict()
+	for _, l := range testLabels {
+		dict.ID(l)
+	}
+	for trial := 0; trial < 500; trial++ {
+		doc := randomDoc(rng, 8)
+		cur := xmltree.Cursor{Buf: xmltree.EncodeBinary(doc, dict), Dict: dict}
+		qt := randomQuery(rng, 3, 0)
+		qt.Axis = xpath.Child
+		qt.Name = doc.Label // bind the root, so the twig is actually walked
+		q, err := Compile(qt, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := qt.Depth() - 1
+		near, _ := withinDepth(cur, 0, h)
+		_, visited := q.Eval(cur, 0)
+		if visited > near {
+			t.Fatalf("trial %d: visited %d nodes, only %d lie within the twig's height %d\ndoc: %s\nquery: %s",
+				trial, visited, near, h, doc, qt)
+		}
+	}
+
+	// Strictly fewer than the subtree on a deep document: a chain of 1000 <a> elements, each with a <b/>.
+	deep := xmltree.Elem("a", xmltree.Elem("b"))
+	for i := 0; i < 999; i++ {
+		deep = xmltree.Elem("a", xmltree.Elem("b"), deep)
+	}
+	cur := xmltree.Cursor{Buf: xmltree.EncodeBinary(deep, dict), Dict: dict}
+	q, err := Compile(xpath.MustParse("/a[b]/a/b").Tree(), dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, visited := q.Eval(cur, 0)
+	if _, all := withinDepth(cur, 0, 0); count != 1 || visited != 5 || all != 2000 {
+		t.Errorf("/a[b]/a/b on a 1000-deep chain: count %d, visited %d of %d nodes; want 1 match from the 5 nodes within depth 2", count, visited, all)
+	}
 }

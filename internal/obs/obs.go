@@ -115,8 +115,9 @@ type Trace struct {
 	Entries, Scanned, Candidates, Matched, Count int
 	// Workers is the refinement worker-pool size used.
 	Workers int
-	// NodesVisited counts subtree nodes the NoK bottom-up pass visited,
-	// the unit of refinement work.
+	// NodesVisited counts the nodes the NoK matcher's pruned first pass
+	// decoded — only nodes the twig could bind, not whole candidate
+	// subtrees — the unit of refinement work.
 	NodesVisited int64
 	// BTree is the pager activity of the probe phase.
 	BTree BTreeDelta

@@ -122,6 +122,25 @@ func (c Cursor) Text(r Ref) string {
 	return string(c.Buf[body : body+Ref(bodyLen)])
 }
 
+// Span decodes the node header at r once and returns everything a
+// navigational matcher needs to step over or into the node: the element's
+// label id (0 for a text node, which sets isText) and the byte range
+// [body, end) of its body — the children encodings of an element, the
+// value of a text node — where end is also the offset of the node's next
+// sibling. Nothing is copied: a text node's value is c.Buf[body:end],
+// aliasing the buffer. Corrupt data yields an empty, unlabeled element
+// ending at the end of the buffer, so a walk over it terminates.
+func (c Cursor) Span(r Ref) (label uint32, isText bool, body, end Ref) {
+	tag, bodyLen, body, err := c.header(r)
+	if err != nil {
+		return 0, false, Ref(len(c.Buf)), Ref(len(c.Buf))
+	}
+	if tag == 1 {
+		return 0, true, body, body + Ref(bodyLen)
+	}
+	return uint32(tag >> 1), false, body, body + Ref(bodyLen)
+}
+
 // SubtreeEnd returns the offset one past the end of the subtree at r.
 func (c Cursor) SubtreeEnd(r Ref) Ref {
 	_, bodyLen, body, err := c.header(r)

@@ -94,6 +94,47 @@ func TestCorruptBuffer(t *testing.T) {
 	}
 }
 
+// TestCursorSpan checks the one-decode accessor against the per-property
+// ones on every node, and that walking sibling to sibling by its end
+// offset covers a node's children exactly.
+func TestCursorSpan(t *testing.T) {
+	c, _ := encodeSample(t)
+	var walk func(r Ref)
+	walk = func(r Ref) {
+		label, isText, body, end := c.Span(r)
+		if isText != c.IsText(r) || label != c.LabelID(r) || end != c.SubtreeEnd(r) {
+			t.Fatalf("Span(%d) = (%d, %v, _, %d), want (%d, %v, _, %d)",
+				r, label, isText, end, c.LabelID(r), c.IsText(r), c.SubtreeEnd(r))
+		}
+		if isText {
+			if got := string(c.Buf[body:end]); got != c.Text(r) {
+				t.Fatalf("Span(%d) text = %q, want %q", r, got, c.Text(r))
+			}
+			return
+		}
+		pos := body
+		it := c.Children(r)
+		for child, ok := it.Next(); ok; child, ok = it.Next() {
+			if pos != child {
+				t.Fatalf("walking Span ends under %d reached %d, Children yields %d", r, pos, child)
+			}
+			walk(child)
+			_, _, _, pos = c.Span(child)
+		}
+		if pos != end {
+			t.Fatalf("children of %d end at %d, Span says %d", r, pos, end)
+		}
+	}
+	walk(0)
+
+	// A truncated buffer decodes as an empty element ending at the end of
+	// the buffer, so a sibling walk over it stops.
+	cut := Cursor{Buf: c.Buf[:3], Dict: c.Dict}
+	if label, isText, body, end := cut.Span(0); label != 0 || isText || body != 3 || end != 3 {
+		t.Errorf("Span on a truncated buffer = (%d, %v, %d, %d), want (0, false, 3, 3)", label, isText, body, end)
+	}
+}
+
 func TestCursorStreamMatchesTreeStream(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := genTree(seed, 5)
