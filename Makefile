@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-json check bench-smoke bench-parallel bench-shards bench-maintenance serve-smoke fuzz-smoke stress ingest-crash maintain-crash
+.PHONY: build vet test race lint lint-json check bench-build bench-smoke bench-parallel bench-shards bench-maintenance serve-smoke fuzz-smoke stress ingest-crash maintain-crash
 
 build:
 	$(GO) build ./...
@@ -31,10 +31,19 @@ lint:
 lint-json:
 	$(GO) run ./tools/fixvet -json
 
-# check is the full pre-merge gate: vet, build, tests (the fault-injection
-# and crash-recovery suites run as part of the default test set), then the
-# race detector, then the static-analysis suite.
-check: vet build test race lint
+# bench-build vets and compiles the benchmark harness. bench/ is its own
+# module, so `go build ./...` at the root skips it, and a change that
+# removes something fixload compiles against would otherwise surface only
+# when the benchmark fails to build. (-o /dev/null: the one main package
+# would otherwise be written to bench/fixload, which is its directory.)
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
+# check is the full pre-merge gate: vet, build (the benchmark harness
+# included), tests (the fault-injection and crash-recovery suites run as
+# part of the default test set), then the race detector, then the
+# static-analysis suite.
+check: vet build bench-build test race lint
 
 # bench-smoke runs the refinement and query-pipeline benchmarks for one
 # iteration each — not to time anything, but so a benchmark that no

@@ -82,7 +82,7 @@ func BenchmarkTable2Metrics(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Table2(env); err != nil {
+				if _, err := experiments.Table2(context.Background(), env); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,7 +102,7 @@ func BenchmarkFig5RandomQueries(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(env, 20); err != nil {
+		if _, err := experiments.Fig5(context.Background(), env, 20); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func benchFig6(b *testing.B, ds datagen.Dataset) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6(env)
+		rows, err := experiments.Fig6(context.Background(), env)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func BenchmarkFig7Values(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(env); err != nil {
+		if _, err := experiments.Fig7(context.Background(), env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,14 +180,14 @@ func BenchmarkAblations(b *testing.B) {
 	}
 	b.Run("root-label", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiments.AblationRootLabel(env); err != nil {
+			if _, err := experiments.AblationRootLabel(context.Background(), env); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("pruning-mode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiments.AblationPruningMode(env); err != nil {
+			if _, err := experiments.AblationPruningMode(context.Background(), env); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -284,9 +284,10 @@ func BenchmarkQueryPipeline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			g := env.Frozen(ix)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.Query(q); err != nil {
+				if _, err := g.QueryGoverned(context.Background(), q, nil, core.Limits{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -298,7 +299,7 @@ func BenchmarkQueryPipeline(b *testing.B) {
 // traced. The untraced path is the overhead budget of the observability
 // layer: it must match BenchmarkQueryPipeline (tracing off costs only a
 // nil check per phase); the traced variant shows the price of the timer
-// reads and stats snapshots a WithTrace query pays.
+// reads and stats snapshots a Trace query pays.
 func BenchmarkQueryTraceOverhead(b *testing.B) {
 	env := benchEnv(b, datagen.XMarkDataset)
 	ix, err := env.Unclustered()
@@ -309,9 +310,10 @@ func BenchmarkQueryTraceOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	g := env.Frozen(ix)
 	b.Run("untraced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.Query(q); err != nil {
+			if _, err := g.QueryGoverned(context.Background(), q, nil, core.Limits{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -319,7 +321,7 @@ func BenchmarkQueryTraceOverhead(b *testing.B) {
 	b.Run("traced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tr := &obs.Trace{}
-			if _, err := ix.QueryTraced(context.Background(), q, tr); err != nil {
+			if _, err := g.QueryGoverned(context.Background(), q, tr, core.Limits{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -337,6 +339,7 @@ func BenchmarkNokRefine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer env.Close()
 	ix, err := env.Unclustered()
 	if err != nil {
 		b.Fatal(err)
@@ -358,7 +361,7 @@ func BenchmarkNokRefine(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cands, _, err := ix.Candidates(path)
+			cands, _, err := env.Frozen(ix).CandidatesCtx(context.Background(), path)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,13 +25,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6a|fig6b|fig6c|fig7|beta|ablation|rtree|spectrum|evaluators|parallel|generations|shards|maintenance|all")
+		exp      = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6a|fig6b|fig6c|fig7|beta|ablation|rtree|spectrum|evaluators|parallel|shards|maintenance|all")
 		scale    = flag.Float64("scale", 1.0, "dataset scale (1.0 ≈ one tenth of the paper's element counts)")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		queries  = flag.Int("queries", 200, "random queries per dataset for fig5 (paper: 1000)")
 		verify   = flag.Bool("verify", false, "verify the integrity of every index built during the run")
 		workers  = flag.Int("workers", 0, "worker pool bound for every index build (0 = one per CPU)")
-		jsonPath = flag.String("json", "", "also write the parallel or generations sweep rows as JSON to this file (single-experiment runs only)")
+		jsonPath = flag.String("json", "", "also write the parallel, shards or maintenance sweep rows as JSON to this file (single-experiment runs only)")
 	)
 	flag.Parse()
 	if err := run(*exp, *scale, *seed, *queries, *verify, *workers, *jsonPath); err != nil {
@@ -69,6 +69,12 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 		workers: workers,
 		cache:   make(map[datagen.Dataset]*experiments.Env),
 	}
+	defer func() {
+		for _, env := range e.cache {
+			env.Close()
+		}
+	}()
+	ctx := context.Background()
 	all := exp == "all"
 	ran := false
 	w := os.Stdout
@@ -98,7 +104,7 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 			if err != nil {
 				return err
 			}
-			rows, err := experiments.Table2(env)
+			rows, err := experiments.Table2(ctx, env)
 			if err != nil {
 				return err
 			}
@@ -114,7 +120,7 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 			if err != nil {
 				return err
 			}
-			row, err := experiments.Fig5(env, queries)
+			row, err := experiments.Fig5(ctx, env, queries)
 			if err != nil {
 				return err
 			}
@@ -137,7 +143,7 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 		if err != nil {
 			return err
 		}
-		rows, err := experiments.Fig6(env)
+		rows, err := experiments.Fig6(ctx, env)
 		if err != nil {
 			return err
 		}
@@ -150,7 +156,7 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 		if err != nil {
 			return err
 		}
-		rows, err := experiments.Fig7(env)
+		rows, err := experiments.Fig7(ctx, env)
 		if err != nil {
 			return err
 		}
@@ -177,19 +183,19 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 			if err != nil {
 				return err
 			}
-			rows, err := experiments.AblationRootLabel(env)
+			rows, err := experiments.AblationRootLabel(ctx, env)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "[%s] ", ds)
 			experiments.PrintRootLabelAblation(w, rows)
-			depthRows, err := experiments.AblationDepth(env, []int{2, 4, 6})
+			depthRows, err := experiments.AblationDepth(ctx, env, []int{2, 4, 6})
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "[%s] ", ds)
 			experiments.PrintDepthSweep(w, depthRows)
-			modeRows, err := experiments.AblationPruningMode(env)
+			modeRows, err := experiments.AblationPruningMode(ctx, env)
 			if err != nil {
 				return err
 			}
@@ -205,7 +211,7 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 			if err != nil {
 				return err
 			}
-			rows, err := experiments.ExtRTree(env)
+			rows, err := experiments.ExtRTree(ctx, env)
 			if err != nil {
 				return err
 			}
@@ -221,7 +227,7 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 			if err != nil {
 				return err
 			}
-			rows, err := experiments.ExtSpectrum(env)
+			rows, err := experiments.ExtSpectrum(ctx, env)
 			if err != nil {
 				return err
 			}
@@ -287,42 +293,6 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 			fmt.Fprintf(w, "[json] wrote %s\n", jsonPath)
 		}
 	}
-	if all || exp == "generations" {
-		ran = true
-		var rows []experiments.GenerationRow
-		counts := experiments.GenerationSweepCounts()
-		for _, ds := range datagen.AllDatasets {
-			env, err := e.get(ds)
-			if err != nil {
-				return err
-			}
-			dsRows, err := experiments.GenerationSweep(context.Background(), env, counts, 300*time.Millisecond)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, dsRows...)
-		}
-		experiments.PrintGenerationSweep(w, rows)
-		fmt.Fprintln(w)
-		if jsonPath != "" && exp == "generations" {
-			out := struct {
-				NumCPU     int                         `json:"num_cpu"`
-				GOMAXPROCS int                         `json:"gomaxprocs"`
-				Scale      float64                     `json:"scale"`
-				Seed       int64                       `json:"seed"`
-				Goroutines []int                       `json:"goroutine_counts"`
-				Rows       []experiments.GenerationRow `json:"rows"`
-			}{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Scale: scale, Seed: seed, Goroutines: counts, Rows: rows}
-			data, err := json.MarshalIndent(out, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "[json] wrote %s\n", jsonPath)
-		}
-	}
 	if all || exp == "shards" {
 		ran = true
 		dir, err := os.MkdirTemp("", "fixbench-shards-")
@@ -335,7 +305,7 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 		if docsPerLabel < 8 {
 			docsPerLabel = 8
 		}
-		rows, err := experiments.ShardSweep(context.Background(), dir, counts, docsPerLabel, 4, 500*time.Millisecond)
+		rows, err := experiments.ShardSweep(ctx, dir, counts, docsPerLabel, 4, 500*time.Millisecond)
 		if err != nil {
 			return err
 		}
@@ -371,7 +341,7 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 		if docs < 500 {
 			docs = 500
 		}
-		rows, err := experiments.MaintenanceSweep(context.Background(), dir, docs, 32, 250*time.Millisecond)
+		rows, err := experiments.MaintenanceSweep(ctx, dir, docs, 32, 250*time.Millisecond)
 		if err != nil {
 			return err
 		}

@@ -261,7 +261,7 @@ func TestPanicContainmentDegradesAndBreakerSheds(t *testing.T) {
 	}
 
 	// The registry counted the contained panic.
-	if snap := db.Snapshot(); snap.PanicsRecovered < 1 {
+	if snap := db.Metrics(); snap.PanicsRecovered < 1 {
 		t.Fatalf("panics_recovered = %d, want >= 1", snap.PanicsRecovered)
 	}
 }

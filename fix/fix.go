@@ -136,8 +136,12 @@ type IndexOptions struct {
 	// depth-L subpattern per element, which is the right choice for
 	// large documents (the paper uses 6).
 	DepthLimit int
-	// Clustered copies candidate subtrees into a key-ordered heap so
-	// refinement I/O is sequential, trading space for query time.
+	// Clustered builds the paper's clustered layout (§4.1): candidate
+	// subtrees are copied into a key-ordered heap beside the B-tree.
+	// Served queries follow primary pointers regardless (a rebuild
+	// re-creates the heap underneath pinned Views); only the offline
+	// executor of the experiments reads the heap. See the Clustered
+	// build option.
 	Clustered bool
 	// Values integrates text nodes into the structural index via hashing
 	// (paper §4.6), enabling index support for value-equality
@@ -797,21 +801,26 @@ func (db *DB) QueryDocumentsCtx(ctx context.Context, expr string, opts ...QueryO
 	return v.QueryDocumentsCtx(ctx, expr, opts...)
 }
 
-// Effectiveness evaluates the query and reports the paper's §6.2
-// implementation-independent effectiveness measures. It requires an
-// index. (Before the Snapshot→Metrics rename this method was called
-// Metrics; DB.Metrics now returns the operational metrics snapshot.)
+// Effectiveness evaluates the query against the current generation and
+// reports the paper's §6.2 implementation-independent effectiveness
+// measures. It requires an index. It is EffectivenessCtx with
+// context.Background().
 func (db *DB) Effectiveness(expr string) (Effectiveness, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.index == nil {
+	return db.EffectivenessCtx(context.Background(), expr)
+}
+
+// EffectivenessCtx is Effectiveness with cancellation.
+func (db *DB) EffectivenessCtx(ctx context.Context, expr string) (Effectiveness, error) {
+	v := db.View()
+	defer v.Close()
+	if !v.gen.HasIndex() {
 		return Effectiveness{}, fmt.Errorf("fix: Effectiveness requires an index")
 	}
 	q, err := xpath.Parse(expr)
 	if err != nil {
 		return Effectiveness{}, err
 	}
-	m, err := db.index.Evaluate(q)
+	m, err := v.gen.Evaluate(ctx, q)
 	if err != nil {
 		return Effectiveness{}, err
 	}

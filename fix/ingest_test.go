@@ -108,7 +108,7 @@ func TestDeleteDocument(t *testing.T) {
 		t.Errorf("count after delete = %d, want %d", res.Count, pre.Count-1)
 	}
 	// Indexed and scan-only answers agree on the tombstoned collection.
-	scan, err := db.Query("//author[email]", WithScanOnly())
+	scan, err := db.Query("//author[email]", ScanOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestIngestBackpressure(t *testing.T) {
 	// operations fit depends on the schedule.
 	ing := db.NewIngester(IngestConfig{QueueDepth: 2, EnqueueWait: -1, MaxBatch: 1})
 	defer func() { _ = ing.Close() }()
-	before := db.Snapshot().IngestQueueFull
+	before := db.Metrics().IngestQueueFull
 
 	// Stall the committer on the ingest lock, so the queue cannot drain.
 	db.ingestMu.Lock()
@@ -242,7 +242,7 @@ func TestIngestBackpressure(t *testing.T) {
 		t.Errorf("committed %d documents, accepted %d", db.NumDocuments(), accepted)
 	}
 	// Every rejection counted (retried Flushes may add more).
-	if got := db.Snapshot().IngestQueueFull - before; got < int64(rejected) {
+	if got := db.Metrics().IngestQueueFull - before; got < int64(rejected) {
 		t.Errorf("queue-full counter grew by %d, want at least %d", got, rejected)
 	}
 }
@@ -338,7 +338,7 @@ func TestIngestLogLifecycle(t *testing.T) {
 	if db.IngestLag() != 4 {
 		t.Fatalf("IngestLag = %d, want 4", db.IngestLag())
 	}
-	snap := db.Snapshot()
+	snap := db.Metrics()
 	if snap.IngestLag != 4 || snap.DocumentsDeleted != 1 {
 		t.Fatalf("snapshot lag/deleted = %d/%d, want 4/1", snap.IngestLag, snap.DocumentsDeleted)
 	}
@@ -390,7 +390,7 @@ func TestIngestReplayOnOpen(t *testing.T) {
 	if err := db.DeleteDocument(0); err != nil {
 		t.Fatal(err)
 	}
-	before := db.Snapshot().IngestReplayed
+	before := db.Metrics().IngestReplayed
 	if err := db.Close(); err != nil { // crash stand-in: no Save
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestIngestReplayOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = re.Close() }()
-	if got := db.Snapshot().IngestReplayed - before; got != 3 {
+	if got := db.Metrics().IngestReplayed - before; got != 3 {
 		t.Errorf("replayed counter grew by %d, want 3", got)
 	}
 	if re.NumDocuments() != 3 || re.DeletedDocuments() != 1 {
@@ -689,7 +689,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 					t.Errorf("reader exists: %v", err)
 					return
 				}
-				_ = db.Snapshot()
+				_ = db.Metrics()
 				_ = db.IngestLag()
 				_ = ing.QueueLen()
 			}
@@ -714,7 +714,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := db.Query("//article[author]/title", WithScanOnly())
+	scan, err := db.Query("//article[author]/title", ScanOnly())
 	if err != nil {
 		t.Fatal(err)
 	}

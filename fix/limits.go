@@ -46,7 +46,7 @@ var ErrDocumentLimit = xmltree.ErrLimit
 
 // Limits caps what one query may consume. The zero value imposes
 // nothing and costs nothing: ungoverned queries run the exact pre-
-// governance pipeline. Set per query with WithLimits, or for every
+// governance pipeline. Set per query with QueryLimits, or for every
 // query on a DB with Options.Limits.
 type Limits struct {
 	// Timeout is the per-query deadline. The query's context is wrapped
@@ -80,18 +80,6 @@ type ParseLimits struct {
 	MaxNodes      int // total tree nodes
 	MaxBytes      int // total serialized input of one document
 }
-
-// WithLimits sets this query's resource limits.
-//
-// Deprecated: use QueryLimits, the canonical spelling in the unified
-// QueryOption set. WithLimits remains as an alias.
-func WithLimits(l Limits) QueryOption { return QueryLimits(l) }
-
-// WithScanOnly forces this query to bypass the index.
-//
-// Deprecated: use ScanOnly, the canonical spelling in the unified
-// QueryOption set. WithScanOnly remains as an alias.
-func WithScanOnly() QueryOption { return ScanOnly() }
 
 // limitsFor resolves the effective limits for one query: the per-query
 // option wins wholesale, otherwise the DB default.

@@ -46,7 +46,7 @@ func TestDeadlineKillsPromptlyWithPartialTrace(t *testing.T) {
 	want := res.Count
 
 	start := time.Now()
-	res, err = db.Query("//a/b", WithLimits(Limits{Timeout: time.Millisecond}), WithTrace())
+	res, err = db.Query("//a/b", QueryLimits(Limits{Timeout: time.Millisecond}), Trace())
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("1ms-deadline query = %v (count %d), want context.DeadlineExceeded", err, res.Count)
@@ -55,7 +55,7 @@ func TestDeadlineKillsPromptlyWithPartialTrace(t *testing.T) {
 		t.Fatalf("deadline kill took %v, want well under 100ms", elapsed)
 	}
 	if res.Trace == nil {
-		t.Fatal("no partial trace on a deadline kill with WithTrace")
+		t.Fatal("no partial trace on a deadline kill with Trace")
 	}
 	if res.Trace.Total <= 0 {
 		t.Fatal("partial trace has no total time")
@@ -72,12 +72,12 @@ func TestBudgetExceededCountersReconciled(t *testing.T) {
 	db := newTestDB(t, IndexOptions{})
 	before := obs.Default().Snapshot()
 
-	res, err := db.Query("//article[author]/title", WithLimits(Limits{MaxRefineNodes: 1}), WithTrace())
+	res, err := db.Query("//article[author]/title", QueryLimits(Limits{MaxRefineNodes: 1}), Trace())
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("budgeted query = %v, want ErrBudgetExceeded", err)
 	}
 	if res.Trace == nil {
-		t.Fatal("no partial trace on a budget kill with WithTrace")
+		t.Fatal("no partial trace on a budget kill with Trace")
 	}
 
 	after := obs.Default().Snapshot()
@@ -95,7 +95,7 @@ func TestBudgetExceededCountersReconciled(t *testing.T) {
 func TestDeadlineCounterClassified(t *testing.T) {
 	db := newLargeScanDB(t)
 	before := obs.Default().Snapshot()
-	_, err := db.Query("//a/b", WithLimits(Limits{Timeout: time.Millisecond}))
+	_, err := db.Query("//a/b", QueryLimits(Limits{Timeout: time.Millisecond}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -108,10 +108,10 @@ func TestDeadlineCounterClassified(t *testing.T) {
 func TestMaxResultsCap(t *testing.T) {
 	db := newTestDB(t, IndexOptions{})
 	// //article has 3 matches in the fixture docs.
-	if _, err := db.Query("//article", WithLimits(Limits{MaxResults: 2})); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := db.Query("//article", QueryLimits(Limits{MaxResults: 2})); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("capped query = %v, want ErrBudgetExceeded", err)
 	}
-	if res, err := db.Query("//article", WithLimits(Limits{MaxResults: 3})); err != nil || res.Count != 3 {
+	if res, err := db.Query("//article", QueryLimits(Limits{MaxResults: 3})); err != nil || res.Count != 3 {
 		t.Fatalf("query at the cap = (%d, %v), want (3, nil)", res.Count, err)
 	}
 }
@@ -125,7 +125,7 @@ func TestMaxCandidatesCap(t *testing.T) {
 	if res.Candidates < 2 {
 		t.Skipf("fixture produced %d candidates; need >= 2", res.Candidates)
 	}
-	_, err = db.Query("//article[author]/title", WithLimits(Limits{MaxCandidates: 1}))
+	_, err = db.Query("//article[author]/title", QueryLimits(Limits{MaxCandidates: 1}))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("candidate-capped query = %v, want ErrBudgetExceeded", err)
 	}
@@ -140,8 +140,8 @@ func TestWithLimitsOverridesDBDefault(t *testing.T) {
 		t.Fatalf("DB-default limit not applied: %v", err)
 	}
 	// The per-query option replaces the DB default wholesale: an empty
-	// Limits via WithLimits means unlimited, not "merge with default".
-	if res, err := db.Query("//article", WithLimits(Limits{})); err != nil || res.Count != 3 {
+	// Limits via QueryLimits means unlimited, not "merge with default".
+	if res, err := db.Query("//article", QueryLimits(Limits{})); err != nil || res.Count != 3 {
 		t.Fatalf("override query = (%d, %v), want (3, nil)", res.Count, err)
 	}
 }
@@ -152,12 +152,12 @@ func TestWithScanOnlyExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("//article[author]/title", WithScanOnly())
+	res, err := db.Query("//article[author]/title", ScanOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.ScanFallback {
-		t.Fatal("WithScanOnly did not report ScanFallback")
+		t.Fatal("ScanOnly did not report ScanFallback")
 	}
 	if res.Count != want.Count {
 		t.Fatalf("scan-only count = %d, indexed count = %d; fallback must stay exact", res.Count, want.Count)
@@ -257,7 +257,7 @@ func TestConcurrentDeadlinesConsistent(t *testing.T) {
 					}
 				} else {
 					res, err := db.Query("//a/b",
-						WithLimits(Limits{Timeout: time.Millisecond}), WithTrace())
+						QueryLimits(Limits{Timeout: time.Millisecond}), Trace())
 					if err == nil {
 						continue // fast machine: finished inside the deadline
 					}
@@ -291,7 +291,7 @@ func BenchmarkQueryGovernanceOverhead(b *testing.B) {
 	b.Run("budgeted", func(b *testing.B) {
 		lim := Limits{MaxRefineNodes: 1 << 40}
 		for i := 0; i < b.N; i++ {
-			if _, err := db.Query("//a/b", WithLimits(lim)); err != nil {
+			if _, err := db.Query("//a/b", QueryLimits(lim)); err != nil {
 				b.Fatal(err)
 			}
 		}

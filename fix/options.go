@@ -24,8 +24,14 @@ func DepthLimit(l int) BuildOption {
 	return func(o *IndexOptions) { o.DepthLimit = l }
 }
 
-// Clustered copies candidate subtrees into a key-ordered heap so
-// refinement I/O is sequential, trading space for query time.
+// Clustered builds the paper's clustered layout (§4.1): candidate
+// subtrees are copied into a key-ordered heap beside the B-tree. Queries
+// served by this package (DB, View) do not read that heap — they follow
+// the primary pointer every entry also carries, because a rebuild
+// re-creates the heap underneath pinned Views — so today the option
+// costs build time and space and buys the served path nothing; the heap
+// is read by the offline executor of the experiments (fixbench's
+// Fig. 6/7 clustered series).
 func Clustered() BuildOption {
 	return func(o *IndexOptions) { o.Clustered = true }
 }
@@ -79,11 +85,6 @@ func (db *DB) BuildIndexWith(ctx context.Context, opts ...BuildOption) error {
 // Canonical query options. Every query method — Query, Exists,
 // QueryDocuments and their Ctx variants, on DB and View alike — accepts
 // the same QueryOption set, mirroring the BuildOption pattern above.
-//
-// Migration note: these replace the earlier WithTrace, WithScanOnly and
-// WithLimits helpers, which remain as deprecated aliases. The rename is
-// mechanical: WithTrace() → Trace(), WithScanOnly() → ScanOnly(),
-// WithLimits(l) → QueryLimits(l).
 
 // Trace requests a full execution trace for this query; it comes back
 // on Result.Trace. Tracing costs a few timer reads and counter

@@ -12,11 +12,6 @@ import (
 // the BTree/Storage parts are this DB's own exact counters. All fields
 // carry JSON tags, so a Metrics marshals directly onto a metrics
 // endpoint (cmd/fixserve serves exactly this at /metrics).
-//
-// Migration note: this type was named Snapshot until the generation
-// read path arrived, where "snapshot" means a pinned point-in-time View
-// of the data; the operational counters are now Metrics/DB.Metrics, and
-// Snapshot/DB.Snapshot remain as deprecated aliases.
 type Metrics struct {
 	// Query totals. Scanned/Candidates/Matched/Results sum the §6.2
 	// pipeline counters over all queries; NodesVisited covers traced
@@ -93,12 +88,6 @@ type Metrics struct {
 	BTree             BTreeStats    `json:"btree"`
 	Storage           StorageStats  `json:"storage"`
 }
-
-// Snapshot is the former name of Metrics.
-//
-// Deprecated: use Metrics; "snapshot" now refers to pinned point-in-time
-// Views of the data (see DB.View).
-type Snapshot = Metrics
 
 // BTreeStats are the index B-tree's cumulative pager counters.
 // PageReads are physical page reads, which are exactly the cache misses;
@@ -207,12 +196,6 @@ func (db *DB) Metrics() Metrics {
 	}
 	return s
 }
-
-// Snapshot returns the current operational counters.
-//
-// Deprecated: use Metrics; "snapshot" now refers to pinned point-in-time
-// Views of the data (see DB.View).
-func (db *DB) Snapshot() Snapshot { return db.Metrics() }
 
 // PublishExpvar exposes db's Metrics as the expvar variable "fix", so
 // any handler serving expvar's /debug/vars (cmd/fixserve mounts one)

@@ -10,7 +10,7 @@ import (
 
 // QueryTrace is the full execution trace of one query: wall time per
 // pipeline phase plus the counters each phase produced. Request one with
-// the WithTrace query option (it comes back on Result.Trace), or receive
+// the Trace query option (it comes back on Result.Trace), or receive
 // them through Options.OnSlowQuery.
 //
 // The phases are the pipeline of the paper's Algorithm 2: Parse (XPath
@@ -157,8 +157,7 @@ func traceFromObs(tr *obs.Trace) *QueryTrace {
 // accepted uniformly by every query method — Query, Exists,
 // QueryDocuments and their Ctx variants, on both DB and View. The
 // canonical constructors are Trace, ScanOnly and QueryLimits (in
-// options.go, mirroring the BuildOption set); WithTrace, WithScanOnly
-// and WithLimits are their deprecated spellings.
+// options.go, mirroring the BuildOption set).
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
@@ -167,12 +166,6 @@ type queryConfig struct {
 	limitsSet bool // limits overrides the DB-wide Options.Limits
 	scanOnly  bool
 }
-
-// WithTrace requests a full execution trace for this query.
-//
-// Deprecated: use Trace, the canonical spelling in the unified
-// QueryOption set. WithTrace remains as an alias.
-func WithTrace() QueryOption { return Trace() }
 
 // Options configures the observability and resource-governance behavior
 // of a DB. Set it with SetOptions before serving queries; it is not safe
@@ -189,7 +182,7 @@ type Options struct {
 	// fast and safe for concurrent calls; nil disables the log.
 	OnSlowQuery func(QueryTrace)
 	// Limits are the default resource limits applied to every query on
-	// this DB. A query's WithLimits option replaces them wholesale for
+	// this DB. A query's QueryLimits option replaces them wholesale for
 	// that query. The zero value imposes nothing.
 	Limits Limits
 	// ParseLimits bounds documents accepted by AddDocument; zero fields

@@ -38,13 +38,13 @@ func TestTraceReconcilesWithStorageStats(t *testing.T) {
 			db := newTestDB(t, IndexOptions{Workers: workers})
 			st0 := db.store.Stats()
 			bt0 := db.index.BTree().Stats()
-			res, err := db.Query("//article[author]/title", WithTrace())
+			res, err := db.Query("//article[author]/title", Trace())
 			if err != nil {
 				t.Fatal(err)
 			}
 			tr := res.Trace
 			if tr == nil {
-				t.Fatal("WithTrace returned a nil trace")
+				t.Fatal("Trace returned a nil trace")
 			}
 			std := db.store.Stats().Sub(st0)
 			btd := db.index.BTree().Stats().Sub(bt0)
@@ -77,7 +77,7 @@ func TestTraceReconcilesWithStorageStats(t *testing.T) {
 func TestTraceReconcilesWithMetrics(t *testing.T) {
 	db := newTestDB(t, IndexOptions{})
 	const q = "//author[email]"
-	res, err := db.Query(q, WithTrace())
+	res, err := db.Query(q, Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	var ref *QueryTrace
 	for _, workers := range []int{1, 2, 8} {
 		db := traceDB(t, IndexOptions{DepthLimit: 6, Workers: workers})
-		res, err := db.QueryCtx(context.Background(), "//item[name]", WithTrace())
+		res, err := db.QueryCtx(context.Background(), "//item[name]", Trace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestTraceOnScanFallback(t *testing.T) {
 	}
 	defer db.Close()
 	st0 := db.store.Stats()
-	res, err := db.Query("//article[author]/title", WithTrace())
+	res, err := db.Query("//article[author]/title", Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestTraceUnindexedScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Query("//author[email]", WithTrace())
+	res, err := db.Query("//author[email]", Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestTraceUnindexedScan(t *testing.T) {
 	}
 }
 
-// TestUntracedQueryHasNoTrace pins the default: no WithTrace, no slow
+// TestUntracedQueryHasNoTrace pins the default: no Trace, no slow
 // log — no trace allocation.
 func TestUntracedQueryHasNoTrace(t *testing.T) {
 	db := newTestDB(t, IndexOptions{})
@@ -255,17 +255,17 @@ func TestSlowQueryLog(t *testing.T) {
 }
 
 // TestSnapshotCountsQueries checks that the process-wide registry moves
-// with every query and that the DB-side counters appear in Snapshot.
+// with every query and that the DB-side counters appear in Metrics.
 func TestSnapshotCountsQueries(t *testing.T) {
 	db := newTestDB(t, IndexOptions{})
-	before := db.Snapshot()
+	before := db.Metrics()
 	const n = 5
 	for i := 0; i < n; i++ {
 		if _, err := db.Query("//author[email]"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := db.Snapshot()
+	after := db.Metrics()
 	if after.Queries-before.Queries != n {
 		t.Errorf("Queries moved by %d, want %d", after.Queries-before.Queries, n)
 	}
@@ -289,7 +289,7 @@ func TestSnapshotCountsQueries(t *testing.T) {
 	if _, err := db.Query("///"); err == nil {
 		t.Fatal("malformed query did not error")
 	}
-	final := db.Snapshot()
+	final := db.Metrics()
 	if final.QueryErrors-after.QueryErrors != 1 {
 		t.Errorf("QueryErrors moved by %d, want 1", final.QueryErrors-after.QueryErrors)
 	}
@@ -300,7 +300,7 @@ func TestSnapshotCountsQueries(t *testing.T) {
 // store) still shows up in the trace's storage counters.
 func TestTraceClusteredIncludesClusteredHeap(t *testing.T) {
 	db := newTestDB(t, IndexOptions{Clustered: true})
-	res, err := db.Query("//article[author]/title", WithTrace())
+	res, err := db.Query("//article[author]/title", Trace())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,7 +247,7 @@ func (v *View) ExistsCtx(ctx context.Context, expr string, opts ...QueryOption) 
 		return false, err
 	}
 	g := v.gen
-	if !cfg.scanOnly && g.Covered(q) && g.Health() == nil {
+	if !cfg.scanOnly && g.Covered(q) {
 		return g.ExistsGoverned(ctx, q)
 	}
 	return g.ScanExists(ctx, q.Tree())

@@ -150,7 +150,7 @@ func (v *View) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 		return err
 	}
 	i, _ := n.searchLeaf(from)
-	for {
+	for leaves := 1; ; leaves++ {
 		for ; i < len(n.keys); i++ {
 			if to != nil && bytes.Compare(n.keys[i], to) >= 0 {
 				return nil
@@ -161,6 +161,12 @@ func (v *View) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 		}
 		if n.next == 0 {
 			return nil
+		}
+		// As in Tree.scan: a chain that hops over more leaves than the
+		// image has pages loops and would never end.
+		if leaves >= len(v.pages) {
+			return fmt.Errorf("%w: leaf chain does not end within the view's %d pages (page %d links to %d)",
+				ErrCorrupt, len(v.pages), n.id, n.next)
 		}
 		n, err = v.node(n.next)
 		if err != nil {

@@ -140,7 +140,7 @@ func TestBuildCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.Query(q)
+	res, err := query(freeze(t, ix), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +163,11 @@ func TestQueryCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.QueryCtx(ctx, q); err != context.Canceled {
-		t.Errorf("QueryCtx on cancelled ctx = %v, want context.Canceled", err)
+	g := freeze(t, ix)
+	if _, err := g.QueryGoverned(ctx, q, nil, Limits{}); err != context.Canceled {
+		t.Errorf("QueryGoverned on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := ix.ExistsCtx(ctx, q); err != context.Canceled {
-		t.Errorf("ExistsCtx on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := g.ExistsGoverned(ctx, q); err != context.Canceled {
+		t.Errorf("ExistsGoverned on cancelled ctx = %v, want context.Canceled", err)
 	}
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/fix-index/fix/internal/btree"
 	"github.com/fix-index/fix/internal/nok"
@@ -83,8 +86,9 @@ func oracleCounts(t *testing.T, st *storage.Store, queries []string) map[string]
 
 func checkOracle(t *testing.T, ix *Index, oracle map[string]int, ctx string) {
 	t.Helper()
+	g := freeze(t, ix)
 	for qs, want := range oracle {
-		res, err := ix.Query(xpath.MustParse(qs))
+		res, err := query(g, xpath.MustParse(qs))
 		if err != nil {
 			t.Fatalf("%s: query %s: %v", ctx, qs, err)
 		}
@@ -316,7 +320,7 @@ func TestCrashDuringDelete(t *testing.T) {
 			if ix.Health() == nil {
 				// A healthy live index must have genuinely forgotten the
 				// record: an indexed query may not touch it.
-				res, qerr := ix.Query(xpath.MustParse(crashQueries[0]))
+				res, qerr := query(freeze(t, ix), xpath.MustParse(crashQueries[0]))
 				if qerr != nil {
 					t.Fatalf("write %d (torn=%t): healthy query: %v", n, torn, qerr)
 				}
@@ -371,7 +375,10 @@ func TestQueryCorruptPageScanFallback(t *testing.T) {
 	if re.Health() != nil {
 		t.Fatalf("expected a clean open (meta page intact), got %v", re.Health())
 	}
-	res, err := re.Query(xpath.MustParse(crashQueries[1]))
+	// Freezing materializes (and verifies) every page, so the damage
+	// surfaces here: the generation is frozen degraded and the live
+	// index records the corruption.
+	res, err := query(freeze(t, re), xpath.MustParse(crashQueries[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +390,7 @@ func TestQueryCorruptPageScanFallback(t *testing.T) {
 	}
 	health := re.Health()
 	if health == nil || !errors.Is(health, ErrCorrupt) || !errors.Is(health, ErrDegraded) {
-		t.Fatalf("health after corrupt read = %v, want ErrDegraded wrapping ErrCorrupt", health)
+		t.Fatalf("health after freezing corrupt pages = %v, want ErrDegraded wrapping ErrCorrupt", health)
 	}
 	checkOracle(t, re, oracle, "degraded")
 	if err := re.Verify(); err == nil {
@@ -415,7 +422,7 @@ func TestQueryCorruptPageScanFallback(t *testing.T) {
 	if err := re2.Verify(); err != nil {
 		t.Fatalf("rebuilt index fails verify: %v", err)
 	}
-	res, err = re2.Query(xpath.MustParse(crashQueries[1]))
+	res, err = query(freeze(t, re2), xpath.MustParse(crashQueries[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,6 +430,102 @@ func TestQueryCorruptPageScanFallback(t *testing.T) {
 		t.Error("rebuilt index still using the scan fallback")
 	}
 	checkOracle(t, re2, oracle, "rebuilt")
+}
+
+// TestQueryLoopingLeafChainScanFallback plants what a torn write-back
+// can leave in a committed index — two leaves linking to each other,
+// every page checksum valid, so the freeze accepts the image — and runs
+// a query whose range scan walks the whole chain. The executor must
+// notice the loop, answer exactly from the scan with Fallback set and
+// degrade the index, not follow the chain forever.
+func TestQueryLoopingLeafChainScanFallback(t *testing.T) {
+	const pageSize = 256
+	var docs []string
+	for i := 0; i < 40; i++ {
+		docs = append(docs, bibDocs[i%len(bibDocs)])
+	}
+	st := memStoreFromDocs(t, docs)
+	dir := t.TempDir()
+	ix, err := Build(st, Options{Dir: dir, PageSize: pageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Node header (internal/btree/node.go): byte 0 is the type (1 =
+	// leaf), bytes 3..6 the next-leaf page id; the page header before it
+	// is a CRC-32C of everything after the checksum field.
+	const pageHeader, typeLeaf = 8, 1
+	path := filepath.Join(dir, "fix.btree")
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(id uint32) []byte { return buf[int(id)*pageSize+pageHeader+3:][:4] }
+	var last, beforeLast uint32
+	leaves := map[uint32]uint32{} // leaf page -> its next pointer
+	for id := uint32(1); int(id+1)*pageSize <= len(buf); id++ {
+		if buf[int(id)*pageSize+pageHeader] == typeLeaf {
+			leaves[id] = binary.BigEndian.Uint32(next(id))
+		}
+	}
+	for id, nx := range leaves {
+		if nx == 0 {
+			last = id
+		}
+	}
+	for id, nx := range leaves {
+		if nx == last {
+			beforeLast = id
+		}
+	}
+	if last == 0 || beforeLast == 0 {
+		t.Fatalf("fixture has no two-leaf chain end (leaves %v)", leaves)
+	}
+	binary.BigEndian.PutUint32(next(last), beforeLast)
+	pg := buf[int(last)*pageSize:][:pageSize]
+	binary.BigEndian.PutUint32(pg[0:4], crc32.Checksum(pg[4:], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(st, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := freeze(t, re)
+	if g.Health() != nil {
+		t.Fatalf("freeze rejected checksum-valid pages: %v", g.Health())
+	}
+	q := xpath.MustParse("//author[email]") // no root label on a collection index: scans every leaf
+	type answer struct {
+		res Result
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		res, err := query(g, q)
+		done <- answer{res, err}
+	}()
+	select {
+	case a := <-done:
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if !a.res.Fallback {
+			t.Error("query over a looping leaf chain did not report the scan fallback")
+		}
+		if _, want := bruteCount(t, st, q); a.res.Count != want {
+			t.Errorf("fallback count %d, scan says %d", a.res.Count, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("query still following a looping leaf chain after 10s")
+	}
+	if h := re.Health(); !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) {
+		t.Fatalf("health after the looping scan = %v, want ErrDegraded wrapping ErrCorrupt", h)
+	}
 }
 
 // TestStaleIndexDegrades grows the store after the index was committed
@@ -455,7 +558,7 @@ func TestStaleIndexDegrades(t *testing.T) {
 	}
 	oracle := oracleCounts(t, st, crashQueries)
 	checkOracle(t, re, oracle, "stale")
-	res, err := re.Query(xpath.MustParse("//author[email]"))
+	res, err := query(freeze(t, re), xpath.MustParse("//author[email]"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,15 +31,16 @@ import (
 // itself is shared with the live store and is never reclaimed per
 // generation.
 type Generation struct {
-	id      uint64            // immutable after publish
-	ix      *Index            // immutable after publish (plan state is read-only and shared)
-	view    *btree.View       // immutable after publish (nil when degraded or index-less)
-	store   *storage.ReadView // immutable after publish
-	tombs   *storage.TombSet  // immutable after publish
-	dict    *xmltree.Dict     // immutable after publish
-	workers int               // immutable after publish
-	entries int               // immutable after publish
-	health  error             // immutable after publish (frozen at freeze time)
+	id        uint64            // immutable after publish
+	ix        *Index            // immutable after publish (plan state is read-only and shared)
+	view      *btree.View       // immutable after publish (nil when degraded or index-less)
+	store     *storage.ReadView // immutable after publish
+	clustered *storage.ReadView // immutable after publish (nil unless frozen by Index.Freeze)
+	tombs     *storage.TombSet  // immutable after publish
+	dict      *xmltree.Dict     // immutable after publish
+	workers   int               // immutable after publish
+	entries   int               // immutable after publish
+	health    error             // immutable after publish (frozen at freeze time)
 
 	refs      atomic.Int64
 	onRelease func() // immutable after publish
@@ -51,7 +52,12 @@ type Generation struct {
 // freeze share unchanged page buffers. Freezing never fails: if the
 // index is degraded, or the B-tree image cannot be materialized, the
 // generation is published with that health problem recorded and answers
-// queries through the exact scan fallback, mirroring a degraded Index.
+// queries through the exact scan fallback.
+//
+// Refinement on a generation made here follows primary pointers even on
+// a clustered index: a rebuild re-creates fix.clustered in place
+// underneath pinned readers, while the primary heap is append-only and
+// safe to share.
 //
 // The caller receives the publisher's reference (refs = 1); onRelease
 // runs once when the last reference is dropped.
@@ -102,9 +108,6 @@ func (g *Generation) ID() uint64 { return g.id }
 // freeze time — that routes its queries to the scan fallback.
 func (g *Generation) Health() error { return g.health }
 
-// Entries returns the number of index entries in the frozen image.
-func (g *Generation) Entries() int { return g.entries }
-
 // HasIndex reports whether the generation carries an index.
 func (g *Generation) HasIndex() bool { return g.ix != nil }
 
@@ -116,9 +119,6 @@ func (g *Generation) Tombs() *storage.TombSet { return g.tombs }
 
 // Workers returns the worker-pool bound frozen from the index options.
 func (g *Generation) Workers() int { return g.workers }
-
-// Refs returns the current reference count (for tests and metrics).
-func (g *Generation) Refs() int64 { return g.refs.Load() }
 
 // Pin takes a reference, reporting false when the generation is already
 // fully released (the count was zero — the caller raced a final Unpin
@@ -142,13 +142,32 @@ func (g *Generation) Unpin() {
 	}
 }
 
+// Freeze returns a generation over the index's current state for a
+// caller that owns the index offline (experiments, benchmarks, tests):
+// NewGeneration plus a frozen view of the clustered heap, which
+// refinement then reads instead of following primary pointers (paper
+// §4.1) — sound only because nothing rebuilds the index underneath an
+// offline caller. Mutations after Freeze are not visible; freeze again.
+// The caller owns the returned reference and must Unpin it.
+func (ix *Index) Freeze() *Generation {
+	g := NewGeneration(0, ix, ix.store, ix.dict, nil, nil)
+	if ix.clustered != nil {
+		g.clustered = ix.clustered.Freeze()
+	}
+	return g
+}
+
 // Covered reports whether the generation's index can answer the query.
 func (g *Generation) Covered(path *xpath.Path) bool {
 	return g.ix != nil && g.ix.Covered(path)
 }
 
-// candidates is candidatesForPlan over the frozen B-tree image: the same
-// range scan and feature filter, minus every lock.
+// candidates runs the pruning phase: a range scan over the feature keys
+// of the frozen B-tree image, keeping entries whose eigenvalue range
+// contains every twig's range (and whose root label matches, when
+// applicable). scanned reports how many entries the scan touched. The
+// scan observes ctx periodically and stops once lim.MaxCandidates is
+// crossed.
 func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits) ([]Candidate, int, error) {
 	if p.empty {
 		return nil, 0, nil
@@ -156,18 +175,19 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits) (
 	if g.view == nil {
 		return nil, 0, fmt.Errorf("%w: B-tree view unavailable", ErrCorrupt)
 	}
+	// Without a label restriction the scan covers everything; the
+	// feature filter still applies.
 	var from, to []byte
 	if p.labelOK {
 		from, to = scanBounds(p.topLabel, p.feats[0].Max)
 	}
 	var cands []Candidate
 	scanned := 0
-	cancelled := false
-	overCap := false
+	var stop error // why the scan callback ended the scan early, if it did
 	err := g.view.Scan(from, to, func(k, v []byte) bool {
 		scanned++
 		if scanned%1024 == 0 && ctx.Err() != nil {
-			cancelled = true
+			stop = ctx.Err()
 			return false
 		}
 		ek := decodeKey(k)
@@ -182,31 +202,30 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits) (
 			return true
 		}
 		if lim.MaxCandidates > 0 && len(cands) >= lim.MaxCandidates {
-			overCap = true
+			stop = fmt.Errorf("%w: more than %d candidates", ErrBudgetExceeded, lim.MaxCandidates)
 			return false
 		}
-		c := Candidate{Key: ek, Primary: storage.Pointer(ev.primary)}
-		if ev.hasCopy {
-			c.Clustered = storage.Pointer(ev.clustered)
-			c.HasCopy = true
-		}
-		cands = append(cands, c)
+		cands = append(cands, Candidate{
+			Key:       ek,
+			Primary:   storage.Pointer(ev.primary),
+			Clustered: storage.Pointer(ev.clustered),
+			HasCopy:   ev.hasCopy,
+		})
 		return true
 	})
+	if err == nil {
+		err = stop
+	}
 	if err != nil {
 		return nil, 0, err
-	}
-	if cancelled {
-		return nil, 0, ctx.Err()
-	}
-	if overCap {
-		return nil, 0, fmt.Errorf("%w: more than %d candidates", ErrBudgetExceeded, lim.MaxCandidates)
 	}
 	return cands, scanned, nil
 }
 
 // CandidatesCtx returns the index candidates for the query, or an error
-// wrapping ErrDegraded when the generation was frozen degraded.
+// wrapping ErrDegraded when the generation was frozen degraded: the
+// pruning promise — no false negatives — cannot be kept, so callers must
+// scan instead.
 func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Candidate, int, error) {
 	if g.health != nil {
 		return nil, 0, g.health
@@ -218,62 +237,59 @@ func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Can
 	return g.candidates(ctx, p, Limits{})
 }
 
-// QueryGoverned is Index.QueryGoverned against the frozen snapshot: the
-// same pruning + refinement pipeline, trace accounting, and governance,
-// with every read served lock-free from the generation. Refinement
-// always follows primary pointers — the clustered heap belongs to the
-// live index and may be replaced mid-generation by a rebuild, while the
-// primary heap is append-only and safe to share.
-func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (Result, error) {
+// probe plans the query and runs the pruning phase. useScan reports that
+// the index cannot answer — the generation was frozen degraded, or the
+// frozen image failed to decode just now (pages are verified at freeze,
+// so that is exceptional; the corruption is recorded on the live index)
+// — and the caller must refine every record of p.tree instead, which can
+// never miss a match. A non-nil tr gets the plan and probe wall times
+// and the probe's B-tree delta.
+func (g *Generation) probe(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (p *queryPlan, cands []Candidate, scanned int, useScan bool, err error) {
 	planStart := time.Now()
-	p, err := g.ix.plan(path)
+	p, err = g.ix.plan(path)
 	if tr != nil {
 		tr.Phase[obs.PhasePlan] += time.Since(planStart)
 	}
 	if err != nil {
-		return Result{}, err
+		return nil, nil, 0, false, err
 	}
 	if g.health != nil {
-		return g.ScanCount(ctx, p.tree, tr, lim, true)
+		return p, nil, 0, true, nil
 	}
 	probeStart := time.Now()
 	var bt0 btree.Stats
 	if tr != nil {
 		bt0 = g.view.Stats()
 	}
-	cands, scanned, err := g.candidates(ctx, p, lim)
+	cands, scanned, err = g.candidates(ctx, p, lim)
 	if tr != nil {
 		tr.Phase[obs.PhaseProbe] += time.Since(probeStart)
+		// A view has no pager: it never writes or evicts.
 		d := g.view.Stats().Sub(bt0)
-		tr.BTree = obs.BTreeDelta{
-			PageReads:  d.PageReads,
-			PageWrites: d.PageWrites,
-			CacheHits:  d.CacheHits,
-			Evictions:  d.Evictions,
-		}
+		tr.BTree = obs.BTreeDelta{PageReads: d.PageReads, CacheHits: d.CacheHits}
 	}
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			// The frozen image failed to decode (pages were verified at
-			// freeze, so this is exceptional); answer exactly via the scan
-			// and record the corruption on the live index like the locked
-			// query path does.
-			g.ix.setHealth(err)
-			return g.ScanCount(ctx, p.tree, tr, lim, true)
-		}
-		return Result{}, err
+	if errors.Is(err, ErrCorrupt) {
+		g.ix.setHealth(err)
+		return p, nil, 0, true, nil
 	}
-	res := Result{Entries: g.entries, Scanned: scanned, Candidates: len(cands)}
+	return p, cands, scanned, false, err
+}
+
+// fetchFunc resolves work item i of a refinement pass to the subtree to
+// evaluate, or reports ok=false to skip it.
+type fetchFunc func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error)
+
+// refinement compiles the per-candidate form of the planned query and
+// returns the fetch over cands. Refinement reads the clustered copy when
+// the generation holds the clustered heap (Index.Freeze) and follows
+// primary pointers otherwise.
+func (g *Generation) refinement(p *queryPlan, cands []Candidate) (*nok.Query, fetchFunc, error) {
 	rq, rootAnchored := g.ix.refinementQuery(p.tree)
 	nq, err := nok.Compile(rq, g.dict)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
-	var st0 storage.Stats
-	if tr != nil {
-		st0 = g.store.Stats()
-	}
-	res.Matched, res.Count, err = refine(ctx, g.workers, len(cands), nq, lim, tr, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
+	return nq, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
 		c := cands[i]
 		if rootAnchored && c.Primary.Off() != 0 {
 			return // a /-anchored query only matches document roots
@@ -281,106 +297,108 @@ func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *ob
 		if g.tombs.Has(c.Primary.Rec()) {
 			return // tombstoned: entries may outlive the delete until rebuild
 		}
-		cur, ref, err = g.store.ReadSubtree(c.Primary)
+		if g.clustered != nil && c.HasCopy {
+			cur, err = g.clustered.Cursor(c.Clustered.Rec())
+		} else {
+			cur, ref, err = g.store.ReadSubtree(c.Primary)
+		}
 		return cur, ref, true, err
-	})
-	if tr != nil {
-		tr.Storage = tr.Storage.Add(storageDelta(g.store.Stats().Sub(st0)))
+	}, nil
+}
+
+// scanFetch is the fetch over every live record of the frozen heap view.
+func (g *Generation) scanFetch(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
+	if g.tombs.Has(uint32(i)) {
+		return // tombstoned records are not part of the collection
 	}
+	cur, err = g.store.Cursor(uint32(i))
+	return cur, 0, true, err
+}
+
+// QueryGoverned runs the full pruning + refinement pipeline against the
+// frozen snapshot and returns result statistics; every read is served
+// lock-free from the generation, and candidate verification fans out
+// over the worker pool with per-candidate results summed, so the
+// statistics are deterministic.
+//
+// A non-nil tr accumulates per-phase wall times — plan, B-tree probe,
+// candidate fetch, NoK refinement — and the I/O each phase caused
+// (fetch/refine durations are summed across refinement workers, see
+// obs.Trace); a nil tr disables every timer and counter snapshot.
+//
+// Limits are enforced at the pipeline's natural checkpoints: the range
+// scan stops once MaxCandidates is crossed, refinement draws every node
+// visit from a shared budget of MaxRefineNodes, and the running match
+// total is checked against MaxResults — each violation returns an error
+// wrapping ErrBudgetExceeded. A cancellable ctx is additionally checked
+// inside refinement (once per budget chunk), so a deadline interrupts
+// even the evaluation of a single large subtree. On a limit or deadline
+// error a non-nil tr retains the phases that completed, so the caller
+// can attribute where the budget went (the partial trace).
+//
+// When the index is degraded the answer comes from ScanCount with
+// Fallback set: exact, only slower.
+func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (Result, error) {
+	p, cands, scanned, useScan, err := g.probe(ctx, path, tr, lim)
+	if err != nil {
+		return Result{}, err
+	}
+	if useScan {
+		return g.ScanCount(ctx, p.tree, tr, lim, true)
+	}
+	res := Result{Entries: g.entries, Scanned: scanned, Candidates: len(cands)}
+	nq, fetch, err := g.refinement(p, cands)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Matched, res.Count, err = g.refine(ctx, len(cands), nq, lim, tr, fetch)
 	if err != nil {
 		return Result{}, err
 	}
 	if tr != nil {
 		tr.Entries, tr.Scanned, tr.Candidates = res.Entries, res.Scanned, res.Candidates
-		tr.Matched, tr.Count = res.Matched, res.Count
 	}
 	return res, nil
 }
 
-// ExistsGoverned is Index.ExistsCtx against the frozen snapshot: lazy
-// refinement, first hit stops the pool.
+// ExistsGoverned reports whether the query has at least one result,
+// refining candidates lazily and stopping at the first hit. It observes
+// ctx only (no Limits), and like QueryGoverned answers from the scan
+// when the index is degraded.
 func (g *Generation) ExistsGoverned(ctx context.Context, path *xpath.Path) (bool, error) {
-	p, err := g.ix.plan(path)
+	p, cands, _, useScan, err := g.probe(ctx, path, nil, Limits{})
 	if err != nil {
 		return false, err
 	}
-	if g.health != nil {
+	if useScan {
 		return g.ScanExists(ctx, p.tree)
 	}
-	cands, _, err := g.candidates(ctx, p, Limits{})
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			g.ix.setHealth(err)
-			return g.ScanExists(ctx, p.tree)
-		}
-		return false, err
-	}
-	rq, rootAnchored := g.ix.refinementQuery(p.tree)
-	nq, err := nok.Compile(rq, g.dict)
+	nq, fetch, err := g.refinement(p, cands)
 	if err != nil {
 		return false, err
 	}
-	var found atomic.Bool
-	err = par.Do(ctx, g.workers, len(cands), func(i int) error {
-		if found.Load() {
-			return nil
-		}
-		c := cands[i]
-		if rootAnchored && c.Primary.Off() != 0 {
-			return nil
-		}
-		if g.tombs.Has(c.Primary.Rec()) {
-			return nil
-		}
-		cur, ref, err := g.store.ReadSubtree(c.Primary)
-		if err != nil {
-			return err
-		}
-		if nq.Exists(cur, ref) {
-			found.Store(true)
-			return errFoundMatch
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errFoundMatch) {
-		return false, err
-	}
-	return found.Load(), nil
+	return g.firstHit(ctx, len(cands), nq, fetch)
 }
 
 // ScanCount answers a query without the index by refining every live
 // record of the frozen heap view, under the same governance as the
-// indexed path. When markFallback is set the result and trace are
+// indexed path — a degraded index must not turn a bounded query into an
+// unbounded scan. When markFallback is set the result and trace are
 // flagged as a degraded-index fallback (the caller passes false for a
-// deliberate scan, where it owns the flagging).
+// deliberate scan, where it owns the flagging); the pruning counters
+// stay zero because no pruning happened.
 func (g *Generation) ScanCount(ctx context.Context, qt *xpath.QNode, tr *obs.Trace, lim Limits, markFallback bool) (Result, error) {
 	nq, err := nok.Compile(qt, g.dict)
 	if err != nil {
 		return Result{}, err
 	}
-	var st0 storage.Stats
-	if tr != nil {
-		st0 = g.store.Stats()
+	if tr != nil && markFallback {
+		tr.Fallback = true
 	}
 	res := Result{Fallback: markFallback}
-	res.Matched, res.Count, err = refine(ctx, g.workers, g.store.NumRecords(), nq, lim, tr, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
-		if g.tombs.Has(uint32(i)) {
-			return // tombstoned records are not part of the collection
-		}
-		cur, err = g.store.Cursor(uint32(i))
-		return cur, 0, true, err
-	})
-	if tr != nil {
-		if markFallback {
-			tr.Fallback = true
-		}
-		tr.Storage = tr.Storage.Add(storageDelta(g.store.Stats().Sub(st0)))
-	}
+	res.Matched, res.Count, err = g.refine(ctx, g.store.NumRecords(), nq, lim, tr, g.scanFetch)
 	if err != nil {
 		return Result{}, err
-	}
-	if tr != nil {
-		tr.Matched, tr.Count = res.Matched, res.Count
 	}
 	return res, nil
 }
@@ -391,16 +409,105 @@ func (g *Generation) ScanExists(ctx context.Context, qt *xpath.QNode) (bool, err
 	if err != nil {
 		return false, err
 	}
-	var found atomic.Bool
-	err = par.Do(ctx, g.workers, g.store.NumRecords(), func(i int) error {
-		if found.Load() || g.tombs.Has(uint32(i)) {
-			return nil
+	return g.firstHit(ctx, g.store.NumRecords(), nq, g.scanFetch)
+}
+
+// storageDelta converts a storage.Stats difference into the trace's
+// subsystem-neutral delta form.
+func storageDelta(d storage.Stats) obs.StorageDelta {
+	return obs.StorageDelta{
+		SeqReads:     d.SeqReads,
+		RandomReads:  d.RandomReads,
+		CachedReads:  d.CachedReads,
+		BytesRead:    d.BytesRead,
+		SubtreeReads: d.SubtreeReads,
+		SubtreeBytes: d.SubtreeBytes,
+	}
+}
+
+// refine is the refinement loop every counting query path shares: it
+// evaluates nq over n work items on the worker pool and returns how many
+// items matched and the total of their output counts (sums, so the
+// result does not depend on the schedule). Governance is applied here:
+// node visits are drawn from the query's shared budget, and the running
+// total is checked against MaxResults. A non-nil tr accumulates the
+// fetch and refinement wall time (summed across workers), the visit
+// count, the pool size and the heap I/O of the pass — kept on an error,
+// that is the partial trace — and on success the match counts; a nil tr
+// reads no clock.
+func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limits, tr *obs.Trace, fetch fetchFunc) (matched, count int, err error) {
+	bud := refineBudget(ctx, lim)
+	var st0, cl0 storage.Stats
+	if tr != nil {
+		st0 = g.store.Stats()
+		if g.clustered != nil {
+			cl0 = g.clustered.Stats()
 		}
-		cur, err := g.store.Cursor(uint32(i))
-		if err != nil {
+	}
+	var fetchNS, refineNS, visited, hits, total atomic.Int64
+	err = par.Do(ctx, g.workers, n, func(i int) error {
+		var fetchStart, refineStart time.Time
+		if tr != nil {
+			fetchStart = time.Now()
+		}
+		cur, ref, ok, err := fetch(i)
+		if err != nil || !ok {
 			return err
 		}
-		if nq.Exists(cur, 0) {
+		if tr != nil {
+			refineStart = time.Now()
+		}
+		cnt, nodes, err := nq.EvalBudget(cur, ref, bud)
+		if tr != nil {
+			fetchNS.Add(int64(refineStart.Sub(fetchStart)))
+			refineNS.Add(int64(time.Since(refineStart)))
+			visited.Add(int64(nodes))
+		}
+		if err != nil {
+			return budgetErr(err)
+		}
+		if cnt == 0 {
+			return nil
+		}
+		hits.Add(1)
+		return errResultCap(total.Add(int64(cnt)), lim)
+	})
+	matched, count = int(hits.Load()), int(total.Load())
+	if tr != nil {
+		tr.Phase[obs.PhaseFetch] += time.Duration(fetchNS.Load())
+		tr.Phase[obs.PhaseRefine] += time.Duration(refineNS.Load())
+		tr.NodesVisited += visited.Load()
+		tr.Workers = par.Workers(g.workers)
+		sd := storageDelta(g.store.Stats().Sub(st0))
+		if g.clustered != nil {
+			sd = sd.Add(storageDelta(g.clustered.Stats().Sub(cl0)))
+		}
+		tr.Storage = tr.Storage.Add(sd)
+		if err == nil {
+			tr.Matched, tr.Count = matched, count
+		}
+	}
+	return matched, count, err
+}
+
+// errFoundMatch is the internal sentinel firstHit uses to stop the
+// worker pool after the first hit.
+var errFoundMatch = errors.New("core: match found")
+
+// firstHit is the refinement loop of the Exists paths: it reports
+// whether any of the n work items matches nq, and the first verified
+// item stops the remaining workers.
+func (g *Generation) firstHit(ctx context.Context, n int, nq *nok.Query, fetch fetchFunc) (bool, error) {
+	var found atomic.Bool
+	err := par.Do(ctx, g.workers, n, func(i int) error {
+		if found.Load() {
+			return nil
+		}
+		cur, ref, ok, err := fetch(i)
+		if err != nil || !ok {
+			return err
+		}
+		if nq.Exists(cur, ref) {
 			found.Store(true)
 			return errFoundMatch
 		}

@@ -36,11 +36,6 @@ type Limits struct {
 	MaxResults int
 }
 
-// governed reports whether any limit is set.
-func (l Limits) governed() bool {
-	return l.MaxRefineNodes > 0 || l.MaxCandidates > 0 || l.MaxResults > 0
-}
-
 // refineBudget returns the shared NoK budget for one query's refinement
 // phase, or nil when neither a node limit nor a cancellable context is
 // in play — the nil budget keeps the default path free of any per-node

@@ -9,15 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/fix-index/fix/internal/bisim"
 	"github.com/fix-index/fix/internal/btree"
 	"github.com/fix-index/fix/internal/matrix"
-	"github.com/fix-index/fix/internal/nok"
-	"github.com/fix-index/fix/internal/obs"
-	"github.com/fix-index/fix/internal/par"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
@@ -45,7 +41,9 @@ type Options struct {
 	DepthLimit int
 	// Clustered selects the clustered layout: candidate subtrees are
 	// copied into a key-ordered heap so refinement I/O is sequential
-	// (paper §4.1, Figure 4).
+	// (paper §4.1, Figure 4). Only a generation made by Freeze reads the
+	// heap; served generations follow primary pointers (see
+	// NewGeneration).
 	Clustered bool
 	// Values enables the integrated value index (§4.6): text nodes are
 	// hashed into (α, α+β] and indexed as leaf labels.
@@ -122,7 +120,10 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Index is a FIX index over one primary store.
+// Index is a FIX index over one primary store: it builds, persists,
+// maintains and health-checks the B-tree and holds the query-planning
+// state. Queries run on a Generation frozen from it (NewGeneration,
+// Freeze), never on the Index itself.
 type Index struct {
 	opts      Options
 	store     *storage.Store
@@ -489,334 +490,6 @@ func (s *eventSlice) Next() (bisim.Event, error) {
 	return ev, nil
 }
 
-// Candidates runs the pruning phase: a B-tree range scan over the feature
-// keys, keeping entries whose eigenvalue range contains every twig's range
-// (and whose root label matches, when applicable). scanned reports how
-// many entries the scan touched. On a degraded index Candidates returns
-// the health error (wrapping ErrDegraded): its pruning promise — no false
-// negatives — cannot be kept, so callers must scan instead.
-func (ix *Index) Candidates(path *xpath.Path) (cands []Candidate, scanned int, err error) {
-	return ix.CandidatesCtx(context.Background(), path)
-}
-
-// CandidatesCtx is Candidates with cancellation: the range scan observes
-// ctx periodically and returns ctx.Err() promptly once it is cancelled.
-func (ix *Index) CandidatesCtx(ctx context.Context, path *xpath.Path) (cands []Candidate, scanned int, err error) {
-	if err := ix.Health(); err != nil {
-		return nil, 0, err
-	}
-	p, err := ix.plan(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ix.candidatesForPlan(ctx, p, Limits{})
-}
-
-func (ix *Index) candidatesForPlan(ctx context.Context, p *queryPlan, lim Limits) ([]Candidate, int, error) {
-	if p.empty {
-		return nil, 0, nil
-	}
-	if ix.bt == nil {
-		return nil, 0, fmt.Errorf("%w: B-tree unavailable", ErrCorrupt)
-	}
-	var from, to []byte
-	if p.labelOK {
-		from, to = scanBounds(p.topLabel, p.feats[0].Max)
-	} else {
-		// No label restriction: scan everything; the feature filter
-		// still applies.
-		from, to = nil, nil
-	}
-	var cands []Candidate
-	scanned := 0
-	cancelled := false
-	overCap := false
-	err := ix.bt.Scan(from, to, func(k, v []byte) bool {
-		scanned++
-		if scanned%1024 == 0 && ctx.Err() != nil {
-			cancelled = true
-			return false
-		}
-		ek := decodeKey(k)
-		entry := Features{Min: ek.min, Max: ek.max}
-		for _, f := range p.feats {
-			if !entry.Contains(f) {
-				return true
-			}
-		}
-		ev := decodeValue(v)
-		if !spectrumContains(ev.spectrum, p.specs) {
-			return true
-		}
-		if lim.MaxCandidates > 0 && len(cands) >= lim.MaxCandidates {
-			overCap = true
-			return false
-		}
-		c := Candidate{Key: ek, Primary: storage.Pointer(ev.primary)}
-		if ev.hasCopy {
-			c.Clustered = storage.Pointer(ev.clustered)
-			c.HasCopy = true
-		}
-		cands = append(cands, c)
-		return true
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if cancelled {
-		return nil, 0, ctx.Err()
-	}
-	if overCap {
-		return nil, 0, fmt.Errorf("%w: more than %d candidates", ErrBudgetExceeded, lim.MaxCandidates)
-	}
-	return cands, scanned, nil
-}
-
-// Query runs the full pruning + refinement pipeline and returns result
-// statistics. Refinement reads the clustered heap when present, otherwise
-// it follows primary pointers.
-//
-// When the index is degraded — marked unhealthy at Open, or a page read
-// during this very query detects corruption — Query falls back to a full
-// sequential scan of the primary store. The fallback is semantically
-// safe: refinement over every record can never miss a match, so the
-// result set is exactly correct, only slower.
-func (ix *Index) Query(path *xpath.Path) (Result, error) {
-	return ix.QueryCtx(context.Background(), path)
-}
-
-// QueryCtx is Query with cancellation and parallel refinement: candidate
-// verification fans out over the worker pool sized by Options.Workers
-// (0 = GOMAXPROCS), with per-candidate results merged in candidate order
-// so the statistics are deterministic. It is QueryTraced without a trace.
-func (ix *Index) QueryCtx(ctx context.Context, path *xpath.Path) (Result, error) {
-	return ix.QueryTraced(ctx, path, nil)
-}
-
-// QueryTraced is QueryCtx with an optional execution trace; it is
-// QueryGoverned with no resource limits. A nil tr disables every timer
-// and counter snapshot, so the untraced path does no extra work.
-func (ix *Index) QueryTraced(ctx context.Context, path *xpath.Path, tr *obs.Trace) (Result, error) {
-	return ix.QueryGoverned(ctx, path, tr, Limits{})
-}
-
-// QueryGoverned is the fully general query entry point: QueryCtx plus an
-// optional execution trace (a non-nil tr accumulates per-phase wall
-// times — plan, B-tree probe, candidate fetch, NoK refinement — and the
-// I/O each phase caused; fetch/refine durations are summed across
-// refinement workers, see obs.Trace) and per-query resource limits.
-//
-// Limits are enforced at the pipeline's natural checkpoints: the range
-// scan stops once MaxCandidates is crossed, refinement draws every node
-// visit from a shared budget of MaxRefineNodes, and the running match
-// total is checked against MaxResults — each violation returns an error
-// wrapping ErrBudgetExceeded. A cancellable ctx is additionally checked
-// inside refinement (once per budget chunk), so a deadline interrupts
-// even the evaluation of a single large subtree. With a zero Limits and
-// a context that cannot be cancelled, the pipeline is byte-for-byte the
-// ungoverned one. On a limit or deadline error a non-nil tr retains the
-// phases that completed, so the caller can attribute where the budget
-// went (the partial trace).
-func (ix *Index) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (Result, error) {
-	planStart := time.Now()
-	p, err := ix.plan(path)
-	if tr != nil {
-		tr.Phase[obs.PhasePlan] += time.Since(planStart)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	if ix.Health() != nil {
-		return ix.scanFallback(ctx, p.tree, tr, lim)
-	}
-	probeStart := time.Now()
-	var bt0 btree.Stats
-	if tr != nil {
-		bt0 = ix.bt.Stats()
-	}
-	cands, scanned, err := ix.candidatesForPlan(ctx, p, lim)
-	if tr != nil {
-		tr.Phase[obs.PhaseProbe] += time.Since(probeStart)
-		d := ix.bt.Stats().Sub(bt0)
-		tr.BTree = obs.BTreeDelta{
-			PageReads:  d.PageReads,
-			PageWrites: d.PageWrites,
-			CacheHits:  d.CacheHits,
-			Evictions:  d.Evictions,
-		}
-	}
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			ix.setHealth(err)
-			return ix.scanFallback(ctx, p.tree, tr, lim)
-		}
-		return Result{}, err
-	}
-	res := Result{Entries: ix.bt.Len(), Scanned: scanned, Candidates: len(cands)}
-	rq, rootAnchored := ix.refinementQuery(p.tree)
-	nq, err := nok.Compile(rq, ix.dict)
-	if err != nil {
-		return Result{}, err
-	}
-	var st0, cl0 storage.Stats
-	if tr != nil {
-		st0 = ix.store.Stats()
-		if ix.clustered != nil {
-			cl0 = ix.clustered.Stats()
-		}
-	}
-	res.Matched, res.Count, err = refine(ctx, ix.opts.Workers, len(cands), nq, lim, tr, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
-		c := cands[i]
-		if rootAnchored && c.Primary.Off() != 0 {
-			return // a /-anchored query only matches document roots
-		}
-		if ix.store.IsDeleted(c.Primary.Rec()) {
-			return // tombstoned: entries may outlive the delete until rebuild
-		}
-		cur, ref, err = ix.candidateCursor(c)
-		return cur, ref, true, err
-	})
-	if tr != nil {
-		sd := storageDelta(ix.store.Stats().Sub(st0))
-		if ix.clustered != nil {
-			sd = sd.Add(storageDelta(ix.clustered.Stats().Sub(cl0)))
-		}
-		tr.Storage = tr.Storage.Add(sd)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	if tr != nil {
-		tr.Entries, tr.Scanned, tr.Candidates = res.Entries, res.Scanned, res.Candidates
-		tr.Matched, tr.Count = res.Matched, res.Count
-	}
-	return res, nil
-}
-
-// storageDelta converts a storage.Stats difference into the trace's
-// subsystem-neutral delta form.
-func storageDelta(d storage.Stats) obs.StorageDelta {
-	return obs.StorageDelta{
-		SeqReads:     d.SeqReads,
-		RandomReads:  d.RandomReads,
-		CachedReads:  d.CachedReads,
-		BytesRead:    d.BytesRead,
-		SubtreeReads: d.SubtreeReads,
-		SubtreeBytes: d.SubtreeBytes,
-	}
-}
-
-// refine is the refinement loop every counting query path shares: it
-// evaluates nq over n work items on the worker pool and returns how many
-// items matched and the total of their output counts (sums, so the
-// result does not depend on the schedule). fetch resolves item i to the
-// subtree to evaluate, or reports ok=false to skip it. Governance is
-// applied here: node visits are drawn from the query's shared budget,
-// and the running total is checked against MaxResults. A non-nil tr
-// accumulates the fetch and refinement wall time (summed across
-// workers), the visit count and the pool size; a nil tr reads no clock.
-func refine(ctx context.Context, workers, n int, nq *nok.Query, lim Limits, tr *obs.Trace,
-	fetch func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error)) (matched, count int, err error) {
-	bud := refineBudget(ctx, lim)
-	var fetchNS, refineNS, visited, hits, total atomic.Int64
-	err = par.Do(ctx, workers, n, func(i int) error {
-		var fetchStart, refineStart time.Time
-		if tr != nil {
-			fetchStart = time.Now()
-		}
-		cur, ref, ok, err := fetch(i)
-		if err != nil || !ok {
-			return err
-		}
-		if tr != nil {
-			refineStart = time.Now()
-		}
-		cnt, nodes, err := nq.EvalBudget(cur, ref, bud)
-		if tr != nil {
-			fetchNS.Add(int64(refineStart.Sub(fetchStart)))
-			refineNS.Add(int64(time.Since(refineStart)))
-			visited.Add(int64(nodes))
-		}
-		if err != nil {
-			return budgetErr(err)
-		}
-		if cnt == 0 {
-			return nil
-		}
-		hits.Add(1)
-		return errResultCap(total.Add(int64(cnt)), lim)
-	})
-	if tr != nil {
-		tr.Phase[obs.PhaseFetch] += time.Duration(fetchNS.Load())
-		tr.Phase[obs.PhaseRefine] += time.Duration(refineNS.Load())
-		tr.NodesVisited += visited.Load()
-		tr.Workers = par.Workers(workers)
-	}
-	return int(hits.Load()), int(total.Load()), err
-}
-
-// Exists reports whether the query has at least one result, refining
-// candidates lazily and stopping at the first hit. Like Query, it falls
-// back to a full scan when the index is degraded.
-func (ix *Index) Exists(path *xpath.Path) (bool, error) {
-	return ix.ExistsCtx(context.Background(), path)
-}
-
-// ExistsCtx is Exists with cancellation and parallel refinement; the
-// first verified candidate stops the remaining workers.
-func (ix *Index) ExistsCtx(ctx context.Context, path *xpath.Path) (bool, error) {
-	p, err := ix.plan(path)
-	if err != nil {
-		return false, err
-	}
-	if ix.Health() != nil {
-		return ix.existsFallback(ctx, p.tree)
-	}
-	cands, _, err := ix.candidatesForPlan(ctx, p, Limits{})
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			ix.setHealth(err)
-			return ix.existsFallback(ctx, p.tree)
-		}
-		return false, err
-	}
-	rq, rootAnchored := ix.refinementQuery(p.tree)
-	nq, err := nok.Compile(rq, ix.dict)
-	if err != nil {
-		return false, err
-	}
-	var found atomic.Bool
-	err = par.Do(ctx, ix.opts.Workers, len(cands), func(i int) error {
-		if found.Load() {
-			return nil
-		}
-		c := cands[i]
-		if rootAnchored && c.Primary.Off() != 0 {
-			return nil
-		}
-		if ix.store.IsDeleted(c.Primary.Rec()) {
-			return nil
-		}
-		cur, ref, err := ix.candidateCursor(c)
-		if err != nil {
-			return err
-		}
-		if nq.Exists(cur, ref) {
-			found.Store(true)
-			return errFoundMatch
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errFoundMatch) {
-		return false, err
-	}
-	return found.Load(), nil
-}
-
-// errFoundMatch is the internal sentinel Exists-style searches use to
-// stop the worker pool after the first hit.
-var errFoundMatch = errors.New("core: match found")
-
 // refinementQuery adapts the original query for per-candidate refinement:
 // for depth-limited indexes the leading // becomes / because every
 // descendant of an indexed pattern instance is itself indexed (Algorithm
@@ -830,81 +503,6 @@ func (ix *Index) refinementQuery(qt *xpath.QNode) (*xpath.QNode, bool) {
 	rootAnchored := rq.Axis == xpath.Child
 	rq.Axis = xpath.Child
 	return rq, rootAnchored
-}
-
-// scanFallback answers a query without the index: it compiles the
-// original query tree and refines every record of the primary store,
-// fanning the records out over the worker pool. Because a full
-// refinement pass cannot produce false negatives, the counts are exact
-// regardless of what happened to the index. A non-nil tr records the
-// scan as fetch + refinement work with Fallback set; the pruning
-// counters stay zero because no pruning happened. The scan observes the
-// same governance as the indexed path: refinement node budget, result
-// cap, and the context at loop boundaries — a degraded index must not
-// turn a bounded query into an unbounded scan.
-func (ix *Index) scanFallback(ctx context.Context, qt *xpath.QNode, tr *obs.Trace, lim Limits) (Result, error) {
-	nq, err := nok.Compile(qt, ix.dict)
-	if err != nil {
-		return Result{}, err
-	}
-	var st0 storage.Stats
-	if tr != nil {
-		st0 = ix.store.Stats()
-	}
-	res := Result{Fallback: true}
-	res.Matched, res.Count, err = refine(ctx, ix.opts.Workers, ix.store.NumRecords(), nq, lim, tr, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
-		if ix.store.IsDeleted(uint32(i)) {
-			return // tombstoned records are not part of the collection
-		}
-		cur, err = ix.store.Cursor(uint32(i))
-		return cur, 0, true, err
-	})
-	if tr != nil {
-		tr.Fallback = true
-		tr.Storage = tr.Storage.Add(storageDelta(ix.store.Stats().Sub(st0)))
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	if tr != nil {
-		tr.Matched, tr.Count = res.Matched, res.Count
-	}
-	return res, nil
-}
-
-// existsFallback is the Exists counterpart of scanFallback.
-func (ix *Index) existsFallback(ctx context.Context, qt *xpath.QNode) (bool, error) {
-	nq, err := nok.Compile(qt, ix.dict)
-	if err != nil {
-		return false, err
-	}
-	var found atomic.Bool
-	err = par.Do(ctx, ix.opts.Workers, ix.store.NumRecords(), func(i int) error {
-		if found.Load() || ix.store.IsDeleted(uint32(i)) {
-			return nil
-		}
-		cur, err := ix.store.Cursor(uint32(i))
-		if err != nil {
-			return err
-		}
-		if nq.Exists(cur, 0) {
-			found.Store(true)
-			return errFoundMatch
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errFoundMatch) {
-		return false, err
-	}
-	return found.Load(), nil
-}
-
-func (ix *Index) candidateCursor(c Candidate) (xmltree.Cursor, xmltree.Ref, error) {
-	if c.HasCopy && ix.clustered != nil {
-		cur, err := ix.clustered.Cursor(c.Clustered.Rec())
-		return cur, 0, err
-	}
-	return ix.store.ReadSubtree(c.Primary)
 }
 
 // Covered reports whether the index can answer the query (depth check).

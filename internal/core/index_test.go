@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/fix-index/fix/internal/nok"
@@ -44,6 +45,21 @@ func buildCollection(t *testing.T, docs []string, opts Options) (*storage.Store,
 	return st, ix
 }
 
+// freeze returns the served executor over ix's current state, released
+// at the end of the test. A generation does not see later mutations:
+// tests re-freeze after every InsertDocuments/DeleteDocuments.
+func freeze(t testing.TB, ix *Index) *Generation {
+	t.Helper()
+	g := ix.Freeze()
+	t.Cleanup(g.Unpin)
+	return g
+}
+
+// query runs q on g with no trace and no limits.
+func query(g *Generation, q *xpath.Path) (Result, error) {
+	return g.QueryGoverned(context.Background(), q, nil, Limits{})
+}
+
 // bruteCount evaluates the query over every document with the bare
 // navigational matcher.
 func bruteCount(t *testing.T, st *storage.Store, q *xpath.Path) (docs, results int) {
@@ -67,6 +83,7 @@ func bruteCount(t *testing.T, st *storage.Store, q *xpath.Path) (docs, results i
 
 func TestCollectionIndexMatchesBruteForce(t *testing.T) {
 	st, ix := buildCollection(t, bibDocs, Options{})
+	g := freeze(t, ix)
 	queries := []string{
 		"//article",
 		"//article/author",
@@ -82,7 +99,7 @@ func TestCollectionIndexMatchesBruteForce(t *testing.T) {
 	for _, qs := range queries {
 		q := xpath.MustParse(qs)
 		wantDocs, wantResults := bruteCount(t, st, q)
-		res, err := ix.Query(q)
+		res, err := query(g, q)
 		if err != nil {
 			t.Fatalf("%s: Query: %v", qs, err)
 		}
@@ -102,13 +119,14 @@ func TestCollectionIndexMatchesBruteForce(t *testing.T) {
 func TestCollectionClusteredEquivalent(t *testing.T) {
 	_, plain := buildCollection(t, bibDocs, Options{})
 	_, clustered := buildCollection(t, bibDocs, Options{Clustered: true})
+	pg, cg := freeze(t, plain), freeze(t, clustered)
 	for _, qs := range []string{"//author[email]", "//article[author]/title", "/book/title"} {
 		q := xpath.MustParse(qs)
-		a, err := plain.Query(q)
+		a, err := query(pg, q)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
-		b, err := clustered.Query(q)
+		b, err := query(cg, q)
 		if err != nil {
 			t.Fatalf("%s clustered: %v", qs, err)
 		}
@@ -170,11 +188,14 @@ func TestDepthLimitedIndexMatchesBruteForce(t *testing.T) {
 		"//proceedings[booktitle]/title[sup][i]",
 		"//title/i",
 		"//article/author/title", // no results
+		"/dblp/article[number]",  // root-anchored: only the document root is a candidate
+		"/article/title",         // matches entries rooted at article, none of them the root
 	}
+	g := freeze(t, ix)
 	for _, qs := range queries {
 		q := xpath.MustParse(qs)
 		_, wantResults := bruteCount(t, st, q)
-		res, err := ix.Query(q)
+		res, err := query(g, q)
 		if err != nil {
 			t.Fatalf("%s: Query: %v", qs, err)
 		}
@@ -191,7 +212,7 @@ func TestDepthCoverage(t *testing.T) {
 	if ix.Covered(q) {
 		t.Error("depth-3 query reported covered by depth-2 index")
 	}
-	if _, err := ix.Query(q); err == nil {
+	if _, err := query(freeze(t, ix), q); err == nil {
 		t.Error("Query should fail for an uncovered query")
 	}
 	q2 := xpath.MustParse("//article/author")
@@ -208,10 +229,11 @@ func TestValueIndexEqualityPredicates(t *testing.T) {
 		`//article[author="a1"]`,
 		`//article[author="a3"]/title`,
 	}
+	g := freeze(t, ix)
 	for _, qs := range queries {
 		q := xpath.MustParse(qs)
 		_, wantResults := bruteCount(t, st, q)
-		res, err := ix.Query(q)
+		res, err := query(g, q)
 		if err != nil {
 			t.Fatalf("%s: Query: %v", qs, err)
 		}
@@ -225,7 +247,7 @@ func TestDescendantDecompositionQuery(t *testing.T) {
 	st, ix := buildCollection(t, bibDocs, Options{})
 	q := xpath.MustParse("//article[.//email]/title")
 	wantDocs, wantResults := bruteCount(t, st, q)
-	res, err := ix.Query(q)
+	res, err := query(freeze(t, ix), q)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}

@@ -25,7 +25,7 @@ func TestInsertDocumentCollection(t *testing.T) {
 	}
 	q := xpath.MustParse("//author[phone][email]")
 	wantDocs, wantCount := bruteCount(t, st, q)
-	res, err := ix.Query(q)
+	res, err := query(freeze(t, ix), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestInsertDocumentDepthLimited(t *testing.T) {
 	}
 	q := xpath.MustParse("//inproceedings[url]/title/i")
 	_, wantCount := bruteCount(t, st, q)
-	res, err := ix.Query(q)
+	res, err := query(freeze(t, ix), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestInsertDocumentDepthLimited(t *testing.T) {
 func TestDeleteDocument(t *testing.T) {
 	st, ix := buildCollection(t, bibDocs, Options{})
 	q := xpath.MustParse("//author[email]")
-	before, err := ix.Query(q)
+	before, err := query(freeze(t, ix), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDeleteDocument(t *testing.T) {
 	if ix.Entries() != len(bibDocs)-1 {
 		t.Fatalf("entries = %d", ix.Entries())
 	}
-	after, err := ix.Query(q)
+	after, err := query(freeze(t, ix), q)
 	if err != nil {
 		t.Fatal(err)
 	}

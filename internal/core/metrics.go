@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/fix-index/fix/internal/xpath"
@@ -41,8 +42,8 @@ func (m Metrics) String() string {
 // Evaluate runs the query and reports the implementation-independent
 // metrics. By the index's no-false-negative property the result-producing
 // entries are a subset of the candidates, so rst is measured on them.
-func (ix *Index) Evaluate(path *xpath.Path) (Metrics, error) {
-	res, err := ix.Query(path)
+func (g *Generation) Evaluate(ctx context.Context, path *xpath.Path) (Metrics, error) {
+	res, err := g.QueryGoverned(ctx, path, nil, Limits{})
 	if err != nil {
 		return Metrics{}, err
 	}

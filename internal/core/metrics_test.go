@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,15 +27,16 @@ func TestComputeMetrics(t *testing.T) {
 
 func TestExistsShortCircuit(t *testing.T) {
 	_, ix := buildCollection(t, bibDocs, Options{})
-	ok, err := ix.Exists(xpath.MustParse("//author[email]"))
+	g := freeze(t, ix)
+	ok, err := g.ExistsGoverned(context.Background(), xpath.MustParse("//author[email]"))
 	if err != nil || !ok {
 		t.Errorf("Exists = %v, %v", ok, err)
 	}
-	ok, err = ix.Exists(xpath.MustParse("//author[phone][affiliation]"))
+	ok, err = g.ExistsGoverned(context.Background(), xpath.MustParse("//author[phone][affiliation]"))
 	if err != nil || ok {
 		t.Errorf("Exists(impossible) = %v, %v", ok, err)
 	}
-	ok, err = ix.Exists(xpath.MustParse("//nosuchlabel"))
+	ok, err = g.ExistsGoverned(context.Background(), xpath.MustParse("//nosuchlabel"))
 	if err != nil || ok {
 		t.Errorf("Exists(unknown label) = %v, %v", ok, err)
 	}

@@ -48,7 +48,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		dir := t.TempDir()
 		st, ix := buildPersistent(t, dir, opts)
 		q := xpath.MustParse("//author[email]")
-		want, err := ix.Query(q)
+		want, err := query(freeze(t, ix), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("opts %+v: Open: %v", opts, err)
 		}
-		got, err := re.Query(q)
+		got, err := query(freeze(t, re), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"github.com/fix-index/fix/internal/obs"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
@@ -64,11 +66,12 @@ func TestNoFalseNegativesCollection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := freeze(t, ix)
 		for qn := 0; qn < 30; qn++ {
 			qs := randomPropQuery(rng, labels, 3, 3)
 			q := xpath.MustParse(qs)
 			wantDocs, wantCount := bruteCount(t, st, q)
-			res, err := ix.Query(q)
+			res, err := query(g, q)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, qs, err)
 			}
@@ -102,6 +105,7 @@ func TestNoFalseNegativesDepthLimited(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			g := freeze(t, ix)
 			for qn := 0; qn < 25; qn++ {
 				qs := randomPropQuery(rng, labels, depthLimit, 3)
 				q := xpath.MustParse(qs)
@@ -109,7 +113,7 @@ func TestNoFalseNegativesDepthLimited(t *testing.T) {
 					continue
 				}
 				_, wantCount := bruteCount(t, st, q)
-				res, err := ix.Query(q)
+				res, err := query(g, q)
 				if err != nil {
 					t.Fatalf("trial %d L=%d %s: %v", trial, depthLimit, qs, err)
 				}
@@ -153,13 +157,14 @@ func TestNoFalseNegativesWithValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := freeze(t, ix)
 		for qn := 0; qn < 40; qn++ {
 			label := labels[rng.Intn(len(labels))]
 			val := values[rng.Intn(len(values))]
 			qs := fmt.Sprintf(`//%s[%s=%q]`, label, labels[rng.Intn(len(labels))], val)
 			q := xpath.MustParse(qs)
 			_, wantCount := bruteCount(t, st, q)
-			res, err := ix.Query(q)
+			res, err := query(g, q)
 			if err != nil {
 				t.Fatalf("beta %d %s: %v", beta, qs, err)
 			}
@@ -193,11 +198,12 @@ func TestOversizeFallbackKeepsCompleteness(t *testing.T) {
 	if ix.OversizeEntries() == 0 {
 		t.Fatal("expected oversize entries with budget 3")
 	}
+	g := freeze(t, ix)
 	for qn := 0; qn < 30; qn++ {
 		qs := randomPropQuery(rng, labels, 3, 2)
 		q := xpath.MustParse(qs)
 		_, wantCount := bruteCount(t, st, q)
-		res, err := ix.Query(q)
+		res, err := query(g, q)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
@@ -230,14 +236,16 @@ func TestNoRootLabelStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	withGen := freeze(t, with)
+	withoutGen := freeze(t, without)
 	for qn := 0; qn < 25; qn++ {
 		qs := randomPropQuery(rng, labels, 3, 3)
 		q := xpath.MustParse(qs)
-		a, err := with.Query(q)
+		a, err := query(withGen, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := without.Query(q)
+		b, err := query(withoutGen, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,6 +254,78 @@ func TestNoRootLabelStillCorrect(t *testing.T) {
 		}
 		if b.Candidates < a.Candidates {
 			t.Errorf("%s: label pruning increased candidates (%d -> %d)", qs, a.Candidates, b.Candidates)
+		}
+	}
+}
+
+// TestClusteredGenerationMatchesPrimary runs 200 seeded random queries
+// through the offline executor of an unclustered and a clustered index
+// over one store: both must agree with each other and with the scan, and
+// the clustered generation must read the clustered heap only — never a
+// primary pointer — with that I/O showing up in the trace.
+func TestClusteredGenerationMatchesPrimary(t *testing.T) {
+	rng := rand.New(rand.NewSource(1404))
+	labels := []string{"a", "b", "c", "d"}
+	ctx := context.Background()
+	for _, depthLimit := range []int{0, 3} {
+		st, err := storage.NewStore(storage.NewMemFile(), xmltree.NewDict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			if _, err := st.AppendTree(randomPropDoc(rng, labels, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plain, err := Build(st, Options{DepthLimit: depthLimit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clustered, err := Build(st, Options{DepthLimit: depthLimit, Clustered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, cg := freeze(t, plain), freeze(t, clustered)
+		heap := clustered.ClusteredStore()
+		heapReads := func() int64 {
+			s := heap.Stats()
+			return s.SeqReads + s.RandomReads + s.CachedReads
+		}
+		for qn := 0; qn < 100; qn++ {
+			qs := randomPropQuery(rng, labels, 3, 3)
+			q := xpath.MustParse(qs)
+			scan, err := pg.ScanCount(ctx, q.Tree(), nil, Limits{}, false)
+			if err != nil {
+				t.Fatalf("L=%d %s: scan: %v", depthLimit, qs, err)
+			}
+			a, err := query(pg, q)
+			if err != nil {
+				t.Fatalf("L=%d %s: %v", depthLimit, qs, err)
+			}
+			primary0, heap0 := st.Stats().SubtreeReads, heapReads()
+			var tr obs.Trace
+			b, err := cg.QueryGoverned(ctx, q, &tr, Limits{})
+			if err != nil {
+				t.Fatalf("L=%d %s clustered: %v", depthLimit, qs, err)
+			}
+			if a.Count != scan.Count || b.Count != scan.Count || a.Matched != b.Matched {
+				t.Fatalf("L=%d %s: unclustered %+v, clustered %+v, scan %+v", depthLimit, qs, a, b, scan)
+			}
+			if depthLimit == 0 && a.Matched != scan.Matched {
+				t.Fatalf("%s: %d matching entries, scan found %d matching documents", qs, a.Matched, scan.Matched)
+			}
+			if d := st.Stats().SubtreeReads - primary0; d != 0 {
+				t.Fatalf("L=%d %s: clustered generation followed %d primary pointers", depthLimit, qs, d)
+			}
+			if b.Candidates == 0 {
+				continue
+			}
+			if heapReads() == heap0 {
+				t.Fatalf("L=%d %s: %d candidates refined without reading the clustered heap", depthLimit, qs, b.Candidates)
+			}
+			if got := tr.Storage.SeqReads + tr.Storage.RandomReads + tr.Storage.CachedReads; got != heapReads()-heap0 || tr.Storage.SubtreeReads != 0 {
+				t.Fatalf("L=%d %s: trace storage delta %+v, clustered heap did %d reads", depthLimit, qs, tr.Storage, heapReads()-heap0)
+			}
 		}
 	}
 }

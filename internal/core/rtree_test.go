@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -38,10 +39,11 @@ func TestRTreeCandidatesMatchBTree(t *testing.T) {
 	if rt.Len() != ix.Entries() {
 		t.Fatalf("rtree holds %d entries, index has %d", rt.Len(), ix.Entries())
 	}
+	g := freeze(t, ix)
 	for qn := 0; qn < 40; qn++ {
 		qs := randomPropQuery(rng, labels, 3, 3)
 		q := xpath.MustParse(qs)
-		bt, _, err := ix.Candidates(q)
+		bt, _, err := g.CandidatesCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +97,7 @@ func TestRTreeOversizeEntriesAlwaysCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := xpath.MustParse("//a[b][c]")
-	bt, _, err := ix.Candidates(q)
+	bt, _, err := freeze(t, ix).CandidatesCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

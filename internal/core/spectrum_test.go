@@ -42,14 +42,16 @@ func TestSpectrumFilterCompleteAndMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(809))
+	plainGen := freeze(t, plain)
+	spectralGen := freeze(t, spectral)
 	for qn := 0; qn < 40; qn++ {
 		qs := randomPropQuery(rng, []string{"a", "b", "c", "d"}, 3, 3)
 		q := xpath.MustParse(qs)
-		a, err := plain.Query(q)
+		a, err := query(plainGen, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := spectral.Query(q)
+		b, err := query(spectralGen, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +76,11 @@ func TestSpectrumFilterWithPaperBound(t *testing.T) {
 	}
 	// The paper-mode benchmark queries (distinct labels per level) stay
 	// exact under the spectrum filter too.
+	g := freeze(t, ix)
 	for _, qs := range []string{"//a/b", "//a[b][c]", "//b/c/d"} {
 		q := xpath.MustParse(qs)
 		_, wantCount := bruteCount(t, st, q)
-		res, err := ix.Query(q)
+		res, err := query(g, q)
 		if err != nil {
 			t.Fatal(err)
 		}

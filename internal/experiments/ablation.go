@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"github.com/fix-index/fix/internal/core"
@@ -23,7 +24,7 @@ type RootLabelRow struct {
 
 // AblationRootLabel builds a second index whose query planner ignores the
 // root label and contrasts pruning power and scan effort.
-func AblationRootLabel(env *Env) ([]RootLabelRow, error) {
+func AblationRootLabel(ctx context.Context, env *Env) ([]RootLabelRow, error) {
 	with, err := env.Unclustered()
 	if err != nil {
 		return nil, err
@@ -35,17 +36,20 @@ func AblationRootLabel(env *Env) ([]RootLabelRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	withGen := env.Frozen(with)
+	withoutGen := without.Freeze()
+	defer withoutGen.Unpin()
 	var rows []RootLabelRow
 	for _, rq := range RepresentativeQueries[env.Dataset] {
 		q, err := xpath.Parse(rq.XPath)
 		if err != nil {
 			return nil, err
 		}
-		resW, err := with.Query(q)
+		resW, err := count(ctx, withGen, q)
 		if err != nil {
 			return nil, err
 		}
-		resWo, err := without.Query(q)
+		resWo, err := count(ctx, withoutGen, q)
 		if err != nil {
 			return nil, err
 		}
@@ -82,41 +86,52 @@ type DepthSweepRow struct {
 // AblationDepth builds unclustered indexes at several depth limits and
 // reports construction cost, coverage of the representative queries and
 // average pruning power over the covered ones.
-func AblationDepth(env *Env, depths []int) ([]DepthSweepRow, error) {
-	queries := RepresentativeQueries[env.Dataset]
+func AblationDepth(ctx context.Context, env *Env, depths []int) ([]DepthSweepRow, error) {
 	var rows []DepthSweepRow
 	for _, d := range depths {
-		ix, err := core.Build(env.Store, core.Options{DepthLimit: d})
+		row, err := depthSweepRow(ctx, env, d)
 		if err != nil {
 			return nil, err
-		}
-		row := DepthSweepRow{
-			Depth:    d,
-			ICT:      ix.BuildTime(),
-			IdxBytes: ix.SizeBytes(),
-			Oversize: ix.OversizeEntries(),
-		}
-		for _, rq := range queries {
-			q, err := xpath.Parse(rq.XPath)
-			if err != nil {
-				return nil, err
-			}
-			if !ix.Covered(q) {
-				continue
-			}
-			m, err := ix.Evaluate(q)
-			if err != nil {
-				return nil, err
-			}
-			row.Covered++
-			row.AvgPP += m.PP
-		}
-		if row.Covered > 0 {
-			row.AvgPP /= float64(row.Covered)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// depthSweepRow builds the depth-d index and evaluates the
+// representative queries it covers.
+func depthSweepRow(ctx context.Context, env *Env, d int) (DepthSweepRow, error) {
+	ix, err := core.Build(env.Store, core.Options{DepthLimit: d})
+	if err != nil {
+		return DepthSweepRow{}, err
+	}
+	row := DepthSweepRow{
+		Depth:    d,
+		ICT:      ix.BuildTime(),
+		IdxBytes: ix.SizeBytes(),
+		Oversize: ix.OversizeEntries(),
+	}
+	g := ix.Freeze()
+	defer g.Unpin()
+	for _, rq := range RepresentativeQueries[env.Dataset] {
+		q, err := xpath.Parse(rq.XPath)
+		if err != nil {
+			return DepthSweepRow{}, err
+		}
+		if !g.Covered(q) {
+			continue
+		}
+		m, err := g.Evaluate(ctx, q)
+		if err != nil {
+			return DepthSweepRow{}, err
+		}
+		row.Covered++
+		row.AvgPP += m.PP
+	}
+	if row.Covered > 0 {
+		row.AvgPP /= float64(row.Covered)
+	}
+	return row, nil
 }
 
 // PruningModeRow contrasts the paper's pruning bound with the provably
@@ -131,7 +146,7 @@ type PruningModeRow struct {
 
 // AblationPruningMode evaluates the dataset's representative queries
 // under both pruning bounds.
-func AblationPruningMode(env *Env) ([]PruningModeRow, error) {
+func AblationPruningMode(ctx context.Context, env *Env) ([]PruningModeRow, error) {
 	paper, err := env.Unclustered()
 	if err != nil {
 		return nil, err
@@ -140,17 +155,18 @@ func AblationPruningMode(env *Env) ([]PruningModeRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	pgen, sgen := env.Frozen(paper), env.Frozen(sound)
 	var rows []PruningModeRow
 	for _, rq := range RepresentativeQueries[env.Dataset] {
 		q, err := xpath.Parse(rq.XPath)
 		if err != nil {
 			return nil, err
 		}
-		pm, err := paper.Evaluate(q)
+		pm, err := pgen.Evaluate(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		sm, err := sound.Evaluate(q)
+		sm, err := sgen.Evaluate(ctx, q)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -38,6 +39,10 @@ type Env struct {
 	sound *core.Index // unclustered, provably complete bound
 	fb    *fbindex.Index
 
+	// gens holds the frozen query executor of every index handed to
+	// Frozen: frozen once, shared by all experiments, released by Close.
+	gens map[*core.Index]*core.Generation
+
 	uidxTime, cidxTime, vidxTime, fbTime time.Duration
 }
 
@@ -51,7 +56,32 @@ func Setup(ds datagen.Dataset, cfg datagen.Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Env{Dataset: ds, Cfg: cfg, Store: st, elements: elems}, nil
+	return &Env{Dataset: ds, Cfg: cfg, Store: st, elements: elems, gens: map[*core.Index]*core.Generation{}}, nil
+}
+
+// Frozen returns (freezing on first use) the query executor over ix. The
+// environment's indexes never change after their build, so one
+// generation serves every query of every experiment.
+func (e *Env) Frozen(ix *core.Index) *core.Generation {
+	g, ok := e.gens[ix]
+	if !ok {
+		g = ix.Freeze()
+		e.gens[ix] = g
+	}
+	return g
+}
+
+// Close releases the generations Frozen handed out.
+func (e *Env) Close() {
+	for ix, g := range e.gens {
+		g.Unpin()
+		delete(e.gens, ix)
+	}
+}
+
+// count runs q on g with no trace and no limits.
+func count(ctx context.Context, g *core.Generation, q *xpath.Path) (core.Result, error) {
+	return g.QueryGoverned(ctx, q, nil, core.Limits{})
 }
 
 // Elements returns the dataset's element count.

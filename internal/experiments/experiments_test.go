@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/fix-index/fix/internal/datagen"
@@ -15,6 +16,7 @@ func testEnv(t *testing.T, ds datagen.Dataset) *Env {
 	if err != nil {
 		t.Fatalf("Setup(%s): %v", ds, err)
 	}
+	t.Cleanup(env.Close)
 	return env
 }
 
@@ -40,7 +42,7 @@ func TestTable1AllDatasets(t *testing.T) {
 func TestTable2AllDatasets(t *testing.T) {
 	for _, ds := range datagen.AllDatasets {
 		env := testEnv(t, ds)
-		rows, err := Table2(env)
+		rows, err := Table2(context.Background(), env)
 		if err != nil {
 			t.Fatalf("%s: %v", ds, err)
 		}
@@ -56,7 +58,7 @@ func TestTable2AllDatasets(t *testing.T) {
 func TestFig5SmallSample(t *testing.T) {
 	for _, ds := range datagen.AllDatasets {
 		env := testEnv(t, ds)
-		row, err := Fig5(env, 40)
+		row, err := Fig5(context.Background(), env, 40)
 		if err != nil {
 			t.Fatalf("%s: %v", ds, err)
 		}
@@ -79,7 +81,7 @@ func TestFig5SmallSample(t *testing.T) {
 func TestFig6CrossSystemConsistency(t *testing.T) {
 	for _, ds := range []datagen.Dataset{datagen.XMarkDataset, datagen.TreebankDataset, datagen.DBLPDataset} {
 		env := testEnv(t, ds)
-		rows, err := Fig6(env)
+		rows, err := Fig6(context.Background(), env)
 		if err != nil {
 			t.Fatalf("%s: %v", ds, err)
 		}
@@ -97,7 +99,7 @@ func TestFig6CrossSystemConsistency(t *testing.T) {
 
 func TestFig7ValueQueries(t *testing.T) {
 	env := testEnv(t, datagen.DBLPDataset)
-	rows, err := Fig7(env)
+	rows, err := Fig7(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestBetaSweep(t *testing.T) {
 
 func TestExtRTree(t *testing.T) {
 	env := testEnv(t, datagen.XMarkDataset)
-	rows, err := ExtRTree(env)
+	rows, err := ExtRTree(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestExtEvaluators(t *testing.T) {
 
 func TestAblationRootLabelAndDepth(t *testing.T) {
 	env := testEnv(t, datagen.XMarkDataset)
-	rows, err := AblationRootLabel(env)
+	rows, err := AblationRootLabel(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestAblationRootLabelAndDepth(t *testing.T) {
 		t.Logf("%-10s pp(label)=%.3f pp(none)=%.3f scan %d vs %d",
 			r.Query, r.PPWith, r.PPWithout, r.ScannedWith, r.ScannedWithout)
 	}
-	depths, err := AblationDepth(env, []int{2, 4, 6})
+	depths, err := AblationDepth(context.Background(), env, []int{2, 4, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestAblationRootLabelAndDepth(t *testing.T) {
 
 func TestAblationPruningModeRows(t *testing.T) {
 	env := testEnv(t, datagen.TreebankDataset)
-	rows, err := AblationPruningMode(env)
+	rows, err := AblationPruningMode(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +253,7 @@ func TestTable1RowShape(t *testing.T) {
 
 func TestExtSpectrum(t *testing.T) {
 	env := testEnv(t, datagen.TreebankDataset)
-	rows, err := ExtSpectrum(env)
+	rows, err := ExtSpectrum(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -26,7 +27,7 @@ type RTreeRow struct {
 }
 
 // ExtRTree builds the feature R-tree and contrasts scan effort.
-func ExtRTree(env *Env) ([]RTreeRow, error) {
+func ExtRTree(ctx context.Context, env *Env) ([]RTreeRow, error) {
 	ix, err := env.Unclustered()
 	if err != nil {
 		return nil, err
@@ -35,13 +36,14 @@ func ExtRTree(env *Env) ([]RTreeRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	g := env.Frozen(ix)
 	var rows []RTreeRow
 	for _, rq := range RepresentativeQueries[env.Dataset] {
 		q, err := xpath.Parse(rq.XPath)
 		if err != nil {
 			return nil, err
 		}
-		bt, scanned, err := ix.Candidates(q)
+		bt, scanned, err := g.CandidatesCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +128,7 @@ type SpectrumRow struct {
 
 // ExtSpectrum builds a SpectrumK=4 index alongside the plain one and
 // contrasts pruning.
-func ExtSpectrum(env *Env) ([]SpectrumRow, error) {
+func ExtSpectrum(ctx context.Context, env *Env) ([]SpectrumRow, error) {
 	plain, err := env.SoundIndex()
 	if err != nil {
 		return nil, err
@@ -135,17 +137,20 @@ func ExtSpectrum(env *Env) ([]SpectrumRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	plainGen := env.Frozen(plain)
+	spectralGen := spectral.Freeze()
+	defer spectralGen.Unpin()
 	var rows []SpectrumRow
 	for _, rq := range RepresentativeQueries[env.Dataset] {
 		q, err := xpath.Parse(rq.XPath)
 		if err != nil {
 			return nil, err
 		}
-		a, err := plain.Query(q)
+		a, err := count(ctx, plainGen, q)
 		if err != nil {
 			return nil, err
 		}
-		b, err := spectral.Query(q)
+		b, err := count(ctx, spectralGen, q)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"github.com/fix-index/fix/internal/datagen"
 )
 
@@ -32,7 +33,7 @@ type Fig5Row struct {
 // Fig5 generates random twig queries from the dataset and averages the
 // metrics, excluding selectivity-0 and selectivity-1 queries as the paper
 // does (§6.2 footnote).
-func Fig5(env *Env, numQueries int) (Fig5Row, error) {
+func Fig5(ctx context.Context, env *Env, numQueries int) (Fig5Row, error) {
 	paper, err := env.Unclustered()
 	if err != nil {
 		return Fig5Row{}, err
@@ -41,6 +42,7 @@ func Fig5(env *Env, numQueries int) (Fig5Row, error) {
 	if err != nil {
 		return Fig5Row{}, err
 	}
+	pgen, sgen := env.Frozen(paper), env.Frozen(sound)
 	maxDepth := env.DepthLimit()
 	if maxDepth == 0 {
 		maxDepth = 5
@@ -51,14 +53,14 @@ func Fig5(env *Env, numQueries int) (Fig5Row, error) {
 		if !sound.Covered(q) {
 			continue
 		}
-		exact, err := sound.Evaluate(q)
+		exact, err := sgen.Evaluate(ctx, q)
 		if err != nil {
 			return Fig5Row{}, err
 		}
 		if exact.Rst == 0 || exact.Rst == exact.Ent {
 			continue // sel 1 or 0: uninformative, excluded as in the paper
 		}
-		pm, err := paper.Evaluate(q)
+		pm, err := pgen.Evaluate(ctx, q)
 		if err != nil {
 			return Fig5Row{}, err
 		}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xpath"
 )
@@ -28,7 +30,7 @@ type Fig6Row struct {
 
 // Fig6 runs the dataset's runtime workload over all four systems with
 // cold caches.
-func Fig6(env *Env) ([]Fig6Row, error) {
+func Fig6(ctx context.Context, env *Env) ([]Fig6Row, error) {
 	queries, ok := RuntimeQueries[env.Dataset]
 	if !ok {
 		return nil, fmt.Errorf("experiments: no runtime queries for %s", env.Dataset)
@@ -62,27 +64,7 @@ func Fig6(env *Env) ([]Fig6Row, error) {
 			return nil, fmt.Errorf("experiments: %s (NoK): %w", rq.Name, err)
 		}
 
-		row.FIXUnclust, err = runCold(
-			func() error {
-				env.Store.ClearCache()
-				env.Store.ResetStats()
-				uidx.BTree().ResetStats()
-				return uidx.BTree().ClearCache()
-			},
-			func() (int, error) {
-				res, err := uidx.Query(q)
-				return res.Count, err
-			},
-			func() IOStats {
-				// Unclustered refinement dereferences one pointer per
-				// candidate: a seek plus the subtree's bytes.
-				st := env.Store.Stats()
-				return IOStats{
-					Random:   st.SubtreeReads + uidx.BTree().Stats().PageReads,
-					SeqBytes: st.SubtreeBytes,
-				}
-			},
-		)
+		row.FIXUnclust, err = env.runColdFIX(ctx, uidx, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (FIX unclustered): %w", rq.Name, err)
 		}
@@ -99,24 +81,7 @@ func Fig6(env *Env) ([]Fig6Row, error) {
 			return nil, fmt.Errorf("experiments: %s (F&B): %w", rq.Name, err)
 		}
 
-		row.FIXClus, err = runCold(
-			func() error {
-				cs := cidx.ClusteredStore()
-				cs.ClearCache()
-				cs.ResetStats()
-				cidx.BTree().ResetStats()
-				return cidx.BTree().ClearCache()
-			},
-			func() (int, error) {
-				res, err := cidx.Query(q)
-				return res.Count, err
-			},
-			func() IOStats {
-				io := storeIO(cidx.ClusteredStore())
-				io.Random += cidx.BTree().Stats().PageReads
-				return io
-			},
-		)
+		row.FIXClus, err = env.runColdFIX(ctx, cidx, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (FIX clustered): %w", rq.Name, err)
 		}
@@ -144,6 +109,43 @@ func runCold(clear func() error, run func() (int, error), io func() IOStats) (Sy
 		Modeled: wall + Disk2006.IOTime(footprint),
 		Count:   count,
 	}, nil
+}
+
+// runColdFIX is runCold for a FIX index: q runs once on ix's frozen
+// executor with the heap refinement reads — the clustered heap when ix
+// has one, the primary store otherwise — and the B-tree counters cleared.
+// The probe is charged one random access per node access of the frozen
+// B-tree image: a frozen view has no pager, and a cold pager reads each
+// page a range scan touches exactly once, so the count is the same.
+func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, q *xpath.Path) (SystemRun, error) {
+	g := e.Frozen(ix)
+	heap := ix.ClusteredStore()
+	if heap == nil {
+		heap = e.Store
+	}
+	return runCold(
+		func() error {
+			heap.ClearCache()
+			heap.ResetStats()
+			ix.BTree().ResetStats()
+			return nil
+		},
+		func() (int, error) {
+			res, err := count(ctx, g, q)
+			return res.Count, err
+		},
+		func() IOStats {
+			st := heap.Stats()
+			io := IOStats{Random: st.RandomReads, SeqBytes: st.BytesRead}
+			if heap == e.Store {
+				// Unclustered refinement dereferences one pointer per
+				// candidate: a seek plus the subtree's bytes.
+				io = IOStats{Random: st.SubtreeReads, SeqBytes: st.SubtreeBytes}
+			}
+			io.Random += ix.BTree().Stats().CacheHits
+			return io
+		},
+	)
 }
 
 // storeIO converts store counters to a footprint: random record accesses

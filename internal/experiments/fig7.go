@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -24,7 +25,7 @@ type Fig7Row struct {
 
 // Fig7 runs the DBLP value workload on the value-extended clustered FIX
 // index and the F&B baseline, both with cold caches.
-func Fig7(env *Env) ([]Fig7Row, error) {
+func Fig7(ctx context.Context, env *Env) ([]Fig7Row, error) {
 	if env.Dataset != datagen.DBLPDataset {
 		return nil, fmt.Errorf("experiments: Fig7 runs on DBLP, not %s", env.Dataset)
 	}
@@ -43,7 +44,7 @@ func Fig7(env *Env) ([]Fig7Row, error) {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}
 		row := Fig7Row{Query: rq.Name}
-		m, err := vidx.Evaluate(q)
+		m, err := env.Frozen(vidx).Evaluate(ctx, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (metrics): %w", rq.Name, err)
 		}
@@ -70,24 +71,7 @@ func Fig7(env *Env) ([]Fig7Row, error) {
 			return nil, fmt.Errorf("experiments: %s (F&B): %w", rq.Name, err)
 		}
 
-		row.FIXVal, err = runCold(
-			func() error {
-				cs := vidx.ClusteredStore()
-				cs.ClearCache()
-				cs.ResetStats()
-				vidx.BTree().ResetStats()
-				return vidx.BTree().ClearCache()
-			},
-			func() (int, error) {
-				res, err := vidx.Query(q)
-				return res.Count, err
-			},
-			func() IOStats {
-				io := storeIO(vidx.ClusteredStore())
-				io.Random += vidx.BTree().Stats().PageReads
-				return io
-			},
-		)
+		row.FIXVal, err = env.runColdFIX(ctx, vidx, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (FIX values): %w", rq.Name, err)
 		}

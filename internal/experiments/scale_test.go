@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"testing"
@@ -23,13 +24,14 @@ func TestScaleTrend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(env.Close)
 		fb, err := env.FB()
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s: elems=%d fbClasses=%d fbEdges=%d fbSize=%dKB rounds=%d buildFB=%v",
 			ds, env.Elements(), fb.NumClasses(), fb.NumEdges(), fb.SizeBytes()/1024, fb.Rounds(), env.fbTime)
-		rows, err := Fig6(env)
+		rows, err := Fig6(context.Background(), env)
 		if err != nil {
 			t.Fatal(err)
 		}

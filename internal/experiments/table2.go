@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/fix-index/fix/internal/core"
@@ -17,7 +18,7 @@ type Table2Row struct {
 
 // Table2 evaluates the dataset's representative queries on the
 // unclustered index.
-func Table2(env *Env) ([]Table2Row, error) {
+func Table2(ctx context.Context, env *Env) ([]Table2Row, error) {
 	ix, err := env.Unclustered()
 	if err != nil {
 		return nil, err
@@ -26,13 +27,14 @@ func Table2(env *Env) ([]Table2Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: no representative queries for %s", env.Dataset)
 	}
+	g := env.Frozen(ix)
 	var rows []Table2Row
 	for _, rq := range queries {
 		q, err := xpath.Parse(rq.XPath)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}
-		m, err := ix.Evaluate(q)
+		m, err := g.Evaluate(ctx, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}

@@ -373,12 +373,14 @@ func (s *Store) Sync() error { return s.f.Sync() }
 // Close closes the underlying file.
 func (s *Store) Close() error { return s.f.Close() }
 
-// ClearCache drops the one-record read cache, so a following query
-// measures cold I/O.
+// ClearCache drops the one-record read cache of the store and of every
+// view frozen from it, so a following query measures cold I/O.
 func (s *Store) ClearCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hasCache = false
 	s.cacheBuf = nil
 	s.lastEnd = -1
+	s.rs.cacheEpoch.Add(1)
+	s.rs.lastEnd.Store(-1)
 }

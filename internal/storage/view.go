@@ -22,6 +22,10 @@ type readStats struct {
 	subtreeReads atomic.Int64
 	subtreeBytes atomic.Int64
 	lastEnd      atomic.Int64
+	// cacheEpoch is bumped by Store.ClearCache; a view's cached record
+	// from an older epoch is stale, so clearing the store's cache also
+	// makes every frozen view read cold.
+	cacheEpoch atomic.Int64
 }
 
 // load returns the counters as a Stats snapshot.
@@ -63,11 +67,13 @@ type ReadView struct {
 	last atomic.Pointer[viewCached]
 }
 
-// viewCached is one published (record, bytes) cache entry. Both fields
+// viewCached is one published (record, bytes) cache entry, valid while
+// the store's cache epoch is the one it was filled under. The fields
 // are immutable after publish; replacing the entry swaps the pointer.
 type viewCached struct {
-	rec uint32
-	buf []byte
+	rec   uint32
+	buf   []byte
+	epoch int64
 }
 
 // Freeze returns an immutable view of the store's current records,
@@ -104,23 +110,28 @@ func (v *ReadView) Record(rec uint32) ([]byte, error) {
 	if int(rec) >= len(v.offs) {
 		return nil, fmt.Errorf("storage: record %d out of range (view has %d)", rec, len(v.offs))
 	}
-	if c := v.last.Load(); c != nil && c.rec == rec {
+	epoch := v.rs.cacheEpoch.Load()
+	if c := v.last.Load(); c != nil && c.rec == rec && c.epoch == epoch {
 		v.rs.cachedReads.Add(1)
 		return c.buf, nil
 	}
 	off := v.offs[rec] + 4
 	n := v.lens[rec]
+	// Classify in issue order, before the read: concurrent readers then
+	// blur the seq/random split only when two of them race this one
+	// instruction, not whenever their reads overlap.
+	seq := v.rs.lastEnd.Swap(off+int64(n)) == v.offs[rec]
 	buf := make([]byte, n)
 	if _, err := v.f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("storage: reading record %d: %w", rec, err)
 	}
-	if v.rs.lastEnd.Swap(off+int64(n)) == v.offs[rec] {
+	if seq {
 		v.rs.seqReads.Add(1)
 	} else {
 		v.rs.randomReads.Add(1)
 	}
 	v.rs.bytesRead.Add(int64(n))
-	v.last.Store(&viewCached{rec: rec, buf: buf})
+	v.last.Store(&viewCached{rec: rec, buf: buf, epoch: epoch})
 	return buf, nil
 }
 

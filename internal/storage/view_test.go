@@ -80,6 +80,34 @@ func TestReadViewStatsMerge(t *testing.T) {
 	}
 }
 
+// TestClearCacheReachesViews checks Store.ClearCache makes a frozen view
+// read cold: the cold-cache experiments hold one view across queries.
+func TestClearCacheReachesViews(t *testing.T) {
+	st, err := NewStore(NewMemFile(), xmltree.NewDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendTree(xmltree.Elem("doc", xmltree.Text("x"))); err != nil {
+		t.Fatal(err)
+	}
+	v := st.Freeze()
+	read := func() Stats {
+		st.ResetStats()
+		if _, err := v.Record(0); err != nil {
+			t.Fatal(err)
+		}
+		return st.Stats()
+	}
+	read()
+	if warm := read(); warm.CachedReads != 1 || warm.BytesRead != 0 {
+		t.Fatalf("second read of the same record was not cached: %+v", warm)
+	}
+	st.ClearCache()
+	if cold := read(); cold.CachedReads != 0 || cold.BytesRead == 0 {
+		t.Fatalf("read after ClearCache was served from the view's cache: %+v", cold)
+	}
+}
+
 // TestTombSnapshotIsolation freezes the tombstone set and deletes more
 // records afterwards: the snapshot must not change.
 func TestTombSnapshotIsolation(t *testing.T) {

@@ -22,7 +22,8 @@ import (
 //   - mutexes: x.Lock()/x.Unlock(), x.RLock()/x.RUnlock() (read and
 //     write modes tracked separately)
 //   - generation pins: g.Pin()/g.Unpin(); `if g.Pin() { ... }` attributes
-//     the acquire to the true branch only
+//     the acquire to the true branch only; g := ix.Freeze() hands the
+//     caller a reference it must Unpin
 //   - views and other closable handles: v := x.View() must reach
 //     v.Close()
 //   - release funcs: cancel from context.WithCancel/WithTimeout/
@@ -385,7 +386,7 @@ func (st *pairState) scanExpr(b *cfg.Block, node ast.Node, acquires bool) {
 }
 
 // assignAcquire recognizes handle- and timer-producing assignments:
-// v := x.View(), t := time.Now(), ctx, cancel := context.WithCancel(...),
+// v := x.View(), g := ix.Freeze(), t := time.Now(), ctx, cancel := context.WithCancel(...),
 // h, release, err := s.Acquire(...).
 func (st *pairState) assignAcquire(b *cfg.Block, as *ast.AssignStmt) {
 	if len(as.Rhs) != 1 {
@@ -417,11 +418,17 @@ func (st *pairState) assignAcquire(b *cfg.Block, as *ast.AssignStmt) {
 		return
 	}
 
-	// v := x.View() — only when the result type really has a Close method,
-	// so value-semantic snapshots stay untracked.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "View" && len(as.Lhs) == 1 {
-		if id := lhsIdent(0); id != nil && st.hasCloseMethod(call) {
-			r := st.resource(pairHandle, id.Name, id.Name+" (from "+exprString(call.Fun)+")", "Close", as.Pos())
+	// v := x.View() must reach v.Close(); g := ix.Freeze() hands the caller
+	// a generation reference it must Unpin. Only when the result type
+	// really has that method, so value-semantic snapshots (a storage
+	// view) stay untracked.
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(as.Lhs) == 1 && (sel.Sel.Name == "View" || sel.Sel.Name == "Freeze") {
+		kind, release := pairHandle, "Close"
+		if sel.Sel.Name == "Freeze" {
+			kind, release = pairPin, "Unpin"
+		}
+		if id := lhsIdent(0); id != nil && st.hasMethod(call, release) {
+			r := st.resource(kind, id.Name, id.Name+" (from "+exprString(call.Fun)+")", release, as.Pos())
 			if r != nil {
 				st.events[b] = append(st.events[b], pairEvent{res: r, acquire: true})
 			}
@@ -484,9 +491,9 @@ func (st *pairState) isReleaseFunc(id *ast.Ident) bool {
 	return false
 }
 
-// hasCloseMethod reports whether the call's result type has a Close
-// method.
-func (st *pairState) hasCloseMethod(call *ast.CallExpr) bool {
+// hasMethod reports whether the call's result type has a method of the
+// given name.
+func (st *pairState) hasMethod(call *ast.CallExpr, name string) bool {
 	if st.pass.Info == nil {
 		return false
 	}
@@ -500,7 +507,7 @@ func (st *pairState) hasCloseMethod(call *ast.CallExpr) bool {
 		ms = types.NewMethodSet(types.NewPointer(t))
 	}
 	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == "Close" {
+		if ms.At(i).Obj().Name() == name {
 			return true
 		}
 	}

@@ -81,6 +81,22 @@ func PinLeak(g *gen) int {
 	return 0
 }
 
+// Freeze hands the caller a generation reference it must Unpin.
+func (s *store) Freeze() *gen { return &gen{refs: 1} }
+
+// FreezeGood releases the frozen generation on every path via defer.
+func FreezeGood(s *store) int {
+	g := s.Freeze()
+	defer g.Unpin()
+	return g.refs
+}
+
+// FreezeLeak drops the reference Freeze handed out.
+func FreezeLeak(s *store) int {
+	g := s.Freeze() // want `pin g \(from s.Freeze\) in FreezeLeak is never released \(no Unpin on any path\)`
+	return g.refs
+}
+
 // store hands out closable snapshots through a View method.
 type store struct{}
 
