@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-json check bench-build bench-smoke bench-parallel bench-shards bench-maintenance serve-smoke fuzz-smoke stress ingest-crash maintain-crash
+.PHONY: build vet test race lint lint-json loc check bench-build bench-smoke bench-parallel bench-shards serve-smoke fuzz-smoke stress ingest-crash maintain-crash
 
 build:
 	$(GO) build ./...
@@ -39,11 +39,17 @@ lint-json:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
+# loc prints the size of the product: lines of non-test Go outside the
+# benchmark harness. It is the number every deletion PR quotes
+# (ROADMAP item 2), so it goes into every `make check` and CI log.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
+
 # check is the full pre-merge gate: vet, build (the benchmark harness
 # included), tests (the fault-injection and crash-recovery suites run as
 # part of the default test set), then the race detector, then the
-# static-analysis suite.
-check: vet build bench-build test race lint
+# static-analysis suite, then the line count.
+check: vet build bench-build test race lint loc
 
 # bench-smoke runs the refinement and query-pipeline benchmarks for one
 # iteration each — not to time anything, but so a benchmark that no
@@ -61,12 +67,6 @@ bench-parallel:
 # (ingest + query throughput at 1/2/4/8 shards).
 bench-shards:
 	$(GO) run ./cmd/fixbench -exp shards -scale 0.5 -json BENCH_shards.json
-
-# bench-maintenance regenerates the committed ingest-stall comparison:
-# per-Add latency while the WAL is absorbed by blocking Saves vs the
-# background checkpointer (p50/p99/max stall, replay-window size).
-bench-maintenance:
-	$(GO) run ./cmd/fixbench -exp maintenance -json BENCH_maintenance.json
 
 # serve-smoke is the collection-serving e2e gate: a two-collection,
 # four-shard-each fixserve surface taking concurrent scatter-gather

@@ -25,13 +25,13 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6a|fig6b|fig6c|fig7|beta|ablation|rtree|spectrum|evaluators|parallel|shards|maintenance|all")
+		exp      = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6a|fig6b|fig6c|fig7|beta|ablation|rtree|spectrum|evaluators|parallel|shards|all")
 		scale    = flag.Float64("scale", 1.0, "dataset scale (1.0 ≈ one tenth of the paper's element counts)")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		queries  = flag.Int("queries", 200, "random queries per dataset for fig5 (paper: 1000)")
 		verify   = flag.Bool("verify", false, "verify the integrity of every index built during the run")
 		workers  = flag.Int("workers", 0, "worker pool bound for every index build (0 = one per CPU)")
-		jsonPath = flag.String("json", "", "also write the parallel, shards or maintenance sweep rows as JSON to this file (single-experiment runs only)")
+		jsonPath = flag.String("json", "", "also write the parallel or shards sweep rows as JSON to this file (single-experiment runs only)")
 	)
 	flag.Parse()
 	if err := run(*exp, *scale, *seed, *queries, *verify, *workers, *jsonPath); err != nil {
@@ -320,42 +320,6 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 				Shards     []int                  `json:"shard_counts"`
 				Rows       []experiments.ShardRow `json:"rows"`
 			}{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Scale: scale, Seed: seed, Shards: counts, Rows: rows}
-			data, err := json.MarshalIndent(out, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "[json] wrote %s\n", jsonPath)
-		}
-	}
-	if all || exp == "maintenance" {
-		ran = true
-		dir, err := os.MkdirTemp("", "fixbench-maintenance-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		docs := int(12000 * scale)
-		if docs < 500 {
-			docs = 500
-		}
-		rows, err := experiments.MaintenanceSweep(ctx, dir, docs, 32, 250*time.Millisecond)
-		if err != nil {
-			return err
-		}
-		experiments.PrintMaintenanceSweep(w, rows)
-		fmt.Fprintln(w)
-		if jsonPath != "" && exp == "maintenance" {
-			out := struct {
-				NumCPU     int                          `json:"num_cpu"`
-				GOMAXPROCS int                          `json:"gomaxprocs"`
-				Scale      float64                      `json:"scale"`
-				Seed       int64                        `json:"seed"`
-				Modes      []string                     `json:"modes"`
-				Rows       []experiments.MaintenanceRow `json:"rows"`
-			}{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Scale: scale, Seed: seed, Modes: experiments.MaintenanceModes(), Rows: rows}
 			data, err := json.MarshalIndent(out, "", "  ")
 			if err != nil {
 				return err

@@ -7,9 +7,7 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
-	"sort"
 
-	"github.com/fix-index/fix/fix"
 	"github.com/fix-index/fix/internal/collection"
 	"github.com/fix-index/fix/internal/obs"
 )
@@ -37,6 +35,36 @@ type colServer struct {
 func newColServer(svc *collection.Service, cfg serverConfig) *colServer {
 	return &colServer{svc: svc, gate: newGate(cfg.maxInFlight), cfg: cfg}
 }
+
+// each calls fn for every live collection, in name order, holding a
+// reference across the call so a concurrent Drop waits. It returns the
+// first error; the remaining collections are still visited.
+func (cs *colServer) each(fn func(*collection.Collection) error) error {
+	var first error
+	for _, name := range cs.svc.Names() {
+		col, release, err := cs.svc.Acquire(name)
+		if err != nil {
+			continue // dropped between Names and Acquire
+		}
+		if err := fn(col); err != nil && first == nil {
+			first = err
+		}
+		release()
+	}
+	return first
+}
+
+// stopWrites flushes every shard's ingest queue. The shards' maintainers
+// stopped with the context main started them under; close waits for
+// them.
+func (cs *colServer) stopWrites() error {
+	return cs.each(func(col *collection.Collection) error { return col.Flush(context.Background()) })
+}
+
+// save absorbs every shard's WAL; a shard that fails does not stop the
+// rest from saving.
+func (cs *colServer) save() error  { return cs.each((*collection.Collection).Save) }
+func (cs *colServer) close() error { return cs.svc.Close() }
 
 func (cs *colServer) handler() http.Handler {
 	mux := buildMux(collectionModeRoutes, map[string]http.Handler{
@@ -121,80 +149,8 @@ func (cs *colServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	weight := int64(col.Weight())
-	if !admit(w, r, cs.gate, cs.cfg.queueWait, weight) {
-		return
-	}
-	defer cs.gate.Release(weight)
-
-	ops, ok := readIngestOps(w, r, cs.cfg.maxIngestBytes)
-	if !ok {
-		return
-	}
-	// Validate documents before anything is queued, like single-index
-	// mode: a malformed line must not leave earlier shard batches
-	// committed.
-	for i, op := range ops {
-		if op.Op == "add" {
-			if err := col.ValidateDocument(op.XML); err != nil {
-				http.Error(w, fmt.Sprintf("op %d: %v", i+1, err), http.StatusBadRequest)
-				return
-			}
-		}
-	}
-
-	resp, err := cs.runIngest(r.Context(), col, ops)
-	if err != nil {
-		if errors.Is(err, fix.ErrIngestQueueFull) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		}
-		http.Error(w, err.Error(), ingestStatusFor(err))
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// runIngest executes the decoded operations in order through the
-// collection: runs of consecutive adds go down as one routed AddBatch
-// (one group commit per touched shard), deletes resolve their global
-// IDs to shards individually.
-func (cs *colServer) runIngest(ctx context.Context, col *collection.Collection, ops []ingestOp) (ingestResponse, error) {
-	resp := ingestResponse{IDs: []uint64{}}
-	var run []string
-	flushAdds := func() error {
-		if len(run) == 0 {
-			return nil
-		}
-		ids, err := col.AddBatch(ctx, run)
-		if err != nil {
-			return err
-		}
-		resp.IDs = append(resp.IDs, ids...)
-		resp.Added += len(ids)
-		run = run[:0]
-		return nil
-	}
-	for _, op := range ops {
-		switch op.Op {
-		case "add":
-			run = append(run, op.XML)
-		case "delete":
-			if err := flushAdds(); err != nil {
-				return resp, err
-			}
-			if err := col.Delete(ctx, *op.Rec); err != nil {
-				return resp, err
-			}
-			resp.Deleted++
-		}
-	}
-	if err := flushAdds(); err != nil {
-		return resp, err
-	}
-	resp.IngestLag = col.Stats().IngestLag
-	return resp, nil
+	serveIngest(w, r, cs.gate, cs.cfg, int64(col.Weight()), col, col.ValidateDocument,
+		func() int { return col.Stats().IngestLag })
 }
 
 func (cs *colServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -251,16 +207,9 @@ type listResponse struct {
 
 func (cs *colServer) handleList(w http.ResponseWriter, r *http.Request) {
 	resp := listResponse{Collections: []collection.Stats{}}
-	for _, name := range cs.svc.Names() {
-		col, release, err := cs.svc.Acquire(name)
-		if err != nil {
-			continue // dropped between Names and Acquire
-		}
+	_ = cs.each(func(col *collection.Collection) error {
 		resp.Collections = append(resp.Collections, col.Stats())
-		release()
-	}
-	sort.Slice(resp.Collections, func(i, j int) bool {
-		return resp.Collections[i].Spec.Name < resp.Collections[j].Spec.Name
+		return nil
 	})
 	writeJSON(w, resp)
 }
@@ -292,47 +241,28 @@ type colHealthResponse struct {
 
 // handleHealthz aggregates per-shard health across all collections: 200
 // when every shard of every collection is at full speed, 503 with the
-// degraded shards' causes otherwise. As in single-index mode, degraded
-// means "answering exactly but slowly via the scan fallback", not
-// "down".
+// unhealthy shards' causes otherwise. As in single-index mode, degraded
+// means "answering exactly but slowly via the scan fallback" or
+// "checkpointing suspended", not "down".
 func (cs *colServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := colHealthResponse{Status: "ok", Collections: map[string][]collection.ShardHealth{}}
-	for _, name := range cs.svc.Names() {
-		col, release, err := cs.svc.Acquire(name)
-		if err != nil {
-			continue
-		}
+	status := http.StatusOK
+	_ = cs.each(func(col *collection.Collection) error {
 		health := col.Health()
-		release()
-		resp.Collections[name] = health
+		resp.Collections[col.Name()] = health
 		for _, h := range health {
 			if !h.Healthy {
 				resp.Status = "degraded"
+				status = http.StatusServiceUnavailable
 			}
 		}
-	}
-	if resp.Status != "ok" {
-		writeJSONStatus(w, http.StatusServiceUnavailable, resp)
-		return
-	}
-	writeJSONStatus(w, http.StatusOK, resp)
+		return nil
+	})
+	writeJSONStatus(w, status, resp)
 }
 
-// handleReadyz mirrors single-index mode minus the breaker (collection
-// shards degrade individually instead): 503 while the shared admission
-// gate is saturated.
+// handleReadyz is single-index mode's minus the breaker (collection
+// shards degrade individually instead).
 func (cs *colServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	inFlight, capacity := cs.gate.Load()
-	resp := readyResponse{
-		Status:   "ready",
-		InFlight: inFlight,
-		Capacity: capacity,
-		Breaker:  "none",
-	}
-	if inFlight >= capacity {
-		resp.Status = "saturated"
-		writeJSONStatus(w, http.StatusServiceUnavailable, resp)
-		return
-	}
-	writeJSONStatus(w, http.StatusOK, resp)
+	serveReadyz(w, cs.gate, "none")
 }

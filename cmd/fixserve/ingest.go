@@ -40,7 +40,7 @@ const maxIngestOpsPerRequest = 10000
 // ingestOp is one decoded NDJSON operation. Rec is 64-bit because
 // collection mode addresses documents by global ID (shard in the high
 // half); single-index mode range-checks it into the DB's 32-bit record
-// space at execution time.
+// space at execution time (recTarget).
 type ingestOp struct {
 	Op  string  `json:"op"`            // "add" or "delete"
 	XML string  `json:"xml,omitempty"` // add: the document text
@@ -135,30 +135,65 @@ func readIngestOps(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]in
 	return []ingestOp{{Op: "add", XML: string(body)}}, true
 }
 
-func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// Writes pass the same admission gate as queries: ingest work must
-	// not starve readers, and a saturated server sheds both alike.
-	if !admit(w, r, s.gate, s.cfg.queueWait, 1) {
+// ingestTarget is where the ingest executor sends a request's
+// operations, addressed by 64-bit document ID. A *collection.Collection
+// is one as it stands (global IDs); single-index mode wraps its
+// ingester in recTarget.
+type ingestTarget interface {
+	AddBatch(ctx context.Context, docs []string) ([]uint64, error)
+	Delete(ctx context.Context, id uint64) error
+}
+
+// recTarget adapts the single-index ingester, whose documents are
+// 32-bit records, to the executor's 64-bit IDs.
+type recTarget struct{ ing ingester }
+
+func (t recTarget) AddBatch(ctx context.Context, docs []string) ([]uint64, error) {
+	recs, err := t.ing.AddBatch(ctx, docs)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]uint64, len(recs))
+	for i, rec := range recs {
+		ids[i] = uint64(rec)
+	}
+	return ids, nil
+}
+
+func (t recTarget) Delete(ctx context.Context, id uint64) error {
+	if id > 0xFFFFFFFF {
+		return fmt.Errorf("%w: record %d out of range", fix.ErrUnknownDocument, id)
+	}
+	return t.ing.Delete(ctx, uint32(id))
+}
+
+// serveIngest is the ingest handler of both modes. Writes pass the same
+// admission gate as queries (ingest work must not starve readers, and a
+// saturated server sheds both alike), charged weight units. Every
+// document is validated before anything is queued, so a malformed line
+// cannot leave the earlier half of the request — or another shard's
+// batch — committed. lag reports the target's WAL lag for the response.
+func serveIngest(w http.ResponseWriter, r *http.Request, g *gate, cfg serverConfig, weight int64,
+	tgt ingestTarget, validate func(doc string) error, lag func() int) {
+	if !admit(w, r, g, cfg.queueWait, weight) {
 		return
 	}
-	defer s.gate.Release(1)
+	defer g.Release(weight)
 
-	ops, ok := readIngestOps(w, r, s.cfg.maxIngestBytes)
+	ops, ok := readIngestOps(w, r, cfg.maxIngestBytes)
 	if !ok {
 		return
 	}
-	// Validate every document before anything is queued, so a malformed
-	// line cannot leave the earlier half of the request committed.
 	for i, op := range ops {
 		if op.Op == "add" {
-			if err := s.db.ValidateDocument(op.XML); err != nil {
+			if err := validate(op.XML); err != nil {
 				http.Error(w, fmt.Sprintf("op %d: %v", i+1, err), http.StatusBadRequest)
 				return
 			}
 		}
 	}
 
-	resp, err := s.runIngest(r.Context(), ops)
+	resp, err := runIngest(r.Context(), tgt, ops)
 	if err != nil {
 		if errors.Is(err, fix.ErrIngestQueueFull) {
 			w.Header().Set("Retry-After", "1")
@@ -168,27 +203,26 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), ingestStatusFor(err))
 		return
 	}
+	resp.IngestLag = lag()
 	writeJSON(w, resp)
 }
 
-// runIngest executes the decoded operations in order through the shared
-// ingester. Runs of consecutive adds go down as one AddBatch, so a bulk
-// NDJSON request pays roughly one group commit per run rather than one
-// per document.
-func (s *server) runIngest(ctx context.Context, ops []ingestOp) (ingestResponse, error) {
+// runIngest executes the decoded operations in order. Runs of
+// consecutive adds go down as one AddBatch, so a bulk NDJSON request
+// pays roughly one group commit per run (per touched shard) rather than
+// one per document.
+func runIngest(ctx context.Context, tgt ingestTarget, ops []ingestOp) (ingestResponse, error) {
 	resp := ingestResponse{IDs: []uint64{}}
 	var run []string
 	flushAdds := func() error {
 		if len(run) == 0 {
 			return nil
 		}
-		ids, err := s.ing.AddBatch(ctx, run)
+		ids, err := tgt.AddBatch(ctx, run)
 		if err != nil {
 			return err
 		}
-		for _, id := range ids {
-			resp.IDs = append(resp.IDs, uint64(id))
-		}
+		resp.IDs = append(resp.IDs, ids...)
 		resp.Added += len(ids)
 		run = run[:0]
 		return nil
@@ -201,10 +235,7 @@ func (s *server) runIngest(ctx context.Context, ops []ingestOp) (ingestResponse,
 			if err := flushAdds(); err != nil {
 				return resp, err
 			}
-			if *op.Rec > 0xFFFFFFFF {
-				return resp, fmt.Errorf("%w: record %d out of range", fix.ErrUnknownDocument, *op.Rec)
-			}
-			if err := s.ing.Delete(ctx, uint32(*op.Rec)); err != nil {
+			if err := tgt.Delete(ctx, *op.Rec); err != nil {
 				return resp, err
 			}
 			resp.Deleted++
@@ -213,7 +244,6 @@ func (s *server) runIngest(ctx context.Context, ops []ingestOp) (ingestResponse,
 	if err := flushAdds(); err != nil {
 		return resp, err
 	}
-	resp.IngestLag = s.db.IngestLag()
 	return resp, nil
 }
 

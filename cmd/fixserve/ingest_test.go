@@ -50,7 +50,7 @@ func queryCount(t *testing.T, s *server, expr string) int {
 
 func TestIngestSingleXML(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 
 	rec := post(t, s, "/ingest", "application/xml", `<note><title>z</title></note>`)
 	if rec.Code != http.StatusOK {
@@ -68,7 +68,7 @@ func TestIngestSingleXML(t *testing.T) {
 
 func TestIngestNDJSONMixed(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 
 	body := `{"op":"add","xml":"<note><title>a</title></note>"}
 {"op":"add","xml":"<note><title>b</title></note>"}
@@ -101,7 +101,7 @@ func TestIngestNDJSONMixed(t *testing.T) {
 
 func TestIngestBadInput(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 
 	cases := []struct {
 		name string
@@ -144,7 +144,7 @@ func TestIngestBadInput(t *testing.T) {
 
 func TestIngestMethodNotAllowed(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 	rec := get(t, s, "/ingest")
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest: status = %d, want 405", rec.Code)
@@ -158,7 +158,7 @@ func TestIngestBodyTooLarge(t *testing.T) {
 	cfg := defaultTestConfig()
 	cfg.maxIngestBytes = 64
 	s := newServer(newTestDB(t), cfg)
-	defer s.close()
+	defer s.stopWrites()
 	doc := "<a>" + strings.Repeat("x", 200) + "</a>"
 	rec := post(t, s, "/ingest", "application/xml", doc)
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -168,7 +168,7 @@ func TestIngestBodyTooLarge(t *testing.T) {
 
 func TestIngestTooManyOps(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 	var sb strings.Builder
 	for i := 0; i <= maxIngestOpsPerRequest; i++ {
 		sb.WriteString(`{"op":"add","xml":"<a/>"}` + "\n")
@@ -181,7 +181,7 @@ func TestIngestTooManyOps(t *testing.T) {
 
 func TestIngestDeleteUnknown404(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 	rec := post(t, s, "/ingest", "application/x-ndjson", `{"op":"delete","rec":99}`)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("delete of unknown record: status = %d, want 404 (body %s)", rec.Code, rec.Body)
@@ -193,7 +193,7 @@ func TestIngestGateShed429(t *testing.T) {
 	cfg.maxInFlight = 1
 	cfg.queueWait = 5 * time.Millisecond
 	s := newServer(newTestDB(t), cfg)
-	defer s.close()
+	defer s.stopWrites()
 
 	if err := s.gate.Acquire(context.Background(), 1); err != nil {
 		t.Fatalf("acquire: %v", err)
@@ -230,7 +230,7 @@ func (f *fakeIngester) Close() error                                 { return ni
 
 func TestIngestQueueFull429(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 	s.ing = &fakeIngester{err: fmt.Errorf("wrapped: %w", fix.ErrIngestQueueFull)}
 
 	rec := post(t, s, "/ingest", "application/xml", `<a/>`)
@@ -244,7 +244,7 @@ func TestIngestQueueFull429(t *testing.T) {
 
 func TestIngestClosed503(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 	s.ing = &fakeIngester{err: fix.ErrIngesterClosed}
 
 	rec := post(t, s, "/ingest", "application/xml", `<a/>`)
@@ -270,7 +270,7 @@ func TestIngestHealthzLag(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 	s := newServer(db, defaultTestConfig())
-	defer s.close()
+	defer s.stopWrites()
 
 	rec := post(t, s, "/ingest", "application/x-ndjson",
 		`{"op":"add","xml":"<a/>"}`+"\n"+`{"op":"add","xml":"<b/>"}`)

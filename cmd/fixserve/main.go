@@ -17,23 +17,26 @@
 // commit ingester: a bounded queue (-ingest-queue) feeds a committer
 // that batches up to -ingest-batch operations per WAL fsync, waiting at
 // most -ingest-wait for stragglers. A full queue sheds with 429 +
-// Retry-After. Acknowledged writes survive a crash via WAL replay; a
-// background maintainer absorbs the WAL into the base snapshot in
-// chunked checkpoints once it crosses -checkpoint-ops/-checkpoint-bytes
-// or ages past -checkpoint-age, scrubs the durable files every
-// -scrub-interval (auto-rebuilding a corrupt index), and surfaces its
-// state on /healthz; POST /admin/checkpoint forces a checkpoint, and
-// shutdown runs a final Save after the drain.
+// Retry-After. Acknowledged writes survive a crash via WAL replay.
+//
+// Every database — the single index, or each shard of each collection
+// — runs one background fix.Maintainer under the same policy: it
+// absorbs the WAL into the base snapshot in chunked checkpoints once
+// it crosses -checkpoint-ops/-checkpoint-bytes or ages past
+// -checkpoint-age, backs off and suspends on persistent failures,
+// scrubs the durable files every -scrub-interval (auto-rebuilding a
+// corrupt or degraded index), and surfaces its state on /healthz. In
+// single-index mode POST /admin/checkpoint forces a checkpoint. On
+// SIGINT/SIGTERM both modes drain requests, stop the maintainers, flush
+// the ingest queues, run a final Save and close.
 //
 // fixserve runs in one of two modes. Single-index mode (-db DIR)
 // serves one database. Collection mode (-collections DIR) serves a
 // registry of named, sharded collections: documents route to shards by
 // root label, queries scatter-gather across shards with per-shard
-// deadlines (-shard-timeout) and order-stable merge, each request is
-// charged its collection's admission weight, and a background manager
-// periodically saves every shard and rebuilds degraded ones
-// (-save-interval). docs/SERVING.md is the complete operations
-// reference for both modes.
+// deadlines (-shard-timeout) and order-stable merge, and each request
+// is charged its collection's admission weight. docs/SERVING.md is the
+// complete operations reference for both modes.
 //
 // Usage:
 //
@@ -97,8 +100,8 @@ func main() {
 	ingestBatch := flag.Int("ingest-batch", 64, "max operations per ingest group commit")
 	ingestWait := flag.Duration("ingest-wait", 2*time.Millisecond, "max linger for an ingest group commit to fill")
 	maxIngestBytes := flag.Int64("max-ingest-bytes", defaultMaxIngestBytes, "max /ingest request body size")
-	saveInterval := flag.Duration("save-interval", 0, "collection mode: shard-checkpoint tick interval (0 disables); single mode: legacy alias for -checkpoint-age")
-	ckOps := flag.Int("checkpoint-ops", 1024, "checkpoint once the ingest WAL holds this many operations (negative disables)")
+	saveInterval := flag.Duration("save-interval", 0, "legacy alias for -checkpoint-age, which it overrides when positive (0 = use -checkpoint-age)")
+	ckOps := flag.Int("checkpoint-ops", 1024, "checkpoint a database (each shard, in collection mode) once its ingest WAL holds this many operations (negative disables)")
 	ckBytes := flag.Int64("checkpoint-bytes", 4<<20, "checkpoint once the ingest WAL reaches this size (negative disables)")
 	ckAge := flag.Duration("checkpoint-age", 30*time.Second, "checkpoint once the last one is this old and the WAL is non-empty (negative disables)")
 	scrubInterval := flag.Duration("scrub-interval", 2*time.Minute, "background scrub pass interval over index pages, heap records and the WAL (0 disables)")
@@ -123,56 +126,14 @@ func main() {
 		maxIngestBytes: *maxIngestBytes,
 		pprof:          *withPprof,
 	}
-
-	if *colRoot != "" {
-		serveCollections(*colRoot, *addr, cfg, collectionTuning{
-			shardTimeout:   *shardTimeout,
-			maxRefineNodes: *maxRefine,
-			maxCandidates:  *maxCand,
-			maxResults:     *maxResults,
-			slow:           *slow,
-			saveInterval:   *saveInterval,
-			drain:          *drain,
-		})
-		return
-	}
-
-	db, err := fix.Open(*dbdir)
-	if err != nil {
-		log.Fatalf("fixserve: %v", err)
-	}
-	defer db.Close()
-
-	dbOpts := fix.Options{
-		Limits: fix.Limits{
-			MaxRefineNodes: *maxRefine,
-			MaxCandidates:  *maxCand,
-			MaxResults:     *maxResults,
-		},
-	}
+	var onSlow func(fix.QueryTrace)
 	if *slow > 0 {
-		dbOpts.SlowQueryThreshold = *slow
-		dbOpts.OnSlowQuery = func(t fix.QueryTrace) {
+		onSlow = func(t fix.QueryTrace) {
 			log.Printf("slow query (>= %v):\n%s", *slow, t.String())
 		}
 	}
-	db.SetOptions(dbOpts)
-	fix.PublishExpvar(db)
-
-	s := newServer(db, cfg)
-	srv := &http.Server{
-		Addr:         *addr,
-		Handler:      s.handler(),
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 60 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// The maintainer replaces the old unconditional Save ticker: it
-	// checkpoints on WAL thresholds or age (skipping clean ticks), backs
-	// off and eventually suspends on persistent failures, scrubs the
-	// durable files, and auto-rebuilds a degraded index.
+	// The one maintenance policy: every database — the single index, or
+	// each shard of each collection — runs a fix.Maintainer under it.
 	mcfg := fix.MaintainConfig{
 		WALOps:        *ckOps,
 		WALBytes:      *ckBytes,
@@ -185,107 +146,86 @@ func main() {
 	if *scrubInterval <= 0 {
 		mcfg.ScrubInterval = -1
 	}
-	mnt, err := db.StartMaintainer(ctx, mcfg)
-	if err != nil {
-		log.Fatalf("fixserve: %v", err)
-	}
-	s.setMaintainer(mnt)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("fixserve: %d documents, listening on %s", db.NumDocuments(), *addr)
 
-	select {
-	case err := <-errc:
-		log.Fatalf("fixserve: %v", err)
-	case <-ctx.Done():
-		stop() // restore default signal handling: a second ^C kills hard
-		log.Printf("fixserve: shutdown signal, draining for up to %v", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("fixserve: drain incomplete: %v", err)
-		}
-		// Stop maintenance, flush queued writes, then absorb the WAL so
-		// restart starts clean.
-		mnt.Close()
-		if err := s.close(); err != nil {
-			log.Printf("fixserve: ingester close: %v", err)
-		}
-		if err := db.Save(); err != nil {
-			log.Printf("fixserve: final save: %v", err)
-		}
-	}
-}
+	// The signal context also bounds the maintenance loops: they stop
+	// when shutdown starts and leave the final checkpoint to the tail
+	// below.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
-// collectionTuning carries the collection-mode knobs main parses that
-// are not part of the shared serverConfig.
-type collectionTuning struct {
-	shardTimeout   time.Duration
-	maxRefineNodes int64
-	maxCandidates  int
-	maxResults     int
-	slow           time.Duration
-	saveInterval   time.Duration
-	drain          time.Duration
-}
-
-// serveCollections is collection-mode main: open the registry, start
-// the background manager, serve, and on SIGINT/SIGTERM drain requests,
-// save every shard's WAL into its base commit and close.
-func serveCollections(root, addr string, cfg serverConfig, tune collectionTuning) {
-	opts := collection.Options{
-		ShardTimeout:   tune.shardTimeout,
-		MaxRefineNodes: tune.maxRefineNodes,
-		MaxCandidates:  tune.maxCandidates,
-		MaxResults:     tune.maxResults,
-		Ingest:         cfg.ingest,
-	}
-	if tune.slow > 0 {
-		opts.SlowQueryThreshold = tune.slow
-		opts.OnSlowQuery = func(t fix.QueryTrace) {
-			log.Printf("slow query (>= %v):\n%s", tune.slow, t.String())
+	var (
+		b      backend
+		banner string
+	)
+	if *colRoot != "" {
+		svc, err := collection.OpenService(*colRoot, collection.Options{
+			ShardTimeout:       *shardTimeout,
+			MaxRefineNodes:     *maxRefine,
+			MaxCandidates:      *maxCand,
+			MaxResults:         *maxResults,
+			Ingest:             cfg.ingest,
+			SlowQueryThreshold: *slow,
+			OnSlowQuery:        onSlow,
+			Maintain:           &collection.Maintenance{Ctx: ctx, Config: mcfg},
+		})
+		if err != nil {
+			log.Fatalf("fixserve: %v", err)
 		}
+		obs.Publish(func() any { return obs.Default().Snapshot() })
+		b = newColServer(svc, cfg)
+		banner = fmt.Sprintf("serving %d collection(s) from %s", len(svc.Names()), *colRoot)
+	} else {
+		db, err := fix.Open(*dbdir)
+		if err != nil {
+			log.Fatalf("fixserve: %v", err)
+		}
+		db.SetOptions(fix.Options{
+			Limits:             fix.Limits{MaxRefineNodes: *maxRefine, MaxCandidates: *maxCand, MaxResults: *maxResults},
+			SlowQueryThreshold: *slow,
+			OnSlowQuery:        onSlow,
+		})
+		fix.PublishExpvar(db)
+		s := newServer(db, cfg)
+		mnt, err := db.StartMaintainer(ctx, mcfg)
+		if err != nil {
+			log.Fatalf("fixserve: %v", err)
+		}
+		s.setMaintainer(mnt)
+		b = s
+		banner = fmt.Sprintf("%d documents", db.NumDocuments())
 	}
-	svc, err := collection.OpenService(root, opts)
-	if err != nil {
-		log.Fatalf("fixserve: %v", err)
-	}
-	obs.Publish(func() any { return obs.Default().Snapshot() })
 
-	cs := newColServer(svc, cfg)
 	srv := &http.Server{
-		Addr:         addr,
-		Handler:      cs.handler(),
+		Addr:         *addr,
+		Handler:      b.handler(),
 		ReadTimeout:  10 * time.Second,
 		WriteTimeout: 60 * time.Second,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	mgr := collection.StartManager(ctx, svc, tune.saveInterval, log.Printf)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("fixserve: serving %d collection(s) from %s on %s", len(svc.Names()), root, addr)
+	log.Printf("fixserve: %s, listening on %s", banner, *addr)
 
 	select {
 	case err := <-errc:
 		log.Fatalf("fixserve: %v", err)
 	case <-ctx.Done():
-		stop() // restore default signal handling: a second ^C kills hard
-		log.Printf("fixserve: shutdown signal, draining for up to %v", tune.drain)
-		sctx, cancel := context.WithTimeout(context.Background(), tune.drain)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("fixserve: drain incomplete: %v", err)
-		}
-		mgr.Wait()
-		// Absorb every shard's WAL, then close; operations still queued
-		// at save time commit during close and replay on next open.
-		if err := svc.SaveAll(); err != nil {
-			log.Printf("fixserve: final save: %v", err)
-		}
-		if err := svc.Close(); err != nil {
-			log.Printf("fixserve: close: %v", err)
-		}
+	}
+	stop() // restore default signal handling: a second ^C kills hard
+	log.Printf("fixserve: shutdown signal, draining for up to %v", *drain)
+	sctx, cancel := context.WithTimeout(context.Background(), *drain)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		log.Printf("fixserve: drain incomplete: %v", err)
+	}
+	// Stop maintenance and flush queued writes, then absorb the WALs so
+	// restart starts clean.
+	if err := b.stopWrites(); err != nil {
+		log.Printf("fixserve: flushing ingest: %v", err)
+	}
+	if err := b.save(); err != nil {
+		log.Printf("fixserve: final save: %v", err)
+	}
+	if err := b.close(); err != nil {
+		log.Printf("fixserve: close: %v", err)
 	}
 }

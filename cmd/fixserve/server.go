@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/fix-index/fix/fix"
+	"github.com/fix-index/fix/internal/collection"
 	"github.com/fix-index/fix/internal/obs"
 )
 
@@ -64,9 +65,30 @@ func newServer(db *fix.DB, cfg serverConfig) *server {
 	}
 }
 
-// close drains and stops the shared ingester: everything already
-// acknowledged or queued commits before close returns.
-func (s *server) close() error { return s.ing.Close() }
+// backend is what a serving mode puts behind main's one lifecycle: the
+// HTTP surface while serving, then the three steps of the shutdown tail.
+type backend interface {
+	handler() http.Handler
+	// stopWrites stops background maintenance and drains the ingest
+	// queues: everything already acknowledged or queued has committed
+	// when it returns.
+	stopWrites() error
+	// save absorbs every ingest WAL into its base commit, so a restart
+	// replays nothing.
+	save() error
+	// close releases the databases.
+	close() error
+}
+
+func (s *server) stopWrites() error {
+	if s.mnt != nil {
+		s.mnt.Close()
+	}
+	return s.ing.Close()
+}
+
+func (s *server) save() error  { return s.db.Save() }
+func (s *server) close() error { return s.db.Close() }
 
 func (s *server) handler() http.Handler {
 	mux := buildMux(singleModeRoutes, map[string]http.Handler{
@@ -167,62 +189,35 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	serveIngest(w, r, s.gate, s.cfg, 1, recTarget{s.ing}, s.db.ValidateDocument, s.db.IngestLag)
+}
+
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.db.Metrics())
 }
 
-// healthResponse is the /healthz JSON body. IngestLag counts
-// acknowledged operations the ingest WAL holds ahead of the last
-// checkpoint (replayed, not lost, on a crash); IngestQueue counts
-// operations still waiting for their group commit; WALBytes and
-// LastCheckpointAge size the replay window a crash right now would
-// cost. Maintainer carries the background checkpointer's state machine
-// (idle / retrying / suspended) and scrub history when one is running.
+// healthResponse is the single-index /healthz JSON body: the verdict
+// plus the database's health block, the same block collection mode
+// reports per shard.
 type healthResponse struct {
-	Status            string                `json:"status"`
-	Cause             string                `json:"cause,omitempty"`
-	Generation        uint64                `json:"generation"`
-	IngestLag         int                   `json:"ingest_lag"`
-	IngestQueue       int                   `json:"ingest_queue"`
-	WALBytes          int64                 `json:"wal_bytes"`
-	LastCheckpointAge float64               `json:"last_checkpoint_age_seconds"`
-	Maintainer        *fix.MaintainerHealth `json:"maintainer,omitempty"`
+	Status string `json:"status"`
+	collection.ShardHealth
 }
 
 // handleHealthz reports index health: 200 when healthy (or there is no
 // index to degrade), 503 with the degradation cause otherwise. A
 // degraded database still answers queries — exactly, via the scan
-// fallback — so health here means "at full speed", not "alive". A
-// suspended checkpointer also degrades health: serving continues from
-// the current base + WAL, but the replay window is growing unboundedly.
+// fallback — so health here means "at full speed", not "alive"; a
+// suspended checkpointer degrades it too (collection.HealthOf).
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := healthResponse{
-		Status:            "ok",
-		Generation:        s.db.GenerationID(),
-		IngestLag:         s.db.IngestLag(),
-		IngestQueue:       s.ing.QueueLen(),
-		WALBytes:          s.db.WALBytes(),
-		LastCheckpointAge: time.Since(s.db.LastCheckpoint()).Seconds(),
+	resp := healthResponse{Status: "ok", ShardHealth: collection.HealthOf(s.db, s.ing.QueueLen(), s.mnt)}
+	status := http.StatusOK
+	if !resp.Healthy {
+		resp.Status = "degraded"
+		status = http.StatusServiceUnavailable
 	}
-	if s.mnt != nil {
-		h := s.mnt.Health()
-		resp.Maintainer = &h
-		if h.State == fix.MaintainSuspended {
-			resp.Status = "degraded"
-			resp.Cause = "checkpointing suspended: " + h.LastError
-		}
-	}
-	if s.db.HasIndex() {
-		if err := s.db.IndexHealth(); err != nil {
-			resp.Status = "degraded"
-			resp.Cause = err.Error()
-		}
-	}
-	if resp.Status != "ok" {
-		writeJSONStatus(w, http.StatusServiceUnavailable, resp)
-		return
-	}
-	writeJSONStatus(w, http.StatusOK, resp)
+	writeJSONStatus(w, status, resp)
 }
 
 // checkpointResponse is the POST /admin/checkpoint JSON body, reporting
@@ -259,24 +254,30 @@ type readyResponse struct {
 	Breaker  string `json:"breaker"`
 }
 
-// handleReadyz reflects admission-gate saturation: 503 while the gate is
-// full (new queries would queue or be shed), 200 otherwise. Load
-// balancers use it to steer traffic away before requests start seeing
-// 429s; the breaker state rides along for operators.
+// handleReadyz reports the gate with the breaker state riding along
+// for operators.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	inFlight, capacity := s.gate.Load()
+	serveReadyz(w, s.gate, s.brk.State())
+}
+
+// serveReadyz reflects admission-gate saturation: 503 while the gate is
+// full (new requests would queue or be shed), 200 otherwise. Load
+// balancers use it to steer traffic away before requests start seeing
+// 429s.
+func serveReadyz(w http.ResponseWriter, g *gate, breaker string) {
+	inFlight, capacity := g.Load()
 	resp := readyResponse{
 		Status:   "ready",
 		InFlight: inFlight,
 		Capacity: capacity,
-		Breaker:  s.brk.State(),
+		Breaker:  breaker,
 	}
+	status := http.StatusOK
 	if inFlight >= capacity {
 		resp.Status = "saturated"
-		writeJSONStatus(w, http.StatusServiceUnavailable, resp)
-		return
+		status = http.StatusServiceUnavailable
 	}
-	writeJSONStatus(w, http.StatusOK, resp)
+	writeJSONStatus(w, status, resp)
 }
 
 // statusFor maps a query error onto an HTTP status: client mistakes are

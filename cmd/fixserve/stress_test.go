@@ -222,7 +222,7 @@ func TestStressIngestAndQuery(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if err := s.close(); err != nil {
+	if err := s.stopWrites(); err != nil {
 		t.Fatalf("ingester close: %v", err)
 	}
 	if inFlight, _ := s.gate.Load(); inFlight != 0 {

@@ -92,24 +92,6 @@ func (db *DB) CheckpointCtx(ctx context.Context) error {
 	return nil
 }
 
-// CheckpointBlocking absorbs the WAL with the write locks held for the
-// whole absorption — the naive Save, with none of CheckpointCtx's
-// off-lock pre-sync rounds. The locked section is a quiescent point
-// (no append lands between the heap fsync and the WAL reset), which
-// filesystem-snapshot backups want; it is also the baseline the chunked
-// checkpoint's ingest-stall bound is measured against
-// (fixbench -exp maintenance).
-func (db *DB) CheckpointBlocking() error {
-	if db.dir == "" {
-		return fmt.Errorf("fix: Save on an in-memory database")
-	}
-	if err := db.commitAll(); err != nil {
-		return err
-	}
-	db.publish()
-	return nil
-}
-
 // WALBytes returns the on-disk size of the ingest write-ahead log — the
 // bytes a crash would replay, cleared by Checkpoint. It is 0 for
 // in-memory DBs and before the first ingest.
@@ -512,6 +494,14 @@ func (m *Maintainer) tick(now time.Time) {
 	rebuildAt := m.rebuildNotBefore
 	m.mu.Unlock()
 
+	// A degraded index is rebuilt automatically, with its own doubling
+	// backoff so a persistently failing rebuild cannot spin. Repair comes
+	// before the checkpoint triggers: a degraded index refuses to be
+	// saved, and a successful rebuild absorbs the WAL itself.
+	if m.db.IndexHealth() != nil && !now.Before(rebuildAt) {
+		m.rebuild()
+	}
+
 	switch state {
 	case MaintainSuspended:
 		// Half-open: one probe attempt per ProbeInterval; a success
@@ -530,12 +520,6 @@ func (m *Maintainer) tick(now time.Time) {
 		if trigger {
 			_ = m.checkpoint()
 		}
-	}
-
-	// A degraded index is rebuilt automatically, with its own doubling
-	// backoff so a persistently failing rebuild cannot spin.
-	if m.db.IndexHealth() != nil && !now.Before(rebuildAt) {
-		m.rebuild()
 	}
 
 	if m.cfg.ScrubInterval > 0 && !nextScrub.IsZero() && !now.Before(nextScrub) {

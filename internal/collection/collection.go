@@ -19,8 +19,10 @@
 //
 // This package is deliberately *above* the public fix API (the fixvet
 // depcheck service-layer exemption): it composes whole databases and
-// adds distribution concerns — routing, fan-out, partial results,
-// background maintenance — without reaching into engine internals.
+// adds distribution concerns — routing, fan-out, partial results —
+// without reaching into engine internals. Background maintenance is the
+// engine's own: each shard runs a fix.Maintainer when the opener asks
+// for it (Options.Maintain).
 package collection
 
 import (
@@ -110,8 +112,9 @@ func ValidateName(name string) error {
 }
 
 // Options is the runtime (non-persisted) tuning of an open collection:
-// query governance, ingest batching, and the slow-query sink. The zero
-// value imposes no limits and uses the fix ingest defaults.
+// query governance, ingest batching, the slow-query sink and background
+// maintenance. The zero value imposes no limits, uses the fix ingest
+// defaults and starts no maintenance goroutine.
 type Options struct {
 	// ShardTimeout is the per-shard query deadline: each shard's probe +
 	// refinement runs under its own context.WithTimeout of this length,
@@ -133,6 +136,22 @@ type Options struct {
 	// shard ID, so one sink can attribute hot shards across collections.
 	SlowQueryThreshold time.Duration
 	OnSlowQuery        func(fix.QueryTrace)
+	// Maintain, when non-nil, gives every shard its own fix.Maintainer
+	// (threshold checkpoints, scrub, auto-rebuild of a degraded index),
+	// started when the shard is wired and stopped by Close. A serving
+	// process sets it once on the Options it hands OpenService, so
+	// collections created later inherit it. nil (library use: fixindex,
+	// bulk loaders) starts nothing.
+	Maintain *Maintenance
+}
+
+// Maintenance is the background-maintenance opt-in: the policy every
+// shard's maintainer runs, and the context that bounds their loops. The
+// context is the process's, not a request's — a collection created over
+// HTTP must keep its maintainers after the request returns.
+type Maintenance struct {
+	Ctx    context.Context
+	Config fix.MaintainConfig
 }
 
 // limits converts the options into per-shard query limits.
@@ -145,10 +164,10 @@ func (o Options) limits() fix.Limits {
 	}
 }
 
-// Shard is one partition of a collection: an independent fix.DB plus
-// the group-commit ingester feeding it. Both are owned by the
-// Collection; tests may reach through DB for fault injection, servers
-// should not.
+// Shard is one partition of a collection: an independent fix.DB, the
+// group-commit ingester feeding it and, when Options.Maintain is set,
+// its background maintainer. All are owned by the Collection; tests may
+// reach through DB for fault injection, servers should not.
 type Shard struct {
 	// ID is the shard's zero-based index; it is the high half of every
 	// global document ID the shard issues. // immutable after publish
@@ -157,6 +176,9 @@ type Shard struct {
 	DB *fix.DB
 	// Ing is the shard's ingester. // immutable after publish
 	Ing *fix.Ingester
+	// Mnt is the shard's maintainer; nil without Options.Maintain.
+	// // immutable after publish
+	Mnt *fix.Maintainer
 }
 
 // Collection is a set of shards serving one named document corpus. All
@@ -219,7 +241,10 @@ func Create(ctx context.Context, dir string, spec Spec, opts Options) (*Collecti
 			c.closeShards()
 			return nil, fmt.Errorf("collection: saving shard %d: %w", i, err)
 		}
-		c.addShard(i, db)
+		if err := c.addShard(i, db); err != nil {
+			c.closeShards()
+			return nil, err
+		}
 	}
 	if err := writeManifest(dir, spec); err != nil {
 		c.closeShards()
@@ -243,14 +268,18 @@ func Open(dir string, opts Options) (*Collection, error) {
 			c.closeShards()
 			return nil, fmt.Errorf("collection: opening shard %d: %w", i, err)
 		}
-		c.addShard(i, db)
+		if err := c.addShard(i, db); err != nil {
+			c.closeShards()
+			return nil, err
+		}
 	}
 	return c, nil
 }
 
 // addShard wires one opened DB into the collection: per-shard options
-// (slow-query attribution) and the shard's ingester.
-func (c *Collection) addShard(id int, db *fix.DB) {
+// (slow-query attribution), the shard's maintainer when the collection
+// opted in, and its ingester. On error the DB is closed.
+func (c *Collection) addShard(id int, db *fix.DB) error {
 	dbOpts := fix.Options{
 		Limits: c.opts.limits(),
 	}
@@ -264,7 +293,16 @@ func (c *Collection) addShard(id int, db *fix.DB) {
 		}
 	}
 	db.SetOptions(dbOpts)
-	c.shards = append(c.shards, &Shard{ID: id, DB: db, Ing: db.NewIngester(c.opts.Ingest)})
+	var mnt *fix.Maintainer
+	if mt := c.opts.Maintain; mt != nil {
+		var err error
+		if mnt, err = db.StartMaintainer(mt.Ctx, mt.Config); err != nil {
+			_ = db.Close()
+			return fmt.Errorf("collection: shard %d: %w", id, err)
+		}
+	}
+	c.shards = append(c.shards, &Shard{ID: id, DB: db, Ing: db.NewIngester(c.opts.Ingest), Mnt: mnt})
+	return nil
 }
 
 // indexOptions maps the persisted spec onto the fix build options.
@@ -475,50 +513,12 @@ func (c *Collection) Save() error {
 	return first
 }
 
-// CheckpointCtx absorbs each dirty shard's ingest WAL into its base
-// commit through the chunked checkpoint (fix.DB.CheckpointCtx), and
-// skips shards whose WAL is empty — every collection write flows
-// through a shard's ingester into its WAL, so an empty WAL means
-// nothing changed since the last checkpoint and the fsync cascade
-// would be pure overhead. It returns how many shards checkpointed and
-// how many were skipped clean; like Save, the first error is returned
-// but the remaining shards still checkpoint.
-func (c *Collection) CheckpointCtx(ctx context.Context) (done, skipped int, err error) {
-	for _, s := range c.shards {
-		if s.DB.IngestLag() == 0 {
-			skipped++
-			continue
-		}
-		if cerr := s.DB.CheckpointCtx(ctx); cerr != nil {
-			if err == nil {
-				err = fmt.Errorf("collection: checkpointing shard %d: %w", s.ID, cerr)
-			}
-			continue
-		}
-		done++
-	}
-	return done, skipped, err
-}
-
-// Rebuild rebuilds every shard whose index reports degraded health, in
-// shard order. Queries keep flowing during a rebuild: shards publish
-// generations, so readers pin the old image until the new one lands.
-func (c *Collection) Rebuild(ctx context.Context) error {
-	for _, s := range c.shards {
-		if s.DB.IndexHealth() == nil {
-			continue
-		}
-		if err := s.DB.RebuildIndexCtx(ctx); err != nil {
-			return fmt.Errorf("collection: rebuilding shard %d: %w", s.ID, err)
-		}
-	}
-	return nil
-}
-
-// Close stops the ingesters (draining queued operations) and closes
-// every shard. It does not Save; acknowledged-but-unsaved operations
-// stay protected by each shard's WAL.
+// Close stops the maintainers (waiting out a running checkpoint, scrub
+// or rebuild), then the ingesters (draining queued operations), and
+// closes every shard. It does not Save; acknowledged-but-unsaved
+// operations stay protected by each shard's WAL.
 func (c *Collection) Close() error {
+	c.stopMaintainers()
 	var first error
 	for _, s := range c.shards {
 		if err := s.Ing.Close(); err != nil && first == nil {
@@ -533,9 +533,20 @@ func (c *Collection) Close() error {
 	return first
 }
 
+// stopMaintainers stops every shard's maintenance loop and waits for it
+// to exit; a no-op for a collection opened without Options.Maintain.
+func (c *Collection) stopMaintainers() {
+	for _, s := range c.shards {
+		if s.Mnt != nil {
+			s.Mnt.Close()
+		}
+	}
+}
+
 // closeShards releases partially constructed shards on a failed
 // Create/Open.
 func (c *Collection) closeShards() {
+	c.stopMaintainers()
 	for _, s := range c.shards {
 		_ = s.Ing.Close()
 		_ = s.DB.Close()
@@ -543,40 +554,70 @@ func (c *Collection) closeShards() {
 	c.shards = nil
 }
 
-// ShardHealth is one shard's row in Health.
+// ShardHealth is one database's health block: a shard's row in Health,
+// and the body of fixserve's single-index /healthz. IngestLag counts
+// acknowledged operations the ingest WAL holds ahead of the last
+// checkpoint (replayed, not lost, on a crash); IngestQueue counts
+// operations still waiting for their group commit; WALBytes and
+// LastCheckpointAge size the replay window a crash right now would
+// cost. Maintainer carries the background checkpointer's state machine
+// (idle / retrying / suspended) and scrub history when one is running.
 type ShardHealth struct {
-	Shard       int    `json:"shard"`
-	Generation  uint64 `json:"generation"`
-	Documents   int    `json:"documents"`
-	Deleted     int    `json:"deleted"`
-	Entries     int    `json:"index_entries"`
-	IngestLag   int    `json:"ingest_lag"`
-	IngestQueue int    `json:"ingest_queue"`
-	Healthy     bool   `json:"healthy"`
-	Cause       string `json:"cause,omitempty"`
+	Shard             int                   `json:"shard"`
+	Generation        uint64                `json:"generation"`
+	Documents         int                   `json:"documents"`
+	Deleted           int                   `json:"deleted"`
+	Entries           int                   `json:"index_entries"`
+	IngestLag         int                   `json:"ingest_lag"`
+	IngestQueue       int                   `json:"ingest_queue"`
+	WALBytes          int64                 `json:"wal_bytes"`
+	LastCheckpointAge float64               `json:"last_checkpoint_age_seconds"`
+	Maintainer        *fix.MaintainerHealth `json:"maintainer,omitempty"`
+	Healthy           bool                  `json:"healthy"`
+	Cause             string                `json:"cause,omitempty"`
 }
 
-// Health reports per-shard health and generation. A degraded shard
-// still answers exactly (scan fallback); Healthy here means "at full
-// speed", matching fixserve's /healthz convention.
+// HealthOf fills the health block of one database: db's counters, the
+// depth of the ingest queue feeding it, and mnt's state when a
+// maintainer is running (nil otherwise). Healthy means "at full speed":
+// a degraded index still answers exactly through the scan fallback, and
+// a suspended checkpointer still serves from the current base + WAL,
+// but the first is slow and the second's replay window grows without
+// bound, so either clears Healthy and names its cause.
+func HealthOf(db *fix.DB, ingestQueue int, mnt *fix.Maintainer) ShardHealth {
+	h := ShardHealth{
+		Generation:        db.GenerationID(),
+		Documents:         db.NumDocuments(),
+		Deleted:           db.DeletedDocuments(),
+		Entries:           db.IndexEntries(),
+		IngestLag:         db.IngestLag(),
+		IngestQueue:       ingestQueue,
+		WALBytes:          db.WALBytes(),
+		LastCheckpointAge: time.Since(db.LastCheckpoint()).Seconds(),
+		Healthy:           true,
+	}
+	if mnt != nil {
+		mh := mnt.Health()
+		h.Maintainer = &mh
+		if mh.State == fix.MaintainSuspended {
+			h.Healthy = false
+			h.Cause = "checkpointing suspended: " + mh.LastError
+		}
+	}
+	if err := db.IndexHealth(); err != nil {
+		h.Healthy = false
+		h.Cause = err.Error()
+	}
+	return h
+}
+
+// Health reports per-shard health and generation, one HealthOf block
+// per shard.
 func (c *Collection) Health() []ShardHealth {
 	out := make([]ShardHealth, len(c.shards))
 	for i, s := range c.shards {
-		h := ShardHealth{
-			Shard:       s.ID,
-			Generation:  s.DB.GenerationID(),
-			Documents:   s.DB.NumDocuments(),
-			Deleted:     s.DB.DeletedDocuments(),
-			Entries:     s.DB.IndexEntries(),
-			IngestLag:   s.DB.IngestLag(),
-			IngestQueue: s.Ing.QueueLen(),
-			Healthy:     true,
-		}
-		if err := s.DB.IndexHealth(); err != nil {
-			h.Healthy = false
-			h.Cause = err.Error()
-		}
-		out[i] = h
+		out[i] = HealthOf(s.DB, s.Ing.QueueLen(), s.Mnt)
+		out[i].Shard = s.ID
 	}
 	return out
 }

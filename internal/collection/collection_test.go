@@ -226,8 +226,8 @@ func TestDeleteByGlobalID(t *testing.T) {
 
 // TestDegradedShardAnswersExactly corrupts one shard's B-tree on disk:
 // the collection must keep answering exactly (that shard scans), flag
-// the result Degraded but NOT Partial, and Rebuild must restore full
-// health.
+// the result Degraded but NOT Partial, and rebuilding the shard's index
+// must restore full health.
 func TestDegradedShardAnswersExactly(t *testing.T) {
 	const nshards = 2
 	dir := filepath.Join(t.TempDir(), "deg")
@@ -304,7 +304,7 @@ func TestDegradedShardAnswersExactly(t *testing.T) {
 		t.Errorf("shard 0 health = %+v, want healthy", health[0])
 	}
 
-	if err := c.Rebuild(ctx); err != nil {
+	if err := c.Shard(1).DB.RebuildIndexCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if h := c.Health(); !h[1].Healthy {
@@ -319,8 +319,21 @@ func TestDegradedShardAnswersExactly(t *testing.T) {
 	}
 }
 
+// noMaintainers fails the test if any shard of c runs a maintainer.
+func noMaintainers(t *testing.T, what string, c *Collection) {
+	t.Helper()
+	for i := 0; i < c.NumShards(); i++ {
+		if c.Shard(i).Mnt != nil {
+			t.Errorf("%s with zero Options started a maintainer on shard %d", what, i)
+		}
+	}
+}
+
 // TestReopenReplaysShards verifies acknowledged ingest survives an
-// unsaved close: each shard's WAL replays on Open.
+// unsaved close: each shard's WAL replays on Open. It is also the
+// library-use check: Create and Open with zero Options start no
+// maintenance loop (fixindex and bulk loaders must not be checkpointed
+// behind their backs).
 func TestReopenReplaysShards(t *testing.T) {
 	const nshards = 2
 	dir := filepath.Join(t.TempDir(), "re")
@@ -336,6 +349,7 @@ func TestReopenReplaysShards(t *testing.T) {
 	if _, err := c.AddBatch(ctx, docs); err != nil {
 		t.Fatal(err)
 	}
+	noMaintainers(t, "Create", c)
 	// Close WITHOUT Save: the shards' WALs are the only durability.
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -345,6 +359,7 @@ func TestReopenReplaysShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	noMaintainers(t, "Open", c)
 	res, err := c.Query(ctx, "//item", QueryOpts{})
 	if err != nil {
 		t.Fatal(err)

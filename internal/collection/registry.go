@@ -51,7 +51,10 @@ type handle struct {
 
 // OpenService opens every collection under root (creating root if
 // needed): each subdirectory with a manifest is opened with the given
-// runtime options, replaying its shards' WALs. Subdirectories without a
+// runtime options, replaying its shards' WALs. The same options apply
+// to collections created later, so setting Options.Maintain here is the
+// one opt-in that gives every shard the service will ever hold its
+// background maintainer. Subdirectories without a
 // manifest are ignored, so the root can host unrelated files. A shard
 // that fails to open fails the whole service — serving with silently
 // missing collections is worse than not starting.
@@ -166,29 +169,6 @@ func (s *Service) Drop(name string) error {
 		return err
 	}
 	return os.RemoveAll(filepath.Join(s.root, name))
-}
-
-// each snapshots the live collections (sorted by name) and calls fn for
-// each outside the lock, holding a reference across the call.
-func (s *Service) each(fn func(*Collection) error) error {
-	var first error
-	for _, name := range s.Names() {
-		col, release, err := s.Acquire(name)
-		if err != nil {
-			continue // dropped between Names and Acquire
-		}
-		if err := fn(col); err != nil && first == nil {
-			first = err
-		}
-		release()
-	}
-	return first
-}
-
-// SaveAll saves every collection (WAL absorption on every shard); the
-// first error is reported, the rest still save.
-func (s *Service) SaveAll() error {
-	return s.each(func(c *Collection) error { return c.Save() })
 }
 
 // Close closes every collection without saving (their WALs protect

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
@@ -139,53 +138,5 @@ func TestServiceIgnoresStrayDirs(t *testing.T) {
 	defer svc.Close()
 	if got := svc.Names(); len(got) != 0 {
 		t.Errorf("Names over stray dirs = %v, want none", got)
-	}
-}
-
-// TestManagerSavesAndRebuilds runs the background manager at a short
-// interval and checks it absorbs ingest WALs (lag returns to zero) and
-// repairs a shard forced degraded.
-func TestManagerSavesAndRebuilds(t *testing.T) {
-	root := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	svc, err := OpenService(root, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	col, err := svc.Create(ctx, "managed", Spec{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := col.AddBatch(ctx, []string{doc(labelFor(t, 0, 2), 1), doc(labelFor(t, 1, 2), 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if lag := col.Stats().IngestLag; lag == 0 {
-		t.Fatal("no ingest lag before the manager ran; test can't observe a save")
-	}
-
-	var mu sync.Mutex
-	var logged []string
-	m := StartManager(ctx, svc, 10*time.Millisecond, func(format string, args ...any) {
-		mu.Lock()
-		logged = append(logged, format)
-		mu.Unlock()
-	})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for col.Stats().IngestLag != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("manager never absorbed the ingest WAL")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	cancel()
-	m.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(logged) != 0 {
-		t.Errorf("manager logged errors: %v", logged)
 	}
 }

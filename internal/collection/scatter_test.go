@@ -2,6 +2,7 @@ package collection
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -146,12 +147,16 @@ func TestSlowQueryAttribution(t *testing.T) {
 }
 
 // TestConcurrentQueryIngestRebuild is the -race stress: queries
-// (targeted and scattered), batched ingest, rebuilds and saves all run
-// concurrently against one collection; nothing may error and final
-// counts must reconcile.
+// (targeted and scattered), batched ingest, saves, and the shards'
+// maintainers checkpointing and rebuilding all run concurrently against
+// one collection; nothing may error and final counts must reconcile.
+// The shards index values, so a document that brings a new element
+// label degrades its shard's index (a value index cannot absorb labels
+// it was not built with) and the shard's maintainer has to rebuild it
+// while the writers and queriers keep going.
 func TestConcurrentQueryIngestRebuild(t *testing.T) {
 	const nshards = 4
-	c := newTestCollection(t, Spec{Name: "stress", Shards: nshards}, Options{})
+	c := newTestCollection(t, Spec{Name: "stress", Shards: nshards, Values: true}, Options{Maintain: fastMaintenance(t)})
 	ctx := context.Background()
 
 	labels := make([]string, nshards)
@@ -185,6 +190,11 @@ func TestConcurrentQueryIngestRebuild(t *testing.T) {
 				for i := range batch {
 					batch[i] = doc(labels[(w+b+i)%nshards], 1)
 				}
+				if w == 0 && b%3 == 0 {
+					// One item, plus an element label no earlier document had.
+					l := labels[b%nshards]
+					batch[0] = fmt.Sprintf("<%s><item><name>x</name></item><new%d/></%s>", l, b, l)
+				}
 				if _, err := c.AddBatch(ctx, batch); err != nil {
 					errc <- fmt.Errorf("writer %d: %w", w, err)
 					return
@@ -217,11 +227,9 @@ func TestConcurrentQueryIngestRebuild(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			if err := c.Rebuild(ctx); err != nil {
-				errc <- fmt.Errorf("rebuild: %w", err)
-				return
-			}
-			if err := c.Save(); err != nil {
+			// A shard waiting for its rebuild refuses to be saved; any
+			// other failure is a bug.
+			if err := c.Save(); err != nil && !errors.Is(err, fix.ErrRebuildRequired) {
 				errc <- fmt.Errorf("save: %w", err)
 				return
 			}
@@ -233,13 +241,28 @@ func TestConcurrentQueryIngestRebuild(t *testing.T) {
 		t.Error(err)
 	}
 
+	var rebuilds int64
+	waitFor(t, "the maintainers to rebuild every degraded shard", func() bool {
+		rebuilds = 0
+		for _, h := range c.Health() {
+			if !h.Healthy {
+				return false
+			}
+			rebuilds += h.Maintainer.AutoRebuilds
+		}
+		return true
+	})
+	if rebuilds == 0 {
+		t.Error("no shard was ever auto-rebuilt; the stress did not exercise the maintainers' rebuild path")
+	}
+
 	want := nshards + writers*batchesPerW*docsPerBatch
 	res, err := c.Query(ctx, "//item", QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count != want {
-		t.Errorf("final count = %d, want %d", res.Count, want)
+	if res.Count != want || res.Degraded {
+		t.Errorf("final count = %d (degraded %v), want %d from healthy shards", res.Count, res.Degraded, want)
 	}
 	if got := c.NumDocuments(); got != want {
 		t.Errorf("NumDocuments = %d, want %d", got, want)

@@ -25,7 +25,7 @@ import (
 //     the acquire to the true branch only; g := ix.Freeze() hands the
 //     caller a reference it must Unpin
 //   - views and other closable handles: v := x.View() must reach
-//     v.Close()
+//     v.Close(); m, err := db.StartMaintainer(...) must reach m.Close()
 //   - release funcs: cancel from context.WithCancel/WithTimeout/
 //     WithDeadline, and the release func returned by Acquire* APIs, must
 //     be called (the classic lostcancel bug)
@@ -386,7 +386,8 @@ func (st *pairState) scanExpr(b *cfg.Block, node ast.Node, acquires bool) {
 }
 
 // assignAcquire recognizes handle- and timer-producing assignments:
-// v := x.View(), g := ix.Freeze(), t := time.Now(), ctx, cancel := context.WithCancel(...),
+// v := x.View(), g := ix.Freeze(), m, err := db.StartMaintainer(...),
+// t := time.Now(), ctx, cancel := context.WithCancel(...),
 // h, release, err := s.Acquire(...).
 func (st *pairState) assignAcquire(b *cfg.Block, as *ast.AssignStmt) {
 	if len(as.Rhs) != 1 {
@@ -430,6 +431,21 @@ func (st *pairState) assignAcquire(b *cfg.Block, as *ast.AssignStmt) {
 		if id := lhsIdent(0); id != nil && st.hasMethod(call, release) {
 			r := st.resource(kind, id.Name, id.Name+" (from "+exprString(call.Fun)+")", release, as.Pos())
 			if r != nil {
+				st.events[b] = append(st.events[b], pairEvent{res: r, acquire: true})
+			}
+		}
+		return
+	}
+
+	// m, err := db.StartMaintainer(...) starts a background loop that runs
+	// until m.Close(); the error path returns no live loop.
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(as.Lhs) == 2 && sel.Sel.Name == "StartMaintainer" {
+		if id := lhsIdent(0); id != nil {
+			r := st.resource(pairHandle, id.Name, id.Name+" (from "+exprString(call.Fun)+")", "Close", as.Pos())
+			if r != nil {
+				if errID := lhsIdent(1); errID != nil {
+					r.errVar = errID.Name
+				}
 				st.events[b] = append(st.events[b], pairEvent{res: r, acquire: true})
 			}
 		}

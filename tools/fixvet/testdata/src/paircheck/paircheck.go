@@ -124,6 +124,43 @@ func HandleLeak(s *store, cond bool) {
 	v.Close()
 }
 
+// loop is a background maintenance loop; it runs until Close.
+type loop struct{}
+
+// Close stops the loop.
+func (l *loop) Close() {}
+
+// Healthy reports whether the loop is keeping up.
+func (l *loop) Healthy() bool { return true }
+
+// StartMaintainer starts a loop the caller must Close.
+func (s *store) StartMaintainer(ctx context.Context) (*loop, error) { return &loop{}, nil }
+
+// shard owns its loop: storing it hands the Close obligation to the
+// owner's own Close.
+type shard struct{ mnt *loop }
+
+// MaintainerGood stores the loop in its owner; the error path owes
+// nothing.
+func MaintainerGood(ctx context.Context, s *store, sh *shard) error {
+	m, err := s.StartMaintainer(ctx)
+	if err != nil {
+		return err
+	}
+	sh.mnt = m
+	return nil
+}
+
+// MaintainerLeak starts a shard's loop and forgets it: the goroutine
+// outlives every handle to it.
+func MaintainerLeak(ctx context.Context, s *store) error {
+	m, err := s.StartMaintainer(ctx) // want `handle m \(from s.StartMaintainer\) in MaintainerLeak is never released \(no Close on any path\)`
+	if err != nil || !m.Healthy() {
+		return err
+	}
+	return nil
+}
+
 // LostCancel drops the WithTimeout cancel func: the context's timer and
 // goroutine live until the deadline even when work returns early.
 func LostCancel(parent context.Context, d time.Duration) error {
