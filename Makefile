@@ -51,12 +51,13 @@ loc:
 # static-analysis suite, then the line count.
 check: vet build bench-build test race lint loc
 
-# bench-smoke runs the refinement and query-pipeline benchmarks for one
-# iteration each — not to time anything, but so a benchmark that no
-# longer builds, or whose refined count no longer equals the scan's,
+# bench-smoke runs the refinement, query-pipeline and construction
+# benchmarks for one iteration each — not to time anything, but so a
+# benchmark that no longer builds, whose refined count no longer equals
+# the scan's, or whose index is no longer packed (more than 48 B/entry)
 # fails CI.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkTable1Construction' -benchtime 1x .
 
 # bench-parallel regenerates the committed parallel-construction sweep
 # (1/2/4/NumCPU workers; asserts byte-identical indexes).

@@ -109,8 +109,11 @@ func run(dbdir string, args []string) error {
 		if err := db.Save(); err != nil {
 			return err
 		}
-		fmt.Printf("built index: %d entries, %s, %v\n",
-			db.IndexEntries(), sizeStr(db.IndexSizeBytes()), db.IndexBuildTime().Round(1e6))
+		st := db.IndexBuildStats()
+		fmt.Printf("built index: %d entries, %s, %v (parse %v, bisim %v, eigen %v, insert %v; %.1f B/entry)\n",
+			db.IndexEntries(), sizeStr(db.IndexSizeBytes()), db.IndexBuildTime().Round(1e6),
+			st.Parse.Round(1e6), st.Bisim.Round(1e6), st.Eigen.Round(1e6), st.Insert.Round(1e6),
+			float64(db.IndexSizeBytes())/float64(max(db.IndexEntries(), 1)))
 		return nil
 
 	case "query":

@@ -168,7 +168,8 @@ type IndexOptions struct {
 
 // BuildStats reports where the last BuildIndex spent its time. Parse,
 // Bisim and Eigen are summed across workers, so on a multi-core build
-// they can exceed Wall; Insert is the sequential merge into the B-tree.
+// they can exceed Wall; Insert is the sequential rest: collecting the
+// entries, sorting them and packing the B-tree bottom-up.
 type BuildStats struct {
 	Workers                     int
 	Records, Units              int

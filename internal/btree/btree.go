@@ -184,6 +184,15 @@ func (t *Tree) payloadSize() int { return t.p.pageSize - pageHeaderSize }
 
 func (t *Tree) maxEntry() int { return t.payloadSize() / 4 }
 
+// checkEntry is the one size test for everything that writes an entry:
+// entries stay within a quarter page, so a split always leaves room.
+func (t *Tree) checkEntry(key, val []byte) error {
+	if n := len(key) + len(val) + 8; n > t.maxEntry() {
+		return fmt.Errorf("btree: entry of %d bytes (key %d, value %d, 8 of overhead) exceeds max %d", n, len(key), len(val), t.maxEntry())
+	}
+	return nil
+}
+
 func (t *Tree) loadNode(id uint32) (*node, error) {
 	pg, err := t.p.read(id)
 	if err != nil {
@@ -235,8 +244,8 @@ func (t *Tree) findLeaf(key []byte) (*node, error) {
 func (t *Tree) Put(key, val []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(key)+len(val)+8 > t.maxEntry() {
-		return fmt.Errorf("btree: entry of %d bytes exceeds max %d", len(key)+len(val), t.maxEntry())
+	if err := t.checkEntry(key, val); err != nil {
+		return err
 	}
 	sepKey, newChild, grew, added, err := t.insert(t.root, key, val)
 	if err != nil {
@@ -486,31 +495,85 @@ func (t *Tree) DirtyPages() ([]DirtyPage, error) {
 	return out, nil
 }
 
-// Verify checks the integrity of every allocated page — checksum, format
-// version, and node structure — and that the leaf chain holds exactly the
-// number of entries the meta page claims. It returns the first problem
+// Verify checks everything a probe relies on in one top-down walk from
+// the root: every page it reads passes its checksum and decodes, only the
+// last level holds leaves, each node's keys ascend strictly and lie inside
+// the bounds its ancestors' separators give it (so keys ascend through the
+// whole tree), the walk meets the leaves in the order the leaf chain links
+// them, the chain ends with the last one, and the leaves hold the number
+// of entries the meta page claims. A page reached twice is an error, so
+// the walk ends within the file's pages whatever the pointers say. The
+// allocated pages the walk did not reach are then checked for checksum,
+// format version and node structure as well. It returns the first problem
 // found, wrapping ErrCorrupt for validation failures.
 func (t *Tree) Verify() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	w := verifyWalk{t: t, seen: make([]bool, t.p.npages)}
+	if err := w.visit(t.root, 1, nil, nil); err != nil {
+		return err
+	}
+	if w.chain != 0 {
+		return fmt.Errorf("%w: leaf chain continues to page %d past the tree's last leaf", ErrCorrupt, w.chain)
+	}
+	if w.count != t.count {
+		return fmt.Errorf("%w: leaves hold %d entries, meta page claims %d", ErrCorrupt, w.count, t.count)
+	}
 	for id := uint32(1); id < t.p.npages; id++ {
-		pg, err := t.p.read(id)
-		if err != nil {
-			return err
+		if w.seen[id] {
+			continue
 		}
-		if _, err := decodeNode(id, pg.payload()); err != nil {
+		if _, err := t.loadNode(id); err != nil {
 			return err
 		}
 	}
-	// The scan stops one entry past the claimed count: that already
-	// proves the mismatch, and a chain that loops has no last entry.
-	n := uint64(0)
-	err := t.scan(nil, nil, func(k, v []byte) bool { n++; return n <= t.count })
+	return nil
+}
+
+// verifyWalk is the state of Verify's top-down walk.
+type verifyWalk struct {
+	t      *Tree
+	seen   []bool // by page id
+	leaves int
+	chain  uint32 // the page the last leaf met links to
+	count  uint64
+}
+
+// visit checks the subtree under page id, whose keys must lie in
+// [lo, hi); a nil bound is open.
+func (w *verifyWalk) visit(id, depth uint32, lo, hi []byte) error {
+	if id == 0 || id >= uint32(len(w.seen)) || w.seen[id] {
+		return fmt.Errorf("%w: page %d (of %d) is referenced but does not exist or was already reached", ErrCorrupt, id, len(w.seen))
+	}
+	w.seen[id] = true
+	n, err := w.t.loadNode(id)
 	if err != nil {
 		return err
 	}
-	if n != t.count {
-		return fmt.Errorf("%w: leaf chain holds %d entries (counted no further than one past the claim), meta page claims %d", ErrCorrupt, n, t.count)
+	if n.leaf != (depth == w.t.height) {
+		return fmt.Errorf("%w: page %d on level %d of %d: leaf=%t", ErrCorrupt, id, depth, w.t.height, n.leaf)
 	}
-	return nil
+	for i, k := range n.keys {
+		if (lo != nil && bytes.Compare(k, lo) < 0) || (hi != nil && bytes.Compare(k, hi) >= 0) ||
+			(i > 0 && bytes.Compare(k, n.keys[i-1]) <= 0) {
+			return fmt.Errorf("%w: page %d key %d is out of order or outside the bounds its ancestors route to it", ErrCorrupt, id, i)
+		}
+	}
+	if n.leaf {
+		if w.leaves > 0 && w.chain != id {
+			return fmt.Errorf("%w: leaf %d follows a leaf that links to page %d", ErrCorrupt, id, w.chain)
+		}
+		w.leaves++
+		w.chain = n.next
+		w.count += uint64(len(n.keys))
+		return nil
+	}
+	child := n.next
+	for i, k := range n.keys {
+		if err := w.visit(child, depth+1, lo, k); err != nil {
+			return err
+		}
+		child, lo = n.children[i], k
+	}
+	return w.visit(child, depth+1, lo, hi)
 }

@@ -301,6 +301,10 @@ func TestModelRandomOps(t *testing.T) {
 	if err != nil || i != len(wantKeys) {
 		t.Fatalf("scan covered %d of %d (err=%v)", i, len(wantKeys), err)
 	}
+	// Splits and the leaves deletes emptied leave a tree Verify accepts.
+	if err := tr.Verify(); err != nil {
+		t.Errorf("Verify: %v", err)
+	}
 }
 
 func TestStatsAndClearCache(t *testing.T) {

@@ -1,0 +1,157 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+)
+
+// pageRef is one packed page as the level above sees it: the smallest
+// key of its subtree, and its id.
+type pageRef struct {
+	first []byte
+	id    uint32
+}
+
+// packing is the page a level is being written into: cells go straight
+// into the page buffer, left to right, in the layout node.go documents.
+type packing struct {
+	pg   *page
+	leaf bool
+	pos  int // next free payload byte
+	n    int // cells written
+}
+
+// open starts a node of the given type on pg, whose payload is zero past
+// the type byte (a fresh page, or the empty root leaf); next is the
+// header's page field — an internal node's leftmost child, a leaf's
+// successor once it is known.
+func (pk *packing) open(pg *page, typ byte, next uint32) {
+	buf := pg.payload()
+	buf[0] = typ
+	binary.BigEndian.PutUint32(buf[3:7], next)
+	*pk = packing{pg: pg, leaf: typ == typeLeaf, pos: nodeHeaderSize}
+}
+
+// fits reports whether a cell of the given size still goes on the page
+// (the cell count is a u16).
+func (pk *packing) fits(cell int) bool {
+	return pk.pos+cell <= len(pk.pg.payload()) && pk.n < math.MaxUint16
+}
+
+// cell appends one cell: key length, then on a leaf the value length,
+// key and value, on an internal node the key and the child id.
+func (pk *packing) cell(key, val []byte, child uint32) {
+	buf := pk.pg.payload()
+	binary.BigEndian.PutUint16(buf[pk.pos:], uint16(len(key)))
+	pk.pos += 2
+	if pk.leaf {
+		binary.BigEndian.PutUint16(buf[pk.pos:], uint16(len(val)))
+		pk.pos += 2
+		pk.pos += copy(buf[pk.pos:], key)
+		pk.pos += copy(buf[pk.pos:], val)
+	} else {
+		pk.pos += copy(buf[pk.pos:], key)
+		binary.BigEndian.PutUint32(buf[pk.pos:], child)
+		pk.pos += 4
+	}
+	pk.n++
+}
+
+// seal writes the cell count and hands the finished page to the pager.
+func (pk *packing) seal(p *pager) {
+	binary.BigEndian.PutUint16(pk.pg.payload()[1:3], uint16(pk.n))
+	p.markDirty(pk.pg)
+}
+
+// Load fills an empty tree bottom-up from entries that arrive in strictly
+// ascending key order: leaves are packed full, left to right, and chained
+// as they are allocated, then each interior level is packed the same way
+// from the (first key, page id) pairs of the level below, so no page is
+// ever decoded, split or rewritten. next returns one entry per call and
+// io.EOF after the last; its slices are only read until the following
+// call. Any other error from next, an entry Put would reject, a key not
+// greater than its predecessor, or a tree that already holds entries ends
+// the load with an error before that entry is written — the tree is then
+// half built and only fit to be discarded. Pages go through the pager
+// like any other write, so checksums, eviction write-back, the sticky
+// write error and the changed set of FreezeView all apply; a later Put
+// into a packed leaf splits it at mid as usual.
+func (t *Tree) Load(next func() (key, val []byte, err error)) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.count != 0 || t.height != 1 {
+		return fmt.Errorf("btree: Load needs an empty tree (have %d entries, height %d)", t.count, t.height)
+	}
+	// The holder of pk.pg is always the pager's most recent page but one
+	// at worst (only alloc runs in between), so the LRU cannot evict it.
+	root, err := t.p.read(t.root)
+	if err != nil {
+		return err
+	}
+	var pk packing
+	pk.open(root, typeLeaf, 0)
+	var level []pageRef
+	var prev []byte
+	count := uint64(0)
+	for {
+		key, val, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if err := t.checkEntry(key, val); err != nil {
+			return err
+		}
+		if count > 0 && bytes.Compare(key, prev) <= 0 {
+			return fmt.Errorf("btree: Load: key %x does not sort after its predecessor %x", key, prev)
+		}
+		prev = append(prev[:0], key...)
+		if !pk.fits(4 + len(key) + len(val)) {
+			pg, err := t.p.alloc()
+			if err != nil {
+				return err
+			}
+			binary.BigEndian.PutUint32(pk.pg.payload()[3:7], pg.id)
+			pk.seal(t.p)
+			pk.open(pg, typeLeaf, 0)
+		}
+		if pk.n == 0 {
+			level = append(level, pageRef{first: append([]byte(nil), key...), id: pk.pg.id})
+		}
+		pk.cell(key, val, 0)
+		count++
+	}
+	pk.seal(t.p)
+	height := uint32(1)
+	for ; len(level) > 1; height++ {
+		var up []pageRef
+		for i, c := range level {
+			if i > 0 && pk.fits(6+len(c.first)) {
+				pk.cell(c.first, nil, c.id)
+				continue
+			}
+			if i > 0 {
+				pk.seal(t.p)
+			}
+			pg, err := t.p.alloc()
+			if err != nil {
+				return err
+			}
+			pk.open(pg, typeInternal, c.id)
+			up = append(up, pageRef{first: c.first, id: pg.id})
+		}
+		pk.seal(t.p)
+		level = up
+	}
+	if len(level) == 1 {
+		t.root = level[0].id
+	}
+	t.height = height
+	t.count = count
+	return nil
+}

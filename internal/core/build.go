@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -30,13 +32,21 @@ import (
 //	1. parse + bisimulation     parallel; no shared writes
 //	2. edge-pair assignment     sequential, in record order
 //	3. matrix + eigenvalues     parallel; encoder is read-only
-//	4. B-tree merge             sequential, in record order
+//	4. collect                  sequential, in record order
+//
+// Phase 4 only appends each entry, as a fixed-size buildEntry, to one
+// slice. When the last batch is through, the slice is sorted by key and
+// packed into the B-tree bottom-up (btree.Tree.Load): every page is
+// written once, full, and never decoded again; a clustered index copies
+// each entry's subtree into its heap as the pack reaches it, so the heap
+// is in key order and every value is final when its cell is written.
 //
 // Because phases 2 and 4 see records in record order whatever the worker
-// count, and phases 1 and 3 write only to per-record slots, the index
-// bytes produced are identical for any Workers setting (including the
-// batch size, which only bounds memory). BuildStats reports where the
-// time went.
+// count, and phases 1 and 3 write only to per-record slots, the collected
+// entries are the same for any Workers setting (and any batch size, which
+// only bounds memory); their keys are unique, so the sorted order and with
+// it every page byte is the same too. BuildStats reports where the time
+// went.
 
 // BuildStats reports where one index construction spent its time. The
 // per-phase durations are summed across workers, so on a multi-core build
@@ -51,8 +61,10 @@ type BuildStats struct {
 	Records, Units int
 	// Parse covers reading records and adapting them to structural event
 	// streams; Bisim the bisimulation reduction; Eigen the matrix
-	// translation and eigenvalue computation; Insert the sequential
-	// B-tree merge. Parse, Bisim and Eigen are cumulative across workers.
+	// translation and eigenvalue computation; Insert everything sequential
+	// that puts the entries into the B-tree: collecting them, the sort and
+	// the bottom-up pack (with the clustered copy, when there is one).
+	// Parse, Bisim and Eigen are cumulative across workers.
 	Parse, Bisim, Eigen, Insert time.Duration
 	// Wall is the end-to-end construction time (BuildTime reports the
 	// same value).
@@ -79,8 +91,7 @@ type graphElem struct {
 	ptr uint64
 }
 
-// pendingEntry is one computed index entry awaiting its in-order B-tree
-// insert.
+// pendingEntry is one computed index entry awaiting the in-order merge.
 type pendingEntry struct {
 	label uint32
 	f     Features
@@ -98,19 +109,35 @@ type buildUnit struct {
 	entries []pendingEntry
 }
 
+// buildEntry is one collected entry awaiting the pack: the key fields in
+// the unsigned form that sorts like the key bytes (see putKey), and what
+// the value needs. seq is also the entry's position in collection order,
+// which is where its spectrum tail sits in the shared arena:
+// tails[seq*SpectrumK:][:nspec].
+type buildEntry struct {
+	max, min uint64 // encodeFloat of λmax, λmin
+	seq      uint64
+	primary  uint64
+	label    uint32
+	nspec    uint32
+}
+
 // Build constructs a FIX index over every document in st.
 func Build(st *storage.Store, opts Options) (*Index, error) {
 	return BuildCtx(context.Background(), st, opts)
 }
 
 // BuildCtx is Build with cancellation: workers observe ctx between units
-// and the sequential merge observes it between records, so a cancelled
-// build returns ctx.Err() promptly. A cancelled on-disk build may leave a
-// partially written fix.btree behind; it is harmless — the committed
-// fix.meta still describes the previous index (or none), so a later Open
-// either loads the old commit or degrades to the scan fallback, and
-// rebuilding replaces the partial file.
-func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (*Index, error) {
+// and the sequential steps observe it between records and entries, so a
+// cancelled build returns ctx.Err() promptly. A failed build closes the
+// files it created — nothing else can refer to them yet, and a
+// maintainer retries a failing rebuild for as long as its server lives.
+// A cancelled on-disk build may leave a partially written fix.btree
+// behind; it is harmless — the committed fix.meta still describes the
+// previous index (or none), so a later Open either loads the old commit
+// or degrades to the scan fallback, and rebuilding replaces the partial
+// file.
+func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, err error) {
 	opts.setDefaults()
 	workers := par.Workers(opts.Workers)
 	start := time.Now()
@@ -118,26 +145,32 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (*Index, err
 	if err != nil {
 		return nil, err
 	}
-	bt, err := btree.Create(btFile, opts.PageSize, opts.CacheSize)
-	if err != nil {
-		return nil, err
-	}
 	ix := &Index{
 		opts:  opts,
 		store: st,
 		dict:  st.Dict(),
-		bt:    bt,
 		enc:   matrix.NewEdgeEncoder(),
 	}
-	ix.vh = valueHasher{alpha: ix.dict.MaxID(), beta: opts.Beta}
-	var vh bisim.ValueHash
-	if opts.Values {
-		vh = ix.vh.hash
+	defer func() {
+		if err == nil {
+			return
+		}
+		_ = btFile.Close()
+		if ix.clustered != nil {
+			_ = ix.clustered.Close()
+		}
+	}()
+	ix.bt, err = btree.Create(btFile, opts.PageSize, opts.CacheSize)
+	if err != nil {
+		return nil, err
 	}
+	ix.vh = valueHasher{alpha: ix.dict.MaxID(), beta: opts.Beta}
 
 	timers := &phaseTimers{}
 	nrec := st.NumRecords()
-	units := 0
+	var entries []buildEntry
+	var tails []float64
+	var noTail [8]float64 // SpectrumK is at most 8
 	var insertTime time.Duration
 	// The batch size bounds how many decoded graphs are in flight at
 	// once; it does not affect the output (see the pipeline comment).
@@ -145,49 +178,19 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (*Index, err
 	if batch < 64 {
 		batch = 64
 	}
+	recs := make([]uint32, 0, batch)
 	window := make([]*buildUnit, batch)
 	for lo := 0; lo < nrec; lo += batch {
-		hi := lo + batch
-		if hi > nrec {
-			hi = nrec
+		recs = recs[:0]
+		for r := lo; r < lo+batch && r < nrec; r++ {
+			recs = append(recs, uint32(r))
 		}
-		n := hi - lo
-		// Phase 1: parse records and build bisimulation graphs.
-		err := par.Do(ctx, workers, n, func(i int) error {
-			u, err := ix.buildUnitGraph(uint32(lo+i), vh, timers)
-			if err != nil {
-				return err
-			}
-			window[i] = u
-			return nil
-		})
-		if err != nil {
+		if err := ix.extract(ctx, recs, window, timers); err != nil {
 			return nil, err
 		}
-		// Phase 2 — the deterministic merge point: assign edge-pair
-		// weights in record order, so the encoder (and everything
-		// derived from it) is identical for any worker count.
-		for i := 0; i < n; i++ {
-			if window[i] == nil {
-				continue
-			}
-			for _, p := range window[i].pairs {
-				ix.enc.Encode(p.Parent, p.Child)
-			}
-		}
-		// Phase 3: matrices and eigenvalues; the encoder is read-only.
-		err = par.Do(ctx, workers, n, func(i int) error {
-			if window[i] == nil {
-				return nil
-			}
-			return ix.buildUnitFeatures(window[i], timers)
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Phase 4: merge into the B-tree in record order.
+		// Phase 4: collect the entries in record order.
 		insStart := time.Now()
-		for i := 0; i < n; i++ {
+		for i := range recs {
 			u := window[i]
 			window[i] = nil
 			if u == nil {
@@ -200,28 +203,43 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (*Index, err
 				ix.maxDocDepth = u.depth
 			}
 			for _, e := range u.entries {
-				if err := ix.insert(e.label, e.f, e.spec, e.ptr); err != nil {
-					return nil, err
+				if e.f.Oversize {
+					ix.oversize++
+				}
+				entries = append(entries, buildEntry{
+					label:   e.label,
+					max:     encodeFloat(e.f.Max),
+					min:     encodeFloat(e.f.Min),
+					seq:     uint64(len(entries)),
+					primary: uint64(e.ptr),
+					nspec:   uint32(len(e.spec)),
+				})
+				if opts.SpectrumK > 0 {
+					tails = append(append(tails, e.spec...), noTail[:opts.SpectrumK-len(e.spec)]...)
 				}
 			}
-			units += len(u.entries)
 		}
 		insertTime += time.Since(insStart)
 	}
-	if opts.Clustered {
-		if err := ix.buildClustered(ctx); err != nil {
-			return nil, err
-		}
+	insStart := time.Now()
+	ix.seq = uint64(len(entries))
+	slices.SortFunc(entries, func(a, b buildEntry) int {
+		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.max, b.max),
+			cmp.Compare(a.min, b.min), cmp.Compare(a.seq, b.seq))
+	})
+	if err := ix.pack(ctx, entries, tails); err != nil {
+		return nil, err
 	}
+	insertTime += time.Since(insStart)
 	if err := ix.bt.Flush(); err != nil {
 		return nil, err
 	}
 	ix.buildTime = time.Since(start)
-	obs.Default().ObserveBuild(nrec, units, ix.buildTime)
+	obs.Default().ObserveBuild(nrec, len(entries), ix.buildTime)
 	ix.buildStats = BuildStats{
 		Workers: workers,
 		Records: nrec,
-		Units:   units,
+		Units:   len(entries),
 		Parse:   time.Duration(timers.parse.Load()),
 		Bisim:   time.Duration(timers.bisim.Load()),
 		Eigen:   time.Duration(timers.eigen.Load()),
@@ -229,6 +247,88 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (*Index, err
 		Wall:    ix.buildTime,
 	}
 	return ix, nil
+}
+
+// pack loads the sorted entries into the empty B-tree. For a clustered
+// index it first creates the heap and then, entry by entry as the loader
+// asks for them, appends the entry's subtree to it — key order, so
+// refinement reads the heap sequentially — and stores both pointers.
+func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64) error {
+	if ix.opts.Clustered {
+		cf, err := indexFile(ix.opts, "fix.clustered")
+		if err != nil {
+			return err
+		}
+		ix.clustered, err = storage.NewStore(cf, ix.dict)
+		if err != nil {
+			_ = cf.Close()
+			return err
+		}
+	}
+	k := uint64(ix.opts.SpectrumK)
+	key := make([]byte, keySize)
+	val := make([]byte, 0, 17+8*k)
+	i := 0
+	return ix.bt.Load(func() ([]byte, []byte, error) {
+		if i == len(entries) {
+			return nil, nil, io.EOF
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		e := &entries[i]
+		i++
+		v := entryValue{primary: e.primary}
+		if e.nspec > 0 {
+			v.spectrum = tails[e.seq*k:][:e.nspec]
+		}
+		if ix.clustered != nil {
+			var err error
+			if v.clustered, err = ix.copyToClustered(storage.Pointer(e.primary)); err != nil {
+				return nil, nil, err
+			}
+			v.hasCopy = true
+		}
+		putKey(key, e.label, e.max, e.min, e.seq)
+		val = v.appendTo(val[:0])
+		return key, val, nil
+	})
+}
+
+// extract runs phases 1 to 3 over recs, leaving the unit of recs[i] — nil
+// for a record without a root element — in units[i].
+func (ix *Index) extract(ctx context.Context, recs []uint32, units []*buildUnit, timers *phaseTimers) error {
+	workers := par.Workers(ix.opts.Workers)
+	var vh bisim.ValueHash
+	if ix.opts.Values {
+		vh = ix.vh.hash
+	}
+	// Phase 1: parse records and build bisimulation graphs.
+	err := par.Do(ctx, workers, len(recs), func(i int) (err error) {
+		units[i], err = ix.buildUnitGraph(recs[i], vh, timers)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	// Phase 2 — the deterministic merge point: assign edge-pair weights
+	// in record order, so the encoder (and everything derived from it) is
+	// identical for any worker count.
+	for _, u := range units[:len(recs)] {
+		if u == nil {
+			continue
+		}
+		for _, p := range u.pairs {
+			ix.enc.Encode(p.Parent, p.Child)
+		}
+	}
+	// Phase 3: matrices and eigenvalues; the encoder is read-only.
+	return par.Do(ctx, workers, len(recs), func(i int) error {
+		if units[i] == nil {
+			return nil
+		}
+		return ix.buildUnitFeatures(units[i], timers)
+	})
 }
 
 // buildUnitGraph runs the parallel-safe front half of the pipeline for

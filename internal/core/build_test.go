@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/fix-index/fix/internal/storage"
@@ -169,5 +172,187 @@ func TestQueryCancellation(t *testing.T) {
 	}
 	if _, err := g.ExistsGoverned(ctx, q); err != context.Canceled {
 		t.Errorf("ExistsGoverned on cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// appendDocs parses and appends docs to st, returning their record numbers.
+func appendDocs(t *testing.T, st *storage.Store, docs []string) []uint32 {
+	t.Helper()
+	recs := make([]uint32, len(docs))
+	for i, d := range docs {
+		n, err := xmltree.ParseString(d)
+		if err != nil {
+			t.Fatalf("parsing doc %d: %v", i, err)
+		}
+		if recs[i], err = st.AppendTree(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs
+}
+
+// TestBuildMatchesIncremental checks the two ways an entry reaches the
+// B-tree against each other: a bulk build (collect, sort, pack) over N
+// documents, and an empty build followed by InsertDocumentsCtx of the
+// same N (one Put per entry, the path every index was built by before the
+// loader). Both must hold the same entries — key bytes, primary pointer,
+// spectrum tail, and for unclustered indexes the whole value — and a bulk
+// build's clustered heap must hold the subtrees in key order.
+func TestBuildMatchesIncremental(t *testing.T) {
+	docs := parallelDocs(150)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"unclustered", Options{}},
+		{"clustered", Options{DepthLimit: 2, Clustered: true}},
+		{"depth-limited", Options{DepthLimit: 3}},
+		{"values", Options{DepthLimit: 2, Values: true, Beta: 4}},
+		{"spectrum", Options{DepthLimit: 2, SpectrumK: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One dictionary under both stores, filled before either build,
+			// so a value index fixes the same α on both sides.
+			dict := xmltree.NewDict()
+			newStore := func() *storage.Store {
+				st, err := storage.NewStore(storage.NewMemFile(), dict)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			bulkStore := newStore()
+			appendDocs(t, bulkStore, docs)
+			bulk, err := Build(bulkStore, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveStore := newStore()
+			live, err := Build(liveStore, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.InsertDocumentsCtx(context.Background(), appendDocs(t, liveStore, docs)); err != nil {
+				t.Fatal(err)
+			}
+
+			// With the clustered pointer masked out, the two scans must be
+			// the same sequence (keys are unique, so that is the multiset).
+			masked := func(ix *Index) []string {
+				var out []string
+				err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
+					val := decodeValue(v)
+					if val.hasCopy != tc.opts.Clustered {
+						t.Errorf("entry %x: clustered copy = %t", k, val.hasCopy)
+					}
+					val.clustered = 0
+					out = append(out, string(k)+string(val.encode()))
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			b, l := masked(bulk), masked(live)
+			if len(b) == 0 || len(b) != len(l) {
+				t.Fatalf("bulk build holds %d entries, incremental %d", len(b), len(l))
+			}
+			for i := range b {
+				if b[i] != l[i] {
+					t.Fatalf("entry %d differs: bulk %x, incremental %x", i, b[i], l[i])
+				}
+			}
+			if bulk.seq != live.seq || bulk.oversize != live.oversize || bulk.maxDocDepth != live.maxDocDepth {
+				t.Errorf("counters: bulk seq=%d oversize=%d depth=%d, incremental %d/%d/%d",
+					bulk.seq, bulk.oversize, bulk.maxDocDepth, live.seq, live.oversize, live.maxDocDepth)
+			}
+			if err := bulk.Verify(); err != nil {
+				t.Errorf("bulk index fails Verify: %v", err)
+			}
+			if !tc.opts.Clustered {
+				return
+			}
+			next := uint32(0)
+			err = bulk.bt.Scan(nil, nil, func(k, v []byte) bool {
+				val := decodeValue(v)
+				if got := storage.Pointer(val.clustered); got != storage.MakePointer(next, 0) {
+					t.Fatalf("entry %d in key order has clustered copy %v, want record %d", next, got, next)
+				}
+				pc, pr, err := bulkStore.ReadSubtree(storage.Pointer(val.primary))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cc, cr, err := bulk.clustered.ReadSubtree(storage.Pointer(val.clustered))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(pc.SubtreeBytes(pr), cc.SubtreeBytes(cr)) {
+					t.Fatalf("entry %d: clustered copy differs from the primary subtree", next)
+				}
+				next++
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int(next) != bulk.clustered.NumRecords() {
+				t.Errorf("clustered heap holds %d records for %d entries", bulk.clustered.NumRecords(), next)
+			}
+		})
+	}
+}
+
+// countedFile counts its Close.
+type countedFile struct {
+	storage.File
+	closed *atomic.Int32
+}
+
+func (f countedFile) Close() error {
+	f.closed.Add(1)
+	return f.File.Close()
+}
+
+// TestFailedBuildClosesFiles counts, through the index's file seam, the
+// files a build creates and closes: a build that fails — cancelled, or on
+// a write error — must close every one of them, because a maintainer
+// retries a failing rebuild for as long as the server lives.
+func TestFailedBuildClosesFiles(t *testing.T) {
+	st := newParallelStore(t, parallelDocs(80))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		plan  *storage.FaultPlan
+		want  error
+		files int32 // fix.btree, and fix.clustered once the pack starts
+	}{
+		{"cancelled", cancelled, &storage.FaultPlan{}, context.Canceled, 1},
+		{"write fault in the pack", context.Background(), &storage.FaultPlan{FailWrite: 3}, storage.ErrInjected, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var created, closed atomic.Int32
+			inner := faultFS(tc.plan)
+			fsys := &indexFS{open: inner.open, create: func(path string) (storage.File, error) {
+				f, err := inner.create(path)
+				if err != nil {
+					return nil, err
+				}
+				created.Add(1)
+				return countedFile{f, &closed}, nil
+			}}
+			// Pages of 256 bytes through an eight-page cache: the pack
+			// writes evicted pages long before the final flush.
+			opts := Options{DepthLimit: 2, Clustered: true, PageSize: 256, CacheSize: 8, Dir: t.TempDir(), fs: fsys}
+			_, err := BuildCtx(tc.ctx, st, opts)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("BuildCtx = %v, want %v", err, tc.want)
+			}
+			if created.Load() != tc.files || closed.Load() != tc.files {
+				t.Errorf("the failed build created %d files and closed %d, want %d of each", created.Load(), closed.Load(), tc.files)
+			}
+		})
 	}
 }

@@ -111,19 +111,27 @@ var crashQueries = []string{
 // requires one of exactly two outcomes: the commit never happened (no
 // fix.meta, so the database layer would scan) or Open succeeds — replayed
 // from the journal or degraded with a detected fault — and every query
-// still matches the full-scan oracle.
+// still matches the full-scan oracle. The last variant's index outgrows
+// its page cache, so its crash points include the eviction write-backs
+// of a half-packed tree, not only the final flush.
 func TestCrashPointRecovery(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name   string
+		opts   Options
+		copies int // of bibDocs
 	}{
-		{"unclustered", Options{}},
-		{"clustered", Options{Clustered: true}},
-		{"depth2", Options{DepthLimit: 2}},
-		{"values", Options{Values: true, Beta: 4}},
+		{"unclustered", Options{}, 1},
+		{"clustered", Options{Clustered: true}, 1},
+		{"depth2", Options{DepthLimit: 2}, 1},
+		{"values", Options{Values: true, Beta: 4}, 1},
+		{"depth2 past the cache", Options{DepthLimit: 2, PageSize: 256, CacheSize: 8}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := memStoreFromDocs(t, bibDocs)
+			var docs []string
+			for i := 0; i < tc.copies; i++ {
+				docs = append(docs, bibDocs...)
+			}
+			st := memStoreFromDocs(t, docs)
 			oracle := oracleCounts(t, st, crashQueries)
 
 			// Dry run to learn the deterministic write-op count.
@@ -141,6 +149,9 @@ func TestCrashPointRecovery(t *testing.T) {
 			total := dry.Writes()
 			if total < 4 {
 				t.Fatalf("implausible write-op count %d", total)
+			}
+			if ev := ix.bt.Stats().Evictions; (ev > 0) != (tc.opts.CacheSize > 0) {
+				t.Fatalf("the build evicted %d pages with CacheSize %d", ev, tc.opts.CacheSize)
 			}
 
 			for n := 1; n <= total; n++ {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -209,60 +208,18 @@ func indexFile(opts Options, name string) (storage.File, error) {
 	return opts.filesystem().create(filepath.Join(opts.Dir, name))
 }
 
-func (ix *Index) insert(label uint32, f Features, spectrum []float64, ptr storage.Pointer) error {
-	if f.Oversize {
-		ix.oversize++
-	}
-	k := entryKey{label: label, max: f.Max, min: f.Min, seq: ix.seq}
-	ix.seq++
-	v := entryValue{primary: uint64(ptr), spectrum: spectrum}
-	return ix.bt.Put(k.encode(), v.encode())
-}
-
-// buildClustered copies every entry's subtree into a fresh heap in key
-// order and rewrites the B-tree values to carry both pointers. The copy
-// order is the key order, so the heap stays sequential-read friendly;
-// the loop observes ctx between entries.
-func (ix *Index) buildClustered(ctx context.Context) error {
-	type kv struct {
-		key []byte
-		val entryValue
-	}
-	var entries []kv
-	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		entries = append(entries, kv{append([]byte(nil), k...), decodeValue(v)})
-		return true
-	})
+// copyToClustered appends the subtree at ptr to the clustered heap and
+// returns the copy's pointer.
+func (ix *Index) copyToClustered(ptr storage.Pointer) (uint64, error) {
+	cur, ref, err := ix.store.ReadSubtree(ptr)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	cf, err := indexFile(ix.opts, "fix.clustered")
+	rec, err := ix.clustered.AppendBytes(cur.SubtreeBytes(ref))
 	if err != nil {
-		return err
+		return 0, err
 	}
-	ix.clustered, err = storage.NewStore(cf, ix.dict)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cur, ref, err := ix.store.ReadSubtree(storage.Pointer(e.val.primary))
-		if err != nil {
-			return err
-		}
-		rec, err := ix.clustered.AppendBytes(cur.SubtreeBytes(ref))
-		if err != nil {
-			return err
-		}
-		e.val.hasCopy = true
-		e.val.clustered = uint64(storage.MakePointer(rec, 0))
-		if err := ix.bt.Put(e.key, e.val.encode()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return uint64(storage.MakePointer(rec, 0)), nil
 }
 
 // Entries returns the number of index entries (ent in the paper's

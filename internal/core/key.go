@@ -43,11 +43,18 @@ type entryKey struct {
 
 func (k entryKey) encode() []byte {
 	buf := make([]byte, keySize)
-	binary.BigEndian.PutUint32(buf[0:4], k.label)
-	binary.BigEndian.PutUint64(buf[4:12], encodeFloat(k.max))
-	binary.BigEndian.PutUint64(buf[12:20], encodeFloat(k.min))
-	binary.BigEndian.PutUint64(buf[20:28], k.seq)
+	putKey(buf, k.label, encodeFloat(k.max), encodeFloat(k.min), k.seq)
 	return buf
+}
+
+// putKey writes a key whose eigenvalues are already in encodeFloat form
+// into buf[:keySize]. Comparing (label, max, min, seq) as unsigned
+// integers orders entries exactly as their key bytes do.
+func putKey(buf []byte, label uint32, max, min, seq uint64) {
+	binary.BigEndian.PutUint32(buf[0:4], label)
+	binary.BigEndian.PutUint64(buf[4:12], max)
+	binary.BigEndian.PutUint64(buf[12:20], min)
+	binary.BigEndian.PutUint64(buf[20:28], seq)
 }
 
 func decodeKey(buf []byte) entryKey {
@@ -87,24 +94,22 @@ type entryValue struct {
 }
 
 func (v entryValue) encode() []byte {
-	size := 9
+	return v.appendTo(make([]byte, 0, 17+8*len(v.spectrum)))
+}
+
+// appendTo appends the encoded value to buf.
+func (v entryValue) appendTo(buf []byte) []byte {
 	flags := byte(len(v.spectrum)) << 4
 	if v.hasCopy {
 		flags |= 1
-		size += 8
 	}
-	size += 8 * len(v.spectrum)
-	buf := make([]byte, size)
-	buf[0] = flags
-	binary.BigEndian.PutUint64(buf[1:9], v.primary)
-	pos := 9
+	buf = append(buf, flags)
+	buf = binary.BigEndian.AppendUint64(buf, v.primary)
 	if v.hasCopy {
-		binary.BigEndian.PutUint64(buf[pos:pos+8], v.clustered)
-		pos += 8
+		buf = binary.BigEndian.AppendUint64(buf, v.clustered)
 	}
 	for _, s := range v.spectrum {
-		binary.BigEndian.PutUint64(buf[pos:pos+8], encodeFloat(s))
-		pos += 8
+		buf = binary.BigEndian.AppendUint64(buf, encodeFloat(s))
 	}
 	return buf
 }

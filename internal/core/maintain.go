@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"github.com/fix-index/fix/internal/bisim"
-	"github.com/fix-index/fix/internal/par"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
 )
@@ -92,42 +91,32 @@ func (ix *Index) InsertDocument(rec uint32) error {
 	return nil
 }
 
-// insertLive inserts one computed entry through the maintenance path.
-// Unclustered entries go straight into the B-tree; clustered indexes
-// additionally append a copy of the pointed-to subtree at the end of the
-// clustered heap (the perfect key ordering returns at the next rebuild).
+// insertLive inserts one computed entry through the maintenance path —
+// the one place left that Puts into the B-tree. Clustered indexes first
+// append a copy of the pointed-to subtree at the end of the clustered
+// heap (the perfect key ordering returns at the next rebuild).
 func (ix *Index) insertLive(label uint32, f Features, spec []float64, ptr storage.Pointer) error {
-	if !ix.opts.Clustered {
-		return ix.insert(label, f, spec, ptr)
+	v := entryValue{primary: uint64(ptr), spectrum: spec}
+	if ix.opts.Clustered {
+		var err error
+		if v.clustered, err = ix.copyToClustered(ptr); err != nil {
+			return err
+		}
+		v.hasCopy = true
 	}
-	scur, ref, err := ix.store.ReadSubtree(ptr)
-	if err != nil {
-		return err
-	}
-	crec, err := ix.clustered.AppendBytes(scur.SubtreeBytes(ref))
-	if err != nil {
-		return err
-	}
-	k := entryKey{label: label, max: f.Max, min: f.Min, seq: ix.seq}
-	ix.seq++
 	if f.Oversize {
 		ix.oversize++
 	}
-	v := entryValue{
-		primary:   uint64(ptr),
-		clustered: uint64(storage.MakePointer(crec, 0)),
-		hasCopy:   true,
-		spectrum:  spec,
-	}
+	k := entryKey{label: label, max: f.Max, min: f.Min, seq: ix.seq}
+	ix.seq++
 	return ix.bt.Put(k.encode(), v.encode())
 }
 
 // InsertDocumentsCtx indexes a batch of newly appended records through
-// the same four-phase parallel pipeline BuildCtx uses: parse +
-// bisimulation fan out over the worker pool, edge-pair weights are
-// assigned sequentially in argument order, matrices and eigenvalues fan
-// out again, and the B-tree merge runs sequentially in argument order.
-// For a batch of one it costs the same as InsertDocument; for the
+// the first three phases of BuildCtx's pipeline (extract), taking the
+// records in argument order, and then Puts the entries into the B-tree
+// one by one in that order. For a batch of one it costs the same as
+// InsertDocument; for the
 // group-committed batches of streaming ingest it turns the per-document
 // eigenvalue computation — by far the dominant indexing cost — into
 // parallel work instead of serializing it under the write lock.
@@ -148,39 +137,8 @@ func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 		// (α, α+β] fixed at build time.
 		return fmt.Errorf("%w: new element labels appeared after a value index was built", ErrRebuildRequired)
 	}
-	var vh bisim.ValueHash
-	if ix.opts.Values {
-		vh = ix.vh.hash
-	}
-	workers := par.Workers(ix.opts.Workers)
-	timers := &phaseTimers{}
 	units := make([]*buildUnit, len(recs))
-	err := par.Do(ctx, workers, len(recs), func(i int) error {
-		u, err := ix.buildUnitGraph(recs[i], vh, timers)
-		if err != nil {
-			return err
-		}
-		units[i] = u
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, u := range units {
-		if u == nil {
-			continue
-		}
-		for _, p := range u.pairs {
-			ix.enc.Encode(p.Parent, p.Child)
-		}
-	}
-	err = par.Do(ctx, workers, len(units), func(i int) error {
-		if units[i] == nil {
-			return nil
-		}
-		return ix.buildUnitFeatures(units[i], timers)
-	})
-	if err != nil {
+	if err := ix.extract(ctx, recs, units, &phaseTimers{}); err != nil {
 		return err
 	}
 	for _, u := range units {
