@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lint lint-json loc check bench-build bench-smoke bench-parallel bench-shards serve-smoke fuzz-smoke stress ingest-crash maintain-crash
+.PHONY: build vet test race alloc-gates lint lint-json loc check bench-build bench-smoke bench-parallel bench-shards serve-smoke fuzz-smoke stress ingest-crash maintain-crash
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# alloc-gates runs the allocation gates: testing.AllocsPerRun tests are
+# tagged //go:build !race (the race detector makes sync.Pool drop objects
+# on purpose), so `make race` — CI's only other test step — never runs
+# them.
+alloc-gates:
+	$(GO) test -run 'Alloc|DoesNotAllocate' ./internal/...
 
 # lint runs the project analyzer suite (tools/fixvet): the six flat
 # passes (errcmp, lockcheck, ctxcheck, obscheck, depcheck, doccheck)
@@ -47,14 +54,16 @@ loc:
 
 # check is the full pre-merge gate: vet, build (the benchmark harness
 # included), tests (the fault-injection and crash-recovery suites run as
-# part of the default test set), then the race detector, then the
-# static-analysis suite, then the line count.
-check: vet build bench-build test race lint loc
+# part of the default test set), then the race detector and the
+# allocation gates it excludes, then the static-analysis suite, then the
+# line count.
+check: vet build bench-build test race alloc-gates lint loc
 
 # bench-smoke runs the refinement, query-pipeline and construction
 # benchmarks for one iteration each — not to time anything, but so a
 # benchmark that no longer builds, whose refined count no longer equals
-# the scan's, or whose index is no longer packed (more than 48 B/entry)
+# the scan's, whose index is no longer packed (more than 48 B/entry), or
+# whose probe allocates per entry again (more than 400 allocs per query)
 # fails CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkTable1Construction' -benchtime 1x .
@@ -81,6 +90,7 @@ serve-smoke:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseXML -fuzztime=10s ./internal/xmltree/
 	$(GO) test -fuzz=FuzzParseXPath -fuzztime=10s ./internal/xpath/
+	$(GO) test -fuzz=FuzzViewPage -fuzztime=10s ./internal/btree/
 	$(GO) test -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/fixserve/
 
 # stress hammers the governed fixserve stack — queries through the

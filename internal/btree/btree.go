@@ -211,33 +211,30 @@ func (t *Tree) storeNode(n *node) error {
 	return nil
 }
 
+// cells opens page id from the pager; the result is valid until the next
+// pager call.
+func (t *Tree) cells(id uint32) (cells, error) {
+	pg, err := t.p.read(id)
+	if err != nil {
+		return cells{}, err
+	}
+	return openCells(id, pg.payload())
+}
+
 // Get returns the value stored under key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, err := t.findLeaf(key)
-	if err != nil {
-		return nil, false, err
-	}
-	i, ok := n.searchLeaf(key)
-	if !ok {
-		return nil, false, nil
-	}
-	return n.vals[i], true, nil
+	return get(t, t.root, t.height, key)
 }
 
+// findLeaf returns an owned copy of the leaf whose key range holds key.
 func (t *Tree) findLeaf(key []byte) (*node, error) {
-	id := t.root
-	for {
-		n, err := t.loadNode(id)
-		if err != nil {
-			return nil, err
-		}
-		if n.leaf {
-			return n, nil
-		}
-		id = n.childFor(key)
+	c, err := findLeaf(t, t.root, t.height, key)
+	if err != nil {
+		return nil, err
 	}
+	return decodeNode(c.id, c.buf)
 }
 
 // Put inserts or overwrites the entry for key.
@@ -406,46 +403,13 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 // to scans to the end; a nil from starts at the beginning. fn returning
 // false stops the scan. The tree lock is held for the whole scan, so fn
 // must not call back into the Tree.
+//
+// key and val are read in place from the page cache: they are valid only
+// during the call — fn copies what it keeps — and must not be modified.
 func (t *Tree) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.scan(from, to, fn)
-}
-
-func (t *Tree) scan(from, to []byte, fn func(key, val []byte) bool) error {
-	if from == nil {
-		from = []byte{}
-	}
-	n, err := t.findLeaf(from)
-	if err != nil {
-		return err
-	}
-	i, _ := n.searchLeaf(from)
-	for leaves := uint32(1); ; leaves++ {
-		for ; i < len(n.keys); i++ {
-			if to != nil && bytes.Compare(n.keys[i], to) >= 0 {
-				return nil
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return nil
-			}
-		}
-		if n.next == 0 {
-			return nil
-		}
-		// A sound chain visits each leaf once; one that has hopped over
-		// more leaves than the file has pages loops (a torn write-back can
-		// leave such a chain behind) and would never end.
-		if leaves >= t.p.npages {
-			return fmt.Errorf("%w: leaf chain does not end within the file's %d pages (page %d links to %d)",
-				ErrCorrupt, t.p.npages, n.id, n.next)
-		}
-		n, err = t.loadNode(n.next)
-		if err != nil {
-			return err
-		}
-		i = 0
-	}
+	return scanLeaves(t, t.root, t.height, t.p.npages, from, to, fn)
 }
 
 // ClearCache flushes dirty pages and drops the page cache, so a following

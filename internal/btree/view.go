@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 )
@@ -23,8 +22,8 @@ func (vs *viewStats) load() Stats {
 }
 
 // View is an immutable snapshot of a Tree. Every allocated page is
-// materialized in memory at freeze time, so Get and Scan decode from
-// private buffers and never touch the pager, the file, or any lock —
+// materialized in memory at freeze time, so Get and Scan read those
+// buffers in place and never touch the pager, the file, or any lock —
 // a View is safe for unlimited concurrent readers while the owning Tree
 // keeps mutating. Consecutive views share the buffers of pages that did
 // not change between freezes, so the incremental memory cost of a new
@@ -87,13 +86,13 @@ func (t *Tree) FreezeView(prev *View) (*View, error) {
 	}, nil
 }
 
-// node decodes the node on page id from the view's materialized image.
-func (v *View) node(id uint32) (*node, error) {
+// cells opens page id of the view's materialized image.
+func (v *View) cells(id uint32) (cells, error) {
 	if id == 0 || id >= uint32(len(v.pages)) || v.pages[id] == nil {
-		return nil, fmt.Errorf("%w: view references page %d of %d", ErrCorrupt, id, len(v.pages))
+		return cells{}, fmt.Errorf("%w: view references page %d of %d", ErrCorrupt, id, len(v.pages))
 	}
 	v.stats.cacheHits.Add(1)
-	return decodeNode(id, v.pages[id])
+	return openCells(id, v.pages[id])
 }
 
 // Len returns the number of entries at freeze time.
@@ -110,68 +109,21 @@ func (v *View) Size() int64 { return int64(len(v.pages)) * int64(v.pageSize) }
 // lock-free; the query trace differences it around the probe phase.
 func (v *View) Stats() Stats { return v.stats.load() }
 
-// Get returns the value stored under key in the frozen image.
+// Get returns the value stored under key in the frozen image. The value
+// is a copy: the caller may keep and change it.
 func (v *View) Get(key []byte) ([]byte, bool, error) {
-	n, err := v.findLeaf(key)
-	if err != nil {
-		return nil, false, err
-	}
-	i, ok := n.searchLeaf(key)
-	if !ok {
-		return nil, false, nil
-	}
-	return n.vals[i], true, nil
-}
-
-func (v *View) findLeaf(key []byte) (*node, error) {
-	id := v.root
-	for {
-		n, err := v.node(id)
-		if err != nil {
-			return nil, err
-		}
-		if n.leaf {
-			return n, nil
-		}
-		id = n.childFor(key)
-	}
+	return get(v, v.root, v.height, key)
 }
 
 // Scan calls fn for every entry with from <= key < to in key order, over
 // the frozen image. A nil to scans to the end; a nil from starts at the
 // beginning; fn returning false stops the scan. Unlike Tree.Scan no lock
 // is held, so fn may do anything, including querying the live tree.
+//
+// key and val are read in place: they alias pages that later views and
+// other readers share, are valid only during the call — fn copies what it
+// keeps — and must not be modified. (Their capacity equals their length,
+// so appending to one copies it.) The scan allocates nothing.
 func (v *View) Scan(from, to []byte, fn func(key, val []byte) bool) error {
-	if from == nil {
-		from = []byte{}
-	}
-	n, err := v.findLeaf(from)
-	if err != nil {
-		return err
-	}
-	i, _ := n.searchLeaf(from)
-	for leaves := 1; ; leaves++ {
-		for ; i < len(n.keys); i++ {
-			if to != nil && bytes.Compare(n.keys[i], to) >= 0 {
-				return nil
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return nil
-			}
-		}
-		if n.next == 0 {
-			return nil
-		}
-		// As in Tree.scan: a chain that hops over more leaves than the
-		// image has pages loops and would never end.
-		if leaves >= len(v.pages) {
-			return fmt.Errorf("%w: leaf chain does not end within the view's %d pages (page %d links to %d)",
-				ErrCorrupt, len(v.pages), n.id, n.next)
-		}
-		n, err = v.node(n.next)
-		if err != nil {
-			return err
-		}
-		i = 0
-	}
+	return scanLeaves(v, v.root, v.height, uint32(len(v.pages)), from, to, fn)
 }

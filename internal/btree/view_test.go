@@ -1,8 +1,11 @@
 package btree
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/fix-index/fix/internal/storage"
 )
@@ -179,5 +182,114 @@ func TestFreezeViewStatsMerge(t *testing.T) {
 	}
 	if tr.Stats().CacheHits <= before {
 		t.Error("view node accesses not merged into Tree.Stats")
+	}
+}
+
+// TestCorruptImageEndsInErrCorrupt rewrites pages of a sound tree — through
+// the pager, so every checksum stays valid and a freeze accepts the image
+// — into the two shapes a mixed-version tree can take beyond a looping
+// leaf chain, and requires every read path over them, on the view and on
+// the live tree, to end in ErrCorrupt: not to descend forever, and not to
+// read an interior page as a leaf.
+func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
+	grow := func(t *testing.T, height int) *Tree {
+		tr := newTree(t, 512)
+		for i := 0; tr.Height() < height; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte{'v'}, 40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr
+	}
+	for _, tc := range []struct {
+		name   string
+		getOK  bool // a lookup never meets the damage
+		damage func(t *testing.T) *Tree
+	}{
+		{"interior pages naming each other as child", false, func(t *testing.T) *Tree {
+			tr := grow(t, 3)
+			root, err := tr.loadNode(tr.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner, err := tr.loadNode(root.next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root.leaf || inner.leaf {
+				t.Fatalf("fixture: pages %d and %d are not both interior", root.id, inner.id)
+			}
+			inner.next = root.id
+			for i := range inner.children {
+				inner.children[i] = root.id
+			}
+			if err := tr.storeNode(inner); err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}},
+		// A lookup ends in the first leaf, before the interior page linked
+		// behind it.
+		{"interior page in the leaf chain", true, func(t *testing.T) *Tree {
+			tr := grow(t, 2)
+			first, err := tr.findLeaf(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.next = tr.root
+			if err := tr.storeNode(first); err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.damage(t)
+			view, err := tr.FreezeView(nil)
+			if err != nil {
+				t.Fatalf("freeze rejected checksum-valid pages: %v", err)
+			}
+			every := func(k, v []byte) bool { return true }
+			lookup := func(get func([]byte) ([]byte, bool, error)) func() error {
+				return func() error {
+					_, ok, err := get([]byte("key-00000"))
+					if err == nil && !ok {
+						return errors.New("key not found")
+					}
+					return err
+				}
+			}
+			for _, r := range []struct {
+				name   string
+				wantOK bool
+				read   func() error
+			}{
+				{"View.Scan", false, func() error { return view.Scan(nil, nil, every) }},
+				{"Tree.Scan", false, func() error { return tr.Scan(nil, nil, every) }},
+				{"View.Get", tc.getOK, lookup(view.Get)},
+				{"Tree.Get", tc.getOK, lookup(tr.Get)},
+			} {
+				done := make(chan error, 1)
+				go func() {
+					defer func() {
+						if r := recover(); r != nil {
+							done <- fmt.Errorf("panic: %v", r)
+						}
+					}()
+					done <- r.read()
+				}()
+				select {
+				case err := <-done:
+					if r.wantOK && err != nil {
+						t.Errorf("%s = %v, want the entry", r.name, err)
+					}
+					if !r.wantOK && !errors.Is(err, ErrCorrupt) {
+						t.Errorf("%s = %v, want ErrCorrupt", r.name, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s still running after 5s", r.name)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -165,10 +166,13 @@ func (g *Generation) Covered(path *xpath.Path) bool {
 // candidates runs the pruning phase: a range scan over the feature keys
 // of the frozen B-tree image, keeping entries whose eigenvalue range
 // contains every twig's range (and whose root label matches, when
-// applicable). scanned reports how many entries the scan touched. The
-// scan observes ctx periodically and stops once lim.MaxCandidates is
-// crossed.
-func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits) ([]Candidate, int, error) {
+// applicable). Survivors are appended to buf[:0] — nil for a list the
+// caller keeps, a pooled one (candPool) on the served path — and nothing
+// else is allocated: keys and values are decoded where the scan reads
+// them. scanned reports how many entries the scan touched. The scan
+// observes ctx periodically and stops once lim.MaxCandidates is crossed;
+// on any error whatever was collected is discarded.
+func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, buf []Candidate) ([]Candidate, int, error) {
 	if p.empty {
 		return nil, 0, nil
 	}
@@ -181,7 +185,7 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits) (
 	if p.labelOK {
 		from, to = scanBounds(p.topLabel, p.feats[0].Max)
 	}
-	var cands []Candidate
+	cands := buf[:0]
 	scanned := 0
 	var stop error // why the scan callback ended the scan early, if it did
 	err := g.view.Scan(from, to, func(k, v []byte) bool {
@@ -206,7 +210,6 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits) (
 			return false
 		}
 		cands = append(cands, Candidate{
-			Key:       ek,
 			Primary:   storage.Pointer(ev.primary),
 			Clustered: storage.Pointer(ev.clustered),
 			HasCopy:   ev.hasCopy,
@@ -222,6 +225,25 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits) (
 	return cands, scanned, nil
 }
 
+// candPool recycles the candidate lists of served queries, so a probe's
+// allocations do not grow with its candidate count. A list grown past
+// maxPooledCandidates (1.5 MB) is dropped rather than pooled: one huge
+// query must not pin its buffer for good.
+var candPool = sync.Pool{New: func() any { return new([]Candidate) }}
+
+const maxPooledCandidates = 1 << 16
+
+// recycle returns a pooled buffer, now backed by cands when the probe
+// grew it. Nothing may read cands afterwards.
+func recycle(buf *[]Candidate, cands []Candidate) {
+	if cap(cands) > cap(*buf) {
+		*buf = cands
+	}
+	if cap(*buf) <= maxPooledCandidates {
+		candPool.Put(buf)
+	}
+}
+
 // CandidatesCtx returns the index candidates for the query, or an error
 // wrapping ErrDegraded when the generation was frozen degraded: the
 // pruning promise — no false negatives — cannot be kept, so callers must
@@ -234,7 +256,7 @@ func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Can
 	if err != nil {
 		return nil, 0, err
 	}
-	return g.candidates(ctx, p, Limits{})
+	return g.candidates(ctx, p, Limits{}, nil)
 }
 
 // probe plans the query and runs the pruning phase. useScan reports that
@@ -243,8 +265,8 @@ func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Can
 // so that is exceptional; the corruption is recorded on the live index)
 // — and the caller must refine every record of p.tree instead, which can
 // never miss a match. A non-nil tr gets the plan and probe wall times
-// and the probe's B-tree delta.
-func (g *Generation) probe(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (p *queryPlan, cands []Candidate, scanned int, useScan bool, err error) {
+// and the probe's B-tree delta. The candidates are appended to buf[:0].
+func (g *Generation) probe(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits, buf []Candidate) (p *queryPlan, cands []Candidate, scanned int, useScan bool, err error) {
 	planStart := time.Now()
 	p, err = g.ix.plan(path)
 	if tr != nil {
@@ -261,7 +283,7 @@ func (g *Generation) probe(ctx context.Context, path *xpath.Path, tr *obs.Trace,
 	if tr != nil {
 		bt0 = g.view.Stats()
 	}
-	cands, scanned, err = g.candidates(ctx, p, lim)
+	cands, scanned, err = g.candidates(ctx, p, lim, buf)
 	if tr != nil {
 		tr.Phase[obs.PhaseProbe] += time.Since(probeStart)
 		// A view has no pager: it never writes or evicts.
@@ -339,7 +361,10 @@ func (g *Generation) scanFetch(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok b
 // When the index is degraded the answer comes from ScanCount with
 // Fallback set: exact, only slower.
 func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (Result, error) {
-	p, cands, scanned, useScan, err := g.probe(ctx, path, tr, lim)
+	buf := candPool.Get().(*[]Candidate)
+	p, cands, scanned, useScan, err := g.probe(ctx, path, tr, lim, *buf)
+	// Deferred past refine: the fetch closure reads cands until then.
+	defer recycle(buf, cands)
 	if err != nil {
 		return Result{}, err
 	}
@@ -366,7 +391,9 @@ func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *ob
 // ctx only (no Limits), and like QueryGoverned answers from the scan
 // when the index is degraded.
 func (g *Generation) ExistsGoverned(ctx context.Context, path *xpath.Path) (bool, error) {
-	p, cands, _, useScan, err := g.probe(ctx, path, nil, Limits{})
+	buf := candPool.Get().(*[]Candidate)
+	p, cands, _, useScan, err := g.probe(ctx, path, nil, Limits{}, *buf)
+	defer recycle(buf, cands) // after firstHit: the fetch closure reads cands
 	if err != nil {
 		return false, err
 	}

@@ -179,7 +179,6 @@ func (ix *Index) setHealth(err error) {
 // Candidate is one index hit: the pruning phase returns these and the
 // refinement phase validates them.
 type Candidate struct {
-	Key       entryKey
 	Primary   storage.Pointer
 	Clustered storage.Pointer
 	HasCopy   bool

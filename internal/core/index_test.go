@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/fix-index/fix/internal/nok"
@@ -254,4 +256,49 @@ func TestDescendantDecompositionQuery(t *testing.T) {
 	if res.Matched != wantDocs || res.Count != wantResults {
 		t.Errorf("got matched=%d count=%d, want %d/%d", res.Matched, res.Count, wantDocs, wantResults)
 	}
+}
+
+// TestConcurrentQueriesKeepTheirCandidates runs queries with different
+// candidate sets from many goroutines on one generation. Served probes
+// append to pooled candidate lists that refinement workers read until the
+// query ends, so a list handed back too early — or to two queries at once
+// — shows up here as a wrong count, and under -race as a data race.
+func TestConcurrentQueriesKeepTheirCandidates(t *testing.T) {
+	doc := "<r>" + strings.Repeat("<a><b/></a><c><d/><e/></c><a><f/></a>", 300) + "</r>"
+	_, ix := buildSingleDoc(t, doc, Options{DepthLimit: 3, Workers: 4})
+	g := freeze(t, ix)
+	type expect struct {
+		q   *xpath.Path
+		res Result
+	}
+	var want []expect
+	for _, qs := range []string{"//a[b]", "//a", "//c[d]/e", "//a[f]", "/r/c", "//a[g]"} {
+		q := xpath.MustParse(qs)
+		res, err := query(g, q)
+		if err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		want = append(want, expect{q, res})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				e := want[(w+i)%len(want)]
+				res, err := query(g, e.q)
+				if err != nil || res != e.res {
+					t.Errorf("concurrent %s = %+v, %v; alone it was %+v", e.q, res, err, e.res)
+					return
+				}
+				ok, err := g.ExistsGoverned(context.Background(), e.q)
+				if err != nil || ok != (e.res.Count > 0) {
+					t.Errorf("concurrent Exists(%s) = %v, %v; count alone was %d", e.q, ok, err, e.res.Count)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -75,10 +75,7 @@ func (f *FeatureRTree) Candidates(path *xpath.Path) ([]Candidate, error) {
 				return true
 			}
 		}
-		cands = append(cands, Candidate{
-			Key:     entryKey{label: uint32(e.Box.Min[0]), max: e.Box.Min[1], min: e.Box.Min[2]},
-			Primary: storage.Pointer(e.Data),
-		})
+		cands = append(cands, Candidate{Primary: storage.Pointer(e.Data)})
 		return true
 	})
 	return cands, nil

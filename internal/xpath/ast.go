@@ -88,7 +88,7 @@ func writeStep(sb *strings.Builder, s *Step) {
 				sb.WriteByte('.') // value-only predicate: [.="v"]
 			}
 			sb.WriteByte('=')
-			sb.WriteString(strconv.Quote(pred.Value))
+			sb.WriteString(quoteValue(pred.Value))
 		}
 		sb.WriteByte(']')
 	}
@@ -115,8 +115,23 @@ func writeRel(sb *strings.Builder, pred *Predicate) {
 			sb.WriteByte('.') // value-only predicate: [.="v"]
 		}
 		sb.WriteByte('=')
-		sb.WriteString(strconv.Quote(pred.Value))
+		sb.WriteString(quoteValue(pred.Value))
 	}
+}
+
+// quoteValue renders a value literal the way the parser reads one: the
+// bytes as they are — the grammar has no escapes — between whichever
+// quote the value does not contain. (A parsed value never holds both; one
+// built by hand that does cannot be written in this grammar and keeps the
+// Go quoting.)
+func quoteValue(v string) string {
+	switch {
+	case !strings.Contains(v, `"`):
+		return `"` + v + `"`
+	case !strings.Contains(v, `'`):
+		return `'` + v + `'`
+	}
+	return strconv.Quote(v)
 }
 
 // QNode is a node of the query tree. The tree form is what the matcher and
@@ -228,7 +243,7 @@ func (n *QNode) String() string {
 func (n *QNode) write(sb *strings.Builder, root bool) {
 	if n.IsValue {
 		sb.WriteString(".=")
-		sb.WriteString(strconv.Quote(n.Value))
+		sb.WriteString(quoteValue(n.Value))
 		return
 	}
 	if root {

@@ -16,6 +16,7 @@ func FuzzParseXPath(f *testing.F) {
 		"//article[author/email]",
 		`//a[.="v"]`,
 		`//a[b = "v"][.//c]`,
+		"//a[b=\"back\\slash \x7f\xff\"][c='say \"hi\"']",
 		"//a[b[c[d]]]//e",
 		"/a [ b ] /c",
 		"//",

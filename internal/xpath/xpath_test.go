@@ -95,6 +95,9 @@ func TestRoundTrip(t *testing.T) {
 		"//item[payment][quantity][shipping][mailbox/mail/text]/description/parlist",
 		"//open_auction[.//bidder[name][email]]/price",
 		`//proceedings[publisher="Springer"][title]`,
+		// Values are written as the parser reads them, byte for byte:
+		// backslashes, control and non-UTF-8 bytes, the other quote.
+		"//a[b=\"back\\slash \x7f\xff\"][c='say \"hi\"']",
 	} {
 		p, err := Parse(expr)
 		if err != nil {
@@ -106,6 +109,9 @@ func TestRoundTrip(t *testing.T) {
 		}
 		if back.String() != p.String() {
 			t.Errorf("unstable print: %q -> %q", p.String(), back.String())
+		}
+		if back.Tree().String() != p.Tree().String() {
+			t.Errorf("unstable tree print: %q -> %q", p.Tree().String(), back.Tree().String())
 		}
 	}
 }
