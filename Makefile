@@ -59,14 +59,16 @@ loc:
 # line count.
 check: vet build bench-build test race alloc-gates lint loc
 
-# bench-smoke runs the refinement, query-pipeline and construction
-# benchmarks for one iteration each — not to time anything, but so a
-# benchmark that no longer builds, whose refined count no longer equals
-# the scan's, whose index is no longer packed (more than 48 B/entry), or
-# whose probe allocates per entry again (more than 400 allocs per query)
-# fails CI.
+# bench-smoke runs the refinement, query-pipeline, construction and
+# ingest-request benchmarks for one iteration each — not to time
+# anything, but so a benchmark that no longer builds, whose refined count
+# no longer equals the scan's, whose index is no longer packed (more than
+# 48 B/entry), whose probe allocates per entry again (more than 400
+# allocs per query), or whose ingest request is no longer one group
+# commit or decodes pages to insert again (more than 4 700 allocs per
+# request) fails CI.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkTable1Construction' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkTable1Construction|BenchmarkIngestRequest' -benchtime 1x .
 
 # bench-parallel regenerates the committed parallel-construction sweep
 # (1/2/4/NumCPU workers; asserts byte-identical indexes).

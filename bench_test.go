@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/fix-index/fix/fix"
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/datagen"
 	"github.com/fix-index/fix/internal/eigen"
@@ -320,6 +321,85 @@ func BenchmarkQueryPipeline(b *testing.B) {
 			}
 		})
 	}
+}
+
+// ingestRequestAllocCeiling is 1.5 times what BenchmarkIngestRequest
+// measured when Put began editing leaves in place: ≈3 100 allocations per
+// request, nearly all of them the parse, bisimulation and eigenvalues of
+// its four documents. Decoding every page from the root to the leaf and
+// re-encoding the leaf for each index entry made it ≈19 500.
+const ingestRequestAllocCeiling = 4700
+
+// BenchmarkIngestRequest measures the served write path below HTTP: one
+// request of four XMark entity documents — parsed once by AddOp,
+// submitted by one Ingester.Apply — into a depth-6 index on disk, WAL
+// fsync included. It fails when a request is not exactly one group
+// commit, or allocates more than ingestRequestAllocCeiling times: a
+// committer that splits submissions again, or an insert sent back through
+// the decoding path, fails here without any timing gate.
+func BenchmarkIngestRequest(b *testing.B) {
+	var docs []string
+	var split func(n *xmltree.Node)
+	split = func(n *xmltree.Node) {
+		for _, c := range n.Children {
+			switch c.Label {
+			case "item", "person", "open_auction", "closed_auction":
+				docs = append(docs, xmltree.MarshalString(c))
+			default:
+				split(c)
+			}
+		}
+	}
+	split(datagen.XMark(datagen.Config{Seed: 42, Scale: 0.05}))
+	rand.New(rand.NewSource(42)).Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
+	seed, stream := docs[:len(docs)/2], docs[len(docs)/2:]
+
+	db, err := fix.Create(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = db.Close() }()
+	for _, d := range seed {
+		if _, err := db.AddDocumentString(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.BuildIndexWith(context.Background(), fix.DepthLimit(6)); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Save(); err != nil {
+		b.Fatal(err)
+	}
+	ing := db.NewIngester(fix.IngestConfig{})
+	defer func() { _ = ing.Close() }()
+	next := 0
+	request := func() {
+		ops := make([]fix.Op, 4)
+		for i := range ops {
+			if ops[i], err = db.AddOp(stream[next%len(stream)]); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		if _, err := ing.Apply(context.Background(), ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, request); allocs > ingestRequestAllocCeiling {
+		b.Fatalf("%v allocs per request, want at most %d", allocs, ingestRequestAllocCeiling)
+	}
+	commits := db.Metrics().IngestBatches
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
+	}
+	b.StopTimer()
+	perOp := float64(db.Metrics().IngestBatches-commits) / float64(b.N)
+	if perOp != 1 {
+		b.Fatalf("%v group commits per request, want 1", perOp)
+	}
+	b.ReportMetric(perOp, "commits/op")
 }
 
 // BenchmarkQueryTraceOverhead compares the same query untraced and

@@ -149,7 +149,7 @@ func (cs *colServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	serveIngest(w, r, cs.gate, cs.cfg, int64(col.Weight()), col, col.ValidateDocument,
+	serveIngest(w, r, cs.gate, cs.cfg, int64(col.Weight()), col, col.AddOp,
 		func() int { return col.Stats().IngestLag })
 }
 

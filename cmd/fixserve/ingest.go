@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/fix-index/fix/fix"
+	"github.com/fix-index/fix/internal/collection"
 )
 
 // POST /ingest accepts writes in two shapes:
@@ -19,8 +20,9 @@ import (
 //     durable insert, responding with its assigned ID;
 //   - a Content-Type: application/x-ndjson body: one JSON operation per
 //     line, {"op":"add","xml":"<doc/>"} or {"op":"delete","rec":7},
-//     executed in order through the shared ingester, so consecutive
-//     adds coalesce into group commits.
+//     committed in order as one submission to the shared ingester (one
+//     per touched shard in collection mode): one group commit, one
+//     publish, all or nothing.
 //
 // A 200 response means every operation in the request is durable (the
 // WAL fsync completed) and visible to queries. Backpressure from the
@@ -39,8 +41,8 @@ const maxIngestOpsPerRequest = 10000
 
 // ingestOp is one decoded NDJSON operation. Rec is 64-bit because
 // collection mode addresses documents by global ID (shard in the high
-// half); single-index mode range-checks it into the DB's 32-bit record
-// space at execution time (recTarget).
+// half); single-index mode has the one shard 0, so an ID past 32 bits
+// names a shard it does not have (recTarget).
 type ingestOp struct {
 	Op  string  `json:"op"`            // "add" or "delete"
 	XML string  `json:"xml,omitempty"` // add: the document text
@@ -135,21 +137,29 @@ func readIngestOps(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]in
 	return []ingestOp{{Op: "add", XML: string(body)}}, true
 }
 
-// ingestTarget is where the ingest executor sends a request's
-// operations, addressed by 64-bit document ID. A *collection.Collection
-// is one as it stands (global IDs); single-index mode wraps its
-// ingester in recTarget.
+// ingestTarget is where the ingest executor sends a request: its
+// operations, in order, as one submission per touched shard, answered
+// with the 64-bit ID each operation added or deleted. A
+// *collection.Collection is one as it stands; single-index mode wraps
+// its ingester in recTarget.
 type ingestTarget interface {
-	AddBatch(ctx context.Context, docs []string) ([]uint64, error)
-	Delete(ctx context.Context, id uint64) error
+	Apply(ctx context.Context, ops []collection.Op) ([]uint64, error)
 }
 
 // recTarget adapts the single-index ingester, whose documents are
-// 32-bit records, to the executor's 64-bit IDs.
+// 32-bit records, to the executor's operations: the database is shard 0
+// of a collection of one.
 type recTarget struct{ ing ingester }
 
-func (t recTarget) AddBatch(ctx context.Context, docs []string) ([]uint64, error) {
-	recs, err := t.ing.AddBatch(ctx, docs)
+func (t recTarget) Apply(ctx context.Context, ops []collection.Op) ([]uint64, error) {
+	fops := make([]fix.Op, len(ops))
+	for i, op := range ops {
+		if op.Shard != 0 {
+			return nil, fmt.Errorf("%w: operation %d names a record out of range", fix.ErrUnknownDocument, i)
+		}
+		fops[i] = op.Op
+	}
+	recs, err := t.ing.Apply(ctx, fops)
 	if err != nil {
 		return nil, err
 	}
@@ -160,40 +170,39 @@ func (t recTarget) AddBatch(ctx context.Context, docs []string) ([]uint64, error
 	return ids, nil
 }
 
-func (t recTarget) Delete(ctx context.Context, id uint64) error {
-	if id > 0xFFFFFFFF {
-		return fmt.Errorf("%w: record %d out of range", fix.ErrUnknownDocument, id)
-	}
-	return t.ing.Delete(ctx, uint32(id))
-}
-
 // serveIngest is the ingest handler of both modes. Writes pass the same
 // admission gate as queries (ingest work must not starve readers, and a
-// saturated server sheds both alike), charged weight units. Every
-// document is validated before anything is queued, so a malformed line
+// saturated server sheds both alike), charged weight units. addOp parses
+// a document — its only parse — into the target's add operation; every
+// document is parsed before anything is queued, so a malformed line
 // cannot leave the earlier half of the request — or another shard's
-// batch — committed. lag reports the target's WAL lag for the response.
+// submission — committed. lag reports the target's WAL lag for the
+// response.
 func serveIngest(w http.ResponseWriter, r *http.Request, g *gate, cfg serverConfig, weight int64,
-	tgt ingestTarget, validate func(doc string) error, lag func() int) {
+	tgt ingestTarget, addOp func(doc string) (collection.Op, error), lag func() int) {
 	if !admit(w, r, g, cfg.queueWait, weight) {
 		return
 	}
 	defer g.Release(weight)
 
-	ops, ok := readIngestOps(w, r, cfg.maxIngestBytes)
+	reqOps, ok := readIngestOps(w, r, cfg.maxIngestBytes)
 	if !ok {
 		return
 	}
-	for i, op := range ops {
-		if op.Op == "add" {
-			if err := validate(op.XML); err != nil {
-				http.Error(w, fmt.Sprintf("op %d: %v", i+1, err), http.StatusBadRequest)
-				return
-			}
+	ops := make([]collection.Op, len(reqOps))
+	for i, op := range reqOps {
+		if op.Op == "delete" {
+			ops[i] = collection.DeleteOp(*op.Rec)
+			continue
+		}
+		var err error
+		if ops[i], err = addOp(op.XML); err != nil {
+			http.Error(w, fmt.Sprintf("op %d: %v", i+1, err), http.StatusBadRequest)
+			return
 		}
 	}
 
-	resp, err := runIngest(r.Context(), tgt, ops)
+	resp, err := runIngest(r.Context(), tgt, reqOps, ops)
 	if err != nil {
 		if errors.Is(err, fix.ErrIngestQueueFull) {
 			w.Header().Set("Retry-After", "1")
@@ -207,43 +216,22 @@ func serveIngest(w http.ResponseWriter, r *http.Request, g *gate, cfg serverConf
 	writeJSON(w, resp)
 }
 
-// runIngest executes the decoded operations in order. Runs of
-// consecutive adds go down as one AddBatch, so a bulk NDJSON request
-// pays roughly one group commit per run (per touched shard) rather than
-// one per document.
-func runIngest(ctx context.Context, tgt ingestTarget, ops []ingestOp) (ingestResponse, error) {
+// runIngest hands the request's operations to the target in one call and
+// reports the IDs of its adds, in request order.
+func runIngest(ctx context.Context, tgt ingestTarget, reqOps []ingestOp, ops []collection.Op) (ingestResponse, error) {
 	resp := ingestResponse{IDs: []uint64{}}
-	var run []string
-	flushAdds := func() error {
-		if len(run) == 0 {
-			return nil
-		}
-		ids, err := tgt.AddBatch(ctx, run)
-		if err != nil {
-			return err
-		}
-		resp.IDs = append(resp.IDs, ids...)
-		resp.Added += len(ids)
-		run = run[:0]
-		return nil
-	}
-	for _, op := range ops {
-		switch op.Op {
-		case "add":
-			run = append(run, op.XML)
-		case "delete":
-			if err := flushAdds(); err != nil {
-				return resp, err
-			}
-			if err := tgt.Delete(ctx, *op.Rec); err != nil {
-				return resp, err
-			}
-			resp.Deleted++
-		}
-	}
-	if err := flushAdds(); err != nil {
+	ids, err := tgt.Apply(ctx, ops)
+	if err != nil {
 		return resp, err
 	}
+	for i, op := range reqOps {
+		if op.Op == "delete" {
+			resp.Deleted++
+			continue
+		}
+		resp.IDs = append(resp.IDs, ids[i])
+	}
+	resp.Added = len(resp.IDs)
 	return resp, nil
 }
 

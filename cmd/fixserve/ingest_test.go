@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/fix-index/fix/fix"
+	"github.com/fix-index/fix/internal/collection"
 )
 
 // post runs one POST through the server's handler.
@@ -216,17 +217,15 @@ type fakeIngester struct {
 	queue int
 }
 
-func (f *fakeIngester) AddBatch(ctx context.Context, docs []string) ([]uint32, error) {
+func (f *fakeIngester) Apply(ctx context.Context, ops []fix.Op) ([]uint32, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	ids := make([]uint32, len(docs))
-	return ids, nil
+	return make([]uint32, len(ops)), nil
 }
 
-func (f *fakeIngester) Delete(ctx context.Context, rec uint32) error { return f.err }
-func (f *fakeIngester) QueueLen() int                                { return f.queue }
-func (f *fakeIngester) Close() error                                 { return nil }
+func (f *fakeIngester) QueueLen() int { return f.queue }
+func (f *fakeIngester) Close() error  { return nil }
 
 func TestIngestQueueFull429(t *testing.T) {
 	s := newServer(newTestDB(t), defaultTestConfig())
@@ -339,6 +338,151 @@ func FuzzIngestRequest(f *testing.F) {
 			default:
 				t.Fatalf("op %d: unknown op %q accepted", i, op.Op)
 			}
+		}
+	})
+}
+
+// ingestCounters reads the process-wide ingest counters off /metrics.
+func ingestCounters(t *testing.T, h http.Handler) (batches, fsyncs int64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var m struct {
+		IngestBatches int64 `json:"ingest_batches"`
+		IngestFsyncs  int64 `json:"ingest_fsyncs"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatalf("decoding /metrics: %v (body %s)", err, rec.Body)
+	}
+	return m.IngestBatches, m.IngestFsyncs
+}
+
+// TestIngestRequestIsOneCommit: one NDJSON request of 4 adds and 4
+// deletes — two of them of documents the request itself adds — is one
+// group commit, one fsync and one published generation in single-index
+// mode, and one of each per touched shard in collection mode. A delete of
+// an unknown document is a 404 that leaves nothing of the request behind.
+func TestIngestRequestIsOneCommit(t *testing.T) {
+	ndjson := func(adds []string, deletes []uint64) string {
+		var sb strings.Builder
+		for i := range adds {
+			fmt.Fprintf(&sb, "{\"op\":\"add\",\"xml\":%q}\n{\"op\":\"delete\",\"rec\":%d}\n", adds[i], deletes[i])
+		}
+		return sb.String()
+	}
+	t.Run("single index", func(t *testing.T) {
+		db, err := fix.Create(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = db.Close() }()
+		for _, d := range []string{`<book><title>a</title></book>`, `<book><title>b</title></book>`} {
+			if _, err := db.AddDocumentString(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.BuildIndex(fix.IndexOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		s := newServer(db, defaultTestConfig())
+		defer s.stopWrites()
+		if rec := post(t, s, "/ingest", "application/xml", `<warm/>`); rec.Code != http.StatusOK { // creates the WAL
+			t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+		}
+		// Records 3-6 are the request's own adds: it deletes two old
+		// documents, one it added before the delete, and — 404 — not one it
+		// adds after it.
+		adds := []string{`<note><n>0</n></note>`, `<note><n>1</n></note>`, `<note><n>2</n></note>`, `<note><n>3</n></note>`}
+		docs, gen := db.NumDocuments(), db.GenerationID()
+		if rec := post(t, s, "/ingest", "application/x-ndjson", ndjson(adds, []uint64{0, 1, 6, 4})); rec.Code != http.StatusNotFound {
+			t.Fatalf("delete of a record not yet added: status = %d, want 404 (body %s)", rec.Code, rec.Body)
+		}
+		if db.NumDocuments() != docs || db.GenerationID() != gen {
+			t.Fatalf("the 404 left something behind: %d -> %d documents, generation %d -> %d", docs, db.NumDocuments(), gen, db.GenerationID())
+		}
+		b0, f0 := ingestCounters(t, s.handler())
+		rec := post(t, s, "/ingest", "application/x-ndjson", ndjson(adds, []uint64{0, 1, 3, 4}))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+		}
+		if resp := decodeIngest(t, rec); resp.Added != 4 || resp.Deleted != 4 || fmt.Sprint(resp.IDs) != "[3 4 5 6]" || resp.IngestLag != 9 {
+			t.Fatalf("response = %+v, want ids 3-6, 4 adds, 4 deletes, lag 9", resp)
+		}
+		b1, f1 := ingestCounters(t, s.handler())
+		if b1-b0 != 1 || f1-f0 != 1 || db.GenerationID()-gen != 1 {
+			t.Fatalf("%d group commits, %d fsyncs, %d generations; want 1 of each", b1-b0, f1-f0, db.GenerationID()-gen)
+		}
+		if got := queryCount(t, s, "//note"); got != 2 {
+			t.Fatalf("//note count = %d, want 2", got)
+		}
+		if got := queryCount(t, s, "//book"); got != 0 {
+			t.Fatalf("//book count = %d, want 0", got)
+		}
+	})
+	t.Run("collection", func(t *testing.T) {
+		cs := newTestColServer(t, collection.Options{}, defaultTestConfig())
+		createCollection(t, cs, `{"name":"books","shards":4}`)
+		shardOf := func(label string) int { return collection.ShardForLabel(label, 4) }
+		if shardOf("book") == shardOf("paper") {
+			t.Fatal("fixture: book and paper route to the same shard")
+		}
+		rec := cs.do(t, http.MethodPost, "/c/books/ingest", "application/x-ndjson",
+			`{"op":"add","xml":"<book><title>a</title></book>"}`+"\n"+`{"op":"add","xml":"<paper><title>b</title></paper>"}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+		}
+		old := decodeIngest(t, rec).IDs
+		col, release, err := cs.svc.Acquire("books")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		gens := func() (out [4]uint64) {
+			for i := range out {
+				out[i] = col.Shard(i).DB.GenerationID()
+			}
+			return out
+		}
+		adds := []string{`<book><n>0</n></book>`, `<paper><n>1</n></paper>`, `<book><n>2</n></book>`, `<paper><n>3</n></paper>`}
+		// Each shard's old document, then each shard's first add of this
+		// request (record 1 there).
+		deletes := []uint64{old[0], old[1], collection.GlobalID(shardOf("book"), 1), collection.GlobalID(shardOf("paper"), 1)}
+		g0 := gens()
+		b0, f0 := ingestCounters(t, cs.handler())
+		rec = cs.do(t, http.MethodPost, "/c/books/ingest", "application/x-ndjson", ndjson(adds, deletes))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+		}
+		if resp := decodeIngest(t, rec); resp.Added != 4 || resp.Deleted != 4 || len(resp.IDs) != 4 {
+			t.Fatalf("response = %+v, want 4 adds / 4 deletes", resp)
+		}
+		b1, f1 := ingestCounters(t, cs.handler())
+		if b1-b0 != 2 || f1-f0 != 2 {
+			t.Fatalf("%d group commits and %d fsyncs for two touched shards, want 2 and 2", b1-b0, f1-f0)
+		}
+		for i, g := range gens() {
+			want := uint64(0)
+			if i == shardOf("book") || i == shardOf("paper") {
+				want = 1
+			}
+			if g-g0[i] != want {
+				t.Errorf("shard %d published %d generations, want %d", i, g-g0[i], want)
+			}
+		}
+		if got := col.NumDocuments(); got != 2 {
+			t.Fatalf("%d live documents, want 2", got)
+		}
+		// The paper shard's submission names a record it never assigned:
+		// 404, and nothing of the request on that shard.
+		jdb := col.Shard(shardOf("paper")).DB
+		docs, gen := jdb.NumDocuments(), jdb.GenerationID()
+		rec = cs.do(t, http.MethodPost, "/c/books/ingest", "application/x-ndjson",
+			ndjson([]string{`<paper><n>4</n></paper>`}, []uint64{collection.GlobalID(shardOf("paper"), 99)}))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("delete of an unknown document: status = %d, want 404 (body %s)", rec.Code, rec.Body)
+		}
+		if jdb.NumDocuments() != docs || jdb.GenerationID() != gen {
+			t.Fatalf("the 404 left something behind on its shard")
 		}
 	})
 }

@@ -14,10 +14,11 @@
 // SIGINT/SIGTERM drain in-flight requests before exiting.
 //
 // Writes arrive through POST /ingest and run through a shared group-
-// commit ingester: a bounded queue (-ingest-queue) feeds a committer
-// that batches up to -ingest-batch operations per WAL fsync, waiting at
-// most -ingest-wait for stragglers. A full queue sheds with 429 +
-// Retry-After. Acknowledged writes survive a crash via WAL replay.
+// commit ingester: each request is one submission in a bounded queue
+// (-ingest-queue), and a committer that never waits takes whatever is
+// queued — up to -ingest-batch operations — into one WAL fsync. A full
+// queue sheds with 429 + Retry-After. Acknowledged writes survive a
+// crash via WAL replay.
 //
 // Every database — the single index, or each shard of each collection
 // — runs one background fix.Maintainer under the same policy: it
@@ -96,9 +97,8 @@ func main() {
 	maxRefine := flag.Int64("max-refine-nodes", 0, "per-query refinement-node budget (0 = unlimited)")
 	maxCand := flag.Int("max-candidates", 0, "per-query candidate cap (0 = unlimited)")
 	maxResults := flag.Int("max-results", 0, "per-query result cap (0 = unlimited)")
-	ingestQueue := flag.Int("ingest-queue", 256, "bounded ingest queue depth in operations (full queue sheds with 429)")
-	ingestBatch := flag.Int("ingest-batch", 64, "max operations per ingest group commit")
-	ingestWait := flag.Duration("ingest-wait", 2*time.Millisecond, "max linger for an ingest group commit to fill")
+	ingestQueue := flag.Int("ingest-queue", 256, "bounded ingest queue depth in requests (full queue sheds with 429)")
+	ingestBatch := flag.Int("ingest-batch", 64, "operations after which an ingest group commit stops taking further queued requests")
 	maxIngestBytes := flag.Int64("max-ingest-bytes", defaultMaxIngestBytes, "max /ingest request body size")
 	saveInterval := flag.Duration("save-interval", 0, "legacy alias for -checkpoint-age, which it overrides when positive (0 = use -checkpoint-age)")
 	ckOps := flag.Int("checkpoint-ops", 1024, "checkpoint a database (each shard, in collection mode) once its ingest WAL holds this many operations (negative disables)")
@@ -121,7 +121,6 @@ func main() {
 		ingest: fix.IngestConfig{
 			QueueDepth: *ingestQueue,
 			MaxBatch:   *ingestBatch,
-			MaxWait:    *ingestWait,
 		},
 		maxIngestBytes: *maxIngestBytes,
 		pprof:          *withPprof,

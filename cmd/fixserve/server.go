@@ -29,8 +29,7 @@ type serverConfig struct {
 // ingester is the slice of fix.Ingester the server drives; a seam so
 // handler tests can inject commit-phase failures deterministically.
 type ingester interface {
-	AddBatch(ctx context.Context, docs []string) ([]uint32, error)
-	Delete(ctx context.Context, rec uint32) error
+	Apply(ctx context.Context, ops []fix.Op) ([]uint32, error)
 	QueueLen() int
 	Close() error
 }
@@ -190,7 +189,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	serveIngest(w, r, s.gate, s.cfg, 1, recTarget{s.ing}, s.db.ValidateDocument, s.db.IngestLag)
+	serveIngest(w, r, s.gate, s.cfg, 1, recTarget{s.ing}, s.addOp, s.db.IngestLag)
+}
+
+// addOp parses doc into an add for the one shard a single index is.
+func (s *server) addOp(doc string) (collection.Op, error) {
+	op, err := s.db.AddOp(doc)
+	return collection.Op{Op: op}, err
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {

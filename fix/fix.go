@@ -518,14 +518,14 @@ func (db *DB) AddDocumentCtx(ctx context.Context, r io.Reader) (id uint32, err e
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	p := &pendingOp{kind: core.IngestOpInsert, xml: raw, tree: n}
+	s := &submission{ops: []Op{{tree: n, xml: raw}}}
 	db.ingestMu.Lock()
-	err = db.commitLocked(ctx, []*pendingOp{p})
+	err = db.commitLocked(ctx, []*submission{s})
 	db.ingestMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	return p.rec, nil
+	return s.recs[0], nil
 }
 
 // AddDocumentString is AddDocument for a string.

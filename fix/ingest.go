@@ -25,7 +25,10 @@ import (
 // write-ahead log based at the last committed store state. Each batch is
 // appended and fsynced there *before* it touches the heap or the index —
 // one fsync per batch, shared by every operation in it (group commit) —
-// and the batch is applied under a single write-lock acquisition.
+// and the batch is applied under a single write-lock acquisition. The
+// unit callers hand in is the submission (Ingester.Apply): an ordered
+// list of adds and deletes that is queued, logged, applied, published
+// and acknowledged as one.
 // Save absorbs the log's contents into the regular commit (heap sync,
 // dictionary, tombstones, shadow-committed index) and only then resets
 // the log; Open replays a surviving log after a crash. In-memory DBs get
@@ -43,9 +46,9 @@ var ErrIngestQueueFull = errors.New("fix: ingest queue full; retry with backoff"
 var ErrIngesterClosed = errors.New("fix: ingester closed")
 
 // ErrUnknownDocument reports a delete aimed at a record number the
-// store has never assigned. Only the offending delete fails: group
-// commit coalesces operations from unrelated callers into one batch,
-// and their valid operations still commit.
+// store has never assigned. The submission holding it fails as a whole
+// and alone: group commit coalesces submissions from unrelated callers
+// into one batch, and their valid submissions still commit.
 var ErrUnknownDocument = errors.New("fix: unknown document")
 
 // ErrRebuildRequired reports an index-maintenance failure only a full
@@ -64,16 +67,14 @@ var fileOpen = storage.Open
 
 // IngestConfig tunes an Ingester. The zero value is ready to use.
 type IngestConfig struct {
-	// QueueDepth bounds the ingest queue; operations beyond it hit
-	// backpressure. 0 means 256.
+	// QueueDepth bounds the ingest queue, counted in submissions (one
+	// Apply, Add, AddBatch or Delete call each); submissions beyond it
+	// hit backpressure. 0 means 256.
 	QueueDepth int
-	// MaxBatch caps how many operations one group commit coalesces.
-	// 0 means 64.
+	// MaxBatch closes a group commit once it holds this many operations.
+	// A submission is never split, so the last one taken may carry the
+	// batch past it. 0 means 64.
 	MaxBatch int
-	// MaxWait is how long the committer lingers for more operations
-	// after the first of a batch arrives, trading latency for larger
-	// groups. 0 means 2ms.
-	MaxWait time.Duration
 	// EnqueueWait is how long a full queue blocks a submitter before
 	// failing fast with ErrIngestQueueFull. 0 means 50ms; negative
 	// means fail immediately.
@@ -87,32 +88,78 @@ func (c *IngestConfig) setDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.EnqueueWait == 0 {
 		c.EnqueueWait = 50 * time.Millisecond
 	}
 }
 
-// pendingOp is one queued ingest operation. done is buffered so the
+// Op is one operation of a submission: the add of a document, made by
+// DB.AddOp, or the delete of a record, made by DeleteOp. The zero Op is
+// neither, and a submission holding one is rejected.
+type Op struct {
+	tree *xmltree.Node // add: the parsed document; nil otherwise
+	xml  []byte        // add: the document text, as the WAL logs it
+	del  bool          // delete
+	rec  uint32        // delete: the target
+}
+
+// AddOp parses doc under the DB's parse limits into the add operation of
+// a submission. It is the only parse the document gets, and it happens
+// before anything is queued: a server makes the operations of a whole
+// request first, so malformed or oversized input is a client error that
+// leaves nothing of the request behind.
+func (db *DB) AddOp(doc string) (Op, error) {
+	raw := []byte(doc)
+	n, err := xmltree.ParseWithLimits(bytes.NewReader(raw), db.parseLimits())
+	if err != nil {
+		return Op{}, err
+	}
+	return Op{tree: n, xml: raw}, nil
+}
+
+// addOps is AddOp over docs; the first document that fails fails them all.
+func (db *DB) addOps(docs []string) ([]Op, error) {
+	ops := make([]Op, len(docs))
+	for i, doc := range docs {
+		var err error
+		if ops[i], err = db.AddOp(doc); err != nil {
+			return nil, err
+		}
+	}
+	return ops, nil
+}
+
+// DeleteOp returns the operation that deletes record rec: the record is
+// tombstoned (excluded from every query path) and its index entries are
+// removed. The record's bytes stay in the append-only heap until a
+// rebuild; deleting a deleted record again is not an error.
+func DeleteOp(rec uint32) Op { return Op{del: true, rec: rec} }
+
+// RootLabel returns the label of an add's root element — what a sharded
+// collection routes the document by — and "" for a delete.
+func (o Op) RootLabel() string {
+	if o.tree == nil {
+		return ""
+	}
+	return o.tree.Label
+}
+
+// submission is one caller's ordered list of operations: the unit of
+// queueing, of atomicity and of acknowledgement. done is buffered so the
 // committer never blocks on an abandoned caller.
-type pendingOp struct {
-	kind   byte // core.IngestOpInsert or core.IngestOpDelete
-	xml    []byte
-	tree   *xmltree.Node
-	rec    uint32 // assigned at commit (insert) or targeted (delete)
-	marked bool   // this op set the tombstone (so rollback may clear it)
-	flush  bool   // barrier marker: commit everything queued before it
-	err    error  // per-op rejection (validation), overriding the batch outcome
-	done   chan error
+type submission struct {
+	ops   []Op
+	recs  []uint32 // per op, set at commit: the record an add was assigned or a delete named
+	flush bool     // barrier marker without ops: commit everything queued before it
+	err   error    // rejection of this submission alone, overriding the batch outcome
+	done  chan error
 }
 
 // Ingester is a handle for concurrent streaming ingest into a DB. Many
-// goroutines may call Add/Delete concurrently; a single committer
-// coalesces their operations into group-committed batches, so N
+// goroutines may call Apply/Add/Delete concurrently; a single committer
+// coalesces their submissions into group-committed batches, so N
 // concurrent writers cost ~one fsync per batch instead of one each.
-// Acknowledgment (the nil error) means the operation is durable (on a
+// Acknowledgment (the nil error) means the submission is durable (on a
 // persistent DB) and visible to queries.
 //
 // The queue is bounded: when it stays full past IngestConfig.EnqueueWait
@@ -123,9 +170,9 @@ type Ingester struct {
 	cfg IngestConfig
 	ctx context.Context // committer-goroutine context; immutable after NewIngesterCtx
 
-	mu     sync.RWMutex // guards closed and sends on ops vs. Close
+	mu     sync.RWMutex // guards closed and sends on subs vs. Close
 	closed bool
-	ops    chan *pendingOp
+	subs   chan *submission
 
 	exited chan struct{} // closed when the committer goroutine returns
 }
@@ -148,70 +195,83 @@ func (db *DB) NewIngesterCtx(ctx context.Context, cfg IngestConfig) *Ingester {
 		db:     db,
 		cfg:    cfg,
 		ctx:    ctx,
-		ops:    make(chan *pendingOp, cfg.QueueDepth),
+		subs:   make(chan *submission, cfg.QueueDepth),
 		exited: make(chan struct{}),
 	}
 	go ing.commitLoop()
 	return ing
 }
 
-// commitLoop is the single committer: it drains the queue into batches
-// (up to MaxBatch operations, lingering MaxWait for stragglers), commits
-// each batch with one WAL fsync and one write-lock acquisition, and
-// acknowledges every operation with the batch's outcome.
+// commitLoop is the single committer. It takes the first queued
+// submission, adds whatever else is already queued — without waiting —
+// until the batch holds MaxBatch operations or ends in a flush marker,
+// commits the batch with one WAL fsync and one write-lock acquisition,
+// and acknowledges every submission with the batch's outcome. Group
+// commit clocks itself: what arrives while batch k is in its fsync and
+// apply is batch k+1, so concurrent writers share fsyncs and a lone
+// writer waits for nobody.
 func (ing *Ingester) commitLoop() {
 	defer close(ing.exited)
-	for op := range ing.ops {
-		batch := []*pendingOp{op}
-		if !op.flush {
-			timer := time.NewTimer(ing.cfg.MaxWait)
-		collect:
-			for len(batch) < ing.cfg.MaxBatch {
-				select {
-				case next, ok := <-ing.ops:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, next)
-					if next.flush {
-						break collect
-					}
-				case <-timer.C:
-					break collect
+	for first := range ing.subs {
+		batch := []*submission{first}
+		nops := len(first.ops)
+	drain:
+		for last := first; !last.flush && nops < ing.cfg.MaxBatch; {
+			select {
+			case next, ok := <-ing.subs:
+				if !ok {
+					break drain
 				}
-			}
-			timer.Stop()
-		}
-		work := batch[:0:0]
-		for _, p := range batch {
-			if !p.flush {
-				work = append(work, p)
+				batch = append(batch, next)
+				nops += len(next.ops)
+				last = next
+			default:
+				break drain
 			}
 		}
-		err := ing.db.commitPending(ing.ctx, work)
-		for _, p := range batch {
-			// An op rejected during validation (p.err) reports its own
-			// failure; the batch outcome belongs to the ops that were
-			// actually committed.
-			if p.err != nil {
-				p.done <- p.err
+		var err error
+		if nops > 0 {
+			err = ing.db.commitPending(ing.ctx, batch)
+		}
+		for _, s := range batch {
+			// A submission rejected during validation (s.err) reports its
+			// own failure; the batch outcome belongs to the submissions
+			// that were actually committed.
+			if s.err != nil {
+				s.done <- s.err
 			} else {
-				p.done <- err
+				s.done <- err
 			}
 		}
 	}
 }
 
-// enqueue submits p, applying backpressure: an immediate slot if one is
+// submit queues s and waits for the committer's verdict on it.
+func (ing *Ingester) submit(ctx context.Context, s *submission) error {
+	if err := ing.enqueue(ctx, s); err != nil {
+		return err
+	}
+	// A context cancellation abandons the wait, not the submission: its
+	// batch may still commit.
+	select {
+	case err := <-s.done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// enqueue queues s, applying backpressure: an immediate slot if one is
 // free, otherwise a bounded wait, then fail-fast.
-func (ing *Ingester) enqueue(ctx context.Context, p *pendingOp) error {
+func (ing *Ingester) enqueue(ctx context.Context, s *submission) error {
 	ing.mu.RLock()
 	defer ing.mu.RUnlock()
 	if ing.closed {
 		return ErrIngesterClosed
 	}
+	s.done = make(chan error, 1)
 	select {
-	case ing.ops <- p:
+	case ing.subs <- s:
 		return nil
 	default:
 	}
@@ -222,7 +282,7 @@ func (ing *Ingester) enqueue(ctx context.Context, p *pendingOp) error {
 	timer := time.NewTimer(ing.cfg.EnqueueWait)
 	defer timer.Stop()
 	select {
-	case ing.ops <- p:
+	case ing.subs <- s:
 		return nil
 	case <-timer.C:
 		obs.Default().ObserveIngestQueueFull(1)
@@ -232,126 +292,80 @@ func (ing *Ingester) enqueue(ctx context.Context, p *pendingOp) error {
 	}
 }
 
-// await blocks until the committer acknowledges p or ctx is done. A
-// context cancellation abandons the wait, not the operation: the batch
-// may still commit.
-func (ing *Ingester) await(ctx context.Context, p *pendingOp) error {
-	select {
-	case err := <-p.done:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
+// Apply submits ops — adds and deletes, in the caller's order — as one
+// submission and returns, per operation, the record it added or deleted.
+// A nil error means all of it is durable and visible.
+//
+// The submission is queued as one element and never split: it is logged
+// inside one WAL batch, applied under one write-lock acquisition and
+// published once, together with whatever other callers' submissions
+// share its group commit. Its operations take effect in order, so a
+// delete may name a document added earlier in the same submission
+// (records are assigned densely, so the caller can tell which); that
+// document is then never visible. And it is all or nothing: a delete of
+// a record the store has not assigned by that point rejects the whole
+// submission with ErrUnknownDocument before any of it is numbered or
+// logged — the other submissions of the group commit are unaffected.
+func (ing *Ingester) Apply(ctx context.Context, ops []Op) ([]uint32, error) {
+	if len(ops) == 0 {
+		return nil, nil
 	}
+	s := &submission{ops: ops}
+	if err := ing.submit(ctx, s); err != nil {
+		return nil, err
+	}
+	return s.recs, nil
 }
 
 // Add parses one XML document and submits it. The returned ID is
 // assigned at commit; a nil error means the document is durable and
 // visible. Parse failures are rejected before anything is queued.
 func (ing *Ingester) Add(ctx context.Context, doc string) (uint32, error) {
-	p, err := ing.db.insertOp(doc)
+	recs, err := ing.AddBatch(ctx, []string{doc})
 	if err != nil {
 		return 0, err
 	}
-	if err := ing.enqueue(ctx, p); err != nil {
-		return 0, err
-	}
-	if err := ing.await(ctx, p); err != nil {
-		return 0, err
-	}
-	return p.rec, nil
+	return recs[0], nil
 }
 
-// AddBatch submits several documents. They are queued individually (the
-// committer may split or merge them across group commits); the returned
-// IDs are in argument order. The first submission or commit error stops
-// the remaining waits, but operations already queued may still commit.
+// AddBatch parses docs and submits them as one submission (see Apply);
+// the returned IDs are in argument order.
 func (ing *Ingester) AddBatch(ctx context.Context, docs []string) ([]uint32, error) {
-	pending := make([]*pendingOp, 0, len(docs))
-	for _, doc := range docs {
-		p, err := ing.db.insertOp(doc)
-		if err != nil {
-			return nil, err
-		}
-		pending = append(pending, p)
+	ops, err := ing.db.addOps(docs)
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range pending {
-		if err := ing.enqueue(ctx, p); err != nil {
-			return nil, err
-		}
-	}
-	recs := make([]uint32, len(pending))
-	for i, p := range pending {
-		if err := ing.await(ctx, p); err != nil {
-			return nil, err
-		}
-		recs[i] = p.rec
-	}
-	return recs, nil
+	return ing.Apply(ctx, ops)
 }
 
-// Delete submits a durable delete of document rec: the record is
-// tombstoned (excluded from every query path) and its index entries are
-// removed. Deleting an unknown record fails only this operation with
-// ErrUnknownDocument; other operations sharing its group commit are
-// unaffected.
+// Delete submits the durable delete of document rec (see DeleteOp). A
+// record the store never assigned fails with ErrUnknownDocument.
 func (ing *Ingester) Delete(ctx context.Context, rec uint32) error {
-	p := &pendingOp{kind: core.IngestOpDelete, rec: rec, done: make(chan error, 1)}
-	if err := ing.enqueue(ctx, p); err != nil {
-		return err
-	}
-	return ing.await(ctx, p)
+	_, err := ing.Apply(ctx, []Op{DeleteOp(rec)})
+	return err
 }
 
 // Flush blocks until everything queued before it has been committed.
 func (ing *Ingester) Flush(ctx context.Context) error {
-	p := &pendingOp{flush: true, done: make(chan error, 1)}
-	if err := ing.enqueue(ctx, p); err != nil {
-		return err
-	}
-	return ing.await(ctx, p)
+	return ing.submit(ctx, &submission{flush: true})
 }
 
-// QueueLen reports how many operations are waiting in the queue — the
+// QueueLen reports how many submissions are waiting in the queue — the
 // in-memory half of ingest lag (DB.IngestLag is the durable half).
-func (ing *Ingester) QueueLen() int { return len(ing.ops) }
+func (ing *Ingester) QueueLen() int { return len(ing.subs) }
 
-// Close stops accepting operations, waits for the committer to drain
+// Close stops accepting submissions, waits for the committer to drain
 // and commit everything already queued, and returns. It does not Save:
 // the WAL keeps acknowledged operations durable until the next Save.
 func (ing *Ingester) Close() error {
 	ing.mu.Lock()
 	if !ing.closed {
 		ing.closed = true
-		close(ing.ops)
+		close(ing.subs)
 	}
 	ing.mu.Unlock()
 	<-ing.exited
 	return nil
-}
-
-// ValidateDocument parses doc under the DB's parse limits without
-// storing anything. Servers use it to reject malformed or oversized
-// input with a client error before the operation enters the ingest
-// queue (once queued, commit errors are indistinguishable from server
-// faults).
-func (db *DB) ValidateDocument(doc string) error {
-	_, err := xmltree.ParseWithLimits(bytes.NewReader([]byte(doc)), db.parseLimits())
-	return err
-}
-
-// insertOp parses and validates one document into a pending insert.
-func (db *DB) insertOp(doc string) (*pendingOp, error) {
-	raw := []byte(doc)
-	n, err := xmltree.ParseWithLimits(bytes.NewReader(raw), db.parseLimits())
-	if err != nil {
-		return nil, err
-	}
-	return &pendingOp{
-		kind: core.IngestOpInsert,
-		xml:  raw,
-		tree: n,
-		done: make(chan error, 1),
-	}, nil
 }
 
 // IngestBatchCtx ingests a batch of documents in one group commit: one
@@ -364,25 +378,11 @@ func (db *DB) IngestBatchCtx(ctx context.Context, docs []string) ([]uint32, erro
 	if len(docs) == 0 {
 		return nil, nil
 	}
-	pending := make([]*pendingOp, 0, len(docs))
-	for _, doc := range docs {
-		p, err := db.insertOp(doc)
-		if err != nil {
-			return nil, err
-		}
-		pending = append(pending, p)
-	}
-	if err := ctx.Err(); err != nil {
+	ops, err := db.addOps(docs)
+	if err != nil {
 		return nil, err
 	}
-	if err := db.commitPending(ctx, pending); err != nil {
-		return nil, err
-	}
-	recs := make([]uint32, len(pending))
-	for i, p := range pending {
-		recs[i] = p.rec
-	}
-	return recs, nil
+	return db.commitOne(ctx, ops)
 }
 
 // DeleteDocument durably deletes document rec: the record is tombstoned
@@ -396,29 +396,33 @@ func (db *DB) DeleteDocument(rec uint32) error {
 // DeleteDocumentCtx is DeleteDocument with cancellation (observed before
 // the commit starts; the commit itself is not interruptible).
 func (db *DB) DeleteDocumentCtx(ctx context.Context, rec uint32) error {
+	_, err := db.commitOne(ctx, []Op{DeleteOp(rec)})
+	return err
+}
+
+// commitOne commits ops as a submission of their own, in a group commit
+// of their own, without going through an Ingester's queue.
+func (db *DB) commitOne(ctx context.Context, ops []Op) ([]uint32, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	p := &pendingOp{kind: core.IngestOpDelete, rec: rec, done: make(chan error, 1)}
-	if err := db.commitPending(ctx, []*pendingOp{p}); err != nil {
-		return err
+	s := &submission{ops: ops}
+	if err := db.commitPending(ctx, []*submission{s}); err != nil {
+		return nil, err
 	}
-	return p.err
+	return s.recs, s.err
 }
 
 // commitPending serializes one batch against every other mutation and
 // commits it. Ingest entry points call it; the legacy AddDocument path
 // shares commitLocked underneath.
-func (db *DB) commitPending(ctx context.Context, ops []*pendingOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
+func (db *DB) commitPending(ctx context.Context, subs []*submission) error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
 	if err := db.ensureIngestLog(); err != nil {
 		return err
 	}
-	return db.commitLocked(ctx, ops)
+	return db.commitLocked(ctx, subs)
 }
 
 // ensureIngestLog lazily creates fix.ingest on a persistent DB, first
@@ -455,7 +459,7 @@ func (db *DB) ensureIngestLog() error {
 // commitLocked is the group commit. Requires ingestMu (so the record
 // count is stable and the WAL is appended in commit order).
 //
-// Protocol: assign record numbers and validate every operation; append
+// Protocol: assign record numbers and validate every submission; append
 // the batch to the WAL and fsync it (the durability point — after this
 // returns success, recovery will replay the batch); apply the batch to
 // the heap and index under the write lock. An apply failure or panic
@@ -464,40 +468,48 @@ func (db *DB) ensureIngestLog() error {
 // restored — and conservatively degrades the index, because a partial
 // apply may have left entries behind.
 //
-// Validation failures are per-op, not per-batch: a delete aimed at a
-// record the store never assigned marks only that op's err field
-// (ErrUnknownDocument) and is excluded from the WAL and the apply.
-// Group commit coalesces unrelated callers into one batch, so one
-// client's bad delete must not fail another client's valid operations.
-func (db *DB) commitLocked(ctx context.Context, ops []*pendingOp) error {
+// Validation failures are per submission, not per batch: a delete aimed
+// at a record the store has not assigned by that point of the batch —
+// the submission's own earlier adds count — marks its submission's err
+// field (ErrUnknownDocument), and the whole submission is excluded from
+// the numbering, the WAL and the apply. Group commit coalesces unrelated
+// callers into one batch, so one client's bad delete must not fail
+// another client's valid submission.
+func (db *DB) commitLocked(ctx context.Context, subs []*submission) error {
 	preRecords := db.store.NumRecords()
 	preEnd := db.store.Size()
 	nrec := uint32(preRecords)
-	walOps := make([]core.IngestOp, 0, len(ops))
-	valid := make([]*pendingOp, 0, len(ops))
-	docs, deletes := 0, 0
-	for _, p := range ops {
-		switch p.kind {
-		case core.IngestOpInsert:
-			p.rec = nrec
-			nrec++
-			docs++
-			walOps = append(walOps, core.IngestOp{Kind: core.IngestOpInsert, Rec: p.rec, XML: p.xml})
-			valid = append(valid, p)
-		case core.IngestOpDelete:
-			if int(p.rec) >= preRecords {
-				p.err = fmt.Errorf("%w: delete of record %d out of range (have %d)", ErrUnknownDocument, p.rec, preRecords)
-				continue
+	var walOps []core.IngestOp
+	valid := make([]*submission, 0, len(subs))
+	for _, s := range subs {
+		first, mark := nrec, len(walOps)
+		s.recs = make([]uint32, len(s.ops))
+		for i, op := range s.ops {
+			switch {
+			case op.tree != nil:
+				s.recs[i] = nrec
+				walOps = append(walOps, core.IngestOp{Kind: core.IngestOpInsert, Rec: nrec, XML: op.xml})
+				nrec++
+			case !op.del:
+				s.err = fmt.Errorf("fix: operation %d of a submission is the zero Op", i)
+			case op.rec >= nrec:
+				s.err = fmt.Errorf("%w: delete of record %d out of range (have %d)", ErrUnknownDocument, op.rec, nrec)
+			default:
+				s.recs[i] = op.rec
+				walOps = append(walOps, core.IngestOp{Kind: core.IngestOpDelete, Rec: op.rec})
 			}
-			deletes++
-			walOps = append(walOps, core.IngestOp{Kind: core.IngestOpDelete, Rec: p.rec})
-			valid = append(valid, p)
-		default:
-			return fmt.Errorf("fix: unknown ingest op kind %d", p.kind)
+			if s.err != nil {
+				break
+			}
 		}
+		if s.err != nil {
+			nrec, walOps, s.recs = first, walOps[:mark], nil
+			continue
+		}
+		valid = append(valid, s)
 	}
-	if len(valid) == 0 {
-		return nil // every op was rejected individually; nothing to commit
+	if len(walOps) == 0 {
+		return nil // every submission was rejected individually; nothing to commit
 	}
 	var walSize0 int64
 	if db.wal != nil {
@@ -509,15 +521,15 @@ func (db *DB) commitLocked(ctx context.Context, ops []*pendingOp) error {
 	// The batch is WAL-durable (acknowledged) past this point, so the
 	// apply must run to completion even if the caller's context dies
 	// mid-batch: cancellation must never roll back an acknowledged batch.
-	if err := db.applyBatch(context.WithoutCancel(ctx), valid); err != nil {
-		db.rollbackBatch(valid, preRecords, preEnd, walSize0, len(walOps), err)
+	if marked, err := db.applyBatch(context.WithoutCancel(ctx), valid); err != nil {
+		db.rollbackBatch(marked, preRecords, preEnd, walSize0, len(walOps), err)
 		return err
 	}
-	fsyncs := 0
+	docs, fsyncs := int(nrec)-preRecords, 0
 	if db.wal != nil {
 		fsyncs = 1
 	}
-	obs.Default().ObserveIngestBatch(docs, deletes, fsyncs)
+	obs.Default().ObserveIngestBatch(docs, len(walOps)-docs, fsyncs)
 	// Publish the post-batch state as a new generation so new Views (and
 	// the pin-per-call DB query methods) observe the acknowledged writes.
 	// The rollback path above deliberately does not publish: the previous
@@ -528,19 +540,21 @@ func (db *DB) commitLocked(ctx context.Context, ops []*pendingOp) error {
 
 // applyBatch applies a WAL-durable batch to the heap and the index under
 // one write-lock acquisition. A panic anywhere inside is contained into
-// an error wrapping ErrPanic (and counted), so the caller can roll back.
+// an error wrapping ErrPanic (and counted), so the caller can roll back;
+// marked lists the tombstones the batch set, which a rollback clears.
 // An operation that stores fine but cannot be indexed
 // (ErrRebuildRequired) degrades the index and does not fail the batch —
 // durability never depends on the index.
 //
-// Heap appends and deletes run in operation order; the batch's inserts
-// are then indexed in one InsertDocumentsCtx call, which fans the
-// per-document eigenvalue work out over the build worker pool instead
-// of computing it one document at a time under the write lock. Deletes
-// can only target pre-batch records (commitLocked validates this), so
-// index-deleting them before the batch's own inserts are indexed cannot
-// remove a new entry.
-func (db *DB) applyBatch(ctx context.Context, ops []*pendingOp) (err error) {
+// Heap appends and tombstones run in operation order. The index then
+// loses the entries of every deleted record in one DeleteDocuments pass,
+// and the batch's inserts are indexed in one InsertDocumentsCtx call,
+// which fans the per-document eigenvalue work out over the build worker
+// pool instead of computing it one document at a time under the write
+// lock. An insert that a later operation of the batch deletes is stored
+// and tombstoned but never indexed, so running the delete pass before
+// the inserts cannot leave an entry of it behind.
+func (db *DB) applyBatch(ctx context.Context, subs []*submission) (marked []uint32, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	defer func() {
@@ -549,40 +563,52 @@ func (db *DB) applyBatch(ctx context.Context, ops []*pendingOp) (err error) {
 			err = fmt.Errorf("%w: ingest batch: %v\n%s", ErrPanic, r, debug.Stack())
 		}
 	}()
-	inserted := make([]uint32, 0, len(ops))
-	for _, p := range ops {
-		switch p.kind {
-		case core.IngestOpInsert:
-			rec, aerr := db.store.AppendTree(p.tree)
-			if aerr != nil {
-				return aerr
+	var inserted, deleted []uint32
+	for _, s := range subs {
+		for i, op := range s.ops {
+			if op.tree == nil {
+				fresh, derr := db.store.MarkDeleted(op.rec)
+				if derr != nil {
+					return marked, derr
+				}
+				if fresh {
+					marked = append(marked, op.rec)
+				}
+				deleted = append(deleted, op.rec)
+				continue
 			}
-			if rec != p.rec {
-				return fmt.Errorf("fix: ingest batch applied record %d, expected %d", rec, p.rec)
+			rec, aerr := db.store.AppendTree(op.tree)
+			if aerr != nil {
+				return marked, aerr
+			}
+			if rec != s.recs[i] {
+				return marked, fmt.Errorf("fix: ingest batch applied record %d, expected %d", rec, s.recs[i])
 			}
 			inserted = append(inserted, rec)
-		case core.IngestOpDelete:
-			marked, derr := db.store.MarkDeleted(p.rec)
-			if derr != nil {
-				return derr
-			}
-			p.marked = marked
-			if db.index != nil && db.index.Health() == nil {
-				if _, derr := db.index.DeleteDocument(p.rec); derr != nil {
-					return derr
-				}
-			}
 		}
 	}
-	if len(inserted) > 0 && db.index != nil && db.index.Health() == nil {
-		if ierr := db.index.InsertDocumentsCtx(ctx, inserted); ierr != nil {
-			if !errors.Is(ierr, ErrRebuildRequired) {
-				return ierr
-			}
-			db.index.Degrade(ierr)
-		}
+	if db.index == nil || db.index.Health() != nil {
+		return marked, nil
 	}
-	return nil
+	if len(deleted) > 0 {
+		if _, derr := db.index.DeleteDocuments(deleted); derr != nil {
+			return marked, derr
+		}
+		live := inserted[:0]
+		for _, rec := range inserted {
+			if !db.store.IsDeleted(rec) {
+				live = append(live, rec)
+			}
+		}
+		inserted = live
+	}
+	if ierr := db.index.InsertDocumentsCtx(ctx, inserted); ierr != nil {
+		if !errors.Is(ierr, ErrRebuildRequired) {
+			return marked, ierr
+		}
+		db.index.Degrade(ierr)
+	}
+	return marked, nil
 }
 
 // rollbackBatch undoes a failed batch: the WAL suffix goes first (so a
@@ -593,17 +619,14 @@ func (db *DB) applyBatch(ctx context.Context, ops []*pendingOp) (err error) {
 // queries to the exact scan fallback until a rebuild. Rollback steps are
 // best-effort: if the disk is failing they may fail too, in which case
 // reopening the database replays only acknowledged batches.
-func (db *DB) rollbackBatch(ops []*pendingOp, preRecords int, preEnd int64, walSize0 int64, nwal int, cause error) {
+func (db *DB) rollbackBatch(marked []uint32, preRecords int, preEnd int64, walSize0 int64, nwal int, cause error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.wal != nil {
 		_ = db.wal.TruncateBatch(walSize0, nwal)
 	}
-	for _, p := range ops {
-		if p.kind == core.IngestOpDelete && p.marked {
-			db.store.UnmarkDeleted(p.rec)
-			p.marked = false
-		}
+	for _, rec := range marked {
+		db.store.UnmarkDeleted(rec)
 	}
 	_ = db.store.TruncateTo(preRecords, preEnd)
 	if db.index != nil {

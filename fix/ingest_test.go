@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -191,10 +192,10 @@ func TestIngestBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// MaxBatch 1: the committer takes one operation off the queue and
-	// then blocks on the ingest lock; with a larger batch it keeps
-	// draining the queue while it lingers for stragglers, and how many
-	// operations fit depends on the schedule.
+	// MaxBatch 1: the committer takes one submission off the queue and
+	// then blocks on the ingest lock; with a larger batch it also takes
+	// what it finds queued behind it, and how many submissions fit
+	// depends on the schedule.
 	ing := db.NewIngester(IngestConfig{QueueDepth: 2, EnqueueWait: -1, MaxBatch: 1})
 	defer func() { _ = ing.Close() }()
 	before := db.Metrics().IngestQueueFull
@@ -203,11 +204,11 @@ func TestIngestBackpressure(t *testing.T) {
 	db.ingestMu.Lock()
 	accepted, rejected := 0, 0
 	for i := 0; i < 6; i++ {
-		p, err := db.insertOp(fmt.Sprintf("<d><v>%d</v></d>", i))
+		op, err := db.AddOp(fmt.Sprintf("<d><v>%d</v></d>", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch err := ing.enqueue(context.Background(), p); {
+		switch err := ing.enqueue(context.Background(), &submission{ops: []Op{op}}); {
 		case err == nil:
 			accepted++
 		case errors.Is(err, ErrIngestQueueFull):
@@ -218,13 +219,13 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 	db.ingestMu.Unlock()
 
-	// Queue depth 2 plus at most one operation already in the
+	// Queue depth 2 plus at most one submission already in the
 	// committer's hands.
 	if accepted < 2 || accepted > 3 {
-		t.Errorf("accepted %d operations on a depth-2 queue", accepted)
+		t.Errorf("accepted %d submissions on a depth-2 queue", accepted)
 	}
 	if rejected == 0 {
-		t.Error("no operation hit backpressure")
+		t.Error("no submission hit backpressure")
 	}
 	// Flush competes with the backlog for the still-full queue
 	// (EnqueueWait < 0 fails fast), so retry until it fits.
@@ -504,33 +505,57 @@ func checkIngestOutcome(t *testing.T, db *DB, ackedSteps int, ctx string) {
 // streaming-ingest window — WAL creation, batch appends and fsyncs, heap
 // applies — in plain and torn variants, then reopens the directory like
 // a rebooted process and requires that no acknowledged operation is lost
-// and nothing unattempted appears.
+// and nothing unattempted appears. It runs once over a script of separate
+// commits on an index-less database and once over a mixed submission
+// (adds, deletes, an add deleted by its own submission) on an indexed
+// one, which must come back whole or not at all.
 func TestIngestCrashSweep(t *testing.T) {
+	t.Run("separate commits", func(t *testing.T) {
+		sweepIngestCrashes(t, setupIngestBase, ingestScript, 3, checkIngestOutcome)
+	})
+	t.Run("mixed submission", func(t *testing.T) {
+		sweepIngestCrashes(t, setupMixedBase, mixedScript, 1, checkMixedOutcome)
+	})
+}
+
+// sweepIngestCrashes is the sweep: a dry run of script sizes the window,
+// then every write of it fails once, plain and torn, and check judges the
+// reopened database by how many steps script had seen acknowledged.
+func sweepIngestCrashes(t *testing.T, setup func(*testing.T, string) *DB, script func(*DB) (int, error), steps int,
+	check func(t *testing.T, db *DB, ackedSteps int, ctx string)) {
 	// Dry run: learn the deterministic write-op count of the window.
 	dry := &storage.FaultPlan{}
 	restore := withFaultFiles(dry)
 	dir := t.TempDir()
-	db := setupIngestBase(t, dir)
+	db := setup(t, dir)
 	w1 := dry.Writes()
-	if acked, err := ingestScript(db); err != nil || acked != 3 {
+	if acked, err := script(db); err != nil || acked != steps {
 		t.Fatalf("dry run: acked %d steps, err %v", acked, err)
 	}
 	w2 := dry.Writes()
 	restore()
+	check(t, db, steps, "dry run, live")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if w2 <= w1 {
 		t.Fatalf("ingest window did no writes (%d..%d)", w1, w2)
 	}
+	// No Save came before the Close: this reopen replays the whole window.
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, re, steps, "dry run, replayed")
+	_ = re.Close()
 
 	for n := w1 + 1; n <= w2; n++ {
 		for _, torn := range []bool{false, true} {
 			pl := &storage.FaultPlan{FailWrite: n, Torn: torn}
 			restore := withFaultFiles(pl)
 			dir := t.TempDir()
-			db := setupIngestBase(t, dir)
-			acked, err := ingestScript(db)
+			db := setup(t, dir)
+			acked, err := script(db)
 			if err == nil {
 				t.Fatalf("write %d (torn=%t): expected an injected failure", n, torn)
 			}
@@ -552,7 +577,7 @@ func TestIngestCrashSweep(t *testing.T) {
 				t.Fatalf("write %d (torn=%t): reopen: %v", n, torn, err)
 			}
 			ctx := fmt.Sprintf("write %d (torn=%t)", n, torn)
-			checkIngestOutcome(t, re, acked, ctx)
+			check(t, re, acked, ctx)
 
 			// The reopened DB is fully usable: Save absorbs the replayed
 			// log and a further reopen is stable.
@@ -569,8 +594,69 @@ func TestIngestCrashSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: second reopen: %v", ctx, err)
 			}
-			checkIngestOutcome(t, re2, acked, ctx+" (saved)")
+			check(t, re2, acked, ctx+" (saved)")
 			_ = re2.Close()
+		}
+	}
+}
+
+// setupMixedBase is setupIngestBase plus a committed index, so recovery
+// has to bring the index along.
+func setupMixedBase(t *testing.T, dir string) *DB {
+	t.Helper()
+	db := setupIngestBase(t, dir)
+	if err := db.BuildIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// mixedScript commits one submission through an Ingester: add <m0/>,
+// delete <base0/>, add <m1/>, delete that <m1/> (record 3 by then), add
+// <m2/>. It is one step: acknowledged or not.
+func mixedScript(db *DB) (ackedSteps int, err error) {
+	ing := db.NewIngester(IngestConfig{})
+	defer func() { _ = ing.Close() }()
+	ops := make([]Op, 5)
+	for i, doc := range map[int]string{0: "<m0/>", 2: "<m1/>", 4: "<m2/>"} {
+		if ops[i], err = db.AddOp(doc); err != nil {
+			return 0, err
+		}
+	}
+	ops[1], ops[3] = DeleteOp(0), DeleteOp(3)
+	if _, err = ing.Apply(context.Background(), ops); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// checkMixedOutcome: the submission is there whole — as it must be once
+// acknowledged — or not at all, and the index agrees with a scan of the
+// heap either way.
+func checkMixedOutcome(t *testing.T, db *DB, ackedSteps int, ctx string) {
+	t.Helper()
+	whole := db.NumDocuments() == 5
+	if (ackedSteps == 1 && !whole) || (!whole && db.NumDocuments() != 2) {
+		t.Fatalf("%s: %d documents for %d acknowledged submissions", ctx, db.NumDocuments(), ackedSteps)
+	}
+	if want := map[bool]int{true: 2, false: 0}[whole]; db.DeletedDocuments() != want {
+		t.Errorf("%s: %d deleted documents, want %d", ctx, db.DeletedDocuments(), want)
+	}
+	if err := db.IndexHealth(); err != nil {
+		t.Errorf("%s: index degraded: %v", ctx, err)
+	}
+	for expr, want := range map[string]bool{"//base1": true, "//base0": !whole, "//m0": whole, "//m1": false, "//m2": whole} {
+		for _, opts := range [][]QueryOption{nil, {ScanOnly()}} {
+			res, err := db.Query(expr, opts...)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", ctx, expr, err)
+			}
+			if (res.Count == 1) != want || res.Count > 1 {
+				t.Errorf("%s: %s (scan only: %v) counts %d, want present: %v", ctx, expr, opts != nil, res.Count, want)
+			}
 		}
 	}
 }
@@ -641,7 +727,7 @@ func TestIngestBatchRollbackTransient(t *testing.T) {
 // for the ingest/query lock protocol.
 func TestConcurrentIngestAndQuery(t *testing.T) {
 	db := newTestDB(t, IndexOptions{})
-	ing := db.NewIngester(IngestConfig{MaxWait: 100 * time.Microsecond})
+	ing := db.NewIngester(IngestConfig{})
 	ctx := context.Background()
 
 	const writers = 4
@@ -822,22 +908,26 @@ func TestIngestReplayHonorsLooseParseLimits(t *testing.T) {
 
 // TestBadDeleteDoesNotFailBatch: an out-of-range delete must be
 // rejected individually — group commit coalesces unrelated callers, so
-// it must not take their valid operations down with it.
+// it must not take their valid submissions down with it.
 func TestBadDeleteDoesNotFailBatch(t *testing.T) {
 	db, err := CreateMem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := db.insertOp("<a><b/></a>")
+	add, err := db.AddOp("<a><b/></a>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &pendingOp{kind: core.IngestOpDelete, rec: 99, done: make(chan error, 1)}
-	if err := db.commitPending(context.Background(), []*pendingOp{ins, bad}); err != nil {
+	ins := &submission{ops: []Op{add}}
+	bad := &submission{ops: []Op{DeleteOp(99)}}
+	if err := db.commitPending(context.Background(), []*submission{ins, bad}); err != nil {
 		t.Fatalf("batch with one bad delete failed wholesale: %v", err)
 	}
 	if !errors.Is(bad.err, ErrUnknownDocument) {
 		t.Fatalf("bad delete err = %v, want ErrUnknownDocument", bad.err)
+	}
+	if ins.err != nil || len(ins.recs) != 1 || ins.recs[0] != 0 {
+		t.Fatalf("insert sharing the batch: recs %v, err %v; want [0], nil", ins.recs, ins.err)
 	}
 	if db.NumDocuments() != 1 {
 		t.Fatalf("NumDocuments = %d, want 1 (insert sharing the batch must commit)", db.NumDocuments())
@@ -845,18 +935,96 @@ func TestBadDeleteDoesNotFailBatch(t *testing.T) {
 	mustExist(t, db, "//b", true)
 }
 
-// TestIngesterBadDeleteDoesNotFailConcurrentAdds drives the same
-// guarantee through the shared-ingester path a server exposes: one
-// client's bad delete, coalesced with other clients' adds, fails only
-// its own acknowledgment.
-func TestIngesterBadDeleteDoesNotFailConcurrentAdds(t *testing.T) {
-	db, err := CreateMem()
+// walStall lets a test hold one group commit inside its WAL fsync, which
+// is what makes coalescing certain instead of likely: whatever is
+// submitted while the committer sits there is queued when it comes back,
+// and its non-blocking drain takes all of it into the next batch.
+type walStall struct {
+	armed   atomic.Bool
+	entered chan struct{} // receives when the armed fsync has begun
+	release chan struct{} // closed by the test to let it finish
+}
+
+type stalledFile struct {
+	storage.File
+	ws *walStall
+}
+
+func (f stalledFile) Sync() error {
+	if f.ws.armed.CompareAndSwap(true, false) {
+		f.ws.entered <- struct{}{}
+		<-f.ws.release
+	}
+	return f.File.Sync()
+}
+
+// newStalledDB creates a persistent DB whose ingest log goes through a
+// walStall, with an ingester that has already committed once (so the log
+// exists and the next fsync on it is a batch's).
+func newStalledDB(t *testing.T) (*DB, *Ingester, *walStall) {
+	t.Helper()
+	ws := &walStall{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	orig := fileCreate
+	fileCreate = func(path string) (storage.File, error) {
+		f, err := storage.Create(path)
+		if err != nil || filepath.Base(path) != core.IngestLogName {
+			return f, err
+		}
+		return stalledFile{f, ws}, nil
+	}
+	t.Cleanup(func() { fileCreate = orig })
+	db, err := Create(filepath.Join(t.TempDir(), "db"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing := db.NewIngester(IngestConfig{MaxWait: 50 * time.Millisecond})
-	defer ing.Close()
+	t.Cleanup(func() { _ = db.Close() })
+	ing := db.NewIngester(IngestConfig{})
+	t.Cleanup(func() { _ = ing.Close() })
+	if _, err := ing.Add(context.Background(), "<warm/>"); err != nil {
+		t.Fatal(err)
+	}
+	return db, ing, ws
+}
+
+// stallFirst arms the stall, submits one add and returns once its group
+// commit — that add alone — is inside its fsync; wait collects the add's
+// outcome after the release.
+func (ws *walStall) stallFirst(t *testing.T, ing *Ingester) (wait func()) {
+	t.Helper()
+	ws.armed.Store(true)
+	first := make(chan error, 1)
+	go func() {
+		_, err := ing.Add(context.Background(), "<first/>")
+		first <- err
+	}()
+	<-ws.entered
+	return func() {
+		t.Helper()
+		if err := <-first; err != nil {
+			t.Fatalf("the stalled add: %v", err)
+		}
+	}
+}
+
+// waitQueued returns once n submissions sit in the ingester's queue.
+func waitQueued(t *testing.T, ing *Ingester, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ing.QueueLen() != n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d submissions queued, want %d", ing.QueueLen(), n)
+		}
+	}
+}
+
+// TestIngesterBadDeleteDoesNotFailConcurrentAdds drives the same
+// guarantee through the shared-ingester path a server exposes: one
+// client's bad delete, coalesced with other clients' adds into one group
+// commit, fails only its own acknowledgment.
+func TestIngesterBadDeleteDoesNotFailConcurrentAdds(t *testing.T) {
+	db, ing, ws := newStalledDB(t)
 	ctx := context.Background()
+	before := db.Metrics() // not while a commit is stalled: it takes the ingest lock
+	waitFirst := ws.stallFirst(t, ing)
 
 	const adds = 8
 	var wg sync.WaitGroup
@@ -874,6 +1042,9 @@ func TestIngesterBadDeleteDoesNotFailConcurrentAdds(t *testing.T) {
 			_, addErrs[i] = ing.Add(ctx, "<a><b/></a>")
 		}(i)
 	}
+	waitQueued(t, ing, adds+1)
+	close(ws.release)
+	waitFirst()
 	wg.Wait()
 	if !errors.Is(delErr, ErrUnknownDocument) {
 		t.Fatalf("bad delete = %v, want ErrUnknownDocument", delErr)
@@ -883,7 +1054,340 @@ func TestIngesterBadDeleteDoesNotFailConcurrentAdds(t *testing.T) {
 			t.Fatalf("add %d sharing the ingester failed: %v", i, err)
 		}
 	}
-	if db.NumDocuments() != adds {
-		t.Fatalf("NumDocuments = %d, want %d", db.NumDocuments(), adds)
+	if db.NumDocuments() != 2+adds {
+		t.Fatalf("NumDocuments = %d, want %d", db.NumDocuments(), 2+adds)
+	}
+	// The stalled add's batch and the one that held everybody else.
+	if got := db.Metrics().IngestBatches - before.IngestBatches; got != 2 {
+		t.Fatalf("%d group commits, want 2 (the bad delete was not coalesced with the adds)", got)
+	}
+}
+
+// TestGroupCommitWithoutTimer: group commit clocks itself. With the first
+// commit held in its fsync, N writers queue up behind it; once it is let
+// go they are one batch and one fsync — and nobody waited for a timer:
+// the committer took what was queued and went.
+func TestGroupCommitWithoutTimer(t *testing.T) {
+	db, ing, ws := newStalledDB(t)
+	ctx := context.Background()
+	before := db.Metrics()
+	waitFirst := ws.stallFirst(t, ing)
+
+	const writers = 12
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = ing.Add(ctx, fmt.Sprintf("<w><n>%d</n></w>", i))
+		}(i)
+	}
+	waitQueued(t, ing, writers)
+	close(ws.release)
+	waitFirst()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", i, err)
+		}
+	}
+	after := db.Metrics()
+	if b, f, d := after.IngestBatches-before.IngestBatches, after.IngestFsyncs-before.IngestFsyncs, after.IngestDocs-before.IngestDocs; b != 2 || f != 2 || d != 1+writers {
+		t.Fatalf("%d batches, %d fsyncs, %d documents; want 2, 2, %d", b, f, d, 1+writers)
+	}
+	// A lone writer afterwards is a batch of its own, at once.
+	if _, err := ing.Add(ctx, "<lone/>"); err != nil {
+		t.Fatal(err)
+	}
+	if b := db.Metrics().IngestBatches - after.IngestBatches; b != 1 {
+		t.Fatalf("a lone add made %d batches, want 1", b)
+	}
+}
+
+// TestApplyMixedSubmission: a submission is an ordered, mixed list. Its
+// records come back per operation, a delete may name a document the same
+// submission added, which is then never visible, and all of it is one
+// group commit and one publish.
+func TestApplyMixedSubmission(t *testing.T) {
+	db := newTestDB(t, IndexOptions{})
+	ing := db.NewIngester(IngestConfig{})
+	defer func() { _ = ing.Close() }()
+	n := uint32(len(docs))
+	var ops []Op
+	for _, doc := range []string{
+		`<note><title>kept</title></note>`,
+		`<memo><title>dropped</title></memo>`,
+		`<note><title>kept too</title></note>`,
+	} {
+		op, err := db.AddOp(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op)
+	}
+	// add note, delete docs[1], add memo, delete that memo, add note
+	ops = []Op{ops[0], DeleteOp(1), ops[1], DeleteOp(n + 1), ops[2]}
+	before, gen := db.Metrics(), db.GenerationID()
+	recs, err := ing.Apply(context.Background(), ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{n, 1, n + 1, n + 1, n + 2}; fmt.Sprint(recs) != fmt.Sprint(want) {
+		t.Fatalf("recs = %v, want %v", recs, want)
+	}
+	after := db.Metrics()
+	if b, d, x := after.IngestBatches-before.IngestBatches, after.IngestDocs-before.IngestDocs, after.IngestDeletes-before.IngestDeletes; b != 1 || d != 3 || x != 2 {
+		t.Fatalf("%d batches, %d documents, %d deletes; want 1, 3, 2", b, d, x)
+	}
+	if got := db.GenerationID() - gen; got != 1 {
+		t.Fatalf("the submission published %d generations, want 1", got)
+	}
+	if db.NumDocuments() != int(n)+3 || db.DeletedDocuments() != 2 {
+		t.Fatalf("%d documents / %d deleted, want %d / 2", db.NumDocuments(), db.DeletedDocuments(), n+3)
+	}
+	// One entry per document: the memo was stored and tombstoned, never indexed.
+	if got, want := db.IndexEntries(), len(docs)-1+2; got != want {
+		t.Fatalf("index holds %d entries, want %d", got, want)
+	}
+	for expr, want := range map[string]int{"//note/title": 2, "//memo": 0, "//author[phone]": 0, "//title": 5} {
+		for _, opts := range [][]QueryOption{nil, {ScanOnly()}} {
+			res, err := db.Query(expr, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != want || (opts == nil && res.ScanFallback) {
+				t.Errorf("%s (scan only: %v): count %d, fallback %v; want %d from the index", expr, opts != nil, res.Count, res.ScanFallback, want)
+			}
+		}
+	}
+	if empty, err := ing.Apply(context.Background(), nil); err != nil || empty != nil {
+		t.Fatalf("empty submission = %v, %v", empty, err)
+	}
+}
+
+// TestSubmissionAllOrNothing: a delete of a record nobody has assigned,
+// in the middle of a submission, rejects the submission whole — nothing
+// of it is numbered, logged or visible — while another caller's
+// submission in the same group commit goes through.
+func TestSubmissionAllOrNothing(t *testing.T) {
+	db, ing, ws := newStalledDB(t)
+	ctx := context.Background()
+	lag := db.IngestLag()
+	waitFirst := ws.stallFirst(t, ing)
+
+	var bad []Op
+	for _, doc := range []string{"<x/>", "<y/>"} {
+		op, err := db.AddOp(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad = append(bad, op)
+	}
+	// Its own first add is record 2 by then; record 4 is nobody's.
+	bad = []Op{bad[0], DeleteOp(2), DeleteOp(4), bad[1]}
+	var wg sync.WaitGroup
+	var badErr, goodErr error
+	var goodRec uint32
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, badErr = ing.Apply(ctx, bad)
+	}()
+	waitQueued(t, ing, 1) // the bad submission goes first
+	go func() {
+		defer wg.Done()
+		goodRec, goodErr = ing.Add(ctx, "<good/>")
+	}()
+	waitQueued(t, ing, 2)
+	close(ws.release)
+	waitFirst()
+	wg.Wait()
+
+	if !errors.Is(badErr, ErrUnknownDocument) {
+		t.Fatalf("submission with a bad delete = %v, want ErrUnknownDocument", badErr)
+	}
+	// warm-up is record 0, the stalled add 1: the good add is numbered as
+	// if the rejected submission had never been there.
+	if goodErr != nil || goodRec != 2 {
+		t.Fatalf("the other caller's add = record %d, %v; want 2, nil", goodRec, goodErr)
+	}
+	if got := db.IngestLag() - lag; got != 2 { // the stalled add and the good one
+		t.Fatalf("the WAL grew by %d operations, want 2", got)
+	}
+	if db.NumDocuments() != 3 || db.DeletedDocuments() != 0 {
+		t.Fatalf("%d documents / %d deleted, want 3 / 0", db.NumDocuments(), db.DeletedDocuments())
+	}
+	mustExist(t, db, "//x", false)
+	mustExist(t, db, "//y", false)
+	mustExist(t, db, "//good", true)
+
+	// Direct commits hold to the same rule.
+	if err := db.DeleteDocument(3); !errors.Is(err, ErrUnknownDocument) {
+		t.Fatalf("DeleteDocument of an unassigned record = %v", err)
+	}
+	// The zero Op is not a delete of record 0: it is nothing, and rejected.
+	if _, err := ing.Apply(ctx, []Op{DeleteOp(0), {}}); err == nil || db.DeletedDocuments() != 0 {
+		t.Fatalf("submission holding a zero Op = %v, %d documents deleted; want an error and none", err, db.DeletedDocuments())
+	}
+	// And so does recovery: the log holds nothing of the rejected submission.
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := db.dir
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = re.Close() }()
+	if re.NumDocuments() != 3 || re.DeletedDocuments() != 0 {
+		t.Fatalf("reopened: %d documents / %d deleted, want 3 / 0", re.NumDocuments(), re.DeletedDocuments())
+	}
+	mustExist(t, re, "//x", false)
+	mustExist(t, re, "//good", true)
+}
+
+// TestPublishSharesUnchangedTombstones: a commit that sets or clears no
+// tombstone publishes the previous generation's tombstone set itself, not
+// a copy; a delete publishes a new one, and a View pinned before it keeps
+// reading its own.
+func TestPublishSharesUnchangedTombstones(t *testing.T) {
+	db := newTestDB(t, IndexOptions{})
+	if err := db.DeleteDocument(2); err != nil {
+		t.Fatal(err)
+	}
+	tombs := db.gen.Load().Tombs()
+	if _, err := db.IngestBatchCtx(context.Background(), []string{"<a/>", "<b/>"}); err != nil {
+		t.Fatal(err)
+	}
+	if db.gen.Load().Tombs() != tombs {
+		t.Fatal("an add-only commit published a new tombstone set")
+	}
+	pinned := db.View()
+	defer func() { _ = pinned.Close() }()
+	if err := db.DeleteDocument(1); err != nil {
+		t.Fatal(err)
+	}
+	if now := db.gen.Load().Tombs(); now == tombs || !now.Has(1) || !now.Has(2) || now.Len() != 2 {
+		t.Fatalf("after a delete: same set %v, Has(1) %v, Has(2) %v, Len %d", now == tombs, now.Has(1), now.Has(2), now.Len())
+	}
+	if tombs.Has(1) || tombs.Len() != 1 {
+		t.Fatal("the delete changed the set an older generation holds")
+	}
+	if ok, err := pinned.Exists("//author[phone]"); err != nil || !ok {
+		t.Fatalf("pinned View lost the document deleted after it: %v, %v", ok, err)
+	}
+	mustExist(t, db, "//author[phone]", false)
+}
+
+// TestReplayPerOperationCommitsMatchOneSubmission: the log format did not
+// change with the unit of commit. A log written the way a request used
+// to be — one batch of adds, then one batch per delete — and a log
+// holding the same operations as one submission's single batch replay to
+// the same database.
+func TestReplayPerOperationCommitsMatchOneSubmission(t *testing.T) {
+	adds := []string{
+		`<article><title>n0</title><author><email>e</email></author></article>`,
+		`<book><title>n1</title></book>`,
+		`<article><title>n2</title><author><phone>p</phone></author></article>`,
+		`<note><title>n3</title></note>`,
+	}
+	n := uint32(len(docs))
+	deletes := []uint32{0, n + 1, 2, n + 3} // two old documents, two of the new ones
+	type state struct {
+		docs, deleted, entries int
+		texts                  []string
+		counts                 map[string]int
+	}
+	replayed := func(write func(t *testing.T, db *DB)) state {
+		dir := filepath.Join(t.TempDir(), "db")
+		db, err := Create(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range docs {
+			if _, err := db.AddDocumentString(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.BuildIndex(IndexOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Save(); err != nil {
+			t.Fatal(err)
+		}
+		write(t, db)
+		if err := db.Close(); err != nil { // no Save: the log alone holds the writes
+			t.Fatal(err)
+		}
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = re.Close() }()
+		st := state{docs: re.NumDocuments(), deleted: re.DeletedDocuments(), entries: re.IndexEntries(), counts: map[string]int{}}
+		for rec := 0; rec < st.docs; rec++ {
+			text, err := re.Document(uint32(rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.texts = append(st.texts, text)
+		}
+		for _, expr := range []string{"//title", "//article[author]/title", "//book", "//note", "//author[phone]"} {
+			res, err := re.Query(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := re.Query(expr, ScanOnly())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ScanFallback || res.Count != scan.Count {
+				t.Fatalf("%s after replay: index %d (fallback %v), scan %d", expr, res.Count, res.ScanFallback, scan.Count)
+			}
+			st.counts[expr] = res.Count
+		}
+		return st
+	}
+	perOp := replayed(func(t *testing.T, db *DB) {
+		if _, err := db.IngestBatchCtx(context.Background(), adds); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range deletes {
+			if err := db.DeleteDocument(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	one := replayed(func(t *testing.T, db *DB) {
+		ing := db.NewIngester(IngestConfig{})
+		defer func() { _ = ing.Close() }()
+		var ops []Op
+		for _, doc := range adds {
+			op, err := db.AddOp(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops = append(ops, op)
+		}
+		for _, rec := range deletes {
+			ops = append(ops, DeleteOp(rec))
+		}
+		before := db.Metrics().IngestBatches
+		if _, err := ing.Apply(context.Background(), ops); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.Metrics().IngestBatches - before; got != 1 {
+			t.Fatalf("the submission took %d group commits, want 1", got)
+		}
+	})
+	if fmt.Sprint(perOp) != fmt.Sprint(one) {
+		t.Fatalf("replay of five batches:\n%+v\nreplay of one batch:\n%+v", perOp, one)
+	}
+	if one.docs != len(docs)+len(adds) || one.deleted != len(deletes) || one.entries != one.docs-one.deleted {
+		t.Fatalf("replayed state: %+v", one)
 	}
 }

@@ -9,11 +9,12 @@ import (
 
 // RootLabel returns the name of a document's root element without
 // building a tree: it scans tokens until the first start element and
-// stops. It is the routing seam for sharded collections — documents are
-// placed (and absolute /label queries targeted) by root label, so the
-// router needs the label long before the document is parsed against any
-// shard's limits. Input that ends, or turns syntactically invalid,
-// before a root element yields an error.
+// stops. Sharded collections place documents (and target absolute /label
+// queries) by root label; the ingest path reads it off the one parse it
+// does (Op.RootLabel), and RootLabel is for whoever has to predict a
+// placement without parsing — a load generator, a bulk router. Input that
+// ends, or turns syntactically invalid, before a root element yields an
+// error.
 func RootLabel(r io.Reader) (string, error) {
 	dec := xml.NewDecoder(r)
 	dec.Strict = false

@@ -56,3 +56,35 @@ func TestViewReadsDoNotAllocate(t *testing.T) {
 		t.Errorf("View.Get allocates %v times, want 1 (the copy it returns)", allocs)
 	}
 }
+
+// TestInPlaceEditsDoNotAllocate pins what the ingest path's speed rests
+// on: a Put of a new key whose cell fits on its leaf, and a Delete, walk
+// the pages where they lie and edit the leaf in its buffer — no node
+// decode, no per-entry copy, no re-encode. Each run puts and deletes the
+// same key, so the leaf always has room and no run splits.
+func TestInPlaceEditsDoNotAllocate(t *testing.T) {
+	const n = 20000
+	tr := newTree(t, DefaultPageSize)
+	for i := 0; i < n; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("key-%08d", i)), []byte(fmt.Sprintf("value-%08d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("fixture: height %d, want a descent", tr.Height())
+	}
+	key, val := []byte(fmt.Sprintf("key-%08d+", n/2)), []byte("a value of ordinary size")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tr.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tr.Delete(key); err != nil || !ok {
+			t.Fatalf("Delete = %v, %v", ok, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a fitting Put of a new key plus its Delete allocate %v times, want 0", allocs)
+	}
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+}

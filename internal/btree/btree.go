@@ -228,21 +228,49 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	return get(t, t.root, t.height, key)
 }
 
-// findLeaf returns an owned copy of the leaf whose key range holds key.
-func (t *Tree) findLeaf(key []byte) (*node, error) {
-	c, err := findLeaf(t, t.root, t.height, key)
-	if err != nil {
-		return nil, err
+// editLeaf descends to the leaf whose key range holds key and locates key
+// on it for an edit in place. The pager hands out the same buffer until
+// it evicts the page, and the leaf is the page it read last, so leaf.buf
+// is the live page until the next pager call.
+func (t *Tree) editLeaf(key []byte) (leaf cells, at slot, err error) {
+	if leaf, err = findLeaf(t, t.root, t.height, key); err == nil {
+		at, err = leaf.locate(key)
 	}
-	return decodeNode(c.id, c.buf)
+	return leaf, at, err
 }
 
-// Put inserts or overwrites the entry for key.
+// edited finishes an edit in place of a leaf that now holds n cells.
+func (t *Tree) edited(leaf cells, n int) {
+	binary.BigEndian.PutUint16(leaf.buf[1:3], uint16(n))
+	t.p.markDirty(t.p.cache[leaf.id])
+}
+
+// Put inserts or overwrites the entry for key. A new key whose cell fits
+// on its leaf is written into the page where it lies: the cells after it
+// move up and the count grows by one, which leaves the page byte for byte
+// what decoding it, inserting and node.encode produce — every page is
+// zero past its last cell. An overwrite, and a leaf with no room, go
+// through insert.
 func (t *Tree) Put(key, val []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.checkEntry(key, val); err != nil {
 		return err
+	}
+	leaf, at, err := t.editLeaf(key)
+	if err != nil {
+		return err
+	}
+	if cell := 4 + len(key) + len(val); !at.found && at.end+cell <= len(leaf.buf) {
+		buf, off := leaf.buf, at.off
+		copy(buf[off+cell:], buf[off:at.end])
+		binary.BigEndian.PutUint16(buf[off:], uint16(len(key)))
+		binary.BigEndian.PutUint16(buf[off+2:], uint16(len(val)))
+		copy(buf[off+4:], key)
+		copy(buf[off+4+len(key):], val)
+		t.edited(leaf, leaf.n+1)
+		t.count++
+		return nil
 	}
 	sepKey, newChild, grew, added, err := t.insert(t.root, key, val)
 	if err != nil {
@@ -382,19 +410,16 @@ func (t *Tree) splitInternal(n *node) ([]byte, uint32, error) {
 func (t *Tree) Delete(key []byte) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, err := t.findLeaf(key)
-	if err != nil {
+	leaf, at, err := t.editLeaf(key)
+	if err != nil || !at.found {
 		return false, err
 	}
-	i, ok := n.searchLeaf(key)
-	if !ok {
-		return false, nil
-	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	if err := t.storeNode(n); err != nil {
-		return false, err
-	}
+	// As in Put, the page comes out as node.encode would write it: the
+	// cells after the removed one move down over it and the bytes they
+	// vacate are zeroed.
+	copy(leaf.buf[at.off:], leaf.buf[at.off+at.size:at.end])
+	clear(leaf.buf[at.end-at.size : at.end])
+	t.edited(leaf, leaf.n-1)
 	t.count--
 	return true, nil
 }

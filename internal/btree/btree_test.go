@@ -21,6 +21,21 @@ func newTree(t *testing.T, pageSize int) *Tree {
 	return tr
 }
 
+// leafOf returns an owned, decoded copy of the leaf whose key range holds
+// key, for tests that rewrite a page through storeNode.
+func leafOf(t *testing.T, tr *Tree, key []byte) *node {
+	t.Helper()
+	c, err := findLeaf(tr, tr.root, tr.height, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := decodeNode(c.id, c.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestBasicPutGet(t *testing.T) {
 	tr := newTree(t, 512)
 	if err := tr.Put([]byte("k1"), []byte("v1")); err != nil {
@@ -365,10 +380,7 @@ func TestVerifyTerminatesOnLoopingLeafChain(t *testing.T) {
 			if err := tr.Verify(); err != nil {
 				t.Fatalf("Verify before the damage: %v", err)
 			}
-			first, err := tr.findLeaf(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			first := leafOf(t, tr, nil)
 			last, err := tr.loadNode(first.next)
 			if err != nil {
 				t.Fatal(err)

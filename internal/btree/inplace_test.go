@@ -398,3 +398,172 @@ func TestViewDoesNotAliasMutableState(t *testing.T) {
 	}
 	sameEntries(t, "old view after overwriting a Get result", scanAll(t, view.Scan), before)
 }
+
+// referenceLeafEdit is what the tree did to a leaf before Put and Delete
+// edited pages in place — decode the page, change the slices, encode, and
+// split at mid when the node outgrew the page — kept verbatim from
+// Tree.insert, Tree.splitLeaf and Tree.Delete as the independent
+// reference. val == nil deletes key. It returns the image the leaf must
+// have afterwards and, when the leaf split, that of the right sibling
+// allocated as page rightID.
+func referenceLeafEdit(t *testing.T, prev []byte, id, rightID uint32, key, val []byte) (left, right []byte) {
+	t.Helper()
+	n, err := referenceDecode(id, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, exact := n.searchLeaf(key)
+	switch {
+	case val == nil:
+		if exact {
+			n.keys = append(n.keys[:i], n.keys[i+1:]...)
+			n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		}
+	case exact:
+		n.vals[i] = append([]byte(nil), val...)
+	default:
+		n.keys = append(n.keys, nil)
+		copy(n.keys[i+1:], n.keys[i:])
+		n.keys[i] = append([]byte(nil), key...)
+		n.vals = append(n.vals, nil)
+		copy(n.vals[i+1:], n.vals[i:])
+		n.vals[i] = append([]byte(nil), val...)
+	}
+	if n.encodedSize() > len(prev) {
+		mid := len(n.keys) / 2
+		r := &node{
+			id:   rightID,
+			leaf: true,
+			next: n.next,
+			keys: append([][]byte(nil), n.keys[mid:]...),
+			vals: append([][]byte(nil), n.vals[mid:]...),
+		}
+		n.keys = n.keys[:mid]
+		n.vals = n.vals[:mid]
+		n.next = r.id
+		right = make([]byte, len(prev))
+		r.encode(right)
+	}
+	left = make([]byte, len(prev))
+	n.encode(left)
+	return left, right
+}
+
+// edit runs one Put (val != nil) or Delete (val == nil) on the tree and
+// the model and requires the leaf it touched — and the sibling a split
+// gave it — to be byte-equal to the reference's pages.
+func (m *modelTree) edit(key, val []byte) {
+	m.t.Helper()
+	c, err := findLeaf(m.tr, m.tr.root, m.tr.height, key)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	id, rightID := c.id, m.tr.p.npages
+	wantLeft, wantRight := referenceLeafEdit(m.t, append([]byte(nil), c.buf...), id, rightID, key, val)
+	_, had := m.model[string(key)]
+	what := fmt.Sprintf("Put(%q, %d bytes)", key, len(val))
+	if val == nil {
+		what = fmt.Sprintf("Delete(%q)", key)
+		if ok, err := m.tr.Delete(key); err != nil || ok != had {
+			m.t.Fatalf("%s = %v, %v; model has it: %v", what, ok, err, had)
+		}
+		delete(m.model, string(key))
+	} else {
+		if err := m.tr.Put(key, val); err != nil {
+			m.t.Fatalf("%s: %v", what, err)
+		}
+		m.model[string(key)] = val
+	}
+	if m.tr.Len() != len(m.model) {
+		m.t.Fatalf("%s: Len = %d, model holds %d", what, m.tr.Len(), len(m.model))
+	}
+	for _, pg := range []struct {
+		id   uint32
+		want []byte
+	}{{id, wantLeft}, {rightID, wantRight}} {
+		if pg.want == nil {
+			continue
+		}
+		got, err := m.tr.p.read(pg.id)
+		if err != nil {
+			m.t.Fatal(err)
+		}
+		if !bytes.Equal(got.payload(), pg.want) {
+			m.t.Fatalf("%s: page %d differs from decode, edit, encode of its previous image\n got %x\nwant %x", what, pg.id, got.payload(), pg.want)
+		}
+		if (val != nil || had) && (!got.dirty || !m.tr.p.changed[pg.id]) {
+			m.t.Fatalf("%s: page %d was edited but not marked dirty and changed", what, pg.id)
+		}
+	}
+}
+
+// TestInPlaceEditsMatchReferencePages is the differential test of the
+// in-place write path. Random Puts of new keys, overwrites (growing,
+// shrinking, to and from zero length) and Deletes — hits and misses —
+// run behind the smallest page cache over grown and over Load-packed
+// trees, and after every single operation the page it touched is
+// byte-equal to what the decoding path produced from the page's previous
+// image; the tree then equals the model under Scan, Get, Len and Verify.
+func TestInPlaceEditsMatchReferencePages(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		tr, err := Create(storage.NewMemFile(), 512, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &modelTree{t: t, tr: tr, model: map[string][]byte{}, rng: rand.New(rand.NewSource(seed))}
+		if seed == 3 { // start from packed leaves: every first Put into one splits it
+			for i := 0; i < 800; i++ {
+				k := m.someKey()
+				m.model[string(k)] = m.someVal(k)
+			}
+			if err := tr.Load(feed(m.sorted())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, phase := range []struct {
+			ops         int
+			deleteShare float64
+		}{{2500, 0.3}, {1500, 0.9}, {1000, 0.2}} {
+			for i := 0; i < phase.ops; i++ {
+				k := m.someKey()
+				if m.rng.Float64() < phase.deleteShare {
+					m.edit(k, nil)
+					continue
+				}
+				v := m.someVal(k)
+				if v == nil {
+					v = []byte{}
+				}
+				m.edit(k, v)
+			}
+			m.check(fmt.Sprintf("seed %d after %d edits, %.0f%% deletes", seed, phase.ops, 100*phase.deleteShare))
+		}
+	}
+}
+
+// TestInPlacePutAtThePageBoundary puts the cell that exactly fills a leaf
+// (written in place) and the one a byte too long (which splits it): seven
+// 61-byte cells leave 61 of the 488 cell bytes of a 512-byte page.
+func TestInPlacePutAtThePageBoundary(t *testing.T) {
+	for _, extra := range []int{0, 1} {
+		tr, err := Create(storage.NewMemFile(), 512, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &modelTree{t: t, tr: tr, model: map[string][]byte{}}
+		entries := fixedEntries(8)
+		for _, e := range entries[:7] {
+			m.edit(e.k, e.v)
+		}
+		last := entries[7]
+		m.edit(last.k, append(last.v, make([]byte, extra)...))
+		if wantPages := uint32(2 + 2*extra); tr.p.npages != wantPages || tr.Height() != 1+extra {
+			t.Fatalf("cell of %d bytes into 61 free: %d pages, height %d; want %d pages, height %d",
+				61+extra, tr.p.npages, tr.Height(), wantPages, 1+extra)
+		}
+		if err := tr.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		sameEntries(t, "after the boundary put", scanAll(t, tr.Scan), m.sorted())
+	}
+}

@@ -311,10 +311,7 @@ func TestVerifyFindsMisorderedTree(t *testing.T) {
 		damage func(t *testing.T, f storage.File, tr *Tree) (lost []byte)
 	}{
 		{"swapped cells", func(t *testing.T, f storage.File, tr *Tree) []byte {
-			leaf, err := tr.findLeaf(entries[20].k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			leaf := leafOf(t, tr, entries[20].k)
 			rewritePage(t, f, pageSize, leaf.id, func(n *node) {
 				n.keys[0], n.keys[1] = n.keys[1], n.keys[0]
 				n.vals[0], n.vals[1] = n.vals[1], n.vals[0]

@@ -115,8 +115,44 @@ func (c *cells) overrun() error {
 	return fmt.Errorf("%w: page %d cell %d overruns page", ErrCorrupt, c.id, c.i)
 }
 
+// slot is where a key sits on a leaf, or would: off is the offset of its
+// cell when the leaf holds the key (found; size is the cell's length) and
+// of the first cell with a larger key — or end — when it does not. end is
+// the first byte past the last cell.
+type slot struct {
+	off, size, end int
+	found          bool
+}
+
+// locate walks every cell of a leaf for an edit in place. Nothing is
+// written before the whole page has passed cell's bounds tests.
+func (c *cells) locate(key []byte) (slot, error) {
+	s := slot{off: -1}
+	for c.more() {
+		start := c.pos
+		k, _, _, err := c.cell()
+		if err != nil {
+			return slot{}, err
+		}
+		if s.off >= 0 {
+			continue
+		}
+		switch bytes.Compare(k, key) {
+		case 0:
+			s.off, s.size, s.found = start, c.pos-start, true
+		case 1:
+			s.off = start
+		}
+	}
+	if s.end = c.pos; s.off < 0 {
+		s.off = s.end
+	}
+	return s, nil
+}
+
 // decodeNode is the cell walk plus the copies: the form a page takes when
-// the tree must own it to change it (insert, Delete, splits, Verify).
+// the tree must own it to change it (an overwrite, splits) or to check it
+// whole (Verify).
 func decodeNode(id uint32, buf []byte) (*node, error) {
 	c, err := openCells(id, buf)
 	if err != nil {

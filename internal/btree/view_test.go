@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -190,7 +191,9 @@ func TestFreezeViewStatsMerge(t *testing.T) {
 // — into the two shapes a mixed-version tree can take beyond a looping
 // leaf chain, and requires every read path over them, on the view and on
 // the live tree, to end in ErrCorrupt: not to descend forever, and not to
-// read an interior page as a leaf.
+// read an interior page as a leaf. The edits in place get the same
+// treatment: a Put or Delete that lands on a leaf whose cells run off the
+// page fails with ErrCorrupt before it has written a byte.
 func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 	grow := func(t *testing.T, height int) *Tree {
 		tr := newTree(t, 512)
@@ -232,10 +235,7 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 		// behind it.
 		{"interior page in the leaf chain", true, func(t *testing.T) *Tree {
 			tr := grow(t, 2)
-			first, err := tr.findLeaf(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			first := leafOf(t, tr, nil)
 			first.next = tr.root
 			if err := tr.storeNode(first); err != nil {
 				t.Fatal(err)
@@ -288,6 +288,50 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 					}
 				case <-time.After(5 * time.Second):
 					t.Fatalf("%s still running after 5s", r.name)
+				}
+			}
+		})
+	}
+
+	for _, damage := range []struct {
+		name string
+		do   func(payload []byte)
+	}{
+		// The zero bytes past the last cell read as empty cells until the
+		// walk leaves the page.
+		{"cell count past the page", func(payload []byte) { binary.BigEndian.PutUint16(payload[1:3], 0xffff) }},
+		{"first key longer than the page", func(payload []byte) { binary.BigEndian.PutUint16(payload[nodeHeaderSize:], 0xffff) }},
+	} {
+		t.Run("edit in place: "+damage.name, func(t *testing.T) {
+			tr := grow(t, 2)
+			pg, err := tr.p.read(leafOf(t, tr, nil).id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage.do(pg.payload())
+			tr.p.markDirty(pg)
+			before := append([]byte(nil), pg.payload()...)
+			count := tr.count
+			for name, edit := range map[string]func() error{
+				"Put of a new key":  func() error { return tr.Put([]byte("key-00000a"), []byte("v")) },
+				"Put of a held key": func() error { return tr.Put([]byte("key-00000"), []byte("v")) },
+				"Delete": func() error {
+					_, err := tr.Delete([]byte("key-00000"))
+					return err
+				},
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s panicked: %v", name, r)
+						}
+					}()
+					if err := edit(); !errors.Is(err, ErrCorrupt) {
+						t.Errorf("%s = %v, want ErrCorrupt", name, err)
+					}
+				}()
+				if !bytes.Equal(pg.payload(), before) || tr.count != count {
+					t.Fatalf("%s changed the damaged page or the entry count", name)
 				}
 			}
 		})

@@ -398,54 +398,101 @@ func (c *Collection) NumDocuments() int {
 	return n
 }
 
-// AddBatch routes each document to its shard by root label and commits
-// the per-shard batches in parallel through each shard's group-commit
-// ingester. The returned global IDs are in argument order. The first
-// routing or commit error fails the call; documents in other shards'
-// batches may still have committed (cross-shard batches are not a
-// distributed transaction — each shard's batch is atomic on its own).
-func (c *Collection) AddBatch(ctx context.Context, docs []string) ([]uint64, error) {
-	if len(docs) == 0 {
+// Op is one operation of a submission to a collection: a fix operation
+// and the shard it goes to. AddOp and DeleteOp make them.
+type Op struct {
+	Shard int
+	Op    fix.Op
+}
+
+// AddOp parses doc — once, under the collection's parse limits, which are
+// uniform across shards — into the add operation of a submission, routed
+// by the parsed root label. A server makes every operation of a request
+// this way before it submits any, so a malformed document cannot leave
+// the earlier half of the request, or another shard's list, committed.
+func (c *Collection) AddOp(doc string) (Op, error) {
+	op, err := c.shards[0].DB.AddOp(doc)
+	if err != nil {
+		return Op{}, err
+	}
+	return Op{Shard: ShardForLabel(op.RootLabel(), len(c.shards)), Op: op}, nil
+}
+
+// DeleteOp returns the operation that deletes the document with the
+// given global ID from the shard the ID names.
+func DeleteOp(id uint64) Op {
+	shard, rec := SplitID(id)
+	return Op{Shard: shard, Op: fix.DeleteOp(rec)}
+}
+
+// Apply commits a request's operations — adds and deletes in the
+// caller's order — and returns, per operation, the global ID of the
+// document it added or deleted. The operations are split by shard
+// keeping their order, and every touched shard gets its list as one
+// submission to its ingester (fix.Ingester.Apply): one WAL batch, one
+// publish, all or nothing on that shard, and a delete may name a
+// document an earlier operation of the request added. An operation
+// naming a shard the collection does not have — a delete of a foreign ID
+// — fails the call with fix.ErrUnknownDocument before any shard is
+// submitted. Across shards a request is not a distributed transaction:
+// the first commit error fails the call, and other shards' submissions
+// may still have committed.
+func (c *Collection) Apply(ctx context.Context, ops []Op) ([]uint64, error) {
+	if len(ops) == 0 {
 		return nil, nil
 	}
-	type slot struct {
-		shard int
-		pos   int // position within the shard's batch
-	}
-	slots := make([]slot, len(docs))
-	perShard := make([][]string, len(c.shards))
-	for i, doc := range docs {
-		label, err := fix.RootLabelString(doc)
-		if err != nil {
-			return nil, fmt.Errorf("collection: document %d: %w", i, err)
+	perShard := make([][]fix.Op, len(c.shards))
+	pos := make([]int, len(ops)) // of op i within its shard's list
+	touched := 0
+	for i, op := range ops {
+		if op.Shard < 0 || op.Shard >= len(c.shards) {
+			return nil, fmt.Errorf("%w: operation %d names shard %d of %d", fix.ErrUnknownDocument, i, op.Shard, len(c.shards))
 		}
-		sh := ShardForLabel(label, len(c.shards))
-		slots[i] = slot{shard: sh, pos: len(perShard[sh])}
-		perShard[sh] = append(perShard[sh], doc)
+		if len(perShard[op.Shard]) == 0 {
+			touched++
+		}
+		pos[i] = len(perShard[op.Shard])
+		perShard[op.Shard] = append(perShard[op.Shard], op.Op)
 	}
 	recs := make([][]uint32, len(c.shards))
-	err := par.Do(ctx, len(c.shards), len(c.shards), func(i int) error {
-		if len(perShard[i]) == 0 {
-			return nil
+	submit := func(i int) (err error) {
+		if recs[i], err = c.shards[i].Ing.Apply(ctx, perShard[i]); err != nil {
+			err = fmt.Errorf("collection: shard %d: %w", i, err)
 		}
-		ids, err := c.shards[i].Ing.AddBatch(ctx, perShard[i])
-		if err != nil {
-			return fmt.Errorf("collection: shard %d: %w", i, err)
-		}
-		recs[i] = ids
-		return nil
-	})
+		return err
+	}
+	var err error
+	if touched == 1 {
+		err = submit(ops[0].Shard)
+	} else {
+		err = par.Do(ctx, len(c.shards), len(c.shards), submit)
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint64, len(docs))
-	ndocs := 0
-	for i, sl := range slots {
-		out[i] = GlobalID(sl.shard, recs[sl.shard][sl.pos])
-		ndocs++
+	ids := make([]uint64, len(ops))
+	deletes := 0
+	for i, op := range ops {
+		ids[i] = GlobalID(op.Shard, recs[op.Shard][pos[i]])
+		if op.Op.RootLabel() == "" {
+			deletes++
+		}
 	}
-	obs.Default().Collection(c.spec.Name).ObserveCollectionIngest(ndocs, 0)
-	return out, nil
+	obs.Default().Collection(c.spec.Name).ObserveCollectionIngest(len(ops)-deletes, deletes)
+	return ids, nil
+}
+
+// AddBatch parses and routes docs and commits them through Apply; the
+// returned global IDs are in argument order.
+func (c *Collection) AddBatch(ctx context.Context, docs []string) ([]uint64, error) {
+	ops := make([]Op, len(docs))
+	for i, doc := range docs {
+		var err error
+		if ops[i], err = c.AddOp(doc); err != nil {
+			return nil, fmt.Errorf("collection: document %d: %w", i, err)
+		}
+	}
+	return c.Apply(ctx, ops)
 }
 
 // Add routes one document; see AddBatch.
@@ -462,15 +509,8 @@ func (c *Collection) Add(ctx context.Context, doc string) (uint64, error) {
 // have, or a record the shard never assigned, returns an error wrapping
 // fix.ErrUnknownDocument.
 func (c *Collection) Delete(ctx context.Context, id uint64) error {
-	shard, rec := SplitID(id)
-	if shard < 0 || shard >= len(c.shards) {
-		return fmt.Errorf("%w: id %d names shard %d of %d", fix.ErrUnknownDocument, id, shard, len(c.shards))
-	}
-	if err := c.shards[shard].Ing.Delete(ctx, rec); err != nil {
-		return fmt.Errorf("collection: shard %d: %w", shard, err)
-	}
-	obs.Default().Collection(c.spec.Name).ObserveCollectionIngest(0, 1)
-	return nil
+	_, err := c.Apply(ctx, []Op{DeleteOp(id)})
+	return err
 }
 
 // Document fetches a stored document by global ID.
@@ -480,15 +520,6 @@ func (c *Collection) Document(id uint64) (string, error) {
 		return "", fmt.Errorf("%w: id %d names shard %d of %d", fix.ErrUnknownDocument, id, shard, len(c.shards))
 	}
 	return c.shards[shard].DB.Document(rec)
-}
-
-// ValidateDocument checks a document parses under the collection's
-// parse limits without storing it — servers call it for every add
-// before queueing anything, so a malformed document in a multi-op
-// request cannot leave earlier shard batches committed. Limits are
-// uniform across shards, so shard 0 answers for all.
-func (c *Collection) ValidateDocument(doc string) error {
-	return c.shards[0].DB.ValidateDocument(doc)
 }
 
 // Flush blocks until every shard's queued ingest operations have
@@ -558,7 +589,7 @@ func (c *Collection) closeShards() {
 // and the body of fixserve's single-index /healthz. IngestLag counts
 // acknowledged operations the ingest WAL holds ahead of the last
 // checkpoint (replayed, not lost, on a crash); IngestQueue counts
-// operations still waiting for their group commit; WALBytes and
+// submissions still waiting for their group commit; WALBytes and
 // LastCheckpointAge size the replay window a crash right now would
 // cost. Maintainer carries the background checkpointer's state machine
 // (idle / retrying / suspended) and scrub history when one is running.

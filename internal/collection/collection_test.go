@@ -368,3 +368,79 @@ func TestReopenReplaysShards(t *testing.T) {
 		t.Errorf("count after reopen = %d, want %d", res.Count, len(docs))
 	}
 }
+
+// TestApplyMixedSubmission: a request's operations reach every touched
+// shard as one submission — one group commit and one publish each — in
+// request order, so a delete may name a document the request itself
+// added; the global IDs come back per operation, in request order.
+func TestApplyMixedSubmission(t *testing.T) {
+	const nshards = 4
+	c := newTestCollection(t, Spec{Name: "mixed", Shards: nshards}, Options{})
+	ctx := context.Background()
+	la, lb := labelFor(t, 0, nshards), labelFor(t, 1, nshards)
+	old, err := c.AddBatch(ctx, []string{doc(la, 1), doc(lb, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(label string, items int) Op {
+		t.Helper()
+		op, err := c.AddOp(doc(label, items))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	ops := []Op{
+		add(la, 2), DeleteOp(old[0]), add(lb, 2),
+		add(la, 3), DeleteOp(GlobalID(0, 2)), // the add before it, record 2 of shard 0 by then
+		add(lb, 3), DeleteOp(old[1]),
+	}
+	want := []uint64{GlobalID(0, 1), old[0], GlobalID(1, 1), GlobalID(0, 2), GlobalID(0, 2), GlobalID(1, 2), old[1]}
+	gens := make([]uint64, nshards)
+	for i := range gens {
+		gens[i] = c.Shard(i).DB.GenerationID()
+	}
+	before := c.Shard(0).DB.Metrics()
+	ids, err := c.Apply(ctx, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("ids = %v, want %v", ids, want)
+	}
+	after := c.Shard(0).DB.Metrics() // the ingest counters are the process's
+	if b, f := after.IngestBatches-before.IngestBatches, after.IngestFsyncs-before.IngestFsyncs; b != 2 || f != 2 {
+		t.Fatalf("%d group commits and %d fsyncs for two touched shards, want 2 and 2", b, f)
+	}
+	for i, g := range gens {
+		if got, want := c.Shard(i).DB.GenerationID()-g, map[bool]uint64{true: 1}[i < 2]; got != want {
+			t.Errorf("shard %d published %d generations, want %d", i, got, want)
+		}
+	}
+	for expr, want := range map[string]int{"/" + la: 1, "/" + lb: 2, "/" + la + "/item": 2, "//item": 7} {
+		res, err := c.Query(ctx, expr, QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != want {
+			t.Errorf("%s counts %d, want %d", expr, res.Count, want)
+		}
+	}
+
+	// An ID of a shard the collection does not have fails the request
+	// before any shard is submitted; a record its shard never assigned
+	// fails that shard's submission whole.
+	docs := c.NumDocuments()
+	if _, err := c.Apply(ctx, []Op{add(la, 1), DeleteOp(GlobalID(nshards, 0))}); !errors.Is(err, fix.ErrUnknownDocument) {
+		t.Fatalf("delete on a foreign shard = %v, want ErrUnknownDocument", err)
+	}
+	if _, err := c.Apply(ctx, []Op{add(lb, 1), DeleteOp(GlobalID(1, 99)), add(lb, 1)}); !errors.Is(err, fix.ErrUnknownDocument) {
+		t.Fatalf("delete of an unassigned record = %v, want ErrUnknownDocument", err)
+	}
+	if got := c.NumDocuments(); got != docs {
+		t.Fatalf("the rejected requests left documents behind: %d -> %d", docs, got)
+	}
+	if ids, err := c.Apply(ctx, nil); err != nil || ids != nil {
+		t.Fatalf("empty request = %v, %v", ids, err)
+	}
+}

@@ -154,7 +154,9 @@ func TestMaintainersRebuildDegradedShard(t *testing.T) {
 		if res.Count != len(docs)*3 || res.Partial {
 			t.Fatalf("count = %d (partial %v) mid-repair, want exactly %d", res.Count, res.Partial, len(docs)*3)
 		}
-		sawDegraded = sawDegraded || res.Degraded
+		// On a loaded machine the 2 ms tick can rebuild the shard before
+		// the first query runs; the rebuild count then says it was degraded.
+		sawDegraded = sawDegraded || res.Degraded || col.Health()[1].Maintainer.AutoRebuilds >= 1
 		return sawDegraded && !res.Degraded
 	})
 	for _, h := range col.Health() {

@@ -275,7 +275,7 @@ func (ix *Index) verify() error {
 	nrec := uint32(ix.store.NumRecords())
 	var bad error
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		p := storage.Pointer(decodeValue(v).primary)
+		p := valuePrimary(v)
 		if p.Rec() >= nrec {
 			bad = fmt.Errorf("%w: entry points at record %d but the store holds %d", ErrCorrupt, p.Rec(), nrec)
 			return false

@@ -8,6 +8,8 @@ package core
 import (
 	"encoding/binary"
 	"math"
+
+	"github.com/fix-index/fix/internal/storage"
 )
 
 // Feature keys sort by (root label, λmax, λmin, sequence number). The
@@ -112,6 +114,15 @@ func (v entryValue) appendTo(buf []byte) []byte {
 		buf = binary.BigEndian.AppendUint64(buf, encodeFloat(s))
 	}
 	return buf
+}
+
+// valuePrimary reads the primary pointer of an encoded value where it
+// lies: decodeValue(buf).primary without the spectrum tail.
+func valuePrimary(buf []byte) storage.Pointer {
+	if len(buf) < 9 {
+		return 0
+	}
+	return storage.Pointer(binary.BigEndian.Uint64(buf[1:9]))
 }
 
 func decodeValue(buf []byte) entryValue {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/fix-index/fix/internal/bisim"
 	"github.com/fix-index/fix/internal/storage"
@@ -157,17 +158,21 @@ func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 	return nil
 }
 
-// DeleteDocument removes every index entry pointing into record rec. The
-// record itself stays in the primary store (records are immutable), and
-// clustered copies are only reclaimed by a rebuild. The scan is O(index);
-// deletion is a maintenance operation, not a hot path.
-func (ix *Index) DeleteDocument(rec uint32) (int, error) {
+// DeleteDocuments removes every index entry pointing into one of the
+// records recs. The records themselves stay in the primary store (records
+// are immutable), and clustered copies are only reclaimed by a rebuild.
+// It is one scan of the whole index however many records are named — the
+// keys a document produced cannot be re-derived while the edge encoder
+// grows — so a batch of deletes pays for it once.
+func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 	if err := ix.Health(); err != nil {
 		return 0, fmt.Errorf("%w: cannot delete from a degraded index: %w", ErrRebuildRequired, err)
 	}
+	doomed := slices.Clone(recs)
+	slices.Sort(doomed)
 	var keys [][]byte
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		if storage.Pointer(decodeValue(v).primary).Rec() == rec {
+		if _, ok := slices.BinarySearch(doomed, valuePrimary(v).Rec()); ok {
 			keys = append(keys, append([]byte(nil), k...))
 		}
 		return true
@@ -185,4 +190,9 @@ func (ix *Index) DeleteDocument(rec uint32) (int, error) {
 		}
 	}
 	return len(keys), nil
+}
+
+// DeleteDocument is DeleteDocuments for one record.
+func (ix *Index) DeleteDocument(rec uint32) (int, error) {
+	return ix.DeleteDocuments([]uint32{rec})
 }

@@ -90,6 +90,53 @@ func TestDeleteDocument(t *testing.T) {
 	_ = st
 }
 
+// TestDeleteDocumentsOnePass: one call naming several records — one scan
+// of the index — removes what a DeleteDocument per record removes, on a
+// depth-limited index where every element of a document has its own
+// entry. A record named twice, or one the index holds nothing of, is fine.
+func TestDeleteDocumentsOnePass(t *testing.T) {
+	_, one := buildCollection(t, bibDocs, Options{DepthLimit: 3})
+	_, all := buildCollection(t, bibDocs, Options{DepthLimit: 3})
+	total := all.Entries()
+	perRecord := 0
+	for _, rec := range []uint32{0, 2} {
+		n, err := one.DeleteDocument(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perRecord += n
+	}
+	removed, err := all.DeleteDocuments([]uint32{2, 0, 2, 999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed == 0 || removed != perRecord || all.Entries() != total-removed {
+		t.Fatalf("one pass removed %d of %d entries (%d left), one call per record %d", removed, total, all.Entries(), perRecord)
+	}
+	entries := func(ix *Index) (out []string) {
+		err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
+			if rec := valuePrimary(v).Rec(); rec == 0 || rec == 2 {
+				t.Errorf("an entry of deleted record %d survived", rec)
+			}
+			out = append(out, string(k)+string(v))
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := entries(one), entries(all)
+	if len(a) != len(b) {
+		t.Fatalf("one pass leaves %d entries, one call per record %d", len(b), len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("entry %d differs between one pass and one call per record", i)
+		}
+	}
+}
+
 func TestInsertThenDeleteRoundTrip(t *testing.T) {
 	st, ix := buildCollection(t, bibDocs, Options{})
 	n, err := xmltree.ParseString(`<www><title>x</title><author><email>e</email></author></www>`)

@@ -92,6 +92,9 @@ type Store struct {
 	// persisted in a sidecar file by the fix layer and restored from
 	// the ingest log on recovery.
 	deleted map[uint32]bool
+	// tombSnap is the snapshot TombSnapshot last built; everything that
+	// sets or clears a tombstone resets it to nil.
+	tombSnap *TombSet
 
 	cacheRec uint32
 	cacheBuf []byte
@@ -285,6 +288,7 @@ func (s *Store) MarkDeleted(rec uint32) (bool, error) {
 		s.deleted = make(map[uint32]bool)
 	}
 	s.deleted[rec] = true
+	s.tombSnap = nil
 	return true, nil
 }
 
@@ -293,7 +297,10 @@ func (s *Store) MarkDeleted(rec uint32) (bool, error) {
 func (s *Store) UnmarkDeleted(rec uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.deleted, rec)
+	if s.deleted[rec] {
+		delete(s.deleted, rec)
+		s.tombSnap = nil
+	}
 }
 
 // IsDeleted reports whether a record carries a tombstone.
@@ -337,6 +344,7 @@ func (s *Store) SetDeleted(recs []uint32) error {
 		m[r] = true
 	}
 	s.deleted = m
+	s.tombSnap = nil
 	return nil
 }
 
@@ -359,6 +367,7 @@ func (s *Store) TruncateTo(nrecords int, end int64) error {
 	for r := range s.deleted {
 		if int(r) >= nrecords {
 			delete(s.deleted, r)
+			s.tombSnap = nil
 		}
 	}
 	s.hasCache = false

@@ -160,33 +160,42 @@ func (v *ReadView) ReadSubtree(p Pointer) (xmltree.Cursor, xmltree.Ref, error) {
 	return cur, ref, nil
 }
 
-// TombSet is an immutable snapshot of a store's tombstones. The nil
-// TombSet is valid and empty.
+// TombSet is an immutable snapshot of a store's tombstones: a bitmap over
+// record numbers, which are dense. The nil TombSet is valid and empty.
 type TombSet struct {
-	m map[uint32]bool // immutable after publish
+	bits []uint64 // immutable after publish
+	n    int      // immutable after publish
 }
 
-// TombSnapshot returns an immutable copy of the current tombstone set.
+// TombSnapshot returns the current tombstone set as an immutable
+// snapshot. It is the previous call's snapshot for as long as no
+// tombstone has been set or cleared since, so publishing a generation
+// costs nothing here unless a delete came in between.
 func (s *Store) TombSnapshot() *TombSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.deleted) == 0 {
-		return &TombSet{}
+	if s.tombSnap == nil {
+		var bits []uint64
+		if len(s.deleted) > 0 {
+			bits = make([]uint64, (len(s.offs)+63)/64)
+			for r := range s.deleted {
+				bits[r/64] |= 1 << (r % 64)
+			}
+		}
+		s.tombSnap = &TombSet{bits: bits, n: len(s.deleted)}
 	}
-	m := make(map[uint32]bool, len(s.deleted))
-	for r := range s.deleted {
-		m[r] = true
-	}
-	return &TombSet{m: m}
+	return s.tombSnap
 }
 
 // Has reports whether the record carried a tombstone at snapshot time.
-func (t *TombSet) Has(rec uint32) bool { return t != nil && t.m[rec] }
+func (t *TombSet) Has(rec uint32) bool {
+	return t != nil && int(rec/64) < len(t.bits) && t.bits[rec/64]&(1<<(rec%64)) != 0
+}
 
 // Len returns the number of tombstoned records in the snapshot.
 func (t *TombSet) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.m)
+	return t.n
 }

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/fix-index/fix/internal/xmltree"
@@ -137,5 +139,104 @@ func TestTombSnapshotIsolation(t *testing.T) {
 	var nilSet *TombSet
 	if nilSet.Has(0) || nilSet.Len() != 0 {
 		t.Error("nil TombSet misbehaves")
+	}
+}
+
+// TestTombSnapshotMatchesModel drives every operation that sets or clears
+// a tombstone — MarkDeleted, UnmarkDeleted, SetDeleted, TruncateTo, with
+// appends in between — against a map model: each snapshot answers Has and
+// Len as the model does at that moment, keeps answering so afterwards,
+// and is the previous snapshot itself exactly when nothing changed since.
+func TestTombSnapshotMatchesModel(t *testing.T) {
+	st, err := NewStore(NewMemFile(), xmltree.NewDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	model := map[uint32]bool{}
+	var ends []int64 // heap size after each record
+	type pinned struct {
+		ts    *TombSet
+		model map[uint32]bool
+		nrec  int
+	}
+	var pins []pinned
+	check := func(what string, p pinned) {
+		t.Helper()
+		if p.ts.Len() != len(p.model) {
+			t.Fatalf("%s: Len = %d, model holds %d", what, p.ts.Len(), len(p.model))
+		}
+		for rec := uint32(0); rec < uint32(p.nrec)+130; rec++ {
+			if p.ts.Has(rec) != p.model[rec] {
+				t.Fatalf("%s: Has(%d) = %v, model %v", what, rec, p.ts.Has(rec), p.model[rec])
+			}
+		}
+	}
+	var last *TombSet
+	for step := 0; step < 2000; step++ {
+		changed := false
+		nrec := len(ends)
+		switch op := rng.Intn(10); {
+		case op < 3 || nrec == 0:
+			if _, err := st.AppendTree(xmltree.Elem("doc")); err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, st.Size())
+		case op < 6:
+			rec := uint32(rng.Intn(nrec))
+			marked, err := st.MarkDeleted(rec)
+			if err != nil || marked == model[rec] {
+				t.Fatalf("MarkDeleted(%d) = %v, %v; model has it: %v", rec, marked, err, model[rec])
+			}
+			changed, model[rec] = marked, true
+		case op < 8:
+			rec := uint32(rng.Intn(nrec))
+			changed = model[rec]
+			st.UnmarkDeleted(rec)
+			delete(model, rec)
+		case op == 8:
+			var recs []uint32
+			model = map[uint32]bool{}
+			for i := 0; i < 3; i++ {
+				rec := uint32(rng.Intn(nrec))
+				recs, model[rec] = append(recs, rec), true
+			}
+			if err := st.SetDeleted(recs); err != nil {
+				t.Fatal(err)
+			}
+			changed = true
+		default:
+			keep := rng.Intn(nrec + 1)
+			end := int64(len(storeMagic))
+			if keep > 0 {
+				end = ends[keep-1]
+			}
+			if err := st.TruncateTo(keep, end); err != nil {
+				t.Fatal(err)
+			}
+			ends = ends[:keep]
+			for rec := range model {
+				if int(rec) >= keep {
+					delete(model, rec)
+					changed = true
+				}
+			}
+		}
+		ts := st.TombSnapshot()
+		if last != nil && (ts == last) == changed {
+			t.Fatalf("step %d: tombstones changed: %v, snapshot is the previous one: %v", step, changed, ts == last)
+		}
+		last = ts
+		now := pinned{ts, map[uint32]bool{}, len(ends)}
+		for rec := range model {
+			now.model[rec] = true
+		}
+		check(fmt.Sprintf("step %d", step), now)
+		if step%100 == 0 {
+			pins = append(pins, now)
+		}
+	}
+	for i, p := range pins {
+		check(fmt.Sprintf("snapshot pinned at step %d, read at the end", 100*i), p)
 	}
 }
