@@ -65,8 +65,9 @@ check: vet build bench-build test race alloc-gates lint loc
 # no longer equals the scan's, whose index is no longer packed (more than
 # 48 B/entry), whose probe allocates per entry again (more than 400
 # allocs per query), or whose ingest request is no longer one group
-# commit or decodes pages to insert again (more than 4 700 allocs per
-# request) fails CI.
+# commit, decodes pages to insert again (more than 4 700 allocs per
+# request) or leaves behind half-empty leaves again (more than 62.5 index
+# B/entry after the ingest) fails CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkTable1Construction|BenchmarkIngestRequest' -benchtime 1x .
 

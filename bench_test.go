@@ -330,13 +330,21 @@ func BenchmarkQueryPipeline(b *testing.B) {
 // re-encoding the leaf for each index entry made it ≈19 500.
 const ingestRequestAllocCeiling = 4700
 
+// ingestIndexBytesPerEntryCeiling gates how full the leaves stay that
+// inserts split: 1.1 × the 56.75 index bytes per entry the benchmark ends
+// at after four passes over its stream (47.9 after 2 000 requests). Cut
+// at mid wherever the new key falls, the same run ends at 72.
+const ingestIndexBytesPerEntryCeiling = 62.5
+
 // BenchmarkIngestRequest measures the served write path below HTTP: one
 // request of four XMark entity documents — parsed once by AddOp,
 // submitted by one Ingester.Apply — into a depth-6 index on disk, WAL
 // fsync included. It fails when a request is not exactly one group
 // commit, or allocates more than ingestRequestAllocCeiling times: a
 // committer that splits submissions again, or an insert sent back through
-// the decoding path, fails here without any timing gate.
+// the decoding path, fails here without any timing gate. After the timed
+// requests it reports the index bytes per entry, and fails above
+// ingestIndexBytesPerEntryCeiling.
 func BenchmarkIngestRequest(b *testing.B) {
 	var docs []string
 	var split func(n *xmltree.Node)
@@ -400,6 +408,15 @@ func BenchmarkIngestRequest(b *testing.B) {
 		b.Fatalf("%v group commits per request, want 1", perOp)
 	}
 	b.ReportMetric(perOp, "commits/op")
+	for next < 4*len(stream) { // at -benchtime 1x too, most of the index is leaves the inserts split
+		request()
+	}
+	m := db.Metrics()
+	perEntry := float64(m.IndexSizeBytes) / float64(m.IndexEntries)
+	if perEntry > ingestIndexBytesPerEntryCeiling {
+		b.Fatalf("%.1f index bytes per entry after the ingest, want at most %v", perEntry, ingestIndexBytesPerEntryCeiling)
+	}
+	b.ReportMetric(perEntry, "index-B/entry")
 }
 
 // BenchmarkQueryTraceOverhead compares the same query untraced and

@@ -224,15 +224,19 @@ func run(dbdir string, args []string) error {
 			return enc.Encode(db.Metrics())
 		}
 		fmt.Printf("documents: %d\n", db.NumDocuments())
+		s := db.Metrics()
 		if db.HasIndex() {
-			fmt.Printf("index: %d entries, %s\n", db.IndexEntries(), sizeStr(db.IndexSizeBytes()))
+			// Bytes per entry is how full the B-tree's leaves are: ≈42
+			// packed by a build, ≈48 once inserts have split them
+			// (docs/OBSERVABILITY.md "Index fill").
+			fmt.Printf("index: %d entries, %s (%.1f B/entry)\n", s.IndexEntries, sizeStr(s.IndexSizeBytes),
+				float64(s.IndexSizeBytes)/float64(max(s.IndexEntries, 1)))
 			if err := db.IndexHealth(); err != nil {
 				fmt.Printf("index health: degraded (%v)\n", err)
 			}
 		} else {
 			fmt.Println("index: none")
 		}
-		s := db.Metrics()
 		fmt.Printf("governance: %d admission-rejected, %d deadline-exceeded, %d budget-exceeded, %d panics recovered\n",
 			s.RejectedAdmission, s.DeadlineExceeded, s.BudgetExceeded, s.PanicsRecovered)
 		return nil

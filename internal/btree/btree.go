@@ -315,7 +315,7 @@ func (t *Tree) insert(id uint32, key, val []byte) ([]byte, uint32, bool, bool, e
 			if n.encodedSize() <= t.payloadSize() {
 				return nil, 0, false, false, t.storeNode(n)
 			}
-			sep, rightID, err := t.splitLeaf(n)
+			sep, rightID, err := t.splitLeaf(n, len(n.keys)/2)
 			return sep, rightID, true, false, err
 		}
 		n.keys = append(n.keys, nil)
@@ -327,7 +327,7 @@ func (t *Tree) insert(id uint32, key, val []byte) ([]byte, uint32, bool, bool, e
 		if n.encodedSize() <= t.payloadSize() {
 			return nil, 0, false, true, t.storeNode(n)
 		}
-		sep, rightID, err := t.splitLeaf(n)
+		sep, rightID, err := t.splitLeaf(n, t.runEnd(n, i))
 		return sep, rightID, true, true, err
 	}
 	child := n.childFor(key)
@@ -353,10 +353,52 @@ func (t *Tree) insert(id uint32, key, val []byte) ([]byte, uint32, bool, bool, e
 	return upSep, rightID, true, added, err
 }
 
-// splitLeaf moves the upper half of n into a new right sibling and returns
-// the separator (the right sibling's first key).
-func (t *Tree) splitLeaf(n *node) ([]byte, uint32, error) {
-	mid := len(n.keys) / 2
+// sharedPrefix returns how many leading bytes a and b have in common.
+func sharedPrefix(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// runEnd chooses where to cut the overflowing leaf n whose new key sits at
+// keys[i]. Keys that arrive in ascending order inside a group of keys with
+// a long common prefix — a run; internal/core's (label, λmax, λmin, seq)
+// with its growing seq makes nothing else — always land at the end of
+// their run, so a cut at mid leaves behind a left half nothing will ever
+// fill. When the page's first key belongs to the new key's run (they share
+// at least half of the new key's bytes, and so does every key between) and
+// the new key ends that run on this page (nothing follows it, or it shares
+// more with the key before it than with the one after), the cut goes where
+// the run ends: after the new key if the left page then has room for one
+// more cell like its own, so the run goes on in the room the cells moved to
+// the right leave; before it if not — always so when it is the page's last
+// cell — so the left page stays full and the run goes on in the right one.
+// Both halves fit: the left is part of the page as it was, or was just
+// measured; the right is part of it too, or the new cell and less than two
+// more like it. Everything else — a run that covers less than half the
+// page's cells, a key in the middle of its run, a new run between two
+// others, random keys — is cut at mid. DESIGN.md "Leaf splits" has the
+// measurements.
+func (t *Tree) runEnd(n *node, i int) int {
+	mid, key := len(n.keys)/2, n.keys[i]
+	if i == 0 || i+1 < mid || 2*sharedPrefix(n.keys[0], key) < len(key) {
+		return mid
+	}
+	if i+1 < len(n.keys) && sharedPrefix(n.keys[i-1], key) <= sharedPrefix(key, n.keys[i+1]) {
+		return mid
+	}
+	left := &node{leaf: true, keys: n.keys[:i+1], vals: n.vals[:i+1]}
+	if left.encodedSize()+4+len(key)+len(n.vals[i]) > t.payloadSize() {
+		return i
+	}
+	return i + 1
+}
+
+// splitLeaf moves n's cells from mid on into a new right sibling and
+// returns the separator (the right sibling's first key).
+func (t *Tree) splitLeaf(n *node, mid int) ([]byte, uint32, error) {
 	pg, err := t.p.alloc()
 	if err != nil {
 		return nil, 0, err

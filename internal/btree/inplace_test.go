@@ -399,13 +399,48 @@ func TestViewDoesNotAliasMutableState(t *testing.T) {
 	sameEntries(t, "old view after overwriting a Get result", scanAll(t, view.Scan), before)
 }
 
+// referenceCut is the reference's statement of where an overflowing leaf
+// is cut after keys[i] was inserted into it (DESIGN.md "Leaf splits"),
+// written on its own and not by calling the tree. A key that continues the
+// run the page begins with (it has at least half of its bytes in common
+// with the first key), is the last of that run on the page (no cell
+// follows, or it is closer to its left neighbour than to its right one)
+// and has at least half of the cells at or before it makes the cut fall at
+// the end of the run: after the key when the cells up to it and one more
+// cell of its size fit a page, before it when they do not. Every other key
+// is cut at mid.
+func referenceCut(keys, vals [][]byte, i, pageBytes int) int {
+	common := func(a, b []byte) int {
+		n := 0
+		for n < len(a) && n < len(b) && a[n] == b[n] {
+			n++
+		}
+		return n
+	}
+	half, k := len(keys)/2, keys[i]
+	continuesFirst := i > 0 && 2*common(keys[0], k) >= len(k)
+	endsRun := i == len(keys)-1 || (i > 0 && common(keys[i-1], k) > common(k, keys[i+1]))
+	if !continuesFirst || !endsRun || i+1 < half {
+		return half
+	}
+	upToKey := nodeHeaderSize
+	for j := 0; j <= i; j++ {
+		upToKey += 4 + len(keys[j]) + len(vals[j])
+	}
+	if upToKey+4+len(k)+len(vals[i]) <= pageBytes {
+		return i + 1
+	}
+	return i
+}
+
 // referenceLeafEdit is what the tree did to a leaf before Put and Delete
 // edited pages in place — decode the page, change the slices, encode, and
-// split at mid when the node outgrew the page — kept verbatim from
-// Tree.insert, Tree.splitLeaf and Tree.Delete as the independent
-// reference. val == nil deletes key. It returns the image the leaf must
-// have afterwards and, when the leaf split, that of the right sibling
-// allocated as page rightID.
+// split when the node outgrew the page, at referenceCut for a new key and
+// at mid for an overwrite that grew — kept from Tree.insert, Tree.splitLeaf
+// and Tree.Delete as the independent reference. val == nil deletes key. It
+// returns the image the leaf must have afterwards and, when the leaf split,
+// that of the right sibling allocated as page rightID; neither half of a
+// split may be empty.
 func referenceLeafEdit(t *testing.T, prev []byte, id, rightID uint32, key, val []byte) (left, right []byte) {
 	t.Helper()
 	n, err := referenceDecode(id, prev)
@@ -430,16 +465,22 @@ func referenceLeafEdit(t *testing.T, prev []byte, id, rightID uint32, key, val [
 		n.vals[i] = append([]byte(nil), val...)
 	}
 	if n.encodedSize() > len(prev) {
-		mid := len(n.keys) / 2
+		cut := len(n.keys) / 2
+		if !exact {
+			cut = referenceCut(n.keys, n.vals, i, len(prev))
+		}
+		if cut <= 0 || cut >= len(n.keys) {
+			t.Fatalf("a split of %d cells at %d leaves a page empty", len(n.keys), cut)
+		}
 		r := &node{
 			id:   rightID,
 			leaf: true,
 			next: n.next,
-			keys: append([][]byte(nil), n.keys[mid:]...),
-			vals: append([][]byte(nil), n.vals[mid:]...),
+			keys: append([][]byte(nil), n.keys[cut:]...),
+			vals: append([][]byte(nil), n.vals[cut:]...),
 		}
-		n.keys = n.keys[:mid]
-		n.vals = n.vals[:mid]
+		n.keys = n.keys[:cut]
+		n.vals = n.vals[:cut]
 		n.next = r.id
 		right = make([]byte, len(prev))
 		r.encode(right)

@@ -78,7 +78,8 @@ func (pk *packing) seal(p *pager) {
 // half built and only fit to be discarded. Pages go through the pager
 // like any other write, so checksums, eviction write-back, the sticky
 // write error and the changed set of FreezeView all apply; a later Put
-// into a packed leaf splits it at mid as usual.
+// into a packed leaf splits it as any other full leaf (Tree.runEnd): at
+// mid, or where the new key's run ends.
 func (t *Tree) Load(next func() (key, val []byte, err error)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

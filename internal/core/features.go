@@ -25,6 +25,25 @@ func (f Features) Contains(g Features) bool {
 	return f.Min <= g.Min && g.Max <= f.Max
 }
 
+// slack is the one tolerance of every σ comparison: two spectra that are
+// equal in exact arithmetic — a pattern and a document that are the same
+// graph, numbered by the query in one order and by the parse in another —
+// come out of the solver up to a few ulps apart, and the side that rounded
+// down must not lose the comparison. It is applied to the query: plan
+// hands out relaxed bounds, so Contains, scanBounds and FeatureRTree stay
+// exact comparisons and stored keys never change. DESIGN.md "Failure 3"
+// derives the size: the dense solver's backward error at denseEigenLimit
+// vertices is below 1e-12 relative; a tolerance can only add candidates,
+// and at 1e-9 the experiments' pruning power does not move.
+func slack(sigma float64) float64 { return 1e-9 * (1 + math.Abs(sigma)) }
+
+// relaxed returns the range a query with features f is compared with: f
+// shrunk by slack at both ends, so an entry within rounding of f contains
+// it. Query features are finite (oversize ranges exist on entries only).
+func (f Features) relaxed() Features {
+	return Features{Min: f.Min + slack(f.Min), Max: f.Max - slack(f.Max)}
+}
+
 // oversizeFeatures is the artificial always-candidate range.
 func oversizeFeatures() Features {
 	return Features{Min: math.Inf(-1), Max: math.Inf(1), Oversize: true}
@@ -99,14 +118,13 @@ func spectrumContains(entry []float64, queries [][]float64) bool {
 	if len(entry) == 0 {
 		return true
 	}
-	const slack = 1e-9
 	for _, q := range queries {
 		n := len(q)
 		if len(entry) < n {
 			n = len(entry)
 		}
 		for j := 0; j < n; j++ {
-			if entry[j] < q[j]-slack*(1+q[j]) {
+			if entry[j] < q[j]-slack(q[j]) {
 				return false
 			}
 		}

@@ -314,7 +314,7 @@ func (ix *Index) EdgePairs() int { return ix.enc.Len() }
 type queryPlan struct {
 	tree     *xpath.QNode
 	twigs    []*xpath.Twig
-	feats    []Features  // per twig
+	feats    []Features  // per twig, relaxed by slack: what entries are compared with
 	specs    [][]float64 // per twig: σ₂.. of the (exact) pattern, for SpectrumK
 	topLabel uint32
 	labelOK  bool // top twig root label restricts the scan
@@ -365,7 +365,7 @@ func (ix *Index) plan(path *xpath.Path) (*queryPlan, error) {
 			p.empty = true
 			return p, nil
 		}
-		p.feats = append(p.feats, f)
+		p.feats = append(p.feats, f.relaxed())
 		if ix.opts.SpectrumK > 0 {
 			p.specs = append(p.specs, graphSpectrumTail(specGraph, ix.enc, ix.opts.SpectrumK))
 		}

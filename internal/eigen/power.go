@@ -79,7 +79,14 @@ func SkewMaxSparse(n int, edges []Edge) float64 {
 // SafetyMargin inflates a power-iteration estimate so that an
 // underestimate cannot produce index false negatives: entry keys are
 // stored with the margin applied, query features are computed exactly
-// with the dense solver.
+// with the dense solver. It is a margin for the error of this solver — a
+// power iteration that stops at a relative change of 1e-12 can still be
+// 1e-6 short of σmax when the top two singular values are close — on the
+// stored side, and applies to graphs past the dense limit only. The
+// rounding of the dense solver, which both sides of every comparison go
+// through, is covered by the query-side tolerance of internal/core
+// (slack, a thousand times smaller); an entry stored with this margin
+// gets both.
 func SafetyMargin(sigma float64) float64 {
 	return sigma * (1 + 1e-6)
 }
