@@ -62,12 +62,12 @@ check: vet build bench-build test race alloc-gates lint loc
 # bench-smoke runs the refinement, query-pipeline, construction and
 # ingest-request benchmarks for one iteration each — not to time
 # anything, but so a benchmark that no longer builds, whose refined count
-# no longer equals the scan's, whose index is no longer packed (more than
-# 48 B/entry), whose probe allocates per entry again (more than 400
-# allocs per query), or whose ingest request is no longer one group
-# commit, decodes pages to insert again (more than 4 700 allocs per
-# request) or leaves behind half-empty leaves again (more than 62.5 index
-# B/entry after the ingest) fails CI.
+# no longer equals the scan's, whose index is no longer packed or stores
+# whole keys again (more than 21 B/entry), whose probe allocates per entry
+# again (more than 400 allocs per query), or whose ingest request is no
+# longer one group commit, decodes pages to insert again (more than 4 700
+# allocs per request) or leaves behind an index of more than 24.9 B/entry
+# fails CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkTable1Construction|BenchmarkIngestRequest' -benchtime 1x .
 

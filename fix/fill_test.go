@@ -2,9 +2,11 @@ package fix
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/fix-index/fix/internal/datagen"
@@ -66,8 +68,8 @@ func indexMatchesScan(t *testing.T, db *DB, when string) {
 
 // TestIncrementalIndexFill grows a depth-6 index the way a server does —
 // half of an XMark entity stream bulk-built, the rest ingested in small
-// requests — and requires the leaves the inserts split to fill: at most 52
-// index bytes per entry (cut at mid, this run ends at 64; 42 is packed), with
+// requests — and requires the leaves the inserts split to fill: at most 21.5
+// index bytes per entry (this run ends at 20.3; cut at mid, at 22.5), with
 // the index verified and agreeing with a scan on the paper's XMark queries
 // before and after a checkpoint and a reopen.
 func TestIncrementalIndexFill(t *testing.T) {
@@ -103,8 +105,8 @@ func TestIncrementalIndexFill(t *testing.T) {
 		t.Helper()
 		perEntry := float64(db.IndexSizeBytes()) / float64(db.IndexEntries())
 		t.Logf("%s: %d documents, %d entries, %d index bytes, %.1f B/entry", when, db.NumDocuments(), db.IndexEntries(), db.IndexSizeBytes(), perEntry)
-		if perEntry > 52 {
-			t.Errorf("%s: %.1f index bytes per entry, want at most 52", when, perEntry)
+		if perEntry > 21.5 {
+			t.Errorf("%s: %.1f index bytes per entry, want at most 21.5", when, perEntry)
 		}
 		indexMatchesScan(t, db, when)
 	}
@@ -121,24 +123,17 @@ func TestIncrementalIndexFill(t *testing.T) {
 	check("after checkpoint and reopen")
 }
 
-// TestIndexWrittenBeforeRunSplitsStillServes opens a database directory
-// written by the commit before leaves were split at a run's end (28 XMark
-// entity documents, 4 bulk-built at depth 6 and 24 ingested, checkpointed;
-// testdata/index-written-by-pr20) and uses it as a server would: verify,
-// ingest enough to split its leaves again, checkpoint, reopen. The page
-// format did not change, so pages cut by either rule live in one tree. (The
-// other direction — that commit's binaries opening, extending and verifying
-// a directory written by this one — can only be run by hand; CHANGES.md
-// records it.)
-func TestIndexWrittenBeforeRunSplitsStillServes(t *testing.T) {
+// copyFixture copies a database directory under testdata into a fresh
+// temporary directory and returns its path.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	const fixture = "testdata/index-written-by-pr20"
-	files, err := os.ReadDir(fixture)
+	files, err := os.ReadDir(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join(fixture, f.Name()))
+		b, err := os.ReadFile(filepath.Join("testdata", name, f.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,11 +141,102 @@ func TestIndexWrittenBeforeRunSplitsStillServes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// oldFormatIndex opens a copy of testdata/index-written-by-pr20 — 28 XMark
+// entity documents, 4 bulk-built at depth 6 and 24 ingested, checkpointed by
+// the commit before leaves were split at a run's end, whose B-tree file is
+// in page format FIXBT002 — and requires what an upgrade in place meets:
+// Open succeeds, the index is degraded with a health error that wraps
+// ErrCorrupt and names both formats, and every query is answered exactly,
+// by scan.
+func oldFormatIndex(t *testing.T) (dir string, db *DB) {
+	t.Helper()
+	dir = copyFixture(t, "index-written-by-pr20")
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = db.Close() })
+	health := db.IndexHealth()
+	if !errors.Is(health, ErrCorrupt) || !strings.Contains(health.Error(), "FIXBT002") || !strings.Contains(health.Error(), "FIXBT003") {
+		t.Fatalf("IndexHealth = %v, want ErrCorrupt naming FIXBT002 and FIXBT003", health)
+	}
+	if db.NumDocuments() != 28 || !db.HasIndex() {
+		t.Fatalf("fixture holds %d documents (index: %t), want 28 and an index", db.NumDocuments(), db.HasIndex())
+	}
+	for _, q := range []string{"//item/mailbox/mail/text/emph/keyword", "//description/parlist/listitem", "//open_auction[seller]/annotation/description/text"} {
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.Query(q, ScanOnly())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.ScanFallback || got.Count != want.Count {
+			t.Errorf("%s on the degraded index: %d results (fallback %t), scan %d", q, got.Count, got.ScanFallback, want.Count)
+		}
+	}
+	return dir, db
+}
+
+// rebuiltIndexSurvives requires the healthy 528-entry index a rebuild of
+// the old-format fixture leaves, before and after a checkpoint and a reopen.
+func rebuiltIndexSurvives(t *testing.T, dir string, db *DB) {
+	t.Helper()
+	if err := db.IndexHealth(); err != nil || db.IndexEntries() != 528 {
+		t.Fatalf("after the rebuild: health %v, %d entries, want a healthy index of 528", err, db.IndexEntries())
+	}
+	indexMatchesScan(t, db, "after the rebuild")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = db.Close() }()
+	if err := db.IndexHealth(); err != nil || db.IndexEntries() != 528 {
+		t.Fatalf("after checkpoint and reopen: health %v, %d entries, want a healthy index of 528", err, db.IndexEntries())
+	}
+	indexMatchesScan(t, db, "after checkpoint and reopen")
+}
+
+// TestIndexWrittenBeforeRunSplitsStillServes is the hand-over from page
+// format FIXBT002: there is no second reader, so the directory that commit
+// wrote opens degraded and serves by scan (oldFormatIndex), and RebuildIndex
+// — the repair path of any corrupt index — writes it anew in FIXBT003.
+// TestMaintainerRebuildsOldFormatIndex is the same for a served database.
+func TestIndexWrittenBeforeRunSplitsStillServes(t *testing.T) {
+	dir, db := oldFormatIndex(t)
+	if err := db.RebuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rebuiltIndexSurvives(t, dir, db)
+}
+
+// TestIndexWrittenByThisFormatServes opens a database directory written by
+// the commit that introduced page format FIXBT003 (the same 28 documents, 4
+// bulk-built at depth 6 and 24 ingested, checkpointed;
+// testdata/index-written-by-pr23) and uses it as a server would: verify,
+// ingest enough to split its leaves, checkpoint, reopen. It is the anchor
+// for the next change to the format: that one has to open this directory,
+// healthy or — as above — degraded and exact.
+func TestIndexWrittenByThisFormatServes(t *testing.T) {
+	dir := copyFixture(t, "index-written-by-pr23")
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = db.Close() }()
+	if err := db.IndexHealth(); err != nil {
+		t.Fatal(err)
+	}
 	if db.NumDocuments() != 28 || db.IndexEntries() != 528 {
 		t.Fatalf("fixture holds %d documents and %d entries, want 28 and 528", db.NumDocuments(), db.IndexEntries())
 	}

@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/fix-index/fix/internal/storage"
 )
 
 const (
-	magic = "FIXBT002" // 002: checksummed page headers
+	magic = "FIXBT003" // 003: prefix-compressed leaf cells (002: checksummed page headers)
 	// DefaultPageSize is the page size used unless overridden.
 	DefaultPageSize = 4096
 	// DefaultCacheSize is the default number of cached pages.
 	DefaultCacheSize = 256
+	// maxPageSize is the largest page Open accepts: no length on a page is
+	// larger.
+	maxPageSize = 1 << 24
 )
 
 // Tree is a disk-based B+tree with byte-string keys and values. Keys are
@@ -79,11 +83,14 @@ func Open(f storage.File, cacheSize int) (*Tree, error) {
 		return nil, fmt.Errorf("%w: reading meta: %v", ErrCorrupt, err)
 	}
 	raw := hdr[pageHeaderSize:]
+	if string(raw[:8]) == "FIXBT002" {
+		return nil, fmt.Errorf("%w: the file is in page format FIXBT002, this version reads and writes %s (prefix-compressed leaf cells): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, magic)
+	}
 	if string(raw[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, raw[:8])
 	}
 	pageSize := int(binary.BigEndian.Uint32(raw[8:12]))
-	if pageSize < 256 || pageSize > 1<<24 {
+	if pageSize < 256 || pageSize > maxPageSize {
 		return nil, fmt.Errorf("%w: implausible page size %d", ErrCorrupt, pageSize)
 	}
 	if cacheSize <= 0 {
@@ -246,11 +253,11 @@ func (t *Tree) edited(leaf cells, n int) {
 }
 
 // Put inserts or overwrites the entry for key. A new key whose cell fits
-// on its leaf is written into the page where it lies: the cells after it
-// move up and the count grows by one, which leaves the page byte for byte
-// what decoding it, inserting and node.encode produce — every page is
-// zero past its last cell. An overwrite, and a leaf with no room, go
-// through insert.
+// on its leaf is written into the page where it lies (cells.insertAt): the
+// cell after it is re-encoded against it, the cells behind move up and the
+// count grows by one, which leaves the page byte for byte what decoding it,
+// inserting and node.encode produce — every page is zero past its last
+// cell. An overwrite, and a leaf with no room, go through insert.
 func (t *Tree) Put(key, val []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -261,13 +268,7 @@ func (t *Tree) Put(key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	if cell := 4 + len(key) + len(val); !at.found && at.end+cell <= len(leaf.buf) {
-		buf, off := leaf.buf, at.off
-		copy(buf[off+cell:], buf[off:at.end])
-		binary.BigEndian.PutUint16(buf[off:], uint16(len(key)))
-		binary.BigEndian.PutUint16(buf[off+2:], uint16(len(val)))
-		copy(buf[off+4:], key)
-		copy(buf[off+4+len(key):], val)
+	if !at.found && leaf.insertAt(at, key, val) {
 		t.edited(leaf, leaf.n+1)
 		t.count++
 		return nil
@@ -375,30 +376,37 @@ func sharedPrefix(a, b []byte) int {
 // more cell like its own, so the run goes on in the room the cells moved to
 // the right leave; before it if not — always so when it is the page's last
 // cell — so the left page stays full and the run goes on in the right one.
-// Both halves fit: the left is part of the page as it was, or was just
-// measured; the right is part of it too, or the new cell and less than two
-// more like it. Everything else — a run that covers less than half the
-// page's cells, a key in the middle of its run, a new run between two
-// others, random keys — is cut at mid. DESIGN.md "Leaf splits" has the
-// measurements.
+// Everything else — a run that covers less than half the page's cells, a
+// key in the middle of its run, a new run between two others, random keys —
+// is cut at mid. splitLeaf sees to it that both halves fit; DESIGN.md "Leaf
+// splits" has the measurements.
 func (t *Tree) runEnd(n *node, i int) int {
 	mid, key := len(n.keys)/2, n.keys[i]
 	if i == 0 || i+1 < mid || 2*sharedPrefix(n.keys[0], key) < len(key) {
 		return mid
 	}
-	if i+1 < len(n.keys) && sharedPrefix(n.keys[i-1], key) <= sharedPrefix(key, n.keys[i+1]) {
+	shared := sharedPrefix(n.keys[i-1], key)
+	if i+1 < len(n.keys) && shared <= sharedPrefix(key, n.keys[i+1]) {
 		return mid
 	}
-	left := &node{leaf: true, keys: n.keys[:i+1], vals: n.vals[:i+1]}
-	if left.encodedSize()+4+len(key)+len(n.vals[i]) > t.payloadSize() {
+	if _, left := leafBytes(n.keys[:i+1], n.vals[:i+1], math.MaxInt); left+leafCellSize(shared, key, n.vals[i]) > t.payloadSize() {
 		return i
 	}
 	return i + 1
 }
 
-// splitLeaf moves n's cells from mid on into a new right sibling and
-// returns the separator (the right sibling's first key).
-func (t *Tree) splitLeaf(n *node, mid int) ([]byte, uint32, error) {
+// splitLeaf moves n's cells from cut on into a new right sibling and
+// returns the separator (the right sibling's first key). Cells are of any
+// size up to a quarter page, so a cut chosen by counting cells can put the
+// largest of them all in one half, which then does not fit its page: the
+// cut goes where the left page is fullest instead, which always works
+// (DESIGN.md "Leaf splits").
+func (t *Tree) splitLeaf(n *node, cut int) ([]byte, uint32, error) {
+	if l, _ := leafBytes(n.keys[:cut], n.vals[:cut], t.payloadSize()); l < cut {
+		cut = l
+	} else if r, _ := leafBytes(n.keys[cut:], n.vals[cut:], t.payloadSize()); cut+r < len(n.keys) {
+		cut, _ = leafBytes(n.keys, n.vals, t.payloadSize())
+	}
 	pg, err := t.p.alloc()
 	if err != nil {
 		return nil, 0, err
@@ -407,11 +415,11 @@ func (t *Tree) splitLeaf(n *node, mid int) ([]byte, uint32, error) {
 		id:   pg.id,
 		leaf: true,
 		next: n.next,
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		vals: append([][]byte(nil), n.vals[mid:]...),
+		keys: append([][]byte(nil), n.keys[cut:]...),
+		vals: append([][]byte(nil), n.vals[cut:]...),
 	}
-	n.keys = n.keys[:mid]
-	n.vals = n.vals[:mid]
+	n.keys = n.keys[:cut]
+	n.vals = n.vals[:cut]
 	n.next = right.id
 	right.encode(pg.payload())
 	t.p.markDirty(pg)
@@ -456,11 +464,8 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	if err != nil || !at.found {
 		return false, err
 	}
-	// As in Put, the page comes out as node.encode would write it: the
-	// cells after the removed one move down over it and the bytes they
-	// vacate are zeroed.
-	copy(leaf.buf[at.off:], leaf.buf[at.off+at.size:at.end])
-	clear(leaf.buf[at.end-at.size : at.end])
+	// As in Put, the page comes out as node.encode would write it.
+	leaf.removeAt(at)
 	t.edited(leaf, leaf.n-1)
 	t.count--
 	return true, nil
@@ -471,8 +476,10 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 // false stops the scan. The tree lock is held for the whole scan, so fn
 // must not call back into the Tree.
 //
-// key and val are read in place from the page cache: they are valid only
-// during the call — fn copies what it keeps — and must not be modified.
+// val is read in place from the page cache and key is rebuilt in a buffer
+// the scan reuses for the next entry (a leaf stores a key without the bytes
+// it shares with the one before it): both are valid only during the call —
+// fn copies what it keeps — and must not be modified.
 func (t *Tree) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

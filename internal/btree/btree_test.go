@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,66 +260,73 @@ func TestOversizedEntryRejected(t *testing.T) {
 	}
 }
 
+// TestModelRandomOps is the model-based test: random put/delete/get
+// against a Go map, then a full scan against the sorted model and Verify,
+// for keys of every shape in keyShapes, maximal entries among them.
 func TestModelRandomOps(t *testing.T) {
-	// Model-based test: random put/delete/get/scan against a Go map.
-	tr := newTree(t, 512)
-	model := make(map[string]string)
-	rng := rand.New(rand.NewSource(99))
-	key := func() string { return fmt.Sprintf("k%04d", rng.Intn(2000)) }
-	for op := 0; op < 20000; op++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4, 5: // put
-			k, v := key(), fmt.Sprintf("v%d", op)
-			if err := tr.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			model[k] = v
-		case 6, 7: // delete
-			k := key()
-			ok, err := tr.Delete([]byte(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, inModel := model[k]
-			if ok != inModel {
-				t.Fatalf("Delete(%s) = %v, model has %v", k, ok, inModel)
-			}
-			delete(model, k)
-		default: // get
-			k := key()
-			v, ok, err := tr.Get([]byte(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, inModel := model[k]
-			if ok != inModel || (ok && string(v) != want) {
-				t.Fatalf("Get(%s) = %q, %v; model %q, %v", k, v, ok, want, inModel)
+	for _, shape := range keyShapes {
+		tr := newTree(t, shape.pageSize)
+		model := make(map[string]string)
+		rng := rand.New(rand.NewSource(99))
+		key := func() string { return string(shape.key(rng.Intn(2000))) }
+		for op := 0; op < 20000; op++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3, 4, 5: // put
+				k, v := key(), fmt.Sprintf("v%d", op)
+				if op%97 == 0 {
+					v += strings.Repeat("+", tr.maxEntry()-8-len(k)-len(v))
+				}
+				if err := tr.Put([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				model[k] = v
+			case 6, 7: // delete
+				k := key()
+				ok, err := tr.Delete([]byte(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, inModel := model[k]
+				if ok != inModel {
+					t.Fatalf("%s keys: Delete(%q) = %v, model has %v", shape.name, k, ok, inModel)
+				}
+				delete(model, k)
+			default: // get
+				k := key()
+				v, ok, err := tr.Get([]byte(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, inModel := model[k]
+				if ok != inModel || (ok && string(v) != want) {
+					t.Fatalf("%s keys: Get(%q) = %q, %v; model %q, %v", shape.name, k, v, ok, want, inModel)
+				}
 			}
 		}
-	}
-	if tr.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", tr.Len(), len(model))
-	}
-	// Final scan must equal the sorted model.
-	var wantKeys []string
-	for k := range model {
-		wantKeys = append(wantKeys, k)
-	}
-	sort.Strings(wantKeys)
-	i := 0
-	err := tr.Scan(nil, nil, func(k, v []byte) bool {
-		if i >= len(wantKeys) || string(k) != wantKeys[i] || string(v) != model[wantKeys[i]] {
-			t.Fatalf("scan position %d: got %q=%q", i, k, v)
+		if tr.Len() != len(model) {
+			t.Fatalf("%s keys: Len = %d, model %d", shape.name, tr.Len(), len(model))
 		}
-		i++
-		return true
-	})
-	if err != nil || i != len(wantKeys) {
-		t.Fatalf("scan covered %d of %d (err=%v)", i, len(wantKeys), err)
-	}
-	// Splits and the leaves deletes emptied leave a tree Verify accepts.
-	if err := tr.Verify(); err != nil {
-		t.Errorf("Verify: %v", err)
+		// Final scan must equal the sorted model.
+		var wantKeys []string
+		for k := range model {
+			wantKeys = append(wantKeys, k)
+		}
+		sort.Strings(wantKeys)
+		i := 0
+		err := tr.Scan(nil, nil, func(k, v []byte) bool {
+			if i >= len(wantKeys) || string(k) != wantKeys[i] || string(v) != model[wantKeys[i]] {
+				t.Fatalf("%s keys: scan position %d: got %q=%q", shape.name, i, k, v)
+			}
+			i++
+			return true
+		})
+		if err != nil || i != len(wantKeys) {
+			t.Fatalf("%s keys: scan covered %d of %d (err=%v)", shape.name, i, len(wantKeys), err)
+		}
+		// Splits and the leaves deletes emptied leave a tree Verify accepts.
+		if err := tr.Verify(); err != nil {
+			t.Errorf("%s keys: Verify: %v", shape.name, err)
+		}
 	}
 }
 

@@ -16,7 +16,9 @@ type pageRef struct {
 }
 
 // packing is the page a level is being written into: cells go straight
-// into the page buffer, left to right, in the layout node.go documents.
+// into the page buffer, left to right, in the layout node.go documents — a
+// leaf cell against the key written before it, the one that opens a page
+// whole.
 type packing struct {
 	pg   *page
 	leaf bool
@@ -41,19 +43,16 @@ func (pk *packing) fits(cell int) bool {
 	return pk.pos+cell <= len(pk.pg.payload()) && pk.n < math.MaxUint16
 }
 
-// cell appends one cell: key length, then on a leaf the value length,
-// key and value, on an internal node the key and the child id.
-func (pk *packing) cell(key, val []byte, child uint32) {
+// cell appends one cell: on a leaf the key, less the first shared bytes it
+// has in common with the key before it, and the value; on an internal node
+// the whole key and the child id.
+func (pk *packing) cell(shared int, key, val []byte, child uint32) {
 	buf := pk.pg.payload()
-	binary.BigEndian.PutUint16(buf[pk.pos:], uint16(len(key)))
-	pk.pos += 2
 	if pk.leaf {
-		binary.BigEndian.PutUint16(buf[pk.pos:], uint16(len(val)))
-		pk.pos += 2
-		pk.pos += copy(buf[pk.pos:], key)
-		pk.pos += copy(buf[pk.pos:], val)
+		pk.pos = putLeafCell(buf, pk.pos, shared, key, val)
 	} else {
-		pk.pos += copy(buf[pk.pos:], key)
+		binary.BigEndian.PutUint16(buf[pk.pos:], uint16(len(key)))
+		pk.pos += 2 + copy(buf[pk.pos+2:], key)
 		binary.BigEndian.PutUint32(buf[pk.pos:], child)
 		pk.pos += 4
 	}
@@ -67,8 +66,10 @@ func (pk *packing) seal(p *pager) {
 }
 
 // Load fills an empty tree bottom-up from entries that arrive in strictly
-// ascending key order: leaves are packed full, left to right, and chained
-// as they are allocated, then each interior level is packed the same way
+// ascending key order: leaves are packed full, left to right — a page is
+// closed when the next cell, less what its key shares with the last one,
+// does not fit — and chained as they are allocated, then each interior
+// level is packed the same way
 // from the (first key, page id) pairs of the level below, so no page is
 // ever decoded, split or rewritten. next returns one entry per call and
 // io.EOF after the last; its slices are only read until the following
@@ -111,8 +112,8 @@ func (t *Tree) Load(next func() (key, val []byte, err error)) error {
 		if count > 0 && bytes.Compare(key, prev) <= 0 {
 			return fmt.Errorf("btree: Load: key %x does not sort after its predecessor %x", key, prev)
 		}
-		prev = append(prev[:0], key...)
-		if !pk.fits(4 + len(key) + len(val)) {
+		shared := sharedPrefix(prev, key)
+		if !pk.fits(leafCellSize(shared, key, val)) {
 			pg, err := t.p.alloc()
 			if err != nil {
 				return err
@@ -120,11 +121,13 @@ func (t *Tree) Load(next func() (key, val []byte, err error)) error {
 			binary.BigEndian.PutUint32(pk.pg.payload()[3:7], pg.id)
 			pk.seal(t.p)
 			pk.open(pg, typeLeaf, 0)
+			shared = 0 // a page's first cell holds its key whole
 		}
 		if pk.n == 0 {
 			level = append(level, pageRef{first: append([]byte(nil), key...), id: pk.pg.id})
 		}
-		pk.cell(key, val, 0)
+		pk.cell(shared, key, val, 0)
+		prev = append(prev[:0], key...)
 		count++
 	}
 	pk.seal(t.p)
@@ -133,7 +136,7 @@ func (t *Tree) Load(next func() (key, val []byte, err error)) error {
 		var up []pageRef
 		for i, c := range level {
 			if i > 0 && pk.fits(6+len(c.first)) {
-				pk.cell(c.first, nil, c.id)
+				pk.cell(0, c.first, nil, c.id)
 				continue
 			}
 			if i > 0 {

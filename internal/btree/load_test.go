@@ -28,12 +28,14 @@ func feed(entries []kv) func() ([]byte, []byte, error) {
 	}
 }
 
-// fixedEntries returns n ascending entries whose leaf cells are 61 bytes
-// each, so exactly eight fill the 488 cell bytes of a 512-byte page.
+// fixedEntries returns n ascending entries of which exactly eight fill the
+// 488 cell bytes of a 512-byte page: the first cell holds its 9-byte key
+// whole (3 + 9 + 56 bytes), each of the next seven the one byte it does not
+// share with the key before it (3 + 1 + 56).
 func fixedEntries(n int) []kv {
 	out := make([]kv, n)
 	for i := range out {
-		out[i] = kv{[]byte(fmt.Sprintf("k%08d", i)), bytes.Repeat([]byte{byte('a' + i%26)}, 48)}
+		out[i] = kv{[]byte(fmt.Sprintf("k%08d", i)), bytes.Repeat([]byte{byte('a' + i%26)}, 56)}
 	}
 	return out
 }
@@ -52,6 +54,33 @@ func randomEntries(rng *rand.Rand, n, maxEntry int) []kv {
 		rng.Read(v)
 		out[i] = kv{k, v}
 	}
+	return out
+}
+
+// shapeKey returns the key function of the shape of keyShapes called name.
+func shapeKey(name string) func(i int) []byte {
+	for _, shape := range keyShapes {
+		if shape.name == name {
+			return shape.key
+		}
+	}
+	panic("no key shape " + name)
+}
+
+// shapedEntries returns the entries of key(0..n-1) in key order, with
+// values of random sizes and every 50th the largest the limit allows.
+func shapedEntries(rng *rand.Rand, n, maxEntry int, key func(i int) []byte) []kv {
+	out := make([]kv, n)
+	for i := range out {
+		k := key(i)
+		v := make([]byte, rng.Intn(40))
+		if i%50 == 7 {
+			v = make([]byte, maxEntry-8-len(k))
+		}
+		rng.Read(v)
+		out[i] = kv{k, v}
+	}
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].k, out[j].k) < 0 })
 	return out
 }
 
@@ -83,8 +112,8 @@ func sameEntries(t *testing.T, what string, got, want []kv) {
 
 // checkPacked walks the tree level by level and requires every page but
 // the last of each level to be full to within one cell: the cell that
-// opened the next page must not have fitted. It returns the number of
-// levels.
+// opened the next page — on a leaf, less what its key shares with the last
+// key of the page — must not have fitted. It returns the number of levels.
 func checkPacked(t *testing.T, tr *Tree) int {
 	t.Helper()
 	firstKey := func(n *node) (k, v []byte) {
@@ -109,7 +138,7 @@ func checkPacked(t *testing.T, tr *Tree) int {
 				k, v := firstKey(n)
 				cell := 6 + len(k)
 				if n.leaf {
-					cell = 4 + len(k) + len(v)
+					cell = len(referenceLeafCell(nil, prev.keys[len(prev.keys)-1], k, v))
 				}
 				if free := tr.payloadSize() - prev.encodedSize(); free >= cell {
 					t.Errorf("level %d page %d has %d bytes free, the %d-byte cell after it would have fitted", depth, prev.id, free, cell)
@@ -129,30 +158,35 @@ func checkPacked(t *testing.T, tr *Tree) int {
 }
 
 // TestLoadProperty loads seeded inputs — empty, one entry, exactly one
-// page, one entry past a page, thousands of random sizes — through an
-// eight-page cache, so pages are evicted mid-load, and requires the
+// page, one entry past a page, thousands of random sizes, and keys of the
+// shapes of keyShapes — through an eight-page cache, so pages are evicted mid-load, and requires the
 // result to be the tree Put would have given, only packed: same scan,
 // every key found, Verify clean, a frozen View and a reopened file
 // agreeing, and random Puts and Deletes afterwards matching a map model.
 func TestLoadProperty(t *testing.T) {
-	const pageSize = 512
-	maxEntry := (pageSize - pageHeaderSize) / 4
+	const small, large = 512, 2048
+	maxEntry := (small - pageHeaderSize) / 4
 	rng := rand.New(rand.NewSource(17))
 	for _, tc := range []struct {
-		name    string
-		entries []kv
-		height  int // 0: whatever the packing gives
+		name     string
+		entries  []kv
+		height   int // 0: whatever the packing gives
+		pageSize int
 	}{
-		{"empty", nil, 1},
-		{"one", fixedEntries(1), 1},
-		{"one page", fixedEntries(8), 1},
-		{"one past a page", fixedEntries(9), 2},
-		{"random 300", randomEntries(rng, 300, maxEntry), 0},
-		{"random 5000", randomEntries(rng, 5000, maxEntry), 0},
+		{"empty", nil, 1, small},
+		{"one", fixedEntries(1), 1, small},
+		{"one page", fixedEntries(8), 1, small},
+		{"one past a page", fixedEntries(9), 2, small},
+		{"random 300", randomEntries(rng, 300, maxEntry), 0, small},
+		{"random 5000", randomEntries(rng, 5000, maxEntry), 0, small},
+		{"runs 5000", shapedEntries(rng, 5000, maxEntry, func(i int) []byte { return runKey(i/700, uint64(i)) }), 0, small},
+		{"uniform random 3000", shapedEntries(rng, 3000, maxEntry, shapeKey("uniform random")), 0, small},
+		{"nothing shared 250", shapedEntries(rng, 250, maxEntry, shapeKey("nothing shared")), 0, small},
+		{"long 3000", shapedEntries(rng, 3000, (large-pageHeaderSize)/4, shapeKey("long")), 0, large},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := storage.NewMemFile()
-			tr, err := Create(f, pageSize, 8)
+			tr, err := Create(f, tc.pageSize, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

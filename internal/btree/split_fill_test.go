@@ -19,13 +19,15 @@ import (
 // each a function from a seeded source and a count to that many distinct
 // keys in insertion order. limit is the bytes per entry the pattern must
 // not exceed; samePages marks the patterns the run rule must leave alone,
-// whose page count is pinned to the one the mid split gave the same key
-// sequence (measured at the commit before the rule, at 200 000 keys).
+// whose page count is pinned to the one the mid split gives the same key
+// sequence (measured with runEnd returning mid, at 200 000 keys); bigEvery
+// gives every so-manieth entry the largest value the tree takes.
 var splitPatterns = []struct {
 	name      string
 	keys      func(rng *rand.Rand, n int) [][]byte
 	limit     float64
 	samePages uint32
+	bigEvery  int
 }{
 	{"uniform random", func(rng *rand.Rand, n int) [][]byte {
 		out := make([][]byte, n)
@@ -34,35 +36,47 @@ var splitPatterns = []struct {
 			rng.Read(out[i])
 		}
 		return out
-	}, 63, 3042},
+	}, 60, 2845, 0},
 	{"strictly ascending", func(_ *rand.Rand, n int) [][]byte {
 		return grouped(n, func(int) int { return 0 }, nil)
-	}, 50, 0},
+	}, 16, 0, 0},
 	{"20 runs, ascending inside", func(rng *rand.Rand, n int) [][]byte {
 		return grouped(n, func(int) int { return rng.Intn(20) }, nil)
-	}, 50, 0},
+	}, 17, 0, 0},
 	{"200 runs, ascending inside", func(rng *rand.Rand, n int) [][]byte {
 		return grouped(n, func(int) int { return rng.Intn(200) }, nil)
-	}, 50, 0},
+	}, 22, 0, 0},
 	{"Zipf-sized runs, ascending inside", func(rng *rand.Rand, n int) [][]byte {
 		z := rand.NewZipf(rng, 1.5, 2, 1<<20)
 		return grouped(n, func(int) int { return int(z.Uint64()) }, nil)
-	}, 54, 0},
+	}, 21, 0, 0},
 	{"5 000 runs shorter than a page", func(rng *rand.Rand, n int) [][]byte {
 		return grouped(n, func(int) int { return rng.Intn(5000) }, nil)
-	}, 63, 3013},
+	}, 25, 1141, 0},
 	{"50 000 runs shorter than a page", func(rng *rand.Rand, n int) [][]byte {
 		return grouped(n, func(int) int { return rng.Intn(50000) }, nil)
-	}, 63, 3035},
+	}, 33, 1550, 0},
 	{"strictly descending", func(_ *rand.Rand, n int) [][]byte {
 		return grouped(n, func(int) int { return 0 }, func(i int) uint64 { return uint64(n - i) })
-	}, 86, 0},
+	}, 30, 0, 0},
 	{"20 runs, random inside", func(rng *rand.Rand, n int) [][]byte {
 		return grouped(n, func(int) int { return rng.Intn(20) }, func(int) uint64 { return rng.Uint64() })
-	}, 66, 0},
+	}, 31, 0, 0},
 	{"200 runs, random inside", func(rng *rand.Rand, n int) [][]byte {
 		return grouped(n, func(int) int { return rng.Intn(200) }, func(int) uint64 { return rng.Uint64() })
-	}, 66, 0},
+	}, 32, 0, 0},
+	// Keys of 148 bytes that share 140 and more inside a run: both lengths
+	// of a cell take varints of two bytes.
+	{"20 runs of long keys, ascending inside", func(rng *rand.Rand, n int) [][]byte {
+		out := grouped(n, func(int) int { return rng.Intn(20) }, nil)
+		for i, k := range out {
+			out[i] = append(bytes.Repeat(k[:20], 6), k...)
+		}
+		return out
+	}, 19, 0, 0},
+	{"20 runs, ascending inside, a maximal entry every 50th", func(rng *rand.Rand, n int) [][]byte {
+		return grouped(n, func(int) int { return rng.Intn(20) }, nil)
+	}, 40, 0, 50},
 }
 
 // grouped returns n keys, the i-th in run(i) with tail(i) — by default i
@@ -80,7 +94,8 @@ func grouped(n int, run func(i int) int, tail func(i int) uint64) [][]byte {
 }
 
 // TestLeafSplitFill is the characterisation of the leaf split as a test:
-// 200 000 28-byte keys with 10-byte values into an empty tree, per insert
+// 200 000 keys (28 bytes where the pattern does not say otherwise) with
+// 10-byte values into an empty tree, per insert
 // pattern the bytes per entry the tree ends at (-v logs the table DESIGN.md
 // quotes), then Verify, no leaf left empty by a split, and a comparison of
 // the whole tree with the sorted model.
@@ -96,6 +111,9 @@ func TestLeafSplitFill(t *testing.T) {
 			want := make([]kv, n)
 			for i, k := range keys {
 				v := make([]byte, 10)
+				if p.bigEvery > 0 && i%p.bigEvery == 0 {
+					v = make([]byte, tr.maxEntry()-8-len(k))
+				}
 				binary.BigEndian.PutUint64(v, uint64(i))
 				if err := tr.Put(k, v); err != nil {
 					t.Fatal(err)

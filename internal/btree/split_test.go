@@ -1,8 +1,11 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/fix-index/fix/internal/storage"
@@ -110,6 +113,51 @@ func TestLeafSplitAroundMaximalEntries(t *testing.T) {
 			for ; tr.p.npages < 6; seq++ { // until the leaf has split three times
 				k := runKey(1, seq)
 				m.edit(k, make([]byte, tr.maxEntry()-8-len(k)))
+			}
+			m.check(tc.name)
+		})
+	}
+}
+
+// TestLeafSplitWhereTheCutDoesNotFit splits leaves whose largest cells all
+// lie on one side of mid, so that the half that gets them and the new entry
+// does not fit a page — three maximal entries and eight small cells, in
+// either order, and a fourth maximal entry put at the end the others are
+// at — through the same differential oracle, whose encoder panics on a half
+// that does not fit and which refuses an empty one. The tree must have cut
+// elsewhere than referenceCut proposes: where the left page is fullest.
+// (The cell that opens the right page is stored whole there and grows by
+// what it shared; that alone never makes a half too large — DESIGN.md
+// "Leaf splits".)
+func TestLeafSplitWhereTheCutDoesNotFit(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		small, large, last string // key prefixes: eight small cells, three maximal ones, the one that splits
+	}{
+		{"largest cells first", "c", "b", "a"},
+		{"largest cells last", "a", "b", "c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newModelTree(t, 0, 1)
+			maximal := func(k string) []byte { return make([]byte, m.tr.maxEntry()-8-len(k)) }
+			for i := 1; i <= 8; i++ {
+				m.edit([]byte(fmt.Sprint(tc.small, i)), []byte{})
+			}
+			for i := 1; i <= 3; i++ {
+				k := fmt.Sprint(tc.large, i)
+				m.edit([]byte(k), maximal(k))
+			}
+			k, leaf := []byte(tc.last+"0"), leafOf(t, m.tr, nil)
+			i := sort.Search(len(leaf.keys), func(i int) bool { return bytes.Compare(leaf.keys[i], k) >= 0 })
+			keys := append(append(append([][]byte(nil), leaf.keys[:i]...), k), leaf.keys[i:]...)
+			vals := append(append(append([][]byte(nil), leaf.vals[:i]...), maximal(string(k))), leaf.vals[i:]...)
+			m.edit(k, maximal(string(k)))
+			left, err := m.tr.cells(leaf.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.tr.p.npages != 4 || left.n == referenceCut(keys, vals, i, m.tr.payloadSize()) {
+				t.Errorf("%d pages, %d cells on the left: want a split, and not where the halves do not fit", m.tr.p.npages, left.n)
 			}
 			m.check(tc.name)
 		})

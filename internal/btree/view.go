@@ -23,7 +23,9 @@ func (vs *viewStats) load() Stats {
 
 // View is an immutable snapshot of a Tree. Every allocated page is
 // materialized in memory at freeze time, so Get and Scan read those
-// buffers in place and never touch the pager, the file, or any lock —
+// buffers in place (the cells walk of node.go: values where they lie, keys
+// rebuilt from the pieces the leaf cells hold) and never touch the pager,
+// the file, or any lock —
 // a View is safe for unlimited concurrent readers while the owning Tree
 // keeps mutating. Consecutive views share the buffers of pages that did
 // not change between freezes, so the incremental memory cost of a new
@@ -120,10 +122,12 @@ func (v *View) Get(key []byte) ([]byte, bool, error) {
 // beginning; fn returning false stops the scan. Unlike Tree.Scan no lock
 // is held, so fn may do anything, including querying the live tree.
 //
-// key and val are read in place: they alias pages that later views and
-// other readers share, are valid only during the call — fn copies what it
-// keeps — and must not be modified. (Their capacity equals their length,
-// so appending to one copies it.) The scan allocates nothing.
+// val is read in place: it aliases a page that later views and other
+// readers share. key is rebuilt in a buffer the scan reuses for the next
+// entry — a leaf stores a key without the bytes it shares with the one
+// before it. Both are valid only during the call — fn copies what it keeps
+// — and must not be modified. (Their capacity equals their length, so
+// appending to one copies it.) The scan allocates nothing.
 func (v *View) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	return scanLeaves(v, v.root, v.height, uint32(len(v.pages)), from, to, fn)
 }

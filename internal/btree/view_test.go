@@ -140,7 +140,7 @@ func TestFreezeViewAfterEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 300
+	const n = 1500
 	for i := 0; i < n; i++ {
 		if err := tr.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -193,7 +193,8 @@ func TestFreezeViewStatsMerge(t *testing.T) {
 // the live tree, to end in ErrCorrupt: not to descend forever, and not to
 // read an interior page as a leaf. The edits in place get the same
 // treatment: a Put or Delete that lands on a leaf whose cells run off the
-// page fails with ErrCorrupt before it has written a byte.
+// page, or whose lengths contradict the keys around them, fails with
+// ErrCorrupt before it has written a byte, and so do Scan and Verify.
 func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 	grow := func(t *testing.T, height int) *Tree {
 		tr := newTree(t, 512)
@@ -293,6 +294,14 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 		})
 	}
 
+	// second returns the offset of the leaf's second cell.
+	second := func(payload []byte) int {
+		_, _, cells, err := referenceCells(0, payload)
+		if err != nil || len(cells) < 2 {
+			t.Fatalf("fixture: %d cells, %v", len(cells), err)
+		}
+		return cells[1].off
+	}
 	for _, damage := range []struct {
 		name string
 		do   func(payload []byte)
@@ -300,7 +309,15 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 		// The zero bytes past the last cell read as empty cells until the
 		// walk leaves the page.
 		{"cell count past the page", func(payload []byte) { binary.BigEndian.PutUint16(payload[1:3], 0xffff) }},
-		{"first key longer than the page", func(payload []byte) { binary.BigEndian.PutUint16(payload[nodeHeaderSize:], 0xffff) }},
+		{"first key longer than the page", func(payload []byte) { copy(payload[nodeHeaderSize+1:], "\xff\x7f") }},
+		{"a cell that shares more bytes than the key before it has", func(payload []byte) { payload[second(payload)] = 0x7f }},
+		// 8 shared and 120 more bytes on a page whose entries end at 126;
+		// the cell still lies inside the page.
+		{"a key longer than any entry", func(payload []byte) { payload[second(payload)+1] = 120 }},
+		{"a varint that runs off the page", func(payload []byte) {
+			binary.BigEndian.PutUint16(payload[1:3], 0xffff)
+			copy(payload[len(payload)-2:], "\xff\xff")
+		}},
 	} {
 		t.Run("edit in place: "+damage.name, func(t *testing.T) {
 			tr := grow(t, 2)
@@ -334,6 +351,39 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 					t.Fatalf("%s changed the damaged page or the entry count", name)
 				}
 			}
+			if err := tr.Scan(nil, nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Scan = %v, want ErrCorrupt", err)
+			}
+			if err := tr.Verify(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Verify = %v, want ErrCorrupt", err)
+			}
 		})
 	}
+
+	// The searches take a cell's shared length for all the bytes it has in
+	// common with the key before it, and cannot check that without the keys:
+	// the walks that rebuild keys do — every scan, Verify and the scrubber
+	// (decodeNode). "key-00001" behind "key-00000" is stored as shared 8,
+	// unshared 1; shared 7, unshared 2 spells the same key.
+	t.Run("a cell that stores a byte it shares", func(t *testing.T) {
+		tr := grow(t, 2)
+		pg, err := tr.p.read(leafOf(t, tr, nil).id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := pg.payload()
+		at := second(payload)
+		copy(payload[at+4:], payload[at+3:len(payload)-1])
+		payload[at], payload[at+1], payload[at+3] = 7, 2, '0'
+		tr.p.markDirty(pg)
+		if n, err := referenceDecode(pg.id, payload); n != nil || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("fixture: the reference reads the page as %+v, %v", n, err)
+		}
+		if err := tr.Scan(nil, nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Scan = %v, want ErrCorrupt", err)
+		}
+		if err := tr.Verify(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Verify = %v, want ErrCorrupt", err)
+		}
+	})
 }

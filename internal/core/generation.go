@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -165,13 +166,16 @@ func (g *Generation) Covered(path *xpath.Path) bool {
 
 // candidates runs the pruning phase: a range scan over the feature keys
 // of the frozen B-tree image, keeping entries whose eigenvalue range
-// contains every twig's range (and whose root label matches, when
-// applicable). Survivors are appended to buf[:0] — nil for a list the
-// caller keeps, a pooled one (candPool) on the served path — and nothing
-// else is allocated: keys and values are decoded where the scan reads
-// them. scanned reports how many entries the scan touched. The scan
-// observes ctx periodically and stops once lim.MaxCandidates is crossed;
-// on any error whatever was collected is discarded.
+// contains every twig's range. Keys sort by (label, λmax), so the entries
+// that can are those from the largest of the twigs' λmax on in a label's
+// partition: the root label's when it restricts the query, and otherwise
+// every partition the tree holds (scanEveryLabel). Survivors are appended
+// to buf[:0] — nil for a list the caller keeps, a pooled one (candPool) on
+// the served path — and nothing else is allocated: keys and values are
+// decoded where the scan reads them. scanned reports how many entries the
+// scans touched. They observe ctx periodically and stop once
+// lim.MaxCandidates is crossed; on any error whatever was collected is
+// discarded.
 func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, buf []Candidate) ([]Candidate, int, error) {
 	if p.empty {
 		return nil, 0, nil
@@ -179,16 +183,14 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 	if g.view == nil {
 		return nil, 0, fmt.Errorf("%w: B-tree view unavailable", ErrCorrupt)
 	}
-	// Without a label restriction the scan covers everything; the
-	// feature filter still applies.
-	var from, to []byte
-	if p.labelOK {
-		from, to = scanBounds(p.topLabel, p.feats[0].Max)
+	sigma := p.feats[0].Max
+	for _, f := range p.feats[1:] {
+		sigma = max(sigma, f.Max)
 	}
 	cands := buf[:0]
 	scanned := 0
-	var stop error // why the scan callback ended the scan early, if it did
-	err := g.view.Scan(from, to, func(k, v []byte) bool {
+	var stop error // why a scan callback ended its scan early, if it did
+	visit := func(k, v []byte) bool {
 		scanned++
 		if scanned%1024 == 0 && ctx.Err() != nil {
 			stop = ctx.Err()
@@ -215,7 +217,16 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 			HasCopy:   ev.hasCopy,
 		})
 		return true
-	})
+	}
+	var err error
+	if p.labelOK {
+		from, to := scanBounds(p.topLabel, sigma)
+		err = g.view.Scan(from, to, visit)
+	} else {
+		var peeked int
+		peeked, err = g.scanEveryLabel(sigma, visit)
+		scanned += peeked
+	}
 	if err == nil {
 		err = stop
 	}
@@ -223,6 +234,34 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 		return nil, 0, err
 	}
 	return cands, scanned, nil
+}
+
+// scanEveryLabel runs visit over the entries with λmax >= sigma of every
+// label's partition, in key order, until visit returns false: one bounded
+// scan per partition, and the first key past it names the next, so nothing
+// else records which labels there are. peeked counts those keys.
+func (g *Generation) scanEveryLabel(sigma float64, visit func(k, v []byte) bool) (peeked int, err error) {
+	from, _ := scanBounds(0, sigma)
+	label, more := uint32(0), true
+	partition := func(k, v []byte) bool {
+		l := binary.BigEndian.Uint32(k)
+		if l == label {
+			return visit(k, v)
+		}
+		if peeked++; l < label { // or the loop below need not end
+			err = fmt.Errorf("%w: a key of label %d follows label %d", ErrCorrupt, l, label)
+		}
+		label, more = l, true
+		return false
+	}
+	for more && err == nil {
+		binary.BigEndian.PutUint32(from, label)
+		more = false
+		if scanErr := g.view.Scan(from, nil, partition); err == nil {
+			err = scanErr
+		}
+	}
+	return peeked, err
 }
 
 // candPool recycles the candidate lists of served queries, so a probe's

@@ -14,8 +14,12 @@ import (
 
 // Feature keys sort by (root label, λmax, λmin, sequence number). The
 // containment search "entries with λmax_e >= λmax_q within a label
-// partition" becomes a single range scan; λmin is filtered during the
-// scan; the sequence number makes keys unique so equal features coexist.
+// partition" becomes a single range scan; the sequence number makes keys
+// unique so equal features coexist. λmin prunes nothing: the matrix is
+// skew-symmetric, so λmin = -λmax on every entry and the test on it repeats
+// the one on λmax (ROADMAP item 3(a)). Entries of equal features are a run
+// of keys that differ in the last bytes of the sequence number only, and
+// those bytes are what a B-tree leaf stores of them (btree/node.go).
 const keySize = 4 + 8 + 8 + 8
 
 // encodeFloat maps a float64 to 8 bytes whose lexicographic order matches

@@ -161,9 +161,11 @@ func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 // DeleteDocuments removes every index entry pointing into one of the
 // records recs. The records themselves stay in the primary store (records
 // are immutable), and clustered copies are only reclaimed by a rebuild.
-// It is one scan of the whole index however many records are named — the
-// keys a document produced cannot be re-derived while the edge encoder
-// grows — so a batch of deletes pays for it once.
+// It is one scan of the whole index however many records are named, so a
+// batch of deletes pays for it once. (A document's features could be
+// computed again — edge weights are append-only and never change — but its
+// keys end in sequence numbers nothing records per document, so each would
+// still have to be looked for among the entries of equal features.)
 func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 	if err := ix.Health(); err != nil {
 		return 0, fmt.Errorf("%w: cannot delete from a degraded index: %w", ErrRebuildRequired, err)
