@@ -105,16 +105,21 @@ stress:
 	FIX_STRESS=1 $(GO) test -race -run 'TestStressMaintain' -v ./fix/
 
 # ingest-crash runs the write-path crash-recovery sweeps: a simulated
-# crash at every WAL/heap/index write of the ingest path, checking that
-# acknowledged operations survive reopen and unacknowledged ones vanish.
+# crash at every WAL/heap/index write of the ingest path — once over a
+# window that changes more than 256 pages of a large index — checking that
+# acknowledged operations survive reopen and unacknowledged ones vanish,
+# and the per-file log of a Save's writes and fsyncs: nothing reaches
+# fix.btree between two Saves, nor inside one before the journal's fsync.
 ingest-crash:
 	$(GO) test -run 'TestIngestCrashSweep|TestIngestBatchRollbackTransient' -v ./fix/
-	$(GO) test -run 'TestCrashDuringDelete|TestIngestLog' -v ./internal/core/
+	$(GO) test -run 'TestCrashDuring|TestCrashPointRecovery|TestStreamedJournal|TestIngestLog' -v ./internal/core/
 
 # maintain-crash runs the online-maintenance fault suites: a simulated
-# crash at every write of the checkpoint window, scrub detection of
-# injected B-tree/heap/WAL/tombstone corruption with automatic repair,
-# and the checkpoint failure/suspension/recovery state machine.
+# crash at every write of the checkpoint window (once with more than 256
+# pages to commit), the clean Close and reopen of a large index with an
+# unabsorbed log, scrub detection of injected B-tree/heap/WAL/tombstone
+# corruption with automatic repair, and the checkpoint
+# failure/suspension/recovery state machine.
 maintain-crash:
-	$(GO) test -run 'TestCheckpoint|TestScrub|TestMaintainer' -v ./fix/
+	$(GO) test -run 'TestCheckpoint|TestCloseReopen|TestScrub|TestMaintainer' -v ./fix/
 	$(GO) test -run 'TestScrubDisk' -v ./internal/btree/

@@ -128,20 +128,26 @@ func TestIncrementalIndexFill(t *testing.T) {
 func copyFixture(t *testing.T, name string) string {
 	t.Helper()
 	dir := t.TempDir()
-	files, err := os.ReadDir(filepath.Join("testdata", name))
+	copyFiles(t, filepath.Join("testdata", name), dir)
+	return dir
+}
+
+// copyFiles copies the files of directory src into directory dst.
+func copyFiles(t *testing.T, src, dst string) {
+	t.Helper()
+	files, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join("testdata", name, f.Name()))
+		b, err := os.ReadFile(filepath.Join(src, f.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dst, f.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return dir
 }
 
 // oldFormatIndex opens a copy of testdata/index-written-by-pr20 — 28 XMark

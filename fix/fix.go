@@ -305,7 +305,42 @@ func Open(dir string) (*DB, error) {
 	if err := db.loadTombs(wal); err != nil {
 		return nil, err
 	}
-	if _, err := os.Stat(filepath.Join(dir, "fix.meta")); err == nil {
+	_, err = os.Stat(filepath.Join(dir, "fix.meta"))
+	hasIndex := err == nil
+	// A checkpoint commits the index and then resets the log; a crash
+	// between the two leaves a log whose every operation the committed
+	// index holds already. It shows in the index covering the documents
+	// the log is about to re-create: they go to the heap before the index
+	// opens, so that it finds the store it was committed over, and the
+	// log is kept from the index.
+	absorbed := false
+	if hasIndex && len(replay) > 0 {
+		adds := 0
+		for _, op := range replay {
+			if op.Kind == core.IngestOpInsert {
+				adds++
+			}
+		}
+		covered, err := core.CommittedRecords(dir)
+		if err != nil {
+			return nil, fmt.Errorf("fix: opening index: %w", err)
+		}
+		absorbed = adds > 0 && covered == st.NumRecords()+adds
+	}
+	replayOnto := func(ix *core.Index) error {
+		n, err := core.ReplayIngest(st, ix, replay)
+		if err != nil {
+			return fmt.Errorf("fix: replaying ingest log: %w", err)
+		}
+		obs.Default().ObserveIngestReplayed(n)
+		return nil
+	}
+	if absorbed {
+		if err := replayOnto(nil); err != nil {
+			return nil, err
+		}
+	}
+	if hasIndex {
 		db.index, err = core.Open(st, dir)
 		if err != nil {
 			return nil, fmt.Errorf("fix: opening index: %w", err)
@@ -313,31 +348,28 @@ func Open(dir string) (*DB, error) {
 	}
 	db.wal = wal
 	if len(replay) > 0 {
-		n, err := core.ReplayIngest(st, db.index, replay)
-		if err != nil {
-			return nil, fmt.Errorf("fix: replaying ingest log: %w", err)
+		if !absorbed {
+			if err := replayOnto(db.index); err != nil {
+				return nil, err
+			}
 		}
-		obs.Default().ObserveIngestReplayed(n)
 		if db.index != nil && db.index.Health() == nil {
-			// The crash window between a group commit and the next Save can
-			// leak evicted B-tree pages to disk under a meta page the shadow
-			// journal never saw; replay then restores the record count, so
-			// the staleness check that normally degrades a stale index can't
-			// catch the mix. Walk the whole tree now: a failure latches
-			// degraded health, the absorb below is skipped, and queries stay
-			// exact through the scan fallback until RebuildIndex.
+			// fix.btree is written only behind the shadow journal, so the
+			// tree the replay started from was the last checkpoint's, whole.
+			// The walk is fault detection for what that rule cannot exclude
+			// (a file an older version left mixed, a bug in the replay), and
+			// cheap next to the replay: a failure latches degraded health,
+			// the absorb below is skipped, and queries stay exact through
+			// the scan fallback until RebuildIndex.
 			_ = db.index.Verify()
 		}
 		// Converge: absorb the replayed operations into the base commit
 		// before returning. Leaving the log in place would make every
-		// subsequent Open truncate and replay again, and a process that
-		// exits without Save (a read-only CLI command) could leak
-		// evicted index pages under an unchanged btree meta — detected
-		// later as corruption — while a RebuildIndex would commit a
-		// record count the next truncate-and-replay no longer matches.
-		// A replay that degraded the index skips the absorb (a degraded
-		// index refuses Save): the log keeps guarding the acked ops
-		// until RebuildIndex clears the way.
+		// subsequent Open truncate and replay again, and a RebuildIndex
+		// would commit a record count the next truncate-and-replay no
+		// longer matches. A replay that degraded the index skips the
+		// absorb (a degraded index refuses Save): the log keeps guarding
+		// the acked ops until RebuildIndex clears the way.
 		if db.index == nil || db.index.Health() == nil {
 			if err := db.commitAll(); err != nil {
 				return nil, fmt.Errorf("fix: absorbing replayed ingest log: %w", err)
@@ -465,9 +497,12 @@ func (db *DB) saveDict() error {
 	return os.Rename(tmp, path)
 }
 
-// Close releases the underlying files, including the ingest log. It
-// does not Save: acknowledged-but-unsaved operations stay protected by
-// the log and are replayed on the next Open.
+// Close releases the underlying files: the ingest log, the heap and the
+// index's. It does not Save: acknowledged-but-unsaved operations stay
+// protected by the log and are replayed on the next Open, onto the index
+// the last checkpoint committed — nothing of them has reached fix.btree.
+// Views pinned before Close keep answering index probes from the image
+// they hold; what they fetch from the heap fails.
 func (db *DB) Close() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
@@ -478,6 +513,11 @@ func (db *DB) Close() error {
 	}
 	if err := db.store.Close(); err != nil && first == nil {
 		first = err
+	}
+	if ix := db.indexRef(); ix != nil {
+		if err := ix.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	return first
 }

@@ -506,9 +506,10 @@ func checkIngestOutcome(t *testing.T, db *DB, ackedSteps int, ctx string) {
 // applies — in plain and torn variants, then reopens the directory like
 // a rebooted process and requires that no acknowledged operation is lost
 // and nothing unattempted appears. It runs once over a script of separate
-// commits on an index-less database and once over a mixed submission
-// (adds, deletes, an add deleted by its own submission) on an indexed
-// one, which must come back whole or not at all.
+// commits on an index-less database, once over a mixed submission (adds,
+// deletes, an add deleted by its own submission) on an indexed one, which
+// must come back whole or not at all, and once over a window that changes
+// more than 256 pages of a large index, which must come back healthy.
 func TestIngestCrashSweep(t *testing.T) {
 	t.Run("separate commits", func(t *testing.T) {
 		sweepIngestCrashes(t, setupIngestBase, ingestScript, 3, checkIngestOutcome)
@@ -516,6 +517,142 @@ func TestIngestCrashSweep(t *testing.T) {
 	t.Run("mixed submission", func(t *testing.T) {
 		sweepIngestCrashes(t, setupMixedBase, mixedScript, 1, checkMixedOutcome)
 	})
+	t.Run("wide window", func(t *testing.T) {
+		sweepIngestCrashes(t, wideBase(t), wideScript, 2, checkWideOutcome)
+	})
+}
+
+// wideDoc returns a document with 320 leaf elements of 320 labels: in an
+// index of depth 1 each is an entry, and each lands in another part of the
+// key space. mark names the one child no other document has.
+func wideDoc(mark string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "<w><%s/>", mark)
+	for g := 0; g < 16; g++ {
+		fmt.Fprintf(&b, "<g%d>", g)
+		for l := 20 * g; l < 20*g+20; l++ {
+			fmt.Fprintf(&b, "<l%d/>", l)
+		}
+		fmt.Fprintf(&b, "</g%d>", g)
+	}
+	return b.String() + "</w>"
+}
+
+// wideBase builds, once, a checkpointed database of 18 wide documents
+// (base0..base17) under an index of 256-byte pages — some 600 of them, a
+// leaf or two per label, so that one more wide document changes over 300 —
+// and checks that wideScript's window is that wide. The setup it returns
+// opens a copy.
+func wideBase(t *testing.T) func(t *testing.T, dir string) *DB {
+	t.Helper()
+	base := t.TempDir()
+	db, err := Create(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 18; i++ {
+		if _, err := db.AddDocumentString(wideDoc(fmt.Sprint("base", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// IndexOptions has no page size: the small pages that keep a wide
+	// window cheap come through the internal options.
+	ix, err := core.Build(db.store, core.Options{DepthLimit: 1, PageSize: 256, Dir: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.index = ix
+	db.publish()
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	setup := func(t *testing.T, dir string) *DB {
+		t.Helper()
+		copyFiles(t, base, dir)
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.IndexHealth(); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db = setup(t, t.TempDir())
+	defer db.Close()
+	before := db.Metrics().BTree.PageWrites
+	if acked, err := wideScript(db); err != nil || acked != 2 {
+		t.Fatalf("fixture: acked %d steps, err %v", acked, err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Metrics().BTree.PageWrites - before; n <= 256 {
+		t.Fatalf("fixture: the window changed %d pages, want more than 256", n)
+	}
+	return setup
+}
+
+// wideScript commits two submissions: add <w><u0/>…</w>; then delete
+// base0 and add <w><u1/>…</w>.
+func wideScript(db *DB) (ackedSteps int, err error) {
+	ing := db.NewIngester(IngestConfig{})
+	defer func() { _ = ing.Close() }()
+	for step, del := range []bool{false, true} {
+		add, err := db.AddOp(wideDoc(fmt.Sprint("u", step)))
+		if err != nil {
+			return step, err
+		}
+		ops := []Op{add}
+		if del {
+			ops = append(ops, DeleteOp(0))
+		}
+		if _, err := ing.Apply(context.Background(), ops); err != nil {
+			return step, err
+		}
+	}
+	return 2, nil
+}
+
+// checkWideOutcome: the index is healthy and sound, every acknowledged
+// submission is there, nothing unattempted is, and the index agrees with a
+// scan.
+func checkWideOutcome(t *testing.T, db *DB, ackedSteps int, ctx string) {
+	t.Helper()
+	if err := db.IndexHealth(); err != nil {
+		t.Fatalf("%s: index degraded: %v", ctx, err)
+	}
+	if err := db.VerifyIndex(); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	mustExist(t, db, "//base1", true)
+	if ackedSteps >= 1 {
+		mustExist(t, db, "//u0", true)
+	}
+	if ackedSteps >= 2 {
+		mustExist(t, db, "//u1", true)
+		mustExist(t, db, "//base0", false)
+	}
+	if ackedSteps < 1 {
+		mustExist(t, db, "//u1", false)
+	}
+	// Within the index's depth, so that the index answers them.
+	for _, expr := range []string{"//l7", "//l319", "//g3", "//w"} {
+		res, err := db.Query(expr)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", ctx, expr, err)
+		}
+		scan, err := db.Query(expr, ScanOnly())
+		if err != nil {
+			t.Fatalf("%s: %s: %v", ctx, expr, err)
+		}
+		if res.ScanFallback || res.Count != scan.Count || res.Count < 17+ackedSteps {
+			t.Errorf("%s: %s counts %d by index (fallback: %v), %d by scan, with %d acknowledged submissions", ctx, expr, res.Count, res.ScanFallback, scan.Count, ackedSteps)
+		}
+	}
 }
 
 // sweepIngestCrashes is the sweep: a dry run of script sizes the window,

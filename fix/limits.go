@@ -106,7 +106,7 @@ func coreLimits(l Limits) core.Limits {
 // already converted (par recovers them in the worker); contain gives
 // both forms the same accounting — the panics_recovered counter — and,
 // when degrade is set, marks the index degraded, because a panic
-// mid-query may have left shared in-memory state (pager cache, health
+// mid-query may have left shared in-memory state (page table, health
 // bookkeeping) inconsistent. Build paths pass degrade=false: the index
 // being replaced was not touched.
 func (db *DB) contain(op string, degrade bool, errp *error) {

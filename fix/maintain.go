@@ -170,8 +170,8 @@ func (r ScrubReport) Damaged() bool {
 }
 
 // ScrubCtx verifies the database's durable artifacts in bounded chunks:
-// the index B-tree read directly from disk (bypassing the page cache,
-// so latent bit rot is found while cached pages still look fine), every
+// the index B-tree read directly from disk (not from the resident image,
+// so latent bit rot is found while the pages in memory still look fine), every
 // heap record structurally decoded, the tombstone sidecar, and the
 // ingest WAL's acknowledged prefix. Locks are released and cfg.Pause
 // elapses between chunks, so queries and ingest interleave with the

@@ -117,12 +117,28 @@ func TestCheckpointBoundsAndPublishes(t *testing.T) {
 // oracle is strict: every reopen must show all of them, with no
 // at-least-once slack.
 func TestCheckpointCrashSweep(t *testing.T) {
+	t.Run("no index", func(t *testing.T) {
+		sweepCheckpointCrashes(t, setupIngestBase, ingestScript, 3, checkIngestOutcome)
+	})
+	// A window that changed more than 256 pages of a large index: the
+	// checkpoint journals and writes them all, and a crash anywhere in it
+	// leaves the index healthy — the last checkpoint's plus the replayed
+	// log, or this one's.
+	t.Run("wide window", func(t *testing.T) {
+		sweepCheckpointCrashes(t, wideBase(t), wideScript, 2, checkWideOutcome)
+	})
+}
+
+// sweepCheckpointCrashes is the sweep over the checkpoint that follows
+// script on the database setup makes.
+func sweepCheckpointCrashes(t *testing.T, setup func(*testing.T, string) *DB, script func(*DB) (int, error), steps int,
+	check func(t *testing.T, db *DB, ackedSteps int, ctx string)) {
 	// Dry run: learn the deterministic write-op count of the window.
 	dry := &storage.FaultPlan{}
 	restore := withFaultFiles(dry)
 	dir := t.TempDir()
-	db := setupIngestBase(t, dir)
-	if acked, err := ingestScript(db); err != nil || acked != 3 {
+	db := setup(t, dir)
+	if acked, err := script(db); err != nil || acked != steps {
 		t.Fatalf("dry run: acked %d steps, err %v", acked, err)
 	}
 	w1 := dry.Writes()
@@ -144,8 +160,8 @@ func TestCheckpointCrashSweep(t *testing.T) {
 			pl := &storage.FaultPlan{FailWrite: n, Torn: torn}
 			restore := withFaultFiles(pl)
 			dir := t.TempDir()
-			db := setupIngestBase(t, dir)
-			if acked, err := ingestScript(db); err != nil || acked != 3 {
+			db := setup(t, dir)
+			if acked, err := script(db); err != nil || acked != steps {
 				t.Fatalf("%s: setup acked %d steps, err %v", ctx, acked, err)
 			}
 			err := db.Checkpoint()
@@ -157,7 +173,7 @@ func TestCheckpointCrashSweep(t *testing.T) {
 			}
 			// A failed checkpoint must not cost the live DB anything:
 			// every acknowledged operation is still visible.
-			checkIngestOutcome(t, db, 3, ctx+" (live)")
+			check(t, db, steps, ctx+" (live)")
 			_ = db.Close()
 			restore() // "reboot": recovery sees the real files
 
@@ -165,7 +181,7 @@ func TestCheckpointCrashSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", ctx, err)
 			}
-			checkIngestOutcome(t, re, 3, ctx)
+			check(t, re, steps, ctx)
 			if err := re.Save(); err != nil {
 				t.Fatalf("%s: save after recovery: %v", ctx, err)
 			}
@@ -179,7 +195,7 @@ func TestCheckpointCrashSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: second reopen: %v", ctx, err)
 			}
-			checkIngestOutcome(t, re2, 3, ctx+" (saved)")
+			check(t, re2, steps, ctx+" (saved)")
 			_ = re2.Close()
 		}
 	}

@@ -2,6 +2,7 @@ package fix
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -169,5 +170,55 @@ func TestLeftoverJournalReplayedOnOpen(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("query after journal discard = %+v, want %+v", got, want)
+	}
+}
+
+// TestCloseReopenLargeIndex is the clean stop of a served index of
+// ordinary pages: 280 wide documents under a depth-1 index of some 400
+// four-kilobyte pages, then two acknowledged submissions that change over
+// 256 of them — documents wideDoc spreads over the whole key space — no
+// checkpoint, Close, Open. Close closes the index's files and commits
+// nothing; Open replays the log onto the index the last checkpoint
+// committed, whole, so the index comes back healthy and sound, with every
+// acknowledged document, and agrees with a scan.
+func TestCloseReopenLargeIndex(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 280; i++ {
+		if _, err := db.AddDocumentString(wideDoc(fmt.Sprint("base", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.BuildIndex(IndexOptions{DepthLimit: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if acked, err := wideScript(db); err != nil || acked != 2 {
+		t.Fatalf("acked %d submissions, err %v", acked, err)
+	}
+	bt := db.index.BTree()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bt.ScrubDisk(1, nil); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("reading fix.btree after DB.Close = %v, want os.ErrClosed: Close leaves the file open", err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkWideOutcome(t, re, 2, "reopened")
+	if got := re.NumDocuments(); got != 282 || re.DeletedDocuments() != 1 {
+		t.Errorf("%d documents, %d deleted; want 282 and 1", got, re.DeletedDocuments())
+	}
+	if n := re.Metrics().BTree.PageWrites; n <= 256 {
+		t.Errorf("fixture: the recovery checkpoint wrote %d pages, want the window's more than 256", n)
 	}
 }

@@ -89,14 +89,14 @@ type Metrics struct {
 	Storage           StorageStats  `json:"storage"`
 }
 
-// BTreeStats are the index B-tree's cumulative pager counters.
-// PageReads are physical page reads, which are exactly the cache misses;
-// Evictions count pages dropped from the LRU cache.
+// BTreeStats are the index B-tree's cumulative page counters. The image
+// is resident: PageReads are the pages Open read and verified, PageWrites
+// the pages checkpoints (and a build) wrote to fix.btree, CacheHits every
+// page access of the writer and of queries.
 type BTreeStats struct {
 	PageReads  int64 `json:"page_reads"`
 	PageWrites int64 `json:"page_writes"`
 	CacheHits  int64 `json:"cache_hits"`
-	Evictions  int64 `json:"evictions"`
 }
 
 // StorageStats are the primary (and clustered, when present) record
@@ -179,7 +179,6 @@ func (db *DB) Metrics() Metrics {
 				PageReads:  bs.PageReads,
 				PageWrites: bs.PageWrites,
 				CacheHits:  bs.CacheHits,
-				Evictions:  bs.Evictions,
 			}
 		}
 		if cs := ix.ClusteredStore(); cs != nil {

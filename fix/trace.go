@@ -55,12 +55,13 @@ type QueryTrace struct {
 	Workers      int   `json:"workers"`
 	NodesVisited int64 `json:"nodes_visited"`
 
-	// B-tree pager activity of the probe phase. PageReads are physical
-	// reads (cache misses); Evictions count pages dropped from the LRU.
+	// B-tree page traffic of the probe phase. CacheHits are the pages the
+	// probe accessed: the index image is resident, so every access is a
+	// hit, and PageReads and PageWrites — pages moved from and to
+	// fix.btree, which Open and a checkpoint do — are zero for a query.
 	PageReads  int64 `json:"page_reads"`
 	PageWrites int64 `json:"page_writes"`
 	CacheHits  int64 `json:"cache_hits"`
-	Evictions  int64 `json:"evictions"`
 
 	// Record-heap activity of fetch + refinement, primary and clustered
 	// heaps combined, in the storage layer's accounting.
@@ -112,8 +113,7 @@ func (t *QueryTrace) String() string {
 		fmt.Fprintf(&b, "  pruning: %d entries, %d scanned -> %d candidates -> %d matched, %d results\n",
 			t.Entries, t.Scanned, t.Candidates, t.Matched, t.Count)
 	}
-	fmt.Fprintf(&b, "  btree: %d page reads, %d cache hits, %d evictions\n",
-		t.PageReads, t.CacheHits, t.Evictions)
+	fmt.Fprintf(&b, "  btree: %d page reads, %d cache hits\n", t.PageReads, t.CacheHits)
 	fmt.Fprintf(&b, "  storage: %d seq + %d random + %d cached reads, %d bytes; %d subtree reads, %d subtree bytes\n",
 		t.SeqReads, t.RandomReads, t.CachedReads, t.BytesRead, t.SubtreeReads, t.SubtreeBytes)
 	fmt.Fprintf(&b, "  refine: %d nodes visited", t.NodesVisited)
@@ -141,7 +141,6 @@ func traceFromObs(tr *obs.Trace) *QueryTrace {
 		PageReads:    tr.BTree.PageReads,
 		PageWrites:   tr.BTree.PageWrites,
 		CacheHits:    tr.BTree.CacheHits,
-		Evictions:    tr.BTree.Evictions,
 		SeqReads:     tr.Storage.SeqReads,
 		RandomReads:  tr.Storage.RandomReads,
 		CachedReads:  tr.Storage.CachedReads,

@@ -30,7 +30,7 @@ func traceDB(t *testing.T, opts IndexOptions) *DB {
 
 // TestTraceReconcilesWithStorageStats checks that a traced query's
 // storage counters equal the store's own before/after deltas, and that
-// the B-tree counters equal the pager's deltas — tracing must report the
+// the B-tree counters equal the tree's deltas — tracing must report the
 // exact I/O the query caused, not an estimate.
 func TestTraceReconcilesWithStorageStats(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -54,9 +54,9 @@ func TestTraceReconcilesWithStorageStats(t *testing.T) {
 				t.Errorf("storage counters diverge: trace {seq %d rand %d cached %d bytes %d sub %d subB %d}, store delta %+v",
 					tr.SeqReads, tr.RandomReads, tr.CachedReads, tr.BytesRead, tr.SubtreeReads, tr.SubtreeBytes, std)
 			}
-			if tr.PageReads != btd.PageReads || tr.CacheHits != btd.CacheHits || tr.Evictions != btd.Evictions {
-				t.Errorf("btree counters diverge: trace {reads %d hits %d evict %d}, pager delta %+v",
-					tr.PageReads, tr.CacheHits, tr.Evictions, btd)
+			if tr.PageReads != btd.PageReads || tr.CacheHits != btd.CacheHits {
+				t.Errorf("btree counters diverge: trace {reads %d hits %d}, tree delta %+v",
+					tr.PageReads, tr.CacheHits, btd)
 			}
 			if tr.Count != res.Count || tr.Candidates != res.Candidates ||
 				tr.Entries != res.Entries || tr.Matched != res.MatchedEntries {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fix-index/fix/internal/storage"
 )
@@ -14,68 +15,67 @@ const (
 	magic = "FIXBT003" // 003: prefix-compressed leaf cells (002: checksummed page headers)
 	// DefaultPageSize is the page size used unless overridden.
 	DefaultPageSize = 4096
-	// DefaultCacheSize is the default number of cached pages.
-	DefaultCacheSize = 256
 	// maxPageSize is the largest page Open accepts: no length on a page is
 	// larger.
 	maxPageSize = 1 << 24
 )
 
-// Tree is a disk-based B+tree with byte-string keys and values. Keys are
-// unique; Put overwrites. Keys and values must individually fit in a
-// quarter page so that splits always succeed.
+// Tree is a B+tree with byte-string keys and values, resident in memory
+// and persisted to a file by Flush. Keys are unique; Put overwrites. Keys
+// and values must individually fit in a quarter page so that splits always
+// succeed.
 //
 // Every exported operation takes an internal mutex, so a Tree is safe for
-// concurrent use; even read-only operations need the exclusion because
-// they move pages through the LRU cache. Scan holds the lock for the
-// whole pass, so scan callbacks must not call back into the same Tree.
-// For mutex-free concurrent reads, FreezeView materializes an immutable
-// View that many goroutines can Get/Scan without any lock.
+// concurrent use: it is the writer's handle, and its reads see the
+// writer's uncommitted pages. Scan holds the lock for the whole pass, so
+// scan callbacks must not call back into the same Tree. For mutex-free
+// concurrent reads, FreezeView hands out an immutable View that many
+// goroutines can Get/Scan without any lock.
 type Tree struct {
-	mu     sync.Mutex
-	p      *pager // guarded by mu (the pager owns the page cache, I/O counters, and npages)
-	root   uint32 // guarded by mu
-	height uint32 // guarded by mu
-	count  uint64 // guarded by mu
-	vs     viewStats
+	mu       sync.Mutex
+	f        storage.File // guarded by mu (read by Open and ScrubDisk, written by Flush)
+	pageSize int          // immutable after Create/Open
+	// pages is the page table: the whole image, one buffer of pageSize
+	// bytes per page id, page 0 the meta page. Every View starts as a copy
+	// of the slice and shares the buffers; own keeps the writer off them.
+	pages  [][]byte // guarded by mu
+	owned  idSet    // guarded by mu (pages copied or allocated since the last FreezeView: no View shares their buffers)
+	dirty  idSet    // guarded by mu (pages that differ from the file: what Flush writes)
+	stats  Stats    // guarded by mu
+	root   uint32   // guarded by mu
+	height uint32   // guarded by mu
+	count  uint64   // guarded by mu
+	// viewHits counts the page accesses of every View frozen from the
+	// tree. Views are read without any lock, so it is atomic, and the
+	// views share it, so the tree's Stats stay cumulative across them.
+	viewHits atomic.Int64
 }
 
-// Create initializes an empty tree on f.
-func Create(f storage.File, pageSize, cacheSize int) (*Tree, error) {
+// Create initializes an empty tree that Flush will write to f. (The third
+// parameter was a cache size; bench/fixload/ledger.go still passes one, and
+// ROADMAP item 5(a) drops it.)
+func Create(f storage.File, pageSize, _ int) (*Tree, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
 	if pageSize < 256 {
 		return nil, fmt.Errorf("btree: page size %d too small", pageSize)
 	}
-	if cacheSize <= 0 {
-		cacheSize = DefaultCacheSize
-	}
-	t := &Tree{p: newPager(f, pageSize, cacheSize)}
-	// Page 0 is the meta page.
-	if _, err := t.p.alloc(); err != nil {
-		return nil, err
-	}
-	rootPg, err := t.p.alloc()
-	if err != nil {
-		return nil, err
-	}
-	rootNode := &node{id: rootPg.id, leaf: true}
-	rootNode.encode(rootPg.payload())
-	t.p.markDirty(rootPg)
-	t.root = rootPg.id
-	t.height = 1
-	if err := t.writeMeta(); err != nil {
-		return nil, err
-	}
+	t := &Tree{f: f, pageSize: pageSize, height: 1}
+	t.alloc() // page 0 is the meta page
+	t.root = t.alloc()
+	(&node{id: t.root, leaf: true}).encode(t.own(t.root))
+	t.writeMeta()
 	return t, nil
 }
 
-// Open loads an existing tree from f. Corruption of the meta page — a bad
-// magic, an implausible page size, or a checksum mismatch — is reported as
-// ErrCorrupt so callers can degrade gracefully instead of mis-reading the
-// tree.
-func Open(f storage.File, cacheSize int) (*Tree, error) {
+// Open loads the tree that the last Flush wrote to f: every page is read
+// and verified once, into the page table, and the file is not read again.
+// Corruption — a bad magic, an implausible page size, a file shorter than
+// its meta page says, a page whose checksum does not match — is reported
+// as ErrCorrupt so callers can degrade gracefully instead of mis-reading
+// the tree.
+func Open(f storage.File) (*Tree, error) {
 	// The page size must be known before the meta page can be
 	// checksum-verified, so peek at the raw header first.
 	var hdr [pageHeaderSize + 40]byte
@@ -93,39 +93,56 @@ func Open(f storage.File, cacheSize int) (*Tree, error) {
 	if pageSize < 256 || pageSize > maxPageSize {
 		return nil, fmt.Errorf("%w: implausible page size %d", ErrCorrupt, pageSize)
 	}
-	if cacheSize <= 0 {
-		cacheSize = DefaultCacheSize
-	}
-	t := &Tree{p: newPager(f, pageSize, cacheSize)}
-	pg, err := t.p.read(0)
+	size, err := f.Size()
 	if err != nil {
 		return nil, err
 	}
-	meta := pg.payload()
-	t.root = binary.BigEndian.Uint32(meta[12:16])
-	t.p.npages = binary.BigEndian.Uint32(meta[16:20])
-	t.count = binary.BigEndian.Uint64(meta[20:28])
-	t.height = binary.BigEndian.Uint32(meta[28:32])
-	if t.p.npages < 2 || t.root == 0 || t.root >= t.p.npages || t.height == 0 {
-		return nil, fmt.Errorf("%w: meta page: npages=%d root=%d height=%d", ErrCorrupt, t.p.npages, t.root, t.height)
+	t := &Tree{f: f, pageSize: pageSize}
+	npages := uint32(1)
+	for id := uint32(0); id < npages; id++ {
+		if end := (int64(id) + 1) * int64(pageSize); size < end {
+			return nil, fmt.Errorf("%w: the file ends after %d bytes, inside page %d of %d", ErrCorrupt, size, id, npages)
+		}
+		buf := make([]byte, pageSize)
+		if _, err := f.ReadAt(buf, int64(id)*int64(pageSize)); err != nil {
+			return nil, fmt.Errorf("btree: reading page %d: %w", id, err)
+		}
+		if err := verifyPage(id, buf); err != nil {
+			return nil, err
+		}
+		t.pages = append(t.pages, buf)
+		t.stats.PageReads++
+		if id > 0 {
+			continue
+		}
+		meta := buf[pageHeaderSize:]
+		t.root = binary.BigEndian.Uint32(meta[12:16])
+		npages = binary.BigEndian.Uint32(meta[16:20])
+		t.count = binary.BigEndian.Uint64(meta[20:28])
+		t.height = binary.BigEndian.Uint32(meta[28:32])
+		if npages < 2 || t.root == 0 || t.root >= npages || t.height == 0 {
+			return nil, fmt.Errorf("%w: meta page: npages=%d root=%d height=%d", ErrCorrupt, npages, t.root, t.height)
+		}
 	}
 	return t, nil
 }
 
-func (t *Tree) writeMeta() error {
-	pg, err := t.p.read(0)
-	if err != nil {
-		return err
-	}
-	meta := pg.payload()
+// Close closes the tree's file. Nothing is flushed: what was not committed
+// is the caller's to replay. Views frozen from the tree stay readable.
+func (t *Tree) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.f.Close()
+}
+
+func (t *Tree) writeMeta() {
+	meta := t.own(0)
 	copy(meta[:8], magic)
-	binary.BigEndian.PutUint32(meta[8:12], uint32(t.p.pageSize))
+	binary.BigEndian.PutUint32(meta[8:12], uint32(t.pageSize))
 	binary.BigEndian.PutUint32(meta[12:16], t.root)
-	binary.BigEndian.PutUint32(meta[16:20], t.p.npages)
+	binary.BigEndian.PutUint32(meta[16:20], uint32(len(t.pages)))
 	binary.BigEndian.PutUint64(meta[20:28], t.count)
 	binary.BigEndian.PutUint32(meta[28:32], t.height)
-	t.p.markDirty(pg)
-	return nil
 }
 
 // Len returns the number of entries.
@@ -146,48 +163,31 @@ func (t *Tree) Height() int {
 func (t *Tree) Size() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return int64(t.p.npages) * int64(t.p.pageSize)
+	return int64(len(t.pages)) * int64(t.pageSize)
 }
 
-// Stats returns a snapshot of I/O counters: the pager's, merged with the
-// counters of every View frozen from this tree, so a caller differencing
+// Stats returns a snapshot of the page counters: the tree's, merged with
+// the accesses of every View frozen from it, so a caller differencing
 // Stats around a query sees the same deltas whether the query ran against
 // the live tree or a frozen view.
 func (t *Tree) Stats() Stats {
 	t.mu.Lock()
-	s := t.p.stats
+	s := t.stats
 	t.mu.Unlock()
-	vs := t.vs.load()
-	s.PageReads += vs.PageReads
-	s.CacheHits += vs.CacheHits
+	s.CacheHits += t.viewHits.Load()
 	return s
 }
 
-// ResetStats zeroes the pager and view counters.
+// ResetStats zeroes the tree's and the views' counters.
 func (t *Tree) ResetStats() {
 	t.mu.Lock()
-	t.p.stats = Stats{}
+	t.stats = Stats{}
 	t.mu.Unlock()
-	t.vs.pageReads.Store(0)
-	t.vs.cacheHits.Store(0)
-}
-
-// Flush writes all dirty pages and the meta page.
-func (t *Tree) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.flush()
-}
-
-func (t *Tree) flush() error {
-	if err := t.writeMeta(); err != nil {
-		return err
-	}
-	return t.p.flush()
+	t.viewHits.Store(0)
 }
 
 // payloadSize is the space available to a node on one page.
-func (t *Tree) payloadSize() int { return t.p.pageSize - pageHeaderSize }
+func (t *Tree) payloadSize() int { return t.pageSize - pageHeaderSize }
 
 func (t *Tree) maxEntry() int { return t.payloadSize() / 4 }
 
@@ -201,31 +201,20 @@ func (t *Tree) checkEntry(key, val []byte) error {
 }
 
 func (t *Tree) loadNode(id uint32) (*node, error) {
-	pg, err := t.p.read(id)
+	c, err := t.cells(id)
 	if err != nil {
 		return nil, err
 	}
-	return decodeNode(id, pg.payload())
+	return decodeNode(id, c.buf)
 }
 
-func (t *Tree) storeNode(n *node) error {
-	pg, err := t.p.read(n.id)
-	if err != nil {
-		return err
-	}
-	n.encode(pg.payload())
-	t.p.markDirty(pg)
-	return nil
-}
+func (t *Tree) storeNode(n *node) { n.encode(t.own(n.id)) }
 
-// cells opens page id from the pager; the result is valid until the next
-// pager call.
+// cells opens page id of the table for reading. To write the page, give
+// the result the buffer own returns.
 func (t *Tree) cells(id uint32) (cells, error) {
-	pg, err := t.p.read(id)
-	if err != nil {
-		return cells{}, err
-	}
-	return openCells(id, pg.payload())
+	t.stats.CacheHits++
+	return openPage(t.pages, id)
 }
 
 // Get returns the value stored under key.
@@ -236,20 +225,14 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 }
 
 // editLeaf descends to the leaf whose key range holds key and locates key
-// on it for an edit in place. The pager hands out the same buffer until
-// it evicts the page, and the leaf is the page it read last, so leaf.buf
-// is the live page until the next pager call.
+// on it for an edit in place. The leaf is open for reading: Put and Delete
+// move it to the buffer own returns — byte for byte the same, so at holds
+// there too — before they write.
 func (t *Tree) editLeaf(key []byte) (leaf cells, at slot, err error) {
 	if leaf, err = findLeaf(t, t.root, t.height, key); err == nil {
 		at, err = leaf.locate(key)
 	}
 	return leaf, at, err
-}
-
-// edited finishes an edit in place of a leaf that now holds n cells.
-func (t *Tree) edited(leaf cells, n int) {
-	binary.BigEndian.PutUint16(leaf.buf[1:3], uint16(n))
-	t.p.markDirty(t.p.cache[leaf.id])
 }
 
 // Put inserts or overwrites the entry for key. A new key whose cell fits
@@ -268,10 +251,13 @@ func (t *Tree) Put(key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	if !at.found && leaf.insertAt(at, key, val) {
-		t.edited(leaf, leaf.n+1)
-		t.count++
-		return nil
+	if !at.found {
+		// A leaf without the room is split below, so the copy is not wasted.
+		if leaf.buf = t.own(leaf.id); leaf.insertAt(at, key, val) {
+			leaf.setCount(leaf.n + 1)
+			t.count++
+			return nil
+		}
 	}
 	sepKey, newChild, grew, added, err := t.insert(t.root, key, val)
 	if err != nil {
@@ -282,19 +268,14 @@ func (t *Tree) Put(key, val []byte) error {
 	}
 	if grew {
 		// Root split: create a new internal root.
-		pg, err := t.p.alloc()
-		if err != nil {
-			return err
-		}
 		newRoot := &node{
-			id:       pg.id,
+			id:       t.alloc(),
 			next:     t.root, // leftmost child
 			keys:     [][]byte{sepKey},
 			children: []uint32{newChild},
 		}
-		newRoot.encode(pg.payload())
-		t.p.markDirty(pg)
-		t.root = pg.id
+		t.storeNode(newRoot)
+		t.root = newRoot.id
 		t.height++
 	}
 	return nil
@@ -314,10 +295,11 @@ func (t *Tree) insert(id uint32, key, val []byte) ([]byte, uint32, bool, bool, e
 			// which case the leaf splits like a fresh insert would.
 			n.vals[i] = append([]byte(nil), val...)
 			if n.encodedSize() <= t.payloadSize() {
-				return nil, 0, false, false, t.storeNode(n)
+				t.storeNode(n)
+				return nil, 0, false, false, nil
 			}
-			sep, rightID, err := t.splitLeaf(n, len(n.keys)/2)
-			return sep, rightID, true, false, err
+			sep, rightID := t.splitLeaf(n, len(n.keys)/2)
+			return sep, rightID, true, false, nil
 		}
 		n.keys = append(n.keys, nil)
 		copy(n.keys[i+1:], n.keys[i:])
@@ -326,10 +308,11 @@ func (t *Tree) insert(id uint32, key, val []byte) ([]byte, uint32, bool, bool, e
 		copy(n.vals[i+1:], n.vals[i:])
 		n.vals[i] = append([]byte(nil), val...)
 		if n.encodedSize() <= t.payloadSize() {
-			return nil, 0, false, true, t.storeNode(n)
+			t.storeNode(n)
+			return nil, 0, false, true, nil
 		}
-		sep, rightID, err := t.splitLeaf(n, t.runEnd(n, i))
-		return sep, rightID, true, true, err
+		sep, rightID := t.splitLeaf(n, t.runEnd(n, i))
+		return sep, rightID, true, true, nil
 	}
 	child := n.childFor(key)
 	sep, newChild, grew, added, err := t.insert(child, key, val)
@@ -348,10 +331,11 @@ func (t *Tree) insert(id uint32, key, val []byte) ([]byte, uint32, bool, bool, e
 	copy(n.children[i+1:], n.children[i:])
 	n.children[i] = newChild
 	if n.encodedSize() <= t.payloadSize() {
-		return nil, 0, false, added, t.storeNode(n)
+		t.storeNode(n)
+		return nil, 0, false, added, nil
 	}
-	upSep, rightID, err := t.splitInternal(n)
-	return upSep, rightID, true, added, err
+	upSep, rightID := t.splitInternal(n)
+	return upSep, rightID, true, added, nil
 }
 
 // sharedPrefix returns how many leading bytes a and b have in common.
@@ -401,18 +385,14 @@ func (t *Tree) runEnd(n *node, i int) int {
 // largest of them all in one half, which then does not fit its page: the
 // cut goes where the left page is fullest instead, which always works
 // (DESIGN.md "Leaf splits").
-func (t *Tree) splitLeaf(n *node, cut int) ([]byte, uint32, error) {
+func (t *Tree) splitLeaf(n *node, cut int) ([]byte, uint32) {
 	if l, _ := leafBytes(n.keys[:cut], n.vals[:cut], t.payloadSize()); l < cut {
 		cut = l
 	} else if r, _ := leafBytes(n.keys[cut:], n.vals[cut:], t.payloadSize()); cut+r < len(n.keys) {
 		cut, _ = leafBytes(n.keys, n.vals, t.payloadSize())
 	}
-	pg, err := t.p.alloc()
-	if err != nil {
-		return nil, 0, err
-	}
 	right := &node{
-		id:   pg.id,
+		id:   t.alloc(),
 		leaf: true,
 		next: n.next,
 		keys: append([][]byte(nil), n.keys[cut:]...),
@@ -421,37 +401,27 @@ func (t *Tree) splitLeaf(n *node, cut int) ([]byte, uint32, error) {
 	n.keys = n.keys[:cut]
 	n.vals = n.vals[:cut]
 	n.next = right.id
-	right.encode(pg.payload())
-	t.p.markDirty(pg)
-	if err := t.storeNode(n); err != nil {
-		return nil, 0, err
-	}
-	return right.keys[0], right.id, nil
+	t.storeNode(right)
+	t.storeNode(n)
+	return right.keys[0], right.id
 }
 
 // splitInternal splits an over-full internal node, promoting the median
 // key.
-func (t *Tree) splitInternal(n *node) ([]byte, uint32, error) {
+func (t *Tree) splitInternal(n *node) ([]byte, uint32) {
 	mid := len(n.keys) / 2
 	sep := n.keys[mid]
-	pg, err := t.p.alloc()
-	if err != nil {
-		return nil, 0, err
-	}
 	right := &node{
-		id:       pg.id,
+		id:       t.alloc(),
 		next:     n.children[mid], // leftmost child of the right node
 		keys:     append([][]byte(nil), n.keys[mid+1:]...),
 		children: append([]uint32(nil), n.children[mid+1:]...),
 	}
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid]
-	right.encode(pg.payload())
-	t.p.markDirty(pg)
-	if err := t.storeNode(n); err != nil {
-		return nil, 0, err
-	}
-	return sep, right.id, nil
+	t.storeNode(right)
+	t.storeNode(n)
+	return sep, right.id
 }
 
 // Delete removes the entry for key, reporting whether it existed. Leaves
@@ -465,8 +435,9 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		return false, err
 	}
 	// As in Put, the page comes out as node.encode would write it.
+	leaf.buf = t.own(leaf.id)
 	leaf.removeAt(at)
-	t.edited(leaf, leaf.n-1)
+	leaf.setCount(leaf.n - 1)
 	t.count--
 	return true, nil
 }
@@ -476,61 +447,14 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 // false stops the scan. The tree lock is held for the whole scan, so fn
 // must not call back into the Tree.
 //
-// val is read in place from the page cache and key is rebuilt in a buffer
+// val is read in place from the page table and key is rebuilt in a buffer
 // the scan reuses for the next entry (a leaf stores a key without the bytes
 // it shares with the one before it): both are valid only during the call —
 // fn copies what it keeps — and must not be modified.
 func (t *Tree) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return scanLeaves(t, t.root, t.height, t.p.npages, from, to, fn)
-}
-
-// ClearCache flushes dirty pages and drops the page cache, so a following
-// operation measures cold I/O.
-func (t *Tree) ClearCache() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.flush(); err != nil {
-		return err
-	}
-	t.p.cache = make(map[uint32]*page, t.p.cap)
-	t.p.lru.Init()
-	return nil
-}
-
-// PageSize returns the tree's page size in bytes.
-func (t *Tree) PageSize() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.p.pageSize
-}
-
-// DirtyPage is a checksummed copy of one modified page, ready to be
-// journaled before an atomic commit.
-type DirtyPage struct {
-	ID   uint32
-	Data []byte
-}
-
-// DirtyPages stamps the meta page and returns checksummed copies of every
-// dirty page in id order, without writing anything. A following Flush
-// writes byte-identical pages in place, so a journal built from this
-// snapshot replays to exactly the committed state.
-func (t *Tree) DirtyPages() ([]DirtyPage, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.writeMeta(); err != nil {
-		return nil, err
-	}
-	ids := t.p.dirtyIDs()
-	out := make([]DirtyPage, 0, len(ids))
-	for _, id := range ids {
-		buf := append([]byte(nil), t.p.cache[id].buf...)
-		stampPage(buf)
-		out = append(out, DirtyPage{ID: id, Data: buf})
-	}
-	return out, nil
+	return scanLeaves(t, t.root, t.height, uint32(len(t.pages)), from, to, fn)
 }
 
 // Verify checks everything a probe relies on in one top-down walk from
@@ -547,7 +471,7 @@ func (t *Tree) DirtyPages() ([]DirtyPage, error) {
 func (t *Tree) Verify() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := verifyWalk{t: t, seen: make([]bool, t.p.npages)}
+	w := verifyWalk{t: t, seen: make([]bool, len(t.pages))}
 	if err := w.visit(t.root, 1, nil, nil); err != nil {
 		return err
 	}
@@ -557,7 +481,7 @@ func (t *Tree) Verify() error {
 	if w.count != t.count {
 		return fmt.Errorf("%w: leaves hold %d entries, meta page claims %d", ErrCorrupt, w.count, t.count)
 	}
-	for id := uint32(1); id < t.p.npages; id++ {
+	for id := uint32(1); id < uint32(len(t.pages)); id++ {
 		if w.seen[id] {
 			continue
 		}

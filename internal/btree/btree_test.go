@@ -13,9 +13,12 @@ import (
 	"github.com/fix-index/fix/internal/storage"
 )
 
+// payloadOf returns page id's payload where the table holds it.
+func payloadOf(tr *Tree, id uint32) []byte { return tr.pages[id][pageHeaderSize:] }
+
 func newTree(t *testing.T, pageSize int) *Tree {
 	t.Helper()
-	tr, err := Create(storage.NewMemFile(), pageSize, 32)
+	tr, err := Create(storage.NewMemFile(), pageSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +219,7 @@ func TestDelete(t *testing.T) {
 
 func TestPersistence(t *testing.T) {
 	f := storage.NewMemFile()
-	tr, err := Create(f, 512, 16)
+	tr, err := Create(f, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ func TestPersistence(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(f, 16)
+	re, err := Open(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := f.WriteAt(make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(f, 0); err == nil {
+	if _, err := Open(f); err == nil {
 		t.Error("Open on garbage succeeded")
 	}
 }
@@ -330,34 +333,49 @@ func TestModelRandomOps(t *testing.T) {
 	}
 }
 
-func TestStatsAndClearCache(t *testing.T) {
-	tr := newTree(t, 512)
+// TestStats pins what the counters mean now that the image is resident:
+// Flush writes each dirty page once, Open reads each page once, and no
+// access after that reads the file.
+func TestStats(t *testing.T) {
+	f := storage.NewMemFile()
+	tr, err := Create(f, 512, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 1000; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.ClearCache(); err != nil {
+	if s := tr.Stats(); s.PageReads != 0 || s.PageWrites != 0 {
+		t.Errorf("before the first Flush: %+v, want no file traffic", s)
+	}
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tr.ResetStats()
-	if _, _, err := tr.Get([]byte("00500")); err != nil {
+	pages := tr.Size() / 512
+	if s := tr.Stats(); pages < 3 || s.PageWrites != pages {
+		t.Errorf("Flush of a fresh tree of %d pages: %+v", pages, s)
+	}
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cold := tr.Stats()
-	if cold.PageReads == 0 {
-		t.Error("cold get did no page reads")
+	if s := tr.Stats(); s.PageWrites != pages+1 {
+		t.Errorf("a Flush with nothing changed wrote %d pages, want the meta page only", s.PageWrites-pages)
 	}
-	tr.ResetStats()
-	if _, _, err := tr.Get([]byte("00500")); err != nil {
+	re, err := Open(f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	warm := tr.Stats()
-	if warm.PageReads != 0 || warm.CacheHits == 0 {
-		t.Errorf("warm get: %+v", warm)
+	if s := re.Stats(); s.PageReads != pages {
+		t.Errorf("Open read %d of %d pages", s.PageReads, pages)
 	}
-	if tr.Size() <= 0 {
-		t.Error("Size not positive")
+	re.ResetStats()
+	if _, ok, err := re.Get([]byte("00500")); err != nil || !ok {
+		t.Fatal(ok, err)
+	}
+	if s := re.Stats(); s.PageReads != 0 || s.CacheHits == 0 {
+		t.Errorf("a Get after Open: %+v", s)
 	}
 }
 
@@ -397,9 +415,7 @@ func TestVerifyTerminatesOnLoopingLeafChain(t *testing.T) {
 				t.Fatalf("fixture is not a two-leaf chain: %d -> %d -> %d", first.id, first.next, last.next)
 			}
 			last.next = first.id
-			if err := tr.storeNode(last); err != nil {
-				t.Fatal(err)
-			}
+			tr.storeNode(last)
 
 			done := make(chan error, 1)
 			go func() { done <- tr.Verify() }()

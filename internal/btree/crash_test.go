@@ -20,7 +20,7 @@ func fillTree(t *testing.T, tr *Tree, n int) {
 
 func TestCorruptPageDetected(t *testing.T) {
 	mem := storage.NewMemFile()
-	tr, err := Create(mem, 512, 32)
+	tr, err := Create(mem, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,21 +41,15 @@ func TestCorruptPageDetected(t *testing.T) {
 		}
 	}
 
-	re, err := Open(mem, 0)
-	if err != nil {
-		t.Fatalf("open with intact meta page: %v", err)
-	}
-	if _, _, err := re.Get([]byte("key00000")); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get on corrupt page: got %v, want ErrCorrupt", err)
-	}
-	if err := re.Verify(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Verify: got %v, want ErrCorrupt", err)
+	// Open verifies every page it reads, and it reads them all.
+	if _, err := Open(mem); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open with an intact meta page over corrupt pages: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestCorruptMetaPageRejectedAtOpen(t *testing.T) {
 	mem := storage.NewMemFile()
-	tr, err := Create(mem, 512, 32)
+	tr, err := Create(mem, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +61,14 @@ func TestCorruptMetaPageRejectedAtOpen(t *testing.T) {
 	if _, err := mem.WriteAt([]byte{0xFF}, pageHeaderSize+20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(mem, 0); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(mem); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open on corrupt meta page: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestTornPageDetected(t *testing.T) {
 	mem := storage.NewMemFile()
-	tr, err := Create(mem, 512, 32)
+	tr, err := Create(mem, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,56 +81,55 @@ func TestTornPageDetected(t *testing.T) {
 	if _, err := mem.WriteAt(make([]byte, 256), 512); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(mem, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = re.Scan(nil, nil, func(k, v []byte) bool { return true })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("scan over torn page: got %v, want ErrCorrupt", err)
+	if _, err := Open(mem); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over a torn page: got %v, want ErrCorrupt", err)
 	}
 }
 
-// TestEvictionWriteFailureSurfacesAtFlush pins the satellite fix for the
-// silent data-loss hazard: if an eviction write-back fails, the page
-// stays resident and the error must resurface from Flush, never be
-// swallowed.
-func TestEvictionWriteFailureSurfacesAtFlush(t *testing.T) {
-	pl := &storage.FaultPlan{FailWrite: 1}
-	tr, err := Create(pl.Wrap(storage.NewMemFile()), 512, 8)
+// TestFlushWriteFailureSurfaces: Flush is the only writer of the file, so
+// a write that fails fails there, in front of the caller — and it stops at
+// the first: the pages behind it are not written over a hole.
+func TestFlushWriteFailureSurfaces(t *testing.T) {
+	pl := &storage.FaultPlan{FailWrite: 3}
+	mem := storage.NewMemFile()
+	tr, err := Create(pl.Wrap(mem), 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No write happens until the cache overflows, so the first physical
-	// write is an eviction write-back — which the plan fails.
 	fillTree(t, tr, 500)
-	if !pl.Tripped() {
-		t.Fatal("500 inserts at cache size 8 caused no eviction")
+	if pl.Tripped() {
+		t.Fatal("a write reached the file before the first Flush")
 	}
 	if err := tr.Flush(); !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("Flush after failed eviction: got %v, want the eviction's error", err)
+		t.Fatalf("Flush over a failing file: got %v, want the write's error", err)
+	}
+	if size, _ := mem.Size(); size != 2*512 {
+		t.Errorf("the file holds %d bytes after the third write failed, want two pages", size)
+	}
+	if err := tr.Flush(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("second Flush over a file that still fails: got %v", err)
 	}
 }
 
-// TestTransientEvictionFailureRecovers checks the other half of the
-// contract: after a one-off eviction failure, the page is still resident
-// and dirty, so a later Flush rewrites it and the tree is fully durable.
-func TestTransientEvictionFailureRecovers(t *testing.T) {
-	pl := &storage.FaultPlan{FailWrite: 1, OneShot: true}
+// TestTransientFlushFailureRecovers checks the other half of the
+// contract: after a one-off write failure every page is still dirty, so a
+// later Flush writes them all and the file is the whole tree.
+func TestTransientFlushFailureRecovers(t *testing.T) {
+	pl := &storage.FaultPlan{FailWrite: 3, OneShot: true}
 	mem := storage.NewMemFile()
-	tr, err := Create(pl.Wrap(mem), 512, 8)
+	tr, err := Create(pl.Wrap(mem), 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 500
 	fillTree(t, tr, n)
-	if !pl.Tripped() {
-		t.Fatal("expected an eviction fault to fire")
+	if err := tr.Flush(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("Flush with the fault armed: got %v", err)
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("Flush retry after transient fault: %v", err)
 	}
-	re, err := Open(mem, 0)
+	re, err := Open(mem)
 	if err != nil {
 		t.Fatal(err)
 	}

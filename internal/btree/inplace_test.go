@@ -381,11 +381,10 @@ type modelTree struct {
 	key   func(i int) []byte // nil: keyShapes[0]'s
 }
 
-// newModelTree returns an empty tree for keys of shape with the smallest
-// page cache, so that reads fetch evicted pages back.
+// newModelTree returns an empty tree for keys of shape.
 func newModelTree(t *testing.T, shape int, seed int64) *modelTree {
 	t.Helper()
-	tr, err := Create(storage.NewMemFile(), keyShapes[shape].pageSize, 8)
+	tr, err := Create(storage.NewMemFile(), keyShapes[shape].pageSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,12 +482,8 @@ func (m *modelTree) someBound(entries []kv) []byte {
 // every page must be the bytes the reference encoder writes for its cells.
 func (m *modelTree) checkSeeks(what string) {
 	m.t.Helper()
-	for id := uint32(1); id < m.tr.p.npages; id++ {
-		pg, err := m.tr.p.read(id)
-		if err != nil {
-			m.t.Fatal(err)
-		}
-		buf := append([]byte(nil), pg.payload()...)
+	for id := uint32(1); id < uint32(len(m.tr.pages)); id++ {
+		buf := append([]byte(nil), payloadOf(m.tr, id)...)
 		leaf, next, cells, err := referenceCells(id, buf)
 		if err != nil {
 			m.t.Fatalf("%s: %v", what, err)
@@ -592,8 +587,7 @@ func (m *modelTree) check(what string) {
 
 // TestViewMatchesTreeAndModel is the differential test of the in-place
 // read path: over trees grown by random Put/Delete (with leaves emptied
-// and underflowing), packed by Load, and packed then mutated — all behind
-// the smallest page cache, so Tree.Scan reads evicted pages back, and for
+// and underflowing), packed by Load, and packed then mutated — for
 // every shape of key in keyShapes — every range scan and lookup of the
 // frozen view equals the live tree's and the sorted-map model's, and every
 // page passes checkSeeks.
@@ -627,12 +621,12 @@ func TestViewMatchesTreeAndModel(t *testing.T) {
 }
 
 // TestViewDoesNotAliasMutableState pins the aliasing contract of in-place
-// reads. A view's pages are frozen copies: 1 000 Puts and Deletes on the
-// live tree afterwards — which rewrite the pager's buffers and make later
+// reads. A view's pages are frozen: 1 000 Puts and Deletes on the live
+// tree afterwards — which clone the pages they change and make later
 // views share or replace pages — leave a second scan of the old view
 // byte-equal to the first. And what Get returns is the caller's own copy.
 func TestViewDoesNotAliasMutableState(t *testing.T) {
-	tr, err := Create(storage.NewMemFile(), 512, 8)
+	tr, err := Create(storage.NewMemFile(), 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +764,7 @@ func (m *modelTree) edit(key, val []byte) {
 	if err != nil {
 		m.t.Fatal(err)
 	}
-	id, rightID := c.id, m.tr.p.npages
+	id, rightID := c.id, uint32(len(m.tr.pages))
 	wantLeft, wantRight := referenceLeafEdit(m.t, append([]byte(nil), c.buf...), id, rightID, key, val)
 	_, had := m.model[string(key)]
 	what := fmt.Sprintf("Put(%q, %d bytes)", key, len(val))
@@ -796,15 +790,11 @@ func (m *modelTree) edit(key, val []byte) {
 		if pg.want == nil {
 			continue
 		}
-		got, err := m.tr.p.read(pg.id)
-		if err != nil {
-			m.t.Fatal(err)
+		if got := payloadOf(m.tr, pg.id); !bytes.Equal(got, pg.want) {
+			m.t.Fatalf("%s: page %d differs from decode, edit, encode of its previous image\n got %x\nwant %x", what, pg.id, got, pg.want)
 		}
-		if !bytes.Equal(got.payload(), pg.want) {
-			m.t.Fatalf("%s: page %d differs from decode, edit, encode of its previous image\n got %x\nwant %x", what, pg.id, got.payload(), pg.want)
-		}
-		if (val != nil || had) && (!got.dirty || !m.tr.p.changed[pg.id]) {
-			m.t.Fatalf("%s: page %d was edited but not marked dirty and changed", what, pg.id)
+		if (val != nil || had) && (!m.tr.dirty.has(pg.id) || !m.tr.owned.has(pg.id)) {
+			m.t.Fatalf("%s: page %d was edited but not marked dirty and the writer's own", what, pg.id)
 		}
 	}
 }
@@ -812,7 +802,7 @@ func (m *modelTree) edit(key, val []byte) {
 // TestInPlaceEditsMatchReferencePages is the differential test of the
 // in-place write path. Random Puts of new keys, overwrites (growing,
 // shrinking, to and from zero length) and Deletes — hits and misses —
-// run behind the smallest page cache over grown and over Load-packed
+// run over grown and over Load-packed
 // trees, for every shape of key in keyShapes, and after every single
 // operation the page it touched is byte-equal to what the reference's
 // decode, edit and encode produce from the page's previous image; the tree
@@ -888,11 +878,7 @@ func TestInPlaceEditsReencodeTheSuccessor(t *testing.T) {
 				m.edit([]byte(k), []byte("v"))
 			}
 			lengths := func() [2]int {
-				pg, err := m.tr.p.read(m.tr.root)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, _, cells, err := referenceCells(pg.id, pg.payload())
+				_, _, cells, err := referenceCells(m.tr.root, payloadOf(m.tr, m.tr.root))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -926,11 +912,7 @@ func TestInPlaceEditsReencodeTheSuccessor(t *testing.T) {
 			m.edit([]byte(k), []byte("v"))
 		}
 		m.edit([]byte("run-a-0001"), nil)
-		pg, err := m.tr.p.read(m.tr.root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, cells, err := referenceCells(pg.id, pg.payload())
+		_, _, cells, err := referenceCells(m.tr.root, payloadOf(m.tr, m.tr.root))
 		if err != nil || len(cells) != 2 || cells[1].shared != 4 || string(cells[1].key) != "run-a-0005" {
 			t.Fatalf("after the delete: %+v, %v; want run-a-0005 sharing 4 bytes with run-0", cells, err)
 		}
@@ -944,7 +926,7 @@ func TestInPlaceEditsReencodeTheSuccessor(t *testing.T) {
 // 512-byte page.
 func TestInPlacePutAtThePageBoundary(t *testing.T) {
 	for _, extra := range []int{0, 1} {
-		tr, err := Create(storage.NewMemFile(), 512, 8)
+		tr, err := Create(storage.NewMemFile(), 512, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -955,9 +937,9 @@ func TestInPlacePutAtThePageBoundary(t *testing.T) {
 		}
 		last := entries[7]
 		m.edit(last.k, append(last.v, make([]byte, extra)...))
-		if wantPages := uint32(2 + 2*extra); tr.p.npages != wantPages || tr.Height() != 1+extra {
+		if wantPages := uint32(2 + 2*extra); uint32(len(tr.pages)) != wantPages || tr.Height() != 1+extra {
 			t.Fatalf("cell of %d bytes into 60 free: %d pages, height %d; want %d pages, height %d",
-				60+extra, tr.p.npages, tr.Height(), wantPages, 1+extra)
+				60+extra, uint32(len(tr.pages)), tr.Height(), wantPages, 1+extra)
 		}
 		if err := tr.Verify(); err != nil {
 			t.Fatal(err)

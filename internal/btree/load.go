@@ -20,34 +20,34 @@ type pageRef struct {
 // leaf cell against the key written before it, the one that opens a page
 // whole.
 type packing struct {
-	pg   *page
+	id   uint32
+	buf  []byte // the page's payload, the writer's own
 	leaf bool
 	pos  int // next free payload byte
 	n    int // cells written
 }
 
-// open starts a node of the given type on pg, whose payload is zero past
-// the type byte (a fresh page, or the empty root leaf); next is the
-// header's page field — an internal node's leftmost child, a leaf's
+// open starts a node of the given type on page id, whose payload buf is
+// zero past the type byte (a fresh page, or the empty root leaf); next is
+// the header's page field — an internal node's leftmost child, a leaf's
 // successor once it is known.
-func (pk *packing) open(pg *page, typ byte, next uint32) {
-	buf := pg.payload()
+func (pk *packing) open(id uint32, buf []byte, typ byte, next uint32) {
 	buf[0] = typ
 	binary.BigEndian.PutUint32(buf[3:7], next)
-	*pk = packing{pg: pg, leaf: typ == typeLeaf, pos: nodeHeaderSize}
+	*pk = packing{id: id, buf: buf, leaf: typ == typeLeaf, pos: nodeHeaderSize}
 }
 
 // fits reports whether a cell of the given size still goes on the page
 // (the cell count is a u16).
 func (pk *packing) fits(cell int) bool {
-	return pk.pos+cell <= len(pk.pg.payload()) && pk.n < math.MaxUint16
+	return pk.pos+cell <= len(pk.buf) && pk.n < math.MaxUint16
 }
 
 // cell appends one cell: on a leaf the key, less the first shared bytes it
 // has in common with the key before it, and the value; on an internal node
 // the whole key and the child id.
 func (pk *packing) cell(shared int, key, val []byte, child uint32) {
-	buf := pk.pg.payload()
+	buf := pk.buf
 	if pk.leaf {
 		pk.pos = putLeafCell(buf, pk.pos, shared, key, val)
 	} else {
@@ -59,11 +59,8 @@ func (pk *packing) cell(shared int, key, val []byte, child uint32) {
 	pk.n++
 }
 
-// seal writes the cell count and hands the finished page to the pager.
-func (pk *packing) seal(p *pager) {
-	binary.BigEndian.PutUint16(pk.pg.payload()[1:3], uint16(pk.n))
-	p.markDirty(pk.pg)
-}
+// seal finishes the page: it writes the cell count.
+func (pk *packing) seal() { binary.BigEndian.PutUint16(pk.buf[1:3], uint16(pk.n)) }
 
 // Load fills an empty tree bottom-up from entries that arrive in strictly
 // ascending key order: leaves are packed full, left to right — a page is
@@ -76,9 +73,8 @@ func (pk *packing) seal(p *pager) {
 // call. Any other error from next, an entry Put would reject, a key not
 // greater than its predecessor, or a tree that already holds entries ends
 // the load with an error before that entry is written — the tree is then
-// half built and only fit to be discarded. Pages go through the pager
-// like any other write, so checksums, eviction write-back, the sticky
-// write error and the changed set of FreezeView all apply; a later Put
+// half built and only fit to be discarded. The pages are the table's like
+// any other write's: nothing reaches the file before Flush. A later Put
 // into a packed leaf splits it as any other full leaf (Tree.runEnd): at
 // mid, or where the new key's run ends.
 func (t *Tree) Load(next func() (key, val []byte, err error)) error {
@@ -87,14 +83,8 @@ func (t *Tree) Load(next func() (key, val []byte, err error)) error {
 	if t.count != 0 || t.height != 1 {
 		return fmt.Errorf("btree: Load needs an empty tree (have %d entries, height %d)", t.count, t.height)
 	}
-	// The holder of pk.pg is always the pager's most recent page but one
-	// at worst (only alloc runs in between), so the LRU cannot evict it.
-	root, err := t.p.read(t.root)
-	if err != nil {
-		return err
-	}
 	var pk packing
-	pk.open(root, typeLeaf, 0)
+	pk.open(t.root, t.own(t.root), typeLeaf, 0)
 	var level []pageRef
 	var prev []byte
 	count := uint64(0)
@@ -114,23 +104,20 @@ func (t *Tree) Load(next func() (key, val []byte, err error)) error {
 		}
 		shared := sharedPrefix(prev, key)
 		if !pk.fits(leafCellSize(shared, key, val)) {
-			pg, err := t.p.alloc()
-			if err != nil {
-				return err
-			}
-			binary.BigEndian.PutUint32(pk.pg.payload()[3:7], pg.id)
-			pk.seal(t.p)
-			pk.open(pg, typeLeaf, 0)
+			id := t.alloc()
+			binary.BigEndian.PutUint32(pk.buf[3:7], id)
+			pk.seal()
+			pk.open(id, t.own(id), typeLeaf, 0)
 			shared = 0 // a page's first cell holds its key whole
 		}
 		if pk.n == 0 {
-			level = append(level, pageRef{first: append([]byte(nil), key...), id: pk.pg.id})
+			level = append(level, pageRef{first: append([]byte(nil), key...), id: pk.id})
 		}
 		pk.cell(shared, key, val, 0)
 		prev = append(prev[:0], key...)
 		count++
 	}
-	pk.seal(t.p)
+	pk.seal()
 	height := uint32(1)
 	for ; len(level) > 1; height++ {
 		var up []pageRef
@@ -140,16 +127,13 @@ func (t *Tree) Load(next func() (key, val []byte, err error)) error {
 				continue
 			}
 			if i > 0 {
-				pk.seal(t.p)
+				pk.seal()
 			}
-			pg, err := t.p.alloc()
-			if err != nil {
-				return err
-			}
-			pk.open(pg, typeInternal, c.id)
-			up = append(up, pageRef{first: c.first, id: pg.id})
+			id := t.alloc()
+			pk.open(id, t.own(id), typeInternal, c.id)
+			up = append(up, pageRef{first: c.first, id: id})
 		}
-		pk.seal(t.p)
+		pk.seal()
 		level = up
 	}
 	if len(level) == 1 {

@@ -52,10 +52,10 @@ type node struct {
 // above. Values and internal keys come back as sub-slices of the page with
 // their capacity capped at their length, so an append by whoever receives
 // one reallocates and can never write into the page — which consecutive
-// Views share and the pager still owns. A leaf key exists on the page in
+// Views and the tree's table share. A leaf key exists on the page in
 // pieces only: cell rebuilds it in key, which the walk owns and the next
-// cell overwrites. A cells over a pager page is valid until the next pager
-// call; over a View's page, forever.
+// cell overwrites. A cells of a View reads the same bytes forever; one of
+// the Tree reads its page until the writer next changes it.
 type cells struct {
 	id   uint32
 	buf  []byte
@@ -357,6 +357,9 @@ func (c *cells) removeAt(at slot) {
 	clear(buf[pos:at.end])
 }
 
+// setCount records that an edit in place left the page with n cells.
+func (c *cells) setCount(n int) { binary.BigEndian.PutUint16(c.buf[1:3], uint16(n)) }
+
 // decodeNode is the cell walk plus the copies: the form a page takes when
 // the tree must own it to change it (an overwrite, splits) or to check it
 // whole (Verify).
@@ -382,7 +385,7 @@ func decodeNode(id uint32, buf []byte) (*node, error) {
 }
 
 // pageSource hands the read paths their pages: a View's frozen image, or
-// a Tree's pager under the tree lock.
+// a Tree's table under the tree lock.
 type pageSource interface {
 	// cells opens page id for reading in place, as one node access.
 	cells(id uint32) (cells, error)
@@ -440,10 +443,10 @@ var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 // scanLeaves calls fn for every entry with from <= key < to in key order,
 // until fn returns false: it seeks from in the leaf findLeaf positions on,
 // then follows the leaf chain. The chain must hold leaves only and, as a
-// sound one visits each leaf once, end within npages hops; a torn
-// write-back can leave one behind that does neither. The value fn receives
-// is a sub-slice of its page and the key is the walk's (see cells): both
-// are fn's for the length of the call only.
+// sound one visits each leaf once, end within npages hops; a damaged file
+// whose pages each pass their checksum can hold one that does neither. The
+// value fn receives is a sub-slice of its page and the key is the walk's
+// (see cells): both are fn's for the length of the call only.
 func scanLeaves(src pageSource, root, height, npages uint32, from, to []byte, fn func(key, val []byte) bool) error {
 	c, err := findLeaf(src, root, height, from)
 	if err != nil {

@@ -15,9 +15,10 @@ import (
 //	offset 5..7  reserved (zero)
 //	offset 8..   payload (meta fields on page 0, a node elsewhere)
 //
-// The checksum is stamped immediately before every physical write and
-// verified on every physical read; cached pages are authoritative and not
-// re-verified.
+// The checksum is stamped before a page is journaled or written (Tree.own
+// lets the header change under a View that shares the buffer: readers skip
+// it) and verified when Open or the scrubber reads the page from the file;
+// the resident image is authoritative and not re-verified.
 const (
 	pageHeaderSize    = 8
 	pageFormatVersion = 1

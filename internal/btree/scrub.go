@@ -6,13 +6,12 @@ import "fmt"
 // format versions, and node structure — in bounded chunks, releasing the
 // tree mutex between chunks so writers and flushes interleave with the
 // scan. It is the background scrubber's view of the file: unlike Verify,
-// which reads through the page cache and so would happily validate pages
-// that only exist in memory, ScrubDisk reads the file directly and
-// catches latent on-disk damage (bit rot, torn background write-backs)
-// before a query or a reopen trips over it.
+// which reads the resident image and so would happily validate pages
+// whose file copy has rotted, ScrubDisk reads the file directly and
+// catches latent on-disk damage before a reopen trips over it.
 //
-// Pages that are currently dirty in the cache are skipped: their disk
-// copy is legitimately stale (or absent) until the next flush, so only
+// Pages that are dirty — changed since the last Flush — are skipped: their
+// disk copy is legitimately stale (or absent) until the next one, so only
 // clean pages make claims about the file. pause, when non-nil, runs
 // between chunks with no locks held; returning an error aborts the scan
 // with that error, which is how callers bound the scrubber's I/O rate
@@ -28,22 +27,20 @@ func (t *Tree) ScrubDisk(chunk int, pause func() error) (int, error) {
 	var buf []byte
 	for start := uint32(0); ; {
 		t.mu.Lock()
-		if start >= t.p.npages {
+		npages := uint32(len(t.pages))
+		if start >= npages {
 			t.mu.Unlock()
 			return scanned, nil
 		}
-		end := start + uint32(chunk)
-		if end > t.p.npages {
-			end = t.p.npages
-		}
-		if len(buf) != t.p.pageSize {
-			buf = make([]byte, t.p.pageSize)
+		end := min(start+uint32(chunk), npages)
+		if buf == nil {
+			buf = make([]byte, t.pageSize)
 		}
 		for id := start; id < end; id++ {
-			if pg, ok := t.p.cache[id]; ok && pg.dirty {
+			if t.dirty.has(id) {
 				continue
 			}
-			if _, err := t.p.f.ReadAt(buf, int64(id)*int64(t.p.pageSize)); err != nil {
+			if _, err := t.f.ReadAt(buf, int64(id)*int64(t.pageSize)); err != nil {
 				t.mu.Unlock()
 				return scanned, fmt.Errorf("btree: scrub: reading page %d: %w", id, err)
 			}

@@ -12,7 +12,7 @@ import (
 // disk copy is current.
 func flushedTree(t *testing.T, f storage.File, keys int) *Tree {
 	t.Helper()
-	tr, err := Create(f, 512, 8)
+	tr, err := Create(f, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +64,20 @@ func TestScrubDiskDetectsCorruption(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("scrub = %d pages, %v; want ErrCorrupt", scanned, err)
 	}
-	// The cached copy is still clean, so reads keep working — exactly
+	// The resident copy is still sound, so reads keep working — exactly
 	// the latent-rot scenario the scrubber exists for.
 	if _, ok, err := tr.Get([]byte("key0007")); err != nil || !ok {
-		t.Errorf("cached read after disk rot: %v %v", ok, err)
+		t.Errorf("read after disk rot: %v %v", ok, err)
 	}
 }
 
-// TestScrubDiskSkipsDirtyPages: a page dirty in the cache has a
-// legitimately stale (even garbage) disk copy until the next flush, so
+// TestScrubDiskSkipsDirtyPages: a page changed since the last Flush has
+// a legitimately stale (even garbage) disk copy until the next one, so
 // the scrubber must not read it; after the flush rewrites it, the same
 // page verifies again.
 func TestScrubDiskSkipsDirtyPages(t *testing.T) {
 	f := storage.NewMemFile()
-	tr, err := Create(f, 512, 8)
+	tr, err := Create(f, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +93,12 @@ func TestScrubDiskSkipsDirtyPages(t *testing.T) {
 	if _, err := tr.ScrubDisk(2, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("scrub after corruption = %v, want ErrCorrupt", err)
 	}
-	// Dirtying the page in cache makes its disk copy out of scope.
+	// Dirtying the page makes its disk copy out of scope.
 	if err := tr.Put([]byte("k3"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tr.ScrubDisk(2, nil); err != nil {
-		t.Fatalf("scrub with the damaged page dirty in cache: %v", err)
+		t.Fatalf("scrub with the damaged page dirty: %v", err)
 	}
 	// The flush rewrites the page, repairing the disk copy.
 	if err := tr.Flush(); err != nil {

@@ -103,7 +103,7 @@ func TestLeafSplitFill(t *testing.T) {
 	const n = 200000
 	for _, p := range splitPatterns {
 		t.Run(p.name, func(t *testing.T) {
-			tr, err := Create(storage.NewMemFile(), DefaultPageSize, 8192)
+			tr, err := Create(storage.NewMemFile(), DefaultPageSize, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestLeafSplitFill(t *testing.T) {
 			if err := tr.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			for id := uint32(1); id < tr.p.npages; id++ {
+			for id := uint32(1); id < uint32(len(tr.pages)); id++ {
 				if c, err := tr.cells(id); err != nil || c.n == 0 {
 					t.Fatalf("page %d holds no cell (%v)", id, err)
 				}
@@ -131,12 +131,12 @@ func TestLeafSplitFill(t *testing.T) {
 			sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].k, want[j].k) < 0 })
 			sameEntries(t, "scan after the inserts", scanAll(t, tr.Scan), want)
 			perEntry := float64(tr.Size()) / n
-			t.Logf("%d pages, %.1f B/entry", tr.p.npages, perEntry)
+			t.Logf("%d pages, %.1f B/entry", uint32(len(tr.pages)), perEntry)
 			if perEntry > p.limit {
 				t.Errorf("%.1f bytes per entry, want at most %.0f", perEntry, p.limit)
 			}
-			if d := int(tr.p.npages) - int(p.samePages); p.samePages != 0 && 100*max(d, -d) > int(p.samePages) {
-				t.Errorf("%d pages; the mid split gives this key sequence %d, and the run rule must not move it by more than 1 %%", tr.p.npages, p.samePages)
+			if d := int(uint32(len(tr.pages))) - int(p.samePages); p.samePages != 0 && 100*max(d, -d) > int(p.samePages) {
+				t.Errorf("%d pages; the mid split gives this key sequence %d, and the run rule must not move it by more than 1 %%", uint32(len(tr.pages)), p.samePages)
 			}
 		})
 	}

@@ -32,7 +32,7 @@ func runKey(run int, tail uint64) []byte {
 // also refuses a split that leaves a page empty. The test requires that
 // both forms of the cut at a run's end, and the cut at mid, were taken.
 func TestLeafSplitsMatchReferencePages(t *testing.T) {
-	tr, err := Create(storage.NewMemFile(), 512, 8)
+	tr, err := Create(storage.NewMemFile(), 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +57,9 @@ func TestLeafSplitsMatchReferencePages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, cellsBefore, pagesBefore, last := c.id, c.n, tr.p.npages, at.off == at.end
+		id, cellsBefore, pagesBefore, last := c.id, c.n, uint32(len(tr.pages)), at.off == at.end
 		m.edit(k, v)
-		if tr.p.npages == pagesBefore {
+		if uint32(len(tr.pages)) == pagesBefore {
 			continue
 		}
 		left, err := tr.cells(id)
@@ -98,7 +98,7 @@ func TestLeafSplitAroundMaximalEntries(t *testing.T) {
 		{"maximal entries in front of another run", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := Create(storage.NewMemFile(), 512, 8)
+			tr, err := Create(storage.NewMemFile(), 512, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestLeafSplitAroundMaximalEntries(t *testing.T) {
 			for ; seq < uint64(tc.small); seq++ {
 				m.edit(runKey(1, seq), []byte{})
 			}
-			for ; tr.p.npages < 6; seq++ { // until the leaf has split three times
+			for ; uint32(len(tr.pages)) < 6; seq++ { // until the leaf has split three times
 				k := runKey(1, seq)
 				m.edit(k, make([]byte, tr.maxEntry()-8-len(k)))
 			}
@@ -156,8 +156,8 @@ func TestLeafSplitWhereTheCutDoesNotFit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.tr.p.npages != 4 || left.n == referenceCut(keys, vals, i, m.tr.payloadSize()) {
-				t.Errorf("%d pages, %d cells on the left: want a split, and not where the halves do not fit", m.tr.p.npages, left.n)
+			if uint32(len(m.tr.pages)) != 4 || left.n == referenceCut(keys, vals, i, m.tr.payloadSize()) {
+				t.Errorf("%d pages, %d cells on the left: want a split, and not where the halves do not fit", uint32(len(m.tr.pages)), left.n)
 			}
 			m.check(tc.name)
 		})

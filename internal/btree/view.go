@@ -1,100 +1,52 @@
 package btree
 
 import (
-	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
-// viewStats counts the activity of frozen views: pages materialized from
-// the file at freeze time (physical reads) and node accesses served from
-// a view's in-memory image (cache hits — a view is a fully resident
-// cache). The fields are atomic because views are read without any lock;
-// one instance is shared by a Tree and every View frozen from it, so the
-// Tree's merged Stats stay cumulative across generations.
-type viewStats struct {
-	pageReads atomic.Int64
-	cacheHits atomic.Int64
-}
-
-// load returns the counters as a Stats snapshot.
-func (vs *viewStats) load() Stats {
-	return Stats{PageReads: vs.pageReads.Load(), CacheHits: vs.cacheHits.Load()}
-}
-
-// View is an immutable snapshot of a Tree. Every allocated page is
-// materialized in memory at freeze time, so Get and Scan read those
-// buffers in place (the cells walk of node.go: values where they lie, keys
-// rebuilt from the pieces the leaf cells hold) and never touch the pager,
-// the file, or any lock —
-// a View is safe for unlimited concurrent readers while the owning Tree
-// keeps mutating. Consecutive views share the buffers of pages that did
-// not change between freezes, so the incremental memory cost of a new
-// view is proportional to the pages dirtied since the last one.
+// View is an immutable snapshot of a Tree: a copy of the tree's page table
+// as of the freeze, sharing the page buffers, which the writer never
+// changes once a View has them (Tree.own). Get and Scan read those buffers
+// in place (the cells walk of node.go: values where they lie, keys rebuilt
+// from the pieces the leaf cells hold) and never touch the tree, the file,
+// or any lock — a View is safe for unlimited concurrent readers while the
+// owning Tree keeps mutating. The memory a new view adds is the table — one
+// slice header per page — and, as the writer goes on, one buffer per page
+// it changes.
 type View struct {
-	owner    *Tree
-	pages    [][]byte // immutable after publish (per-id page payloads; entry 0, the meta page, is nil)
-	root     uint32   // immutable after publish
-	height   uint32   // immutable after publish
-	count    uint64   // immutable after publish
-	pageSize int      // immutable after publish
-	stats    *viewStats
+	pages    [][]byte      // immutable after publish (per-id page buffers, checksum header included; entry 0 is the meta page)
+	root     uint32        // immutable after publish
+	height   uint32        // immutable after publish
+	count    uint64        // immutable after publish
+	pageSize int           // immutable after publish
+	hits     *atomic.Int64 // the owning tree's viewHits
 }
 
-// FreezeView materializes the tree's current state as an immutable View.
-// Pages unchanged since prev (a View previously frozen from this same
-// tree, or nil) share prev's buffers; changed pages are copied from the
-// page cache, or read and verified from the file when they were evicted
-// (eviction writes dirty pages back, so the file holds the latest content
-// of every uncached page). The freeze never writes: the tree's dirty
-// state and the shadow-commit protocol are unaffected.
-func (t *Tree) FreezeView(prev *View) (*View, error) {
+// FreezeView hands out the tree's current state as an immutable View. It
+// copies no page, reads nothing and writes nothing: from here on the
+// writer copies a page before it first changes it. (The parameter was the
+// view to share unchanged pages with and the error a page read that could
+// fail; bench/fixload/ledger.go still compiles against both, the first is
+// ignored, the second always nil, and ROADMAP item 5(a) drops them.)
+func (t *Tree) FreezeView(*View) (*View, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if prev != nil && prev.owner != t {
-		prev = nil
-	}
-	npages := t.p.npages
-	pages := make([][]byte, npages)
-	if prev != nil {
-		copy(pages, prev.pages)
-	}
-	for id := uint32(1); id < npages; id++ {
-		if pages[id] != nil && !t.p.changed[id] {
-			continue
-		}
-		if pg, ok := t.p.cache[id]; ok {
-			pages[id] = append([]byte(nil), pg.payload()...)
-			continue
-		}
-		buf := make([]byte, t.p.pageSize)
-		if _, err := t.p.f.ReadAt(buf, int64(id)*int64(t.p.pageSize)); err != nil {
-			return nil, fmt.Errorf("btree: freezing page %d: %w", id, err)
-		}
-		if err := verifyPage(id, buf); err != nil {
-			return nil, err
-		}
-		t.vs.pageReads.Add(1)
-		pages[id] = buf[pageHeaderSize:]
-	}
-	clear(t.p.changed)
+	t.owned.reset()
 	return &View{
-		owner:    t,
-		pages:    pages,
+		pages:    slices.Clone(t.pages),
 		root:     t.root,
 		height:   t.height,
 		count:    t.count,
-		pageSize: t.p.pageSize,
-		stats:    &t.vs,
+		pageSize: t.pageSize,
+		hits:     &t.viewHits,
 	}, nil
 }
 
-// cells opens page id of the view's materialized image.
+// cells opens page id of the view's image.
 func (v *View) cells(id uint32) (cells, error) {
-	if id == 0 || id >= uint32(len(v.pages)) || v.pages[id] == nil {
-		return cells{}, fmt.Errorf("%w: view references page %d of %d", ErrCorrupt, id, len(v.pages))
-	}
-	v.stats.cacheHits.Add(1)
-	return openCells(id, v.pages[id])
+	v.hits.Add(1)
+	return openPage(v.pages, id)
 }
 
 // Len returns the number of entries at freeze time.
@@ -106,10 +58,10 @@ func (v *View) Height() int { return int(v.height) }
 // Size returns the byte size of the frozen image (pages × page size).
 func (v *View) Size() int64 { return int64(len(v.pages)) * int64(v.pageSize) }
 
-// Stats returns the cumulative view-side counters of the owning tree:
-// freeze-time physical reads and in-memory node accesses. It is
-// lock-free; the query trace differences it around the probe phase.
-func (v *View) Stats() Stats { return v.stats.load() }
+// Stats returns the page accesses of every view of the owning tree so far;
+// views read no file. It is lock-free; the query trace differences it
+// around the probe phase.
+func (v *View) Stats() Stats { return Stats{CacheHits: v.hits.Load()} }
 
 // Get returns the value stored under key in the frozen image. The value
 // is a copy: the caller may keep and change it.

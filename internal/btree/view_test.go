@@ -5,68 +5,129 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 	"testing"
 	"time"
-
-	"github.com/fix-index/fix/internal/storage"
 )
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key%04d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("val%04d", i)) }
 
-// TestFreezeViewSnapshotIsolation freezes a view and keeps mutating the
-// live tree: the view must keep answering exactly from the frozen state.
+// TestFreezeViewSnapshotIsolation freezes a view per round and keeps
+// mutating the live tree — overwrites, inserts, deletes, each copying a
+// page the view shares before it first writes to it, then the checksums of
+// a journal pass and of a Flush — while readers scan and probe the view:
+// it must answer exactly from the frozen state, during (under go test
+// -race, a writer that touches a shared payload is a reported race) and
+// after, and the live tree must see every mutation.
 func TestFreezeViewSnapshotIsolation(t *testing.T) {
 	tr := newTree(t, 512)
+	model := map[string]string{}
+	put := func(i int, v string) {
+		t.Helper()
+		if err := tr.Put(key(i), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		model[string(key(i))] = v
+	}
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := tr.Put(key(i), val(i)); err != nil {
+		put(i, string(val(i)))
+	}
+	for round := 1; round <= 6; round++ {
+		v, err := tr.FreezeView(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		var want []kv
+		for k, val := range model {
+			want = append(want, kv{[]byte(k), []byte(val)})
+		}
+		sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].k, want[j].k) < 0 })
+		check := func() error {
+			if v.Len() != len(want) {
+				return fmt.Errorf("view Len = %d, want %d", v.Len(), len(want))
+			}
+			i := 0
+			err := v.Scan(nil, nil, func(k, val []byte) bool {
+				if i >= len(want) || !bytes.Equal(k, want[i].k) || !bytes.Equal(val, want[i].v) {
+					return false
+				}
+				i++
+				return true
+			})
+			if err != nil || i != len(want) {
+				return fmt.Errorf("view scan stopped at entry %d of %d (%v)", i, len(want), err)
+			}
+			for j := round; j < len(want); j += 17 {
+				if got, ok, err := v.Get(want[j].k); err != nil || !ok || !bytes.Equal(got, want[j].v) {
+					return fmt.Errorf("view Get(%s) = %q, %v, %v; want %q", want[j].k, got, ok, err, want[j].v)
+				}
+			}
+			return nil
+		}
+		stop, warm := make(chan struct{}), make(chan struct{}, 3)
+		var readers sync.WaitGroup
+		for r := 0; r < cap(warm); r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for pass := 0; ; pass++ {
+					if err := check(); err != nil {
+						t.Errorf("round %d, while the writer runs: %v", round, err)
+						return
+					}
+					if pass == 0 {
+						warm <- struct{}{}
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		for r := 0; r < cap(warm); r++ {
+			<-warm
+		}
+		live := fmt.Sprintf("LIVE%d", round)
+		for i := round % 2; i < n; i += 2 {
+			put(i, live)
+		}
+		if err := tr.DirtyPages(func(int, int, uint32, []byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		for i := round * n; i < (round+1)*n; i++ {
+			put(i, string(val(i)))
+		}
+		for i := round * n; i < round*n+n/2; i++ {
+			if ok, err := tr.Delete(key(i)); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+			delete(model, string(key(i)))
+		}
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		readers.Wait()
+		if err := check(); err != nil {
+			t.Fatalf("round %d, after the writer: %v", round, err)
+		}
+		if _, ok, _ := v.Get(key(round * n)); ok {
+			t.Errorf("round %d: view sees a key inserted after the freeze", round)
+		}
+		if got, ok, err := tr.Get(key(round % 2)); err != nil || !ok || string(got) != live {
+			t.Fatalf("round %d: live Get = %q, %v, %v; want %s", round, got, ok, err, live)
+		}
+		if tr.Len() != len(model) {
+			t.Fatalf("round %d: live Len = %d, model holds %d", round, tr.Len(), len(model))
+		}
 	}
-	v, err := tr.FreezeView(nil)
-	if err != nil {
+	if err := tr.Verify(); err != nil {
 		t.Fatal(err)
-	}
-	// Mutate the live tree: overwrite every even key, add new keys.
-	for i := 0; i < n; i += 2 {
-		if err := tr.Put(key(i), []byte("LIVE")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := n; i < 2*n; i++ {
-		if err := tr.Put(key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v.Len() != n {
-		t.Errorf("view Len = %d, want %d (frozen before inserts)", v.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		got, ok, err := v.Get(key(i))
-		if err != nil || !ok || string(got) != string(val(i)) {
-			t.Fatalf("view Get(%s) = %q, %v, %v; want %q", key(i), got, ok, err, val(i))
-		}
-	}
-	if _, ok, _ := v.Get(key(n)); ok {
-		t.Error("view sees a key inserted after the freeze")
-	}
-	// The live tree sees all mutations.
-	got, ok, err := tr.Get(key(0))
-	if err != nil || !ok || string(got) != "LIVE" {
-		t.Fatalf("live Get(key0) = %q, %v, %v; want LIVE", got, ok, err)
-	}
-	// A full view scan yields exactly the frozen entries, in order.
-	count := 0
-	err = v.Scan(nil, nil, func(k, val []byte) bool {
-		if string(k) != string(key(count)) {
-			t.Fatalf("scan key %d = %s, want %s", count, k, key(count))
-		}
-		count++
-		return true
-	})
-	if err != nil || count != n {
-		t.Fatalf("view scan: count = %d, err = %v; want %d", count, err, n)
 	}
 }
 
@@ -133,37 +194,6 @@ func TestFreezeViewSharesUnchangedPages(t *testing.T) {
 	}
 }
 
-// TestFreezeViewAfterEviction drives the cache small enough that freeze
-// must materialize evicted pages from the file, and verifies the image.
-func TestFreezeViewAfterEviction(t *testing.T) {
-	tr, err := Create(storage.NewMemFile(), 512, 4) // tiny cache: evicts constantly
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1500
-	for i := 0; i < n; i++ {
-		if err := tr.Put(key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, err := tr.FreezeView(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != n {
-		t.Fatalf("view Len = %d, want %d", v.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		got, ok, err := v.Get(key(i))
-		if err != nil || !ok || string(got) != string(val(i)) {
-			t.Fatalf("view Get(%s) = %q, %v, %v", key(i), got, ok, err)
-		}
-	}
-	if v.Stats().PageReads == 0 {
-		t.Error("freeze over a tiny cache reported no physical page reads")
-	}
-}
-
 // TestFreezeViewStatsMerge checks that view activity lands in the owning
 // tree's cumulative Stats.
 func TestFreezeViewStatsMerge(t *testing.T) {
@@ -186,9 +216,9 @@ func TestFreezeViewStatsMerge(t *testing.T) {
 	}
 }
 
-// TestCorruptImageEndsInErrCorrupt rewrites pages of a sound tree — through
-// the pager, so every checksum stays valid and a freeze accepts the image
-// — into the two shapes a mixed-version tree can take beyond a looping
+// TestCorruptImageEndsInErrCorrupt rewrites pages of a sound tree — in the
+// table, so no checksum is involved and a freeze hands the image out —
+// into the two shapes a mixed-version tree can take beyond a looping
 // leaf chain, and requires every read path over them, on the view and on
 // the live tree, to end in ErrCorrupt: not to descend forever, and not to
 // read an interior page as a leaf. The edits in place get the same
@@ -227,9 +257,7 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 			for i := range inner.children {
 				inner.children[i] = root.id
 			}
-			if err := tr.storeNode(inner); err != nil {
-				t.Fatal(err)
-			}
+			tr.storeNode(inner)
 			return tr
 		}},
 		// A lookup ends in the first leaf, before the interior page linked
@@ -238,9 +266,7 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 			tr := grow(t, 2)
 			first := leafOf(t, tr, nil)
 			first.next = tr.root
-			if err := tr.storeNode(first); err != nil {
-				t.Fatal(err)
-			}
+			tr.storeNode(first)
 			return tr
 		}},
 	} {
@@ -321,13 +347,9 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 	} {
 		t.Run("edit in place: "+damage.name, func(t *testing.T) {
 			tr := grow(t, 2)
-			pg, err := tr.p.read(leafOf(t, tr, nil).id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			damage.do(pg.payload())
-			tr.p.markDirty(pg)
-			before := append([]byte(nil), pg.payload()...)
+			id := leafOf(t, tr, nil).id
+			damage.do(tr.own(id))
+			before := append([]byte(nil), payloadOf(tr, id)...)
 			count := tr.count
 			for name, edit := range map[string]func() error{
 				"Put of a new key":  func() error { return tr.Put([]byte("key-00000a"), []byte("v")) },
@@ -347,7 +369,7 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 						t.Errorf("%s = %v, want ErrCorrupt", name, err)
 					}
 				}()
-				if !bytes.Equal(pg.payload(), before) || tr.count != count {
+				if !bytes.Equal(payloadOf(tr, id), before) || tr.count != count {
 					t.Fatalf("%s changed the damaged page or the entry count", name)
 				}
 			}
@@ -367,16 +389,12 @@ func TestCorruptImageEndsInErrCorrupt(t *testing.T) {
 	// unshared 1; shared 7, unshared 2 spells the same key.
 	t.Run("a cell that stores a byte it shares", func(t *testing.T) {
 		tr := grow(t, 2)
-		pg, err := tr.p.read(leafOf(t, tr, nil).id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := pg.payload()
+		id := leafOf(t, tr, nil).id
+		payload := tr.own(id)
 		at := second(payload)
 		copy(payload[at+4:], payload[at+3:len(payload)-1])
 		payload[at], payload[at+1], payload[at+3] = 7, 2, '0'
-		tr.p.markDirty(pg)
-		if n, err := referenceDecode(pg.id, payload); n != nil || !errors.Is(err, ErrCorrupt) {
+		if n, err := referenceDecode(id, payload); n != nil || !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("fixture: the reference reads the page as %+v, %v", n, err)
 		}
 		if err := tr.Scan(nil, nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrCorrupt) {

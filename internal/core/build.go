@@ -132,11 +132,10 @@ func Build(st *storage.Store, opts Options) (*Index, error) {
 // cancelled build returns ctx.Err() promptly. A failed build closes the
 // files it created — nothing else can refer to them yet, and a
 // maintainer retries a failing rebuild for as long as its server lives.
-// A cancelled on-disk build may leave a partially written fix.btree
-// behind; it is harmless — the committed fix.meta still describes the
-// previous index (or none), so a later Open either loads the old commit
-// or degrades to the scan fallback, and rebuilding replaces the partial
-// file.
+// A cancelled on-disk build leaves the fix.btree it truncated behind,
+// empty; it is harmless — the committed fix.meta still describes the
+// previous index (or none), so a later Open degrades to the scan fallback
+// (or finds no index), and rebuilding fills the file.
 func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, err error) {
 	opts.setDefaults()
 	workers := par.Workers(opts.Workers)
@@ -160,7 +159,7 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 			_ = ix.clustered.Close()
 		}
 	}()
-	ix.bt, err = btree.Create(btFile, opts.PageSize, opts.CacheSize)
+	ix.bt, err = btree.Create(btFile, opts.PageSize, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -231,6 +230,8 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 		return nil, err
 	}
 	insertTime += time.Since(insStart)
+	// The file is this build's, created empty above, and no committed
+	// fix.meta describes it yet: there is nothing a journal could protect.
 	if err := ix.bt.Flush(); err != nil {
 		return nil, err
 	}

@@ -343,9 +343,7 @@ func TestFailedBuildClosesFiles(t *testing.T) {
 				created.Add(1)
 				return countedFile{f, &closed}, nil
 			}}
-			// Pages of 256 bytes through an eight-page cache: the pack
-			// writes evicted pages long before the final flush.
-			opts := Options{DepthLimit: 2, Clustered: true, PageSize: 256, CacheSize: 8, Dir: t.TempDir(), fs: fsys}
+			opts := Options{DepthLimit: 2, Clustered: true, PageSize: 256, Dir: t.TempDir(), fs: fsys}
 			_, err := BuildCtx(tc.ctx, st, opts)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("BuildCtx = %v, want %v", err, tc.want)

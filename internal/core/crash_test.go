@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,6 +37,84 @@ func faultFS(pl *storage.FaultPlan) *indexFS {
 			}
 			return pl.Wrap(f), nil
 		},
+	}
+}
+
+// ioEvent is one write (at off) or sync the index made on one of its files.
+type ioEvent struct {
+	file string // base name
+	sync bool
+	off  int64
+}
+
+// ioLog records, in order, the writes and syncs that go through the file
+// seam it wraps: who wrote which file, and on which side of which fsync.
+type ioLog struct {
+	mu     sync.Mutex
+	events []ioEvent
+}
+
+func (l *ioLog) wrap(inner *indexFS) *indexFS {
+	logged := func(open func(string) (storage.File, error)) func(string) (storage.File, error) {
+		return func(path string) (storage.File, error) {
+			f, err := open(path)
+			if err != nil {
+				return nil, err
+			}
+			return loggedFile{f, l, filepath.Base(path)}, nil
+		}
+	}
+	return &indexFS{create: logged(inner.create), open: logged(inner.open)}
+}
+
+// since returns the events from the n-th on.
+func (l *ioLog) since(n int) []ioEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]ioEvent(nil), l.events[n:]...)
+}
+
+type loggedFile struct {
+	storage.File
+	log  *ioLog
+	name string
+}
+
+func (f loggedFile) add(e ioEvent) {
+	f.log.mu.Lock()
+	defer f.log.mu.Unlock()
+	f.log.events = append(f.log.events, e)
+}
+
+func (f loggedFile) WriteAt(p []byte, off int64) (int, error) {
+	f.add(ioEvent{file: f.name, off: off})
+	return f.File.WriteAt(p, off)
+}
+
+func (f loggedFile) Sync() error {
+	f.add(ioEvent{file: f.name, sync: true})
+	return f.File.Sync()
+}
+
+// checkOneFlush requires events to write fix.btree the way one Flush of a
+// tree of the given size does and no other way: every page once, in order,
+// then the fsync.
+func checkOneFlush(t *testing.T, events []ioEvent, ix *Index, pageSize int64) {
+	t.Helper()
+	next := int64(0)
+	for _, e := range events {
+		switch {
+		case e.file != "fix.btree":
+		case e.sync && next == ix.bt.Size():
+			next = -1
+		case e.sync || e.off != next:
+			t.Fatalf("fix.btree: event %+v with the file written up to %d of %d: not the one Flush of a build", e, next, ix.bt.Size())
+		default:
+			next += pageSize
+		}
+	}
+	if next != -1 {
+		t.Fatalf("fix.btree was written up to %d of %d and not synced", next, ix.bt.Size())
 	}
 }
 
@@ -111,9 +191,9 @@ var crashQueries = []string{
 // requires one of exactly two outcomes: the commit never happened (no
 // fix.meta, so the database layer would scan) or Open succeeds — replayed
 // from the journal or degraded with a detected fault — and every query
-// still matches the full-scan oracle. The last variant's index outgrows
-// its page cache, so its crash points include the eviction write-backs
-// of a half-packed tree, not only the final flush.
+// still matches the full-scan oracle. Whatever the size of the index —
+// the last variant's has some two hundred pages — fix.btree stays empty
+// until the build's one Flush writes every page once.
 func TestCrashPointRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -124,7 +204,7 @@ func TestCrashPointRecovery(t *testing.T) {
 		{"clustered", Options{Clustered: true}, 1},
 		{"depth2", Options{DepthLimit: 2}, 1},
 		{"values", Options{Values: true, Beta: 4}, 1},
-		{"depth2 past the cache", Options{DepthLimit: 2, PageSize: 256, CacheSize: 8}, 3},
+		{"depth2 past the cache", Options{DepthLimit: 2, PageSize: 256}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var docs []string
@@ -135,23 +215,25 @@ func TestCrashPointRecovery(t *testing.T) {
 			oracle := oracleCounts(t, st, crashQueries)
 
 			// Dry run to learn the deterministic write-op count.
-			dry := &storage.FaultPlan{}
+			dry, log := &storage.FaultPlan{}, &ioLog{}
 			opts := tc.opts
 			opts.Dir = t.TempDir()
-			opts.fs = faultFS(dry)
+			opts.fs = log.wrap(faultFS(dry))
 			ix, err := Build(st, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			pageSize := int64(btree.DefaultPageSize)
+			if opts.PageSize != 0 {
+				pageSize = int64(opts.PageSize)
+			}
+			checkOneFlush(t, log.since(0), ix, pageSize)
 			if err := ix.Save(); err != nil {
 				t.Fatal(err)
 			}
 			total := dry.Writes()
 			if total < 4 {
 				t.Fatalf("implausible write-op count %d", total)
-			}
-			if ev := ix.bt.Stats().Evictions; (ev > 0) != (tc.opts.CacheSize > 0) {
-				t.Fatalf("the build evicted %d pages with CacheSize %d", ev, tc.opts.CacheSize)
 			}
 
 			for n := 1; n <= total; n++ {
@@ -197,67 +279,148 @@ func TestCrashPointRecovery(t *testing.T) {
 	}
 }
 
+// wideDoc returns a document with 320 leaf elements of 320 labels: in an
+// index of depth 1 each is an entry, and each lands in another part of the
+// key space. mark is the text of the one child no other document has.
+func wideDoc(mark string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "<w><mark>%s</mark>", mark)
+	for g := 0; g < 16; g++ {
+		fmt.Fprintf(&b, "<g%d>", g)
+		for l := 20 * g; l < 20*g+20; l++ {
+			fmt.Fprintf(&b, "<l%d/>", l)
+		}
+		fmt.Fprintf(&b, "</g%d>", g)
+	}
+	return b.String() + "</w>"
+}
+
 // TestCrashDuringIncrementalSave crashes the Save that follows an
-// incremental InsertDocument on an already-committed index. Whatever the
-// crash point, reopening must answer queries over the grown store
-// correctly: either the journal replays the new commit, or the old index
+// incremental InsertDocument on an already-committed index: a small
+// document into a one-page tree, and a wide one into a tree of some 600
+// small pages — a leaf or two per label — of which it changes over 256.
+// Between the two Saves nothing may reach fix.btree, and inside the second
+// nothing before the journal's fsync. Whatever the crash point, reopening
+// must answer queries over the grown store correctly: either the journal
+// replays the new commit, or the old index — whole, as its Save left it —
 // is detected as stale and queries fall back to scanning.
 func TestCrashDuringIncrementalSave(t *testing.T) {
-	const newDoc = `<article><author><email>zz</email><address>q</address></author></article>`
+	var wide []string
+	for i := 0; i < 18; i++ {
+		wide = append(wide, wideDoc(fmt.Sprint("base", i)))
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		base    []string
+		newDoc  string
+		queries []string
+		dirtied int // pages the second Save must at least journal
+	}{
+		{"one page", Options{}, bibDocs,
+			`<article><author><email>zz</email><address>q</address></author></article>`, crashQueries, 1},
+		{"wide window", Options{DepthLimit: 1, PageSize: 256}, wide,
+			wideDoc("zz"), []string{"//l7", "//l319", "//g3", "//w"}, 257},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The committed index is built once; every run works on a copy
+			// of its directory, opened through fsys.
+			base := tc.opts
+			base.Dir = t.TempDir()
+			if ix, err := Build(memStoreFromDocs(t, tc.base), base); err != nil {
+				t.Fatal(err)
+			} else if err := ix.Save(); err != nil {
+				t.Fatal(err)
+			}
+			open := func(fsys *indexFS) (*storage.Store, *Index, string) {
+				dir := t.TempDir()
+				for _, name := range []string{"fix.btree", "fix.meta", "fix.edges"} {
+					b, err := os.ReadFile(filepath.Join(base.Dir, name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				defer func(real *indexFS) { osFS = real }(osFS)
+				osFS = fsys
+				st := memStoreFromDocs(t, tc.base)
+				ix, err := Open(st, dir)
+				if err != nil || ix.Health() != nil {
+					t.Fatal(err, ix.Health())
+				}
+				ix.opts.fs = fsys
+				return st, ix, dir
+			}
+			addDoc := func(st *storage.Store, ix *Index) error {
+				n, err := xmltree.ParseString(tc.newDoc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := st.AppendTree(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ix.InsertDocument(rec); err != nil {
+					return err
+				}
+				return ix.Save()
+			}
 
-	build := func(pl *storage.FaultPlan) (*storage.Store, *Index, string) {
-		st := memStoreFromDocs(t, bibDocs)
-		o := Options{Dir: t.TempDir(), fs: faultFS(pl)}
-		ix, err := Build(st, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.Save(); err != nil {
-			t.Fatal(err)
-		}
-		return st, ix, o.Dir
-	}
-	addDoc := func(st *storage.Store, ix *Index) error {
-		n, err := xmltree.ParseString(newDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := st.AppendTree(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.InsertDocument(rec); err != nil {
-			return err
-		}
-		return ix.Save()
-	}
+			// Dry run: find the write-ops of the incremental phase, and see
+			// which file is written when.
+			dry, log := &storage.FaultPlan{}, &ioLog{}
+			st, ix, _ := open(log.wrap(faultFS(dry)))
+			if err := addDoc(st, ix); err != nil {
+				t.Fatal(err)
+			}
+			events := log.since(0) // the n-th is the fault plan's n-th write-op
+			if len(events) != dry.Writes() {
+				t.Fatalf("logged %d of %d write-ops", len(events), dry.Writes())
+			}
+			committed, pages := false, 0
+			for _, e := range events {
+				switch {
+				case e.file == journalName && e.sync:
+					committed = true
+				case e.file == "fix.btree" && !committed:
+					t.Fatalf("%+v reached fix.btree before the journal's fsync", e)
+				case e.file == "fix.btree" && !e.sync:
+					pages++
+				}
+			}
+			if pages < tc.dirtied {
+				t.Fatalf("fixture: the incremental Save wrote %d pages, want at least %d", pages, tc.dirtied)
+			}
+			oracle := oracleCounts(t, st, tc.queries)
 
-	// Dry run: find the write-op window of the incremental phase.
-	dry := &storage.FaultPlan{}
-	st, ix, _ := build(dry)
-	w1 := dry.Writes()
-	if err := addDoc(st, ix); err != nil {
-		t.Fatal(err)
-	}
-	w2 := dry.Writes()
-	if w2 <= w1 {
-		t.Fatalf("incremental save did no writes (%d..%d)", w1, w2)
-	}
-	oracle := oracleCounts(t, st, crashQueries)
-
-	for n := w1 + 1; n <= w2; n++ {
-		pl := &storage.FaultPlan{FailWrite: n, Torn: n%2 == 0}
-		st, ix, dir := build(pl)
-		if err := addDoc(st, ix); err == nil {
-			t.Fatalf("write %d: expected an injected failure", n)
-		} else if !errors.Is(err, storage.ErrInjected) {
-			t.Fatalf("write %d: unexpected error: %v", n, err)
-		}
-		re, err := Open(st, dir)
-		if err != nil {
-			t.Fatalf("write %d: reopen: %v", n, err)
-		}
-		checkOracle(t, re, oracle, dir)
+			for n, e := range events {
+				// Flush's page writes differ in nothing but the page a crash
+				// tears, and each run costs four fsyncs: one in nine, which
+				// alternates plain and torn.
+				if n++; e.file == "fix.btree" && !e.sync && n%9 != 0 {
+					continue
+				}
+				pl := &storage.FaultPlan{FailWrite: n, Torn: n%2 == 0}
+				st, ix, dir := open(faultFS(pl))
+				if err := addDoc(st, ix); err == nil {
+					t.Fatalf("write %d: expected an injected failure", n)
+				} else if !errors.Is(err, storage.ErrInjected) {
+					t.Fatalf("write %d: unexpected error: %v", n, err)
+				}
+				re, err := Open(st, dir)
+				if err != nil {
+					t.Fatalf("write %d: reopen: %v", n, err)
+				}
+				// A crash before the commit point leaves the previous
+				// index, whole: stale (the store grew), never corrupt.
+				if h := re.Health(); h != nil && errors.Is(h, ErrCorrupt) {
+					t.Fatalf("write %d: the reopened index is torn: %v", n, h)
+				}
+				checkOracle(t, re, oracle, dir)
+			}
+		})
 	}
 }
 
@@ -383,12 +546,8 @@ func TestQueryCorruptPageScanFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Health() != nil {
-		t.Fatalf("expected a clean open (meta page intact), got %v", re.Health())
-	}
-	// Freezing materializes (and verifies) every page, so the damage
-	// surfaces here: the generation is frozen degraded and the live
-	// index records the corruption.
+	// Open reads (and verifies) every page, so the damage surfaces there:
+	// the index opens degraded and its generations are frozen so.
 	res, err := query(freeze(t, re), xpath.MustParse(crashQueries[1]))
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +560,7 @@ func TestQueryCorruptPageScanFallback(t *testing.T) {
 	}
 	health := re.Health()
 	if health == nil || !errors.Is(health, ErrCorrupt) || !errors.Is(health, ErrDegraded) {
-		t.Fatalf("health after freezing corrupt pages = %v, want ErrDegraded wrapping ErrCorrupt", health)
+		t.Fatalf("health after opening corrupt pages = %v, want ErrDegraded wrapping ErrCorrupt", health)
 	}
 	checkOracle(t, re, oracle, "degraded")
 	if err := re.Verify(); err == nil {

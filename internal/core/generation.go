@@ -49,12 +49,14 @@ type Generation struct {
 }
 
 // NewGeneration freezes the current state of store (and ix, which may be
-// nil when no index exists) into a new Generation. prev, when it is the
-// previously published generation of the same index, lets the B-tree
-// freeze share unchanged page buffers. Freezing never fails: if the
-// index is degraded, or the B-tree image cannot be materialized, the
-// generation is published with that health problem recorded and answers
-// queries through the exact scan fallback.
+// nil when no index exists) into a new Generation. The B-tree's part is a
+// copy of its page table — the pages themselves are shared with the
+// writer, who copies one before it first changes it — so a publish reads
+// no file and cannot fail: if the index is degraded, the generation is
+// published with that health problem recorded and answers queries through
+// the exact scan fallback. (The fifth parameter was the previous
+// generation, to share pages with; bench/fixload/ledger.go still passes
+// one, and ROADMAP item 5(a) drops it.)
 //
 // Refinement on a generation made here follows primary pointers even on
 // a clustered index: a rebuild re-creates fix.clustered in place
@@ -63,7 +65,7 @@ type Generation struct {
 //
 // The caller receives the publisher's reference (refs = 1); onRelease
 // runs once when the last reference is dropped.
-func NewGeneration(id uint64, ix *Index, store *storage.Store, dict *xmltree.Dict, prev *Generation, onRelease func()) *Generation {
+func NewGeneration(id uint64, ix *Index, store *storage.Store, dict *xmltree.Dict, _ *Generation, onRelease func()) *Generation {
 	g := &Generation{
 		id:        id,
 		ix:        ix,
@@ -77,23 +79,9 @@ func NewGeneration(id uint64, ix *Index, store *storage.Store, dict *xmltree.Dic
 		g.workers = ix.Options().Workers
 		g.health = ix.Health()
 		if g.health == nil {
-			var pv *btree.View
-			if prev != nil && prev.ix == ix {
-				pv = prev.view
-			}
 			if bt := ix.BTree(); bt != nil {
-				v, err := bt.FreezeView(pv)
-				if err != nil {
-					g.health = fmt.Errorf("%w: freezing index view: %w", ErrDegraded, err)
-					// Freezing reads (and verifies) every changed page, so
-					// a failure here is detected corruption of the live
-					// tree — record it on the index like the query path
-					// does, so Health reports it until a rebuild.
-					ix.setHealth(err)
-				} else {
-					g.view = v
-					g.entries = v.Len()
-				}
+				g.view, _ = bt.FreezeView(nil) // the error is always nil, see FreezeView
+				g.entries = g.view.Len()
 			} else {
 				g.health = fmt.Errorf("%w: B-tree unavailable", ErrDegraded)
 			}
@@ -300,8 +288,9 @@ func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Can
 
 // probe plans the query and runs the pruning phase. useScan reports that
 // the index cannot answer — the generation was frozen degraded, or the
-// frozen image failed to decode just now (pages are verified at freeze,
-// so that is exceptional; the corruption is recorded on the live index)
+// frozen image failed to decode just now (pages are verified when Open
+// reads them, so that is exceptional; the corruption is recorded on the
+// live index)
 // — and the caller must refine every record of p.tree instead, which can
 // never miss a match. A non-nil tr gets the plan and probe wall times
 // and the probe's B-tree delta. The candidates are appended to buf[:0].
@@ -325,7 +314,6 @@ func (g *Generation) probe(ctx context.Context, path *xpath.Path, tr *obs.Trace,
 	cands, scanned, err = g.candidates(ctx, p, lim, buf)
 	if tr != nil {
 		tr.Phase[obs.PhaseProbe] += time.Since(probeStart)
-		// A view has no pager: it never writes or evicts.
 		d := g.view.Stats().Sub(bt0)
 		tr.BTree = obs.BTreeDelta{PageReads: d.PageReads, CacheHits: d.CacheHits}
 	}

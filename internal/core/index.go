@@ -54,9 +54,8 @@ type Options struct {
 	// computation; larger subpatterns fall back to the artificial
 	// [-Inf,+Inf] range. Default 3000 edges, as in the paper (§6.1).
 	EdgeBudget int
-	// PageSize and CacheSize configure the B-tree; zero values pick the
-	// defaults.
-	PageSize, CacheSize int
+	// PageSize is the B-tree's page size; zero picks the default.
+	PageSize int
 	// NoRootLabel disables the root-label component of the pruning test
 	// (query planning falls back to a feature-only full scan). It exists
 	// for the ablation study of the label feature (paper §3.4).
@@ -286,6 +285,23 @@ func (ix *Index) verify() error {
 		return err
 	}
 	return bad
+}
+
+// Close closes the index's own files, fix.btree and fix.clustered. It
+// commits nothing: what Save has not committed is the ingest log's to
+// replay. A Generation made by NewGeneration stays readable — it holds the
+// B-tree's image and follows primary pointers — one made by Freeze does not.
+func (ix *Index) Close() error {
+	var first error
+	if ix.bt != nil {
+		first = ix.bt.Close()
+	}
+	if ix.clustered != nil {
+		if err := ix.clustered.Close(); first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Store returns the primary store the index was built over.

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -45,33 +46,68 @@ const journalName = "fix.journal"
 
 var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// journalPage is one page record: the page as Flush writes it in place.
+type journalPage struct {
+	id   uint32
+	data []byte
+}
+
 type journal struct {
 	pageSize int
-	pages    []btree.DirtyPage
+	pages    []journalPage
 	meta     []byte
 	edges    []byte
 }
 
-func (j *journal) encode() []byte {
-	var b bytes.Buffer
-	b.WriteString(journalMagic)
-	var u [4]byte
-	put := func(v uint32) {
-		binary.BigEndian.PutUint32(u[:], v)
-		b.Write(u[:])
+// writeJournal streams the commit of bt's dirty pages and the new meta and
+// edges contents to jf, in the layout above, under a running checksum. The
+// page images go from the tree's own buffers to the file through one
+// fixed-size buffer: a checkpoint journals every page of its window, and
+// copies of them all would be the largest transient allocation a server
+// makes.
+func writeJournal(jf storage.File, bt *btree.Tree, meta, edges []byte) error {
+	w := bufio.NewWriterSize(io.NewOffsetWriter(jf, 0), 64<<10)
+	sum := crc32.New(journalCRC)
+	out := io.MultiWriter(w, sum)
+	put := func(vs ...uint32) error {
+		var u [4]byte
+		for _, v := range vs {
+			binary.BigEndian.PutUint32(u[:], v)
+			if _, err := out.Write(u[:]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	put(uint32(j.pageSize))
-	put(uint32(len(j.pages)))
-	put(uint32(len(j.meta)))
-	put(uint32(len(j.edges)))
-	for _, pg := range j.pages {
-		put(pg.ID)
-		b.Write(pg.Data)
+	err := bt.DirtyPages(func(i, n int, id uint32, image []byte) error {
+		if i == 0 {
+			if _, err := io.WriteString(out, journalMagic); err != nil {
+				return err
+			}
+			if err := put(uint32(len(image)), uint32(n), uint32(len(meta)), uint32(len(edges))); err != nil {
+				return err
+			}
+		}
+		if err := put(id); err != nil {
+			return err
+		}
+		_, err := out.Write(image)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	b.Write(j.meta)
-	b.Write(j.edges)
-	put(crc32.Checksum(b.Bytes(), journalCRC))
-	return b.Bytes()
+	if _, err := out.Write(meta); err != nil {
+		return err
+	}
+	if _, err := out.Write(edges); err != nil {
+		return err
+	}
+	out = w // the checksum does not cover itself
+	if err := put(sum.Sum32()); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 // decodeJournal parses buf; ok is false when the journal is incomplete or
@@ -99,7 +135,7 @@ func decodeJournal(buf []byte) (*journal, bool) {
 	for i := 0; i < npages; i++ {
 		id := binary.BigEndian.Uint32(buf[pos : pos+4])
 		pos += 4
-		j.pages = append(j.pages, btree.DirtyPage{ID: id, Data: buf[pos : pos+j.pageSize]})
+		j.pages = append(j.pages, journalPage{id: id, data: buf[pos : pos+j.pageSize]})
 		pos += j.pageSize
 	}
 	j.meta = buf[pos : pos+metaLen]
@@ -132,9 +168,9 @@ func Recover(dir string) error {
 		return fmt.Errorf("core: replaying journal: %w", err)
 	}
 	for _, pg := range j.pages {
-		if _, err := bf.WriteAt(pg.Data, int64(pg.ID)*int64(j.pageSize)); err != nil {
+		if _, err := bf.WriteAt(pg.data, int64(pg.id)*int64(j.pageSize)); err != nil {
 			_ = bf.Close()
-			return fmt.Errorf("core: replaying page %d: %w", pg.ID, err)
+			return fmt.Errorf("core: replaying page %d: %w", pg.id, err)
 		}
 	}
 	if err := bf.Sync(); err != nil {

@@ -53,9 +53,10 @@ func (ix *Index) encodeMeta() []byte {
 // Save commits the index durably using the shadow-commit protocol: the
 // dirty B-tree pages and the new fix.meta/fix.edges contents are first
 // written and fsynced to fix.journal, then applied to the real files, and
-// the journal is removed. A crash at any point leaves a state that Open
-// (via Recover) resolves to exactly the previous or the new commit. For
-// in-memory indexes (empty Dir) Save reduces to a flush.
+// the journal is removed. Nothing else writes fix.btree between two Saves,
+// so a crash at any point leaves a state that Open (via Recover) resolves
+// to exactly the previous or the new commit. For in-memory indexes (empty
+// Dir) Save reduces to a flush.
 func (ix *Index) Save() error {
 	if err := ix.Health(); err != nil {
 		return fmt.Errorf("core: refusing to save a degraded index: %w", err)
@@ -77,27 +78,18 @@ func (ix *Index) Save() error {
 			return err
 		}
 	}
-	pages, err := ix.bt.DirtyPages()
-	if err != nil {
-		return err
-	}
 	var eb bytes.Buffer
 	if _, err := ix.enc.WriteTo(&eb); err != nil {
 		return err
 	}
-	j := journal{
-		pageSize: ix.bt.PageSize(),
-		pages:    pages,
-		meta:     ix.encodeMeta(),
-		edges:    eb.Bytes(),
-	}
+	meta, edges := ix.encodeMeta(), eb.Bytes()
 	fsys := ix.opts.filesystem()
 	jpath := filepath.Join(ix.opts.Dir, journalName)
 	jf, err := fsys.create(jpath)
 	if err != nil {
 		return err
 	}
-	if _, err := jf.WriteAt(j.encode(), 0); err != nil {
+	if err := writeJournal(jf, ix.bt, meta, edges); err != nil {
 		_ = jf.Close()
 		return err
 	}
@@ -113,10 +105,10 @@ func (ix *Index) Save() error {
 	if err := ix.bt.Flush(); err != nil {
 		return err
 	}
-	if err := atomicWrite(fsys, filepath.Join(ix.opts.Dir, "fix.edges"), j.edges); err != nil {
+	if err := atomicWrite(fsys, filepath.Join(ix.opts.Dir, "fix.edges"), edges); err != nil {
 		return err
 	}
-	if err := atomicWrite(fsys, filepath.Join(ix.opts.Dir, "fix.meta"), j.meta); err != nil {
+	if err := atomicWrite(fsys, filepath.Join(ix.opts.Dir, "fix.meta"), meta); err != nil {
 		return err
 	}
 	return os.Remove(jpath)
@@ -136,55 +128,11 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 	if err := Recover(dir); err != nil {
 		return nil, err
 	}
-	mf, err := os.Open(filepath.Join(dir, "fix.meta"))
-	if err != nil {
-		return nil, err
-	}
-	defer mf.Close()
 	ix := &Index{store: st, dict: st.Dict()}
 	ix.opts.Dir = dir
-	var version int
-	var alpha uint32
-	var records int
-	r := bufio.NewReader(mf)
-	readField := func(name string, dst interface{}) error {
-		var got string
-		if _, err := fmt.Fscan(r, &got, dst); err != nil {
-			return fmt.Errorf("core: reading meta field %s: %w", name, err)
-		}
-		if got != name {
-			return fmt.Errorf("core: meta field %q, want %q", got, name)
-		}
-		return nil
-	}
-	if err := readField("version", &version); err != nil {
+	alpha, records, err := ix.readMeta()
+	if err != nil {
 		return nil, err
-	}
-	if version != metaVersion {
-		return nil, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
-	}
-	fields := []struct {
-		name string
-		dst  interface{}
-	}{
-		{"depthlimit", &ix.opts.DepthLimit},
-		{"clustered", &ix.opts.Clustered},
-		{"values", &ix.opts.Values},
-		{"beta", &ix.opts.Beta},
-		{"edgebudget", &ix.opts.EdgeBudget},
-		{"spectrumk", &ix.opts.SpectrumK},
-		{"paperpruning", &ix.opts.PaperPruning},
-		{"norootlabel", &ix.opts.NoRootLabel},
-		{"alpha", &alpha},
-		{"seq", &ix.seq},
-		{"oversize", &ix.oversize},
-		{"maxdocdepth", &ix.maxDocDepth},
-		{"records", &records},
-	}
-	for _, f := range fields {
-		if err := readField(f.name, f.dst); err != nil {
-			return nil, err
-		}
 	}
 	if err := validateMeta(ix, alpha, records); err != nil {
 		return nil, err
@@ -209,7 +157,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		ix.setHealth(fmt.Errorf("index covers %d records but the store holds %d", records, st.NumRecords()))
 	}
 
-	bf, err := storage.Open(filepath.Join(dir, "fix.btree"))
+	bf, err := osFS.open(filepath.Join(dir, "fix.btree"))
 	if err != nil {
 		if os.IsNotExist(err) {
 			ix.setHealth(fmt.Errorf("%w: fix.btree is missing", ErrCorrupt))
@@ -217,7 +165,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		}
 		return nil, err
 	}
-	bt, err := btree.Open(bf, ix.opts.CacheSize)
+	bt, err := btree.Open(bf)
 	if err != nil {
 		_ = bf.Close()
 		if errors.Is(err, ErrCorrupt) {
@@ -239,7 +187,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 }
 
 func (ix *Index) openClustered(dir string) error {
-	cf, err := storage.Open(filepath.Join(dir, "fix.clustered"))
+	cf, err := osFS.open(filepath.Join(dir, "fix.clustered"))
 	if err != nil {
 		return err
 	}
@@ -248,6 +196,74 @@ func (ix *Index) openClustered(dir string) error {
 		_ = cf.Close()
 	}
 	return err
+}
+
+// readMeta reads fix.meta under ix.opts.Dir into ix and returns the two
+// fields ix does not hold: the value-hash α and the number of primary-store
+// records the commit covers.
+func (ix *Index) readMeta() (alpha uint32, records int, err error) {
+	mf, err := os.Open(filepath.Join(ix.opts.Dir, "fix.meta"))
+	if err != nil {
+		return 0, 0, err
+	}
+	defer mf.Close()
+	r := bufio.NewReader(mf)
+	readField := func(name string, dst interface{}) error {
+		var got string
+		if _, err := fmt.Fscan(r, &got, dst); err != nil {
+			return fmt.Errorf("core: reading meta field %s: %w", name, err)
+		}
+		if got != name {
+			return fmt.Errorf("core: meta field %q, want %q", got, name)
+		}
+		return nil
+	}
+	var version int
+	if err := readField("version", &version); err != nil {
+		return 0, 0, err
+	}
+	if version != metaVersion {
+		return 0, 0, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
+	}
+	fields := []struct {
+		name string
+		dst  interface{}
+	}{
+		{"depthlimit", &ix.opts.DepthLimit},
+		{"clustered", &ix.opts.Clustered},
+		{"values", &ix.opts.Values},
+		{"beta", &ix.opts.Beta},
+		{"edgebudget", &ix.opts.EdgeBudget},
+		{"spectrumk", &ix.opts.SpectrumK},
+		{"paperpruning", &ix.opts.PaperPruning},
+		{"norootlabel", &ix.opts.NoRootLabel},
+		{"alpha", &alpha},
+		{"seq", &ix.seq},
+		{"oversize", &ix.oversize},
+		{"maxdocdepth", &ix.maxDocDepth},
+		{"records", &records},
+	}
+	for _, f := range fields {
+		if err := readField(f.name, f.dst); err != nil {
+			return 0, 0, err
+		}
+	}
+	return alpha, records, nil
+}
+
+// CommittedRecords returns how many primary-store records the index
+// committed under dir covers. A database whose ingest log outlived the
+// checkpoint that absorbed it — the crash fell between the index's commit
+// and the log's reset — finds the index ahead of the log's base by the
+// documents the log adds, and replays the log onto the heap alone.
+func CommittedRecords(dir string) (int, error) {
+	if err := Recover(dir); err != nil {
+		return 0, err
+	}
+	ix := &Index{}
+	ix.opts.Dir = dir
+	_, records, err := ix.readMeta()
+	return records, err
 }
 
 // validateMeta rejects metadata that cannot describe a working index, so

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -99,5 +103,69 @@ func TestOpenCorruptMeta(t *testing.T) {
 	}
 	if _, err := Open(st, dir); err == nil {
 		t.Error("Open on corrupt meta succeeded")
+	}
+}
+
+// TestStreamedJournalIsFIXJNL01 holds the journal Save streams page by
+// page against the layout journal.go documents, assembled whole the plain
+// way: the bytes must be equal — Recover, and journals older versions
+// left behind, know no other format — over a commit of a few hundred pages,
+// which is several of the stream's buffers.
+func TestStreamedJournalIsFIXJNL01(t *testing.T) {
+	var docs []string
+	for i := 0; i < 18; i++ {
+		docs = append(docs, wideDoc(fmt.Sprint("base", i)))
+	}
+	ix, err := Build(memStoreFromDocs(t, docs), Options{DepthLimit: 1, PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := xmltree.ParseString(wideDoc("zz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ix.store.AppendTree(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.InsertDocument(rec); err != nil {
+		t.Fatal(err)
+	}
+	meta, edges := ix.encodeMeta(), []byte("the edge encoder's bytes")
+
+	var want bytes.Buffer
+	u32 := func(vs ...uint32) {
+		for _, v := range vs {
+			want.Write(binary.BigEndian.AppendUint32(nil, v))
+		}
+	}
+	var pages bytes.Buffer
+	npages := 0
+	err = ix.bt.DirtyPages(func(i, n int, id uint32, image []byte) error {
+		npages = n
+		pages.Write(binary.BigEndian.AppendUint32(nil, id))
+		pages.Write(image)
+		return nil
+	})
+	if err != nil || npages <= 256 {
+		t.Fatalf("fixture: %d dirty pages, %v", npages, err)
+	}
+	want.WriteString("FIXJNL01")
+	u32(256, uint32(npages), uint32(len(meta)), uint32(len(edges)))
+	want.Write(pages.Bytes())
+	want.Write(meta)
+	want.Write(edges)
+	u32(crc32.Checksum(want.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+
+	jf := storage.NewMemFile()
+	if err := writeJournal(jf, ix.bt, meta, edges); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, want.Len()+1)
+	if n, _ := jf.ReadAt(got, 0); !bytes.Equal(got[:n], want.Bytes()) {
+		t.Fatalf("the streamed journal (%d bytes) differs from the layout assembled whole (%d bytes)", n, want.Len())
+	}
+	if j, ok := decodeJournal(want.Bytes()); !ok || len(j.pages) != npages || !bytes.Equal(j.meta, meta) {
+		t.Fatal("decodeJournal rejects the journal")
 	}
 }

@@ -10,9 +10,8 @@ import (
 // chunks, releasing the tree lock between chunks so queries and ingest
 // interleave with the scan (see btree.Tree.ScrubDisk). It is the
 // background scrubber's entry point: unlike Verify it reads the file
-// directly, so it catches latent on-disk damage — bit rot, a torn
-// eviction write-back — while the index is still serving from cached
-// pages that look fine.
+// directly, so it catches latent on-disk damage — bit rot — while the
+// index is still serving from a resident image that looks fine.
 //
 // pause, when non-nil, runs between chunks with no locks held; returning
 // an error aborts the scan. Detected corruption latches degraded health,

@@ -115,8 +115,9 @@ func runCold(clear func() error, run func() (int, error), io func() IOStats) (Sy
 // executor with the heap refinement reads — the clustered heap when ix
 // has one, the primary store otherwise — and the B-tree counters cleared.
 // The probe is charged one random access per node access of the frozen
-// B-tree image: a frozen view has no pager, and a cold pager reads each
-// page a range scan touches exactly once, so the count is the same.
+// B-tree image: the image is resident, and a tree that read its pages from
+// a cold disk would read each page a range scan touches exactly once, so
+// the count is the same.
 func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, q *xpath.Path) (SystemRun, error) {
 	g := e.Frozen(ix)
 	heap := ix.ClusteredStore()

@@ -49,13 +49,13 @@ func (p Phase) String() string {
 	return phaseNames[p]
 }
 
-// BTreeDelta is the pager activity one query caused: physical page reads
-// (cache misses), physical page writes, cache hits, and cache evictions.
+// BTreeDelta is the B-tree page traffic one query caused: page accesses
+// (CacheHits — the image is resident, so each is a hit) and, zero for a
+// query on a frozen view, pages read from and written to the file.
 type BTreeDelta struct {
 	PageReads  int64
 	PageWrites int64
 	CacheHits  int64
-	Evictions  int64
 }
 
 // StorageDelta is the record-heap activity one query caused, in the
@@ -119,7 +119,7 @@ type Trace struct {
 	// decoded — only nodes the twig could bind, not whole candidate
 	// subtrees — the unit of refinement work.
 	NodesVisited int64
-	// BTree is the pager activity of the probe phase.
+	// BTree is the B-tree page traffic of the probe phase.
 	BTree BTreeDelta
 	// Storage is the record-heap activity of fetch + refinement,
 	// primary and clustered heaps combined.
