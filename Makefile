@@ -63,11 +63,11 @@ check: vet build bench-build test race alloc-gates lint loc
 # ingest-request benchmarks for one iteration each — not to time
 # anything, but so a benchmark that no longer builds, whose refined count
 # no longer equals the scan's, whose index is no longer packed or stores
-# whole keys again (more than 21 B/entry), whose probe allocates per entry
-# again (more than 400 allocs per query), or whose ingest request is no
-# longer one group commit, decodes pages to insert again (more than 4 700
-# allocs per request) or leaves behind an index of more than 24.9 B/entry
-# fails CI.
+# whole keys or 9-byte values again (more than 14.9 B/entry), whose probe
+# allocates per entry again (more than 400 allocs per query), or whose
+# ingest request is no longer one group commit, decodes pages to insert
+# again (more than 4 700 allocs per request) or leaves behind an index of
+# more than 14.6 B/entry fails CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkTable1Construction|BenchmarkIngestRequest' -benchtime 1x .
 
@@ -94,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseXML -fuzztime=10s ./internal/xmltree/
 	$(GO) test -fuzz=FuzzParseXPath -fuzztime=10s ./internal/xpath/
 	$(GO) test -fuzz=FuzzViewPage -fuzztime=10s ./internal/btree/
+	$(GO) test -fuzz=FuzzEntryValue -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/fixserve/
 
 # stress hammers the governed fixserve stack — queries through the

@@ -30,8 +30,9 @@ func output(t *testing.T, dir string, args ...string) string {
 }
 
 // TestVerifyAndRepairOldFormatIndex is what an operator sees of an index
-// written before page format FIXBT003 (fix/testdata/index-written-by-pr20):
-// verify says which format the file is in, which one this version reads, and
+// written before fix.meta version 3 (fix/testdata/index-written-by-pr20,
+// whose page format FIXBT002 is older still, but fix.meta is read first):
+// verify says which version the index is, which one this version reads, and
 // what to do; repair does it.
 func TestVerifyAndRepairOldFormatIndex(t *testing.T) {
 	const fixture = "../../fix/testdata/index-written-by-pr20"
@@ -50,7 +51,7 @@ func TestVerifyAndRepairOldFormatIndex(t *testing.T) {
 		}
 	}
 	out := output(t, dir, "verify")
-	for _, want := range []string{"index degraded", "FIXBT002", "FIXBT003", "repair"} {
+	for _, want := range []string{"index degraded", "version 2", "writes 3", "repair"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("verify on the old-format index does not mention %q:\n%s", want, out)
 		}

@@ -68,10 +68,11 @@ func indexMatchesScan(t *testing.T, db *DB, when string) {
 
 // TestIncrementalIndexFill grows a depth-6 index the way a server does —
 // half of an XMark entity stream bulk-built, the rest ingested in small
-// requests — and requires the leaves the inserts split to fill: at most 21.5
-// index bytes per entry (this run ends at 20.3; cut at mid, at 22.5), with
-// the index verified and agreeing with a scan on the paper's XMark queries
-// before and after a checkpoint and a reopen.
+// requests — and requires the leaves the inserts split to fill: at most 13.4
+// index bytes per entry (this run ends at 12.8; cut at mid, at 14.0, so the
+// gate sits between the two rather than at 1.1 × 12.8; with 9-byte values
+// the run ended at 20.3), with the index verified and agreeing with a scan
+// on the paper's XMark queries before and after a checkpoint and a reopen.
 func TestIncrementalIndexFill(t *testing.T) {
 	dir := t.TempDir()
 	docs := xmarkEntityDocs(1, 0.4)
@@ -105,8 +106,8 @@ func TestIncrementalIndexFill(t *testing.T) {
 		t.Helper()
 		perEntry := float64(db.IndexSizeBytes()) / float64(db.IndexEntries())
 		t.Logf("%s: %d documents, %d entries, %d index bytes, %.1f B/entry", when, db.NumDocuments(), db.IndexEntries(), db.IndexSizeBytes(), perEntry)
-		if perEntry > 21.5 {
-			t.Errorf("%s: %.1f index bytes per entry, want at most 21.5", when, perEntry)
+		if perEntry > 13.4 {
+			t.Errorf("%s: %.1f index bytes per entry, want at most 13.4", when, perEntry)
 		}
 		indexMatchesScan(t, db, when)
 	}
@@ -150,24 +151,29 @@ func copyFiles(t *testing.T, src, dst string) {
 	}
 }
 
-// oldFormatIndex opens a copy of testdata/index-written-by-pr20 — 28 XMark
-// entity documents, 4 bulk-built at depth 6 and 24 ingested, checkpointed by
-// the commit before leaves were split at a run's end, whose B-tree file is
-// in page format FIXBT002 — and requires what an upgrade in place meets:
-// Open succeeds, the index is degraded with a health error that wraps
-// ErrCorrupt and names both formats, and every query is answered exactly,
-// by scan.
-func oldFormatIndex(t *testing.T) (dir string, db *DB) {
+// oldFormatIndex opens a copy of testdata/<fixture> — 28 XMark entity
+// documents, 4 bulk-built at depth 6 and 24 ingested, checkpointed by an
+// earlier commit, under fix.meta version 2, whose values spelled a pointer
+// as a flag byte and a big-endian u64 — and requires what an upgrade in
+// place meets: Open succeeds, the index is degraded with a health error that
+// wraps ErrCorrupt, names both meta versions and says to rebuild, and every
+// query is answered exactly, by scan.
+//
+// index-written-by-pr23 is old in its values only. index-written-by-pr20 is
+// also in page format FIXBT002, but Open reads fix.meta before it opens
+// fix.btree and keeps the first health problem only, so the meta version is
+// what its health names: the remedy either would name is the same rebuild.
+func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	t.Helper()
-	dir = copyFixture(t, "index-written-by-pr20")
+	dir = copyFixture(t, fixture)
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = db.Close() })
 	health := db.IndexHealth()
-	if !errors.Is(health, ErrCorrupt) || !strings.Contains(health.Error(), "FIXBT002") || !strings.Contains(health.Error(), "FIXBT003") {
-		t.Fatalf("IndexHealth = %v, want ErrCorrupt naming FIXBT002 and FIXBT003", health)
+	if !errors.Is(health, ErrCorrupt) || !strings.Contains(health.Error(), "version 2") || !strings.Contains(health.Error(), "writes 3") || !strings.Contains(health.Error(), "rebuild") {
+		t.Fatalf("IndexHealth = %v, want ErrCorrupt naming meta versions 2 and 3 and the rebuild", health)
 	}
 	if db.NumDocuments() != 28 || !db.HasIndex() {
 		t.Fatalf("fixture holds %d documents (index: %t), want 28 and an index", db.NumDocuments(), db.HasIndex())
@@ -189,7 +195,7 @@ func oldFormatIndex(t *testing.T) (dir string, db *DB) {
 }
 
 // rebuiltIndexSurvives requires the healthy 528-entry index a rebuild of
-// the old-format fixture leaves, before and after a checkpoint and a reopen.
+// an old-format fixture leaves, before and after a checkpoint and a reopen.
 func rebuiltIndexSurvives(t *testing.T, dir string, db *DB) {
 	t.Helper()
 	if err := db.IndexHealth(); err != nil || db.IndexEntries() != 528 {
@@ -219,7 +225,20 @@ func rebuiltIndexSurvives(t *testing.T, dir string, db *DB) {
 // — the repair path of any corrupt index — writes it anew in FIXBT003.
 // TestMaintainerRebuildsOldFormatIndex is the same for a served database.
 func TestIndexWrittenBeforeRunSplitsStillServes(t *testing.T) {
-	dir, db := oldFormatIndex(t)
+	dir, db := oldFormatIndex(t, "index-written-by-pr20")
+	if err := db.RebuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rebuiltIndexSurvives(t, dir, db)
+}
+
+// TestIndexWrittenBeforeUvarintValuesStillServes is the hand-over from
+// fix.meta version 2 on the directory the commit that introduced FIXBT003
+// wrote (testdata/index-written-by-pr23): its pages read, but its values
+// are in the flag-byte spelling nothing reads any more, so it opens degraded
+// and serves by scan, and RebuildIndex writes it anew in version 3.
+func TestIndexWrittenBeforeUvarintValuesStillServes(t *testing.T) {
+	dir, db := oldFormatIndex(t, "index-written-by-pr23")
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +246,14 @@ func TestIndexWrittenBeforeRunSplitsStillServes(t *testing.T) {
 }
 
 // TestIndexWrittenByThisFormatServes opens a database directory written by
-// the commit that introduced page format FIXBT003 (the same 28 documents, 4
-// bulk-built at depth 6 and 24 ingested, checkpointed;
-// testdata/index-written-by-pr23) and uses it as a server would: verify,
-// ingest enough to split its leaves, checkpoint, reopen. It is the anchor
-// for the next change to the format: that one has to open this directory,
-// healthy or — as above — degraded and exact.
+// the commit that introduced fix.meta version 3, the values of two uvarints
+// a pointer (the same 28 documents, 4 bulk-built at depth 6 and 24 ingested,
+// checkpointed; testdata/index-written-by-pr25), and uses it as a server
+// would: verify, ingest enough to split its leaves, checkpoint, reopen. It
+// is the anchor for the next change to the format: that one has to open
+// this directory, healthy or — as above — degraded and exact.
 func TestIndexWrittenByThisFormatServes(t *testing.T) {
-	dir := copyFixture(t, "index-written-by-pr23")
+	dir := copyFixture(t, "index-written-by-pr25")
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -337,24 +337,30 @@ func TestMaintainerRepairsCorruptIndex(t *testing.T) {
 	}
 }
 
-// TestMaintainerRebuildsOldFormatIndex serves the FIXBT002 fixture of
-// TestIndexWrittenBeforeRunSplitsStillServes: the maintainer's first tick
-// finds the index degraded and rebuilds it, with no scrub and no operator.
+// TestMaintainerRebuildsOldFormatIndex serves the fixtures of
+// TestIndexWrittenBeforeRunSplitsStillServes and
+// TestIndexWrittenBeforeUvarintValuesStillServes: the maintainer's first
+// tick finds the index degraded and rebuilds it, with no scrub and no
+// operator.
 func TestMaintainerRebuildsOldFormatIndex(t *testing.T) {
-	dir, db := oldFormatIndex(t)
-	m, err := db.StartMaintainer(context.Background(), MaintainConfig{
-		Interval: 2 * time.Millisecond,
-		WALOps:   -1, WALBytes: -1, MaxAge: -1, ScrubInterval: -1, // isolate the rebuild trigger
-		RetryBackoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, fixture := range []string{"index-written-by-pr20", "index-written-by-pr23"} {
+		t.Run(fixture, func(t *testing.T) {
+			dir, db := oldFormatIndex(t, fixture)
+			m, err := db.StartMaintainer(context.Background(), MaintainConfig{
+				Interval: 2 * time.Millisecond,
+				WALOps:   -1, WALBytes: -1, MaxAge: -1, ScrubInterval: -1, // isolate the rebuild trigger
+				RetryBackoff: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, "the maintainer to rebuild the old-format index", func() bool {
+				return m.Health().AutoRebuilds >= 1 && db.IndexHealth() == nil
+			})
+			m.Close()
+			rebuiltIndexSurvives(t, dir, db)
+		})
 	}
-	waitFor(t, 10*time.Second, "the maintainer to rebuild the old-format index", func() bool {
-		return m.Health().AutoRebuilds >= 1 && db.IndexHealth() == nil
-	})
-	m.Close()
-	rebuiltIndexSurvives(t, dir, db)
 }
 
 // TestScrubHealsWALDamage corrupts the acknowledged WAL prefix on disk.

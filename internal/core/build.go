@@ -268,7 +268,7 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 	}
 	k := uint64(ix.opts.SpectrumK)
 	key := make([]byte, keySize)
-	val := make([]byte, 0, 17+8*k)
+	val := make([]byte, 0, maxValueSize)
 	i := 0
 	return ix.bt.Load(func() ([]byte, []byte, error) {
 		if i == len(entries) {
@@ -279,19 +279,18 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 		}
 		e := &entries[i]
 		i++
-		v := entryValue{primary: e.primary}
+		v := entryValue{primary: storage.Pointer(e.primary)}
 		if e.nspec > 0 {
 			v.spectrum = tails[e.seq*k:][:e.nspec]
 		}
 		if ix.clustered != nil {
 			var err error
-			if v.clustered, err = ix.copyToClustered(storage.Pointer(e.primary)); err != nil {
+			if v.clustered, err = ix.copyToClustered(v.primary); err != nil {
 				return nil, nil, err
 			}
-			v.hasCopy = true
 		}
 		putKey(key, e.label, e.max, e.min, e.seq)
-		val = v.appendTo(val[:0])
+		val = v.appendTo(val[:0], ix.opts.Clustered)
 		return key, val, nil
 	})
 }

@@ -241,12 +241,12 @@ func TestBuildMatchesIncremental(t *testing.T) {
 			masked := func(ix *Index) []string {
 				var out []string
 				err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-					val := decodeValue(v)
-					if val.hasCopy != tc.opts.Clustered {
-						t.Errorf("entry %x: clustered copy = %t", k, val.hasCopy)
+					val, ok := decodeValue(v, tc.opts.Clustered)
+					if !ok {
+						t.Errorf("entry %x: value %x does not decode", k, v)
 					}
 					val.clustered = 0
-					out = append(out, string(k)+string(val.encode()))
+					out = append(out, string(k)+string(val.encode(tc.opts.Clustered)))
 					return true
 				})
 				if err != nil {
@@ -275,15 +275,15 @@ func TestBuildMatchesIncremental(t *testing.T) {
 			}
 			next := uint32(0)
 			err = bulk.bt.Scan(nil, nil, func(k, v []byte) bool {
-				val := decodeValue(v)
-				if got := storage.Pointer(val.clustered); got != storage.MakePointer(next, 0) {
+				val, _ := decodeValue(v, true)
+				if got := val.clustered; got != storage.MakePointer(next, 0) {
 					t.Fatalf("entry %d in key order has clustered copy %v, want record %d", next, got, next)
 				}
-				pc, pr, err := bulkStore.ReadSubtree(storage.Pointer(val.primary))
+				pc, pr, err := bulkStore.ReadSubtree(val.primary)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cc, cr, err := bulk.clustered.ReadSubtree(storage.Pointer(val.clustered))
+				cc, cr, err := bulk.clustered.ReadSubtree(val.clustered)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -734,6 +736,112 @@ func TestStaleIndexDegrades(t *testing.T) {
 	}
 	if !res.Fallback {
 		t.Error("stale index did not fall back to scanning")
+	}
+}
+
+// TestOpenVersion2IndexDegrades is the hand-over from metaVersion 2, whose
+// values spelled a pointer as a flag byte and a big-endian u64: an index
+// committed under it opens degraded, with an ErrCorrupt that names both
+// versions and says to rebuild, answers exactly by scan, and still tells the
+// database layer's recovery how many records it covers. A version older
+// than that fails Open.
+func TestOpenVersion2IndexDegrades(t *testing.T) {
+	st := memStoreFromDocs(t, bibDocs)
+	dir := t.TempDir()
+	ix, err := Build(st, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "fix.meta")
+	meta, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(meta, []byte("version 3\n")) {
+		t.Fatalf("fix.meta starts %q", meta[:10])
+	}
+	copy(meta, "version 2")
+	if err := os.WriteFile(path, meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(st, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := re.Health()
+	if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version 2") || !strings.Contains(h.Error(), "writes 3") || !strings.Contains(h.Error(), "rebuild") {
+		t.Fatalf("health of a version-2 index = %v, want ErrCorrupt naming versions 2 and 3 and the rebuild", h)
+	}
+	checkOracle(t, re, oracleCounts(t, st, crashQueries), "version 2")
+	if n, err := CommittedRecords(dir); err != nil || n != len(bibDocs) {
+		t.Errorf("CommittedRecords of a version-2 index = %d, %v; want %d", n, err, len(bibDocs))
+	}
+	copy(meta, "version 1")
+	if err := os.WriteFile(path, meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(st, dir); err == nil || !strings.Contains(err.Error(), "unsupported index version 1") {
+		t.Errorf("Open of a version-1 index: %v", err)
+	}
+}
+
+// TestBadValueIsErrCorrupt plants an entry whose value breaks the index
+// into a healthy one. A value that does not decode — an over-long uvarint,
+// metaVersion 2's spelling — is an ErrCorrupt to every reader of values,
+// never pointer 0: Verify, BuildFeatureRTree and a DeleteDocuments that
+// has to read it fail, and a query whose range scan meets it answers
+// exactly by scan and degrades the index. One that decodes but names a record the store does not hold,
+// or more spectrum components than the index stores, fails Verify.
+func TestBadValueIsErrCorrupt(t *testing.T) {
+	q := xpath.MustParse("//author[email]") // no root label on a collection index: every partition
+	for _, tc := range []struct {
+		name    string
+		val     []byte
+		decodes bool
+	}{
+		{"an over-long uvarint", []byte{0x81, 0x00, 0}, false},
+		{"metaVersion 2's spelling", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, false},
+		{"a record the store does not hold", entryValue{primary: storage.MakePointer(999, 0)}.encode(false), true},
+		{"a spectrum the index does not store", entryValue{spectrum: []float64{1}}.encode(false), true},
+	} {
+		st := memStoreFromDocs(t, bibDocs)
+		ix, err := Build(st, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label, _ := ix.dict.Lookup("author")
+		key := entryKey{label: label, max: math.Inf(1), min: math.Inf(-1), seq: ix.seq}.encode()
+		if err := ix.bt.Put(key, tc.val); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.verify(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: verify = %v, want ErrCorrupt", tc.name, err)
+		}
+		if tc.decodes {
+			continue
+		}
+		// Records whose uvarints begin with every byte there is: the delete
+		// decodes every value.
+		every := make([]uint32, 256)
+		for i := range every {
+			every[i] = uint32(i)
+		}
+		if _, err := ix.DeleteDocuments(every); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DeleteDocuments = %v, want ErrCorrupt", tc.name, err)
+		}
+		if _, err := ix.BuildFeatureRTree(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: BuildFeatureRTree = %v, want ErrCorrupt", tc.name, err)
+		}
+		res, err := query(freeze(t, ix), q)
+		if _, want := bruteCount(t, st, q); err != nil || !res.Fallback || res.Count != want {
+			t.Errorf("%s: query = %+v, %v; want %d results by scan", tc.name, res, err, want)
+		}
+		if h := ix.Health(); !errors.Is(h, ErrCorrupt) {
+			t.Errorf("%s: health after the query = %v, want ErrCorrupt", tc.name, h)
+		}
 	}
 }
 

@@ -177,6 +177,7 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 	}
 	cands := buf[:0]
 	scanned := 0
+	clustered := g.ix.opts.Clustered
 	var stop error // why a scan callback ended its scan early, if it did
 	visit := func(k, v []byte) bool {
 		scanned++
@@ -191,7 +192,11 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 				return true
 			}
 		}
-		ev := decodeValue(v)
+		ev, ok := decodeValue(v, clustered)
+		if !ok {
+			stop = errBadValue(k, v)
+			return false
+		}
 		if !spectrumContains(ev.spectrum, p.specs) {
 			return true
 		}
@@ -199,11 +204,7 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 			stop = fmt.Errorf("%w: more than %d candidates", ErrBudgetExceeded, lim.MaxCandidates)
 			return false
 		}
-		cands = append(cands, Candidate{
-			Primary:   storage.Pointer(ev.primary),
-			Clustered: storage.Pointer(ev.clustered),
-			HasCopy:   ev.hasCopy,
-		})
+		cands = append(cands, Candidate{Primary: ev.primary, Clustered: ev.clustered})
 		return true
 	}
 	var err error
@@ -346,7 +347,7 @@ func (g *Generation) refinement(p *queryPlan, cands []Candidate) (*nok.Query, fe
 		if g.tombs.Has(c.Primary.Rec()) {
 			return // tombstoned: entries may outlive the delete until rebuild
 		}
-		if g.clustered != nil && c.HasCopy {
+		if g.clustered != nil {
 			cur, err = g.clustered.Cursor(c.Clustered.Rec())
 		} else {
 			cur, ref, err = g.store.ReadSubtree(c.Primary)

@@ -110,8 +110,8 @@ func (o *Options) setDefaults() {
 	if o.EdgeBudget == 0 {
 		o.EdgeBudget = 3000
 	}
-	if o.SpectrumK > 8 {
-		o.SpectrumK = 8
+	if o.SpectrumK > maxSpectrumK {
+		o.SpectrumK = maxSpectrumK
 	}
 	if o.SpectrumK < 0 {
 		o.SpectrumK = 0
@@ -176,11 +176,11 @@ func (ix *Index) setHealth(err error) {
 }
 
 // Candidate is one index hit: the pruning phase returns these and the
-// refinement phase validates them.
+// refinement phase validates them. Clustered is the subtree's copy in the
+// clustered heap, zero unless the index is clustered.
 type Candidate struct {
 	Primary   storage.Pointer
 	Clustered storage.Pointer
-	HasCopy   bool
 }
 
 // Result summarizes one query execution.
@@ -208,7 +208,7 @@ func indexFile(opts Options, name string) (storage.File, error) {
 
 // copyToClustered appends the subtree at ptr to the clustered heap and
 // returns the copy's pointer.
-func (ix *Index) copyToClustered(ptr storage.Pointer) (uint64, error) {
+func (ix *Index) copyToClustered(ptr storage.Pointer) (storage.Pointer, error) {
 	cur, ref, err := ix.store.ReadSubtree(ptr)
 	if err != nil {
 		return 0, err
@@ -217,7 +217,7 @@ func (ix *Index) copyToClustered(ptr storage.Pointer) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return uint64(storage.MakePointer(rec, 0)), nil
+	return storage.MakePointer(rec, 0), nil
 }
 
 // Entries returns the number of index entries (ent in the paper's
@@ -251,8 +251,10 @@ func (ix *Index) BTree() *btree.Tree { return ix.bt }
 
 // Verify checks the on-disk integrity of the index: every B-tree page's
 // checksum and structure, the meta/leaf entry-count agreement, and that
-// every entry's primary pointer addresses an existing record. Problems
-// are recorded in the health status and returned.
+// every entry's value decodes — in the one spelling appendTo writes, with
+// no more spectrum components than the index stores — to a primary pointer
+// that addresses an existing record. Problems are recorded in the health
+// status and returned.
 func (ix *Index) Verify() error {
 	if err := ix.Health(); err != nil {
 		return err
@@ -274,12 +276,16 @@ func (ix *Index) verify() error {
 	nrec := uint32(ix.store.NumRecords())
 	var bad error
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		p := valuePrimary(v)
-		if p.Rec() >= nrec {
-			bad = fmt.Errorf("%w: entry points at record %d but the store holds %d", ErrCorrupt, p.Rec(), nrec)
-			return false
+		ev, ok := decodeValue(v, ix.opts.Clustered)
+		switch {
+		case !ok:
+			bad = errBadValue(k, v)
+		case ev.primary.Rec() >= nrec:
+			bad = fmt.Errorf("%w: entry points at record %d but the store holds %d", ErrCorrupt, ev.primary.Rec(), nrec)
+		case len(ev.spectrum) > ix.opts.SpectrumK:
+			bad = fmt.Errorf("%w: entry %x stores %d spectrum components, the index %d", ErrCorrupt, k, len(ev.spectrum), ix.opts.SpectrumK)
 		}
-		return true
+		return bad == nil
 	})
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"github.com/fix-index/fix/internal/storage"
@@ -84,35 +85,46 @@ func scanBounds(label uint32, queryMax float64) (from, to []byte) {
 	return from, to
 }
 
+// maxSpectrumK caps Options.SpectrumK: the most spectrum components a value
+// stores.
+const maxSpectrumK = 8
+
 // entryValue is the decoded form of a B-tree value:
 //
-//	byte 0          flags: bit 0 = clustered pointer present,
-//	                bits 4-7 = number of stored spectrum components
-//	bytes 1-8       primary pointer
-//	[bytes 9-16]    clustered pointer
-//	[k × 8 bytes]   σ₂..σ₍k+1₎ of the entry's pattern (σ₁ is the key's
-//	                λmax), for the optional spectrum filter (§3.3)
+//	uvarint uvarint     primary pointer: record, offset in the record
+//	[uvarint uvarint]   clustered pointer, in a clustered index only
+//	[k × 8 bytes]       σ₂..σ₍k+1₎ of the entry's pattern (σ₁ is the key's
+//	                    λmax), for the optional spectrum filter (§3.3)
+//
+// A value holds only what its entry knows. Whether a clustered pointer
+// follows is the index's Clustered option, the same for every entry, and
+// the tail's k is what the pointers leave, 8 bytes a component. A
+// pointer's halves are small — record numbers in the thousands, offsets
+// inside one document — so two uvarints spell one in 2 to 5 bytes.
 type entryValue struct {
-	primary   uint64
-	clustered uint64
-	hasCopy   bool
+	primary   storage.Pointer
+	clustered storage.Pointer
 	spectrum  []float64
 }
 
-func (v entryValue) encode() []byte {
-	return v.appendTo(make([]byte, 0, 17+8*len(v.spectrum)))
+// maxValueSize bounds the bytes of a value.
+const maxValueSize = 4*binary.MaxVarintLen32 + 8*maxSpectrumK
+
+// encode returns the value of an index whose Clustered option is clustered.
+func (v entryValue) encode(clustered bool) []byte {
+	size := 2*binary.MaxVarintLen32 + 8*len(v.spectrum)
+	if clustered {
+		size += 2 * binary.MaxVarintLen32
+	}
+	return v.appendTo(make([]byte, 0, size), clustered)
 }
 
-// appendTo appends the encoded value to buf.
-func (v entryValue) appendTo(buf []byte) []byte {
-	flags := byte(len(v.spectrum)) << 4
-	if v.hasCopy {
-		flags |= 1
-	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint64(buf, v.primary)
-	if v.hasCopy {
-		buf = binary.BigEndian.AppendUint64(buf, v.clustered)
+// appendTo appends the value of an index whose Clustered option is
+// clustered to buf.
+func (v entryValue) appendTo(buf []byte, clustered bool) []byte {
+	buf = appendPointer(buf, v.primary)
+	if clustered {
+		buf = appendPointer(buf, v.clustered)
 	}
 	for _, s := range v.spectrum {
 		buf = binary.BigEndian.AppendUint64(buf, encodeFloat(s))
@@ -120,32 +132,64 @@ func (v entryValue) appendTo(buf []byte) []byte {
 	return buf
 }
 
-// valuePrimary reads the primary pointer of an encoded value where it
-// lies: decodeValue(buf).primary without the spectrum tail.
-func valuePrimary(buf []byte) storage.Pointer {
-	if len(buf) < 9 {
-		return 0
-	}
-	return storage.Pointer(binary.BigEndian.Uint64(buf[1:9]))
+func appendPointer(buf []byte, p storage.Pointer) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(buf, uint64(p.Rec())), uint64(p.Off()))
 }
 
-func decodeValue(buf []byte) entryValue {
-	var v entryValue
-	if len(buf) < 9 {
-		return v
+// decodeValue decodes the value of an index whose Clustered option is
+// clustered. ok is false unless buf is spelled exactly as appendTo spells
+// some value: a pointer half that runs off the end, exceeds a u32 or takes
+// more bytes than it needs, or a tail that is not whole components or holds
+// more than maxSpectrumK, does not decode. So what decodes re-encodes to buf
+// byte for byte (FuzzEntryValue).
+func decodeValue(buf []byte, clustered bool) (v entryValue, ok bool) {
+	var n int
+	if v.primary, n = readPointer(buf); n == 0 {
+		return entryValue{}, false
 	}
-	flags := buf[0]
-	v.hasCopy = flags&1 != 0
-	k := int(flags >> 4)
-	v.primary = binary.BigEndian.Uint64(buf[1:9])
-	pos := 9
-	if v.hasCopy {
-		v.clustered = binary.BigEndian.Uint64(buf[pos : pos+8])
-		pos += 8
+	buf = buf[n:]
+	if clustered {
+		if v.clustered, n = readPointer(buf); n == 0 {
+			return entryValue{}, false
+		}
+		buf = buf[n:]
 	}
-	for i := 0; i < k && pos+8 <= len(buf); i++ {
-		v.spectrum = append(v.spectrum, decodeFloat(binary.BigEndian.Uint64(buf[pos:pos+8])))
-		pos += 8
+	if len(buf)%8 != 0 || len(buf) > 8*maxSpectrumK {
+		return entryValue{}, false
 	}
-	return v
+	for ; len(buf) > 0; buf = buf[8:] {
+		v.spectrum = append(v.spectrum, decodeFloat(binary.BigEndian.Uint64(buf)))
+	}
+	return v, true
+}
+
+// errBadValue is the error of an entry, key k, whose value v does not
+// decode.
+func errBadValue(k, v []byte) error {
+	return fmt.Errorf("%w: entry %x has a value that does not decode: %x", ErrCorrupt, k, v)
+}
+
+// readPointer reads the pointer at the start of buf and the bytes it
+// takes, n = 0 if there is none.
+func readPointer(buf []byte) (p storage.Pointer, n int) {
+	rec, a := readUint32(buf)
+	if a == 0 {
+		return 0, 0
+	}
+	off, b := readUint32(buf[a:])
+	if b == 0 {
+		return 0, 0
+	}
+	return storage.MakePointer(rec, off), a + b
+}
+
+// readUint32 reads the uvarint at the start of buf and the bytes it takes,
+// n = 0 unless it ends, fits a u32 and is the shortest spelling of its
+// value (only a one-byte uvarint may end in a zero byte).
+func readUint32(buf []byte) (x uint32, n int) {
+	u, n := binary.Uvarint(buf)
+	if n <= 0 || u > math.MaxUint32 || (n > 1 && buf[n-1] == 0) {
+		return 0, 0
+	}
+	return uint32(u), n
 }

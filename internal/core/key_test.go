@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"github.com/fix-index/fix/internal/storage"
 )
 
 func TestFloatEncodingOrder(t *testing.T) {
@@ -123,6 +126,74 @@ func TestScanBoundsContainment(t *testing.T) {
 			t.Errorf("%s: in-range = %v, want %v", c.name, got, c.want)
 		}
 	}
+}
+
+func TestEntryValueRoundTrip(t *testing.T) {
+	cases := []struct {
+		v         entryValue
+		clustered bool
+		size      int
+	}{
+		{entryValue{primary: 42}, false, 2},
+		{entryValue{primary: storage.MakePointer(3000, 70000)}, false, 2 + 3},
+		{entryValue{primary: 42, clustered: 99}, true, 4},
+		{entryValue{primary: storage.MakePointer(math.MaxUint32, math.MaxUint32), clustered: storage.MakePointer(1, 0)}, true, 5 + 5 + 2},
+		{entryValue{primary: 1, spectrum: []float64{3.5, 2.25, 0}}, false, 2 + 3*8},
+		{entryValue{primary: 7, clustered: 8, spectrum: []float64{10, 9, 8, 7, 6, 5, 4, 3}}, true, 4 + 8*8},
+	}
+	for i, c := range cases {
+		b := c.v.encode(c.clustered)
+		if len(b) != c.size {
+			t.Errorf("case %d: %d bytes, want %d", i, len(b), c.size)
+		}
+		got, ok := decodeValue(b, c.clustered)
+		if !ok || got.primary != c.v.primary || got.clustered != c.v.clustered || !slices.Equal(got.spectrum, c.v.spectrum) {
+			t.Errorf("case %d: %+v -> %x -> %+v (ok %t)", i, c.v, b, got, ok)
+		}
+	}
+	// A value spelled otherwise does not decode, rather than decode to
+	// pointer 0 — or to any pointer that is not its entry's.
+	for _, c := range []struct {
+		name      string
+		buf       []byte
+		clustered bool
+	}{
+		{"empty", nil, false},
+		{"half a pointer", []byte{5}, false},
+		{"a uvarint that does not end", []byte{5, 0x80}, false},
+		{"a clustered index's value without its copy", []byte{1, 2}, true},
+		{"an over-long uvarint", []byte{0x81, 0x00, 1}, false},
+		{"a half beyond a u32", []byte{0x80, 0x80, 0x80, 0x80, 0x10, 0}, false},
+		{"a torn spectrum component", []byte{1, 2, 0, 0, 0}, false},
+		{"nine spectrum components", append([]byte{1, 2}, make([]byte, 9*8)...), false},
+		{"metaVersion 2's spelling", []byte{0, 0, 0, 0, 5, 0, 0, 0, 10}, false},
+		{"metaVersion 2's clustered spelling", []byte{1, 0, 0, 0, 5, 0, 0, 0, 10, 0, 0, 0, 3, 0, 0, 0, 0}, true},
+	} {
+		if v, ok := decodeValue(c.buf, c.clustered); ok {
+			t.Errorf("%s: %x decodes to %+v", c.name, c.buf, v)
+		}
+	}
+}
+
+// FuzzEntryValue feeds arbitrary bytes to the value decoder of a clustered
+// and of an unclustered index: it never panics, and whatever decodes
+// re-encodes to the same bytes — each value has one spelling, which is what
+// Index.Verify's check of every value rests on.
+func FuzzEntryValue(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add(entryValue{primary: storage.MakePointer(12, 345)}.encode(false), false)
+	f.Add(entryValue{primary: 7, clustered: 8, spectrum: []float64{2, 1}}.encode(true), true)
+	f.Add([]byte{0x81, 0x00, 1}, false)
+	f.Add([]byte{0x10, 0, 0, 0, 5, 0, 0, 0, 10, 0xc0, 0, 0, 0, 0, 0, 0, 0}, false) // metaVersion 2
+	f.Fuzz(func(t *testing.T, b []byte, clustered bool) {
+		v, ok := decodeValue(b, clustered)
+		if !ok {
+			return
+		}
+		if got := v.encode(clustered); !bytes.Equal(got, b) {
+			t.Fatalf("%x decodes to %+v, which encodes to %x", b, v, got)
+		}
+	})
 }
 
 func TestFeaturesContains(t *testing.T) {

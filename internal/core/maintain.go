@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -97,20 +98,19 @@ func (ix *Index) InsertDocument(rec uint32) error {
 // append a copy of the pointed-to subtree at the end of the clustered
 // heap (the perfect key ordering returns at the next rebuild).
 func (ix *Index) insertLive(label uint32, f Features, spec []float64, ptr storage.Pointer) error {
-	v := entryValue{primary: uint64(ptr), spectrum: spec}
+	v := entryValue{primary: ptr, spectrum: spec}
 	if ix.opts.Clustered {
 		var err error
 		if v.clustered, err = ix.copyToClustered(ptr); err != nil {
 			return err
 		}
-		v.hasCopy = true
 	}
 	if f.Oversize {
 		ix.oversize++
 	}
 	k := entryKey{label: label, max: f.Max, min: f.Min, seq: ix.seq}
 	ix.seq++
-	return ix.bt.Put(k.encode(), v.encode())
+	return ix.bt.Put(k.encode(), v.encode(ix.opts.Clustered))
 }
 
 // InsertDocumentsCtx indexes a batch of newly appended records through
@@ -172,13 +172,33 @@ func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 	}
 	doomed := slices.Clone(recs)
 	slices.Sort(doomed)
+	// A value begins with its record's uvarint, so an entry whose first
+	// byte begins no doomed record's is none of theirs and is passed over
+	// undecoded: the scan costs a table lookup per entry, not a decode.
+	var lead [256]bool
+	var spelled [binary.MaxVarintLen32]byte
+	for _, rec := range doomed {
+		lead[binary.AppendUvarint(spelled[:0], uint64(rec))[0]] = true
+	}
 	var keys [][]byte
+	var bad error
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		if _, ok := slices.BinarySearch(doomed, valuePrimary(v).Rec()); ok {
+		if len(v) > 0 && !lead[v[0]] {
+			return true
+		}
+		ev, ok := decodeValue(v, ix.opts.Clustered)
+		if !ok {
+			bad = errBadValue(k, v)
+			return false
+		}
+		if _, ok := slices.BinarySearch(doomed, ev.primary.Rec()); ok {
 			keys = append(keys, append([]byte(nil), k...))
 		}
 		return true
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return 0, err
 	}

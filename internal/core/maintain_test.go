@@ -94,19 +94,26 @@ func TestDeleteDocument(t *testing.T) {
 // of the index — removes what a DeleteDocument per record removes, on a
 // depth-limited index where every element of a document has its own
 // entry. A record named twice, or one the index holds nothing of, is fine.
+// Records past 127 take two-byte uvarints, and 257's begins with the byte
+// 129's does, which stays.
 func TestDeleteDocumentsOnePass(t *testing.T) {
-	_, one := buildCollection(t, bibDocs, Options{DepthLimit: 3})
-	_, all := buildCollection(t, bibDocs, Options{DepthLimit: 3})
+	var docs []string
+	for i := 0; i < 300; i++ {
+		docs = append(docs, bibDocs[i%len(bibDocs)])
+	}
+	_, one := buildCollection(t, docs, Options{DepthLimit: 3})
+	_, all := buildCollection(t, docs, Options{DepthLimit: 3})
 	total := all.Entries()
 	perRecord := 0
-	for _, rec := range []uint32{0, 2} {
+	doomed := map[uint32]bool{0: true, 2: true, 130: true, 257: true}
+	for rec := range doomed {
 		n, err := one.DeleteDocument(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		perRecord += n
 	}
-	removed, err := all.DeleteDocuments([]uint32{2, 0, 2, 999})
+	removed, err := all.DeleteDocuments([]uint32{2, 257, 0, 2, 999, 130})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,8 @@ func TestDeleteDocumentsOnePass(t *testing.T) {
 	}
 	entries := func(ix *Index) (out []string) {
 		err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-			if rec := valuePrimary(v).Rec(); rec == 0 || rec == 2 {
+			ev, _ := decodeValue(v, false)
+			if rec := ev.primary.Rec(); doomed[rec] {
 				t.Errorf("an entry of deleted record %d survived", rec)
 			}
 			out = append(out, string(k)+string(v))

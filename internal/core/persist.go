@@ -27,8 +27,17 @@ import (
 // interpret its keys against them.
 
 // metaVersion 2 adds the records field, which ties the committed index to
-// the number of primary-store records it covers.
-const metaVersion = 2
+// the number of primary-store records it covers. Version 3 has the same
+// fields and a new spelling of the B-tree's values: two uvarints a pointer
+// and no flag byte (entryValue). Nothing in a value tells the spellings
+// apart, so the version does: Open reads a version-2 fix.meta and degrades
+// the index it describes, which a rebuild writes anew (oldMetaVersion).
+const metaVersion = 3
+
+// oldMetaVersion is the version before metaVersion: its fields are read,
+// so the database layer's recovery still finds the records it covers, and
+// its B-tree is not.
+const oldMetaVersion = 2
 
 // encodeMeta renders the fix.meta payload.
 func (ix *Index) encodeMeta() []byte {
@@ -120,8 +129,9 @@ func (ix *Index) Save() error {
 //
 // Open first lets Recover resolve any half-finished commit, then
 // validates the metadata. Detectable damage that does not compromise
-// query correctness — a corrupt B-tree, a damaged clustered heap, or an
-// index that is stale relative to the store — degrades the index instead
+// query correctness — a corrupt B-tree, a damaged clustered heap, an index
+// written in the value spelling of oldMetaVersion, or an index that is
+// stale relative to the store — degrades the index instead
 // of failing: Health reports the cause and queries fall back to a full
 // scan of the primary store until RebuildIndex runs.
 func Open(st *storage.Store, dir string) (*Index, error) {
@@ -130,7 +140,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 	}
 	ix := &Index{store: st, dict: st.Dict()}
 	ix.opts.Dir = dir
-	alpha, records, err := ix.readMeta()
+	version, alpha, records, err := ix.readMeta()
 	if err != nil {
 		return nil, err
 	}
@@ -138,6 +148,12 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		return nil, err
 	}
 	ix.vh = valueHasher{alpha: alpha, beta: ix.opts.Beta}
+	if version == oldMetaVersion {
+		// Its values are in a spelling nothing reads any more. Only the
+		// first health problem is kept, so a directory older still — a
+		// FIXBT002 page format — is reported by its meta version too.
+		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (pointers spelled as uvarints, no flag byte): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
+	}
 
 	ef, err := os.Open(filepath.Join(dir, "fix.edges"))
 	if err != nil {
@@ -198,13 +214,13 @@ func (ix *Index) openClustered(dir string) error {
 	return err
 }
 
-// readMeta reads fix.meta under ix.opts.Dir into ix and returns the two
-// fields ix does not hold: the value-hash α and the number of primary-store
-// records the commit covers.
-func (ix *Index) readMeta() (alpha uint32, records int, err error) {
+// readMeta reads fix.meta under ix.opts.Dir into ix and returns the three
+// fields ix does not hold: the version, metaVersion or oldMetaVersion, the
+// value-hash α and the number of primary-store records the commit covers.
+func (ix *Index) readMeta() (version int, alpha uint32, records int, err error) {
 	mf, err := os.Open(filepath.Join(ix.opts.Dir, "fix.meta"))
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer mf.Close()
 	r := bufio.NewReader(mf)
@@ -218,12 +234,11 @@ func (ix *Index) readMeta() (alpha uint32, records int, err error) {
 		}
 		return nil
 	}
-	var version int
 	if err := readField("version", &version); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	if version != metaVersion {
-		return 0, 0, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
+	if version != metaVersion && version != oldMetaVersion {
+		return 0, 0, 0, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
 	}
 	fields := []struct {
 		name string
@@ -245,24 +260,25 @@ func (ix *Index) readMeta() (alpha uint32, records int, err error) {
 	}
 	for _, f := range fields {
 		if err := readField(f.name, f.dst); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 	}
-	return alpha, records, nil
+	return version, alpha, records, nil
 }
 
 // CommittedRecords returns how many primary-store records the index
-// committed under dir covers. A database whose ingest log outlived the
-// checkpoint that absorbed it — the crash fell between the index's commit
-// and the log's reset — finds the index ahead of the log's base by the
-// documents the log adds, and replays the log onto the heap alone.
+// committed under dir covers, in a fix.meta of either version. A database
+// whose ingest log outlived the checkpoint that absorbed it — the crash
+// fell between the index's commit and the log's reset — finds the index
+// ahead of the log's base by the documents the log adds, and replays the
+// log onto the heap alone.
 func CommittedRecords(dir string) (int, error) {
 	if err := Recover(dir); err != nil {
 		return 0, err
 	}
 	ix := &Index{}
 	ix.opts.Dir = dir
-	_, records, err := ix.readMeta()
+	_, _, records, err := ix.readMeta()
 	return records, err
 }
 
@@ -279,8 +295,8 @@ func validateMeta(ix *Index, alpha uint32, records int) error {
 	if ix.opts.EdgeBudget < 0 {
 		return fmt.Errorf("core: invalid meta: edgebudget %d is negative", ix.opts.EdgeBudget)
 	}
-	if ix.opts.SpectrumK < 0 || ix.opts.SpectrumK > 8 {
-		return fmt.Errorf("core: invalid meta: spectrumk %d outside [0, 8]", ix.opts.SpectrumK)
+	if ix.opts.SpectrumK < 0 || ix.opts.SpectrumK > maxSpectrumK {
+		return fmt.Errorf("core: invalid meta: spectrumk %d outside [0, %d]", ix.opts.SpectrumK, maxSpectrumK)
 	}
 	if alpha > ix.dict.MaxID() {
 		return fmt.Errorf("core: invalid meta: alpha %d exceeds the dictionary's max label id %d", alpha, ix.dict.MaxID())

@@ -24,14 +24,23 @@ type FeatureRTree struct {
 // BuildFeatureRTree bulk-loads the current index entries into an R-tree.
 func (ix *Index) BuildFeatureRTree() (*FeatureRTree, error) {
 	rt := rtree.New()
+	var bad error
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
+		ev, ok := decodeValue(v, ix.opts.Clustered)
+		if !ok {
+			bad = errBadValue(k, v)
+			return false
+		}
 		ek := decodeKey(k)
 		rt.Insert(rtree.Entry{
 			Box:  rtree.Point([rtree.Dims]float64{float64(ek.label), ek.max, ek.min}),
-			Data: decodeValue(v).primary,
+			Data: uint64(ev.primary),
 		})
 		return true
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/fix-index/fix/internal/datagen"
-	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
 )
@@ -49,7 +48,11 @@ func everyEntry(t *testing.T, g *Generation) []indexEntry {
 	t.Helper()
 	var out []indexEntry
 	err := g.view.Scan(nil, nil, func(k, v []byte) bool {
-		out = append(out, indexEntry{decodeKey(k), decodeValue(v)})
+		ev, ok := decodeValue(v, g.ix.opts.Clustered)
+		if !ok {
+			t.Fatalf("entry %x: value %x does not decode", k, v)
+		}
+		out = append(out, indexEntry{decodeKey(k), ev})
 		return true
 	})
 	if err != nil {
@@ -84,7 +87,7 @@ entries:
 			}
 		}
 		if spectrumContains(e.val.spectrum, p.specs) {
-			cands = append(cands, Candidate{Primary: storage.Pointer(e.val.primary), Clustered: storage.Pointer(e.val.clustered), HasCopy: e.val.hasCopy})
+			cands = append(cands, Candidate{Primary: e.val.primary, Clustered: e.val.clustered})
 		}
 	}
 	return cands, inRange, len(seen)

@@ -110,30 +110,3 @@ func TestSpectrumContainsSemantics(t *testing.T) {
 		}
 	}
 }
-
-func TestEntryValueRoundTrip(t *testing.T) {
-	cases := []entryValue{
-		{primary: 42},
-		{primary: 42, hasCopy: true, clustered: 99},
-		{primary: 1, spectrum: []float64{3.5, 2.25, 0}},
-		{primary: 7, hasCopy: true, clustered: 8, spectrum: []float64{10, 9, 8, 7, 6, 5, 4, 3}},
-	}
-	for i, v := range cases {
-		got := decodeValue(v.encode())
-		if got.primary != v.primary || got.hasCopy != v.hasCopy || got.clustered != v.clustered {
-			t.Fatalf("case %d: %+v -> %+v", i, v, got)
-		}
-		if len(got.spectrum) != len(v.spectrum) {
-			t.Fatalf("case %d: spectrum len %d, want %d", i, len(got.spectrum), len(v.spectrum))
-		}
-		for j := range v.spectrum {
-			if got.spectrum[j] != v.spectrum[j] {
-				t.Errorf("case %d: spectrum[%d] = %v, want %v", i, j, got.spectrum[j], v.spectrum[j])
-			}
-		}
-	}
-	// Truncated buffers decode to a zero value instead of panicking.
-	if v := decodeValue([]byte{0x10, 1, 2}); v.primary != 0 || v.spectrum != nil {
-		t.Errorf("truncated decode = %+v", v)
-	}
-}
