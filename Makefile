@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race alloc-gates lint lint-json loc check bench-build bench-smoke bench-parallel bench-shards serve-smoke fuzz-smoke stress ingest-crash maintain-crash
+.PHONY: build vet test race norace lint lint-json loc check bench-build bench-smoke bench-parallel bench-shards serve-smoke fuzz-smoke stress ingest-crash maintain-crash
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# alloc-gates runs the allocation gates: testing.AllocsPerRun tests are
-# tagged //go:build !race (the race detector makes sync.Pool drop objects
-# on purpose), so `make race` — CI's only other test step — never runs
-# them.
-alloc-gates:
-	$(GO) test -run 'Alloc|DoesNotAllocate' ./internal/...
+# norace runs every test in a //go:build !race file, which `make race` —
+# CI's other test step — never compiles: the allocation gates
+# (testing.AllocsPerRun; the race detector makes sync.Pool drop objects
+# on purpose) and the single-goroutine correctness tests the detector
+# would slow tenfold (the entry-hash pin, the skip-scan differential, the
+# leaf-split characterisation). tools/norace fails when a !race file
+# declares a test this list does not name, or the list a test no file
+# declares.
+NORACE_TESTS = TestEvalDoesNotAllocate|TestIndexEntriesAreTheRecordedOnes|TestInPlaceEditsDoNotAllocate|TestLeafSplitFill|TestProbeMatchesScanOfEverything|TestQueryAllocsIndependentOfCandidates|TestViewReadsDoNotAllocate
+norace:
+	$(GO) test -run '^($(NORACE_TESTS))$$' ./...
 
 # lint runs the project analyzer suite (tools/fixvet): the six flat
 # passes (errcmp, lockcheck, ctxcheck, obscheck, depcheck, doccheck)
@@ -54,10 +59,9 @@ loc:
 
 # check is the full pre-merge gate: vet, build (the benchmark harness
 # included), tests (the fault-injection and crash-recovery suites run as
-# part of the default test set), then the race detector and the
-# allocation gates it excludes, then the static-analysis suite, then the
-# line count.
-check: vet build bench-build test race alloc-gates lint loc
+# part of the default test set), then the race detector and the !race
+# tests it excludes, then the static-analysis suite, then the line count.
+check: vet build bench-build test race norace lint loc
 
 # bench-smoke runs the refinement, query-pipeline, construction and
 # ingest-request benchmarks for one iteration each — not to time

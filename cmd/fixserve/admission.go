@@ -8,7 +8,7 @@ import (
 // gate is the admission-control semaphore: a weighted semaphore with
 // FIFO waiters and context-bounded waiting. Every query acquires weight
 // before touching the database (traced queries weigh double — they
-// collect per-phase timing across the worker pool), so the number of
+// read the clock around every candidate), so the number of
 // concurrently executing queries is bounded no matter how many requests
 // arrive. A request that cannot be admitted before its wait context
 // expires is turned away, which the HTTP layer reports as 429 with

@@ -22,9 +22,10 @@
 //
 // # Concurrency and cancellation
 //
-// Index construction and candidate refinement fan out over a bounded
-// worker pool (IndexOptions.Workers; zero means one worker per CPU). The
-// index bytes produced are identical for every worker count. Every
+// Index construction fans out over a bounded worker pool
+// (IndexOptions.Workers; zero means one worker per CPU), and the index
+// bytes produced are identical for every worker count. A query runs on
+// its caller's goroutine; concurrent queries run in parallel. Every
 // potentially long-running operation has a context-aware form —
 // BuildIndexCtx, QueryCtx, ExistsCtx, QueryDocumentsCtx, RebuildIndexCtx
 // — that observes cancellation promptly and returns ctx.Err(); the
@@ -159,10 +160,10 @@ type IndexOptions struct {
 	// PaperPruning selects the paper's literal pruning bound instead of
 	// the provably complete default; see DESIGN.md before enabling.
 	PaperPruning bool
-	// Workers bounds the worker pool used by index construction and by
-	// candidate refinement at query time. Zero means one worker per
-	// available CPU (GOMAXPROCS); 1 forces sequential execution. The
-	// index bytes produced are identical for every value.
+	// Workers bounds the worker pool used by index construction; queries
+	// do not use it. Zero means one worker per available CPU
+	// (GOMAXPROCS); 1 forces sequential execution. The index bytes
+	// produced are identical for every value.
 	Workers int
 }
 
@@ -768,15 +769,6 @@ func (db *DB) IndexBuildStats() BuildStats {
 		Insert:  s.Insert,
 		Wall:    s.Wall,
 	}
-}
-
-// workers returns the worker-pool bound queries should use: the indexed
-// setting when an index exists, otherwise the default (one per CPU).
-func (db *DB) workers() int {
-	if ix := db.indexRef(); ix != nil {
-		return ix.Options().Workers
-	}
-	return 0
 }
 
 // Query evaluates the XPath expression. With an index it runs the

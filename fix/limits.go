@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/fix-index/fix/internal/core"
-	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/obs"
 	"github.com/fix-index/fix/internal/par"
 	"github.com/fix-index/fix/internal/xmltree"
@@ -102,13 +101,14 @@ func coreLimits(l Limits) core.Limits {
 
 // contain is the panic-containment barrier deferred at every public
 // entry point: a panic below the API becomes an error wrapping ErrPanic
-// instead of crashing the caller's process. Worker-pool panics arrive
-// already converted (par recovers them in the worker); contain gives
-// both forms the same accounting — the panics_recovered counter — and,
-// when degrade is set, marks the index degraded, because a panic
-// mid-query may have left shared in-memory state (page table, health
-// bookkeeping) inconsistent. Build paths pass degrade=false: the index
-// being replaced was not touched.
+// instead of crashing the caller's process. A query runs on its caller's
+// goroutine, so a panic in refinement unwinds to the recover() here;
+// a build's worker-pool panics arrive already converted (par recovers
+// them in the worker). contain gives both forms the same accounting —
+// the panics_recovered counter — and, when degrade is set, marks the
+// index degraded, because a panic mid-query may have left shared
+// in-memory state (page table, health bookkeeping) inconsistent. Build
+// paths pass degrade=false: the index being replaced was not touched.
 func (db *DB) contain(op string, degrade bool, errp *error) {
 	if r := recover(); r != nil {
 		*errp = fmt.Errorf("%w: %s: %v\n%s", ErrPanic, op, r, debug.Stack())
@@ -139,35 +139,6 @@ func observeQueryError(err error) {
 	case errors.Is(err, ErrBudgetExceeded):
 		reg.ObserveBudgetExceeded()
 	}
-}
-
-// scanBudget returns the refinement budget for an index-less scan, or
-// nil when neither a node limit nor a cancellable context is in play
-// (the nil budget keeps the default scan free of per-node accounting).
-func scanBudget(ctx context.Context, l Limits) *nok.Budget {
-	if l.MaxRefineNodes <= 0 && ctx.Done() == nil {
-		return nil
-	}
-	return nok.NewBudget(ctx, l.MaxRefineNodes)
-}
-
-// mapBudgetErr converts nok budget exhaustion into the public typed
-// error; context errors pass through as the standard sentinels.
-func mapBudgetErr(err error) error {
-	if errors.Is(err, nok.ErrBudget) {
-		return fmt.Errorf("%w: refinement nodes", ErrBudgetExceeded)
-	}
-	return err
-}
-
-// resultCapErr checks a running output-match total against MaxResults.
-// Counts are non-negative, so any partial sum over the cap proves the
-// full query would exceed it too.
-func resultCapErr(total int64, l Limits) error {
-	if l.MaxResults > 0 && total > int64(l.MaxResults) {
-		return fmt.Errorf("%w: results %d exceed limit %d", ErrBudgetExceeded, total, l.MaxResults)
-	}
-	return nil
 }
 
 // parseLimits converts the DB's configured document limits into the

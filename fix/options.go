@@ -9,10 +9,10 @@ import "context"
 // existing callers, unlike positional struct literals.
 type BuildOption func(*IndexOptions)
 
-// Workers bounds the worker pool used by index construction and by
-// candidate refinement at query time. Zero means one worker per
-// available CPU; 1 forces sequential execution. The index bytes
-// produced are identical for every value.
+// Workers bounds the worker pool used by index construction; queries do
+// not use it. Zero means one worker per available CPU; 1 forces
+// sequential execution. The index bytes produced are identical for
+// every value.
 func Workers(n int) BuildOption {
 	return func(o *IndexOptions) { o.Workers = n }
 }

@@ -17,8 +17,8 @@ import (
 // text to query tree), Plan (//-decomposition and feature computation),
 // Probe (the B-tree eigenvalue range scan — pruning), Fetch (candidate
 // pointer dereferences into storage), Refine (NoK navigational
-// verification). Fetch and Refine are summed across the refinement
-// worker pool, so on a multi-core query they can exceed Total.
+// verification). A query runs on its caller's goroutine, so the phases
+// add up to at most Total.
 //
 // The counters reconcile with the paper's §6.2 quantities: Entries is
 // ent, Candidates is cdt, Matched is rst, so for one query
@@ -32,8 +32,7 @@ type QueryTrace struct {
 	Start time.Time     `json:"start"`
 	Total time.Duration `json:"total_ns"`
 
-	// Per-phase wall time. Fetch and Refine are cumulative across
-	// workers (the same convention as BuildStats).
+	// Per-phase wall time.
 	Parse  time.Duration `json:"parse_ns"`
 	Plan   time.Duration `json:"plan_ns"`
 	Probe  time.Duration `json:"probe_ns"`
@@ -50,9 +49,8 @@ type QueryTrace struct {
 	Matched    int `json:"matched"`
 	Count      int `json:"count"`
 
-	// Workers is the refinement worker-pool size used; NodesVisited the
-	// nodes the NoK matcher's pruned pass decoded (refinement work).
-	Workers      int   `json:"workers"`
+	// NodesVisited is the nodes the NoK matcher's pruned pass decoded
+	// (refinement work).
 	NodesVisited int64 `json:"nodes_visited"`
 
 	// B-tree page traffic of the probe phase. CacheHits are the pages the
@@ -102,8 +100,8 @@ func (t *QueryTrace) String() string {
 	} else {
 		fmt.Fprintf(&b, "query %s\n", t.Query)
 	}
-	fmt.Fprintf(&b, "  total %v  (parse %v, plan %v, probe %v, fetch %v, refine %v; workers %d)\n",
-		t.Total, t.Parse, t.Plan, t.Probe, t.Fetch, t.Refine, t.Workers)
+	fmt.Fprintf(&b, "  total %v  (parse %v, plan %v, probe %v, fetch %v, refine %v)\n",
+		t.Total, t.Parse, t.Plan, t.Probe, t.Fetch, t.Refine)
 	switch {
 	case t.ScanFallback:
 		fmt.Fprintf(&b, "  degraded index: full scan, %d matched records, %d results\n", t.Matched, t.Count)
@@ -136,7 +134,6 @@ func traceFromObs(tr *obs.Trace) *QueryTrace {
 		Candidates:   tr.Candidates,
 		Matched:      tr.Matched,
 		Count:        tr.Count,
-		Workers:      tr.Workers,
 		NodesVisited: tr.NodesVisited,
 		PageReads:    tr.BTree.PageReads,
 		PageWrites:   tr.BTree.PageWrites,

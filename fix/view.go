@@ -9,7 +9,6 @@ import (
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/obs"
-	"github.com/fix-index/fix/internal/par"
 	"github.com/fix-index/fix/internal/xpath"
 )
 
@@ -18,11 +17,11 @@ var ErrViewClosed = errors.New("fix: view closed")
 
 // View is a pinned, immutable snapshot of the database: the index image,
 // the document set, and the tombstones exactly as they were when View()
-// was called. Queries on a View take no lock anywhere — concurrent
-// queries on one View (or many) scale across cores, and writers
-// publishing new generations (Save, BuildIndex, RebuildIndex, ingest
-// batches) never block or tear an in-flight query; they become visible
-// to Views opened afterwards.
+// was called. Queries on a View take no lock anywhere — each runs on its
+// caller's goroutine, concurrent queries on one View (or many) scale
+// across cores, and writers publishing new generations (Save,
+// BuildIndex, RebuildIndex, ingest batches) never block or tear an
+// in-flight query; they become visible to Views opened afterwards.
 //
 // A View holds a reference on its generation until Close; Close is
 // idempotent and must be called, or the generation's memory (the frozen
@@ -221,11 +220,10 @@ func (v *View) Exists(expr string, opts ...QueryOption) (bool, error) {
 	return v.ExistsCtx(context.Background(), expr, opts...)
 }
 
-// ExistsCtx is Exists with cancellation; verification fans out over the
-// worker pool and the first match stops the remaining workers. Of the
-// query options, QueryLimits (for its Timeout) and ScanOnly apply;
-// Exists produces no Result, so Trace has nothing to attach to and is
-// ignored.
+// ExistsCtx is Exists with cancellation; verification stops at the first
+// match. Of the query options, QueryLimits (for its Timeout) and
+// ScanOnly apply; Exists produces no Result, so Trace has nothing to
+// attach to and is ignored.
 func (v *View) ExistsCtx(ctx context.Context, expr string, opts ...QueryOption) (ok bool, err error) {
 	db := v.db
 	defer db.contain("ExistsCtx", true, &err)
@@ -261,10 +259,9 @@ func (v *View) QueryDocuments(expr string, opts ...QueryOption) ([]uint32, error
 }
 
 // QueryDocumentsCtx is QueryDocuments with cancellation. Documents are
-// verified in parallel over the worker pool; the result order is still
-// document order regardless of the worker count. Of the query options,
-// QueryLimits (for its Timeout) and ScanOnly (skip the index candidate
-// pre-filter) apply; Trace is ignored.
+// verified in document order, which is the result order. Of the query
+// options, QueryLimits (for its Timeout) and ScanOnly (skip the index
+// candidate pre-filter) apply; Trace is ignored.
 func (v *View) QueryDocumentsCtx(ctx context.Context, expr string, opts ...QueryOption) (docs []uint32, err error) {
 	db := v.db
 	defer db.contain("QueryDocumentsCtx", true, &err)
@@ -306,31 +303,23 @@ func (v *View) QueryDocumentsCtx(ctx context.Context, expr string, opts ...Query
 		}
 	}
 	store, tombs := g.Store(), g.Tombs()
-	nrec := store.NumRecords()
-	hits := make([]bool, nrec)
-	err = par.Do(ctx, g.Workers(), nrec, func(i int) error {
-		rec := uint32(i)
-		if candDocs != nil && !candDocs[rec] {
-			return nil
+	for rec := range uint32(store.NumRecords()) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if tombs.Has(rec) {
-			return nil
+		if (candDocs != nil && !candDocs[rec]) || tombs.Has(rec) {
+			continue
 		}
 		cur, err := store.Cursor(rec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		hits[i] = nq.Exists(cur, 0)
-		return nil
-	})
-	if err != nil {
+		if nq.Exists(cur, 0) {
+			docs = append(docs, rec)
+		}
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var out []uint32
-	for rec, hit := range hits {
-		if hit {
-			out = append(out, uint32(rec))
-		}
-	}
-	return out, nil
+	return docs, nil
 }

@@ -19,7 +19,7 @@ func TestQueryAllocsIndependentOfCandidates(t *testing.T) {
 	q := xpath.MustParse("//a[b]")
 	allocs := func(n int) float64 {
 		doc := "<r>" + strings.Repeat("<a><b/></a>", n) + "</r>"
-		ix, err := Build(memStoreFromDocs(t, []string{doc}), Options{DepthLimit: 3, Workers: 1})
+		ix, err := Build(memStoreFromDocs(t, []string{doc}), Options{DepthLimit: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"github.com/fix-index/fix/internal/btree"
 	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/obs"
-	"github.com/fix-index/fix/internal/par"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
@@ -40,7 +39,6 @@ type Generation struct {
 	clustered *storage.ReadView // immutable after publish (nil unless frozen by Index.Freeze)
 	tombs     *storage.TombSet  // immutable after publish
 	dict      *xmltree.Dict     // immutable after publish
-	workers   int               // immutable after publish
 	entries   int               // immutable after publish
 	health    error             // immutable after publish (frozen at freeze time)
 
@@ -76,7 +74,6 @@ func NewGeneration(id uint64, ix *Index, store *storage.Store, dict *xmltree.Dic
 	}
 	g.refs.Store(1)
 	if ix != nil {
-		g.workers = ix.Options().Workers
 		g.health = ix.Health()
 		if g.health == nil {
 			if bt := ix.BTree(); bt != nil {
@@ -106,9 +103,6 @@ func (g *Generation) Store() *storage.ReadView { return g.store }
 
 // Tombs returns the frozen tombstone set.
 func (g *Generation) Tombs() *storage.TombSet { return g.tombs }
-
-// Workers returns the worker-pool bound frozen from the index options.
-func (g *Generation) Workers() int { return g.workers }
 
 // Pin takes a reference, reporting false when the generation is already
 // fully released (the count was zero — the caller raced a final Unpin
@@ -367,24 +361,23 @@ func (g *Generation) scanFetch(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok b
 
 // QueryGoverned runs the full pruning + refinement pipeline against the
 // frozen snapshot and returns result statistics; every read is served
-// lock-free from the generation, and candidate verification fans out
-// over the worker pool with per-candidate results summed, so the
-// statistics are deterministic.
+// lock-free from the generation, and the candidates are verified in key
+// order on the calling goroutine, so the statistics — the heap's
+// sequential/random split included — repeat exactly from the same state.
 //
 // A non-nil tr accumulates per-phase wall times — plan, B-tree probe,
-// candidate fetch, NoK refinement — and the I/O each phase caused
-// (fetch/refine durations are summed across refinement workers, see
-// obs.Trace); a nil tr disables every timer and counter snapshot.
+// candidate fetch, NoK refinement — and the I/O each phase caused; a nil
+// tr disables every timer and counter snapshot.
 //
 // Limits are enforced at the pipeline's natural checkpoints: the range
-// scan stops once MaxCandidates is crossed, refinement draws every node
-// visit from a shared budget of MaxRefineNodes, and the running match
+// scan stops once MaxCandidates is crossed, refinement charges every
+// node visit to one budget of MaxRefineNodes, and the running match
 // total is checked against MaxResults — each violation returns an error
-// wrapping ErrBudgetExceeded. A cancellable ctx is additionally checked
-// inside refinement (once per budget chunk), so a deadline interrupts
-// even the evaluation of a single large subtree. On a limit or deadline
-// error a non-nil tr retains the phases that completed, so the caller
-// can attribute where the budget went (the partial trace).
+// wrapping ErrBudgetExceeded. A cancellable ctx is additionally polled
+// inside refinement (every few dozen node visits), so a deadline
+// interrupts even the evaluation of a single large subtree. On a limit
+// or deadline error a non-nil tr retains the phases that completed, so
+// the caller can attribute where the budget went (the partial trace).
 //
 // When the index is degraded the answer comes from ScanCount with
 // Fallback set: exact, only slower.
@@ -481,15 +474,15 @@ func storageDelta(d storage.Stats) obs.StorageDelta {
 }
 
 // refine is the refinement loop every counting query path shares: it
-// evaluates nq over n work items on the worker pool and returns how many
-// items matched and the total of their output counts (sums, so the
-// result does not depend on the schedule). Governance is applied here:
-// node visits are drawn from the query's shared budget, and the running
-// total is checked against MaxResults. A non-nil tr accumulates the
-// fetch and refinement wall time (summed across workers), the visit
-// count, the pool size and the heap I/O of the pass — kept on an error,
-// that is the partial trace — and on success the match counts; a nil tr
-// reads no clock.
+// evaluates nq over n work items in order and returns how many items
+// matched and the total of their output counts. Governance is applied
+// here: node visits are charged to the query's budget, and the running
+// total is checked against MaxResults. ctx is checked before each item
+// and once more at the end, so an expired context fails even a pass
+// with nothing to do. A non-nil tr accumulates the fetch and refinement
+// wall time, the visit count and the heap I/O of the pass — kept on an
+// error, that is the partial trace — and on success the match counts; a
+// nil tr reads no clock.
 func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limits, tr *obs.Trace, fetch fetchFunc) (matched, count int, err error) {
 	bud := refineBudget(ctx, lim)
 	var st0, cl0 storage.Stats
@@ -499,40 +492,41 @@ func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limit
 			cl0 = g.clustered.Stats()
 		}
 	}
-	var fetchNS, refineNS, visited, hits, total atomic.Int64
-	err = par.Do(ctx, g.workers, n, func(i int) error {
+	for i := 0; i < n && err == nil; i++ {
+		if err = ctx.Err(); err != nil {
+			break
+		}
 		var fetchStart, refineStart time.Time
 		if tr != nil {
 			fetchStart = time.Now()
 		}
-		cur, ref, ok, err := fetch(i)
-		if err != nil || !ok {
-			return err
+		cur, ref, ok, ferr := fetch(i)
+		if ferr != nil || !ok {
+			err = ferr
+			continue
 		}
 		if tr != nil {
 			refineStart = time.Now()
 		}
-		cnt, nodes, err := nq.EvalBudget(cur, ref, bud)
+		cnt, nodes, everr := nq.EvalBudget(cur, ref, bud)
 		if tr != nil {
-			fetchNS.Add(int64(refineStart.Sub(fetchStart)))
-			refineNS.Add(int64(time.Since(refineStart)))
-			visited.Add(int64(nodes))
+			tr.Phase[obs.PhaseFetch] += refineStart.Sub(fetchStart)
+			tr.Phase[obs.PhaseRefine] += time.Since(refineStart)
+			tr.NodesVisited += int64(nodes)
 		}
-		if err != nil {
-			return budgetErr(err)
+		switch {
+		case everr != nil:
+			err = budgetErr(everr)
+		case cnt > 0:
+			matched++
+			count += cnt
+			err = errResultCap(count, lim)
 		}
-		if cnt == 0 {
-			return nil
-		}
-		hits.Add(1)
-		return errResultCap(total.Add(int64(cnt)), lim)
-	})
-	matched, count = int(hits.Load()), int(total.Load())
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
 	if tr != nil {
-		tr.Phase[obs.PhaseFetch] += time.Duration(fetchNS.Load())
-		tr.Phase[obs.PhaseRefine] += time.Duration(refineNS.Load())
-		tr.NodesVisited += visited.Load()
-		tr.Workers = par.Workers(g.workers)
 		sd := storageDelta(g.store.Stats().Sub(st0))
 		if g.clustered != nil {
 			sd = sd.Add(storageDelta(g.clustered.Stats().Sub(cl0)))
@@ -545,31 +539,21 @@ func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limit
 	return matched, count, err
 }
 
-// errFoundMatch is the internal sentinel firstHit uses to stop the
-// worker pool after the first hit.
-var errFoundMatch = errors.New("core: match found")
-
 // firstHit is the refinement loop of the Exists paths: it reports
-// whether any of the n work items matches nq, and the first verified
-// item stops the remaining workers.
+// whether any of the n work items matches nq, stopping at the first
+// that does. Like refine it checks ctx before each item and at the end.
 func (g *Generation) firstHit(ctx context.Context, n int, nq *nok.Query, fetch fetchFunc) (bool, error) {
-	var found atomic.Bool
-	err := par.Do(ctx, g.workers, n, func(i int) error {
-		if found.Load() {
-			return nil
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return false, err
 		}
 		cur, ref, ok, err := fetch(i)
-		if err != nil || !ok {
-			return err
+		if err != nil {
+			return false, err
 		}
-		if nq.Exists(cur, ref) {
-			found.Store(true)
-			return errFoundMatch
+		if ok && nq.Exists(cur, ref) {
+			return true, nil
 		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errFoundMatch) {
-		return false, err
 	}
-	return found.Load(), nil
+	return false, ctx.Err()
 }

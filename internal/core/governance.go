@@ -36,7 +36,7 @@ type Limits struct {
 	MaxResults int
 }
 
-// refineBudget returns the shared NoK budget for one query's refinement
+// refineBudget returns the NoK budget for one query's refinement
 // phase, or nil when neither a node limit nor a cancellable context is
 // in play — the nil budget keeps the default path free of any per-node
 // accounting.
@@ -57,13 +57,12 @@ func budgetErr(err error) error {
 	return err
 }
 
-// resultCap tracks the running output-match total against MaxResults.
-// Workers add their per-candidate counts; crossing the cap returns the
-// typed budget error, which stops the worker pool. The final total is a
-// sum of non-negative counts, so any partial sum over the cap proves
-// the full query would exceed it too.
-func errResultCap(total int64, lim Limits) error {
-	if lim.MaxResults > 0 && total > int64(lim.MaxResults) {
+// errResultCap checks the running output-match total against
+// MaxResults; crossing the cap returns the typed budget error, which
+// stops refinement. The final total is a sum of non-negative counts, so
+// any partial sum over the cap proves the full query would exceed it too.
+func errResultCap(total int, lim Limits) error {
+	if lim.MaxResults > 0 && total > lim.MaxResults {
 		return fmt.Errorf("%w: results %d exceed limit %d", ErrBudgetExceeded, total, lim.MaxResults)
 	}
 	return nil

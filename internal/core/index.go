@@ -69,7 +69,7 @@ type Options struct {
 	// complete. 0 disables it; values are capped at 8.
 	SpectrumK int
 	// Workers bounds the worker pool that parallelizes per-record feature
-	// extraction during Build and candidate refinement during queries.
+	// extraction during Build; queries do not use it.
 	// Zero (the default) means one worker per available CPU (GOMAXPROCS);
 	// 1 forces fully sequential execution. The index bytes produced by
 	// Build are identical for every Workers value. Workers is a runtime

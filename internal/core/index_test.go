@@ -260,12 +260,12 @@ func TestDescendantDecompositionQuery(t *testing.T) {
 
 // TestConcurrentQueriesKeepTheirCandidates runs queries with different
 // candidate sets from many goroutines on one generation. Served probes
-// append to pooled candidate lists that refinement workers read until the
-// query ends, so a list handed back too early — or to two queries at once
-// — shows up here as a wrong count, and under -race as a data race.
+// append to pooled candidate lists that refinement reads until the query
+// ends, so a list handed back too early — or to two queries at once —
+// shows up here as a wrong count, and under -race as a data race.
 func TestConcurrentQueriesKeepTheirCandidates(t *testing.T) {
 	doc := "<r>" + strings.Repeat("<a><b/></a><c><d/><e/></c><a><f/></a>", 300) + "</r>"
-	_, ix := buildSingleDoc(t, doc, Options{DepthLimit: 3, Workers: 4})
+	_, ix := buildSingleDoc(t, doc, Options{DepthLimit: 3})
 	g := freeze(t, ix)
 	type expect struct {
 		q   *xpath.Path

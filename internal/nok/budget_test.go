@@ -56,14 +56,11 @@ func TestEvalBudgetExhaustion(t *testing.T) {
 
 func TestEvalBudgetSharedAcrossEvaluations(t *testing.T) {
 	// One budget drawn down by successive evaluations: the cap is per
-	// query, not per candidate, and it charges exactly the nodes visited
-	// — the unspent part of a prepaid chunk goes back — so a budget of
-	// two evaluations' visits admits two evaluations and not a third.
+	// query, not per candidate, and it charges exactly the nodes visited,
+	// so a budget of two evaluations' visits admits two evaluations and
+	// not a third.
 	q, cur := compileOn(t, wideDoc(100), "/r/a/b")
 	_, visited := q.Eval(cur, 0)
-	if visited%budgetChunk == 0 {
-		t.Fatalf("fixture visits %d nodes, a whole number of chunks: it would not exercise the refund", visited)
-	}
 	b := NewBudget(context.Background(), 2*int64(visited))
 	for i := 0; i < 2; i++ {
 		if _, _, err := q.EvalBudget(cur, 0, b); err != nil {
@@ -87,23 +84,17 @@ func TestEvalBudgetObservesCancellation(t *testing.T) {
 	}
 }
 
-func TestBudgetTakeGrantsAtMostChunk(t *testing.T) {
-	b := NewBudget(context.Background(), budgetChunk*3)
-	total := int64(0)
-	for {
-		grant, err := b.take()
-		if errors.Is(err, ErrBudget) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("take: %v", err)
-		}
-		if grant <= 0 || grant > budgetChunk {
-			t.Fatalf("grant = %d, want in (0, %d]", grant, budgetChunk)
-		}
-		total += grant
+func TestEvalBudgetExactAtLimit(t *testing.T) {
+	// The budget is exhausted at exactly its limit: an evaluation that
+	// visits n nodes fits a budget of n and fails one of n-1.
+	q, cur := compileOn(t, wideDoc(100), "//a/b")
+	wantCount, visited := q.Eval(cur, 0)
+	count, _, err := q.EvalBudget(cur, 0, NewBudget(context.Background(), int64(visited)))
+	if err != nil || count != wantCount {
+		t.Fatalf("EvalBudget under a budget of its %d visits = (%d, %v), want (%d, nil)", visited, count, err, wantCount)
 	}
-	if total != budgetChunk*3 {
-		t.Fatalf("total granted = %d, want %d", total, budgetChunk*3)
+	_, got, err := q.EvalBudget(cur, 0, NewBudget(context.Background(), int64(visited-1)))
+	if !errors.Is(err, ErrBudget) || got != visited-1 {
+		t.Fatalf("EvalBudget under a budget of %d = (%d visits, %v), want (%d, ErrBudget)", visited-1, got, err, visited-1)
 	}
 }

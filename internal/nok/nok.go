@@ -29,10 +29,10 @@
 // checks never run it.
 //
 // A compiled Query is immutable after Compile. Evaluation state (the
-// entry slice and budget allowance) lives in an evalState drawn from a
+// entry slice and the budget latch) lives in an evalState drawn from a
 // package pool for the duration of one call, so one Query may be shared
-// by any number of concurrent goroutines — the parallel refinement and
-// scan paths rely on this — and steady-state evaluation allocates nothing.
+// by any number of concurrent goroutines and steady-state evaluation
+// allocates nothing.
 package nok
 
 import (
@@ -131,12 +131,10 @@ type evalState struct {
 	outs    []xmltree.Ref // the output bindings the second pass found
 	visited int           // nodes the first pass decoded
 
-	// budget, when non-nil, caps the first pass's node visits and checks
-	// the query context once per chunk. local is the prepaid allowance
-	// drawn from the shared budget; exceeded latches the first budget or
-	// context error so the recursion unwinds without doing further work.
+	// budget, when non-nil, caps the first pass's node visits and polls
+	// the query context; exceeded latches the first budget or context
+	// error so the recursion unwinds without doing further work.
 	budget   *Budget
-	local    int64
 	exceeded error
 }
 
@@ -152,17 +150,8 @@ func (s *evalState) charge() bool {
 	if s.exceeded != nil {
 		return false
 	}
-	if s.local > 0 {
-		s.local--
-		return true
-	}
-	grant, err := s.budget.take()
-	if err != nil {
-		s.exceeded = err
-		return false
-	}
-	s.local = grant - 1
-	return true
+	s.exceeded = s.budget.charge()
+	return s.exceeded == nil
 }
 
 // pass1 decodes the node at r, which was reached owing want on the child
@@ -282,13 +271,8 @@ func (q *Query) run(c xmltree.Cursor, r xmltree.Ref, b *Budget, enumerate bool) 
 }
 
 // release returns a state to the pool, dropping its reference to the
-// caller's buffer, and hands the unspent part of its prepaid allowance
-// back to the budget: a pruned evaluation often visits far fewer nodes
-// than one chunk, and the budget charges visits.
+// caller's buffer.
 func (s *evalState) release() {
-	if s.local > 0 {
-		s.budget.refund(s.local)
-	}
 	*s = evalState{ents: s.ents[:0], outs: s.outs[:0]}
 	statePool.Put(s)
 }
@@ -328,15 +312,15 @@ func (q *Query) Count(c xmltree.Cursor, r xmltree.Ref) int {
 // nodes the first pass visited (decoded) — the unit of refinement work
 // the observability layer records (obs.Trace.NodesVisited) and the unit
 // a Budget charges. The visit count depends only on the query and the
-// subtree, so traces reconcile across worker counts.
+// subtree.
 func (q *Query) Eval(c xmltree.Cursor, r xmltree.Ref) (count, visited int) {
 	count, visited, _ = q.EvalBudget(c, r, nil)
 	return count, visited
 }
 
 // EvalBudget is Eval under a work budget: every node the first pass
-// visits is charged against b, and the budget's context is checked once
-// per chunk, so a deadline interrupts evaluation even inside one large
+// visits is charged against b, which polls its context every few dozen
+// visits, so a deadline interrupts evaluation even inside one large
 // subtree. On exhaustion it returns ErrBudget (or the context's error)
 // with the visits performed so far; the count is then meaningless and
 // returned as zero — the second pass is not run, since the satisfaction

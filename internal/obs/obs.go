@@ -89,10 +89,6 @@ func (d StorageDelta) Add(o StorageDelta) StorageDelta {
 // counters each phase produced. A nil *Trace disables collection
 // entirely; every producer checks for nil before touching a timer.
 //
-// Phase durations for PhaseFetch and PhaseRefine are summed across the
-// refinement worker pool, so on a multi-core query they can exceed the
-// query's total wall time (the same convention as core.BuildStats).
-//
 // The I/O deltas are computed by differencing the shared subsystem
 // counters around the phase, so when multiple queries run concurrently
 // over one database a trace may attribute a concurrent query's I/O to
@@ -113,8 +109,6 @@ type Trace struct {
 	// feature filter (cdt); Matched how many candidates produced at
 	// least one result (rst); Count the total output-node matches.
 	Entries, Scanned, Candidates, Matched, Count int
-	// Workers is the refinement worker-pool size used.
-	Workers int
 	// NodesVisited counts the nodes the NoK matcher's pruned first pass
 	// decoded — only nodes the twig could bind, not whole candidate
 	// subtrees — the unit of refinement work.

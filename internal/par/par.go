@@ -1,6 +1,6 @@
 // Package par provides the bounded worker pool used by the index build
-// (§3.4 matrix/eigenvalue computation per record) and the query
-// refinement pipeline (§5). It is deliberately minimal: a fixed number of
+// (§3.4 matrix/eigenvalue computation per record) and the collection's
+// shard scatter. It is deliberately minimal: a fixed number of
 // goroutines pull item indexes off a shared atomic counter, the first
 // error (or context cancellation) stops the pool promptly, and callers
 // keep determinism by writing results into per-index slots and merging
