@@ -161,7 +161,7 @@ func BenchmarkFig6DBLP(b *testing.B)     { benchFig6(b, datagen.DBLPDataset) }
 // and 7b).
 func BenchmarkFig7Values(b *testing.B) {
 	env := benchEnv(b, datagen.DBLPDataset)
-	if _, err := env.ValueIndex(experiments.DefaultBeta); err != nil {
+	if _, _, err := env.ValueIndex(experiments.DefaultBeta); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := env.FB(); err != nil {
@@ -169,8 +169,14 @@ func BenchmarkFig7Values(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(context.Background(), env); err != nil {
+		rows, err := experiments.Fig7(context.Background(), env)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, r := range rows {
+			if r.FB.Count != r.FIXVal.Count {
+				b.Fatalf("%s: result mismatch", r.Query)
+			}
 		}
 	}
 }

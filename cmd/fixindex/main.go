@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	fixindex -db /tmp/xmarkdb build -depth 6 -clustered
+//	fixindex -db /tmp/xmarkdb build -depth 6
 //	fixindex -db /tmp/xmarkdb query -trace '//item[name]/mailbox'
 //	fixindex -db /tmp/xmarkdb metrics '//item[name]/mailbox'
 //	fixindex -db /tmp/xmarkdb add doc.xml
@@ -46,13 +46,13 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fixindex -db DIR COMMAND [args]
 
 commands:
-  build [-depth N] [-clustered] [-values] [-beta N]   build the FIX index
-  query [-trace] XPATH                                 run a query
-  metrics XPATH                                        report sel/pp/fpr
-  add FILE...                                          add XML documents
-  stats [-json]                                        database statistics
-  verify                                               check index integrity
-  repair                                               rebuild a damaged index
+  build [-depth N] [-values] [-beta N]   build the FIX index
+  query [-trace] XPATH                   run a query
+  metrics XPATH                          report sel/pp/fpr
+  add FILE...                            add XML documents
+  stats [-json]                          database statistics
+  verify                                 check index integrity
+  repair                                 rebuild a damaged index
 
 a -db directory holding a collection.json manifest is operated on as a
 sharded collection: query/add/stats/verify/repair cover every shard.`)
@@ -87,7 +87,6 @@ func run(dbdir string, args []string) error {
 	case "build":
 		fs := flag.NewFlagSet("build", flag.ExitOnError)
 		depth := fs.Int("depth", 0, "subpattern depth limit (0 = whole documents)")
-		clustered := fs.Bool("clustered", false, "build a clustered index")
 		values := fs.Bool("values", false, "integrate text values (§4.6)")
 		beta := fs.Uint("beta", 0, "value hash range β (0 = default 10)")
 		if err := fs.Parse(rest); err != nil {
@@ -100,7 +99,6 @@ func run(dbdir string, args []string) error {
 		defer db.Close()
 		if err := db.BuildIndex(fix.IndexOptions{
 			DepthLimit: *depth,
-			Clustered:  *clustered,
 			Values:     *values,
 			Beta:       uint32(*beta),
 		}); err != nil {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -60,7 +61,7 @@ func main() {
 
 	// Depth limit 5 covers all the twigs below; Values enables the
 	// equality predicates.
-	if err := db.BuildIndex(fix.IndexOptions{DepthLimit: 5, Clustered: true, Values: true, Beta: 8}); err != nil {
+	if err := db.BuildIndexWith(context.Background(), fix.DepthLimit(5), fix.Values(), fix.Beta(8)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("auction site: 1 document, %d items; index has %d entries (one per element)\n",

@@ -3,12 +3,13 @@
 // combination of sub-elements, so clustering indexes (F&B) degenerate to
 // singleton classes while FIX keys each record by its spectral features.
 //
-// The example builds a persistent database with a clustered collection
-// index, runs the paper's introductory query //author[phone][email], and
-// reports the implementation-independent pruning metrics.
+// The example builds a persistent database with a collection index, runs
+// the paper's introductory query //author[phone][email], and reports the
+// implementation-independent pruning metrics.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -74,13 +75,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := db.BuildIndex(fix.IndexOptions{Clustered: true}); err != nil {
+	if err := db.BuildIndexWith(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	if err := db.Save(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("bibliography: %d records, clustered index of %d entries (%d KB) in %v\n",
+	fmt.Printf("bibliography: %d records, index of %d entries (%d KB) in %v\n",
 		db.NumDocuments(), db.IndexEntries(), db.IndexSizeBytes()/1024, db.IndexBuildTime().Round(1e6))
 
 	queries := []string{

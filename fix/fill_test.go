@@ -153,16 +153,21 @@ func copyFiles(t *testing.T, src, dst string) {
 
 // oldFormatIndex opens a copy of testdata/<fixture> — 28 XMark entity
 // documents, 4 bulk-built at depth 6 and 24 ingested, checkpointed by an
-// earlier commit, under fix.meta version 2, whose values spelled a pointer
-// as a flag byte and a big-endian u64 — and requires what an upgrade in
-// place meets: Open succeeds, the index is degraded with a health error that
-// wraps ErrCorrupt, names both meta versions and says to rebuild, and every
-// query is answered exactly, by scan.
+// earlier commit in a format this one does not read — and requires what an
+// upgrade in place meets: Open succeeds, the index is degraded with a
+// health error that wraps ErrCorrupt, names the format (degradedBy) and
+// says to rebuild, and every query is answered exactly, by scan.
 //
-// index-written-by-pr23 is old in its values only. index-written-by-pr20 is
-// also in page format FIXBT002, but Open reads fix.meta before it opens
-// fix.btree and keeps the first health problem only, so the meta version is
-// what its health names: the remedy either would name is the same rebuild.
+// index-written-by-pr20 and index-written-by-pr23 are under fix.meta
+// version 2, whose values spelled a pointer as a flag byte and a big-endian
+// u64. index-written-by-pr23 is old in its values only.
+// index-written-by-pr20 is also in page format FIXBT002, but Open reads
+// fix.meta before it opens fix.btree and keeps the first health problem
+// only, so the meta version is what its health names: the remedy either
+// would name is the same rebuild. clustered-index-written-by-pr26 is in the
+// current format, built by the last commit with the clustered option
+// (fixindex build -depth 6 -clustered): its values carry a second pointer,
+// and a fix.clustered heap lies beside its B-tree.
 func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	t.Helper()
 	dir = copyFixture(t, fixture)
@@ -172,8 +177,13 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	}
 	t.Cleanup(func() { _ = db.Close() })
 	health := db.IndexHealth()
-	if !errors.Is(health, ErrCorrupt) || !strings.Contains(health.Error(), "version 2") || !strings.Contains(health.Error(), "writes 3") || !strings.Contains(health.Error(), "rebuild") {
-		t.Fatalf("IndexHealth = %v, want ErrCorrupt naming meta versions 2 and 3 and the rebuild", health)
+	if !errors.Is(health, ErrCorrupt) {
+		t.Fatalf("IndexHealth = %v, want ErrCorrupt", health)
+	}
+	for _, word := range append(degradedBy[fixture], "rebuild") {
+		if !strings.Contains(health.Error(), word) {
+			t.Fatalf("IndexHealth = %v, want it to name %q", health, word)
+		}
 	}
 	if db.NumDocuments() != 28 || !db.HasIndex() {
 		t.Fatalf("fixture holds %d documents (index: %t), want 28 and an index", db.NumDocuments(), db.HasIndex())
@@ -194,12 +204,24 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	return dir, db
 }
 
+// degradedBy is, per old-format fixture, what the health of its index
+// names besides the rebuild.
+var degradedBy = map[string][]string{
+	"index-written-by-pr20":           {"version 2", "writes 3"},
+	"index-written-by-pr23":           {"version 2", "writes 3"},
+	"clustered-index-written-by-pr26": {"clustered"},
+}
+
 // rebuiltIndexSurvives requires the healthy 528-entry index a rebuild of
-// an old-format fixture leaves, before and after a checkpoint and a reopen.
+// an old-format fixture leaves, with no fix.clustered heap beside it,
+// before and after a checkpoint and a reopen.
 func rebuiltIndexSurvives(t *testing.T, dir string, db *DB) {
 	t.Helper()
 	if err := db.IndexHealth(); err != nil || db.IndexEntries() != 528 {
 		t.Fatalf("after the rebuild: health %v, %d entries, want a healthy index of 528", err, db.IndexEntries())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fix.clustered")); !os.IsNotExist(err) {
+		t.Fatalf("after the rebuild fix.clustered is still there (%v)", err)
 	}
 	indexMatchesScan(t, db, "after the rebuild")
 	if err := db.Checkpoint(); err != nil {
@@ -239,6 +261,22 @@ func TestIndexWrittenBeforeRunSplitsStillServes(t *testing.T) {
 // and serves by scan, and RebuildIndex writes it anew in version 3.
 func TestIndexWrittenBeforeUvarintValuesStillServes(t *testing.T) {
 	dir, db := oldFormatIndex(t, "index-written-by-pr23")
+	if err := db.RebuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rebuiltIndexSurvives(t, dir, db)
+}
+
+// TestClusteredIndexStillServes is the hand-over from the clustered option
+// on the directory the last commit that had it wrote with fixindex build
+// -clustered (testdata/clustered-index-written-by-pr26): its values carry a
+// pointer into a heap nothing reads any more, so it opens degraded and
+// serves by scan, and RebuildIndex writes it anew without the heap.
+func TestClusteredIndexStillServes(t *testing.T) {
+	dir, db := oldFormatIndex(t, "clustered-index-written-by-pr26")
+	if _, err := os.Stat(filepath.Join(dir, "fix.clustered")); err != nil {
+		t.Fatalf("the fixture has no fix.clustered: %v", err)
+	}
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@
 //	err := db.BuildIndexWith(ctx, fix.Workers(8), fix.DepthLimit(6))
 //
 // Migrating is mechanical: BuildIndex(IndexOptions{DepthLimit: 6,
-// Clustered: true}) becomes BuildIndexWith(ctx, fix.DepthLimit(6),
-// fix.Clustered()); a zero-value IndexOptions{} becomes
-// BuildIndexWith(ctx) with no options.
+// Values: true}) becomes BuildIndexWith(ctx, fix.DepthLimit(6),
+// fix.Values()); a zero-value IndexOptions{} becomes BuildIndexWith(ctx)
+// with no options.
 //
 // # Observability
 //
@@ -137,13 +137,6 @@ type IndexOptions struct {
 	// depth-L subpattern per element, which is the right choice for
 	// large documents (the paper uses 6).
 	DepthLimit int
-	// Clustered builds the paper's clustered layout (§4.1): candidate
-	// subtrees are copied into a key-ordered heap beside the B-tree.
-	// Served queries follow primary pointers regardless (a rebuild
-	// re-creates the heap underneath pinned Views); only the offline
-	// executor of the experiments reads the heap. See the Clustered
-	// build option.
-	Clustered bool
 	// Values integrates text nodes into the structural index via hashing
 	// (paper §4.6), enabling index support for value-equality
 	// predicates.
@@ -614,7 +607,6 @@ func (db *DB) BuildIndexCtx(ctx context.Context, opts IndexOptions) (err error) 
 	defer db.ingestMu.Unlock()
 	ix, err := core.BuildCtx(ctx, db.store, core.Options{
 		DepthLimit:   opts.DepthLimit,
-		Clustered:    opts.Clustered,
 		Values:       opts.Values,
 		Beta:         opts.Beta,
 		EdgeBudget:   opts.EdgeBudget,
@@ -674,8 +666,9 @@ func (db *DB) VerifyIndex() error {
 }
 
 // RebuildIndex reconstructs the index from the primary store using the
-// options it was built with, replacing the B-tree (and clustered heap)
-// files. It is the repair path for a corrupt or stale index.
+// options it was built with, replacing the B-tree file. It is the repair
+// path for a corrupt or stale index, and for one built with the retired
+// clustered option, whose leftover fix.clustered heap it deletes.
 func (db *DB) RebuildIndex() error {
 	return db.RebuildIndexCtx(context.Background())
 }

@@ -118,7 +118,7 @@ func TestPersistence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.BuildIndex(IndexOptions{Clustered: true}); err != nil {
+	if err := db.BuildIndex(IndexOptions{DepthLimit: 3}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := db.Query("//article[author]/title")

@@ -338,12 +338,12 @@ func TestMaintainerRepairsCorruptIndex(t *testing.T) {
 }
 
 // TestMaintainerRebuildsOldFormatIndex serves the fixtures of
-// TestIndexWrittenBeforeRunSplitsStillServes and
-// TestIndexWrittenBeforeUvarintValuesStillServes: the maintainer's first
-// tick finds the index degraded and rebuilds it, with no scrub and no
-// operator.
+// TestIndexWrittenBeforeRunSplitsStillServes,
+// TestIndexWrittenBeforeUvarintValuesStillServes and
+// TestClusteredIndexStillServes: the maintainer's first tick finds the
+// index degraded and rebuilds it, with no scrub and no operator.
 func TestMaintainerRebuildsOldFormatIndex(t *testing.T) {
-	for _, fixture := range []string{"index-written-by-pr20", "index-written-by-pr23"} {
+	for _, fixture := range []string{"index-written-by-pr20", "index-written-by-pr23", "clustered-index-written-by-pr26"} {
 		t.Run(fixture, func(t *testing.T) {
 			dir, db := oldFormatIndex(t, fixture)
 			m, err := db.StartMaintainer(context.Background(), MaintainConfig{

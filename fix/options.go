@@ -24,18 +24,6 @@ func DepthLimit(l int) BuildOption {
 	return func(o *IndexOptions) { o.DepthLimit = l }
 }
 
-// Clustered builds the paper's clustered layout (§4.1): candidate
-// subtrees are copied into a key-ordered heap beside the B-tree. Queries
-// served by this package (DB, View) do not read that heap — they follow
-// the primary pointer every entry also carries, because a rebuild
-// re-creates the heap underneath pinned Views — so today the option
-// costs build time and space and buys the served path nothing; the heap
-// is read by the offline executor of the experiments (fixbench's
-// Fig. 6/7 clustered series).
-func Clustered() BuildOption {
-	return func(o *IndexOptions) { o.Clustered = true }
-}
-
 // Values integrates text nodes into the structural index via hashing
 // (paper §4.6), enabling index support for value-equality predicates.
 func Values() BuildOption {

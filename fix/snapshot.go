@@ -99,8 +99,7 @@ type BTreeStats struct {
 	CacheHits  int64 `json:"cache_hits"`
 }
 
-// StorageStats are the primary (and clustered, when present) record
-// heaps' cumulative I/O counters, combined.
+// StorageStats are the primary record heap's cumulative I/O counters.
 type StorageStats struct {
 	RecordsWritten int64 `json:"records_written"`
 	BytesWritten   int64 `json:"bytes_written"`
@@ -180,17 +179,6 @@ func (db *DB) Metrics() Metrics {
 				PageWrites: bs.PageWrites,
 				CacheHits:  bs.CacheHits,
 			}
-		}
-		if cs := ix.ClusteredStore(); cs != nil {
-			cst := cs.Stats()
-			s.Storage.RecordsWritten += cst.RecordsWritten
-			s.Storage.BytesWritten += cst.BytesWritten
-			s.Storage.SeqReads += cst.SeqReads
-			s.Storage.RandomReads += cst.RandomReads
-			s.Storage.CachedReads += cst.CachedReads
-			s.Storage.BytesRead += cst.BytesRead
-			s.Storage.SubtreeReads += cst.SubtreeReads
-			s.Storage.SubtreeBytes += cst.SubtreeBytes
 		}
 	}
 	return s

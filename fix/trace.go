@@ -61,8 +61,8 @@ type QueryTrace struct {
 	PageWrites int64 `json:"page_writes"`
 	CacheHits  int64 `json:"cache_hits"`
 
-	// Record-heap activity of fetch + refinement, primary and clustered
-	// heaps combined, in the storage layer's accounting.
+	// Record-heap activity of fetch + refinement, in the storage layer's
+	// accounting.
 	SeqReads     int64 `json:"seq_reads"`
 	RandomReads  int64 `json:"random_reads"`
 	CachedReads  int64 `json:"cached_reads"`

@@ -264,22 +264,3 @@ func TestSnapshotCountsQueries(t *testing.T) {
 		t.Errorf("QueryErrors moved by %d, want 1", final.QueryErrors-after.QueryErrors)
 	}
 }
-
-// TestTraceClusteredIncludesClusteredHeap checks that refinement I/O on
-// a clustered index (which reads the clustered heap, not the primary
-// store) still shows up in the trace's storage counters.
-func TestTraceClusteredIncludesClusteredHeap(t *testing.T) {
-	db := newTestDB(t, IndexOptions{Clustered: true})
-	res, err := db.Query("//article[author]/title", Trace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Trace
-	if tr.Candidates == 0 {
-		t.Fatal("no candidates; clustered fetch not exercised")
-	}
-	reads := tr.SeqReads + tr.RandomReads + tr.CachedReads
-	if reads == 0 {
-		t.Errorf("clustered refinement shows no storage reads: %+v", tr)
-	}
-}

@@ -303,66 +303,3 @@ func TestConcurrentViewsDuringSwaps(t *testing.T) {
 		t.Errorf("final count = %+v, %v; want %d", res, err, baseRes.Count+writes)
 	}
 }
-
-// TestViewSurvivesClusteredRebuild pins why served generations follow
-// primary pointers even on a clustered index: RebuildIndex re-creates
-// fix.clustered in place, so the clustered pointers in a pinned View's
-// frozen B-tree image address whatever the new heap holds there. The
-// View must keep answering exactly as before the rebuild.
-func TestViewSurvivesClusteredRebuild(t *testing.T) {
-	db, err := Create(filepath.Join(t.TempDir(), "db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < 4; i++ {
-		for _, d := range docs {
-			if _, err := db.AddDocumentString(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := db.BuildIndexWith(context.Background(), Clustered(), DepthLimit(3)); err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{"//article[author]/title", "//author[email]", "//title", "/article/author"}
-	v := db.View()
-	defer v.Close()
-	before := make(map[string]Result)
-	for _, q := range queries {
-		res, err := v.Query(q)
-		if err != nil || res.ScanFallback {
-			t.Fatalf("%s before the rebuild = %+v, %v; want an indexed answer", q, res, err)
-		}
-		scan, err := v.Query(q, ScanOnly())
-		if err != nil || scan.Count != res.Count {
-			t.Fatalf("%s: indexed count %d, scan %d (%v)", q, res.Count, scan.Count, err)
-		}
-		before[q] = res
-	}
-
-	// Shift every clustered record: drop the first documents, add others,
-	// and rebuild over the survivors.
-	for rec := uint32(0); rec < 3; rec++ {
-		if err := db.DeleteDocument(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := db.AddDocumentString(`<book><title>new</title><author><email>e</email></author></book>`); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.RebuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, q := range queries {
-		res, err := v.Query(q)
-		if err != nil || res != before[q] {
-			t.Errorf("%s on the pinned view after the rebuild = %+v, %v; want %+v", q, res, err, before[q])
-		}
-	}
-	res, err := db.Query(queries[1])
-	if err != nil || res.ScanFallback || res.Count == before[queries[1]].Count {
-		t.Errorf("db after the rebuild = %+v, %v; want an indexed answer over the changed documents", res, err)
-	}
-}

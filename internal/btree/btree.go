@@ -53,7 +53,7 @@ type Tree struct {
 
 // Create initializes an empty tree that Flush will write to f. (The third
 // parameter was a cache size; bench/fixload/ledger.go still passes one, and
-// ROADMAP item 5(a) drops it.)
+// the ROADMAP's "Stop passing the dead arguments" drops it.)
 func Create(f storage.File, pageSize, _ int) (*Tree, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize

@@ -28,7 +28,8 @@ type View struct {
 // writer copies a page before it first changes it. (The parameter was the
 // view to share unchanged pages with and the error a page read that could
 // fail; bench/fixload/ledger.go still compiles against both, the first is
-// ignored, the second always nil, and ROADMAP item 5(a) drops them.)
+// ignored, the second always nil, and the ROADMAP's "Stop passing the dead
+// arguments" drops them.)
 func (t *Tree) FreezeView(*View) (*View, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -37,9 +39,7 @@ import (
 // Phase 4 only appends each entry, as a fixed-size buildEntry, to one
 // slice. When the last batch is through, the slice is sorted by key and
 // packed into the B-tree bottom-up (btree.Tree.Load): every page is
-// written once, full, and never decoded again; a clustered index copies
-// each entry's subtree into its heap as the pack reaches it, so the heap
-// is in key order and every value is final when its cell is written.
+// written once, full, and never decoded again.
 //
 // Because phases 2 and 4 see records in record order whatever the worker
 // count, and phases 1 and 3 write only to per-record slots, the collected
@@ -63,7 +63,7 @@ type BuildStats struct {
 	// streams; Bisim the bisimulation reduction; Eigen the matrix
 	// translation and eigenvalue computation; Insert everything sequential
 	// that puts the entries into the B-tree: collecting them, the sort and
-	// the bottom-up pack (with the clustered copy, when there is one).
+	// the bottom-up pack.
 	// Parse, Bisim and Eigen are cumulative across workers.
 	Parse, Bisim, Eigen, Insert time.Duration
 	// Wall is the end-to-end construction time (BuildTime reports the
@@ -135,7 +135,9 @@ func Build(st *storage.Store, opts Options) (*Index, error) {
 // A cancelled on-disk build leaves the fix.btree it truncated behind,
 // empty; it is harmless — the committed fix.meta still describes the
 // previous index (or none), so a later Open degrades to the scan fallback
-// (or finds no index), and rebuilding fills the file.
+// (or finds no index), and rebuilding fills the file. An on-disk build
+// also deletes the fix.clustered heap an index built with the retired
+// clustered option left beside its B-tree: nothing reads it any more.
 func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, err error) {
 	opts.setDefaults()
 	workers := par.Workers(opts.Workers)
@@ -144,6 +146,12 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 	if err != nil {
 		return nil, err
 	}
+	if opts.Dir != "" {
+		if err := os.Remove(filepath.Join(opts.Dir, "fix.clustered")); err != nil && !os.IsNotExist(err) {
+			_ = btFile.Close()
+			return nil, err
+		}
+	}
 	ix := &Index{
 		opts:  opts,
 		store: st,
@@ -151,12 +159,8 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 		enc:   matrix.NewEdgeEncoder(),
 	}
 	defer func() {
-		if err == nil {
-			return
-		}
-		_ = btFile.Close()
-		if ix.clustered != nil {
-			_ = ix.clustered.Close()
+		if err != nil {
+			_ = btFile.Close()
 		}
 	}()
 	ix.bt, err = btree.Create(btFile, opts.PageSize, 0)
@@ -250,22 +254,8 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 	return ix, nil
 }
 
-// pack loads the sorted entries into the empty B-tree. For a clustered
-// index it first creates the heap and then, entry by entry as the loader
-// asks for them, appends the entry's subtree to it — key order, so
-// refinement reads the heap sequentially — and stores both pointers.
+// pack loads the sorted entries into the empty B-tree.
 func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64) error {
-	if ix.opts.Clustered {
-		cf, err := indexFile(ix.opts, "fix.clustered")
-		if err != nil {
-			return err
-		}
-		ix.clustered, err = storage.NewStore(cf, ix.dict)
-		if err != nil {
-			_ = cf.Close()
-			return err
-		}
-	}
 	k := uint64(ix.opts.SpectrumK)
 	key := make([]byte, keySize)
 	val := make([]byte, 0, maxValueSize)
@@ -283,14 +273,8 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 		if e.nspec > 0 {
 			v.spectrum = tails[e.seq*k:][:e.nspec]
 		}
-		if ix.clustered != nil {
-			var err error
-			if v.clustered, err = ix.copyToClustered(v.primary); err != nil {
-				return nil, nil, err
-			}
-		}
 		putKey(key, e.label, e.max, e.min, e.seq)
-		val = v.appendTo(val[:0], ix.opts.Clustered)
+		val = v.appendTo(val[:0])
 		return key, val, nil
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -65,32 +64,42 @@ func entryDump(t *testing.T, ix *Index) string {
 // TestBuildDeterministicAcrossWorkers rebuilds the same store with
 // several worker counts and requires identical entries, encoder
 // assignments, and counters — for both the collection and the
-// depth-limited scenario.
+// depth-limited scenario — and, where clustered is set, identical
+// clustered copies.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	docs := parallelDocs(200)
 	st := newParallelStore(t, docs)
-	for _, opts := range []Options{
-		{},
-		{DepthLimit: 2, SpectrumK: 2},
-		{DepthLimit: 3, Clustered: true},
+	for _, tc := range []struct {
+		opts      Options
+		clustered bool
+	}{
+		{Options{}, false},
+		{Options{DepthLimit: 2, SpectrumK: 2}, false},
+		{Options{DepthLimit: 3}, true},
 	} {
-		t.Run(fmt.Sprintf("depth=%d,clustered=%t", opts.DepthLimit, opts.Clustered), func(t *testing.T) {
+		t.Run(fmt.Sprintf("depth=%d,clustered=%t", tc.opts.DepthLimit, tc.clustered), func(t *testing.T) {
 			var ref *Index
-			var refDump string
+			var refDump, refHeap string
 			for _, w := range []int{1, 2, 7, 16} {
-				o := opts
+				o := tc.opts
 				o.Workers = w
 				ix, err := Build(st, o)
 				if err != nil {
 					t.Fatalf("Workers=%d: %v", w, err)
 				}
-				dump := entryDump(t, ix)
+				dump, heap := entryDump(t, ix), ""
+				if tc.clustered {
+					heap = heapDump(t, ix)
+				}
 				if ref == nil {
-					ref, refDump = ix, dump
+					ref, refDump, refHeap = ix, dump, heap
 					continue
 				}
 				if dump != refDump {
 					t.Errorf("Workers=%d produced different entries than Workers=1", w)
+				}
+				if heap != refHeap {
+					t.Errorf("Workers=%d produced a different clustered copy than Workers=1", w)
 				}
 				if ix.EdgePairs() != ref.EdgePairs() {
 					t.Errorf("Workers=%d assigned %d edge pairs, want %d", w, ix.EdgePairs(), ref.EdgePairs())
@@ -195,20 +204,20 @@ func appendDocs(t *testing.T, st *storage.Store, docs []string) []uint32 {
 // B-tree against each other: a bulk build (collect, sort, pack) over N
 // documents, and an empty build followed by InsertDocumentsCtx of the
 // same N (one Put per entry, the path every index was built by before the
-// loader). Both must hold the same entries — key bytes, primary pointer,
-// spectrum tail, and for unclustered indexes the whole value — and a bulk
-// build's clustered heap must hold the subtrees in key order.
+// loader). Both must hold the same entries, byte for byte, and — where a
+// case clusters — the same clustered copy.
 func TestBuildMatchesIncremental(t *testing.T) {
 	docs := parallelDocs(150)
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name      string
+		opts      Options
+		clustered bool
 	}{
-		{"unclustered", Options{}},
-		{"clustered", Options{DepthLimit: 2, Clustered: true}},
-		{"depth-limited", Options{DepthLimit: 3}},
-		{"values", Options{DepthLimit: 2, Values: true, Beta: 4}},
-		{"spectrum", Options{DepthLimit: 2, SpectrumK: 3}},
+		{"unclustered", Options{}, false},
+		{"clustered", Options{DepthLimit: 2}, true},
+		{"depth-limited", Options{DepthLimit: 3}, false},
+		{"values", Options{DepthLimit: 2, Values: true, Beta: 4}, false},
+		{"spectrum", Options{DepthLimit: 2, SpectrumK: 3}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// One dictionary under both stores, filled before either build,
@@ -236,17 +245,12 @@ func TestBuildMatchesIncremental(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// With the clustered pointer masked out, the two scans must be
-			// the same sequence (keys are unique, so that is the multiset).
-			masked := func(ix *Index) []string {
+			// The two scans must be the same sequence (keys are unique, so
+			// that is the multiset).
+			entries := func(ix *Index) []string {
 				var out []string
 				err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-					val, ok := decodeValue(v, tc.opts.Clustered)
-					if !ok {
-						t.Errorf("entry %x: value %x does not decode", k, v)
-					}
-					val.clustered = 0
-					out = append(out, string(k)+string(val.encode(tc.opts.Clustered)))
+					out = append(out, string(k)+string(v))
 					return true
 				})
 				if err != nil {
@@ -254,7 +258,7 @@ func TestBuildMatchesIncremental(t *testing.T) {
 				}
 				return out
 			}
-			b, l := masked(bulk), masked(live)
+			b, l := entries(bulk), entries(live)
 			if len(b) == 0 || len(b) != len(l) {
 				t.Fatalf("bulk build holds %d entries, incremental %d", len(b), len(l))
 			}
@@ -270,34 +274,8 @@ func TestBuildMatchesIncremental(t *testing.T) {
 			if err := bulk.Verify(); err != nil {
 				t.Errorf("bulk index fails Verify: %v", err)
 			}
-			if !tc.opts.Clustered {
-				return
-			}
-			next := uint32(0)
-			err = bulk.bt.Scan(nil, nil, func(k, v []byte) bool {
-				val, _ := decodeValue(v, true)
-				if got := val.clustered; got != storage.MakePointer(next, 0) {
-					t.Fatalf("entry %d in key order has clustered copy %v, want record %d", next, got, next)
-				}
-				pc, pr, err := bulkStore.ReadSubtree(val.primary)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cc, cr, err := bulk.clustered.ReadSubtree(val.clustered)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(pc.SubtreeBytes(pr), cc.SubtreeBytes(cr)) {
-					t.Fatalf("entry %d: clustered copy differs from the primary subtree", next)
-				}
-				next++
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int(next) != bulk.clustered.NumRecords() {
-				t.Errorf("clustered heap holds %d records for %d entries", bulk.clustered.NumRecords(), next)
+			if tc.clustered && heapDump(t, bulk) != heapDump(t, live) {
+				t.Error("the clustered copies of the bulk and the incremental build differ")
 			}
 		})
 	}
@@ -327,10 +305,10 @@ func TestFailedBuildClosesFiles(t *testing.T) {
 		ctx   context.Context
 		plan  *storage.FaultPlan
 		want  error
-		files int32 // fix.btree, and fix.clustered once the pack starts
+		files int32 // fix.btree
 	}{
 		{"cancelled", cancelled, &storage.FaultPlan{}, context.Canceled, 1},
-		{"write fault in the pack", context.Background(), &storage.FaultPlan{FailWrite: 3}, storage.ErrInjected, 2},
+		{"write fault in the pack", context.Background(), &storage.FaultPlan{FailWrite: 3}, storage.ErrInjected, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var created, closed atomic.Int32
@@ -343,7 +321,7 @@ func TestFailedBuildClosesFiles(t *testing.T) {
 				created.Add(1)
 				return countedFile{f, &closed}, nil
 			}}
-			opts := Options{DepthLimit: 2, Clustered: true, PageSize: 256, Dir: t.TempDir(), fs: fsys}
+			opts := Options{DepthLimit: 2, PageSize: 256, Dir: t.TempDir(), fs: fsys}
 			_, err := BuildCtx(tc.ctx, st, opts)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("BuildCtx = %v, want %v", err, tc.want)

@@ -203,7 +203,6 @@ func TestCrashPointRecovery(t *testing.T) {
 		copies int // of bibDocs
 	}{
 		{"unclustered", Options{}, 1},
-		{"clustered", Options{Clustered: true}, 1},
 		{"depth2", Options{DepthLimit: 2}, 1},
 		{"values", Options{Values: true, Beta: 4}, 1},
 		{"depth2 past the cache", Options{DepthLimit: 2, PageSize: 256}, 3},
@@ -804,8 +803,8 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 	}{
 		{"an over-long uvarint", []byte{0x81, 0x00, 0}, false},
 		{"metaVersion 2's spelling", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, false},
-		{"a record the store does not hold", entryValue{primary: storage.MakePointer(999, 0)}.encode(false), true},
-		{"a spectrum the index does not store", entryValue{spectrum: []float64{1}}.encode(false), true},
+		{"a record the store does not hold", entryValue{primary: storage.MakePointer(999, 0)}.encode(), true},
+		{"a spectrum the index does not store", entryValue{spectrum: []float64{1}}.encode(), true},
 	} {
 		st := memStoreFromDocs(t, bibDocs)
 		ix, err := Build(st, Options{})

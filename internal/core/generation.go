@@ -32,15 +32,16 @@ import (
 // itself is shared with the live store and is never reclaimed per
 // generation.
 type Generation struct {
-	id        uint64            // immutable after publish
-	ix        *Index            // immutable after publish (plan state is read-only and shared)
-	view      *btree.View       // immutable after publish (nil when degraded or index-less)
-	store     *storage.ReadView // immutable after publish
-	clustered *storage.ReadView // immutable after publish (nil unless frozen by Index.Freeze)
-	tombs     *storage.TombSet  // immutable after publish
-	dict      *xmltree.Dict     // immutable after publish
-	entries   int               // immutable after publish
-	health    error             // immutable after publish (frozen at freeze time)
+	id        uint64                     // immutable after publish
+	ix        *Index                     // immutable after publish (plan state is read-only and shared)
+	view      *btree.View                // immutable after publish (nil when degraded or index-less)
+	store     *storage.ReadView          // immutable after publish
+	clustered *storage.ReadView          // immutable after publish (nil unless frozen by Clustered.Freeze)
+	copies    map[storage.Pointer]uint32 // immutable after publish (with clustered)
+	tombs     *storage.TombSet           // immutable after publish
+	dict      *xmltree.Dict              // immutable after publish
+	entries   int                        // immutable after publish
+	health    error                      // immutable after publish (frozen at freeze time)
 
 	refs      atomic.Int64
 	onRelease func() // immutable after publish
@@ -54,12 +55,7 @@ type Generation struct {
 // published with that health problem recorded and answers queries through
 // the exact scan fallback. (The fifth parameter was the previous
 // generation, to share pages with; bench/fixload/ledger.go still passes
-// one, and ROADMAP item 5(a) drops it.)
-//
-// Refinement on a generation made here follows primary pointers even on
-// a clustered index: a rebuild re-creates fix.clustered in place
-// underneath pinned readers, while the primary heap is append-only and
-// safe to share.
+// one, and the ROADMAP's "Stop passing the dead arguments" drops it.)
 //
 // The caller receives the publisher's reference (refs = 1); onRelease
 // runs once when the last reference is dropped.
@@ -127,18 +123,11 @@ func (g *Generation) Unpin() {
 }
 
 // Freeze returns a generation over the index's current state for a
-// caller that owns the index offline (experiments, benchmarks, tests):
-// NewGeneration plus a frozen view of the clustered heap, which
-// refinement then reads instead of following primary pointers (paper
-// §4.1) — sound only because nothing rebuilds the index underneath an
-// offline caller. Mutations after Freeze are not visible; freeze again.
-// The caller owns the returned reference and must Unpin it.
+// caller that owns the index offline (experiments, benchmarks, tests).
+// Mutations after Freeze are not visible; freeze again. The caller owns
+// the returned reference and must Unpin it.
 func (ix *Index) Freeze() *Generation {
-	g := NewGeneration(0, ix, ix.store, ix.dict, nil, nil)
-	if ix.clustered != nil {
-		g.clustered = ix.clustered.Freeze()
-	}
-	return g
+	return NewGeneration(0, ix, ix.store, ix.dict, nil, nil)
 }
 
 // Covered reports whether the generation's index can answer the query.
@@ -171,7 +160,6 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 	}
 	cands := buf[:0]
 	scanned := 0
-	clustered := g.ix.opts.Clustered
 	var stop error // why a scan callback ended its scan early, if it did
 	visit := func(k, v []byte) bool {
 		scanned++
@@ -186,7 +174,7 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 				return true
 			}
 		}
-		ev, ok := decodeValue(v, clustered)
+		ev, ok := decodeValue(v)
 		if !ok {
 			stop = errBadValue(k, v)
 			return false
@@ -198,7 +186,7 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 			stop = fmt.Errorf("%w: more than %d candidates", ErrBudgetExceeded, lim.MaxCandidates)
 			return false
 		}
-		cands = append(cands, Candidate{Primary: ev.primary, Clustered: ev.clustered})
+		cands = append(cands, Candidate{Primary: ev.primary})
 		return true
 	}
 	var err error
@@ -249,7 +237,7 @@ func (g *Generation) scanEveryLabel(sigma float64, visit func(k, v []byte) bool)
 
 // candPool recycles the candidate lists of served queries, so a probe's
 // allocations do not grow with its candidate count. A list grown past
-// maxPooledCandidates (1.5 MB) is dropped rather than pooled: one huge
+// maxPooledCandidates (512 KB) is dropped rather than pooled: one huge
 // query must not pin its buffer for good.
 var candPool = sync.Pool{New: func() any { return new([]Candidate) }}
 
@@ -325,8 +313,8 @@ type fetchFunc func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err er
 
 // refinement compiles the per-candidate form of the planned query and
 // returns the fetch over cands. Refinement reads the clustered copy when
-// the generation holds the clustered heap (Index.Freeze) and follows
-// primary pointers otherwise.
+// the generation holds one (Clustered.Freeze) and follows primary
+// pointers otherwise.
 func (g *Generation) refinement(p *queryPlan, cands []Candidate) (*nok.Query, fetchFunc, error) {
 	rq, rootAnchored := g.ix.refinementQuery(p.tree)
 	nq, err := nok.Compile(rq, g.dict)
@@ -341,10 +329,12 @@ func (g *Generation) refinement(p *queryPlan, cands []Candidate) (*nok.Query, fe
 		if g.tombs.Has(c.Primary.Rec()) {
 			return // tombstoned: entries may outlive the delete until rebuild
 		}
-		if g.clustered != nil {
-			cur, err = g.clustered.Cursor(c.Clustered.Rec())
-		} else {
+		if g.clustered == nil {
 			cur, ref, err = g.store.ReadSubtree(c.Primary)
+		} else if rec, copied := g.copies[c.Primary]; copied {
+			cur, err = g.clustered.Cursor(rec)
+		} else {
+			err = fmt.Errorf("core: entry at %v has no clustered copy", c.Primary)
 		}
 		return cur, ref, true, err
 	}, nil
@@ -485,12 +475,9 @@ func storageDelta(d storage.Stats) obs.StorageDelta {
 // nil tr reads no clock.
 func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limits, tr *obs.Trace, fetch fetchFunc) (matched, count int, err error) {
 	bud := refineBudget(ctx, lim)
-	var st0, cl0 storage.Stats
+	var st0 storage.Stats
 	if tr != nil {
 		st0 = g.store.Stats()
-		if g.clustered != nil {
-			cl0 = g.clustered.Stats()
-		}
 	}
 	for i := 0; i < n && err == nil; i++ {
 		if err = ctx.Err(); err != nil {
@@ -527,11 +514,7 @@ func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limit
 		err = ctx.Err()
 	}
 	if tr != nil {
-		sd := storageDelta(g.store.Stats().Sub(st0))
-		if g.clustered != nil {
-			sd = sd.Add(storageDelta(g.clustered.Stats().Sub(cl0)))
-		}
-		tr.Storage = tr.Storage.Add(sd)
+		tr.Storage = tr.Storage.Add(storageDelta(g.store.Stats().Sub(st0)))
 		if err == nil {
 			tr.Matched, tr.Count = matched, count
 		}

@@ -38,12 +38,6 @@ type Options struct {
 	// positive L enumerates one depth-L subpattern per element
 	// (Theorem 4), the large-document scenario.
 	DepthLimit int
-	// Clustered selects the clustered layout: candidate subtrees are
-	// copied into a key-ordered heap so refinement I/O is sequential
-	// (paper §4.1, Figure 4). Only a generation made by Freeze reads the
-	// heap; served generations follow primary pointers (see
-	// NewGeneration).
-	Clustered bool
 	// Values enables the integrated value index (§4.6): text nodes are
 	// hashed into (α, α+β] and indexed as leaf labels.
 	Values bool
@@ -86,9 +80,8 @@ type Options struct {
 	// pairs certify that no extra image edges can exist. The experiments
 	// run both; see DESIGN.md and EXPERIMENTS.md.
 	PaperPruning bool
-	// Dir, when non-empty, stores the B-tree and the clustered heap in
-	// files under this directory; otherwise everything index-side lives
-	// in memory files.
+	// Dir, when non-empty, stores the B-tree in files under this
+	// directory; otherwise everything index-side lives in memory files.
 	Dir string
 	// fs overrides how the index creates and opens its own files; the
 	// crash tests inject storage faults through it. Nil means the real
@@ -123,13 +116,12 @@ func (o *Options) setDefaults() {
 // state. Queries run on a Generation frozen from it (NewGeneration,
 // Freeze), never on the Index itself.
 type Index struct {
-	opts      Options
-	store     *storage.Store
-	dict      *xmltree.Dict
-	bt        *btree.Tree
-	enc       *matrix.EdgeEncoder
-	clustered *storage.Store
-	vh        valueHasher
+	opts  Options
+	store *storage.Store
+	dict  *xmltree.Dict
+	bt    *btree.Tree
+	enc   *matrix.EdgeEncoder
+	vh    valueHasher
 
 	seq         uint64
 	oversize    int
@@ -176,11 +168,9 @@ func (ix *Index) setHealth(err error) {
 }
 
 // Candidate is one index hit: the pruning phase returns these and the
-// refinement phase validates them. Clustered is the subtree's copy in the
-// clustered heap, zero unless the index is clustered.
+// refinement phase validates them.
 type Candidate struct {
-	Primary   storage.Pointer
-	Clustered storage.Pointer
+	Primary storage.Pointer
 }
 
 // Result summarizes one query execution.
@@ -204,20 +194,6 @@ func indexFile(opts Options, name string) (storage.File, error) {
 		return nil, err
 	}
 	return opts.filesystem().create(filepath.Join(opts.Dir, name))
-}
-
-// copyToClustered appends the subtree at ptr to the clustered heap and
-// returns the copy's pointer.
-func (ix *Index) copyToClustered(ptr storage.Pointer) (storage.Pointer, error) {
-	cur, ref, err := ix.store.ReadSubtree(ptr)
-	if err != nil {
-		return 0, err
-	}
-	rec, err := ix.clustered.AppendBytes(cur.SubtreeBytes(ref))
-	if err != nil {
-		return 0, err
-	}
-	return storage.MakePointer(rec, 0), nil
 }
 
 // Entries returns the number of index entries (ent in the paper's
@@ -276,7 +252,7 @@ func (ix *Index) verify() error {
 	nrec := uint32(ix.store.NumRecords())
 	var bad error
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		ev, ok := decodeValue(v, ix.opts.Clustered)
+		ev, ok := decodeValue(v)
 		switch {
 		case !ok:
 			bad = errBadValue(k, v)
@@ -293,40 +269,25 @@ func (ix *Index) verify() error {
 	return bad
 }
 
-// Close closes the index's own files, fix.btree and fix.clustered. It
-// commits nothing: what Save has not committed is the ingest log's to
-// replay. A Generation made by NewGeneration stays readable — it holds the
-// B-tree's image and follows primary pointers — one made by Freeze does not.
+// Close closes the index's own file, fix.btree. It commits nothing: what
+// Save has not committed is the ingest log's to replay. A Generation stays
+// readable — it holds the B-tree's image and follows primary pointers.
 func (ix *Index) Close() error {
-	var first error
-	if ix.bt != nil {
-		first = ix.bt.Close()
+	if ix.bt == nil {
+		return nil
 	}
-	if ix.clustered != nil {
-		if err := ix.clustered.Close(); first == nil {
-			first = err
-		}
-	}
-	return first
+	return ix.bt.Close()
 }
 
 // Store returns the primary store the index was built over.
 func (ix *Index) Store() *storage.Store { return ix.store }
 
-// ClusteredStore returns the clustered heap, or nil for unclustered
-// indexes.
-func (ix *Index) ClusteredStore() *storage.Store { return ix.clustered }
-
-// SizeBytes returns the index size: B-tree pages plus the clustered heap.
+// SizeBytes returns the index size: the B-tree's pages.
 func (ix *Index) SizeBytes() int64 {
-	var size int64
-	if ix.bt != nil {
-		size = ix.bt.Size()
+	if ix.bt == nil {
+		return 0
 	}
-	if ix.clustered != nil {
-		size += ix.clustered.Size()
-	}
-	return size
+	return ix.bt.Size()
 }
 
 // EdgePairs returns the number of distinct edge-label pairs assigned.

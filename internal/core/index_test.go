@@ -120,8 +120,12 @@ func TestCollectionIndexMatchesBruteForce(t *testing.T) {
 
 func TestCollectionClusteredEquivalent(t *testing.T) {
 	_, plain := buildCollection(t, bibDocs, Options{})
-	_, clustered := buildCollection(t, bibDocs, Options{Clustered: true})
-	pg, cg := freeze(t, plain), freeze(t, clustered)
+	clustered, err := plain.Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, cg := freeze(t, plain), clustered.Freeze()
+	defer cg.Unpin()
 	for _, qs := range []string{"//author[email]", "//article[author]/title", "/book/title"} {
 		q := xpath.MustParse(qs)
 		a, err := query(pg, q)
@@ -135,9 +139,6 @@ func TestCollectionClusteredEquivalent(t *testing.T) {
 		if a.Count != b.Count || a.Matched != b.Matched || a.Candidates != b.Candidates {
 			t.Errorf("%s: clustered result %+v differs from unclustered %+v", qs, b, a)
 		}
-	}
-	if clustered.ClusteredStore() == nil {
-		t.Fatal("clustered index has no clustered store")
 	}
 }
 

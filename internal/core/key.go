@@ -1,7 +1,7 @@
 // Package core implements the FIX index itself: construction of feature
-// keys from bisimulation graphs (paper §4), clustered and unclustered
-// index layouts, query processing with eigenvalue-range pruning and NoK
-// refinement (paper §5), the value-node extension (§4.6), and the
+// keys from bisimulation graphs (paper §4), the index and its offline
+// clustered copy (§4.1), query processing with eigenvalue-range pruning
+// and NoK refinement (paper §5), the value-node extension (§4.6), and the
 // implementation-independent metrics of the evaluation (§6.2).
 package core
 
@@ -18,9 +18,10 @@ import (
 // partition" becomes a single range scan; the sequence number makes keys
 // unique so equal features coexist. λmin prunes nothing: the matrix is
 // skew-symmetric, so λmin = -λmax on every entry and the test on it repeats
-// the one on λmax (ROADMAP item 3(a)). Entries of equal features are a run
-// of keys that differ in the last bytes of the sequence number only, and
-// those bytes are what a B-tree leaf stores of them (btree/node.go).
+// the one on λmax (the ROADMAP's "Drop λmin"). Entries of equal features
+// are a run of keys that differ in the last bytes of the sequence number
+// only, and those bytes are what a B-tree leaf stores of them
+// (btree/node.go).
 const keySize = 4 + 8 + 8 + 8
 
 // encodeFloat maps a float64 to 8 bytes whose lexicographic order matches
@@ -92,40 +93,29 @@ const maxSpectrumK = 8
 // entryValue is the decoded form of a B-tree value:
 //
 //	uvarint uvarint     primary pointer: record, offset in the record
-//	[uvarint uvarint]   clustered pointer, in a clustered index only
 //	[k × 8 bytes]       σ₂..σ₍k+1₎ of the entry's pattern (σ₁ is the key's
 //	                    λmax), for the optional spectrum filter (§3.3)
 //
-// A value holds only what its entry knows. Whether a clustered pointer
-// follows is the index's Clustered option, the same for every entry, and
-// the tail's k is what the pointers leave, 8 bytes a component. A
-// pointer's halves are small — record numbers in the thousands, offsets
-// inside one document — so two uvarints spell one in 2 to 5 bytes.
+// A value holds only what its entry knows: the tail's k is what the
+// pointer leaves, 8 bytes a component. A pointer's halves are small —
+// record numbers in the thousands, offsets inside one document — so two
+// uvarints spell one in 2 to 5 bytes.
 type entryValue struct {
-	primary   storage.Pointer
-	clustered storage.Pointer
-	spectrum  []float64
+	primary  storage.Pointer
+	spectrum []float64
 }
 
 // maxValueSize bounds the bytes of a value.
-const maxValueSize = 4*binary.MaxVarintLen32 + 8*maxSpectrumK
+const maxValueSize = 2*binary.MaxVarintLen32 + 8*maxSpectrumK
 
-// encode returns the value of an index whose Clustered option is clustered.
-func (v entryValue) encode(clustered bool) []byte {
-	size := 2*binary.MaxVarintLen32 + 8*len(v.spectrum)
-	if clustered {
-		size += 2 * binary.MaxVarintLen32
-	}
-	return v.appendTo(make([]byte, 0, size), clustered)
+// encode returns the value.
+func (v entryValue) encode() []byte {
+	return v.appendTo(make([]byte, 0, 2*binary.MaxVarintLen32+8*len(v.spectrum)))
 }
 
-// appendTo appends the value of an index whose Clustered option is
-// clustered to buf.
-func (v entryValue) appendTo(buf []byte, clustered bool) []byte {
+// appendTo appends the value to buf.
+func (v entryValue) appendTo(buf []byte) []byte {
 	buf = appendPointer(buf, v.primary)
-	if clustered {
-		buf = appendPointer(buf, v.clustered)
-	}
 	for _, s := range v.spectrum {
 		buf = binary.BigEndian.AppendUint64(buf, encodeFloat(s))
 	}
@@ -136,24 +126,17 @@ func appendPointer(buf []byte, p storage.Pointer) []byte {
 	return binary.AppendUvarint(binary.AppendUvarint(buf, uint64(p.Rec())), uint64(p.Off()))
 }
 
-// decodeValue decodes the value of an index whose Clustered option is
-// clustered. ok is false unless buf is spelled exactly as appendTo spells
-// some value: a pointer half that runs off the end, exceeds a u32 or takes
-// more bytes than it needs, or a tail that is not whole components or holds
-// more than maxSpectrumK, does not decode. So what decodes re-encodes to buf
-// byte for byte (FuzzEntryValue).
-func decodeValue(buf []byte, clustered bool) (v entryValue, ok bool) {
+// decodeValue decodes a value. ok is false unless buf is spelled exactly
+// as appendTo spells some value: a pointer half that runs off the end,
+// exceeds a u32 or takes more bytes than it needs, or a tail that is not
+// whole components or holds more than maxSpectrumK, does not decode. So
+// what decodes re-encodes to buf byte for byte (FuzzEntryValue).
+func decodeValue(buf []byte) (v entryValue, ok bool) {
 	var n int
 	if v.primary, n = readPointer(buf); n == 0 {
 		return entryValue{}, false
 	}
 	buf = buf[n:]
-	if clustered {
-		if v.clustered, n = readPointer(buf); n == 0 {
-			return entryValue{}, false
-		}
-		buf = buf[n:]
-	}
 	if len(buf)%8 != 0 || len(buf) > 8*maxSpectrumK {
 		return entryValue{}, false
 	}

@@ -26,10 +26,7 @@ import (
 var ErrRebuildRequired = errors.New("core: index rebuild required")
 
 // InsertDocument indexes the record rec, which must have been appended to
-// the primary store after the index was built. For clustered indexes the
-// new subtree copies are appended at the end of the heap, so their
-// refinement reads lose the perfect key ordering until the next rebuild
-// (query results are unaffected).
+// the primary store after the index was built.
 func (ix *Index) InsertDocument(rec uint32) error {
 	if err := ix.Health(); err != nil {
 		return fmt.Errorf("%w: cannot index into a degraded index: %w", ErrRebuildRequired, err)
@@ -94,23 +91,15 @@ func (ix *Index) InsertDocument(rec uint32) error {
 }
 
 // insertLive inserts one computed entry through the maintenance path —
-// the one place left that Puts into the B-tree. Clustered indexes first
-// append a copy of the pointed-to subtree at the end of the clustered
-// heap (the perfect key ordering returns at the next rebuild).
+// the one place left that Puts into the B-tree.
 func (ix *Index) insertLive(label uint32, f Features, spec []float64, ptr storage.Pointer) error {
 	v := entryValue{primary: ptr, spectrum: spec}
-	if ix.opts.Clustered {
-		var err error
-		if v.clustered, err = ix.copyToClustered(ptr); err != nil {
-			return err
-		}
-	}
 	if f.Oversize {
 		ix.oversize++
 	}
 	k := entryKey{label: label, max: f.Max, min: f.Min, seq: ix.seq}
 	ix.seq++
-	return ix.bt.Put(k.encode(), v.encode(ix.opts.Clustered))
+	return ix.bt.Put(k.encode(), v.encode())
 }
 
 // InsertDocumentsCtx indexes a batch of newly appended records through
@@ -160,7 +149,7 @@ func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 
 // DeleteDocuments removes every index entry pointing into one of the
 // records recs. The records themselves stay in the primary store (records
-// are immutable), and clustered copies are only reclaimed by a rebuild.
+// are immutable).
 // It is one scan of the whole index however many records are named, so a
 // batch of deletes pays for it once. (A document's features could be
 // computed again — edge weights are append-only and never change — but its
@@ -186,7 +175,7 @@ func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 		if len(v) > 0 && !lead[v[0]] {
 			return true
 		}
-		ev, ok := decodeValue(v, ix.opts.Clustered)
+		ev, ok := decodeValue(v)
 		if !ok {
 			bad = errBadValue(k, v)
 			return false

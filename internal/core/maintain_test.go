@@ -35,7 +35,7 @@ func TestInsertDocumentCollection(t *testing.T) {
 }
 
 func TestInsertDocumentDepthLimited(t *testing.T) {
-	st, ix := buildSingleDoc(t, deepDoc, Options{DepthLimit: 3, Clustered: true})
+	st, ix := buildSingleDoc(t, deepDoc, Options{DepthLimit: 3})
 	n, err := xmltree.ParseString(`<dblp><inproceedings><author>zz</author><title>t<i>q</i></title><url>u</url></inproceedings></dblp>`)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestDeleteDocumentsOnePass(t *testing.T) {
 	}
 	entries := func(ix *Index) (out []string) {
 		err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-			ev, _ := decodeValue(v, false)
+			ev, _ := decodeValue(v)
 			if rec := ev.primary.Rec(); doomed[rec] {
 				t.Errorf("an entry of deleted record %d survived", rec)
 			}

@@ -64,17 +64,21 @@ func TestCoveredCollectionAlwaysTrue(t *testing.T) {
 }
 
 func TestBuildTimeAndSizes(t *testing.T) {
-	_, ix := buildCollection(t, bibDocs, Options{Clustered: true})
+	_, ix := buildCollection(t, bibDocs, Options{})
 	if ix.BuildTime() <= 0 {
 		t.Error("BuildTime not positive")
 	}
-	if ix.SizeBytes() <= ix.BTree().Size() {
-		t.Error("clustered index size should exceed the B-tree alone")
+	c, err := ix.Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.SizeBytes() != ix.BTree().Size() || c.SizeBytes() <= ix.SizeBytes() {
+		t.Errorf("index %d B, B-tree %d B, clustered %d B: want the B-tree alone, and more for the clustered copy", ix.SizeBytes(), ix.BTree().Size(), c.SizeBytes())
 	}
 	if ix.EdgePairs() == 0 {
 		t.Error("no edge pairs assigned")
 	}
-	if ix.Store() == nil || ix.ClusteredStore() == nil {
+	if ix.Store() == nil {
 		t.Error("store accessors nil")
 	}
 	if ix.MaxDocDepth() <= 0 {

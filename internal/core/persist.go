@@ -16,11 +16,14 @@ import (
 // On-disk index layout under Options.Dir:
 //
 //	fix.btree      B-tree of feature keys (checksummed 4 KiB pages)
-//	fix.clustered  key-ordered subtree heap (clustered indexes only)
 //	fix.edges      edge-label encoder
 //	fix.meta       options and counters, line-oriented
 //	fix.journal    shadow-commit journal, present only mid-Save or after
 //	               a crash; see journal.go
+//
+// fix.meta's clustered line is always false. An index written with the
+// retired clustered option says true: its values carry a second pointer
+// nothing reads, so Open degrades it and a rebuild writes it anew.
 //
 // The primary store and label dictionary belong to the database layer and
 // are persisted by it; the index only records the parameters needed to
@@ -44,7 +47,7 @@ func (ix *Index) encodeMeta() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "version %d\n", metaVersion)
 	fmt.Fprintf(&b, "depthlimit %d\n", ix.opts.DepthLimit)
-	fmt.Fprintf(&b, "clustered %t\n", ix.opts.Clustered)
+	fmt.Fprintf(&b, "clustered %t\n", false)
 	fmt.Fprintf(&b, "values %t\n", ix.opts.Values)
 	fmt.Fprintf(&b, "beta %d\n", ix.opts.Beta)
 	fmt.Fprintf(&b, "edgebudget %d\n", ix.opts.EdgeBudget)
@@ -71,21 +74,7 @@ func (ix *Index) Save() error {
 		return fmt.Errorf("core: refusing to save a degraded index: %w", err)
 	}
 	if ix.opts.Dir == "" {
-		if err := ix.bt.Flush(); err != nil {
-			return err
-		}
-		if ix.clustered != nil {
-			return ix.clustered.Sync()
-		}
-		return nil
-	}
-	// The clustered heap is append-only and not journaled; sync it first
-	// so every subtree copy the new commit references is durable before
-	// the commit point.
-	if ix.clustered != nil {
-		if err := ix.clustered.Sync(); err != nil {
-			return err
-		}
+		return ix.bt.Flush()
 	}
 	var eb bytes.Buffer
 	if _, err := ix.enc.WriteTo(&eb); err != nil {
@@ -129,9 +118,9 @@ func (ix *Index) Save() error {
 //
 // Open first lets Recover resolve any half-finished commit, then
 // validates the metadata. Detectable damage that does not compromise
-// query correctness — a corrupt B-tree, a damaged clustered heap, an index
-// written in the value spelling of oldMetaVersion, or an index that is
-// stale relative to the store — degrades the index instead
+// query correctness — a corrupt B-tree, an index written in the value
+// spelling of oldMetaVersion or with the retired clustered option, or an
+// index that is stale relative to the store — degrades the index instead
 // of failing: Health reports the cause and queries fall back to a full
 // scan of the primary store until RebuildIndex runs.
 func Open(st *storage.Store, dir string) (*Index, error) {
@@ -140,7 +129,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 	}
 	ix := &Index{store: st, dict: st.Dict()}
 	ix.opts.Dir = dir
-	version, alpha, records, err := ix.readMeta()
+	version, alpha, records, clustered, err := ix.readMeta()
 	if err != nil {
 		return nil, err
 	}
@@ -153,6 +142,9 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		// first health problem is kept, so a directory older still — a
 		// FIXBT002 page format — is reported by its meta version too.
 		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (pointers spelled as uvarints, no flag byte): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
+	}
+	if clustered {
+		ix.setHealth(fmt.Errorf("%w: the index is clustered, a layout this version no longer builds or reads (its values carry a second pointer): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt))
 	}
 
 	ef, err := os.Open(filepath.Join(dir, "fix.edges"))
@@ -191,36 +183,17 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		return nil, err
 	}
 	ix.bt = bt
-	if ix.opts.Clustered {
-		if err := ix.openClustered(dir); err != nil {
-			// Clustered copies are an optimization; refinement falls back
-			// to the primary pointers each entry also carries.
-			ix.clustered = nil
-			ix.setHealth(err)
-		}
-	}
 	return ix, nil
 }
 
-func (ix *Index) openClustered(dir string) error {
-	cf, err := osFS.open(filepath.Join(dir, "fix.clustered"))
-	if err != nil {
-		return err
-	}
-	ix.clustered, err = storage.OpenStore(cf, ix.dict)
-	if err != nil {
-		_ = cf.Close()
-	}
-	return err
-}
-
-// readMeta reads fix.meta under ix.opts.Dir into ix and returns the three
-// fields ix does not hold: the version, metaVersion or oldMetaVersion, the
-// value-hash α and the number of primary-store records the commit covers.
-func (ix *Index) readMeta() (version int, alpha uint32, records int, err error) {
+// readMeta reads fix.meta under ix.opts.Dir into ix and returns the fields
+// ix does not hold: the version, metaVersion or oldMetaVersion, the
+// value-hash α, the number of primary-store records the commit covers and
+// whether the index was built clustered.
+func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered bool, err error) {
 	mf, err := os.Open(filepath.Join(ix.opts.Dir, "fix.meta"))
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, false, err
 	}
 	defer mf.Close()
 	r := bufio.NewReader(mf)
@@ -235,17 +208,17 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, err error) 
 		return nil
 	}
 	if err := readField("version", &version); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, false, err
 	}
 	if version != metaVersion && version != oldMetaVersion {
-		return 0, 0, 0, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
+		return 0, 0, 0, false, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
 	}
 	fields := []struct {
 		name string
 		dst  interface{}
 	}{
 		{"depthlimit", &ix.opts.DepthLimit},
-		{"clustered", &ix.opts.Clustered},
+		{"clustered", &clustered},
 		{"values", &ix.opts.Values},
 		{"beta", &ix.opts.Beta},
 		{"edgebudget", &ix.opts.EdgeBudget},
@@ -260,10 +233,10 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, err error) 
 	}
 	for _, f := range fields {
 		if err := readField(f.name, f.dst); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, 0, false, err
 		}
 	}
-	return version, alpha, records, nil
+	return version, alpha, records, clustered, nil
 }
 
 // CommittedRecords returns how many primary-store records the index
@@ -278,7 +251,7 @@ func CommittedRecords(dir string) (int, error) {
 	}
 	ix := &Index{}
 	ix.opts.Dir = dir
-	_, _, records, err := ix.readMeta()
+	_, _, records, _, err := ix.readMeta()
 	return records, err
 }
 

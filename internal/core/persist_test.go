@@ -45,7 +45,7 @@ func buildPersistent(t *testing.T, dir string, opts Options) (*storage.Store, *I
 func TestSaveOpenRoundTrip(t *testing.T) {
 	for _, opts := range []Options{
 		{},
-		{Clustered: true},
+		{DepthLimit: 2},
 		{Values: true, Beta: 4},
 		{PaperPruning: true},
 	} {
@@ -75,7 +75,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 			t.Errorf("opts %+v: entries %d, want %d", opts, re.Entries(), ix.Entries())
 		}
 		ro := re.Options()
-		if ro.Clustered != opts.Clustered || ro.Values != opts.Values || ro.PaperPruning != opts.PaperPruning {
+		if ro.DepthLimit != opts.DepthLimit || ro.Values != opts.Values || ro.PaperPruning != opts.PaperPruning {
 			t.Errorf("opts round trip: got %+v, want %+v", ro, opts)
 		}
 	}

@@ -26,7 +26,7 @@ func (ix *Index) BuildFeatureRTree() (*FeatureRTree, error) {
 	rt := rtree.New()
 	var bad error
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		ev, ok := decodeValue(v, ix.opts.Clustered)
+		ev, ok := decodeValue(v)
 		if !ok {
 			bad = errBadValue(k, v)
 			return false

@@ -75,14 +75,14 @@ func checkSelfRetrieval(t *testing.T, what string, ix *Index, twigs map[string]i
 	}
 }
 
-// TestEqualSpectraOneUlpApart is ROADMAP item 1's reproduction, minimised
-// to two documents: the twig below names every child of the second one, so
-// the pattern graph and the document's bisimulation graph are the same
-// graph with its vertices numbered in a different order, the two σmax are
-// equal in exact arithmetic and one ulp apart as computed — and an exact
-// comparison prunes the document. The first document only fixes the order
-// in which label pairs are first met, which decides the way the last bit
-// rounds.
+// TestEqualSpectraOneUlpApart is the reproduction of DESIGN.md "Failure
+// 3", minimised to two documents: the twig below names every child of the
+// second one, so the pattern graph and the document's bisimulation graph
+// are the same graph with its vertices numbered in a different order, the
+// two σmax are equal in exact arithmetic and one ulp apart as computed —
+// and an exact comparison prunes the document. The first document only
+// fixes the order in which label pairs are first met, which decides the
+// way the last bit rounds.
 func TestEqualSpectraOneUlpApart(t *testing.T) {
 	_, ix := buildCollection(t, []string{
 		`<book><author/><title/><publisher/><year/></book>`,

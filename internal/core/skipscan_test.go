@@ -48,7 +48,7 @@ func everyEntry(t *testing.T, g *Generation) []indexEntry {
 	t.Helper()
 	var out []indexEntry
 	err := g.view.Scan(nil, nil, func(k, v []byte) bool {
-		ev, ok := decodeValue(v, g.ix.opts.Clustered)
+		ev, ok := decodeValue(v)
 		if !ok {
 			t.Fatalf("entry %x: value %x does not decode", k, v)
 		}
@@ -87,7 +87,7 @@ entries:
 			}
 		}
 		if spectrumContains(e.val.spectrum, p.specs) {
-			cands = append(cands, Candidate{Primary: e.val.primary, Clustered: e.val.clustered})
+			cands = append(cands, Candidate{Primary: e.val.primary})
 		}
 	}
 	return cands, inRange, len(seen)

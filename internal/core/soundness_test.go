@@ -63,7 +63,7 @@ func TestPaperBoundFalseNegativeDemonstration(t *testing.T) {
 	var docMax float64
 	err = paper.bt.Scan(nil, nil, func(k, v []byte) bool {
 		ek := decodeKey(k)
-		if ev, _ := decodeValue(v, false); ev.primary.Rec() == 0 { // the matching document
+		if ev, _ := decodeValue(v); ev.primary.Rec() == 0 { // the matching document
 			docMax = ek.max
 		}
 		return true

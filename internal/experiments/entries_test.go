@@ -1,6 +1,6 @@
 //go:build !race
 
-// Eight index builds at scale 1.0 and a hash of every entry: nothing here
+// Four index builds at scale 1.0 and a hash of every entry: nothing here
 // runs concurrently that the build tests do not already run under the race
 // detector, which makes this one ten times slower.
 
@@ -15,13 +15,18 @@ import (
 
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/datagen"
+	"github.com/fix-index/fix/internal/storage"
 )
 
 // recordedEntries are, per dataset at the experiments' scale (seed 42,
 // scale 1.0), the number of entries of the unclustered and the clustered
 // index and two SHA-256s of their (key, value) sequences in key order —
 // each key and each value preceded by its length as a big-endian u32, the
-// two indexes one after the other. sha256 hashes each value re-spelled as
+// two indexes one after the other. They were recorded when a clustered
+// index was a build option whose values held the pointer of each entry's
+// copy after the primary one; the test now spells those values from the
+// unclustered index and its offline clustered copy (withCopy), so the
+// recorded hashes pin the copy's key order too. sha256 hashes each value re-spelled as
 // metaVersion 2 spelled it (oldSpelling) and was recorded at the commit
 // before page format FIXBT003 (PR 21), whose leaves stored keys whole:
 // neither how a page spells a key nor how a value spells its pointers may
@@ -38,26 +43,32 @@ var recordedEntries = map[datagen.Dataset]struct {
 	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "ea8ee254a6755685ba1a5b1e36d0861c37c7aa7cda41e2fe2018ddf6ca10a248"},
 }
 
-// TestIndexEntriesAreTheRecordedOnes builds the experiments' indexes and
-// requires a full scan of each B-tree to yield the recorded entries, byte
-// for byte, in both spellings of the values.
+// TestIndexEntriesAreTheRecordedOnes builds the experiments' index and its
+// clustered copy and requires a full scan of the B-tree to yield the
+// recorded entries, byte for byte, in both spellings of the values.
 func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds eight indexes at scale 1.0")
+		t.Skip("builds four indexes at scale 1.0")
 	}
 	for _, ds := range datagen.AllDatasets {
 		env, err := Setup(ds, datagen.Config{Seed: 42, Scale: 1.0})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ix, err := env.Unclustered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := env.Clustered()
+		if err != nil {
+			t.Fatal(err)
+		}
 		old, raw, entries := sha256.New(), sha256.New(), 0
-		for _, build := range []func() (*core.Index, error){env.Unclustered, env.Clustered} {
-			ix, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			clustered := ix.Options().Clustered
+		for _, clustered := range []bool{false, true} {
 			err = ix.BTree().Scan(nil, nil, func(k, v []byte) bool {
+				if clustered {
+					v = withCopy(t, c, v)
+				}
 				writeEntry(old, k, oldSpelling(t, v, clustered))
 				writeEntry(raw, k, v)
 				entries++
@@ -88,8 +99,22 @@ func writeEntry(h hash.Hash, k, v []byte) {
 	}
 }
 
-// oldSpelling re-spells a value of an index with the given Clustered option
-// the way metaVersion 2 did: a flag byte — bit 0 set when a clustered pointer
+// withCopy spells v, a value of the index c is the clustered copy of, the
+// way a clustered index stored it: the primary pointer, then the pointer of
+// the entry's copy — its record, offset 0 — then the spectrum.
+func withCopy(t *testing.T, c *core.Clustered, v []byte) []byte {
+	rec, a := binary.Uvarint(v)
+	off, b := binary.Uvarint(v[a:])
+	copied, ok := c.Copy(storage.MakePointer(uint32(rec), uint32(off)))
+	if a <= 0 || b <= 0 || !ok {
+		t.Fatalf("value %x names no copied subtree", v)
+	}
+	out := binary.AppendUvarint(append([]byte(nil), v[:a+b]...), uint64(copied))
+	return append(binary.AppendUvarint(out, 0), v[a+b:]...)
+}
+
+// oldSpelling re-spells a value of an unclustered or a clustered index the
+// way metaVersion 2 did: a flag byte — bit 0 set when a clustered pointer
 // follows, bits 4-7 the number of spectrum components — then each pointer
 // as a big-endian u64, rec<<32 | off, then the spectrum as stored.
 func oldSpelling(t *testing.T, v []byte, clustered bool) []byte {

@@ -33,17 +33,19 @@ type Env struct {
 
 	elements int
 
-	uidx  *core.Index // unclustered structural, paper pruning bound
-	cidx  *core.Index // clustered structural, paper pruning bound
-	vidx  *core.Index // clustered with values, paper pruning bound
-	sound *core.Index // unclustered, provably complete bound
+	uidx  *core.Index     // structural, paper pruning bound
+	cidx  *core.Clustered // the clustered copy of uidx
+	vidx  *core.Index     // with values, paper pruning bound
+	vclus *core.Clustered // the clustered copy of vidx
+	sound *core.Index     // provably complete bound
 	fb    *fbindex.Index
 
-	// gens holds the frozen query executor of every index handed to
-	// Frozen: frozen once, shared by all experiments, released by Close.
-	gens map[*core.Index]*core.Generation
+	// gens holds the frozen query executor of every index and clustered
+	// copy handed to Frozen or FrozenClustered: frozen once, shared by all
+	// experiments, released by Close.
+	gens map[any]*core.Generation
 
-	uidxTime, cidxTime, vidxTime, fbTime time.Duration
+	uidxTime, fbTime time.Duration
 }
 
 // Setup generates the dataset and counts its elements.
@@ -56,7 +58,7 @@ func Setup(ds datagen.Dataset, cfg datagen.Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Env{Dataset: ds, Cfg: cfg, Store: st, elements: elems, gens: map[*core.Index]*core.Generation{}}, nil
+	return &Env{Dataset: ds, Cfg: cfg, Store: st, elements: elems, gens: map[any]*core.Generation{}}, nil
 }
 
 // Frozen returns (freezing on first use) the query executor over ix. The
@@ -71,11 +73,22 @@ func (e *Env) Frozen(ix *core.Index) *core.Generation {
 	return g
 }
 
-// Close releases the generations Frozen handed out.
+// FrozenClustered is Frozen for the executor that reads the clustered
+// copy c.
+func (e *Env) FrozenClustered(c *core.Clustered) *core.Generation {
+	g, ok := e.gens[c]
+	if !ok {
+		g = c.Freeze()
+		e.gens[c] = g
+	}
+	return g
+}
+
+// Close releases the generations Frozen and FrozenClustered handed out.
 func (e *Env) Close() {
-	for ix, g := range e.gens {
+	for k, g := range e.gens {
 		g.Unpin()
-		delete(e.gens, ix)
+		delete(e.gens, k)
 	}
 }
 
@@ -121,38 +134,44 @@ func (e *Env) SoundIndex() (*core.Index, error) {
 	return ix, nil
 }
 
-// Clustered returns (building on first use) the clustered FIX index.
-func (e *Env) Clustered() (*core.Index, error) {
+// Clustered returns (laying it out on first use) the clustered copy of
+// the Unclustered index: the paper's clustered FIX (§4.1).
+func (e *Env) Clustered() (*core.Clustered, error) {
 	if e.cidx != nil {
 		return e.cidx, nil
 	}
-	ix, err := core.Build(e.Store, core.Options{DepthLimit: e.DepthLimit(), Clustered: true, PaperPruning: true, Workers: e.Workers})
+	ix, err := e.Unclustered()
 	if err != nil {
 		return nil, err
 	}
-	e.cidx, e.cidxTime = ix, ix.BuildTime()
-	return ix, nil
+	if e.cidx, err = ix.Cluster(); err != nil {
+		return nil, err
+	}
+	return e.cidx, nil
 }
 
-// ValueIndex returns (building on first use) the clustered FIX index with
-// the value extension enabled.
-func (e *Env) ValueIndex(beta uint32) (*core.Index, error) {
+// ValueIndex returns (building on first use) the FIX index with the value
+// extension enabled, and its clustered copy.
+func (e *Env) ValueIndex(beta uint32) (*core.Index, *core.Clustered, error) {
 	if e.vidx != nil {
-		return e.vidx, nil
+		return e.vidx, e.vclus, nil
 	}
 	ix, err := core.Build(e.Store, core.Options{
 		DepthLimit:   e.DepthLimit(),
-		Clustered:    true,
 		Values:       true,
 		Beta:         beta,
 		PaperPruning: true,
 		Workers:      e.Workers,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	e.vidx, e.vidxTime = ix, ix.BuildTime()
-	return ix, nil
+	c, err := ix.Cluster()
+	if err != nil {
+		return nil, nil, err
+	}
+	e.vidx, e.vclus = ix, c
+	return ix, c, nil
 }
 
 // FB returns (building on first use) the F&B bisimulation index.
@@ -178,7 +197,6 @@ func (e *Env) VerifyIndexes() error {
 		idx  *core.Index
 	}{
 		{"unclustered", e.uidx},
-		{"clustered", e.cidx},
 		{"values", e.vidx},
 		{"sound", e.sound},
 	} {

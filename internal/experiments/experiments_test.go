@@ -31,7 +31,7 @@ func TestTable1AllDatasets(t *testing.T) {
 			t.Errorf("%s: degenerate row %+v", ds, row)
 		}
 		if row.CIdxBytes <= row.UIdxBytes {
-			t.Errorf("%s: clustered index (%d B) should exceed unclustered (%d B)",
+			t.Errorf("%s: clustered copy (%d B) should exceed the index (%d B)",
 				ds, row.CIdxBytes, row.UIdxBytes)
 		}
 		t.Logf("%-9s size=%dKB elems=%d ICT=%v UIdx=%dKB CIdx=%dKB oversize=%d",

@@ -64,7 +64,7 @@ func Fig6(ctx context.Context, env *Env) ([]Fig6Row, error) {
 			return nil, fmt.Errorf("experiments: %s (NoK): %w", rq.Name, err)
 		}
 
-		row.FIXUnclust, err = env.runColdFIX(ctx, uidx, q)
+		row.FIXUnclust, err = env.runColdFIX(ctx, uidx, nil, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (FIX unclustered): %w", rq.Name, err)
 		}
@@ -81,7 +81,7 @@ func Fig6(ctx context.Context, env *Env) ([]Fig6Row, error) {
 			return nil, fmt.Errorf("experiments: %s (F&B): %w", rq.Name, err)
 		}
 
-		row.FIXClus, err = env.runColdFIX(ctx, cidx, q)
+		row.FIXClus, err = env.runColdFIX(ctx, uidx, cidx, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (FIX clustered): %w", rq.Name, err)
 		}
@@ -111,18 +111,17 @@ func runCold(clear func() error, run func() (int, error), io func() IOStats) (Sy
 	}, nil
 }
 
-// runColdFIX is runCold for a FIX index: q runs once on ix's frozen
-// executor with the heap refinement reads — the clustered heap when ix
-// has one, the primary store otherwise — and the B-tree counters cleared.
-// The probe is charged one random access per node access of the frozen
-// B-tree image: the image is resident, and a tree that read its pages from
-// a cold disk would read each page a range scan touches exactly once, so
-// the count is the same.
-func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, q *xpath.Path) (SystemRun, error) {
-	g := e.Frozen(ix)
-	heap := ix.ClusteredStore()
-	if heap == nil {
-		heap = e.Store
+// runColdFIX is runCold for a FIX index: q runs once on the frozen
+// executor of ix — of its clustered copy c when c is not nil — with the
+// heap refinement reads, c's or the primary store, and the B-tree counters
+// cleared. The probe is charged one random access per node access of the
+// frozen B-tree image: the image is resident, and a tree that read its
+// pages from a cold disk would read each page a range scan touches exactly
+// once, so the count is the same.
+func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, c *core.Clustered, q *xpath.Path) (SystemRun, error) {
+	g, heap := e.Frozen(ix), e.Store
+	if c != nil {
+		g, heap = e.FrozenClustered(c), c.Heap()
 	}
 	return runCold(
 		func() error {

@@ -23,13 +23,13 @@ type Fig7Row struct {
 	FIXVal  SystemRun
 }
 
-// Fig7 runs the DBLP value workload on the value-extended clustered FIX
-// index and the F&B baseline, both with cold caches.
+// Fig7 runs the DBLP value workload on the clustered copy of the
+// value-extended FIX index and the F&B baseline, both with cold caches.
 func Fig7(ctx context.Context, env *Env) ([]Fig7Row, error) {
 	if env.Dataset != datagen.DBLPDataset {
 		return nil, fmt.Errorf("experiments: Fig7 runs on DBLP, not %s", env.Dataset)
 	}
-	vidx, err := env.ValueIndex(DefaultBeta)
+	vidx, vclus, err := env.ValueIndex(DefaultBeta)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func Fig7(ctx context.Context, env *Env) ([]Fig7Row, error) {
 			return nil, fmt.Errorf("experiments: %s (F&B): %w", rq.Name, err)
 		}
 
-		row.FIXVal, err = env.runColdFIX(ctx, vidx, q)
+		row.FIXVal, err = env.runColdFIX(ctx, vidx, vclus, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (FIX values): %w", rq.Name, err)
 		}
@@ -92,10 +92,11 @@ type BetaRow struct {
 }
 
 // BetaSweep builds value indexes for each β and reports their cost,
-// alongside the β=0 structural baseline.
+// alongside the β=0 structural baseline. IdxBytes is the B-tree's: a
+// clustered copy would add the same heap at every β.
 func BetaSweep(env *Env, betas []uint32) ([]BetaRow, error) {
 	// Structural baseline first.
-	base, err := core.Build(env.Store, core.Options{DepthLimit: env.DepthLimit(), Clustered: true})
+	base, err := core.Build(env.Store, core.Options{DepthLimit: env.DepthLimit()})
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,6 @@ func BetaSweep(env *Env, betas []uint32) ([]BetaRow, error) {
 	for _, beta := range betas {
 		ix, err := core.Build(env.Store, core.Options{
 			DepthLimit: env.DepthLimit(),
-			Clustered:  true,
 			Values:     true,
 			Beta:       beta,
 		})

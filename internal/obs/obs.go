@@ -31,7 +31,7 @@ const (
 	// phase. Its B-tree counters are the page-I/O accounting of §6.3.
 	PhaseProbe
 	// PhaseFetch is candidate fetch: dereferencing candidate pointers
-	// into primary (or clustered) storage.
+	// into primary storage (the experiments' clustered copy, offline).
 	PhaseFetch
 	// PhaseRefine is NoK navigational refinement of fetched candidates.
 	PhaseRefine
@@ -72,8 +72,8 @@ type StorageDelta struct {
 	SubtreeBytes int64
 }
 
-// Add returns the field-wise sum of two deltas; queries that touch both
-// the primary and the clustered heap report the combined delta.
+// Add returns the field-wise sum of two deltas, for a trace that spans
+// several refinement passes.
 func (d StorageDelta) Add(o StorageDelta) StorageDelta {
 	return StorageDelta{
 		SeqReads:     d.SeqReads + o.SeqReads,
@@ -115,8 +115,8 @@ type Trace struct {
 	NodesVisited int64
 	// BTree is the B-tree page traffic of the probe phase.
 	BTree BTreeDelta
-	// Storage is the record-heap activity of fetch + refinement,
-	// primary and clustered heaps combined.
+	// Storage is the primary record heap's activity of fetch +
+	// refinement.
 	Storage StorageDelta
 	// Fallback reports that the index was degraded and the result came
 	// from a full sequential scan; the pruning counters are then zero.
