@@ -1,12 +1,20 @@
 GO ?= go
 
-.PHONY: build vet test race norace lint lint-json loc check bench-build bench-smoke bench-parallel bench-shards serve-smoke fuzz-smoke stress ingest-crash maintain-crash
+.PHONY: build vet vet-cross test race norace lint lint-json loc check bench-build bench-smoke bench-parallel bench-shards serve-smoke fuzz-smoke stress ingest-crash maintain-crash
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# vet-cross vets the tree as two other platforms build it: the record
+# heap is a mapped file on unix and a plain one elsewhere
+# (internal/storage/heap_unix.go, heap_other.go), and a build-tagged file
+# only compiles where its tag holds.
+vet-cross:
+	GOOS=windows $(GO) vet ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -57,11 +65,12 @@ bench-build:
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
-# check is the full pre-merge gate: vet, build (the benchmark harness
-# included), tests (the fault-injection and crash-recovery suites run as
-# part of the default test set), then the race detector and the !race
-# tests it excludes, then the static-analysis suite, then the line count.
-check: vet build bench-build test race norace lint loc
+# check is the full pre-merge gate: vet (here and cross-compiled), build
+# (the benchmark harness included), tests (the fault-injection and
+# crash-recovery suites run as part of the default test set), then the
+# race detector and the !race tests it excludes, then the static-analysis
+# suite, then the line count.
+check: vet vet-cross build bench-build test race norace lint loc
 
 # bench-smoke runs the refinement, query-pipeline, construction,
 # ingest-request and Figure 6/7 benchmarks for one iteration each — not to

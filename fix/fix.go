@@ -293,6 +293,11 @@ func Open(dir string) (*DB, error) {
 		if base, _ := wal.Base(); uint32(st.NumRecords()) != base {
 			return nil, fmt.Errorf("fix: heap has %d records, ingest log base says %d", st.NumRecords(), base)
 		}
+	} else if st.TornTail() > 0 {
+		if err := dropTornAppend(dir, st); err != nil {
+			_ = st.Close()
+			return nil, err
+		}
 	}
 	db := &DB{dir: dir, dict: dict, store: st}
 	db.lastCheckpoint.Store(time.Now().UnixNano())
@@ -375,6 +380,28 @@ func Open(dir string) (*DB, error) {
 	// transiently exposes two.
 	db.publish()
 	return db, nil
+}
+
+// dropTornAppend handles a heap, in a database without an ingest log,
+// whose last record runs past the end of the file. Without a log only
+// Save acknowledges a document, and it syncs the heap and then commits
+// the index's record count; a record at or past that count is an append
+// a crash cut short, never acknowledged, and goes. A record the index
+// covers that runs past the end is damage — a corrupt length prefix, say —
+// and so is any when no index records a count: Open then fails with
+// ErrCorrupt and leaves the heap as it found it.
+func dropTornAppend(dir string, st *storage.Store) error {
+	if _, err := os.Stat(filepath.Join(dir, "fix.meta")); err != nil {
+		return fmt.Errorf("%w: heap: record %d runs past the end of data.heap, and without an index nothing records how many documents were saved", ErrCorrupt, st.NumRecords())
+	}
+	committed, err := core.CommittedRecords(dir)
+	if err != nil {
+		return fmt.Errorf("fix: opening index: %w", err)
+	}
+	if st.NumRecords() < committed {
+		return fmt.Errorf("%w: heap: record %d runs past the end of data.heap, and the index covers %d saved documents", ErrCorrupt, st.NumRecords(), committed)
+	}
+	return st.DropTornTail()
 }
 
 // openIngestLog probes dir for an ingest log. A structurally valid log

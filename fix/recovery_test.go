@@ -1,11 +1,15 @@
 package fix
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/fix-index/fix/internal/storage"
 )
 
 // buildPersistentDB creates an on-disk database with an index and returns
@@ -220,5 +224,232 @@ func TestCloseReopenLargeIndex(t *testing.T) {
 	}
 	if n := re.Metrics().BTree.PageWrites; n <= 256 {
 		t.Errorf("fixture: the recovery checkpoint wrote %d pages, want the window's more than 256", n)
+	}
+}
+
+// TestOpenDropsTornAppend reopens a saved database whose heap ends in the
+// length prefix of a record a crash cut short — an AddDocument that was
+// never acknowledged, since without an ingest log only Save acknowledges.
+// The torn record is gone: the index still covers the heap, the next
+// document lands where the torn one began, and after another reopen
+// every document reads back.
+func TestOpenDropsTornAppend(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, d := range docs {
+		id, err := db.AddDocumentString(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := db.Document(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, doc)
+	}
+	if err := db.BuildIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	heap, err := os.OpenFile(filepath.Join(dir, "data.heap"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := heap.Write([]byte{0, 0, 0, 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := heap.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.NumDocuments(); n != len(docs) {
+		t.Fatalf("reopened with %d documents, want %d", n, len(docs))
+	}
+	if err := db.IndexHealth(); err != nil {
+		t.Errorf("IndexHealth after dropping the torn record: %v", err)
+	}
+	id, err := db.AddDocumentString(`<article><title>e</title><author/></article>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := db.Document(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, doc)
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n := db.NumDocuments(); n != len(want) {
+		t.Fatalf("%d documents after the add, want %d", n, len(want))
+	}
+	for id, w := range want {
+		if got, err := db.Document(uint32(id)); err != nil || got != w {
+			t.Errorf("Document(%d) = %q, %v; want %q", id, got, err, w)
+		}
+	}
+	if res, err := db.Query("//article[author]/title"); err != nil || res.Count != 3 {
+		t.Errorf("query after reopen = %+v, %v; want count 3", res, err)
+	}
+}
+
+// TestOpenKeepsCorruptHeap reopens saved databases whose heap has a
+// record running past the end of the file that was not a torn append: a
+// corrupt length prefix on a record the index covers, and a torn tail in
+// a database without an index, where nothing records how many documents
+// Save acknowledged. Open fails with ErrCorrupt and data.heap keeps every
+// byte.
+func TestOpenKeepsCorruptHeap(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		indexed bool
+		damage  func(t *testing.T, heap string)
+	}{
+		{"corrupt prefix of record 1", true, func(t *testing.T, heap string) {
+			f, err := os.OpenFile(heap, os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var prefix [4]byte
+			if _, err := f.ReadAt(prefix[:], 8); err != nil {
+				t.Fatal(err)
+			}
+			second := 8 + 4 + int64(binary.BigEndian.Uint32(prefix[:]))
+			if _, err := f.WriteAt([]byte{0x40}, second); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"torn tail without an index", false, func(t *testing.T, heap string) {
+			f, err := os.OpenFile(heap, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write([]byte{0, 0, 0, 100}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			db, err := Create(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range docs {
+				if _, err := db.AddDocumentString(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.indexed {
+				if err := db.BuildIndex(IndexOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			heap := filepath.Join(dir, "data.heap")
+			tc.damage(t, heap)
+			before, err := os.ReadFile(heap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+				if err == nil {
+					db.Close()
+				}
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+			if after, err := os.ReadFile(heap); err != nil || !bytes.Equal(after, before) {
+				t.Errorf("Open changed data.heap: %d bytes before, %d after (%v)", len(before), len(after), err)
+			}
+		})
+	}
+}
+
+// TestHeapTruncatedUnderOpenDB cuts data.heap short from outside while
+// the database is open: the pages past the cut no longer exist, so a
+// query that reads a record there returns an error and Scrub reports the
+// heap damaged, while the process lives on.
+func TestHeapTruncatedUnderOpenDB(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 1000; i++ {
+		if _, err := db.AddDocumentString(docs[i%len(docs)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.BuildIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if db.store.Size() < 3*int64(os.Getpagesize()) {
+		t.Fatalf("fixture: a %d-byte heap does not reach past its second page", db.store.Size())
+	}
+	if err := os.Truncate(filepath.Join(dir, "data.heap"), int64(os.Getpagesize())); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := db.Query("//article[author]/title"); err == nil {
+		t.Errorf("query over a truncated heap = %+v, want an error", res)
+	}
+	rep, err := db.Scrub(ScrubConfig{})
+	if !rep.HeapDamaged || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Scrub of a truncated heap = %+v, %v; want HeapDamaged and ErrCorrupt", rep, err)
+	}
+}
+
+// TestHeapReadFault injects a fault into one read of the record heap,
+// wrapped the way the crash sweeps wrap it: the query that makes that
+// read returns the injected error, and the next one answers.
+func TestHeapReadFault(t *testing.T) {
+	dir, want := buildPersistentDB(t)
+	// Open reads the heap's header and then one length prefix per
+	// record; the read after those is the query's.
+	pl := &storage.FaultPlan{FailRead: 2 + len(docs)}
+	restore := withFaultFiles(pl)
+	db, err := Open(dir)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if res, err := db.Query("//article[author]/title"); !errors.Is(err, storage.ErrInjected) {
+		t.Errorf("query over a failing heap read = %+v, %v; want ErrInjected", res, err)
+	}
+	if got, err := db.Query("//article[author]/title"); err != nil || got.Count != want.Count {
+		t.Errorf("query after the fault = %+v, %v; want count %d", got, err, want.Count)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,36 @@ func TestViewPinnedSnapshot(t *testing.T) {
 	res, err = v2.Query("//article[author]/title")
 	if err != nil || res.Count != 3 {
 		t.Errorf("fresh view query = %+v, %v; want count 3", res, err)
+	}
+}
+
+// TestViewAfterDBClose queries a View pinned before DB.Close. Its index
+// image still answers the probe, but the heap file is closed: every
+// query that has to read a document returns the error instead of
+// crashing the process.
+func TestViewAfterDBClose(t *testing.T) {
+	db, err := Create(filepath.Join(t.TempDir(), "db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		if _, err := db.AddDocumentString(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.BuildIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	v := db.View()
+	defer v.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := v.Query("//article[author]/title"); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Query after DB.Close = %+v, %v; want os.ErrClosed", res, err)
+	}
+	if ids, err := v.QueryDocuments("//author[email]", ScanOnly()); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("QueryDocuments after DB.Close = %v, %v; want os.ErrClosed", ids, err)
 	}
 }
 

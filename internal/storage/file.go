@@ -2,7 +2,8 @@
 // append-only record heap holding binary-encoded document trees, addressed
 // by stable pointers (record, offset) that index entries carry as their
 // payload. It also provides the File abstraction shared with the B-tree
-// pager, with both OS-file and in-memory implementations, and I/O
+// pager, with OS-file and in-memory implementations and, for the heap on
+// unix, a file whose reads copy out of a shared mapping, and I/O
 // accounting that distinguishes sequential from random reads so the
 // experiments can report implementation-independent costs for clustered
 // versus unclustered indexes (paper §4.1).
@@ -126,6 +127,9 @@ func (f *MemFile) Truncate(size int64) error {
 		return fmt.Errorf("storage: negative truncate size %d", size)
 	}
 	if size <= int64(len(f.buf)) {
+		// Zero what is dropped: a later write past the new end reuses
+		// the capacity, and the gap it leaves must read as zeros.
+		clear(f.buf[size:])
 		f.buf = f.buf[:size]
 		return nil
 	}

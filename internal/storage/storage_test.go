@@ -149,6 +149,104 @@ func TestStoreReopen(t *testing.T) {
 	}
 }
 
+// TestStoreOpenTornRecord reopens a heap whose last append a crash cut
+// short — inside the length prefix, right after it, or inside the body.
+// OpenStore leaves the file alone, reports the torn bytes and refuses to
+// append amid them; once DropTornTail cuts them, the next append lands
+// where the torn record began and reads back, as does every record
+// before it.
+func TestStoreOpenTornRecord(t *testing.T) {
+	for _, tail := range [][]byte{
+		{0},
+		{0, 0, 0, 100},
+		append([]byte{0, 0, 0, 100}, "part of the body"...),
+	} {
+		dict := xmltree.NewDict()
+		f := NewMemFile()
+		st, err := NewStore(f, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [][]byte{[]byte("first"), []byte("second")}
+		for _, b := range want {
+			if _, err := st.AppendBytes(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		end := st.Size()
+		if _, err := f.WriteAt(tail, end); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenStore(f, dict)
+		if err != nil {
+			t.Fatalf("tail %q: %v", tail, err)
+		}
+		size, _ := f.Size()
+		if re.NumRecords() != 2 || re.Size() != end || re.TornTail() != int64(len(tail)) || size != end+int64(len(tail)) {
+			t.Fatalf("tail %q: reopened with %d records, end %d, torn %d, file %d bytes; want 2, %d, %d, %d",
+				tail, re.NumRecords(), re.Size(), re.TornTail(), size, end, len(tail), end+int64(len(tail)))
+		}
+		if _, err := re.AppendBytes([]byte("third")); err == nil {
+			t.Fatalf("tail %q: an append amid the torn bytes succeeded", tail)
+		}
+		if err := re.DropTornTail(); err != nil {
+			t.Fatal(err)
+		}
+		if size, _ := f.Size(); re.TornTail() != 0 || size != end {
+			t.Fatalf("tail %q: after DropTornTail torn %d, file %d bytes; want 0, %d", tail, re.TornTail(), size, end)
+		}
+		if _, err := re.AppendBytes([]byte("third")); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, []byte("third"))
+		re, err = OpenStore(f, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re.NumRecords() != len(want) {
+			t.Fatalf("tail %q: %d records after the append, want %d", tail, re.NumRecords(), len(want))
+		}
+		for rec, b := range want {
+			if got, err := re.Record(uint32(rec)); err != nil || !bytes.Equal(got, b) {
+				t.Errorf("tail %q: Record(%d) = %q, %v; want %q", tail, rec, got, err, b)
+			}
+		}
+	}
+}
+
+// TestStoreOpenCorruptPrefix reopens a heap whose second of three records
+// has a length prefix pointing past the end of the file. To OpenStore
+// that looks like a torn tail starting at record 1; it reports so and
+// leaves every byte in place for the caller to judge.
+func TestStoreOpenCorruptPrefix(t *testing.T) {
+	f := NewMemFile()
+	st, err := NewStore(f, xmltree.NewDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"first", "second", "third"} {
+		if _, err := st.AppendBytes([]byte(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := append([]byte(nil), f.buf...)
+	second := int64(len(storeMagic)) + 4 + int64(len("first"))
+	if _, err := f.WriteAt([]byte{0x40, 0, 0, 0}, second); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenStore(f, st.Dict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.NumRecords() != 1 || re.Size() != second || re.TornTail() != int64(len(before))-second {
+		t.Errorf("reopened with %d records, end %d, torn %d; want 1, %d, %d",
+			re.NumRecords(), re.Size(), re.TornTail(), second, int64(len(before))-second)
+	}
+	if got := f.buf; len(got) != len(before) || !bytes.Equal(got[second+4:], before[second+4:]) {
+		t.Error("OpenStore changed the heap past the corrupt prefix")
+	}
+}
+
 func TestStoreOpenRejectsGarbage(t *testing.T) {
 	f := NewMemFile()
 	if _, err := f.WriteAt([]byte("NOTASTORE"), 0); err != nil {

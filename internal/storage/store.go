@@ -76,12 +76,20 @@ const storeMagic = "FIXSTOR1"
 // A Store is safe for concurrent readers; appends must not race with other
 // operations.
 type Store struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// f is what the store writes and its views read through: on unix, a
+	// shared mapping of the heap file (see mapHeap). own is the file as
+	// the store was given it, and the store's own reads go through it —
+	// the scan at open and Record (indexing a document just appended,
+	// scrub, Document) read a record once, and through the mapping would
+	// leave every page they touch resident in the process.
 	f       File
+	own     File
 	dict    *xmltree.Dict
 	offs    []int64 // offset of each record's length prefix
 	lens    []uint32
 	end     int64 // next append position
+	torn    int64 // bytes of the file past end at open (see TornTail)
 	lastEnd int64 // end offset of the last physical read, for seq/random
 	stats   Stats
 	rs      readStats // shared with every ReadView frozen from this store
@@ -107,10 +115,14 @@ func NewStore(f File, dict *xmltree.Dict) (*Store, error) {
 	if _, err := f.WriteAt([]byte(storeMagic), 0); err != nil {
 		return nil, fmt.Errorf("storage: writing header: %w", err)
 	}
-	return &Store{f: f, dict: dict, end: int64(len(storeMagic))}, nil
+	return &Store{f: mapHeap(f), own: f, dict: dict, end: int64(len(storeMagic))}, nil
 }
 
 // OpenStore opens an existing store, rebuilding the record offset table.
+// It never writes the file. The table ends at the first record whose
+// length runs past the end of the file: such a record is either an append
+// a crash cut short or a damaged length prefix, and only the caller knows
+// how many records were acknowledged — see TornTail and DropTornTail.
 func OpenStore(f File, dict *xmltree.Dict) (*Store, error) {
 	hdr := make([]byte, len(storeMagic))
 	if _, err := f.ReadAt(hdr, 0); err != nil {
@@ -123,20 +135,53 @@ func OpenStore(f File, dict *xmltree.Dict) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, dict: dict}
+	s := &Store{own: f, dict: dict}
 	pos := int64(len(storeMagic))
 	var lenBuf [4]byte
-	for pos < size {
+	for pos+4 <= size {
 		if _, err := f.ReadAt(lenBuf[:], pos); err != nil {
 			return nil, fmt.Errorf("storage: scanning record at %d: %w", pos, err)
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
+		if pos+4+int64(n) > size {
+			break
+		}
 		s.offs = append(s.offs, pos)
 		s.lens = append(s.lens, n)
 		pos += 4 + int64(n)
 	}
 	s.end = pos
+	s.torn = size - pos
+	s.f = mapHeap(f)
 	return s, nil
+}
+
+// TornTail returns how many bytes of the file follow the last whole
+// record OpenStore found, 0 when the file ends on a record boundary.
+// While any do, appends fail: one would land amid the torn bytes.
+func (s *Store) TornTail() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.torn
+}
+
+// DropTornTail cuts the file back to its last whole record and syncs it,
+// so the next append lands where the torn record began. The caller
+// decides the record was never acknowledged; the bytes are gone for good.
+func (s *Store) DropTornTail() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.torn == 0 {
+		return nil
+	}
+	if err := s.f.Truncate(s.end); err != nil {
+		return fmt.Errorf("storage: dropping torn record at %d: %w", s.end, err)
+	}
+	if err := s.f.Sync(); err != nil {
+		return fmt.Errorf("storage: dropping torn record at %d: %w", s.end, err)
+	}
+	s.torn = 0
+	return nil
 }
 
 // Dict returns the label dictionary used to encode records.
@@ -194,6 +239,9 @@ func (s *Store) AppendTree(n *xmltree.Node) (uint32, error) {
 func (s *Store) AppendBytes(b []byte) (uint32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.torn > 0 {
+		return 0, fmt.Errorf("storage: append: %d bytes past the last whole record at %d", s.torn, s.end)
+	}
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(b)))
 	if _, err := s.f.WriteAt(lenBuf[:], s.end); err != nil {
@@ -231,7 +279,7 @@ func (s *Store) recordLocked(rec uint32) ([]byte, error) {
 	off := s.offs[rec] + 4
 	n := s.lens[rec]
 	buf := make([]byte, n)
-	if _, err := s.f.ReadAt(buf, off); err != nil {
+	if _, err := s.own.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("storage: reading record %d: %w", rec, err)
 	}
 	if s.offs[rec] == s.lastEnd {
@@ -364,6 +412,7 @@ func (s *Store) TruncateTo(nrecords int, end int64) error {
 	s.offs = s.offs[:nrecords]
 	s.lens = s.lens[:nrecords]
 	s.end = end
+	s.torn = 0
 	for r := range s.deleted {
 		if int(r) >= nrecords {
 			delete(s.deleted, r)
