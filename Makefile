@@ -72,18 +72,20 @@ loc:
 # suite, then the line count.
 check: vet vet-cross build bench-build test race norace lint loc
 
-# bench-smoke runs the refinement, query-pipeline, construction,
-# ingest-request and Figure 6/7 benchmarks for one iteration each — not to
-# time anything, but so a benchmark that no longer builds, whose refined
-# count no longer equals the scan's, whose index is no longer packed or
-# stores whole keys or 9-byte values again (more than 14.9 B/entry), whose
-# probe allocates per entry again (more than 400 allocs per query), whose
-# ingest request is no longer one group commit, decodes pages to insert
-# again (more than 4 700 allocs per request) or leaves behind an index of
-# more than 14.6 B/entry, or whose clustered FIX executor counts other
-# results than NoK or F&B fails CI.
+# bench-smoke runs the refinement, query-pipeline, served-query,
+# construction, ingest-request and Figure 6/7 benchmarks for one iteration
+# each — not to time anything, but so a benchmark that no longer builds,
+# whose refined count no longer equals the scan's, whose index is no
+# longer packed or stores whole keys or 9-byte values again (more than
+# 14.9 B/entry), whose probe allocates per entry again (more than 400
+# allocs per query), whose served query parses, plans or compiles a
+# repeated text again (more than 150 allocs per query), whose ingest
+# request is no longer one group commit, decodes pages to insert again
+# (more than 4 700 allocs per request) or leaves behind an index of more
+# than 14.6 B/entry, or whose clustered FIX executor counts other results
+# than NoK or F&B fails CI.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkTable1Construction|BenchmarkIngestRequest|BenchmarkFig6XMark|BenchmarkFig6DBLP|BenchmarkFig6Treebank|BenchmarkFig7Values' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkServedQuery|BenchmarkTable1Construction|BenchmarkIngestRequest|BenchmarkFig6XMark|BenchmarkFig6DBLP|BenchmarkFig6Treebank|BenchmarkFig7Values' -benchtime 1x .
 
 # bench-parallel regenerates the committed parallel-construction sweep
 # (1/2/4/NumCPU workers; asserts byte-identical indexes).

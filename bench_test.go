@@ -333,6 +333,59 @@ func BenchmarkQueryPipeline(b *testing.B) {
 	}
 }
 
+// servedQueryTemplates are four wide bibliography templates, two of them
+// root-anchored and two not, of the kind fixserve's bibliography
+// workloads repeat.
+var servedQueryTemplates = []string{
+	"/article[author][title[sub]][journal][number][volume][year][url]",
+	"/inproceedings[author][title[i]][booktitle][year][pages][url][ee]",
+	"//inproceedings[author][title[i]][booktitle][year][pages][url][ee]",
+	"//book[author][title[sub]][publisher][year]",
+}
+
+// servedQueryAllocCeiling gates BenchmarkServedQuery: a query served from
+// the plan cache cost 82 allocations when the cache went in, against 335
+// when every query parsed, planned and compiled its text again.
+const servedQueryAllocCeiling = 150
+
+// BenchmarkServedQuery measures DB.QueryCtx — the served path, which
+// takes a repeated text's plan from the index's plan cache — round-robin
+// over servedQueryTemplates on a 1 000-record DBLP database. It fails when
+// a query allocates more than servedQueryAllocCeiling times: a served path
+// that parses, plans or compiles a repeated text again fails here without
+// any timing gate.
+func BenchmarkServedQuery(b *testing.B) {
+	db, err := fix.CreateMem()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rec := range datagen.DBLP(datagen.Config{Seed: 4, Scale: 0.025}).Children {
+		if _, err := db.AddDocumentString(xmltree.MarshalString(rec)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.BuildIndex(fix.IndexOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	next := 0
+	run := func() {
+		if _, err := db.QueryCtx(context.Background(), servedQueryTemplates[next%len(servedQueryTemplates)]); err != nil {
+			b.Fatal(err)
+		}
+		next++
+	}
+	// AllocsPerRun warms the cache and the pools with one untimed call
+	// first; 4×10 calls plan every template once more at most.
+	if allocs := testing.AllocsPerRun(4*10, run); allocs > servedQueryAllocCeiling {
+		b.Fatalf("%v allocs per query, want at most %d", allocs, servedQueryAllocCeiling)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // ingestRequestAllocCeiling is 1.5 times what BenchmarkIngestRequest
 // measured when Put began editing leaves in place: ≈3 100 allocations per
 // request, nearly all of them the parse, bisimulation and eigenvalues of

@@ -376,3 +376,45 @@ func TestCollectionServerAcceptance(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanCacheCountersServed: /metrics serves plan_cache_hits and
+// plan_cache_misses in both modes. A text's first query misses on every
+// shard it reaches and its repeat hits on each of them.
+func TestPlanCacheCountersServed(t *testing.T) {
+	counters := func(t *testing.T, h http.Handler) (hits, misses int64) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var m struct {
+			Hits   *int64 `json:"plan_cache_hits"`
+			Misses *int64 `json:"plan_cache_misses"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || m.Hits == nil || m.Misses == nil {
+			t.Fatalf("/metrics without the plan-cache counters: %v (body %s)", err, rec.Body)
+		}
+		return *m.Hits, *m.Misses
+	}
+	check := func(t *testing.T, h http.Handler, path string, shards int64) {
+		t.Helper()
+		h0, m0 := counters(t, h)
+		for i := range 2 {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("query %d: status = %d, body %s", i, rec.Code, rec.Body)
+			}
+		}
+		if h1, m1 := counters(t, h); h1-h0 != shards || m1-m0 != shards {
+			t.Errorf("two queries over %d shards: %d hits, %d misses; want %d of each", shards, h1-h0, m1-m0, shards)
+		}
+	}
+	t.Run("single index", func(t *testing.T) {
+		s := newServer(newTestDB(t), defaultTestConfig())
+		check(t, s.handler(), "/query?q="+url.QueryEscape("//article[author]/title"), 1)
+	})
+	t.Run("collection", func(t *testing.T) {
+		cs := newTestColServer(t, collection.Options{}, defaultTestConfig())
+		createCollection(t, cs, `{"name":"books","shards":3}`)
+		check(t, cs.handler(), "/c/books/query?q="+url.QueryEscape("//book[title]"), 3)
+	})
+}

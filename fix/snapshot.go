@@ -25,6 +25,13 @@ type Metrics struct {
 	Results       int64 `json:"results"`
 	NodesVisited  int64 `json:"nodes_visited"`
 
+	// Plan-cache lookups of the query paths: a hit serves a query's
+	// parsed, planned and compiled form from its index's cache, a miss
+	// prepares it (docs/OBSERVABILITY.md). Queries on a database without
+	// an index are neither.
+	PlanCacheHits   int64 `json:"plan_cache_hits"`
+	PlanCacheMisses int64 `json:"plan_cache_misses"`
+
 	// Resource-governance rejections, by class. RejectedAdmission is
 	// incremented by servers (cmd/fixserve) when the admission gate turns
 	// a request away; the other three count queries stopped by their
@@ -125,6 +132,9 @@ func (db *DB) Metrics() Metrics {
 		Matched:       reg.Matched,
 		Results:       reg.Results,
 		NodesVisited:  reg.NodesVisited,
+
+		PlanCacheHits:   reg.PlanCacheHits,
+		PlanCacheMisses: reg.PlanCacheMisses,
 
 		RejectedAdmission: reg.RejectedAdmission,
 		DeadlineExceeded:  reg.DeadlineExceeded,

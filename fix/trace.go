@@ -75,6 +75,12 @@ type QueryTrace struct {
 	// false means the query ran without (or not covered by) an index.
 	ScanFallback bool `json:"scan_fallback"`
 
+	// PlanCached reports that the query's parsed, planned and compiled
+	// form came from the index's plan cache, which is why Parse and Plan
+	// read zero. A miss prepares the query and caches it: Parse and Plan
+	// are then that work (Plan includes compiling the refinement matcher).
+	PlanCached bool `json:"plan_cached"`
+
 	// Generation is the publish sequence number of the snapshot the
 	// query ran against (see DB.View), so traces collected across a
 	// concurrent Save/RebuildIndex attribute to the right index image.
@@ -102,6 +108,9 @@ func (t *QueryTrace) String() string {
 	}
 	fmt.Fprintf(&b, "  total %v  (parse %v, plan %v, probe %v, fetch %v, refine %v)\n",
 		t.Total, t.Parse, t.Plan, t.Probe, t.Fetch, t.Refine)
+	if t.PlanCached {
+		b.WriteString("  plan: cached\n")
+	}
 	switch {
 	case t.ScanFallback:
 		fmt.Fprintf(&b, "  degraded index: full scan, %d matched records, %d results\n", t.Matched, t.Count)
@@ -145,6 +154,7 @@ func traceFromObs(tr *obs.Trace) *QueryTrace {
 		SubtreeReads: tr.Storage.SubtreeReads,
 		SubtreeBytes: tr.Storage.SubtreeBytes,
 		ScanFallback: tr.Fallback,
+		PlanCached:   tr.PlanCached,
 		Generation:   tr.Generation,
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/obs"
-	"github.com/fix-index/fix/internal/xpath"
 )
 
 // ErrViewClosed reports a query on a View whose Close already ran.
@@ -17,11 +16,12 @@ var ErrViewClosed = errors.New("fix: view closed")
 
 // View is a pinned, immutable snapshot of the database: the index image,
 // the document set, and the tombstones exactly as they were when View()
-// was called. Queries on a View take no lock anywhere — each runs on its
-// caller's goroutine, concurrent queries on one View (or many) scale
-// across cores, and writers publishing new generations (Save,
-// BuildIndex, RebuildIndex, ingest batches) never block or tear an
-// in-flight query; they become visible to Views opened afterwards.
+// was called. Queries on a View take no lock but the index's plan cache's,
+// for one map lookup — each runs on its caller's goroutine, concurrent
+// queries on one View (or many) scale across cores, and writers
+// publishing new generations (Save, BuildIndex, RebuildIndex, ingest
+// batches) never block or tear an in-flight query; they become visible to
+// Views opened afterwards.
 //
 // A View holds a reference on its generation until Close; Close is
 // idempotent and must be called, or the generation's memory (the frozen
@@ -122,9 +122,10 @@ func (v *View) Query(expr string, opts ...QueryOption) (Result, error) {
 
 // QueryCtx evaluates the XPath expression against the pinned snapshot
 // with cancellation, resource governance, and optional tracing — the
-// same pipeline and options as DB.QueryCtx, minus every lock: pruning
-// scans the frozen B-tree image and refinement reads the frozen record
-// view, so concurrent calls proceed fully in parallel.
+// same pipeline and options as DB.QueryCtx, minus the DB's locks: a
+// repeated text's plan comes from the index's plan cache, pruning scans
+// the frozen B-tree image and refinement reads the frozen record view,
+// so concurrent calls proceed fully in parallel.
 func (v *View) QueryCtx(ctx context.Context, expr string, opts ...QueryOption) (res Result, err error) {
 	db := v.db
 	defer db.contain("QueryCtx", true, &err)
@@ -182,17 +183,13 @@ func (v *View) QueryCtx(ctx context.Context, expr string, opts ...QueryOption) (
 // bypasses the index entirely — the degraded-operation path ScanOnly
 // requests.
 func (v *View) queryTraced(ctx context.Context, expr string, tr *obs.Trace, lim Limits, scanOnly bool) (Result, error) {
-	parseStart := time.Now()
-	q, err := xpath.Parse(expr)
-	if tr != nil {
-		tr.Phase[obs.PhaseParse] += time.Since(parseStart)
-	}
+	g := v.gen
+	pq, err := g.Prepare(expr, tr)
 	if err != nil {
 		return Result{}, err
 	}
-	g := v.gen
-	if !scanOnly && g.Covered(q) {
-		res, err := g.QueryGoverned(ctx, q, tr, coreLimits(lim))
+	if !scanOnly && pq.Covered() {
+		res, err := g.QueryPrepared(ctx, pq, tr, coreLimits(lim))
 		if err != nil {
 			return Result{}, err
 		}
@@ -207,7 +204,7 @@ func (v *View) queryTraced(ctx context.Context, expr string, tr *obs.Trace, lim 
 	if tr != nil && scanOnly {
 		tr.Fallback = true
 	}
-	res, err := g.ScanCount(ctx, q.Tree(), tr, coreLimits(lim), false)
+	res, err := g.ScanCount(ctx, pq.Tree(), tr, coreLimits(lim), false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -240,15 +237,15 @@ func (v *View) ExistsCtx(ctx context.Context, expr string, opts ...QueryOption) 
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
 		defer cancel()
 	}
-	q, err := xpath.Parse(expr)
+	g := v.gen
+	pq, err := g.Prepare(expr, nil)
 	if err != nil {
 		return false, err
 	}
-	g := v.gen
-	if !cfg.scanOnly && g.Covered(q) {
-		return g.ExistsGoverned(ctx, q)
+	if !cfg.scanOnly && pq.Covered() {
+		return g.ExistsPrepared(ctx, pq)
 	}
-	return g.ScanExists(ctx, q.Tree())
+	return g.ScanExists(ctx, pq.Tree())
 }
 
 // QueryDocuments returns the IDs of documents in the pinned snapshot
@@ -278,18 +275,18 @@ func (v *View) QueryDocumentsCtx(ctx context.Context, expr string, opts ...Query
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
 		defer cancel()
 	}
-	q, err := xpath.Parse(expr)
+	g := v.gen
+	pq, err := g.Prepare(expr, nil)
 	if err != nil {
 		return nil, err
 	}
-	g := v.gen
-	nq, err := nok.Compile(q.Tree(), db.dict)
+	nq, err := nok.Compile(pq.Tree(), db.dict)
 	if err != nil {
 		return nil, err
 	}
 	var candDocs map[uint32]bool
-	if !cfg.scanOnly && g.Covered(q) {
-		cands, _, err := g.CandidatesCtx(ctx, q)
+	if !cfg.scanOnly && pq.Covered() {
+		cands, _, err := g.CandidatesPrepared(ctx, pq)
 		switch {
 		case errors.Is(err, core.ErrDegraded):
 			// The index cannot be trusted; scan every document instead.

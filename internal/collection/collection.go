@@ -192,8 +192,8 @@ type Collection struct {
 	shards []*Shard
 
 	// testShardStall, when set by tests, runs at the start of every
-	// per-shard query — the seam that makes "one shard past its
-	// deadline" deterministic.
+	// per-shard pass — the count, then the documents when requested — the
+	// seam that makes "one shard past its deadline" deterministic.
 	testShardStall func(shard int)
 }
 

@@ -188,11 +188,43 @@ func TestEmptyCollection(t *testing.T) {
 	}
 }
 
+// TestBadQueryFailsWhole: a malformed text fails the whole query with
+// ErrBadQuery, whether the router scatters it (no first step to read) or
+// targets one shard (a good first step, malformed after it).
 func TestBadQueryFailsWhole(t *testing.T) {
 	c := newTestCollection(t, Spec{Name: "bad", Shards: 2}, Options{})
-	_, err := c.Query(context.Background(), "///", QueryOpts{})
-	if !errors.Is(err, fix.ErrBadQuery) {
-		t.Fatalf("Query(///) = %v, want ErrBadQuery", err)
+	for _, q := range []string{"///", "/a[", "/a]"} {
+		if _, err := c.Query(context.Background(), q, QueryOpts{}); !errors.Is(err, fix.ErrBadQuery) {
+			t.Errorf("Query(%s) = %v, want ErrBadQuery", q, err)
+		}
+	}
+}
+
+// TestQuerySeesNewLabels: a text queried before any document carries its
+// labels counts 0 on every shard; after a batch brings them, the same
+// text — targeted and scattered — finds the documents.
+func TestQuerySeesNewLabels(t *testing.T) {
+	const nshards = 3
+	c := newTestCollection(t, Spec{Name: "labels", Shards: nshards}, Options{})
+	ctx := context.Background()
+	if _, err := c.AddBatch(ctx, []string{doc(labelFor(t, 0, nshards), 1)}); err != nil {
+		t.Fatal(err)
+	}
+	root := labelFor(t, 1, nshards)
+	texts := map[string]bool{"/" + root + "[fresh]": true, "//" + root + "[fresh]": false}
+	for text := range texts {
+		if res, err := c.Query(ctx, text, QueryOpts{}); err != nil || res.Count != 0 {
+			t.Fatalf("%s before the labels exist = %+v, %v", text, res, err)
+		}
+	}
+	if _, err := c.AddBatch(ctx, []string{"<" + root + "><fresh/></" + root + ">"}); err != nil {
+		t.Fatal(err)
+	}
+	for text, targeted := range texts {
+		res, err := c.Query(ctx, text, QueryOpts{})
+		if err != nil || res.Count != 1 || res.Targeted != targeted {
+			t.Errorf("%s after the add = %+v, %v; want 1 result, targeted %t", text, res, err, targeted)
+		}
 	}
 }
 

@@ -33,19 +33,18 @@ const ScatterAll = -1
 // is the child axis (/label/...) can only match documents rooted at
 // label, all of which live in one shard — return it. A leading
 // descendant axis (//label/...) matches at any depth in any document,
-// so it must scatter. A parse failure also scatters: the shards will
-// reject the expression with the real fix.ErrBadQuery, keeping the
-// router's grammar knowledge advisory rather than load-bearing.
+// so it must scatter. The router reads the first step only: a text that
+// does not start with one also scatters, and a text malformed past it
+// reaches its one shard — either way the shards reject it with the real
+// fix.ErrBadQuery, keeping the router's grammar knowledge advisory
+// rather than load-bearing.
 func queryTarget(expr string, nshards int) int {
 	if nshards <= 1 {
 		return 0
 	}
-	p, err := xpath.Parse(expr)
-	if err != nil || len(p.Steps) == 0 {
+	axis, name, ok := xpath.FirstStep(expr)
+	if !ok || axis != xpath.Child {
 		return ScatterAll
 	}
-	if p.Steps[0].Axis != xpath.Child {
-		return ScatterAll
-	}
-	return ShardForLabel(p.Steps[0].Name, nshards)
+	return ShardForLabel(name, nshards)
 }

@@ -29,7 +29,8 @@ type QueryOpts struct {
 	Trace bool
 	// WithDocuments additionally collects the matching documents' global
 	// IDs (shard-order stable, ascending within each shard). It costs a
-	// second evaluation on each surviving shard, so it is meant for
+	// second evaluation on each shard, under the same per-shard deadline
+	// and with the same failure handling as the first, so it is meant for
 	// tools and tests, not the serving hot path.
 	WithDocuments bool
 }
@@ -99,15 +100,23 @@ func (c *Collection) Query(ctx context.Context, expr string, opts QueryOpts) (Re
 		targets = c.shards[target : target+1]
 	}
 	rows := make([]ShardResult, len(targets))
+	var docs [][]uint32 // per row, when opts.WithDocuments
+	if opts.WithDocuments {
+		docs = make([][]uint32, len(targets))
+	}
 	err := par.Do(ctx, len(targets), len(targets), func(i int) error {
-		return c.queryShard(ctx, targets[i], expr, opts, &rows[i])
+		var rowDocs *[]uint32
+		if docs != nil {
+			rowDocs = &docs[i]
+		}
+		return c.queryShard(ctx, targets[i], expr, opts, &rows[i], rowDocs)
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Targeted: target != ScatterAll, Shards: rows}
 	timeouts, failures := 0, 0
-	for _, r := range rows {
+	for i, r := range rows {
 		res.Count += r.Count
 		res.Entries += r.Entries
 		res.Candidates += r.Candidates
@@ -120,22 +129,13 @@ func (c *Collection) Query(ctx context.Context, expr string, opts QueryOpts) (Re
 		if r.ScanFallback {
 			res.Degraded = true
 		}
-	}
-	res.Partial = timeouts+failures > 0
-	if opts.WithDocuments {
-		for _, r := range rows {
-			if r.TimedOut || r.Failed {
-				continue
-			}
-			ids, err := c.shards[r.Shard].DB.QueryDocumentsCtx(ctx, expr, c.shardQueryOptions(opts)...)
-			if err != nil {
-				continue
-			}
-			for _, rec := range ids {
+		if docs != nil {
+			for _, rec := range docs[i] {
 				res.Documents = append(res.Documents, GlobalID(r.Shard, rec))
 			}
 		}
 	}
+	res.Partial = timeouts+failures > 0
 	obs.Default().Collection(c.spec.Name).ObserveCollectionQuery(res.Targeted, timeouts, failures)
 	return res, nil
 }
@@ -157,10 +157,13 @@ func (c *Collection) shardQueryOptions(opts QueryOpts) []fix.QueryOption {
 }
 
 // queryShard runs one shard's probe under the per-shard deadline and
-// classifies the outcome into the shard's result row. It returns a
-// non-nil error only for faults that must fail the whole collection
-// query: a bad expression, or the request context itself ending.
-func (c *Collection) queryShard(ctx context.Context, s *Shard, expr string, opts QueryOpts, row *ShardResult) error {
+// classifies the outcome into the shard's result row; a non-nil docs
+// gets the shard's matching documents from a second pass under the same
+// deadline. It returns a non-nil error only for faults that must fail
+// the whole collection query: a bad expression, or the request context
+// itself ending. Any other failure of either pass marks the row TimedOut
+// or Failed, and the shard contributes nothing.
+func (c *Collection) queryShard(ctx context.Context, s *Shard, expr string, opts QueryOpts, row *ShardResult, docs *[]uint32) error {
 	row.Shard = s.ID
 	sctx := ctx
 	if c.opts.ShardTimeout > 0 {
@@ -168,10 +171,26 @@ func (c *Collection) queryShard(ctx context.Context, s *Shard, expr string, opts
 		sctx, cancel = context.WithTimeout(ctx, c.opts.ShardTimeout)
 		defer cancel()
 	}
+	qopts := c.shardQueryOptions(opts)
 	if c.testShardStall != nil {
 		c.testShardStall(s.ID)
 	}
-	res, err := s.DB.QueryCtx(sctx, expr, c.shardQueryOptions(opts)...)
+	res, err := s.DB.QueryCtx(sctx, expr, qopts...)
+	if err == nil && docs != nil {
+		if c.testShardStall != nil {
+			c.testShardStall(s.ID)
+		}
+		*docs, err = s.DB.QueryDocumentsCtx(sctx, expr, qopts...)
+	}
+	if res.Trace != nil {
+		// A deadline kill with tracing on still yields the partial trace
+		// (the phases that ran are attributed); keep it so the gap is
+		// diagnosable from the response alone.
+		t := *res.Trace
+		t.Collection = c.spec.Name
+		t.Shard = s.ID
+		row.Trace = &t
+	}
 	if err != nil {
 		if errors.Is(err, fix.ErrBadQuery) {
 			return err
@@ -185,15 +204,6 @@ func (c *Collection) queryShard(ctx context.Context, s *Shard, expr string, opts
 		} else {
 			row.Failed = true
 		}
-		// A deadline kill with tracing on still yields the partial trace
-		// (the phases that ran are attributed); keep it so the gap is
-		// diagnosable from the response alone.
-		if res.Trace != nil {
-			t := *res.Trace
-			t.Collection = c.spec.Name
-			t.Shard = s.ID
-			row.Trace = &t
-		}
 		return nil
 	}
 	row.Count = res.Count
@@ -201,11 +211,5 @@ func (c *Collection) queryShard(ctx context.Context, s *Shard, expr string, opts
 	row.Candidates = res.Candidates
 	row.Matched = res.MatchedEntries
 	row.ScanFallback = res.ScanFallback
-	if res.Trace != nil {
-		t := *res.Trace
-		t.Collection = c.spec.Name
-		t.Shard = s.ID
-		row.Trace = &t
-	}
 	return nil
 }

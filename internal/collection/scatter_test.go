@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -98,6 +99,75 @@ func TestRequestContextCancelFailsWhole(t *testing.T) {
 	c.testShardStall = func(int) { cancel() }
 	if _, err := c.Query(ctx, "//item", QueryOpts{}); err == nil {
 		t.Fatal("query with canceled request context succeeded")
+	}
+}
+
+// TestDocumentPassFailureIsPartial fails one shard's document pass —
+// its heap is cut to nothing after the count pass and before the document
+// pass reads it — and expects that shard's row Failed with its cause, the
+// result Partial, and neither its count nor its documents merged; the
+// other shard's documents stay. A request context canceled at a document
+// pass fails the whole query instead.
+func TestDocumentPassFailureIsPartial(t *testing.T) {
+	const nshards = 2
+	c := newTestCollection(t, Spec{Name: "docs", Shards: nshards}, Options{})
+	ctx := context.Background()
+	// Two documents in the broken shard: a view keeps the last record it
+	// read, so the document pass's first read is of one the count pass
+	// read before the last.
+	l0, l1 := labelFor(t, 0, nshards), labelFor(t, 1, nshards)
+	if _, err := c.AddBatch(ctx, []string{doc(l0, 1), doc(l1, 1), doc(l1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	const broken = 1
+	// passes counts the seam's calls per shard: the count pass is the
+	// first, the document pass the second.
+	var mu sync.Mutex
+	passes := map[int]int{}
+	atDocumentPass := func(shard, target int, fault func()) {
+		mu.Lock()
+		passes[shard]++
+		n := passes[shard]
+		mu.Unlock()
+		if shard == target && n == 2 {
+			fault()
+		}
+	}
+	c.testShardStall = func(shard int) {
+		atDocumentPass(shard, broken, func() {
+			if err := os.Truncate(filepath.Join(ShardDir(c.dir, broken), "data.heap"), 0); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	res, err := c.Query(ctx, "//item", QueryOpts{WithDocuments: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial {
+		t.Error("a failed document pass left the result complete")
+	}
+	for _, r := range res.Shards {
+		switch {
+		case r.Shard == broken && (!r.Failed || r.Err == "" || r.Count != 0):
+			t.Errorf("broken shard row = %+v, want Failed with its cause and no count", r)
+		case r.Shard != broken && (r.Failed || r.TimedOut || r.Count != 1):
+			t.Errorf("healthy shard row = %+v", r)
+		}
+	}
+	if res.Count != 1 || len(res.Documents) != 1 {
+		t.Fatalf("merged %d results and documents %v, want the healthy shard's 1 and 1", res.Count, res.Documents)
+	}
+	if sh, _ := SplitID(res.Documents[0]); sh == broken {
+		t.Errorf("documents %v include the broken shard's", res.Documents)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	passes = map[int]int{}
+	c.testShardStall = func(shard int) { atDocumentPass(shard, 0, cancel) }
+	if res, err := c.Query(cctx, "//item", QueryOpts{WithDocuments: true}); !errors.Is(err, context.Canceled) {
+		t.Errorf("query canceled during a document pass = %+v, %v; want context.Canceled", res, err)
 	}
 }
 

@@ -19,11 +19,12 @@ import (
 
 // Generation is one immutable, published snapshot of the queryable state:
 // a frozen B-tree image, a frozen view of the primary heap's record
-// table, the tombstone set as of the freeze, and the (shared, read-only)
+// table, the tombstone set as of the freeze, and the (shared)
 // query-planning state of the index it was frozen from. Queries against a
-// Generation take no lock anywhere — not the B-tree mutex, not the store
-// mutex — so any number of goroutines can query one concurrently while
-// writers prepare and publish the next generation.
+// Generation take no lock but the plan cache's, for one map lookup — not
+// the B-tree mutex, not the store mutex — so any number of goroutines can
+// query one concurrently while writers prepare and publish the next
+// generation.
 //
 // Generations are reference counted: the publisher holds one reference
 // (released when the next generation replaces it), and every pinned
@@ -254,47 +255,50 @@ func recycle(buf *[]Candidate, cands []Candidate) {
 	}
 }
 
-// CandidatesCtx returns the index candidates for the query, or an error
-// wrapping ErrDegraded when the generation was frozen degraded: the
-// pruning promise — no false negatives — cannot be kept, so callers must
-// scan instead.
-func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Candidate, int, error) {
+// CandidatesPrepared returns the index candidates of a prepared query,
+// or an error wrapping ErrDegraded when the generation was frozen
+// degraded: the pruning promise — no false negatives — cannot be kept, so
+// callers must scan instead.
+func (g *Generation) CandidatesPrepared(ctx context.Context, pq *Prepared) ([]Candidate, int, error) {
 	if g.health != nil {
 		return nil, 0, g.health
 	}
-	p, err := g.ix.plan(path)
+	if !pq.Covered() {
+		return nil, 0, pq.errNotCovered()
+	}
+	return g.candidates(ctx, pq.plan, Limits{}, nil)
+}
+
+// CandidatesCtx is CandidatesPrepared for a query planned afresh.
+func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Candidate, int, error) {
+	pq, err := g.ix.newPrepared(path, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	return g.candidates(ctx, p, Limits{}, nil)
+	return g.CandidatesPrepared(ctx, pq)
 }
 
-// probe plans the query and runs the pruning phase. useScan reports that
+// probe runs the pruning phase of a prepared query. useScan reports that
 // the index cannot answer — the generation was frozen degraded, or the
 // frozen image failed to decode just now (pages are verified when Open
 // reads them, so that is exceptional; the corruption is recorded on the
-// live index)
-// — and the caller must refine every record of p.tree instead, which can
-// never miss a match. A non-nil tr gets the plan and probe wall times
-// and the probe's B-tree delta. The candidates are appended to buf[:0].
-func (g *Generation) probe(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits, buf []Candidate) (p *queryPlan, cands []Candidate, scanned int, useScan bool, err error) {
-	planStart := time.Now()
-	p, err = g.ix.plan(path)
-	if tr != nil {
-		tr.Phase[obs.PhasePlan] += time.Since(planStart)
-	}
-	if err != nil {
-		return nil, nil, 0, false, err
+// live index) — and the caller must refine every record of pq's tree
+// instead, which can never miss a match. A non-nil tr gets the probe wall
+// time and the probe's B-tree delta. The candidates are appended to
+// buf[:0].
+func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits, buf []Candidate) (cands []Candidate, scanned int, useScan bool, err error) {
+	if !pq.Covered() {
+		return nil, 0, false, pq.errNotCovered()
 	}
 	if g.health != nil {
-		return p, nil, 0, true, nil
+		return nil, 0, true, nil
 	}
 	probeStart := time.Now()
 	var bt0 btree.Stats
 	if tr != nil {
 		bt0 = g.view.Stats()
 	}
-	cands, scanned, err = g.candidates(ctx, p, lim, buf)
+	cands, scanned, err = g.candidates(ctx, pq.plan, lim, buf)
 	if tr != nil {
 		tr.Phase[obs.PhaseProbe] += time.Since(probeStart)
 		d := g.view.Stats().Sub(bt0)
@@ -302,28 +306,23 @@ func (g *Generation) probe(ctx context.Context, path *xpath.Path, tr *obs.Trace,
 	}
 	if errors.Is(err, ErrCorrupt) {
 		g.ix.setHealth(err)
-		return p, nil, 0, true, nil
+		return nil, 0, true, nil
 	}
-	return p, cands, scanned, false, err
+	return cands, scanned, false, err
 }
 
 // fetchFunc resolves work item i of a refinement pass to the subtree to
 // evaluate, or reports ok=false to skip it.
 type fetchFunc func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error)
 
-// refinement compiles the per-candidate form of the planned query and
-// returns the fetch over cands. Refinement reads the clustered copy when
-// the generation holds one (Clustered.Freeze) and follows primary
-// pointers otherwise.
-func (g *Generation) refinement(p *queryPlan, cands []Candidate) (*nok.Query, fetchFunc, error) {
-	rq, rootAnchored := g.ix.refinementQuery(p.tree)
-	nq, err := nok.Compile(rq, g.dict)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nq, func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
+// refinement returns the fetch over cands for the prepared query's
+// refinement matcher. Refinement reads the clustered copy when the
+// generation holds one (Clustered.Freeze) and follows primary pointers
+// otherwise.
+func (g *Generation) refinement(pq *Prepared, cands []Candidate) fetchFunc {
+	return func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
 		c := cands[i]
-		if rootAnchored && c.Primary.Off() != 0 {
+		if pq.rootAnchored && c.Primary.Off() != 0 {
 			return // a /-anchored query only matches document roots
 		}
 		if g.tombs.Has(c.Primary.Rec()) {
@@ -337,7 +336,7 @@ func (g *Generation) refinement(p *queryPlan, cands []Candidate) (*nok.Query, fe
 			err = fmt.Errorf("core: entry at %v has no clustered copy", c.Primary)
 		}
 		return cur, ref, true, err
-	}, nil
+	}
 }
 
 // scanFetch is the fetch over every live record of the frozen heap view.
@@ -349,15 +348,17 @@ func (g *Generation) scanFetch(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok b
 	return cur, 0, true, err
 }
 
-// QueryGoverned runs the full pruning + refinement pipeline against the
-// frozen snapshot and returns result statistics; every read is served
-// lock-free from the generation, and the candidates are verified in key
-// order on the calling goroutine, so the statistics — the heap's
-// sequential/random split included — repeat exactly from the same state.
+// QueryPrepared runs the full pruning + refinement pipeline of a
+// prepared query against the frozen snapshot and returns result
+// statistics; every read is served lock-free from the generation, and the
+// candidates are verified in key order on the calling goroutine, so the
+// statistics — the heap's sequential/random split included — repeat
+// exactly from the same state. A query Covered rejects returns an error
+// wrapping ErrNotCovered.
 //
-// A non-nil tr accumulates per-phase wall times — plan, B-tree probe,
-// candidate fetch, NoK refinement — and the I/O each phase caused; a nil
-// tr disables every timer and counter snapshot.
+// A non-nil tr accumulates per-phase wall times — B-tree probe, candidate
+// fetch, NoK refinement — and the I/O each phase caused; a nil tr
+// disables every timer and counter snapshot.
 //
 // Limits are enforced at the pipeline's natural checkpoints: the range
 // scan stops once MaxCandidates is crossed, refinement charges every
@@ -371,23 +372,19 @@ func (g *Generation) scanFetch(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok b
 //
 // When the index is degraded the answer comes from ScanCount with
 // Fallback set: exact, only slower.
-func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (Result, error) {
+func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits) (Result, error) {
 	buf := candPool.Get().(*[]Candidate)
-	p, cands, scanned, useScan, err := g.probe(ctx, path, tr, lim, *buf)
+	cands, scanned, useScan, err := g.probe(ctx, pq, tr, lim, *buf)
 	// Deferred past refine: the fetch closure reads cands until then.
 	defer recycle(buf, cands)
 	if err != nil {
 		return Result{}, err
 	}
 	if useScan {
-		return g.ScanCount(ctx, p.tree, tr, lim, true)
+		return g.ScanCount(ctx, pq.tree, tr, lim, true)
 	}
 	res := Result{Entries: g.entries, Scanned: scanned, Candidates: len(cands)}
-	nq, fetch, err := g.refinement(p, cands)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Matched, res.Count, err = g.refine(ctx, len(cands), nq, lim, tr, fetch)
+	res.Matched, res.Count, err = g.refine(ctx, len(cands), pq.refine, lim, tr, g.refinement(pq, cands))
 	if err != nil {
 		return Result{}, err
 	}
@@ -397,25 +394,40 @@ func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *ob
 	return res, nil
 }
 
-// ExistsGoverned reports whether the query has at least one result,
+// QueryGoverned is QueryPrepared for a query planned afresh; a non-nil
+// tr also gets the plan wall time.
+func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (Result, error) {
+	pq, err := g.ix.newPrepared(path, tr)
+	if err != nil {
+		return Result{}, err
+	}
+	return g.QueryPrepared(ctx, pq, tr, lim)
+}
+
+// ExistsPrepared reports whether a prepared query has at least one result,
 // refining candidates lazily and stopping at the first hit. It observes
-// ctx only (no Limits), and like QueryGoverned answers from the scan
+// ctx only (no Limits), and like QueryPrepared answers from the scan
 // when the index is degraded.
-func (g *Generation) ExistsGoverned(ctx context.Context, path *xpath.Path) (bool, error) {
+func (g *Generation) ExistsPrepared(ctx context.Context, pq *Prepared) (bool, error) {
 	buf := candPool.Get().(*[]Candidate)
-	p, cands, _, useScan, err := g.probe(ctx, path, nil, Limits{}, *buf)
+	cands, _, useScan, err := g.probe(ctx, pq, nil, Limits{}, *buf)
 	defer recycle(buf, cands) // after firstHit: the fetch closure reads cands
 	if err != nil {
 		return false, err
 	}
 	if useScan {
-		return g.ScanExists(ctx, p.tree)
+		return g.ScanExists(ctx, pq.tree)
 	}
-	nq, fetch, err := g.refinement(p, cands)
+	return g.firstHit(ctx, len(cands), pq.refine, g.refinement(pq, cands))
+}
+
+// ExistsGoverned is ExistsPrepared for a query planned afresh.
+func (g *Generation) ExistsGoverned(ctx context.Context, path *xpath.Path) (bool, error) {
+	pq, err := g.ix.newPrepared(path, nil)
 	if err != nil {
 		return false, err
 	}
-	return g.firstHit(ctx, len(cands), nq, fetch)
+	return g.ExistsPrepared(ctx, pq)
 }
 
 // ScanCount answers a query without the index by refining every live

@@ -137,6 +137,11 @@ type Index struct {
 	// at Open time or by a query-time page read; nil means healthy. Once
 	// set, queries answer from the scan fallback. Guarded by healthMu.
 	health error
+
+	// plans holds the prepared queries by text (prepared.go). plansMu is
+	// held only for one lookup or insert, never while planning.
+	plansMu sync.Mutex           // lockcheck: leaf
+	plans   map[string]*Prepared // guarded by plansMu
 }
 
 // Health returns nil for a healthy index, or an error (wrapping
@@ -282,6 +287,10 @@ func (ix *Index) Close() error {
 // Store returns the primary store the index was built over.
 func (ix *Index) Store() *storage.Store { return ix.store }
 
+// Dict returns the label dictionary the index plans and compiles
+// queries with: its store's.
+func (ix *Index) Dict() *xmltree.Dict { return ix.dict }
+
 // SizeBytes returns the index size: the B-tree's pages.
 func (ix *Index) SizeBytes() int64 {
 	if ix.bt == nil {
@@ -293,10 +302,9 @@ func (ix *Index) SizeBytes() int64 {
 // EdgePairs returns the number of distinct edge-label pairs assigned.
 func (ix *Index) EdgePairs() int { return ix.enc.Len() }
 
-// queryPlan carries the analyzed form of one query.
+// queryPlan carries the analyzed form of one query: what the probe
+// compares entries with.
 type queryPlan struct {
-	tree     *xpath.QNode
-	twigs    []*xpath.Twig
 	feats    []Features  // per twig, relaxed by slack: what entries are compared with
 	specs    [][]float64 // per twig: σ₂.. of the (exact) pattern, for SpectrumK
 	topLabel uint32
@@ -304,23 +312,23 @@ type queryPlan struct {
 	empty    bool // provably no results
 }
 
-// plan computes twig features and the scan strategy for a query.
-func (ix *Index) plan(path *xpath.Path) (*queryPlan, error) {
-	qt := path.Tree()
+// plan computes twig features and the scan strategy for a query tree.
+func (ix *Index) plan(qt *xpath.QNode) (*queryPlan, error) {
 	if qt == nil {
 		return nil, fmt.Errorf("core: empty query")
 	}
-	p := &queryPlan{tree: qt, twigs: xpath.Decompose(qt)}
-	top := p.twigs[0]
+	p := &queryPlan{}
+	twigs := xpath.Decompose(qt)
+	top := twigs[0]
 	if ix.opts.DepthLimit > 0 {
 		if top.Root.Depth() > ix.opts.DepthLimit {
 			return nil, fmt.Errorf("%w: top twig depth %d > limit %d", ErrNotCovered, top.Root.Depth(), ix.opts.DepthLimit)
 		}
 		// Descendant sub-twigs carry no pruning power for depth-limited
 		// indexes (paper §5); only the top twig is used.
-		p.twigs = p.twigs[:1]
+		twigs = twigs[:1]
 	}
-	for _, tw := range p.twigs {
+	for _, tw := range twigs {
 		pn, ok := ix.resolve(tw.Root, nil)
 		if !ok {
 			p.empty = true
@@ -459,7 +467,7 @@ func (ix *Index) Covered(path *xpath.Path) bool {
 // QueryFeatures exposes the feature pair FIX computes for the query's top
 // twig; diagnostics and experiments use it.
 func (ix *Index) QueryFeatures(path *xpath.Path) (Features, bool, error) {
-	p, err := ix.plan(path)
+	p, err := ix.plan(path.Tree())
 	if err != nil {
 		return Features{}, false, err
 	}

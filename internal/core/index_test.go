@@ -57,9 +57,16 @@ func freeze(t testing.TB, ix *Index) *Generation {
 	return g
 }
 
-// query runs q on g with no trace and no limits.
+// query runs q on g with no trace and no limits, planned afresh, and
+// checks the served path against it (checkCached): every query of the
+// tests that use this helper is also a case of the plan cache's
+// differential.
 func query(g *Generation, q *xpath.Path) (Result, error) {
-	return g.QueryGoverned(context.Background(), q, nil, Limits{})
+	res, err := g.QueryGoverned(context.Background(), q, nil, Limits{})
+	if err != nil {
+		return res, err
+	}
+	return res, checkCached(g, q, res)
 }
 
 // bruteCount evaluates the query over every document with the bare

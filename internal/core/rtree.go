@@ -59,7 +59,7 @@ func (f *FeatureRTree) ResetStats() { f.rt.ResetStats() }
 // Candidates runs the pruning phase through the R-tree. The candidate set
 // is identical to Index.Candidates; only the search structure differs.
 func (f *FeatureRTree) Candidates(path *xpath.Path) ([]Candidate, error) {
-	p, err := f.ix.plan(path)
+	p, err := f.ix.plan(path.Tree())
 	if err != nil {
 		return nil, err
 	}

@@ -148,7 +148,7 @@ func TestProbeMatchesScanOfEverything(t *testing.T) {
 			g := freeze(t, ix)
 			probed, unlabelled := 0, 0
 			for _, q := range queries {
-				p, err := ix.plan(q)
+				p, err := ix.plan(q.Tree())
 				if err != nil || p.empty {
 					continue // deeper than the index, or a label the data does not have
 				}

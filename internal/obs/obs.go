@@ -121,6 +121,10 @@ type Trace struct {
 	// Fallback reports that the index was degraded and the result came
 	// from a full sequential scan; the pruning counters are then zero.
 	Fallback bool
+	// PlanCached reports that the query's parsed, planned and compiled
+	// form came from the index's plan cache, which is why the parse and
+	// plan phases read zero.
+	PlanCached bool
 	// Generation is the publish sequence number of the index generation
 	// the query ran against (0 when unknown), for attributing traces
 	// across concurrent index swaps.

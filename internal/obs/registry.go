@@ -23,6 +23,11 @@ type Registry struct {
 	results      atomic.Int64
 	nodesVisited atomic.Int64
 
+	// Plan-cache lookups of the query path: a hit serves a query's parsed,
+	// planned and compiled form from its index's cache, a miss prepares it.
+	planCacheHits   atomic.Int64
+	planCacheMisses atomic.Int64
+
 	// Rejection classes of the resource-governance layer: queries turned
 	// away at the admission gate, killed by their deadline, or stopped by
 	// a work budget — plus panics converted to errors by a containment
@@ -89,6 +94,15 @@ func (r *Registry) ObserveQuery(total time.Duration, scanned, candidates, matche
 	r.results.Add(int64(results))
 	r.nodesVisited.Add(visited)
 	r.latency.Observe(total)
+}
+
+// ObservePlanCache records one plan-cache lookup and whether it hit.
+func (r *Registry) ObservePlanCache(hit bool) {
+	if hit {
+		r.planCacheHits.Add(1)
+	} else {
+		r.planCacheMisses.Add(1)
+	}
 }
 
 // ObserveQueryError records a query that failed (parse error, I/O
@@ -181,6 +195,9 @@ type RegistrySnapshot struct {
 	Results      int64 `json:"results"`
 	NodesVisited int64 `json:"nodes_visited"`
 
+	PlanCacheHits   int64 `json:"plan_cache_hits"`
+	PlanCacheMisses int64 `json:"plan_cache_misses"`
+
 	// Resource-governance rejection classes and contained panics.
 	RejectedAdmission int64 `json:"queries_rejected_admission"`
 	DeadlineExceeded  int64 `json:"queries_deadline_exceeded"`
@@ -228,6 +245,9 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		Matched:      r.matched.Load(),
 		Results:      r.results.Load(),
 		NodesVisited: r.nodesVisited.Load(),
+
+		PlanCacheHits:   r.planCacheHits.Load(),
+		PlanCacheMisses: r.planCacheMisses.Load(),
 
 		RejectedAdmission: r.rejectedAdmission.Load(),
 		DeadlineExceeded:  r.deadlineExceeded.Load(),

@@ -8,7 +8,8 @@ import (
 // FuzzParseXPath asserts the query parser's hardening contract on
 // arbitrary input: every failure is a typed error (ErrSyntax or
 // ErrLimit, never a panic or an unclassified error), and every accepted
-// expression round-trips through String().
+// expression round-trips through String() and has the first step
+// FirstStep reads without parsing.
 func FuzzParseXPath(f *testing.F) {
 	seeds := []string{
 		"//a",
@@ -34,6 +35,10 @@ func FuzzParseXPath(f *testing.F) {
 				t.Fatalf("Parse(%q): unclassified error %v", s, err)
 			}
 			return
+		}
+		axis, name, ok := FirstStep(s)
+		if first := p.Steps[0]; !ok || axis != first.Axis || name != first.Name {
+			t.Fatalf("FirstStep(%q) = %v %q %t, Parse's first step is %v %q", s, axis, name, ok, first.Axis, first.Name)
 		}
 		out := p.String()
 		p2, err := Parse(out)

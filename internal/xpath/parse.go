@@ -104,6 +104,23 @@ func MustParse(input string) *Path {
 	return p
 }
 
+// FirstStep returns the axis and name of expr's first step, read with
+// the parser's own rules, without parsing the rest: ok is false when the
+// text does not start with an axis and a name. A text FirstStep accepts
+// may still be malformed further on; only Parse tells.
+func FirstStep(expr string) (axis Axis, name string, ok bool) {
+	p := &parser{src: expr}
+	p.skipSpace()
+	if axis, ok = p.axis(); !ok {
+		return Child, "", false
+	}
+	name, err := p.name()
+	if err != nil {
+		return Child, "", false
+	}
+	return axis, name, true
+}
+
 type parser struct {
 	src string
 	pos int
