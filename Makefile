@@ -105,13 +105,15 @@ serve-smoke:
 	$(GO) test -race -v -run 'TestCollectionServerAcceptance|TestServingDocCoversAllRoutes|TestServingDocCoversAllFlags' ./cmd/fixserve/
 
 # fuzz-smoke runs each native fuzz target briefly on top of the committed
-# seed corpus — a cheap regression net for the input-hardening layer.
+# seed corpus — a cheap regression net for the input-hardening layer and
+# the hand-written query-response encoder.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseXML -fuzztime=10s ./internal/xmltree/
 	$(GO) test -fuzz=FuzzParseXPath -fuzztime=10s ./internal/xpath/
 	$(GO) test -fuzz=FuzzViewPage -fuzztime=10s ./internal/btree/
 	$(GO) test -fuzz=FuzzEntryValue -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/fixserve/
+	$(GO) test -fuzz=FuzzQueryResponse -fuzztime=10s ./cmd/fixserve/
 
 # stress hammers the governed fixserve stack — queries through the
 # admission gate, breaker and panic containment, plus concurrent durable

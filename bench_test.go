@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/fix-index/fix/fix"
+	"github.com/fix-index/fix/internal/collection"
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/datagen"
 	"github.com/fix-index/fix/internal/eigen"
@@ -383,6 +384,35 @@ func BenchmarkServedQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// BenchmarkCollectionQuery measures collection.Query, the scatter-gather
+// the collection route serves, round-robin over servedQueryTemplates on
+// the same 1 000 DBLP records in a 4-shard collection: the two
+// root-anchored templates target one shard, the two others scatter to
+// all four. The scatter runs on at most GOMAXPROCS goroutines, on the
+// caller's alone at one CPU, so compare it at -cpu 1,2.
+func BenchmarkCollectionQuery(b *testing.B) {
+	ctx := context.Background()
+	col, err := collection.Create(ctx, b.TempDir(), collection.Spec{Name: "bib", Shards: 4}, collection.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = col.Close() }()
+	var docs []string
+	for _, rec := range datagen.DBLP(datagen.Config{Seed: 4, Scale: 0.025}).Children {
+		docs = append(docs, xmltree.MarshalString(rec))
+	}
+	if _, err := col.AddBatch(ctx, docs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := col.Query(ctx, servedQueryTemplates[i%len(servedQueryTemplates)], collection.QueryOpts{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -101,7 +101,9 @@ func (cs *colServer) acquire(w http.ResponseWriter, r *http.Request) (*collectio
 // colQueryResponse is the /c/{collection}/query JSON shape: the merged
 // collection result plus request attribution. The embedded
 // collection.Result carries count, per-shard rows (with traces when
-// trace=1), and the partial/degraded flags.
+// trace=1), and the partial/degraded flags. Its encode method
+// (response.go) writes it, so a field added here or to collection.Result
+// or collection.ShardResult is added there.
 type colQueryResponse struct {
 	Collection string `json:"collection"`
 	Query      string `json:"query"`
@@ -114,12 +116,13 @@ func (cs *colServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	expr := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	expr := params.Get("q")
 	if expr == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	traced := r.URL.Query().Get("trace") == "1"
+	traced := params.Get("trace") == "1"
 	weight := int64(col.Weight())
 	if traced {
 		weight *= 2
@@ -140,7 +143,9 @@ func (cs *colServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	writeJSON(w, colQueryResponse{Collection: col.Name(), Query: expr, Result: res})
+	resp := colQueryResponse{Collection: col.Name(), Query: expr, Result: res}
+	body, err := resp.encode()
+	writeBody(w, body, err)
 }
 
 func (cs *colServer) handleIngest(w http.ResponseWriter, r *http.Request) {

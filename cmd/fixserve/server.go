@@ -128,7 +128,8 @@ func admit(w http.ResponseWriter, r *http.Request, g *gate, queueWait time.Durat
 // queryResponse is the /query JSON shape. Trace is present only when
 // the request asked for one with trace=1; ScanFallback reports that the
 // count came from the exact sequential scan (degraded index, or the
-// circuit breaker routing around a suspected-faulty one).
+// circuit breaker routing around a suspected-faulty one). Its encode
+// method (response.go) writes it, so a field added here is added there.
 type queryResponse struct {
 	Query        string          `json:"query"`
 	Count        int             `json:"count"`
@@ -140,12 +141,13 @@ type queryResponse struct {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	expr := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	expr := params.Get("q")
 	if expr == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	traced := r.URL.Query().Get("trace") == "1"
+	traced := params.Get("trace") == "1"
 	weight := int64(1)
 	if traced {
 		weight = 2
@@ -177,7 +179,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	writeJSON(w, queryResponse{
+	resp := queryResponse{
 		Query:        expr,
 		Count:        res.Count,
 		Entries:      res.Entries,
@@ -185,7 +187,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Matched:      res.MatchedEntries,
 		ScanFallback: res.ScanFallback,
 		Trace:        res.Trace,
-	})
+	}
+	body, err := resp.encode()
+	writeBody(w, body, err)
 }
 
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -118,8 +118,11 @@ func ValidateName(name string) error {
 type Options struct {
 	// ShardTimeout is the per-shard query deadline: each shard's probe +
 	// refinement runs under its own context.WithTimeout of this length,
-	// independent of its siblings (shards run in parallel, so the
-	// collection-level wall time is the slowest shard, not the sum). A
+	// started when that shard begins, so time a shard waits for a CPU
+	// while its siblings compute does not count against it. A scatter
+	// runs its n shards on W = min(n, GOMAXPROCS) goroutines (W = 1, the
+	// caller's, on one CPU or for fewer than four shards), so the
+	// collection-level wall time is at most ⌈n/W⌉ shard deadlines. A
 	// shard that misses it is reported in the result's shard trace and
 	// the query returns partial results. 0 disables the per-shard
 	// deadline (the request context still applies).
@@ -465,6 +468,9 @@ func (c *Collection) Apply(ctx context.Context, ops []Op) ([]uint64, error) {
 	if touched == 1 {
 		err = submit(ops[0].Shard)
 	} else {
+		// Workers sized by shards, not CPUs (unlike Query's scatter): a
+		// submission waits on its shard's WAL fsync, and those waits
+		// overlap even on one CPU.
 		err = par.Do(ctx, len(c.shards), len(c.shards), submit)
 	}
 	if err != nil {
@@ -523,7 +529,8 @@ func (c *Collection) Document(id uint64) (string, error) {
 }
 
 // Flush blocks until every shard's queued ingest operations have
-// committed.
+// committed. Like Apply it sizes its workers by shards: each waits on a
+// commit's fsync.
 func (c *Collection) Flush(ctx context.Context) error {
 	return par.Do(ctx, len(c.shards), len(c.shards), func(i int) error {
 		return c.shards[i].Ing.Flush(ctx)

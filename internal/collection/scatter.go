@@ -88,11 +88,14 @@ type Result struct {
 }
 
 // Query evaluates an absolute XPath expression against the collection:
-// route (one shard or all), probe the targets in parallel under
-// per-shard deadlines, merge in shard order. A syntactically invalid
-// expression fails the whole query with fix.ErrBadQuery; a canceled or
-// expired request context fails it with the context error; per-shard
-// deadline and budget kills degrade to a Partial result instead.
+// route (one shard or all), probe the targets under per-shard deadlines
+// on at most min(targets, GOMAXPROCS) goroutines, merge in shard order.
+// A shard probe is CPU work, so more goroutines than CPUs only add their
+// start-up and scheduling; on one CPU the targets run in turn on the
+// caller's goroutine. A syntactically invalid expression fails the whole
+// query with fix.ErrBadQuery; a canceled or expired request context fails
+// it with the context error; per-shard deadline and budget kills degrade
+// to a Partial result instead.
 func (c *Collection) Query(ctx context.Context, expr string, opts QueryOpts) (Result, error) {
 	targets := c.shards
 	target := queryTarget(expr, len(c.shards))
@@ -104,7 +107,7 @@ func (c *Collection) Query(ctx context.Context, expr string, opts QueryOpts) (Re
 	if opts.WithDocuments {
 		docs = make([][]uint32, len(targets))
 	}
-	err := par.Do(ctx, len(targets), len(targets), func(i int) error {
+	err := par.Do(ctx, 0, len(targets), func(i int) error {
 		var rowDocs *[]uint32
 		if docs != nil {
 			rowDocs = &docs[i]

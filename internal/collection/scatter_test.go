@@ -6,23 +6,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/fix-index/fix/fix"
+	"github.com/fix-index/fix/internal/par"
 )
 
-// TestShardDeadlinePartialResult stalls one shard past the per-shard
-// deadline: the query must return the surviving shards' results marked
-// Partial, identify the late shard as TimedOut, and keep the others'
-// counts exact.
-func TestShardDeadlinePartialResult(t *testing.T) {
-	const nshards = 3
-	c := newTestCollection(t, Spec{Name: "late", Shards: nshards},
+// newLateCollection creates a collection of nshards shards under a
+// 30 ms per-shard deadline, each shard holding four two-item documents.
+func newLateCollection(t *testing.T, name string, nshards int) *Collection {
+	t.Helper()
+	c := newTestCollection(t, Spec{Name: name, Shards: nshards},
 		Options{ShardTimeout: 30 * time.Millisecond})
-	ctx := context.Background()
-
 	var docs []string
 	for sh := 0; sh < nshards; sh++ {
 		l := labelFor(t, sh, nshards)
@@ -30,18 +29,24 @@ func TestShardDeadlinePartialResult(t *testing.T) {
 			docs = append(docs, doc(l, 2))
 		}
 	}
-	if _, err := c.AddBatch(ctx, docs); err != nil {
+	if _, err := c.AddBatch(context.Background(), docs); err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
 
-	const late = 1
+// checkLateShard stalls shard late of a newLateCollection past the
+// per-shard deadline, and leaves the stall installed: the query must
+// return the surviving shards' results marked Partial, identify the late
+// shard as TimedOut, and keep the others' counts exact.
+func checkLateShard(t *testing.T, c *Collection, nshards, late int) {
+	t.Helper()
 	c.testShardStall = func(shard int) {
 		if shard == late {
 			time.Sleep(150 * time.Millisecond)
 		}
 	}
-
-	res, err := c.Query(ctx, "//item", QueryOpts{Trace: true})
+	res, err := c.Query(context.Background(), "//item", QueryOpts{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,22 +74,76 @@ func TestShardDeadlinePartialResult(t *testing.T) {
 		}
 		if r.Trace == nil {
 			t.Errorf("healthy shard %d returned no trace", r.Shard)
-		} else if r.Trace.Collection != "late" || r.Trace.Shard != r.Shard {
+		} else if r.Trace.Collection != c.Name() || r.Trace.Shard != r.Shard {
 			t.Errorf("shard %d trace attribution = %q/%d", r.Shard, r.Trace.Collection, r.Trace.Shard)
 		}
 	}
 	if want := (nshards - 1) * 4 * 2; res.Count != want {
 		t.Errorf("partial count = %d, want %d (surviving shards only)", res.Count, want)
 	}
+}
 
-	// A targeted query avoiding the stalled shard is unaffected.
+// TestShardDeadlinePartialResult runs checkLateShard, then checks a
+// targeted query avoiding the stalled shard is unaffected.
+func TestShardDeadlinePartialResult(t *testing.T) {
+	const nshards = 3
+	c := newLateCollection(t, "late", nshards)
+	checkLateShard(t, c, nshards, 1)
+
 	l0 := labelFor(t, 0, nshards)
-	res, err = c.Query(ctx, "/"+l0+"/item", QueryOpts{})
+	res, err := c.Query(context.Background(), "/"+l0+"/item", QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Partial || res.Count != 4*2 {
 		t.Errorf("targeted query around the stall = %+v", res)
+	}
+}
+
+// goroutineID is the number runtime.Stack prints on the calling
+// goroutine's "goroutine N [running]:" line.
+func goroutineID() string {
+	var buf [64]byte
+	line := buf[:runtime.Stack(buf[:], false)]
+	return strings.Fields(string(line))[1]
+}
+
+// TestScatterOneCPU scatters over four shards with one CPU: every shard
+// runs on the caller's goroutine, in shard order; a shard stalled past
+// its deadline is still the only one timed out, since each shard's clock
+// starts with that shard; and a panicking shard fails the query with
+// par.ErrPanic instead of crashing the process.
+func TestScatterOneCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const nshards = 4
+	c := newLateCollection(t, "onecpu", nshards)
+
+	caller := goroutineID()
+	var ran []int // appended on the caller's goroutine only, checked below
+	c.testShardStall = func(shard int) {
+		if id := goroutineID(); id != caller {
+			t.Errorf("shard %d ran on goroutine %s, want the caller's %s", shard, id, caller)
+			return
+		}
+		ran = append(ran, shard)
+	}
+	res, err := c.Query(context.Background(), "//item", QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ran) != "[0 1 2 3]" || res.Count != nshards*4*2 {
+		t.Fatalf("shards run on the caller = %v, count %d; want [0 1 2 3] and %d", ran, res.Count, nshards*4*2)
+	}
+
+	checkLateShard(t, c, nshards, 1)
+
+	c.testShardStall = func(shard int) {
+		if shard == 2 {
+			panic("shard 2 stall hook")
+		}
+	}
+	if _, err := c.Query(context.Background(), "//item", QueryOpts{}); !errors.Is(err, par.ErrPanic) {
+		t.Fatalf("query with a panicking shard = %v, want par.ErrPanic", err)
 	}
 }
 
