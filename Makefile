@@ -30,7 +30,7 @@ race:
 # leaf-split characterisation). tools/norace fails when a !race file
 # declares a test this list does not name, or the list a test no file
 # declares.
-NORACE_TESTS = TestEvalDoesNotAllocate|TestIndexEntriesAreTheRecordedOnes|TestInPlaceEditsDoNotAllocate|TestLeafSplitFill|TestProbeMatchesScanOfEverything|TestQueryAllocsIndependentOfCandidates|TestViewReadsDoNotAllocate
+NORACE_TESTS = TestCollectionQueryAllocs|TestEvalDoesNotAllocate|TestIndexEntriesAreTheRecordedOnes|TestInPlaceEditsDoNotAllocate|TestLeafSplitFill|TestProbeMatchesScanOfEverything|TestQueryAllocsIndependentOfCandidates|TestViewReadsDoNotAllocate
 norace:
 	$(GO) test -run '^($(NORACE_TESTS))$$' ./...
 
@@ -105,8 +105,9 @@ serve-smoke:
 	$(GO) test -race -v -run 'TestCollectionServerAcceptance|TestServingDocCoversAllRoutes|TestServingDocCoversAllFlags' ./cmd/fixserve/
 
 # fuzz-smoke runs each native fuzz target briefly on top of the committed
-# seed corpus — a cheap regression net for the input-hardening layer and
-# the hand-written query-response encoder.
+# seed corpus — a cheap regression net for the input-hardening layer, the
+# hand-written query-response encoder, and the operation sequences every
+# query evaluator must answer as the reference does (internal/oracle).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseXML -fuzztime=10s ./internal/xmltree/
 	$(GO) test -fuzz=FuzzParseXPath -fuzztime=10s ./internal/xpath/
@@ -114,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzEntryValue -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/fixserve/
 	$(GO) test -fuzz=FuzzQueryResponse -fuzztime=10s ./cmd/fixserve/
+	$(GO) test -fuzz=FuzzOpSequence -fuzztime=10s ./internal/oracle/
 
 # stress hammers the governed fixserve stack — queries through the
 # admission gate, breaker and panic containment, plus concurrent durable

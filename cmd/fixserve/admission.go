@@ -46,14 +46,34 @@ func (g *gate) clamp(weight int64) int64 {
 	return weight
 }
 
+// TryAcquire grants weight units if the gate has room for them now and
+// nobody is queued ahead — Acquire's first step, so FIFO holds — and
+// reports whether it did. It never waits, so a caller builds its wait
+// context only when TryAcquire fails.
+func (g *gate) TryAcquire(weight int64) bool {
+	weight = g.clamp(weight)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.grantLocked(weight)
+}
+
+// grantLocked is the admission test without waiting: room for weight and
+// no waiters. The caller holds mu.
+func (g *gate) grantLocked(weight int64) bool {
+	if g.cur+weight <= g.capacity && len(g.waiters) == 0 {
+		g.cur += weight
+		return true
+	}
+	return false
+}
+
 // Acquire blocks until weight units are granted or ctx is done,
 // returning ctx.Err() in the latter case. Grants are FIFO: a heavy
 // waiter at the head is not starved by lighter arrivals behind it.
 func (g *gate) Acquire(ctx context.Context, weight int64) error {
 	weight = g.clamp(weight)
 	g.mu.Lock()
-	if g.cur+weight <= g.capacity && len(g.waiters) == 0 {
-		g.cur += weight
+	if g.grantLocked(weight) {
 		g.mu.Unlock()
 		return nil
 	}

@@ -69,6 +69,41 @@ func TestGateBlocksUntilReleased(t *testing.T) {
 	}
 }
 
+// TestGateTryAcquire: TryAcquire grants exactly when Acquire would
+// without waiting — room, and nobody queued — so a request that finds a
+// waiter ahead of it queues behind, even with room for itself.
+func TestGateTryAcquire(t *testing.T) {
+	g := newGate(2)
+	if !g.TryAcquire(1) {
+		t.Fatal("TryAcquire on an empty gate failed")
+	}
+	if g.TryAcquire(2) {
+		t.Fatal("TryAcquire granted past capacity")
+	}
+	heavy := make(chan error, 1)
+	go func() { heavy <- g.Acquire(context.Background(), 2) }()
+	for {
+		g.mu.Lock()
+		queued := len(g.waiters)
+		g.mu.Unlock()
+		if queued == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if g.TryAcquire(1) {
+		t.Fatal("TryAcquire overtook a queued waiter")
+	}
+	g.Release(1)
+	if err := <-heavy; err != nil {
+		t.Fatalf("queued acquire: %v", err)
+	}
+	g.Release(2)
+	if in, _ := g.Load(); in != 0 {
+		t.Fatalf("in-flight after releases = %d, want 0", in)
+	}
+}
+
 func TestGateClampsOverweight(t *testing.T) {
 	g := newGate(1)
 	// Weight 2 against capacity 1 degrades to taking the whole gate

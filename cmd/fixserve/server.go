@@ -108,8 +108,12 @@ func (s *server) handler() http.Handler {
 // admit passes one request through the weighted admission gate, waiting
 // at most queueWait; on shedding it writes the 429 + Retry-After
 // response and returns false. The caller must Release(weight) after a
-// true return.
+// true return. A gate with room admits at once, with no wait context and
+// so no timer.
 func admit(w http.ResponseWriter, r *http.Request, g *gate, queueWait time.Duration, weight int64) bool {
+	if g.TryAcquire(weight) {
+		return true
+	}
 	waitCtx := r.Context()
 	if queueWait > 0 {
 		var cancel context.CancelFunc

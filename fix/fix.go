@@ -535,6 +535,10 @@ func (db *DB) Close() error {
 	if err := db.store.Close(); err != nil && first == nil {
 		first = err
 	}
+	// Replace the published generation by one frozen over the closed
+	// heap, which holds no mapping: the old one's goes with the last View
+	// pinned to it, not with the process.
+	db.publish()
 	if ix := db.indexRef(); ix != nil {
 		if err := ix.Close(); err != nil && first == nil {
 			first = err

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"github.com/fix-index/fix/internal/storage"
@@ -396,8 +397,11 @@ func TestOpenKeepsCorruptHeap(t *testing.T) {
 
 // TestHeapTruncatedUnderOpenDB cuts data.heap short from outside while
 // the database is open: the pages past the cut no longer exist, so a
-// query that reads a record there returns an error and Scrub reports the
-// heap damaged, while the process lives on.
+// query that navigates a record there — through the published generation
+// or a View pinned before the cut, each of which reads the heap in place
+// in its own mapping — returns a read error, not a contained panic, and
+// leaves the index healthy; Scrub reports the heap damaged, and the
+// process lives on.
 func TestHeapTruncatedUnderOpenDB(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := Create(dir)
@@ -419,11 +423,25 @@ func TestHeapTruncatedUnderOpenDB(t *testing.T) {
 	if db.store.Size() < 3*int64(os.Getpagesize()) {
 		t.Fatalf("fixture: a %d-byte heap does not reach past its second page", db.store.Size())
 	}
+	pinned := db.View()
+	defer pinned.Close()
 	if err := os.Truncate(filepath.Join(dir, "data.heap"), int64(os.Getpagesize())); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := db.Query("//article[author]/title"); err == nil {
-		t.Errorf("query over a truncated heap = %+v, want an error", res)
+	if res, err := db.Query("//article[author]/title"); err == nil || errors.Is(err, ErrPanic) {
+		t.Errorf("query over a truncated heap = %+v, %v; want a read error", res, err)
+	}
+	if res, err := pinned.Query("//article[author]/title"); err == nil || errors.Is(err, ErrPanic) {
+		t.Errorf("pinned View's query over a truncated heap = %+v, %v; want a read error", res, err)
+	}
+	if ok, err := pinned.Exists("//article[author][title=\"none\"]"); err == nil || errors.Is(err, ErrPanic) {
+		t.Errorf("pinned View's Exists over a truncated heap = %v, %v; want a read error", ok, err)
+	}
+	if ids, err := pinned.QueryDocuments("//article", ScanOnly()); err == nil || errors.Is(err, ErrPanic) {
+		t.Errorf("pinned View's QueryDocuments over a truncated heap = %v, %v; want a read error", ids, err)
+	}
+	if err := db.IndexHealth(); err != nil {
+		t.Errorf("a read error degraded the index: %v", err)
 	}
 	rep, err := db.Scrub(ScrubConfig{})
 	if !rep.HeapDamaged || !errors.Is(err, ErrCorrupt) {
@@ -451,5 +469,54 @@ func TestHeapReadFault(t *testing.T) {
 	}
 	if got, err := db.Query("//article[author]/title"); err != nil || got.Count != want.Count {
 		t.Errorf("query after the fault = %+v, %v; want count %d", got, err, want.Count)
+	}
+}
+
+// panickyHeap is a heap file whose reads panic once armed, the way a bug
+// below the matcher would.
+type panickyHeap struct {
+	storage.File
+	armed *atomic.Bool
+}
+
+func (f panickyHeap) ReadAt(p []byte, off int64) (int, error) {
+	if f.armed.Load() {
+		panic("heap read bug")
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestRefinementPanicDegrades: the fault guard around refinement turns
+// only a memory fault into a read error. Any other panic in refinement —
+// here one in the heap read a candidate's fetch makes — still reaches the
+// DB's barrier, returns ErrPanic and degrades the index, and the scan
+// fallback answers once the heap reads again.
+func TestRefinementPanicDegrades(t *testing.T) {
+	dir, want := buildPersistentDB(t)
+	var armed atomic.Bool
+	origOpen := fileOpen
+	fileOpen = func(path string) (storage.File, error) {
+		f, err := storage.Open(path)
+		if err != nil || filepath.Base(path) != "data.heap" {
+			return f, err
+		}
+		return panickyHeap{File: f, armed: &armed}, nil
+	}
+	db, err := Open(dir)
+	fileOpen = origOpen
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	armed.Store(true)
+	if res, err := db.Query("//article[author]/title"); !errors.Is(err, ErrPanic) {
+		t.Fatalf("query whose refinement panics = %+v, %v; want ErrPanic", res, err)
+	}
+	if db.IndexHealth() == nil {
+		t.Error("a panic in refinement did not degrade the index")
+	}
+	armed.Store(false)
+	if got, err := db.Query("//article[author]/title"); err != nil || got.Count != want.Count || !got.ScanFallback {
+		t.Errorf("query after the panic = %+v, %v; want count %d from the scan fallback", got, err, want.Count)
 	}
 }

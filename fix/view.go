@@ -3,12 +3,14 @@ package fix
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/obs"
+	"github.com/fix-index/fix/internal/storage"
 )
 
 // ErrViewClosed reports a query on a View whose Close already ran.
@@ -300,6 +302,10 @@ func (v *View) QueryDocumentsCtx(ctx context.Context, expr string, opts ...Query
 		}
 	}
 	store, tombs := g.Store(), g.Tombs()
+	// The matcher walks records in the heap's mapping: a page truncated
+	// away under it is a read error, not a crash.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer storage.GuardFault(&err)
 	for rec := range uint32(store.NumRecords()) {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,10 +29,10 @@ import (
 //
 // Generations are reference counted: the publisher holds one reference
 // (released when the next generation replaces it), and every pinned
-// reader holds one more. When the count reaches zero the release hook
-// runs and the generation's memory becomes collectable; the heap file
-// itself is shared with the live store and is never reclaimed per
-// generation.
+// reader holds one more. When the count reaches zero the heap view lets
+// go of the mapping it reads in place, the release hook runs and the
+// generation's memory becomes collectable; the heap file itself is shared
+// with the live store and is never reclaimed per generation.
 type Generation struct {
 	id        uint64                     // immutable after publish
 	ix        *Index                     // immutable after publish (plan state is read-only and shared)
@@ -116,9 +117,18 @@ func (g *Generation) Pin() bool {
 	}
 }
 
-// Unpin drops a reference; the last drop runs the release hook.
+// Unpin drops a reference. The last drop releases the heap views, so the
+// mapping they read goes once no newer view holds it, and runs the
+// release hook.
 func (g *Generation) Unpin() {
-	if g.refs.Add(-1) == 0 && g.onRelease != nil {
+	if g.refs.Add(-1) != 0 {
+		return
+	}
+	g.store.Release()
+	if g.clustered != nil {
+		g.clustered.Release()
+	}
+	if g.onRelease != nil {
 		g.onRelease()
 	}
 }
@@ -484,8 +494,12 @@ func storageDelta(d storage.Stats) obs.StorageDelta {
 // with nothing to do. A non-nil tr accumulates the fetch and refinement
 // wall time, the visit count and the heap I/O of the pass — kept on an
 // error, that is the partial trace — and on success the match counts; a
-// nil tr reads no clock.
+// nil tr reads no clock. The matcher walks records in the heap's mapping,
+// so the pass runs under storage.GuardFault: a page truncated away under
+// it is a read error.
 func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limits, tr *obs.Trace, fetch fetchFunc) (matched, count int, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer storage.GuardFault(&err)
 	bud := refineBudget(ctx, lim)
 	var st0 storage.Stats
 	if tr != nil {
@@ -536,8 +550,11 @@ func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limit
 
 // firstHit is the refinement loop of the Exists paths: it reports
 // whether any of the n work items matches nq, stopping at the first
-// that does. Like refine it checks ctx before each item and at the end.
-func (g *Generation) firstHit(ctx context.Context, n int, nq *nok.Query, fetch fetchFunc) (bool, error) {
+// that does. Like refine it checks ctx before each item and at the end,
+// and runs under storage.GuardFault.
+func (g *Generation) firstHit(ctx context.Context, n int, nq *nok.Query, fetch fetchFunc) (hit bool, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer storage.GuardFault(&err)
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return false, err

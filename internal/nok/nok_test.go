@@ -3,9 +3,9 @@ package nok
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
+	"github.com/fix-index/fix/internal/oracle"
 	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
 )
@@ -126,79 +126,6 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-// naiveBindings is the reference the matcher is validated against: an
-// exponential-time enumeration of every embedding of q's subtree with q
-// bound to the node at r. ok reports whether any embedding exists; outs
-// holds the node the output query node binds in each of them (empty when
-// the output node lies outside q's subtree). It shares nothing with the
-// matcher but the cursor.
-func naiveBindings(cur xmltree.Cursor, r xmltree.Ref, q *xpath.QNode) (outs map[xmltree.Ref]bool, ok bool) {
-	if q.IsValue {
-		if !cur.IsText(r) || cur.Text(r) != q.Value {
-			return nil, false
-		}
-	} else if cur.IsText(r) || cur.Label(r) != q.Name {
-		return nil, false
-	}
-	outs = map[xmltree.Ref]bool{}
-	if q.Output {
-		outs[r] = true
-	}
-	for _, qc := range q.Children {
-		found := false
-		var below func(x xmltree.Ref)
-		below = func(x xmltree.Ref) {
-			it := cur.Children(x)
-			for c, more := it.Next(); more; c, more = it.Next() {
-				if o, ok := naiveBindings(cur, c, qc); ok {
-					found = true
-					for b := range o {
-						outs[b] = true
-					}
-				}
-				if qc.Axis == xpath.Descendant {
-					below(c)
-				}
-			}
-		}
-		below(r)
-		if !found {
-			return nil, false
-		}
-	}
-	return outs, true
-}
-
-// naiveOutputs returns the reference answer of the whole query on the
-// document: whether it matches, and the output bindings in document
-// order, with the query root bound per the leading axis.
-func naiveOutputs(cur xmltree.Cursor, q *xpath.QNode) ([]xmltree.Ref, bool) {
-	all := map[xmltree.Ref]bool{}
-	matched := false
-	var try func(r xmltree.Ref)
-	try = func(r xmltree.Ref) {
-		if o, ok := naiveBindings(cur, r, q); ok {
-			matched = true
-			for b := range o {
-				all[b] = true
-			}
-		}
-		if q.Axis == xpath.Descendant {
-			it := cur.Children(r)
-			for c, more := it.Next(); more; c, more = it.Next() {
-				try(c)
-			}
-		}
-	}
-	try(0)
-	outs := make([]xmltree.Ref, 0, len(all))
-	for b := range all {
-		outs = append(outs, b)
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
-	return outs, matched
-}
-
 // Three labels and two text values keep random documents full of
 // same-label siblings and recursive labels, and random queries likely
 // to bind.
@@ -259,7 +186,7 @@ func randomQuery(rng *rand.Rand, depth int, descProb float64) *xpath.QNode {
 
 // TestAgainstNaiveReference is the differential oracle: on seeded random
 // document/query pairs the matcher must agree with the all-embeddings
-// reference on existence, on the count, and on the output nodes in
+// reference (internal/oracle) on existence, on the count, and on the output nodes in
 // document order; and the budgeted entry point with a nil budget must be
 // the plain one. The coverage map proves the generator reached every
 // shape the matcher treats differently.
@@ -279,7 +206,7 @@ func TestAgainstNaiveReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, matched := naiveOutputs(cur, qt)
+		want, matched := oracle.Outputs(cur, qt)
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("trial %d: %s\ndoc: %s\nquery: %s", trial, fmt.Sprintf(format, args...), doc, qt)

@@ -22,12 +22,10 @@ var ErrInjected = errors.New("storage: injected fault")
 // must cope with the prefix of writes alone. Reads keep working either
 // way, letting the aborting code path run to completion.
 //
-// A Store over a wrapped heap maps the file beneath the wrapper and wraps
-// the mapping in a FaultFile on the same plan (see mapHeap): its views'
-// reads, its own reads of the plain file and its writes all count
-// against the plan, and an injected read fault fails the ReadAt before
-// the mapping is touched, so a wrapped heap reads and writes the way an
-// unwrapped one does.
+// A Store over a wrapped heap does not map it (see mapHeap): a FaultFile
+// has no region to hand a view, so its views copy each record out with
+// ReadAt, and their reads, the store's own reads and its writes all count
+// against the plan.
 type FaultPlan struct {
 	FailWrite int  // fail the Nth write op (1-based); 0 = never
 	FailRead  int  // fail the Nth read op (1-based); 0 = never

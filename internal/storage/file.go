@@ -3,7 +3,7 @@
 // by stable pointers (record, offset) that index entries carry as their
 // payload. It also provides the File abstraction shared with the B-tree
 // pager, with OS-file and in-memory implementations and, for the heap on
-// unix, a file whose reads copy out of a shared mapping, and I/O
+// unix, a file whose views read records in place in a shared mapping, and I/O
 // accounting that distinguishes sequential from random reads so the
 // experiments can report implementation-independent costs for clustered
 // versus unclustered indexes (paper §4.1).
@@ -69,6 +69,18 @@ type MemFile struct {
 
 // NewMemFile returns an empty in-memory file.
 func NewMemFile() *MemFile { return &MemFile{} }
+
+// pinRegion hands a view the buffer as it is, to read in place: a write
+// that outgrows it moves the file to a new buffer and leaves this one to
+// the views, and one that does not lands past every record a view holds,
+// since rollback truncates only records newer than any view.
+func (f *MemFile) pinRegion() *region {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	r := &region{mem: f.buf[:len(f.buf):len(f.buf)]}
+	r.refs.Store(1)
+	return r
+}
 
 func (f *MemFile) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.RLock()

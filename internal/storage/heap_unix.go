@@ -4,11 +4,10 @@ package storage
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"os"
-	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -18,50 +17,67 @@ import (
 // read touches it.
 var minReserve int64 = 64 << 20
 
-// mappedFile is the record heap's File on unix, the one a Store writes
-// and its views read through: writes, syncs and truncation go to the
-// file, and reads copy out of a read-only shared mapping of it, so
-// reading a record the page cache holds is a memcpy instead of a pread
-// syscall.
-//
-// A read never touches a byte past size, the file's length as this File
-// last wrote or truncated it, so a legitimate read cannot fault on a page
-// past the end of the file.
-//
-// A mapping is a speed-up, never a requirement: where the file cannot be
-// mapped (an address-space limit, a filesystem that refuses mmap) reads
-// go to the file with ReadAt, exactly as on a build without mappings.
-type mappedFile struct {
-	osFile
-	// mu is held shared by a read for its copy, exclusively by whatever
-	// replaces the mapping or moves size: growth, Truncate and Close
-	// never pull a page out from under a copy in flight.
-	mu sync.RWMutex
-	// mem is the mapping, at least size bytes; nil once closed or once a
-	// larger mapping could not be made, and reads then go to the file.
-	mem  []byte // guarded by mu
-	size int64  // guarded by mu
+// SetMapReserve sets the least address space a heap mapping reserves and
+// returns the function that restores the previous value. Tests lower it
+// to one page so a few kilobytes of appends regrow the mapping; they call
+// it while no heap is being written. Off unix it does nothing.
+func SetMapReserve(n int64) (restore func()) {
+	old := minReserve
+	minReserve = n
+	return func() { minReserve = old }
 }
 
-// mapHeap returns the file a store's views read through: f with reads
-// served from a shared mapping when f is an OS file that maps, under the
-// same fault plan when f is wrapped in one, and f itself otherwise.
+// mappedFile is the record heap's File on unix, the one a Store writes
+// and its views read through: writes, syncs and truncation go to the
+// file, and views read the records in place, in a read-only shared
+// mapping of it (pinRegion), so reading a record the page cache holds
+// costs neither a syscall nor a copy.
+//
+// The file holds one region, its current mapping, spanning at least what
+// was written; a write past it maps a larger region and releases the old
+// one, which stays mapped for as long as a view frozen over it holds it.
+// Every record a view can read lies below the file's end when the view
+// was frozen, so a legitimate read cannot fault on a page past the end of
+// the file. Everything else — the store's own reads, and the views once
+// there is no region — reads the file with ReadAt.
+//
+// A mapping is a speed-up, never a requirement: where the file cannot be
+// mapped (an address-space limit, a filesystem that refuses mmap) views
+// read the file with ReadAt, exactly as on a build without mappings.
+type mappedFile struct {
+	osFile
+	// mu is held shared by pinRegion, exclusively by whatever replaces
+	// the region: growth and Close.
+	mu sync.RWMutex
+	// cur is the current region; nil once closed or once a larger mapping
+	// could not be made, and views then read the file.
+	cur    *region // guarded by mu
+	closed atomic.Bool
+	// mapped counts the file's regions not yet unmapped: the current one
+	// and those views still hold. Tests read it.
+	mapped atomic.Int64
+}
+
+// mapHeap returns the file a store's views read through: f with a shared
+// mapping to read in place when f is an OS file that maps, and f itself
+// otherwise — a FaultFile included, whose views must copy every record
+// with ReadAt so that its plan counts each read.
 func mapHeap(f File) File {
-	switch f := f.(type) {
-	case osFile:
-		size, err := f.Size()
-		if err != nil {
-			return f
-		}
-		mem, err := mapFile(f.File, size)
-		if err != nil {
-			return f
-		}
-		return &mappedFile{osFile: f, mem: mem, size: size}
-	case *FaultFile:
-		return &FaultFile{inner: mapHeap(f.inner), plan: f.plan}
+	of, ok := f.(osFile)
+	if !ok {
+		return f
 	}
-	return f
+	size, err := of.Size()
+	if err != nil {
+		return f
+	}
+	mem, err := mapFile(of.File, size)
+	if err != nil {
+		return f
+	}
+	m := &mappedFile{osFile: of}
+	m.cur = m.newRegion(mem)
+	return m
 }
 
 // mapFile maps f read-only and shared, reserving max(2 × size,
@@ -78,94 +94,80 @@ func mapFile(f *os.File, size int64) ([]byte, error) {
 	return mem, nil
 }
 
-func (f *mappedFile) ReadAt(p []byte, off int64) (int, error) {
+// newRegion returns a region over mem, a new mapping of the file, held
+// once — by the file.
+func (f *mappedFile) newRegion(mem []byte) *region {
+	f.mapped.Add(1)
+	r := &region{mem: mem, closed: &f.closed, unmap: f.unmap}
+	r.refs.Store(1)
+	return r
+}
+
+// unmap unmaps a region of the file's, at its last release.
+func (f *mappedFile) unmap(mem []byte) error {
+	f.mapped.Add(-1)
+	return syscall.Munmap(mem)
+}
+
+// pinRegion returns the current region, held for the caller.
+func (f *mappedFile) pinRegion() *region {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	switch {
-	case f.mem == nil:
-		return f.File.ReadAt(p, off) // unmapped, or closed: os.ErrClosed
-	case off < 0:
-		return 0, fmt.Errorf("storage: negative offset %d", off)
-	case off >= f.size:
-		return 0, io.EOF
+	if f.cur == nil {
+		return nil
 	}
-	n, err := copyMapped(p, f.mem[off:f.size])
-	if err == nil && n < len(p) {
-		err = io.EOF
-	}
-	return n, err
+	return f.cur.pin()
 }
 
-// copyMapped copies src, a slice of a mapping, into dst. A page of src
-// the file no longer backs — it was truncated by another process — raises
-// SIGBUS; here that is a read error instead of a crash.
-func copyMapped(dst, src []byte) (n int, err error) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("storage: fault reading mapped file: %v", r)
-		}
-	}()
-	return copy(dst, src), nil
-}
-
-// WriteAt writes through the file, then makes what it wrote readable.
+// WriteAt writes through the file, then makes what it wrote readable in
+// place.
 func (f *mappedFile) WriteAt(p []byte, off int64) (int, error) {
 	n, err := f.File.WriteAt(p, off)
-	if n == 0 {
-		return n, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if end := off + int64(n); end > f.size {
-		f.cover(end)
-		f.size = end
+	if n > 0 {
+		f.cover(off + int64(n))
 	}
 	return n, err
 }
 
-// Truncate cuts (or extends) the file; no read runs while it does, and
-// none afterwards reaches past the new end.
+// Truncate cuts (or extends) the file. A view frozen before holds only
+// records below the cut (see Store.TruncateTo).
 func (f *mappedFile) Truncate(size int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if err := f.File.Truncate(size); err != nil {
 		return err
 	}
 	f.cover(size)
-	f.size = size
 	return nil
 }
 
-// cover remaps the file, if needed, so the mapping spans its first end
-// bytes. When the larger mapping cannot be made, the old one goes all the
-// same and reads go to the file from then on: what was written stays
-// readable either way. The caller holds mu exclusively, so no copy is
-// inside the old mapping when it goes.
+// cover maps a larger region, if needed, so the current one spans the
+// file's first end bytes, and releases the old one to the views that
+// still hold it. When the larger mapping cannot be made, views frozen
+// from then on read the file: what was written stays readable either
+// way.
 func (f *mappedFile) cover(end int64) {
-	if f.mem == nil || end <= int64(len(f.mem)) {
-		return
-	}
-	mem, err := mapFile(f.File, end)
-	if err != nil {
-		mem = nil
-	}
-	// Munmap fails only on a range that was never mapped, and this one
-	// came from Mmap.
-	_ = syscall.Munmap(f.mem)
-	f.mem = mem
-}
-
-func (f *mappedFile) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var err error
-	if f.mem != nil {
-		err = syscall.Munmap(f.mem)
-		f.mem = nil
+	if f.cur == nil || end <= int64(len(f.cur.mem)) {
+		return
 	}
-	if cerr := f.File.Close(); err == nil {
-		err = cerr
+	old := f.cur
+	f.cur = nil
+	if mem, err := mapFile(f.File, end); err == nil {
+		f.cur = f.newRegion(mem)
 	}
-	return err
+	old.release()
+}
+
+// Close closes the file and releases its region; a view still holding
+// the region fails its reads with os.ErrClosed from now on, and the
+// region goes with the last such view.
+func (f *mappedFile) Close() error {
+	f.closed.Store(true)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.cur != nil {
+		f.cur.release()
+		f.cur = nil
+	}
+	return f.File.Close()
 }

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -21,9 +22,7 @@ import (
 // them past their reservation with kilobytes instead of 64 MiB.
 func withSmallReserve(t *testing.T) {
 	t.Helper()
-	old := minReserve
-	minReserve = int64(os.Getpagesize())
-	t.Cleanup(func() { minReserve = old })
+	t.Cleanup(SetMapReserve(int64(os.Getpagesize())))
 }
 
 // mappedHeap creates a heap file and maps it the way a Store does.
@@ -40,13 +39,16 @@ func mappedLen(f File) int {
 	m := f.(*mappedFile)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.mem)
+	if m.cur == nil {
+		return 0
+	}
+	return len(m.cur.mem)
 }
 
 // TestMappedFileMatchesMemFile drives a mapped heap file and a MemFile
-// with the same random writes, truncations and reads: every read returns
-// the same bytes, count and EOF, including reads that straddle or start
-// past the end and reads after the mapping was replaced.
+// with the same random writes and truncations: after each, a region
+// pinned from the mapped file holds the bytes the MemFile holds, across
+// regrows of the mapping.
 func TestMappedFileMatchesMemFile(t *testing.T) {
 	withSmallReserve(t)
 	f := mappedHeap(t, filepath.Join(t.TempDir(), "heap"))
@@ -76,29 +78,31 @@ func TestMappedFileMatchesMemFile(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			off := rng.Int63n(size + 50)
-			n := rng.Intn(500)
-			got, want := make([]byte, n), make([]byte, n)
-			gn, gerr := f.ReadAt(got, off)
-			wn, werr := model.ReadAt(want, off)
-			if gn != wn || gerr != werr || !bytes.Equal(got[:gn], want[:wn]) {
-				t.Fatalf("op %d: ReadAt(%d bytes at %d of %d) = %d, %v; MemFile %d, %v",
-					i, len(got), off, size, gn, gerr, wn, werr)
+			off := rng.Int63n(size + 1)
+			end := min(off+rng.Int63n(500), size)
+			want := make([]byte, end-off)
+			if _, err := model.ReadAt(want, off); err != nil && err != io.EOF {
+				t.Fatal(err)
 			}
+			reg := f.(*mappedFile).pinRegion()
+			if got := reg.mem[off:end]; !bytes.Equal(got, want) {
+				t.Fatalf("op %d: the region's bytes %d–%d of %d differ from the MemFile's", i, off, end, size)
+			}
+			reg.release()
 		}
 	}
 	if got := mappedLen(f); got <= first {
 		t.Errorf("the mapping never grew past its first %d bytes (now %d)", first, got)
-	}
-	if _, err := f.ReadAt(make([]byte, 1), -1); err == nil {
-		t.Error("negative offset read should fail")
 	}
 }
 
 // TestMappedStoreReadersDuringRegrow runs readers over frozen views while
 // the writer appends far past the mapping's reservation, so the mapping
 // is replaced under them again and again: every read returns its
-// record's bytes. Run it under -race.
+// record's bytes, read in place in the region the view was frozen over.
+// A view frozen before all of it still reads its records after the
+// regrows and the appends, its region stays mapped until exactly its
+// release, and Close unmaps the last one. Run it under -race.
 func TestMappedStoreReadersDuringRegrow(t *testing.T) {
 	withSmallReserve(t)
 	f, err := Create(filepath.Join(t.TempDir(), "heap"))
@@ -109,14 +113,27 @@ func TestMappedStoreReadersDuringRegrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	record := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 200+i%700) }
+	readAll := func(v *ReadView) error {
+		for rec := 0; rec < v.NumRecords(); rec++ {
+			got, err := v.Record(uint32(rec))
+			if err != nil || !bytes.Equal(got, record(rec)) {
+				return fmt.Errorf("view of %d records: Record(%d) = %d bytes, %v", v.NumRecords(), rec, len(got), err)
+			}
+		}
+		return nil
+	}
 	for i := 0; i < 10; i++ {
 		if _, err := st.AppendBytes(record(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	first := mappedLen(st.f)
+	mapped := &st.f.(*mappedFile).mapped
+	early := st.Freeze()
+	if early.reg == nil {
+		t.Fatal("a view of a mapped heap copies its records")
+	}
 	views := make(chan *ReadView, 64)
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -124,13 +141,10 @@ func TestMappedStoreReadersDuringRegrow(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for v := range views {
-				for rec := 0; rec < v.NumRecords(); rec++ {
-					got, err := v.Record(uint32(rec))
-					if err != nil || !bytes.Equal(got, record(rec)) {
-						t.Errorf("view of %d records: Record(%d) = %d bytes, %v", v.NumRecords(), rec, len(got), err)
-						return
-					}
+				if err := readAll(v); err != nil {
+					t.Error(err)
 				}
+				v.Release()
 			}
 		}()
 	}
@@ -146,6 +160,22 @@ func TestMappedStoreReadersDuringRegrow(t *testing.T) {
 	wg.Wait()
 	if got := mappedLen(st.f); got <= first {
 		t.Errorf("the appends never outgrew the %d-byte mapping (now %d)", first, got)
+	}
+	if err := readAll(early); err != nil {
+		t.Errorf("after the regrows: %v", err)
+	}
+	if got := mapped.Load(); got != 2 {
+		t.Errorf("%d regions mapped with every later view released, want 2: the store's and the early view's", got)
+	}
+	early.Release()
+	if got := mapped.Load(); got != 1 {
+		t.Errorf("%d regions mapped after the early view's release, want the store's 1", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mapped.Load(); got != 0 {
+		t.Errorf("%d regions mapped after Close, want 0", got)
 	}
 }
 
@@ -202,32 +232,57 @@ func TestMappedStoreRollback(t *testing.T) {
 	}
 }
 
-// TestMappedFileFaults covers the two ways a read can reach memory the
-// file no longer backs: the file truncated by another process (SIGBUS on
-// the mapped pages) and a read after Close. Both are errors; the process
-// lives on.
+// TestMappedFileFaults covers the two ways a view's read can reach memory
+// the file no longer backs: the file truncated by another process, whose
+// mapped pages past the cut raise SIGBUS when a record there is navigated
+// — a read error under GuardFault — and a read after Close, which fails
+// with os.ErrClosed as a read of the closed file does. The process lives
+// on.
 func TestMappedFileFaults(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "heap")
-	f := mappedHeap(t, path)
-	page := os.Getpagesize()
-	if _, err := f.WriteAt(bytes.Repeat([]byte{'h'}, 4*page), 0); err != nil {
+	hf, err := Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	st, err := NewStore(hf, xmltree.NewDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := os.Getpagesize()
+	record := bytes.Repeat([]byte{'r'}, page/4)
+	for i := 0; i < 16; i++ {
+		if _, err := st.AppendBytes(record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := st.Freeze()
+	defer v.Release()
 	if err := os.Truncate(path, int64(page)); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 100)
-	if _, err := f.ReadAt(buf, 10); err != nil {
-		t.Errorf("read inside the page the file still backs: %v", err)
+	navigate := func(rec uint32) (err error) {
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer GuardFault(&err)
+		got, err := v.Record(rec)
+		if err == nil && !bytes.Equal(got, record) {
+			err = fmt.Errorf("Record(%d) read other bytes", rec)
+		}
+		return err
 	}
-	if _, err := f.ReadAt(buf, int64(2*page)); err == nil {
-		t.Error("read of a page truncated away succeeded")
+	if err := navigate(0); err != nil {
+		t.Errorf("navigating a record in the page the file still backs: %v", err)
 	}
-	if err := f.Close(); err != nil {
+	if err := navigate(15); err == nil {
+		t.Error("navigating a record truncated away succeeded")
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ReadAt(buf, 0); !errors.Is(err, os.ErrClosed) {
-		t.Errorf("read after Close = %v, want os.ErrClosed", err)
+	if _, err := v.Record(0); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("view read after Close = %v, want os.ErrClosed", err)
+	}
+	if _, err := st.f.ReadAt(make([]byte, 4), 8); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("file read after Close = %v, want os.ErrClosed", err)
 	}
 }
 
@@ -248,10 +303,7 @@ func TestHeapWithoutMapping(t *testing.T) {
 			}
 		}
 	}
-	old := minReserve
-	t.Cleanup(func() { minReserve = old })
-
-	minReserve = math.MaxInt64
+	t.Cleanup(SetMapReserve(math.MaxInt64))
 	path := filepath.Join(t.TempDir(), "heap")
 	f, err := Create(path)
 	if err != nil {
@@ -287,7 +339,7 @@ func TestHeapWithoutMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	minReserve = int64(os.Getpagesize())
+	SetMapReserve(int64(os.Getpagesize()))
 	if f, err = Open(path); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +350,7 @@ func TestHeapWithoutMapping(t *testing.T) {
 	if mappedLen(st.f) == 0 {
 		t.Fatal("the reopened store did not map its file")
 	}
-	minReserve = math.MaxInt64
+	SetMapReserve(math.MaxInt64)
 	for i := 20; i < 60; i++ {
 		if _, err := st.AppendBytes(record(i)); err != nil {
 			t.Fatalf("append %d after the mapping could not grow: %v", i, err)

@@ -78,7 +78,7 @@ const storeMagic = "FIXSTOR1"
 type Store struct {
 	mu sync.Mutex
 	// f is what the store writes and its views read through: on unix, a
-	// shared mapping of the heap file (see mapHeap). own is the file as
+	// file whose views read in a shared mapping of it (see mapHeap). own is the file as
 	// the store was given it, and the store's own reads go through it —
 	// the scan at open and Record (indexing a document just appended,
 	// scrub, Document) read a record once, and through the mapping would

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"os"
 	"sync/atomic"
 
 	"github.com/fix-index/fix/internal/xmltree"
@@ -22,9 +23,9 @@ type readStats struct {
 	subtreeReads atomic.Int64
 	subtreeBytes atomic.Int64
 	lastEnd      atomic.Int64
-	// cacheEpoch is bumped by Store.ClearCache; a view's cached record
-	// from an older epoch is stale, so clearing the store's cache also
-	// makes every frozen view read cold.
+	// cacheEpoch is bumped by Store.ClearCache; a view's previous read
+	// from an older epoch does not make the next one cached, so clearing
+	// the store's cache also makes every frozen view read cold.
 	cacheEpoch atomic.Int64
 }
 
@@ -54,41 +55,76 @@ func (rs *readStats) reset() {
 // record count over the append-only heap file. Reads take no lock — the
 // heap is append-only and rollback only ever truncates records newer
 // than any published view, so the bytes under a view's records never
-// change. The one-record cache mirrors Store's (refinement probes the
-// same document repeatedly, especially on single-document datasets) but
-// is an atomic pointer to an immutable pair instead of mutex-guarded
-// state: a racing fill just loses the publication, never corrupts it.
+// change.
+//
+// A view frozen over a file that has a region — a mapping of data.heap on
+// unix, a MemFile's buffer — holds that region until Release and hands
+// out its records where they lie, with no copy. Over any other file (one
+// that will not map, a FaultFile, any file off unix) a record is copied
+// out with ReadAt into a fresh buffer, and the view keeps the last one:
+// refinement probes the same document repeatedly, especially on
+// single-document datasets. That cache is an atomic pointer to an
+// immutable entry, so a racing fill just loses the publication.
+//
+// Either way a read of the same record as the view's previous read,
+// under the same cache epoch, counts as cached, and every other read as
+// sequential or random, so the counters do not depend on the file.
 type ReadView struct {
 	f    File
+	reg  *region // nil: records are copied out of f
 	dict *xmltree.Dict
 	offs []int64  // immutable after publish
 	lens []uint32 // immutable after publish
 	rs   *readStats
-	last atomic.Pointer[viewCached]
+	// last is the (record, epoch) of the previous read, as lastKey packs
+	// it; 0 before the first.
+	last atomic.Uint64
+	// copied is the copy path's last record and its bytes.
+	copied atomic.Pointer[viewCached]
 }
 
-// viewCached is one published (record, bytes) cache entry, valid while
-// the store's cache epoch is the one it was filled under. The fields
-// are immutable after publish; replacing the entry swaps the pointer.
+// viewCached is one published (record, bytes) entry of the copy path's
+// cache, valid while the store's cache epoch is the one it was filled
+// under. The fields are immutable after publish; replacing the entry
+// swaps the pointer.
 type viewCached struct {
 	rec   uint32
 	buf   []byte
 	epoch int64
 }
 
+// lastKey packs a record and a cache epoch into a word that is never 0.
+func lastKey(rec uint32, epoch int64) uint64 {
+	return uint64(epoch)<<33 | uint64(rec)<<1 | 1
+}
+
 // Freeze returns an immutable view of the store's current records,
 // sharing the offset table's backing array (safe: the table is
-// append-only below any published length — see TruncateTo).
+// append-only below any published length — see TruncateTo), and holding
+// the file's region when it has one. The caller calls Release once it
+// has made its last read.
 func (s *Store) Freeze() *ReadView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.offs)
-	return &ReadView{
+	v := &ReadView{
 		f:    s.f,
 		dict: s.dict,
 		offs: s.offs[:n:n],
 		lens: s.lens[:n:n],
 		rs:   &s.rs,
+	}
+	if f, ok := s.f.(inPlace); ok {
+		v.reg = f.pinRegion()
+	}
+	return v
+}
+
+// Release lets go of the region the view reads in place, which goes
+// once no file or view holds it. No read of the view may follow.
+func (v *ReadView) Release() {
+	if v.reg != nil {
+		v.reg.release()
 	}
 }
 
@@ -104,34 +140,62 @@ func (v *ReadView) NumRecords() int { return len(v.offs) }
 func (v *ReadView) Stats() Stats { return v.rs.load() }
 
 // Record returns the raw bytes of a record, with I/O accounting. The
-// returned buffer is shared (with the cache and other callers) and must
-// not be modified.
+// bytes are shared — with the heap's mapping, or with the view's cache
+// and other callers — and must not be modified. Bytes in a mapping are
+// valid until the view is released, and touching them can fault when
+// something outside the process truncates the file: a caller that
+// navigates them does so under GuardFault.
 func (v *ReadView) Record(rec uint32) ([]byte, error) {
 	if int(rec) >= len(v.offs) {
 		return nil, fmt.Errorf("storage: record %d out of range (view has %d)", rec, len(v.offs))
 	}
-	epoch := v.rs.cacheEpoch.Load()
-	if c := v.last.Load(); c != nil && c.rec == rec && c.epoch == epoch {
-		v.rs.cachedReads.Add(1)
-		return c.buf, nil
+	if v.reg == nil {
+		return v.copyRecord(rec)
+	}
+	if c := v.reg.closed; c != nil && c.Load() {
+		return nil, fmt.Errorf("storage: reading record %d: %w", rec, os.ErrClosed)
 	}
 	off := v.offs[rec] + 4
-	n := v.lens[rec]
-	// Classify in issue order, before the read: concurrent readers then
-	// blur the seq/random split only when two of them race this one
-	// instruction, not whenever their reads overlap.
-	seq := v.rs.lastEnd.Swap(off+int64(n)) == v.offs[rec]
-	buf := make([]byte, n)
-	if _, err := v.f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("storage: reading record %d: %w", rec, err)
+	end := off + int64(v.lens[rec])
+	if key := lastKey(rec, v.rs.cacheEpoch.Load()); v.last.Load() == key {
+		v.rs.cachedReads.Add(1)
+	} else {
+		v.last.Store(key)
+		v.count(v.rs.lastEnd.Swap(end) == v.offs[rec], end-off)
 	}
+	return v.reg.mem[off:end:end], nil
+}
+
+// count adds a read of n bytes to the sequential or the random reads. The
+// caller classifies it with one swap of lastEnd, in issue order, so
+// concurrent readers blur the split only when two of them race that one
+// instruction.
+func (v *ReadView) count(seq bool, n int64) {
 	if seq {
 		v.rs.seqReads.Add(1)
 	} else {
 		v.rs.randomReads.Add(1)
 	}
-	v.rs.bytesRead.Add(int64(n))
-	v.last.Store(&viewCached{rec: rec, buf: buf, epoch: epoch})
+	v.rs.bytesRead.Add(n)
+}
+
+// copyRecord is Record over a file with no region: a read copies the
+// record into a fresh buffer, and the view keeps the last one.
+func (v *ReadView) copyRecord(rec uint32) ([]byte, error) {
+	epoch := v.rs.cacheEpoch.Load()
+	if c := v.copied.Load(); c != nil && c.rec == rec && c.epoch == epoch {
+		v.rs.cachedReads.Add(1)
+		return c.buf, nil
+	}
+	off := v.offs[rec] + 4
+	n := int64(v.lens[rec])
+	seq := v.rs.lastEnd.Swap(off+n) == v.offs[rec]
+	buf := make([]byte, n)
+	if _, err := v.f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("storage: reading record %d: %w", rec, err)
+	}
+	v.count(seq, n)
+	v.copied.Store(&viewCached{rec: rec, buf: buf, epoch: epoch})
 	return buf, nil
 }
 

@@ -240,3 +240,19 @@ func TestTombSnapshotMatchesModel(t *testing.T) {
 		check(fmt.Sprintf("snapshot pinned at step %d, read at the end", 100*i), p)
 	}
 }
+
+// TestGuardFaultPassesOtherPanics: GuardFault turns only a memory fault
+// into an error; any other panic keeps unwinding, to the caller's own
+// barrier.
+func TestGuardFaultPassesOtherPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "not a fault" {
+			t.Errorf("recovered %v, want the panic itself", r)
+		}
+	}()
+	func() (err error) {
+		defer GuardFault(&err)
+		panic("not a fault")
+	}()
+	t.Error("the panic was swallowed")
+}
