@@ -216,6 +216,31 @@ func TestDepthLimitedIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestDepthLimitedNestedCandidatesCountOnce: on a depth-limited index both
+// c elements are candidates of //c[.//b]//b and both reach the one inner b
+// through the // step, which is one match, as the scan counts it — through
+// the primary heap and through a clustered copy, whose offsets start at
+// each candidate.
+func TestDepthLimitedNestedCandidatesCountOnce(t *testing.T) {
+	st, ix := buildSingleDoc(t, `<b><c><c><b/><d/></c></c><c><b/></c></b>`, Options{DepthLimit: 3})
+	clustered, err := ix.Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg := clustered.Freeze()
+	defer cg.Unpin()
+	for _, qs := range []string{"//c[.//b]//b", "//c//b", "//b//c//b", "//c/c/b"} {
+		q := xpath.MustParse(qs)
+		_, want := bruteCount(t, st, q)
+		for name, g := range map[string]*Generation{"primary": freeze(t, ix), "clustered": cg} {
+			res, err := query(g, q)
+			if err != nil || res.Count != want {
+				t.Errorf("%s, %s: count = %d, %v; want %d (candidates=%d matched=%d)", qs, name, res.Count, err, want, res.Candidates, res.Matched)
+			}
+		}
+	}
+}
+
 func TestDepthCoverage(t *testing.T) {
 	_, ix := buildSingleDoc(t, deepDoc, Options{DepthLimit: 2})
 	q := xpath.MustParse("//proceedings[booktitle]/title[sup][i]") // depth 3
