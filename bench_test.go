@@ -240,7 +240,7 @@ func benchEigenDense(b *testing.B, n int) {
 	m := randomSkew(n, int64(n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eigen.SkewExtremes(m); err != nil {
+		if _, err := eigen.SkewMax(m); err != nil {
 			b.Fatal(err)
 		}
 	}

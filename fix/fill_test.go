@@ -1,6 +1,7 @@
 package fix
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -164,10 +165,13 @@ func copyFiles(t *testing.T, src, dst string) {
 // index-written-by-pr20 is also in page format FIXBT002, but Open reads
 // fix.meta before it opens fix.btree and keeps the first health problem
 // only, so the meta version is what its health names: the remedy either
-// would name is the same rebuild. clustered-index-written-by-pr26 is in the
-// current format, built by the last commit with the clustered option
-// (fixindex build -depth 6 -clustered): its values carry a second pointer,
-// and a fix.clustered heap lies beside its B-tree.
+// would name is the same rebuild. index-written-by-pr25 and
+// clustered-index-written-by-pr26 are under version 3, whose keys held
+// λmin beside σ; the latter was built by the last commit with the
+// clustered option (fixindex build -depth 6 -clustered): its values carry
+// a second pointer, and a fix.clustered heap lies beside its B-tree — but
+// the old version is the first problem Open meets, so it is what the
+// health names.
 func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	t.Helper()
 	dir = copyFixture(t, fixture)
@@ -207,9 +211,10 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 // degradedBy is, per old-format fixture, what the health of its index
 // names besides the rebuild.
 var degradedBy = map[string][]string{
-	"index-written-by-pr20":           {"version 2", "writes 3"},
-	"index-written-by-pr23":           {"version 2", "writes 3"},
-	"clustered-index-written-by-pr26": {"clustered"},
+	"index-written-by-pr20":           {"version 2", "writes 4"},
+	"index-written-by-pr23":           {"version 2", "writes 4"},
+	"index-written-by-pr25":           {"version 3", "writes 4"},
+	"clustered-index-written-by-pr26": {"version 3", "writes 4"},
 }
 
 // rebuiltIndexSurvives requires the healthy 528-entry index a rebuild of
@@ -258,13 +263,77 @@ func TestIndexWrittenBeforeRunSplitsStillServes(t *testing.T) {
 // fix.meta version 2 on the directory the commit that introduced FIXBT003
 // wrote (testdata/index-written-by-pr23): its pages read, but its values
 // are in the flag-byte spelling nothing reads any more, so it opens degraded
-// and serves by scan, and RebuildIndex writes it anew in version 3.
+// and serves by scan, and RebuildIndex writes it anew.
 func TestIndexWrittenBeforeUvarintValuesStillServes(t *testing.T) {
 	dir, db := oldFormatIndex(t, "index-written-by-pr23")
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	rebuiltIndexSurvives(t, dir, db)
+}
+
+// TestIndexWrittenBeforeOneSigmaKeysStillServes is the hand-over from
+// fix.meta version 3 on the directory the commit that introduced it wrote
+// (testdata/index-written-by-pr25): its keys are (label, λmax, λmin, seq),
+// 28 bytes that no reader of version 4's 20 takes apart, so it opens
+// degraded and serves by scan, and RebuildIndex writes it anew.
+func TestIndexWrittenBeforeOneSigmaKeysStillServes(t *testing.T) {
+	dir, db := oldFormatIndex(t, "index-written-by-pr25")
+	if err := db.RebuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rebuiltIndexSurvives(t, dir, db)
+}
+
+// TestKeyOfWrongLengthDegrades: a version-3 B-tree under a fix.meta that
+// says version 4 — a hand-edited or mismatched directory — opens healthy,
+// but its keys are not keySize bytes. Verify fails ErrCorrupt on them, and
+// a query whose probe meets one degrades the index and answers exactly by
+// scan instead of reading σ out of the wrong bytes.
+func TestKeyOfWrongLengthDegrades(t *testing.T) {
+	for _, verifyFirst := range []bool{true, false} {
+		dir := copyFixture(t, "index-written-by-pr25")
+		path := filepath.Join(dir, "fix.meta")
+		meta, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(meta, []byte("version 3\n")) {
+			t.Fatalf("fix.meta starts %q", meta[:10])
+		}
+		copy(meta, "version 4")
+		if err := os.WriteFile(path, meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.IndexHealth(); err != nil {
+			t.Fatalf("health before any read of a key: %v", err)
+		}
+		if verifyFirst {
+			if err := db.VerifyIndex(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "28 bytes, want 20") {
+				t.Fatalf("VerifyIndex = %v, want ErrCorrupt naming a 28-byte key", err)
+			}
+		}
+		const q = "//open_auction[seller]/annotation/description/text"
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.Query(q, ScanOnly())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.ScanFallback || got.Count != want.Count {
+			t.Errorf("verify first %t: %d results (fallback %t), scan %d", verifyFirst, got.Count, got.ScanFallback, want.Count)
+		}
+		if h := db.IndexHealth(); !errors.Is(h, ErrCorrupt) {
+			t.Errorf("verify first %t: health after the query = %v, want ErrCorrupt", verifyFirst, h)
+		}
+		_ = db.Close()
+	}
 }
 
 // TestClusteredIndexStillServes is the hand-over from the clustered option
@@ -284,14 +353,14 @@ func TestClusteredIndexStillServes(t *testing.T) {
 }
 
 // TestIndexWrittenByThisFormatServes opens a database directory written by
-// the commit that introduced fix.meta version 3, the values of two uvarints
-// a pointer (the same 28 documents, 4 bulk-built at depth 6 and 24 ingested,
-// checkpointed; testdata/index-written-by-pr25), and uses it as a server
+// the commit that introduced fix.meta version 4, keys of one σ (the same 28
+// documents, 4 bulk-built at depth 6 and 24 ingested four a request,
+// checkpointed; testdata/index-written-by-pr32), and uses it as a server
 // would: verify, ingest enough to split its leaves, checkpoint, reopen. It
 // is the anchor for the next change to the format: that one has to open
 // this directory, healthy or — as above — degraded and exact.
 func TestIndexWrittenByThisFormatServes(t *testing.T) {
-	dir := copyFixture(t, "index-written-by-pr25")
+	dir := copyFixture(t, "index-written-by-pr32")
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -35,14 +35,14 @@ type EventStream interface {
 	Next() (Event, error)
 }
 
-// Features caches the eigenvalue pair of the depth-limited subpattern
-// rooted at a vertex. Oversize marks subpatterns whose unfolding exceeded
-// the edge budget; they are indexed under the artificial [0, +inf) range
-// so they are always candidates (paper §6.1).
+// Features caches the σ — the largest eigenvalue magnitude — of the
+// depth-limited subpattern rooted at a vertex. Oversize marks subpatterns
+// whose unfolding exceeded the edge budget; they are indexed under σ =
+// +Inf so they are always candidates (paper §6.1).
 type Features struct {
 	Set      bool
 	Oversize bool
-	Min, Max float64
+	Sigma    float64
 	// Spectrum optionally caches σ₂.. of the subpattern for the index
 	// layer's spectrum filter.
 	Spectrum []float64

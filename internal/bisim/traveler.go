@@ -15,8 +15,8 @@ import (
 
 // traveler streams the unfolding of a vertex up to depthLimit levels.
 // budget bounds the number of Open events emitted; exceeding it surfaces
-// as ErrBudget so the caller can fall back to the artificial [0, +inf)
-// feature range.
+// as ErrBudget so the caller can fall back to the artificial
+// always-candidate features, σ = +Inf.
 type traveler struct {
 	depthLimit int
 	budget     int

@@ -122,11 +122,11 @@ func TestSubpatternFastPathMatchesRebuild(t *testing.T) {
 		if !okk {
 			t.Fatal("slow graph has unknown pairs")
 		}
-		_, maxF, err := eigen.SkewExtremes(mf)
+		maxF, err := eigen.SkewMax(mf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, maxS, err := eigen.SkewExtremes(ms)
+		maxS, err := eigen.SkewMax(ms)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -349,8 +349,8 @@ func sharedPrefix(a, b []byte) int {
 
 // runEnd chooses where to cut the overflowing leaf n whose new key sits at
 // keys[i]. Keys that arrive in ascending order inside a group of keys with
-// a long common prefix — a run; internal/core's (label, λmax, λmin, seq)
-// with its growing seq makes nothing else — always land at the end of
+// a long common prefix — a run; internal/core's (label, σ, seq) with its
+// growing seq makes nothing else — always land at the end of
 // their run, so a cut at mid leaves behind a left half nothing will ever
 // fill. When the page's first key belongs to the new key's run (they share
 // at least half of the new key's bytes, and so does every key between) and

@@ -11,9 +11,10 @@ import (
 	"github.com/fix-index/fix/internal/storage"
 )
 
-// runKey is a key of the shape internal/core writes: a 20-byte group
-// (label, λmax, λmin there; here spread from the run number so different
-// runs differ from their first bytes on) and an 8-byte big-endian tail.
+// runKey is a key shaped like a run of internal/core's: a group every key
+// of the run shares (there the 12 bytes of label and σ; here 20, spread
+// from the run number so different runs differ from their first bytes on)
+// and an 8-byte big-endian tail.
 func runKey(run int, tail uint64) []byte {
 	k := make([]byte, 28)
 	binary.BigEndian.PutUint32(k, uint32(run)*2654435761)

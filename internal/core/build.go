@@ -115,11 +115,11 @@ type buildUnit struct {
 // which is where its spectrum tail sits in the shared arena:
 // tails[seq*SpectrumK:][:nspec].
 type buildEntry struct {
-	max, min uint64 // encodeFloat of λmax, λmin
-	seq      uint64
-	primary  uint64
-	label    uint32
-	nspec    uint32
+	sigma   uint64 // encodeFloat of σ
+	seq     uint64
+	primary uint64
+	label   uint32
+	nspec   uint32
 }
 
 // Build constructs a FIX index over every document in st.
@@ -211,8 +211,7 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 				}
 				entries = append(entries, buildEntry{
 					label:   e.label,
-					max:     encodeFloat(e.f.Max),
-					min:     encodeFloat(e.f.Min),
+					sigma:   encodeFloat(e.f.Sigma),
 					seq:     uint64(len(entries)),
 					primary: uint64(e.ptr),
 					nspec:   uint32(len(e.spec)),
@@ -227,8 +226,7 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 	insStart := time.Now()
 	ix.seq = uint64(len(entries))
 	slices.SortFunc(entries, func(a, b buildEntry) int {
-		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.max, b.max),
-			cmp.Compare(a.min, b.min), cmp.Compare(a.seq, b.seq))
+		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.sigma, b.sigma), cmp.Compare(a.seq, b.seq))
 	})
 	if err := ix.pack(ctx, entries, tails); err != nil {
 		return nil, err
@@ -273,7 +271,7 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 		if e.nspec > 0 {
 			v.spectrum = tails[e.seq*k:][:e.nspec]
 		}
-		putKey(key, e.label, e.max, e.min, e.seq)
+		putKey(key, e.label, e.sigma, e.seq)
 		val = v.appendTo(val[:0])
 		return key, val, nil
 	})

@@ -260,7 +260,7 @@ func (ix *Index) soundFeatures(pn *pnode, g *bisim.Graph) (Features, *bisim.Grap
 	if err != nil {
 		return Features{}, nil, false, err
 	}
-	if ok && fe.Max > b3.Max {
+	if ok && fe.Sigma > b3.Sigma {
 		return fe, eg, true, nil
 	}
 	return b3, eg, true, nil

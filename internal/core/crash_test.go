@@ -738,12 +738,13 @@ func TestStaleIndexDegrades(t *testing.T) {
 	}
 }
 
-// TestOpenVersion2IndexDegrades is the hand-over from metaVersion 2, whose
-// values spelled a pointer as a flag byte and a big-endian u64: an index
-// committed under it opens degraded, with an ErrCorrupt that names both
-// versions and says to rebuild, answers exactly by scan, and still tells the
-// database layer's recovery how many records it covers. A version older
-// than that fails Open.
+// TestOpenVersion2IndexDegrades is the hand-over from every version before
+// metaVersion — 2, whose values spelled a pointer as a flag byte and a
+// big-endian u64, and 3, whose keys held λmin: an index committed under one
+// opens degraded, with an ErrCorrupt that names both versions and says to
+// rebuild, answers exactly by scan, and still tells the database layer's
+// recovery how many records it covers. A version older than 2, or newer
+// than metaVersion, fails Open.
 func TestOpenVersion2IndexDegrades(t *testing.T) {
 	st := memStoreFromDocs(t, bibDocs)
 	dir := t.TempDir()
@@ -759,39 +760,44 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(meta, []byte("version 3\n")) {
+	if !bytes.HasPrefix(meta, []byte("version 4\n")) {
 		t.Fatalf("fix.meta starts %q", meta[:10])
 	}
-	copy(meta, "version 2")
-	if err := os.WriteFile(path, meta, 0o644); err != nil {
-		t.Fatal(err)
+	want := oracleCounts(t, st, crashQueries)
+	for _, v := range []string{"2", "3"} {
+		copy(meta, "version "+v)
+		if err := os.WriteFile(path, meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(st, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := re.Health()
+		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 4") || !strings.Contains(h.Error(), "rebuild") {
+			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 4 and the rebuild", v, h, v)
+		}
+		checkOracle(t, re, want, "version "+v)
+		if n, err := CommittedRecords(dir); err != nil || n != len(bibDocs) {
+			t.Errorf("CommittedRecords of a version-%s index = %d, %v; want %d", v, n, err, len(bibDocs))
+		}
+		_ = re.Close()
 	}
-	re, err := Open(st, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := re.Health()
-	if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version 2") || !strings.Contains(h.Error(), "writes 3") || !strings.Contains(h.Error(), "rebuild") {
-		t.Fatalf("health of a version-2 index = %v, want ErrCorrupt naming versions 2 and 3 and the rebuild", h)
-	}
-	checkOracle(t, re, oracleCounts(t, st, crashQueries), "version 2")
-	if n, err := CommittedRecords(dir); err != nil || n != len(bibDocs) {
-		t.Errorf("CommittedRecords of a version-2 index = %d, %v; want %d", n, err, len(bibDocs))
-	}
-	copy(meta, "version 1")
-	if err := os.WriteFile(path, meta, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(st, dir); err == nil || !strings.Contains(err.Error(), "unsupported index version 1") {
-		t.Errorf("Open of a version-1 index: %v", err)
+	for _, v := range []string{"1", "5"} {
+		copy(meta, "version "+v)
+		if err := os.WriteFile(path, meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(st, dir); err == nil || !strings.Contains(err.Error(), "unsupported index version "+v) {
+			t.Errorf("Open of a version-%s index: %v", v, err)
+		}
 	}
 }
 
 // TestBadValueIsErrCorrupt plants an entry whose value breaks the index
 // into a healthy one. A value that does not decode — an over-long uvarint,
 // metaVersion 2's spelling — is an ErrCorrupt to every reader of values,
-// never pointer 0: Verify, BuildFeatureRTree and a DeleteDocuments that
-// has to read it fail, and a query whose range scan meets it answers
+// never pointer 0: Verify and a DeleteDocuments that has to read it fail, and a query whose range scan meets it answers
 // exactly by scan and degrades the index. One that decodes but names a record the store does not hold,
 // or more spectrum components than the index stores, fails Verify.
 func TestBadValueIsErrCorrupt(t *testing.T) {
@@ -812,7 +818,7 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		label, _ := ix.dict.Lookup("author")
-		key := entryKey{label: label, max: math.Inf(1), min: math.Inf(-1), seq: ix.seq}.encode()
+		key := entryKey{label: label, sigma: math.Inf(1), seq: ix.seq}.encode()
 		if err := ix.bt.Put(key, tc.val); err != nil {
 			t.Fatal(err)
 		}
@@ -830,9 +836,6 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 		}
 		if _, err := ix.DeleteDocuments(every); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DeleteDocuments = %v, want ErrCorrupt", tc.name, err)
-		}
-		if _, err := ix.BuildFeatureRTree(); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: BuildFeatureRTree = %v, want ErrCorrupt", tc.name, err)
 		}
 		res, err := query(freeze(t, ix), q)
 		if _, want := bruteCount(t, st, q); err != nil || !res.Fallback || res.Count != want {

@@ -10,19 +10,23 @@ import (
 	"github.com/fix-index/fix/internal/matrix"
 )
 
-// Features is the eigenvalue pair used as the index key together with the
-// root label (paper §3.4). Oversize patterns carry the artificial
-// [-Inf, +Inf] range so they are always candidates (paper §6.1).
+// Features is what the index key holds of a unit besides its root label
+// (paper §3.4): σ, the largest eigenvalue magnitude of its skew-symmetric
+// matrix. The paper's key is the range (λmin, λmax); the spectrum is
+// {±iσ}, so that range is [−σ, σ] and σ says all of it. Oversize patterns
+// carry σ = +Inf, the artificial always-containing range, so they are
+// always candidates (paper §6.1).
 type Features struct {
-	Min, Max float64
+	Sigma    float64
 	Oversize bool
 }
 
 // Contains reports whether f's range contains g's (the pruning test of
 // Theorem 3: a subpattern's eigenvalue range is contained in the
-// pattern's).
+// pattern's). Both ranges are symmetric about 0, so that is one
+// comparison of σ.
 func (f Features) Contains(g Features) bool {
-	return f.Min <= g.Min && g.Max <= f.Max
+	return g.Sigma <= f.Sigma
 }
 
 // slack is the one tolerance of every σ comparison: two spectra that are
@@ -30,23 +34,23 @@ func (f Features) Contains(g Features) bool {
 // graph, numbered by the query in one order and by the parse in another —
 // come out of the solver up to a few ulps apart, and the side that rounded
 // down must not lose the comparison. It is applied to the query: plan
-// hands out relaxed bounds, so Contains, scanBounds and FeatureRTree stay
-// exact comparisons and stored keys never change. DESIGN.md "Failure 3"
+// hands out relaxed bounds, so Contains and scanBounds stay exact
+// comparisons and stored keys never change. DESIGN.md "Failure 3"
 // derives the size: the dense solver's backward error at denseEigenLimit
 // vertices is below 1e-12 relative; a tolerance can only add candidates,
 // and at 1e-9 the experiments' pruning power does not move.
 func slack(sigma float64) float64 { return 1e-9 * (1 + math.Abs(sigma)) }
 
-// relaxed returns the range a query with features f is compared with: f
-// shrunk by slack at both ends, so an entry within rounding of f contains
-// it. Query features are finite (oversize ranges exist on entries only).
+// relaxed returns the features a query with features f is compared with:
+// σ shrunk by slack, so an entry within rounding of f contains it. Query
+// features are finite (oversize ones exist on entries only).
 func (f Features) relaxed() Features {
-	return Features{Min: f.Min + slack(f.Min), Max: f.Max - slack(f.Max)}
+	return Features{Sigma: f.Sigma - slack(f.Sigma)}
 }
 
 // oversizeFeatures is the artificial always-candidate range.
 func oversizeFeatures() Features {
-	return Features{Min: math.Inf(-1), Max: math.Inf(1), Oversize: true}
+	return Features{Sigma: math.Inf(1), Oversize: true}
 }
 
 // denseEigenLimit is the vertex count up to which the dense O(n³) solver
@@ -55,7 +59,7 @@ func oversizeFeatures() Features {
 // the exact dense path, so the margin cannot introduce false negatives).
 const denseEigenLimit = 300
 
-// graphFeatures computes the feature pair of a bisimulation graph. With
+// graphFeatures computes the features of a bisimulation graph. With
 // assign=true unseen edge label pairs are added to the encoder (index
 // construction); with assign=false an unseen pair reports ok=false,
 // meaning the pattern cannot occur in the indexed data.
@@ -66,18 +70,17 @@ func graphFeatures(g *bisim.Graph, enc *matrix.EdgeEncoder, assign bool) (Featur
 		if !ok {
 			return Features{}, false, nil
 		}
-		sigma := eigen.SafetyMargin(eigen.SkewMaxSparse(n, edges))
-		return Features{Min: -sigma, Max: sigma}, true, nil
+		return Features{Sigma: eigen.SafetyMargin(eigen.SkewMaxSparse(n, edges))}, true, nil
 	}
 	m, ok := matrix.BuildSkew(mg, enc, assign)
 	if !ok {
 		return Features{}, false, nil
 	}
-	min, max, err := eigen.SkewExtremes(m)
+	sigma, err := eigen.SkewMax(m)
 	if err != nil {
 		return Features{}, false, fmt.Errorf("core: eigenvalues: %w", err)
 	}
-	return Features{Min: min, Max: max}, true, nil
+	return Features{Sigma: sigma}, true, nil
 }
 
 // graphSpectrumTail returns σ₂..σ₍k+1₎ of the graph's skew matrix (the
@@ -146,7 +149,7 @@ func subpatternFeatures(v *bisim.Vertex, depthLimit, budget int, enc *matrix.Edg
 		if v.Feats.Oversize {
 			return oversizeFeatures(), nil, nil
 		}
-		return Features{Min: v.Feats.Min, Max: v.Feats.Max}, v.Feats.Spectrum, nil
+		return Features{Sigma: v.Feats.Sigma}, v.Feats.Spectrum, nil
 	}
 	g, ok, err := bisim.Subpattern(v, depthLimit, budget)
 	if err != nil {
@@ -166,7 +169,7 @@ func subpatternFeatures(v *bisim.Vertex, depthLimit, budget int, enc *matrix.Edg
 		}
 		spec = graphSpectrumTail(g, enc, spectrumK)
 	}
-	v.Feats = bisim.Features{Set: true, Oversize: f.Oversize, Min: f.Min, Max: f.Max, Spectrum: spec}
+	v.Feats = bisim.Features{Set: true, Oversize: f.Oversize, Sigma: f.Sigma, Spectrum: spec}
 	return f, spec, nil
 }
 

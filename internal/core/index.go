@@ -231,10 +231,10 @@ func (ix *Index) Options() Options { return ix.opts }
 func (ix *Index) BTree() *btree.Tree { return ix.bt }
 
 // Verify checks the on-disk integrity of the index: every B-tree page's
-// checksum and structure, the meta/leaf entry-count agreement, and that
-// every entry's value decodes — in the one spelling appendTo writes, with
-// no more spectrum components than the index stores — to a primary pointer
-// that addresses an existing record. Problems are recorded in the health
+// checksum and structure, the meta/leaf entry-count agreement, that every
+// key is keySize bytes, and that every entry's value decodes — in the one
+// spelling appendTo writes, with no more spectrum components than the
+// index stores — to a primary pointer that addresses an existing record. Problems are recorded in the health
 // status and returned.
 func (ix *Index) Verify() error {
 	if err := ix.Health(); err != nil {
@@ -259,6 +259,8 @@ func (ix *Index) verify() error {
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
 		ev, ok := decodeValue(v)
 		switch {
+		case len(k) != keySize:
+			bad = errBadKey(k)
 		case !ok:
 			bad = errBadValue(k, v)
 		case ev.primary.Rec() >= nrec:
@@ -416,7 +418,7 @@ func (ix *Index) soundBound(g *bisim.Graph) (Features, bool) {
 			}
 		}
 	}
-	return Features{Min: -best, Max: best}, true
+	return Features{Sigma: best}, true
 }
 
 func hyp(a, b float64) float64 {
@@ -464,8 +466,9 @@ func (ix *Index) Covered(path *xpath.Path) bool {
 	return xpath.Decompose(qt)[0].Root.Depth() <= ix.opts.DepthLimit
 }
 
-// QueryFeatures exposes the feature pair FIX computes for the query's top
-// twig; diagnostics and experiments use it.
+// QueryFeatures exposes the features FIX computes for the query's top
+// twig, relaxed by slack as the probe compares them; diagnostics and
+// experiments use it.
 func (ix *Index) QueryFeatures(path *xpath.Path) (Features, bool, error) {
 	p, err := ix.plan(path.Tree())
 	if err != nil {

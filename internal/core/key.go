@@ -13,16 +13,17 @@ import (
 	"github.com/fix-index/fix/internal/storage"
 )
 
-// Feature keys sort by (root label, λmax, λmin, sequence number). The
-// containment search "entries with λmax_e >= λmax_q within a label
-// partition" becomes a single range scan; the sequence number makes keys
-// unique so equal features coexist. λmin prunes nothing: the matrix is
-// skew-symmetric, so λmin = -λmax on every entry and the test on it repeats
-// the one on λmax (the ROADMAP's "Drop λmin"). Entries of equal features
-// are a run of keys that differ in the last bytes of the sequence number
-// only, and those bytes are what a B-tree leaf stores of them
-// (btree/node.go).
-const keySize = 4 + 8 + 8 + 8
+// Feature keys sort by (root label, σ, sequence number), σ being the
+// largest eigenvalue magnitude of the unit's skew-symmetric matrix. The
+// paper keys on (λmin, λmax), but the spectrum is {±iσ}, so λmin = −σ and
+// λmax = σ on every entry and one σ is all the key holds (DESIGN.md
+// "Mathematical note"). The containment search "entries with σ_e >= σ_q
+// within a label partition" becomes a single range scan; the sequence
+// number makes keys unique so equal features coexist. Entries of equal
+// features are a run of keys that differ in the last bytes of the
+// sequence number only, and those bytes are what a B-tree leaf stores of
+// them (btree/node.go).
+const keySize = 4 + 8 + 8
 
 // encodeFloat maps a float64 to 8 bytes whose lexicographic order matches
 // numeric order (including negatives, ±Inf).
@@ -44,43 +45,48 @@ func decodeFloat(u uint64) float64 {
 
 // entryKey is the decoded form of a B-tree key.
 type entryKey struct {
-	label    uint32
-	max, min float64
-	seq      uint64
+	label uint32
+	sigma float64
+	seq   uint64
 }
 
 func (k entryKey) encode() []byte {
 	buf := make([]byte, keySize)
-	putKey(buf, k.label, encodeFloat(k.max), encodeFloat(k.min), k.seq)
+	putKey(buf, k.label, encodeFloat(k.sigma), k.seq)
 	return buf
 }
 
-// putKey writes a key whose eigenvalues are already in encodeFloat form
-// into buf[:keySize]. Comparing (label, max, min, seq) as unsigned
-// integers orders entries exactly as their key bytes do.
-func putKey(buf []byte, label uint32, max, min, seq uint64) {
+// putKey writes a key whose σ is already in encodeFloat form into
+// buf[:keySize]. Comparing (label, sigma, seq) as unsigned integers orders
+// entries exactly as their key bytes do.
+func putKey(buf []byte, label uint32, sigma, seq uint64) {
 	binary.BigEndian.PutUint32(buf[0:4], label)
-	binary.BigEndian.PutUint64(buf[4:12], max)
-	binary.BigEndian.PutUint64(buf[12:20], min)
-	binary.BigEndian.PutUint64(buf[20:28], seq)
+	binary.BigEndian.PutUint64(buf[4:12], sigma)
+	binary.BigEndian.PutUint64(buf[12:20], seq)
 }
 
+// decodeKey decodes a key of keySize bytes: a key read from a B-tree has
+// its length checked first (errBadKey), as the probe and Verify do.
 func decodeKey(buf []byte) entryKey {
 	return entryKey{
 		label: binary.BigEndian.Uint32(buf[0:4]),
-		max:   decodeFloat(binary.BigEndian.Uint64(buf[4:12])),
-		min:   decodeFloat(binary.BigEndian.Uint64(buf[12:20])),
-		seq:   binary.BigEndian.Uint64(buf[20:28]),
+		sigma: decodeFloat(binary.BigEndian.Uint64(buf[4:12])),
+		seq:   binary.BigEndian.Uint64(buf[12:20]),
 	}
 }
 
+// errBadKey is the error of an entry whose key k is not keySize bytes.
+func errBadKey(k []byte) error {
+	return fmt.Errorf("%w: entry key %x is %d bytes, want %d", ErrCorrupt, k, len(k), keySize)
+}
+
 // scanBounds returns the [from, to) key range of the containment search
-// for a query with the given root label and λmax: all entries of the
-// label partition whose λmax is at least the query's.
-func scanBounds(label uint32, queryMax float64) (from, to []byte) {
+// for a query with the given root label and σ: all entries of the label
+// partition whose σ is at least the query's.
+func scanBounds(label uint32, querySigma float64) (from, to []byte) {
 	from = make([]byte, 12)
 	binary.BigEndian.PutUint32(from[0:4], label)
-	binary.BigEndian.PutUint64(from[4:12], encodeFloat(queryMax))
+	binary.BigEndian.PutUint64(from[4:12], encodeFloat(querySigma))
 	to = make([]byte, 4)
 	binary.BigEndian.PutUint32(to[0:4], label+1)
 	return from, to
@@ -94,7 +100,7 @@ const maxSpectrumK = 8
 //
 //	uvarint uvarint     primary pointer: record, offset in the record
 //	[k × 8 bytes]       σ₂..σ₍k+1₎ of the entry's pattern (σ₁ is the key's
-//	                    λmax), for the optional spectrum filter (§3.3)
+//	                    σ), for the optional spectrum filter (§3.3)
 //
 // A value holds only what its entry knows: the tail's k is what the
 // pointer leaves, 8 bytes a component. A pointer's halves are small —

@@ -52,12 +52,13 @@ func TestFloatEncodingRoundTrip(t *testing.T) {
 }
 
 func TestKeyRoundTrip(t *testing.T) {
-	f := func(label uint32, max, min float64, seq uint64) bool {
-		if math.IsNaN(max) || math.IsNaN(min) {
+	f := func(label uint32, sigma float64, seq uint64) bool {
+		if math.IsNaN(sigma) {
 			return true
 		}
-		k := entryKey{label: label, max: max, min: min, seq: seq}
-		return decodeKey(k.encode()) == k
+		k := entryKey{label: label, sigma: sigma, seq: seq}
+		b := k.encode()
+		return len(b) == keySize && decodeKey(b) == k
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -65,14 +66,13 @@ func TestKeyRoundTrip(t *testing.T) {
 }
 
 func TestKeySortOrder(t *testing.T) {
-	// Encoded keys must sort by (label, max, min, seq).
+	// Encoded keys must sort by (label, sigma, seq).
 	rng := rand.New(rand.NewSource(9))
 	keys := make([]entryKey, 300)
 	for i := range keys {
 		keys[i] = entryKey{
 			label: uint32(rng.Intn(4)),
-			max:   float64(rng.Intn(8)) - 2.5,
-			min:   float64(rng.Intn(8)) - 4.5,
+			sigma: float64(rng.Intn(8)) - 2.5,
 			seq:   uint64(rng.Intn(5)),
 		}
 	}
@@ -86,11 +86,8 @@ func TestKeySortOrder(t *testing.T) {
 		if a.label != b.label {
 			return a.label < b.label
 		}
-		if a.max != b.max {
-			return a.max < b.max
-		}
-		if a.min != b.min {
-			return a.min < b.min
+		if a.sigma != b.sigma {
+			return a.sigma < b.sigma
 		}
 		return a.seq < b.seq
 	})
@@ -102,21 +99,21 @@ func TestKeySortOrder(t *testing.T) {
 }
 
 func TestScanBoundsContainment(t *testing.T) {
-	// Every entry with the same label and max >= queryMax must fall in
-	// [from, to); entries below or in other labels must not.
+	// Every entry with the same label and sigma >= the query's must fall
+	// in [from, to); entries below or in other labels must not.
 	from, to := scanBounds(7, 2.5)
-	in := entryKey{label: 7, max: 2.5, min: -2.5, seq: 0}.encode()
-	inHigher := entryKey{label: 7, max: 100, min: -100, seq: 9}.encode()
-	inInf := entryKey{label: 7, max: math.Inf(1), min: math.Inf(-1), seq: 1}.encode()
-	below := entryKey{label: 7, max: 2.4, min: -2.4, seq: 0}.encode()
-	otherLabel := entryKey{label: 8, max: 50, min: -50, seq: 0}.encode()
+	in := entryKey{label: 7, sigma: 2.5, seq: 0}.encode()
+	inHigher := entryKey{label: 7, sigma: 100, seq: 9}.encode()
+	inInf := entryKey{label: 7, sigma: math.Inf(1), seq: 1}.encode()
+	below := entryKey{label: 7, sigma: 2.4, seq: 0}.encode()
+	otherLabel := entryKey{label: 8, sigma: 50, seq: 0}.encode()
 	for _, c := range []struct {
 		key  []byte
 		want bool
 		name string
 	}{
-		{in, true, "equal max"},
-		{inHigher, true, "higher max"},
+		{in, true, "equal sigma"},
+		{inHigher, true, "higher sigma"},
 		{inInf, true, "oversize"},
 		{below, false, "below"},
 		{otherLabel, false, "other label"},
@@ -192,8 +189,8 @@ func FuzzEntryValue(f *testing.F) {
 }
 
 func TestFeaturesContains(t *testing.T) {
-	big := Features{Min: -5, Max: 5}
-	small := Features{Min: -3, Max: 3}
+	big := Features{Sigma: 5}
+	small := Features{Sigma: 3}
 	if !big.Contains(small) || small.Contains(big) {
 		t.Error("containment wrong")
 	}

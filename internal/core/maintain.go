@@ -97,7 +97,7 @@ func (ix *Index) insertLive(label uint32, f Features, spec []float64, ptr storag
 	if f.Oversize {
 		ix.oversize++
 	}
-	k := entryKey{label: label, max: f.Max, min: f.Min, seq: ix.seq}
+	k := entryKey{label: label, sigma: f.Sigma, seq: ix.seq}
 	ix.seq++
 	return ix.bt.Put(k.encode(), v.encode())
 }

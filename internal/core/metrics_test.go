@@ -48,8 +48,8 @@ func TestQueryFeaturesExposure(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("QueryFeatures: %v %v", ok, err)
 	}
-	if f.Max <= 0 || f.Min != -f.Max {
-		t.Errorf("features = %+v (skew spectra are symmetric)", f)
+	if f.Sigma <= 0 || f.Oversize {
+		t.Errorf("features = %+v, want a positive finite sigma", f)
 	}
 	if _, ok, _ := ix.QueryFeatures(xpath.MustParse("//nosuchlabel")); ok {
 		t.Error("unknown label produced features")

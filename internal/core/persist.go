@@ -30,17 +30,18 @@ import (
 // interpret its keys against them.
 
 // metaVersion 2 adds the records field, which ties the committed index to
-// the number of primary-store records it covers. Version 3 has the same
-// fields and a new spelling of the B-tree's values: two uvarints a pointer
-// and no flag byte (entryValue). Nothing in a value tells the spellings
-// apart, so the version does: Open reads a version-2 fix.meta and degrades
-// the index it describes, which a rebuild writes anew (oldMetaVersion).
-const metaVersion = 3
+// the number of primary-store records it covers. Versions 3 and 4 have the
+// same fields and spell the B-tree anew: version 3 a value as two uvarints
+// a pointer and no flag byte (entryValue), version 4 a key as (label, σ,
+// seq) without λmin (keySize). Nothing in an entry tells the spellings
+// apart, so the version does. Open reads the fields of any version from
+// minMetaVersion on — so the database layer's recovery still finds the
+// records an index covers — and degrades an index older than metaVersion,
+// which a rebuild writes anew. A format change bumps metaVersion only.
+const metaVersion = 4
 
-// oldMetaVersion is the version before metaVersion: its fields are read,
-// so the database layer's recovery still finds the records it covers, and
-// its B-tree is not.
-const oldMetaVersion = 2
+// minMetaVersion is the oldest fix.meta Open reads.
+const minMetaVersion = 2
 
 // encodeMeta renders the fix.meta payload.
 func (ix *Index) encodeMeta() []byte {
@@ -118,9 +119,9 @@ func (ix *Index) Save() error {
 //
 // Open first lets Recover resolve any half-finished commit, then
 // validates the metadata. Detectable damage that does not compromise
-// query correctness — a corrupt B-tree, an index written in the value
-// spelling of oldMetaVersion or with the retired clustered option, or an
-// index that is stale relative to the store — degrades the index instead
+// query correctness — a corrupt B-tree, an index written in the spelling
+// of a version before metaVersion or with the retired clustered option,
+// or an index that is stale relative to the store — degrades the index instead
 // of failing: Health reports the cause and queries fall back to a full
 // scan of the primary store until RebuildIndex runs.
 func Open(st *storage.Store, dir string) (*Index, error) {
@@ -137,11 +138,11 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		return nil, err
 	}
 	ix.vh = valueHasher{alpha: alpha, beta: ix.opts.Beta}
-	if version == oldMetaVersion {
-		// Its values are in a spelling nothing reads any more. Only the
+	if version < metaVersion {
+		// Its entries are in a spelling nothing reads any more. Only the
 		// first health problem is kept, so a directory older still — a
 		// FIXBT002 page format — is reported by its meta version too.
-		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (pointers spelled as uvarints, no flag byte): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
+		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (keys of one σ, values of two uvarints): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
 	}
 	if clustered {
 		ix.setHealth(fmt.Errorf("%w: the index is clustered, a layout this version no longer builds or reads (its values carry a second pointer): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt))
@@ -187,7 +188,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 }
 
 // readMeta reads fix.meta under ix.opts.Dir into ix and returns the fields
-// ix does not hold: the version, metaVersion or oldMetaVersion, the
+// ix does not hold: the version, from minMetaVersion to metaVersion, the
 // value-hash α, the number of primary-store records the commit covers and
 // whether the index was built clustered.
 func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered bool, err error) {
@@ -210,7 +211,7 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered b
 	if err := readField("version", &version); err != nil {
 		return 0, 0, 0, false, err
 	}
-	if version != metaVersion && version != oldMetaVersion {
+	if version < minMetaVersion || version > metaVersion {
 		return 0, 0, 0, false, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
 	}
 	fields := []struct {
@@ -240,7 +241,7 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered b
 }
 
 // CommittedRecords returns how many primary-store records the index
-// committed under dir covers, in a fix.meta of either version. A database
+// committed under dir covers, in a fix.meta of any version Open reads. A database
 // whose ingest log outlived the checkpoint that absorbed it — the crash
 // fell between the index's commit and the log's reset — finds the index
 // ahead of the log's base by the documents the log adds, and replays the

@@ -21,7 +21,7 @@ func planBits(p *queryPlan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "label %d ok %t empty %t", p.topLabel, p.labelOK, p.empty)
 	for _, f := range p.feats {
-		fmt.Fprintf(&b, " [%x %x %t]", math.Float64bits(f.Min), math.Float64bits(f.Max), f.Oversize)
+		fmt.Fprintf(&b, " [%x %t]", math.Float64bits(f.Sigma), f.Oversize)
 	}
 	for _, spec := range p.specs {
 		b.WriteString(" {")

@@ -67,9 +67,9 @@ func everyEntry(t *testing.T, g *Generation) []indexEntry {
 // their label — and the labels there are.
 func filterEverything(entries []indexEntry, p *queryPlan, buf []Candidate) (cands []Candidate, inRange, labels int) {
 	cands = buf[:0]
-	sigma := p.feats[0].Max
+	sigma := p.feats[0].Sigma
 	for _, f := range p.feats {
-		sigma = max(sigma, f.Max)
+		sigma = max(sigma, f.Sigma)
 	}
 	seen := map[uint32]bool{}
 entries:
@@ -78,11 +78,11 @@ entries:
 		if p.labelOK && e.key.label != p.topLabel {
 			continue
 		}
-		if e.key.max >= sigma {
+		if e.key.sigma >= sigma {
 			inRange++
 		}
 		for _, f := range p.feats {
-			if !(Features{Min: e.key.min, Max: e.key.max}).Contains(f) {
+			if !(Features{Sigma: e.key.sigma}).Contains(f) {
 				continue entries
 			}
 		}

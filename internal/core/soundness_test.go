@@ -64,16 +64,16 @@ func TestPaperBoundFalseNegativeDemonstration(t *testing.T) {
 	err = paper.bt.Scan(nil, nil, func(k, v []byte) bool {
 		ek := decodeKey(k)
 		if ev, _ := decodeValue(v); ev.primary.Rec() == 0 { // the matching document
-			docMax = ek.max
+			docMax = ek.sigma
 		}
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qf.Max <= docMax {
+	if qf.Sigma <= docMax {
 		t.Fatalf("expected the uncanonicalized query bound (%v) to exceed the matching document's (%v)",
-			qf.Max, docMax)
+			qf.Sigma, docMax)
 	}
 }
 
@@ -124,8 +124,8 @@ func TestSoundBoundNeverExceedsPaperBound(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s: %v %v", qs, ok, err)
 		}
-		if sound.Max > paper.Max+1e-9 {
-			t.Errorf("%s: sound bound %v exceeds paper bound %v", qs, sound.Max, paper.Max)
+		if sound.Sigma > paper.Sigma+1e-9 {
+			t.Errorf("%s: sound bound %v exceeds paper bound %v", qs, sound.Sigma, paper.Sigma)
 		}
 	}
 }

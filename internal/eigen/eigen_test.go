@@ -139,12 +139,12 @@ func TestSkewKnownMatrices(t *testing.T) {
 		{-1, 0, 0},
 		{-2, 0, 0},
 	}
-	min, max, err := SkewExtremes(star)
+	max, err := SkewMax(star)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(max, math.Sqrt(5), 1e-12) || !almostEqual(min, -math.Sqrt(5), 1e-12) {
-		t.Errorf("star extremes = %v, %v; want ±sqrt(5)", min, max)
+	if !almostEqual(max, math.Sqrt(5), 1e-12) {
+		t.Errorf("star sigma = %v, want sqrt(5)", max)
 	}
 	// Chain a->b (u), b->c (v): sigma_max = sqrt(u²+v²).
 	chain := [][]float64{
@@ -152,7 +152,7 @@ func TestSkewKnownMatrices(t *testing.T) {
 		{-2, 0, 5},
 		{0, -5, 0},
 	}
-	_, max, err = SkewExtremes(chain)
+	max, err = SkewMax(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestInterlacing(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 3 + rng.Intn(10)
 		m, _ := randomSkewDAG(rng, n, 0.4)
-		_, fullMax, err := SkewExtremes(m)
+		fullMax, err := SkewMax(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestInterlacing(t *testing.T) {
 				sub[i][j] = m[keep[i]][keep[j]]
 			}
 		}
-		_, subMax, err := SkewExtremes(sub)
+		subMax, err := SkewMax(sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestPowerIterationAgreesWithDense(t *testing.T) {
 		if len(edges) == 0 {
 			continue
 		}
-		_, dense, err := SkewExtremes(m)
+		dense, err := SkewMax(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,9 +273,9 @@ func TestSingleElementMatrices(t *testing.T) {
 	if err != nil || len(s) != 1 || s[0] != 0 {
 		t.Errorf("1x1 skew = %v, %v", s, err)
 	}
-	min, max, err := SkewExtremes(nil)
-	if err != nil || min != 0 || max != 0 {
-		t.Errorf("empty extremes = %v %v %v", min, max, err)
+	max, err := SkewMax(nil)
+	if err != nil || max != 0 {
+		t.Errorf("empty sigma = %v %v", max, err)
 	}
 }
 

@@ -60,17 +60,14 @@ func SkewSpectrum(m [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// SkewExtremes returns (λmin, λmax) of the skew-symmetric matrix m as used
-// for the FIX key: the spectrum is {±iσ}, so the extremes are ∓σmax taken
-// as real magnitudes, exactly the |λ| convention the paper adopts for the
-// indexed range (§3.3).
-func SkewExtremes(m [][]float64) (min, max float64, err error) {
+// SkewMax returns σmax of the skew-symmetric matrix m, the FIX key: the
+// spectrum is {±iσ}, so the paper's indexed range (λmin, λmax), taken as
+// real magnitudes under its |λ| convention (§3.3), is (−σmax, σmax). An
+// empty matrix has σmax 0.
+func SkewMax(m [][]float64) (float64, error) {
 	sigma, err := SkewSpectrum(m)
-	if err != nil {
-		return 0, 0, err
+	if err != nil || len(sigma) == 0 {
+		return 0, err
 	}
-	if len(sigma) == 0 {
-		return 0, 0, nil
-	}
-	return -sigma[0], sigma[0], nil
+	return sigma[0], nil
 }

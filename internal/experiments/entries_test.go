@@ -26,26 +26,28 @@ import (
 // index was a build option whose values held the pointer of each entry's
 // copy after the primary one; the test now spells those values from the
 // unclustered index and its offline clustered copy (withCopy), so the
-// recorded hashes pin the copy's key order too. sha256 hashes each value re-spelled as
-// metaVersion 2 spelled it (oldSpelling) and was recorded at the commit
-// before page format FIXBT003 (PR 21), whose leaves stored keys whole:
-// neither how a page spells a key nor how a value spells its pointers may
-// change what an entry holds. raw hashes the values as stored, recorded
-// when metaVersion 3 respelled them (PR 25): a change to the spelling shows
-// there.
+// recorded hashes pin the copy's key order too. sha256 hashes each key
+// re-spelled as metaVersion 3 spelled it (oldKey) and each value as
+// metaVersion 2 did (oldSpelling), and was recorded at the commit before
+// page format FIXBT003, whose leaves stored keys whole: neither how
+// a page spells a key, nor how a key spells σ, nor how a value spells its
+// pointers may change what an entry holds — its label, σ, order and
+// pointer. raw hashes the keys and values as stored, recorded when
+// metaVersion 4 dropped λmin from the key: a change to the
+// spelling shows there.
 var recordedEntries = map[datagen.Dataset]struct {
 	entries     int
 	sha256, raw string
 }{
-	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "d9f8643c113cfd09fcb611e2d7f41283214bc2777810ca02f9ed9d17751ab09d"},
-	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "2f5d5295479297af6c1567be810fb056fc892de20d66141e7f63630905981d1b"},
-	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "715076054a725156dbd7014a2ab19335dff84169208086afc72111ad2f85d1f9"},
-	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "ea8ee254a6755685ba1a5b1e36d0861c37c7aa7cda41e2fe2018ddf6ca10a248"},
+	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "366318adc59d9437a1903900f066eedcfdcecfa4cccec1ae0dc649c6c34cce0c"},
+	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "bcbb54f25a44c61df46bfa9693250e690aadfda776e25fdc0a273976b6b4b3a7"},
+	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "5155621525f987f0c72706f669e2913119c9d319d5c55575be12e406fef0b8a4"},
+	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "705dce5832ca10b5808e3dfdb5a4195b787aa9444bf22e63f0aca3043c151754"},
 }
 
 // TestIndexEntriesAreTheRecordedOnes builds the experiments' index and its
 // clustered copy and requires a full scan of the B-tree to yield the
-// recorded entries, byte for byte, in both spellings of the values.
+// recorded entries, byte for byte, in both spellings.
 func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds four indexes at scale 1.0")
@@ -69,7 +71,7 @@ func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 				if clustered {
 					v = withCopy(t, c, v)
 				}
-				writeEntry(old, k, oldSpelling(t, v, clustered))
+				writeEntry(old, oldKey(t, k), oldSpelling(t, v, clustered))
 				writeEntry(raw, k, v)
 				entries++
 				return true
@@ -84,7 +86,7 @@ func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 			t.Errorf("%s: %d entries, sha256 %s; recorded: %d, %s", ds, entries, got, want.entries, want.sha256)
 		}
 		if got := hex.EncodeToString(raw.Sum(nil)); got != want.raw {
-			t.Errorf("%s: sha256 of the values as stored %s; recorded: %s", ds, got, want.raw)
+			t.Errorf("%s: sha256 of the entries as stored %s; recorded: %s", ds, got, want.raw)
 		}
 	}
 }
@@ -97,6 +99,17 @@ func writeEntry(h hash.Hash, k, v []byte) {
 		h.Write(n[:])
 		h.Write(b)
 	}
+}
+
+// oldKey re-spells a key the way metaVersion 3 and before did: label, λmax,
+// λmin, seq. λmax is σ and λmin is −σ, and encodeFloat(−σ) is the
+// complement of encodeFloat(σ) — for ±0 and ±Inf too.
+func oldKey(t *testing.T, k []byte) []byte {
+	if len(k) != 20 {
+		t.Fatalf("key %x is %d bytes, want 20", k, len(k))
+	}
+	out := binary.BigEndian.AppendUint64(append([]byte(nil), k[:12]...), ^binary.BigEndian.Uint64(k[4:12]))
+	return append(out, k[12:]...)
 }
 
 // withCopy spells v, a value of the index c is the clustered copy of, the

@@ -127,18 +127,6 @@ func TestBetaSweep(t *testing.T) {
 	}
 }
 
-func TestExtRTree(t *testing.T) {
-	env := testEnv(t, datagen.XMarkDataset)
-	rows, err := ExtRTree(context.Background(), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%-10s candidates=%-6d btreeScanned=%-6d rtreeVisited=%d",
-			r.Query, r.Candidates, r.BTreeScanned, r.RTreeVisited)
-	}
-}
-
 func TestExtEvaluators(t *testing.T) {
 	for _, ds := range []datagen.Dataset{datagen.XMarkDataset, datagen.TreebankDataset} {
 		env := testEnv(t, ds)

@@ -11,59 +11,9 @@ import (
 	"github.com/fix-index/fix/internal/xpath"
 )
 
-// Extension experiments beyond the paper's evaluation: the §8 future-work
-// R-tree over feature vectors, and the join-based evaluator of the
-// architecture in Figure 3 compared against the navigational operator.
-
-// RTreeRow compares the search effort of the B-tree range scan against
-// the R-tree box query for one representative query. Both return the same
-// candidate set; the interesting quantity is how much of the index each
-// one touches.
-type RTreeRow struct {
-	Query        string
-	Candidates   int
-	BTreeScanned int   // entries touched by the B-tree range scan
-	RTreeVisited int64 // R-tree nodes visited
-}
-
-// ExtRTree builds the feature R-tree and contrasts scan effort.
-func ExtRTree(ctx context.Context, env *Env) ([]RTreeRow, error) {
-	ix, err := env.Unclustered()
-	if err != nil {
-		return nil, err
-	}
-	rt, err := ix.BuildFeatureRTree()
-	if err != nil {
-		return nil, err
-	}
-	g := env.Frozen(ix)
-	var rows []RTreeRow
-	for _, rq := range RepresentativeQueries[env.Dataset] {
-		q, err := xpath.Parse(rq.XPath)
-		if err != nil {
-			return nil, err
-		}
-		bt, scanned, err := g.CandidatesCtx(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		rt.ResetStats()
-		rc, err := rt.Candidates(q)
-		if err != nil {
-			return nil, err
-		}
-		if len(bt) != len(rc) {
-			return nil, fmt.Errorf("experiments: %s: candidate sets differ (%d vs %d)", rq.Name, len(bt), len(rc))
-		}
-		rows = append(rows, RTreeRow{
-			Query:        rq.Name,
-			Candidates:   len(bt),
-			BTreeScanned: scanned,
-			RTreeVisited: rt.NodesVisited(),
-		})
-	}
-	return rows, nil
-}
+// Extension experiments beyond the paper's evaluation: the join-based
+// evaluator of the architecture in Figure 3 compared against the
+// navigational operator, and the spectrum filter of §3.3.
 
 // EvaluatorRow compares the navigational (NoK) and join-based
 // (Stack-Tree structural join) processors on one runtime query, both

@@ -130,15 +130,6 @@ func PrintPruningMode(w io.Writer, rows []PruningModeRow) {
 	}
 }
 
-// PrintRTree renders the R-tree extension comparison.
-func PrintRTree(w io.Writer, rows []RTreeRow) {
-	fmt.Fprintf(w, "Extension (§8): feature R-tree vs B-tree scan effort\n")
-	fmt.Fprintf(w, "%-10s %12s %14s %14s\n", "query", "candidates", "btree scanned", "rtree visited")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %12d %14d %14d\n", r.Query, r.Candidates, r.BTreeScanned, r.RTreeVisited)
-	}
-}
-
 // PrintEvaluators renders the evaluator comparison.
 func PrintEvaluators(w io.Writer, rows []EvaluatorRow) {
 	fmt.Fprintf(w, "Extension: navigational (NoK) vs join-based (structural join) evaluation\n")

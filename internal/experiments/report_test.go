@@ -81,12 +81,6 @@ func TestPrinters(t *testing.T) {
 	}
 
 	sb.Reset()
-	PrintRTree(&sb, []RTreeRow{{Query: "q", Candidates: 5, BTreeScanned: 100, RTreeVisited: 12}})
-	if !strings.Contains(sb.String(), "rtree visited") {
-		t.Errorf("RTree output:\n%s", sb.String())
-	}
-
-	sb.Reset()
 	PrintEvaluators(&sb, []EvaluatorRow{{Query: "q", Count: 3, NoK: time.Millisecond, Joins: time.Microsecond, TagBuild: time.Millisecond, TagMB: 1.5}})
 	if !strings.Contains(sb.String(), "joins") {
 		t.Errorf("Evaluators output:\n%s", sb.String())

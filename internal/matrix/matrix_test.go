@@ -168,7 +168,7 @@ func TestSpectrumPermutationInvariance(t *testing.T) {
 		}
 		enc := NewEdgeEncoder()
 		m1, _ := BuildSkew(g, enc, true)
-		_, max1, err := eigen.SkewExtremes(m1)
+		max1, err := eigen.SkewMax(m1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestSpectrumPermutationInvariance(t *testing.T) {
 		if !ok {
 			t.Fatal("permuted build failed")
 		}
-		_, max2, err := eigen.SkewExtremes(m2)
+		max2, err := eigen.SkewMax(m2)
 		if err != nil {
 			t.Fatal(err)
 		}
