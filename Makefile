@@ -106,10 +106,13 @@ serve-smoke:
 
 # fuzz-smoke runs each native fuzz target briefly on top of the committed
 # seed corpus — a cheap regression net for the input-hardening layer, the
-# hand-written query-response encoder, and the operation sequences every
-# query evaluator must answer as the reference does (internal/oracle).
+# node-header decodes the matcher steps through records with (held to
+# binary.Uvarint), the hand-written query-response encoder, and the
+# operation sequences every query evaluator must answer as the reference
+# does (internal/oracle).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseXML -fuzztime=10s ./internal/xmltree/
+	$(GO) test -fuzz=FuzzNodeHeader -fuzztime=10s ./internal/xmltree/
 	$(GO) test -fuzz=FuzzParseXPath -fuzztime=10s ./internal/xpath/
 	$(GO) test -fuzz=FuzzViewPage -fuzztime=10s ./internal/btree/
 	$(GO) test -fuzz=FuzzEntryValue -fuzztime=10s ./internal/core/

@@ -551,9 +551,11 @@ func BenchmarkQueryTraceOverhead(b *testing.B) {
 // BenchmarkNokRefine isolates the refinement step of Algorithm 2: for
 // each of the seven XMark queries of §6 (Table 2 and Figure 6) it runs
 // the NoK matcher over exactly the candidates the index probe returns,
-// with the subtrees fetched outside the timer. One op is one query's
+// with the subtrees fetched outside the timer, through one nok.Pass per
+// query as the served refinement loop does. One op is one query's
 // refinement; nodes/op is the matcher's visit count (obs nodes_visited),
-// and allocs/op is the steady-state allocation of the pooled matcher.
+// ns/candidate the time per candidate, and allocs/op the steady-state
+// allocation of the pooled matcher.
 func BenchmarkNokRefine(b *testing.B) {
 	env, err := experiments.Setup(datagen.XMarkDataset, datagen.Config{Seed: 42, Scale: 0.1})
 	if err != nil {
@@ -610,16 +612,22 @@ func BenchmarkNokRefine(b *testing.B) {
 			nodes := 0
 			for i := 0; i < b.N; i++ {
 				count := 0
+				pass := nq.NewPass(context.Background(), 0)
 				for _, s := range subtrees {
-					n, visited := nq.Eval(s.cur, s.ref)
+					n, visited, err := pass.EvalBudget(s.cur, s.ref)
+					if err != nil {
+						b.Fatal(err)
+					}
 					count += n
 					nodes += visited
 				}
+				pass.Release()
 				if count != want {
 					b.Fatalf("refined count %d, scan count %d", count, want)
 				}
 			}
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*max(len(subtrees), 1)), "ns/candidate")
 		})
 	}
 }

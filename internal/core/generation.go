@@ -324,41 +324,52 @@ func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim
 	return cands, scanned, false, err
 }
 
-// fetchFunc resolves work item i of a refinement pass to the subtree to
-// evaluate, or reports ok=false to skip it.
-type fetchFunc func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error)
-
-// refinement returns the fetch over cands for the prepared query's
-// refinement matcher. Refinement reads the clustered copy when the
-// generation holds one (Clustered.Freeze) and follows primary pointers
-// otherwise.
-func (g *Generation) refinement(pq *Prepared, cands []Candidate) fetchFunc {
-	return func(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
-		c := cands[i]
-		if pq.rootAnchored && c.Primary.Off() != 0 {
-			return // a /-anchored query only matches document roots
-		}
-		if g.tombs.Has(c.Primary.Rec()) {
-			return // tombstoned: entries may outlive the delete until rebuild
-		}
-		if g.clustered == nil {
-			cur, ref, err = g.store.ReadSubtree(c.Primary)
-		} else if rec, copied := g.copies[c.Primary]; copied {
-			cur, err = g.clustered.Cursor(rec)
-		} else {
-			err = fmt.Errorf("core: entry at %v has no clustered copy", c.Primary)
-		}
-		return cur, ref, true, err
-	}
+// workItems is what a refinement pass walks: n candidates of a probe, or,
+// with scan set, the n records of the frozen heap.
+type workItems struct {
+	n            int
+	cands        []Candidate
+	rootAnchored bool // a /-anchored query only matches document roots
+	scan         bool
 }
 
-// scanFetch is the fetch over every live record of the frozen heap view.
-func (g *Generation) scanFetch(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
-	if g.tombs.Has(uint32(i)) {
-		return // tombstoned records are not part of the collection
+// candidateItems returns the work of refining cands for the prepared
+// query.
+func candidateItems(pq *Prepared, cands []Candidate) workItems {
+	return workItems{n: len(cands), cands: cands, rootAnchored: pq.rootAnchored}
+}
+
+// scanItems returns the work of refining every record of the frozen heap.
+func (g *Generation) scanItems() workItems {
+	return workItems{n: g.store.NumRecords(), scan: true}
+}
+
+// fetch resolves work item i of a refinement pass to the subtree to
+// evaluate, reading the heap through the pass's rd, or reports ok=false
+// to skip it: tombstoned records are not part of the collection, and
+// their entries may outlive the delete until a rebuild. A candidate is
+// read from the clustered copy when the generation holds one
+// (Clustered.Freeze), and by following its primary pointer otherwise.
+func (g *Generation) fetch(rd *storage.ReadPass, w workItems, i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
+	if w.scan {
+		if g.tombs.Has(uint32(i)) {
+			return
+		}
+		cur, err = rd.Cursor(uint32(i))
+		return cur, 0, true, err
 	}
-	cur, err = g.store.Cursor(uint32(i))
-	return cur, 0, true, err
+	c := w.cands[i]
+	if w.rootAnchored && c.Primary.Off() != 0 || g.tombs.Has(c.Primary.Rec()) {
+		return
+	}
+	if g.clustered == nil {
+		cur, ref, err = rd.ReadSubtree(c.Primary)
+	} else if rec, copied := g.copies[c.Primary]; copied {
+		cur, err = g.clustered.Cursor(rec)
+	} else {
+		err = fmt.Errorf("core: entry at %v has no clustered copy", c.Primary)
+	}
+	return cur, ref, true, err
 }
 
 // QueryPrepared runs the full pruning + refinement pipeline of a
@@ -388,7 +399,7 @@ func (g *Generation) scanFetch(i int) (cur xmltree.Cursor, ref xmltree.Ref, ok b
 func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits) (Result, error) {
 	buf := candPool.Get().(*[]Candidate)
 	cands, scanned, useScan, err := g.probe(ctx, pq, tr, lim, *buf)
-	// Deferred past refine: the fetch closure reads cands until then.
+	// Deferred past refine, which reads cands until then.
 	defer recycle(buf, cands)
 	if err != nil {
 		return Result{}, err
@@ -401,7 +412,7 @@ func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Tr
 	if pq.nested {
 		distinct = distinctOutputs(cands)
 	}
-	res.Matched, res.Count, err = g.refine(ctx, len(cands), pq.refine, lim, tr, g.refinement(pq, cands), distinct)
+	res.Matched, res.Count, err = g.refine(ctx, candidateItems(pq, cands), pq.refine, lim, tr, distinct)
 	if err != nil {
 		return Result{}, err
 	}
@@ -428,14 +439,14 @@ func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *ob
 func (g *Generation) ExistsPrepared(ctx context.Context, pq *Prepared) (bool, error) {
 	buf := candPool.Get().(*[]Candidate)
 	cands, _, useScan, err := g.probe(ctx, pq, nil, Limits{}, *buf)
-	defer recycle(buf, cands) // after firstHit: the fetch closure reads cands
+	defer recycle(buf, cands) // after firstHit, which reads cands
 	if err != nil {
 		return false, err
 	}
 	if useScan {
 		return g.ScanExists(ctx, pq.tree)
 	}
-	return g.firstHit(ctx, len(cands), pq.refine, g.refinement(pq, cands))
+	return g.firstHit(ctx, candidateItems(pq, cands), pq.refine)
 }
 
 // ExistsGoverned is ExistsPrepared for a query planned afresh.
@@ -463,7 +474,7 @@ func (g *Generation) ScanCount(ctx context.Context, qt *xpath.QNode, tr *obs.Tra
 		tr.Fallback = true
 	}
 	res := Result{Fallback: markFallback}
-	res.Matched, res.Count, err = g.refine(ctx, g.store.NumRecords(), nq, lim, tr, g.scanFetch, nil)
+	res.Matched, res.Count, err = g.refine(ctx, g.scanItems(), nq, lim, tr, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -476,7 +487,7 @@ func (g *Generation) ScanExists(ctx context.Context, qt *xpath.QNode) (bool, err
 	if err != nil {
 		return false, err
 	}
-	return g.firstHit(ctx, g.store.NumRecords(), nq, g.scanFetch)
+	return g.firstHit(ctx, g.scanItems(), nq)
 }
 
 // storageDelta converts a storage.Stats difference into the trace's
@@ -515,37 +526,52 @@ func distinctOutputs(cands []Candidate) distinctFunc {
 	}
 }
 
+// ctxPollItems is how many work items a refinement loop walks between
+// two polls of its context. The matcher's budget polls it every 64 node
+// visits as well, so a deadline is noticed within 64 items or 64 visits,
+// whichever comes first, and never leaves a pass unchecked: the loops
+// poll once more at the end.
+const ctxPollItems = 64
+
 // refine is the refinement loop every counting query path shares: it
-// evaluates nq over n work items in order and returns how many items
+// evaluates nq over the work items w in order and returns how many items
 // matched and the total of their output counts — with a non-nil distinct,
-// of the output bindings no earlier item bound. Governance is applied
-// here: node visits are charged to the query's budget, and the running
-// total is checked against MaxResults. ctx is checked before each item
-// and once more at the end, so an expired context fails even a pass
-// with nothing to do. A non-nil tr accumulates the fetch and refinement
-// wall time, the visit count and the heap I/O of the pass — kept on an
-// error, that is the partial trace — and on success the match counts; a
-// nil tr reads no clock. The matcher walks records in the heap's mapping,
+// of the output bindings no earlier item bound. The items share one
+// matcher pass and one heap read pass, so an item costs only its fetch
+// and its match: node visits are charged to the pass's budget of
+// MaxRefineNodes, which polls ctx, and the running total is checked
+// against MaxResults. ctx is also polled every ctxPollItems items and once
+// more at the end, so an expired context fails even a pass with nothing
+// to do. A non-nil tr accumulates the fetch and refinement wall time, the
+// visit count and the heap I/O of the pass — kept on an error, that is
+// the partial trace — and on success the match counts; a nil tr reads no
+// clock. The heap counters reach the store when the read pass flushes,
+// before tr reads them. The matcher walks records in the heap's mapping,
 // so the pass runs under storage.GuardFault: a page truncated away under
 // it is a read error.
-func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limits, tr *obs.Trace, fetch fetchFunc, distinct distinctFunc) (matched, count int, err error) {
+func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim Limits, tr *obs.Trace, distinct distinctFunc) (matched, count int, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer storage.GuardFault(&err)
-	bud := refineBudget(ctx, lim)
+	pass := nq.NewPass(ctx, lim.MaxRefineNodes)
+	defer pass.Release()
 	var st0 storage.Stats
 	if tr != nil {
 		st0 = g.store.Stats()
 	}
+	rd := g.store.Pass()
+	defer rd.Flush() // a fault panics past the Flush below
 	var outs []xmltree.Ref
-	for i := 0; i < n && err == nil; i++ {
-		if err = ctx.Err(); err != nil {
-			break
+	for i := 0; i < w.n && err == nil; i++ {
+		if i%ctxPollItems == 0 {
+			if err = ctx.Err(); err != nil {
+				break
+			}
 		}
 		var fetchStart, refineStart time.Time
 		if tr != nil {
 			fetchStart = time.Now()
 		}
-		cur, ref, ok, ferr := fetch(i)
+		cur, ref, ok, ferr := g.fetch(&rd, w, i)
 		if ferr != nil || !ok {
 			err = ferr
 			continue
@@ -556,9 +582,9 @@ func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limit
 		var cnt, nodes int
 		var everr error
 		if distinct == nil {
-			cnt, nodes, everr = nq.EvalBudget(cur, ref, bud)
+			cnt, nodes, everr = pass.EvalBudget(cur, ref)
 		} else {
-			outs, nodes, everr = nq.AppendOutputs(cur, ref, bud, outs[:0])
+			outs, nodes, everr = pass.AppendOutputs(cur, ref, outs[:0])
 			cnt = len(outs)
 		}
 		if tr != nil {
@@ -582,6 +608,7 @@ func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limit
 		err = ctx.Err()
 	}
 	if tr != nil {
+		rd.Flush()
 		tr.Storage = tr.Storage.Add(storageDelta(g.store.Stats().Sub(st0)))
 		if err == nil {
 			tr.Matched, tr.Count = matched, count
@@ -591,22 +618,33 @@ func (g *Generation) refine(ctx context.Context, n int, nq *nok.Query, lim Limit
 }
 
 // firstHit is the refinement loop of the Exists paths: it reports
-// whether any of the n work items matches nq, stopping at the first
-// that does. Like refine it checks ctx before each item and at the end,
-// and runs under storage.GuardFault.
-func (g *Generation) firstHit(ctx context.Context, n int, nq *nok.Query, fetch fetchFunc) (hit bool, err error) {
+// whether any of the work items w matches nq, stopping at the first
+// that does. Like refine it shares one matcher pass — unlimited, but
+// polling ctx every 64 node visits — and one heap read pass across the
+// items, polls ctx every ctxPollItems items and at the end, and runs
+// under storage.GuardFault.
+func (g *Generation) firstHit(ctx context.Context, w workItems, nq *nok.Query) (hit bool, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer storage.GuardFault(&err)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return false, err
+	pass := nq.NewPass(ctx, 0)
+	defer pass.Release()
+	rd := g.store.Pass()
+	defer rd.Flush()
+	for i := 0; i < w.n; i++ {
+		if i%ctxPollItems == 0 {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
 		}
-		cur, ref, ok, err := fetch(i)
+		cur, ref, ok, err := g.fetch(&rd, w, i)
 		if err != nil {
 			return false, err
 		}
-		if ok && nq.Exists(cur, ref) {
-			return true, nil
+		if !ok {
+			continue
+		}
+		if hit, err := pass.Exists(cur, ref); hit || err != nil {
+			return hit, err
 		}
 	}
 	return false, ctx.Err()

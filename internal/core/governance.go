@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -34,17 +33,6 @@ type Limits struct {
 	// MaxResults caps the total output-node matches; refinement stops
 	// early once the running total crosses the cap. 0 means unlimited.
 	MaxResults int
-}
-
-// refineBudget returns the NoK budget for one query's refinement
-// phase, or nil when neither a node limit nor a cancellable context is
-// in play — the nil budget keeps the default path free of any per-node
-// accounting.
-func refineBudget(ctx context.Context, lim Limits) *nok.Budget {
-	if lim.MaxRefineNodes <= 0 && ctx.Done() == nil {
-		return nil
-	}
-	return nok.NewBudget(ctx, lim.MaxRefineNodes)
 }
 
 // budgetErr maps a nok budget exhaustion onto the typed core error;

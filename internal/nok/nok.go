@@ -29,13 +29,15 @@
 // checks never run it.
 //
 // A compiled Query is immutable after Compile. Evaluation state (the
-// entry slice and the budget latch) lives in an evalState drawn from a
-// package pool for the duration of one call, so one Query may be shared
-// by any number of concurrent goroutines and steady-state evaluation
-// allocates nothing.
+// entry slice, the budget countdown and its latch) lives in an evalState
+// drawn from a package pool for the duration of one Pass — every
+// candidate of one query's refinement, or the single subtree of a
+// one-shot call such as Count — so one Query may be shared by any number
+// of concurrent goroutines and steady-state evaluation allocates nothing.
 package nok
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -122,8 +124,8 @@ type entry struct {
 	own  uint64 // bit i set: the node satisfies query node i's subtree
 }
 
-// evalState carries one evaluation. States are pooled: release zeroes
-// everything but the capacity of ents and outs.
+// evalState carries the evaluations of one Pass. States are pooled:
+// Pass.Release zeroes everything but the capacity of ents and outs.
 type evalState struct {
 	c       xmltree.Cursor
 	q       *Query
@@ -131,36 +133,28 @@ type evalState struct {
 	outs    []xmltree.Ref // the output bindings the second pass found
 	visited int           // nodes the first pass decoded
 
-	// budget, when non-nil, caps the first pass's node visits and polls
-	// the query context; exceeded latches the first budget or context
-	// error so the recursion unwinds without doing further work.
+	// budget caps the first pass's node visits and polls the query
+	// context: the caller's, or own; exceeded holds the first budget or
+	// context error, so the recursion unwinds without doing further
+	// work.
 	budget   *Budget
+	own      Budget
 	exceeded error
 }
 
 var statePool = sync.Pool{New: func() any { return new(evalState) }}
-
-// charge accounts one node visit against the budget. It reports false —
-// after latching the error in s.exceeded — once the budget or the
-// query's deadline is exhausted; a nil budget always allows.
-func (s *evalState) charge() bool {
-	if s.budget == nil {
-		return true
-	}
-	if s.exceeded != nil {
-		return false
-	}
-	s.exceeded = s.budget.charge()
-	return s.exceeded == nil
-}
 
 // pass1 decodes the node at r, which was reached owing want on the child
 // axis and pend on the descendant axis, and returns the query nodes among
 // want|pend whose subtree constraints it satisfies (own), own united with
 // everything satisfied below it (sub), and the offset of its next sibling.
 func (s *evalState) pass1(r xmltree.Ref, want, pend uint64) (own, sub uint64, end xmltree.Ref) {
-	label, isText, body, end := s.c.Span(r)
-	if !s.charge() {
+	label, isText, body, end, ok := s.c.QuickSpan(r)
+	if !ok {
+		label, isText, body, end = s.c.Span(r)
+	}
+	if err := s.budget.charge(); err != nil {
+		s.exceeded = err
 		return 0, 0, end
 	}
 	s.visited++
@@ -248,13 +242,49 @@ func (s *evalState) pass2(k int, want, pend uint64) {
 	}
 }
 
-// run evaluates q on the subtree at r with a pooled state: the first
-// pass always, the second only when enumerate is set and the root
-// obligation is met. The caller reads the results off the state and
-// returns it with release.
-func (q *Query) run(c xmltree.Cursor, r xmltree.Ref, b *Budget, enumerate bool) (s *evalState, matched bool) {
-	s = statePool.Get().(*evalState)
-	s.c, s.q, s.budget = c, q, b
+// Pass evaluates one query over a sequence of subtrees — the candidates
+// of one query's refinement — with one pooled evaluation state and one
+// budget for all of them, so an evaluation costs only the match itself.
+// A Pass is a value: starting one allocates nothing. It is not safe for
+// concurrent use, and the caller calls Release after its last
+// evaluation.
+type Pass struct{ s *evalState }
+
+// NewPass starts a pass of q whose node visits, across all of its
+// evaluations, are charged to a budget of maxNodes (<= 0: unlimited)
+// drawn against ctx, which is polled on the first visit and once every
+// budgetChunk visits after.
+func (q *Query) NewPass(ctx context.Context, maxNodes int64) Pass {
+	p := q.pass(nil)
+	p.s.own = Budget{ctx: ctx, limit: maxNodes}
+	return p
+}
+
+// pass starts a pass charged to b; a nil b is an unlimited budget with no
+// context.
+func (q *Query) pass(b *Budget) Pass {
+	s := statePool.Get().(*evalState)
+	s.q, s.budget = q, b
+	if b == nil {
+		s.budget = &s.own
+	}
+	return Pass{s}
+}
+
+// Release returns the pass's state to the pool, dropping its references
+// to the caller's buffers. No evaluation of the pass may follow.
+func (p Pass) Release() {
+	s := p.s
+	*s = evalState{ents: s.ents[:0], outs: s.outs[:0]}
+	statePool.Put(s)
+}
+
+// run evaluates the pass's query on the subtree at r: the first pass
+// always, the second only when enumerate is set and the root obligation
+// is met. The caller reads the results off the state.
+func (p Pass) run(c xmltree.Cursor, r xmltree.Ref, enumerate bool) (matched bool) {
+	s, q := p.s, p.s.q
+	s.c, s.ents, s.outs, s.visited, s.exceeded = c, s.ents[:0], s.outs[:0], 0, nil
 	var pend uint64
 	if q.rootDesc {
 		pend = 1 // any element of the subtree may bind the query root
@@ -267,25 +297,54 @@ func (q *Query) run(c xmltree.Cursor, r xmltree.Ref, b *Budget, enumerate bool) 
 	if matched && enumerate {
 		s.pass2(0, 1, pend)
 	}
-	return s, matched
+	return matched
 }
 
-// release returns a state to the pool, dropping its reference to the
-// caller's buffer.
-func (s *evalState) release() {
-	*s = evalState{ents: s.ents[:0], outs: s.outs[:0]}
-	statePool.Put(s)
-}
-
-// Exists reports whether the query matches the subtree rooted at r: with a
-// // leading axis any element of the subtree may bind the query root; with
-// a / leading axis only r itself may.
-func (q *Query) Exists(c xmltree.Cursor, r xmltree.Ref) bool {
-	if q.unsatisfiable {
-		return false
+// Exists reports whether the query matches the subtree rooted at r: with
+// a // leading axis any element of the subtree may bind the query root;
+// with a / leading axis only r itself may. It stops with the budget's
+// error once the budget or the pass's context is exhausted.
+func (p Pass) Exists(c xmltree.Cursor, r xmltree.Ref) (bool, error) {
+	if p.s.q.unsatisfiable {
+		return false, nil
 	}
-	s, matched := q.run(c, r, nil, false)
-	s.release()
+	matched := p.run(c, r, false)
+	return matched, p.s.exceeded
+}
+
+// EvalBudget returns the number of distinct output-node matches in the
+// subtree at r and the nodes the first pass visited, every one of them
+// charged to the pass's budget. On exhaustion it returns ErrBudget (or
+// the context's error) with the visits performed so far; the count is
+// then meaningless and returned as zero — the second pass is not run,
+// since the satisfaction masks are incomplete.
+func (p Pass) EvalBudget(c xmltree.Cursor, r xmltree.Ref) (count, visited int, err error) {
+	if p.s.q.unsatisfiable {
+		return 0, 0, nil
+	}
+	p.run(c, r, true)
+	return len(p.s.outs), p.s.visited, p.s.exceeded
+}
+
+// AppendOutputs is EvalBudget that appends the output bindings it
+// counts, distinct and in document order, to outs; on an error it
+// appends none.
+func (p Pass) AppendOutputs(c xmltree.Cursor, r xmltree.Ref, outs []xmltree.Ref) (_ []xmltree.Ref, visited int, err error) {
+	if p.s.q.unsatisfiable {
+		return outs, 0, nil
+	}
+	p.run(c, r, true)
+	if p.s.exceeded == nil {
+		outs = append(outs, p.s.outs...)
+	}
+	return outs, p.s.visited, p.s.exceeded
+}
+
+// Exists is Pass.Exists for one subtree, with no budget.
+func (q *Query) Exists(c xmltree.Cursor, r xmltree.Ref) bool {
+	p := q.pass(nil)
+	matched, _ := p.Exists(c, r)
+	p.Release()
 	return matched
 }
 
@@ -293,7 +352,9 @@ func (q *Query) Exists(c xmltree.Cursor, r xmltree.Ref) bool {
 // bind the query's output node in some embedding rooted per the leading
 // axis.
 func (q *Query) Outputs(c xmltree.Cursor, r xmltree.Ref) []xmltree.Ref {
-	outs, _, _ := q.AppendOutputs(c, r, nil, nil)
+	p := q.pass(nil)
+	outs, _, _ := p.AppendOutputs(c, r, nil)
+	p.Release()
 	return outs
 }
 
@@ -313,34 +374,11 @@ func (q *Query) Eval(c xmltree.Cursor, r xmltree.Ref) (count, visited int) {
 	return count, visited
 }
 
-// AppendOutputs is EvalBudget that appends the output bindings it counts,
-// distinct and in document order, to outs; on an error it appends none.
-func (q *Query) AppendOutputs(c xmltree.Cursor, r xmltree.Ref, b *Budget, outs []xmltree.Ref) (_ []xmltree.Ref, visited int, err error) {
-	if q.unsatisfiable {
-		return outs, 0, nil
-	}
-	s, _ := q.run(c, r, b, true)
-	if s.exceeded == nil {
-		outs = append(outs, s.outs...)
-	}
-	visited, err = s.visited, s.exceeded
-	s.release()
-	return outs, visited, err
-}
-
-// EvalBudget is Eval under a work budget: every node the first pass
-// visits is charged against b, which polls its context every few dozen
-// visits, so a deadline interrupts evaluation even inside one large
-// subtree. On exhaustion it returns ErrBudget (or the context's error)
-// with the visits performed so far; the count is then meaningless and
-// returned as zero — the second pass is not run, since the satisfaction
-// masks are incomplete. A nil budget behaves exactly like Eval.
+// EvalBudget is Pass.EvalBudget for one subtree, charged to b, which may
+// be shared by successive calls; a nil b behaves exactly like Eval.
 func (q *Query) EvalBudget(c xmltree.Cursor, r xmltree.Ref, b *Budget) (count, visited int, err error) {
-	if q.unsatisfiable {
-		return 0, 0, nil
-	}
-	s, _ := q.run(c, r, b, true)
-	count, visited, err = len(s.outs), s.visited, s.exceeded
-	s.release()
+	p := q.pass(b)
+	count, visited, err = p.EvalBudget(c, r)
+	p.Release()
 	return count, visited, err
 }

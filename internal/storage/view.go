@@ -11,10 +11,12 @@ import (
 // readStats counts the I/O of lock-free ReadViews. The fields are atomic
 // because views are read concurrently without the store mutex; one
 // instance is shared by a Store and every view frozen from it, so the
-// Store's merged Stats stay cumulative across generations. lastEnd
-// carries the seq/random classification across reads — exact for a
-// single reader, approximate when readers interleave (the counters still
-// sum correctly; only the seq/random split blurs).
+// Store's merged Stats stay cumulative across generations. A ReadPass
+// tallies its reads locally and adds them here once, at Flush, so a
+// query pays these atomics per pass rather than per record. lastEnd
+// carries the seq/random classification across reads and passes — exact
+// for a single reader, approximate when readers interleave (the counters
+// still sum correctly; only the seq/random split blurs).
 type readStats struct {
 	seqReads     atomic.Int64
 	randomReads  atomic.Int64
@@ -68,7 +70,10 @@ func (rs *readStats) reset() {
 //
 // Either way a read of the same record as the view's previous read,
 // under the same cache epoch, counts as cached, and every other read as
-// sequential or random, so the counters do not depend on the file.
+// sequential or random, so the counters do not depend on the file. A
+// query reads through a ReadPass, which adds its counts to the store's
+// once, when it flushes; Record, Cursor and ReadSubtree are passes of one
+// read.
 type ReadView struct {
 	f    File
 	reg  *region // nil: records are copied out of f
@@ -146,82 +151,167 @@ func (v *ReadView) Stats() Stats { return v.rs.load() }
 // something outside the process truncates the file: a caller that
 // navigates them does so under GuardFault.
 func (v *ReadView) Record(rec uint32) ([]byte, error) {
+	p := v.Pass()
+	buf, err := p.Record(rec)
+	p.Flush()
+	return buf, err
+}
+
+// Cursor returns a navigation cursor over the given record.
+func (v *ReadView) Cursor(rec uint32) (xmltree.Cursor, error) {
+	p := v.Pass()
+	cur, err := p.Cursor(rec)
+	p.Flush()
+	return cur, err
+}
+
+// ReadSubtree resolves a pointer to a cursor positioned at the
+// pointed-to node, mirroring Store.ReadSubtree's cost accounting.
+func (v *ReadView) ReadSubtree(ptr Pointer) (xmltree.Cursor, xmltree.Ref, error) {
+	p := v.Pass()
+	cur, ref, err := p.ReadSubtree(ptr)
+	p.Flush()
+	return cur, ref, err
+}
+
+// ReadPass reads records of one view for one query pass and tallies the
+// I/O locally: a read classifies itself against the pass's own copy of
+// the view's previous read and of the store's last read position, under
+// the cache epoch read once when the pass began, exactly as a read of the
+// view would; Flush adds the tally to the store's counters and hands the
+// position back. A ReadPass is a value, not safe for concurrent use; its
+// reads follow the view's rules (see ReadView.Record).
+type ReadPass struct {
+	v       *ReadView
+	epoch   int64
+	last    uint64 // the previous read, as lastKey packs it; 0: none
+	lastEnd int64  // where the previous read that was not cached ended
+	moved   bool   // a read that was not cached: last and lastEnd changed
+	copied  *viewCached
+	n       Stats // what the pass read since its last Flush
+}
+
+// Pass starts a pass over the view. The caller calls Flush once its
+// last read is done.
+func (v *ReadView) Pass() ReadPass {
+	p := ReadPass{v: v, epoch: v.rs.cacheEpoch.Load(), lastEnd: v.rs.lastEnd.Load()}
+	if v.reg != nil {
+		p.last = v.last.Load()
+	} else if c := v.copied.Load(); c != nil {
+		p.last, p.copied = lastKey(c.rec, c.epoch), c
+	}
+	return p
+}
+
+// Record returns the raw bytes of a record, as ReadView.Record does.
+func (p *ReadPass) Record(rec uint32) ([]byte, error) {
+	v := p.v
 	if int(rec) >= len(v.offs) {
 		return nil, fmt.Errorf("storage: record %d out of range (view has %d)", rec, len(v.offs))
 	}
 	if v.reg == nil {
-		return v.copyRecord(rec)
+		return p.copyRecord(rec)
 	}
 	if c := v.reg.closed; c != nil && c.Load() {
 		return nil, fmt.Errorf("storage: reading record %d: %w", rec, os.ErrClosed)
 	}
 	off := v.offs[rec] + 4
 	end := off + int64(v.lens[rec])
-	if key := lastKey(rec, v.rs.cacheEpoch.Load()); v.last.Load() == key {
-		v.rs.cachedReads.Add(1)
+	if key := lastKey(rec, p.epoch); p.last == key {
+		p.n.CachedReads++
 	} else {
-		v.last.Store(key)
-		v.count(v.rs.lastEnd.Swap(end) == v.offs[rec], end-off)
+		p.last = key
+		p.count(rec, end)
 	}
 	return v.reg.mem[off:end:end], nil
 }
 
-// count adds a read of n bytes to the sequential or the random reads. The
-// caller classifies it with one swap of lastEnd, in issue order, so
-// concurrent readers blur the split only when two of them race that one
-// instruction.
-func (v *ReadView) count(seq bool, n int64) {
-	if seq {
-		v.rs.seqReads.Add(1)
+// count adds a read of rec, which ends at end, to the sequential or the
+// random reads: sequential when it starts where the previous read ended.
+func (p *ReadPass) count(rec uint32, end int64) {
+	start := p.v.offs[rec]
+	if p.lastEnd == start {
+		p.n.SeqReads++
 	} else {
-		v.rs.randomReads.Add(1)
+		p.n.RandomReads++
 	}
-	v.rs.bytesRead.Add(n)
+	p.n.BytesRead += end - start - 4
+	p.lastEnd, p.moved = end, true
 }
 
 // copyRecord is Record over a file with no region: a read copies the
 // record into a fresh buffer, and the view keeps the last one.
-func (v *ReadView) copyRecord(rec uint32) ([]byte, error) {
-	epoch := v.rs.cacheEpoch.Load()
-	if c := v.copied.Load(); c != nil && c.rec == rec && c.epoch == epoch {
-		v.rs.cachedReads.Add(1)
-		return c.buf, nil
+func (p *ReadPass) copyRecord(rec uint32) ([]byte, error) {
+	key := lastKey(rec, p.epoch)
+	if p.last == key {
+		p.n.CachedReads++
+		return p.copied.buf, nil
 	}
-	off := v.offs[rec] + 4
-	n := int64(v.lens[rec])
-	seq := v.rs.lastEnd.Swap(off+n) == v.offs[rec]
-	buf := make([]byte, n)
-	if _, err := v.f.ReadAt(buf, off); err != nil {
+	off := p.v.offs[rec] + 4
+	buf := make([]byte, p.v.lens[rec])
+	if _, err := p.v.f.ReadAt(buf, off); err != nil {
+		p.lastEnd, p.moved = off+int64(len(buf)), true
 		return nil, fmt.Errorf("storage: reading record %d: %w", rec, err)
 	}
-	v.count(seq, n)
-	v.copied.Store(&viewCached{rec: rec, buf: buf, epoch: epoch})
+	p.last, p.copied = key, &viewCached{rec: rec, buf: buf, epoch: p.epoch}
+	p.count(rec, off+int64(len(buf)))
 	return buf, nil
 }
 
 // Cursor returns a navigation cursor over the given record.
-func (v *ReadView) Cursor(rec uint32) (xmltree.Cursor, error) {
-	buf, err := v.Record(rec)
+func (p *ReadPass) Cursor(rec uint32) (xmltree.Cursor, error) {
+	buf, err := p.Record(rec)
 	if err != nil {
 		return xmltree.Cursor{}, err
 	}
-	return xmltree.Cursor{Buf: buf, Dict: v.dict}, nil
+	return xmltree.Cursor{Buf: buf, Dict: p.v.dict}, nil
 }
 
 // ReadSubtree resolves a pointer to a cursor positioned at the
-// pointed-to node, mirroring Store.ReadSubtree's cost accounting.
-func (v *ReadView) ReadSubtree(p Pointer) (xmltree.Cursor, xmltree.Ref, error) {
-	cur, err := v.Cursor(p.Rec())
+// pointed-to node, counting one subtree read of the node's encoded size.
+func (p *ReadPass) ReadSubtree(ptr Pointer) (xmltree.Cursor, xmltree.Ref, error) {
+	cur, err := p.Cursor(ptr.Rec())
 	if err != nil {
 		return xmltree.Cursor{}, 0, err
 	}
-	if int(p.Off()) >= len(cur.Buf) {
-		return xmltree.Cursor{}, 0, fmt.Errorf("storage: %v offset beyond record of %d bytes", p, len(cur.Buf))
+	if int(ptr.Off()) >= len(cur.Buf) {
+		return xmltree.Cursor{}, 0, fmt.Errorf("storage: %v offset beyond record of %d bytes", ptr, len(cur.Buf))
 	}
-	ref := xmltree.Ref(p.Off())
-	v.rs.subtreeReads.Add(1)
-	v.rs.subtreeBytes.Add(int64(cur.SubtreeEnd(ref) - ref))
+	ref := xmltree.Ref(ptr.Off())
+	p.n.SubtreeReads++
+	p.n.SubtreeBytes += int64(cur.SubtreeEnd(ref) - ref)
 	return cur, ref, nil
+}
+
+// Flush adds what the pass has read since its last Flush to the store's
+// counters and hands the view its previous read and the store its read
+// position. The pass may read on and flush again.
+func (p *ReadPass) Flush() {
+	rs := p.v.rs
+	addNonZero(&rs.seqReads, p.n.SeqReads)
+	addNonZero(&rs.randomReads, p.n.RandomReads)
+	addNonZero(&rs.cachedReads, p.n.CachedReads)
+	addNonZero(&rs.bytesRead, p.n.BytesRead)
+	addNonZero(&rs.subtreeReads, p.n.SubtreeReads)
+	addNonZero(&rs.subtreeBytes, p.n.SubtreeBytes)
+	p.n = Stats{}
+	if !p.moved {
+		return
+	}
+	p.moved = false
+	rs.lastEnd.Store(p.lastEnd)
+	if p.v.reg != nil {
+		p.v.last.Store(p.last)
+	} else if p.copied != nil {
+		p.v.copied.Store(p.copied)
+	}
+}
+
+// addNonZero adds n to c, skipping the atomic instruction when n is 0.
+func addNonZero(c *atomic.Int64, n int64) {
+	if n != 0 {
+		c.Add(n)
+	}
 }
 
 // TombSet is an immutable snapshot of a store's tombstones: a bitmap over

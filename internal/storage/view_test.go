@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"github.com/fix-index/fix/internal/xmltree"
@@ -255,4 +256,110 @@ func TestGuardFaultPassesOtherPanics(t *testing.T) {
 		panic("not a fault")
 	}()
 	t.Error("the panic was swallowed")
+}
+
+// TestReadPassTallyMatchesPerRead reads one pointer sequence two ways —
+// every read through ReadView.ReadSubtree, whose counters reach the store
+// at once, and each segment through one ReadPass, which tallies them and
+// flushes at the end — and requires identical cursors and identical Stats
+// deltas: over a buffer read in place, a mapped file and a file with no
+// region, whose views copy records out. The sequence repeats records,
+// goes back and forth, reads a record in order after its predecessor, and
+// clears the cache between segments.
+func TestReadPassTallyMatchesPerRead(t *testing.T) {
+	files := map[string]func(t *testing.T) File{
+		"memory": func(*testing.T) File { return NewMemFile() },
+		"disk": func(t *testing.T) File {
+			f, err := Create(filepath.Join(t.TempDir(), "data.heap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = f.Close() })
+			return f
+		},
+		"no region": func(*testing.T) File { return (&FaultPlan{}).Wrap(NewMemFile()) },
+	}
+	segments := [][][2]uint32{ // (record, node index) pairs, one segment per pass
+		{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {2, 3}, {2, 1}, {1, 2}, {3, 0}, {4, 1}, {4, 1}},
+		{{4, 0}, {0, 0}, {5, 2}, {5, 3}, {2, 0}, {3, 0}, {3, 2}},
+		{{1, 1}},
+		{{5, 1}, {5, 1}, {0, 3}, {1, 0}, {2, 0}, {3, 1}, {4, 0}, {5, 0}},
+	}
+	for name, open := range files {
+		t.Run(name, func(t *testing.T) {
+			st, err := NewStore(open(t), xmltree.NewDict())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var refs [][]xmltree.Ref // the element offsets of each record, in preorder
+			for i := 0; i < 6; i++ {
+				doc := xmltree.Elem("doc", xmltree.Elem("a", xmltree.Text(fmt.Sprint(i))), xmltree.Elem("b", xmltree.Elem("c")))
+				rec, err := st.AppendTree(doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur, err := st.Cursor(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var offs []xmltree.Ref
+				var walk func(r xmltree.Ref)
+				walk = func(r xmltree.Ref) {
+					offs = append(offs, r)
+					for it := cur.Children(r); ; {
+						c, ok := it.Next()
+						if !ok {
+							return
+						}
+						walk(c)
+					}
+				}
+				walk(0)
+				refs = append(refs, offs)
+			}
+			type read struct {
+				buf []byte
+				ref xmltree.Ref
+			}
+			run := func(v *ReadView, pass bool) (Stats, []read) {
+				st.ClearCache()
+				before := st.Stats()
+				var got []read
+				for _, seg := range segments {
+					p := v.Pass()
+					for _, rn := range seg {
+						ptr := MakePointer(rn[0], uint32(refs[rn[0]][rn[1]]))
+						var cur xmltree.Cursor
+						var ref xmltree.Ref
+						var err error
+						if pass {
+							cur, ref, err = p.ReadSubtree(ptr)
+						} else {
+							cur, ref, err = v.ReadSubtree(ptr)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = append(got, read{cur.SubtreeBytes(ref), ref})
+					}
+					p.Flush()
+					st.ClearCache()
+				}
+				return st.Stats().Sub(before), got
+			}
+			perRead, perReadGot := run(st.Freeze(), false)
+			tally, tallyGot := run(st.Freeze(), true)
+			if perRead != tally {
+				t.Errorf("per-read delta %+v, pass tally %+v", perRead, tally)
+			}
+			if perRead.CachedReads == 0 || perRead.SeqReads == 0 || perRead.RandomReads == 0 {
+				t.Errorf("the sequence did not reach every classification: %+v", perRead)
+			}
+			for i := range perReadGot {
+				if !bytes.Equal(perReadGot[i].buf, tallyGot[i].buf) || perReadGot[i].ref != tallyGot[i].ref {
+					t.Fatalf("read %d: per-read %d %q, pass %d %q", i, perReadGot[i].ref, perReadGot[i].buf, tallyGot[i].ref, tallyGot[i].buf)
+				}
+			}
+		})
+	}
 }

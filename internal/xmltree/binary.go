@@ -74,8 +74,12 @@ type Cursor struct {
 }
 
 // header parses the node header at r, returning the tag, the body length
-// and the offset of the body.
+// and the offset of the body. A header shortHeader decodes costs a few
+// byte tests; any other one is decoded in full, with binary.Uvarint.
 func (c Cursor) header(r Ref) (tag uint64, bodyLen uint64, body Ref, err error) {
+	if t, b, end, ok := c.shortHeader(r); ok {
+		return uint64(t), uint64(end - b), b, nil
+	}
 	tag, n1 := binary.Uvarint(c.Buf[r:])
 	if n1 <= 0 {
 		return 0, 0, 0, fmt.Errorf("xmltree: corrupt node tag at offset %d", r)
@@ -89,6 +93,62 @@ func (c Cursor) header(r Ref) (tag uint64, bodyLen uint64, body Ref, err error) 
 		return 0, 0, 0, fmt.Errorf("xmltree: node body at offset %d overruns buffer", r)
 	}
 	return tag, bodyLen, body, nil
+}
+
+// shortHeader decodes the node header at r with direct byte tests when its
+// tag is one or two varint bytes and its length one to three: every element
+// whose label id is below 8192 and every body under 2 MiB, the document
+// root of a large record included. It reports ok=false for any other
+// header, for one cut off by the end of the buffer and for a body that
+// overruns it, all of which header decodes in full; whatever it does
+// decode, binary.Uvarint decodes to the same tag and length.
+func (c Cursor) shortHeader(r Ref) (tag uint32, body, end Ref, ok bool) {
+	b := c.Buf[r:]
+	if len(b) < 2 {
+		return 0, 0, 0, false
+	}
+	tag, i := uint32(b[0]), 1
+	if tag >= 0x80 {
+		if b[1] >= 0x80 || len(b) < 3 {
+			return 0, 0, 0, false
+		}
+		tag, i = tag&0x7f|uint32(b[1])<<7, 2
+	}
+	n := uint32(b[i])
+	i++
+	if n >= 0x80 {
+		if i >= len(b) {
+			return 0, 0, 0, false
+		}
+		n = n&0x7f | uint32(b[i])<<7
+		i++
+		if n >= 1<<14 {
+			if i >= len(b) || b[i] >= 0x80 {
+				return 0, 0, 0, false
+			}
+			n = n&(1<<14-1) | uint32(b[i])<<14
+			i++
+		}
+	}
+	if i+int(n) > len(b) {
+		return 0, 0, 0, false
+	}
+	body = r + Ref(i)
+	return tag, body, body + Ref(n), true
+}
+
+// QuickSpan is Span for the commonest header, a one-byte tag and a
+// one-byte length — an element whose label id is below 64 and whose body
+// is under 128 bytes, or a text node under 128 bytes — and small enough
+// for the compiler to inline into a matcher's inner loop. It reports
+// ok=false for every other header, which the caller hands to Span.
+func (c Cursor) QuickSpan(r Ref) (label uint32, isText bool, body, end Ref, ok bool) {
+	b := c.Buf[r:]
+	if len(b) < 2 || b[0]|b[1] >= 0x80 || int(b[1])+2 > len(b) {
+		return 0, false, 0, 0, false
+	}
+	body = r + 2
+	return uint32(b[0] >> 1), b[0] == 1, body, body + Ref(b[1]), true
 }
 
 // IsText reports whether the node at r is a text node.
@@ -131,6 +191,9 @@ func (c Cursor) Text(r Ref) string {
 // aliasing the buffer. Corrupt data yields an empty, unlabeled element
 // ending at the end of the buffer, so a walk over it terminates.
 func (c Cursor) Span(r Ref) (label uint32, isText bool, body, end Ref) {
+	if tag, body, end, ok := c.shortHeader(r); ok {
+		return tag >> 1, tag == 1, body, end
+	}
 	tag, bodyLen, body, err := c.header(r)
 	if err != nil {
 		return 0, false, Ref(len(c.Buf)), Ref(len(c.Buf))
@@ -143,6 +206,9 @@ func (c Cursor) Span(r Ref) (label uint32, isText bool, body, end Ref) {
 
 // SubtreeEnd returns the offset one past the end of the subtree at r.
 func (c Cursor) SubtreeEnd(r Ref) Ref {
+	if _, _, end, ok := c.shortHeader(r); ok {
+		return end
+	}
 	_, bodyLen, body, err := c.header(r)
 	if err != nil {
 		return Ref(len(c.Buf))
