@@ -76,13 +76,13 @@ check: vet vet-cross build bench-build test race norace lint loc
 # construction, ingest-request and Figure 6/7 benchmarks for one iteration
 # each — not to time anything, but so a benchmark that no longer builds,
 # whose refined count no longer equals the scan's, whose index is no
-# longer packed or stores whole keys or 9-byte values again (more than
-# 14.9 B/entry), whose probe allocates per entry again (more than 400
+# longer packed or stores a cell per entry again (more than 7.4
+# B/entry), whose probe allocates per entry again (more than 400
 # allocs per query), whose served query parses, plans or compiles a
 # repeated text again (more than 150 allocs per query), whose ingest
 # request is no longer one group commit, decodes pages to insert again
 # (more than 4 700 allocs per request) or leaves behind an index of more
-# than 14.6 B/entry, or whose clustered FIX executor counts other results
+# than 5.5 B/entry, or whose clustered FIX executor counts other results
 # than NoK or F&B fails CI.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkNokRefine|BenchmarkQueryPipeline|BenchmarkServedQuery|BenchmarkTable1Construction|BenchmarkIngestRequest|BenchmarkFig6XMark|BenchmarkFig6DBLP|BenchmarkFig6Treebank|BenchmarkFig7Values' -benchtime 1x .
@@ -115,7 +115,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzNodeHeader -fuzztime=10s ./internal/xmltree/
 	$(GO) test -fuzz=FuzzParseXPath -fuzztime=10s ./internal/xpath/
 	$(GO) test -fuzz=FuzzViewPage -fuzztime=10s ./internal/btree/
-	$(GO) test -fuzz=FuzzEntryValue -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzPostingChunk -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/fixserve/
 	$(GO) test -fuzz=FuzzQueryResponse -fuzztime=10s ./cmd/fixserve/
 	$(GO) test -fuzz=FuzzOpSequence -fuzztime=10s ./internal/oracle/

@@ -55,13 +55,12 @@ func benchEnv(b *testing.B, ds datagen.Dataset) *experiments.Env {
 // the index bytes per entry and the share of the wall time spent putting
 // entries into the B-tree, and it fails when an index of a thousand
 // entries or more (below that the meta and root pages dominate) exceeds
-// 14.9 B/entry, 1.1 × the largest of them: a leaf cell is three length
-// bytes, the bytes its key does not share with the key before it — 2 to 7
-// of 28 on the four datasets — and a value of two uvarints, 2 to 4 bytes
-// here, and the loader packs pages full (9.0 on DBLP, 11.8 on XMark, 13.5
-// on Treebank), so a build that has gone back to half-full pages, to whole
-// keys or to 9-byte values (14.4, 17.3, 19.2) fails without any timing
-// gate.
+// 7.4 B/entry, 1.1 × the largest of them: a run of equal (label, σ) is
+// chunks of delta-coded pointers, one to three bytes a posting, one B-tree
+// cell of some twenty bytes a chunk, and the loader packs pages full (3.0
+// on DBLP, 5.5 on XMark, 6.8 on Treebank, where short runs are many), so a
+// build that has gone back to one cell per entry (9.0, 11.1, 12.0) or to
+// half-full pages fails without any timing gate.
 func BenchmarkTable1Construction(b *testing.B) {
 	for _, ds := range datagen.AllDatasets {
 		b.Run(string(ds), func(b *testing.B) {
@@ -79,8 +78,8 @@ func BenchmarkTable1Construction(b *testing.B) {
 					b.Fatal("empty index")
 				}
 				perEntry := float64(ix.SizeBytes()) / float64(ix.Entries())
-				if ix.Entries() >= 1000 && perEntry > 14.9 {
-					b.Fatalf("%d entries in %d bytes: %.1f B/entry, want at most 14.9", ix.Entries(), ix.SizeBytes(), perEntry)
+				if ix.Entries() >= 1000 && perEntry > 7.4 {
+					b.Fatalf("%d entries in %d bytes: %.1f B/entry, want at most 7.4", ix.Entries(), ix.SizeBytes(), perEntry)
 				}
 				b.ReportMetric(perEntry, "B/entry")
 				b.ReportMetric(ix.Stats().Insert.Seconds()/ix.Stats().Wall.Seconds(), "insert-share")
@@ -424,13 +423,12 @@ func BenchmarkCollectionQuery(b *testing.B) {
 const ingestRequestAllocCeiling = 4700
 
 // ingestIndexBytesPerEntryCeiling gates how small the index stays that
-// inserts grow: 1.1 × the 13.26 index bytes per entry the benchmark ends at
-// after four passes over its stream (9.97 after 3 000 requests). With a
-// value of a flag byte and a big-endian u64 the same run ends at 22.61, and
-// with whole keys in the cells as well at 56.75. (Cut at mid wherever the
-// new key falls it ends at 13.05: the gate on the leaf split's run rule is
-// fix.TestIncrementalIndexFill.)
-const ingestIndexBytesPerEntryCeiling = 14.6
+// inserts grow: 1.1 × the 5.00 index bytes per entry the benchmark ends at
+// after four passes over its stream. With one B-tree cell per entry, keyed
+// (label, σ, sequence number), the same run ended at 13.26; with a value of
+// a flag byte and a big-endian u64 as well at 22.61, and with whole keys in
+// the cells at 56.75.
+const ingestIndexBytesPerEntryCeiling = 5.5
 
 // BenchmarkIngestRequest measures the served write path below HTTP: one
 // request of four XMark entity documents — parsed once by AddOp,

@@ -224,9 +224,10 @@ func run(dbdir string, args []string) error {
 		fmt.Printf("documents: %d\n", db.NumDocuments())
 		s := db.Metrics()
 		if db.HasIndex() {
-			// Bytes per entry is how well the keys compress and how full
-			// the B-tree's leaves are: 14–19 packed by a build, 17–18 once
-			// inserts have split them (docs/OBSERVABILITY.md "Index fill").
+			// Bytes per entry is how long the runs of equal features are
+			// and how full the B-tree's leaves are: 3–7 packed by a build,
+			// 4–6 once inserts have split them (docs/OBSERVABILITY.md
+			// "Index fill").
 			fmt.Printf("index: %d entries, %s (%.1f B/entry)\n", s.IndexEntries, sizeStr(s.IndexSizeBytes),
 				float64(s.IndexSizeBytes)/float64(max(s.IndexEntries, 1)))
 			if err := db.IndexHealth(); err != nil {

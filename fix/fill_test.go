@@ -69,11 +69,12 @@ func indexMatchesScan(t *testing.T, db *DB, when string) {
 
 // TestIncrementalIndexFill grows a depth-6 index the way a server does —
 // half of an XMark entity stream bulk-built, the rest ingested in small
-// requests — and requires the leaves the inserts split to fill: at most 13.4
-// index bytes per entry (this run ends at 12.8; cut at mid, at 14.0, so the
-// gate sits between the two rather than at 1.1 × 12.8; with 9-byte values
-// the run ended at 20.3), with the index verified and agreeing with a scan
-// on the paper's XMark queries before and after a checkpoint and a reopen.
+// requests — and requires the leaves the inserts split to fill: at most 5.7
+// index bytes per entry, 1.1 × the 5.18 this run ends at (with every split
+// of a leaf whose chunk grew cut at mid, 5.59; packed by a rebuild, 3.30;
+// with one B-tree cell per entry it ended at 12.8, and with 9-byte values
+// at 20.3), with the index verified and agreeing with a scan on the
+// paper's XMark queries before and after a checkpoint and a reopen.
 func TestIncrementalIndexFill(t *testing.T) {
 	dir := t.TempDir()
 	docs := xmarkEntityDocs(1, 0.4)
@@ -107,8 +108,8 @@ func TestIncrementalIndexFill(t *testing.T) {
 		t.Helper()
 		perEntry := float64(db.IndexSizeBytes()) / float64(db.IndexEntries())
 		t.Logf("%s: %d documents, %d entries, %d index bytes, %.1f B/entry", when, db.NumDocuments(), db.IndexEntries(), db.IndexSizeBytes(), perEntry)
-		if perEntry > 13.4 {
-			t.Errorf("%s: %.1f index bytes per entry, want at most 13.4", when, perEntry)
+		if perEntry > 5.7 {
+			t.Errorf("%s: %.2f index bytes per entry, want at most 5.7", when, perEntry)
 		}
 		indexMatchesScan(t, db, when)
 	}
@@ -171,7 +172,8 @@ func copyFiles(t *testing.T, src, dst string) {
 // clustered option (fixindex build -depth 6 -clustered): its values carry
 // a second pointer, and a fix.clustered heap lies beside its B-tree — but
 // the old version is the first problem Open meets, so it is what the
-// health names.
+// health names. index-written-by-pr32 is under version 4, one entry a
+// B-tree cell, keyed (label, σ, sequence number).
 func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	t.Helper()
 	dir = copyFixture(t, fixture)
@@ -211,10 +213,11 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 // degradedBy is, per old-format fixture, what the health of its index
 // names besides the rebuild.
 var degradedBy = map[string][]string{
-	"index-written-by-pr20":           {"version 2", "writes 4"},
-	"index-written-by-pr23":           {"version 2", "writes 4"},
-	"index-written-by-pr25":           {"version 3", "writes 4"},
-	"clustered-index-written-by-pr26": {"version 3", "writes 4"},
+	"index-written-by-pr20":           {"version 2", "writes 5"},
+	"index-written-by-pr23":           {"version 2", "writes 5"},
+	"index-written-by-pr25":           {"version 3", "writes 5"},
+	"clustered-index-written-by-pr26": {"version 3", "writes 5"},
+	"index-written-by-pr32":           {"version 4", "writes 5"},
 }
 
 // rebuiltIndexSurvives requires the healthy 528-entry index a rebuild of
@@ -285,8 +288,22 @@ func TestIndexWrittenBeforeOneSigmaKeysStillServes(t *testing.T) {
 	rebuiltIndexSurvives(t, dir, db)
 }
 
+// TestIndexWrittenBeforeChunksStillServes is the hand-over from fix.meta
+// version 4 on the directory the commit that introduced it wrote
+// (testdata/index-written-by-pr32): its keys are (label, σ, sequence
+// number), one entry a cell, and a value one pointer — the same 20 bytes a
+// chunk's key takes, but nothing reads its cells as chunks — so it opens
+// degraded and serves by scan, and RebuildIndex writes it anew.
+func TestIndexWrittenBeforeChunksStillServes(t *testing.T) {
+	dir, db := oldFormatIndex(t, "index-written-by-pr32")
+	if err := db.RebuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rebuiltIndexSurvives(t, dir, db)
+}
+
 // TestKeyOfWrongLengthDegrades: a version-3 B-tree under a fix.meta that
-// says version 4 — a hand-edited or mismatched directory — opens healthy,
+// says version 5 — a hand-edited or mismatched directory — opens healthy,
 // but its keys are not keySize bytes. Verify fails ErrCorrupt on them, and
 // a query whose probe meets one degrades the index and answers exactly by
 // scan instead of reading σ out of the wrong bytes.
@@ -298,10 +315,11 @@ func TestKeyOfWrongLengthDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(meta, []byte("version 3\n")) {
-			t.Fatalf("fix.meta starts %q", meta[:10])
+		if !bytes.HasPrefix(meta, []byte("version 3\n")) || !bytes.Contains(meta, []byte("\nseq ")) {
+			t.Fatalf("fix.meta is %q", meta)
 		}
-		copy(meta, "version 4")
+		copy(meta, "version 5")
+		meta = bytes.Replace(meta, []byte("\nseq "), []byte("\nentries "), 1)
 		if err := os.WriteFile(path, meta, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -353,14 +371,15 @@ func TestClusteredIndexStillServes(t *testing.T) {
 }
 
 // TestIndexWrittenByThisFormatServes opens a database directory written by
-// the commit that introduced fix.meta version 4, keys of one σ (the same 28
-// documents, 4 bulk-built at depth 6 and 24 ingested four a request,
-// checkpointed; testdata/index-written-by-pr32), and uses it as a server
-// would: verify, ingest enough to split its leaves, checkpoint, reopen. It
-// is the anchor for the next change to the format: that one has to open
-// this directory, healthy or — as above — degraded and exact.
+// the commit that introduced fix.meta version 5, runs stored as chunks of
+// postings (the same 28 documents, 4 bulk-built at depth 6 and 24 ingested
+// four a request, checkpointed; testdata/index-written-by-pr34), and uses
+// it as a server would: verify, ingest enough to split its leaves,
+// checkpoint, reopen. It is the anchor for the next change to the format:
+// that one has to open this directory, healthy or — as above — degraded
+// and exact.
 func TestIndexWrittenByThisFormatServes(t *testing.T) {
-	dir := copyFixture(t, "index-written-by-pr32")
+	dir := copyFixture(t, "index-written-by-pr34")
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

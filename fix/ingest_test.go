@@ -538,11 +538,11 @@ func wideDoc(mark string) string {
 	return b.String() + "</w>"
 }
 
-// wideBase builds, once, a checkpointed database of 18 wide documents
-// (base0..base17) under an index of 256-byte pages — some 600 of them, a
-// leaf or two per label, so that one more wide document changes over 300 —
-// and checks that wideScript's window is that wide. The setup it returns
-// opens a copy.
+// wideBase builds, once, a checkpointed database of 40 wide documents
+// (base0..base39) under an index of 256-byte pages — some 250 of them,
+// packed full, a leaf or so per label, so that wideScript's window changes
+// every one and splits most: over 256 pages — and checks that wideScript's
+// window is that wide. The setup it returns opens a copy.
 func wideBase(t *testing.T) func(t *testing.T, dir string) *DB {
 	t.Helper()
 	base := t.TempDir()
@@ -550,7 +550,7 @@ func wideBase(t *testing.T) func(t *testing.T, dir string) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 18; i++ {
+	for i := 0; i < 40; i++ {
 		if _, err := db.AddDocumentString(wideDoc(fmt.Sprint("base", i))); err != nil {
 			t.Fatal(err)
 		}

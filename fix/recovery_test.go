@@ -179,7 +179,7 @@ func TestLeftoverJournalReplayedOnOpen(t *testing.T) {
 }
 
 // TestCloseReopenLargeIndex is the clean stop of a served index of
-// ordinary pages: 280 wide documents under a depth-1 index of some 400
+// ordinary pages: 1200 wide documents under a depth-1 index of some 330
 // four-kilobyte pages, then two acknowledged submissions that change over
 // 256 of them — documents wideDoc spreads over the whole key space — no
 // checkpoint, Close, Open. Close closes the index's files and commits
@@ -192,7 +192,7 @@ func TestCloseReopenLargeIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 280; i++ {
+	for i := 0; i < 1200; i++ {
 		if _, err := db.AddDocumentString(wideDoc(fmt.Sprint("base", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -220,8 +220,8 @@ func TestCloseReopenLargeIndex(t *testing.T) {
 	}
 	defer re.Close()
 	checkWideOutcome(t, re, 2, "reopened")
-	if got := re.NumDocuments(); got != 282 || re.DeletedDocuments() != 1 {
-		t.Errorf("%d documents, %d deleted; want 282 and 1", got, re.DeletedDocuments())
+	if got := re.NumDocuments(); got != 1202 || re.DeletedDocuments() != 1 {
+		t.Errorf("%d documents, %d deleted; want 1202 and 1", got, re.DeletedDocuments())
 	}
 	if n := re.Metrics().BTree.PageWrites; n <= 256 {
 		t.Errorf("fixture: the recovery checkpoint wrote %d pages, want the window's more than 256", n)
@@ -409,7 +409,7 @@ func TestHeapTruncatedUnderOpenDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 1200; i++ {
 		if _, err := db.AddDocumentString(docs[i%len(docs)]); err != nil {
 			t.Fatal(err)
 		}

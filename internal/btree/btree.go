@@ -191,6 +191,10 @@ func (t *Tree) payloadSize() int { return t.pageSize - pageHeaderSize }
 
 func (t *Tree) maxEntry() int { return t.payloadSize() / 4 }
 
+// MaxValue returns the largest value Put and Load accept under a key of
+// keyLen bytes.
+func (t *Tree) MaxValue(keyLen int) int { return t.maxEntry() - 8 - keyLen }
+
 // checkEntry is the one size test for everything that writes an entry:
 // entries stay within a quarter page, so a split always leaves room.
 func (t *Tree) checkEntry(key, val []byte) error {
@@ -235,12 +239,14 @@ func (t *Tree) editLeaf(key []byte) (leaf cells, at slot, err error) {
 	return leaf, at, err
 }
 
-// Put inserts or overwrites the entry for key. A new key whose cell fits
-// on its leaf is written into the page where it lies (cells.insertAt): the
-// cell after it is re-encoded against it, the cells behind move up and the
-// count grows by one, which leaves the page byte for byte what decoding it,
-// inserting and node.encode produce — every page is zero past its last
-// cell. An overwrite, and a leaf with no room, go through insert.
+// Put inserts or overwrites the entry for key. An entry whose cell fits on
+// its leaf is written into the page where it lies: a new key's cell
+// (cells.insertAt) re-encodes the cell after it against itself, the cells
+// behind move up and the count grows by one; an overwrite's
+// (cells.overwriteAt) replaces the old cell, and the cells behind move up or
+// down by the difference. Either leaves the page byte for byte what decoding
+// it, editing and node.encode produce — every page is zero past its last
+// cell. A leaf with no room goes through insert, which splits it.
 func (t *Tree) Put(key, val []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -251,13 +257,15 @@ func (t *Tree) Put(key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	if !at.found {
-		// A leaf without the room is split below, so the copy is not wasted.
-		if leaf.buf = t.own(leaf.id); leaf.insertAt(at, key, val) {
-			leaf.setCount(leaf.n + 1)
-			t.count++
-			return nil
-		}
+	// A leaf without the room is split below, so the copy is not wasted.
+	leaf.buf = t.own(leaf.id)
+	if at.found && leaf.overwriteAt(at, key, val) {
+		return nil
+	}
+	if !at.found && leaf.insertAt(at, key, val) {
+		leaf.setCount(leaf.n + 1)
+		t.count++
+		return nil
 	}
 	sepKey, newChild, grew, added, err := t.insert(t.root, key, val)
 	if err != nil {
@@ -292,13 +300,13 @@ func (t *Tree) insert(id uint32, key, val []byte) ([]byte, uint32, bool, bool, e
 		i, exact := n.searchLeaf(key)
 		if exact {
 			// Overwrites may grow the entry past the page capacity, in
-			// which case the leaf splits like a fresh insert would.
+			// which case the leaf splits beside it.
 			n.vals[i] = append([]byte(nil), val...)
 			if n.encodedSize() <= t.payloadSize() {
 				t.storeNode(n)
 				return nil, 0, false, false, nil
 			}
-			sep, rightID := t.splitLeaf(n, len(n.keys)/2)
+			sep, rightID := t.splitLeaf(n, grownEnd(n, i))
 			return sep, rightID, true, false, nil
 		}
 		n.keys = append(n.keys, nil)
@@ -349,13 +357,14 @@ func sharedPrefix(a, b []byte) int {
 
 // runEnd chooses where to cut the overflowing leaf n whose new key sits at
 // keys[i]. Keys that arrive in ascending order inside a group of keys with
-// a long common prefix — a run; internal/core's (label, σ, seq) with its
-// growing seq makes nothing else — always land at the end of
-// their run, so a cut at mid leaves behind a left half nothing will ever
-// fill. When the page's first key belongs to the new key's run (they share
-// at least half of the new key's bytes, and so does every key between) and
-// the new key ends that run on this page (nothing follows it, or it shares
-// more with the key before it than with the one after), the cut goes where
+// a long common prefix — a run; internal/core's chunks of one (label, σ),
+// keyed by their first pointer, which appends make ascend — always land at
+// the end of their run, so a cut at mid leaves behind a left half nothing
+// will ever fill. When the page's first key belongs to the new key's run
+// (they share at least half of the new key's bytes, and so does every key
+// between) and the new key ends that run on this page (nothing follows it,
+// or it shares more with the key before it than with the one after), the
+// cut goes where
 // the run ends: after the new key if the left page then has room for one
 // more cell like its own, so the run goes on in the room the cells moved to
 // the right leave; before it if not — always so when it is the page's last
@@ -377,6 +386,21 @@ func (t *Tree) runEnd(n *node, i int) int {
 		return i
 	}
 	return i + 1
+}
+
+// grownEnd chooses where to cut the overflowing leaf n whose cell i an
+// overwrite grew. The cell that grew is the one likely to grow again — in
+// internal/core the last chunk of a run, which every append to the run
+// rewrites — so the cut goes beside it, on the side that leaves the other
+// page as full as the leaf was: before it when it lies in the second half,
+// after it when it lies in the first. (At mid the half without the cell
+// keeps half a page of room nothing may ever fill; DESIGN.md "Leaf splits"
+// has the measurements.) splitLeaf sees to it that both halves fit.
+func grownEnd(n *node, i int) int {
+	if i >= len(n.keys)/2 {
+		return max(i, 1)
+	}
+	return min(i+1, len(n.keys)-1)
 }
 
 // splitLeaf moves n's cells from cut on into a new right sibling and
@@ -440,6 +464,14 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	leaf.setCount(leaf.n - 1)
 	t.count--
 	return true, nil
+}
+
+// Last returns a copy of the greatest entry with from <= key < to; a nil to
+// is open. ok is false when the range holds no entry.
+func (t *Tree) Last(from, to []byte) (key, val []byte, ok bool, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return last(t, t.root, 1, t.height, from, to)
 }
 
 // Scan calls fn for every entry with from <= key < to in key order. A nil

@@ -532,7 +532,7 @@ func (m *modelTree) checkSeeks(what string) {
 }
 
 // check compares 1 000 random range scans and lookups of the view, the
-// tree and the model.
+// tree and the model, and the tree's last entry of each unlimited range.
 func (m *modelTree) check(what string) {
 	m.t.Helper()
 	if err := m.tr.Verify(); err != nil {
@@ -573,6 +573,12 @@ func (m *modelTree) check(what string) {
 		desc := fmt.Sprintf("%s: [%q, %q) limit %d", what, from, to, limit)
 		sameEntries(m.t, desc+": View.Scan", collect(view.Scan, from, to, limit), want)
 		sameEntries(m.t, desc+": Tree.Scan", collect(m.tr.Scan, from, to, limit), want)
+		if limit == 0 {
+			k, v, ok, err := m.tr.Last(from, to)
+			if err != nil || ok != (len(want) > 0) || ok && (!bytes.Equal(k, want[len(want)-1].k) || !bytes.Equal(v, want[len(want)-1].v)) {
+				m.t.Fatalf("%s: Tree.Last = %q, %x, %v, %v; the last of %d entries in range", desc, k, v, ok, err, len(want))
+			}
+		}
 
 		key := m.someBound(entries)
 		wantV, wantOK := m.model[string(key)]
@@ -694,10 +700,22 @@ func referenceCut(keys, vals [][]byte, i, pageBytes int) int {
 	return i
 }
 
+// referenceGrownCut is the reference's statement of where an overflowing
+// leaf of n cells is cut after an overwrite grew cell i: beside it, before
+// it when it is in the second half, after it when it is in the first — and
+// never so that a page is left without a cell.
+func referenceGrownCut(n, i int) int {
+	cut := i + 1
+	if i >= n/2 {
+		cut = i
+	}
+	return min(max(cut, 1), n-1)
+}
+
 // referenceLeafEdit is what the tree did to a leaf before Put and Delete
 // edited pages in place — decode the page, change the slices, encode, and
 // split when the node outgrew the page, at referenceCut for a new key and
-// at mid for an overwrite that grew, and where the left page is fullest
+// at referenceGrownCut for an overwrite that grew, and where the left page is fullest
 // when that cut leaves a half too large for its page (the right half's
 // first cell is stored whole) — as the independent reference: it decodes,
 // measures and encodes with the reference's own functions. val == nil
@@ -729,9 +747,9 @@ func referenceLeafEdit(t *testing.T, prev []byte, id, rightID uint32, key, val [
 		n.vals[i] = append([]byte(nil), val...)
 	}
 	if referenceLeafSize(n.keys, n.vals) > len(prev) {
-		cut := len(n.keys) / 2
-		if !exact {
-			cut = referenceCut(n.keys, n.vals, i, len(prev))
+		cut := referenceCut(n.keys, n.vals, i, len(prev))
+		if exact {
+			cut = referenceGrownCut(len(n.keys), i)
 		}
 		if referenceLeafSize(n.keys[:cut], n.vals[:cut]) > len(prev) || referenceLeafSize(n.keys[cut:], n.vals[cut:]) > len(prev) {
 			for cut = 1; referenceLeafSize(n.keys[:cut+1], n.vals[:cut+1]) <= len(prev); cut++ {

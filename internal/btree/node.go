@@ -333,6 +333,26 @@ func (c *cells) insertAt(at slot, key, val []byte) bool {
 	return true
 }
 
+// overwriteAt replaces the value of the cell locate found with val and
+// reports whether the page had the room. The cell keeps its key bytes and
+// the cell after it is left as it is: it shares with the same key as
+// before. The cells behind move by the difference, and the bytes a
+// shrinking cell vacates are zeroed.
+func (c *cells) overwriteAt(at slot, key, val []byte) bool {
+	buf, off := c.buf, at.off
+	size := leafCellSize(at.pred, key, val)
+	end := at.end + size - at.size
+	if end > len(buf) {
+		return false
+	}
+	copy(buf[off+size:], buf[off+at.size:at.end])
+	putLeafCell(buf, off, at.pred, key, val)
+	if end < at.end {
+		clear(buf[end:at.end])
+	}
+	return true
+}
+
 // removeAt takes the cell locate found out of the leaf. The cell after it
 // is re-encoded against the one before: lcp(pred, succ) = min(lcp(pred,
 // removed), lcp(removed, succ)), so a cell that shared more with the removed
@@ -434,6 +454,76 @@ func get(src pageSource, root, height uint32, key []byte) ([]byte, bool, error) 
 		return nil, false, c.headErr()
 	}
 	return append([]byte(nil), c.val()...), true, nil
+}
+
+// last returns a copy of the greatest entry with from <= key < to in the
+// subtree under page id, on level level of height. In a leaf that is the
+// last cell in range, which a seek to from and a walk up to to find. In an
+// internal page it is the descent to the greatest key below to: the child
+// right of the last separator below to, and — leaves may have lost every
+// cell to deletes — when that subtree holds nothing in range, the children
+// left of it in turn, until one does or the separator left of a child is at
+// most from.
+func last(src pageSource, id, level, height uint32, from, to []byte) (key, val []byte, ok bool, err error) {
+	c, err := src.cells(id)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if c.leaf {
+		if len(from) > 0 {
+			at, err := c.seek(from)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			c.key = append(c.key, from[:at.pred]...)
+		}
+		for c.more() {
+			k, v, _, err := c.cell()
+			if err != nil {
+				return nil, nil, false, err
+			}
+			if to != nil && bytes.Compare(k, to) >= 0 {
+				break
+			}
+			key, val, ok = append(key[:0], k...), v, true
+		}
+		if ok {
+			val = append([]byte(nil), val...)
+		}
+		return key, val, ok, nil
+	}
+	if level >= height {
+		return nil, nil, false, fmt.Errorf("%w: page %d on level %d of a tree of height %d is not a leaf", ErrCorrupt, id, level, height)
+	}
+	// Child j is the leftmost child or the one right of separator j-1, and
+	// holds the keys from that separator on.
+	page, j, child, sep := c, 0, c.next, []byte(nil)
+	for c.more() {
+		k, _, right, err := c.cell()
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if to != nil && bytes.Compare(k, to) >= 0 {
+			break
+		}
+		j, child, sep = j+1, right, k
+	}
+	for {
+		if key, val, ok, err = last(src, child, level+1, height, from, to); ok || err != nil {
+			return key, val, ok, err
+		}
+		if j == 0 || bytes.Compare(sep, from) <= 0 {
+			return nil, nil, false, nil
+		}
+		j--
+		w := page
+		child, sep = w.next, nil
+		for range j {
+			if sep, _, child, err = w.cell(); err != nil {
+				return nil, nil, false, err
+			}
+		}
+	}
 }
 
 // keyBufs recycles the buffers scans rebuild leaf keys in: what a callback

@@ -37,15 +37,16 @@ import (
 //	4. collect                  sequential, in record order
 //
 // Phase 4 only appends each entry, as a fixed-size buildEntry, to one
-// slice. When the last batch is through, the slice is sorted by key and
-// packed into the B-tree bottom-up (btree.Tree.Load): every page is
-// written once, full, and never decoded again.
+// slice. When the last batch is through, the slice is sorted by (label, σ,
+// pointer), cut into chunks run by run and packed into the B-tree
+// bottom-up (btree.Tree.Load): every page is written once, full, and never
+// decoded again.
 //
 // Because phases 2 and 4 see records in record order whatever the worker
 // count, and phases 1 and 3 write only to per-record slots, the collected
 // entries are the same for any Workers setting (and any batch size, which
-// only bounds memory); their keys are unique, so the sorted order and with
-// it every page byte is the same too. BuildStats reports where the time
+// only bounds memory); their pointers are unique, so the sorted order and
+// with it every page byte is the same too. BuildStats reports where the time
 // went.
 
 // BuildStats reports where one index construction spent its time. The
@@ -111,13 +112,13 @@ type buildUnit struct {
 
 // buildEntry is one collected entry awaiting the pack: the key fields in
 // the unsigned form that sorts like the key bytes (see putKey), and what
-// the value needs. seq is also the entry's position in collection order,
-// which is where its spectrum tail sits in the shared arena:
-// tails[seq*SpectrumK:][:nspec].
+// its posting needs. at is the entry's position in collection order, which
+// is where its spectrum tail sits in the shared arena:
+// tails[at*SpectrumK:][:nspec].
 type buildEntry struct {
 	sigma   uint64 // encodeFloat of σ
-	seq     uint64
 	primary uint64
+	at      uint32
 	label   uint32
 	nspec   uint32
 }
@@ -212,7 +213,7 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 				entries = append(entries, buildEntry{
 					label:   e.label,
 					sigma:   encodeFloat(e.f.Sigma),
-					seq:     uint64(len(entries)),
+					at:      uint32(len(entries)),
 					primary: uint64(e.ptr),
 					nspec:   uint32(len(e.spec)),
 				})
@@ -224,9 +225,9 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 		insertTime += time.Since(insStart)
 	}
 	insStart := time.Now()
-	ix.seq = uint64(len(entries))
+	ix.entries.Store(int64(len(entries)))
 	slices.SortFunc(entries, func(a, b buildEntry) int {
-		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.sigma, b.sigma), cmp.Compare(a.seq, b.seq))
+		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.sigma, b.sigma), cmp.Compare(a.primary, b.primary))
 	})
 	if err := ix.pack(ctx, entries, tails); err != nil {
 		return nil, err
@@ -252,11 +253,14 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 	return ix, nil
 }
 
-// pack loads the sorted entries into the empty B-tree.
+// pack loads the sorted entries into the empty B-tree, each run of equal
+// (label, σ) as chunks that are full but for the run's last.
 func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64) error {
 	k := uint64(ix.opts.SpectrumK)
+	limit := ix.chunkLimit()
 	key := make([]byte, keySize)
-	val := make([]byte, 0, maxValueSize)
+	var c chunk
+	var val []byte
 	i := 0
 	return ix.bt.Load(func() ([]byte, []byte, error) {
 		if i == len(entries) {
@@ -265,17 +269,25 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		e := &entries[i]
-		i++
-		v := entryValue{primary: storage.Pointer(e.primary)}
-		if e.nspec > 0 {
-			v.spectrum = tails[e.seq*k:][:e.nspec]
+		run := entries[i]
+		for c.reset(); i < len(entries); i++ {
+			e := &entries[i]
+			var spec []float64
+			if e.nspec > 0 {
+				spec = tails[uint64(e.at)*k:][:e.nspec]
+			}
+			if e.label != run.label || e.sigma != run.sigma || !c.fits(storage.Pointer(e.primary), spec, limit) {
+				break
+			}
 		}
-		putKey(key, e.label, e.sigma, e.seq)
-		val = v.appendTo(val[:0])
+		putKey(key, run.label, run.sigma, c.first)
+		val = c.appendTo(val[:0])
 		return key, val, nil
 	})
 }
+
+// chunkLimit returns the most bytes a chunk value of the index may take.
+func (ix *Index) chunkLimit() int { return min(maxChunkBytes, ix.bt.MaxValue(keySize)) }
 
 // extract runs phases 1 to 3 over recs, leaving the unit of recs[i] — nil
 // for a record without a root element — in units[i].

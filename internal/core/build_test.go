@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"github.com/fix-index/fix/internal/datagen"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
@@ -267,9 +269,9 @@ func TestBuildMatchesIncremental(t *testing.T) {
 					t.Fatalf("entry %d differs: bulk %x, incremental %x", i, b[i], l[i])
 				}
 			}
-			if bulk.seq != live.seq || bulk.oversize != live.oversize || bulk.maxDocDepth != live.maxDocDepth {
-				t.Errorf("counters: bulk seq=%d oversize=%d depth=%d, incremental %d/%d/%d",
-					bulk.seq, bulk.oversize, bulk.maxDocDepth, live.seq, live.oversize, live.maxDocDepth)
+			if bulk.Entries() != live.Entries() || bulk.oversize != live.oversize || bulk.maxDocDepth != live.maxDocDepth {
+				t.Errorf("counters: bulk entries=%d oversize=%d depth=%d, incremental %d/%d/%d",
+					bulk.Entries(), bulk.oversize, bulk.maxDocDepth, live.Entries(), live.oversize, live.maxDocDepth)
 			}
 			if err := bulk.Verify(); err != nil {
 				t.Errorf("bulk index fails Verify: %v", err)
@@ -331,4 +333,140 @@ func TestFailedBuildClosesFiles(t *testing.T) {
 			}
 		})
 	}
+}
+
+// xmarkEntities returns the entity documents — items, people, auctions,
+// categories — of a generated XMark site, in document order.
+func xmarkEntities(cfg datagen.Config) []*xmltree.Node {
+	var docs []*xmltree.Node
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		for _, c := range n.Children {
+			switch c.Label {
+			case "item", "person", "open_auction", "closed_auction", "category":
+				docs = append(docs, c)
+			default:
+				walk(c)
+			}
+		}
+	}
+	walk(datagen.XMark(cfg))
+	return docs
+}
+
+// TestLiveInsertsMatchBuild is the differential test of the live insert
+// path against the bulk build: half of a stream of XMark entity documents
+// bulk-built, the rest inserted four a request, each request appending to
+// the end of its runs, must leave the postings a bulk build of the whole
+// stream holds: the same (label, σ, pointer, spectrum) sequence, and for
+// every query the same candidates in the same order. Runs cross chunk
+// boundaries on both sides. Inserting a record again fails: its pointers
+// are not above what their runs hold.
+func TestLiveInsertsMatchBuild(t *testing.T) {
+	docs := xmarkEntities(datagen.Config{Seed: 3, Scale: 0.05})
+	half := len(docs) / 2
+	for _, opts := range []Options{{DepthLimit: 6}, {DepthLimit: 6, SpectrumK: 3}, {}} {
+		t.Run(fmt.Sprintf("depth %d, spectrum %d", opts.DepthLimit, opts.SpectrumK), func(t *testing.T) {
+			dict := xmltree.NewDict()
+			newStore := func(docs []*xmltree.Node) *storage.Store {
+				st, err := storage.NewStore(storage.NewMemFile(), dict)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range docs {
+					if _, err := st.AppendTree(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return st
+			}
+			liveStore := newStore(docs[:half])
+			live, err := Build(liveStore, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var requests [][]uint32
+			for i := half; i < len(docs); i += 4 {
+				var recs []uint32
+				for _, d := range docs[i:min(i+4, len(docs))] {
+					rec, err := liveStore.AppendTree(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					recs = append(recs, rec)
+				}
+				requests = append(requests, recs)
+			}
+			for _, recs := range requests {
+				if err := live.InsertDocumentsCtx(context.Background(), recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bulk, err := Build(newStore(docs), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ix := range []*Index{live, bulk} {
+				if err := ix.Verify(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			b, l := expand(t, bulk.bt.Scan), expand(t, live.bt.Scan)
+			if len(b) != len(l) || len(b) != bulk.Entries() || len(l) != live.Entries() {
+				t.Fatalf("bulk build holds %d postings (counts %d), live inserts %d (counts %d)", len(b), bulk.Entries(), len(l), live.Entries())
+			}
+			for i := range b {
+				if b[i].label != l[i].label || b[i].sigma != l[i].sigma || b[i].ptr != l[i].ptr || !slices.Equal(b[i].spec, l[i].spec) {
+					t.Fatalf("posting %d: bulk %+v, live %+v", i, b[i], l[i])
+				}
+			}
+			if chunks := bulk.bt.Len(); opts.DepthLimit > 0 && chunks <= countRuns(b) {
+				t.Fatalf("fixture: %d chunks for %d runs: no run crosses a chunk boundary", chunks, countRuns(b))
+			}
+
+			queries := datagen.RandomQueries(liveStore, 5, 150, 4, 3)
+			gb, gl := freeze(t, bulk), freeze(t, live)
+			probed := 0
+			for _, q := range queries {
+				pb, err := bulk.plan(q.Tree())
+				if err != nil {
+					continue // deeper than the index
+				}
+				pl, err := live.plan(q.Tree())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cb, nb, err := gb.candidates(context.Background(), pb, Limits{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl, nl, err := gl.candidates(context.Background(), pl, Limits{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(cb, cl) || nb != nl {
+					t.Fatalf("%s: bulk %d candidates of %d scanned, live %d of %d, or in another order", q, len(cb), nb, len(cl), nl)
+				}
+				probed++
+			}
+			if probed < 100 {
+				t.Fatalf("fixture: %d of %d queries probed", probed, len(queries))
+			}
+			if err := live.InsertDocuments(requests[0][0]); err == nil {
+				t.Error("a record indexed twice")
+			}
+		})
+	}
+}
+
+// countRuns returns the number of runs of equal (label, σ) in es.
+func countRuns(es []indexEntry) int {
+	n := 0
+	for i, e := range es {
+		if i == 0 || e.label != es[i-1].label || e.sigma != es[i-1].sigma {
+			n++
+		}
+	}
+	return n
 }

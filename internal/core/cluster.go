@@ -17,10 +17,10 @@ type Clustered struct {
 	copies map[storage.Pointer]uint32 // primary pointer → record of its copy
 }
 
-// Cluster lays out the clustered copy of ix with one key-order scan of its
-// B-tree: each entry's subtree is appended to the heap as its own record.
-// Two entries with one primary pointer are an error, because refinement
-// finds a copy by that pointer.
+// Cluster lays out the clustered copy of ix with one key-order walk of
+// its postings: each entry's subtree is appended to the heap as its own
+// record. Two entries with one primary pointer are an error, because
+// refinement finds a copy by that pointer.
 func (ix *Index) Cluster() (*Clustered, error) {
 	if ix.bt == nil {
 		return nil, fmt.Errorf("%w: B-tree unavailable", ErrCorrupt)
@@ -29,24 +29,31 @@ func (ix *Index) Cluster() (*Clustered, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Clustered{ix: ix, heap: heap, copies: make(map[storage.Pointer]uint32, ix.bt.Len())}
+	c := &Clustered{ix: ix, heap: heap, copies: make(map[storage.Pointer]uint32, ix.Entries())}
 	var bad error
 	err = ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		ev, ok := decodeValue(v)
-		if !ok {
+		if len(k) != keySize {
+			bad = errBadKey(k)
+			return false
+		}
+		r := openPostings(keyPointer(k), v)
+		for r.next() {
+			if _, dup := c.copies[r.ptr]; dup {
+				bad = fmt.Errorf("core: two entries point at %v", r.ptr)
+				return false
+			}
+			cur, ref, err := ix.store.ReadSubtree(r.ptr)
+			if err == nil {
+				c.copies[r.ptr], err = heap.AppendBytes(cur.SubtreeBytes(ref))
+			}
+			if bad = err; err != nil {
+				return false
+			}
+		}
+		if !r.ok() {
 			bad = errBadValue(k, v)
-			return false
 		}
-		if _, dup := c.copies[ev.primary]; dup {
-			bad = fmt.Errorf("core: two entries point at %v", ev.primary)
-			return false
-		}
-		cur, ref, err := ix.store.ReadSubtree(ev.primary)
-		if err == nil {
-			c.copies[ev.primary], err = heap.AppendBytes(cur.SubtreeBytes(ref))
-		}
-		bad = err
-		return err == nil
+		return bad == nil
 	})
 	if err == nil {
 		err = bad

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -16,12 +17,11 @@ func heapDump(t *testing.T, ix *Index) string {
 	}
 	var buf []byte
 	next := uint32(0)
-	err = ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		val, _ := decodeValue(v)
-		if rec, ok := c.Copy(val.primary); !ok || rec != next {
+	for _, e := range expand(t, ix.bt.Scan) {
+		if rec, ok := c.Copy(e.ptr); !ok || rec != next {
 			t.Fatalf("entry %d in key order has its copy in record %d (%t)", next, rec, ok)
 		}
-		pc, pr, err := ix.store.ReadSubtree(val.primary)
+		pc, pr, err := ix.store.ReadSubtree(e.ptr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,10 +34,6 @@ func heapDump(t *testing.T, ix *Index) string {
 		}
 		buf = append(buf, copied...)
 		next++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if int(next) != c.Heap().NumRecords() || int(next) != ix.Entries() {
 		t.Errorf("the heap holds %d records for %d entries", c.Heap().NumRecords(), ix.Entries())
@@ -48,18 +44,25 @@ func heapDump(t *testing.T, ix *Index) string {
 // TestClusterCopiesEachEntryInKeyOrder lays out the clustered copy of a
 // collection index and of a depth-limited one (heapDump checks the
 // layout), and requires Cluster to refuse an index in which two entries
-// point at one subtree: a document indexed twice.
+// point at one subtree. A run holds a pointer once, and inserting a
+// document indexed already fails, so such an index is made by planting a
+// chunk of another σ that names a pointer the index holds.
 func TestClusterCopiesEachEntryInKeyOrder(t *testing.T) {
 	for _, opts := range []Options{{}, {DepthLimit: 2}} {
 		st, ix := buildCollection(t, bibDocs, opts)
 		if heapDump(t, ix) == "" {
 			t.Fatalf("depth %d: empty clustered copy", opts.DepthLimit)
 		}
-		if err := ix.InsertDocument(uint32(st.NumRecords() - 1)); err != nil {
+		if err := ix.InsertDocuments(uint32(st.NumRecords() - 1)); err == nil {
+			t.Errorf("depth %d: a document indexed twice", opts.DepthLimit)
+		}
+		e := expand(t, ix.bt.Scan)[0]
+		twice := entryKey{label: e.label, sigma: math.Inf(1), first: e.ptr}
+		if err := ix.bt.Put(twice.encode(), chunkOf(posting{e.ptr, nil})); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ix.Cluster(); err == nil {
-			t.Errorf("depth %d: Cluster over a document indexed twice succeeded", opts.DepthLimit)
+			t.Errorf("depth %d: Cluster over a subtree indexed twice succeeded", opts.DepthLimit)
 		}
 	}
 }

@@ -298,8 +298,9 @@ func wideDoc(mark string) string {
 
 // TestCrashDuringIncrementalSave crashes the Save that follows an
 // incremental InsertDocument on an already-committed index: a small
-// document into a one-page tree, and a wide one into a tree of some 600
-// small pages — a leaf or two per label — of which it changes over 256.
+// document into a one-page tree, and a wide one into a tree of some 250
+// small pages packed full — a leaf per label or so — all of which it
+// changes, most of them splitting, which is over 256 pages.
 // Between the two Saves nothing may reach fix.btree, and inside the second
 // nothing before the journal's fsync. Whatever the crash point, reopening
 // must answer queries over the grown store correctly: either the journal
@@ -307,7 +308,7 @@ func wideDoc(mark string) string {
 // is detected as stale and queries fall back to scanning.
 func TestCrashDuringIncrementalSave(t *testing.T) {
 	var wide []string
-	for i := 0; i < 18; i++ {
+	for i := 0; i < 40; i++ {
 		wide = append(wide, wideDoc(fmt.Sprint("base", i)))
 	}
 	for _, tc := range []struct {
@@ -363,7 +364,7 @@ func TestCrashDuringIncrementalSave(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := ix.InsertDocument(rec); err != nil {
+				if err := ix.InsertDocuments(rec); err != nil {
 					return err
 				}
 				return ix.Save()
@@ -570,7 +571,7 @@ func TestQueryCorruptPageScanFallback(t *testing.T) {
 	if err := re.Save(); err == nil {
 		t.Error("Save succeeded on a degraded index")
 	}
-	if err := re.InsertDocument(0); err == nil {
+	if err := re.InsertDocuments(0); err == nil {
 		t.Error("InsertDocument succeeded on a degraded index")
 	}
 
@@ -612,7 +613,7 @@ func TestQueryCorruptPageScanFallback(t *testing.T) {
 func TestQueryLoopingLeafChainScanFallback(t *testing.T) {
 	const pageSize = 256
 	var docs []string
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 400; i++ {
 		docs = append(docs, bibDocs[i%len(bibDocs)])
 	}
 	st := memStoreFromDocs(t, docs)
@@ -740,11 +741,12 @@ func TestStaleIndexDegrades(t *testing.T) {
 
 // TestOpenVersion2IndexDegrades is the hand-over from every version before
 // metaVersion — 2, whose values spelled a pointer as a flag byte and a
-// big-endian u64, and 3, whose keys held λmin: an index committed under one
-// opens degraded, with an ErrCorrupt that names both versions and says to
-// rebuild, answers exactly by scan, and still tells the database layer's
-// recovery how many records it covers. A version older than 2, or newer
-// than metaVersion, fails Open.
+// big-endian u64, 3, whose keys held λmin, and 4, whose keys ended in a
+// sequence number, one entry a key, and whose fix.meta spelled its count
+// seq: an index committed under one opens degraded, with an ErrCorrupt that
+// names both versions and says to rebuild, answers exactly by scan, and
+// still tells the database layer's recovery how many records it covers. A
+// version older than 2, or newer than metaVersion, fails Open.
 func TestOpenVersion2IndexDegrades(t *testing.T) {
 	st := memStoreFromDocs(t, bibDocs)
 	dir := t.TempDir()
@@ -760,13 +762,14 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(meta, []byte("version 4\n")) {
-		t.Fatalf("fix.meta starts %q", meta[:10])
+	if !bytes.HasPrefix(meta, []byte("version 5\n")) || !bytes.Contains(meta, []byte("\nentries ")) {
+		t.Fatalf("fix.meta is %q", meta)
 	}
+	old := bytes.Replace(meta, []byte("\nentries "), []byte("\nseq "), 1)
 	want := oracleCounts(t, st, crashQueries)
-	for _, v := range []string{"2", "3"} {
-		copy(meta, "version "+v)
-		if err := os.WriteFile(path, meta, 0o644); err != nil {
+	for _, v := range []string{"2", "3", "4"} {
+		copy(old, "version "+v)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := Open(st, dir)
@@ -774,8 +777,8 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := re.Health()
-		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 4") || !strings.Contains(h.Error(), "rebuild") {
-			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 4 and the rebuild", v, h, v)
+		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 5") || !strings.Contains(h.Error(), "rebuild") {
+			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 5 and the rebuild", v, h, v)
 		}
 		checkOracle(t, re, want, "version "+v)
 		if n, err := CommittedRecords(dir); err != nil || n != len(bibDocs) {
@@ -783,7 +786,7 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 		}
 		_ = re.Close()
 	}
-	for _, v := range []string{"1", "5"} {
+	for _, v := range []string{"1", "6"} {
 		copy(meta, "version "+v)
 		if err := os.WriteFile(path, meta, 0o644); err != nil {
 			t.Fatal(err)
@@ -794,12 +797,14 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 	}
 }
 
-// TestBadValueIsErrCorrupt plants an entry whose value breaks the index
+// TestBadValueIsErrCorrupt plants a chunk whose value breaks the index
 // into a healthy one. A value that does not decode — an over-long uvarint,
-// metaVersion 2's spelling — is an ErrCorrupt to every reader of values,
-// never pointer 0: Verify and a DeleteDocuments that has to read it fail, and a query whose range scan meets it answers
-// exactly by scan and degrades the index. One that decodes but names a record the store does not hold,
-// or more spectrum components than the index stores, fails Verify.
+// metaVersion 4's spelling — is an ErrCorrupt to every reader of values,
+// never pointer 0: Verify and a DeleteDocuments that has to read it fail,
+// and a query whose range scan meets it answers exactly by scan and
+// degrades the index. One that decodes but names a record the store does
+// not hold, or more spectrum components than the index stores, fails
+// Verify, and so does a chunk that holds postings fix.meta does not count.
 func TestBadValueIsErrCorrupt(t *testing.T) {
 	q := xpath.MustParse("//author[email]") // no root label on a collection index: every partition
 	for _, tc := range []struct {
@@ -807,10 +812,11 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 		val     []byte
 		decodes bool
 	}{
-		{"an over-long uvarint", []byte{0x81, 0x00, 0}, false},
-		{"metaVersion 2's spelling", []byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, false},
-		{"a record the store does not hold", entryValue{primary: storage.MakePointer(999, 0)}.encode(), true},
-		{"a spectrum the index does not store", entryValue{spectrum: []float64{1}}.encode(), true},
+		{"an over-long uvarint", []byte{0x82, 0x00}, false},
+		{"metaVersion 4's spelling", []byte{0, 0}, false},
+		{"a record the store does not hold", chunkOf(posting{0, nil}, posting{storage.MakePointer(999, 0), nil}), true},
+		{"a spectrum the index does not store", chunkOf(posting{0, []float64{1}}), true},
+		{"a posting nothing counts", chunkOf(posting{0, nil}), true},
 	} {
 		st := memStoreFromDocs(t, bibDocs)
 		ix, err := Build(st, Options{})
@@ -818,7 +824,7 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		label, _ := ix.dict.Lookup("author")
-		key := entryKey{label: label, sigma: math.Inf(1), seq: ix.seq}.encode()
+		key := entryKey{label: label, sigma: math.Inf(1), first: 0}.encode()
 		if err := ix.bt.Put(key, tc.val); err != nil {
 			t.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func NewGeneration(id uint64, ix *Index, store *storage.Store, dict *xmltree.Dic
 		if g.health == nil {
 			if bt := ix.BTree(); bt != nil {
 				g.view, _ = bt.FreezeView(nil) // the error is always nil, see FreezeView
-				g.entries = g.view.Len()
+				g.entries = ix.Entries()
 			} else {
 				g.health = fmt.Errorf("%w: B-tree unavailable", ErrDegraded)
 			}
@@ -146,16 +146,18 @@ func (g *Generation) Covered(path *xpath.Path) bool {
 	return g.ix != nil && g.ix.Covered(path)
 }
 
-// candidates runs the pruning phase: a range scan over the feature keys
-// of the frozen B-tree image, keeping entries whose eigenvalue range
-// contains every twig's range. Keys sort by (label, σ), so the entries
-// that can are those from the largest of the twigs' σ on in a label's
-// partition: the root label's when it restricts the query, and otherwise
-// every partition the tree holds (scanEveryLabel). Survivors are appended
-// to buf[:0] — nil for a list the caller keeps, a pooled one (candPool) on
-// the served path — and nothing else is allocated: keys and values are
-// decoded where the scan reads them. scanned reports how many entries the
-// scans touched. They observe ctx periodically and stop once
+// candidates runs the pruning phase: a range scan over the chunks of the
+// frozen B-tree image, keeping the postings whose eigenvalue range contains
+// every twig's range. Keys sort by (label, σ), so the entries that can are
+// those from the largest of the twigs' σ on in a label's partition: the
+// root label's when it restricts the query, and otherwise every partition
+// the tree holds (scanEveryLabel). A chunk's key is decoded and its σ
+// tested once, then its postings in one loop of one delta step each.
+// Survivors are appended to buf[:0] — nil for a list the caller keeps, a
+// pooled one (candPool) on the served path — and nothing else is
+// allocated: keys and values are decoded where the scan reads them.
+// scanned reports how many postings the scans touched. They observe ctx
+// once a chunk takes the count past a multiple of 1024 and stop once
 // lim.MaxCandidates is crossed; on any error whatever was collected is
 // discarded.
 func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, buf []Candidate) ([]Candidate, int, error) {
@@ -173,34 +175,41 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 	scanned := 0
 	var stop error // why a scan callback ended its scan early, if it did
 	visit := func(k, v []byte) bool {
-		scanned++
-		if scanned%1024 == 0 && ctx.Err() != nil {
-			stop = ctx.Err()
-			return false
-		}
 		if len(k) != keySize {
 			stop = errBadKey(k)
 			return false
 		}
+		r := openPostings(keyPointer(k), v)
+		if !r.ok() {
+			stop = errBadValue(k, v)
+			return false
+		}
+		n := r.count()
+		if scanned>>10 != (scanned+n)>>10 && ctx.Err() != nil {
+			stop = ctx.Err()
+			return false
+		}
+		scanned += n
 		entry := Features{Sigma: decodeKey(k).sigma}
 		for _, f := range p.feats {
 			if !entry.Contains(f) {
 				return true
 			}
 		}
-		ev, ok := decodeValue(v)
-		if !ok {
+		for r.next() {
+			if !spectrumContains(r.spectrum(), p.specs) {
+				continue
+			}
+			if lim.MaxCandidates > 0 && len(cands) >= lim.MaxCandidates {
+				stop = fmt.Errorf("%w: more than %d candidates", ErrBudgetExceeded, lim.MaxCandidates)
+				return false
+			}
+			cands = append(cands, Candidate{Primary: r.ptr})
+		}
+		if !r.ok() {
 			stop = errBadValue(k, v)
 			return false
 		}
-		if !spectrumContains(ev.spectrum, p.specs) {
-			return true
-		}
-		if lim.MaxCandidates > 0 && len(cands) >= lim.MaxCandidates {
-			stop = fmt.Errorf("%w: more than %d candidates", ErrBudgetExceeded, lim.MaxCandidates)
-			return false
-		}
-		cands = append(cands, Candidate{Primary: ev.primary})
 		return true
 	}
 	var err error

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/fix-index/fix/internal/bisim"
@@ -123,7 +124,11 @@ type Index struct {
 	enc   *matrix.EdgeEncoder
 	vh    valueHasher
 
-	seq         uint64
+	// entries counts the postings — what the paper's metrics call the
+	// index entries — which the B-tree, holding chunks of them, does not.
+	// fix.meta records it; maintenance moves it under the database's write
+	// lock, and Entries reads it under none.
+	entries     atomic.Int64
 	oversize    int
 	maxDocDepth int
 	buildTime   time.Duration
@@ -202,12 +207,13 @@ func indexFile(opts Options, name string) (storage.File, error) {
 }
 
 // Entries returns the number of index entries (ent in the paper's
-// metrics), or 0 when the B-tree is unavailable.
+// metrics): the postings of every chunk, or 0 when the B-tree is
+// unavailable.
 func (ix *Index) Entries() int {
 	if ix.bt == nil {
 		return 0
 	}
-	return ix.bt.Len()
+	return int(ix.entries.Load())
 }
 
 // OversizeEntries returns how many entries use the artificial range.
@@ -231,11 +237,12 @@ func (ix *Index) Options() Options { return ix.opts }
 func (ix *Index) BTree() *btree.Tree { return ix.bt }
 
 // Verify checks the on-disk integrity of the index: every B-tree page's
-// checksum and structure, the meta/leaf entry-count agreement, that every
-// key is keySize bytes, and that every entry's value decodes — in the one
-// spelling appendTo writes, with no more spectrum components than the
-// index stores — to a primary pointer that addresses an existing record. Problems are recorded in the health
-// status and returned.
+// checksum and structure, that every key is keySize bytes, that every chunk
+// decodes — in the one spelling chunk writes, with no more spectrum
+// components than the index stores — to pointers that address existing
+// records and lie above every pointer of the chunk before it in its run,
+// and that the chunks hold the number of postings fix.meta counts. Problems
+// are recorded in the health status and returned.
 func (ix *Index) Verify() error {
 	if err := ix.Health(); err != nil {
 		return err
@@ -256,24 +263,47 @@ func (ix *Index) verify() error {
 	}
 	nrec := uint32(ix.store.NumRecords())
 	var bad error
+	var run [12]byte // the (label, σ) of the chunk before
+	var last storage.Pointer
+	total := 0
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		ev, ok := decodeValue(v)
-		switch {
-		case len(k) != keySize:
+		if len(k) != keySize {
 			bad = errBadKey(k)
-		case !ok:
-			bad = errBadValue(k, v)
-		case ev.primary.Rec() >= nrec:
-			bad = fmt.Errorf("%w: entry points at record %d but the store holds %d", ErrCorrupt, ev.primary.Rec(), nrec)
-		case len(ev.spectrum) > ix.opts.SpectrumK:
-			bad = fmt.Errorf("%w: entry %x stores %d spectrum components, the index %d", ErrCorrupt, k, len(ev.spectrum), ix.opts.SpectrumK)
+			return false
 		}
-		return bad == nil
+		first := keyPointer(k)
+		if total > 0 && string(k[:12]) == string(run[:]) && first <= last {
+			bad = fmt.Errorf("%w: chunk %x starts at or below %v, which the chunk before it holds", ErrCorrupt, k, last)
+			return false
+		}
+		r := openPostings(first, v)
+		for r.next() {
+			total++
+			switch {
+			case r.ptr.Rec() >= nrec:
+				bad = fmt.Errorf("%w: entry points at record %d but the store holds %d", ErrCorrupt, r.ptr.Rec(), nrec)
+			case r.nspec > ix.opts.SpectrumK:
+				bad = fmt.Errorf("%w: chunk %x stores %d spectrum components for %v, the index %d", ErrCorrupt, k, r.nspec, r.ptr, ix.opts.SpectrumK)
+			}
+			if bad != nil {
+				return false
+			}
+		}
+		if !r.ok() {
+			bad = errBadValue(k, v)
+			return false
+		}
+		copy(run[:], k)
+		last = r.ptr
+		return true
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = bad
 	}
-	return bad
+	if err == nil && total != ix.Entries() {
+		err = fmt.Errorf("%w: the chunks hold %d postings, fix.meta counts %d", ErrCorrupt, total, ix.Entries())
+	}
+	return err
 }
 
 // Close closes the index's own file, fix.btree. It commits nothing: what

@@ -56,7 +56,7 @@ func ReplayIngest(st *storage.Store, ix *Index, ops []IngestOp) (int, error) {
 				return i, fmt.Errorf("core: replaying ingest op %d: append produced record %d, log says %d", i, rec, op.Rec)
 			}
 			if ix != nil && ix.Health() == nil {
-				if err := ix.InsertDocument(rec); err != nil {
+				if err := ix.InsertDocuments(rec); err != nil {
 					if !errors.Is(err, ErrRebuildRequired) {
 						err = fmt.Errorf("replayed insert of record %d failed: %w", rec, err)
 					}

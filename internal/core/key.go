@@ -13,16 +13,18 @@ import (
 	"github.com/fix-index/fix/internal/storage"
 )
 
-// Feature keys sort by (root label, σ, sequence number), σ being the
-// largest eigenvalue magnitude of the unit's skew-symmetric matrix. The
-// paper keys on (λmin, λmax), but the spectrum is {±iσ}, so λmin = −σ and
-// λmax = σ on every entry and one σ is all the key holds (DESIGN.md
-// "Mathematical note"). The containment search "entries with σ_e >= σ_q
-// within a label partition" becomes a single range scan; the sequence
-// number makes keys unique so equal features coexist. Entries of equal
-// features are a run of keys that differ in the last bytes of the
-// sequence number only, and those bytes are what a B-tree leaf stores of
-// them (btree/node.go).
+// Feature keys sort by (root label, σ, pointer), σ being the largest
+// eigenvalue magnitude of the unit's skew-symmetric matrix. The paper keys
+// on (λmin, λmax), but the spectrum is {±iσ}, so λmin = −σ and λmax = σ on
+// every entry and one σ is all the key holds (DESIGN.md "Mathematical
+// note"). The containment search "entries with σ_e >= σ_q within a label
+// partition" becomes a single range scan. Entries of equal features are a
+// run, and a run is stored as chunks: one B-tree entry per chunk, keyed by
+// the run's (label, σ) and the chunk's first primary pointer (rec<<32 | off,
+// big-endian), whose value holds the chunk's postings — every pointer of
+// the chunk in ascending order, delta coded, each with its spectrum tail
+// (the chunk codec below). The chunks of a run follow each other: each
+// holds pointers above every one the chunk before it holds.
 const keySize = 4 + 8 + 8
 
 // encodeFloat maps a float64 to 8 bytes whose lexicographic order matches
@@ -47,22 +49,16 @@ func decodeFloat(u uint64) float64 {
 type entryKey struct {
 	label uint32
 	sigma float64
-	seq   uint64
-}
-
-func (k entryKey) encode() []byte {
-	buf := make([]byte, keySize)
-	putKey(buf, k.label, encodeFloat(k.sigma), k.seq)
-	return buf
+	first storage.Pointer
 }
 
 // putKey writes a key whose σ is already in encodeFloat form into
-// buf[:keySize]. Comparing (label, sigma, seq) as unsigned integers orders
-// entries exactly as their key bytes do.
-func putKey(buf []byte, label uint32, sigma, seq uint64) {
+// buf[:keySize]. Comparing (label, sigma, first) as unsigned integers
+// orders chunks exactly as their key bytes do.
+func putKey(buf []byte, label uint32, sigma uint64, first storage.Pointer) {
 	binary.BigEndian.PutUint32(buf[0:4], label)
 	binary.BigEndian.PutUint64(buf[4:12], sigma)
-	binary.BigEndian.PutUint64(buf[12:20], seq)
+	binary.BigEndian.PutUint64(buf[12:20], uint64(first))
 }
 
 // decodeKey decodes a key of keySize bytes: a key read from a B-tree has
@@ -71,8 +67,22 @@ func decodeKey(buf []byte) entryKey {
 	return entryKey{
 		label: binary.BigEndian.Uint32(buf[0:4]),
 		sigma: decodeFloat(binary.BigEndian.Uint64(buf[4:12])),
-		seq:   binary.BigEndian.Uint64(buf[12:20]),
+		first: keyPointer(buf),
 	}
+}
+
+// keyPointer returns the first pointer of the chunk under key buf.
+func keyPointer(buf []byte) storage.Pointer {
+	return storage.Pointer(binary.BigEndian.Uint64(buf[12:20]))
+}
+
+// runBounds returns the [from, to) key range of the run of (label, σ),
+// σ in encodeFloat form: every chunk of the run and nothing else. (σ is a
+// number, +Inf at most, so σ+1 does not wrap: only NaNs spell as high.)
+func runBounds(label uint32, sigma uint64) (from, to []byte) {
+	from = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(make([]byte, 0, 12), label), sigma)
+	to = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(make([]byte, 0, 12), label), sigma+1)
+	return from, to
 }
 
 // errBadKey is the error of an entry whose key k is not keySize bytes.
@@ -92,92 +102,241 @@ func scanBounds(label uint32, querySigma float64) (from, to []byte) {
 	return from, to
 }
 
-// maxSpectrumK caps Options.SpectrumK: the most spectrum components a value
-// stores.
+// maxSpectrumK caps Options.SpectrumK: the most spectrum components a
+// posting stores.
 const maxSpectrumK = 8
 
-// entryValue is the decoded form of a B-tree value:
+// The chunk codec. A chunk value is
 //
-//	uvarint uvarint     primary pointer: record, offset in the record
-//	[k × 8 bytes]       σ₂..σ₍k+1₎ of the entry's pattern (σ₁ is the key's
-//	                    σ), for the optional spectrum filter (§3.3)
+//	uvarint n<<1 | t          n >= 1 postings; t: the first has a tail
+//	[tail]                    the first posting's, when t
+//	n-1 times, each posting after the one before it:
+//	  uvarint Δoff<<2 | t               in the same record, Δoff >= 1
+//	  or uvarint Δrec<<2 | 2 | t,
+//	     uvarint off                    in a record Δrec >= 1 further on
+//	  [tail]                            when t
 //
-// A value holds only what its entry knows: the tail's k is what the
-// pointer leaves, 8 bytes a component. A pointer's halves are small —
-// record numbers in the thousands, offsets inside one document — so two
-// uvarints spell one in 2 to 5 bytes.
-type entryValue struct {
-	primary  storage.Pointer
-	spectrum []float64
+// where a tail is one byte k, 1 to maxSpectrumK, and k × 8 bytes: σ₂..σ₍k+1₎
+// of the posting's pattern (σ₁ is the key's σ), as encodeFloat spells them,
+// for the optional spectrum filter (§3.3). The first posting's pointer is
+// the key's. A depth-limited run is mostly postings of one record a few
+// hundred bytes apart, a collection index's one posting a record at offset
+// 0, so a posting takes one to three bytes either way.
+//
+// maxChunkBytes caps a chunk's value: a chunk is closed when the next
+// posting would take it past the cap, or past the largest value its tree
+// takes under a key (Tree.MaxValue), whichever is smaller. A live append
+// walks and rewrites its run's last chunk, so the cap bounds that work; a
+// full chunk's key costs under a tenth of a byte a posting. Measured on an
+// XMark entity stream ingested four documents a request into a depth-6
+// index, 256 bytes left 4.53 B per entry and 512 bytes 4.36 (DESIGN.md
+// "Postings").
+const maxChunkBytes = 512
+
+// chunk is a chunk value being built, posting by posting, in ascending
+// pointer order.
+type chunk struct {
+	first, last storage.Pointer
+	n           int
+	tail        bool   // the first posting has a tail
+	body        []byte // the value past its head
 }
 
-// maxValueSize bounds the bytes of a value.
-const maxValueSize = 2*binary.MaxVarintLen32 + 8*maxSpectrumK
+// reset empties the chunk, keeping its buffer.
+func (c *chunk) reset() { *c = chunk{body: c.body[:0]} }
 
-// encode returns the value.
-func (v entryValue) encode() []byte {
-	return v.appendTo(make([]byte, 0, 2*binary.MaxVarintLen32+8*len(v.spectrum)))
+// add appends the posting of pointer p and spectrum tail spec, which must
+// be above every pointer the chunk holds and at most maxSpectrumK long.
+func (c *chunk) add(p storage.Pointer, spec []float64) {
+	t := uint64(0)
+	if len(spec) > 0 {
+		t = 1
+	}
+	switch {
+	case c.n == 0:
+		c.first, c.tail = p, t == 1
+	case p.Rec() == c.last.Rec():
+		c.body = binary.AppendUvarint(c.body, uint64(p.Off()-c.last.Off())<<2|t)
+	default:
+		c.body = binary.AppendUvarint(c.body, uint64(p.Rec()-c.last.Rec())<<2|2|t)
+		c.body = binary.AppendUvarint(c.body, uint64(p.Off()))
+	}
+	if t == 1 {
+		c.body = append(c.body, byte(len(spec)))
+		for _, s := range spec {
+			c.body = binary.BigEndian.AppendUint64(c.body, encodeFloat(s))
+		}
+	}
+	c.last = p
+	c.n++
+}
+
+// fits adds the posting unless the chunk holds one already and the value
+// would then be more than limit bytes, and reports whether it did.
+func (c *chunk) fits(p storage.Pointer, spec []float64, limit int) bool {
+	if c.n == 0 {
+		c.add(p, spec)
+		return true
+	}
+	undo := *c
+	if c.add(p, spec); c.size() > limit {
+		*c = undo
+		return false
+	}
+	return true
+}
+
+// load makes c the chunk of value v, whose first pointer is first, with
+// its body copied as it lies, and reports whether v reads whole.
+func (c *chunk) load(first storage.Pointer, v []byte) bool {
+	r := openPostings(first, v)
+	n := r.count()
+	for r.next() {
+	}
+	if !r.ok() {
+		return false
+	}
+	head, m := readUvarint(v)
+	*c = chunk{first: first, last: r.ptr, n: n, tail: head&1 == 1, body: append(c.body[:0], v[m:]...)}
+	return true
+}
+
+// head returns the uvarint the value starts with.
+func (c *chunk) head() uint64 {
+	h := uint64(c.n) << 1
+	if c.tail {
+		h |= 1
+	}
+	return h
+}
+
+// size returns the bytes of the value.
+func (c *chunk) size() int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], c.head()) + len(c.body)
 }
 
 // appendTo appends the value to buf.
-func (v entryValue) appendTo(buf []byte) []byte {
-	buf = appendPointer(buf, v.primary)
-	for _, s := range v.spectrum {
-		buf = binary.BigEndian.AppendUint64(buf, encodeFloat(s))
-	}
-	return buf
+func (c *chunk) appendTo(buf []byte) []byte {
+	return append(binary.AppendUvarint(buf, c.head()), c.body...)
 }
 
-func appendPointer(buf []byte, p storage.Pointer) []byte {
-	return binary.AppendUvarint(binary.AppendUvarint(buf, uint64(p.Rec())), uint64(p.Off()))
+// postings reads the postings of one chunk value in order: next steps to
+// the next one and reports whether there was one; ptr and spectrum are the
+// posting read last. A value that is not spelled exactly as chunk spells
+// some chunk — a uvarint that runs off the end, takes more bytes than it
+// needs or overflows, a step of zero, a pointer half beyond a u32, a tail
+// of no or more than maxSpectrumK components, bytes left over, a value
+// over maxChunkBytes — ends the walk early with ok false. So what reads
+// whole re-encodes to the value byte for byte (FuzzPostingChunk).
+type postings struct {
+	rest    []byte
+	left    int // postings not yet read
+	ptr     storage.Pointer
+	started bool   // the first posting, the key's pointer, has been read
+	t0      uint64 // its tail flag
+	nspec   int
+	spec    [maxSpectrumK]float64
+	bad     bool
 }
 
-// decodeValue decodes a value. ok is false unless buf is spelled exactly
-// as appendTo spells some value: a pointer half that runs off the end,
-// exceeds a u32 or takes more bytes than it needs, or a tail that is not
-// whole components or holds more than maxSpectrumK, does not decode. So
-// what decodes re-encodes to buf byte for byte (FuzzEntryValue).
-func decodeValue(buf []byte) (v entryValue, ok bool) {
-	var n int
-	if v.primary, n = readPointer(buf); n == 0 {
-		return entryValue{}, false
+// openPostings starts reading the value v of the chunk whose first pointer
+// is first. A head that does not decode leaves nothing to read and ok
+// false.
+func openPostings(first storage.Pointer, v []byte) postings {
+	head, n := readUvarint(v)
+	if n == 0 || head>>1 == 0 || head>>1 > maxChunkBytes || len(v) > maxChunkBytes {
+		return postings{bad: true}
 	}
-	buf = buf[n:]
-	if len(buf)%8 != 0 || len(buf) > 8*maxSpectrumK {
-		return entryValue{}, false
-	}
-	for ; len(buf) > 0; buf = buf[8:] {
-		v.spectrum = append(v.spectrum, decodeFloat(binary.BigEndian.Uint64(buf)))
-	}
-	return v, true
+	return postings{rest: v[n:], left: int(head >> 1), ptr: first, t0: head & 1}
 }
 
-// errBadValue is the error of an entry, key k, whose value v does not
+// count returns, before the first next, the postings of the chunk: 0 if
+// its head did not decode.
+func (r *postings) count() int { return r.left }
+
+// ok reports whether the walk so far met nothing but a canonical chunk;
+// after next returned false, that the value was one.
+func (r *postings) ok() bool { return !r.bad }
+
+// spectrum returns the tail of the posting read last. It is valid until
+// the next call of next.
+func (r *postings) spectrum() []float64 { return r.spec[:r.nspec] }
+
+func (r *postings) next() bool {
+	if r.left == 0 {
+		r.bad = r.bad || len(r.rest) != 0
+		return false
+	}
+	r.left--
+	t := r.t0
+	if !r.started {
+		r.started = true
+	} else {
+		head, n := uint64(0), 1
+		if len(r.rest) > 0 && r.rest[0] < 0x80 { // as most are
+			head = uint64(r.rest[0])
+		} else if head, n = readUvarint(r.rest); n == 0 {
+			return r.fail()
+		}
+		r.rest, t = r.rest[n:], head&1
+		d := head >> 2
+		if head&2 == 0 {
+			if d == 0 || uint64(r.ptr.Off())+d > math.MaxUint32 {
+				return r.fail()
+			}
+			r.ptr += storage.Pointer(d)
+		} else {
+			off, m := readUint32(r.rest)
+			if m == 0 || d == 0 || uint64(r.ptr.Rec())+d > math.MaxUint32 {
+				return r.fail()
+			}
+			r.rest, r.ptr = r.rest[m:], storage.MakePointer(r.ptr.Rec()+uint32(d), off)
+		}
+	}
+	r.nspec = 0
+	if t == 1 {
+		if len(r.rest) == 0 {
+			return r.fail()
+		}
+		k := int(r.rest[0])
+		if k == 0 || k > maxSpectrumK || len(r.rest) < 1+8*k {
+			return r.fail()
+		}
+		for i := range k {
+			r.spec[i] = decodeFloat(binary.BigEndian.Uint64(r.rest[1+8*i:]))
+		}
+		r.rest, r.nspec = r.rest[1+8*k:], k
+	}
+	return true
+}
+
+func (r *postings) fail() bool {
+	r.bad, r.left = true, 0
+	return false
+}
+
+// errBadValue is the error of a chunk, key k, whose value v does not
 // decode.
 func errBadValue(k, v []byte) error {
 	return fmt.Errorf("%w: entry %x has a value that does not decode: %x", ErrCorrupt, k, v)
 }
 
-// readPointer reads the pointer at the start of buf and the bytes it
-// takes, n = 0 if there is none.
-func readPointer(buf []byte) (p storage.Pointer, n int) {
-	rec, a := readUint32(buf)
-	if a == 0 {
+// readUvarint reads the uvarint at the start of buf and the bytes it
+// takes, n = 0 unless it ends, fits a u64 and is the shortest spelling of
+// its value (only a one-byte uvarint may end in a zero byte).
+func readUvarint(buf []byte) (x uint64, n int) {
+	x, n = binary.Uvarint(buf)
+	if n <= 0 || (n > 1 && buf[n-1] == 0) {
 		return 0, 0
 	}
-	off, b := readUint32(buf[a:])
-	if b == 0 {
-		return 0, 0
-	}
-	return storage.MakePointer(rec, off), a + b
+	return x, n
 }
 
-// readUint32 reads the uvarint at the start of buf and the bytes it takes,
-// n = 0 unless it ends, fits a u32 and is the shortest spelling of its
-// value (only a one-byte uvarint may end in a zero byte).
+// readUint32 is readUvarint of a value that must fit a u32.
 func readUint32(buf []byte) (x uint32, n int) {
-	u, n := binary.Uvarint(buf)
-	if n <= 0 || u > math.MaxUint32 || (n > 1 && buf[n-1] == 0) {
+	u, n := readUvarint(buf)
+	if n == 0 || u > math.MaxUint32 {
 		return 0, 0
 	}
 	return uint32(u), n

@@ -51,12 +51,19 @@ func TestFloatEncodingRoundTrip(t *testing.T) {
 	}
 }
 
+// encode spells the key.
+func (k entryKey) encode() []byte {
+	buf := make([]byte, keySize)
+	putKey(buf, k.label, encodeFloat(k.sigma), k.first)
+	return buf
+}
+
 func TestKeyRoundTrip(t *testing.T) {
-	f := func(label uint32, sigma float64, seq uint64) bool {
+	f := func(label uint32, sigma float64, first uint64) bool {
 		if math.IsNaN(sigma) {
 			return true
 		}
-		k := entryKey{label: label, sigma: sigma, seq: seq}
+		k := entryKey{label: label, sigma: sigma, first: storage.Pointer(first)}
 		b := k.encode()
 		return len(b) == keySize && decodeKey(b) == k
 	}
@@ -66,14 +73,14 @@ func TestKeyRoundTrip(t *testing.T) {
 }
 
 func TestKeySortOrder(t *testing.T) {
-	// Encoded keys must sort by (label, sigma, seq).
+	// Encoded keys must sort by (label, sigma, first pointer).
 	rng := rand.New(rand.NewSource(9))
 	keys := make([]entryKey, 300)
 	for i := range keys {
 		keys[i] = entryKey{
 			label: uint32(rng.Intn(4)),
 			sigma: float64(rng.Intn(8)) - 2.5,
-			seq:   uint64(rng.Intn(5)),
+			first: storage.MakePointer(uint32(rng.Intn(3)), uint32(rng.Intn(3))),
 		}
 	}
 	enc := make([][]byte, len(keys))
@@ -89,7 +96,7 @@ func TestKeySortOrder(t *testing.T) {
 		if a.sigma != b.sigma {
 			return a.sigma < b.sigma
 		}
-		return a.seq < b.seq
+		return a.first < b.first
 	})
 	for i := range keys {
 		if decodeKey(enc[i]) != keys[i] {
@@ -102,11 +109,11 @@ func TestScanBoundsContainment(t *testing.T) {
 	// Every entry with the same label and sigma >= the query's must fall
 	// in [from, to); entries below or in other labels must not.
 	from, to := scanBounds(7, 2.5)
-	in := entryKey{label: 7, sigma: 2.5, seq: 0}.encode()
-	inHigher := entryKey{label: 7, sigma: 100, seq: 9}.encode()
-	inInf := entryKey{label: 7, sigma: math.Inf(1), seq: 1}.encode()
-	below := entryKey{label: 7, sigma: 2.4, seq: 0}.encode()
-	otherLabel := entryKey{label: 8, sigma: 50, seq: 0}.encode()
+	in := entryKey{label: 7, sigma: 2.5, first: 0}.encode()
+	inHigher := entryKey{label: 7, sigma: 100, first: 9}.encode()
+	inInf := entryKey{label: 7, sigma: math.Inf(1), first: 1}.encode()
+	below := entryKey{label: 7, sigma: 2.4, first: 0}.encode()
+	otherLabel := entryKey{label: 8, sigma: 50, first: 0}.encode()
 	for _, c := range []struct {
 		key  []byte
 		want bool
@@ -125,65 +132,171 @@ func TestScanBoundsContainment(t *testing.T) {
 	}
 }
 
+// indexEntry is one posting of an index, expanded: the key of its run and
+// what the chunk holds of it.
+type indexEntry struct {
+	label uint32
+	sigma float64
+	ptr   storage.Pointer
+	spec  []float64
+}
+
+// expand reads the postings of every chunk a scan of the whole tree
+// delivers, in key order.
+func expand(t *testing.T, scan func(from, to []byte, fn func(k, v []byte) bool) error) []indexEntry {
+	t.Helper()
+	var out []indexEntry
+	err := scan(nil, nil, func(k, v []byte) bool {
+		if len(k) != keySize {
+			t.Fatalf("key %x is %d bytes", k, len(k))
+		}
+		key := decodeKey(k)
+		r := openPostings(key.first, v)
+		for r.next() {
+			out = append(out, indexEntry{key.label, key.sigma, r.ptr, slices.Clone(r.spectrum())})
+		}
+		if !r.ok() {
+			t.Fatalf("chunk %x: value %x does not decode", k, v)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// posting is a pointer and its spectrum tail.
+type posting struct {
+	ptr  storage.Pointer
+	spec []float64
+}
+
+// chunkOf spells the chunk of ps, which ascend.
+func chunkOf(ps ...posting) []byte {
+	var c chunk
+	for _, p := range ps {
+		c.add(p.ptr, p.spec)
+	}
+	return c.appendTo(nil)
+}
+
+// readChunk decodes the chunk value v whose first pointer is first.
+func readChunk(first storage.Pointer, v []byte) (ps []posting, ok bool) {
+	r := openPostings(first, v)
+	for r.next() {
+		ps = append(ps, posting{r.ptr, slices.Clone(r.spectrum())})
+	}
+	return ps, r.ok()
+}
+
+// atTheCap returns the postings of a chunk whose value is exactly
+// maxChunkBytes long: a first posting with a tail, then one posting a
+// record at offset 0, two bytes each, and a one-byte step inside the last
+// record where a byte is left.
+func atTheCap() []posting {
+	ps := []posting{{storage.MakePointer(1, 0), []float64{1}}}
+	for rec := uint32(2); ; rec++ {
+		switch n := len(chunkOf(ps...)); {
+		case n == maxChunkBytes:
+			return ps
+		case n == maxChunkBytes-1:
+			ps = append(ps, posting{storage.MakePointer(rec-1, 1), nil})
+		default:
+			ps = append(ps, posting{storage.MakePointer(rec, 0), nil})
+		}
+	}
+}
+
 func TestEntryValueRoundTrip(t *testing.T) {
+	p := storage.MakePointer
 	cases := []struct {
-		v    entryValue
+		name string
+		ps   []posting
 		size int
 	}{
-		{entryValue{primary: 42}, 2},
-		{entryValue{primary: storage.MakePointer(3000, 70000)}, 2 + 3},
-		{entryValue{primary: storage.MakePointer(math.MaxUint32, math.MaxUint32)}, 5 + 5},
-		{entryValue{primary: 1, spectrum: []float64{3.5, 2.25, 0}}, 2 + 3*8},
-		{entryValue{primary: 7, spectrum: []float64{10, 9, 8, 7, 6, 5, 4, 3}}, 2 + 8*8},
+		{"one posting", []posting{{p(3, 40), nil}}, 1},
+		{"one record, small steps", []posting{{p(3, 40), nil}, {p(3, 41), nil}, {p(3, 71), nil}}, 1 + 1 + 1},
+		{"offsets 2^14 apart", []posting{{p(3, 0), nil}, {p(3, 1<<14), nil}, {p(3, 1<<15+1), nil}}, 1 + 3 + 3},
+		{"record jumps", []posting{{p(0, 0), nil}, {p(1, 0), nil}, {p(9, 0), nil}, {p(70000, 0), nil}}, 1 + 2 + 2 + 4},
+		{"jumps to high offsets", []posting{{p(0, 70000), nil}, {p(1, math.MaxUint32), nil}, {p(math.MaxUint32, 0), nil}}, 1 + 6 + 6},
+		{"spectrum tails", []posting{{p(1, 2), []float64{3.5, 2.25, 0}}, {p(1, 9), nil}, {p(2, 0), []float64{10, 9, 8, 7, 6, 5, 4, 3}}}, 1 + 25 + 1 + 2 + 65},
 	}
-	for i, c := range cases {
-		b := c.v.encode()
+	for _, c := range cases {
+		b := chunkOf(c.ps...)
 		if len(b) != c.size {
-			t.Errorf("case %d: %d bytes, want %d", i, len(b), c.size)
+			t.Errorf("%s: %d bytes, want %d", c.name, len(b), c.size)
 		}
-		got, ok := decodeValue(b)
-		if !ok || got.primary != c.v.primary || !slices.Equal(got.spectrum, c.v.spectrum) {
-			t.Errorf("case %d: %+v -> %x -> %+v (ok %t)", i, c.v, b, got, ok)
+		got, ok := readChunk(c.ps[0].ptr, b)
+		if !ok || len(got) != len(c.ps) {
+			t.Fatalf("%s: %x reads back as %+v (ok %t)", c.name, b, got, ok)
+		}
+		for i := range got {
+			if got[i].ptr != c.ps[i].ptr || !slices.Equal(got[i].spec, c.ps[i].spec) {
+				t.Errorf("%s: posting %d reads back as %+v, want %+v", c.name, i, got[i], c.ps[i])
+			}
 		}
 	}
-	// A value spelled otherwise does not decode, rather than decode to
-	// pointer 0 — or to any pointer that is not its entry's.
+	if b := chunkOf(atTheCap()...); len(b) != maxChunkBytes {
+		t.Fatalf("the chunk at the cap takes %d bytes, want %d", len(b), maxChunkBytes)
+	} else if _, ok := readChunk(storage.MakePointer(1, 0), b); !ok {
+		t.Errorf("the chunk at the cap does not read back")
+	}
+	var c chunk
+	for _, q := range atTheCap() {
+		c.add(q.ptr, q.spec)
+	}
+	if c.fits(storage.MakePointer(1<<20, 0), nil, maxChunkBytes) || c.size() != maxChunkBytes {
+		t.Errorf("a posting went onto the chunk at the cap, or the refusal changed it (%d bytes)", c.size())
+	}
+	// A value spelled otherwise does not read, rather than read to some
+	// pointer that is not its chunk's.
 	for _, c := range []struct {
 		name string
 		buf  []byte
 	}{
 		{"empty", nil},
-		{"half a pointer", []byte{5}},
-		{"a uvarint that does not end", []byte{5, 0x80}},
-		{"an over-long uvarint", []byte{0x81, 0x00, 1}},
-		{"a half beyond a u32", []byte{0x80, 0x80, 0x80, 0x80, 0x10, 0}},
-		{"a torn spectrum component", []byte{1, 2, 0, 0, 0}},
-		{"nine spectrum components", append([]byte{1, 2}, make([]byte, 9*8)...)},
-		{"metaVersion 2's spelling", []byte{0, 0, 0, 0, 5, 0, 0, 0, 10}},
-		{"a clustered index's value, two pointers", []byte{42, 0, 99, 0}},
+		{"no postings", []byte{0}},
+		{"fewer postings than the head says", []byte{3 << 1, 4}},
+		{"bytes left over", []byte{1 << 1, 0}},
+		{"an over-long head", []byte{0x82, 0x00}},
+		{"an over-long step", []byte{2 << 1, 0x84, 0x00}},
+		{"a step of zero in one record", []byte{2 << 1, 0}},
+		{"a jump of zero records", []byte{2 << 1, 2, 5}},
+		{"an offset beyond a u32", []byte{2 << 1, 1<<2 | 2, 0x80, 0x80, 0x80, 0x80, 0x10}},
+		{"a step past the last offset", []byte{2 << 1, 0xfc, 0xff, 0xff, 0xff, 0x3f}},
+		{"a tail of no components", []byte{1<<1 | 1, 0}},
+		{"a torn tail", []byte{1<<1 | 1, 1, 0, 0, 0}},
+		{"nine components", append([]byte{1<<1 | 1, 9}, make([]byte, 9*8)...)},
+		{"metaVersion 4's spelling", []byte{5, 0}},
+		{"over the cap", append([]byte{0xff, 0x01}, make([]byte, maxChunkBytes)...)},
 	} {
-		if v, ok := decodeValue(c.buf); ok {
-			t.Errorf("%s: %x decodes to %+v", c.name, c.buf, v)
+		if ps, ok := readChunk(storage.MakePointer(0, 5), c.buf); ok {
+			t.Errorf("%s: %x reads as %+v", c.name, c.buf, ps)
 		}
 	}
 }
 
-// FuzzEntryValue feeds arbitrary bytes to the value decoder: it never
-// panics, and whatever decodes re-encodes to the same bytes — each value has
-// one spelling, which is what Index.Verify's check of every value rests on.
-func FuzzEntryValue(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(entryValue{primary: storage.MakePointer(12, 345)}.encode())
-	f.Add([]byte{7, 0, 8, 0, 0xc0, 0, 0, 0, 0, 0, 0, 0, 0xbf, 0xf0, 0, 0, 0, 0, 0, 0}) // a clustered index's value
-	f.Add([]byte{0x81, 0x00, 1})
-	f.Add([]byte{0x10, 0, 0, 0, 5, 0, 0, 0, 10, 0xc0, 0, 0, 0, 0, 0, 0, 0}) // metaVersion 2
-	f.Fuzz(func(t *testing.T, b []byte) {
-		v, ok := decodeValue(b)
+// FuzzPostingChunk feeds arbitrary bytes to the chunk decoder under an
+// arbitrary first pointer: it never panics, and whatever reads whole
+// re-encodes to the same bytes — each chunk has one spelling, which is
+// what Index.Verify's check of every chunk rests on.
+func FuzzPostingChunk(f *testing.F) {
+	p := storage.MakePointer
+	f.Add(uint64(p(12, 345)), chunkOf(posting{p(12, 345), nil}))
+	f.Add(uint64(p(1, 0)), chunkOf(atTheCap()...))
+	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), nil}, posting{p(3, 41), nil}, posting{p(3, 1<<14), nil}, posting{p(3, 1<<20+7), nil}))
+	f.Add(uint64(p(0, 0)), chunkOf(posting{p(0, 0), nil}, posting{p(1, 0), nil}, posting{p(2, 1<<15), nil}, posting{p(9000, 3), nil}))
+	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), []float64{2, 1}}, posting{p(5, 6), nil}, posting{p(6, 0), []float64{8, 7, 6, 5, 4, 3, 2, 1}}))
+	f.Add(uint64(p(0, 5)), []byte{0x81, 0x00, 1})
+	f.Add(uint64(p(0, 5)), []byte{5, 0}) // metaVersion 4
+	f.Fuzz(func(t *testing.T, first uint64, b []byte) {
+		ps, ok := readChunk(storage.Pointer(first), b)
 		if !ok {
 			return
 		}
-		if got := v.encode(); !bytes.Equal(got, b) {
-			t.Fatalf("%x decodes to %+v, which encodes to %x", b, v, got)
+		if got := chunkOf(ps...); !bytes.Equal(got, b) {
+			t.Fatalf("%x under %v reads as %+v, which encodes to %x", b, storage.Pointer(first), ps, got)
 		}
 	})
 }

@@ -1,21 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-
-	"github.com/fix-index/fix/internal/bisim"
-	"github.com/fix-index/fix/internal/storage"
-	"github.com/fix-index/fix/internal/xmltree"
 )
 
 // Index maintenance. The paper builds once and queries (its update story
 // is future work); these operations keep the index usable as a live
-// structure: InsertDocument indexes a newly appended record without a
-// rebuild, DeleteDocument removes a record's entries.
+// structure: InsertDocuments indexes newly appended records without a
+// rebuild, DeleteDocuments removes records' entries.
 
 // ErrRebuildRequired marks maintenance failures that only a full index
 // rebuild can clear: inserting into a degraded index, or inserting a
@@ -25,96 +23,25 @@ import (
 // scan fallback) rather than retrying.
 var ErrRebuildRequired = errors.New("core: index rebuild required")
 
-// InsertDocument indexes the record rec, which must have been appended to
-// the primary store after the index was built.
-func (ix *Index) InsertDocument(rec uint32) error {
-	if err := ix.Health(); err != nil {
-		return fmt.Errorf("%w: cannot index into a degraded index: %w", ErrRebuildRequired, err)
-	}
-	if ix.opts.Values && ix.dict.MaxID() > ix.vh.alpha {
-		// New element labels would collide with the value-hash range
-		// (α, α+β] fixed at build time.
-		return fmt.Errorf("%w: new element labels appeared after a value index was built", ErrRebuildRequired)
-	}
-	cur, err := ix.store.Cursor(rec)
-	if err != nil {
-		return err
-	}
-	var vh bisim.ValueHash
-	if ix.opts.Values {
-		vh = ix.vh.hash
-	}
-	base := uint64(storage.MakePointer(rec, 0))
-	stream := bisim.FromXML(xmltree.NewCursorStream(cur, 0, base), ix.dict, vh)
-	type elem struct {
-		v   *bisim.Vertex
-		ptr uint64
-	}
-	var elems []elem
-	g, err := bisim.Build(stream, func(v *bisim.Vertex, ptr uint64) {
-		elems = append(elems, elem{v, ptr})
-	})
-	if err != nil {
-		return err
-	}
-	if g.Root == nil {
-		return nil
-	}
-	if d := g.MaxDepth(); d > ix.maxDocDepth {
-		ix.maxDocDepth = d
-	}
-	insert := ix.insertLive
-	if ix.opts.DepthLimit == 0 {
-		f, ok, err := graphFeatures(g, ix.enc, true)
-		if err != nil {
-			return err
-		}
-		if !ok || (ix.opts.EdgeBudget > 0 && g.NumEdges() > ix.opts.EdgeBudget) {
-			f = oversizeFeatures()
-		}
-		var spec []float64
-		if !f.Oversize {
-			spec = graphSpectrumTail(g, ix.enc, ix.opts.SpectrumK)
-		}
-		return insert(g.Root.Label, f, spec, storage.Pointer(base))
-	}
-	for _, e := range elems {
-		f, spec, err := subpatternFeatures(e.v, ix.opts.DepthLimit, ix.opts.EdgeBudget, ix.enc, ix.opts.SpectrumK, true)
-		if err != nil {
-			return err
-		}
-		if err := insert(e.v.Label, f, spec, storage.Pointer(e.ptr)); err != nil {
-			return err
-		}
-	}
-	return nil
+// InsertDocuments is InsertDocumentsCtx without cancellation.
+func (ix *Index) InsertDocuments(recs ...uint32) error {
+	return ix.InsertDocumentsCtx(context.Background(), recs)
 }
 
-// insertLive inserts one computed entry through the maintenance path —
-// the one place left that Puts into the B-tree.
-func (ix *Index) insertLive(label uint32, f Features, spec []float64, ptr storage.Pointer) error {
-	v := entryValue{primary: ptr, spectrum: spec}
-	if f.Oversize {
-		ix.oversize++
-	}
-	k := entryKey{label: label, sigma: f.Sigma, seq: ix.seq}
-	ix.seq++
-	return ix.bt.Put(k.encode(), v.encode())
-}
-
-// InsertDocumentsCtx indexes a batch of newly appended records through
-// the first three phases of BuildCtx's pipeline (extract), taking the
-// records in argument order, and then Puts the entries into the B-tree
-// one by one in that order. For a batch of one it costs the same as
-// InsertDocument; for the
-// group-committed batches of streaming ingest it turns the per-document
-// eigenvalue computation — by far the dominant indexing cost — into
-// parallel work instead of serializing it under the write lock.
+// InsertDocumentsCtx indexes a batch of records appended to the primary
+// store since the index was built: the first three phases of BuildCtx's
+// pipeline (extract) take the records in argument order, and addPostings
+// files their entries into their runs. For the group-committed batches of
+// streaming ingest it
+// turns the per-document eigenvalue computation — by far the dominant
+// indexing cost — into parallel work instead of serializing it under the
+// write lock.
 //
-// The same preconditions as InsertDocument apply, checked once for the
-// whole batch; any failure leaves previously merged entries in place, so
-// callers must treat an error as grounds to degrade the index (exactly
-// as a mid-batch InsertDocument failure would).
+// Any failure leaves previously filed entries in place, so callers must
+// treat an error as grounds to degrade the index. Inserting into a
+// degraded index, or inserting documents whose new element labels collide
+// with the value-hash range a value index fixed at build time, fails with
+// ErrRebuildRequired.
 func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 	if len(recs) == 0 {
 		return nil
@@ -131,6 +58,7 @@ func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 	if err := ix.extract(ctx, recs, units, &phaseTimers{}); err != nil {
 		return err
 	}
+	var entries []pendingEntry
 	for _, u := range units {
 		if u == nil {
 			continue
@@ -139,49 +67,129 @@ func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 			ix.maxDocDepth = u.depth
 		}
 		for _, e := range u.entries {
-			if err := ix.insertLive(e.label, e.f, e.spec, e.ptr); err != nil {
-				return err
+			if e.f.Oversize {
+				ix.oversize++
 			}
+			entries = append(entries, e)
 		}
+	}
+	return ix.addPostings(entries)
+}
+
+// addPostings files entries into the B-tree run by run. Records are
+// appended, so a run's new pointers lie above every pointer it holds: they
+// go onto the end of its last chunk, one Put, or, once that is full, into
+// new chunks after it — the chunks a bulk build of the same postings packs.
+// A pointer that does not, a record indexed already, is an error.
+func (ix *Index) addPostings(entries []pendingEntry) error {
+	slices.SortFunc(entries, func(a, b pendingEntry) int {
+		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(encodeFloat(a.f.Sigma), encodeFloat(b.f.Sigma)), cmp.Compare(a.ptr, b.ptr))
+	})
+	limit := ix.chunkLimit()
+	key := make([]byte, keySize)
+	var c chunk
+	var val []byte
+	for lo := 0; lo < len(entries); {
+		label, sigma := entries[lo].label, encodeFloat(entries[lo].f.Sigma)
+		hi := lo + 1
+		for hi < len(entries) && entries[hi].label == label && encodeFloat(entries[hi].f.Sigma) == sigma {
+			hi++
+		}
+		run := entries[lo:hi]
+		lo = hi
+		from, to := runBounds(label, sigma)
+		k, v, found, err := ix.bt.Last(from, to)
+		if err != nil {
+			return err
+		}
+		c.reset()
+		loaded := 0 // postings of the chunk Put last, which the run holds already
+		if found {
+			if !c.load(keyPointer(k), v) {
+				return errBadValue(k, v)
+			}
+			if run[0].ptr <= c.last {
+				return fmt.Errorf("core: entry at %v is not above %v, which its run holds: the record was indexed already", run[0].ptr, c.last)
+			}
+			loaded = c.n
+		}
+		for _, e := range run {
+			if c.fits(e.ptr, e.spec, limit) {
+				continue
+			}
+			if c.n > loaded {
+				putKey(key, label, sigma, c.first)
+				if err := ix.bt.Put(key, c.appendTo(val[:0])); err != nil {
+					return err
+				}
+			}
+			c.reset()
+			c.add(e.ptr, e.spec)
+			loaded = 0
+		}
+		putKey(key, label, sigma, c.first)
+		if err := ix.bt.Put(key, c.appendTo(val[:0])); err != nil {
+			return err
+		}
+		ix.entries.Add(int64(len(run)))
 	}
 	return nil
 }
 
 // DeleteDocuments removes every index entry pointing into one of the
 // records recs. The records themselves stay in the primary store (records
-// are immutable).
-// It is one scan of the whole index however many records are named, so a
-// batch of deletes pays for it once. (A document's features could be
-// computed again — edge weights are append-only and never change — but its
-// keys end in sequence numbers nothing records per document, so each would
-// still have to be looked for among the entries of equal features.)
+// are immutable). It is one walk of every chunk of the index however many
+// records are named, so a batch of deletes pays for it once: a chunk whose
+// first pointer lies past every doomed record is passed over on its key, the
+// others are decoded, and one that holds a doomed posting is written anew
+// without it — under a new key when its first posting went — or deleted
+// once it holds none.
 func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 	if err := ix.Health(); err != nil {
 		return 0, fmt.Errorf("%w: cannot delete from a degraded index: %w", ErrRebuildRequired, err)
 	}
 	doomed := slices.Clone(recs)
 	slices.Sort(doomed)
-	// A value begins with its record's uvarint, so an entry whose first
-	// byte begins no doomed record's is none of theirs and is passed over
-	// undecoded: the scan costs a table lookup per entry, not a decode.
-	var lead [256]bool
-	var spelled [binary.MaxVarintLen32]byte
-	for _, rec := range doomed {
-		lead[binary.AppendUvarint(spelled[:0], uint64(rec))[0]] = true
-	}
-	var keys [][]byte
+	type rewrite struct{ old, key, val []byte } // val nil: the chunk goes
+	var edits []rewrite
+	var c chunk
 	var bad error
+	removed := 0
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-		if len(v) > 0 && !lead[v[0]] {
+		if len(k) != keySize {
+			bad = errBadKey(k)
+			return false
+		}
+		first := keyPointer(k)
+		i, _ := slices.BinarySearch(doomed, first.Rec())
+		if i == len(doomed) {
 			return true
 		}
-		ev, ok := decodeValue(v)
-		if !ok {
+		r := openPostings(first, v)
+		gone := 0
+		for c.reset(); r.next(); {
+			for i < len(doomed) && doomed[i] < r.ptr.Rec() {
+				i++
+			}
+			if i < len(doomed) && doomed[i] == r.ptr.Rec() {
+				gone++
+				continue
+			}
+			c.add(r.ptr, r.spectrum())
+		}
+		if !r.ok() {
 			bad = errBadValue(k, v)
 			return false
 		}
-		if _, ok := slices.BinarySearch(doomed, ev.primary.Rec()); ok {
-			keys = append(keys, append([]byte(nil), k...))
+		if gone > 0 {
+			e := rewrite{old: slices.Clone(k)}
+			if c.n > 0 {
+				e.key = make([]byte, keySize)
+				putKey(e.key, binary.BigEndian.Uint32(k), binary.BigEndian.Uint64(k[4:]), c.first)
+				e.val = c.appendTo(nil)
+			}
+			edits = append(edits, e)
+			removed += gone
 		}
 		return true
 	})
@@ -191,16 +199,24 @@ func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, k := range keys {
-		ok, err := ix.bt.Delete(k)
-		if err != nil {
-			return 0, err
+	for _, e := range edits {
+		if e.val == nil || !bytes.Equal(e.key, e.old) {
+			ok, err := ix.bt.Delete(e.old)
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				return 0, fmt.Errorf("core: entry vanished during delete")
+			}
 		}
-		if !ok {
-			return 0, fmt.Errorf("core: entry vanished during delete")
+		if e.val != nil {
+			if err := ix.bt.Put(e.key, e.val); err != nil {
+				return 0, err
+			}
 		}
 	}
-	return len(keys), nil
+	ix.entries.Add(-int64(removed))
+	return removed, nil
 }
 
 // DeleteDocument is DeleteDocuments for one record.

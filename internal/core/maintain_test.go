@@ -17,7 +17,7 @@ func TestInsertDocumentCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.InsertDocument(rec); err != nil {
+	if err := ix.InsertDocuments(rec); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Entries() != len(bibDocs)+1 {
@@ -45,7 +45,7 @@ func TestInsertDocumentDepthLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.InsertDocument(rec); err != nil {
+	if err := ix.InsertDocuments(rec); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Entries() != before+n.CountElements() {
@@ -121,11 +121,12 @@ func TestDeleteDocumentsOnePass(t *testing.T) {
 		t.Fatalf("one pass removed %d of %d entries (%d left), one call per record %d", removed, total, all.Entries(), perRecord)
 	}
 	entries := func(ix *Index) (out []string) {
-		err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
-			ev, _ := decodeValue(v)
-			if rec := ev.primary.Rec(); doomed[rec] {
+		for _, e := range expand(t, ix.bt.Scan) {
+			if rec := e.ptr.Rec(); doomed[rec] {
 				t.Errorf("an entry of deleted record %d survived", rec)
 			}
+		}
+		err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
 			out = append(out, string(k)+string(v))
 			return true
 		})
@@ -155,7 +156,7 @@ func TestInsertThenDeleteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.InsertDocument(rec); err != nil {
+	if err := ix.InsertDocuments(rec); err != nil {
 		t.Fatal(err)
 	}
 	removed, err := ix.DeleteDocument(rec)

@@ -30,15 +30,18 @@ import (
 // interpret its keys against them.
 
 // metaVersion 2 adds the records field, which ties the committed index to
-// the number of primary-store records it covers. Versions 3 and 4 have the
-// same fields and spell the B-tree anew: version 3 a value as two uvarints
-// a pointer and no flag byte (entryValue), version 4 a key as (label, σ,
-// seq) without λmin (keySize). Nothing in an entry tells the spellings
+// the number of primary-store records it covers. Versions 3 to 5 spell the
+// B-tree anew: version 3 a value as two uvarints a pointer and no flag
+// byte, version 4 a key as (label, σ, sequence number) without λmin, and
+// version 5 a run of equal (label, σ) as chunks keyed by their first
+// pointer, whose values are the chunk codec's (key.go) — and its entries
+// field counts the postings, where earlier versions' seq field numbered
+// the entries ever inserted. Nothing in an entry tells the spellings
 // apart, so the version does. Open reads the fields of any version from
 // minMetaVersion on — so the database layer's recovery still finds the
 // records an index covers — and degrades an index older than metaVersion,
 // which a rebuild writes anew. A format change bumps metaVersion only.
-const metaVersion = 4
+const metaVersion = 5
 
 // minMetaVersion is the oldest fix.meta Open reads.
 const minMetaVersion = 2
@@ -56,7 +59,7 @@ func (ix *Index) encodeMeta() []byte {
 	fmt.Fprintf(&b, "paperpruning %t\n", ix.opts.PaperPruning)
 	fmt.Fprintf(&b, "norootlabel %t\n", ix.opts.NoRootLabel)
 	fmt.Fprintf(&b, "alpha %d\n", ix.vh.alpha)
-	fmt.Fprintf(&b, "seq %d\n", ix.seq)
+	fmt.Fprintf(&b, "entries %d\n", ix.entries.Load())
 	fmt.Fprintf(&b, "oversize %d\n", ix.oversize)
 	fmt.Fprintf(&b, "maxdocdepth %d\n", ix.maxDocDepth)
 	fmt.Fprintf(&b, "records %d\n", ix.store.NumRecords())
@@ -142,7 +145,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		// Its entries are in a spelling nothing reads any more. Only the
 		// first health problem is kept, so a directory older still — a
 		// FIXBT002 page format — is reported by its meta version too.
-		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (keys of one σ, values of two uvarints): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
+		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (runs of one (label, σ) in chunks of delta-coded pointers): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
 	}
 	if clustered {
 		ix.setHealth(fmt.Errorf("%w: the index is clustered, a layout this version no longer builds or reads (its values carry a second pointer): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt))
@@ -214,6 +217,13 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered b
 	if version < minMetaVersion || version > metaVersion {
 		return 0, 0, 0, false, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
 	}
+	// The count of entries of an index before version 5, whose B-tree
+	// nothing reads, is whatever its seq says.
+	var entries int64
+	count := "entries"
+	if version < 5 {
+		count = "seq"
+	}
 	fields := []struct {
 		name string
 		dst  interface{}
@@ -227,7 +237,7 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered b
 		{"paperpruning", &ix.opts.PaperPruning},
 		{"norootlabel", &ix.opts.NoRootLabel},
 		{"alpha", &alpha},
-		{"seq", &ix.seq},
+		{count, &entries},
 		{"oversize", &ix.oversize},
 		{"maxdocdepth", &ix.maxDocDepth},
 		{"records", &records},
@@ -237,6 +247,7 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered b
 			return 0, 0, 0, false, err
 		}
 	}
+	ix.entries.Store(entries)
 	return version, alpha, records, clustered, nil
 }
 
@@ -277,6 +288,9 @@ func validateMeta(ix *Index, alpha uint32, records int) error {
 	}
 	if records < 0 {
 		return fmt.Errorf("core: invalid meta: records %d is negative", records)
+	}
+	if n := ix.entries.Load(); n < 0 {
+		return fmt.Errorf("core: invalid meta: entries %d is negative", n)
 	}
 	return nil
 }

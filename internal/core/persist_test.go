@@ -113,7 +113,7 @@ func TestOpenCorruptMeta(t *testing.T) {
 // which is several of the stream's buffers.
 func TestStreamedJournalIsFIXJNL01(t *testing.T) {
 	var docs []string
-	for i := 0; i < 18; i++ {
+	for i := 0; i < 40; i++ {
 		docs = append(docs, wideDoc(fmt.Sprint("base", i)))
 	}
 	ix, err := Build(memStoreFromDocs(t, docs), Options{DepthLimit: 1, PageSize: 256})
@@ -128,7 +128,7 @@ func TestStreamedJournalIsFIXJNL01(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.InsertDocument(rec); err != nil {
+	if err := ix.InsertDocuments(rec); err != nil {
 		t.Fatal(err)
 	}
 	meta, edges := ix.encodeMeta(), []byte("the edge encoder's bytes")

@@ -129,7 +129,7 @@ func TestPlanCacheNewPair(t *testing.T) {
 				t.Fatal(err)
 			}
 			pairs, labels := ix.enc.Len(), ix.dict.Len()
-			if err := ix.InsertDocument(rec); err != nil {
+			if err := ix.InsertDocuments(rec); err != nil {
 				t.Fatal(err)
 			}
 			if ix.enc.Len() != pairs+1 || ix.dict.Len() != labels {
@@ -177,7 +177,7 @@ func TestPlanCacheNewLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.InsertDocument(rec); err != nil {
+	if err := ix.InsertDocuments(rec); err != nil {
 		t.Fatal(err)
 	}
 	if got := count(); got != 1 {

@@ -37,28 +37,10 @@ var bibTemplates = []string{
 	"//www[author][title[sup]][url]",
 }
 
-// indexEntry is one entry of an index, decoded.
-type indexEntry struct {
-	key entryKey
-	val entryValue
-}
-
 // everyEntry reads the whole image in key order.
 func everyEntry(t *testing.T, g *Generation) []indexEntry {
 	t.Helper()
-	var out []indexEntry
-	err := g.view.Scan(nil, nil, func(k, v []byte) bool {
-		ev, ok := decodeValue(v)
-		if !ok {
-			t.Fatalf("entry %x: value %x does not decode", k, v)
-		}
-		out = append(out, indexEntry{decodeKey(k), ev})
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return expand(t, g.view.Scan)
 }
 
 // filterEverything is the probe as it was before it skipped: every entry of
@@ -74,20 +56,20 @@ func filterEverything(entries []indexEntry, p *queryPlan, buf []Candidate) (cand
 	seen := map[uint32]bool{}
 entries:
 	for _, e := range entries {
-		seen[e.key.label] = true
-		if p.labelOK && e.key.label != p.topLabel {
+		seen[e.label] = true
+		if p.labelOK && e.label != p.topLabel {
 			continue
 		}
-		if e.key.sigma >= sigma {
+		if e.sigma >= sigma {
 			inRange++
 		}
 		for _, f := range p.feats {
-			if !(Features{Sigma: e.key.sigma}).Contains(f) {
+			if !(Features{Sigma: e.sigma}).Contains(f) {
 				continue entries
 			}
 		}
-		if spectrumContains(e.val.spectrum, p.specs) {
-			cands = append(cands, Candidate{Primary: e.val.primary})
+		if spectrumContains(e.spec, p.specs) {
+			cands = append(cands, Candidate{Primary: e.ptr})
 		}
 	}
 	return cands, inRange, len(seen)

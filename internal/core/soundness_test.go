@@ -61,15 +61,10 @@ func TestPaperBoundFalseNegativeDemonstration(t *testing.T) {
 		t.Fatalf("features: %v %v", ok, err)
 	}
 	var docMax float64
-	err = paper.bt.Scan(nil, nil, func(k, v []byte) bool {
-		ek := decodeKey(k)
-		if ev, _ := decodeValue(v); ev.primary.Rec() == 0 { // the matching document
-			docMax = ek.sigma
+	for _, e := range expand(t, paper.bt.Scan) {
+		if e.ptr.Rec() == 0 { // the matching document
+			docMax = e.sigma
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if qf.Sigma <= docMax {
 		t.Fatalf("expected the uncanonicalized query bound (%v) to exceed the matching document's (%v)",

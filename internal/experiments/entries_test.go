@@ -7,10 +7,13 @@
 package experiments
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"slices"
 	"testing"
 
 	"github.com/fix-index/fix/internal/core"
@@ -20,29 +23,28 @@ import (
 
 // recordedEntries are, per dataset at the experiments' scale (seed 42,
 // scale 1.0), the number of entries of the unclustered and the clustered
-// index and two SHA-256s of their (key, value) sequences in key order —
-// each key and each value preceded by its length as a big-endian u32, the
-// two indexes one after the other. They were recorded when a clustered
-// index was a build option whose values held the pointer of each entry's
-// copy after the primary one; the test now spells those values from the
-// unclustered index and its offline clustered copy (withCopy), so the
-// recorded hashes pin the copy's key order too. sha256 hashes each key
-// re-spelled as metaVersion 3 spelled it (oldKey) and each value as
-// metaVersion 2 did (oldSpelling), and was recorded at the commit before
-// page format FIXBT003, whose leaves stored keys whole: neither how
-// a page spells a key, nor how a key spells σ, nor how a value spells its
-// pointers may change what an entry holds — its label, σ, order and
-// pointer. raw hashes the keys and values as stored, recorded when
-// metaVersion 4 dropped λmin from the key: a change to the
-// spelling shows there.
+// index and two SHA-256s. sha256 hashes every entry of both — the
+// unclustered index's, then its offline clustered copy's — in the spelling
+// they had when each was one B-tree cell: in (label, σ, seq) order, seq
+// being the entry's position in build order, each key and each value
+// preceded by its length as a big-endian u32, each key as metaVersion 3
+// spelled it (oldKey), each value as metaVersion 2 did (oldSpelling), a
+// clustered one with the pointer of the entry's copy after the primary one
+// (withCopy). It was recorded at the commit before page format FIXBT003,
+// whose leaves stored keys whole: neither how a page spells a key, nor how
+// a key spells σ, nor how a value spells its pointers, nor how a run is cut
+// into chunks may change what an entry holds — its label, σ, order and
+// pointer. raw hashes the chunks as stored, keys and values, recorded when
+// metaVersion 5 stored runs as chunks: a change to the spelling shows
+// there.
 var recordedEntries = map[datagen.Dataset]struct {
 	entries     int
 	sha256, raw string
 }{
-	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "366318adc59d9437a1903900f066eedcfdcecfa4cccec1ae0dc649c6c34cce0c"},
-	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "bcbb54f25a44c61df46bfa9693250e690aadfda776e25fdc0a273976b6b4b3a7"},
-	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "5155621525f987f0c72706f669e2913119c9d319d5c55575be12e406fef0b8a4"},
-	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "705dce5832ca10b5808e3dfdb5a4195b787aa9444bf22e63f0aca3043c151754"},
+	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "17995c7abb346ed3d620ecb8ad2bd2b3bd3da08c054969c80891eb1f00e51ce1"},
+	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "b9d9f507d2f363b22ed623a9be130f6856ca27eb46a6aebdec677b9205b0aa20"},
+	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "7420e276e330896cb0ebd0fb800271892e33ce67e2e7875a0dc0849f24b68ed2"},
+	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "39aa461ebf2d4065be59dc17a76504385e3ff7efcc8643dbb8280d38102eddb5"},
 }
 
 // TestIndexEntriesAreTheRecordedOnes builds the experiments' index and its
@@ -65,19 +67,22 @@ func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, raw, entries := sha256.New(), sha256.New(), 0
+		raw := sha256.New()
+		var postings []posting
+		err = ix.BTree().Scan(nil, nil, func(k, v []byte) bool {
+			writeEntry(raw, k, v)
+			postings = appendPostings(t, postings, k, v)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inBuildOrder(t, env.Store, postings)
+		old, entries := sha256.New(), 0
 		for _, clustered := range []bool{false, true} {
-			err = ix.BTree().Scan(nil, nil, func(k, v []byte) bool {
-				if clustered {
-					v = withCopy(t, c, v)
-				}
-				writeEntry(old, oldKey(t, k), oldSpelling(t, v, clustered))
-				writeEntry(raw, k, v)
+			for _, p := range postings {
+				writeEntry(old, p.oldKey(), p.oldSpelling(t, c, clustered))
 				entries++
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 		}
 		env.Close()
@@ -86,7 +91,7 @@ func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 			t.Errorf("%s: %d entries, sha256 %s; recorded: %d, %s", ds, entries, got, want.entries, want.sha256)
 		}
 		if got := hex.EncodeToString(raw.Sum(nil)); got != want.raw {
-			t.Errorf("%s: sha256 of the entries as stored %s; recorded: %s", ds, got, want.raw)
+			t.Errorf("%s: sha256 of the chunks as stored %s; recorded: %s", ds, got, want.raw)
 		}
 	}
 }
@@ -101,53 +106,120 @@ func writeEntry(h hash.Hash, k, v []byte) {
 	}
 }
 
-// oldKey re-spells a key the way metaVersion 3 and before did: label, λmax,
-// λmin, seq. λmax is σ and λmin is −σ, and encodeFloat(−σ) is the
-// complement of encodeFloat(σ) — for ±0 and ±Inf too.
-func oldKey(t *testing.T, k []byte) []byte {
+// posting is one entry read out of a chunk: the first 12 bytes of its key —
+// label and σ — its pointer, its spectrum tail as stored, and its position
+// in build order.
+type posting struct {
+	run  [12]byte
+	ptr  storage.Pointer
+	tail []byte
+	seq  uint64
+}
+
+// appendPostings appends the postings of the chunk (k, v) to ps. It reads
+// the chunk the way internal/core/key.go states the codec, on its own: a
+// uvarint n<<1 | t, the first posting's tail when t (its pointer is the
+// key's), then per posting a uvarint Δoff<<2 | t in the same record or
+// Δrec<<2 | 2 | t and a uvarint offset in a later one, each followed by its
+// tail when t — a byte k and k 8-byte components.
+func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 	if len(k) != 20 {
 		t.Fatalf("key %x is %d bytes, want 20", k, len(k))
 	}
-	out := binary.BigEndian.AppendUint64(append([]byte(nil), k[:12]...), ^binary.BigEndian.Uint64(k[4:12]))
-	return append(out, k[12:]...)
-}
-
-// withCopy spells v, a value of the index c is the clustered copy of, the
-// way a clustered index stored it: the primary pointer, then the pointer of
-// the entry's copy — its record, offset 0 — then the spectrum.
-func withCopy(t *testing.T, c *core.Clustered, v []byte) []byte {
-	rec, a := binary.Uvarint(v)
-	off, b := binary.Uvarint(v[a:])
-	copied, ok := c.Copy(storage.MakePointer(uint32(rec), uint32(off)))
-	if a <= 0 || b <= 0 || !ok {
-		t.Fatalf("value %x names no copied subtree", v)
+	fail := func() { t.Fatalf("chunk %x: value %x does not decode", k, v) }
+	uvarint := func() uint64 {
+		x, n := binary.Uvarint(v)
+		if n <= 0 {
+			fail()
+		}
+		v = v[n:]
+		return x
 	}
-	out := binary.AppendUvarint(append([]byte(nil), v[:a+b]...), uint64(copied))
-	return append(binary.AppendUvarint(out, 0), v[a+b:]...)
+	tail := func(has uint64) []byte {
+		if has == 0 {
+			return nil
+		}
+		if len(v) == 0 || len(v) < 1+8*int(v[0]) {
+			fail()
+		}
+		out := v[1 : 1+8*int(v[0])]
+		v = v[1+len(out):]
+		return out
+	}
+	p := posting{ptr: storage.Pointer(binary.BigEndian.Uint64(k[12:]))}
+	copy(p.run[:], k)
+	head := uvarint()
+	p.tail = tail(head & 1)
+	ps = append(ps, p)
+	for n := head >> 1; n > 1; n-- {
+		h := uvarint()
+		if h&2 == 0 {
+			p.ptr += storage.Pointer(h >> 2)
+		} else {
+			p.ptr = storage.MakePointer(p.ptr.Rec()+uint32(h>>2), uint32(uvarint()))
+		}
+		p.tail = tail(h & 1)
+		ps = append(ps, p)
+	}
+	if len(v) != 0 {
+		fail()
+	}
+	return ps
 }
 
-// oldSpelling re-spells a value of an unclustered or a clustered index the
-// way metaVersion 2 did: a flag byte — bit 0 set when a clustered pointer
-// follows, bits 4-7 the number of spectrum components — then each pointer
-// as a big-endian u64, rec<<32 | off, then the spectrum as stored.
-func oldSpelling(t *testing.T, v []byte, clustered bool) []byte {
-	pointers, flags := 1, byte(0)
+// inBuildOrder sets every posting's seq to its position in the order a
+// build collected the entries — records in order, and in a record the
+// elements in the order they close (bisim.Build's callback): by the end of
+// their subtree, a descendant that ends with its ancestor first — and sorts
+// ps by (label, σ, seq), the order of the keys that ended in seq.
+func inBuildOrder(t *testing.T, st *storage.Store, ps []posting) {
+	type closing struct {
+		i        int
+		rec, end uint32
+		off      uint32
+	}
+	order := make([]closing, len(ps))
+	for i, p := range ps {
+		cur, ref, err := st.ReadSubtree(p.ptr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order[i] = closing{i, p.ptr.Rec(), p.ptr.Off() + uint32(len(cur.SubtreeBytes(ref))), p.ptr.Off()}
+	}
+	slices.SortFunc(order, func(a, b closing) int {
+		return cmp.Or(cmp.Compare(a.rec, b.rec), cmp.Compare(a.end, b.end), cmp.Compare(b.off, a.off))
+	})
+	for seq, c := range order {
+		ps[c.i].seq = uint64(seq)
+	}
+	slices.SortFunc(ps, func(a, b posting) int {
+		return cmp.Or(bytes.Compare(a.run[:], b.run[:]), cmp.Compare(a.seq, b.seq))
+	})
+}
+
+// oldKey spells the posting's key the way metaVersion 3 and before did:
+// label, λmax, λmin, seq. λmax is σ and λmin is −σ, and encodeFloat(−σ) is
+// the complement of encodeFloat(σ) — for ±0 and ±Inf too.
+func (p posting) oldKey() []byte {
+	out := binary.BigEndian.AppendUint64(append([]byte(nil), p.run[:]...), ^binary.BigEndian.Uint64(p.run[4:12]))
+	return binary.BigEndian.AppendUint64(out, p.seq)
+}
+
+// oldSpelling spells the posting's value the way metaVersion 2 did: a flag
+// byte — bit 0 set when a clustered pointer follows, bits 4-7 the number of
+// spectrum components — then each pointer as a big-endian u64, rec<<32 |
+// off, the clustered one that of the entry's copy in c (its record, offset
+// 0), then the spectrum as stored.
+func (p posting) oldSpelling(t *testing.T, c *core.Clustered, clustered bool) []byte {
+	flags := byte(len(p.tail)/8) << 4
+	out := binary.BigEndian.AppendUint64([]byte{flags}, uint64(p.ptr))
 	if clustered {
-		pointers, flags = 2, 1
-	}
-	var ptrs []byte
-	for range pointers {
-		rec, a := binary.Uvarint(v)
-		if a <= 0 {
-			t.Fatalf("value %x does not start with a pointer", v)
+		copied, ok := c.Copy(p.ptr)
+		if !ok {
+			t.Fatalf("%v names no copied subtree", p.ptr)
 		}
-		off, b := binary.Uvarint(v[a:])
-		if b <= 0 {
-			t.Fatalf("value %x does not start with a pointer", v)
-		}
-		ptrs = binary.BigEndian.AppendUint64(ptrs, rec<<32|off)
-		v = v[a+b:]
+		out[0] |= 1
+		out = binary.BigEndian.AppendUint64(out, uint64(storage.MakePointer(copied, 0)))
 	}
-	flags |= byte(len(v)/8) << 4
-	return append(append([]byte{flags}, ptrs...), v...)
+	return append(out, p.tail...)
 }
