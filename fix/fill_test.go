@@ -173,7 +173,8 @@ func copyFiles(t *testing.T, src, dst string) {
 // a second pointer, and a fix.clustered heap lies beside its B-tree — but
 // the old version is the first problem Open meets, so it is what the
 // health names. index-written-by-pr32 is under version 4, one entry a
-// B-tree cell, keyed (label, σ, sequence number).
+// B-tree cell, keyed (label, σ, sequence number). index-written-by-pr34 is
+// under version 5, chunks without a pair sketch.
 func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	t.Helper()
 	dir = copyFixture(t, fixture)
@@ -213,11 +214,12 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 // degradedBy is, per old-format fixture, what the health of its index
 // names besides the rebuild.
 var degradedBy = map[string][]string{
-	"index-written-by-pr20":           {"version 2", "writes 5"},
-	"index-written-by-pr23":           {"version 2", "writes 5"},
-	"index-written-by-pr25":           {"version 3", "writes 5"},
-	"clustered-index-written-by-pr26": {"version 3", "writes 5"},
-	"index-written-by-pr32":           {"version 4", "writes 5"},
+	"index-written-by-pr20":           {"version 2", "writes 6"},
+	"index-written-by-pr23":           {"version 2", "writes 6"},
+	"index-written-by-pr25":           {"version 3", "writes 6"},
+	"clustered-index-written-by-pr26": {"version 3", "writes 6"},
+	"index-written-by-pr32":           {"version 4", "writes 6"},
+	"index-written-by-pr34":           {"version 5", "writes 6"},
 }
 
 // rebuiltIndexSurvives requires the healthy 528-entry index a rebuild of
@@ -302,8 +304,21 @@ func TestIndexWrittenBeforeChunksStillServes(t *testing.T) {
 	rebuiltIndexSurvives(t, dir, db)
 }
 
+// TestIndexWrittenBeforeSketchesStillServes is the hand-over from
+// fix.meta version 5 on the directory the commit that introduced it wrote
+// (testdata/index-written-by-pr34): its chunks carry no pair sketch, and a
+// reader of version 6 would take their first postings for one, so it opens
+// degraded and serves by scan, and RebuildIndex writes it anew.
+func TestIndexWrittenBeforeSketchesStillServes(t *testing.T) {
+	dir, db := oldFormatIndex(t, "index-written-by-pr34")
+	if err := db.RebuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rebuiltIndexSurvives(t, dir, db)
+}
+
 // TestKeyOfWrongLengthDegrades: a version-3 B-tree under a fix.meta that
-// says version 5 — a hand-edited or mismatched directory — opens healthy,
+// says version 6 — a hand-edited or mismatched directory — opens healthy,
 // but its keys are not keySize bytes. Verify fails ErrCorrupt on them, and
 // a query whose probe meets one degrades the index and answers exactly by
 // scan instead of reading σ out of the wrong bytes.
@@ -318,7 +333,7 @@ func TestKeyOfWrongLengthDegrades(t *testing.T) {
 		if !bytes.HasPrefix(meta, []byte("version 3\n")) || !bytes.Contains(meta, []byte("\nseq ")) {
 			t.Fatalf("fix.meta is %q", meta)
 		}
-		copy(meta, "version 5")
+		copy(meta, "version 6")
 		meta = bytes.Replace(meta, []byte("\nseq "), []byte("\nentries "), 1)
 		if err := os.WriteFile(path, meta, 0o644); err != nil {
 			t.Fatal(err)
@@ -371,15 +386,16 @@ func TestClusteredIndexStillServes(t *testing.T) {
 }
 
 // TestIndexWrittenByThisFormatServes opens a database directory written by
-// the commit that introduced fix.meta version 5, runs stored as chunks of
-// postings (the same 28 documents, 4 bulk-built at depth 6 and 24 ingested
-// four a request, checkpointed; testdata/index-written-by-pr34), and uses
+// the commit that introduced fix.meta version 6, chunks that carry the
+// pair sketch of their postings (the same 28 documents, 4 bulk-built at
+// depth 6 and 24 ingested four a request, checkpointed;
+// testdata/index-written-by-pr35), and uses
 // it as a server would: verify, ingest enough to split its leaves,
 // checkpoint, reopen. It is the anchor for the next change to the format:
 // that one has to open this directory, healthy or — as above — degraded
 // and exact.
 func TestIndexWrittenByThisFormatServes(t *testing.T) {
-	dir := copyFixture(t, "index-written-by-pr34")
+	dir := copyFixture(t, "index-written-by-pr35")
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

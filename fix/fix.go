@@ -185,8 +185,12 @@ type Result struct {
 	Count int
 	// Entries, Candidates and MatchedEntries expose the pruning
 	// pipeline: total index entries, entries surviving the feature
-	// filter, and candidates that produced at least one result.
+	// filter and the pair sketch, and candidates that produced at least
+	// one result. SketchPruned counts the entries the feature filter kept
+	// and the sketch dropped, so Candidates + SketchPruned is the paper's
+	// cdt.
 	Entries, Candidates, MatchedEntries int
+	SketchPruned                        int
 	// ScanFallback reports that the index was degraded (corruption was
 	// detected, or it is stale relative to the store) and the result came
 	// from a full sequential scan instead. The count is still exact.

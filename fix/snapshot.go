@@ -21,6 +21,7 @@ type Metrics struct {
 	ScanFallbacks int64 `json:"scan_fallbacks"`
 	Scanned       int64 `json:"entries_scanned"`
 	Candidates    int64 `json:"candidates"`
+	SketchPruned  int64 `json:"sketch_pruned"`
 	Matched       int64 `json:"matched_entries"`
 	Results       int64 `json:"results"`
 	NodesVisited  int64 `json:"nodes_visited"`
@@ -129,6 +130,7 @@ func (db *DB) Metrics() Metrics {
 		ScanFallbacks: reg.Fallbacks,
 		Scanned:       reg.Scanned,
 		Candidates:    reg.Candidates,
+		SketchPruned:  reg.SketchPruned,
 		Matched:       reg.Matched,
 		Results:       reg.Results,
 		NodesVisited:  reg.NodesVisited,

@@ -21,9 +21,10 @@ import (
 // add up to at most Total.
 //
 // The counters reconcile with the paper's §6.2 quantities: Entries is
-// ent, Candidates is cdt, Matched is rst, so for one query
-// sel = 1 - Matched/Entries, pp = 1 - Candidates/Entries and
-// fpr = 1 - Matched/Candidates. docs/OBSERVABILITY.md walks through a
+// ent, Candidates + SketchPruned is cdt, Matched is rst, so for one query
+// sel = 1 - Matched/Entries, pp = 1 - cdt/Entries and fpr = 1 - Matched/cdt
+// (and with Candidates in place of cdt, those of the feature filter and
+// the pair sketch together). docs/OBSERVABILITY.md walks through a
 // complete example.
 type QueryTrace struct {
 	// Query is the XPath text as given.
@@ -41,13 +42,16 @@ type QueryTrace struct {
 
 	// Entries is the number of index entries (ent); Scanned how many
 	// the range scan touched; Candidates how many survived the feature
-	// filter (cdt); Matched how many produced at least one result
-	// (rst); Count the total output-node matches.
-	Entries    int `json:"entries"`
-	Scanned    int `json:"scanned"`
-	Candidates int `json:"candidates"`
-	Matched    int `json:"matched"`
-	Count      int `json:"count"`
+	// filter and their chunk's pair sketch, and were refined;
+	// SketchPruned how many the feature filter kept and the sketch
+	// dropped; Matched how many produced at least one result (rst); Count
+	// the total output-node matches.
+	Entries      int `json:"entries"`
+	Scanned      int `json:"scanned"`
+	Candidates   int `json:"candidates"`
+	SketchPruned int `json:"sketch_pruned"`
+	Matched      int `json:"matched"`
+	Count        int `json:"count"`
 
 	// NodesVisited is the nodes the NoK matcher's pruned pass decoded
 	// (refinement work).
@@ -117,8 +121,8 @@ func (t *QueryTrace) String() string {
 	case t.Entries == 0:
 		fmt.Fprintf(&b, "  no index: full scan, %d matched records, %d results\n", t.Matched, t.Count)
 	default:
-		fmt.Fprintf(&b, "  pruning: %d entries, %d scanned -> %d candidates -> %d matched, %d results\n",
-			t.Entries, t.Scanned, t.Candidates, t.Matched, t.Count)
+		fmt.Fprintf(&b, "  pruning: %d entries, %d scanned -> %d candidates (%d dropped by the sketch) -> %d matched, %d results\n",
+			t.Entries, t.Scanned, t.Candidates, t.SketchPruned, t.Matched, t.Count)
 	}
 	fmt.Fprintf(&b, "  btree: %d page reads, %d cache hits\n", t.PageReads, t.CacheHits)
 	fmt.Fprintf(&b, "  storage: %d seq + %d random + %d cached reads, %d bytes; %d subtree reads, %d subtree bytes\n",
@@ -141,6 +145,7 @@ func traceFromObs(tr *obs.Trace) *QueryTrace {
 		Entries:      tr.Entries,
 		Scanned:      tr.Scanned,
 		Candidates:   tr.Candidates,
+		SketchPruned: tr.SketchPruned,
 		Matched:      tr.Matched,
 		Count:        tr.Count,
 		NodesVisited: tr.NodesVisited,

@@ -72,7 +72,8 @@ func TestTraceReconcilesWithStorageStats(t *testing.T) {
 }
 
 // TestTraceReconcilesWithMetrics checks that a trace's ent/cdt/rst
-// counters produce exactly the §6.2 measures Metrics reports.
+// counters produce exactly the §6.2 measures Metrics reports, cdt being
+// the candidates and the entries the pair sketch dropped.
 func TestTraceReconcilesWithMetrics(t *testing.T) {
 	db := newTestDB(t, IndexOptions{})
 	const q = "//author[email]"
@@ -85,11 +86,12 @@ func TestTraceReconcilesWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
+	cdt := tr.Candidates + tr.SketchPruned
 	sel := 1 - float64(tr.Matched)/float64(tr.Entries)
-	pp := 1 - float64(tr.Candidates)/float64(tr.Entries)
+	pp := 1 - float64(cdt)/float64(tr.Entries)
 	fpr := 0.0
-	if tr.Candidates > 0 {
-		fpr = 1 - float64(tr.Matched)/float64(tr.Candidates)
+	if cdt > 0 {
+		fpr = 1 - float64(tr.Matched)/float64(cdt)
 	}
 	if sel != m.Selectivity || pp != m.PruningPower || fpr != m.FalsePosRatio {
 		t.Errorf("trace-derived sel/pp/fpr = %v/%v/%v, Metrics = %v/%v/%v",

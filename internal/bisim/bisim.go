@@ -35,8 +35,8 @@ type EventStream interface {
 	Next() (Event, error)
 }
 
-// Features caches the σ — the largest eigenvalue magnitude — of the
-// depth-limited subpattern rooted at a vertex. Oversize marks subpatterns
+// Features caches the σ — the largest eigenvalue magnitude — and the edge
+// pair sketch of the depth-limited subpattern rooted at a vertex. Oversize marks subpatterns
 // whose unfolding exceeded the edge budget; they are indexed under σ =
 // +Inf so they are always candidates (paper §6.1).
 type Features struct {
@@ -46,6 +46,9 @@ type Features struct {
 	// Spectrum optionally caches σ₂.. of the subpattern for the index
 	// layer's spectrum filter.
 	Spectrum []float64
+	// Sketch caches the index layer's sketch of the subpattern's edge
+	// label pairs.
+	Sketch uint32
 }
 
 // Vertex is one equivalence class of the bisimulation graph.

@@ -121,6 +121,7 @@ type buildEntry struct {
 	at      uint32
 	label   uint32
 	nspec   uint32
+	sketch  uint32
 }
 
 // Build constructs a FIX index over every document in st.
@@ -216,6 +217,7 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 					at:      uint32(len(entries)),
 					primary: uint64(e.ptr),
 					nspec:   uint32(len(e.spec)),
+					sketch:  e.f.Sketch,
 				})
 				if opts.SpectrumK > 0 {
 					tails = append(append(tails, e.spec...), noTail[:opts.SpectrumK-len(e.spec)]...)
@@ -276,7 +278,7 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 			if e.nspec > 0 {
 				spec = tails[uint64(e.at)*k:][:e.nspec]
 			}
-			if e.label != run.label || e.sigma != run.sigma || !c.fits(storage.Pointer(e.primary), spec, limit) {
+			if e.label != run.label || e.sigma != run.sigma || !c.fits(storage.Pointer(e.primary), spec, e.sketch, limit) {
 				break
 			}
 		}
@@ -360,10 +362,10 @@ func (ix *Index) buildUnitGraph(rec uint32, vh bisim.ValueHash, timers *phaseTim
 	return u, nil
 }
 
-// buildUnitFeatures computes the unit's index entries: features (and
-// spectrum tails) for the whole document, or one per element under a
-// depth limit. All edge pairs were assigned at the merge point, so the
-// encoder is only read here.
+// buildUnitFeatures computes the unit's index entries: features — σ and
+// the pair sketch — and spectrum tails for the whole document, or one per
+// element under a depth limit. All edge pairs were assigned at the merge
+// point, so the encoder is only read here.
 func (ix *Index) buildUnitFeatures(u *buildUnit, timers *phaseTimers) error {
 	eigenStart := time.Now()
 	defer func() { timers.eigen.Add(int64(time.Since(eigenStart))) }()
@@ -383,6 +385,9 @@ func (ix *Index) buildUnitFeatures(u *buildUnit, timers *phaseTimers) error {
 			}
 			if !ok {
 				return fmt.Errorf("core: internal: record %d uses an edge pair missing after pre-assignment", u.rec)
+			}
+			for _, p := range u.pairs {
+				f.Sketch |= pairSketch(ix.enc, p.Parent, p.Child)
 			}
 			spec = graphSpectrumTail(g, ix.enc, ix.opts.SpectrumK)
 		}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -762,12 +763,15 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(meta, []byte("version 5\n")) || !bytes.Contains(meta, []byte("\nentries ")) {
+	if !bytes.HasPrefix(meta, []byte("version 6\n")) || !bytes.Contains(meta, []byte("\nentries ")) {
 		t.Fatalf("fix.meta is %q", meta)
 	}
-	old := bytes.Replace(meta, []byte("\nentries "), []byte("\nseq "), 1)
 	want := oracleCounts(t, st, crashQueries)
-	for _, v := range []string{"2", "3", "4"} {
+	for _, v := range []string{"2", "3", "4", "5"} {
+		old := slices.Clone(meta)
+		if v < "5" {
+			old = bytes.Replace(old, []byte("\nentries "), []byte("\nseq "), 1)
+		}
 		copy(old, "version "+v)
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)
@@ -777,8 +781,8 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := re.Health()
-		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 5") || !strings.Contains(h.Error(), "rebuild") {
-			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 5 and the rebuild", v, h, v)
+		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 6") || !strings.Contains(h.Error(), "rebuild") {
+			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 6 and the rebuild", v, h, v)
 		}
 		checkOracle(t, re, want, "version "+v)
 		if n, err := CommittedRecords(dir); err != nil || n != len(bibDocs) {
@@ -786,7 +790,7 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 		}
 		_ = re.Close()
 	}
-	for _, v := range []string{"1", "6"} {
+	for _, v := range []string{"1", "7"} {
 		copy(meta, "version "+v)
 		if err := os.WriteFile(path, meta, 0o644); err != nil {
 			t.Fatal(err)
@@ -799,7 +803,7 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 
 // TestBadValueIsErrCorrupt plants a chunk whose value breaks the index
 // into a healthy one. A value that does not decode — an over-long uvarint,
-// metaVersion 4's spelling — is an ErrCorrupt to every reader of values,
+// metaVersion 4's or 5's spelling — is an ErrCorrupt to every reader of values,
 // never pointer 0: Verify and a DeleteDocuments that has to read it fail,
 // and a query whose range scan meets it answers exactly by scan and
 // degrades the index. One that decodes but names a record the store does
@@ -814,9 +818,10 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 	}{
 		{"an over-long uvarint", []byte{0x82, 0x00}, false},
 		{"metaVersion 4's spelling", []byte{0, 0}, false},
-		{"a record the store does not hold", chunkOf(posting{0, nil}, posting{storage.MakePointer(999, 0), nil}), true},
-		{"a spectrum the index does not store", chunkOf(posting{0, []float64{1}}), true},
-		{"a posting nothing counts", chunkOf(posting{0, nil}), true},
+		{"metaVersion 5's spelling", []byte{1 << 1}, false},
+		{"a record the store does not hold", chunkOf(posting{0, nil, 0}, posting{storage.MakePointer(999, 0), nil, 0}), true},
+		{"a spectrum the index does not store", chunkOf(posting{0, []float64{1}, 0}), true},
+		{"a posting nothing counts", chunkOf(posting{0, nil, fullSketch}), true},
 	} {
 		st := memStoreFromDocs(t, bibDocs)
 		ix, err := Build(st, Options{})

@@ -10,15 +10,17 @@ import (
 	"github.com/fix-index/fix/internal/matrix"
 )
 
-// Features is what the index key holds of a unit besides its root label
-// (paper §3.4): σ, the largest eigenvalue magnitude of its skew-symmetric
-// matrix. The paper's key is the range (λmin, λmax); the spectrum is
+// Features is what the index holds of a unit besides its root label: σ,
+// the largest eigenvalue magnitude of its skew-symmetric matrix, in the
+// key (paper §3.4), and the sketch of its edge label pairs, in its chunk
+// (key.go). The paper's key is the range (λmin, λmax); the spectrum is
 // {±iσ}, so that range is [−σ, σ] and σ says all of it. Oversize patterns
-// carry σ = +Inf, the artificial always-containing range, so they are
-// always candidates (paper §6.1).
+// carry σ = +Inf, the artificial always-containing range, and every
+// sketch bit, so they are always candidates (paper §6.1).
 type Features struct {
 	Sigma    float64
 	Oversize bool
+	Sketch   uint32
 }
 
 // Contains reports whether f's range contains g's (the pruning test of
@@ -50,7 +52,29 @@ func (f Features) relaxed() Features {
 
 // oversizeFeatures is the artificial always-candidate range.
 func oversizeFeatures() Features {
-	return Features{Sigma: math.Inf(1), Oversize: true}
+	return Features{Sigma: math.Inf(1), Oversize: true, Sketch: fullSketch}
+}
+
+// pairSketch returns the sketch bit of the edge pair (parent, child), or
+// every bit for a pair the encoder does not hold: no unit holds it either,
+// so a sketch that takes it in can only keep fewer units.
+func pairSketch(enc *matrix.EdgeEncoder, parent, child uint32) uint32 {
+	w, ok := enc.Lookup(parent, child)
+	if !ok {
+		return fullSketch
+	}
+	return pairBit(w)
+}
+
+// graphSketch returns the sketch of the edge pairs of g.
+func graphSketch(g *bisim.Graph, enc *matrix.EdgeEncoder) uint32 {
+	var sk uint32
+	for _, v := range g.Vertices {
+		for _, c := range v.Children {
+			sk |= pairSketch(enc, v.Label, c.Label)
+		}
+	}
+	return sk
 }
 
 // denseEigenLimit is the vertex count up to which the dense O(n³) solver
@@ -135,10 +159,11 @@ func spectrumContains(entry []float64, queries [][]float64) bool {
 	return true
 }
 
-// subpatternFeatures returns the (memoized) features of the depth-limited
-// subpattern rooted at vertex v, falling back to the artificial range when
-// the unfolding exceeds the edge budget. When spectrumK > 0 it also
-// returns (and caches) the entry's spectrum tail. With assign=true unseen
+// subpatternFeatures returns the (memoized) features — σ and the pair
+// sketch — of the depth-limited subpattern rooted at vertex v, falling
+// back to the artificial range when the unfolding exceeds the edge
+// budget. When spectrumK > 0 it also returns (and caches) the entry's
+// spectrum tail. With assign=true unseen
 // edge pairs are added to the encoder (the sequential incremental-insert
 // path); the parallel build passes assign=false because every pair of the
 // record's graph was assigned at the pipeline's merge point, keeping the
@@ -149,7 +174,7 @@ func subpatternFeatures(v *bisim.Vertex, depthLimit, budget int, enc *matrix.Edg
 		if v.Feats.Oversize {
 			return oversizeFeatures(), nil, nil
 		}
-		return Features{Sigma: v.Feats.Sigma}, v.Feats.Spectrum, nil
+		return Features{Sigma: v.Feats.Sigma, Sketch: v.Feats.Sketch}, v.Feats.Spectrum, nil
 	}
 	g, ok, err := bisim.Subpattern(v, depthLimit, budget)
 	if err != nil {
@@ -167,9 +192,10 @@ func subpatternFeatures(v *bisim.Vertex, depthLimit, budget int, enc *matrix.Edg
 		if !ok {
 			return Features{}, nil, fmt.Errorf("core: internal: subpattern uses an edge pair missing after pre-assignment")
 		}
+		f.Sketch = graphSketch(g, enc)
 		spec = graphSpectrumTail(g, enc, spectrumK)
 	}
-	v.Feats = bisim.Features{Set: true, Oversize: f.Oversize, Sigma: f.Sigma, Spectrum: spec}
+	v.Feats = bisim.Features{Set: true, Oversize: f.Oversize, Sigma: f.Sigma, Spectrum: spec, Sketch: f.Sketch}
 	return f, spec, nil
 }
 

@@ -148,31 +148,32 @@ func (g *Generation) Covered(path *xpath.Path) bool {
 
 // candidates runs the pruning phase: a range scan over the chunks of the
 // frozen B-tree image, keeping the postings whose eigenvalue range contains
-// every twig's range. Keys sort by (label, σ), so the entries that can are
-// those from the largest of the twigs' σ on in a label's partition: the
-// root label's when it restricts the query, and otherwise every partition
-// the tree holds (scanEveryLabel). A chunk's key is decoded and its σ
-// tested once, then its postings in one loop of one delta step each.
-// Survivors are appended to buf[:0] — nil for a list the caller keeps, a
-// pooled one (candPool) on the served path — and nothing else is
+// every twig's range and whose chunk's pair sketch holds every bit of the
+// query's. Keys sort by (label, σ), so the entries that can are those from
+// the largest of the twigs' σ on in a label's partition: the root label's
+// when it restricts the query, and otherwise every partition the tree
+// holds (scanEveryLabel). A chunk's key is decoded and its σ and its
+// sketch tested once, then its postings in one loop of one delta step
+// each. Survivors are appended to buf[:0] — nil for a list the caller
+// keeps, a pooled one (candPool) on the served path — and nothing else is
 // allocated: keys and values are decoded where the scan reads them.
-// scanned reports how many postings the scans touched. They observe ctx
-// once a chunk takes the count past a multiple of 1024 and stop once
-// lim.MaxCandidates is crossed; on any error whatever was collected is
-// discarded.
-func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, buf []Candidate) ([]Candidate, int, error) {
+// scanned reports how many postings the scans touched, and pruned how many
+// of them σ and the spectrum filter keep but the sketch drops. The scans
+// observe ctx once a chunk takes the count past a multiple of 1024 and
+// stop once lim.MaxCandidates is crossed; on any error whatever was
+// collected is discarded.
+func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, buf []Candidate) (cands []Candidate, scanned, pruned int, err error) {
 	if p.empty {
-		return nil, 0, nil
+		return nil, 0, 0, nil
 	}
 	if g.view == nil {
-		return nil, 0, fmt.Errorf("%w: B-tree view unavailable", ErrCorrupt)
+		return nil, 0, 0, fmt.Errorf("%w: B-tree view unavailable", ErrCorrupt)
 	}
 	sigma := p.feats[0].Sigma
 	for _, f := range p.feats[1:] {
 		sigma = max(sigma, f.Sigma)
 	}
-	cands := buf[:0]
-	scanned := 0
+	cands = buf[:0]
 	var stop error // why a scan callback ended its scan early, if it did
 	visit := func(k, v []byte) bool {
 		if len(k) != keySize {
@@ -196,6 +197,21 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 				return true
 			}
 		}
+		if r.sketch&p.sketch != p.sketch {
+			if p.specs == nil {
+				pruned += n
+				return true
+			}
+			for r.next() {
+				if spectrumContains(r.spectrum(), p.specs) {
+					pruned++
+				}
+			}
+			if !r.ok() {
+				stop = errBadValue(k, v)
+			}
+			return stop == nil
+		}
 		for r.next() {
 			if !spectrumContains(r.spectrum(), p.specs) {
 				continue
@@ -212,7 +228,6 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 		}
 		return true
 	}
-	var err error
 	if p.labelOK {
 		from, to := scanBounds(p.topLabel, sigma)
 		err = g.view.Scan(from, to, visit)
@@ -225,9 +240,9 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 		err = stop
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return cands, scanned, nil
+	return cands, scanned, pruned, nil
 }
 
 // scanEveryLabel runs visit over the entries with σ >= sigma of every
@@ -288,7 +303,8 @@ func (g *Generation) CandidatesPrepared(ctx context.Context, pq *Prepared) ([]Ca
 	if !pq.Covered() {
 		return nil, 0, pq.errNotCovered()
 	}
-	return g.candidates(ctx, pq.plan, Limits{}, nil)
+	cands, scanned, _, err := g.candidates(ctx, pq.plan, Limits{}, nil)
+	return cands, scanned, err
 }
 
 // CandidatesCtx is CandidatesPrepared for a query planned afresh.
@@ -307,20 +323,20 @@ func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Can
 // live index) — and the caller must refine every record of pq's tree
 // instead, which can never miss a match. A non-nil tr gets the probe wall
 // time and the probe's B-tree delta. The candidates are appended to
-// buf[:0].
-func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits, buf []Candidate) (cands []Candidate, scanned int, useScan bool, err error) {
+// buf[:0]; scanned and pruned are candidates'.
+func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits, buf []Candidate) (cands []Candidate, scanned, pruned int, useScan bool, err error) {
 	if !pq.Covered() {
-		return nil, 0, false, pq.errNotCovered()
+		return nil, 0, 0, false, pq.errNotCovered()
 	}
 	if g.health != nil {
-		return nil, 0, true, nil
+		return nil, 0, 0, true, nil
 	}
 	probeStart := time.Now()
 	var bt0 btree.Stats
 	if tr != nil {
 		bt0 = g.view.Stats()
 	}
-	cands, scanned, err = g.candidates(ctx, pq.plan, lim, buf)
+	cands, scanned, pruned, err = g.candidates(ctx, pq.plan, lim, buf)
 	if tr != nil {
 		tr.Phase[obs.PhaseProbe] += time.Since(probeStart)
 		d := g.view.Stats().Sub(bt0)
@@ -328,9 +344,9 @@ func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim
 	}
 	if errors.Is(err, ErrCorrupt) {
 		g.ix.setHealth(err)
-		return nil, 0, true, nil
+		return nil, 0, 0, true, nil
 	}
-	return cands, scanned, false, err
+	return cands, scanned, pruned, false, err
 }
 
 // workItems is what a refinement pass walks: n candidates of a probe, or,
@@ -407,7 +423,7 @@ func (g *Generation) fetch(rd *storage.ReadPass, w workItems, i int) (cur xmltre
 // Fallback set: exact, only slower.
 func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits) (Result, error) {
 	buf := candPool.Get().(*[]Candidate)
-	cands, scanned, useScan, err := g.probe(ctx, pq, tr, lim, *buf)
+	cands, scanned, pruned, useScan, err := g.probe(ctx, pq, tr, lim, *buf)
 	// Deferred past refine, which reads cands until then.
 	defer recycle(buf, cands)
 	if err != nil {
@@ -416,7 +432,7 @@ func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Tr
 	if useScan {
 		return g.ScanCount(ctx, pq.tree, tr, lim, true)
 	}
-	res := Result{Entries: g.entries, Scanned: scanned, Candidates: len(cands)}
+	res := Result{Entries: g.entries, Scanned: scanned, Candidates: len(cands), SketchPruned: pruned}
 	var distinct distinctFunc
 	if pq.nested {
 		distinct = distinctOutputs(cands)
@@ -426,7 +442,7 @@ func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Tr
 		return Result{}, err
 	}
 	if tr != nil {
-		tr.Entries, tr.Scanned, tr.Candidates = res.Entries, res.Scanned, res.Candidates
+		tr.Entries, tr.Scanned, tr.Candidates, tr.SketchPruned = res.Entries, res.Scanned, res.Candidates, res.SketchPruned
 	}
 	return res, nil
 }
@@ -447,7 +463,7 @@ func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *ob
 // when the index is degraded.
 func (g *Generation) ExistsPrepared(ctx context.Context, pq *Prepared) (bool, error) {
 	buf := candPool.Get().(*[]Candidate)
-	cands, _, useScan, err := g.probe(ctx, pq, nil, Limits{}, *buf)
+	cands, _, _, useScan, err := g.probe(ctx, pq, nil, Limits{}, *buf)
 	defer recycle(buf, cands) // after firstHit, which reads cands
 	if err != nil {
 		return false, err
@@ -542,6 +558,22 @@ func distinctOutputs(cands []Candidate) distinctFunc {
 // poll once more at the end.
 const ctxPollItems = 64
 
+// ctxDone is the refinement loops' poll: ctx.Err(), or
+// context.DeadlineExceeded once ctx's deadline has passed. A context turns
+// done only when the runtime's timer goroutine cancels it, and on a loaded
+// machine that goroutine may not have run yet when a pass of thousands of
+// items ends; one clock read per ctxPollItems items keeps the deadline
+// without waiting for it.
+func ctxDone(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // refine is the refinement loop every counting query path shares: it
 // evaluates nq over the work items w in order and returns how many items
 // matched and the total of their output counts — with a non-nil distinct,
@@ -549,9 +581,9 @@ const ctxPollItems = 64
 // matcher pass and one heap read pass, so an item costs only its fetch
 // and its match: node visits are charged to the pass's budget of
 // MaxRefineNodes, which polls ctx, and the running total is checked
-// against MaxResults. ctx is also polled every ctxPollItems items and once
-// more at the end, so an expired context fails even a pass with nothing
-// to do. A non-nil tr accumulates the fetch and refinement wall time, the
+// against MaxResults. ctx is also polled (ctxDone) every ctxPollItems
+// items and once more at the end, so an expired context fails even a pass
+// with nothing to do. A non-nil tr accumulates the fetch and refinement wall time, the
 // visit count and the heap I/O of the pass — kept on an error, that is
 // the partial trace — and on success the match counts; a nil tr reads no
 // clock. The heap counters reach the store when the read pass flushes,
@@ -572,7 +604,7 @@ func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim
 	var outs []xmltree.Ref
 	for i := 0; i < w.n && err == nil; i++ {
 		if i%ctxPollItems == 0 {
-			if err = ctx.Err(); err != nil {
+			if err = ctxDone(ctx); err != nil {
 				break
 			}
 		}
@@ -614,7 +646,7 @@ func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim
 		}
 	}
 	if err == nil {
-		err = ctx.Err()
+		err = ctxDone(ctx)
 	}
 	if tr != nil {
 		rd.Flush()
@@ -630,8 +662,8 @@ func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim
 // whether any of the work items w matches nq, stopping at the first
 // that does. Like refine it shares one matcher pass — unlimited, but
 // polling ctx every 64 node visits — and one heap read pass across the
-// items, polls ctx every ctxPollItems items and at the end, and runs
-// under storage.GuardFault.
+// items, polls ctx (ctxDone) every ctxPollItems items and at the end, and
+// runs under storage.GuardFault.
 func (g *Generation) firstHit(ctx context.Context, w workItems, nq *nok.Query) (hit bool, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer storage.GuardFault(&err)
@@ -641,7 +673,7 @@ func (g *Generation) firstHit(ctx context.Context, w workItems, nq *nok.Query) (
 	defer rd.Flush()
 	for i := 0; i < w.n; i++ {
 		if i%ctxPollItems == 0 {
-			if err := ctx.Err(); err != nil {
+			if err := ctxDone(ctx); err != nil {
 				return false, err
 			}
 		}
@@ -656,5 +688,5 @@ func (g *Generation) firstHit(ctx context.Context, w workItems, nq *nok.Query) (
 			return hit, err
 		}
 	}
-	return false, ctx.Err()
+	return false, ctxDone(ctx)
 }

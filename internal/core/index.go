@@ -187,14 +187,21 @@ type Candidate struct {
 type Result struct {
 	Entries    int // total index entries (ent)
 	Scanned    int // entries touched by the range scan
-	Candidates int // entries surviving the feature filter (cdt)
+	Candidates int // entries surviving the feature filter and the pair sketch
 	Matched    int // candidates producing at least one result (rst)
 	Count      int // total output-node matches
+	// SketchPruned counts the entries the feature filter alone keeps and
+	// the pair sketch drops: Candidates + SketchPruned is the paper's cdt.
+	SketchPruned int
 	// Fallback reports that the index was degraded (see Health) and the
 	// result came from a full sequential scan of the primary store. The
 	// counts are exact; the pruning statistics are zero.
 	Fallback bool
 }
+
+// PaperCandidates returns the paper's cdt: the entries the feature filter
+// keeps, whether or not the pair sketch drops them after it.
+func (r Result) PaperCandidates() int { return r.Candidates + r.SketchPruned }
 
 func indexFile(opts Options, name string) (storage.File, error) {
 	if opts.Dir == "" {
@@ -339,12 +346,17 @@ func (ix *Index) EdgePairs() int { return ix.enc.Len() }
 type queryPlan struct {
 	feats    []Features  // per twig, relaxed by slack: what entries are compared with
 	specs    [][]float64 // per twig: σ₂.. of the (exact) pattern, for SpectrumK
+	sketch   uint32      // the pair sketch every unit that matches holds
 	topLabel uint32
 	labelOK  bool // top twig root label restricts the scan
 	empty    bool // provably no results
 }
 
-// plan computes twig features and the scan strategy for a query tree.
+// plan computes twig features, the pair sketch and the scan strategy for a
+// query tree. The sketch takes in the child edges of every twig the probe
+// compares units with — the top one of a depth-limited index, all of a
+// collection index's, whose unit is the whole document — and leaves the
+// // edges between twigs out: they need not be edges of the unit.
 func (ix *Index) plan(qt *xpath.QNode) (*queryPlan, error) {
 	if qt == nil {
 		return nil, fmt.Errorf("core: empty query")
@@ -366,6 +378,7 @@ func (ix *Index) plan(qt *xpath.QNode) (*queryPlan, error) {
 			p.empty = true
 			return p, nil
 		}
+		ix.twigPairs(pn, func(parent, child uint32) { p.sketch |= pairSketch(ix.enc, parent, child) })
 		canonicalize(pn)
 		g, err := patternGraph(pn)
 		if err != nil {
@@ -405,6 +418,16 @@ func (ix *Index) plan(qt *xpath.QNode) (*queryPlan, error) {
 		p.topLabel, p.labelOK = id, true
 	}
 	return p, nil
+}
+
+// twigPairs calls fn with the labels of every edge of a resolved twig,
+// before canonicalize weakens it: a match maps each of them onto an edge of
+// the unit with the same two labels, whether or not two land on one.
+func (ix *Index) twigPairs(pn *pnode, fn func(parent, child uint32)) {
+	for _, c := range pn.children {
+		fn(pn.label, c.label)
+		ix.twigPairs(c, fn)
+	}
 }
 
 // soundBound computes the provably sound pruning bound: the maximum σ

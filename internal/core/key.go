@@ -106,22 +106,53 @@ func scanBounds(label uint32, querySigma float64) (from, to []byte) {
 // posting stores.
 const maxSpectrumK = 8
 
+// The pair sketch. Every chunk carries a sketchBits-bit summary of the
+// (parent label, child label) edge pairs its units contain: the pair of
+// EdgeEncoder weight w sets bit (w−1) mod sketchBits. An embedding of a
+// twig maps each of its child edges onto an edge of the unit with the same
+// two labels, so a unit that matches holds every pair of the twig, and a
+// chunk whose sketch — the OR over its postings — lacks a bit of the
+// query's holds no unit that matches (Generation.candidates). Weights are
+// dense and fixed when a pair is first seen, so the first sketchBits pairs
+// of an index get a bit each. An oversize unit, whose pairs are not
+// enumerated, gets every bit (fullSketch). The width is the widest the
+// ablation (fixbench -exp sketch) found to fit the disk budget: 32 bits
+// cost an ingest-grown index up to 1.4 % more bytes. DESIGN.md "Pair
+// sketch" has the measurements behind the width and behind one sketch a
+// chunk.
+const (
+	sketchBits  = 24
+	sketchBytes = sketchBits / 8
+	fullSketch  = uint32(1<<sketchBits - 1)
+)
+
+// pairBit returns the sketch bit of the edge pair of weight w.
+func pairBit(w int32) uint32 { return 1 << (uint32(w-1) % sketchBits) }
+
 // The chunk codec. A chunk value is
 //
-//	uvarint n<<1 | t          n >= 1 postings; t: the first has a tail
+//	uvarint n<<2 | a<<1 | t   n >= 1 postings; a: no posting has a tail;
+//	                          t: the first has one (never with a)
+//	sketch                    sketchBytes, big-endian
 //	[tail]                    the first posting's, when t
-//	n-1 times, each posting after the one before it:
-//	  uvarint Δoff<<2 | t               in the same record, Δoff >= 1
-//	  or uvarint Δrec<<2 | 2 | t,
+//	n-1 times, each posting after the one before it; when a,
+//	  uvarint Δoff<<1                   in the same record, Δoff >= 1
+//	  or uvarint Δrec<<1 | 1,
 //	     uvarint off                    in a record Δrec >= 1 further on
+//	and otherwise
+//	  uvarint Δoff<<2 | t               in the same record
+//	  or uvarint Δrec<<2 | 2 | t,
+//	     uvarint off                    in a later record
 //	  [tail]                            when t
 //
 // where a tail is one byte k, 1 to maxSpectrumK, and k × 8 bytes: σ₂..σ₍k+1₎
 // of the posting's pattern (σ₁ is the key's σ), as encodeFloat spells them,
-// for the optional spectrum filter (§3.3). The first posting's pointer is
-// the key's. A depth-limited run is mostly postings of one record a few
-// hundred bytes apart, a collection index's one posting a record at offset
-// 0, so a posting takes one to three bytes either way.
+// for the optional spectrum filter (§3.3). A chunk sets a exactly when none
+// of its postings has a tail — always, on an index without SpectrumK — so
+// its postings spend no bit on the flag. The first posting's pointer is the
+// key's. A depth-limited run is mostly postings of one record a few hundred
+// bytes apart, a collection index's one posting a record at offset 0, so a
+// posting takes one to three bytes either way.
 //
 // maxChunkBytes caps a chunk's value: a chunk is closed when the next
 // posting would take it past the cap, or past the largest value its tree
@@ -139,47 +170,83 @@ type chunk struct {
 	first, last storage.Pointer
 	n           int
 	tail        bool   // the first posting has a tail
-	body        []byte // the value past its head
+	tails       bool   // some posting has a tail: each spells its flag
+	sketch      uint32 // the OR of the postings' sketches
+	body        []byte // the value past its head and sketch
 }
 
 // reset empties the chunk, keeping its buffer.
 func (c *chunk) reset() { *c = chunk{body: c.body[:0]} }
 
-// add appends the posting of pointer p and spectrum tail spec, which must
-// be above every pointer the chunk holds and at most maxSpectrumK long.
-func (c *chunk) add(p storage.Pointer, spec []float64) {
-	t := uint64(0)
-	if len(spec) > 0 {
-		t = 1
+// add appends the posting of pointer p, spectrum tail spec and pair
+// sketch sk; p must be above every pointer the chunk holds and spec at
+// most maxSpectrumK long.
+func (c *chunk) add(p storage.Pointer, spec []float64, sk uint32) {
+	t := len(spec) > 0
+	if t && !c.tails && c.n > 0 {
+		c.spellTails()
 	}
 	switch {
 	case c.n == 0:
-		c.first, c.tail = p, t == 1
+		c.first, c.tail, c.tails = p, t, t
+	case !c.tails && p.Rec() == c.last.Rec():
+		c.body = binary.AppendUvarint(c.body, uint64(p.Off()-c.last.Off())<<1)
+	case !c.tails:
+		c.body = binary.AppendUvarint(c.body, uint64(p.Rec()-c.last.Rec())<<1|1)
+		c.body = binary.AppendUvarint(c.body, uint64(p.Off()))
 	case p.Rec() == c.last.Rec():
-		c.body = binary.AppendUvarint(c.body, uint64(p.Off()-c.last.Off())<<2|t)
+		c.body = binary.AppendUvarint(c.body, uint64(p.Off()-c.last.Off())<<2|flag(t))
 	default:
-		c.body = binary.AppendUvarint(c.body, uint64(p.Rec()-c.last.Rec())<<2|2|t)
+		c.body = binary.AppendUvarint(c.body, uint64(p.Rec()-c.last.Rec())<<2|2|flag(t))
 		c.body = binary.AppendUvarint(c.body, uint64(p.Off()))
 	}
-	if t == 1 {
+	if t {
 		c.body = append(c.body, byte(len(spec)))
 		for _, s := range spec {
 			c.body = binary.BigEndian.AppendUint64(c.body, encodeFloat(s))
 		}
 	}
+	c.sketch |= sk
 	c.last = p
 	c.n++
 }
 
+func flag(t bool) uint64 {
+	if t {
+		return 1
+	}
+	return 0
+}
+
+// spellTails respells the postings of a chunk none of which has a tail
+// the way a chunk with tails spells them, each with its flag clear, into
+// a new buffer: fits's undo keeps the old one.
+func (c *chunk) spellTails() {
+	body := make([]byte, 0, len(c.body)+c.n)
+	for rest := c.body; len(rest) > 0; {
+		h, n := binary.Uvarint(rest)
+		rest = rest[n:]
+		if h&1 == 0 {
+			body = binary.AppendUvarint(body, h>>1<<2)
+			continue
+		}
+		body = binary.AppendUvarint(body, h>>1<<2|2)
+		off, m := binary.Uvarint(rest)
+		rest = rest[m:]
+		body = binary.AppendUvarint(body, off)
+	}
+	c.body, c.tails = body, true
+}
+
 // fits adds the posting unless the chunk holds one already and the value
 // would then be more than limit bytes, and reports whether it did.
-func (c *chunk) fits(p storage.Pointer, spec []float64, limit int) bool {
+func (c *chunk) fits(p storage.Pointer, spec []float64, sk uint32, limit int) bool {
 	if c.n == 0 {
-		c.add(p, spec)
+		c.add(p, spec, sk)
 		return true
 	}
 	undo := *c
-	if c.add(p, spec); c.size() > limit {
+	if c.add(p, spec, sk); c.size() > limit {
 		*c = undo
 		return false
 	}
@@ -190,22 +257,23 @@ func (c *chunk) fits(p storage.Pointer, spec []float64, limit int) bool {
 // its body copied as it lies, and reports whether v reads whole.
 func (c *chunk) load(first storage.Pointer, v []byte) bool {
 	r := openPostings(first, v)
-	n := r.count()
+	n, sk := r.count(), r.sketch
 	for r.next() {
 	}
 	if !r.ok() {
 		return false
 	}
 	head, m := readUvarint(v)
-	*c = chunk{first: first, last: r.ptr, n: n, tail: head&1 == 1, body: append(c.body[:0], v[m:]...)}
+	*c = chunk{first: first, last: r.ptr, n: n, tail: head&1 == 1, tails: head&2 == 0, sketch: sk,
+		body: append(c.body[:0], v[m+sketchBytes:]...)}
 	return true
 }
 
 // head returns the uvarint the value starts with.
 func (c *chunk) head() uint64 {
-	h := uint64(c.n) << 1
-	if c.tail {
-		h |= 1
+	h := uint64(c.n)<<2 | flag(c.tail)
+	if !c.tails {
+		h |= 2
 	}
 	return h
 }
@@ -213,42 +281,55 @@ func (c *chunk) head() uint64 {
 // size returns the bytes of the value.
 func (c *chunk) size() int {
 	var b [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(b[:], c.head()) + len(c.body)
+	return binary.PutUvarint(b[:], c.head()) + sketchBytes + len(c.body)
 }
 
 // appendTo appends the value to buf.
 func (c *chunk) appendTo(buf []byte) []byte {
-	return append(binary.AppendUvarint(buf, c.head()), c.body...)
+	buf = binary.AppendUvarint(buf, c.head())
+	for i := sketchBytes - 1; i >= 0; i-- {
+		buf = append(buf, byte(c.sketch>>(8*i)))
+	}
+	return append(buf, c.body...)
 }
 
 // postings reads the postings of one chunk value in order: next steps to
 // the next one and reports whether there was one; ptr and spectrum are the
-// posting read last. A value that is not spelled exactly as chunk spells
-// some chunk — a uvarint that runs off the end, takes more bytes than it
-// needs or overflows, a step of zero, a pointer half beyond a u32, a tail
-// of no or more than maxSpectrumK components, bytes left over, a value
-// over maxChunkBytes — ends the walk early with ok false. So what reads
-// whole re-encodes to the value byte for byte (FuzzPostingChunk).
+// posting read last, sketch the chunk's. A value that is not spelled
+// exactly as chunk spells some chunk — a uvarint that runs off the end,
+// takes more bytes than it needs or overflows, a step of zero, a pointer
+// half beyond a u32, a tail of no or more than maxSpectrumK components, a
+// head that says both "no tails" and "the first has one", a chunk that
+// spells tail flags but has no tail, bytes left over, a value over
+// maxChunkBytes — ends the walk early with ok false. So what reads whole
+// re-encodes to the value byte for byte (FuzzPostingChunk).
 type postings struct {
 	rest    []byte
 	left    int // postings not yet read
 	ptr     storage.Pointer
+	sketch  uint32
 	started bool   // the first posting, the key's pointer, has been read
 	t0      uint64 // its tail flag
+	tails   bool   // postings spell a tail flag
+	seen    bool   // a posting had a tail
 	nspec   int
 	spec    [maxSpectrumK]float64
 	bad     bool
 }
 
 // openPostings starts reading the value v of the chunk whose first pointer
-// is first. A head that does not decode leaves nothing to read and ok
-// false.
+// is first. A head or sketch that does not decode leaves nothing to read
+// and ok false.
 func openPostings(first storage.Pointer, v []byte) postings {
 	head, n := readUvarint(v)
-	if n == 0 || head>>1 == 0 || head>>1 > maxChunkBytes || len(v) > maxChunkBytes {
+	if n == 0 || head>>2 == 0 || head>>2 > maxChunkBytes || head&3 == 3 || len(v) > maxChunkBytes || len(v) < n+sketchBytes {
 		return postings{bad: true}
 	}
-	return postings{rest: v[n:], left: int(head >> 1), ptr: first, t0: head & 1}
+	r := postings{rest: v[n+sketchBytes:], left: int(head >> 2), ptr: first, t0: head & 1, tails: head&2 == 0}
+	for _, b := range v[n : n+sketchBytes] {
+		r.sketch = r.sketch<<8 | uint32(b)
+	}
+	return r
 }
 
 // count returns, before the first next, the postings of the chunk: 0 if
@@ -265,7 +346,7 @@ func (r *postings) spectrum() []float64 { return r.spec[:r.nspec] }
 
 func (r *postings) next() bool {
 	if r.left == 0 {
-		r.bad = r.bad || len(r.rest) != 0
+		r.bad = r.bad || len(r.rest) != 0 || r.tails && !r.seen
 		return false
 	}
 	r.left--
@@ -279,9 +360,12 @@ func (r *postings) next() bool {
 		} else if head, n = readUvarint(r.rest); n == 0 {
 			return r.fail()
 		}
-		r.rest, t = r.rest[n:], head&1
-		d := head >> 2
-		if head&2 == 0 {
+		r.rest, t = r.rest[n:], 0
+		d, jump := head>>1, head&1 == 1
+		if r.tails {
+			d, jump, t = head>>2, head&2 != 0, head&1
+		}
+		if !jump {
 			if d == 0 || uint64(r.ptr.Off())+d > math.MaxUint32 {
 				return r.fail()
 			}
@@ -306,7 +390,7 @@ func (r *postings) next() bool {
 		for i := range k {
 			r.spec[i] = decodeFloat(binary.BigEndian.Uint64(r.rest[1+8*i:]))
 		}
-		r.rest, r.nspec = r.rest[1+8*k:], k
+		r.rest, r.nspec, r.seen = r.rest[1+8*k:], k, true
 	}
 	return true
 }

@@ -132,13 +132,14 @@ func TestScanBoundsContainment(t *testing.T) {
 	}
 }
 
-// indexEntry is one posting of an index, expanded: the key of its run and
-// what the chunk holds of it.
+// indexEntry is one posting of an index, expanded: the key of its run,
+// what the chunk holds of it, and the chunk's pair sketch.
 type indexEntry struct {
-	label uint32
-	sigma float64
-	ptr   storage.Pointer
-	spec  []float64
+	label  uint32
+	sigma  float64
+	ptr    storage.Pointer
+	spec   []float64
+	sketch uint32
 }
 
 // expand reads the postings of every chunk a scan of the whole tree
@@ -153,7 +154,7 @@ func expand(t *testing.T, scan func(from, to []byte, fn func(k, v []byte) bool) 
 		key := decodeKey(k)
 		r := openPostings(key.first, v)
 		for r.next() {
-			out = append(out, indexEntry{key.label, key.sigma, r.ptr, slices.Clone(r.spectrum())})
+			out = append(out, indexEntry{key.label, key.sigma, r.ptr, slices.Clone(r.spectrum()), r.sketch})
 		}
 		if !r.ok() {
 			t.Fatalf("chunk %x: value %x does not decode", k, v)
@@ -166,26 +167,28 @@ func expand(t *testing.T, scan func(from, to []byte, fn func(k, v []byte) bool) 
 	return out
 }
 
-// posting is a pointer and its spectrum tail.
+// posting is a pointer, its spectrum tail and its pair sketch.
 type posting struct {
 	ptr  storage.Pointer
 	spec []float64
+	sk   uint32
 }
 
 // chunkOf spells the chunk of ps, which ascend.
 func chunkOf(ps ...posting) []byte {
 	var c chunk
 	for _, p := range ps {
-		c.add(p.ptr, p.spec)
+		c.add(p.ptr, p.spec, p.sk)
 	}
 	return c.appendTo(nil)
 }
 
-// readChunk decodes the chunk value v whose first pointer is first.
+// readChunk decodes the chunk value v whose first pointer is first: its
+// postings, the first of which carries the chunk's sketch.
 func readChunk(first storage.Pointer, v []byte) (ps []posting, ok bool) {
 	r := openPostings(first, v)
-	for r.next() {
-		ps = append(ps, posting{r.ptr, slices.Clone(r.spectrum())})
+	for sk := r.sketch; r.next(); sk = 0 {
+		ps = append(ps, posting{r.ptr, slices.Clone(r.spectrum()), sk})
 	}
 	return ps, r.ok()
 }
@@ -195,15 +198,15 @@ func readChunk(first storage.Pointer, v []byte) (ps []posting, ok bool) {
 // record at offset 0, two bytes each, and a one-byte step inside the last
 // record where a byte is left.
 func atTheCap() []posting {
-	ps := []posting{{storage.MakePointer(1, 0), []float64{1}}}
+	ps := []posting{{storage.MakePointer(1, 0), []float64{1}, 0x8001}}
 	for rec := uint32(2); ; rec++ {
 		switch n := len(chunkOf(ps...)); {
 		case n == maxChunkBytes:
 			return ps
 		case n == maxChunkBytes-1:
-			ps = append(ps, posting{storage.MakePointer(rec-1, 1), nil})
+			ps = append(ps, posting{storage.MakePointer(rec-1, 1), nil, 0})
 		default:
-			ps = append(ps, posting{storage.MakePointer(rec, 0), nil})
+			ps = append(ps, posting{storage.MakePointer(rec, 0), nil, 0})
 		}
 	}
 }
@@ -215,26 +218,32 @@ func TestEntryValueRoundTrip(t *testing.T) {
 		ps   []posting
 		size int
 	}{
-		{"one posting", []posting{{p(3, 40), nil}}, 1},
-		{"one record, small steps", []posting{{p(3, 40), nil}, {p(3, 41), nil}, {p(3, 71), nil}}, 1 + 1 + 1},
-		{"offsets 2^14 apart", []posting{{p(3, 0), nil}, {p(3, 1<<14), nil}, {p(3, 1<<15+1), nil}}, 1 + 3 + 3},
-		{"record jumps", []posting{{p(0, 0), nil}, {p(1, 0), nil}, {p(9, 0), nil}, {p(70000, 0), nil}}, 1 + 2 + 2 + 4},
-		{"jumps to high offsets", []posting{{p(0, 70000), nil}, {p(1, math.MaxUint32), nil}, {p(math.MaxUint32, 0), nil}}, 1 + 6 + 6},
-		{"spectrum tails", []posting{{p(1, 2), []float64{3.5, 2.25, 0}}, {p(1, 9), nil}, {p(2, 0), []float64{10, 9, 8, 7, 6, 5, 4, 3}}}, 1 + 25 + 1 + 2 + 65},
+		{"one posting", []posting{{p(3, 40), nil, 0}}, 1},
+		{"one record, small steps", []posting{{p(3, 40), nil, 1}, {p(3, 41), nil, 4}, {p(3, 71), nil, 1 << (sketchBits - 1)}}, 1 + 1 + 1},
+		{"offsets 2^14 apart", []posting{{p(3, 0), nil, 0}, {p(3, 1<<14), nil, 0}, {p(3, 1<<15+1), nil, 0}}, 1 + 3 + 3},
+		{"record jumps", []posting{{p(0, 0), nil, 0}, {p(1, 0), nil, 0}, {p(9, 0), nil, 0}, {p(70000, 0), nil, 0}}, 1 + 2 + 2 + 4},
+		{"jumps to high offsets", []posting{{p(0, 70000), nil, 0}, {p(1, math.MaxUint32), nil, 0}, {p(math.MaxUint32, 0), nil, 0}}, 1 + 6 + 6},
+		{"spectrum tails", []posting{{p(1, 2), []float64{3.5, 2.25, 0}, 0}, {p(1, 9), nil, 0}, {p(2, 0), []float64{10, 9, 8, 7, 6, 5, 4, 3}, 0}}, 1 + 25 + 1 + 2 + 65},
+		{"a tail after none", []posting{{p(1, 2), nil, 0}, {p(1, 9), nil, 0}, {p(2, 0), nil, 0}, {p(2, 5), []float64{1}, 0}}, 1 + 1 + 2 + 1 + 9},
 	}
 	for _, c := range cases {
 		b := chunkOf(c.ps...)
-		if len(b) != c.size {
-			t.Errorf("%s: %d bytes, want %d", c.name, len(b), c.size)
+		if len(b) != sketchBytes+c.size {
+			t.Errorf("%s: %d bytes, want %d", c.name, len(b), sketchBytes+c.size)
 		}
 		got, ok := readChunk(c.ps[0].ptr, b)
 		if !ok || len(got) != len(c.ps) {
 			t.Fatalf("%s: %x reads back as %+v (ok %t)", c.name, b, got, ok)
 		}
+		var sk uint32
 		for i := range got {
+			sk |= c.ps[i].sk
 			if got[i].ptr != c.ps[i].ptr || !slices.Equal(got[i].spec, c.ps[i].spec) {
 				t.Errorf("%s: posting %d reads back as %+v, want %+v", c.name, i, got[i], c.ps[i])
 			}
+		}
+		if got[0].sk != sk {
+			t.Errorf("%s: the sketch reads back as %#x, want %#x", c.name, got[0].sk, sk)
 		}
 	}
 	if b := chunkOf(atTheCap()...); len(b) != maxChunkBytes {
@@ -244,30 +253,44 @@ func TestEntryValueRoundTrip(t *testing.T) {
 	}
 	var c chunk
 	for _, q := range atTheCap() {
-		c.add(q.ptr, q.spec)
+		c.add(q.ptr, q.spec, q.sk)
 	}
-	if c.fits(storage.MakePointer(1<<20, 0), nil, maxChunkBytes) || c.size() != maxChunkBytes {
-		t.Errorf("a posting went onto the chunk at the cap, or the refusal changed it (%d bytes)", c.size())
+	if c.fits(storage.MakePointer(1<<20, 0), nil, 1, maxChunkBytes) || c.size() != maxChunkBytes || c.sketch != 0x8001 {
+		t.Errorf("a posting went onto the chunk at the cap, or the refusal changed it (%d bytes, sketch %#x)", c.size(), c.sketch)
+	}
+	// A tail that does not fit leaves the chunk spelled without tails.
+	c.reset()
+	c.add(storage.MakePointer(1, 0), nil, 0)
+	if c.fits(storage.MakePointer(1, 1), make([]float64, maxSpectrumK), 0, 20) || c.tails || len(c.body) != 0 {
+		t.Errorf("a refused tail left the chunk spelled with tails (%+v)", c)
 	}
 	// A value spelled otherwise does not read, rather than read to some
 	// pointer that is not its chunk's.
+	sk := make([]byte, sketchBytes)
+	value := func(head byte, rest ...byte) []byte { return append(append([]byte{head}, sk...), rest...) }
 	for _, c := range []struct {
 		name string
 		buf  []byte
 	}{
 		{"empty", nil},
-		{"no postings", []byte{0}},
-		{"fewer postings than the head says", []byte{3 << 1, 4}},
-		{"bytes left over", []byte{1 << 1, 0}},
-		{"an over-long head", []byte{0x82, 0x00}},
-		{"an over-long step", []byte{2 << 1, 0x84, 0x00}},
-		{"a step of zero in one record", []byte{2 << 1, 0}},
-		{"a jump of zero records", []byte{2 << 1, 2, 5}},
-		{"an offset beyond a u32", []byte{2 << 1, 1<<2 | 2, 0x80, 0x80, 0x80, 0x80, 0x10}},
-		{"a step past the last offset", []byte{2 << 1, 0xfc, 0xff, 0xff, 0xff, 0x3f}},
-		{"a tail of no components", []byte{1<<1 | 1, 0}},
-		{"a torn tail", []byte{1<<1 | 1, 1, 0, 0, 0}},
-		{"nine components", append([]byte{1<<1 | 1, 9}, make([]byte, 9*8)...)},
+		{"no postings", value(0<<2 | 2)},
+		{"no sketch", []byte{1<<2 | 2}},
+		{"a torn sketch", []byte{1<<2 | 2, 0, 0}},
+		{"fewer postings than the head says", value(3<<2|2, 4)},
+		{"bytes left over", value(1<<2|2, 0)},
+		{"an over-long head", append([]byte{0x86, 0x00}, sk...)},
+		{"an over-long step", value(2<<2|2, 0x82, 0x00)},
+		{"a step of zero in one record", value(2<<2|2, 0)},
+		{"a jump of zero records", value(2<<2|2, 1, 5)},
+		{"an offset beyond a u32", value(2<<2|2, 1<<1|1, 0x80, 0x80, 0x80, 0x80, 0x10)},
+		{"a step past the last offset", value(2<<2|2, 0xfe, 0xff, 0xff, 0xff, 0x1f)},
+		{"a tail of no components", value(1<<2|1, 0)},
+		{"a torn tail", value(1<<2|1, 1, 0, 0, 0)},
+		{"nine components", value(1<<2|1, append([]byte{9}, make([]byte, 9*8)...)...)},
+		{"no tails, and a first tail", value(1<<2|3, append([]byte{1}, make([]byte, 8)...)...)},
+		{"tail flags and no tail", value(2<<2, 1<<2)},
+		{"one posting, tail flags and no tail", value(1 << 2)},
+		{"metaVersion 5's spelling", []byte{2 << 1, 1 << 2}},
 		{"metaVersion 4's spelling", []byte{5, 0}},
 		{"over the cap", append([]byte{0xff, 0x01}, make([]byte, maxChunkBytes)...)},
 	} {
@@ -283,13 +306,16 @@ func TestEntryValueRoundTrip(t *testing.T) {
 // what Index.Verify's check of every chunk rests on.
 func FuzzPostingChunk(f *testing.F) {
 	p := storage.MakePointer
-	f.Add(uint64(p(12, 345)), chunkOf(posting{p(12, 345), nil}))
+	f.Add(uint64(p(12, 345)), chunkOf(posting{p(12, 345), nil, 0}))
 	f.Add(uint64(p(1, 0)), chunkOf(atTheCap()...))
-	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), nil}, posting{p(3, 41), nil}, posting{p(3, 1<<14), nil}, posting{p(3, 1<<20+7), nil}))
-	f.Add(uint64(p(0, 0)), chunkOf(posting{p(0, 0), nil}, posting{p(1, 0), nil}, posting{p(2, 1<<15), nil}, posting{p(9000, 3), nil}))
-	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), []float64{2, 1}}, posting{p(5, 6), nil}, posting{p(6, 0), []float64{8, 7, 6, 5, 4, 3, 2, 1}}))
+	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), nil, 0}, posting{p(3, 41), nil, 0}, posting{p(3, 1<<14), nil, 0}, posting{p(3, 1<<20+7), nil, 0}))
+	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), nil, 1 << 7}, posting{p(3, 41), nil, 1}, posting{p(4, 1<<14), nil, 1 << (sketchBits - 1)}))
+	f.Add(uint64(p(0, 0)), chunkOf(posting{p(0, 0), nil, 0}, posting{p(1, 0), nil, 0}, posting{p(2, 1<<15), nil, 0}, posting{p(9000, 3), nil, 0}))
+	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), []float64{2, 1}, 0}, posting{p(5, 6), nil, 0}, posting{p(6, 0), []float64{8, 7, 6, 5, 4, 3, 2, 1}, 0}))
+	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), nil, fullSketch}, posting{p(5, 6), nil, 0}, posting{p(6, 0), []float64{8, 7}, 2}))
 	f.Add(uint64(p(0, 5)), []byte{0x81, 0x00, 1})
-	f.Add(uint64(p(0, 5)), []byte{5, 0}) // metaVersion 4
+	f.Add(uint64(p(0, 5)), []byte{5, 0})           // metaVersion 4
+	f.Add(uint64(p(0, 5)), []byte{2 << 1, 1 << 2}) // metaVersion 5
 	f.Fuzz(func(t *testing.T, first uint64, b []byte) {
 		ps, ok := readChunk(storage.Pointer(first), b)
 		if !ok {

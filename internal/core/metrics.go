@@ -15,8 +15,10 @@ import (
 //	fpr = 1 - rst/cdt   false-positive ratio among candidates
 //
 // where ent is the number of index entries, cdt the number of candidates
-// the index returns, and rst the number of entries producing at least one
-// final result.
+// the index's features return, and rst the number of entries producing at
+// least one final result. The pair sketch is not one of the paper's
+// features: the entries it drops count in cdt (Result.PaperCandidates),
+// so the measures stay the paper's.
 type Metrics struct {
 	Ent, Cdt, Rst int
 	Sel, PP, FPR  float64
@@ -47,5 +49,5 @@ func (g *Generation) Evaluate(ctx context.Context, path *xpath.Path) (Metrics, e
 	if err != nil {
 		return Metrics{}, err
 	}
-	return computeMetrics(res.Entries, res.Candidates, res.Matched), nil
+	return computeMetrics(res.Entries, res.PaperCandidates(), res.Matched), nil
 }

@@ -44,10 +44,11 @@ func everyEntry(t *testing.T, g *Generation) []indexEntry {
 }
 
 // filterEverything is the probe as it was before it skipped: every entry of
-// the index through the plan's filter. It also counts what a probe that
-// reads only what can match may touch — the entries from sigma on, whatever
-// their label — and the labels there are.
-func filterEverything(entries []indexEntry, p *queryPlan, buf []Candidate) (cands []Candidate, inRange, labels int) {
+// the index through the plan's filter, and pruned the entries the filter
+// keeps but the sketch of their chunk drops. It also counts what a probe
+// that reads only what can match may touch — the entries from sigma on,
+// whatever their label — and the labels there are.
+func filterEverything(entries []indexEntry, p *queryPlan, buf []Candidate) (cands []Candidate, pruned, inRange, labels int) {
 	cands = buf[:0]
 	sigma := p.feats[0].Sigma
 	for _, f := range p.feats {
@@ -68,11 +69,15 @@ entries:
 				continue entries
 			}
 		}
-		if spectrumContains(e.spec, p.specs) {
+		switch {
+		case !spectrumContains(e.spec, p.specs):
+		case e.sketch&p.sketch != p.sketch:
+			pruned++
+		default:
 			cands = append(cands, Candidate{Primary: e.ptr})
 		}
 	}
-	return cands, inRange, len(seen)
+	return cands, pruned, inRange, len(seen)
 }
 
 // TestProbeMatchesScanOfEverything is the differential test of the probe's
@@ -80,8 +85,9 @@ entries:
 // collections of five seeds, a TCMD collection and a depth-limited DBLP
 // document, with the root label and the spectrum filter on and off, the
 // candidate list equals — element for element, in order — what filtering
-// every entry of the index yields, and the probe touched no more than the
-// entries from the query's λmax on plus one per label.
+// every entry of the index yields, so does the count the sketch pruned,
+// and the probe touched no more than the entries from the query's λmax on
+// plus one per label.
 func TestProbeMatchesScanOfEverything(t *testing.T) {
 	type dataset struct {
 		docs  []*xmltree.Node
@@ -134,14 +140,14 @@ func TestProbeMatchesScanOfEverything(t *testing.T) {
 				if err != nil || p.empty {
 					continue // deeper than the index, or a label the data does not have
 				}
-				got, scanned, err := g.candidates(context.Background(), p, Limits{}, gotBuf)
+				got, scanned, pruned, err := g.candidates(context.Background(), p, Limits{}, gotBuf)
 				if err != nil {
 					t.Fatalf("%s, %+v: %s: %v", what, opts, q, err)
 				}
-				want, inRange, labels := filterEverything(entries, p, wantBuf)
+				want, wantPruned, inRange, labels := filterEverything(entries, p, wantBuf)
 				gotBuf, wantBuf = got, want
-				if len(got) != len(want) {
-					t.Fatalf("%s, %+v: %s: %d candidates, filtering every entry yields %d", what, opts, q, len(got), len(want))
+				if len(got) != len(want) || pruned != wantPruned {
+					t.Fatalf("%s, %+v: %s: %d candidates and %d pruned, filtering every entry yields %d and %d", what, opts, q, len(got), pruned, len(want), wantPruned)
 				}
 				for i := range want {
 					if got[i] != want[i] {

@@ -68,8 +68,8 @@ func AblationRootLabel(ctx context.Context, env *Env) ([]RootLabelRow, error) {
 
 func computeMetricsFromResult(r core.Result) core.Metrics {
 	return core.Metrics{
-		Ent: r.Entries, Cdt: r.Candidates, Rst: r.Matched,
-		PP: 1 - float64(r.Candidates)/float64(max(1, r.Entries)),
+		Ent: r.Entries, Cdt: r.PaperCandidates(), Rst: r.Matched,
+		PP: 1 - float64(r.PaperCandidates())/float64(max(1, r.Entries)),
 	}
 }
 

@@ -35,16 +35,16 @@ import (
 // a key spells σ, nor how a value spells its pointers, nor how a run is cut
 // into chunks may change what an entry holds — its label, σ, order and
 // pointer. raw hashes the chunks as stored, keys and values, recorded when
-// metaVersion 5 stored runs as chunks: a change to the spelling shows
-// there.
+// metaVersion 6 gave each chunk the pair sketch of its postings: a change
+// to the spelling or to a sketch shows there.
 var recordedEntries = map[datagen.Dataset]struct {
 	entries     int
 	sha256, raw string
 }{
-	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "17995c7abb346ed3d620ecb8ad2bd2b3bd3da08c054969c80891eb1f00e51ce1"},
-	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "b9d9f507d2f363b22ed623a9be130f6856ca27eb46a6aebdec677b9205b0aa20"},
-	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "7420e276e330896cb0ebd0fb800271892e33ce67e2e7875a0dc0849f24b68ed2"},
-	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "39aa461ebf2d4065be59dc17a76504385e3ff7efcc8643dbb8280d38102eddb5"},
+	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "9256aedd164af410b22d28d8c2867bbfd27cdb2c073b6054cffbd30942cd315c"},
+	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "ffcdf9f5a4f135623c7d610bc3996e76fb3f408b7c7fccb04d65fb60330e2f3d"},
+	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "96c35d294c3e0da40c42fb7034ac10d30a0800479f60bebd3101acad587ca804"},
+	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "a1f3ffdbc6ac69ed9cb059330576b2e3c16c8c1c07e06c0a3d5889988e01ab0e"},
 }
 
 // TestIndexEntriesAreTheRecordedOnes builds the experiments' index and its
@@ -118,10 +118,12 @@ type posting struct {
 
 // appendPostings appends the postings of the chunk (k, v) to ps. It reads
 // the chunk the way internal/core/key.go states the codec, on its own: a
-// uvarint n<<1 | t, the first posting's tail when t (its pointer is the
-// key's), then per posting a uvarint Δoff<<2 | t in the same record or
-// Δrec<<2 | 2 | t and a uvarint offset in a later one, each followed by its
-// tail when t — a byte k and k 8-byte components.
+// uvarint n<<2 | a<<1 | t, three bytes of pair sketch, the first posting's
+// tail when t (its pointer is the key's), then per posting — when a, no
+// posting has a tail — a uvarint Δoff<<1 in the same record or Δrec<<1 | 1
+// and a uvarint offset in a later one, and otherwise a uvarint Δoff<<2 | t
+// or Δrec<<2 | 2 | t and a uvarint offset, each followed by its tail when
+// t — a byte k and k 8-byte components.
 func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 	if len(k) != 20 {
 		t.Fatalf("key %x is %d bytes, want 20", k, len(k))
@@ -149,16 +151,24 @@ func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 	p := posting{ptr: storage.Pointer(binary.BigEndian.Uint64(k[12:]))}
 	copy(p.run[:], k)
 	head := uvarint()
+	if len(v) < 3 {
+		fail()
+	}
+	v = v[3:]
 	p.tail = tail(head & 1)
 	ps = append(ps, p)
-	for n := head >> 1; n > 1; n-- {
-		h := uvarint()
-		if h&2 == 0 {
-			p.ptr += storage.Pointer(h >> 2)
-		} else {
-			p.ptr = storage.MakePointer(p.ptr.Rec()+uint32(h>>2), uint32(uvarint()))
+	tails := head&2 == 0
+	for n := head >> 2; n > 1; n-- {
+		h, t := uvarint(), uint64(0)
+		if tails {
+			h, t = h>>1, h&1
 		}
-		p.tail = tail(h & 1)
+		if h&1 == 0 {
+			p.ptr += storage.Pointer(h >> 1)
+		} else {
+			p.ptr = storage.MakePointer(p.ptr.Rec()+uint32(h>>1), uint32(uvarint()))
+		}
+		p.tail = tail(t)
 		ps = append(ps, p)
 	}
 	if len(v) != 0 {

@@ -255,3 +255,28 @@ func TestExtSpectrum(t *testing.T) {
 		t.Logf("%-10s cdt: %d -> %d (rst %d)", r.Query, r.CandPlain, r.CandK4, r.Rst)
 	}
 }
+
+// TestAblationSketch runs the pair-sketch width ablation on every dataset
+// (AblationSketch checks its counts of the stored width and of none
+// against the index's): a sketch keeps no more candidates than σ alone,
+// nor one of 32 bits more than one of 16, whose bits it splits, and a
+// wider one costs more bytes.
+func TestAblationSketch(t *testing.T) {
+	for _, ds := range datagen.AllDatasets {
+		rows, err := AblationSketch(context.Background(), testEnv(t, ds), 40)
+		if err != nil {
+			t.Fatalf("%s: %v", ds, err)
+		}
+		if len(rows) != 4 || rows[0].Queries == 0 || rows[1].K != 16 || rows[3].K != 32 {
+			t.Fatalf("%s: %+v", ds, rows)
+		}
+		for i := 1; i < len(rows); i++ {
+			if rows[i].CandPerResult > rows[0].CandPerResult || rows[i].BytesPerEntry <= rows[i-1].BytesPerEntry {
+				t.Errorf("%s: k = %d keeps more than σ alone, or costs no more than k = %d: %+v", ds, rows[i].K, rows[i-1].K, rows)
+			}
+		}
+		if rows[3].CandPerResult > rows[1].CandPerResult {
+			t.Errorf("%s: 32 bits keep more than 16: %+v", ds, rows)
+		}
+	}
+}

@@ -107,7 +107,7 @@ func ExtSpectrum(ctx context.Context, env *Env) ([]SpectrumRow, error) {
 		if a.Count != b.Count {
 			return nil, fmt.Errorf("experiments: %s: spectrum filter changed results (%d vs %d)", rq.Name, a.Count, b.Count)
 		}
-		rows = append(rows, SpectrumRow{Query: rq.Name, CandPlain: a.Candidates, CandK4: b.Candidates, Rst: b.Matched})
+		rows = append(rows, SpectrumRow{Query: rq.Name, CandPlain: a.PaperCandidates(), CandK4: b.PaperCandidates(), Rst: b.Matched})
 	}
 	return rows, nil
 }

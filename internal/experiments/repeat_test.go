@@ -17,7 +17,9 @@ import (
 // and its counters repeat exactly. The index is built by four workers and
 // the test runs on two processors, the setting in which a refinement that
 // spread candidates over goroutines interleaved its reads and moved the
-// sequential/random split from run to run.
+// sequential/random split from run to run. A query the pair sketch leaves
+// no candidates (it has no answer at the test's scale) refines nothing and
+// is passed over; every dataset must keep some that refine.
 func TestQueryCountersRepeat(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const runs = 30
@@ -28,6 +30,7 @@ func TestQueryCountersRepeat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds, err)
 		}
+		refined := 0
 		for _, rq := range queries {
 			q := xpath.MustParse(rq.XPath)
 			// run returns the query's trace and the heap reads it made.
@@ -46,9 +49,13 @@ func TestQueryCountersRepeat(t *testing.T) {
 			// position; every later run starts where an identical one ended.
 			run()
 			want, reads := run()
+			if want.Candidates == 0 && want.SketchPruned > 0 {
+				continue // the pair sketch proves the query empty: nothing to refine
+			}
 			if want.Candidates == 0 {
 				t.Fatalf("%s: no candidates; the refinement counters are vacuous", rq.Name)
 			}
+			refined++
 			deltas := map[storage.Stats]int{reads: 1}
 			for i := 1; i < runs; i++ {
 				got, reads := run()
@@ -63,6 +70,9 @@ func TestQueryCountersRepeat(t *testing.T) {
 			if len(deltas) != 1 {
 				t.Errorf("%s: %d runs gave %d distinct heap read deltas: %v", rq.Name, runs, len(deltas), deltas)
 			}
+		}
+		if refined == 0 {
+			t.Errorf("%s: no query has candidates; the refinement counters are vacuous", ds)
 		}
 	}
 }

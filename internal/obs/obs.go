@@ -109,6 +109,10 @@ type Trace struct {
 	// feature filter (cdt); Matched how many candidates produced at
 	// least one result (rst); Count the total output-node matches.
 	Entries, Scanned, Candidates, Matched, Count int
+	// SketchPruned counts the entries the feature filter keeps and the
+	// chunks' pair sketches drop: Candidates + SketchPruned is the paper's
+	// cdt.
+	SketchPruned int
 	// NodesVisited counts the nodes the NoK matcher's pruned first pass
 	// decoded — only nodes the twig could bind, not whole candidate
 	// subtrees — the unit of refinement work.

@@ -19,6 +19,7 @@ type Registry struct {
 	fallbacks    atomic.Int64
 	scanned      atomic.Int64
 	candidates   atomic.Int64
+	sketchPruned atomic.Int64
 	matched      atomic.Int64
 	results      atomic.Int64
 	nodesVisited atomic.Int64
@@ -80,16 +81,18 @@ var defaultRegistry Registry
 func Default() *Registry { return &defaultRegistry }
 
 // ObserveQuery records one completed query: its latency and the pruning
-// pipeline counters. visited is the NoK node-visit count when the query
-// was traced, 0 otherwise (the counter is documented as covering traced
-// queries only).
-func (r *Registry) ObserveQuery(total time.Duration, scanned, candidates, matched, results int, fallback bool, visited int64) {
+// pipeline counters. sketchPruned counts the entries the feature filter
+// kept and the pair sketch dropped. visited is the NoK node-visit count
+// when the query was traced, 0 otherwise (the counter is documented as
+// covering traced queries only).
+func (r *Registry) ObserveQuery(total time.Duration, scanned, candidates, sketchPruned, matched, results int, fallback bool, visited int64) {
 	r.queries.Add(1)
 	if fallback {
 		r.fallbacks.Add(1)
 	}
 	r.scanned.Add(int64(scanned))
 	r.candidates.Add(int64(candidates))
+	r.sketchPruned.Add(int64(sketchPruned))
 	r.matched.Add(int64(matched))
 	r.results.Add(int64(results))
 	r.nodesVisited.Add(visited)
@@ -183,14 +186,16 @@ func (r *Registry) ObserveBuild(records, units int, wall time.Duration) {
 
 // RegistrySnapshot is a point-in-time copy of a Registry. Field meanings
 // follow the paper's §6.2 vocabulary: Scanned sums entries touched by
-// range scans, Candidates sums cdt, Matched sums rst, Results sums
-// output-node matches.
+// range scans, Candidates sums the candidates refined and SketchPruned the
+// entries the pair sketch dropped before refinement — together they sum
+// cdt — Matched sums rst, Results sums output-node matches.
 type RegistrySnapshot struct {
 	Queries      int64 `json:"queries"`
 	QueryErrors  int64 `json:"query_errors"`
 	Fallbacks    int64 `json:"scan_fallbacks"`
 	Scanned      int64 `json:"entries_scanned"`
 	Candidates   int64 `json:"candidates"`
+	SketchPruned int64 `json:"sketch_pruned"`
 	Matched      int64 `json:"matched_entries"`
 	Results      int64 `json:"results"`
 	NodesVisited int64 `json:"nodes_visited"`
@@ -242,6 +247,7 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		Fallbacks:    r.fallbacks.Load(),
 		Scanned:      r.scanned.Load(),
 		Candidates:   r.candidates.Load(),
+		SketchPruned: r.sketchPruned.Load(),
 		Matched:      r.matched.Load(),
 		Results:      r.results.Load(),
 		NodesVisited: r.nodesVisited.Load(),
