@@ -418,3 +418,42 @@ func TestPlanCacheCountersServed(t *testing.T) {
 		check(t, cs.handler(), "/c/books/query?q="+url.QueryEscape("//book[title]"), 3)
 	})
 }
+
+// TestSketchPrunedServed: a query's trace=1 body and /metrics both report
+// the entries the chunks' pair sketches dropped. On newTestDB's
+// collection index //article[author] scans every label partition, and σ
+// keeps the book, whose sketch lacks the article/author pair.
+func TestSketchPrunedServed(t *testing.T) {
+	h := newServer(newTestDB(t), defaultTestConfig()).handler()
+	pruned := func() int64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var m struct {
+			Pruned *int64 `json:"sketch_pruned"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || m.Pruned == nil {
+			t.Fatalf("/metrics without sketch_pruned: %v (body %s)", err, rec.Body)
+		}
+		return *m.Pruned
+	}
+	before := pruned()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape("//article[author]")+"&trace=1", nil))
+	var body struct {
+		Count int `json:"count"`
+		Trace struct {
+			Candidates int  `json:"candidates"`
+			Pruned     *int `json:"sketch_pruned"`
+		} `json:"trace"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Trace.Pruned == nil {
+		t.Fatalf("trace without sketch_pruned: %v (body %s)", err, rec.Body)
+	}
+	if body.Count != 2 || body.Trace.Candidates != 2 || *body.Trace.Pruned != 1 {
+		t.Errorf("//article[author]: %d results, %d candidates, %d dropped by the sketch; want 2, 2, 1", body.Count, body.Trace.Candidates, *body.Trace.Pruned)
+	}
+	if d := pruned() - before; d != 1 {
+		t.Errorf("/metrics sketch_pruned moved by %d, want 1", d)
+	}
+}
