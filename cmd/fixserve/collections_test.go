@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fix-index/fix/fix"
 	"github.com/fix-index/fix/internal/collection"
 )
 
@@ -455,5 +456,56 @@ func TestSketchPrunedServed(t *testing.T) {
 	}
 	if d := pruned() - before; d != 1 {
 		t.Errorf("/metrics sketch_pruned moved by %d, want 1", d)
+	}
+}
+
+// TestSharedMatchesServed: a query's trace=1 body and /metrics both report
+// the candidates answered by their chunk's first match. The three <a>
+// documents differ only in text, so their units agree throughout and one
+// match of /a[b] answers the other two.
+func TestSharedMatchesServed(t *testing.T) {
+	db, err := fix.CreateMem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"<a><b>1</b></a>", "<a><b>2</b></a>", "<a><b>3</b></a>"} {
+		if _, err := db.AddDocumentString(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.BuildIndex(fix.IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(db, defaultTestConfig()).handler()
+	shared := func() int64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var m struct {
+			Shared *int64 `json:"shared_matches"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || m.Shared == nil {
+			t.Fatalf("/metrics without shared_matches: %v (body %s)", err, rec.Body)
+		}
+		return *m.Shared
+	}
+	before := shared()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape("/a[b]")+"&trace=1", nil))
+	var body struct {
+		Count int `json:"count"`
+		Trace struct {
+			Candidates int  `json:"candidates"`
+			Shared     *int `json:"shared_matches"`
+		} `json:"trace"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Trace.Shared == nil {
+		t.Fatalf("trace without shared_matches: %v (body %s)", err, rec.Body)
+	}
+	if body.Count != 3 || body.Trace.Candidates != 3 || *body.Trace.Shared != 2 {
+		t.Errorf("/a[b]: %d results, %d candidates, %d answered by their chunk's first match; want 3, 3, 2", body.Count, body.Trace.Candidates, *body.Trace.Shared)
+	}
+	if d := shared() - before; d != 2 {
+		t.Errorf("/metrics shared_matches moved by %d, want 2", d)
 	}
 }

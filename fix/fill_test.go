@@ -174,7 +174,9 @@ func copyFiles(t *testing.T, src, dst string) {
 // the old version is the first problem Open meets, so it is what the
 // health names. index-written-by-pr32 is under version 4, one entry a
 // B-tree cell, keyed (label, σ, sequence number). index-written-by-pr34 is
-// under version 5, chunks without a pair sketch.
+// under version 5, chunks without a pair sketch. index-written-by-pr35 is
+// under version 6, chunk heads without the depth to which their units
+// agree.
 func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	t.Helper()
 	dir = copyFixture(t, fixture)
@@ -214,12 +216,13 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 // degradedBy is, per old-format fixture, what the health of its index
 // names besides the rebuild.
 var degradedBy = map[string][]string{
-	"index-written-by-pr20":           {"version 2", "writes 6"},
-	"index-written-by-pr23":           {"version 2", "writes 6"},
-	"index-written-by-pr25":           {"version 3", "writes 6"},
-	"clustered-index-written-by-pr26": {"version 3", "writes 6"},
-	"index-written-by-pr32":           {"version 4", "writes 6"},
-	"index-written-by-pr34":           {"version 5", "writes 6"},
+	"index-written-by-pr20":           {"version 2", "writes 7"},
+	"index-written-by-pr23":           {"version 2", "writes 7"},
+	"index-written-by-pr25":           {"version 3", "writes 7"},
+	"clustered-index-written-by-pr26": {"version 3", "writes 7"},
+	"index-written-by-pr32":           {"version 4", "writes 7"},
+	"index-written-by-pr34":           {"version 5", "writes 7"},
+	"index-written-by-pr35":           {"version 6", "writes 7"},
 }
 
 // rebuiltIndexSurvives requires the healthy 528-entry index a rebuild of
@@ -318,7 +321,7 @@ func TestIndexWrittenBeforeSketchesStillServes(t *testing.T) {
 }
 
 // TestKeyOfWrongLengthDegrades: a version-3 B-tree under a fix.meta that
-// says version 6 — a hand-edited or mismatched directory — opens healthy,
+// says version 7 — a hand-edited or mismatched directory — opens healthy,
 // but its keys are not keySize bytes. Verify fails ErrCorrupt on them, and
 // a query whose probe meets one degrades the index and answers exactly by
 // scan instead of reading σ out of the wrong bytes.
@@ -333,7 +336,7 @@ func TestKeyOfWrongLengthDegrades(t *testing.T) {
 		if !bytes.HasPrefix(meta, []byte("version 3\n")) || !bytes.Contains(meta, []byte("\nseq ")) {
 			t.Fatalf("fix.meta is %q", meta)
 		}
-		copy(meta, "version 6")
+		copy(meta, "version 7")
 		meta = bytes.Replace(meta, []byte("\nseq "), []byte("\nentries "), 1)
 		if err := os.WriteFile(path, meta, 0o644); err != nil {
 			t.Fatal(err)
@@ -385,17 +388,30 @@ func TestClusteredIndexStillServes(t *testing.T) {
 	rebuiltIndexSurvives(t, dir, db)
 }
 
+// TestIndexWrittenBeforeAgreementStillServes is the hand-over from
+// fix.meta version 6 on the directory the commit that introduced it wrote
+// (testdata/index-written-by-pr35): its chunk heads spell the posting count
+// where version 7 spells the count and the depth to which the units agree,
+// so it opens degraded and serves by scan, and RebuildIndex writes it anew.
+func TestIndexWrittenBeforeAgreementStillServes(t *testing.T) {
+	dir, db := oldFormatIndex(t, "index-written-by-pr35")
+	if err := db.RebuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rebuiltIndexSurvives(t, dir, db)
+}
+
 // TestIndexWrittenByThisFormatServes opens a database directory written by
-// the commit that introduced fix.meta version 6, chunks that carry the
-// pair sketch of their postings (the same 28 documents, 4 bulk-built at
-// depth 6 and 24 ingested four a request, checkpointed;
-// testdata/index-written-by-pr35), and uses
+// the commit that introduced fix.meta version 7, chunks whose heads hold
+// the depth to which their units agree (the same 28 documents, 4
+// bulk-built at depth 6 and 24 ingested four a request, checkpointed;
+// testdata/index-written-by-pr38), and uses
 // it as a server would: verify, ingest enough to split its leaves,
 // checkpoint, reopen. It is the anchor for the next change to the format:
 // that one has to open this directory, healthy or — as above — degraded
 // and exact.
 func TestIndexWrittenByThisFormatServes(t *testing.T) {
-	dir := copyFixture(t, "index-written-by-pr35")
+	dir := copyFixture(t, "index-written-by-pr38")
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

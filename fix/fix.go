@@ -188,9 +188,10 @@ type Result struct {
 	// filter and the pair sketch, and candidates that produced at least
 	// one result. SketchPruned counts the entries the feature filter kept
 	// and the sketch dropped, so Candidates + SketchPruned is the paper's
-	// cdt.
+	// cdt. SharedMatches counts the candidates answered by the match of
+	// their chunk's first live unit instead of a match of their own.
 	Entries, Candidates, MatchedEntries int
-	SketchPruned                        int
+	SketchPruned, SharedMatches         int
 	// ScanFallback reports that the index was degraded (corruption was
 	// detected, or it is stale relative to the store) and the result came
 	// from a full sequential scan instead. The count is still exact.
@@ -360,11 +361,13 @@ func Open(dir string) (*DB, error) {
 			// fix.btree is written only behind the shadow journal, so the
 			// tree the replay started from was the last checkpoint's, whole.
 			// The walk is fault detection for what that rule cannot exclude
-			// (a file an older version left mixed, a bug in the replay), and
-			// cheap next to the replay: a failure latches degraded health,
+			// (a file an older version left mixed, a bug in the replay). It
+			// checks the tree's pages and chunks but reads no record — chunk
+			// agreement is left to VerifyIndex — so it costs a walk of the
+			// index, not of the heap. A failure latches degraded health,
 			// the absorb below is skipped, and queries stay exact through
 			// the scan fallback until RebuildIndex.
-			_ = db.index.Verify()
+			_ = db.index.VerifyStructure()
 		}
 		// Converge: absorb the replayed operations into the base commit
 		// before returning. Leaving the log in place would make every
@@ -689,9 +692,11 @@ func (db *DB) IndexHealth() error {
 }
 
 // VerifyIndex checks the on-disk integrity of the index: every B-tree
-// page checksum and structure, entry counts, and that every entry points
-// at an existing record. It returns nil for a sound index, an error
-// wrapping ErrCorrupt otherwise, and an error if no index exists.
+// page checksum and structure, entry counts, that every entry points at an
+// existing record, and that no chunk says its units agree more deeply than
+// the heap's records do (which it reads to recompute). It returns nil for a
+// sound index, an error wrapping ErrCorrupt otherwise, and an error if no
+// index exists.
 func (db *DB) VerifyIndex() error {
 	ix := db.indexRef()
 	if ix == nil {

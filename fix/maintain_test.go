@@ -341,12 +341,13 @@ func TestMaintainerRepairsCorruptIndex(t *testing.T) {
 // TestIndexWrittenBeforeRunSplitsStillServes,
 // TestIndexWrittenBeforeUvarintValuesStillServes,
 // TestIndexWrittenBeforeOneSigmaKeysStillServes,
-// TestClusteredIndexStillServes, TestIndexWrittenBeforeChunksStillServes and
-// TestIndexWrittenBeforeSketchesStillServes:
+// TestClusteredIndexStillServes, TestIndexWrittenBeforeChunksStillServes,
+// TestIndexWrittenBeforeSketchesStillServes and
+// TestIndexWrittenBeforeAgreementStillServes:
 // the maintainer's first tick finds the index degraded and rebuilds it, with
 // no scrub and no operator.
 func TestMaintainerRebuildsOldFormatIndex(t *testing.T) {
-	for _, fixture := range []string{"index-written-by-pr20", "index-written-by-pr23", "index-written-by-pr25", "clustered-index-written-by-pr26", "index-written-by-pr32", "index-written-by-pr34"} {
+	for _, fixture := range []string{"index-written-by-pr20", "index-written-by-pr23", "index-written-by-pr25", "clustered-index-written-by-pr26", "index-written-by-pr32", "index-written-by-pr34", "index-written-by-pr35"} {
 		t.Run(fixture, func(t *testing.T) {
 			dir, db := oldFormatIndex(t, fixture)
 			m, err := db.StartMaintainer(context.Background(), MaintainConfig{

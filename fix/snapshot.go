@@ -14,7 +14,8 @@ import (
 // endpoint (cmd/fixserve serves exactly this at /metrics).
 type Metrics struct {
 	// Query totals. Scanned/Candidates/Matched/Results sum the §6.2
-	// pipeline counters over all queries; NodesVisited covers traced
+	// pipeline counters over all queries, SharedMatches the candidates
+	// answered by their chunk's first match; NodesVisited covers traced
 	// queries only (untraced refinement skips the counter).
 	Queries       int64 `json:"queries"`
 	QueryErrors   int64 `json:"query_errors"`
@@ -22,6 +23,7 @@ type Metrics struct {
 	Scanned       int64 `json:"entries_scanned"`
 	Candidates    int64 `json:"candidates"`
 	SketchPruned  int64 `json:"sketch_pruned"`
+	SharedMatches int64 `json:"shared_matches"`
 	Matched       int64 `json:"matched_entries"`
 	Results       int64 `json:"results"`
 	NodesVisited  int64 `json:"nodes_visited"`
@@ -131,6 +133,7 @@ func (db *DB) Metrics() Metrics {
 		Scanned:       reg.Scanned,
 		Candidates:    reg.Candidates,
 		SketchPruned:  reg.SketchPruned,
+		SharedMatches: reg.SharedMatches,
 		Matched:       reg.Matched,
 		Results:       reg.Results,
 		NodesVisited:  reg.NodesVisited,

@@ -44,14 +44,17 @@ type QueryTrace struct {
 	// the range scan touched; Candidates how many survived the feature
 	// filter and their chunk's pair sketch, and were refined;
 	// SketchPruned how many the feature filter kept and the sketch
-	// dropped; Matched how many produced at least one result (rst); Count
-	// the total output-node matches.
-	Entries      int `json:"entries"`
-	Scanned      int `json:"scanned"`
-	Candidates   int `json:"candidates"`
-	SketchPruned int `json:"sketch_pruned"`
-	Matched      int `json:"matched"`
-	Count        int `json:"count"`
+	// dropped; SharedMatches how many candidates took the answer of their
+	// chunk's first match instead of a fetch and a match of their own;
+	// Matched how many produced at least one result (rst); Count the total
+	// output-node matches.
+	Entries       int `json:"entries"`
+	Scanned       int `json:"scanned"`
+	Candidates    int `json:"candidates"`
+	SketchPruned  int `json:"sketch_pruned"`
+	SharedMatches int `json:"shared_matches"`
+	Matched       int `json:"matched"`
+	Count         int `json:"count"`
 
 	// NodesVisited is the nodes the NoK matcher's pruned pass decoded
 	// (refinement work).
@@ -127,40 +130,41 @@ func (t *QueryTrace) String() string {
 	fmt.Fprintf(&b, "  btree: %d page reads, %d cache hits\n", t.PageReads, t.CacheHits)
 	fmt.Fprintf(&b, "  storage: %d seq + %d random + %d cached reads, %d bytes; %d subtree reads, %d subtree bytes\n",
 		t.SeqReads, t.RandomReads, t.CachedReads, t.BytesRead, t.SubtreeReads, t.SubtreeBytes)
-	fmt.Fprintf(&b, "  refine: %d nodes visited", t.NodesVisited)
+	fmt.Fprintf(&b, "  refine: %d nodes visited, %d candidates answered by their chunk's first match", t.NodesVisited, t.SharedMatches)
 	return b.String()
 }
 
 // traceFromObs converts the internal trace into the public form.
 func traceFromObs(tr *obs.Trace) *QueryTrace {
 	return &QueryTrace{
-		Query:        tr.Query,
-		Start:        tr.Start,
-		Total:        tr.Total,
-		Parse:        tr.Phase[obs.PhaseParse],
-		Plan:         tr.Phase[obs.PhasePlan],
-		Probe:        tr.Phase[obs.PhaseProbe],
-		Fetch:        tr.Phase[obs.PhaseFetch],
-		Refine:       tr.Phase[obs.PhaseRefine],
-		Entries:      tr.Entries,
-		Scanned:      tr.Scanned,
-		Candidates:   tr.Candidates,
-		SketchPruned: tr.SketchPruned,
-		Matched:      tr.Matched,
-		Count:        tr.Count,
-		NodesVisited: tr.NodesVisited,
-		PageReads:    tr.BTree.PageReads,
-		PageWrites:   tr.BTree.PageWrites,
-		CacheHits:    tr.BTree.CacheHits,
-		SeqReads:     tr.Storage.SeqReads,
-		RandomReads:  tr.Storage.RandomReads,
-		CachedReads:  tr.Storage.CachedReads,
-		BytesRead:    tr.Storage.BytesRead,
-		SubtreeReads: tr.Storage.SubtreeReads,
-		SubtreeBytes: tr.Storage.SubtreeBytes,
-		ScanFallback: tr.Fallback,
-		PlanCached:   tr.PlanCached,
-		Generation:   tr.Generation,
+		Query:         tr.Query,
+		Start:         tr.Start,
+		Total:         tr.Total,
+		Parse:         tr.Phase[obs.PhaseParse],
+		Plan:          tr.Phase[obs.PhasePlan],
+		Probe:         tr.Phase[obs.PhaseProbe],
+		Fetch:         tr.Phase[obs.PhaseFetch],
+		Refine:        tr.Phase[obs.PhaseRefine],
+		Entries:       tr.Entries,
+		Scanned:       tr.Scanned,
+		Candidates:    tr.Candidates,
+		SketchPruned:  tr.SketchPruned,
+		SharedMatches: tr.SharedMatches,
+		Matched:       tr.Matched,
+		Count:         tr.Count,
+		NodesVisited:  tr.NodesVisited,
+		PageReads:     tr.BTree.PageReads,
+		PageWrites:    tr.BTree.PageWrites,
+		CacheHits:     tr.BTree.CacheHits,
+		SeqReads:      tr.Storage.SeqReads,
+		RandomReads:   tr.Storage.RandomReads,
+		CachedReads:   tr.Storage.CachedReads,
+		BytesRead:     tr.Storage.BytesRead,
+		SubtreeReads:  tr.Storage.SubtreeReads,
+		SubtreeBytes:  tr.Storage.SubtreeBytes,
+		ScanFallback:  tr.Fallback,
+		PlanCached:    tr.PlanCached,
+		Generation:    tr.Generation,
 	}
 }
 

@@ -73,29 +73,48 @@ func TestTraceReconcilesWithStorageStats(t *testing.T) {
 
 // TestTraceReconcilesWithMetrics checks that a trace's ent/cdt/rst
 // counters produce exactly the §6.2 measures Metrics reports, cdt being
-// the candidates and the entries the pair sketch dropped.
+// the candidates and the entries the pair sketch dropped, and that its
+// shared_matches is the Result's and moves the /metrics counter by as
+// much: on a depth-limited index the four <title> units agree throughout,
+// so one match answers three of them.
 func TestTraceReconcilesWithMetrics(t *testing.T) {
-	db := newTestDB(t, IndexOptions{})
-	const q = "//author[email]"
-	res, err := db.Query(q, Trace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := db.Effectiveness(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Trace
-	cdt := tr.Candidates + tr.SketchPruned
-	sel := 1 - float64(tr.Matched)/float64(tr.Entries)
-	pp := 1 - float64(cdt)/float64(tr.Entries)
-	fpr := 0.0
-	if cdt > 0 {
-		fpr = 1 - float64(tr.Matched)/float64(cdt)
-	}
-	if sel != m.Selectivity || pp != m.PruningPower || fpr != m.FalsePosRatio {
-		t.Errorf("trace-derived sel/pp/fpr = %v/%v/%v, Metrics = %v/%v/%v",
-			sel, pp, fpr, m.Selectivity, m.PruningPower, m.FalsePosRatio)
+	for _, tc := range []struct {
+		opts   IndexOptions
+		q      string
+		shared int
+	}{
+		{IndexOptions{}, "//author[email]", 0},
+		{IndexOptions{DepthLimit: 3}, "//title", 3},
+	} {
+		db := newTestDB(t, tc.opts)
+		before := db.Metrics().SharedMatches
+		res, err := db.Query(tc.q, Trace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := db.Effectiveness(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := res.Trace
+		cdt := tr.Candidates + tr.SketchPruned
+		sel := 1 - float64(tr.Matched)/float64(tr.Entries)
+		pp := 1 - float64(cdt)/float64(tr.Entries)
+		fpr := 0.0
+		if cdt > 0 {
+			fpr = 1 - float64(tr.Matched)/float64(cdt)
+		}
+		if sel != m.Selectivity || pp != m.PruningPower || fpr != m.FalsePosRatio {
+			t.Errorf("%s: trace-derived sel/pp/fpr = %v/%v/%v, Metrics = %v/%v/%v",
+				tc.q, sel, pp, fpr, m.Selectivity, m.PruningPower, m.FalsePosRatio)
+		}
+		if tr.SharedMatches != tc.shared || res.SharedMatches != tc.shared {
+			t.Errorf("%s: shared_matches %d in the trace, %d in the result, want %d", tc.q, tr.SharedMatches, res.SharedMatches, tc.shared)
+		}
+		if d := db.Metrics().SharedMatches - before; d != int64(tr.SharedMatches) {
+			t.Errorf("%s: /metrics shared_matches moved by %d, the trace says %d", tc.q, d, tr.SharedMatches)
+		}
+		_ = db.Close()
 	}
 }
 

@@ -176,7 +176,7 @@ func (v *View) QueryCtx(ctx context.Context, expr string, opts ...QueryOption) (
 	if tr != nil {
 		scanned = tr.Scanned
 	}
-	obs.Default().ObserveQuery(total, scanned, res.Candidates, res.SketchPruned, res.MatchedEntries, res.Count, res.ScanFallback, visited)
+	obs.Default().ObserveQuery(total, scanned, res.Candidates, res.SketchPruned, res.SharedMatches, res.MatchedEntries, res.Count, res.ScanFallback, visited)
 	return res, nil
 }
 
@@ -200,6 +200,7 @@ func (v *View) queryTraced(ctx context.Context, expr string, tr *obs.Trace, lim 
 			Entries:        res.Entries,
 			Candidates:     res.Candidates,
 			SketchPruned:   res.SketchPruned,
+			SharedMatches:  res.SharedMatches,
 			MatchedEntries: res.Matched,
 			ScanFallback:   res.Fallback,
 		}, nil

@@ -103,6 +103,7 @@ type pendingEntry struct {
 // buildUnit carries one record through the pipeline.
 type buildUnit struct {
 	rec     uint32
+	buf     []byte // the record, which an append compares units in
 	graph   *bisim.Graph
 	elems   []graphElem
 	pairs   []matrix.LabelPair // first-seen order, deterministic
@@ -256,8 +257,11 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 }
 
 // pack loads the sorted entries into the empty B-tree, each run of equal
-// (label, σ) as chunks that are full but for the run's last.
+// (label, σ) as chunks that are full but for the run's last, each with
+// the depth to which its units agree: the least agreement of two units
+// next to each other, which is the least agreement of any with the first.
 func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64) error {
+	units := newUnitReader(ix.store, scanUnitBytes)
 	k := uint64(ix.opts.SpectrumK)
 	limit := ix.chunkLimit()
 	key := make([]byte, keySize)
@@ -271,7 +275,7 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		run := entries[i]
+		run, from := entries[i], i
 		for c.reset(); i < len(entries); i++ {
 			e := &entries[i]
 			var spec []float64
@@ -281,6 +285,13 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 			if e.label != run.label || e.sigma != run.sigma || !c.fits(storage.Pointer(e.primary), spec, e.sketch, limit) {
 				break
 			}
+		}
+		for j := from + 1; j < i; j++ {
+			d, err := units.agree(storage.Pointer(entries[j-1].primary), storage.Pointer(entries[j].primary), c.alike)
+			if err != nil {
+				return nil, nil, err
+			}
+			c.alike = d
 		}
 		putKey(key, run.label, run.sigma, c.first)
 		val = c.appendTo(val[:0])
@@ -344,7 +355,7 @@ func (ix *Index) buildUnitGraph(rec uint32, vh bisim.ValueHash, timers *phaseTim
 	}
 	bisimStart := time.Now()
 	timers.parse.Add(int64(bisimStart.Sub(parseStart)))
-	u := &buildUnit{rec: rec}
+	u := &buildUnit{rec: rec, buf: cur.Buf}
 	g, err := bisim.Build(&eventSlice{events: events}, func(v *bisim.Vertex, ptr uint64) {
 		u.elems = append(u.elems, graphElem{v, ptr})
 	})

@@ -359,7 +359,7 @@ func xmarkEntities(cfg datagen.Config) []*xmltree.Node {
 // bulk-built, the rest inserted four a request, each request appending to
 // the end of its runs, must leave the postings a bulk build of the whole
 // stream holds: the same (label, σ, pointer, spectrum) sequence in chunks
-// of the same pair sketches, and for every query the same candidates in
+// of the same pair sketches and agreements, and for every query the same candidates in
 // the same order. Runs cross chunk boundaries on both sides. Inserting a
 // record again fails: its pointers are not above what their runs hold.
 func TestLiveInsertsMatchBuild(t *testing.T) {
@@ -417,7 +417,7 @@ func TestLiveInsertsMatchBuild(t *testing.T) {
 				t.Fatalf("bulk build holds %d postings (counts %d), live inserts %d (counts %d)", len(b), bulk.Entries(), len(l), live.Entries())
 			}
 			for i := range b {
-				if b[i].label != l[i].label || b[i].sigma != l[i].sigma || b[i].ptr != l[i].ptr || !slices.Equal(b[i].spec, l[i].spec) || b[i].sketch != l[i].sketch {
+				if b[i].label != l[i].label || b[i].sigma != l[i].sigma || b[i].ptr != l[i].ptr || !slices.Equal(b[i].spec, l[i].spec) || b[i].sketch != l[i].sketch || b[i].alike != l[i].alike {
 					t.Fatalf("posting %d: bulk %+v, live %+v", i, b[i], l[i])
 				}
 			}
@@ -437,11 +437,11 @@ func TestLiveInsertsMatchBuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cb, nb, _, err := gb.candidates(context.Background(), pb, Limits{}, nil)
+				cb, nb, _, err := gb.candidates(context.Background(), pb, Limits{}, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cl, nl, _, err := gl.candidates(context.Background(), pl, Limits{}, nil)
+				cl, nl, _, err := gl.candidates(context.Background(), pl, Limits{}, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -744,7 +744,8 @@ func TestStaleIndexDegrades(t *testing.T) {
 // metaVersion — 2, whose values spelled a pointer as a flag byte and a
 // big-endian u64, 3, whose keys held λmin, and 4, whose keys ended in a
 // sequence number, one entry a key, and whose fix.meta spelled its count
-// seq: an index committed under one opens degraded, with an ErrCorrupt that
+// seq, 5, whose chunks had no pair sketch, and 6, whose chunk heads had no
+// agreement depth: an index committed under one opens degraded, with an ErrCorrupt that
 // names both versions and says to rebuild, answers exactly by scan, and
 // still tells the database layer's recovery how many records it covers. A
 // version older than 2, or newer than metaVersion, fails Open.
@@ -763,11 +764,11 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(meta, []byte("version 6\n")) || !bytes.Contains(meta, []byte("\nentries ")) {
+	if !bytes.HasPrefix(meta, []byte("version 7\n")) || !bytes.Contains(meta, []byte("\nentries ")) {
 		t.Fatalf("fix.meta is %q", meta)
 	}
 	want := oracleCounts(t, st, crashQueries)
-	for _, v := range []string{"2", "3", "4", "5"} {
+	for _, v := range []string{"2", "3", "4", "5", "6"} {
 		old := slices.Clone(meta)
 		if v < "5" {
 			old = bytes.Replace(old, []byte("\nentries "), []byte("\nseq "), 1)
@@ -781,8 +782,8 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := re.Health()
-		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 6") || !strings.Contains(h.Error(), "rebuild") {
-			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 6 and the rebuild", v, h, v)
+		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 7") || !strings.Contains(h.Error(), "rebuild") {
+			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 7 and the rebuild", v, h, v)
 		}
 		checkOracle(t, re, want, "version "+v)
 		if n, err := CommittedRecords(dir); err != nil || n != len(bibDocs) {
@@ -790,7 +791,7 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 		}
 		_ = re.Close()
 	}
-	for _, v := range []string{"1", "7"} {
+	for _, v := range []string{"1", "8"} {
 		copy(meta, "version "+v)
 		if err := os.WriteFile(path, meta, 0o644); err != nil {
 			t.Fatal(err)
@@ -833,7 +834,7 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 		if err := ix.bt.Put(key, tc.val); err != nil {
 			t.Fatal(err)
 		}
-		if err := ix.verify(); !errors.Is(err, ErrCorrupt) {
+		if err := ix.verify(true); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: verify = %v, want ErrCorrupt", tc.name, err)
 		}
 		if tc.decodes {

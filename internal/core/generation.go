@@ -146,6 +146,11 @@ func (g *Generation) Covered(path *xpath.Path) bool {
 	return g.ix != nil && g.ix.Covered(path)
 }
 
+// alikeSpan is a stretch [lo, hi) of a probe's candidates that one chunk
+// gave, at least two, whose units agree at least as deeply as the query's
+// refinement twig is high: one match answers all of them.
+type alikeSpan struct{ lo, hi int32 }
+
 // candidates runs the pruning phase: a range scan over the chunks of the
 // frozen B-tree image, keeping the postings whose eigenvalue range contains
 // every twig's range and whose chunk's pair sketch holds every bit of the
@@ -155,14 +160,16 @@ func (g *Generation) Covered(path *xpath.Path) bool {
 // holds (scanEveryLabel). A chunk's key is decoded and its σ and its
 // sketch tested once, then its postings in one loop of one delta step
 // each. Survivors are appended to buf[:0] — nil for a list the caller
-// keeps, a pooled one (candPool) on the served path — and nothing else is
-// allocated: keys and values are decoded where the scan reads them.
-// scanned reports how many postings the scans touched, and pruned how many
-// of them σ and the spectrum filter keep but the sketch drops. The scans
-// observe ctx once a chunk takes the count past a multiple of 1024 and
-// stop once lim.MaxCandidates is crossed; on any error whatever was
-// collected is discarded.
-func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, buf []Candidate) (cands []Candidate, scanned, pruned int, err error) {
+// keeps, a pooled one (probePool) on the served path — and nothing else is
+// allocated: keys and values are decoded where the scan reads them. A
+// non-nil spans gets, appended to (*spans)[:0], the stretches of the
+// survivors one match may answer (alikeSpan). scanned reports how many
+// postings the scans touched, and pruned how many of them σ and the
+// spectrum filter keep but the sketch drops. The scans observe ctx once a
+// chunk takes the count past a multiple of 1024 and stop once
+// lim.MaxCandidates is crossed; on any error whatever was collected is
+// discarded.
+func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, buf []Candidate, spans *[]alikeSpan) (cands []Candidate, scanned, pruned int, err error) {
 	if p.empty {
 		return nil, 0, 0, nil
 	}
@@ -174,6 +181,9 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 		sigma = max(sigma, f.Sigma)
 	}
 	cands = buf[:0]
+	if spans != nil {
+		*spans = (*spans)[:0]
+	}
 	var stop error // why a scan callback ended its scan early, if it did
 	visit := func(k, v []byte) bool {
 		if len(k) != keySize {
@@ -212,6 +222,7 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 			}
 			return stop == nil
 		}
+		lo := len(cands)
 		for r.next() {
 			if !spectrumContains(r.spectrum(), p.specs) {
 				continue
@@ -225,6 +236,9 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 		if !r.ok() {
 			stop = errBadValue(k, v)
 			return false
+		}
+		if spans != nil && p.share >= 0 && r.alike >= p.share && len(cands)-lo > 1 {
+			*spans = append(*spans, alikeSpan{int32(lo), int32(len(cands))})
 		}
 		return true
 	}
@@ -273,22 +287,29 @@ func (g *Generation) scanEveryLabel(sigma float64, visit func(k, v []byte) bool)
 	return peeked, err
 }
 
-// candPool recycles the candidate lists of served queries, so a probe's
-// allocations do not grow with its candidate count. A list grown past
-// maxPooledCandidates (512 KB) is dropped rather than pooled: one huge
-// query must not pin its buffer for good.
-var candPool = sync.Pool{New: func() any { return new([]Candidate) }}
+// probeBuf is what a served query's probe fills: its candidates and their
+// alike spans.
+type probeBuf struct {
+	cands []Candidate
+	spans []alikeSpan
+}
+
+// probePool recycles the probe buffers of served queries, so a probe's
+// allocations do not grow with its candidate count. A buffer grown past
+// maxPooledCandidates candidates (512 KB) is dropped rather than pooled:
+// one huge query must not pin it for good.
+var probePool = sync.Pool{New: func() any { return new(probeBuf) }}
 
 const maxPooledCandidates = 1 << 16
 
 // recycle returns a pooled buffer, now backed by cands when the probe
-// grew it. Nothing may read cands afterwards.
-func recycle(buf *[]Candidate, cands []Candidate) {
-	if cap(cands) > cap(*buf) {
-		*buf = cands
+// grew it. Nothing may read cands or the spans afterwards.
+func recycle(buf *probeBuf, cands []Candidate) {
+	if cap(cands) > cap(buf.cands) {
+		buf.cands = cands
 	}
-	if cap(*buf) <= maxPooledCandidates {
-		candPool.Put(buf)
+	if cap(buf.cands) <= maxPooledCandidates {
+		probePool.Put(buf)
 	}
 }
 
@@ -303,7 +324,7 @@ func (g *Generation) CandidatesPrepared(ctx context.Context, pq *Prepared) ([]Ca
 	if !pq.Covered() {
 		return nil, 0, pq.errNotCovered()
 	}
-	cands, scanned, _, err := g.candidates(ctx, pq.plan, Limits{}, nil)
+	cands, scanned, _, err := g.candidates(ctx, pq.plan, Limits{}, nil, nil)
 	return cands, scanned, err
 }
 
@@ -323,8 +344,9 @@ func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Can
 // live index) — and the caller must refine every record of pq's tree
 // instead, which can never miss a match. A non-nil tr gets the probe wall
 // time and the probe's B-tree delta. The candidates are appended to
-// buf[:0]; scanned and pruned are candidates'.
-func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits, buf []Candidate) (cands []Candidate, scanned, pruned int, useScan bool, err error) {
+// buf.cands[:0], and their alike spans to buf.spans[:0]; scanned and pruned
+// are candidates'.
+func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits, buf *probeBuf) (cands []Candidate, scanned, pruned int, useScan bool, err error) {
 	if !pq.Covered() {
 		return nil, 0, 0, false, pq.errNotCovered()
 	}
@@ -336,7 +358,7 @@ func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim
 	if tr != nil {
 		bt0 = g.view.Stats()
 	}
-	cands, scanned, pruned, err = g.candidates(ctx, pq.plan, lim, buf)
+	cands, scanned, pruned, err = g.candidates(ctx, pq.plan, lim, buf.cands, &buf.spans)
 	if tr != nil {
 		tr.Phase[obs.PhaseProbe] += time.Since(probeStart)
 		d := g.view.Stats().Sub(bt0)
@@ -349,19 +371,21 @@ func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim
 	return cands, scanned, pruned, false, err
 }
 
-// workItems is what a refinement pass walks: n candidates of a probe, or,
-// with scan set, the n records of the frozen heap.
+// workItems is what a refinement pass walks: n candidates of a probe, in
+// stretches of which one match answers every live one (spans), or, with
+// scan set, the n records of the frozen heap.
 type workItems struct {
 	n            int
 	cands        []Candidate
+	spans        []alikeSpan
 	rootAnchored bool // a /-anchored query only matches document roots
 	scan         bool
 }
 
-// candidateItems returns the work of refining cands for the prepared
-// query.
-func candidateItems(pq *Prepared, cands []Candidate) workItems {
-	return workItems{n: len(cands), cands: cands, rootAnchored: pq.rootAnchored}
+// candidateItems returns the work of refining cands, whose alike spans are
+// spans, for the prepared query.
+func candidateItems(pq *Prepared, cands []Candidate, spans []alikeSpan) workItems {
+	return workItems{n: len(cands), cands: cands, spans: spans, rootAnchored: pq.rootAnchored}
 }
 
 // scanItems returns the work of refining every record of the frozen heap.
@@ -376,17 +400,14 @@ func (g *Generation) scanItems() workItems {
 // read from the clustered copy when the generation holds one
 // (Clustered.Freeze), and by following its primary pointer otherwise.
 func (g *Generation) fetch(rd *storage.ReadPass, w workItems, i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
+	if !g.live(w, i) {
+		return
+	}
 	if w.scan {
-		if g.tombs.Has(uint32(i)) {
-			return
-		}
 		cur, err = rd.Cursor(uint32(i))
 		return cur, 0, true, err
 	}
 	c := w.cands[i]
-	if w.rootAnchored && c.Primary.Off() != 0 || g.tombs.Has(c.Primary.Rec()) {
-		return
-	}
 	if g.clustered == nil {
 		cur, ref, err = rd.ReadSubtree(c.Primary)
 	} else if rec, copied := g.copies[c.Primary]; copied {
@@ -395,6 +416,34 @@ func (g *Generation) fetch(rd *storage.ReadPass, w workItems, i int) (cur xmltre
 		err = fmt.Errorf("core: entry at %v has no clustered copy", c.Primary)
 	}
 	return cur, ref, true, err
+}
+
+// live reports whether work item i is to be refined: a record not
+// tombstoned, and for a /-anchored query a candidate at a record's root.
+func (g *Generation) live(w workItems, i int) bool {
+	if w.scan {
+		return !g.tombs.Has(uint32(i))
+	}
+	p := w.cands[i].Primary
+	return !(w.rootAnchored && p.Off() != 0) && !g.tombs.Has(p.Rec())
+}
+
+// spanCursor walks the alike spans of a refinement pass beside its items.
+type spanCursor struct {
+	spans []alikeSpan
+	next  int // the first span that does not end at or before the item
+}
+
+// at returns the end of the alike span item i lies in, and 0 when it lies
+// in none. Items are asked about in ascending order.
+func (sc *spanCursor) at(i int) int {
+	for sc.next < len(sc.spans) && int(sc.spans[sc.next].hi) <= i {
+		sc.next++
+	}
+	if sc.next < len(sc.spans) && int(sc.spans[sc.next].lo) <= i {
+		return int(sc.spans[sc.next].hi)
+	}
+	return 0
 }
 
 // QueryPrepared runs the full pruning + refinement pipeline of a
@@ -422,9 +471,9 @@ func (g *Generation) fetch(rd *storage.ReadPass, w workItems, i int) (cur xmltre
 // When the index is degraded the answer comes from ScanCount with
 // Fallback set: exact, only slower.
 func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits) (Result, error) {
-	buf := candPool.Get().(*[]Candidate)
-	cands, scanned, pruned, useScan, err := g.probe(ctx, pq, tr, lim, *buf)
-	// Deferred past refine, which reads cands until then.
+	buf := probePool.Get().(*probeBuf)
+	cands, scanned, pruned, useScan, err := g.probe(ctx, pq, tr, lim, buf)
+	// Deferred past refine, which reads cands and the spans until then.
 	defer recycle(buf, cands)
 	if err != nil {
 		return Result{}, err
@@ -437,7 +486,7 @@ func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Tr
 	if pq.nested {
 		distinct = distinctOutputs(cands)
 	}
-	res.Matched, res.Count, err = g.refine(ctx, candidateItems(pq, cands), pq.refine, lim, tr, distinct)
+	res.Matched, res.Count, res.SharedMatches, err = g.refine(ctx, candidateItems(pq, cands, buf.spans), pq.refine, lim, tr, distinct)
 	if err != nil {
 		return Result{}, err
 	}
@@ -462,16 +511,16 @@ func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *ob
 // ctx only (no Limits), and like QueryPrepared answers from the scan
 // when the index is degraded.
 func (g *Generation) ExistsPrepared(ctx context.Context, pq *Prepared) (bool, error) {
-	buf := candPool.Get().(*[]Candidate)
-	cands, _, _, useScan, err := g.probe(ctx, pq, nil, Limits{}, *buf)
-	defer recycle(buf, cands) // after firstHit, which reads cands
+	buf := probePool.Get().(*probeBuf)
+	cands, _, _, useScan, err := g.probe(ctx, pq, nil, Limits{}, buf)
+	defer recycle(buf, cands) // after firstHit, which reads cands and the spans
 	if err != nil {
 		return false, err
 	}
 	if useScan {
 		return g.ScanExists(ctx, pq.tree)
 	}
-	return g.firstHit(ctx, candidateItems(pq, cands), pq.refine)
+	return g.firstHit(ctx, candidateItems(pq, cands, buf.spans), pq.refine)
 }
 
 // ExistsGoverned is ExistsPrepared for a query planned afresh.
@@ -499,7 +548,7 @@ func (g *Generation) ScanCount(ctx context.Context, qt *xpath.QNode, tr *obs.Tra
 		tr.Fallback = true
 	}
 	res := Result{Fallback: markFallback}
-	res.Matched, res.Count, err = g.refine(ctx, g.scanItems(), nq, lim, tr, nil)
+	res.Matched, res.Count, _, err = g.refine(ctx, g.scanItems(), nq, lim, tr, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -581,16 +630,18 @@ func ctxDone(ctx context.Context) error {
 // matcher pass and one heap read pass, so an item costs only its fetch
 // and its match: node visits are charged to the pass's budget of
 // MaxRefineNodes, which polls ctx, and the running total is checked
-// against MaxResults. ctx is also polled (ctxDone) every ctxPollItems
-// items and once more at the end, so an expired context fails even a pass
-// with nothing to do. A non-nil tr accumulates the fetch and refinement wall time, the
-// visit count and the heap I/O of the pass — kept on an error, that is
-// the partial trace — and on success the match counts; a nil tr reads no
-// clock. The heap counters reach the store when the read pass flushes,
-// before tr reads them. The matcher walks records in the heap's mapping,
-// so the pass runs under storage.GuardFault: a page truncated away under
-// it is a read error.
-func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim Limits, tr *obs.Trace, distinct distinctFunc) (matched, count int, err error) {
+// against MaxResults. In an alike span the first live item is matched and
+// every later live one takes its (matched, count) with no visit, and no
+// fetch but from a clustered copy; shared counts those. ctx is also polled
+// (ctxDone) every ctxPollItems items and once more at the end, so an
+// expired context fails even a pass with nothing to do. A non-nil tr
+// accumulates the fetch and refinement wall time, the visit count and the
+// heap I/O of the pass — kept on an error, that is the partial trace — and
+// on success the match counts; a nil tr reads no clock. The heap counters reach the store when
+// the read pass flushes, before tr reads them. The matcher walks records
+// in the heap's mapping, so the pass runs under storage.GuardFault: a page
+// truncated away under it is a read error.
+func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim Limits, tr *obs.Trace, distinct distinctFunc) (matched, count, shared int, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer storage.GuardFault(&err)
 	pass := nq.NewPass(ctx, lim.MaxRefineNodes)
@@ -602,11 +653,34 @@ func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim
 	rd := g.store.Pass()
 	defer rd.Flush() // a fault panics past the Flush below
 	var outs []xmltree.Ref
+	sc := spanCursor{spans: w.spans}
+	// answered: the items before it whose span's first live item has been
+	// matched, answer its count.
+	answered, answer := 0, 0
 	for i := 0; i < w.n && err == nil; i++ {
 		if i%ctxPollItems == 0 {
 			if err = ctxDone(ctx); err != nil {
 				break
 			}
+		}
+		if i < answered {
+			if g.live(w, i) {
+				if g.clustered != nil {
+					// A clustered copy is read all the same: the copies lie
+					// back to back, and one passed over would turn the next
+					// read into a seek.
+					if _, _, _, err = g.fetch(&rd, w, i); err != nil {
+						continue
+					}
+				}
+				shared++
+				if answer > 0 {
+					matched++
+					count += answer
+					err = errResultCap(count, lim)
+				}
+			}
+			continue
 		}
 		var fetchStart, refineStart time.Time
 		if tr != nil {
@@ -644,6 +718,9 @@ func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim
 			count += cnt
 			err = errResultCap(count, lim)
 		}
+		if end := sc.at(i); end > 0 {
+			answered, answer = end, cnt
+		}
 	}
 	if err == nil {
 		err = ctxDone(ctx)
@@ -652,15 +729,16 @@ func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim
 		rd.Flush()
 		tr.Storage = tr.Storage.Add(storageDelta(g.store.Stats().Sub(st0)))
 		if err == nil {
-			tr.Matched, tr.Count = matched, count
+			tr.Matched, tr.Count, tr.SharedMatches = matched, count, shared
 		}
 	}
-	return matched, count, err
+	return matched, count, shared, err
 }
 
 // firstHit is the refinement loop of the Exists paths: it reports
 // whether any of the work items w matches nq, stopping at the first
-// that does. Like refine it shares one matcher pass — unlimited, but
+// that does, and passing over the rest of an alike span once its first
+// live item fails. Like refine it shares one matcher pass — unlimited, but
 // polling ctx every 64 node visits — and one heap read pass across the
 // items, polls ctx (ctxDone) every ctxPollItems items and at the end, and
 // runs under storage.GuardFault.
@@ -671,11 +749,16 @@ func (g *Generation) firstHit(ctx context.Context, w workItems, nq *nok.Query) (
 	defer pass.Release()
 	rd := g.store.Pass()
 	defer rd.Flush()
+	sc := spanCursor{spans: w.spans}
+	failed := 0 // the items before it are in a span whose first live item failed
 	for i := 0; i < w.n; i++ {
 		if i%ctxPollItems == 0 {
 			if err := ctxDone(ctx); err != nil {
 				return false, err
 			}
+		}
+		if i < failed {
+			continue
 		}
 		cur, ref, ok, err := g.fetch(&rd, w, i)
 		if err != nil {
@@ -687,6 +770,7 @@ func (g *Generation) firstHit(ctx context.Context, w workItems, nq *nok.Query) (
 		if hit, err := pass.Exists(cur, ref); hit || err != nil {
 			return hit, err
 		}
+		failed = sc.at(i)
 	}
 	return false, ctxDone(ctx)
 }

@@ -133,6 +133,11 @@ type Index struct {
 	maxDocDepth int
 	buildTime   time.Duration
 	buildStats  BuildStats
+	// units keeps the records the latest appends indexed or read, which
+	// the next appends' comparisons mostly need (unitReader): 256 KB of
+	// them, and the latest one larger than that; nil until the first
+	// append, and only the writer touches it.
+	units *unitReader
 
 	// healthMu serializes health transitions because concurrent queries
 	// may detect corruption simultaneously. It is a leaf lock: never
@@ -193,6 +198,10 @@ type Result struct {
 	// SketchPruned counts the entries the feature filter alone keeps and
 	// the pair sketch drops: Candidates + SketchPruned is the paper's cdt.
 	SketchPruned int
+	// SharedMatches counts the candidates answered by the match of their
+	// chunk's first live unit instead of a match of their own (chunk
+	// agreement, agree.go).
+	SharedMatches int
 	// Fallback reports that the index was degraded (see Health) and the
 	// result came from a full sequential scan of the primary store. The
 	// counts are exact; the pruning statistics are zero.
@@ -248,30 +257,41 @@ func (ix *Index) BTree() *btree.Tree { return ix.bt }
 // decodes — in the one spelling chunk writes, with no more spectrum
 // components than the index stores — to pointers that address existing
 // records and lie above every pointer of the chunk before it in its run,
-// and that the chunks hold the number of postings fix.meta counts. Problems
-// are recorded in the health status and returned.
-func (ix *Index) Verify() error {
+// that every unit of a chunk agrees with its first at least as deeply as
+// the chunk says (recomputed from the heap), and that the chunks hold the
+// number of postings fix.meta counts. Problems are recorded in the health
+// status and returned.
+func (ix *Index) Verify() error { return ix.verifyHealth(true) }
+
+// VerifyStructure is Verify but for chunk agreement, which it does not
+// recompute: it reads no record, so its cost follows the index and not the
+// heap. It is the walk fix.Open makes after replaying its ingest log.
+func (ix *Index) VerifyStructure() error { return ix.verifyHealth(false) }
+
+func (ix *Index) verifyHealth(agreement bool) error {
 	if err := ix.Health(); err != nil {
 		return err
 	}
-	if err := ix.verify(); err != nil {
+	if err := ix.verify(agreement); err != nil {
 		ix.setHealth(err)
 		return err
 	}
 	return nil
 }
 
-func (ix *Index) verify() error {
+func (ix *Index) verify(agreement bool) error {
 	if ix.bt == nil {
 		return fmt.Errorf("%w: B-tree unavailable", ErrCorrupt)
 	}
 	if err := ix.bt.Verify(); err != nil {
 		return err
 	}
+	units := newUnitReader(ix.store, scanUnitBytes)
 	nrec := uint32(ix.store.NumRecords())
 	var bad error
 	var run [12]byte // the (label, σ) of the chunk before
 	var last storage.Pointer
+	var ptrs []storage.Pointer
 	total := 0
 	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
 		if len(k) != keySize {
@@ -284,8 +304,9 @@ func (ix *Index) verify() error {
 			return false
 		}
 		r := openPostings(first, v)
-		for r.next() {
+		for ptrs = ptrs[:0]; r.next(); {
 			total++
+			ptrs = append(ptrs, r.ptr)
 			switch {
 			case r.ptr.Rec() >= nrec:
 				bad = fmt.Errorf("%w: entry points at record %d but the store holds %d", ErrCorrupt, r.ptr.Rec(), nrec)
@@ -299,6 +320,19 @@ func (ix *Index) verify() error {
 		if !r.ok() {
 			bad = errBadValue(k, v)
 			return false
+		}
+		for i := 1; agreement && i < len(ptrs); i++ {
+			d, err := units.agree(ptrs[i-1], ptrs[i], r.alike)
+			switch {
+			case err != nil:
+				err = fmt.Errorf("%w: chunk %x holds a unit at %v or %v the heap does not: %w", ErrCorrupt, k, ptrs[i-1], ptrs[i], err)
+			case d < r.alike:
+				err = fmt.Errorf("%w: chunk %x says its units agree to depth %d, but those at %v and %v agree to depth %d", ErrCorrupt, k, r.alike, ptrs[i-1], ptrs[i], d)
+			}
+			if err != nil {
+				bad = err
+				return false
+			}
 		}
 		copy(run[:], k)
 		last = r.ptr
@@ -350,6 +384,10 @@ type queryPlan struct {
 	topLabel uint32
 	labelOK  bool // top twig root label restricts the scan
 	empty    bool // provably no results
+	// share is the height of the refinement twig when one match may
+	// answer every unit of a chunk that agrees that deeply
+	// (shareHeight), and -1 otherwise; a plan that refines nothing keeps -1.
+	share int
 }
 
 // plan computes twig features, the pair sketch and the scan strategy for a
@@ -361,7 +399,7 @@ func (ix *Index) plan(qt *xpath.QNode) (*queryPlan, error) {
 	if qt == nil {
 		return nil, fmt.Errorf("core: empty query")
 	}
-	p := &queryPlan{}
+	p := &queryPlan{share: -1}
 	twigs := xpath.Decompose(qt)
 	top := twigs[0]
 	if ix.opts.DepthLimit > 0 {

@@ -131,7 +131,10 @@ func pairBit(w int32) uint32 { return 1 << (uint32(w-1) % sketchBits) }
 
 // The chunk codec. A chunk value is
 //
-//	uvarint n<<2 | a<<1 | t   n >= 1 postings; a: no posting has a tail;
+//	uvarint n<<5 | d<<2 | a<<1 | t
+//	                          n >= 1 postings; d: the depth, 0 to maxAlike,
+//	                          to which every unit agrees with the first
+//	                          (agreement); a: no posting has a tail;
 //	                          t: the first has one (never with a)
 //	sketch                    sketchBytes, big-endian
 //	[tail]                    the first posting's, when t
@@ -171,6 +174,7 @@ type chunk struct {
 	n           int
 	tail        bool   // the first posting has a tail
 	tails       bool   // some posting has a tail: each spells its flag
+	alike       int    // the depth to which the units agree, 0 to maxAlike; a caller lowers it
 	sketch      uint32 // the OR of the postings' sketches
 	body        []byte // the value past its head and sketch
 }
@@ -188,7 +192,7 @@ func (c *chunk) add(p storage.Pointer, spec []float64, sk uint32) {
 	}
 	switch {
 	case c.n == 0:
-		c.first, c.tail, c.tails = p, t, t
+		c.first, c.tail, c.tails, c.alike = p, t, t, maxAlike
 	case !c.tails && p.Rec() == c.last.Rec():
 		c.body = binary.AppendUvarint(c.body, uint64(p.Off()-c.last.Off())<<1)
 	case !c.tails:
@@ -264,14 +268,14 @@ func (c *chunk) load(first storage.Pointer, v []byte) bool {
 		return false
 	}
 	head, m := readUvarint(v)
-	*c = chunk{first: first, last: r.ptr, n: n, tail: head&1 == 1, tails: head&2 == 0, sketch: sk,
+	*c = chunk{first: first, last: r.ptr, n: n, tail: head&1 == 1, tails: head&2 == 0, alike: r.alike, sketch: sk,
 		body: append(c.body[:0], v[m+sketchBytes:]...)}
 	return true
 }
 
 // head returns the uvarint the value starts with.
 func (c *chunk) head() uint64 {
-	h := uint64(c.n)<<2 | flag(c.tail)
+	h := uint64(c.n)<<5 | uint64(c.alike)<<2 | flag(c.tail)
 	if !c.tails {
 		h |= 2
 	}
@@ -295,7 +299,7 @@ func (c *chunk) appendTo(buf []byte) []byte {
 
 // postings reads the postings of one chunk value in order: next steps to
 // the next one and reports whether there was one; ptr and spectrum are the
-// posting read last, sketch the chunk's. A value that is not spelled
+// posting read last, sketch and alike the chunk's. A value that is not spelled
 // exactly as chunk spells some chunk — a uvarint that runs off the end,
 // takes more bytes than it needs or overflows, a step of zero, a pointer
 // half beyond a u32, a tail of no or more than maxSpectrumK components, a
@@ -308,6 +312,7 @@ type postings struct {
 	left    int // postings not yet read
 	ptr     storage.Pointer
 	sketch  uint32
+	alike   int
 	started bool   // the first posting, the key's pointer, has been read
 	t0      uint64 // its tail flag
 	tails   bool   // postings spell a tail flag
@@ -322,10 +327,10 @@ type postings struct {
 // and ok false.
 func openPostings(first storage.Pointer, v []byte) postings {
 	head, n := readUvarint(v)
-	if n == 0 || head>>2 == 0 || head>>2 > maxChunkBytes || head&3 == 3 || len(v) > maxChunkBytes || len(v) < n+sketchBytes {
+	if n == 0 || head>>5 == 0 || head>>5 > maxChunkBytes || head&3 == 3 || len(v) > maxChunkBytes || len(v) < n+sketchBytes {
 		return postings{bad: true}
 	}
-	r := postings{rest: v[n+sketchBytes:], left: int(head >> 2), ptr: first, t0: head & 1, tails: head&2 == 0}
+	r := postings{rest: v[n+sketchBytes:], left: int(head >> 5), ptr: first, alike: int(head >> 2 & maxAlike), t0: head & 1, tails: head&2 == 0}
 	for _, b := range v[n : n+sketchBytes] {
 		r.sketch = r.sketch<<8 | uint32(b)
 	}

@@ -133,13 +133,14 @@ func TestScanBoundsContainment(t *testing.T) {
 }
 
 // indexEntry is one posting of an index, expanded: the key of its run,
-// what the chunk holds of it, and the chunk's pair sketch.
+// what the chunk holds of it, and the chunk's pair sketch and agreement.
 type indexEntry struct {
 	label  uint32
 	sigma  float64
 	ptr    storage.Pointer
 	spec   []float64
 	sketch uint32
+	alike  int
 }
 
 // expand reads the postings of every chunk a scan of the whole tree
@@ -154,7 +155,7 @@ func expand(t *testing.T, scan func(from, to []byte, fn func(k, v []byte) bool) 
 		key := decodeKey(k)
 		r := openPostings(key.first, v)
 		for r.next() {
-			out = append(out, indexEntry{key.label, key.sigma, r.ptr, slices.Clone(r.spectrum()), r.sketch})
+			out = append(out, indexEntry{key.label, key.sigma, r.ptr, slices.Clone(r.spectrum()), r.sketch, r.alike})
 		}
 		if !r.ok() {
 			t.Fatalf("chunk %x: value %x does not decode", k, v)
@@ -174,23 +175,30 @@ type posting struct {
 	sk   uint32
 }
 
-// chunkOf spells the chunk of ps, which ascend.
-func chunkOf(ps ...posting) []byte {
+// chunkOf spells the chunk of ps, which ascend, as a build spells it when
+// the units agree throughout.
+func chunkOf(ps ...posting) []byte { return chunkAt(maxAlike, ps...) }
+
+// chunkAt spells the chunk of ps, which ascend, whose units agree to
+// depth d.
+func chunkAt(d int, ps ...posting) []byte {
 	var c chunk
 	for _, p := range ps {
 		c.add(p.ptr, p.spec, p.sk)
 	}
+	c.alike = d
 	return c.appendTo(nil)
 }
 
 // readChunk decodes the chunk value v whose first pointer is first: its
-// postings, the first of which carries the chunk's sketch.
-func readChunk(first storage.Pointer, v []byte) (ps []posting, ok bool) {
+// postings, the first of which carries the chunk's sketch, and the depth
+// to which their units agree.
+func readChunk(first storage.Pointer, v []byte) (ps []posting, d int, ok bool) {
 	r := openPostings(first, v)
 	for sk := r.sketch; r.next(); sk = 0 {
 		ps = append(ps, posting{r.ptr, slices.Clone(r.spectrum()), sk})
 	}
-	return ps, r.ok()
+	return ps, r.alike, r.ok()
 }
 
 // atTheCap returns the postings of a chunk whose value is exactly
@@ -221,19 +229,20 @@ func TestEntryValueRoundTrip(t *testing.T) {
 		{"one posting", []posting{{p(3, 40), nil, 0}}, 1},
 		{"one record, small steps", []posting{{p(3, 40), nil, 1}, {p(3, 41), nil, 4}, {p(3, 71), nil, 1 << (sketchBits - 1)}}, 1 + 1 + 1},
 		{"offsets 2^14 apart", []posting{{p(3, 0), nil, 0}, {p(3, 1<<14), nil, 0}, {p(3, 1<<15+1), nil, 0}}, 1 + 3 + 3},
-		{"record jumps", []posting{{p(0, 0), nil, 0}, {p(1, 0), nil, 0}, {p(9, 0), nil, 0}, {p(70000, 0), nil, 0}}, 1 + 2 + 2 + 4},
+		{"record jumps", []posting{{p(0, 0), nil, 0}, {p(1, 0), nil, 0}, {p(9, 0), nil, 0}, {p(70000, 0), nil, 0}}, 2 + 2 + 2 + 4},
 		{"jumps to high offsets", []posting{{p(0, 70000), nil, 0}, {p(1, math.MaxUint32), nil, 0}, {p(math.MaxUint32, 0), nil, 0}}, 1 + 6 + 6},
 		{"spectrum tails", []posting{{p(1, 2), []float64{3.5, 2.25, 0}, 0}, {p(1, 9), nil, 0}, {p(2, 0), []float64{10, 9, 8, 7, 6, 5, 4, 3}, 0}}, 1 + 25 + 1 + 2 + 65},
-		{"a tail after none", []posting{{p(1, 2), nil, 0}, {p(1, 9), nil, 0}, {p(2, 0), nil, 0}, {p(2, 5), []float64{1}, 0}}, 1 + 1 + 2 + 1 + 9},
+		{"a tail after none", []posting{{p(1, 2), nil, 0}, {p(1, 9), nil, 0}, {p(2, 0), nil, 0}, {p(2, 5), []float64{1}, 0}}, 2 + 1 + 2 + 1 + 9},
 	}
-	for _, c := range cases {
-		b := chunkOf(c.ps...)
+	for i, c := range cases {
+		d := i % (maxAlike + 1)
+		b := chunkAt(d, c.ps...)
 		if len(b) != sketchBytes+c.size {
 			t.Errorf("%s: %d bytes, want %d", c.name, len(b), sketchBytes+c.size)
 		}
-		got, ok := readChunk(c.ps[0].ptr, b)
-		if !ok || len(got) != len(c.ps) {
-			t.Fatalf("%s: %x reads back as %+v (ok %t)", c.name, b, got, ok)
+		got, gotD, ok := readChunk(c.ps[0].ptr, b)
+		if !ok || len(got) != len(c.ps) || gotD != d {
+			t.Fatalf("%s: %x reads back as %+v, agreeing to depth %d (ok %t), want depth %d", c.name, b, got, gotD, ok, d)
 		}
 		var sk uint32
 		for i := range got {
@@ -248,7 +257,7 @@ func TestEntryValueRoundTrip(t *testing.T) {
 	}
 	if b := chunkOf(atTheCap()...); len(b) != maxChunkBytes {
 		t.Fatalf("the chunk at the cap takes %d bytes, want %d", len(b), maxChunkBytes)
-	} else if _, ok := readChunk(storage.MakePointer(1, 0), b); !ok {
+	} else if _, _, ok := readChunk(storage.MakePointer(1, 0), b); !ok {
 		t.Errorf("the chunk at the cap does not read back")
 	}
 	var c chunk
@@ -273,28 +282,30 @@ func TestEntryValueRoundTrip(t *testing.T) {
 		buf  []byte
 	}{
 		{"empty", nil},
-		{"no postings", value(0<<2 | 2)},
-		{"no sketch", []byte{1<<2 | 2}},
-		{"a torn sketch", []byte{1<<2 | 2, 0, 0}},
-		{"fewer postings than the head says", value(3<<2|2, 4)},
-		{"bytes left over", value(1<<2|2, 0)},
-		{"an over-long head", append([]byte{0x86, 0x00}, sk...)},
-		{"an over-long step", value(2<<2|2, 0x82, 0x00)},
-		{"a step of zero in one record", value(2<<2|2, 0)},
-		{"a jump of zero records", value(2<<2|2, 1, 5)},
-		{"an offset beyond a u32", value(2<<2|2, 1<<1|1, 0x80, 0x80, 0x80, 0x80, 0x10)},
-		{"a step past the last offset", value(2<<2|2, 0xfe, 0xff, 0xff, 0xff, 0x1f)},
-		{"a tail of no components", value(1<<2|1, 0)},
-		{"a torn tail", value(1<<2|1, 1, 0, 0, 0)},
-		{"nine components", value(1<<2|1, append([]byte{9}, make([]byte, 9*8)...)...)},
-		{"no tails, and a first tail", value(1<<2|3, append([]byte{1}, make([]byte, 8)...)...)},
-		{"tail flags and no tail", value(2<<2, 1<<2)},
-		{"one posting, tail flags and no tail", value(1 << 2)},
+		{"no postings", value(0<<5 | 7<<2 | 2)},
+		{"no sketch", []byte{1<<5 | 2}},
+		{"a torn sketch", []byte{1<<5 | 2, 0, 0}},
+		{"fewer postings than the head says", value(3<<5|2, 4)},
+		{"bytes left over", value(1<<5|2, 0)},
+		{"an over-long head", append([]byte{0xa2, 0x00}, sk...)},
+		{"an over-long step", value(2<<5|2, 0x82, 0x00)},
+		{"a step of zero in one record", value(2<<5|2, 0)},
+		{"a jump of zero records", value(2<<5|2, 1, 5)},
+		{"an offset beyond a u32", value(2<<5|2, 1<<1|1, 0x80, 0x80, 0x80, 0x80, 0x10)},
+		{"a step past the last offset", value(2<<5|2, 0xfe, 0xff, 0xff, 0xff, 0x1f)},
+		{"a tail of no components", value(1<<5|1, 0)},
+		{"a torn tail", value(1<<5|1, 1, 0, 0, 0)},
+		{"nine components", value(1<<5|1, append([]byte{9}, make([]byte, 9*8)...)...)},
+		{"no tails, and a first tail", value(1<<5|3, append([]byte{1}, make([]byte, 8)...)...)},
+		{"tail flags and no tail", value(2<<5, 1<<2)},
+		{"one posting, tail flags and no tail", value(1 << 5)},
+		{"metaVersion 6's spelling", value(1<<2 | 2)},
+		{"metaVersion 6's spelling of two postings", value(2<<2|2, 1)},
 		{"metaVersion 5's spelling", []byte{2 << 1, 1 << 2}},
 		{"metaVersion 4's spelling", []byte{5, 0}},
 		{"over the cap", append([]byte{0xff, 0x01}, make([]byte, maxChunkBytes)...)},
 	} {
-		if ps, ok := readChunk(storage.MakePointer(0, 5), c.buf); ok {
+		if ps, _, ok := readChunk(storage.MakePointer(0, 5), c.buf); ok {
 			t.Errorf("%s: %x reads as %+v", c.name, c.buf, ps)
 		}
 	}
@@ -303,9 +314,16 @@ func TestEntryValueRoundTrip(t *testing.T) {
 // FuzzPostingChunk feeds arbitrary bytes to the chunk decoder under an
 // arbitrary first pointer: it never panics, and whatever reads whole
 // re-encodes to the same bytes — each chunk has one spelling, which is
-// what Index.Verify's check of every chunk rests on.
+// what Index.Verify's check of every chunk rests on. Seeds cover
+// agreement depths 0, 3 and 7 with each head combination: no tails, a
+// first posting with a tail, and tails on later postings only.
 func FuzzPostingChunk(f *testing.F) {
 	p := storage.MakePointer
+	for _, d := range []int{0, 3, maxAlike} {
+		f.Add(uint64(p(7, 9)), chunkAt(d, posting{p(7, 9), nil, 1}, posting{p(7, 12), nil, 2}, posting{p(8, 0), nil, 0}))
+		f.Add(uint64(p(7, 9)), chunkAt(d, posting{p(7, 9), []float64{3, 1}, 4}, posting{p(7, 12), nil, 0}))
+		f.Add(uint64(p(7, 9)), chunkAt(d, posting{p(7, 9), nil, 0}, posting{p(9, 4), []float64{2}, 1 << 20}))
+	}
 	f.Add(uint64(p(12, 345)), chunkOf(posting{p(12, 345), nil, 0}))
 	f.Add(uint64(p(1, 0)), chunkOf(atTheCap()...))
 	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), nil, 0}, posting{p(3, 41), nil, 0}, posting{p(3, 1<<14), nil, 0}, posting{p(3, 1<<20+7), nil, 0}))
@@ -314,15 +332,16 @@ func FuzzPostingChunk(f *testing.F) {
 	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), []float64{2, 1}, 0}, posting{p(5, 6), nil, 0}, posting{p(6, 0), []float64{8, 7, 6, 5, 4, 3, 2, 1}, 0}))
 	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), nil, fullSketch}, posting{p(5, 6), nil, 0}, posting{p(6, 0), []float64{8, 7}, 2}))
 	f.Add(uint64(p(0, 5)), []byte{0x81, 0x00, 1})
-	f.Add(uint64(p(0, 5)), []byte{5, 0})           // metaVersion 4
-	f.Add(uint64(p(0, 5)), []byte{2 << 1, 1 << 2}) // metaVersion 5
+	f.Add(uint64(p(0, 5)), []byte{5, 0})                 // metaVersion 4
+	f.Add(uint64(p(0, 5)), []byte{2 << 1, 1 << 2})       // metaVersion 5
+	f.Add(uint64(p(0, 5)), []byte{2<<2 | 2, 0, 0, 0, 1}) // metaVersion 6
 	f.Fuzz(func(t *testing.T, first uint64, b []byte) {
-		ps, ok := readChunk(storage.Pointer(first), b)
+		ps, d, ok := readChunk(storage.Pointer(first), b)
 		if !ok {
 			return
 		}
-		if got := chunkOf(ps...); !bytes.Equal(got, b) {
-			t.Fatalf("%x under %v reads as %+v, which encodes to %x", b, storage.Pointer(first), ps, got)
+		if got := chunkAt(d, ps...); !bytes.Equal(got, b) {
+			t.Fatalf("%x under %v reads as %+v agreeing to depth %d, which encodes to %x", b, storage.Pointer(first), ps, d, got)
 		}
 	})
 }

@@ -73,15 +73,28 @@ func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 			entries = append(entries, e)
 		}
 	}
-	return ix.addPostings(entries)
+	if ix.units == nil {
+		ix.units = newUnitReader(ix.store, appendUnitBytes)
+	}
+	for _, u := range units {
+		if u != nil {
+			ix.units.hold(u.rec, u.buf)
+		}
+	}
+	defer ix.units.release()
+	return ix.addPostings(ctx, entries)
 }
 
 // addPostings files entries into the B-tree run by run. Records are
 // appended, so a run's new pointers lie above every pointer it holds: they
 // go onto the end of its last chunk, one Put, or, once that is full, into
 // new chunks after it — the chunks a bulk build of the same postings packs.
-// A pointer that does not, a record indexed already, is an error.
-func (ix *Index) addPostings(entries []pendingEntry) error {
+// A pointer that does not, a record indexed already, is an error. A posting
+// that joins a chunk is compared with the chunk's last unit only as deep as
+// the chunk's units agree, which it lowers to where they differ, so the
+// agreement is the bulk build's too; the comparisons read ix.units, and
+// every 64 of them poll ctx.
+func (ix *Index) addPostings(ctx context.Context, entries []pendingEntry) (err error) {
 	slices.SortFunc(entries, func(a, b pendingEntry) int {
 		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(encodeFloat(a.f.Sigma), encodeFloat(b.f.Sigma)), cmp.Compare(a.ptr, b.ptr))
 	})
@@ -89,6 +102,7 @@ func (ix *Index) addPostings(entries []pendingEntry) error {
 	key := make([]byte, keySize)
 	var c chunk
 	var val []byte
+	compared := 0
 	for lo := 0; lo < len(entries); {
 		label, sigma := entries[lo].label, encodeFloat(entries[lo].f.Sigma)
 		hi := lo + 1
@@ -114,7 +128,17 @@ func (ix *Index) addPostings(entries []pendingEntry) error {
 			loaded = c.n
 		}
 		for _, e := range run {
-			if c.fits(e.ptr, e.spec, e.f.Sketch, limit) {
+			if last := c.last; c.fits(e.ptr, e.spec, e.f.Sketch, limit) {
+				if c.n > 1 && c.alike > 0 {
+					if compared++; compared%64 == 0 {
+						if err := ctx.Err(); err != nil {
+							return err
+						}
+					}
+					if c.alike, err = ix.units.agree(last, e.ptr, c.alike); err != nil {
+						return err
+					}
+				}
 				continue
 			}
 			if c.n > loaded {
@@ -168,7 +192,9 @@ func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 		r := openPostings(first, v)
 		gone := 0
 		// The rewritten chunk keeps the sketch: a superset of what its
-		// postings hold stays sound, and a rebuild writes it anew.
+		// postings hold stays sound, and a rebuild writes it anew. It keeps
+		// the agreement too: what is left of the chunk agrees at least as
+		// deeply.
 		c.reset()
 		for c.sketch = r.sketch; r.next(); {
 			for i < len(doomed) && doomed[i] < r.ptr.Rec() {
@@ -185,6 +211,7 @@ func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 			return false
 		}
 		if gone > 0 {
+			c.alike = r.alike
 			e := rewrite{old: slices.Clone(k)}
 			if c.n > 0 {
 				e.key = make([]byte, keySize)

@@ -37,13 +37,14 @@ import (
 // pointer — and its entries field counts the postings, where earlier
 // versions' seq field numbered the entries ever inserted — and version 6
 // a chunk with its pair sketch after the head and a head bit for "no
-// posting has a tail" (the chunk codec, key.go). Nothing in an entry tells
+// posting has a tail" (the chunk codec, key.go), and version 7 a head that
+// also holds the depth to which the chunk's units agree. Nothing in an entry tells
 // the spellings apart, so the version does. Open reads the fields of any
 // version from minMetaVersion on — so the database layer's recovery still
 // finds the records an index covers — and degrades an index older than
 // metaVersion, which a rebuild writes anew. A format change bumps
 // metaVersion only.
-const metaVersion = 6
+const metaVersion = 7
 
 // minMetaVersion is the oldest fix.meta Open reads.
 const minMetaVersion = 2
@@ -147,7 +148,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		// Its entries are in a spelling nothing reads any more. Only the
 		// first health problem is kept, so a directory older still — a
 		// FIXBT002 page format — is reported by its meta version too.
-		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (runs of one (label, σ) in chunks of delta-coded pointers, each with a sketch of its units' edge label pairs): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
+		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (runs of one (label, σ) in chunks of delta-coded pointers, each with a sketch of its units' edge label pairs and the depth to which they agree): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
 	}
 	if clustered {
 		ix.setHealth(fmt.Errorf("%w: the index is clustered, a layout this version no longer builds or reads (its values carry a second pointer): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt))

@@ -95,7 +95,27 @@ func (ix *Index) newPrepared(path *xpath.Path, tr *obs.Trace) (*Prepared, error)
 	}
 	nested, _ := nestedOutput(rq)
 	pq.plan, pq.refine, pq.rootAnchored, pq.nested = p, nq, rootAnchored, nested && ix.opts.DepthLimit > 0
+	p.share = shareHeight(rq)
 	return pq, nil
+}
+
+// shareHeight returns the height of the refinement twig at n when every
+// unit of a chunk whose units agree that deeply answers it alike — all of
+// its steps, the leading one included, are child steps, so its candidates
+// do not nest, and it has no value leaf — and -1 otherwise.
+func shareHeight(n *xpath.QNode) int {
+	if n.Axis != xpath.Child || n.IsValue {
+		return -1
+	}
+	h := 0
+	for _, c := range n.Children {
+		ch := shareHeight(c)
+		if ch < 0 {
+			return -1
+		}
+		h = max(h, ch+1)
+	}
+	return h
 }
 
 // nestedOutput reports whether the path from n down to the query's output

@@ -110,7 +110,7 @@ func (s *SketchStudy) Kept(ctx context.Context, path *xpath.Path, ks []int) ([]i
 	}
 	sigmaOnly := *p
 	sigmaOnly.sketch = 0
-	cands, _, _, err := s.g.candidates(ctx, &sigmaOnly, Limits{}, nil)
+	cands, _, _, err := s.g.candidates(ctx, &sigmaOnly, Limits{}, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -140,7 +140,7 @@ func TestProbeMatchesScanOfEverything(t *testing.T) {
 				if err != nil || p.empty {
 					continue // deeper than the index, or a label the data does not have
 				}
-				got, scanned, pruned, err := g.candidates(context.Background(), p, Limits{}, gotBuf)
+				got, scanned, pruned, err := g.candidates(context.Background(), p, Limits{}, gotBuf, nil)
 				if err != nil {
 					t.Fatalf("%s, %+v: %s: %v", what, opts, q, err)
 				}

@@ -35,16 +35,16 @@ import (
 // a key spells σ, nor how a value spells its pointers, nor how a run is cut
 // into chunks may change what an entry holds — its label, σ, order and
 // pointer. raw hashes the chunks as stored, keys and values, recorded when
-// metaVersion 6 gave each chunk the pair sketch of its postings: a change
-// to the spelling or to a sketch shows there.
+// metaVersion 7 gave each chunk's head the depth to which its units agree:
+// a change to the spelling, to a sketch or to an agreement shows there.
 var recordedEntries = map[datagen.Dataset]struct {
 	entries     int
 	sha256, raw string
 }{
-	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "9256aedd164af410b22d28d8c2867bbfd27cdb2c073b6054cffbd30942cd315c"},
-	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "ffcdf9f5a4f135623c7d610bc3996e76fb3f408b7c7fccb04d65fb60330e2f3d"},
-	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "96c35d294c3e0da40c42fb7034ac10d30a0800479f60bebd3101acad587ca804"},
-	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "a1f3ffdbc6ac69ed9cb059330576b2e3c16c8c1c07e06c0a3d5889988e01ab0e"},
+	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "4bd6f55e85607c9aa479e8348b0c7b57424cd3a79634893459bdde5531034d4f"},
+	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "568a600d60ee4311025a0ae926aa64d165b662bebfffa6f17ce91c898f51a72d"},
+	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "fb515874cac460cc8ba2f67d733f5d99008c0835e9fa61679ab23ee581e0957b"},
+	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "338966947a84a6515db9bc77d6413f937f56c312ae95af8e4642589901c5cfc0"},
 }
 
 // TestIndexEntriesAreTheRecordedOnes builds the experiments' index and its
@@ -118,7 +118,7 @@ type posting struct {
 
 // appendPostings appends the postings of the chunk (k, v) to ps. It reads
 // the chunk the way internal/core/key.go states the codec, on its own: a
-// uvarint n<<2 | a<<1 | t, three bytes of pair sketch, the first posting's
+// uvarint n<<5 | d<<2 | a<<1 | t, three bytes of pair sketch, the first posting's
 // tail when t (its pointer is the key's), then per posting — when a, no
 // posting has a tail — a uvarint Δoff<<1 in the same record or Δrec<<1 | 1
 // and a uvarint offset in a later one, and otherwise a uvarint Δoff<<2 | t
@@ -158,7 +158,7 @@ func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 	p.tail = tail(head & 1)
 	ps = append(ps, p)
 	tails := head&2 == 0
-	for n := head >> 2; n > 1; n-- {
+	for n := head >> 5; n > 1; n-- {
 		h, t := uvarint(), uint64(0)
 		if tails {
 			h, t = h>>1, h&1

@@ -12,12 +12,14 @@ import (
 
 // SystemRun is one system's cold-cache execution of one query: wall time
 // in RAM, the I/O footprint, and the footprint converted to reference
-// disk time (wall + modeled I/O).
+// disk time (wall + modeled I/O). Shared is, for a FIX run, the candidates
+// answered by their chunk's first match, which read nothing.
 type SystemRun struct {
 	Wall    time.Duration
 	IO      IOStats
 	Modeled time.Duration
 	Count   int
+	Shared  int
 }
 
 // Fig6Row is one runtime comparison: the four systems of Figure 6 on one
@@ -123,7 +125,8 @@ func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, c *core.Clustered,
 	if c != nil {
 		g, heap = e.FrozenClustered(c), c.Heap()
 	}
-	return runCold(
+	var shared int
+	run, err := runCold(
 		func() error {
 			heap.ClearCache()
 			heap.ResetStats()
@@ -132,6 +135,7 @@ func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, c *core.Clustered,
 		},
 		func() (int, error) {
 			res, err := count(ctx, g, q)
+			shared = res.SharedMatches
 			return res.Count, err
 		},
 		func() IOStats {
@@ -146,6 +150,8 @@ func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, c *core.Clustered,
 			return io
 		},
 	)
+	run.Shared = shared
+	return run, err
 }
 
 // storeIO converts store counters to a footprint: random record accesses

@@ -46,7 +46,7 @@ func TestPrinters(t *testing.T) {
 	sb.Reset()
 	run := SystemRun{Wall: time.Millisecond, Modeled: 2 * time.Millisecond, Count: 9}
 	PrintFig6(&sb, "xmark", []Fig6Row{{Query: "q", NoK: run, FIXUnclust: run, FB: run, FIXClus: run}})
-	if !strings.Contains(sb.String(), "FIX-clus") || !strings.Contains(sb.String(), "modeled") {
+	if !strings.Contains(sb.String(), "FIX-clus") || !strings.Contains(sb.String(), "modeled") || !strings.Contains(sb.String(), "shared") {
 		t.Errorf("Fig6 output:\n%s", sb.String())
 	}
 

@@ -18,15 +18,25 @@
 // of the root, however large the subtree; a descendant step keeps exact
 // semantics by staying in pend all the way down, and simply prunes less.
 // On the way back up each node's satisfaction mask is the AND, over the
-// bound query node's children, of the OR of the child masks.
+// bound query node's children, of the OR of the child masks. A node's
+// candidate query nodes come from one lookup of its label in a table of
+// label → query-node mask.
 //
-// The nodes that satisfied something (and their ancestors) are recorded in
-// one preorder slice of (ref, mask, next-sibling) entries. The second
-// pass walks that slice — never the document — top-down under the same
-// pruning, keeping only bindings witnessed by a full embedding and
-// counting the distinct bindings of the output node in document order.
-// It is skipped outright when the root obligation is unmet, and existence
-// checks never run it.
+// A node also stops walking its children as soon as every query node it
+// binds is satisfied, when nothing further down can change the answer: no
+// descendant-axis obligation of an ancestor is pending, and no query node
+// it binds has the output strictly below it (an existence check has no
+// output to find). So /a[b] over an <a> whose first child is <b/> decodes
+// two nodes however many siblings follow.
+//
+// The nodes that satisfied a query node on the path from the query root
+// to the output node (and their ancestors) are recorded in one preorder
+// slice of (ref, mask, next-sibling) entries; nothing else is ever read
+// back. The second pass walks that slice — never the document — top-down
+// along the same path, keeping only bindings witnessed by a full
+// embedding and counting the distinct bindings of the output node in
+// document order. It is skipped outright when the root obligation is
+// unmet, and existence checks neither record entries nor run it.
 //
 // A compiled Query is immutable after Compile. Evaluation state (the
 // entry slice, the budget countdown and its latch) lives in an evalState
@@ -60,11 +70,16 @@ type qnode struct {
 
 // Query is a compiled twig query ready for repeated evaluation.
 type Query struct {
-	nodes         []qnode // preorder; node 0 is the query root
-	valueMask     uint64  // the value leaves
-	outputMask    uint64  // the output node
-	rootDesc      bool    // the query's leading axis is //
-	unsatisfiable bool    // a query label does not occur in the dictionary
+	nodes      []qnode  // preorder; node 0 is the query root
+	byLabel    []uint64 // the element query nodes of each label id
+	valueMask  uint64   // the value leaves
+	outputMask uint64   // the output node
+	// pathMask holds the output node and its ancestors, the query nodes
+	// the second pass walks; aboveMask the ancestors alone, which must see
+	// every child of a node they bind to find every output binding.
+	pathMask, aboveMask uint64
+	rootDesc            bool // the query's leading axis is //
+	unsatisfiable       bool // a query label does not occur in the dictionary
 }
 
 // Compile flattens and label-resolves the query tree. A query whose labels
@@ -74,10 +89,12 @@ func Compile(root *xpath.QNode, dict *xmltree.Dict) (*Query, error) {
 		return nil, fmt.Errorf("nok: nil query")
 	}
 	q := &Query{rootDesc: root.Axis == xpath.Descendant}
-	var add func(n *xpath.QNode) (int, error)
-	add = func(n *xpath.QNode) (int, error) {
+	// add flattens the subtree at n and reports whether it holds the
+	// output node.
+	var add func(n *xpath.QNode) (int, bool, error)
+	add = func(n *xpath.QNode) (int, bool, error) {
 		if len(q.nodes) >= maxQueryNodes {
-			return 0, fmt.Errorf("nok: query exceeds %d nodes", maxQueryNodes)
+			return 0, false, fmt.Errorf("nok: query exceeds %d nodes", maxQueryNodes)
 		}
 		idx := len(q.nodes)
 		bit := uint64(1) << uint(idx)
@@ -95,23 +112,60 @@ func Compile(root *xpath.QNode, dict *xmltree.Dict) (*Query, error) {
 			q.outputMask |= bit
 		}
 		q.nodes = append(q.nodes, qn)
+		below := false
 		for _, c := range n.Children {
-			ci, err := add(c)
+			ci, out, err := add(c)
 			if err != nil {
-				return 0, err
+				return 0, false, err
 			}
+			below = below || out
 			if c.Axis == xpath.Descendant {
 				q.nodes[idx].descMask |= 1 << uint(ci)
 			} else {
 				q.nodes[idx].childMask |= 1 << uint(ci)
 			}
 		}
-		return idx, nil
+		if below {
+			q.aboveMask |= bit
+		}
+		if below || n.Output {
+			q.pathMask |= bit
+		}
+		return idx, below || n.Output, nil
 	}
-	if _, err := add(root); err != nil {
+	if _, _, err := add(root); err != nil {
 		return nil, err
 	}
+	for i, qn := range q.nodes {
+		if q.valueMask&(1<<uint(i)) != 0 {
+			continue
+		}
+		if int(qn.label) >= len(q.byLabel) {
+			q.byLabel = append(q.byLabel, make([]uint64, int(qn.label)+1-len(q.byLabel))...)
+		}
+		q.byLabel[qn.label] |= 1 << uint(i)
+	}
 	return q, nil
+}
+
+// candidates returns the element query nodes among m that carry label.
+func (q *Query) candidates(label uint32, m uint64) uint64 {
+	if int(label) < len(q.byLabel) {
+		return m & q.byLabel[label]
+	}
+	return 0
+}
+
+// satisfied returns the query nodes among cand whose child and descendant
+// obligations the children's masks meet.
+func (q *Query) satisfied(cand, childOwn, childSub uint64) (own uint64) {
+	for m := cand; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if qn := &q.nodes[i]; qn.childMask&^childOwn == 0 && qn.descMask&^childSub == 0 {
+			own |= 1 << uint(i)
+		}
+	}
+	return own
 }
 
 // entry records one node the first pass found worth remembering: it, or
@@ -127,11 +181,16 @@ type entry struct {
 // evalState carries the evaluations of one Pass. States are pooled:
 // Pass.Release zeroes everything but the capacity of ents and outs.
 type evalState struct {
-	c       xmltree.Cursor
-	q       *Query
-	ents    []entry
-	outs    []xmltree.Ref // the output bindings the second pass found
-	visited int           // nodes the first pass decoded
+	c xmltree.Cursor
+	q *Query
+	// keep holds the query nodes whose bindings the first pass records,
+	// and above those that must see every child: the query's path and
+	// above masks on an enumerating evaluation, none on an existence
+	// check.
+	keep, above uint64
+	ents        []entry
+	outs        []xmltree.Ref // the output bindings the second pass found
+	visited     int           // nodes the first pass decoded
 
 	// budget caps the first pass's node visits and polls the query
 	// context: the caller's, or own; exceeded holds the first budget or
@@ -166,31 +225,32 @@ func (s *evalState) pass1(r xmltree.Ref, want, pend uint64) (own, sub uint64, en
 				own |= 1 << uint(i)
 			}
 		}
-		if own != 0 {
+		if own&s.keep != 0 {
 			s.ents = append(s.ents, entry{ref: r, next: int32(len(s.ents) + 1), own: own})
 		}
 		return own, own, end
 	}
 	// cand: the query nodes this element may bind; cwant and cpend: what
 	// its children are reached owing.
-	var cand, cwant uint64
+	cand := q.candidates(label, want|pend)
+	var cwant uint64
 	cpend := pend
-	for m := (want | pend) &^ q.valueMask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if qn := &q.nodes[i]; qn.label == label {
-			cand |= 1 << uint(i)
-			cwant |= qn.childMask
-			cpend |= qn.descMask
-		}
+	for m := cand; m != 0; m &= m - 1 {
+		qn := &q.nodes[bits.TrailingZeros64(m)]
+		cwant |= qn.childMask
+		cpend |= qn.descMask
 	}
 	if cwant|cpend == 0 {
 		// Nothing below can bind: every candidate is a query leaf, so the
 		// whole subtree is stepped over.
-		if cand != 0 {
+		if cand&s.keep != 0 {
 			s.ents = append(s.ents, entry{ref: r, next: int32(len(s.ents) + 1), own: cand})
 		}
 		return cand, cand, end
 	}
+	// settle: once every candidate is satisfied, the rest of the children
+	// cannot change what this node reports.
+	settle := pend == 0 && cand&s.above == 0
 	k := len(s.ents)
 	s.ents = append(s.ents, entry{ref: r})
 	var childOwn, childSub uint64
@@ -199,15 +259,13 @@ func (s *evalState) pass1(r xmltree.Ref, want, pend uint64) (own, sub uint64, en
 		o, u, pos = s.pass1(pos, cwant, cpend)
 		childOwn |= o
 		childSub |= u
-	}
-	for m := cand; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if qn := &q.nodes[i]; qn.childMask&^childOwn == 0 && qn.descMask&^childSub == 0 {
-			own |= 1 << uint(i)
+		if settle && q.satisfied(cand, childOwn, childSub) == cand {
+			break
 		}
 	}
+	own = q.satisfied(cand, childOwn, childSub)
 	sub = own | childSub
-	if sub == 0 {
+	if sub&s.keep == 0 {
 		s.ents = s.ents[:k] // nothing here for the second pass
 	} else {
 		s.ents[k].own, s.ents[k].next = own, int32(len(s.ents))
@@ -231,8 +289,8 @@ func (s *evalState) pass2(k int, want, pend uint64) {
 	cpend := pend
 	for m := wit; m != 0; m &= m - 1 {
 		qn := &q.nodes[bits.TrailingZeros64(m)]
-		cwant |= qn.childMask
-		cpend |= qn.descMask
+		cwant |= qn.childMask & q.pathMask
+		cpend |= qn.descMask & q.pathMask
 	}
 	if cwant|cpend == 0 {
 		return
@@ -285,6 +343,10 @@ func (p Pass) Release() {
 func (p Pass) run(c xmltree.Cursor, r xmltree.Ref, enumerate bool) (matched bool) {
 	s, q := p.s, p.s.q
 	s.c, s.ents, s.outs, s.visited, s.exceeded = c, s.ents[:0], s.outs[:0], 0, nil
+	s.keep, s.above = 0, 0
+	if enumerate {
+		s.keep, s.above = q.pathMask, q.aboveMask
+	}
 	var pend uint64
 	if q.rootDesc {
 		pend = 1 // any element of the subtree may bind the query root

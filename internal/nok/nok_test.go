@@ -1,8 +1,10 @@
 package nok
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/fix-index/fix/internal/oracle"
@@ -214,6 +216,11 @@ func TestAgainstNaiveReference(t *testing.T) {
 		if got := q.Exists(cur, 0); got != matched {
 			fail("Exists = %v, reference %v", got, matched)
 		}
+		p := q.NewPass(context.Background(), 0)
+		if got, err := p.Exists(cur, 0); err != nil || got != matched {
+			fail("Pass.Exists = %v, %v, reference %v", got, err, matched)
+		}
+		p.Release()
 		got := q.Outputs(cur, 0)
 		if len(got) != len(want) {
 			fail("Outputs = %v, reference %v", got, want)
@@ -237,6 +244,14 @@ func TestAgainstNaiveReference(t *testing.T) {
 		walk = func(n *xpath.QNode, depth int) {
 			if n.Output {
 				covered[fmt.Sprintf("output at depth %d", depth)]++
+				where := "an inner node"
+				switch {
+				case depth == 0:
+					where = "the root"
+				case len(n.Children) == 0:
+					where = "a leaf"
+				}
+				covered[fmt.Sprintf("output at %s, exists %t", where, matched)]++
 			}
 			if n.IsValue {
 				covered[fmt.Sprintf("value leaf on %v", n.Axis)]++
@@ -257,6 +272,15 @@ func TestAgainstNaiveReference(t *testing.T) {
 	} {
 		if covered[shape] < trials/100 {
 			t.Errorf("only %d of %d trials covered %q", covered[shape], trials, shape)
+		}
+	}
+	// Where the output lies decides what the first pass records and where
+	// a node may stop early; each place is met with and without a match.
+	for _, where := range []string{"the root", "an inner node", "a leaf"} {
+		for _, exists := range []bool{true, false} {
+			if shape := fmt.Sprintf("output at %s, exists %t", where, exists); covered[shape] < trials/200 {
+				t.Errorf("only %d of %d trials covered %q", covered[shape], trials, shape)
+			}
 		}
 	}
 }
@@ -319,5 +343,38 @@ func TestVisitsBoundedByTwigHeight(t *testing.T) {
 	count, visited := q.Eval(cur, 0)
 	if _, all := withinDepth(cur, 0, 0); count != 1 || visited != 5 || all != 2000 {
 		t.Errorf("/a[b]/a/b on a 1000-deep chain: count %d, visited %d of %d nodes; want 1 match from the 5 nodes within depth 2", count, visited, all)
+	}
+}
+
+// TestSettledStop: a node stops walking its children once every query
+// node it binds is satisfied, when no // obligation is pending and the
+// output does not lie below it. /a[b] over an <a> whose first child is
+// <b/> decodes those two nodes, however many siblings follow; with the
+// output below the bound node, a // obligation pending or an obligation
+// never met, every sibling is still read — except by an existence check,
+// which has no output to find.
+func TestSettledStop(t *testing.T) {
+	doc := "<a><b/>" + strings.Repeat("<c/>", 1000) + "</a>"
+	for _, tc := range []struct {
+		query                   string
+		count, visited, existed int
+	}{
+		{"/a[b]", 1, 2, 2},
+		{"/a[b][c]", 1, 3, 3},
+		{"/a/b", 1, 1002, 2},
+		{"/a[b]/c", 1000, 1002, 3},
+		{"//a[b]", 1, 1002, 1002},
+		{"/a[b/c]", 0, 1002, 1002},
+	} {
+		q, cur := compileOn(t, doc, tc.query)
+		count, visited := q.Eval(cur, 0)
+		if count != tc.count || visited != tc.visited {
+			t.Errorf("%s: %d results over %d visits, want %d over %d", tc.query, count, visited, tc.count, tc.visited)
+		}
+		p := q.NewPass(context.Background(), 0)
+		if ok, err := p.Exists(cur, 0); err != nil || ok != (tc.count > 0) || p.s.visited != tc.existed {
+			t.Errorf("%s: Exists = %t, %v over %d visits, want %t over %d", tc.query, ok, err, p.s.visited, tc.count > 0, tc.existed)
+		}
+		p.Release()
 	}
 }

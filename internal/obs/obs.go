@@ -113,6 +113,10 @@ type Trace struct {
 	// chunks' pair sketches drop: Candidates + SketchPruned is the paper's
 	// cdt.
 	SketchPruned int
+	// SharedMatches counts the candidates answered by the match of their
+	// chunk's first live unit, with no fetch and no node visit of their
+	// own.
+	SharedMatches int
 	// NodesVisited counts the nodes the NoK matcher's pruned first pass
 	// decoded — only nodes the twig could bind, not whole candidate
 	// subtrees — the unit of refinement work.

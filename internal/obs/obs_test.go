@@ -95,7 +95,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.ObserveQuery(time.Millisecond, 10, 5, 4, 2, 3, i%10 == 0, 7)
+				r.ObserveQuery(time.Millisecond, 10, 5, 4, 6, 2, 3, i%10 == 0, 7)
 				if i%50 == 0 {
 					r.ObserveQueryError()
 					r.ObserveBuild(4, 4, time.Second)
@@ -107,7 +107,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	s := r.Snapshot()
 	const n = goroutines * per
-	if s.Queries != n || s.Scanned != 10*n || s.Candidates != 5*n || s.SketchPruned != 4*n || s.Matched != 2*n || s.Results != 3*n {
+	if s.Queries != n || s.Scanned != 10*n || s.Candidates != 5*n || s.SketchPruned != 4*n || s.SharedMatches != 6*n || s.Matched != 2*n || s.Results != 3*n {
 		t.Errorf("totals diverge: %+v", s)
 	}
 	if s.Fallbacks != n/10 {
@@ -126,12 +126,12 @@ func TestRegistryConcurrent(t *testing.T) {
 
 func TestSnapshotMarshalsToJSON(t *testing.T) {
 	var r Registry
-	r.ObserveQuery(5*time.Millisecond, 100, 10, 6, 5, 5, false, 42)
+	r.ObserveQuery(5*time.Millisecond, 100, 10, 6, 3, 5, 5, false, 42)
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"queries":1`, `"candidates":10`, `"sketch_pruned":6`, `"query_latency"`} {
+	for _, key := range []string{`"queries":1`, `"candidates":10`, `"sketch_pruned":6`, `"shared_matches":3`, `"query_latency"`} {
 		if !jsonContains(b, key) {
 			t.Errorf("snapshot JSON missing %s: %s", key, b)
 		}

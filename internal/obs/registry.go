@@ -20,6 +20,7 @@ type Registry struct {
 	scanned      atomic.Int64
 	candidates   atomic.Int64
 	sketchPruned atomic.Int64
+	sharedMatch  atomic.Int64
 	matched      atomic.Int64
 	results      atomic.Int64
 	nodesVisited atomic.Int64
@@ -82,10 +83,11 @@ func Default() *Registry { return &defaultRegistry }
 
 // ObserveQuery records one completed query: its latency and the pruning
 // pipeline counters. sketchPruned counts the entries the feature filter
-// kept and the pair sketch dropped. visited is the NoK node-visit count
-// when the query was traced, 0 otherwise (the counter is documented as
-// covering traced queries only).
-func (r *Registry) ObserveQuery(total time.Duration, scanned, candidates, sketchPruned, matched, results int, fallback bool, visited int64) {
+// kept and the pair sketch dropped, shared the candidates answered by
+// their chunk's first match. visited is the NoK node-visit count when the
+// query was traced, 0 otherwise (the counter is documented as covering
+// traced queries only).
+func (r *Registry) ObserveQuery(total time.Duration, scanned, candidates, sketchPruned, shared, matched, results int, fallback bool, visited int64) {
 	r.queries.Add(1)
 	if fallback {
 		r.fallbacks.Add(1)
@@ -93,6 +95,7 @@ func (r *Registry) ObserveQuery(total time.Duration, scanned, candidates, sketch
 	r.scanned.Add(int64(scanned))
 	r.candidates.Add(int64(candidates))
 	r.sketchPruned.Add(int64(sketchPruned))
+	r.sharedMatch.Add(int64(shared))
 	r.matched.Add(int64(matched))
 	r.results.Add(int64(results))
 	r.nodesVisited.Add(visited)
@@ -188,17 +191,19 @@ func (r *Registry) ObserveBuild(records, units int, wall time.Duration) {
 // follow the paper's §6.2 vocabulary: Scanned sums entries touched by
 // range scans, Candidates sums the candidates refined and SketchPruned the
 // entries the pair sketch dropped before refinement — together they sum
-// cdt — Matched sums rst, Results sums output-node matches.
+// cdt — SharedMatches the candidates answered by their chunk's first
+// match, Matched sums rst, Results sums output-node matches.
 type RegistrySnapshot struct {
-	Queries      int64 `json:"queries"`
-	QueryErrors  int64 `json:"query_errors"`
-	Fallbacks    int64 `json:"scan_fallbacks"`
-	Scanned      int64 `json:"entries_scanned"`
-	Candidates   int64 `json:"candidates"`
-	SketchPruned int64 `json:"sketch_pruned"`
-	Matched      int64 `json:"matched_entries"`
-	Results      int64 `json:"results"`
-	NodesVisited int64 `json:"nodes_visited"`
+	Queries       int64 `json:"queries"`
+	QueryErrors   int64 `json:"query_errors"`
+	Fallbacks     int64 `json:"scan_fallbacks"`
+	Scanned       int64 `json:"entries_scanned"`
+	Candidates    int64 `json:"candidates"`
+	SketchPruned  int64 `json:"sketch_pruned"`
+	SharedMatches int64 `json:"shared_matches"`
+	Matched       int64 `json:"matched_entries"`
+	Results       int64 `json:"results"`
+	NodesVisited  int64 `json:"nodes_visited"`
 
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
@@ -242,15 +247,16 @@ type RegistrySnapshot struct {
 // the reads; each individual counter is still exact at its read point.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	return RegistrySnapshot{
-		Queries:      r.queries.Load(),
-		QueryErrors:  r.queryErrors.Load(),
-		Fallbacks:    r.fallbacks.Load(),
-		Scanned:      r.scanned.Load(),
-		Candidates:   r.candidates.Load(),
-		SketchPruned: r.sketchPruned.Load(),
-		Matched:      r.matched.Load(),
-		Results:      r.results.Load(),
-		NodesVisited: r.nodesVisited.Load(),
+		Queries:       r.queries.Load(),
+		QueryErrors:   r.queryErrors.Load(),
+		Fallbacks:     r.fallbacks.Load(),
+		Scanned:       r.scanned.Load(),
+		Candidates:    r.candidates.Load(),
+		SketchPruned:  r.sketchPruned.Load(),
+		SharedMatches: r.sharedMatch.Load(),
+		Matched:       r.matched.Load(),
+		Results:       r.results.Load(),
+		NodesVisited:  r.nodesVisited.Load(),
 
 		PlanCacheHits:   r.planCacheHits.Load(),
 		PlanCacheMisses: r.planCacheMisses.Load(),

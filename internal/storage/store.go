@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -259,6 +260,41 @@ func (s *Store) AppendBytes(b []byte) (uint32, error) {
 	return rec, nil
 }
 
+// ReadRecord reads record rec into buf's storage, grown as needed, and
+// returns it. It reads through the store's own file — never the mapping,
+// whose pages a read would leave resident in the process — and bypasses
+// the record cache and the read counters: it is how the index reads the
+// units whose agreement it works out while it builds or grows, which are
+// not a query's reads.
+func (s *Store) ReadRecord(buf []byte, rec uint32) ([]byte, error) {
+	s.mu.Lock()
+	off, n, err := s.spanLocked(rec)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return s.readRecord(buf, rec, off, n)
+}
+
+// spanLocked returns where the bytes of record rec lie in the store's file.
+// The caller holds s.mu.
+func (s *Store) spanLocked(rec uint32) (off int64, n int, err error) {
+	if int(rec) >= len(s.offs) {
+		return 0, 0, fmt.Errorf("storage: record %d out of range (have %d)", rec, len(s.offs))
+	}
+	return s.offs[rec] + 4, int(s.lens[rec]), nil
+}
+
+// readRecord reads the n bytes of record rec at off, as spanLocked gives
+// them, from the store's own file into buf's storage, grown as needed.
+func (s *Store) readRecord(buf []byte, rec uint32, off int64, n int) ([]byte, error) {
+	buf = slices.Grow(buf[:0], n)[:n]
+	if _, err := s.own.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("storage: reading record %d: %w", rec, err)
+	}
+	return buf, nil
+}
+
 // Record returns the raw bytes of a record, with I/O accounting. The most
 // recently read record is cached so that repeated probes of the same
 // document during refinement don't multiply counted I/O.
@@ -269,18 +305,17 @@ func (s *Store) Record(rec uint32) ([]byte, error) {
 }
 
 func (s *Store) recordLocked(rec uint32) ([]byte, error) {
-	if int(rec) >= len(s.offs) {
-		return nil, fmt.Errorf("storage: record %d out of range (have %d)", rec, len(s.offs))
+	off, n, err := s.spanLocked(rec)
+	if err != nil {
+		return nil, err
 	}
 	if s.hasCache && s.cacheRec == rec {
 		s.stats.CachedReads++
 		return s.cacheBuf, nil
 	}
-	off := s.offs[rec] + 4
-	n := s.lens[rec]
-	buf := make([]byte, n)
-	if _, err := s.own.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("storage: reading record %d: %w", rec, err)
+	buf, err := s.readRecord(nil, rec, off, n)
+	if err != nil {
+		return nil, err
 	}
 	if s.offs[rec] == s.lastEnd {
 		s.stats.SeqReads++
