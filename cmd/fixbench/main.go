@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6a|fig6b|fig6c|fig7|beta|ablation|sketch|spectrum|evaluators|parallel|shards|all")
+		exp      = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6a|fig6b|fig6c|fig7|beta|ablation|sketch|evaluators|parallel|shards|all")
 		scale    = flag.Float64("scale", 1.0, "dataset scale (1.0 ≈ one tenth of the paper's element counts)")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		queries  = flag.Int("queries", 200, "random queries per dataset for fig5 (paper: 1000)")
@@ -219,22 +219,6 @@ func run(exp string, scale float64, seed int64, queries int, verify bool, worker
 			rows = append(rows, dsRows...)
 		}
 		experiments.PrintSketchAblation(w, rows)
-		fmt.Fprintln(w)
-	}
-	if all || exp == "spectrum" {
-		ran = true
-		for _, ds := range []datagen.Dataset{datagen.XMarkDataset, datagen.TreebankDataset} {
-			env, err := e.get(ds)
-			if err != nil {
-				return err
-			}
-			rows, err := experiments.ExtSpectrum(ctx, env)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "[%s] ", ds)
-			experiments.PrintSpectrum(w, rows)
-		}
 		fmt.Fprintln(w)
 	}
 	if all || exp == "evaluators" {

@@ -30,7 +30,7 @@ func output(t *testing.T, dir string, args ...string) string {
 }
 
 // TestVerifyAndRepairOldFormatIndex is what an operator sees of an index
-// written before fix.meta version 7 (fix/testdata/index-written-by-pr20,
+// written before fix.meta version 8 (fix/testdata/index-written-by-pr20,
 // whose page format FIXBT002 is older still, but fix.meta is read first):
 // verify says which version the index is, which one this version reads, and
 // what to do; repair does it.
@@ -51,7 +51,7 @@ func TestVerifyAndRepairOldFormatIndex(t *testing.T) {
 		}
 	}
 	out := output(t, dir, "verify")
-	for _, want := range []string{"index degraded", "version 2", "writes 7", "repair"} {
+	for _, want := range []string{"index degraded", "version 2", "writes 8", "repair"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("verify on the old-format index does not mention %q:\n%s", want, out)
 		}

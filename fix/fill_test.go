@@ -37,22 +37,32 @@ func xmarkEntityDocs(seed int64, scale float64) []string {
 	return docs
 }
 
+// xmarkQueries are the paper's XMark queries (Table 2 and Figure 6).
+var xmarkQueries = []string{
+	"//category/description[parlist]/parlist/listitem/text",
+	"//closed_auction/annotation/description/text",
+	"//open_auction[seller]/annotation/description/text",
+	"//item/mailbox/mail/text/emph/keyword",
+	"//description/parlist/listitem",
+	"//item[name]/mailbox/mail[to]/text[bold]/emph/bold",
+	"//item[payment][quantity][shipping][mailbox/mail/text]/description/parlist",
+}
+
 // indexMatchesScan requires a verified index that answers the paper's
-// XMark queries (Table 2 and Figure 6) as a scan does.
+// XMark queries as a scan does.
 func indexMatchesScan(t *testing.T, db *DB, when string) {
+	t.Helper()
+	queriesMatchScan(t, db, when, xmarkQueries)
+}
+
+// queriesMatchScan requires a verified index that answers queries as a
+// scan does.
+func queriesMatchScan(t *testing.T, db *DB, when string, queries []string) {
 	t.Helper()
 	if err := db.VerifyIndex(); err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
-	for _, q := range []string{
-		"//category/description[parlist]/parlist/listitem/text",
-		"//closed_auction/annotation/description/text",
-		"//open_auction[seller]/annotation/description/text",
-		"//item/mailbox/mail/text/emph/keyword",
-		"//description/parlist/listitem",
-		"//item[name]/mailbox/mail[to]/text[bold]/emph/bold",
-		"//item[payment][quantity][shipping][mailbox/mail/text]/description/parlist",
-	} {
+	for _, q := range queries {
 		got, err := db.Query(q)
 		if err != nil {
 			t.Fatalf("%s: %s: %v", when, q, err)
@@ -153,12 +163,12 @@ func copyFiles(t *testing.T, src, dst string) {
 	}
 }
 
-// oldFormatIndex opens a copy of testdata/<fixture> — 28 XMark entity
-// documents, 4 bulk-built at depth 6 and 24 ingested, checkpointed by an
-// earlier commit in a format this one does not read — and requires what an
-// upgrade in place meets: Open succeeds, the index is degraded with a
-// health error that wraps ErrCorrupt, names the format (degradedBy) and
-// says to rebuild, and every query is answered exactly, by scan.
+// oldFormatIndex opens a copy of testdata/<fixture> — the documents of
+// shapeOf(fixture), indexed and checkpointed by an earlier commit in a
+// format this one does not read — and requires what an upgrade in place
+// meets: Open succeeds, the index is degraded with a health error that
+// wraps ErrCorrupt, names the format (degradedBy) and says to rebuild, and
+// every query is answered exactly, by scan.
 //
 // index-written-by-pr20 and index-written-by-pr23 are under fix.meta
 // version 2, whose values spelled a pointer as a flag byte and a big-endian
@@ -176,7 +186,11 @@ func copyFiles(t *testing.T, src, dst string) {
 // B-tree cell, keyed (label, σ, sequence number). index-written-by-pr34 is
 // under version 5, chunks without a pair sketch. index-written-by-pr35 is
 // under version 6, chunk heads without the depth to which their units
-// agree.
+// agree. index-written-by-pr38 and tails-index-written-by-pr38 are under
+// version 7, whose postings could carry spectrum tails; the latter was
+// built with four of them a posting, and its index answers
+// //inproceedings[author][booktitle] with one of the two matches a scan
+// finds, so what it answers now is exact only because it is degraded.
 func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	t.Helper()
 	dir = copyFixture(t, fixture)
@@ -194,10 +208,11 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 			t.Fatalf("IndexHealth = %v, want it to name %q", health, word)
 		}
 	}
-	if db.NumDocuments() != 28 || !db.HasIndex() {
-		t.Fatalf("fixture holds %d documents (index: %t), want 28 and an index", db.NumDocuments(), db.HasIndex())
+	shape := shapeOf(fixture)
+	if db.NumDocuments() != shape.docs || !db.HasIndex() {
+		t.Fatalf("fixture holds %d documents (index: %t), want %d and an index", db.NumDocuments(), db.HasIndex(), shape.docs)
 	}
-	for _, q := range []string{"//item/mailbox/mail/text/emph/keyword", "//description/parlist/listitem", "//open_auction[seller]/annotation/description/text"} {
+	for _, q := range shape.queries {
 		got, err := db.Query(q)
 		if err != nil {
 			t.Fatal(err)
@@ -216,42 +231,66 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 // degradedBy is, per old-format fixture, what the health of its index
 // names besides the rebuild.
 var degradedBy = map[string][]string{
-	"index-written-by-pr20":           {"version 2", "writes 7"},
-	"index-written-by-pr23":           {"version 2", "writes 7"},
-	"index-written-by-pr25":           {"version 3", "writes 7"},
-	"clustered-index-written-by-pr26": {"version 3", "writes 7"},
-	"index-written-by-pr32":           {"version 4", "writes 7"},
-	"index-written-by-pr34":           {"version 5", "writes 7"},
-	"index-written-by-pr35":           {"version 6", "writes 7"},
+	"index-written-by-pr20":           {"version 2", "writes 8"},
+	"index-written-by-pr23":           {"version 2", "writes 8"},
+	"index-written-by-pr25":           {"version 3", "writes 8"},
+	"clustered-index-written-by-pr26": {"version 3", "writes 8"},
+	"index-written-by-pr32":           {"version 4", "writes 8"},
+	"index-written-by-pr34":           {"version 5", "writes 8"},
+	"index-written-by-pr35":           {"version 6", "writes 8"},
+	"index-written-by-pr38":           {"version 7", "writes 8"},
+	"tails-index-written-by-pr38":     {"version 7", "writes 8"},
 }
 
-// rebuiltIndexSurvives requires the healthy 528-entry index a rebuild of
-// an old-format fixture leaves, with no fix.clustered heap beside it,
-// before and after a checkpoint and a reopen.
-func rebuiltIndexSurvives(t *testing.T, dir string, db *DB) {
+// fixtureShape is what an old-format fixture holds: its documents, the
+// postings a rebuild of its index files, and the queries the index must
+// answer as a scan does.
+type fixtureShape struct {
+	docs, entries int
+	queries       []string
+}
+
+// shapeOf returns the shape of testdata/<fixture>: 28 XMark entity
+// documents, 4 bulk-built at depth 6 and 24 ingested, or — the tails
+// fixture — one DBLP document of three records indexed at depth 6.
+func shapeOf(fixture string) fixtureShape {
+	if fixture == "tails-index-written-by-pr38" {
+		return fixtureShape{1, 30, []string{"//inproceedings[author][booktitle]", "//inproceedings[author]", "//article[author][journal]"}}
+	}
+	return fixtureShape{28, 528, xmarkQueries}
+}
+
+// rebuiltIndexSurvives requires the healthy index a rebuild of the
+// old-format fixture leaves, in fix.meta version 8, with no fix.clustered
+// heap beside it, before and after a checkpoint and a reopen.
+func rebuiltIndexSurvives(t *testing.T, fixture, dir string, db *DB) {
 	t.Helper()
-	if err := db.IndexHealth(); err != nil || db.IndexEntries() != 528 {
-		t.Fatalf("after the rebuild: health %v, %d entries, want a healthy index of 528", err, db.IndexEntries())
+	shape := shapeOf(fixture)
+	if err := db.IndexHealth(); err != nil || db.IndexEntries() != shape.entries {
+		t.Fatalf("after the rebuild: health %v, %d entries, want a healthy index of %d", err, db.IndexEntries(), shape.entries)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fix.clustered")); !os.IsNotExist(err) {
 		t.Fatalf("after the rebuild fix.clustered is still there (%v)", err)
 	}
-	indexMatchesScan(t, db, "after the rebuild")
+	queriesMatchScan(t, db, "after the rebuild", shape.queries)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if meta, err := os.ReadFile(filepath.Join(dir, "fix.meta")); err != nil || !bytes.HasPrefix(meta, []byte("version 8\n")) {
+		t.Fatalf("after the rebuild fix.meta is %q (%v), want version 8", meta, err)
+	}
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = db.Close() }()
-	if err := db.IndexHealth(); err != nil || db.IndexEntries() != 528 {
-		t.Fatalf("after checkpoint and reopen: health %v, %d entries, want a healthy index of 528", err, db.IndexEntries())
+	if err := db.IndexHealth(); err != nil || db.IndexEntries() != shape.entries {
+		t.Fatalf("after checkpoint and reopen: health %v, %d entries, want a healthy index of %d", err, db.IndexEntries(), shape.entries)
 	}
-	indexMatchesScan(t, db, "after checkpoint and reopen")
+	queriesMatchScan(t, db, "after checkpoint and reopen", shape.queries)
 }
 
 // TestIndexWrittenBeforeRunSplitsStillServes is the hand-over from page
@@ -264,7 +303,7 @@ func TestIndexWrittenBeforeRunSplitsStillServes(t *testing.T) {
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	rebuiltIndexSurvives(t, dir, db)
+	rebuiltIndexSurvives(t, "index-written-by-pr20", dir, db)
 }
 
 // TestIndexWrittenBeforeUvarintValuesStillServes is the hand-over from
@@ -277,7 +316,7 @@ func TestIndexWrittenBeforeUvarintValuesStillServes(t *testing.T) {
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	rebuiltIndexSurvives(t, dir, db)
+	rebuiltIndexSurvives(t, "index-written-by-pr23", dir, db)
 }
 
 // TestIndexWrittenBeforeOneSigmaKeysStillServes is the hand-over from
@@ -290,7 +329,7 @@ func TestIndexWrittenBeforeOneSigmaKeysStillServes(t *testing.T) {
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	rebuiltIndexSurvives(t, dir, db)
+	rebuiltIndexSurvives(t, "index-written-by-pr25", dir, db)
 }
 
 // TestIndexWrittenBeforeChunksStillServes is the hand-over from fix.meta
@@ -304,7 +343,7 @@ func TestIndexWrittenBeforeChunksStillServes(t *testing.T) {
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	rebuiltIndexSurvives(t, dir, db)
+	rebuiltIndexSurvives(t, "index-written-by-pr32", dir, db)
 }
 
 // TestIndexWrittenBeforeSketchesStillServes is the hand-over from
@@ -317,11 +356,11 @@ func TestIndexWrittenBeforeSketchesStillServes(t *testing.T) {
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	rebuiltIndexSurvives(t, dir, db)
+	rebuiltIndexSurvives(t, "index-written-by-pr34", dir, db)
 }
 
 // TestKeyOfWrongLengthDegrades: a version-3 B-tree under a fix.meta that
-// says version 7 — a hand-edited or mismatched directory — opens healthy,
+// says version 8 — a hand-edited or mismatched directory — opens healthy,
 // but its keys are not keySize bytes. Verify fails ErrCorrupt on them, and
 // a query whose probe meets one degrades the index and answers exactly by
 // scan instead of reading σ out of the wrong bytes.
@@ -336,8 +375,10 @@ func TestKeyOfWrongLengthDegrades(t *testing.T) {
 		if !bytes.HasPrefix(meta, []byte("version 3\n")) || !bytes.Contains(meta, []byte("\nseq ")) {
 			t.Fatalf("fix.meta is %q", meta)
 		}
-		copy(meta, "version 7")
+		copy(meta, "version 8")
 		meta = bytes.Replace(meta, []byte("\nseq "), []byte("\nentries "), 1)
+		meta = bytes.Replace(meta, []byte("\nclustered false\n"), []byte("\n"), 1)
+		meta = bytes.Replace(meta, []byte("\nspectrumk 0\n"), []byte("\n"), 1)
 		if err := os.WriteFile(path, meta, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +426,7 @@ func TestClusteredIndexStillServes(t *testing.T) {
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	rebuiltIndexSurvives(t, dir, db)
+	rebuiltIndexSurvives(t, "clustered-index-written-by-pr26", dir, db)
 }
 
 // TestIndexWrittenBeforeAgreementStillServes is the hand-over from
@@ -398,20 +439,38 @@ func TestIndexWrittenBeforeAgreementStillServes(t *testing.T) {
 	if err := db.RebuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	rebuiltIndexSurvives(t, dir, db)
+	rebuiltIndexSurvives(t, "index-written-by-pr35", dir, db)
+}
+
+// TestIndexWrittenBeforeOneSpellingStillServes is the hand-over from
+// fix.meta version 7 on two directories the commit that introduced it
+// wrote: testdata/index-written-by-pr38, and tails-index-written-by-pr38,
+// built with spectrum tails, which lost a match at that commit. Version 8
+// spells a posting one way, with no tail, so both open degraded and serve
+// by scan — the second exactly again — and RebuildIndex writes them anew.
+func TestIndexWrittenBeforeOneSpellingStillServes(t *testing.T) {
+	for _, fixture := range []string{"index-written-by-pr38", "tails-index-written-by-pr38"} {
+		t.Run(fixture, func(t *testing.T) {
+			dir, db := oldFormatIndex(t, fixture)
+			if err := db.RebuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			rebuiltIndexSurvives(t, fixture, dir, db)
+		})
+	}
 }
 
 // TestIndexWrittenByThisFormatServes opens a database directory written by
-// the commit that introduced fix.meta version 7, chunks whose heads hold
-// the depth to which their units agree (the same 28 documents, 4
-// bulk-built at depth 6 and 24 ingested four a request, checkpointed;
-// testdata/index-written-by-pr38), and uses
+// the commit that introduced fix.meta version 8, chunks with one spelling
+// of a posting and no spectrum tails (the same 28 documents, 4 bulk-built
+// at depth 6 and 24 ingested four a request, checkpointed;
+// testdata/index-written-by-pr39), and uses
 // it as a server would: verify, ingest enough to split its leaves,
 // checkpoint, reopen. It is the anchor for the next change to the format:
 // that one has to open this directory, healthy or — as above — degraded
 // and exact.
 func TestIndexWrittenByThisFormatServes(t *testing.T) {
-	dir := copyFixture(t, "index-written-by-pr38")
+	dir := copyFixture(t, "index-written-by-pr39")
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -146,10 +146,6 @@ type IndexOptions struct {
 	// EdgeBudget caps the bisimulation graph size for eigenvalue
 	// computation; 0 means the paper's default of 3000 edges.
 	EdgeBudget int
-	// SpectrumK stores K extra eigenvalue magnitudes per entry and
-	// filters candidates component-wise — the paper's §3.3 "whole set of
-	// eigenvalues" refinement. 0 disables it.
-	SpectrumK int
 	// PaperPruning selects the paper's literal pruning bound instead of
 	// the provably complete default; see DESIGN.md before enabling.
 	PaperPruning bool
@@ -648,7 +644,6 @@ func (db *DB) BuildIndexCtx(ctx context.Context, opts IndexOptions) (err error) 
 		Values:       opts.Values,
 		Beta:         opts.Beta,
 		EdgeBudget:   opts.EdgeBudget,
-		SpectrumK:    opts.SpectrumK,
 		PaperPruning: opts.PaperPruning,
 		Workers:      opts.Workers,
 		Dir:          db.dir,

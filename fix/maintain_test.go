@@ -342,12 +342,13 @@ func TestMaintainerRepairsCorruptIndex(t *testing.T) {
 // TestIndexWrittenBeforeUvarintValuesStillServes,
 // TestIndexWrittenBeforeOneSigmaKeysStillServes,
 // TestClusteredIndexStillServes, TestIndexWrittenBeforeChunksStillServes,
-// TestIndexWrittenBeforeSketchesStillServes and
-// TestIndexWrittenBeforeAgreementStillServes:
+// TestIndexWrittenBeforeSketchesStillServes,
+// TestIndexWrittenBeforeAgreementStillServes and
+// TestIndexWrittenBeforeOneSpellingStillServes:
 // the maintainer's first tick finds the index degraded and rebuilds it, with
 // no scrub and no operator.
 func TestMaintainerRebuildsOldFormatIndex(t *testing.T) {
-	for _, fixture := range []string{"index-written-by-pr20", "index-written-by-pr23", "index-written-by-pr25", "clustered-index-written-by-pr26", "index-written-by-pr32", "index-written-by-pr34", "index-written-by-pr35"} {
+	for _, fixture := range []string{"index-written-by-pr20", "index-written-by-pr23", "index-written-by-pr25", "clustered-index-written-by-pr26", "index-written-by-pr32", "index-written-by-pr34", "index-written-by-pr35", "index-written-by-pr38", "tails-index-written-by-pr38"} {
 		t.Run(fixture, func(t *testing.T) {
 			dir, db := oldFormatIndex(t, fixture)
 			m, err := db.StartMaintainer(context.Background(), MaintainConfig{
@@ -362,7 +363,7 @@ func TestMaintainerRebuildsOldFormatIndex(t *testing.T) {
 				return m.Health().AutoRebuilds >= 1 && db.IndexHealth() == nil
 			})
 			m.Close()
-			rebuiltIndexSurvives(t, dir, db)
+			rebuiltIndexSurvives(t, fixture, dir, db)
 		})
 	}
 }

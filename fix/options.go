@@ -42,13 +42,6 @@ func EdgeBudget(n int) BuildOption {
 	return func(o *IndexOptions) { o.EdgeBudget = n }
 }
 
-// SpectrumK stores K extra eigenvalue magnitudes per entry and filters
-// candidates component-wise (the paper's §3.3 refinement); zero
-// disables it.
-func SpectrumK(k int) BuildOption {
-	return func(o *IndexOptions) { o.SpectrumK = k }
-}
-
 // PaperPruning selects the paper's literal pruning bound instead of the
 // provably complete default; see DESIGN.md before enabling.
 func PaperPruning() BuildOption {

@@ -54,7 +54,7 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 	docs := manyDocs(150)
 	for _, opts := range []IndexOptions{
 		{},
-		{DepthLimit: 2, SpectrumK: 2},
+		{DepthLimit: 2},
 	} {
 		name := fmt.Sprintf("depth=%d", opts.DepthLimit)
 		t.Run(name, func(t *testing.T) {

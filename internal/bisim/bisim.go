@@ -43,9 +43,6 @@ type Features struct {
 	Set      bool
 	Oversize bool
 	Sigma    float64
-	// Spectrum optionally caches σ₂.. of the subpattern for the index
-	// layer's spectrum filter.
-	Spectrum []float64
 	// Sketch caches the index layer's sketch of the subpattern's edge
 	// label pairs.
 	Sketch uint32

@@ -96,7 +96,6 @@ type graphElem struct {
 type pendingEntry struct {
 	label uint32
 	f     Features
-	spec  []float64
 	ptr   storage.Pointer
 }
 
@@ -112,16 +111,12 @@ type buildUnit struct {
 }
 
 // buildEntry is one collected entry awaiting the pack: the key fields in
-// the unsigned form that sorts like the key bytes (see putKey), and what
-// its posting needs. at is the entry's position in collection order, which
-// is where its spectrum tail sits in the shared arena:
-// tails[at*SpectrumK:][:nspec].
+// the unsigned form that sorts like the key bytes (see putKey), and its
+// pair sketch.
 type buildEntry struct {
 	sigma   uint64 // encodeFloat of σ
 	primary uint64
-	at      uint32
 	label   uint32
-	nspec   uint32
 	sketch  uint32
 }
 
@@ -175,8 +170,6 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 	timers := &phaseTimers{}
 	nrec := st.NumRecords()
 	var entries []buildEntry
-	var tails []float64
-	var noTail [8]float64 // SpectrumK is at most 8
 	var insertTime time.Duration
 	// The batch size bounds how many decoded graphs are in flight at
 	// once; it does not affect the output (see the pipeline comment).
@@ -215,14 +208,9 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 				entries = append(entries, buildEntry{
 					label:   e.label,
 					sigma:   encodeFloat(e.f.Sigma),
-					at:      uint32(len(entries)),
 					primary: uint64(e.ptr),
-					nspec:   uint32(len(e.spec)),
 					sketch:  e.f.Sketch,
 				})
-				if opts.SpectrumK > 0 {
-					tails = append(append(tails, e.spec...), noTail[:opts.SpectrumK-len(e.spec)]...)
-				}
 			}
 		}
 		insertTime += time.Since(insStart)
@@ -232,7 +220,7 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 	slices.SortFunc(entries, func(a, b buildEntry) int {
 		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(a.sigma, b.sigma), cmp.Compare(a.primary, b.primary))
 	})
-	if err := ix.pack(ctx, entries, tails); err != nil {
+	if err := ix.pack(ctx, entries); err != nil {
 		return nil, err
 	}
 	insertTime += time.Since(insStart)
@@ -260,9 +248,8 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 // (label, σ) as chunks that are full but for the run's last, each with
 // the depth to which its units agree: the least agreement of two units
 // next to each other, which is the least agreement of any with the first.
-func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64) error {
+func (ix *Index) pack(ctx context.Context, entries []buildEntry) error {
 	units := newUnitReader(ix.store, scanUnitBytes)
-	k := uint64(ix.opts.SpectrumK)
 	limit := ix.chunkLimit()
 	key := make([]byte, keySize)
 	var c chunk
@@ -278,11 +265,7 @@ func (ix *Index) pack(ctx context.Context, entries []buildEntry, tails []float64
 		run, from := entries[i], i
 		for c.reset(); i < len(entries); i++ {
 			e := &entries[i]
-			var spec []float64
-			if e.nspec > 0 {
-				spec = tails[uint64(e.at)*k:][:e.nspec]
-			}
-			if e.label != run.label || e.sigma != run.sigma || !c.fits(storage.Pointer(e.primary), spec, e.sketch, limit) {
+			if e.label != run.label || e.sigma != run.sigma || !c.fits(storage.Pointer(e.primary), e.sketch, limit) {
 				break
 			}
 		}
@@ -374,8 +357,8 @@ func (ix *Index) buildUnitGraph(rec uint32, vh bisim.ValueHash, timers *phaseTim
 }
 
 // buildUnitFeatures computes the unit's index entries: features — σ and
-// the pair sketch — and spectrum tails for the whole document, or one per
-// element under a depth limit. All edge pairs were assigned at the merge
+// the pair sketch — for the whole document, or one per element under a
+// depth limit. All edge pairs were assigned at the merge
 // point, so the encoder is only read here.
 func (ix *Index) buildUnitFeatures(u *buildUnit, timers *phaseTimers) error {
 	eigenStart := time.Now()
@@ -384,7 +367,6 @@ func (ix *Index) buildUnitFeatures(u *buildUnit, timers *phaseTimers) error {
 	if ix.opts.DepthLimit == 0 {
 		// The whole document is one indexable unit.
 		var f Features
-		var spec []float64
 		if ix.opts.EdgeBudget > 0 && g.NumEdges() > ix.opts.EdgeBudget {
 			f = oversizeFeatures()
 		} else {
@@ -400,10 +382,9 @@ func (ix *Index) buildUnitFeatures(u *buildUnit, timers *phaseTimers) error {
 			for _, p := range u.pairs {
 				f.Sketch |= pairSketch(ix.enc, p.Parent, p.Child)
 			}
-			spec = graphSpectrumTail(g, ix.enc, ix.opts.SpectrumK)
 		}
 		base := storage.MakePointer(u.rec, 0)
-		u.entries = []pendingEntry{{label: g.Root.Label, f: f, spec: spec, ptr: base}}
+		u.entries = []pendingEntry{{label: g.Root.Label, f: f, ptr: base}}
 		return nil
 	}
 	// Enumerate one depth-limited subpattern per element (Theorem 4: with
@@ -411,11 +392,11 @@ func (ix *Index) buildUnitFeatures(u *buildUnit, timers *phaseTimers) error {
 	// elements).
 	u.entries = make([]pendingEntry, 0, len(u.elems))
 	for _, e := range u.elems {
-		f, spec, err := subpatternFeatures(e.v, ix.opts.DepthLimit, ix.opts.EdgeBudget, ix.enc, ix.opts.SpectrumK, false)
+		f, err := subpatternFeatures(e.v, ix.opts.DepthLimit, ix.opts.EdgeBudget, ix.enc, false)
 		if err != nil {
 			return err
 		}
-		u.entries = append(u.entries, pendingEntry{label: e.v.Label, f: f, spec: spec, ptr: storage.Pointer(e.ptr)})
+		u.entries = append(u.entries, pendingEntry{label: e.v.Label, f: f, ptr: storage.Pointer(e.ptr)})
 	}
 	return nil
 }

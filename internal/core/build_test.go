@@ -76,7 +76,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		clustered bool
 	}{
 		{Options{}, false},
-		{Options{DepthLimit: 2, SpectrumK: 2}, false},
+		{Options{DepthLimit: 2}, false},
 		{Options{DepthLimit: 3}, true},
 	} {
 		t.Run(fmt.Sprintf("depth=%d,clustered=%t", tc.opts.DepthLimit, tc.clustered), func(t *testing.T) {
@@ -219,7 +219,6 @@ func TestBuildMatchesIncremental(t *testing.T) {
 		{"clustered", Options{DepthLimit: 2}, true},
 		{"depth-limited", Options{DepthLimit: 3}, false},
 		{"values", Options{DepthLimit: 2, Values: true, Beta: 4}, false},
-		{"spectrum", Options{DepthLimit: 2, SpectrumK: 3}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// One dictionary under both stores, filled before either build,
@@ -358,15 +357,15 @@ func xmarkEntities(cfg datagen.Config) []*xmltree.Node {
 // path against the bulk build: half of a stream of XMark entity documents
 // bulk-built, the rest inserted four a request, each request appending to
 // the end of its runs, must leave the postings a bulk build of the whole
-// stream holds: the same (label, σ, pointer, spectrum) sequence in chunks
+// stream holds: the same (label, σ, pointer) sequence in chunks
 // of the same pair sketches and agreements, and for every query the same candidates in
 // the same order. Runs cross chunk boundaries on both sides. Inserting a
 // record again fails: its pointers are not above what their runs hold.
 func TestLiveInsertsMatchBuild(t *testing.T) {
 	docs := xmarkEntities(datagen.Config{Seed: 3, Scale: 0.05})
 	half := len(docs) / 2
-	for _, opts := range []Options{{DepthLimit: 6}, {DepthLimit: 6, SpectrumK: 3}, {}} {
-		t.Run(fmt.Sprintf("depth %d, spectrum %d", opts.DepthLimit, opts.SpectrumK), func(t *testing.T) {
+	for _, opts := range []Options{{DepthLimit: 6}, {}} {
+		t.Run(fmt.Sprintf("depth %d, spectrum 0", opts.DepthLimit), func(t *testing.T) {
 			dict := xmltree.NewDict()
 			newStore := func(docs []*xmltree.Node) *storage.Store {
 				st, err := storage.NewStore(storage.NewMemFile(), dict)
@@ -417,7 +416,7 @@ func TestLiveInsertsMatchBuild(t *testing.T) {
 				t.Fatalf("bulk build holds %d postings (counts %d), live inserts %d (counts %d)", len(b), bulk.Entries(), len(l), live.Entries())
 			}
 			for i := range b {
-				if b[i].label != l[i].label || b[i].sigma != l[i].sigma || b[i].ptr != l[i].ptr || !slices.Equal(b[i].spec, l[i].spec) || b[i].sketch != l[i].sketch || b[i].alike != l[i].alike {
+				if b[i].label != l[i].label || b[i].sigma != l[i].sigma || b[i].ptr != l[i].ptr || b[i].sketch != l[i].sketch || b[i].alike != l[i].alike {
 					t.Fatalf("posting %d: bulk %+v, live %+v", i, b[i], l[i])
 				}
 			}

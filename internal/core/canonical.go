@@ -241,29 +241,25 @@ func (p *pnode) clone(parent *pnode) *pnode {
 //     a label pair that never occurs as an edge in the data, so a match
 //     image is exactly the pattern (an induced subgraph) and Theorem 3
 //     applies as stated.
-//
-// It also returns the verified-exact pattern graph, whose spectrum is
-// safe for the component-wise filter (Cauchy interlacing on an induced
-// subgraph).
-func (ix *Index) soundFeatures(pn *pnode, g *bisim.Graph) (Features, *bisim.Graph, bool, error) {
+func (ix *Index) soundFeatures(pn *pnode, g *bisim.Graph) (Features, bool, error) {
 	b3, ok := ix.soundBound(g)
 	if !ok {
-		return Features{}, nil, false, nil
+		return Features{}, false, nil
 	}
 	exact := pn.clone(nil)
 	ix.shrinkToVerified(exact)
 	eg, err := patternGraph(exact)
 	if err != nil {
-		return Features{}, nil, false, err
+		return Features{}, false, err
 	}
 	fe, ok, err := graphFeatures(eg, ix.enc, false)
 	if err != nil {
-		return Features{}, nil, false, err
+		return Features{}, false, err
 	}
 	if ok && fe.Sigma > b3.Sigma {
-		return fe, eg, true, nil
+		return fe, true, nil
 	}
-	return b3, eg, true, nil
+	return b3, true, nil
 }
 
 // shrinkToVerified drops subtrees until no non-adjacent vertex pair has a

@@ -58,7 +58,7 @@ func TestClusterCopiesEachEntryInKeyOrder(t *testing.T) {
 		}
 		e := expand(t, ix.bt.Scan)[0]
 		twice := entryKey{label: e.label, sigma: math.Inf(1), first: e.ptr}
-		if err := ix.bt.Put(twice.encode(), chunkOf(posting{e.ptr, nil, e.sketch})); err != nil {
+		if err := ix.bt.Put(twice.encode(), chunkOf(posting{e.ptr, e.sketch})); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ix.Cluster(); err == nil {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -744,11 +743,13 @@ func TestStaleIndexDegrades(t *testing.T) {
 // metaVersion — 2, whose values spelled a pointer as a flag byte and a
 // big-endian u64, 3, whose keys held λmin, and 4, whose keys ended in a
 // sequence number, one entry a key, and whose fix.meta spelled its count
-// seq, 5, whose chunks had no pair sketch, and 6, whose chunk heads had no
-// agreement depth: an index committed under one opens degraded, with an ErrCorrupt that
-// names both versions and says to rebuild, answers exactly by scan, and
-// still tells the database layer's recovery how many records it covers. A
-// version older than 2, or newer than metaVersion, fails Open.
+// seq, 5, whose chunks had no pair sketch, 6, whose chunk heads had no
+// agreement depth, and 7, whose postings could carry spectrum tails and
+// whose fix.meta spelled clustered and spectrumk lines: an index committed
+// under one opens degraded, with an ErrCorrupt that names both versions
+// and says to rebuild, answers exactly by scan, and still tells the
+// database layer's recovery how many records it covers. A version older
+// than 2, or newer than metaVersion, fails Open.
 func TestOpenVersion2IndexDegrades(t *testing.T) {
 	st := memStoreFromDocs(t, bibDocs)
 	dir := t.TempDir()
@@ -764,12 +765,13 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(meta, []byte("version 7\n")) || !bytes.Contains(meta, []byte("\nentries ")) {
+	if !bytes.HasPrefix(meta, []byte("version 8\n")) || !bytes.Contains(meta, []byte("\nentries ")) || bytes.Contains(meta, []byte("\nclustered ")) || bytes.Contains(meta, []byte("\nspectrumk ")) {
 		t.Fatalf("fix.meta is %q", meta)
 	}
 	want := oracleCounts(t, st, crashQueries)
-	for _, v := range []string{"2", "3", "4", "5", "6"} {
-		old := slices.Clone(meta)
+	for _, v := range []string{"2", "3", "4", "5", "6", "7"} {
+		old := bytes.Replace(meta, []byte("\nvalues "), []byte("\nclustered false\nvalues "), 1)
+		old = bytes.Replace(old, []byte("\npaperpruning "), []byte("\nspectrumk 0\npaperpruning "), 1)
 		if v < "5" {
 			old = bytes.Replace(old, []byte("\nentries "), []byte("\nseq "), 1)
 		}
@@ -782,8 +784,8 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := re.Health()
-		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 7") || !strings.Contains(h.Error(), "rebuild") {
-			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 7 and the rebuild", v, h, v)
+		if !errors.Is(h, ErrCorrupt) || !errors.Is(h, ErrDegraded) || !strings.Contains(h.Error(), "version "+v) || !strings.Contains(h.Error(), "writes 8") || !strings.Contains(h.Error(), "rebuild") {
+			t.Fatalf("health of a version-%s index = %v, want ErrCorrupt naming versions %s and 8 and the rebuild", v, h, v)
 		}
 		checkOracle(t, re, want, "version "+v)
 		if n, err := CommittedRecords(dir); err != nil || n != len(bibDocs) {
@@ -791,7 +793,7 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 		}
 		_ = re.Close()
 	}
-	for _, v := range []string{"1", "8"} {
+	for _, v := range []string{"1", "9"} {
 		copy(meta, "version "+v)
 		if err := os.WriteFile(path, meta, 0o644); err != nil {
 			t.Fatal(err)
@@ -808,8 +810,7 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 // never pointer 0: Verify and a DeleteDocuments that has to read it fail,
 // and a query whose range scan meets it answers exactly by scan and
 // degrades the index. One that decodes but names a record the store does
-// not hold, or more spectrum components than the index stores, fails
-// Verify, and so does a chunk that holds postings fix.meta does not count.
+// not hold fails Verify, and so does a chunk that holds postings fix.meta does not count.
 func TestBadValueIsErrCorrupt(t *testing.T) {
 	q := xpath.MustParse("//author[email]") // no root label on a collection index: every partition
 	for _, tc := range []struct {
@@ -820,9 +821,8 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 		{"an over-long uvarint", []byte{0x82, 0x00}, false},
 		{"metaVersion 4's spelling", []byte{0, 0}, false},
 		{"metaVersion 5's spelling", []byte{1 << 1}, false},
-		{"a record the store does not hold", chunkOf(posting{0, nil, 0}, posting{storage.MakePointer(999, 0), nil, 0}), true},
-		{"a spectrum the index does not store", chunkOf(posting{0, []float64{1}, 0}), true},
-		{"a posting nothing counts", chunkOf(posting{0, nil, fullSketch}), true},
+		{"a record the store does not hold", chunkOf(posting{0, 0}, posting{storage.MakePointer(999, 0), 0}), true},
+		{"a posting nothing counts", chunkOf(posting{0, fullSketch}), true},
 	} {
 		st := memStoreFromDocs(t, bibDocs)
 		ix, err := Build(st, Options{})
@@ -880,7 +880,6 @@ func TestOpenRejectsInvalidMeta(t *testing.T) {
 		{"depthlimit 0", "depthlimit -3", "depthlimit"},
 		{"beta 10", "beta 0", "beta"},
 		{"edgebudget 3000", "edgebudget -1", "edgebudget"},
-		{"spectrumk 0", "spectrumk 99", "spectrumk"},
 		{"alpha ", "alpha 4000000000x", "alpha"}, // see below: value replaced wholesale
 	} {
 		text := string(good)

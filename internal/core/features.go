@@ -107,96 +107,41 @@ func graphFeatures(g *bisim.Graph, enc *matrix.EdgeEncoder, assign bool) (Featur
 	return Features{Sigma: sigma}, true, nil
 }
 
-// graphSpectrumTail returns σ₂..σ₍k+1₎ of the graph's skew matrix (the
-// key already carries σ₁), or nil when k is zero or the graph is too
-// large for the dense solver — a missing spectrum only disables the extra
-// filter, never correctness.
-func graphSpectrumTail(g *bisim.Graph, enc *matrix.EdgeEncoder, k int) []float64 {
-	if k <= 0 {
-		return nil
-	}
-	mg := g.MatrixGraph()
-	if mg.NumVertices() > denseEigenLimit {
-		return nil
-	}
-	m, ok := matrix.BuildSkew(mg, enc, false)
-	if !ok {
-		return nil
-	}
-	sigma, err := eigen.SkewSpectrum(m)
-	if err != nil {
-		return nil
-	}
-	if len(sigma) <= 1 {
-		return nil
-	}
-	tail := sigma[1:]
-	if len(tail) > k {
-		tail = tail[:k]
-	}
-	return append([]float64(nil), tail...)
-}
-
-// spectrumContains reports whether an entry's stored spectrum tail
-// dominates every twig's query spectrum component-wise (σ_j(entry) ≥
-// σ_j(query) for every stored j). Missing components on either side are
-// treated as unknown and never prune.
-func spectrumContains(entry []float64, queries [][]float64) bool {
-	if len(entry) == 0 {
-		return true
-	}
-	for _, q := range queries {
-		n := len(q)
-		if len(entry) < n {
-			n = len(entry)
-		}
-		for j := 0; j < n; j++ {
-			if entry[j] < q[j]-slack(q[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // subpatternFeatures returns the (memoized) features — σ and the pair
 // sketch — of the depth-limited subpattern rooted at vertex v, falling
 // back to the artificial range when the unfolding exceeds the edge
-// budget. When spectrumK > 0 it also returns (and caches) the entry's
-// spectrum tail. With assign=true unseen
-// edge pairs are added to the encoder (the sequential incremental-insert
-// path); the parallel build passes assign=false because every pair of the
-// record's graph was assigned at the pipeline's merge point, keeping the
-// encoder read-only across workers — a missing pair then is an internal
-// invariant violation, not a data property.
-func subpatternFeatures(v *bisim.Vertex, depthLimit, budget int, enc *matrix.EdgeEncoder, spectrumK int, assign bool) (Features, []float64, error) {
+// budget. With assign=true unseen edge pairs are added to the encoder
+// (the sequential incremental-insert path); the parallel build passes
+// assign=false because every pair of the record's graph was assigned at
+// the pipeline's merge point, keeping the encoder read-only across
+// workers — a missing pair then is an internal invariant violation, not a
+// data property.
+func subpatternFeatures(v *bisim.Vertex, depthLimit, budget int, enc *matrix.EdgeEncoder, assign bool) (Features, error) {
 	if v.Feats.Set {
 		if v.Feats.Oversize {
-			return oversizeFeatures(), nil, nil
+			return oversizeFeatures(), nil
 		}
-		return Features{Sigma: v.Feats.Sigma, Sketch: v.Feats.Sketch}, v.Feats.Spectrum, nil
+		return Features{Sigma: v.Feats.Sigma, Sketch: v.Feats.Sketch}, nil
 	}
 	g, ok, err := bisim.Subpattern(v, depthLimit, budget)
 	if err != nil {
-		return Features{}, nil, err
+		return Features{}, err
 	}
 	var f Features
-	var spec []float64
 	if !ok {
 		f = oversizeFeatures()
 	} else {
 		f, ok, err = graphFeatures(g, enc, assign)
 		if err != nil {
-			return Features{}, nil, err
+			return Features{}, err
 		}
 		if !ok {
-			return Features{}, nil, fmt.Errorf("core: internal: subpattern uses an edge pair missing after pre-assignment")
+			return Features{}, fmt.Errorf("core: internal: subpattern uses an edge pair missing after pre-assignment")
 		}
 		f.Sketch = graphSketch(g, enc)
-		spec = graphSpectrumTail(g, enc, spectrumK)
 	}
-	v.Feats = bisim.Features{Set: true, Oversize: f.Oversize, Sigma: f.Sigma, Spectrum: spec, Sketch: f.Sketch}
-	return f, spec, nil
+	v.Feats = bisim.Features{Set: true, Oversize: f.Oversize, Sigma: f.Sigma, Sketch: f.Sketch}
+	return f, nil
 }
 
 // valueHasher implements the paper's §4.6 mapping of PCDATA into the small

@@ -164,11 +164,10 @@ type alikeSpan struct{ lo, hi int32 }
 // allocated: keys and values are decoded where the scan reads them. A
 // non-nil spans gets, appended to (*spans)[:0], the stretches of the
 // survivors one match may answer (alikeSpan). scanned reports how many
-// postings the scans touched, and pruned how many of them σ and the
-// spectrum filter keep but the sketch drops. The scans observe ctx once a
-// chunk takes the count past a multiple of 1024 and stop once
-// lim.MaxCandidates is crossed; on any error whatever was collected is
-// discarded.
+// postings the scans touched, and pruned how many of them σ keeps but the
+// sketch drops. The scans observe ctx once a chunk takes the count past a
+// multiple of 1024 and stop once lim.MaxCandidates is crossed; on any
+// error whatever was collected is discarded.
 func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, buf []Candidate, spans *[]alikeSpan) (cands []Candidate, scanned, pruned int, err error) {
 	if p.empty {
 		return nil, 0, 0, nil
@@ -208,25 +207,11 @@ func (g *Generation) candidates(ctx context.Context, p *queryPlan, lim Limits, b
 			}
 		}
 		if r.sketch&p.sketch != p.sketch {
-			if p.specs == nil {
-				pruned += n
-				return true
-			}
-			for r.next() {
-				if spectrumContains(r.spectrum(), p.specs) {
-					pruned++
-				}
-			}
-			if !r.ok() {
-				stop = errBadValue(k, v)
-			}
-			return stop == nil
+			pruned += n
+			return true
 		}
 		lo := len(cands)
 		for r.next() {
-			if !spectrumContains(r.spectrum(), p.specs) {
-				continue
-			}
 			if lim.MaxCandidates > 0 && len(cands) >= lim.MaxCandidates {
 				stop = fmt.Errorf("%w: more than %d candidates", ErrBudgetExceeded, lim.MaxCandidates)
 				return false

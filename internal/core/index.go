@@ -55,14 +55,6 @@ type Options struct {
 	// (query planning falls back to a feature-only full scan). It exists
 	// for the ablation study of the label feature (paper §3.4).
 	NoRootLabel bool
-	// SpectrumK stores, per entry, the next K eigenvalue magnitudes
-	// beyond λmax (σ₂..σ₍K+1₎) and filters candidates by component-wise
-	// dominance — the paper's §3.3 "whole set of eigenvalues" idea made
-	// practical (fixed K, stored in the B-tree value, no equality tests).
-	// With the default sound bound the query side uses the verified-exact
-	// pattern's spectrum, so Cauchy interlacing makes the filter
-	// complete. 0 disables it; values are capped at 8.
-	SpectrumK int
 	// Workers bounds the worker pool that parallelizes per-record feature
 	// extraction during Build; queries do not use it.
 	// Zero (the default) means one worker per available CPU (GOMAXPROCS);
@@ -103,12 +95,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.EdgeBudget == 0 {
 		o.EdgeBudget = 3000
-	}
-	if o.SpectrumK > maxSpectrumK {
-		o.SpectrumK = maxSpectrumK
-	}
-	if o.SpectrumK < 0 {
-		o.SpectrumK = 0
 	}
 }
 
@@ -254,12 +240,11 @@ func (ix *Index) BTree() *btree.Tree { return ix.bt }
 
 // Verify checks the on-disk integrity of the index: every B-tree page's
 // checksum and structure, that every key is keySize bytes, that every chunk
-// decodes — in the one spelling chunk writes, with no more spectrum
-// components than the index stores — to pointers that address existing
-// records and lie above every pointer of the chunk before it in its run,
-// that every unit of a chunk agrees with its first at least as deeply as
-// the chunk says (recomputed from the heap), and that the chunks hold the
-// number of postings fix.meta counts. Problems are recorded in the health
+// decodes — in the one spelling chunk writes — to pointers that address
+// existing records and lie above every pointer of the chunk before it in
+// its run, that every unit of a chunk agrees with its first at least as
+// deeply as the chunk says (recomputed from the heap), and that the chunks
+// hold the number of postings fix.meta counts. Problems are recorded in the health
 // status and returned.
 func (ix *Index) Verify() error { return ix.verifyHealth(true) }
 
@@ -307,13 +292,8 @@ func (ix *Index) verify(agreement bool) error {
 		for ptrs = ptrs[:0]; r.next(); {
 			total++
 			ptrs = append(ptrs, r.ptr)
-			switch {
-			case r.ptr.Rec() >= nrec:
+			if r.ptr.Rec() >= nrec {
 				bad = fmt.Errorf("%w: entry points at record %d but the store holds %d", ErrCorrupt, r.ptr.Rec(), nrec)
-			case r.nspec > ix.opts.SpectrumK:
-				bad = fmt.Errorf("%w: chunk %x stores %d spectrum components for %v, the index %d", ErrCorrupt, k, r.nspec, r.ptr, ix.opts.SpectrumK)
-			}
-			if bad != nil {
 				return false
 			}
 		}
@@ -378,9 +358,8 @@ func (ix *Index) EdgePairs() int { return ix.enc.Len() }
 // queryPlan carries the analyzed form of one query: what the probe
 // compares entries with.
 type queryPlan struct {
-	feats    []Features  // per twig, relaxed by slack: what entries are compared with
-	specs    [][]float64 // per twig: σ₂.. of the (exact) pattern, for SpectrumK
-	sketch   uint32      // the pair sketch every unit that matches holds
+	feats    []Features // per twig, relaxed by slack: what entries are compared with
+	sketch   uint32     // the pair sketch every unit that matches holds
 	topLabel uint32
 	labelOK  bool // top twig root label restricts the scan
 	empty    bool // provably no results
@@ -423,26 +402,19 @@ func (ix *Index) plan(qt *xpath.QNode) (*queryPlan, error) {
 			return nil, err
 		}
 		var f Features
-		specGraph := g
 		if ix.opts.PaperPruning {
 			f, ok, err = graphFeatures(g, ix.enc, false)
-			if err != nil {
-				return nil, err
-			}
 		} else {
-			f, specGraph, ok, err = ix.soundFeatures(pn, g)
-			if err != nil {
-				return nil, err
-			}
+			f, ok, err = ix.soundFeatures(pn, g)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if !ok {
 			p.empty = true
 			return p, nil
 		}
 		p.feats = append(p.feats, f.relaxed())
-		if ix.opts.SpectrumK > 0 {
-			p.specs = append(p.specs, graphSpectrumTail(specGraph, ix.enc, ix.opts.SpectrumK))
-		}
 	}
 	// Root-label pruning applies to every depth-limited index (entries
 	// are rooted at each element) and to collection indexes only for

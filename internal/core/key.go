@@ -22,9 +22,9 @@ import (
 // run, and a run is stored as chunks: one B-tree entry per chunk, keyed by
 // the run's (label, σ) and the chunk's first primary pointer (rec<<32 | off,
 // big-endian), whose value holds the chunk's postings — every pointer of
-// the chunk in ascending order, delta coded, each with its spectrum tail
-// (the chunk codec below). The chunks of a run follow each other: each
-// holds pointers above every one the chunk before it holds.
+// the chunk in ascending order, delta coded (the chunk codec below). The
+// chunks of a run follow each other: each holds pointers above every one
+// the chunk before it holds.
 const keySize = 4 + 8 + 8
 
 // encodeFloat maps a float64 to 8 bytes whose lexicographic order matches
@@ -102,10 +102,6 @@ func scanBounds(label uint32, querySigma float64) (from, to []byte) {
 	return from, to
 }
 
-// maxSpectrumK caps Options.SpectrumK: the most spectrum components a
-// posting stores.
-const maxSpectrumK = 8
-
 // The pair sketch. Every chunk carries a sketchBits-bit summary of the
 // (parent label, child label) edge pairs its units contain: the pair of
 // EdgeEncoder weight w sets bit (w−1) mod sketchBits. An embedding of a
@@ -131,31 +127,19 @@ func pairBit(w int32) uint32 { return 1 << (uint32(w-1) % sketchBits) }
 
 // The chunk codec. A chunk value is
 //
-//	uvarint n<<5 | d<<2 | a<<1 | t
-//	                          n >= 1 postings; d: the depth, 0 to maxAlike,
+//	uvarint n<<3 | d          n >= 1 postings; d: the depth, 0 to maxAlike,
 //	                          to which every unit agrees with the first
-//	                          (agreement); a: no posting has a tail;
-//	                          t: the first has one (never with a)
+//	                          (agreement)
 //	sketch                    sketchBytes, big-endian
-//	[tail]                    the first posting's, when t
-//	n-1 times, each posting after the one before it; when a,
+//	n-1 times, each posting after the one before it:
 //	  uvarint Δoff<<1                   in the same record, Δoff >= 1
 //	  or uvarint Δrec<<1 | 1,
 //	     uvarint off                    in a record Δrec >= 1 further on
-//	and otherwise
-//	  uvarint Δoff<<2 | t               in the same record
-//	  or uvarint Δrec<<2 | 2 | t,
-//	     uvarint off                    in a later record
-//	  [tail]                            when t
 //
-// where a tail is one byte k, 1 to maxSpectrumK, and k × 8 bytes: σ₂..σ₍k+1₎
-// of the posting's pattern (σ₁ is the key's σ), as encodeFloat spells them,
-// for the optional spectrum filter (§3.3). A chunk sets a exactly when none
-// of its postings has a tail — always, on an index without SpectrumK — so
-// its postings spend no bit on the flag. The first posting's pointer is the
-// key's. A depth-limited run is mostly postings of one record a few hundred
-// bytes apart, a collection index's one posting a record at offset 0, so a
-// posting takes one to three bytes either way.
+// The first posting's pointer is the key's. A depth-limited run is mostly
+// postings of one record a few hundred bytes apart, a collection index's
+// one posting a record at offset 0, so a posting takes one to three bytes
+// either way, and the head takes one byte up to 15 postings.
 //
 // maxChunkBytes caps a chunk's value: a chunk is closed when the next
 // posting would take it past the cap, or past the largest value its tree
@@ -172,8 +156,6 @@ const maxChunkBytes = 512
 type chunk struct {
 	first, last storage.Pointer
 	n           int
-	tail        bool   // the first posting has a tail
-	tails       bool   // some posting has a tail: each spells its flag
 	alike       int    // the depth to which the units agree, 0 to maxAlike; a caller lowers it
 	sketch      uint32 // the OR of the postings' sketches
 	body        []byte // the value past its head and sketch
@@ -182,75 +164,32 @@ type chunk struct {
 // reset empties the chunk, keeping its buffer.
 func (c *chunk) reset() { *c = chunk{body: c.body[:0]} }
 
-// add appends the posting of pointer p, spectrum tail spec and pair
-// sketch sk; p must be above every pointer the chunk holds and spec at
-// most maxSpectrumK long.
-func (c *chunk) add(p storage.Pointer, spec []float64, sk uint32) {
-	t := len(spec) > 0
-	if t && !c.tails && c.n > 0 {
-		c.spellTails()
-	}
+// add appends the posting of pointer p and pair sketch sk; p must be above
+// every pointer the chunk holds.
+func (c *chunk) add(p storage.Pointer, sk uint32) {
 	switch {
 	case c.n == 0:
-		c.first, c.tail, c.tails, c.alike = p, t, t, maxAlike
-	case !c.tails && p.Rec() == c.last.Rec():
+		c.first, c.alike = p, maxAlike
+	case p.Rec() == c.last.Rec():
 		c.body = binary.AppendUvarint(c.body, uint64(p.Off()-c.last.Off())<<1)
-	case !c.tails:
+	default:
 		c.body = binary.AppendUvarint(c.body, uint64(p.Rec()-c.last.Rec())<<1|1)
 		c.body = binary.AppendUvarint(c.body, uint64(p.Off()))
-	case p.Rec() == c.last.Rec():
-		c.body = binary.AppendUvarint(c.body, uint64(p.Off()-c.last.Off())<<2|flag(t))
-	default:
-		c.body = binary.AppendUvarint(c.body, uint64(p.Rec()-c.last.Rec())<<2|2|flag(t))
-		c.body = binary.AppendUvarint(c.body, uint64(p.Off()))
-	}
-	if t {
-		c.body = append(c.body, byte(len(spec)))
-		for _, s := range spec {
-			c.body = binary.BigEndian.AppendUint64(c.body, encodeFloat(s))
-		}
 	}
 	c.sketch |= sk
 	c.last = p
 	c.n++
 }
 
-func flag(t bool) uint64 {
-	if t {
-		return 1
-	}
-	return 0
-}
-
-// spellTails respells the postings of a chunk none of which has a tail
-// the way a chunk with tails spells them, each with its flag clear, into
-// a new buffer: fits's undo keeps the old one.
-func (c *chunk) spellTails() {
-	body := make([]byte, 0, len(c.body)+c.n)
-	for rest := c.body; len(rest) > 0; {
-		h, n := binary.Uvarint(rest)
-		rest = rest[n:]
-		if h&1 == 0 {
-			body = binary.AppendUvarint(body, h>>1<<2)
-			continue
-		}
-		body = binary.AppendUvarint(body, h>>1<<2|2)
-		off, m := binary.Uvarint(rest)
-		rest = rest[m:]
-		body = binary.AppendUvarint(body, off)
-	}
-	c.body, c.tails = body, true
-}
-
 // fits adds the posting unless the chunk holds one already and the value
 // would then be more than limit bytes, and reports whether it did.
-func (c *chunk) fits(p storage.Pointer, spec []float64, sk uint32, limit int) bool {
+func (c *chunk) fits(p storage.Pointer, sk uint32, limit int) bool {
 	if c.n == 0 {
-		c.add(p, spec, sk)
+		c.add(p, sk)
 		return true
 	}
 	undo := *c
-	if c.add(p, spec, sk); c.size() > limit {
+	if c.add(p, sk); c.size() > limit {
 		*c = undo
 		return false
 	}
@@ -267,20 +206,13 @@ func (c *chunk) load(first storage.Pointer, v []byte) bool {
 	if !r.ok() {
 		return false
 	}
-	head, m := readUvarint(v)
-	*c = chunk{first: first, last: r.ptr, n: n, tail: head&1 == 1, tails: head&2 == 0, alike: r.alike, sketch: sk,
-		body: append(c.body[:0], v[m+sketchBytes:]...)}
+	_, m := readUvarint(v)
+	*c = chunk{first: first, last: r.ptr, n: n, alike: r.alike, sketch: sk, body: append(c.body[:0], v[m+sketchBytes:]...)}
 	return true
 }
 
 // head returns the uvarint the value starts with.
-func (c *chunk) head() uint64 {
-	h := uint64(c.n)<<5 | uint64(c.alike)<<2 | flag(c.tail)
-	if !c.tails {
-		h |= 2
-	}
-	return h
-}
+func (c *chunk) head() uint64 { return uint64(c.n)<<3 | uint64(c.alike) }
 
 // size returns the bytes of the value.
 func (c *chunk) size() int {
@@ -298,27 +230,20 @@ func (c *chunk) appendTo(buf []byte) []byte {
 }
 
 // postings reads the postings of one chunk value in order: next steps to
-// the next one and reports whether there was one; ptr and spectrum are the
-// posting read last, sketch and alike the chunk's. A value that is not spelled
-// exactly as chunk spells some chunk — a uvarint that runs off the end,
-// takes more bytes than it needs or overflows, a step of zero, a pointer
-// half beyond a u32, a tail of no or more than maxSpectrumK components, a
-// head that says both "no tails" and "the first has one", a chunk that
-// spells tail flags but has no tail, bytes left over, a value over
-// maxChunkBytes — ends the walk early with ok false. So what reads whole
-// re-encodes to the value byte for byte (FuzzPostingChunk).
+// the next one and reports whether there was one; ptr is the posting read
+// last, sketch and alike the chunk's. A value that is not spelled exactly
+// as chunk spells some chunk — a uvarint that runs off the end, takes more
+// bytes than it needs or overflows, a step of zero, a pointer half beyond
+// a u32, bytes left over, a value over maxChunkBytes — ends the walk early
+// with ok false. So what reads whole re-encodes to the value byte for byte
+// (FuzzPostingChunk).
 type postings struct {
 	rest    []byte
 	left    int // postings not yet read
 	ptr     storage.Pointer
 	sketch  uint32
 	alike   int
-	started bool   // the first posting, the key's pointer, has been read
-	t0      uint64 // its tail flag
-	tails   bool   // postings spell a tail flag
-	seen    bool   // a posting had a tail
-	nspec   int
-	spec    [maxSpectrumK]float64
+	started bool // the first posting, the key's pointer, has been read
 	bad     bool
 }
 
@@ -327,10 +252,10 @@ type postings struct {
 // and ok false.
 func openPostings(first storage.Pointer, v []byte) postings {
 	head, n := readUvarint(v)
-	if n == 0 || head>>5 == 0 || head>>5 > maxChunkBytes || head&3 == 3 || len(v) > maxChunkBytes || len(v) < n+sketchBytes {
+	if n == 0 || head>>3 == 0 || head>>3 > maxChunkBytes || len(v) > maxChunkBytes || len(v) < n+sketchBytes {
 		return postings{bad: true}
 	}
-	r := postings{rest: v[n+sketchBytes:], left: int(head >> 5), ptr: first, alike: int(head >> 2 & maxAlike), t0: head & 1, tails: head&2 == 0}
+	r := postings{rest: v[n+sketchBytes:], left: int(head >> 3), ptr: first, alike: int(head & maxAlike)}
 	for _, b := range v[n : n+sketchBytes] {
 		r.sketch = r.sketch<<8 | uint32(b)
 	}
@@ -345,57 +270,34 @@ func (r *postings) count() int { return r.left }
 // after next returned false, that the value was one.
 func (r *postings) ok() bool { return !r.bad }
 
-// spectrum returns the tail of the posting read last. It is valid until
-// the next call of next.
-func (r *postings) spectrum() []float64 { return r.spec[:r.nspec] }
-
 func (r *postings) next() bool {
 	if r.left == 0 {
-		r.bad = r.bad || len(r.rest) != 0 || r.tails && !r.seen
+		r.bad = r.bad || len(r.rest) != 0
 		return false
 	}
 	r.left--
-	t := r.t0
 	if !r.started {
 		r.started = true
-	} else {
-		head, n := uint64(0), 1
-		if len(r.rest) > 0 && r.rest[0] < 0x80 { // as most are
-			head = uint64(r.rest[0])
-		} else if head, n = readUvarint(r.rest); n == 0 {
-			return r.fail()
-		}
-		r.rest, t = r.rest[n:], 0
-		d, jump := head>>1, head&1 == 1
-		if r.tails {
-			d, jump, t = head>>2, head&2 != 0, head&1
-		}
-		if !jump {
-			if d == 0 || uint64(r.ptr.Off())+d > math.MaxUint32 {
-				return r.fail()
-			}
-			r.ptr += storage.Pointer(d)
-		} else {
-			off, m := readUint32(r.rest)
-			if m == 0 || d == 0 || uint64(r.ptr.Rec())+d > math.MaxUint32 {
-				return r.fail()
-			}
-			r.rest, r.ptr = r.rest[m:], storage.MakePointer(r.ptr.Rec()+uint32(d), off)
-		}
+		return true
 	}
-	r.nspec = 0
-	if t == 1 {
-		if len(r.rest) == 0 {
+	head, n := uint64(0), 1
+	if len(r.rest) > 0 && r.rest[0] < 0x80 { // as most are
+		head = uint64(r.rest[0])
+	} else if head, n = readUvarint(r.rest); n == 0 {
+		return r.fail()
+	}
+	r.rest = r.rest[n:]
+	if d := head >> 1; head&1 == 0 {
+		if d == 0 || uint64(r.ptr.Off())+d > math.MaxUint32 {
 			return r.fail()
 		}
-		k := int(r.rest[0])
-		if k == 0 || k > maxSpectrumK || len(r.rest) < 1+8*k {
+		r.ptr += storage.Pointer(d)
+	} else {
+		off, m := readUint32(r.rest)
+		if m == 0 || d == 0 || uint64(r.ptr.Rec())+d > math.MaxUint32 {
 			return r.fail()
 		}
-		for i := range k {
-			r.spec[i] = decodeFloat(binary.BigEndian.Uint64(r.rest[1+8*i:]))
-		}
-		r.rest, r.nspec, r.seen = r.rest[1+8*k:], k, true
+		r.rest, r.ptr = r.rest[m:], storage.MakePointer(r.ptr.Rec()+uint32(d), off)
 	}
 	return true
 }

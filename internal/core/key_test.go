@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -138,7 +137,6 @@ type indexEntry struct {
 	label  uint32
 	sigma  float64
 	ptr    storage.Pointer
-	spec   []float64
 	sketch uint32
 	alike  int
 }
@@ -155,7 +153,7 @@ func expand(t *testing.T, scan func(from, to []byte, fn func(k, v []byte) bool) 
 		key := decodeKey(k)
 		r := openPostings(key.first, v)
 		for r.next() {
-			out = append(out, indexEntry{key.label, key.sigma, r.ptr, slices.Clone(r.spectrum()), r.sketch, r.alike})
+			out = append(out, indexEntry{key.label, key.sigma, r.ptr, r.sketch, r.alike})
 		}
 		if !r.ok() {
 			t.Fatalf("chunk %x: value %x does not decode", k, v)
@@ -168,11 +166,10 @@ func expand(t *testing.T, scan func(from, to []byte, fn func(k, v []byte) bool) 
 	return out
 }
 
-// posting is a pointer, its spectrum tail and its pair sketch.
+// posting is a pointer and its pair sketch.
 type posting struct {
-	ptr  storage.Pointer
-	spec []float64
-	sk   uint32
+	ptr storage.Pointer
+	sk  uint32
 }
 
 // chunkOf spells the chunk of ps, which ascend, as a build spells it when
@@ -184,7 +181,7 @@ func chunkOf(ps ...posting) []byte { return chunkAt(maxAlike, ps...) }
 func chunkAt(d int, ps ...posting) []byte {
 	var c chunk
 	for _, p := range ps {
-		c.add(p.ptr, p.spec, p.sk)
+		c.add(p.ptr, p.sk)
 	}
 	c.alike = d
 	return c.appendTo(nil)
@@ -196,27 +193,35 @@ func chunkAt(d int, ps ...posting) []byte {
 func readChunk(first storage.Pointer, v []byte) (ps []posting, d int, ok bool) {
 	r := openPostings(first, v)
 	for sk := r.sketch; r.next(); sk = 0 {
-		ps = append(ps, posting{r.ptr, slices.Clone(r.spectrum()), sk})
+		ps = append(ps, posting{r.ptr, sk})
 	}
 	return ps, r.alike, r.ok()
 }
 
 // atTheCap returns the postings of a chunk whose value is exactly
-// maxChunkBytes long: a first posting with a tail, then one posting a
-// record at offset 0, two bytes each, and a one-byte step inside the last
-// record where a byte is left.
+// maxChunkBytes long: one posting a record at offset 0, two bytes each,
+// and a one-byte step inside the last record where a byte is left.
 func atTheCap() []posting {
-	ps := []posting{{storage.MakePointer(1, 0), []float64{1}, 0x8001}}
+	ps := []posting{{storage.MakePointer(1, 0), 0x8001}}
 	for rec := uint32(2); ; rec++ {
 		switch n := len(chunkOf(ps...)); {
 		case n == maxChunkBytes:
 			return ps
 		case n == maxChunkBytes-1:
-			ps = append(ps, posting{storage.MakePointer(rec-1, 1), nil, 0})
+			ps = append(ps, posting{storage.MakePointer(rec-1, 1), 0})
 		default:
-			ps = append(ps, posting{storage.MakePointer(rec, 0), nil, 0})
+			ps = append(ps, posting{storage.MakePointer(rec, 0), 0})
 		}
 	}
+}
+
+// oneRecord returns n postings of one record, each a byte after the one before.
+func oneRecord(n int) []posting {
+	ps := make([]posting, n)
+	for i := range ps {
+		ps[i] = posting{storage.MakePointer(4, uint32(i)), 0}
+	}
+	return ps
 }
 
 func TestEntryValueRoundTrip(t *testing.T) {
@@ -226,13 +231,13 @@ func TestEntryValueRoundTrip(t *testing.T) {
 		ps   []posting
 		size int
 	}{
-		{"one posting", []posting{{p(3, 40), nil, 0}}, 1},
-		{"one record, small steps", []posting{{p(3, 40), nil, 1}, {p(3, 41), nil, 4}, {p(3, 71), nil, 1 << (sketchBits - 1)}}, 1 + 1 + 1},
-		{"offsets 2^14 apart", []posting{{p(3, 0), nil, 0}, {p(3, 1<<14), nil, 0}, {p(3, 1<<15+1), nil, 0}}, 1 + 3 + 3},
-		{"record jumps", []posting{{p(0, 0), nil, 0}, {p(1, 0), nil, 0}, {p(9, 0), nil, 0}, {p(70000, 0), nil, 0}}, 2 + 2 + 2 + 4},
-		{"jumps to high offsets", []posting{{p(0, 70000), nil, 0}, {p(1, math.MaxUint32), nil, 0}, {p(math.MaxUint32, 0), nil, 0}}, 1 + 6 + 6},
-		{"spectrum tails", []posting{{p(1, 2), []float64{3.5, 2.25, 0}, 0}, {p(1, 9), nil, 0}, {p(2, 0), []float64{10, 9, 8, 7, 6, 5, 4, 3}, 0}}, 1 + 25 + 1 + 2 + 65},
-		{"a tail after none", []posting{{p(1, 2), nil, 0}, {p(1, 9), nil, 0}, {p(2, 0), nil, 0}, {p(2, 5), []float64{1}, 0}}, 2 + 1 + 2 + 1 + 9},
+		{"one posting", []posting{{p(3, 40), 0}}, 1},
+		{"one record, small steps", []posting{{p(3, 40), 1}, {p(3, 41), 4}, {p(3, 71), 1 << (sketchBits - 1)}}, 1 + 1 + 1},
+		{"offsets 2^14 apart", []posting{{p(3, 0), 0}, {p(3, 1<<14), 0}, {p(3, 1<<15+1), 0}}, 1 + 3 + 3},
+		{"record jumps", []posting{{p(0, 0), 0}, {p(1, 0), 0}, {p(9, 0), 0}, {p(70000, 0), 0}}, 1 + 2 + 2 + 4},
+		{"jumps to high offsets", []posting{{p(0, 70000), 0}, {p(1, math.MaxUint32), 0}, {p(math.MaxUint32, 0), 0}}, 1 + 6 + 6},
+		{"15 postings, a one-byte head", oneRecord(15), 1 + 14},
+		{"16 postings, a two-byte head", oneRecord(16), 2 + 15},
 	}
 	for i, c := range cases {
 		d := i % (maxAlike + 1)
@@ -247,7 +252,7 @@ func TestEntryValueRoundTrip(t *testing.T) {
 		var sk uint32
 		for i := range got {
 			sk |= c.ps[i].sk
-			if got[i].ptr != c.ps[i].ptr || !slices.Equal(got[i].spec, c.ps[i].spec) {
+			if got[i].ptr != c.ps[i].ptr {
 				t.Errorf("%s: posting %d reads back as %+v, want %+v", c.name, i, got[i], c.ps[i])
 			}
 		}
@@ -262,16 +267,10 @@ func TestEntryValueRoundTrip(t *testing.T) {
 	}
 	var c chunk
 	for _, q := range atTheCap() {
-		c.add(q.ptr, q.spec, q.sk)
+		c.add(q.ptr, q.sk)
 	}
-	if c.fits(storage.MakePointer(1<<20, 0), nil, 1, maxChunkBytes) || c.size() != maxChunkBytes || c.sketch != 0x8001 {
+	if c.fits(storage.MakePointer(1<<20, 0), 1, maxChunkBytes) || c.size() != maxChunkBytes || c.sketch != 0x8001 {
 		t.Errorf("a posting went onto the chunk at the cap, or the refusal changed it (%d bytes, sketch %#x)", c.size(), c.sketch)
-	}
-	// A tail that does not fit leaves the chunk spelled without tails.
-	c.reset()
-	c.add(storage.MakePointer(1, 0), nil, 0)
-	if c.fits(storage.MakePointer(1, 1), make([]float64, maxSpectrumK), 0, 20) || c.tails || len(c.body) != 0 {
-		t.Errorf("a refused tail left the chunk spelled with tails (%+v)", c)
 	}
 	// A value spelled otherwise does not read, rather than read to some
 	// pointer that is not its chunk's.
@@ -282,25 +281,20 @@ func TestEntryValueRoundTrip(t *testing.T) {
 		buf  []byte
 	}{
 		{"empty", nil},
-		{"no postings", value(0<<5 | 7<<2 | 2)},
-		{"no sketch", []byte{1<<5 | 2}},
-		{"a torn sketch", []byte{1<<5 | 2, 0, 0}},
-		{"fewer postings than the head says", value(3<<5|2, 4)},
-		{"bytes left over", value(1<<5|2, 0)},
-		{"an over-long head", append([]byte{0xa2, 0x00}, sk...)},
-		{"an over-long step", value(2<<5|2, 0x82, 0x00)},
-		{"a step of zero in one record", value(2<<5|2, 0)},
-		{"a jump of zero records", value(2<<5|2, 1, 5)},
-		{"an offset beyond a u32", value(2<<5|2, 1<<1|1, 0x80, 0x80, 0x80, 0x80, 0x10)},
-		{"a step past the last offset", value(2<<5|2, 0xfe, 0xff, 0xff, 0xff, 0x1f)},
-		{"a tail of no components", value(1<<5|1, 0)},
-		{"a torn tail", value(1<<5|1, 1, 0, 0, 0)},
-		{"nine components", value(1<<5|1, append([]byte{9}, make([]byte, 9*8)...)...)},
-		{"no tails, and a first tail", value(1<<5|3, append([]byte{1}, make([]byte, 8)...)...)},
-		{"tail flags and no tail", value(2<<5, 1<<2)},
-		{"one posting, tail flags and no tail", value(1 << 5)},
+		{"no postings", value(0<<3 | 7)},
+		{"no sketch", []byte{1 << 3}},
+		{"a torn sketch", []byte{1 << 3, 0, 0}},
+		{"fewer postings than the head says", value(3<<3, 2)},
+		{"bytes left over", value(1<<3, 0)},
+		{"an over-long head", append([]byte{0x88, 0x00}, sk...)},
+		{"an over-long step", value(2<<3, 0x82, 0x00)},
+		{"a step of zero in one record", value(2<<3, 0)},
+		{"a jump of zero records", value(2<<3, 1, 5)},
+		{"an offset beyond a u32", value(2<<3, 1<<1|1, 0x80, 0x80, 0x80, 0x80, 0x10)},
+		{"a step past the last offset", value(2<<3, 0xfe, 0xff, 0xff, 0xff, 0x1f)},
+		{"metaVersion 7's first posting with a tail", value(1<<5|7<<2|1, append([]byte{1}, make([]byte, 8)...)...)},
+		{"metaVersion 7's flagged postings", value(2<<5|7<<2, 1<<2)},
 		{"metaVersion 6's spelling", value(1<<2 | 2)},
-		{"metaVersion 6's spelling of two postings", value(2<<2|2, 1)},
 		{"metaVersion 5's spelling", []byte{2 << 1, 1 << 2}},
 		{"metaVersion 4's spelling", []byte{5, 0}},
 		{"over the cap", append([]byte{0xff, 0x01}, make([]byte, maxChunkBytes)...)},
@@ -315,26 +309,32 @@ func TestEntryValueRoundTrip(t *testing.T) {
 // arbitrary first pointer: it never panics, and whatever reads whole
 // re-encodes to the same bytes — each chunk has one spelling, which is
 // what Index.Verify's check of every chunk rests on. Seeds cover
-// agreement depths 0, 3 and 7 with each head combination: no tails, a
-// first posting with a tail, and tails on later postings only.
+// agreement depths 0, 3 and 7, chunks of 1, 15 and 16 postings (the
+// last head of one byte and the first of two), steps in one record and to
+// a later one, and values in fix.meta version 7's spellings, which must
+// not read: a head whose a bit ("no posting has a tail") is clear, or
+// whose t bit ("the first has one") is set.
 func FuzzPostingChunk(f *testing.F) {
 	p := storage.MakePointer
 	for _, d := range []int{0, 3, maxAlike} {
-		f.Add(uint64(p(7, 9)), chunkAt(d, posting{p(7, 9), nil, 1}, posting{p(7, 12), nil, 2}, posting{p(8, 0), nil, 0}))
-		f.Add(uint64(p(7, 9)), chunkAt(d, posting{p(7, 9), []float64{3, 1}, 4}, posting{p(7, 12), nil, 0}))
-		f.Add(uint64(p(7, 9)), chunkAt(d, posting{p(7, 9), nil, 0}, posting{p(9, 4), []float64{2}, 1 << 20}))
+		f.Add(uint64(p(4, 0)), chunkAt(d, oneRecord(1)...))
+		f.Add(uint64(p(4, 0)), chunkAt(d, oneRecord(15)...))
+		f.Add(uint64(p(4, 0)), chunkAt(d, oneRecord(16)...))
+		f.Add(uint64(p(7, 9)), chunkAt(d, posting{p(7, 9), 1}, posting{p(7, 12), 2}, posting{p(8, 0), 0}))
 	}
-	f.Add(uint64(p(12, 345)), chunkOf(posting{p(12, 345), nil, 0}))
+	f.Add(uint64(p(12, 345)), chunkOf(posting{p(12, 345), 0}))
 	f.Add(uint64(p(1, 0)), chunkOf(atTheCap()...))
-	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), nil, 0}, posting{p(3, 41), nil, 0}, posting{p(3, 1<<14), nil, 0}, posting{p(3, 1<<20+7), nil, 0}))
-	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), nil, 1 << 7}, posting{p(3, 41), nil, 1}, posting{p(4, 1<<14), nil, 1 << (sketchBits - 1)}))
-	f.Add(uint64(p(0, 0)), chunkOf(posting{p(0, 0), nil, 0}, posting{p(1, 0), nil, 0}, posting{p(2, 1<<15), nil, 0}, posting{p(9000, 3), nil, 0}))
-	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), []float64{2, 1}, 0}, posting{p(5, 6), nil, 0}, posting{p(6, 0), []float64{8, 7, 6, 5, 4, 3, 2, 1}, 0}))
-	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), nil, fullSketch}, posting{p(5, 6), nil, 0}, posting{p(6, 0), []float64{8, 7}, 2}))
+	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), 0}, posting{p(3, 41), 0}, posting{p(3, 1<<14), 0}, posting{p(3, 1<<20+7), 0}))
+	f.Add(uint64(p(3, 40)), chunkOf(posting{p(3, 40), 1 << 7}, posting{p(3, 41), 1}, posting{p(4, 1<<14), 1 << (sketchBits - 1)}))
+	f.Add(uint64(p(0, 0)), chunkOf(posting{p(0, 0), 0}, posting{p(1, 0), 0}, posting{p(2, 1<<15), 0}, posting{p(9000, 3), 0}))
+	f.Add(uint64(p(5, 5)), chunkOf(posting{p(5, 5), fullSketch}, posting{p(5, 6), 0}, posting{p(6, 0), 2}))
 	f.Add(uint64(p(0, 5)), []byte{0x81, 0x00, 1})
-	f.Add(uint64(p(0, 5)), []byte{5, 0})                 // metaVersion 4
-	f.Add(uint64(p(0, 5)), []byte{2 << 1, 1 << 2})       // metaVersion 5
-	f.Add(uint64(p(0, 5)), []byte{2<<2 | 2, 0, 0, 0, 1}) // metaVersion 6
+	f.Add(uint64(p(0, 5)), []byte{5, 0})                                                   // metaVersion 4
+	f.Add(uint64(p(0, 5)), []byte{2 << 1, 1 << 2})                                         // metaVersion 5
+	f.Add(uint64(p(0, 5)), []byte{2<<2 | 2, 0, 0, 0, 1})                                   // metaVersion 6
+	f.Add(uint64(p(7, 9)), []byte{2<<5 | 3<<2 | 2, 0, 0, 1, 3 << 1})                       // metaVersion 7, no tails
+	f.Add(uint64(p(7, 9)), []byte{1<<5 | 3<<2 | 1, 0, 0, 1, 1, 0x80, 0, 0, 0, 0, 0, 0, 0}) // metaVersion 7, a first tail
+	f.Add(uint64(p(7, 9)), []byte{2<<5 | 3<<2, 0, 0, 1, 3 << 2})                           // metaVersion 7, flagged postings
 	f.Fuzz(func(t *testing.T, first uint64, b []byte) {
 		ps, d, ok := readChunk(storage.Pointer(first), b)
 		if !ok {

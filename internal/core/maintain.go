@@ -128,7 +128,7 @@ func (ix *Index) addPostings(ctx context.Context, entries []pendingEntry) (err e
 			loaded = c.n
 		}
 		for _, e := range run {
-			if last := c.last; c.fits(e.ptr, e.spec, e.f.Sketch, limit) {
+			if last := c.last; c.fits(e.ptr, e.f.Sketch, limit) {
 				if c.n > 1 && c.alike > 0 {
 					if compared++; compared%64 == 0 {
 						if err := ctx.Err(); err != nil {
@@ -148,7 +148,7 @@ func (ix *Index) addPostings(ctx context.Context, entries []pendingEntry) (err e
 				}
 			}
 			c.reset()
-			c.add(e.ptr, e.spec, e.f.Sketch)
+			c.add(e.ptr, e.f.Sketch)
 			loaded = 0
 		}
 		putKey(key, label, sigma, c.first)
@@ -204,7 +204,7 @@ func (ix *Index) DeleteDocuments(recs []uint32) (int, error) {
 				gone++
 				continue
 			}
-			c.add(r.ptr, r.spectrum(), 0)
+			c.add(r.ptr, 0)
 		}
 		if !r.ok() {
 			bad = errBadValue(k, v)

@@ -21,10 +21,6 @@ import (
 //	fix.journal    shadow-commit journal, present only mid-Save or after
 //	               a crash; see journal.go
 //
-// fix.meta's clustered line is always false. An index written with the
-// retired clustered option says true: its values carry a second pointer
-// nothing reads, so Open degrades it and a rebuild writes it anew.
-//
 // The primary store and label dictionary belong to the database layer and
 // are persisted by it; the index only records the parameters needed to
 // interpret its keys against them.
@@ -37,14 +33,18 @@ import (
 // pointer — and its entries field counts the postings, where earlier
 // versions' seq field numbered the entries ever inserted — and version 6
 // a chunk with its pair sketch after the head and a head bit for "no
-// posting has a tail" (the chunk codec, key.go), and version 7 a head that
-// also holds the depth to which the chunk's units agree. Nothing in an entry tells
-// the spellings apart, so the version does. Open reads the fields of any
+// posting has a tail" (the chunk codec, key.go), version 7 a head that
+// also holds the depth to which the chunk's units agree, and version 8 a
+// chunk with no spectrum tails: a head of the count and the agreement, and
+// one spelling of a posting. Version 8 also drops the spectrumk line and
+// the clustered one, always false since the clustered option went (an
+// index written with it is version 3). Nothing in an entry tells the
+// spellings apart, so the version does. Open reads the fields of any
 // version from minMetaVersion on — so the database layer's recovery still
 // finds the records an index covers — and degrades an index older than
 // metaVersion, which a rebuild writes anew. A format change bumps
 // metaVersion only.
-const metaVersion = 7
+const metaVersion = 8
 
 // minMetaVersion is the oldest fix.meta Open reads.
 const minMetaVersion = 2
@@ -54,11 +54,9 @@ func (ix *Index) encodeMeta() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "version %d\n", metaVersion)
 	fmt.Fprintf(&b, "depthlimit %d\n", ix.opts.DepthLimit)
-	fmt.Fprintf(&b, "clustered %t\n", false)
 	fmt.Fprintf(&b, "values %t\n", ix.opts.Values)
 	fmt.Fprintf(&b, "beta %d\n", ix.opts.Beta)
 	fmt.Fprintf(&b, "edgebudget %d\n", ix.opts.EdgeBudget)
-	fmt.Fprintf(&b, "spectrumk %d\n", ix.opts.SpectrumK)
 	fmt.Fprintf(&b, "paperpruning %t\n", ix.opts.PaperPruning)
 	fmt.Fprintf(&b, "norootlabel %t\n", ix.opts.NoRootLabel)
 	fmt.Fprintf(&b, "alpha %d\n", ix.vh.alpha)
@@ -126,8 +124,7 @@ func (ix *Index) Save() error {
 // Open first lets Recover resolve any half-finished commit, then
 // validates the metadata. Detectable damage that does not compromise
 // query correctness — a corrupt B-tree, an index written in the spelling
-// of a version before metaVersion or with the retired clustered option,
-// or an index that is stale relative to the store — degrades the index instead
+// of a version before metaVersion, or an index that is stale relative to the store — degrades the index instead
 // of failing: Health reports the cause and queries fall back to a full
 // scan of the primary store until RebuildIndex runs.
 func Open(st *storage.Store, dir string) (*Index, error) {
@@ -136,7 +133,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 	}
 	ix := &Index{store: st, dict: st.Dict()}
 	ix.opts.Dir = dir
-	version, alpha, records, clustered, err := ix.readMeta()
+	version, alpha, records, err := ix.readMeta()
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +146,6 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		// first health problem is kept, so a directory older still — a
 		// FIXBT002 page format — is reported by its meta version too.
 		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (runs of one (label, σ) in chunks of delta-coded pointers, each with a sketch of its units' edge label pairs and the depth to which they agree): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
-	}
-	if clustered {
-		ix.setHealth(fmt.Errorf("%w: the index is clustered, a layout this version no longer builds or reads (its values carry a second pointer): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt))
 	}
 
 	ef, err := os.Open(filepath.Join(dir, "fix.edges"))
@@ -195,12 +189,11 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 
 // readMeta reads fix.meta under ix.opts.Dir into ix and returns the fields
 // ix does not hold: the version, from minMetaVersion to metaVersion, the
-// value-hash α, the number of primary-store records the commit covers and
-// whether the index was built clustered.
-func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered bool, err error) {
+// value-hash α and the number of primary-store records the commit covers.
+func (ix *Index) readMeta() (version int, alpha uint32, records int, err error) {
 	mf, err := os.Open(filepath.Join(ix.opts.Dir, "fix.meta"))
 	if err != nil {
-		return 0, 0, 0, false, err
+		return 0, 0, 0, err
 	}
 	defer mf.Close()
 	r := bufio.NewReader(mf)
@@ -215,43 +208,51 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, clustered b
 		return nil
 	}
 	if err := readField("version", &version); err != nil {
-		return 0, 0, 0, false, err
+		return 0, 0, 0, err
 	}
 	if version < minMetaVersion || version > metaVersion {
-		return 0, 0, 0, false, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
+		return 0, 0, 0, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
 	}
 	// The count of entries of an index before version 5, whose B-tree
-	// nothing reads, is whatever its seq says.
+	// nothing reads, is whatever its seq says. Before version 8 the meta
+	// also spells clustered and spectrumk, which an index of such a
+	// version — degraded by it — need not keep.
 	var entries int64
 	count := "entries"
 	if version < 5 {
 		count = "seq"
 	}
+	var clustered bool
+	var spectrumK int
 	fields := []struct {
-		name string
-		dst  interface{}
+		name  string
+		dst   interface{}
+		until int // when not 0, the version from which the field is gone
 	}{
-		{"depthlimit", &ix.opts.DepthLimit},
-		{"clustered", &clustered},
-		{"values", &ix.opts.Values},
-		{"beta", &ix.opts.Beta},
-		{"edgebudget", &ix.opts.EdgeBudget},
-		{"spectrumk", &ix.opts.SpectrumK},
-		{"paperpruning", &ix.opts.PaperPruning},
-		{"norootlabel", &ix.opts.NoRootLabel},
-		{"alpha", &alpha},
-		{count, &entries},
-		{"oversize", &ix.oversize},
-		{"maxdocdepth", &ix.maxDocDepth},
-		{"records", &records},
+		{"depthlimit", &ix.opts.DepthLimit, 0},
+		{"clustered", &clustered, 8},
+		{"values", &ix.opts.Values, 0},
+		{"beta", &ix.opts.Beta, 0},
+		{"edgebudget", &ix.opts.EdgeBudget, 0},
+		{"spectrumk", &spectrumK, 8},
+		{"paperpruning", &ix.opts.PaperPruning, 0},
+		{"norootlabel", &ix.opts.NoRootLabel, 0},
+		{"alpha", &alpha, 0},
+		{count, &entries, 0},
+		{"oversize", &ix.oversize, 0},
+		{"maxdocdepth", &ix.maxDocDepth, 0},
+		{"records", &records, 0},
 	}
 	for _, f := range fields {
+		if f.until != 0 && version >= f.until {
+			continue
+		}
 		if err := readField(f.name, f.dst); err != nil {
-			return 0, 0, 0, false, err
+			return 0, 0, 0, err
 		}
 	}
 	ix.entries.Store(entries)
-	return version, alpha, records, clustered, nil
+	return version, alpha, records, nil
 }
 
 // CommittedRecords returns how many primary-store records the index
@@ -266,7 +267,7 @@ func CommittedRecords(dir string) (int, error) {
 	}
 	ix := &Index{}
 	ix.opts.Dir = dir
-	_, _, records, _, err := ix.readMeta()
+	_, _, records, err := ix.readMeta()
 	return records, err
 }
 
@@ -282,9 +283,6 @@ func validateMeta(ix *Index, alpha uint32, records int) error {
 	}
 	if ix.opts.EdgeBudget < 0 {
 		return fmt.Errorf("core: invalid meta: edgebudget %d is negative", ix.opts.EdgeBudget)
-	}
-	if ix.opts.SpectrumK < 0 || ix.opts.SpectrumK > maxSpectrumK {
-		return fmt.Errorf("core: invalid meta: spectrumk %d outside [0, %d]", ix.opts.SpectrumK, maxSpectrumK)
 	}
 	if alpha > ix.dict.MaxID() {
 		return fmt.Errorf("core: invalid meta: alpha %d exceeds the dictionary's max label id %d", alpha, ix.dict.MaxID())

@@ -23,13 +23,6 @@ func planBits(p *queryPlan) string {
 	for _, f := range p.feats {
 		fmt.Fprintf(&b, " [%x %t]", math.Float64bits(f.Sigma), f.Oversize)
 	}
-	for _, spec := range p.specs {
-		b.WriteString(" {")
-		for _, x := range spec {
-			fmt.Fprintf(&b, " %x", math.Float64bits(x))
-		}
-		b.WriteString(" }")
-	}
 	return b.String()
 }
 
@@ -81,8 +74,8 @@ func planMisses() int64 { return obs.Default().Snapshot().PlanCacheMisses }
 // nothing more.
 func TestPlanCacheNewPair(t *testing.T) {
 	const text = "//a[b[c[d]]]"
-	for _, opts := range []Options{{}, {SpectrumK: 4}, {Values: true}, {SpectrumK: 4, Values: true}} {
-		t.Run(fmt.Sprintf("k=%d,values=%t", opts.SpectrumK, opts.Values), func(t *testing.T) {
+	for _, opts := range []Options{{}, {Values: true}} {
+		t.Run(fmt.Sprintf("k=0,values=%t", opts.Values), func(t *testing.T) {
 			st, ix := buildCollection(t, []string{`<a><b><c><d>v</d></c></b></a>`}, opts)
 			q := xpath.MustParse(text)
 			prepare := func() *Prepared {

@@ -21,7 +21,6 @@ type SketchStudy struct {
 	g      *Generation
 	chunks []studyChunk
 	of     map[storage.Pointer]int // posting → its chunk
-	saved  int                     // the head bit's bytes (FlagBytesSaved)
 }
 
 type studyChunk struct {
@@ -38,7 +37,6 @@ func NewSketchStudy(g *Generation) (*SketchStudy, error) {
 	}
 	s := &SketchStudy{g: g, of: make(map[storage.Pointer]int, g.entries)}
 	var bad error
-	var spelt chunk
 	err := g.view.Scan(nil, nil, func(k, v []byte) bool {
 		if len(k) != keySize {
 			bad = errBadKey(k)
@@ -46,11 +44,9 @@ func NewSketchStudy(g *Generation) (*SketchStudy, error) {
 		}
 		c := studyChunk{full: math.IsInf(decodeKey(k).sigma, 1)}
 		seen := map[int32]bool{}
-		spelt.reset()
 		r := openPostings(keyPointer(k), v)
 		for r.next() {
 			s.of[r.ptr] = len(s.chunks)
-			spelt.add(r.ptr, r.spectrum(), 0)
 			if bad = g.ix.unitPairs(r.ptr, func(w int32) {
 				if !seen[w] {
 					seen[w] = true
@@ -63,11 +59,6 @@ func NewSketchStudy(g *Generation) (*SketchStudy, error) {
 		if !r.ok() {
 			bad = errBadValue(k, v)
 			return false
-		}
-		if !spelt.tails {
-			head, body := uvarintLen(spelt.head()), len(spelt.body)
-			spelt.spellTails()
-			s.saved += uvarintLen(uint64(spelt.n)<<1) + len(spelt.body) - head - body
 		}
 		s.chunks = append(s.chunks, c)
 		return true
@@ -86,19 +77,6 @@ func (s *SketchStudy) StoredBits() int { return sketchBits }
 
 // Chunks returns the number of chunks of the index.
 func (s *SketchStudy) Chunks() int { return len(s.chunks) }
-
-// FlagBytesSaved returns the bytes the index's chunks save, sketches
-// aside, by the head bit that says no posting has a tail: what spelling
-// every posting's tail flag, as fix.meta version 5 did, would take more.
-func (s *SketchStudy) FlagBytesSaved() int { return s.saved }
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for ; x >= 0x80; x >>= 7 {
-		n++
-	}
-	return n
-}
 
 // Kept returns, for each width k of ks, how many of the query's σ
 // candidates a k-bit sketch per chunk keeps; k = 0 keeps them all.

@@ -69,13 +69,11 @@ entries:
 				continue entries
 			}
 		}
-		switch {
-		case !spectrumContains(e.spec, p.specs):
-		case e.sketch&p.sketch != p.sketch:
+		if e.sketch&p.sketch != p.sketch {
 			pruned++
-		default:
-			cands = append(cands, Candidate{Primary: e.ptr})
+			continue
 		}
+		cands = append(cands, Candidate{Primary: e.ptr})
 	}
 	return cands, pruned, inRange, len(seen)
 }
@@ -83,7 +81,7 @@ entries:
 // TestProbeMatchesScanOfEverything is the differential test of the probe's
 // scan: for the benchmark's templates and 200 random twigs, over DBLP
 // collections of five seeds, a TCMD collection and a depth-limited DBLP
-// document, with the root label and the spectrum filter on and off, the
+// document, with the root label on and off, the
 // candidate list equals — element for element, in order — what filtering
 // every entry of the index yields, so does the count the sketch pruned,
 // and the probe touched no more than the entries from the query's λmax on
@@ -124,7 +122,7 @@ func TestProbeMatchesScanOfEverything(t *testing.T) {
 		var ix *Index
 		var entries []indexEntry
 		var gotBuf, wantBuf []Candidate // reused: many of the random twigs match most of the index
-		for _, opts := range []Options{{}, {NoRootLabel: true}, {SpectrumK: 3}, {NoRootLabel: true, SpectrumK: 3}} {
+		for _, opts := range []Options{{}, {NoRootLabel: true}} {
 			opts.DepthLimit = ds.depth
 			if !opts.NoRootLabel { // which only plan reads: the index built without it serves both
 				if ix, err = Build(st, opts); err != nil {

@@ -115,7 +115,7 @@ func TestSoundBoundNeverExceedsPaperBound(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s: %v %v", qs, ok, err)
 		}
-		sound, _, ok, err := ix.soundFeatures(pn, g)
+		sound, ok, err := ix.soundFeatures(pn, g)
 		if err != nil || !ok {
 			t.Fatalf("%s: %v %v", qs, ok, err)
 		}

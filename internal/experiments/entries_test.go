@@ -35,16 +35,17 @@ import (
 // a key spells σ, nor how a value spells its pointers, nor how a run is cut
 // into chunks may change what an entry holds — its label, σ, order and
 // pointer. raw hashes the chunks as stored, keys and values, recorded when
-// metaVersion 7 gave each chunk's head the depth to which its units agree:
-// a change to the spelling, to a sketch or to an agreement shows there.
+// metaVersion 8 left each chunk one spelling, a head of its count and the
+// depth to which its units agree: a change to the spelling, to a sketch or
+// to an agreement shows there.
 var recordedEntries = map[datagen.Dataset]struct {
 	entries     int
 	sha256, raw string
 }{
-	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "4bd6f55e85607c9aa479e8348b0c7b57424cd3a79634893459bdde5531034d4f"},
-	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "568a600d60ee4311025a0ae926aa64d165b662bebfffa6f17ce91c898f51a72d"},
-	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "fb515874cac460cc8ba2f67d733f5d99008c0835e9fa61679ab23ee581e0957b"},
-	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "338966947a84a6515db9bc77d6413f937f56c312ae95af8e4642589901c5cfc0"},
+	datagen.TCMDDataset:     {5214, "1fea11706c99376b445a2e3399a77e5b0ebdba3b4e893714180be612f2532daf", "36d67ab0fb740f5432325463f4d0f2deb5188fef1c01e02e68c3566b877fdcfe"},
+	datagen.DBLPDataset:     {615076, "1c7a5a69865454067c0feee31f3d7bf71fe85fefe9e6e8bd0897cbe62d57ce05", "c7a1c699bb49903eebb9431ad6d0de2c0d442236980025c2d0ddcf005c0cd453"},
+	datagen.XMarkDataset:    {307486, "fa9323ce3149101791dc4df15cfc6cddab92912986c96fd98348f0bd9ec0308d", "ce22eff37a176fc0630e0e869aa10902159828d15b66fe7dbc0fe45a1a7f4dbd"},
+	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "13ae1c895b9047503d3ba71e94553dc2a5742313a6bbfa5b1b9ac13f86a85d32"},
 }
 
 // TestIndexEntriesAreTheRecordedOnes builds the experiments' index and its
@@ -107,23 +108,18 @@ func writeEntry(h hash.Hash, k, v []byte) {
 }
 
 // posting is one entry read out of a chunk: the first 12 bytes of its key —
-// label and σ — its pointer, its spectrum tail as stored, and its position
-// in build order.
+// label and σ — its pointer, and its position in build order.
 type posting struct {
-	run  [12]byte
-	ptr  storage.Pointer
-	tail []byte
-	seq  uint64
+	run [12]byte
+	ptr storage.Pointer
+	seq uint64
 }
 
 // appendPostings appends the postings of the chunk (k, v) to ps. It reads
 // the chunk the way internal/core/key.go states the codec, on its own: a
-// uvarint n<<5 | d<<2 | a<<1 | t, three bytes of pair sketch, the first posting's
-// tail when t (its pointer is the key's), then per posting — when a, no
-// posting has a tail — a uvarint Δoff<<1 in the same record or Δrec<<1 | 1
-// and a uvarint offset in a later one, and otherwise a uvarint Δoff<<2 | t
-// or Δrec<<2 | 2 | t and a uvarint offset, each followed by its tail when
-// t — a byte k and k 8-byte components.
+// uvarint n<<3 | d, three bytes of pair sketch, then per posting after the
+// first (whose pointer is the key's) a uvarint Δoff<<1 in the same record
+// or Δrec<<1 | 1 and a uvarint offset in a later one.
 func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 	if len(k) != 20 {
 		t.Fatalf("key %x is %d bytes, want 20", k, len(k))
@@ -137,17 +133,6 @@ func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 		v = v[n:]
 		return x
 	}
-	tail := func(has uint64) []byte {
-		if has == 0 {
-			return nil
-		}
-		if len(v) == 0 || len(v) < 1+8*int(v[0]) {
-			fail()
-		}
-		out := v[1 : 1+8*int(v[0])]
-		v = v[1+len(out):]
-		return out
-	}
 	p := posting{ptr: storage.Pointer(binary.BigEndian.Uint64(k[12:]))}
 	copy(p.run[:], k)
 	head := uvarint()
@@ -155,20 +140,13 @@ func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 		fail()
 	}
 	v = v[3:]
-	p.tail = tail(head & 1)
 	ps = append(ps, p)
-	tails := head&2 == 0
-	for n := head >> 5; n > 1; n-- {
-		h, t := uvarint(), uint64(0)
-		if tails {
-			h, t = h>>1, h&1
-		}
-		if h&1 == 0 {
+	for n := head >> 3; n > 1; n-- {
+		if h := uvarint(); h&1 == 0 {
 			p.ptr += storage.Pointer(h >> 1)
 		} else {
 			p.ptr = storage.MakePointer(p.ptr.Rec()+uint32(h>>1), uint32(uvarint()))
 		}
-		p.tail = tail(t)
 		ps = append(ps, p)
 	}
 	if len(v) != 0 {
@@ -217,12 +195,11 @@ func (p posting) oldKey() []byte {
 
 // oldSpelling spells the posting's value the way metaVersion 2 did: a flag
 // byte — bit 0 set when a clustered pointer follows, bits 4-7 the number of
-// spectrum components — then each pointer as a big-endian u64, rec<<32 |
-// off, the clustered one that of the entry's copy in c (its record, offset
-// 0), then the spectrum as stored.
+// spectrum components, none here — then each pointer as a big-endian u64,
+// rec<<32 | off, the clustered one that of the entry's copy in c (its
+// record, offset 0).
 func (p posting) oldSpelling(t *testing.T, c *core.Clustered, clustered bool) []byte {
-	flags := byte(len(p.tail)/8) << 4
-	out := binary.BigEndian.AppendUint64([]byte{flags}, uint64(p.ptr))
+	out := binary.BigEndian.AppendUint64([]byte{0}, uint64(p.ptr))
 	if clustered {
 		copied, ok := c.Copy(p.ptr)
 		if !ok {
@@ -231,5 +208,5 @@ func (p posting) oldSpelling(t *testing.T, c *core.Clustered, clustered bool) []
 		out[0] |= 1
 		out = binary.BigEndian.AppendUint64(out, uint64(storage.MakePointer(copied, 0)))
 	}
-	return append(out, p.tail...)
+	return out
 }

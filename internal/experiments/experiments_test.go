@@ -239,23 +239,6 @@ func TestTable1RowShape(t *testing.T) {
 	}
 }
 
-func TestExtSpectrum(t *testing.T) {
-	env := testEnv(t, datagen.TreebankDataset)
-	rows, err := ExtSpectrum(context.Background(), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.CandK4 > r.CandPlain {
-			t.Errorf("%s: spectrum filter increased candidates (%d -> %d)", r.Query, r.CandPlain, r.CandK4)
-		}
-		if r.CandK4 < r.Rst {
-			t.Errorf("%s: spectrum filter pruned below rst (%d < %d)", r.Query, r.CandK4, r.Rst)
-		}
-		t.Logf("%-10s cdt: %d -> %d (rst %d)", r.Query, r.CandPlain, r.CandK4, r.Rst)
-	}
-}
-
 // TestAblationSketch runs the pair-sketch width ablation on every dataset
 // (AblationSketch checks its counts of the stored width and of none
 // against the index's): a sketch keeps no more candidates than σ alone,

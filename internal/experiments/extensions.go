@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/joins"
 	"github.com/fix-index/fix/internal/tagindex"
 	"github.com/fix-index/fix/internal/xpath"
@@ -13,7 +11,7 @@ import (
 
 // Extension experiments beyond the paper's evaluation: the join-based
 // evaluator of the architecture in Figure 3 compared against the
-// navigational operator, and the spectrum filter of §3.3.
+// navigational operator.
 
 // EvaluatorRow compares the navigational (NoK) and join-based
 // (Stack-Tree structural join) processors on one runtime query, both
@@ -63,51 +61,6 @@ func ExtEvaluators(env *Env) ([]EvaluatorRow, error) {
 		}
 		row.Count = jc
 		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// SpectrumRow compares candidate counts with and without the spectrum
-// filter (§3.3 "whole set of eigenvalues") for one representative query.
-type SpectrumRow struct {
-	Query     string
-	CandPlain int
-	CandK4    int
-	Rst       int // exact result-producing entries (both must agree)
-}
-
-// ExtSpectrum builds a SpectrumK=4 index alongside the plain one and
-// contrasts pruning.
-func ExtSpectrum(ctx context.Context, env *Env) ([]SpectrumRow, error) {
-	plain, err := env.SoundIndex()
-	if err != nil {
-		return nil, err
-	}
-	spectral, err := core.Build(env.Store, core.Options{DepthLimit: env.DepthLimit(), SpectrumK: 4})
-	if err != nil {
-		return nil, err
-	}
-	plainGen := env.Frozen(plain)
-	spectralGen := spectral.Freeze()
-	defer spectralGen.Unpin()
-	var rows []SpectrumRow
-	for _, rq := range RepresentativeQueries[env.Dataset] {
-		q, err := xpath.Parse(rq.XPath)
-		if err != nil {
-			return nil, err
-		}
-		a, err := count(ctx, plainGen, q)
-		if err != nil {
-			return nil, err
-		}
-		b, err := count(ctx, spectralGen, q)
-		if err != nil {
-			return nil, err
-		}
-		if a.Count != b.Count {
-			return nil, fmt.Errorf("experiments: %s: spectrum filter changed results (%d vs %d)", rq.Name, a.Count, b.Count)
-		}
-		rows = append(rows, SpectrumRow{Query: rq.Name, CandPlain: a.PaperCandidates(), CandK4: b.PaperCandidates(), Rst: b.Matched})
 	}
 	return rows, nil
 }

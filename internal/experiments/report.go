@@ -153,12 +153,3 @@ func PrintEvaluators(w io.Writer, rows []EvaluatorRow) {
 		fmt.Fprintf(w, "%-14s %8d %12s %12s\n", r.Query, r.Count, fmtDur(r.NoK), fmtDur(r.Joins))
 	}
 }
-
-// PrintSpectrum renders the spectrum-filter extension comparison.
-func PrintSpectrum(w io.Writer, rows []SpectrumRow) {
-	fmt.Fprintf(w, "Extension (§3.3): spectrum filter, candidates without/with K=4\n")
-	fmt.Fprintf(w, "%-10s %12s %12s %10s\n", "query", "cdt(K=0)", "cdt(K=4)", "rst")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %12d %12d %10d\n", r.Query, r.CandPlain, r.CandK4, r.Rst)
-	}
-}

@@ -86,10 +86,4 @@ func TestPrinters(t *testing.T) {
 		t.Errorf("Evaluators output:\n%s", sb.String())
 	}
 	PrintEvaluators(&sb, nil) // empty rows must not panic
-
-	sb.Reset()
-	PrintSpectrum(&sb, []SpectrumRow{{Query: "q", CandPlain: 10, CandK4: 8, Rst: 5}})
-	if !strings.Contains(sb.String(), "cdt(K=4)") {
-		t.Errorf("Spectrum output:\n%s", sb.String())
-	}
 }

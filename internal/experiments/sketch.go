@@ -27,12 +27,9 @@ type SketchRow struct {
 	// BytesPerEntry is the index's bytes per entry with k-bit sketches:
 	// the stored index, k bits a chunk more or less than it stores.
 	BytesPerEntry float64
-	// DiskPct is what the chunks' values take more than fix.meta version
-	// 5's spelling — k bits of sketch a chunk, less the bytes the head bit
-	// that says "no tails" saves (core.SketchStudy.FlagBytesSaved) — in
-	// percent of the database: the record heap and the index without
-	// sketches. Page rounding aside, it is the change of
-	// disk_bytes_per_user_byte.
+	// DiskPct is what k bits of sketch a chunk take in percent of the
+	// database: the record heap and the index without sketches. Page
+	// rounding aside, it is the change of disk_bytes_per_user_byte.
 	DiskPct float64
 }
 
@@ -100,7 +97,7 @@ func AblationSketch(ctx context.Context, env *Env, numQueries int) ([]SketchRow,
 		}
 		sketch := chunks * float64(r.K) / 8
 		r.BytesPerEntry = (unsketched + sketch) / entries
-		r.DiskPct = 100 * (sketch - float64(study.FlagBytesSaved())) / (float64(env.Store.Size()) + unsketched)
+		r.DiskPct = 100 * sketch / (float64(env.Store.Size()) + unsketched)
 	}
 	return rows, nil
 }
