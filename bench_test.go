@@ -50,6 +50,17 @@ func benchEnv(b *testing.B, ds datagen.Dataset) *experiments.Env {
 	return env
 }
 
+// queryFresh plans q afresh on g and runs it with no limits, as the
+// paper's experiments charge planning to every query; a non-nil tr gets
+// the plan and pipeline phases.
+func queryFresh(g *core.Generation, q *xpath.Path, tr *obs.Trace) (core.Result, error) {
+	pq, err := g.PreparePath(q, tr)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return g.QueryPrepared(context.Background(), pq, tr, core.Limits{})
+}
+
 // BenchmarkTable1Construction measures index construction (Table 1 ICT):
 // one full unclustered build per iteration. Beside the time it reports
 // the index bytes per entry and the share of the wall time spent putting
@@ -316,7 +327,7 @@ func BenchmarkQueryPipeline(b *testing.B) {
 			}
 			g := env.Frozen(ix)
 			run := func() {
-				if _, err := g.QueryGoverned(context.Background(), q, nil, core.Limits{}); err != nil {
+				if _, err := queryFresh(g, q, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -531,15 +542,14 @@ func BenchmarkQueryTraceOverhead(b *testing.B) {
 	g := env.Frozen(ix)
 	b.Run("untraced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := g.QueryGoverned(context.Background(), q, nil, core.Limits{}); err != nil {
+			if _, err := queryFresh(g, q, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("traced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr := &obs.Trace{}
-			if _, err := g.QueryGoverned(context.Background(), q, tr, core.Limits{}); err != nil {
+			if _, err := queryFresh(g, q, &obs.Trace{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -581,7 +591,12 @@ func BenchmarkNokRefine(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cands, _, err := env.Frozen(ix).CandidatesCtx(context.Background(), path)
+			g := env.Frozen(ix)
+			pq, err := g.PreparePath(path, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cands, _, err := g.CandidatesPrepared(context.Background(), pq)
 			if err != nil {
 				b.Fatal(err)
 			}

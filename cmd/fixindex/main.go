@@ -157,9 +157,13 @@ func run(dbdir string, args []string) error {
 			return err
 		}
 		defer db.Close()
-		m, err := db.Effectiveness(rest[0])
+		res, err := db.Query(rest[0])
 		if err != nil {
 			return err
+		}
+		m, ok := res.Effectiveness()
+		if !ok {
+			return fmt.Errorf("metrics requires an index that answers the query (run 'build' first; a query deeper than the depth limit is scanned)")
 		}
 		fmt.Printf("sel=%.2f%% pp=%.2f%% fpr=%.2f%%\n",
 			m.Selectivity*100, m.PruningPower*100, m.FalsePosRatio*100)

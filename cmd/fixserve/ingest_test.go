@@ -118,6 +118,7 @@ func TestIngestBadInput(t *testing.T) {
 		{"delete with xml", `{"op":"delete","rec":1,"xml":"<a/>"}`},
 		{"empty request", "\n\n"},
 		{"bad xml payload", `{"op":"add","xml":"<unclosed>"}`},
+		{"prefixed name whose local part is not a name", `{"op":"add","xml":"<A:0/>"}`},
 	}
 	for _, tc := range cases {
 		rec := post(t, s, "/ingest", "application/x-ndjson", tc.body)

@@ -95,9 +95,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, err := db.Effectiveness(q)
-		if err != nil {
-			log.Fatal(err)
+		m, ok := res.Effectiveness()
+		if !ok {
+			log.Fatalf("%s: the index did not answer the query", q)
 		}
 		fmt.Printf("%-36s results=%-5d sel=%5.1f%% pp=%5.1f%% fpr=%5.1f%%\n",
 			q, res.Count, m.Selectivity*100, m.PruningPower*100, m.FalsePosRatio*100)

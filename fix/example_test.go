@@ -44,14 +44,15 @@ func ExampleDB_QueryDocuments() {
 	// Output: [0 1]
 }
 
-func ExampleDB_Metrics() {
+func ExampleResult_Effectiveness() {
 	db, _ := fix.CreateMem()
 	db.AddDocumentString(`<a><b/><c/></a>`)
 	db.AddDocumentString(`<a><b/></a>`)
 	db.AddDocumentString(`<a><c/></a>`)
 	db.AddDocumentString(`<a/>`)
 	db.BuildIndex(fix.IndexOptions{})
-	m, _ := db.Effectiveness(`//a[b][c]`)
+	res, _ := db.Query(`//a[b][c]`)
+	m, _ := res.Effectiveness()
 	fmt.Printf("sel=%.2f pp=%.2f\n", m.Selectivity, m.PruningPower)
 	// Output: sel=0.75 pp=0.75
 }

@@ -52,6 +52,8 @@
 // an expvar variable. Per-query detail is opt-in: the Trace query
 // option returns a full per-phase QueryTrace on Result.Trace, and
 // Options.OnSlowQuery installs a threshold-triggered slow-query log.
+// Result.Effectiveness reads the paper's §6.2 measures (selectivity,
+// pruning power, false-positive ratio) off the query's own run.
 // The counters are named after the paper's §6 accounting (entries,
 // candidates, matched entries; page reads; sequential vs. random record
 // reads) — docs/OBSERVABILITY.md is the complete reference.
@@ -73,7 +75,6 @@ import (
 	"github.com/fix-index/fix/internal/obs"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
-	"github.com/fix-index/fix/internal/xpath"
 )
 
 // ErrCorrupt reports that index data on disk failed validation (a page
@@ -199,13 +200,26 @@ type Result struct {
 }
 
 // Effectiveness are the implementation-independent effectiveness
-// measures of the paper's §6.2, returned by DB.Effectiveness. (This type
-// was called Metrics before that name moved to the operational metrics
-// snapshot — see the migration note on Metrics.)
+// measures of the paper's §6.2, returned by Result.Effectiveness. (This
+// type was called Metrics before that name moved to the operational
+// metrics snapshot — see the migration note on Metrics.)
 type Effectiveness struct {
 	Selectivity   float64 // 1 - rst/ent
 	PruningPower  float64 // 1 - cdt/ent
 	FalsePosRatio float64 // 1 - rst/cdt
+}
+
+// Effectiveness returns the paper's §6.2 measures of the query's run: ent
+// is Entries, cdt is Candidates + SketchPruned and rst is MatchedEntries.
+// ok is false when the index did not answer the query — it was scanned
+// (ScanOnly, a degraded index, a query deeper than the depth limit, no
+// index) — or holds no entries, where the ratios are undefined.
+func (r Result) Effectiveness() (m Effectiveness, ok bool) {
+	if r.Entries == 0 {
+		return Effectiveness{}, false
+	}
+	cm := core.Result{Entries: r.Entries, Candidates: r.Candidates, SketchPruned: r.SketchPruned, Matched: r.MatchedEntries}.Metrics()
+	return Effectiveness{Selectivity: cm.Sel, PruningPower: cm.PP, FalsePosRatio: cm.FPR}, true
 }
 
 // CreateMem creates an empty in-memory database.
@@ -836,9 +850,9 @@ func (db *DB) Exists(expr string, opts ...QueryOption) (bool, error) {
 	return db.ExistsCtx(context.Background(), expr, opts...)
 }
 
-// ExistsCtx is Exists with cancellation; verification fans out over the
-// worker pool and the first match stops the remaining workers. It pins
-// the current generation for the duration of the call; see View.ExistsCtx.
+// ExistsCtx is Exists with cancellation; verification stops at the first
+// match. It pins the current generation for the duration of the call; see
+// View.ExistsCtx.
 func (db *DB) ExistsCtx(ctx context.Context, expr string, opts ...QueryOption) (bool, error) {
 	v := db.View()
 	defer v.Close()
@@ -853,37 +867,11 @@ func (db *DB) QueryDocuments(expr string, opts ...QueryOption) ([]uint32, error)
 }
 
 // QueryDocumentsCtx is QueryDocuments with cancellation. Documents are
-// verified in parallel over the worker pool; the result order is still
-// document order regardless of the worker count. It pins the current
-// generation for the duration of the call; see View.QueryDocumentsCtx.
+// verified in document order, which is the result order. It pins the
+// current generation for the duration of the call; see
+// View.QueryDocumentsCtx.
 func (db *DB) QueryDocumentsCtx(ctx context.Context, expr string, opts ...QueryOption) ([]uint32, error) {
 	v := db.View()
 	defer v.Close()
 	return v.QueryDocumentsCtx(ctx, expr, opts...)
-}
-
-// Effectiveness evaluates the query against the current generation and
-// reports the paper's §6.2 implementation-independent effectiveness
-// measures. It requires an index. It is EffectivenessCtx with
-// context.Background().
-func (db *DB) Effectiveness(expr string) (Effectiveness, error) {
-	return db.EffectivenessCtx(context.Background(), expr)
-}
-
-// EffectivenessCtx is Effectiveness with cancellation.
-func (db *DB) EffectivenessCtx(ctx context.Context, expr string) (Effectiveness, error) {
-	v := db.View()
-	defer v.Close()
-	if !v.gen.HasIndex() {
-		return Effectiveness{}, fmt.Errorf("fix: Effectiveness requires an index")
-	}
-	q, err := xpath.Parse(expr)
-	if err != nil {
-		return Effectiveness{}, err
-	}
-	m, err := v.gen.Evaluate(ctx, q)
-	if err != nil {
-		return Effectiveness{}, err
-	}
-	return Effectiveness{Selectivity: m.Sel, PruningPower: m.PP, FalsePosRatio: m.FPR}, nil
 }

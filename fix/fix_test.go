@@ -64,9 +64,13 @@ func TestQueryDocuments(t *testing.T) {
 
 func TestMetrics(t *testing.T) {
 	db := newTestDB(t, IndexOptions{})
-	m, err := db.Effectiveness("//author[email]")
+	res, err := db.Query("//author[email]")
 	if err != nil {
 		t.Fatal(err)
+	}
+	m, ok := res.Effectiveness()
+	if !ok {
+		t.Fatal("the index did not answer //author[email]")
 	}
 	if m.Selectivity != 0.5 {
 		t.Errorf("selectivity = %v, want 0.5", m.Selectivity)
@@ -195,8 +199,10 @@ func TestErrorPaths(t *testing.T) {
 	if err := db.Save(); err == nil {
 		t.Error("Save on in-memory database succeeded")
 	}
-	if _, err := db.Effectiveness("//a"); err == nil {
-		t.Error("Metrics without an index succeeded")
+	if res, err := db.Query("//a"); err != nil {
+		t.Error(err)
+	} else if _, ok := res.Effectiveness(); ok {
+		t.Error("Effectiveness without an index succeeded")
 	}
 	if _, err := db.Query("not a path"); err == nil {
 		t.Error("malformed query accepted")

@@ -72,7 +72,7 @@ func TestTraceReconcilesWithStorageStats(t *testing.T) {
 }
 
 // TestTraceReconcilesWithMetrics checks that a trace's ent/cdt/rst
-// counters produce exactly the §6.2 measures Metrics reports, cdt being
+// counters produce exactly the §6.2 measures Result.Effectiveness reports, cdt being
 // the candidates and the entries the pair sketch dropped, and that its
 // shared_matches is the Result's and moves the /metrics counter by as
 // much: on a depth-limited index the four <title> units agree throughout,
@@ -92,9 +92,9 @@ func TestTraceReconcilesWithMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := db.Effectiveness(tc.q)
-		if err != nil {
-			t.Fatal(err)
+		m, ok := res.Effectiveness()
+		if !ok {
+			t.Fatalf("%s: the index did not answer", tc.q)
 		}
 		tr := res.Trace
 		cdt := tr.Candidates + tr.SketchPruned
@@ -105,7 +105,7 @@ func TestTraceReconcilesWithMetrics(t *testing.T) {
 			fpr = 1 - float64(tr.Matched)/float64(cdt)
 		}
 		if sel != m.Selectivity || pp != m.PruningPower || fpr != m.FalsePosRatio {
-			t.Errorf("%s: trace-derived sel/pp/fpr = %v/%v/%v, Metrics = %v/%v/%v",
+			t.Errorf("%s: trace-derived sel/pp/fpr = %v/%v/%v, Effectiveness = %v/%v/%v",
 				tc.q, sel, pp, fpr, m.Selectivity, m.PruningPower, m.FalsePosRatio)
 		}
 		if tr.SharedMatches != tc.shared || res.SharedMatches != tc.shared {

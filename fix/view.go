@@ -131,18 +131,10 @@ func (v *View) Query(expr string, opts ...QueryOption) (Result, error) {
 func (v *View) QueryCtx(ctx context.Context, expr string, opts ...QueryOption) (res Result, err error) {
 	db := v.db
 	defer db.contain("QueryCtx", true, &err)
-	if v.closed.Load() {
-		return Result{}, ErrViewClosed
-	}
-	var cfg queryConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	lim := db.limitsFor(&cfg)
-	if lim.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
-		defer cancel()
+	ctx, cancel, cfg, lim, err := v.govern(ctx, opts)
+	defer cancel()
+	if err != nil {
+		return Result{}, err
 	}
 	var tr *obs.Trace
 	start := time.Now()
@@ -180,6 +172,24 @@ func (v *View) QueryCtx(ctx context.Context, expr string, opts ...QueryOption) (
 	return res, nil
 }
 
+// govern is the preamble every query operation of a View shares: it fails
+// a closed View, applies the options, resolves the limits and bounds ctx by
+// their Timeout. The caller defers cancel, which is never nil.
+func (v *View) govern(ctx context.Context, opts []QueryOption) (_ context.Context, cancel context.CancelFunc, cfg queryConfig, lim Limits, err error) {
+	cancel = func() {}
+	if v.closed.Load() {
+		return ctx, cancel, cfg, lim, ErrViewClosed
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	lim = v.db.limitsFor(&cfg)
+	if lim.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
+	}
+	return ctx, cancel, cfg, lim, nil
+}
+
 // queryTraced runs the query pipeline against the pinned generation,
 // filling tr (which may be nil) along the way, under lim. scanOnly
 // bypasses the index entirely — the degraded-operation path ScanOnly
@@ -208,7 +218,7 @@ func (v *View) queryTraced(ctx context.Context, expr string, tr *obs.Trace, lim 
 	if tr != nil && scanOnly {
 		tr.Fallback = true
 	}
-	res, err := g.ScanCount(ctx, pq.Tree(), tr, coreLimits(lim), false)
+	res, err := g.ScanCount(ctx, pq.Tree(), tr, coreLimits(lim))
 	if err != nil {
 		return Result{}, err
 	}
@@ -226,20 +236,11 @@ func (v *View) Exists(expr string, opts ...QueryOption) (bool, error) {
 // ScanOnly apply; Exists produces no Result, so Trace has nothing to
 // attach to and is ignored.
 func (v *View) ExistsCtx(ctx context.Context, expr string, opts ...QueryOption) (ok bool, err error) {
-	db := v.db
-	defer db.contain("ExistsCtx", true, &err)
-	if v.closed.Load() {
-		return false, ErrViewClosed
-	}
-	var cfg queryConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	lim := db.limitsFor(&cfg)
-	if lim.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
-		defer cancel()
+	defer v.db.contain("ExistsCtx", true, &err)
+	ctx, cancel, cfg, _, err := v.govern(ctx, opts)
+	defer cancel()
+	if err != nil {
+		return false, err
 	}
 	g := v.gen
 	pq, err := g.Prepare(expr, nil)
@@ -266,18 +267,10 @@ func (v *View) QueryDocuments(expr string, opts ...QueryOption) ([]uint32, error
 func (v *View) QueryDocumentsCtx(ctx context.Context, expr string, opts ...QueryOption) (docs []uint32, err error) {
 	db := v.db
 	defer db.contain("QueryDocumentsCtx", true, &err)
-	if v.closed.Load() {
-		return nil, ErrViewClosed
-	}
-	var cfg queryConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	lim := db.limitsFor(&cfg)
-	if lim.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
-		defer cancel()
+	ctx, cancel, cfg, _, err := v.govern(ctx, opts)
+	defer cancel()
+	if err != nil {
+		return nil, err
 	}
 	g := v.gen
 	pq, err := g.Prepare(expr, nil)
@@ -293,7 +286,8 @@ func (v *View) QueryDocumentsCtx(ctx context.Context, expr string, opts ...Query
 		cands, _, err := g.CandidatesPrepared(ctx, pq)
 		switch {
 		case errors.Is(err, core.ErrDegraded):
-			// The index cannot be trusted; scan every document instead.
+			// The index cannot be trusted (frozen degraded, or found
+			// corrupt by this probe); scan every document instead.
 		case err != nil:
 			return nil, err
 		default:

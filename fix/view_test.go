@@ -2,14 +2,85 @@ package fix
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// plantBadChunk puts a chunk whose value does not decode (an over-long
+// uvarint) in label's partition of db's live index at σ = +Inf, where
+// every probe that reaches the partition reads it, and publishes it.
+func plantBadChunk(t *testing.T, db *DB, label string) {
+	t.Helper()
+	id, ok := db.dict.Lookup(label)
+	if !ok {
+		t.Fatalf("no label %q", label)
+	}
+	key := make([]byte, 20) // label, σ in order-preserving form, first pointer
+	binary.BigEndian.PutUint32(key, id)
+	binary.BigEndian.PutUint64(key[4:], math.Float64bits(math.Inf(1))|1<<63)
+	if err := db.indexRef().BTree().Put(key, []byte{0x82, 0x00}); err != nil {
+		t.Fatal(err)
+	}
+	db.publish()
+}
+
+// TestBadValueIsErrCorrupt: a chunk the probe cannot decode sends every
+// read operation to the exact scan — Query, Exists and QueryDocuments
+// alike, each on a database of its own, as the first to meet the chunk
+// latches the health — and leaves the index's health ErrCorrupt.
+func TestBadValueIsErrCorrupt(t *testing.T) {
+	const q = "//author[email]"
+	healthy := newTestDB(t, IndexOptions{})
+	wantRes, err := healthy.Query(q, ScanOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDocs, err := healthy.QueryDocuments(q, ScanOnly())
+	if err != nil || len(wantDocs) == 0 {
+		t.Fatalf("scan's documents = %v, %v; want some", wantDocs, err)
+	}
+	for _, read := range []struct {
+		name string
+		run  func(db *DB) error
+	}{
+		{"Query", func(db *DB) error {
+			if res, err := db.Query(q); err != nil || res.Count != wantRes.Count || !res.ScanFallback {
+				return fmt.Errorf("= %+v, %v; want %d results by scan", res, err, wantRes.Count)
+			}
+			return nil
+		}},
+		{"Exists", func(db *DB) error {
+			if ok, err := db.Exists(q); err != nil || !ok {
+				return fmt.Errorf("= %v, %v; want true", ok, err)
+			}
+			return nil
+		}},
+		{"QueryDocuments", func(db *DB) error {
+			if docs, err := db.QueryDocuments(q); err != nil || !slices.Equal(docs, wantDocs) {
+				return fmt.Errorf("= %v, %v; want the scan's %v", docs, err, wantDocs)
+			}
+			return nil
+		}},
+	} {
+		db := newTestDB(t, IndexOptions{})
+		plantBadChunk(t, db, "author")
+		if err := read.run(db); err != nil {
+			t.Errorf("%s %v", read.name, err)
+		}
+		if h := db.IndexHealth(); !errors.Is(h, ErrCorrupt) {
+			t.Errorf("health after %s = %v, want ErrCorrupt", read.name, h)
+		}
+		_ = db.Close()
+	}
+}
 
 // TestViewPinnedSnapshot pins a view, commits more data, and checks the
 // view keeps answering from its frozen generation while the DB moves on.

@@ -2,13 +2,19 @@ package collection
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/fix-index/fix/fix"
+	"github.com/fix-index/fix/internal/core"
+	"github.com/fix-index/fix/internal/storage"
+	"github.com/fix-index/fix/internal/xmltree"
 )
 
 // labelFor returns a root label that routes to the wanted shard under
@@ -256,98 +262,163 @@ func TestDeleteByGlobalID(t *testing.T) {
 	}
 }
 
-// TestDegradedShardAnswersExactly corrupts one shard's B-tree on disk:
-// the collection must keep answering exactly (that shard scans), flag
-// the result Degraded but NOT Partial, and rebuilding the shard's index
-// must restore full health.
-func TestDegradedShardAnswersExactly(t *testing.T) {
-	const nshards = 2
-	dir := filepath.Join(t.TempDir(), "deg")
-	ctx := context.Background()
-	c, err := Create(ctx, dir, Spec{Name: "deg", Shards: nshards}, Options{})
+// plantBadChunk opens the closed shard database in dir at the index
+// layer, puts a chunk whose value does not decode (an over-long uvarint)
+// in label's partition at σ = +Inf, where every probe that reaches the
+// partition reads it, and saves the index.
+func plantBadChunk(t *testing.T, dir, label string) {
+	t.Helper()
+	df, err := os.Open(filepath.Join(dir, "labels.dict"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var docs []string
-	for sh := 0; sh < nshards; sh++ {
-		l := labelFor(t, sh, nshards)
-		for i := 0; i < 8; i++ {
-			docs = append(docs, doc(l, 3))
-		}
-	}
-	if _, err := c.AddBatch(ctx, docs); err != nil {
+	dict, err := xmltree.ReadDict(df)
+	_ = df.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(); err != nil {
+	f, err := storage.Open(filepath.Join(dir, "data.heap"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	defer f.Close()
+	st, err := storage.OpenStore(f, dict)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ix, err := core.Open(st, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ok := dict.Lookup(label)
+	if !ok {
+		t.Fatalf("no label %q", label)
+	}
+	key := make([]byte, 20) // label, σ in order-preserving form, first pointer
+	binary.BigEndian.PutUint32(key, id)
+	binary.BigEndian.PutUint64(key[4:], math.Float64bits(math.Inf(1))|1<<63)
+	if err := ix.BTree().Put(key, []byte{0x82, 0x00}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// Flip bits in shard 1's B-tree pages (past the header page).
-	btree := filepath.Join(dir, "shard-001", "fix.btree")
+// TestDegradedShardAnswersExactly damages one shard's B-tree on disk,
+// once with flipped page bytes, which Open detects, and once with a chunk
+// whose value does not decode behind valid checksums, which only a probe
+// finds: the collection must keep answering exactly (that shard scans,
+// its documents too), flag the result Degraded but NOT Partial, and
+// rebuilding the shard's index must restore full health.
+func TestDegradedShardAnswersExactly(t *testing.T) {
+	for _, damage := range []struct {
+		name string
+		do   func(t *testing.T, shardDir string)
+	}{
+		{"flipped page bytes", flipPageBytes},
+		{"a chunk only a probe finds", func(t *testing.T, shardDir string) { plantBadChunk(t, shardDir, "item") }},
+	} {
+		t.Run(damage.name, func(t *testing.T) {
+			const nshards = 2
+			dir := filepath.Join(t.TempDir(), "deg")
+			ctx := context.Background()
+			c, err := Create(ctx, dir, Spec{Name: "deg", Shards: nshards}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var docs []string
+			for sh := 0; sh < nshards; sh++ {
+				l := labelFor(t, sh, nshards)
+				for i := 0; i < 8; i++ {
+					docs = append(docs, doc(l, 3))
+				}
+			}
+			ids, err := c.AddBatch(ctx, docs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(ids)
+			if err := c.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			damage.do(t, filepath.Join(dir, "shard-001"))
+
+			c, err = Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			res, err := c.Query(ctx, "//item", QueryOpts{WithDocuments: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != len(docs)*3 || !slices.Equal(res.Documents, ids) {
+				t.Errorf("degraded count = %d, documents %v; want %d and %v (degraded shards must answer exactly)", res.Count, res.Documents, len(docs)*3, ids)
+			}
+			if !res.Degraded {
+				t.Error("result over a corrupt shard not flagged Degraded")
+			}
+			if res.Partial {
+				t.Errorf("degraded-but-exact result flagged Partial: %+v", res.Shards)
+			}
+			if !res.Shards[1].ScanFallback {
+				t.Errorf("shard 1 row = %+v, want ScanFallback", res.Shards[1])
+			}
+			if res.Shards[0].ScanFallback {
+				t.Error("healthy shard 0 reported scan fallback")
+			}
+
+			health := c.Health()
+			if health[1].Healthy || health[1].Cause == "" {
+				t.Errorf("shard 1 health = %+v, want unhealthy with cause", health[1])
+			}
+			if !health[0].Healthy {
+				t.Errorf("shard 0 health = %+v, want healthy", health[0])
+			}
+
+			if err := c.Shard(1).DB.RebuildIndexCtx(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if h := c.Health(); !h[1].Healthy {
+				t.Errorf("shard 1 still unhealthy after rebuild: %+v", h[1])
+			}
+			res, err = c.Query(ctx, "//item", QueryOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Degraded || res.Count != len(docs)*3 {
+				t.Errorf("post-rebuild result = %+v, want clean count %d", res, len(docs)*3)
+			}
+		})
+	}
+}
+
+// flipPageBytes flips a byte of every page but the header page of the
+// closed shard database's B-tree in dir.
+func flipPageBytes(t *testing.T, dir string) {
+	t.Helper()
+	btree := filepath.Join(dir, "fix.btree")
 	buf, err := os.ReadFile(btree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const pageSize = 4096
 	if len(buf) <= pageSize+100 {
-		t.Fatalf("shard 1 btree only %d bytes; corpus too small to corrupt", len(buf))
+		t.Fatalf("btree only %d bytes; corpus too small to corrupt", len(buf))
 	}
 	for off := pageSize + 100; off < len(buf); off += pageSize {
 		buf[off] ^= 0xFF
 	}
 	if err := os.WriteFile(btree, buf, 0o644); err != nil {
 		t.Fatal(err)
-	}
-
-	c, err = Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	res, err := c.Query(ctx, "//item", QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != len(docs)*3 {
-		t.Errorf("degraded count = %d, want %d (degraded shards must answer exactly)", res.Count, len(docs)*3)
-	}
-	if !res.Degraded {
-		t.Error("result over a corrupt shard not flagged Degraded")
-	}
-	if res.Partial {
-		t.Error("degraded-but-exact result flagged Partial")
-	}
-	if !res.Shards[1].ScanFallback {
-		t.Errorf("shard 1 row = %+v, want ScanFallback", res.Shards[1])
-	}
-	if res.Shards[0].ScanFallback {
-		t.Error("healthy shard 0 reported scan fallback")
-	}
-
-	health := c.Health()
-	if health[1].Healthy || health[1].Cause == "" {
-		t.Errorf("shard 1 health = %+v, want unhealthy with cause", health[1])
-	}
-	if !health[0].Healthy {
-		t.Errorf("shard 0 health = %+v, want healthy", health[0])
-	}
-
-	if err := c.Shard(1).DB.RebuildIndexCtx(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if h := c.Health(); !h[1].Healthy {
-		t.Errorf("shard 1 still unhealthy after rebuild: %+v", h[1])
-	}
-	res, err = c.Query(ctx, "//item", QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded || res.Count != len(docs)*3 {
-		t.Errorf("post-rebuild result = %+v, want clean count %d", res, len(docs)*3)
 	}
 }
 

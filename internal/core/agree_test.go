@@ -220,7 +220,7 @@ func TestSharedMatchesXMarkRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := g.ScanCount(ctx, q.Tree(), nil, Limits{}, false)
+		scan, err := g.ScanCount(ctx, q.Tree(), nil, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

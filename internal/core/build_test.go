@@ -178,11 +178,12 @@ func TestQueryCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := freeze(t, ix)
-	if _, err := g.QueryGoverned(ctx, q, nil, Limits{}); err != context.Canceled {
-		t.Errorf("QueryGoverned on cancelled ctx = %v, want context.Canceled", err)
+	pq := prepare(t, g, q)
+	if _, err := g.QueryPrepared(ctx, pq, nil, Limits{}); err != context.Canceled {
+		t.Errorf("QueryPrepared on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := g.ExistsGoverned(ctx, q); err != context.Canceled {
-		t.Errorf("ExistsGoverned on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := g.ExistsPrepared(ctx, pq); err != context.Canceled {
+		t.Errorf("ExistsPrepared on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 

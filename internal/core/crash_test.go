@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -813,6 +814,28 @@ func TestOpenVersion2IndexDegrades(t *testing.T) {
 // not hold fails Verify, and so does a chunk that holds postings fix.meta does not count.
 func TestBadValueIsErrCorrupt(t *testing.T) {
 	q := xpath.MustParse("//author[email]") // no root label on a collection index: every partition
+	_, want := bruteCount(t, memStoreFromDocs(t, bibDocs), q)
+	// The read paths a bad chunk can reach, each on an index of its own:
+	// the first to meet the chunk latches the health the next would see.
+	// Each must answer by scan (or, for CandidatesPrepared, send its caller
+	// to the scan) and leave the health ErrCorrupt.
+	reads := []struct {
+		name  string
+		check func(g *Generation) error
+	}{
+		{"query", func(g *Generation) error {
+			if res, err := query(g, q); err != nil || !res.Fallback || res.Count != want {
+				return fmt.Errorf("= %+v, %v; want %d results by scan", res, err, want)
+			}
+			return nil
+		}},
+		{"CandidatesPrepared", func(g *Generation) error {
+			if cands, _, err := g.CandidatesPrepared(context.Background(), prepare(t, g, q)); !errors.Is(err, ErrDegraded) || !errors.Is(err, ErrCorrupt) {
+				return fmt.Errorf("= %d candidates, %v; want ErrDegraded wrapping ErrCorrupt, so its caller scans", len(cands), err)
+			}
+			return nil
+		}},
+	}
 	for _, tc := range []struct {
 		name    string
 		val     []byte
@@ -824,37 +847,42 @@ func TestBadValueIsErrCorrupt(t *testing.T) {
 		{"a record the store does not hold", chunkOf(posting{0, 0}, posting{storage.MakePointer(999, 0), 0}), true},
 		{"a posting nothing counts", chunkOf(posting{0, fullSketch}), true},
 	} {
-		st := memStoreFromDocs(t, bibDocs)
-		ix, err := Build(st, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		label, _ := ix.dict.Lookup("author")
-		key := entryKey{label: label, sigma: math.Inf(1), first: 0}.encode()
-		if err := ix.bt.Put(key, tc.val); err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.verify(true); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: verify = %v, want ErrCorrupt", tc.name, err)
-		}
-		if tc.decodes {
-			continue
-		}
-		// Records whose uvarints begin with every byte there is: the delete
-		// decodes every value.
-		every := make([]uint32, 256)
-		for i := range every {
-			every[i] = uint32(i)
-		}
-		if _, err := ix.DeleteDocuments(every); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: DeleteDocuments = %v, want ErrCorrupt", tc.name, err)
-		}
-		res, err := query(freeze(t, ix), q)
-		if _, want := bruteCount(t, st, q); err != nil || !res.Fallback || res.Count != want {
-			t.Errorf("%s: query = %+v, %v; want %d results by scan", tc.name, res, err, want)
-		}
-		if h := ix.Health(); !errors.Is(h, ErrCorrupt) {
-			t.Errorf("%s: health after the query = %v, want ErrCorrupt", tc.name, h)
+		for i, read := range reads {
+			st := memStoreFromDocs(t, bibDocs)
+			ix, err := Build(st, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label, _ := ix.dict.Lookup("author")
+			key := entryKey{label: label, sigma: math.Inf(1), first: 0}.encode()
+			if err := ix.bt.Put(key, tc.val); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				if err := ix.verify(true); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: verify = %v, want ErrCorrupt", tc.name, err)
+				}
+			}
+			if tc.decodes {
+				break
+			}
+			if i == 0 {
+				// Records whose uvarints begin with every byte there is:
+				// the delete decodes every value.
+				every := make([]uint32, 256)
+				for i := range every {
+					every[i] = uint32(i)
+				}
+				if _, err := ix.DeleteDocuments(every); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: DeleteDocuments = %v, want ErrCorrupt", tc.name, err)
+				}
+			}
+			if err := read.check(freeze(t, ix)); err != nil {
+				t.Errorf("%s: %s %v", tc.name, read.name, err)
+			}
+			if h := ix.Health(); !errors.Is(h, ErrCorrupt) {
+				t.Errorf("%s: health after %s = %v, want ErrCorrupt", tc.name, read.name, h)
+			}
 		}
 	}
 }

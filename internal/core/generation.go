@@ -93,9 +93,6 @@ func (g *Generation) ID() uint64 { return g.id }
 // freeze time — that routes its queries to the scan fallback.
 func (g *Generation) Health() error { return g.health }
 
-// HasIndex reports whether the generation carries an index.
-func (g *Generation) HasIndex() bool { return g.ix != nil }
-
 // Store returns the frozen view of the primary heap.
 func (g *Generation) Store() *storage.ReadView { return g.store }
 
@@ -139,11 +136,6 @@ func (g *Generation) Unpin() {
 // the returned reference and must Unpin it.
 func (ix *Index) Freeze() *Generation {
 	return NewGeneration(0, ix, ix.store, ix.dict, nil, nil)
-}
-
-// Covered reports whether the generation's index can answer the query.
-func (g *Generation) Covered(path *xpath.Path) bool {
-	return g.ix != nil && g.ix.Covered(path)
 }
 
 // alikeSpan is a stretch [lo, hi) of a probe's candidates that one chunk
@@ -298,24 +290,29 @@ func recycle(buf *probeBuf, cands []Candidate) {
 	}
 }
 
-// CandidatesPrepared returns the index candidates of a prepared query,
-// or an error wrapping ErrDegraded when the generation was frozen
-// degraded: the pruning promise — no false negatives — cannot be kept, so
-// callers must scan instead.
+// CandidatesPrepared returns the index candidates of a prepared query, in
+// a list the caller keeps, and how many postings the probe scanned. When
+// the index cannot answer — the generation was frozen degraded, or the
+// probe found it corrupt just now — it returns the index's health, an
+// error wrapping ErrDegraded: the pruning promise, no false negatives,
+// cannot be kept, so the caller must scan instead.
 func (g *Generation) CandidatesPrepared(ctx context.Context, pq *Prepared) ([]Candidate, int, error) {
-	if g.health != nil {
-		return nil, 0, g.health
+	cands, scanned, _, useScan, err := g.probe(ctx, pq, nil, Limits{}, &probeBuf{})
+	if useScan {
+		if g.health != nil {
+			return nil, 0, g.health
+		}
+		return nil, 0, g.ix.Health()
 	}
-	if !pq.Covered() {
-		return nil, 0, pq.errNotCovered()
-	}
-	cands, scanned, _, err := g.candidates(ctx, pq.plan, Limits{}, nil, nil)
 	return cands, scanned, err
 }
 
-// CandidatesCtx is CandidatesPrepared for a query planned afresh.
+// CandidatesCtx is CandidatesPrepared for a query planned afresh. It is
+// the one path-taking entry left: bench/fixload/ledger.go calls it, and it
+// goes when the ledger reads the product's trace (ROADMAP 7(e), "Make the
+// ledger measure the product").
 func (g *Generation) CandidatesCtx(ctx context.Context, path *xpath.Path) ([]Candidate, int, error) {
-	pq, err := g.ix.newPrepared(path, nil)
+	pq, err := g.PreparePath(path, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -464,7 +461,12 @@ func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Tr
 		return Result{}, err
 	}
 	if useScan {
-		return g.ScanCount(ctx, pq.tree, tr, lim, true)
+		if tr != nil {
+			tr.Fallback = true
+		}
+		res, err := g.ScanCount(ctx, pq.tree, tr, lim)
+		res.Fallback = err == nil
+		return res, err
 	}
 	res := Result{Entries: g.entries, Scanned: scanned, Candidates: len(cands), SketchPruned: pruned}
 	var distinct distinctFunc
@@ -479,16 +481,6 @@ func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Tr
 		tr.Entries, tr.Scanned, tr.Candidates, tr.SketchPruned = res.Entries, res.Scanned, res.Candidates, res.SketchPruned
 	}
 	return res, nil
-}
-
-// QueryGoverned is QueryPrepared for a query planned afresh; a non-nil
-// tr also gets the plan wall time.
-func (g *Generation) QueryGoverned(ctx context.Context, path *xpath.Path, tr *obs.Trace, lim Limits) (Result, error) {
-	pq, err := g.ix.newPrepared(path, tr)
-	if err != nil {
-		return Result{}, err
-	}
-	return g.QueryPrepared(ctx, pq, tr, lim)
 }
 
 // ExistsPrepared reports whether a prepared query has at least one result,
@@ -508,31 +500,18 @@ func (g *Generation) ExistsPrepared(ctx context.Context, pq *Prepared) (bool, er
 	return g.firstHit(ctx, candidateItems(pq, cands, buf.spans), pq.refine)
 }
 
-// ExistsGoverned is ExistsPrepared for a query planned afresh.
-func (g *Generation) ExistsGoverned(ctx context.Context, path *xpath.Path) (bool, error) {
-	pq, err := g.ix.newPrepared(path, nil)
-	if err != nil {
-		return false, err
-	}
-	return g.ExistsPrepared(ctx, pq)
-}
-
 // ScanCount answers a query without the index by refining every live
 // record of the frozen heap view, under the same governance as the
 // indexed path — a degraded index must not turn a bounded query into an
-// unbounded scan. When markFallback is set the result and trace are
-// flagged as a degraded-index fallback (the caller passes false for a
-// deliberate scan, where it owns the flagging); the pruning counters
-// stay zero because no pruning happened.
-func (g *Generation) ScanCount(ctx context.Context, qt *xpath.QNode, tr *obs.Trace, lim Limits, markFallback bool) (Result, error) {
+// unbounded scan. The pruning counters stay zero because no pruning
+// happened; a caller that scans in place of a degraded index sets the
+// result's and the trace's Fallback itself.
+func (g *Generation) ScanCount(ctx context.Context, qt *xpath.QNode, tr *obs.Trace, lim Limits) (Result, error) {
 	nq, err := nok.Compile(qt, g.dict)
 	if err != nil {
 		return Result{}, err
 	}
-	if tr != nil && markFallback {
-		tr.Fallback = true
-	}
-	res := Result{Fallback: markFallback}
+	var res Result
 	res.Matched, res.Count, _, err = g.refine(ctx, g.scanItems(), nq, lim, tr, nil)
 	if err != nil {
 		return Result{}, err

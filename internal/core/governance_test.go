@@ -68,20 +68,20 @@ func TestRefineNodeLimitIsExact(t *testing.T) {
 		{"one candidate", whole, "//a/b"},
 		{"a candidate per element", depth3, "//a[b]"},
 	} {
-		q := xpath.MustParse(tc.q)
+		q := prepare(t, tc.g, xpath.MustParse(tc.q))
 		full := &obs.Trace{}
-		want, err := tc.g.QueryGoverned(context.Background(), q, full, Limits{})
+		want, err := tc.g.QueryPrepared(context.Background(), q, full, Limits{})
 		if err != nil || want.Count != 200 || want.SharedMatches != 0 || full.NodesVisited <= 131 {
 			t.Fatalf("%s: unlimited %s = %+v, %d visits, %v; want 200 results over more than 131 visits", tc.name, tc.q, want, full.NodesVisited, err)
 		}
 		for _, limit := range []int64{1, 63, 64, 65, 130, full.NodesVisited - 1} {
 			tr := &obs.Trace{}
-			_, err := tc.g.QueryGoverned(context.Background(), q, tr, Limits{MaxRefineNodes: limit})
+			_, err := tc.g.QueryPrepared(context.Background(), q, tr, Limits{MaxRefineNodes: limit})
 			if !errors.Is(err, ErrBudgetExceeded) || tr.NodesVisited != limit {
 				t.Errorf("%s: MaxRefineNodes %d: %d visits, %v; want exactly %d, then ErrBudgetExceeded", tc.name, limit, tr.NodesVisited, err, limit)
 			}
 		}
-		got, err := tc.g.QueryGoverned(context.Background(), q, nil, Limits{MaxRefineNodes: full.NodesVisited})
+		got, err := tc.g.QueryPrepared(context.Background(), q, nil, Limits{MaxRefineNodes: full.NodesVisited})
 		if err != nil || got.Count != want.Count {
 			t.Errorf("%s: MaxRefineNodes of the query's own %d visits = %+v, %v; want %+v", tc.name, full.NodesVisited, got, err, want)
 		}
@@ -100,18 +100,18 @@ func TestDeadlineFailsPassOfTombstones(t *testing.T) {
 		}
 	}
 	g := freeze(t, ix)
-	q := xpath.MustParse("//author")
-	res, err := g.QueryGoverned(context.Background(), q, nil, Limits{})
+	q := prepare(t, g, xpath.MustParse("//author"))
+	res, err := g.QueryPrepared(context.Background(), q, nil, Limits{})
 	if err != nil || res.Candidates == 0 || res.Count != 0 {
-		t.Fatalf("%s over tombstoned records = %+v, %v; want candidates and no result", q, res, err)
+		t.Fatalf("%s over tombstoned records = %+v, %v; want candidates and no result", q.Tree(), res, err)
 	}
 	late := func() *pollCtx {
 		return &pollCtx{Context: context.Background(), quiet: 1, err: context.DeadlineExceeded}
 	}
-	if _, err := g.QueryGoverned(late(), q, nil, Limits{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := g.QueryPrepared(late(), q, nil, Limits{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("query whose deadline passed during the pass = %v, want DeadlineExceeded", err)
 	}
-	if _, err := g.ExistsGoverned(late(), q); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := g.ExistsPrepared(late(), q); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Exists whose deadline passed during the pass = %v, want DeadlineExceeded", err)
 	}
 }
@@ -124,14 +124,14 @@ func TestDeadlineFailsPassOfTombstones(t *testing.T) {
 // walk: 64 visits, not the candidate's 401, and no further poll.
 func TestCancelInsideOneSubtree(t *testing.T) {
 	whole, _ := wideDocIndexes(t, 200)
-	q := xpath.MustParse("//a/b")
+	q := prepare(t, whole, xpath.MustParse("//a/b"))
 	ctx := &pollCtx{Context: context.Background(), quiet: 2, err: context.Canceled}
 	tr := &obs.Trace{}
-	if _, err := whole.QueryGoverned(ctx, q, tr, Limits{}); !errors.Is(err, context.Canceled) || tr.NodesVisited != 64 || ctx.polls != 3 {
+	if _, err := whole.QueryPrepared(ctx, q, tr, Limits{}); !errors.Is(err, context.Canceled) || tr.NodesVisited != 64 || ctx.polls != 3 {
 		t.Errorf("query cancelled inside its candidate: %v after %d visits and %d polls, want Canceled after 64 visits and 3 polls", err, tr.NodesVisited, ctx.polls)
 	}
 	ctx = &pollCtx{Context: context.Background(), quiet: 2, err: context.Canceled}
-	if hit, err := whole.ExistsGoverned(ctx, q); !errors.Is(err, context.Canceled) || ctx.polls != 3 {
+	if hit, err := whole.ExistsPrepared(ctx, q); !errors.Is(err, context.Canceled) || ctx.polls != 3 {
 		t.Errorf("Exists cancelled inside its candidate = %v, %v after %d polls, want Canceled after 3", hit, err, ctx.polls)
 	}
 }

@@ -517,18 +517,6 @@ func (ix *Index) refinementQuery(qt *xpath.QNode) (*xpath.QNode, bool) {
 	return rq, rootAnchored
 }
 
-// Covered reports whether the index can answer the query (depth check).
-func (ix *Index) Covered(path *xpath.Path) bool {
-	if ix.opts.DepthLimit == 0 {
-		return true
-	}
-	qt := path.Tree()
-	if qt == nil {
-		return false
-	}
-	return xpath.Decompose(qt)[0].Root.Depth() <= ix.opts.DepthLimit
-}
-
 // QueryFeatures exposes the features FIX computes for the query's top
 // twig, relaxed by slack as the probe compares them; diagnostics and
 // experiments use it.

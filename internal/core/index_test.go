@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -62,11 +63,30 @@ func freeze(t testing.TB, ix *Index) *Generation {
 // tests that use this helper is also a case of the plan cache's
 // differential.
 func query(g *Generation, q *xpath.Path) (Result, error) {
-	res, err := g.QueryGoverned(context.Background(), q, nil, Limits{})
+	pq, err := g.PreparePath(q, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return queryPrepared(g, pq, q)
+}
+
+// queryPrepared is query for q already planned afresh on g as pq.
+func queryPrepared(g *Generation, pq *Prepared, q *xpath.Path) (Result, error) {
+	res, err := g.QueryPrepared(context.Background(), pq, nil, Limits{})
 	if err != nil {
 		return res, err
 	}
 	return res, checkCached(g, q, res)
+}
+
+// prepare plans q afresh on g, failing the test on an error.
+func prepare(t testing.TB, g *Generation, q *xpath.Path) *Prepared {
+	t.Helper()
+	pq, err := g.PreparePath(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pq
 }
 
 // bruteCount evaluates the query over every document with the bare
@@ -243,15 +263,16 @@ func TestDepthLimitedNestedCandidatesCountOnce(t *testing.T) {
 
 func TestDepthCoverage(t *testing.T) {
 	_, ix := buildSingleDoc(t, deepDoc, Options{DepthLimit: 2})
+	g := freeze(t, ix)
 	q := xpath.MustParse("//proceedings[booktitle]/title[sup][i]") // depth 3
-	if ix.Covered(q) {
+	if prepare(t, g, q).Covered() {
 		t.Error("depth-3 query reported covered by depth-2 index")
 	}
-	if _, err := query(freeze(t, ix), q); err == nil {
-		t.Error("Query should fail for an uncovered query")
+	if _, err := query(g, q); !errors.Is(err, ErrNotCovered) {
+		t.Errorf("Query of an uncovered query = %v, want ErrNotCovered", err)
 	}
 	q2 := xpath.MustParse("//article/author")
-	if !ix.Covered(q2) {
+	if !prepare(t, g, q2).Covered() {
 		t.Error("depth-2 query reported uncovered by depth-2 index")
 	}
 }
@@ -325,7 +346,7 @@ func TestConcurrentQueriesKeepTheirCandidates(t *testing.T) {
 					t.Errorf("concurrent %s = %+v, %v; alone it was %+v", e.q, res, err, e.res)
 					return
 				}
-				ok, err := g.ExistsGoverned(context.Background(), e.q)
+				ok, err := g.ExistsPrepared(context.Background(), prepare(t, g, e.q))
 				if err != nil || ok != (e.res.Count > 0) {
 					t.Errorf("concurrent Exists(%s) = %v, %v; count alone was %d", e.q, ok, err, e.res.Count)
 					return

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"github.com/fix-index/fix/internal/xpath"
-)
+import "fmt"
 
 // Metrics are the paper's implementation-independent effectiveness
 // measures (§6.2):
@@ -24,7 +19,12 @@ type Metrics struct {
 	Sel, PP, FPR  float64
 }
 
-func computeMetrics(ent, cdt, rst int) Metrics {
+// Metrics returns the §6.2 measures of one indexed query's run: ent its
+// Entries, cdt its PaperCandidates and rst its Matched. By the index's
+// no-false-negative property the result-producing entries are a subset of
+// the candidates, so rst is measured on them.
+func (r Result) Metrics() Metrics {
+	ent, cdt, rst := r.Entries, r.PaperCandidates(), r.Matched
 	m := Metrics{Ent: ent, Cdt: cdt, Rst: rst}
 	if ent > 0 {
 		m.Sel = 1 - float64(rst)/float64(ent)
@@ -39,15 +39,4 @@ func computeMetrics(ent, cdt, rst int) Metrics {
 func (m Metrics) String() string {
 	return fmt.Sprintf("sel=%.2f%% pp=%.2f%% fpr=%.2f%% (ent=%d cdt=%d rst=%d)",
 		m.Sel*100, m.PP*100, m.FPR*100, m.Ent, m.Cdt, m.Rst)
-}
-
-// Evaluate runs the query and reports the implementation-independent
-// metrics. By the index's no-false-negative property the result-producing
-// entries are a subset of the candidates, so rst is measured on them.
-func (g *Generation) Evaluate(ctx context.Context, path *xpath.Path) (Metrics, error) {
-	res, err := g.QueryGoverned(ctx, path, nil, Limits{})
-	if err != nil {
-		return Metrics{}, err
-	}
-	return computeMetrics(res.Entries, res.PaperCandidates(), res.Matched), nil
 }

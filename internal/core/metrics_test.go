@@ -9,11 +9,11 @@ import (
 )
 
 func TestComputeMetrics(t *testing.T) {
-	m := computeMetrics(100, 20, 10)
-	if m.Sel != 0.9 || m.PP != 0.8 || m.FPR != 0.5 {
+	m := Result{Entries: 100, Candidates: 15, SketchPruned: 5, Matched: 10}.Metrics()
+	if m.Sel != 0.9 || m.PP != 0.8 || m.FPR != 0.5 || m.Cdt != 20 {
 		t.Errorf("metrics = %+v", m)
 	}
-	zero := computeMetrics(0, 0, 0)
+	zero := Result{}.Metrics()
 	if zero.Sel != 0 || zero.PP != 0 || zero.FPR != 0 {
 		t.Errorf("zero metrics = %+v", zero)
 	}
@@ -28,15 +28,15 @@ func TestComputeMetrics(t *testing.T) {
 func TestExistsShortCircuit(t *testing.T) {
 	_, ix := buildCollection(t, bibDocs, Options{})
 	g := freeze(t, ix)
-	ok, err := g.ExistsGoverned(context.Background(), xpath.MustParse("//author[email]"))
+	ok, err := g.ExistsPrepared(context.Background(), prepare(t, g, xpath.MustParse("//author[email]")))
 	if err != nil || !ok {
 		t.Errorf("Exists = %v, %v", ok, err)
 	}
-	ok, err = g.ExistsGoverned(context.Background(), xpath.MustParse("//author[phone][affiliation]"))
+	ok, err = g.ExistsPrepared(context.Background(), prepare(t, g, xpath.MustParse("//author[phone][affiliation]")))
 	if err != nil || ok {
 		t.Errorf("Exists(impossible) = %v, %v", ok, err)
 	}
-	ok, err = g.ExistsGoverned(context.Background(), xpath.MustParse("//nosuchlabel"))
+	ok, err = g.ExistsPrepared(context.Background(), prepare(t, g, xpath.MustParse("//nosuchlabel")))
 	if err != nil || ok {
 		t.Errorf("Exists(unknown label) = %v, %v", ok, err)
 	}
@@ -58,7 +58,7 @@ func TestQueryFeaturesExposure(t *testing.T) {
 
 func TestCoveredCollectionAlwaysTrue(t *testing.T) {
 	_, ix := buildCollection(t, bibDocs, Options{})
-	if !ix.Covered(xpath.MustParse("//a/b/c/d/e/f/g/h/i/j")) {
+	if !prepare(t, freeze(t, ix), xpath.MustParse("//a/b/c/d/e/f/g/h/i/j")).Covered() {
 		t.Error("collection index should cover any depth")
 	}
 }

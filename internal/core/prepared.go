@@ -67,11 +67,21 @@ func (pq *Prepared) errNotCovered() error {
 	return fmt.Errorf("%w: %s", ErrNotCovered, pq.tree)
 }
 
+// PreparePath returns path prepared for this generation, planned and
+// compiled afresh: it bypasses the plan cache, so a caller that prepares
+// every query charges planning to every query, as the paper's experiments
+// do. A non-nil tr gets the plan wall time. Without an index the query is
+// prepared for the scan: Covered reports false.
+func (g *Generation) PreparePath(path *xpath.Path, tr *obs.Trace) (*Prepared, error) {
+	if g.ix == nil {
+		return &Prepared{tree: path.Tree()}, nil
+	}
+	return g.ix.newPrepared(path, tr)
+}
+
 // newPrepared plans and compiles path against the index's current
-// dictionary and encoder, reading their lengths first. It bypasses the
-// cache: the path-taking entry points (QueryGoverned, ExistsGoverned,
-// CandidatesCtx) call it directly and so charge planning to every query,
-// as the paper's experiments do. A non-nil tr gets the plan wall time.
+// dictionary and encoder, reading their lengths first. A non-nil tr gets
+// the plan wall time.
 func (ix *Index) newPrepared(path *xpath.Path, tr *obs.Trace) (*Prepared, error) {
 	start := time.Now()
 	defer func() {
@@ -195,5 +205,5 @@ func (g *Generation) Prepare(expr string, tr *obs.Trace) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{tree: path.Tree()}, nil
+	return g.PreparePath(path, tr)
 }

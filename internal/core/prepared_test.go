@@ -188,7 +188,7 @@ func TestPlanCacheCapacity(t *testing.T) {
 	want := map[string]Result{}
 	for _, tmpl := range templates {
 		text := fmt.Sprintf(tmpl, "")
-		res, err := g.QueryGoverned(context.Background(), xpath.MustParse(text), nil, Limits{})
+		res, err := g.QueryPrepared(context.Background(), prepare(t, g, xpath.MustParse(text)), nil, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,11 +108,12 @@ func TestNoFalseNegativesDepthLimited(t *testing.T) {
 			for qn := 0; qn < 25; qn++ {
 				qs := randomPropQuery(rng, labels, depthLimit, 3)
 				q := xpath.MustParse(qs)
-				if !ix.Covered(q) {
+				pq := prepare(t, g, q)
+				if !pq.Covered() {
 					continue
 				}
 				_, wantCount := bruteCount(t, st, q)
-				res, err := query(g, q)
+				res, err := queryPrepared(g, pq, q)
 				if err != nil {
 					t.Fatalf("trial %d L=%d %s: %v", trial, depthLimit, qs, err)
 				}
@@ -293,7 +294,7 @@ func TestClusteredGenerationMatchesPrimary(t *testing.T) {
 		for qn := 0; qn < 100; qn++ {
 			qs := randomPropQuery(rng, labels, 3, 3)
 			q := xpath.MustParse(qs)
-			scan, err := pg.ScanCount(ctx, q.Tree(), nil, Limits{}, false)
+			scan, err := pg.ScanCount(ctx, q.Tree(), nil, Limits{})
 			if err != nil {
 				t.Fatalf("L=%d %s: scan: %v", depthLimit, qs, err)
 			}

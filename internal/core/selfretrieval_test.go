@@ -59,7 +59,7 @@ func checkSelfRetrieval(t *testing.T, what string, ix *Index, twigs map[string]i
 		if err != nil {
 			t.Fatalf("%s: %s: %v", what, twig, err)
 		}
-		want, err := g.ScanCount(context.Background(), q.Tree(), nil, Limits{}, false)
+		want, err := g.ScanCount(context.Background(), q.Tree(), nil, Limits{})
 		if err != nil {
 			t.Fatalf("%s: %s (scan): %v", what, twig, err)
 		}

@@ -169,14 +169,15 @@ func TestSketchNeverDropsAMatch(t *testing.T) {
 			for qn := 0; qn < 60; qn++ {
 				qs := randomSketchQuery(rng, labels, values)
 				q := xpath.MustParse(qs)
-				if !ix.Covered(q) {
+				pq := prepare(t, g, q)
+				if !pq.Covered() {
 					continue
 				}
-				scan, err := g.ScanCount(ctx, q.Tree(), nil, Limits{}, false)
+				scan, err := g.ScanCount(ctx, q.Tree(), nil, Limits{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := query(g, q)
+				res, err := queryPrepared(g, pq, q)
 				if err != nil {
 					t.Fatalf("%+v %s: %v", opts, qs, err)
 				}
@@ -240,7 +241,7 @@ func TestSketchPrunesXMarkRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := g.ScanCount(ctx, q.Tree(), nil, Limits{}, false)
+		scan, err := g.ScanCount(ctx, q.Tree(), nil, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,15 +78,15 @@ func (s *SketchStudy) StoredBits() int { return sketchBits }
 // Chunks returns the number of chunks of the index.
 func (s *SketchStudy) Chunks() int { return len(s.chunks) }
 
-// Kept returns, for each width k of ks, how many of the query's σ
-// candidates a k-bit sketch per chunk keeps; k = 0 keeps them all.
-func (s *SketchStudy) Kept(ctx context.Context, path *xpath.Path, ks []int) ([]int, error) {
+// Kept returns, for each width k of ks, how many of the σ candidates of
+// pq, prepared on the study's generation and Covered, a k-bit sketch per
+// chunk keeps; k = 0 keeps them all.
+func (s *SketchStudy) Kept(ctx context.Context, pq *Prepared, ks []int) ([]int, error) {
 	ix := s.g.ix
-	p, err := ix.plan(path.Tree())
-	if err != nil {
-		return nil, err
+	if !pq.Covered() {
+		return nil, pq.errNotCovered()
 	}
-	sigmaOnly := *p
+	sigmaOnly := *pq.plan
 	sigmaOnly.sketch = 0
 	cands, _, _, err := s.g.candidates(ctx, &sigmaOnly, Limits{}, nil, nil)
 	if err != nil {
@@ -94,7 +94,7 @@ func (s *SketchStudy) Kept(ctx context.Context, path *xpath.Path, ks []int) ([]i
 	}
 	var query []int32
 	missing := false
-	twigs := xpath.Decompose(path.Tree())
+	twigs := xpath.Decompose(pq.tree)
 	if ix.opts.DepthLimit > 0 {
 		twigs = twigs[:1]
 	}

@@ -29,10 +29,7 @@ func AblationRootLabel(ctx context.Context, env *Env) ([]RootLabelRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	without, err := core.Build(env.Store, core.Options{
-		DepthLimit:  env.DepthLimit(),
-		NoRootLabel: true,
-	})
+	without, err := withoutRootLabel(with)
 	if err != nil {
 		return nil, err
 	}
@@ -53,12 +50,10 @@ func AblationRootLabel(ctx context.Context, env *Env) ([]RootLabelRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		mW := computeMetricsFromResult(resW)
-		mWo := computeMetricsFromResult(resWo)
 		rows = append(rows, RootLabelRow{
 			Query:          rq.Name,
-			PPWith:         mW.PP,
-			PPWithout:      mWo.PP,
+			PPWith:         resW.Metrics().PP,
+			PPWithout:      resWo.Metrics().PP,
 			ScannedWith:    resW.Scanned,
 			ScannedWithout: resWo.Scanned,
 		})
@@ -66,11 +61,13 @@ func AblationRootLabel(ctx context.Context, env *Env) ([]RootLabelRow, error) {
 	return rows, nil
 }
 
-func computeMetricsFromResult(r core.Result) core.Metrics {
-	return core.Metrics{
-		Ent: r.Entries, Cdt: r.PaperCandidates(), Rst: r.Matched,
-		PP: 1 - float64(r.PaperCandidates())/float64(max(1, r.Entries)),
-	}
+// withoutRootLabel builds ix's twin whose planner ignores the root label:
+// ix's options with NoRootLabel set and nothing else changed, so the
+// pruning bound, the depth limit and the workers stay ix's.
+func withoutRootLabel(ix *core.Index) (*core.Index, error) {
+	opts := ix.Options()
+	opts.NoRootLabel = true
+	return core.Build(ix.Store(), opts)
 }
 
 // DepthSweepRow reports one depth limit's cost and coverage.
@@ -118,15 +115,19 @@ func depthSweepRow(ctx context.Context, env *Env, d int) (DepthSweepRow, error) 
 		if err != nil {
 			return DepthSweepRow{}, err
 		}
-		if !g.Covered(q) {
+		pq, err := g.PreparePath(q, nil)
+		if err != nil {
+			return DepthSweepRow{}, err
+		}
+		if !pq.Covered() {
 			continue
 		}
-		m, err := g.Evaluate(ctx, q)
+		res, err := g.QueryPrepared(ctx, pq, nil, core.Limits{})
 		if err != nil {
 			return DepthSweepRow{}, err
 		}
 		row.Covered++
-		row.AvgPP += m.PP
+		row.AvgPP += res.Metrics().PP
 	}
 	if row.Covered > 0 {
 		row.AvgPP /= float64(row.Covered)
@@ -162,14 +163,15 @@ func AblationPruningMode(ctx context.Context, env *Env) ([]PruningModeRow, error
 		if err != nil {
 			return nil, err
 		}
-		pm, err := pgen.Evaluate(ctx, q)
+		pres, err := count(ctx, pgen, q)
 		if err != nil {
 			return nil, err
 		}
-		sm, err := sgen.Evaluate(ctx, q)
+		sres, err := count(ctx, sgen, q)
 		if err != nil {
 			return nil, err
 		}
+		pm, sm := pres.Metrics(), sres.Metrics()
 		rows = append(rows, PruningModeRow{
 			Query:    rq.Name,
 			PaperPP:  pm.PP,

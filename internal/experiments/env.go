@@ -92,9 +92,14 @@ func (e *Env) Close() {
 	}
 }
 
-// count runs q on g with no trace and no limits.
+// count plans q afresh on g — the paper charges planning to every query —
+// and runs it with no trace and no limits.
 func count(ctx context.Context, g *core.Generation, q *xpath.Path) (core.Result, error) {
-	return g.QueryGoverned(ctx, q, nil, core.Limits{})
+	pq, err := g.PreparePath(q, nil)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return g.QueryPrepared(ctx, pq, nil, core.Limits{})
 }
 
 // Elements returns the dataset's element count.

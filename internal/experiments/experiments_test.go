@@ -146,6 +146,21 @@ func TestAblationRootLabelAndDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The two indexes differ in the label feature alone: the same pruning
+	// bound, depth limit and workers.
+	with, err := env.Unclustered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := withoutRootLabel(with)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOpts := with.Options()
+	wantOpts.NoRootLabel = true
+	if got := without.Options(); got != wantOpts || with.Options().NoRootLabel {
+		t.Errorf("ablation indexes' options: with the label %+v, without %+v; want them to differ in NoRootLabel alone", with.Options(), got)
+	}
 	for _, r := range rows {
 		if r.PPWithout > r.PPWith+1e-9 {
 			t.Errorf("%s: removing the label feature increased pruning (%.3f -> %.3f)",

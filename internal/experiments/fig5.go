@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+
+	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/datagen"
 )
 
@@ -50,20 +52,25 @@ func Fig5(ctx context.Context, env *Env, numQueries int) (Fig5Row, error) {
 	queries := datagen.RandomQueries(env.Store, env.Cfg.Seed+1, numQueries, maxDepth, 3)
 	row := Fig5Row{Dataset: string(env.Dataset)}
 	for _, q := range queries {
-		if !sound.Covered(q) {
-			continue
-		}
-		exact, err := sgen.Evaluate(ctx, q)
+		pq, err := sgen.PreparePath(q, nil)
 		if err != nil {
 			return Fig5Row{}, err
 		}
+		if !pq.Covered() {
+			continue
+		}
+		res, err := sgen.QueryPrepared(ctx, pq, nil, core.Limits{})
+		if err != nil {
+			return Fig5Row{}, err
+		}
+		exact := res.Metrics()
 		if exact.Rst == 0 || exact.Rst == exact.Ent {
 			continue // sel 1 or 0: uninformative, excluded as in the paper
 		}
-		pm, err := pgen.Evaluate(ctx, q)
-		if err != nil {
+		if res, err = count(ctx, pgen, q); err != nil {
 			return Fig5Row{}, err
 		}
+		pm := res.Metrics()
 		row.Queries++
 		row.AvgSel += exact.Sel
 		row.AvgPP += pm.PP

@@ -44,11 +44,11 @@ func Fig7(ctx context.Context, env *Env) ([]Fig7Row, error) {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}
 		row := Fig7Row{Query: rq.Name}
-		m, err := env.Frozen(vidx).Evaluate(ctx, q)
+		res, err := count(ctx, env.Frozen(vidx), q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (metrics): %w", rq.Name, err)
 		}
-		row.Metrics = m
+		row.Metrics = res.Metrics()
 
 		row.FB, err = runCold(
 			func() error {

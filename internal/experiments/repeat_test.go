@@ -39,7 +39,11 @@ func TestQueryCountersRepeat(t *testing.T) {
 				defer g.Unpin()
 				var tr obs.Trace
 				heap0 := c.Heap().Stats()
-				if _, err := g.QueryGoverned(context.Background(), q, &tr, core.Limits{}); err != nil {
+				pq, err := g.PreparePath(q, &tr)
+				if err != nil {
+					t.Fatalf("%s: %v", rq.Name, err)
+				}
+				if _, err := g.QueryPrepared(context.Background(), pq, &tr, core.Limits{}); err != nil {
 					t.Fatalf("%s: %v", rq.Name, err)
 				}
 				return tr, c.Heap().Stats().Sub(heap0)

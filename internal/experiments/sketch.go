@@ -57,17 +57,21 @@ func AblationSketch(ctx context.Context, env *Env, numQueries int) ([]SketchRow,
 	}
 	cands, results := make([]int, len(SketchWidths)), 0
 	for _, q := range datagen.RandomQueries(env.Store, env.Cfg.Seed+1, numQueries, maxDepth, 3) {
-		if !ix.Covered(q) {
+		pq, err := g.PreparePath(q, nil)
+		if err != nil {
+			return nil, err
+		}
+		if !pq.Covered() {
 			continue
 		}
-		res, err := count(ctx, g, q)
+		res, err := g.QueryPrepared(ctx, pq, nil, core.Limits{})
 		if err != nil {
 			return nil, err
 		}
 		if res.Matched == 0 || res.Matched == res.Entries {
 			continue // sel 1 or 0, excluded as Fig. 5 does
 		}
-		kept, err := study.Kept(ctx, q, SketchWidths)
+		kept, err := study.Kept(ctx, pq, SketchWidths)
 		if err != nil {
 			return nil, err
 		}

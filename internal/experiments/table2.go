@@ -34,11 +34,11 @@ func Table2(ctx context.Context, env *Env) ([]Table2Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}
-		m, err := g.Evaluate(ctx, q)
+		res, err := count(ctx, g, q)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}
-		rows = append(rows, Table2Row{Query: rq.Name, Band: rq.Band, Metrics: m})
+		rows = append(rows, Table2Row{Query: rq.Name, Band: rq.Band, Metrics: res.Metrics()})
 	}
 	return rows, nil
 }

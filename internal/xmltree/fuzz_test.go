@@ -23,6 +23,7 @@ func FuzzParseXML(f *testing.F) {
 		`<a>` + strings.Repeat("<b/>", 50) + `</a>`,
 		``,
 		`not xml at all`,
+		`<A:0/>`, // a prefixed name whose local part is not a name
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -121,6 +121,9 @@ func ParseWithLimits(r io.Reader, lim ParseLimits) (*Node, error) {
 			if lim.MaxTokenBytes > 0 && len(t.Name.Local) > lim.MaxTokenBytes {
 				return nil, fmt.Errorf("%w: element name longer than %d bytes", ErrLimit, lim.MaxTokenBytes)
 			}
+			if t.Name.Space != "" && !isName(t.Name.Local) {
+				return nil, fmt.Errorf("xmltree: parse: element <%s:%s>: the local name does not start with a name-start character", t.Name.Space, t.Name.Local)
+			}
 			if err := addNode(); err != nil {
 				return nil, err
 			}
@@ -168,6 +171,17 @@ func ParseWithLimits(r io.Reader, lim ParseLimits) (*Node, error) {
 		return nil, fmt.Errorf("xmltree: parse: unterminated element <%s>", stack[len(stack)-1].Label)
 	}
 	return root, nil
+}
+
+// isName reports whether the decoder reads local, the local part of a
+// prefixed element name, as an element name of its own. The tree keeps
+// only the local part and MarshalString writes it unprefixed, so one that
+// is not a name (<A:0/>, whose local part starts with a digit) would not
+// parse again. The decoder accepted the whole name, so every character of
+// local is a name character and only the first is in question.
+func isName(local string) bool {
+	_, err := xml.NewDecoder(strings.NewReader("<" + local + "/>")).Token()
+	return err == nil
 }
 
 // ParseString is a convenience wrapper around Parse.

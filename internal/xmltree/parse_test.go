@@ -35,6 +35,7 @@ func TestParseErrors(t *testing.T) {
 		"<a></b>",
 		"<a></a><b></b>",
 		"just text",
+		"<A:0/>", // the local name, which the tree keeps, is not a name
 	} {
 		if _, err := ParseString(bad); err == nil {
 			t.Errorf("ParseString(%q) succeeded, want error", bad)
