@@ -107,14 +107,15 @@ serve-smoke:
 # fuzz-smoke runs each native fuzz target briefly on top of the committed
 # seed corpus — a cheap regression net for the input-hardening layer, the
 # node-header decodes the matcher steps through records with (held to
-# binary.Uvarint), the hand-written query-response encoder, and the
-# operation sequences every query evaluator must answer as the reference
-# does (internal/oracle).
+# binary.Uvarint), the heap's record and batch-trailer decoder, the
+# hand-written query-response encoder, and the operation sequences every
+# query evaluator must answer as the reference does (internal/oracle).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseXML -fuzztime=10s ./internal/xmltree/
 	$(GO) test -fuzz=FuzzNodeHeader -fuzztime=10s ./internal/xmltree/
 	$(GO) test -fuzz=FuzzParseXPath -fuzztime=10s ./internal/xpath/
 	$(GO) test -fuzz=FuzzViewPage -fuzztime=10s ./internal/btree/
+	$(GO) test -fuzz=FuzzHeapScan -fuzztime=10s ./internal/storage/
 	$(GO) test -fuzz=FuzzPostingChunk -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzIngestRequest -fuzztime=10s ./cmd/fixserve/
 	$(GO) test -fuzz=FuzzQueryResponse -fuzztime=10s ./cmd/fixserve/
@@ -129,21 +130,25 @@ stress:
 	FIX_STRESS=1 $(GO) test -race -run 'TestStressMaintain' -v ./fix/
 
 # ingest-crash runs the write-path crash-recovery sweeps: a simulated
-# crash at every WAL/heap/index write of the ingest path — once over a
-# window that changes more than 256 pages of a large index — checking that
-# acknowledged operations survive reopen and unacknowledged ones vanish,
-# and the per-file log of a Save's writes and fsyncs: nothing reaches
-# fix.btree between two Saves, nor inside one before the journal's fsync.
+# crash at every heap write, trailer, fsync and rollback truncation of the
+# group commit — once over a window that changes more than 256 pages of a
+# large index — checking that acknowledged operations survive reopen and
+# unacknowledged ones vanish; the same at every write, sync, truncation
+# and file removal of the conversion of a directory written before batch
+# trailers; the heap's own torn-batch and trailer tests; and the per-file
+# log of a Save's writes and fsyncs: nothing reaches fix.btree between two
+# Saves, nor inside one before the journal's fsync.
 ingest-crash:
-	$(GO) test -run 'TestIngestCrashSweep|TestIngestBatchRollbackTransient' -v ./fix/
-	$(GO) test -run 'TestCrashDuring|TestCrashPointRecovery|TestStreamedJournal|TestIngestLog' -v ./internal/core/
+	$(GO) test -run 'TestIngestCrashSweep|TestIngestBatchRollbackTransient|TestConversionCrashSweep|TestUnabsorbedLogConverts|TestTombstonesPastLogBaseDroppedOnOpen' -v ./fix/
+	$(GO) test -run 'TestStoreOpenTornRecord|TestStoreOpenCorruptPrefix|TestTrailersRestoreDeletesAndLabels' -v ./internal/storage/
+	$(GO) test -run 'TestCrashDuring|TestCrashPointRecovery|TestStreamedJournal|TestStaleIndexDegrades|TestIngestLog' -v ./internal/core/
 
 # maintain-crash runs the online-maintenance fault suites: a simulated
 # crash at every write of the checkpoint window (once with more than 256
-# pages to commit), the clean Close and reopen of a large index with an
-# unabsorbed log, scrub detection of injected B-tree/heap/WAL/tombstone
-# corruption with automatic repair, and the checkpoint
-# failure/suspension/recovery state machine.
+# pages to commit), the clean Close and reopen of a large index with
+# batches past its checkpoint, scrub detection of injected B-tree and heap
+# corruption — a record, a trailer's deletes — with automatic repair, and
+# the checkpoint failure/suspension/recovery state machine.
 maintain-crash:
 	$(GO) test -run 'TestCheckpoint|TestCloseReopen|TestScrub|TestMaintainer' -v ./fix/
 	$(GO) test -run 'TestScrubDisk' -v ./internal/btree/

@@ -11,6 +11,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -443,13 +445,14 @@ const ingestIndexBytesPerEntryCeiling = 5.5
 
 // BenchmarkIngestRequest measures the served write path below HTTP: one
 // request of four XMark entity documents — parsed once by AddOp,
-// submitted by one Ingester.Apply — into a depth-6 index on disk, WAL
+// submitted by one Ingester.Apply — into a depth-6 index on disk, heap
 // fsync included. It fails when a request is not exactly one group
 // commit, or allocates more than ingestRequestAllocCeiling times: a
 // committer that splits submissions again, or an insert sent back through
 // the decoding path, fails here without any timing gate. After the timed
 // requests it reports the index bytes per entry, and fails above
-// ingestIndexBytesPerEntryCeiling.
+// ingestIndexBytesPerEntryCeiling, and the bytes the requests appended to
+// the database's files before a checkpoint per byte of XML they carried.
 func BenchmarkIngestRequest(b *testing.B) {
 	var docs []string
 	var split func(n *xmltree.Node)
@@ -467,7 +470,8 @@ func BenchmarkIngestRequest(b *testing.B) {
 	rand.New(rand.NewSource(42)).Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
 	seed, stream := docs[:len(docs)/2], docs[len(docs)/2:]
 
-	db, err := fix.Create(b.TempDir())
+	dir := b.TempDir()
+	db, err := fix.Create(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,13 +489,28 @@ func BenchmarkIngestRequest(b *testing.B) {
 	}
 	ing := db.NewIngester(fix.IngestConfig{})
 	defer func() { _ = ing.Close() }()
+	// Every request below lands before a checkpoint: the bytes they make
+	// the write path append — to data.heap, and to fix.ingest where there
+	// is one — per byte of XML ingested are its write amplification.
+	written := func() int64 {
+		var n int64
+		for _, name := range []string{"data.heap", "fix.ingest"} {
+			if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				n += fi.Size()
+			}
+		}
+		return n
+	}
+	before, xmlBytes := written(), 0
 	next := 0
 	request := func() {
 		ops := make([]fix.Op, 4)
 		for i := range ops {
-			if ops[i], err = db.AddOp(stream[next%len(stream)]); err != nil {
+			doc := stream[next%len(stream)]
+			if ops[i], err = db.AddOp(doc); err != nil {
 				b.Fatal(err)
 			}
+			xmlBytes += len(doc)
 			next++
 		}
 		if _, err := ing.Apply(context.Background(), ops); err != nil {
@@ -522,6 +541,7 @@ func BenchmarkIngestRequest(b *testing.B) {
 		b.Fatalf("%.1f index bytes per entry after the ingest, want at most %v", perEntry, ingestIndexBytesPerEntryCeiling)
 	}
 	b.ReportMetric(perEntry, "index-B/entry")
+	b.ReportMetric(float64(written()-before)/float64(xmlBytes), "written-B/xml-B")
 }
 
 // BenchmarkQueryTraceOverhead compares the same query untraced and

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/fix-index/fix/fix"
 	"github.com/fix-index/fix/internal/datagen"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
@@ -81,8 +82,9 @@ func run(ds datagen.Dataset, cfg datagen.Config, out string, asXML, verify bool)
 		return nil
 	}
 
-	// Database directory: copy the in-memory store into a file-backed one
-	// and persist the dictionary, matching the fix package's layout.
+	// Database directory: copy the in-memory store into a file-backed one,
+	// sealed with one batch trailer as a Save seals it, and persist the
+	// dictionary, matching the fix package's layout.
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
@@ -102,6 +104,9 @@ func run(ds datagen.Dataset, cfg datagen.Config, out string, asXML, verify bool)
 		if _, err := dst.AppendBytes(buf); err != nil {
 			return err
 		}
+	}
+	if err := dst.Seal(); err != nil {
+		return err
 	}
 	if err := dst.Sync(); err != nil {
 		return err
@@ -128,38 +133,32 @@ func run(ds datagen.Dataset, cfg datagen.Config, out string, asXML, verify bool)
 	return nil
 }
 
-// verifyDB reopens the written database from scratch and re-derives the
-// document and element counts, catching truncated or unreadable output
-// before it is used in an experiment.
+// verifyDB reopens the written database from scratch, as fix.Open does,
+// and re-derives the document and element counts, catching truncated or
+// unreadable output before it is used in an experiment.
 func verifyDB(dir string, wantDocs, wantElems int) error {
-	df, err := os.Open(filepath.Join(dir, "labels.dict"))
+	db, err := fix.Open(dir)
 	if err != nil {
 		return err
 	}
-	dict, err := xmltree.ReadDict(df)
-	_ = df.Close()
-	if err != nil {
-		return err
+	defer db.Close()
+	if n := db.NumDocuments(); n != wantDocs {
+		return fmt.Errorf("reopened database holds %d documents, wrote %d", n, wantDocs)
 	}
-	hf, err := storage.Open(filepath.Join(dir, "data.heap"))
-	if err != nil {
-		return err
-	}
-	st, err := storage.OpenStore(hf, dict)
-	if err != nil {
-		_ = hf.Close()
-		return err
-	}
-	defer st.Close()
-	if st.NumRecords() != wantDocs {
-		return fmt.Errorf("reopened store holds %d documents, wrote %d", st.NumRecords(), wantDocs)
-	}
-	elems, err := st.CountElements()
-	if err != nil {
-		return err
+	elems := 0
+	for id := 0; id < wantDocs; id++ {
+		doc, err := db.Document(uint32(id))
+		if err != nil {
+			return err
+		}
+		n, err := xmltree.ParseString(doc)
+		if err != nil {
+			return err
+		}
+		elems += n.CountElements()
 	}
 	if elems != wantElems {
-		return fmt.Errorf("reopened store holds %d elements, wrote %d", elems, wantElems)
+		return fmt.Errorf("reopened database holds %d elements, wrote %d", elems, wantElems)
 	}
 	return nil
 }

@@ -104,9 +104,6 @@ func run(dbdir string, args []string) error {
 		}); err != nil {
 			return err
 		}
-		if err := db.Save(); err != nil {
-			return err
-		}
 		st := db.IndexBuildStats()
 		fmt.Printf("built index: %d entries, %s, %v (parse %v, bisim %v, eigen %v, insert %v; %.1f B/entry)\n",
 			db.IndexEntries(), sizeStr(db.IndexSizeBytes()), db.IndexBuildTime().Round(1e6),

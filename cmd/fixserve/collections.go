@@ -61,7 +61,7 @@ func (cs *colServer) stopWrites() error {
 	return cs.each(func(col *collection.Collection) error { return col.Flush(context.Background()) })
 }
 
-// save absorbs every shard's WAL; a shard that fails does not stop the
+// save checkpoints every shard; a shard that fails does not stop the
 // rest from saving.
 func (cs *colServer) save() error  { return cs.each((*collection.Collection).Save) }
 func (cs *colServer) close() error { return cs.svc.Close() }

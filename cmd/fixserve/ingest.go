@@ -25,7 +25,7 @@ import (
 //     publish, all or nothing.
 //
 // A 200 response means every operation in the request is durable (the
-// WAL fsync completed) and visible to queries. Backpressure from the
+// heap fsync completed) and visible to queries. Backpressure from the
 // bounded ingest queue surfaces as 429 with Retry-After, exactly like
 // admission-gate shedding; malformed input is rejected with 400 before
 // anything is queued.
@@ -176,8 +176,8 @@ func (t recTarget) Apply(ctx context.Context, ops []collection.Op) ([]uint64, er
 // a document — its only parse — into the target's add operation; every
 // document is parsed before anything is queued, so a malformed line
 // cannot leave the earlier half of the request — or another shard's
-// submission — committed. lag reports the target's WAL lag for the
-// response.
+// submission — committed. lag reports the target's operations since its
+// last checkpoint for the response.
 func serveIngest(w http.ResponseWriter, r *http.Request, g *gate, cfg serverConfig, weight int64,
 	tgt ingestTarget, addOp func(doc string) (collection.Op, error), lag func() int) {
 	if !admit(w, r, g, cfg.queueWait, weight) {

@@ -16,14 +16,16 @@
 // Writes arrive through POST /ingest and run through a shared group-
 // commit ingester: each request is one submission in a bounded queue
 // (-ingest-queue), and a committer that never waits takes whatever is
-// queued — up to -ingest-batch operations — into one WAL fsync. A full
-// queue sheds with 429 + Retry-After. Acknowledged writes survive a
-// crash via WAL replay.
+// queued — up to -ingest-batch operations — into one heap batch and one
+// fsync. A full queue sheds with 429 + Retry-After. Acknowledged writes
+// survive a crash: the heap is the log, and a restart brings the index
+// up to it.
 //
 // Every database — the single index, or each shard of each collection
 // — runs one background fix.Maintainer under the same policy: it
-// absorbs the WAL into the base snapshot in chunked checkpoints once
-// it crosses -checkpoint-ops/-checkpoint-bytes or ages past
+// commits the index over the heap in chunked checkpoints once the
+// writes since the last one cross -checkpoint-ops/-checkpoint-bytes or
+// it ages past
 // -checkpoint-age, backs off and suspends on persistent failures,
 // scrubs the durable files every -scrub-interval (auto-rebuilding a
 // corrupt or degraded index), and surfaces its state on /healthz. In
@@ -48,7 +50,7 @@
 //
 //	GET /query?q=XPATH[&trace=1]   run a query; JSON result, trace opt-in
 //	POST /ingest                   durable writes: raw XML body, or NDJSON add/delete ops
-//	POST /admin/checkpoint         force a WAL checkpoint now
+//	POST /admin/checkpoint         force a checkpoint now
 //	GET /metrics                   fix.DB.Metrics() as JSON
 //	GET /debug/vars                expvar (includes the "fix" variable)
 //	GET /debug/pprof/              net/http/pprof (only with -pprof)
@@ -101,10 +103,10 @@ func main() {
 	ingestBatch := flag.Int("ingest-batch", 64, "operations after which an ingest group commit stops taking further queued requests")
 	maxIngestBytes := flag.Int64("max-ingest-bytes", defaultMaxIngestBytes, "max /ingest request body size")
 	saveInterval := flag.Duration("save-interval", 0, "legacy alias for -checkpoint-age, which it overrides when positive (0 = use -checkpoint-age)")
-	ckOps := flag.Int("checkpoint-ops", 1024, "checkpoint a database (each shard, in collection mode) once its ingest WAL holds this many operations (negative disables)")
-	ckBytes := flag.Int64("checkpoint-bytes", 4<<20, "checkpoint once the ingest WAL reaches this size (negative disables)")
-	ckAge := flag.Duration("checkpoint-age", 30*time.Second, "checkpoint once the last one is this old and the WAL is non-empty (negative disables)")
-	scrubInterval := flag.Duration("scrub-interval", 2*time.Minute, "background scrub pass interval over index pages, heap records and the WAL (0 disables)")
+	ckOps := flag.Int("checkpoint-ops", 1024, "checkpoint a database (each shard, in collection mode) once this many operations were committed since its last checkpoint (negative disables)")
+	ckBytes := flag.Int64("checkpoint-bytes", 4<<20, "checkpoint once this many heap bytes were written since the last checkpoint (negative disables)")
+	ckAge := flag.Duration("checkpoint-age", 30*time.Second, "checkpoint once the last one is this old and an operation was committed since (negative disables)")
+	scrubInterval := flag.Duration("scrub-interval", 2*time.Minute, "background scrub pass interval over index pages, heap records and heap batch checksums (0 disables)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
 	flag.Parse()
 	if (*dbdir == "") == (*colRoot == "") {
@@ -216,8 +218,8 @@ func main() {
 	if err := srv.Shutdown(sctx); err != nil {
 		log.Printf("fixserve: drain incomplete: %v", err)
 	}
-	// Stop maintenance and flush queued writes, then absorb the WALs so
-	// restart starts clean.
+	// Stop maintenance and flush queued writes, then checkpoint so a
+	// restart has nothing to catch up.
 	if err := b.stopWrites(); err != nil {
 		log.Printf("fixserve: flushing ingest: %v", err)
 	}

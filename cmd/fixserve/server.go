@@ -72,8 +72,8 @@ type backend interface {
 	// queues: everything already acknowledged or queued has committed
 	// when it returns.
 	stopWrites() error
-	// save absorbs every ingest WAL into its base commit, so a restart
-	// replays nothing.
+	// save checkpoints every database, so a restart has nothing to catch
+	// up.
 	save() error
 	// close releases the databases.
 	close() error
@@ -234,14 +234,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // checkpointResponse is the POST /admin/checkpoint JSON body, reporting
-// the post-checkpoint replay window (0 bytes on success).
+// the heap bytes written since the checkpoint (0 on success).
 type checkpointResponse struct {
 	Status   string `json:"status"`
 	WALBytes int64  `json:"wal_bytes"`
 }
 
 // handleAdminCheckpoint forces a checkpoint right now — before taking a
-// filesystem snapshot, or to drain the replay window ahead of a planned
+// filesystem snapshot, or to empty the catch-up window ahead of a planned
 // restart. It routes through the maintainer when one is running (so the
 // attempt also feeds its failure/suspension state machine) and falls
 // back to a direct checkpoint otherwise.

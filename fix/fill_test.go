@@ -168,7 +168,9 @@ func copyFiles(t *testing.T, src, dst string) {
 // format this one does not read — and requires what an upgrade in place
 // meets: Open succeeds, the index is degraded with a health error that
 // wraps ErrCorrupt, names the format (degradedBy) and says to rebuild, and
-// every query is answered exactly, by scan.
+// every query is answered exactly, by scan. Each was written before batch
+// trailers too, so Open converts its heap and removes fix.tomb and
+// fix.ingest.
 //
 // index-written-by-pr20 and index-written-by-pr23 are under fix.meta
 // version 2, whose values spelled a pointer as a flag byte and a big-endian
@@ -202,6 +204,11 @@ func oldFormatIndex(t *testing.T, fixture string) (dir string, db *DB) {
 	health := db.IndexHealth()
 	if !errors.Is(health, ErrCorrupt) {
 		t.Fatalf("IndexHealth = %v, want ErrCorrupt", health)
+	}
+	for _, name := range []string{"fix.ingest", "fix.tomb"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s is still there after the heap's conversion (%v)", name, err)
+		}
 	}
 	for _, word := range append(degradedBy[fixture], "rebuild") {
 		if !strings.Contains(health.Error(), word) {
@@ -460,17 +467,49 @@ func TestIndexWrittenBeforeOneSpellingStillServes(t *testing.T) {
 	}
 }
 
-// TestIndexWrittenByThisFormatServes opens a database directory written by
-// the commit that introduced fix.meta version 8, chunks with one spelling
-// of a posting and no spectrum tails (the same 28 documents, 4 bulk-built
-// at depth 6 and 24 ingested four a request, checkpointed;
-// testdata/index-written-by-pr39), and uses
-// it as a server would: verify, ingest enough to split its leaves,
-// checkpoint, reopen. It is the anchor for the next change to the format:
-// that one has to open this directory, healthy or — as above — degraded
-// and exact.
-func TestIndexWrittenByThisFormatServes(t *testing.T) {
+// TestIndexWrittenBeforeBatchTrailersServes is the hand-over from the
+// heap without batch trailers (testdata/index-written-by-pr39: fix.meta
+// version 8, a FIXSTOR1 heap, fix.tomb and an empty fix.ingest): Open
+// converts it, the index needs no rebuild, the old files go, and it
+// serves as written and after a reopen.
+func TestIndexWrittenBeforeBatchTrailersServes(t *testing.T) {
 	dir := copyFixture(t, "index-written-by-pr39")
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.IndexHealth(); err != nil {
+		t.Fatal(err)
+	}
+	if db.NumDocuments() != 28 || db.IndexEntries() != 528 {
+		t.Fatalf("fixture holds %d documents and %d entries, want 28 and 528", db.NumDocuments(), db.IndexEntries())
+	}
+	for _, name := range []string{"fix.ingest", "fix.tomb"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s is still there (%v)", name, err)
+		}
+	}
+	indexMatchesScan(t, db, "converted")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = db.Close() }()
+	indexMatchesScan(t, db, "converted and reopened")
+}
+
+// TestIndexWrittenByThisFormatServes opens a database directory written by
+// the commit that made the heap its own log (the same 28 documents, 4
+// bulk-built at depth 6 and 24 ingested four a request, checkpointed;
+// testdata/index-written-by-pr42: batch trailers in data.heap, fix.meta
+// version 8, no fix.tomb or fix.ingest), and uses it as a server would:
+// verify, ingest enough to split its leaves, checkpoint, reopen. It is
+// the anchor for the next change to the format: that one has to open
+// this directory, healthy or — as above — degraded and exact.
+func TestIndexWrittenByThisFormatServes(t *testing.T) {
+	dir := copyFixture(t, "index-written-by-pr42")
 	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

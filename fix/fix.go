@@ -103,16 +103,22 @@ type DB struct {
 	index   *core.Index
 	obsOpts Options
 
-	// mu orders batch application and index replacement (write lock)
-	// against generation freezes (read lock). ingestMu serializes the
-	// whole write path — WAL append, batch apply, Save, build — and is
-	// always acquired before mu. The `lockcheck: order` ranks encode
-	// the documented hierarchy (ingestMu → pubMu → mu) for fixvet's
-	// lockorder pass; the collection registry's mutex ranks below all
-	// of them (see internal/collection).
+	// mu orders index application and replacement (write lock) against
+	// generation freezes (read lock). ingestMu serializes the whole write
+	// path — heap batch, index apply, Save, build — and is always
+	// acquired before mu. The `lockcheck: order` ranks encode the
+	// documented hierarchy (ingestMu → pubMu → mu) for fixvet's
+	// lockorder pass; the collection registry's mutex ranks below all of
+	// them (see internal/collection).
 	mu       sync.RWMutex // lockcheck: order 40
 	ingestMu sync.Mutex   // lockcheck: order 20
-	wal      *core.IngestLog
+	// Guarded by ingestMu: streaming is set by the first streaming
+	// ingest, from which on every commit of a persistent DB is sealed and
+	// fsynced; lagOps counts the operations committed since the last
+	// checkpoint, and ckptEnd is the heap's size at it.
+	streaming bool
+	lagOps    int
+	ckptEnd   int64
 
 	// pubMu serializes generation publication. Lock order: ingestMu →
 	// pubMu → mu (read); pubMu is never held while acquiring ingestMu
@@ -229,7 +235,7 @@ func CreateMem() (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{dict: dict, store: st}
+	db := &DB{dict: dict, store: st, ckptEnd: st.Size()}
 	db.lastCheckpoint.Store(time.Now().UnixNano())
 	db.publish()
 	return db, nil
@@ -249,226 +255,147 @@ func Create(dir string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{dir: dir, dict: dict, store: st}
+	db := &DB{dir: dir, dict: dict, store: st, ckptEnd: st.Size()}
 	db.lastCheckpoint.Store(time.Now().UnixNano())
 	db.publish()
 	return db, nil
 }
 
-// Open opens a database previously persisted with Save, including its
+// Open opens a database previously persisted under dir, including its
 // index if one was built. Before reading any index file it completes or
-// discards a commit a crash interrupted (see core.Recover); if the index
-// turns out to be corrupt or stale, the database still opens, IndexHealth
-// reports the problem, and queries answer via the scan fallback.
+// discards a commit a crash interrupted (see core.Recover).
 //
-// If the database was ingesting when it crashed, a valid ingest log
-// survives: Open truncates the heap back to the log's committed base,
-// replays every acknowledged operation (re-appending documents and
-// re-tombstoning deletes), and keeps the log active — no acknowledged
-// operation is lost, and operations whose group commit never completed
-// are absent.
-func Open(dir string) (*DB, error) {
+// The heap is the log: Open keeps data.heap up to the last batch whose
+// trailer checks — every acknowledged write — and drops a batch a crash
+// cut short, which was never acknowledged. The trailers restore the
+// tombstones and the labels assigned since the last checkpoint. An index
+// committed before the last batches is brought up to the heap by
+// inserting the records past its count, with no XML parse, and removing
+// what those batches deleted; Open then checkpoints it. If the index
+// turns out to be corrupt or stale, the database still opens, IndexHealth
+// reports the problem, and queries answer via the scan fallback. A
+// directory written before batch trailers is converted first (convert).
+func Open(dir string) (_ *DB, err error) {
 	if err := core.Recover(dir); err != nil {
 		return nil, fmt.Errorf("fix: recovering index journal: %w", err)
 	}
-	df, err := os.Open(filepath.Join(dir, "labels.dict"))
-	if err != nil {
-		return nil, err
-	}
-	dict, err := xmltree.ReadDict(df)
-	_ = df.Close()
-	if err != nil {
-		return nil, err
-	}
-	wal, replay, err := openIngestLog(dir)
-	if err != nil {
+	dict := xmltree.NewDict()
+	if df, err := os.Open(filepath.Join(dir, "labels.dict")); err == nil {
+		dict, err = xmltree.ReadDict(df)
+		_ = df.Close()
+		if err != nil {
+			return nil, err
+		}
+	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
 	f, err := fileOpen(filepath.Join(dir, "data.heap"))
 	if err != nil {
 		return nil, err
 	}
-	if wal != nil {
-		// Drop everything past the log's base — a torn tail from a
-		// batch whose apply the crash interrupted — before the store
-		// scans its records; replay re-appends the acknowledged ops.
-		_, baseEnd := wal.Base()
-		if err := f.Truncate(baseEnd); err != nil {
-			return nil, fmt.Errorf("fix: truncating heap to ingest log base: %w", err)
+	db := &DB{dir: dir, dict: dict}
+	db.lastCheckpoint.Store(time.Now().UnixNano())
+	defer func() {
+		if err == nil {
+			return
 		}
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("fix: truncating heap to ingest log base: %w", err)
+		if db.index != nil {
+			_ = db.index.Close()
 		}
-	}
-	st, err := storage.OpenStore(f, dict)
+		if db.store != nil {
+			_ = db.store.Close()
+		} else {
+			_ = f.Close()
+		}
+	}()
+	converted, err := db.convert(f)
 	if err != nil {
 		return nil, err
 	}
-	if wal != nil {
-		if base, _ := wal.Base(); uint32(st.NumRecords()) != base {
-			return nil, fmt.Errorf("fix: heap has %d records, ingest log base says %d", st.NumRecords(), base)
+	if !converted {
+		if db.store, err = storage.OpenStore(f, dict); err != nil {
+			return nil, err
 		}
-	} else if st.TornTail() > 0 {
-		if err := dropTornAppend(dir, st); err != nil {
-			_ = st.Close()
+		if err := db.openIndex(); err != nil {
+			return nil, err
+		}
+		if err := db.dropOldFiles(); err != nil {
 			return nil, err
 		}
 	}
-	db := &DB{dir: dir, dict: dict, store: st}
-	db.lastCheckpoint.Store(time.Now().UnixNano())
-	if err := db.loadTombs(wal); err != nil {
-		return nil, err
-	}
-	_, err = os.Stat(filepath.Join(dir, "fix.meta"))
-	hasIndex := err == nil
-	// A checkpoint commits the index and then resets the log; a crash
-	// between the two leaves a log whose every operation the committed
-	// index holds already. It shows in the index covering the documents
-	// the log is about to re-create: they go to the heap before the index
-	// opens, so that it finds the store it was committed over, and the
-	// log is kept from the index.
-	absorbed := false
-	if hasIndex && len(replay) > 0 {
-		adds := 0
-		for _, op := range replay {
-			if op.Kind == core.IngestOpInsert {
-				adds++
-			}
-		}
-		covered, err := core.CommittedRecords(dir)
-		if err != nil {
-			return nil, fmt.Errorf("fix: opening index: %w", err)
-		}
-		absorbed = adds > 0 && covered == st.NumRecords()+adds
-	}
-	replayOnto := func(ix *core.Index) error {
-		n, err := core.ReplayIngest(st, ix, replay)
-		if err != nil {
-			return fmt.Errorf("fix: replaying ingest log: %w", err)
-		}
-		obs.Default().ObserveIngestReplayed(n)
-		return nil
-	}
-	if absorbed {
-		if err := replayOnto(nil); err != nil {
-			return nil, err
-		}
-	}
-	if hasIndex {
-		db.index, err = core.Open(st, dir)
-		if err != nil {
-			return nil, fmt.Errorf("fix: opening index: %w", err)
-		}
-	}
-	db.wal = wal
-	if len(replay) > 0 {
-		if !absorbed {
-			if err := replayOnto(db.index); err != nil {
-				return nil, err
-			}
-		}
-		if db.index != nil && db.index.Health() == nil {
-			// fix.btree is written only behind the shadow journal, so the
-			// tree the replay started from was the last checkpoint's, whole.
-			// The walk is fault detection for what that rule cannot exclude
-			// (a file an older version left mixed, a bug in the replay). It
-			// checks the tree's pages and chunks but reads no record — chunk
-			// agreement is left to VerifyIndex — so it costs a walk of the
-			// index, not of the heap. A failure latches degraded health,
-			// the absorb below is skipped, and queries stay exact through
-			// the scan fallback until RebuildIndex.
-			_ = db.index.VerifyStructure()
-		}
-		// Converge: absorb the replayed operations into the base commit
-		// before returning. Leaving the log in place would make every
-		// subsequent Open truncate and replay again, and a RebuildIndex
-		// would commit a record count the next truncate-and-replay no
-		// longer matches. A replay that degraded the index skips the
-		// absorb (a degraded index refuses Save): the log keeps guarding
-		// the acked ops until RebuildIndex clears the way.
-		if db.index == nil || db.index.Health() == nil {
-			if err := db.commitAll(); err != nil {
-				return nil, fmt.Errorf("fix: absorbing replayed ingest log: %w", err)
-			}
-		}
-	}
-	// Publish exactly one generation for the recovered state; the absorb
-	// above deliberately skips publishing so a recovered database never
-	// transiently exposes two.
+	db.ckptEnd = db.store.Size()
+	// Publish exactly one generation for the recovered state; the
+	// checkpoints above deliberately skip publishing so a recovered
+	// database never transiently exposes two.
 	db.publish()
 	return db, nil
 }
 
-// dropTornAppend handles a heap, in a database without an ingest log,
-// whose last record runs past the end of the file. Without a log only
-// Save acknowledges a document, and it syncs the heap and then commits
-// the index's record count; a record at or past that count is an append
-// a crash cut short, never acknowledged, and goes. A record the index
-// covers that runs past the end is damage — a corrupt length prefix, say —
-// and so is any when no index records a count: Open then fails with
-// ErrCorrupt and leaves the heap as it found it.
-func dropTornAppend(dir string, st *storage.Store) error {
-	if _, err := os.Stat(filepath.Join(dir, "fix.meta")); err != nil {
-		return fmt.Errorf("%w: heap: record %d runs past the end of data.heap, and without an index nothing records how many documents were saved", ErrCorrupt, st.NumRecords())
+// openIndex drops a torn batch from the heap and opens the index, if one
+// was built, catching it up with the batches sealed after its commit and
+// checkpointing it. A torn batch whose records the index covers was
+// acknowledged and checkpointed, so it is damage, not a crash: Open then
+// fails with ErrCorrupt and leaves the heap as it found it.
+func (db *DB) openIndex() error {
+	st := db.store
+	_, err := os.Stat(filepath.Join(db.dir, "fix.meta"))
+	hasIndex := err == nil
+	if st.TornTail() > 0 {
+		if hasIndex {
+			committed, err := core.CommittedRecords(db.dir)
+			if err != nil {
+				return fmt.Errorf("fix: opening index: %w", err)
+			}
+			if committed > st.NumRecords() {
+				return fmt.Errorf("%w: heap: the batches whose trailer checks end at record %d, and the index covers %d saved documents", ErrCorrupt, st.NumRecords(), committed)
+			}
+		}
+		if err := st.DropTornTail(); err != nil {
+			return err
+		}
 	}
-	committed, err := core.CommittedRecords(dir)
-	if err != nil {
+	if !hasIndex {
+		return nil
+	}
+	if db.index, err = core.Open(st, db.dir); err != nil {
 		return fmt.Errorf("fix: opening index: %w", err)
 	}
-	if st.NumRecords() < committed {
-		return fmt.Errorf("%w: heap: record %d runs past the end of data.heap, and the index covers %d saved documents", ErrCorrupt, st.NumRecords(), committed)
+	n := db.index.CaughtUp()
+	if n == 0 {
+		return nil
 	}
-	return st.DropTornTail()
-}
-
-// openIngestLog probes dir for an ingest log. A structurally valid log
-// is returned with its acknowledged operations to replay; a log whose
-// header never became durable (a crash during creation or reset —
-// nothing in it was ever acknowledged) is removed.
-func openIngestLog(dir string) (*core.IngestLog, []core.IngestOp, error) {
-	path := filepath.Join(dir, core.IngestLogName)
-	f, err := fileOpen(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
+	obs.Default().ObserveIngestReplayed(n)
+	// fix.btree is written only behind the shadow journal, so the tree
+	// the catch-up started from was the last checkpoint's, whole. The
+	// walk is fault detection for what that rule cannot exclude (a file an
+	// older version left mixed, a bug in the catch-up). It checks the
+	// tree's pages and chunks but reads no record — chunk agreement is
+	// left to VerifyIndex — so it costs a walk of the index, not of the
+	// heap. A failure latches degraded health, the checkpoint below is
+	// skipped (a degraded index refuses Save), and queries stay exact
+	// through the scan fallback until RebuildIndex.
+	if db.index.VerifyStructure() != nil {
+		return nil
 	}
-	lg, ops, ok, err := core.OpenIngestLog(f)
-	if err != nil {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("fix: reading ingest log: %w", err)
+	if err := db.commitAll(); err != nil {
+		return fmt.Errorf("fix: checkpointing the caught-up index: %w", err)
 	}
-	if !ok {
-		_ = f.Close()
-		if err := os.Remove(path); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, nil
-	}
-	return lg, ops, nil
+	return nil
 }
 
 // Save flushes the database (and index, if built) to disk. It is an
-// error on in-memory databases. Every file is committed atomically —
-// labels.dict and fix.tomb through fsynced temp files renamed into
-// place, the index through its shadow-commit journal — so a crash
-// during Save leaves either the previous or the new state, never a torn
-// file. Once the commit is complete the ingest log is reset to the new
-// base: it is truncated only after everything it guarded is durable
-// elsewhere, so there is no instant at which an acknowledged operation
-// is unprotected.
+// error on in-memory databases. It seals and fsyncs the heap's open
+// batch, writes labels.dict through an fsynced temp file renamed into
+// place and commits the index through its shadow-commit journal, so a
+// crash during Save leaves either the previous or the new state, never a
+// torn file.
 //
-// Save is the chunked checkpoint (see CheckpointCtx): the bulk of the
-// heap fsync runs before the write locks are taken, so concurrent
-// ingest stalls only for the bounded final critical section, not the
-// whole absorption.
+// Save is Checkpoint.
 func (db *DB) Save() error { return db.Checkpoint() }
 
 // commitAll is Save without the generation publish: it takes the write
-// locks, commits every file, and resets the ingest log. Open's recovery
-// absorb uses it directly so recovery publishes exactly once, at the
-// end.
+// locks and commits every file. Open's recovery uses it directly so
+// recovery publishes exactly once, at the end.
 func (db *DB) commitAll() error {
 	if db.dir == "" {
 		return fmt.Errorf("fix: Save on an in-memory database")
@@ -480,17 +407,11 @@ func (db *DB) commitAll() error {
 	return db.saveLocked()
 }
 
-// saveLocked is Save's body. Callers hold ingestMu and mu (or have
-// exclusive access, as during Open); BuildIndexCtx and RebuildIndexCtx
-// use it to absorb the ingest log while already holding ingestMu.
+// saveLocked is the checkpoint: the heap, the dictionary, then the index
+// committed over them. Callers hold ingestMu and mu (or have exclusive
+// access, as during Open).
 func (db *DB) saveLocked() error {
-	if err := db.store.Sync(); err != nil {
-		return err
-	}
-	if err := db.saveDict(); err != nil {
-		return err
-	}
-	if err := db.saveTombs(); err != nil {
+	if err := db.commitHeap(); err != nil {
 		return err
 	}
 	if db.index != nil {
@@ -498,13 +419,31 @@ func (db *DB) saveLocked() error {
 			return err
 		}
 	}
-	if db.wal != nil {
-		if err := db.wal.Reset(uint32(db.store.NumRecords()), db.store.Size()); err != nil {
-			return err
-		}
-	}
-	db.lastCheckpoint.Store(time.Now().UnixNano())
+	db.checkpointed()
 	return nil
+}
+
+// commitHeap saves the dictionary, then seals the heap's open batch —
+// its trailer need name no label labels.dict holds — and fsyncs the heap,
+// so that an index committed next finds every record it covers durable.
+// The caller holds ingestMu.
+func (db *DB) commitHeap() error {
+	n := db.dict.Len()
+	if err := db.saveDict(); err != nil {
+		return err
+	}
+	db.store.LabelsSaved(n)
+	if err := db.store.Seal(); err != nil {
+		return err
+	}
+	return db.store.Sync()
+}
+
+// checkpointed records that the index now covers the whole heap. The
+// caller holds ingestMu.
+func (db *DB) checkpointed() {
+	db.lagOps, db.ckptEnd = 0, db.store.Size()
+	db.lastCheckpoint.Store(time.Now().UnixNano())
 }
 
 // saveDict writes labels.dict atomically: temp file, fsync, rename. The
@@ -535,19 +474,20 @@ func (db *DB) saveDict() error {
 	return os.Rename(tmp, path)
 }
 
-// Close releases the underlying files: the ingest log, the heap and the
-// index's. It does not Save: acknowledged-but-unsaved operations stay
-// protected by the log and are replayed on the next Open, onto the index
-// the last checkpoint committed — nothing of them has reached fix.btree.
-// Views pinned before Close keep answering index probes from the image
-// they hold; what they fetch from the heap fails.
+// Close seals what was appended since the last trailer, syncs the heap
+// and releases the underlying files: the heap and the index's. It does
+// not Save: the index stays the last checkpoint's — nothing of the
+// batches since has reached fix.btree — and the next Open brings it up to
+// the heap. Views pinned before Close keep answering index probes from
+// the image they hold; what they fetch from the heap fails.
 func (db *DB) Close() error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
 	var first error
-	if db.wal != nil {
-		first = db.wal.Close()
-		db.wal = nil
+	if db.dir != "" {
+		if first = db.store.Seal(); first == nil {
+			first = db.store.Sync()
+		}
 	}
 	if err := db.store.Close(); err != nil && first == nil {
 		first = err
@@ -570,24 +510,24 @@ func (db *DB) Close() error {
 // oversized input returns an error wrapping ErrDocumentLimit before
 // anything is stored.
 //
-// AddDocument does not itself create the ingest write-ahead log — bulk
-// loads stay fsync-free until Save — but once streaming ingest has
-// created one (an Ingester, IngestBatchCtx, or DeleteDocument), every
-// AddDocument joins the durable path: it is logged and fsynced before
-// it is applied, so its acknowledgment carries the same crash guarantee.
-// It is AddDocumentCtx with context.Background().
+// AddDocument does not itself seal or fsync the heap — bulk loads stay
+// fsync-free until Save, and the next trailer, whoever writes it, covers
+// their records — but once streaming ingest (an Ingester,
+// IngestBatchCtx, or DeleteDocument) has run on the DB, every
+// AddDocument joins the durable path: its batch is sealed and fsynced
+// before it is applied, so its acknowledgment carries the same crash
+// guarantee. It is AddDocumentCtx with context.Background().
 func (db *DB) AddDocument(r io.Reader) (uint32, error) {
 	return db.AddDocumentCtx(context.Background(), r)
 }
 
 // AddDocumentCtx is AddDocument with a caller context (observed before
-// the commit starts; a batch that has reached its WAL fsync is applied
+// the commit starts; a batch that has reached its heap fsync is applied
 // to completion regardless, because it is already acknowledged-durable).
 func (db *DB) AddDocumentCtx(ctx context.Context, r io.Reader) (id uint32, err error) {
 	defer db.contain("AddDocumentCtx", true, &err)
-	// The raw bytes are buffered for the ingest WAL, so the read itself
-	// must be bounded like the streaming parse: ReadDocument stops at the
-	// MaxBytes limit instead of letting an unbounded reader exhaust
+	// The read is bounded like the streaming parse: ReadDocument stops at
+	// the MaxBytes limit instead of letting an unbounded reader exhaust
 	// memory before the parser's guards ever run.
 	raw, err := xmltree.ReadDocument(r, db.parseLimits())
 	if err != nil {
@@ -600,7 +540,7 @@ func (db *DB) AddDocumentCtx(ctx context.Context, r io.Reader) (id uint32, err e
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	s := &submission{ops: []Op{{tree: n, xml: raw}}}
+	s := &submission{ops: []Op{{tree: n}}}
 	db.ingestMu.Lock()
 	err = db.commitLocked(ctx, []*submission{s})
 	db.ingestMu.Unlock()
@@ -644,7 +584,8 @@ func (db *DB) BuildIndex(opts IndexOptions) error {
 // cancelled build stops promptly, returns ctx.Err(), and leaves the
 // database consistent — the previous index commit (or its absence)
 // still governs what a reopened database sees, and BuildIndexCtx can
-// simply be run again.
+// simply be run again. A completed build on a persistent database is
+// checkpointed before BuildIndexCtx returns, as Save would.
 //
 // A panic during construction is contained: it returns as an error
 // wrapping ErrPanic, and the previous index (if any) stays in place —
@@ -668,11 +609,22 @@ func (db *DB) BuildIndexCtx(ctx context.Context, opts IndexOptions) (err error) 
 	db.mu.Lock()
 	db.index = ix
 	db.mu.Unlock()
-	// Publish before absorbing the ingest log: the new index was built
-	// from the full store, so it already covers any WAL-applied records,
-	// and queries should start using it even if the absorb fails.
+	// Publish before the checkpoint: the new index was built from the
+	// full store, and queries should start using it even if the
+	// checkpoint fails.
 	db.publish()
-	return db.absorbIngestLogLocked("build")
+	if db.dir == "" {
+		return nil
+	}
+	// The build wrote fix.btree anew under the previous commit's
+	// fix.meta; checkpointing now keeps a crash from pairing them.
+	db.mu.Lock()
+	err = db.saveLocked()
+	db.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("fix: checkpointing the new index: %w", err)
+	}
+	return nil
 }
 
 // indexRef snapshots the current index pointer under the read lock.
@@ -736,8 +688,12 @@ func (db *DB) RebuildIndexCtx(ctx context.Context) (err error) {
 		return err
 	}
 	if db.dir != "" {
-		// Persist before publishing so readers never see an index whose
-		// pages are mid-flush.
+		// Checkpoint before publishing so readers never see an index
+		// whose pages are mid-flush: the heap it covers first, then the
+		// index itself.
+		if err := db.commitHeap(); err != nil {
+			return err
+		}
 		if err := ix.Save(); err != nil {
 			return err
 		}
@@ -745,25 +701,10 @@ func (db *DB) RebuildIndexCtx(ctx context.Context) (err error) {
 	db.mu.Lock()
 	db.index = ix
 	db.mu.Unlock()
+	if db.dir != "" {
+		db.checkpointed()
+	}
 	db.publish()
-	return db.absorbIngestLogLocked("rebuild")
-}
-
-// absorbIngestLogLocked commits the database and resets the ingest log
-// after an index build has covered the log's guarded records. Without
-// it the next Open would truncate the heap back under the fresh index's
-// committed record count and replay operations the tree already holds,
-// duplicating entries. The caller holds ingestMu.
-func (db *DB) absorbIngestLogLocked(why string) error {
-	if db.dir == "" || db.wal == nil {
-		return nil
-	}
-	db.mu.Lock()
-	err := db.saveLocked()
-	db.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("fix: absorbing ingest log after %s: %w", why, err)
-	}
 	return nil
 }
 

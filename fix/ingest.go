@@ -1,13 +1,12 @@
 package fix
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,18 +20,17 @@ import (
 // robustness contract: every acknowledged operation survives a crash,
 // every failure is a typed error, and nothing blocks unboundedly.
 //
-// On a persistent DB the first ingest call creates fix.ingest, a
-// write-ahead log based at the last committed store state. Each batch is
-// appended and fsynced there *before* it touches the heap or the index —
-// one fsync per batch, shared by every operation in it (group commit) —
-// and the batch is applied under a single write-lock acquisition. The
-// unit callers hand in is the submission (Ingester.Apply): an ordered
-// list of adds and deletes that is queued, logged, applied, published
-// and acknowledged as one.
-// Save absorbs the log's contents into the regular commit (heap sync,
-// dictionary, tombstones, shadow-committed index) and only then resets
-// the log; Open replays a surviving log after a crash. In-memory DBs get
-// the same batching and backpressure semantics without the log.
+// The record heap is the log. On a persistent DB a group commit appends
+// its documents to data.heap, then one batch trailer naming its deletes
+// and the dictionary's new labels, and fsyncs the heap — one fsync per
+// batch, shared by every operation in it — before it applies the batch
+// to the index under a single write-lock acquisition. The unit callers
+// hand in is the submission (Ingester.Apply): an ordered list of adds and
+// deletes that is queued, committed, published and acknowledged as one.
+// A checkpoint commits the index over the heap as it stands; Open brings
+// an index committed before the last batches up to the heap (see Open).
+// In-memory DBs get the same batching and backpressure semantics without
+// the trailers and the fsync.
 
 // ErrIngestQueueFull reports that the ingester's bounded queue stayed
 // full past the configured enqueue wait. The operation was not accepted
@@ -58,12 +56,16 @@ var ErrUnknownDocument = errors.New("fix: unknown document")
 // keep answering exactly via the scan fallback until RebuildIndex.
 var ErrRebuildRequired = core.ErrRebuildRequired
 
-// fileCreate and fileOpen are the seams through which the DB creates and
-// opens its own files (the record heap and the ingest log); ingest crash
-// tests swap them for fault-injecting variants, mirroring the core
-// index's indexFS seam.
-var fileCreate = storage.Create
-var fileOpen = storage.Open
+// fileCreate, fileOpen and fileRemove are the seams through which the DB
+// creates and opens its record heap (and, converting a directory of the
+// format before batch trailers, reads its ingest log and removes it and
+// the tombstone sidecar); crash tests swap them for fault-injecting
+// variants, mirroring the core index's indexFS seam.
+var (
+	fileCreate = storage.Create
+	fileOpen   = storage.Open
+	fileRemove = os.Remove
+)
 
 // IngestConfig tunes an Ingester. The zero value is ready to use.
 type IngestConfig struct {
@@ -98,7 +100,6 @@ func (c *IngestConfig) setDefaults() {
 // neither, and a submission holding one is rejected.
 type Op struct {
 	tree *xmltree.Node // add: the parsed document; nil otherwise
-	xml  []byte        // add: the document text, as the WAL logs it
 	del  bool          // delete
 	rec  uint32        // delete: the target
 }
@@ -109,12 +110,11 @@ type Op struct {
 // request first, so malformed or oversized input is a client error that
 // leaves nothing of the request behind.
 func (db *DB) AddOp(doc string) (Op, error) {
-	raw := []byte(doc)
-	n, err := xmltree.ParseWithLimits(bytes.NewReader(raw), db.parseLimits())
+	n, err := xmltree.ParseWithLimits(strings.NewReader(doc), db.parseLimits())
 	if err != nil {
 		return Op{}, err
 	}
-	return Op{tree: n, xml: raw}, nil
+	return Op{tree: n}, nil
 }
 
 // addOps is AddOp over docs; the first document that fails fails them all.
@@ -186,8 +186,8 @@ func (db *DB) NewIngester(cfg IngestConfig) *Ingester {
 
 // NewIngesterCtx is NewIngester with a context for the committer
 // goroutine: batch application carries its values (cancellation does
-// not abort a batch mid-commit — once the WAL fsync has acknowledged
-// it, the apply runs to completion). The ingester still drains and
+// not abort a batch mid-commit — once the heap fsync has made it
+// durable, the apply runs to completion). The ingester still drains and
 // exits through Close, not through ctx.
 func (db *DB) NewIngesterCtx(ctx context.Context, cfg IngestConfig) *Ingester {
 	cfg.setDefaults()
@@ -205,7 +205,7 @@ func (db *DB) NewIngesterCtx(ctx context.Context, cfg IngestConfig) *Ingester {
 // commitLoop is the single committer. It takes the first queued
 // submission, adds whatever else is already queued — without waiting —
 // until the batch holds MaxBatch operations or ends in a flush marker,
-// commits the batch with one WAL fsync and one write-lock acquisition,
+// commits the batch with one heap fsync and one index apply,
 // and acknowledges every submission with the batch's outcome. Group
 // commit clocks itself: what arrives while batch k is in its fsync and
 // apply is batch k+1, so concurrent writers share fsyncs and a lone
@@ -296,8 +296,8 @@ func (ing *Ingester) enqueue(ctx context.Context, s *submission) error {
 // submission and returns, per operation, the record it added or deleted.
 // A nil error means all of it is durable and visible.
 //
-// The submission is queued as one element and never split: it is logged
-// inside one WAL batch, applied under one write-lock acquisition and
+// The submission is queued as one element and never split: it is sealed
+// inside one heap batch, applied under one write-lock acquisition and
 // published once, together with whatever other callers' submissions
 // share its group commit. Its operations take effect in order, so a
 // delete may name a document added earlier in the same submission
@@ -305,7 +305,7 @@ func (ing *Ingester) enqueue(ctx context.Context, s *submission) error {
 // document is then never visible. And it is all or nothing: a delete of
 // a record the store has not assigned by that point rejects the whole
 // submission with ErrUnknownDocument before any of it is numbered or
-// logged — the other submissions of the group commit are unaffected.
+// stored — the other submissions of the group commit are unaffected.
 func (ing *Ingester) Apply(ctx context.Context, ops []Op) ([]uint32, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -356,7 +356,7 @@ func (ing *Ingester) QueueLen() int { return len(ing.subs) }
 
 // Close stops accepting submissions, waits for the committer to drain
 // and commit everything already queued, and returns. It does not Save:
-// the WAL keeps acknowledged operations durable until the next Save.
+// acknowledged operations are durable in the heap already.
 func (ing *Ingester) Close() error {
 	ing.mu.Lock()
 	if !ing.closed {
@@ -369,10 +369,9 @@ func (ing *Ingester) Close() error {
 }
 
 // IngestBatchCtx ingests a batch of documents in one group commit: one
-// WAL append sharing one fsync, one write-lock acquisition for the whole
-// batch. It returns the assigned document IDs in argument order. On
-// error nothing in the batch is visible or durable (the batch rolls
-// back as a unit). For continuous concurrent ingest prefer an Ingester,
+// heap batch sharing one fsync, one index apply for the whole batch. It
+// returns the assigned document IDs in argument order. On error nothing
+// in the batch is visible or durable (the batch rolls back as a unit). For continuous concurrent ingest prefer an Ingester,
 // which coalesces batches across callers.
 func (db *DB) IngestBatchCtx(ctx context.Context, docs []string) ([]uint32, error) {
 	if len(docs) == 0 {
@@ -414,81 +413,66 @@ func (db *DB) commitOne(ctx context.Context, ops []Op) ([]uint32, error) {
 }
 
 // commitPending serializes one batch against every other mutation and
-// commits it. Ingest entry points call it; the legacy AddDocument path
-// shares commitLocked underneath.
+// commits it. Ingest entry points call it; from the first of them on a
+// persistent DB every commit is durable, AddDocument's too.
 func (db *DB) commitPending(ctx context.Context, subs []*submission) error {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
-	if err := db.ensureIngestLog(); err != nil {
-		return err
-	}
+	db.streaming = true
 	return db.commitLocked(ctx, subs)
 }
 
-// ensureIngestLog lazily creates fix.ingest on a persistent DB, first
-// making the log's base durable: the heap prefix is fsynced and the
-// dictionary and tombstone sidecar saved, so replay re-parses documents
-// against exactly the label assignments the original encoding used.
-// Requires ingestMu. In-memory DBs never have a log.
-func (db *DB) ensureIngestLog() error {
-	if db.wal != nil || db.dir == "" {
-		return nil
+// commitLocked commits one group commit and publishes it. Requires
+// ingestMu (so the record count is stable and batches reach the heap in
+// commit order). It holds pubMu throughout, so no generation is frozen
+// over a batch before it is durable and indexed, and a rollback cuts
+// records no view holds.
+func (db *DB) commitLocked(ctx context.Context, subs []*submission) error {
+	db.pubMu.Lock()
+	defer db.pubMu.Unlock()
+	committed, err := db.commitBatch(ctx, subs, db.dir != "" && db.streaming)
+	if committed {
+		// Publish the post-batch state as a new generation so new Views
+		// (and the pin-per-call DB query methods) observe the
+		// acknowledged writes. A rolled-back batch publishes nothing: the
+		// previous generation remains an exact snapshot of the pre-batch
+		// state.
+		db.publishLocked()
 	}
-	if err := db.store.Sync(); err != nil {
-		return fmt.Errorf("fix: syncing heap for ingest log base: %w", err)
-	}
-	if err := db.saveDict(); err != nil {
-		return fmt.Errorf("fix: saving dictionary for ingest log base: %w", err)
-	}
-	if err := db.saveTombs(); err != nil {
-		return fmt.Errorf("fix: saving tombstones for ingest log base: %w", err)
-	}
-	f, err := fileCreate(filepath.Join(db.dir, core.IngestLogName))
-	if err != nil {
-		return fmt.Errorf("fix: creating ingest log: %w", err)
-	}
-	lg, err := core.NewIngestLog(f, uint32(db.store.NumRecords()), db.store.Size())
-	if err != nil {
-		_ = f.Close()
-		return err
-	}
-	db.wal = lg
-	return nil
+	return err
 }
 
-// commitLocked is the group commit. Requires ingestMu (so the record
-// count is stable and the WAL is appended in commit order).
+// commitBatch is the group commit without the publish.
 //
 // Protocol: assign record numbers and validate every submission; append
-// the batch to the WAL and fsync it (the durability point — after this
-// returns success, recovery will replay the batch); apply the batch to
-// the heap and index under the write lock. An apply failure or panic
-// rolls the whole batch back — WAL suffix truncated first so a crash
-// cannot resurrect the unacknowledged batch, then heap and tombstones
-// restored — and conservatively degrades the index, because a partial
-// apply may have left entries behind.
+// the batch's documents and tombstones to the heap; when durable, seal
+// it with its trailer and fsync the heap (the durability point — after
+// this returns success, the next Open keeps the batch); apply the batch
+// to the index under the write lock. A failure or panic before the
+// acknowledgement rolls the whole batch back — heap cut back past the
+// batch and synced, its tombstones cleared — and degrades the index if
+// its apply had begun, because a partial apply may have left entries
+// behind.
 //
 // Validation failures are per submission, not per batch: a delete aimed
 // at a record the store has not assigned by that point of the batch —
 // the submission's own earlier adds count — marks its submission's err
 // field (ErrUnknownDocument), and the whole submission is excluded from
-// the numbering, the WAL and the apply. Group commit coalesces unrelated
+// the numbering, the heap and the apply. Group commit coalesces unrelated
 // callers into one batch, so one client's bad delete must not fail
 // another client's valid submission.
-func (db *DB) commitLocked(ctx context.Context, subs []*submission) error {
+func (db *DB) commitBatch(ctx context.Context, subs []*submission, durable bool) (bool, error) {
+	pre := db.store.Mark()
 	preRecords := db.store.NumRecords()
-	preEnd := db.store.Size()
-	nrec := uint32(preRecords)
-	var walOps []core.IngestOp
+	nrec, nops := uint32(preRecords), 0
 	valid := make([]*submission, 0, len(subs))
 	for _, s := range subs {
-		first, mark := nrec, len(walOps)
+		first := nrec
 		s.recs = make([]uint32, len(s.ops))
 		for i, op := range s.ops {
 			switch {
 			case op.tree != nil:
 				s.recs[i] = nrec
-				walOps = append(walOps, core.IngestOp{Kind: core.IngestOpInsert, Rec: nrec, XML: op.xml})
 				nrec++
 			case !op.del:
 				s.err = fmt.Errorf("fix: operation %d of a submission is the zero Op", i)
@@ -496,80 +480,71 @@ func (db *DB) commitLocked(ctx context.Context, subs []*submission) error {
 				s.err = fmt.Errorf("%w: delete of record %d out of range (have %d)", ErrUnknownDocument, op.rec, nrec)
 			default:
 				s.recs[i] = op.rec
-				walOps = append(walOps, core.IngestOp{Kind: core.IngestOpDelete, Rec: op.rec})
 			}
 			if s.err != nil {
 				break
 			}
 		}
 		if s.err != nil {
-			nrec, walOps, s.recs = first, walOps[:mark], nil
+			nrec, s.recs = first, nil
 			continue
 		}
+		nops += len(s.ops)
 		valid = append(valid, s)
 	}
-	if len(walOps) == 0 {
-		return nil // every submission was rejected individually; nothing to commit
+	if nops == 0 {
+		return false, nil // every submission was rejected individually; nothing to commit
 	}
-	var walSize0 int64
-	if db.wal != nil {
-		walSize0 = db.wal.Size()
-		if err := db.wal.AppendBatch(walOps); err != nil {
-			return err // nothing durable, nothing applied, nothing acked
+	marked, inserted, deleted, err := db.appendBatch(valid)
+	if err == nil && durable {
+		if err = db.store.Seal(); err == nil {
+			err = db.store.Sync()
 		}
 	}
-	// The batch is WAL-durable (acknowledged) past this point, so the
-	// apply must run to completion even if the caller's context dies
-	// mid-batch: cancellation must never roll back an acknowledged batch.
-	if marked, err := db.applyBatch(context.WithoutCancel(ctx), valid); err != nil {
-		db.rollbackBatch(marked, preRecords, preEnd, walSize0, len(walOps), err)
-		return err
+	if err != nil {
+		db.rollbackBatch(pre, marked, nil)
+		return false, err
+	}
+	// The batch is durable (acknowledged) past this point, so the apply
+	// must run to completion even if the caller's context dies mid-batch:
+	// cancellation must never roll back an acknowledged batch.
+	if err := db.indexBatch(context.WithoutCancel(ctx), inserted, deleted); err != nil {
+		db.rollbackBatch(pre, marked, err)
+		return false, err
 	}
 	docs, fsyncs := int(nrec)-preRecords, 0
-	if db.wal != nil {
+	if durable {
 		fsyncs = 1
 	}
-	obs.Default().ObserveIngestBatch(docs, len(walOps)-docs, fsyncs)
-	// Publish the post-batch state as a new generation so new Views (and
-	// the pin-per-call DB query methods) observe the acknowledged writes.
-	// The rollback path above deliberately does not publish: the previous
-	// generation remains an exact snapshot of the pre-batch state.
-	db.publish()
-	return nil
+	obs.Default().ObserveIngestBatch(docs, nops-docs, fsyncs)
+	if db.dir != "" {
+		db.lagOps += nops
+	}
+	return true, nil
 }
 
-// applyBatch applies a WAL-durable batch to the heap and the index under
-// one write-lock acquisition. A panic anywhere inside is contained into
-// an error wrapping ErrPanic (and counted), so the caller can roll back;
-// marked lists the tombstones the batch set, which a rollback clears.
-// An operation that stores fine but cannot be indexed
-// (ErrRebuildRequired) degrades the index and does not fail the batch —
-// durability never depends on the index.
-//
-// Heap appends and tombstones run in operation order. The index then
-// loses the entries of every deleted record in one DeleteDocuments pass,
-// and the batch's inserts are indexed in one InsertDocumentsCtx call,
-// which fans the per-document eigenvalue work out over the build worker
-// pool instead of computing it one document at a time under the write
-// lock. An insert that a later operation of the batch deletes is stored
-// and tombstoned but never indexed, so running the delete pass before
-// the inserts cannot leave an entry of it behind.
-func (db *DB) applyBatch(ctx context.Context, subs []*submission) (marked []uint32, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			obs.Default().ObservePanicRecovered()
-			err = fmt.Errorf("%w: ingest batch: %v\n%s", ErrPanic, r, debug.Stack())
-		}
-	}()
-	var inserted, deleted []uint32
+// containBatch turns a panic of a batch's apply into an error wrapping
+// ErrPanic (and counts it), so the caller can roll back.
+func containBatch(err *error) {
+	if r := recover(); r != nil {
+		obs.Default().ObservePanicRecovered()
+		*err = fmt.Errorf("%w: ingest batch: %v\n%s", ErrPanic, r, debug.Stack())
+	}
+}
+
+// appendBatch stores a batch's documents and tombstones in the heap, in
+// operation order, under containBatch; marked lists the tombstones the
+// batch set, which a rollback clears. inserted and deleted are the
+// records the index must gain and lose: an insert that a later operation
+// of the batch deletes is stored and tombstoned but never indexed.
+func (db *DB) appendBatch(subs []*submission) (marked, inserted, deleted []uint32, err error) {
+	defer containBatch(&err)
 	for _, s := range subs {
 		for i, op := range s.ops {
 			if op.tree == nil {
 				fresh, derr := db.store.MarkDeleted(op.rec)
 				if derr != nil {
-					return marked, derr
+					return marked, nil, nil, derr
 				}
 				if fresh {
 					marked = append(marked, op.rec)
@@ -579,139 +554,86 @@ func (db *DB) applyBatch(ctx context.Context, subs []*submission) (marked []uint
 			}
 			rec, aerr := db.store.AppendTree(op.tree)
 			if aerr != nil {
-				return marked, aerr
+				return marked, nil, nil, aerr
 			}
 			if rec != s.recs[i] {
-				return marked, fmt.Errorf("fix: ingest batch applied record %d, expected %d", rec, s.recs[i])
+				return marked, nil, nil, fmt.Errorf("fix: ingest batch stored record %d, expected %d", rec, s.recs[i])
 			}
 			inserted = append(inserted, rec)
 		}
 	}
-	if db.index == nil || db.index.Health() != nil {
-		return marked, nil
-	}
-	if len(deleted) > 0 {
-		if _, derr := db.index.DeleteDocuments(deleted); derr != nil {
-			return marked, derr
+	live := inserted[:0]
+	for _, rec := range inserted {
+		if !db.store.IsDeleted(rec) {
+			live = append(live, rec)
 		}
-		live := inserted[:0]
-		for _, rec := range inserted {
-			if !db.store.IsDeleted(rec) {
-				live = append(live, rec)
-			}
-		}
-		inserted = live
 	}
-	if ierr := db.index.InsertDocumentsCtx(ctx, inserted); ierr != nil {
-		if !errors.Is(ierr, ErrRebuildRequired) {
-			return marked, ierr
-		}
-		db.index.Degrade(ierr)
-	}
-	return marked, nil
+	return marked, live, deleted, nil
 }
 
-// rollbackBatch undoes a failed batch: the WAL suffix goes first (so a
-// crash mid-rollback cannot replay the unacknowledged batch), then the
-// heap and tombstones are restored to their pre-batch state, and the
-// index is conservatively degraded — a partial apply may have inserted
-// entries that now point past the truncated heap, and degradation routes
-// queries to the exact scan fallback until a rebuild. Rollback steps are
-// best-effort: if the disk is failing they may fail too, in which case
-// reopening the database replays only acknowledged batches.
-func (db *DB) rollbackBatch(marked []uint32, preRecords int, preEnd int64, walSize0 int64, nwal int, cause error) {
+// indexBatch applies a stored batch to the index under one write-lock
+// acquisition, under containBatch. The index
+// loses the entries of every deleted record in one DeleteDocuments pass,
+// and the batch's inserts are indexed in one InsertDocumentsCtx call,
+// which fans the per-document eigenvalue work out over the build worker
+// pool instead of computing it one document at a time under the write
+// lock. An operation that stores fine but cannot be indexed
+// (ErrRebuildRequired) degrades the index and does not fail the batch —
+// durability never depends on the index.
+func (db *DB) indexBatch(ctx context.Context, inserted, deleted []uint32) (err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.wal != nil {
-		_ = db.wal.TruncateBatch(walSize0, nwal)
+	defer containBatch(&err)
+	if db.index == nil || db.index.Health() != nil {
+		return nil
+	}
+	if len(deleted) > 0 {
+		if _, err := db.index.DeleteDocuments(deleted); err != nil {
+			return err
+		}
+	}
+	if err := db.index.InsertDocumentsCtx(ctx, inserted); err != nil {
+		if !errors.Is(err, ErrRebuildRequired) {
+			return err
+		}
+		db.index.Degrade(err)
+	}
+	return nil
+}
+
+// rollbackBatch undoes a failed batch: the heap is cut back to pre and
+// synced, so a crash cannot bring the unacknowledged batch back, and the
+// tombstones it set are cleared. An index apply that had begun (cause
+// non-nil) degrades the index — a partial apply may have inserted entries
+// that now point past the cut heap, and degradation routes queries to the
+// exact scan fallback until a rebuild. Rollback steps are best-effort: if
+// the disk is failing they may fail too, and then the store takes no more
+// appends and reopening the database keeps the batch only if its trailer
+// reached the disk whole.
+func (db *DB) rollbackBatch(pre storage.Mark, marked []uint32, cause error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.store.Rollback(pre) == nil {
+		_ = db.store.Sync()
 	}
 	for _, rec := range marked {
 		db.store.UnmarkDeleted(rec)
 	}
-	_ = db.store.TruncateTo(preRecords, preEnd)
-	if db.index != nil {
+	if cause != nil && db.index != nil {
 		db.index.Degrade(fmt.Errorf("fix: ingest batch rolled back: %w", cause))
 	}
 }
 
-// IngestLag returns the number of acknowledged operations the ingest
-// log is carrying ahead of the last Save — the work a crash would
-// replay, cleared by Save. It is 0 for in-memory DBs and before the
-// first ingest.
+// IngestLag returns the number of operations committed since the last
+// checkpoint — what a crash right now would make Open bring the index up
+// to the heap with, cleared by Checkpoint. It is 0 right after Open and
+// for in-memory DBs.
 func (db *DB) IngestLag() int {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
-	if db.wal == nil {
-		return 0
-	}
-	return db.wal.Ops()
+	return db.lagOps
 }
 
 // DeletedDocuments returns how many documents are tombstoned (deleted
 // but still occupying heap space until a rebuild).
 func (db *DB) DeletedDocuments() int { return db.store.NumDeleted() }
-
-// saveTombs writes the tombstone sidecar (fix.tomb) atomically: temp
-// file, fsync, rename — the same crash-safety bar as labels.dict. An
-// empty set still writes the file, so a reopened DB never resurrects
-// documents deleted before the last Save.
-func (db *DB) saveTombs() error {
-	path := filepath.Join(db.dir, "fix.tomb")
-	data := storage.EncodeTombstones(db.store.DeletedRecords())
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// loadTombs restores the tombstone set from fix.tomb; a missing sidecar
-// means no deletes were ever committed. A corrupt sidecar fails the open
-// loudly — silently dropping it would resurrect deleted documents.
-//
-// A sidecar written by a Save that crashed before resetting the ingest
-// log (wal, when non-nil) may carry tombstones for records at or past
-// the log's base; the heap has just been truncated back to that base,
-// so those records do not exist yet. Every such delete is necessarily
-// still in the log — the sidecar is only rewritten while the log guards
-// all post-base operations — so they are dropped here and re-applied by
-// replay instead of failing the open.
-func (db *DB) loadTombs(wal *core.IngestLog) error {
-	data, err := os.ReadFile(filepath.Join(db.dir, "fix.tomb"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	recs, err := storage.DecodeTombstones(data)
-	if err != nil {
-		return fmt.Errorf("fix: loading tombstones: %w", err)
-	}
-	if wal != nil {
-		base, _ := wal.Base()
-		kept := recs[:0]
-		for _, r := range recs {
-			if r < base {
-				kept = append(kept, r)
-			}
-		}
-		recs = kept
-	}
-	return db.store.SetDeleted(recs)
-}

@@ -17,12 +17,12 @@ import (
 	"github.com/fix-index/fix/internal/storage"
 )
 
-// withFaultFiles routes the DB's own file I/O (record heap and ingest
-// log) through pl, mirroring the core crash tests' faultFS seam, and
+// withFaultFiles routes the DB's own file I/O (the record heap, and the
+// files a conversion reads and removes) through pl, mirroring the core crash tests' faultFS seam, and
 // returns a restore function standing in for the process reboot: after
 // the "crash", recovery runs against the real files.
 func withFaultFiles(pl *storage.FaultPlan) (restore func()) {
-	origCreate, origOpen := fileCreate, fileOpen
+	origCreate, origOpen, origRemove := fileCreate, fileOpen, fileRemove
 	fileCreate = func(path string) (storage.File, error) {
 		f, err := storage.Create(path)
 		if err != nil {
@@ -37,7 +37,14 @@ func withFaultFiles(pl *storage.FaultPlan) (restore func()) {
 		}
 		return pl.Wrap(f), nil
 	}
-	return func() { fileCreate, fileOpen = origCreate, origOpen }
+	fileRemove = func(path string) error {
+		// A removal is a write of the plan's: it fails, or not, in turn.
+		if err := pl.Wrap(storage.NewMemFile()).Sync(); err != nil {
+			return err
+		}
+		return os.Remove(path)
+	}
+	return func() { fileCreate, fileOpen, fileRemove = origCreate, origOpen, origRemove }
 }
 
 func mustExist(t *testing.T, db *DB, expr string, want bool) {
@@ -296,24 +303,30 @@ func TestIngestRebuildRequiredDegrades(t *testing.T) {
 	}
 }
 
+// TestIngestLogLifecycle follows the heap as the log through a
+// database's life: a bulk AddDocument seals nothing, the first streaming
+// commit seals it with the batch, from then on AddDocument is sealed and
+// fsynced too, IngestLag and WALBytes count what was committed since the
+// last checkpoint, and Save clears them. No file beside the heap holds a
+// write.
 func TestIngestLogLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(dir, "fix.ingest")
 	if _, err := db.AddDocumentString(docs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
-		t.Fatal("bulk-load AddDocument created the ingest log")
-	}
-	if db.IngestLag() != 0 {
-		t.Fatalf("IngestLag = %d before any streaming ingest", db.IngestLag())
+	fsyncs := db.Metrics().IngestFsyncs
+	if db.IngestLag() != 1 || db.WALBytes() != db.store.Size()-8 {
+		t.Fatalf("IngestLag, WALBytes = %d, %d after a bulk add, want 1, %d", db.IngestLag(), db.WALBytes(), db.store.Size()-8)
 	}
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
+	}
+	if db.IngestLag() != 0 || db.WALBytes() != 0 {
+		t.Fatalf("IngestLag, WALBytes = %d, %d after Save", db.IngestLag(), db.WALBytes())
 	}
 
 	ids, err := db.IngestBatchCtx(context.Background(), docs[1:3])
@@ -323,35 +336,41 @@ func TestIngestLogLifecycle(t *testing.T) {
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("ids = %v, want [1 2]", ids)
 	}
-	if _, err := os.Stat(walPath); err != nil {
-		t.Fatalf("streaming ingest did not create the ingest log: %v", err)
-	}
 	if db.IngestLag() != 2 {
 		t.Fatalf("IngestLag = %d after a 2-op batch, want 2", db.IngestLag())
 	}
 	if err := db.DeleteDocument(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	// With a live log, plain AddDocument joins the durable path.
+	// After streaming ingest, plain AddDocument joins the durable path.
 	if _, err := db.AddDocumentString(docs[3]); err != nil {
 		t.Fatal(err)
 	}
-	if db.IngestLag() != 4 {
-		t.Fatalf("IngestLag = %d, want 4", db.IngestLag())
+	if got := db.Metrics().IngestFsyncs - fsyncs; got != 3 {
+		t.Errorf("%d fsyncs for three streaming commits and a bulk add before them, want 3", got)
 	}
 	snap := db.Metrics()
-	if snap.IngestLag != 4 || snap.DocumentsDeleted != 1 {
-		t.Fatalf("snapshot lag/deleted = %d/%d, want 4/1", snap.IngestLag, snap.DocumentsDeleted)
+	if snap.IngestLag != 4 || snap.DocumentsDeleted != 1 || snap.WALBytes <= 0 {
+		t.Fatalf("snapshot lag/deleted/bytes = %d/%d/%d, want 4/1/>0", snap.IngestLag, snap.DocumentsDeleted, snap.WALBytes)
 	}
 
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
 	}
-	if db.IngestLag() != 0 {
-		t.Fatalf("IngestLag = %d after Save, want 0", db.IngestLag())
+	if db.IngestLag() != 0 || db.WALBytes() != 0 {
+		t.Fatalf("IngestLag, WALBytes = %d, %d after Save, want 0", db.IngestLag(), db.WALBytes())
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if n := f.Name(); n != "data.heap" && n != "labels.dict" {
+			t.Errorf("the directory of an unindexed database holds %s", n)
+		}
 	}
 
 	re, err := Open(dir)
@@ -362,8 +381,8 @@ func TestIngestLogLifecycle(t *testing.T) {
 	if re.NumDocuments() != 4 || re.DeletedDocuments() != 1 {
 		t.Fatalf("reopened: %d docs / %d deleted, want 4 / 1", re.NumDocuments(), re.DeletedDocuments())
 	}
-	if re.IngestLag() != 0 {
-		t.Fatalf("reopened IngestLag = %d, want 0", re.IngestLag())
+	if re.IngestLag() != 0 || re.WALBytes() != 0 {
+		t.Fatalf("reopened IngestLag, WALBytes = %d, %d, want 0", re.IngestLag(), re.WALBytes())
 	}
 	mustExist(t, re, "//author[phone]", false) // docs[1] stayed deleted
 	mustExist(t, re, "//author[address]", true)
@@ -457,7 +476,8 @@ func ingestScript(db *DB) (ackedSteps int, err error) {
 	return 3, nil
 }
 
-// setupIngestBase creates a DB under dir with two base documents.
+// setupIngestBase creates a DB under dir with two base documents, saved:
+// a bulk load is durable from its Save on.
 func setupIngestBase(t *testing.T, dir string) *DB {
 	t.Helper()
 	db, err := Create(dir)
@@ -468,6 +488,9 @@ func setupIngestBase(t *testing.T, dir string) *DB {
 		if _, err := db.AddDocumentString(d); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
 	}
 	return db
 }
@@ -704,20 +727,13 @@ func sweepIngestCrashes(t *testing.T, setup func(*testing.T, string) *DB, script
 
 			re, err := Open(dir)
 			if err != nil {
-				// The crash hit before the first group commit made the
-				// database durable (labels.dict is written on the way to
-				// the WAL): nothing was acknowledged, so there is
-				// legitimately nothing to open.
-				if acked == 0 && errors.Is(err, os.ErrNotExist) {
-					continue
-				}
 				t.Fatalf("write %d (torn=%t): reopen: %v", n, torn, err)
 			}
 			ctx := fmt.Sprintf("write %d (torn=%t)", n, torn)
 			check(t, re, acked, ctx)
 
-			// The reopened DB is fully usable: Save absorbs the replayed
-			// log and a further reopen is stable.
+			// The reopened DB is fully usable: Save checkpoints it and a
+			// further reopen is stable.
 			if err := re.Save(); err != nil {
 				t.Fatalf("%s: save after recovery: %v", ctx, err)
 			}
@@ -953,67 +969,30 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 }
 
-// TestTombstonesPastLogBaseDroppedOnOpen simulates a crash inside Save
-// after the tombstone sidecar was rewritten but before the ingest log
-// was reset: fix.tomb then carries tombstones for records at or past
-// the log's base, which the recovery truncation removes from the heap.
-// Open must drop those tombstones (the deletes are still in the log and
-// are re-applied by replay) instead of failing permanently.
+// TestTombstonesPastLogBaseDroppedOnOpen converts a directory of the
+// format before batch trailers in which a checkpoint crashed after it
+// rewrote the tombstone sidecar and before it reset the ingest log:
+// fix.tomb then carries tombstones for records at or past the log's
+// base, which the conversion cuts from the heap. Open must drop those
+// tombstones (the deletes are still in the log and are replayed) instead
+// of failing.
 func TestTombstonesPastLogBaseDroppedOnOpen(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Create(dir)
+	dir := copyFixture(t, unabsorbedFixture)
+	// The log is based at 12 records; record 13 is deleted by the log, and
+	// record 1 before it.
+	writeOldTombstones(t, dir, 1, 13)
+	db, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open after a checkpoint crashed before the log reset: %v", err)
 	}
-	// Record 0 predates the ingest log (AddDocument stays fsync-free
-	// until a log exists); the durable batch then creates the log with
-	// base 1 and appends record 1.
-	if _, err := db.AddDocumentString("<a><b/></a>"); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := db.IngestBatchCtx(context.Background(), []string{"<c><d/></c>"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DeleteDocument(ids[0]); err != nil { // past the base
-		t.Fatal(err)
-	}
-	if err := db.DeleteDocument(0); err != nil { // before the base
-		t.Fatal(err)
-	}
-	// Run Save's sub-steps up to (not including) the log reset, then
-	// "crash": Close without Save keeps the log's contents.
-	if err := db.store.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.saveDict(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.saveTombs(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open after Save crashed before the log reset: %v", err)
-	}
-	defer re.Close()
-	if re.NumDocuments() != 2 {
-		t.Errorf("NumDocuments = %d, want 2", re.NumDocuments())
-	}
-	if re.DeletedDocuments() != 2 {
-		t.Errorf("DeletedDocuments = %d, want 2", re.DeletedDocuments())
-	}
-	mustExist(t, re, "//b", false)
-	mustExist(t, re, "//d", false)
+	defer db.Close()
+	checkUnabsorbedFixture(t, dir, db)
 }
 
 // TestIngestReplayHonorsLooseParseLimits: a document admitted under
-// custom limits looser than the parser defaults must replay on Open,
-// which cannot know the original limits (they are not persisted).
+// custom limits looser than the parser defaults must come back on Open,
+// which cannot know the original limits (they are not persisted): the
+// heap holds it encoded, and Open parses nothing.
 func TestIngestReplayHonorsLooseParseLimits(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := Create(dir)
@@ -1095,16 +1074,16 @@ func (f stalledFile) Sync() error {
 	return f.File.Sync()
 }
 
-// newStalledDB creates a persistent DB whose ingest log goes through a
-// walStall, with an ingester that has already committed once (so the log
-// exists and the next fsync on it is a batch's).
+// newStalledDB creates a persistent DB whose heap goes through a
+// walStall, with an ingester that has already committed once (so the
+// next fsync of the heap is a batch's).
 func newStalledDB(t *testing.T) (*DB, *Ingester, *walStall) {
 	t.Helper()
 	ws := &walStall{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	orig := fileCreate
 	fileCreate = func(path string) (storage.File, error) {
 		f, err := storage.Create(path)
-		if err != nil || filepath.Base(path) != core.IngestLogName {
+		if err != nil || filepath.Base(path) != "data.heap" {
 			return f, err
 		}
 		return stalledFile{f, ws}, nil

@@ -5,82 +5,51 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"github.com/fix-index/fix/internal/obs"
-	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xmltree"
 )
 
 // Online maintenance. Two concerns live here, both about keeping a
 // long-running DB healthy without stopping the world:
 //
-//   - Checkpointing. Save/Checkpoint absorb the ingest WAL into the base
-//     commit. The expensive part — fsyncing the record heap — runs
-//     *before* the write locks are taken (CheckpointCtx's pre-sync
-//     rounds), so concurrent ingest stalls only for the short final
-//     critical section. The Maintainer automates the policy: checkpoint
-//     when the WAL grows past an ops/bytes threshold or ages past a
-//     deadline, retry transient failures with jittered backoff, and
-//     after too many consecutive failures suspend into a half-open
-//     probe state (serving continues from the current base + WAL).
+//   - Checkpointing. Save/Checkpoint commit the index over the heap as it
+//     stands, so that Open has nothing to catch up. Every group commit
+//     has fsynced its own heap batch, so concurrent ingest stalls only for
+//     the short critical section of the small-file commits. The Maintainer
+//     automates the policy: checkpoint when the operations or heap bytes since the last
+//     one pass a threshold or the last one ages past a deadline, retry
+//     transient failures with jittered backoff, and after too many
+//     consecutive failures suspend into a half-open probe state (serving
+//     continues; the heap keeps every acknowledged write durable).
 //
 //   - Scrubbing. ScrubCtx walks the durable artifacts at a bounded rate
-//     — B-tree pages read straight from disk, heap records, the
-//     tombstone sidecar, the WAL prefix — to find latent corruption
-//     while the cached, in-memory copies still look fine. A damaged
-//     index degrades (queries fall back to the exact scan) and the
-//     Maintainer schedules an automatic rebuild; a damaged WAL is
-//     healed by forcing a checkpoint, which makes the guarded
-//     operations durable in the base commit and resets the log.
+//     — B-tree pages read straight from disk, heap records and the CRC
+//     of every heap batch — to find latent corruption while the cached,
+//     in-memory copies still look fine. A damaged index degrades (queries
+//     fall back to the exact scan) and the Maintainer schedules an
+//     automatic rebuild.
 
 // ErrMaintainerClosed reports an operation on a Maintainer whose
 // background loop has exited (Close was called, or its context ended).
 var ErrMaintainerClosed = errors.New("fix: maintainer closed")
 
-// checkpointPresyncRounds bounds how many times CheckpointCtx re-syncs
-// the heap off-lock before entering the critical section. Each round
-// flushes everything appended during the previous round's fsync; the
-// bound keeps a firehose of concurrent ingest from starving the
-// checkpoint forever.
-const checkpointPresyncRounds = 3
-
-// Checkpoint absorbs the ingest WAL into the base commit: heap fsync,
-// dictionary, tombstone sidecar, shadow-committed index, then a WAL
-// reset to the new base. It is an error on in-memory databases. It is
+// Checkpoint commits the index over the heap as it stands: the
+// dictionary, the heap's open batch sealed and fsynced, then the
+// shadow-committed index. It is an error on in-memory databases. It is
 // CheckpointCtx with context.Background().
 func (db *DB) Checkpoint() error { return db.CheckpointCtx(context.Background()) }
 
-// CheckpointCtx is Checkpoint with cancellation, observed between the
-// off-lock phases; once the locked commit starts it runs to completion.
-//
-// The stall bound: a naive Save holds the ingest and write locks across
-// the whole heap fsync, so an Add arriving mid-Save waits for all dirty
-// heap bytes to reach disk. CheckpointCtx first fsyncs the heap without
-// any DB lock (concurrent appends are safe — the heap is append-only
-// and the fsync simply covers whatever prefix exists), repeating up to
-// checkpointPresyncRounds while ingest keeps landing new bytes. The
-// locked section then re-syncs only the small tail appended since the
-// last round, and ingest stalls for that bounded tail instead of the
-// full absorption.
+// CheckpointCtx is Checkpoint with cancellation, observed before the
+// locked commit starts; once it starts it runs to completion. Every
+// durable group commit has fsynced its own batch already, so the commit
+// syncs at most the tail a bulk AddDocument left unsealed, and ingest
+// stalls for the small-file commits, not for the heap.
 func (db *DB) CheckpointCtx(ctx context.Context) error {
 	if db.dir == "" {
 		return fmt.Errorf("fix: Save on an in-memory database")
-	}
-	for range checkpointPresyncRounds {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pre := db.store.Size()
-		if err := db.store.Sync(); err != nil {
-			return err
-		}
-		if db.store.Size() == pre {
-			break // nothing landed during the fsync; the tail is flushed
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -92,16 +61,13 @@ func (db *DB) CheckpointCtx(ctx context.Context) error {
 	return nil
 }
 
-// WALBytes returns the on-disk size of the ingest write-ahead log — the
-// bytes a crash would replay, cleared by Checkpoint. It is 0 for
-// in-memory DBs and before the first ingest.
+// WALBytes returns the heap bytes written since the last checkpoint —
+// the batches a crash right now would make Open catch the index up
+// with, cleared by Checkpoint. It is 0 right after Open and for
+// in-memory DBs.
 func (db *DB) WALBytes() int64 {
-	db.ingestMu.Lock()
-	defer db.ingestMu.Unlock()
-	if db.wal == nil {
-		return 0
-	}
-	return db.wal.Size()
+	_, bytes := db.walStatus()
+	return bytes
 }
 
 // LastCheckpoint returns when the last commit (Save, Checkpoint, or an
@@ -111,14 +77,15 @@ func (db *DB) LastCheckpoint() time.Time {
 	return time.Unix(0, db.lastCheckpoint.Load())
 }
 
-// walStatus snapshots the WAL's op count and byte size together.
+// walStatus snapshots the operations and heap bytes since the last
+// checkpoint together.
 func (db *DB) walStatus() (ops int, bytes int64) {
 	db.ingestMu.Lock()
 	defer db.ingestMu.Unlock()
-	if db.wal == nil {
+	if db.dir == "" {
 		return 0, 0
 	}
-	return db.wal.Ops(), db.wal.Size()
+	return db.lagOps, db.store.Size() - db.ckptEnd
 }
 
 // ScrubConfig bounds a scrub pass. The zero value is ready to use.
@@ -152,30 +119,26 @@ type ScrubReport struct {
 	// been degraded (queries fall back to the exact scan) and a rebuild
 	// repairs it.
 	IndexDamaged bool
-	// HeapDamaged reports a record that failed structural decoding.
-	// The heap is the primary copy; this is data loss, not a cache
-	// problem, and only a backup restores it.
+	// HeapDamaged reports a record that failed structural decoding or a
+	// heap batch that fails its trailer's CRC. The heap is the primary
+	// copy; this is data loss, not a cache problem, and only a backup
+	// restores it.
 	HeapDamaged bool
-	// TombDamaged reports an unreadable tombstone sidecar.
-	TombDamaged bool
-	// WALDamaged reports corruption inside the WAL's acknowledged
-	// prefix. The in-memory state is unaffected; a checkpoint heals it
-	// by making the guarded operations durable in the base commit.
-	WALDamaged bool
 }
 
 // Damaged reports whether the pass found any corruption.
 func (r ScrubReport) Damaged() bool {
-	return r.IndexDamaged || r.HeapDamaged || r.TombDamaged || r.WALDamaged
+	return r.IndexDamaged || r.HeapDamaged
 }
 
 // ScrubCtx verifies the database's durable artifacts in bounded chunks:
 // the index B-tree read directly from disk (not from the resident image,
-// so latent bit rot is found while the pages in memory still look fine), every
-// heap record structurally decoded, the tombstone sidecar, and the
-// ingest WAL's acknowledged prefix. Locks are released and cfg.Pause
-// elapses between chunks, so queries and ingest interleave with the
-// scan.
+// so latent bit rot is found while the pages in memory still look fine),
+// and the sealed heap read front to back, every record structurally
+// decoded and every batch checked against its trailer's CRC. The heap is
+// read from its file, not through the queries' record cache or counters.
+// Locks are released and cfg.Pause elapses between chunks, so queries and
+// ingest interleave with the scan.
 //
 // A damaged index latches degraded health and republishes, exactly as
 // if a query had tripped over the corruption. Everything found is also
@@ -219,61 +182,29 @@ func (db *DB) ScrubCtx(ctx context.Context, cfg ScrubConfig) (ScrubReport, error
 		}
 	}
 
-	// Heap: structural decode of every record. The record count can
-	// shrink under us (a failed batch rolls its appends back), so a
-	// record error is re-checked against the current count before it is
-	// called corruption.
-	for rec := 0; rec < db.store.NumRecords(); rec++ {
-		if rec%cfg.Chunk == 0 && rec > 0 {
-			if err := pause(); err != nil {
-				return rep, err
+	// Heap: the sealed batches, each record structurally decoded and each
+	// batch checked against its trailer. A batch rolled back under the
+	// walk ends it early, not as damage.
+	var cancelled error
+	n, err := db.store.Walk(func(rec uint32, buf []byte) error {
+		if rec%uint32(cfg.Chunk) == 0 && rec > 0 {
+			if cancelled = pause(); cancelled != nil {
+				return cancelled
 			}
 		}
-		buf, err := db.store.Record(uint32(rec))
-		if err == nil {
-			var used int
-			_, used, err = xmltree.DecodeBinary(buf, db.dict)
-			if err == nil && used != len(buf) {
-				err = fmt.Errorf("record %d: %d trailing bytes after document", rec, len(buf)-used)
-			}
+		_, used, err := xmltree.DecodeBinary(buf, db.dict)
+		if err == nil && used != len(buf) {
+			err = fmt.Errorf("record %d: %d trailing bytes after document", rec, len(buf)-used)
 		}
-		if err != nil {
-			if rec >= db.store.NumRecords() {
-				break // raced a rollback; the record legitimately vanished
-			}
-			rep.HeapDamaged = true
-			errs = append(errs, fmt.Errorf("%w: heap: %w", ErrCorrupt, err))
-			break
-		}
-		rep.Records++
+		return err
+	})
+	rep.Records = n
+	if cancelled != nil {
+		return rep, cancelled
 	}
-
-	// Tombstone sidecar: a corrupt one would resurrect deleted
-	// documents at the next Open.
-	if db.dir != "" {
-		if data, err := os.ReadFile(filepath.Join(db.dir, "fix.tomb")); err == nil {
-			if _, derr := storage.DecodeTombstones(data); derr != nil {
-				rep.TombDamaged = true
-				errs = append(errs, fmt.Errorf("%w: tombstone sidecar: %w", ErrCorrupt, derr))
-			}
-		} else if !os.IsNotExist(err) {
-			errs = append(errs, err)
-		}
-	}
-
-	// WAL: verify the acknowledged prefix. ingestMu serializes against
-	// appends and resets; the size is snapshotted under the lock and
-	// only the prefix up to it is read, so a batch landing mid-verify
-	// is out of scope, not torn.
-	db.ingestMu.Lock()
-	var walErr error
-	if db.wal != nil {
-		walErr = db.wal.VerifyPrefix(db.wal.Size())
-	}
-	db.ingestMu.Unlock()
-	if walErr != nil {
-		rep.WALDamaged = true
-		errs = append(errs, fmt.Errorf("%w: ingest log: %w", ErrCorrupt, walErr))
+	if err != nil {
+		rep.HeapDamaged = true
+		errs = append(errs, fmt.Errorf("%w: heap: %w", ErrCorrupt, err))
 	}
 
 	return rep, errors.Join(errs...)
@@ -290,14 +221,17 @@ func (db *DB) Scrub(cfg ScrubConfig) (ScrubReport, error) {
 type MaintainConfig struct {
 	// Interval is the trigger-evaluation cadence. 0 means 1s.
 	Interval time.Duration
-	// WALOps checkpoints once the WAL carries this many acknowledged
-	// operations. 0 means 1024; negative disables the trigger.
+	// WALOps checkpoints once this many operations were committed since
+	// the last checkpoint (IngestLag). 0 means 1024; negative disables
+	// the trigger.
 	WALOps int
-	// WALBytes checkpoints once the WAL reaches this size. 0 means
-	// 4 MiB; negative disables the trigger.
+	// WALBytes checkpoints once this many heap bytes were written since
+	// the last checkpoint (WALBytes). 0 means 4 MiB; negative disables
+	// the trigger.
 	WALBytes int64
-	// MaxAge checkpoints once the last commit is this old and the WAL
-	// is non-empty. 0 means 30s; negative disables the trigger.
+	// MaxAge checkpoints once the last commit is this old and an
+	// operation was committed since. 0 means 30s; negative disables the
+	// trigger.
 	MaxAge time.Duration
 	// RetryBackoff is the initial delay after a failed checkpoint; it
 	// doubles per consecutive failure (with ±25% jitter) up to
@@ -359,7 +293,8 @@ const (
 	MaintainRetrying = "retrying"
 	// MaintainSuspended: MaxFailures consecutive failures; automatic
 	// checkpointing is suspended and a probe runs every ProbeInterval
-	// (half-open). Serving continues from the current base + WAL.
+	// (half-open). Serving continues; the heap keeps every acknowledged
+	// write durable.
 	MaintainSuspended = "suspended"
 )
 
@@ -497,7 +432,7 @@ func (m *Maintainer) tick(now time.Time) {
 	// A degraded index is rebuilt automatically, with its own doubling
 	// backoff so a persistently failing rebuild cannot spin. Repair comes
 	// before the checkpoint triggers: a degraded index refuses to be
-	// saved, and a successful rebuild absorbs the WAL itself.
+	// saved, and a successful rebuild checkpoints itself.
 	if m.db.IndexHealth() != nil && !now.Before(rebuildAt) {
 		m.rebuild()
 	}
@@ -559,9 +494,8 @@ func (m *Maintainer) checkpoint() error {
 	return err
 }
 
-// scrub runs one bounded scrub pass and reacts to what it finds: a
-// damaged WAL is healed by an immediate checkpoint, a damaged index is
-// already degraded (the rebuild trigger picks it up next tick).
+// scrub runs one bounded scrub pass; a damaged index it finds is
+// already degraded, and the rebuild trigger picks it up next tick.
 func (m *Maintainer) scrub() {
 	rep, err := m.db.ScrubCtx(m.ctx, ScrubConfig{Chunk: m.cfg.ScrubChunk, Pause: m.cfg.ScrubPause})
 	if m.ctx.Err() != nil {
@@ -569,6 +503,7 @@ func (m *Maintainer) scrub() {
 	}
 	obs.Default().ObserveScrub(rep.Damaged())
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.h.ScrubPasses++
 	m.h.LastScrub = time.Now()
 	if err != nil {
@@ -576,13 +511,6 @@ func (m *Maintainer) scrub() {
 		m.h.LastScrubError = err.Error()
 	} else {
 		m.h.LastScrubError = ""
-	}
-	m.mu.Unlock()
-	if rep.WALDamaged {
-		// The acknowledged prefix is unreadable on disk but intact in
-		// memory: checkpointing makes it durable in the base commit and
-		// resets the log.
-		_ = m.checkpoint()
 	}
 }
 

@@ -82,19 +82,19 @@ func TestCheckpointBoundsAndPublishes(t *testing.T) {
 	if db.GenerationID() == preGen {
 		t.Error("checkpoint did not publish a new generation")
 	}
-	// The WAL is reset to its bare header; further ingest grows it again.
-	hdr := db.WALBytes()
-	if hdr <= 0 {
-		t.Fatalf("WALBytes = %d after checkpoint", hdr)
+	// The checkpoint covers the whole heap; further ingest grows the heap
+	// past it again.
+	if n := db.WALBytes(); n != 0 {
+		t.Fatalf("WALBytes = %d after checkpoint", n)
 	}
 	if _, err := db.IngestBatchCtx(context.Background(), []string{"<c/>"}); err != nil {
 		t.Fatal(err)
 	}
-	if db.WALBytes() <= hdr {
-		t.Errorf("WALBytes did not grow past the header (%d)", db.WALBytes())
+	if db.WALBytes() <= 0 {
+		t.Errorf("WALBytes = %d after an ingest", db.WALBytes())
 	}
 
-	// Cancellation is observed between the off-lock phases.
+	// Cancellation is observed before the locked commit.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := db.CheckpointCtx(cancelled); !errors.Is(err, context.Canceled) {
@@ -111,11 +111,11 @@ func TestCheckpointBoundsAndPublishes(t *testing.T) {
 }
 
 // TestCheckpointCrashSweep simulates a crash at every write operation of
-// the checkpoint window — the off-lock heap pre-sync, the locked commit,
-// and the WAL reset — in plain and torn variants. The operations being
-// absorbed were all acknowledged before the checkpoint started, so the
-// oracle is strict: every reopen must show all of them, with no
-// at-least-once slack.
+// the checkpoint window — the heap's seal and fsync and the index's
+// commit — in plain and torn variants. The operations being checkpointed
+// were all acknowledged before the checkpoint started, so the oracle is
+// strict: every reopen must show all of them, with no at-least-once
+// slack.
 func TestCheckpointCrashSweep(t *testing.T) {
 	t.Run("no index", func(t *testing.T) {
 		sweepCheckpointCrashes(t, setupIngestBase, ingestScript, 3, checkIngestOutcome)
@@ -368,68 +368,42 @@ func TestMaintainerRebuildsOldFormatIndex(t *testing.T) {
 	}
 }
 
-// TestScrubHealsWALDamage corrupts the acknowledged WAL prefix on disk.
-// The in-memory state is unaffected, so the maintainer's response is a
-// forced checkpoint: the guarded operations become durable in the base
-// commit and the log is reset, after which a scrub comes back clean and
-// a reopen shows every document.
-func TestScrubHealsWALDamage(t *testing.T) {
+// TestScrubDetectsHeapBatchDamage rots one byte of a record in a sealed
+// heap batch under a live DB, where the record still decodes: the batch
+// no longer matches its trailer's CRC, and the scrubber must say so
+// while the process still holds every document.
+func TestScrubDetectsHeapBatchDamage(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.IngestBatchCtx(context.Background(), []string{"<u0/>", "<u1/>"}); err != nil {
+	defer db.Close()
+	if _, err := db.IngestBatchCtx(context.Background(), []string{"<u0>abc</u0>", "<u1/>"}); err != nil {
 		t.Fatal(err)
 	}
-	// Offset 30 lands inside the first batch's payload (the header is 24
-	// bytes, the batch length field 4 more), so the batch CRC breaks.
-	flipByte(t, filepath.Join(dir, "fix.ingest"), 30)
-
+	if rep, err := db.Scrub(ScrubConfig{Pause: -1}); err != nil || rep.Damaged() || rep.Records != 2 {
+		t.Fatalf("scrub before the damage: report %+v, err %v", rep, err)
+	}
+	rec, err := db.store.ReadRecord(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The heap's magic, then record 0's length prefix; its text is its
+	// last bytes.
+	flipByte(t, filepath.Join(dir, "data.heap"), 8+4+int64(len(rec))-1)
 	rep, err := db.Scrub(ScrubConfig{Pause: -1})
-	if !rep.WALDamaged {
-		t.Fatalf("scrub missed the WAL damage (report %+v, err %v)", rep, err)
+	if !rep.HeapDamaged || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("scrub missed the damaged batch: report %+v, err %v", rep, err)
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("scrub error = %v, want ErrCorrupt", err)
-	}
-	mustExist(t, db, "//u0", true) // memory is fine; only the disk copy rotted
-
-	m, err := db.StartMaintainer(context.Background(), MaintainConfig{
-		Interval: 2 * time.Millisecond,
-		WALOps:   -1, WALBytes: -1, MaxAge: -1,
-		RetryBackoff:  time.Millisecond,
-		ScrubInterval: 5 * time.Millisecond,
-		ScrubPause:    -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "scrub to find the damage and a checkpoint to heal it", func() bool {
-		h := m.Health()
-		return h.ScrubFindings >= 1 && h.Checkpoints >= 1 && db.IngestLag() == 0
-	})
-	m.Close()
-	rep, err = db.Scrub(ScrubConfig{Pause: -1})
-	if err != nil || rep.Damaged() {
-		t.Fatalf("scrub after healing: report %+v, err %v", rep, err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen after healing: %v", err)
-	}
-	defer re.Close()
-	mustExist(t, re, "//u0", true)
-	mustExist(t, re, "//u1", true)
+	mustExist(t, db, "//u0", true)
 }
 
-// TestScrubDetectsTombstoneDamage rots the tombstone sidecar under a
-// live DB. A corrupt sidecar would resurrect deleted documents at the
-// next Open, so the scrubber must flag it while the process that knows
-// the true deletion set is still running.
+// TestScrubDetectsTombstoneDamage rots the deletes of a heap batch's
+// trailer under a live DB. Tombstones live in the trailers, and a
+// damaged one would revive or delete the wrong document at the next
+// Open, so the scrubber must flag it while the process that knows the
+// true deletion set is still running.
 func TestScrubDetectsTombstoneDamage(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir)
@@ -446,9 +420,11 @@ func TestScrubDetectsTombstoneDamage(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	flipByte(t, filepath.Join(dir, "fix.tomb"), 4)
+	// The heap ends in the delete's trailer: tag, count 1, record 0, CRC.
+	size := db.store.Size()
+	flipByte(t, filepath.Join(dir, "data.heap"), size-5)
 	rep, err := db.Scrub(ScrubConfig{Pause: -1})
-	if !rep.TombDamaged {
+	if !rep.HeapDamaged {
 		t.Fatalf("scrub missed the tombstone damage (report %+v, err %v)", rep, err)
 	}
 	if !errors.Is(err, ErrCorrupt) {
@@ -792,10 +768,10 @@ func TestStressMaintain(t *testing.T) {
 			case <-time.After(5 * time.Millisecond):
 				// Index findings are expected here: a concurrent rebuild
 				// rewrites the B-tree file in place, so a pass overlapping
-				// it can see torn pages (see ScrubCtx). Heap, tombstone,
-				// or WAL damage would be a real bug.
+				// it can see torn pages (see ScrubCtx). Heap damage would
+				// be a real bug.
 				rep, err := db.Scrub(ScrubConfig{Chunk: 16, Pause: -1})
-				if rep.HeapDamaged || rep.TombDamaged || rep.WALDamaged {
+				if rep.HeapDamaged {
 					fail("scrub", fmt.Errorf("report %+v: %w", rep, err))
 					return
 				}
@@ -873,5 +849,40 @@ func TestStressMaintain(t *testing.T) {
 	defer re.Close()
 	if got := re.NumDocuments(); got != want {
 		t.Errorf("NumDocuments after reopen = %d, want %d", got, want)
+	}
+}
+
+// TestNonQueryReadsDoNotCount: the reads a build, an ingest and a scrub
+// make of the heap are not a query's, so on a database that has run no
+// query every read counter /metrics serves stays 0.
+func TestNonQueryReadsDoNotCount(t *testing.T) {
+	db, err := Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, d := range docs {
+		if _, err := db.AddDocumentString(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.BuildIndex(IndexOptions{DepthLimit: 2}); err != nil {
+		t.Fatal(err)
+	}
+	add, err := db.AddOp(docs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing := db.NewIngester(IngestConfig{})
+	if _, err := ing.Apply(context.Background(), []Op{add, DeleteOp(1)}); err != nil {
+		t.Fatal(err)
+	}
+	_ = ing.Close()
+	if rep, err := db.Scrub(ScrubConfig{Pause: -1}); err != nil || rep.Records != len(docs)+1 {
+		t.Fatalf("scrub: %+v, %v", rep, err)
+	}
+	st := db.Metrics().Storage
+	if st.SeqReads != 0 || st.RandomReads != 0 || st.CachedReads != 0 || st.BytesRead != 0 || st.SubtreeReads != 0 || st.SubtreeBytes != 0 {
+		t.Errorf("read counters after a build, an ingest and a scrub: %+v, want 0", st)
 	}
 }

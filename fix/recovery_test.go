@@ -183,9 +183,9 @@ func TestLeftoverJournalReplayedOnOpen(t *testing.T) {
 // four-kilobyte pages, then two acknowledged submissions that change over
 // 256 of them — documents wideDoc spreads over the whole key space — no
 // checkpoint, Close, Open. Close closes the index's files and commits
-// nothing; Open replays the log onto the index the last checkpoint
-// committed, whole, so the index comes back healthy and sound, with every
-// acknowledged document, and agrees with a scan.
+// nothing; Open catches the index the last checkpoint committed, whole,
+// up to the heap's batches, so the index comes back healthy and sound,
+// with every acknowledged document, and agrees with a scan.
 func TestCloseReopenLargeIndex(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir)
@@ -230,11 +230,16 @@ func TestCloseReopenLargeIndex(t *testing.T) {
 
 // TestOpenDropsTornAppend reopens a saved database whose heap ends in the
 // length prefix of a record a crash cut short — an AddDocument that was
-// never acknowledged, since without an ingest log only Save acknowledges.
-// The torn record is gone: the index still covers the heap, the next
-// document lands where the torn one began, and after another reopen
-// every document reads back.
+// never acknowledged, since no trailer seals it. The torn record is gone:
+// with an index, the index still covers the heap, the next document lands
+// where the torn one began, and after another reopen every document reads
+// back; without an index, the trailers alone say what was saved.
 func TestOpenDropsTornAppend(t *testing.T) {
+	t.Run("with an index", func(t *testing.T) { openDropsTornAppend(t, true) })
+	t.Run("torn tail without an index", func(t *testing.T) { openDropsTornAppend(t, false) })
+}
+
+func openDropsTornAppend(t *testing.T, indexed bool) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := Create(dir)
 	if err != nil {
@@ -252,8 +257,10 @@ func TestOpenDropsTornAppend(t *testing.T) {
 		}
 		want = append(want, doc)
 	}
-	if err := db.BuildIndex(IndexOptions{}); err != nil {
-		t.Fatal(err)
+	if indexed {
+		if err := db.BuildIndex(IndexOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := db.Save(); err != nil {
 		t.Fatal(err)
@@ -316,12 +323,11 @@ func TestOpenDropsTornAppend(t *testing.T) {
 	}
 }
 
-// TestOpenKeepsCorruptHeap reopens saved databases whose heap has a
+// TestOpenKeepsCorruptHeap reopens a saved database whose heap has a
 // record running past the end of the file that was not a torn append: a
-// corrupt length prefix on a record the index covers, and a torn tail in
-// a database without an index, where nothing records how many documents
-// Save acknowledged. Open fails with ErrCorrupt and data.heap keeps every
-// byte.
+// corrupt length prefix on a record of a batch the index covers, which
+// was acknowledged and checkpointed. Open fails with ErrCorrupt and
+// data.heap keeps every byte.
 func TestOpenKeepsCorruptHeap(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -340,16 +346,6 @@ func TestOpenKeepsCorruptHeap(t *testing.T) {
 			}
 			second := 8 + 4 + int64(binary.BigEndian.Uint32(prefix[:]))
 			if _, err := f.WriteAt([]byte{0x40}, second); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"torn tail without an index", false, func(t *testing.T, heap string) {
-			f, err := os.OpenFile(heap, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if _, err := f.Write([]byte{0, 0, 0, 100}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -454,9 +450,10 @@ func TestHeapTruncatedUnderOpenDB(t *testing.T) {
 // read returns the injected error, and the next one answers.
 func TestHeapReadFault(t *testing.T) {
 	dir, want := buildPersistentDB(t)
-	// Open reads the heap's header and then one length prefix per
-	// record; the read after those is the query's.
-	pl := &storage.FaultPlan{FailRead: 2 + len(docs)}
+	// Open reads the heap's header twice — the first read tells its
+	// format — and then the whole heap, which is smaller than the scan's
+	// window, in one read; the read after those is the query's.
+	pl := &storage.FaultPlan{FailRead: 4}
 	restore := withFaultFiles(pl)
 	db, err := Open(dir)
 	restore()

@@ -53,8 +53,8 @@ type Metrics struct {
 
 	// Ingest pipeline totals across the process: committed group-commit
 	// batches, the inserts/deletes they carried, the fsyncs they cost,
-	// operations rejected by backpressure, and operations replayed from
-	// the ingest WAL during crash recovery. See docs/ROBUSTNESS.md.
+	// operations rejected by backpressure, and operations Open brought an
+	// index up to its heap with. See docs/ROBUSTNESS.md.
 	IngestBatches   int64 `json:"ingest_batches"`
 	IngestDocs      int64 `json:"ingest_docs"`
 	IngestDeletes   int64 `json:"ingest_deletes"`
@@ -62,7 +62,7 @@ type Metrics struct {
 	IngestQueueFull int64 `json:"ingest_queue_full"`
 	IngestReplayed  int64 `json:"ingest_replayed"`
 
-	// Online-maintenance totals across the process: WAL checkpoints
+	// Online-maintenance totals across the process: checkpoints
 	// (and failed attempts), scrub passes (and passes that found
 	// damage), and automatic rebuilds of degraded indexes.
 	Checkpoints        int64 `json:"checkpoints"`
@@ -78,10 +78,10 @@ type Metrics struct {
 
 	// This DB's shape and cumulative I/O. DocumentsDeleted counts
 	// tombstoned records still occupying the heap; IngestLag is the
-	// number of WAL operations applied in memory but not yet folded into
-	// a durable index commit, WALBytes the log's on-disk size, and
+	// number of operations committed since the last durable index
+	// commit, WALBytes the heap bytes written since it, and
 	// LastCheckpointAge how long ago that commit happened — together
-	// they size the replay window a crash right now would cost
+	// they size the catch-up window a crash right now would cost
 	// (Checkpoint resets all three). Generation is the publish sequence
 	// number of the currently published snapshot and LiveGenerations how
 	// many generations are retained (the published one plus older ones

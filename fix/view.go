@@ -93,15 +93,21 @@ func (db *DB) LiveGenerations() int64 { return db.liveGens.Load() }
 // every durable state change (Save, index build/rebuild, a successful
 // ingest batch, a query-path degrade). The previous generation keeps
 // serving every View pinned to it and is released when its last pin
-// drops. pubMu serializes publishers; the read lock excludes a mid-batch
-// applyBatch, so a freeze never captures a half-applied state.
+// drops. pubMu serializes publishers, and a group commit holds it from
+// its first append to its publish, so a freeze never captures a batch
+// that is not yet durable and applied.
+func (db *DB) publish() {
+	db.pubMu.Lock()
+	defer db.pubMu.Unlock()
+	db.publishLocked()
+}
+
+// publishLocked is publish for a caller that holds pubMu.
 //
 // paircheck: releases(prev) — the publisher's reference to the previous
 // generation ends here; deleting the Unpin would retain every old
 // generation forever.
-func (db *DB) publish() {
-	db.pubMu.Lock()
-	defer db.pubMu.Unlock()
+func (db *DB) publishLocked() {
 	prev := db.gen.Load()
 	db.mu.RLock()
 	g := core.NewGeneration(db.genSeq.Add(1), db.index, db.store, db.dict, prev,

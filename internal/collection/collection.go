@@ -1,6 +1,6 @@
 // Package collection promotes the one-DB-per-process fix engine into a
 // sharded, multi-tenant serving layer: a named collection is a set of
-// shards, each an independent fix.DB with its own FIX index, ingest WAL
+// shards, each an independent fix.DB with its own FIX index, record heap
 // and generation chain. Documents are routed to shards by the hash of
 // their root label, so every document with the same root lands in the
 // same shard; queries whose first step pins the root label probe only
@@ -256,9 +256,8 @@ func Create(ctx context.Context, dir string, spec Spec, opts Options) (*Collecti
 	return c, nil
 }
 
-// Open opens an existing collection directory, replaying each shard's
-// ingest WAL (fix.Open semantics) so every acknowledged write is
-// visible.
+// Open opens an existing collection directory, each shard with fix.Open,
+// so every acknowledged write is visible.
 func Open(dir string, opts Options) (*Collection, error) {
 	spec, err := ReadManifest(dir)
 	if err != nil {
@@ -432,7 +431,7 @@ func DeleteOp(id uint64) Op {
 // caller's order — and returns, per operation, the global ID of the
 // document it added or deleted. The operations are split by shard
 // keeping their order, and every touched shard gets its list as one
-// submission to its ingester (fix.Ingester.Apply): one WAL batch, one
+// submission to its ingester (fix.Ingester.Apply): one heap batch, one
 // publish, all or nothing on that shard, and a delete may name a
 // document an earlier operation of the request added. An operation
 // naming a shard the collection does not have — a delete of a foreign ID
@@ -469,7 +468,7 @@ func (c *Collection) Apply(ctx context.Context, ops []Op) ([]uint64, error) {
 		err = submit(ops[0].Shard)
 	} else {
 		// Workers sized by shards, not CPUs (unlike Query's scatter): a
-		// submission waits on its shard's WAL fsync, and those waits
+		// submission waits on its shard's heap fsync, and those waits
 		// overlap even on one CPU.
 		err = par.Do(ctx, len(c.shards), len(c.shards), submit)
 	}
@@ -537,10 +536,9 @@ func (c *Collection) Flush(ctx context.Context) error {
 	})
 }
 
-// Save absorbs each shard's ingest WAL into its base commit. Shards
-// save independently; the first error is returned but the remaining
-// shards still save (a full disk on one shard must not grow every other
-// shard's replay window).
+// Save checkpoints each shard. Shards save independently; the first
+// error is returned but the remaining shards still save (a full disk on
+// one shard must not grow every other shard's catch-up window).
 func (c *Collection) Save() error {
 	var first error
 	for _, s := range c.shards {
@@ -554,7 +552,7 @@ func (c *Collection) Save() error {
 // Close stops the maintainers (waiting out a running checkpoint, scrub
 // or rebuild), then the ingesters (draining queued operations), and
 // closes every shard. It does not Save; acknowledged-but-unsaved
-// operations stay protected by each shard's WAL.
+// operations are durable in each shard's heap.
 func (c *Collection) Close() error {
 	c.stopMaintainers()
 	var first error
@@ -594,10 +592,10 @@ func (c *Collection) closeShards() {
 
 // ShardHealth is one database's health block: a shard's row in Health,
 // and the body of fixserve's single-index /healthz. IngestLag counts
-// acknowledged operations the ingest WAL holds ahead of the last
-// checkpoint (replayed, not lost, on a crash); IngestQueue counts
-// submissions still waiting for their group commit; WALBytes and
-// LastCheckpointAge size the replay window a crash right now would
+// operations committed since the last checkpoint (caught up, not lost,
+// on a crash); IngestQueue counts submissions still waiting for their
+// group commit; WALBytes (the heap bytes since the checkpoint) and
+// LastCheckpointAge size the catch-up window a crash right now would
 // cost. Maintainer carries the background checkpointer's state machine
 // (idle / retrying / suspended) and scrub history when one is running.
 type ShardHealth struct {
@@ -619,8 +617,8 @@ type ShardHealth struct {
 // depth of the ingest queue feeding it, and mnt's state when a
 // maintainer is running (nil otherwise). Healthy means "at full speed":
 // a degraded index still answers exactly through the scan fallback, and
-// a suspended checkpointer still serves from the current base + WAL,
-// but the first is slow and the second's replay window grows without
+// a suspended checkpointer still serves every acknowledged write, but
+// the first is slow and the second's catch-up window grows without
 // bound, so either clears Healthy and names its cause.
 func HealthOf(db *fix.DB, ingestQueue int, mnt *fix.Maintainer) ShardHealth {
 	h := ShardHealth{

@@ -51,7 +51,7 @@ type handle struct {
 
 // OpenService opens every collection under root (creating root if
 // needed): each subdirectory with a manifest is opened with the given
-// runtime options, replaying its shards' WALs. The same options apply
+// runtime options, each shard catching its index up to its heap. The same options apply
 // to collections created later, so setting Options.Maintain here is the
 // one opt-in that gives every shard the service will ever hold its
 // background maintainer. Subdirectories without a
@@ -171,8 +171,8 @@ func (s *Service) Drop(name string) error {
 	return os.RemoveAll(filepath.Join(s.root, name))
 }
 
-// Close closes every collection without saving (their WALs protect
-// acknowledged writes). The service is unusable afterwards.
+// Close closes every collection without saving (their heaps hold every
+// acknowledged write). The service is unusable afterwards.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	cols := make([]*handle, 0, len(s.cols))

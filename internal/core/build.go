@@ -327,10 +327,11 @@ func (ix *Index) extract(ctx context.Context, recs []uint32, units []*buildUnit,
 // without a root element.
 func (ix *Index) buildUnitGraph(rec uint32, vh bisim.ValueHash, timers *phaseTimers) (*buildUnit, error) {
 	parseStart := time.Now()
-	cur, err := ix.store.Cursor(rec)
+	buf, err := ix.store.ReadRecord(nil, rec)
 	if err != nil {
 		return nil, err
 	}
+	cur := xmltree.Cursor{Buf: buf, Dict: ix.dict}
 	base := uint64(storage.MakePointer(rec, 0))
 	events, err := collectEvents(bisim.FromXML(xmltree.NewCursorStream(cur, 0, base), ix.dict, vh))
 	if err != nil {

@@ -701,11 +701,27 @@ func TestQueryLoopingLeafChainScanFallback(t *testing.T) {
 	}
 }
 
-// TestStaleIndexDegrades grows the store after the index was committed
-// (a crash between the heap append and the index save) and checks the
-// reopened index refuses to serve potentially false-negative answers.
+// TestStaleIndexDegrades opens a committed index over a store that
+// shrank since the commit — entries could dangle — and checks it refuses
+// to serve: it degrades and answers by scan. Over a store that grew by
+// sealed batches since the commit (the crash of a database that did not
+// checkpoint them) the index is caught up instead: the documents past its
+// count inserted, the deletes sealed after it removed, healthy and exact.
 func TestStaleIndexDegrades(t *testing.T) {
-	st := memStoreFromDocs(t, bibDocs)
+	f := storage.NewMemFile()
+	st, err := storage.NewStore(f, xmltree.NewDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range bibDocs {
+		n, err := xmltree.ParseString(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AppendTree(n); err != nil {
+			t.Fatal(err)
+		}
+	}
 	dir := t.TempDir()
 	ix, err := Build(st, Options{Dir: dir})
 	if err != nil {
@@ -714,23 +730,28 @@ func TestStaleIndexDegrades(t *testing.T) {
 	if err := ix.Save(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := xmltree.ParseString(`<book><author><email>new</email></author></book>`)
+
+	short, err := storage.NewStore(storage.NewMemFile(), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendTree(n); err != nil {
-		t.Fatal(err)
+	for rec := 0; rec < len(bibDocs)-1; rec++ {
+		b, err := st.ReadRecord(nil, uint32(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := short.AppendBytes(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	re, err := Open(st, dir)
+	re, err := Open(short, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if re.Health() == nil {
 		t.Fatal("stale index opened healthy")
 	}
-	oracle := oracleCounts(t, st, crashQueries)
-	checkOracle(t, re, oracle, "stale")
+	checkOracle(t, re, oracleCounts(t, short, crashQueries), "stale")
 	res, err := query(freeze(t, re), xpath.MustParse("//author[email]"))
 	if err != nil {
 		t.Fatal(err)
@@ -738,6 +759,32 @@ func TestStaleIndexDegrades(t *testing.T) {
 	if !res.Fallback {
 		t.Error("stale index did not fall back to scanning")
 	}
+
+	n, err := xmltree.ParseString(`<book><author><email>new</email></author></book>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendTree(n); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.MarkDeleted(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := storage.OpenStore(f, xmltree.NewDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := Open(reopened, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grown.Health(); err != nil || grown.CaughtUp() != 2 {
+		t.Fatalf("index behind the heap: health %v, caught up %d operations, want healthy after 2", err, grown.CaughtUp())
+	}
+	checkOracle(t, grown, oracleCounts(t, reopened, crashQueries), "caught up")
 }
 
 // TestOpenVersion2IndexDegrades is the hand-over from every version before

@@ -119,6 +119,9 @@ type Index struct {
 	maxDocDepth int
 	buildTime   time.Duration
 	buildStats  BuildStats
+	// caughtUp counts the operations Open brought the index up to the
+	// heap with (CaughtUp).
+	caughtUp int
 	// units keeps the records the latest appends indexed or read, which
 	// the next appends' comparisons mostly need (unitReader): 256 KB of
 	// them, and the latest one larger than that; nil until the first

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -9,16 +8,14 @@ import (
 	"github.com/fix-index/fix/internal/storage"
 )
 
-// Ingest write-ahead log. The shadow journal (journal.go) makes Save
-// atomic, but anything ingested between Saves used to live only in
-// memory. The ingest log closes that window: every batch of inserts and
-// deletes is appended to fix.ingest and fsynced *before* it is applied
-// to the heap and the index, so the fsync is the durability point at
-// which the batch is acknowledged. After a crash, recovery truncates the
-// heap back to the log's recorded base and replays the log's valid
-// prefix, reproducing exactly the acknowledged operations; the log is
-// reset only after the next successful shadow-commit Save has made its
-// contents durable elsewhere.
+// Ingest write-ahead log of the format before batch trailers. A
+// database of that format appended every acknowledged batch of inserts
+// and deletes to fix.ingest, as raw XML, and fsynced it before applying
+// the batch to the heap. The heap is its own log now (storage.Store.Seal),
+// so only two parts of the log remain, and both go with ROADMAP 7(e) and
+// the next format generation: ReadIngestLog, with which the database
+// layer converts a directory that still holds a log, and the writer the
+// benchmark's ledger times (NewIngestLog, AppendBatch, Size, Close).
 //
 // Layout (all integers big-endian):
 //
@@ -29,27 +26,22 @@ import (
 //	         kind u8 (1=insert, 2=delete) | record u32 |
 //	         for inserts: XML length u32 | raw XML bytes
 //
-// The header is fsynced at creation, so a log whose header fails its
+// The header was fsynced at creation, so a log whose header fails its
 // checksum was being created or reset when the crash hit — nothing in
-// that generation was ever acknowledged, and the whole file is
-// discarded. Batches are validated front to back; the longest valid
-// prefix is exactly the set of acknowledged batches (a batch whose fsync
-// did not complete was never acknowledged, so dropping a torn tail
-// loses nothing).
+// that generation was ever acknowledged. Batches are validated front to
+// back; the longest valid prefix is exactly the set of acknowledged
+// batches.
 const ingestMagic = "FIXWAL01"
 
-// IngestLogName is the file name of the ingest write-ahead log inside an
-// index directory.
+// IngestLogName is the file name of the ingest write-ahead log inside a
+// database directory of the format before batch trailers.
 const IngestLogName = "fix.ingest"
 
 const ingestHeaderSize = 8 + 4 + 8 + 4
 
-// Decode guards: a batch larger than these bounds is treated as a torn
+// Decode guard: a batch claiming more operations is treated as a torn
 // tail rather than allocated on faith.
-const (
-	maxIngestBatchBytes = 1 << 30
-	maxIngestBatchOps   = 1 << 20
-)
+const maxIngestBatchOps = 1 << 20
 
 // Kinds of ingest log operations.
 const (
@@ -68,268 +60,100 @@ type IngestOp struct {
 	XML  []byte // raw document text, inserts only
 }
 
-// IngestLog is an append-only write-ahead log of ingest batches over a
-// single file. It is not internally locked: the fix layer serializes all
-// appends and resets under its ingest mutex.
+// IngestLog is the writer of an ingest log over a single file. It is not
+// internally locked.
 type IngestLog struct {
-	f           storage.File
-	size        int64 // end of the durable, valid prefix
-	baseRecords uint32
-	baseEnd     int64
-	ops         int // operations appended since the base (ingest lag)
+	f    storage.File
+	size int64 // end of the durable, valid prefix
 }
 
-// NewIngestLog initializes an empty log over f, recording the current
-// committed store state (record count and heap byte size) as the base
-// that recovery truncates back to, and fsyncs the header. The caller
-// must have made that base durable (heap synced, dictionary saved)
-// before calling.
+// NewIngestLog initializes an empty log over f, recording a store state
+// (record count and heap byte size) as its base, and fsyncs the header.
 func NewIngestLog(f storage.File, baseRecords uint32, baseEnd int64) (*IngestLog, error) {
-	lg := &IngestLog{f: f, baseRecords: baseRecords, baseEnd: baseEnd}
-	if err := lg.writeHeader(); err != nil {
-		return nil, err
-	}
-	return lg, nil
-}
-
-func (lg *IngestLog) writeHeader() error {
 	hdr := make([]byte, 0, ingestHeaderSize)
 	hdr = append(hdr, ingestMagic...)
-	hdr = binary.BigEndian.AppendUint32(hdr, lg.baseRecords)
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(lg.baseEnd))
+	hdr = binary.BigEndian.AppendUint32(hdr, baseRecords)
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(baseEnd))
 	hdr = binary.BigEndian.AppendUint32(hdr, crc32.Checksum(hdr, journalCRC))
-	if _, err := lg.f.WriteAt(hdr, 0); err != nil {
-		return fmt.Errorf("core: writing ingest log header: %w", err)
+	if _, err := f.WriteAt(hdr, 0); err != nil {
+		return nil, fmt.Errorf("core: writing ingest log header: %w", err)
 	}
-	if err := lg.f.Sync(); err != nil {
-		return fmt.Errorf("core: syncing ingest log header: %w", err)
+	if err := f.Sync(); err != nil {
+		return nil, fmt.Errorf("core: syncing ingest log header: %w", err)
 	}
-	lg.size = ingestHeaderSize
-	lg.ops = 0
-	return nil
+	return &IngestLog{f: f, size: ingestHeaderSize}, nil
 }
 
-// OpenIngestLog reads an existing log, validating the header and the
-// longest valid prefix of batches. It truncates the file back to that
-// prefix (dropping any torn tail — by construction never acknowledged)
-// and returns the log positioned for further appends plus the decoded
-// operations to replay. ok is false when the header itself is invalid:
-// the log was being created or reset when the crash hit, nothing in it
-// was acknowledged, and the caller should discard the file.
-func OpenIngestLog(f storage.File) (lg *IngestLog, ops []IngestOp, ok bool, err error) {
+// ReadIngestLog reads an existing log without writing it: the store
+// state it was based at (the record count and heap byte size the heap is
+// cut back to before replay) and the operations of its longest valid
+// prefix of batches. ok is false when the header itself is invalid: the
+// log was being created or reset when the crash hit, and nothing in it
+// was acknowledged.
+func ReadIngestLog(f storage.File) (baseRecords uint32, baseEnd int64, ops []IngestOp, ok bool, err error) {
 	size, err := f.Size()
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("core: sizing ingest log: %w", err)
+	if err != nil || size < ingestHeaderSize {
+		return 0, 0, nil, false, err
 	}
-	if size < ingestHeaderSize {
-		return nil, nil, false, nil
+	b := make([]byte, size)
+	if _, err := f.ReadAt(b, 0); err != nil {
+		return 0, 0, nil, false, fmt.Errorf("core: reading ingest log: %w", err)
 	}
-	hdr := make([]byte, ingestHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, nil, false, fmt.Errorf("core: reading ingest log header: %w", err)
+	hdr := b[:ingestHeaderSize-4]
+	if string(hdr[:8]) != ingestMagic || crc32.Checksum(hdr, journalCRC) != binary.BigEndian.Uint32(b[len(hdr):]) {
+		return 0, 0, nil, false, nil
 	}
-	if string(hdr[:8]) != ingestMagic ||
-		crc32.Checksum(hdr[:ingestHeaderSize-4], journalCRC) != binary.BigEndian.Uint32(hdr[ingestHeaderSize-4:]) {
-		return nil, nil, false, nil
+	// A batch that runs past the end, fails its checksum or does not
+	// decode is a torn tail: it never finished reaching the disk.
+	for b = b[ingestHeaderSize:]; len(b) >= 8; {
+		n := int64(binary.BigEndian.Uint32(b))
+		if n > int64(len(b))-8 || crc32.Checksum(b[4:4+n], journalCRC) != binary.BigEndian.Uint32(b[4+n:]) {
+			break
+		}
+		batch, err := decodeIngestBatch(b[4 : 4+n])
+		if err != nil {
+			break
+		}
+		ops, b = append(ops, batch...), b[8+n:]
 	}
-	lg = &IngestLog{
-		f:           f,
-		baseRecords: binary.BigEndian.Uint32(hdr[8:12]),
-		baseEnd:     int64(binary.BigEndian.Uint64(hdr[12:20])),
-	}
-	pos := int64(ingestHeaderSize)
-	var lenBuf [4]byte
-	for pos+8 <= size {
-		if _, err := f.ReadAt(lenBuf[:], pos); err != nil {
-			return nil, nil, false, fmt.Errorf("core: reading ingest batch at %d: %w", pos, err)
-		}
-		n := int64(binary.BigEndian.Uint32(lenBuf[:]))
-		if n > maxIngestBatchBytes || pos+8+n > size {
-			break // torn tail: the batch never finished reaching the disk
-		}
-		buf := make([]byte, n+4)
-		if _, err := f.ReadAt(buf, pos+4); err != nil {
-			return nil, nil, false, fmt.Errorf("core: reading ingest batch at %d: %w", pos, err)
-		}
-		payload, tail := buf[:n], buf[n:]
-		if crc32.Checksum(payload, journalCRC) != binary.BigEndian.Uint32(tail) {
-			break // torn tail: checksum cannot match a partial write
-		}
-		batch, decodeErr := decodeIngestBatch(payload)
-		if decodeErr != nil {
-			break // structurally damaged, same verdict as a bad checksum
-		}
-		ops = append(ops, batch...)
-		pos += 8 + n
-	}
-	if pos < size {
-		if err := f.Truncate(pos); err != nil {
-			return nil, nil, false, fmt.Errorf("core: dropping torn ingest tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return nil, nil, false, fmt.Errorf("core: dropping torn ingest tail: %w", err)
-		}
-	}
-	lg.size = pos
-	lg.ops = len(ops)
-	return lg, ops, true, nil
+	return binary.BigEndian.Uint32(hdr[8:12]), int64(binary.BigEndian.Uint64(hdr[12:20])), ops, true, nil
 }
 
-// Base returns the committed store state the log was created over: the
-// record count and heap byte size that recovery truncates back to before
-// replaying.
-func (lg *IngestLog) Base() (records uint32, end int64) {
-	return lg.baseRecords, lg.baseEnd
-}
-
-// Ops returns the number of operations appended since the base — the
-// ingest lag a Save would clear.
-func (lg *IngestLog) Ops() int { return lg.ops }
-
-// Size returns the byte size of the durable log prefix.
+// Size returns the byte size of the log.
 func (lg *IngestLog) Size() int64 { return lg.size }
 
-// VerifyPrefix re-validates the durable prefix of the log up to limit
-// bytes: the header checksum and every batch's length framing, CRC, and
-// structural decode, exactly the walk OpenIngestLog would perform after
-// a crash — but read-only, against the live file. The scrubber uses it
-// to catch latent damage to acknowledged batches while the process is
-// still up, when the data they guard is still absorbable by a
-// checkpoint, rather than at the next reopen when replay silently drops
-// everything after the damage as a "torn tail".
-//
-// limit must be a durable prefix size the caller snapshotted while
-// holding the ingest lock (lg.Size()); concurrent appends land past it
-// and are not examined. A batch that fails validation inside the limit
-// is corruption, not a torn tail, and returns an error.
-func (lg *IngestLog) VerifyPrefix(limit int64) error {
-	if limit < ingestHeaderSize {
-		return fmt.Errorf("core: ingest log prefix of %d bytes is shorter than the header", limit)
-	}
-	hdr := make([]byte, ingestHeaderSize)
-	if _, err := lg.f.ReadAt(hdr, 0); err != nil {
-		return fmt.Errorf("core: scrubbing ingest log header: %w", err)
-	}
-	if string(hdr[:8]) != ingestMagic ||
-		crc32.Checksum(hdr[:ingestHeaderSize-4], journalCRC) != binary.BigEndian.Uint32(hdr[ingestHeaderSize-4:]) {
-		return fmt.Errorf("core: ingest log header failed its checksum")
-	}
-	pos := int64(ingestHeaderSize)
-	var lenBuf [4]byte
-	for pos < limit {
-		if pos+8 > limit {
-			return fmt.Errorf("core: ingest batch framing at %d overruns the durable prefix (%d bytes)", pos, limit)
-		}
-		if _, err := lg.f.ReadAt(lenBuf[:], pos); err != nil {
-			return fmt.Errorf("core: scrubbing ingest batch at %d: %w", pos, err)
-		}
-		n := int64(binary.BigEndian.Uint32(lenBuf[:]))
-		if n > maxIngestBatchBytes || pos+8+n > limit {
-			return fmt.Errorf("core: ingest batch at %d claims %d bytes, past the durable prefix (%d bytes)", pos, n, limit)
-		}
-		buf := make([]byte, n+4)
-		if _, err := lg.f.ReadAt(buf, pos+4); err != nil {
-			return fmt.Errorf("core: scrubbing ingest batch at %d: %w", pos, err)
-		}
-		payload, tail := buf[:n], buf[n:]
-		if crc32.Checksum(payload, journalCRC) != binary.BigEndian.Uint32(tail) {
-			return fmt.Errorf("core: ingest batch at %d failed its checksum", pos)
-		}
-		if _, err := decodeIngestBatch(payload); err != nil {
-			return fmt.Errorf("core: ingest batch at %d: %w", pos, err)
-		}
-		pos += 8 + n
-	}
-	return nil
-}
-
-// AppendBatch encodes the batch, appends it after the current prefix,
-// and fsyncs — the single group-commit fsync that makes every operation
-// in the batch durable at once. On any error the log file is rolled back
-// to its previous size (best effort) and the batch must be treated as
-// never acknowledged.
+// AppendBatch encodes the batch, appends it and fsyncs — the single
+// group-commit fsync that made every operation in the batch durable at
+// once. A batch an error cut short fails its checksum when the log is
+// read.
 func (lg *IngestLog) AppendBatch(ops []IngestOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	buf := encodeIngestBatch(ops)
 	if _, err := lg.f.WriteAt(buf, lg.size); err != nil {
-		lg.rollbackTo(lg.size)
 		return fmt.Errorf("core: appending ingest batch: %w", err)
 	}
 	if err := lg.f.Sync(); err != nil {
-		lg.rollbackTo(lg.size)
 		return fmt.Errorf("core: syncing ingest batch: %w", err)
 	}
 	lg.size += int64(len(buf))
-	lg.ops += len(ops)
 	return nil
-}
-
-// rollbackTo tries to truncate the file back to size after a failed
-// append. Failure is tolerable: the partial batch fails its checksum on
-// the next open and is dropped there instead.
-func (lg *IngestLog) rollbackTo(size int64) {
-	if err := lg.f.Truncate(size); err != nil {
-		return
-	}
-	_ = lg.f.Sync()
-}
-
-// TruncateBatch removes the most recently appended batch after its
-// apply failed: the file is truncated back to prevSize and fsynced, so
-// a later crash cannot replay the unacknowledged batch, and the
-// operation count drops by nops.
-func (lg *IngestLog) TruncateBatch(prevSize int64, nops int) error {
-	if err := lg.f.Truncate(prevSize); err != nil {
-		return fmt.Errorf("core: truncating failed ingest batch: %w", err)
-	}
-	if err := lg.f.Sync(); err != nil {
-		return fmt.Errorf("core: truncating failed ingest batch: %w", err)
-	}
-	lg.size = prevSize
-	lg.ops -= nops
-	return nil
-}
-
-// Reset truncates the log to empty and writes a fresh header recording
-// the new committed base. Save calls it only after the shadow commit has
-// durably absorbed everything the log held; a crash inside Reset leaves
-// an invalid header, which recovery treats as "no log" — correct,
-// because the previous contents are already committed elsewhere.
-func (lg *IngestLog) Reset(baseRecords uint32, baseEnd int64) error {
-	if err := lg.f.Truncate(0); err != nil {
-		return fmt.Errorf("core: resetting ingest log: %w", err)
-	}
-	lg.baseRecords = baseRecords
-	lg.baseEnd = baseEnd
-	return lg.writeHeader()
 }
 
 // Close closes the underlying file.
 func (lg *IngestLog) Close() error { return lg.f.Close() }
 
 func encodeIngestBatch(ops []IngestOp) []byte {
-	var b bytes.Buffer
-	var u [8]byte
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(u[:4], v)
-		b.Write(u[:4])
-	}
-	put32(0) // payload length, patched below
-	put32(uint32(len(ops)))
+	b := binary.BigEndian.AppendUint32(make([]byte, 4), uint32(len(ops))) // the payload length is patched below
 	for _, op := range ops {
-		b.WriteByte(op.Kind)
-		put32(op.Rec)
+		b = binary.BigEndian.AppendUint32(append(b, op.Kind), op.Rec)
 		if op.Kind == IngestOpInsert {
-			put32(uint32(len(op.XML)))
-			b.Write(op.XML)
+			b = append(binary.BigEndian.AppendUint32(b, uint32(len(op.XML))), op.XML...)
 		}
 	}
-	buf := b.Bytes()
-	payload := buf[4:]
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, journalCRC))
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[4:], journalCRC))
 }
 
 func decodeIngestBatch(payload []byte) ([]IngestOp, error) {
@@ -355,7 +179,7 @@ func decodeIngestBatch(payload []byte) ([]IngestOp, error) {
 			}
 			n := int(binary.BigEndian.Uint32(payload[pos:]))
 			pos += 4
-			if n > maxIngestBatchBytes || pos+n > len(payload) {
+			if n < 0 || n > len(payload)-pos {
 				return nil, fmt.Errorf("core: ingest batch truncated at op %d", i)
 			}
 			op.XML = payload[pos : pos+n : pos+n]

@@ -43,23 +43,19 @@ func TestIngestLogRoundTrip(t *testing.T) {
 	if err := lg.AppendBatch(batch2); err != nil {
 		t.Fatal(err)
 	}
-	if got := lg.Ops(); got != 4 {
-		t.Fatalf("Ops() = %d, want 4", got)
-	}
-
-	lg2, ops, ok, err := OpenIngestLog(f)
+	rec, end, ops, ok, err := ReadIngestLog(f)
 	if err != nil || !ok {
-		t.Fatalf("OpenIngestLog: ok=%v err=%v", ok, err)
+		t.Fatalf("ReadIngestLog: ok=%v err=%v", ok, err)
 	}
-	if rec, end := lg2.Base(); rec != 3 || end != 123 {
-		t.Fatalf("Base() = (%d, %d), want (3, 123)", rec, end)
+	if rec != 3 || end != 123 {
+		t.Fatalf("base (%d, %d), want (3, 123)", rec, end)
 	}
 	want := append(append([]IngestOp{}, batch1...), batch2...)
 	if !opsEqual(ops, want) {
 		t.Fatalf("replayed ops = %+v, want %+v", ops, want)
 	}
-	if lg2.Size() != lg.Size() {
-		t.Fatalf("reopened size %d != appended size %d", lg2.Size(), lg.Size())
+	if size, _ := f.Size(); size != lg.Size() {
+		t.Fatalf("file size %d != appended size %d", size, lg.Size())
 	}
 }
 
@@ -68,9 +64,9 @@ func TestIngestLogEmpty(t *testing.T) {
 	if _, err := NewIngestLog(f, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, ops, ok, err := OpenIngestLog(f)
+	_, _, ops, ok, err := ReadIngestLog(f)
 	if err != nil || !ok {
-		t.Fatalf("OpenIngestLog: ok=%v err=%v", ok, err)
+		t.Fatalf("ReadIngestLog: ok=%v err=%v", ok, err)
 	}
 	if len(ops) != 0 {
 		t.Fatalf("empty log replayed %d ops", len(ops))
@@ -99,7 +95,7 @@ func TestIngestLogBadHeader(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := storage.NewMemFile()
 			corrupt(f)
-			_, _, ok, err := OpenIngestLog(f)
+			_, _, _, ok, err := ReadIngestLog(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,18 +128,16 @@ func TestIngestLogTornTail(t *testing.T) {
 		if err := f.Truncate(lg.Size() - int64(cut)); err != nil {
 			t.Fatal(err)
 		}
-		lg2, ops, ok, err := OpenIngestLog(f)
+		size, _ := f.Size()
+		_, _, ops, ok, err := ReadIngestLog(f)
 		if err != nil || !ok {
 			t.Fatalf("cut %d: ok=%v err=%v", cut, ok, err)
 		}
 		if !opsEqual(ops, first) {
 			t.Fatalf("cut %d: replayed %+v, want the first batch only", cut, ops)
 		}
-		if lg2.Size() != goodSize {
-			t.Fatalf("cut %d: size %d after open, want %d", cut, lg2.Size(), goodSize)
-		}
-		if sz, _ := f.Size(); sz != goodSize {
-			t.Fatalf("cut %d: torn tail not truncated (file %d bytes)", cut, sz)
+		if sz, _ := f.Size(); sz != size {
+			t.Fatalf("cut %d: reading the log wrote it (file %d bytes, was %d)", cut, sz, size)
 		}
 	}
 }
@@ -167,69 +161,12 @@ func TestIngestLogCorruptBatch(t *testing.T) {
 	if _, err := f.WriteAt([]byte{0xAA}, goodSize+6); err != nil {
 		t.Fatal(err)
 	}
-	_, ops, ok, err := OpenIngestLog(f)
+	_, _, ops, ok, err := ReadIngestLog(f)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 	if !opsEqual(ops, first) {
 		t.Fatalf("replayed %+v, want the first batch only", ops)
-	}
-}
-
-func TestIngestLogTruncateBatch(t *testing.T) {
-	f := storage.NewMemFile()
-	lg, err := NewIngestLog(f, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := sampleOps()
-	if err := lg.AppendBatch(first); err != nil {
-		t.Fatal(err)
-	}
-	prev := lg.Size()
-	bad := []IngestOp{{Kind: IngestOpInsert, Rec: 9, XML: []byte("<bad/>")}}
-	if err := lg.AppendBatch(bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.TruncateBatch(prev, len(bad)); err != nil {
-		t.Fatal(err)
-	}
-	if lg.Ops() != len(first) {
-		t.Fatalf("Ops() = %d after TruncateBatch, want %d", lg.Ops(), len(first))
-	}
-	_, ops, ok, err := OpenIngestLog(f)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if !opsEqual(ops, first) {
-		t.Fatalf("replayed %+v after TruncateBatch, want the first batch only", ops)
-	}
-}
-
-func TestIngestLogReset(t *testing.T) {
-	f := storage.NewMemFile()
-	lg, err := NewIngestLog(f, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.AppendBatch(sampleOps()); err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.Reset(42, 9000); err != nil {
-		t.Fatal(err)
-	}
-	if lg.Ops() != 0 {
-		t.Fatalf("Ops() = %d after Reset, want 0", lg.Ops())
-	}
-	lg2, ops, ok, err := OpenIngestLog(f)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if len(ops) != 0 {
-		t.Fatalf("reset log replayed %d ops", len(ops))
-	}
-	if rec, end := lg2.Base(); rec != 42 || end != 9000 {
-		t.Fatalf("Base() = (%d, %d) after Reset, want (42, 9000)", rec, end)
 	}
 }
 
@@ -258,7 +195,7 @@ func TestIngestLogAppendFaults(t *testing.T) {
 				t.Fatalf("%s: unexpected error %v", name, err)
 			}
 			// Reopen the raw file, as recovery would after the crash.
-			_, ops, ok, openErr := OpenIngestLog(mem)
+			_, _, ops, ok, openErr := ReadIngestLog(mem)
 			if openErr != nil {
 				t.Fatalf("%s: reopen: %v", name, openErr)
 			}

@@ -124,9 +124,11 @@ func (ix *Index) Save() error {
 // Open first lets Recover resolve any half-finished commit, then
 // validates the metadata. Detectable damage that does not compromise
 // query correctness — a corrupt B-tree, an index written in the spelling
-// of a version before metaVersion, or an index that is stale relative to the store — degrades the index instead
-// of failing: Health reports the cause and queries fall back to a full
-// scan of the primary store until RebuildIndex runs.
+// of a version before metaVersion, or an index covering more records than
+// the store holds — degrades the index instead of failing: Health reports
+// the cause and queries fall back to a full scan of the primary store
+// until RebuildIndex runs. An index covering fewer records than the store
+// holds is caught up with the batches sealed after its commit (catchUp).
 func Open(st *storage.Store, dir string) (*Index, error) {
 	if err := Recover(dir); err != nil {
 		return nil, err
@@ -158,11 +160,9 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		return nil, err
 	}
 
-	// A store that grew or shrank since the commit means the index no
-	// longer covers it: entries could dangle, and newer documents would be
-	// invisible to the range scan (a false negative). Degrade rather than
-	// serve wrong answers.
-	if records != st.NumRecords() {
+	// A store that shrank since the commit means entries could dangle:
+	// degrade rather than serve wrong answers.
+	if records > st.NumRecords() {
 		ix.setHealth(fmt.Errorf("index covers %d records but the store holds %d", records, st.NumRecords()))
 	}
 
@@ -184,8 +184,47 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		return nil, err
 	}
 	ix.bt = bt
+	if records < st.NumRecords() && ix.Health() == nil {
+		ix.catchUp(records)
+	}
 	return ix, nil
 }
+
+// catchUp brings an index committed over the first records records of
+// the heap up to all of it: the live records past its count are inserted
+// — extracted as a build extracts them, with no parse — and the entries
+// of every tombstoned record below it removed in one DeleteDocuments pass,
+// which walks every chunk whatever it is given, so it need not know which
+// batches came after the commit. A failure degrades the index; queries
+// stay exact through the scan fallback.
+func (ix *Index) catchUp(records int) {
+	var add, del []uint32
+	for rec := uint32(0); int(rec) < ix.store.NumRecords(); rec++ {
+		if !ix.store.IsDeleted(rec) && int(rec) >= records {
+			add = append(add, rec)
+		} else if ix.store.IsDeleted(rec) && int(rec) < records {
+			del = append(del, rec)
+		}
+	}
+	if len(del) > 0 {
+		if _, err := ix.DeleteDocuments(del); err != nil {
+			ix.setHealth(fmt.Errorf("catching up the deletes since the commit: %w", err))
+			return
+		}
+	}
+	if err := ix.InsertDocuments(add...); err != nil {
+		if !errors.Is(err, ErrRebuildRequired) {
+			err = fmt.Errorf("catching up %d documents the heap holds past the commit: %w", len(add), err)
+		}
+		ix.setHealth(err)
+		return
+	}
+	ix.caughtUp = len(add) + len(del)
+}
+
+// CaughtUp returns the operations Open brought the index up to the heap
+// with: the documents it inserted and the tombstones it applied.
+func (ix *Index) CaughtUp() int { return ix.caughtUp }
 
 // readMeta reads fix.meta under ix.opts.Dir into ix and returns the fields
 // ix does not hold: the version, from minMetaVersion to metaVersion, the
@@ -256,11 +295,11 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, err error) 
 }
 
 // CommittedRecords returns how many primary-store records the index
-// committed under dir covers, in a fix.meta of any version Open reads. A database
-// whose ingest log outlived the checkpoint that absorbed it — the crash
-// fell between the index's commit and the log's reset — finds the index
-// ahead of the log's base by the documents the log adds, and replays the
-// log onto the heap alone.
+// committed under dir covers, in a fix.meta of any version Open reads.
+// The database layer reads it before it opens the heap's store: a torn
+// batch whose records the index covers is damage, not a crash, and the
+// conversion of a directory written before batch trailers finds an
+// ingest log the index already covers by it.
 func CommittedRecords(dir string) (int, error) {
 	if err := Recover(dir); err != nil {
 		return 0, err

@@ -45,11 +45,11 @@ type Registry struct {
 	buildUnits   atomic.Int64
 	buildWallNS  atomic.Int64
 
-	// Ingest pipeline counters. A batch is one group commit (one WAL
-	// append sharing one fsync); docs and deletes count the operations
+	// Ingest pipeline counters. A batch is one group commit (one heap
+	// batch sharing one fsync); docs and deletes count the operations
 	// inside batches; queueFull counts operations rejected by
-	// backpressure; replayed counts operations re-applied from the WAL
-	// during crash recovery.
+	// backpressure; replayed counts operations Open brought an index up
+	// to its heap with.
 	ingestBatches   atomic.Int64
 	ingestDocs      atomic.Int64
 	ingestDeletes   atomic.Int64
@@ -57,7 +57,7 @@ type Registry struct {
 	ingestQueueFull atomic.Int64
 	ingestReplayed  atomic.Int64
 
-	// Online-maintenance counters: background WAL checkpoints, scrub
+	// Online-maintenance counters: background checkpoints, scrub
 	// passes (and passes that found damage), and automatic rebuilds of
 	// a degraded index.
 	checkpoints        atomic.Int64
@@ -146,11 +146,12 @@ func (r *Registry) ObserveIngestBatch(docs, deletes, fsyncs int) {
 // backpressure (the bounded queue stayed full past the enqueue wait).
 func (r *Registry) ObserveIngestQueueFull(ops int) { r.ingestQueueFull.Add(int64(ops)) }
 
-// ObserveIngestReplayed records operations re-applied from the ingest
-// WAL during crash recovery.
+// ObserveIngestReplayed records operations Open brought an index up to its
+// heap with: the documents inserted and deletes removed past its commit,
+// or the operations of an ingest log a conversion replayed.
 func (r *Registry) ObserveIngestReplayed(ops int) { r.ingestReplayed.Add(int64(ops)) }
 
-// ObserveCheckpoint records one WAL-checkpoint attempt and whether it
+// ObserveCheckpoint records one checkpoint attempt and whether it
 // committed.
 func (r *Registry) ObserveCheckpoint(ok bool) {
 	if ok {
@@ -219,7 +220,7 @@ type RegistrySnapshot struct {
 	BuildUnits   int64         `json:"build_units"`
 	BuildWall    time.Duration `json:"build_wall_ns"`
 
-	// Ingest pipeline counters (group-commit WAL write path).
+	// Ingest pipeline counters (group-commit heap write path).
 	IngestBatches   int64 `json:"ingest_batches"`
 	IngestDocs      int64 `json:"ingest_docs"`
 	IngestDeletes   int64 `json:"ingest_deletes"`

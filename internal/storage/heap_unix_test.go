@@ -201,14 +201,14 @@ func TestMappedStoreRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, end := st.NumRecords(), st.Size()
+	n, end, mark := st.NumRecords(), st.Size(), st.Mark()
 	v := st.Freeze()
 	for i := 0; i < 50; i++ {
 		if _, err := st.AppendBytes(bytes.Repeat([]byte{'x'}, 1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.TruncateTo(n, end); err != nil {
+	if err := st.Rollback(mark); err != nil {
 		t.Fatal(err)
 	}
 	st.ClearCache()
@@ -322,6 +322,9 @@ func TestHeapWithoutMapping(t *testing.T) {
 		}
 	}
 	check(st, 20)
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,8 +124,11 @@ func TestStoreReopen(t *testing.T) {
 	if _, err := st.AppendTree(xmltree.Elem("second")); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
 
-	re, err := OpenStore(f, dict)
+	re, err := OpenStore(f, xmltree.NewDict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +146,9 @@ func TestStoreReopen(t *testing.T) {
 	if !back.Equal(want) {
 		t.Errorf("reopened record = %v, want %v", back, want)
 	}
+	if got, want := re.Dict().Labels(), dict.Labels(); !slices.Equal(got, want) {
+		t.Errorf("the trailers restored labels %v, want %v", got, want)
+	}
 	// Appending after reopen continues the sequence.
 	rec, err := re.AppendTree(xmltree.Elem("third"))
 	if err != nil || rec != 2 {
@@ -149,39 +156,60 @@ func TestStoreReopen(t *testing.T) {
 	}
 }
 
-// TestStoreOpenTornRecord reopens a heap whose last append a crash cut
-// short — inside the length prefix, right after it, or inside the body.
-// OpenStore leaves the file alone, reports the torn bytes and refuses to
-// append amid them; once DropTornTail cuts them, the next append lands
-// where the torn record began and reads back, as does every record
-// before it.
+// sealedBatch returns the bytes a store over a copy of f appends for one
+// sealed batch holding recs.
+func sealedBatch(t *testing.T, f *MemFile, dict *xmltree.Dict, recs ...string) []byte {
+	t.Helper()
+	cp := &MemFile{buf: slices.Clone(f.buf)}
+	st, err := OpenStore(cp, dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if _, err := st.AppendBytes([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return cp.buf[len(f.buf):]
+}
+
+// TestStoreOpenTornRecord reopens a heap whose last batch a crash cut
+// short — inside a length prefix, inside a body, before the trailer,
+// inside the trailer — or whose trailer fails its CRC. OpenStore keeps
+// the batches before it, leaves the file alone, reports the torn bytes
+// and refuses to append amid them; once DropTornTail cuts them, the next
+// append lands where the torn batch began.
 func TestStoreOpenTornRecord(t *testing.T) {
+	dict := xmltree.NewDict()
+	f := NewMemFile()
+	st, err := NewStore(f, dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{"first", "second"} {
+		if _, err := st.AppendBytes([]byte(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	end := st.Size()
+	whole := sealedBatch(t, f, dict, "third", "fourth")
+	badCRC := slices.Clone(whole)
+	badCRC[len(badCRC)-1] ^= 1
 	for _, tail := range [][]byte{
-		{0},
-		{0, 0, 0, 100},
-		append([]byte{0, 0, 0, 100}, "part of the body"...),
+		whole[:1], whole[:4], whole[:9], whole[:len(whole)-5], whole[:len(whole)-4], whole[:len(whole)-1], badCRC,
 	} {
-		dict := xmltree.NewDict()
-		f := NewMemFile()
-		st, err := NewStore(f, dict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := [][]byte{[]byte("first"), []byte("second")}
-		for _, b := range want {
-			if _, err := st.AppendBytes(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		end := st.Size()
-		if _, err := f.WriteAt(tail, end); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenStore(f, dict)
+		g := &MemFile{buf: append(slices.Clone(f.buf), tail...)}
+		re, err := OpenStore(g, dict)
 		if err != nil {
 			t.Fatalf("tail %q: %v", tail, err)
 		}
-		size, _ := f.Size()
+		size, _ := g.Size()
 		if re.NumRecords() != 2 || re.Size() != end || re.TornTail() != int64(len(tail)) || size != end+int64(len(tail)) {
 			t.Fatalf("tail %q: reopened with %d records, end %d, torn %d, file %d bytes; want 2, %d, %d, %d",
 				tail, re.NumRecords(), re.Size(), re.TornTail(), size, end, len(tail), end+int64(len(tail)))
@@ -192,45 +220,41 @@ func TestStoreOpenTornRecord(t *testing.T) {
 		if err := re.DropTornTail(); err != nil {
 			t.Fatal(err)
 		}
-		if size, _ := f.Size(); re.TornTail() != 0 || size != end {
+		if size, _ := g.Size(); re.TornTail() != 0 || size != end {
 			t.Fatalf("tail %q: after DropTornTail torn %d, file %d bytes; want 0, %d", tail, re.TornTail(), size, end)
 		}
 		if _, err := re.AppendBytes([]byte("third")); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, []byte("third"))
-		re, err = OpenStore(f, dict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.NumRecords() != len(want) {
-			t.Fatalf("tail %q: %d records after the append, want %d", tail, re.NumRecords(), len(want))
-		}
-		for rec, b := range want {
-			if got, err := re.Record(uint32(rec)); err != nil || !bytes.Equal(got, b) {
-				t.Errorf("tail %q: Record(%d) = %q, %v; want %q", tail, rec, got, err, b)
-			}
-		}
+	}
+	g := &MemFile{buf: append(slices.Clone(f.buf), whole...)}
+	if re, err := OpenStore(g, dict); err != nil || re.NumRecords() != 4 || re.TornTail() != 0 {
+		t.Fatalf("the whole batch: %v", err)
 	}
 }
 
-// TestStoreOpenCorruptPrefix reopens a heap whose second of three records
-// has a length prefix pointing past the end of the file. To OpenStore
-// that looks like a torn tail starting at record 1; it reports so and
-// leaves every byte in place for the caller to judge.
+// TestStoreOpenCorruptPrefix reopens a heap whose second batch has a
+// length prefix pointing past the end of the file. To OpenStore that
+// looks like a batch a crash cut short; it keeps the first batch, reports
+// the rest as torn and leaves every byte in place for the caller to judge.
 func TestStoreOpenCorruptPrefix(t *testing.T) {
 	f := NewMemFile()
 	st, err := NewStore(f, xmltree.NewDict())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []string{"first", "second", "third"} {
-		if _, err := st.AppendBytes([]byte(b)); err != nil {
+	for _, batch := range [][]string{{"first"}, {"second", "third"}} {
+		for _, b := range batch {
+			if _, err := st.AppendBytes([]byte(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Seal(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := append([]byte(nil), f.buf...)
-	second := int64(len(storeMagic)) + 4 + int64(len("first"))
+	second := int64(len(storeMagic)) + 4 + int64(len("first")) + 5
 	if _, err := f.WriteAt([]byte{0x40, 0, 0, 0}, second); err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +268,69 @@ func TestStoreOpenCorruptPrefix(t *testing.T) {
 	}
 	if got := f.buf; len(got) != len(before) || !bytes.Equal(got[second+4:], before[second+4:]) {
 		t.Error("OpenStore changed the heap past the corrupt prefix")
+	}
+}
+
+// TestTrailersRestoreDeletesAndLabels: the tombstones and the labels of
+// every sealed batch come back on open, and those of a rolled-back batch
+// do not — but for a label the dictionary assigned before the rollback,
+// which the next trailer names.
+func TestTrailersRestoreDeletesAndLabels(t *testing.T) {
+	dict := xmltree.NewDict()
+	f := NewMemFile()
+	st, err := NewStore(f, dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []string{"a", "b", "c", "d"} {
+		if _, err := st.AppendTree(xmltree.Elem(l)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Seal(); err != nil { // 4 records
+		t.Fatal(err)
+	}
+	for _, rec := range []uint32{2, 0} {
+		if _, err := st.MarkDeleted(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Seal(); err != nil { // deletes only, still 4 records
+		t.Fatal(err)
+	}
+	mark := st.Mark()
+	if _, err := st.AppendTree(xmltree.Elem("gone")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.MarkDeleted(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rollback(mark); err != nil {
+		t.Fatal(err)
+	}
+	st.UnmarkDeleted(1)
+	if _, err := st.AppendTree(xmltree.Elem("e")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.MarkDeleted(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil { // 5 records
+		t.Fatal(err)
+	}
+
+	re, err := OpenStore(f, xmltree.NewDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.NumRecords() != 5 || re.NumDeleted() != 3 || !re.IsDeleted(0) || re.IsDeleted(1) || !re.IsDeleted(2) || !re.IsDeleted(3) {
+		t.Fatalf("reopened: %d records, %d deleted", re.NumRecords(), re.NumDeleted())
+	}
+	if got := re.Dict().Labels(); !slices.Equal(got, []string{"a", "b", "c", "d", "e", "gone"}) {
+		t.Errorf("labels %v", got) // "gone" was assigned before the rollback, so a later trailer names it
 	}
 }
 
@@ -347,6 +434,9 @@ func TestOSFileBackend(t *testing.T) {
 	}
 	want := xmltree.Elem("persisted", xmltree.Text("yes"))
 	if _, err := st.AppendTree(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Sync(); err != nil {

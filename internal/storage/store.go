@@ -3,8 +3,8 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/fix-index/fix/internal/xmltree"
@@ -67,12 +67,17 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-const storeMagic = "FIXSTOR1"
+// storeMagic starts a heap of records and batch trailers (batch.go).
+const storeMagic = "FIXSTOR2"
+
+// maxRecordBytes bounds a record's length, whose top bit would mark a
+// trailer.
+const maxRecordBytes = 1<<31 - 1
 
 // Store is an append-only heap of records, each holding one binary-encoded
-// XML document (or subtree, in the clustered-copy case). Records are
-// length-prefixed; the offset table is kept in memory and rebuilt by
-// scanning on open.
+// XML document (or subtree, in the clustered-copy case), and of the batch
+// trailers that make them durable (Seal). Records are length-prefixed; the
+// offset table is kept in memory and rebuilt by scanning on open.
 //
 // A Store is safe for concurrent readers; appends must not race with other
 // operations.
@@ -95,11 +100,17 @@ type Store struct {
 	stats   Stats
 	rs      readStats // shared with every ReadView frozen from this store
 
+	// The open batch: everything appended since the last trailer.
+	sealed  int64    // where the open batch starts: the end of the last trailer, or of the magic
+	crc     uint32   // CRC-32C of the bytes from sealed to end
+	labels  int      // dictionary IDs 1..labels are durable: in a trailer or in labels.dict
+	pending []uint32 // records the open batch deleted, in the order deleted
+	rolls   int      // Rollbacks so far, for Walk
+
 	// deleted marks records removed by DeleteDocument. The heap is
 	// append-only, so deletion is a tombstone: the bytes stay on disk
-	// but every scan and refinement path skips the record. The set is
-	// persisted in a sidecar file by the fix layer and restored from
-	// the ingest log on recovery.
+	// but every scan and refinement path skips the record. The next
+	// trailer records it; OpenStore restores the set from the trailers.
 	deleted map[uint32]bool
 	// tombSnap is the snapshot TombSnapshot last built; everything that
 	// sets or clears a tombstone resets it to nil.
@@ -116,59 +127,59 @@ func NewStore(f File, dict *xmltree.Dict) (*Store, error) {
 	if _, err := f.WriteAt([]byte(storeMagic), 0); err != nil {
 		return nil, fmt.Errorf("storage: writing header: %w", err)
 	}
-	return &Store{f: mapHeap(f), own: f, dict: dict, end: int64(len(storeMagic))}, nil
+	end := int64(len(storeMagic))
+	return &Store{f: mapHeap(f), own: f, dict: dict, end: end, sealed: end}, nil
 }
 
-// OpenStore opens an existing store, rebuilding the record offset table.
-// It never writes the file. The table ends at the first record whose
-// length runs past the end of the file: such a record is either an append
-// a crash cut short or a damaged length prefix, and only the caller knows
-// how many records were acknowledged — see TornTail and DropTornTail.
+// OpenStore opens an existing store, rebuilding the record offset table,
+// the tombstones and the dictionary's labels from the batches whose
+// trailer checks (see scan). It never writes the file: whatever follows
+// the last good trailer — a batch a crash cut short, never acknowledged —
+// is left for the caller to drop (TornTail, DropTornTail). A heap written
+// before batch trailers fails with ErrOldHeap.
 func OpenStore(f File, dict *xmltree.Dict) (*Store, error) {
+	return openStore(f, dict, -1, false)
+}
+
+// openStore opens the store over the first limit bytes of f (all of it
+// when limit is negative), a heap written before batch trailers when old.
+func openStore(f File, dict *xmltree.Dict, limit int64, old bool) (*Store, error) {
 	hdr := make([]byte, len(storeMagic))
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("storage: reading header: %w", err)
 	}
-	if string(hdr) != storeMagic {
+	if m := string(hdr); m == oldStoreMagic && !old {
+		return nil, ErrOldHeap
+	} else if m != storeMagic && m != oldStoreMagic {
 		return nil, fmt.Errorf("storage: bad magic %q", hdr)
 	}
 	size, err := f.Size()
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{own: f, dict: dict}
-	pos := int64(len(storeMagic))
-	var lenBuf [4]byte
-	for pos+4 <= size {
-		if _, err := f.ReadAt(lenBuf[:], pos); err != nil {
-			return nil, fmt.Errorf("storage: scanning record at %d: %w", pos, err)
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if pos+4+int64(n) > size {
-			break
-		}
-		s.offs = append(s.offs, pos)
-		s.lens = append(s.lens, n)
-		pos += 4 + int64(n)
+	if limit >= 0 {
+		size = min(size, limit)
 	}
-	s.end = pos
-	s.torn = size - pos
+	s := &Store{own: f, dict: dict}
+	if err := s.scan(size, old); err != nil {
+		return nil, err
+	}
 	s.f = mapHeap(f)
 	return s, nil
 }
 
-// TornTail returns how many bytes of the file follow the last whole
-// record OpenStore found, 0 when the file ends on a record boundary.
-// While any do, appends fail: one would land amid the torn bytes.
+// TornTail returns how many bytes of the file follow the last batch
+// whose trailer checks, 0 when the file ends on one. While any do,
+// appends fail: one would land amid the torn bytes.
 func (s *Store) TornTail() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.torn
 }
 
-// DropTornTail cuts the file back to its last whole record and syncs it,
-// so the next append lands where the torn record began. The caller
-// decides the record was never acknowledged; the bytes are gone for good.
+// DropTornTail cuts the file back to its last good trailer and syncs it,
+// so the next append lands where the torn batch began. The caller
+// decides the batch was never acknowledged; the bytes are gone for good.
 func (s *Store) DropTornTail() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,10 +187,10 @@ func (s *Store) DropTornTail() error {
 		return nil
 	}
 	if err := s.f.Truncate(s.end); err != nil {
-		return fmt.Errorf("storage: dropping torn record at %d: %w", s.end, err)
+		return fmt.Errorf("storage: dropping the torn batch at %d: %w", s.end, err)
 	}
 	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("storage: dropping torn record at %d: %w", s.end, err)
+		return fmt.Errorf("storage: dropping the torn batch at %d: %w", s.end, err)
 	}
 	s.torn = 0
 	return nil
@@ -236,12 +247,15 @@ func (s *Store) AppendTree(n *xmltree.Node) (uint32, error) {
 	return s.AppendBytes(xmltree.EncodeBinary(n, s.dict))
 }
 
-// AppendBytes appends a pre-encoded record.
+// AppendBytes appends a pre-encoded record to the open batch.
 func (s *Store) AppendBytes(b []byte) (uint32, error) {
+	if len(b) > maxRecordBytes {
+		return 0, fmt.Errorf("storage: append: a record of %d bytes, the most is %d", len(b), maxRecordBytes)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.torn > 0 {
-		return 0, fmt.Errorf("storage: append: %d bytes past the last whole record at %d", s.torn, s.end)
+		return 0, fmt.Errorf("storage: append: %d bytes past the last good trailer at %d", s.torn, s.end)
 	}
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(b)))
@@ -251,6 +265,7 @@ func (s *Store) AppendBytes(b []byte) (uint32, error) {
 	if _, err := s.f.WriteAt(b, s.end+4); err != nil {
 		return 0, fmt.Errorf("storage: append: %w", err)
 	}
+	s.crc = crc32.Update(crc32.Update(s.crc, castagnoli, lenBuf[:]), castagnoli, b)
 	rec := uint32(len(s.offs))
 	s.offs = append(s.offs, s.end)
 	s.lens = append(s.lens, uint32(len(b)))
@@ -371,12 +386,14 @@ func (s *Store) MarkDeleted(rec uint32) (bool, error) {
 		s.deleted = make(map[uint32]bool)
 	}
 	s.deleted[rec] = true
+	s.pending = append(s.pending, rec)
 	s.tombSnap = nil
 	return true, nil
 }
 
 // UnmarkDeleted removes a tombstone, reviving the record. Batch rollback
-// uses it to undo the deletes of a failed ingest batch.
+// uses it to undo the deletes of a failed ingest batch, after Rollback
+// has taken them out of the open batch.
 func (s *Store) UnmarkDeleted(rec uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -400,56 +417,46 @@ func (s *Store) NumDeleted() int {
 	return len(s.deleted)
 }
 
-// DeletedRecords returns the tombstoned record numbers in ascending
-// order, for persistence.
-func (s *Store) DeletedRecords() []uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	recs := make([]uint32, 0, len(s.deleted))
-	for r := range s.deleted {
-		recs = append(recs, r)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i] < recs[j] })
-	return recs
+// Mark is the tail of a store that Rollback restores.
+type Mark struct {
+	records     int
+	end, sealed int64
+	crc         uint32
+	labels      int
+	pending     []uint32
 }
 
-// SetDeleted replaces the tombstone set wholesale, used when loading the
-// persisted sidecar on open. Out-of-range records are rejected so a
-// corrupt sidecar cannot poison the in-memory state.
-func (s *Store) SetDeleted(recs []uint32) error {
+// Mark returns the store's tail as it is now.
+func (s *Store) Mark() Mark {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := make(map[uint32]bool, len(recs))
-	for _, r := range recs {
-		if int(r) >= len(s.offs) {
-			return fmt.Errorf("storage: tombstone for record %d out of range (have %d)", r, len(s.offs))
-		}
-		m[r] = true
-	}
-	s.deleted = m
-	s.tombSnap = nil
-	return nil
+	return Mark{records: len(s.offs), end: s.end, sealed: s.sealed, crc: s.crc, labels: s.labels, pending: slices.Clone(s.pending)}
 }
 
-// TruncateTo rolls the heap back to exactly nrecords records and byte
-// size end, discarding later appends and any tombstones on discarded
-// records. Ingest batch rollback uses it: a failed batch must leave the
-// heap exactly as it was before the batch started.
-func (s *Store) TruncateTo(nrecords int, end int64) error {
+// Rollback returns the heap to m, discarding the records and any trailer
+// appended since and the tombstones of discarded records; the caller
+// revives older records deleted since (UnmarkDeleted). A failed ingest
+// batch must leave the heap exactly as it was before it. When the file
+// cannot be cut back, appends fail from then on, so no later trailer can
+// seal the discarded bytes.
+func (s *Store) Rollback(m Mark) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if nrecords < 0 || nrecords > len(s.offs) {
-		return fmt.Errorf("storage: truncate to %d records (have %d)", nrecords, len(s.offs))
+	if m.records > len(s.offs) {
+		return fmt.Errorf("storage: rolling back to %d records (have %d)", m.records, len(s.offs))
 	}
-	if err := s.f.Truncate(end); err != nil {
-		return fmt.Errorf("storage: truncating heap: %w", err)
+	err := s.f.Truncate(m.end)
+	if err != nil {
+		err = fmt.Errorf("storage: truncating heap: %w", err)
+		s.torn = max(s.end-m.end, 1)
 	}
-	s.offs = s.offs[:nrecords]
-	s.lens = s.lens[:nrecords]
-	s.end = end
-	s.torn = 0
+	s.offs = s.offs[:m.records]
+	s.lens = s.lens[:m.records]
+	s.end, s.sealed, s.crc, s.labels = m.end, m.sealed, m.crc, m.labels
+	s.rolls++
+	s.pending = append(s.pending[:0], m.pending...)
 	for r := range s.deleted {
-		if int(r) >= nrecords {
+		if int(r) >= m.records {
 			delete(s.deleted, r)
 			s.tombSnap = nil
 		}
@@ -457,7 +464,7 @@ func (s *Store) TruncateTo(nrecords int, end int64) error {
 	s.hasCache = false
 	s.cacheBuf = nil
 	s.lastEnd = -1
-	return nil
+	return err
 }
 
 // Sync flushes the underlying file.

@@ -144,7 +144,7 @@ func TestTombSnapshotIsolation(t *testing.T) {
 }
 
 // TestTombSnapshotMatchesModel drives every operation that sets or clears
-// a tombstone — MarkDeleted, UnmarkDeleted, SetDeleted, TruncateTo, with
+// a tombstone — MarkDeleted, UnmarkDeleted, Rollback, with
 // appends in between — against a map model: each snapshot answers Has and
 // Len as the model does at that moment, keeps answering so afterwards,
 // and is the previous snapshot itself exactly when nothing changed since.
@@ -155,7 +155,7 @@ func TestTombSnapshotMatchesModel(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	model := map[uint32]bool{}
-	var ends []int64 // heap size after each record
+	var marks []Mark // the store's tail after each record
 	type pinned struct {
 		ts    *TombSet
 		model map[uint32]bool
@@ -176,13 +176,13 @@ func TestTombSnapshotMatchesModel(t *testing.T) {
 	var last *TombSet
 	for step := 0; step < 2000; step++ {
 		changed := false
-		nrec := len(ends)
-		switch op := rng.Intn(10); {
+		nrec := len(marks)
+		switch op := rng.Intn(9); {
 		case op < 3 || nrec == 0:
 			if _, err := st.AppendTree(xmltree.Elem("doc")); err != nil {
 				t.Fatal(err)
 			}
-			ends = append(ends, st.Size())
+			marks = append(marks, st.Mark())
 		case op < 6:
 			rec := uint32(rng.Intn(nrec))
 			marked, err := st.MarkDeleted(rec)
@@ -195,27 +195,16 @@ func TestTombSnapshotMatchesModel(t *testing.T) {
 			changed = model[rec]
 			st.UnmarkDeleted(rec)
 			delete(model, rec)
-		case op == 8:
-			var recs []uint32
-			model = map[uint32]bool{}
-			for i := 0; i < 3; i++ {
-				rec := uint32(rng.Intn(nrec))
-				recs, model[rec] = append(recs, rec), true
-			}
-			if err := st.SetDeleted(recs); err != nil {
-				t.Fatal(err)
-			}
-			changed = true
 		default:
 			keep := rng.Intn(nrec + 1)
-			end := int64(len(storeMagic))
+			mark := Mark{end: int64(len(storeMagic)), sealed: int64(len(storeMagic))}
 			if keep > 0 {
-				end = ends[keep-1]
+				mark = marks[keep-1]
 			}
-			if err := st.TruncateTo(keep, end); err != nil {
+			if err := st.Rollback(mark); err != nil {
 				t.Fatal(err)
 			}
-			ends = ends[:keep]
+			marks = marks[:keep]
 			for rec := range model {
 				if int(rec) >= keep {
 					delete(model, rec)
@@ -228,7 +217,7 @@ func TestTombSnapshotMatchesModel(t *testing.T) {
 			t.Fatalf("step %d: tombstones changed: %v, snapshot is the previous one: %v", step, changed, ts == last)
 		}
 		last = ts
-		now := pinned{ts, map[uint32]bool{}, len(ends)}
+		now := pinned{ts, map[uint32]bool{}, len(marks)}
 		for rec := range model {
 			now.model[rec] = true
 		}

@@ -223,9 +223,8 @@ func (l *byteLimitReader) Read(p []byte) (int, error) {
 
 // ReadDocument buffers all of r, bounded by the effective MaxBytes of
 // lim (the only field it consults); oversized input returns an error
-// wrapping ErrLimit. Callers that must hold a document's raw bytes —
-// the ingest write-ahead log logs them verbatim — use it so buffering
-// is as bounded as the streaming parse itself.
+// wrapping ErrLimit. Callers that buffer a document before they parse it
+// use it so buffering is as bounded as the streaming parse itself.
 func ReadDocument(r io.Reader, lim ParseLimits) ([]byte, error) {
 	max := lim.effective().MaxBytes
 	if max <= 0 {
