@@ -62,6 +62,7 @@ package fix
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -333,9 +334,10 @@ func Open(dir string) (_ *DB, err error) {
 
 // openIndex drops a torn batch from the heap and opens the index, if one
 // was built, catching it up with the batches sealed after its commit and
-// checkpointing it. A torn batch whose records the index covers was
-// acknowledged and checkpointed, so it is damage, not a crash: Open then
-// fails with ErrCorrupt and leaves the heap as it found it.
+// checkpointing it. Only the one batch a crash cut short is dropped: torn
+// bytes that may hold a sealed batch (storage.ErrSealedTail), or records
+// the index covers, were acknowledged, so they are damage, not a crash,
+// and Open then fails with ErrCorrupt and leaves the heap as it found it.
 func (db *DB) openIndex() error {
 	st := db.store
 	_, err := os.Stat(filepath.Join(db.dir, "fix.meta"))
@@ -350,7 +352,9 @@ func (db *DB) openIndex() error {
 				return fmt.Errorf("%w: heap: the batches whose trailer checks end at record %d, and the index covers %d saved documents", ErrCorrupt, st.NumRecords(), committed)
 			}
 		}
-		if err := st.DropTornTail(); err != nil {
+		if err := st.DropTornTail(); errors.Is(err, storage.ErrSealedTail) {
+			return fmt.Errorf("%w: heap: %w; the batches whose trailer checks hold %d documents", ErrCorrupt, err, st.NumRecords())
+		} else if err != nil {
 			return err
 		}
 	}

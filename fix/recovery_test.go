@@ -2,6 +2,7 @@ package fix
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -323,31 +324,46 @@ func openDropsTornAppend(t *testing.T, indexed bool) {
 	}
 }
 
-// TestOpenKeepsCorruptHeap reopens a saved database whose heap has a
-// record running past the end of the file that was not a torn append: a
-// corrupt length prefix on a record of a batch the index covers, which
-// was acknowledged and checkpointed. Open fails with ErrCorrupt and
-// data.heap keeps every byte.
+// TestOpenKeepsCorruptHeap reopens saved databases whose heap is damaged
+// past the last trailer Open can trust, in a way a crash cannot leave: a
+// corrupt length prefix in a batch the index covers; the same without an
+// index, where nothing but the trailer that still ends the file says the
+// batch was sealed; a corrupt length prefix in the first of two batches
+// acknowledged after the last checkpoint; and a last trailer that fails
+// its CRC. Each may hide acknowledged documents, so Open fails with
+// ErrCorrupt and data.heap keeps every byte.
 func TestOpenKeepsCorruptHeap(t *testing.T) {
+	// corruptPrefix makes the length prefix at off point past the end of
+	// the file.
+	corruptPrefix := func(t *testing.T, heap string, off int64) {
+		f, err := os.OpenFile(heap, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{0x40}, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// record1 corrupts the length prefix of record 1.
+	record1 := func(t *testing.T, heap string, _ int64) {
+		b, err := os.ReadFile(heap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corruptPrefix(t, heap, 8+4+int64(binary.BigEndian.Uint32(b[8:])))
+	}
 	for _, tc := range []struct {
 		name    string
 		indexed bool
-		damage  func(t *testing.T, heap string)
+		after   int // group commits acknowledged after the checkpoint
+		damage  func(t *testing.T, heap string, saved int64)
 	}{
-		{"corrupt prefix of record 1", true, func(t *testing.T, heap string) {
-			f, err := os.OpenFile(heap, os.O_RDWR, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			var prefix [4]byte
-			if _, err := f.ReadAt(prefix[:], 8); err != nil {
-				t.Fatal(err)
-			}
-			second := 8 + 4 + int64(binary.BigEndian.Uint32(prefix[:]))
-			if _, err := f.WriteAt([]byte{0x40}, second); err != nil {
-				t.Fatal(err)
-			}
+		{"corrupt prefix of record 1", true, 0, record1},
+		{"corrupt prefix of record 1 without an index", false, 0, record1},
+		{"corrupt prefix in a batch after the checkpoint", true, 2, corruptPrefix},
+		{"last trailer fails its CRC without an index", false, 0, func(t *testing.T, heap string, saved int64) {
+			flipByte(t, heap, saved-1)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -369,17 +385,24 @@ func TestOpenKeepsCorruptHeap(t *testing.T) {
 			if err := db.Save(); err != nil {
 				t.Fatal(err)
 			}
+			saved := db.store.Size()
+			for i := 0; i < tc.after; i++ {
+				if _, err := db.IngestBatchCtx(context.Background(), docs[:2]); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
 			heap := filepath.Join(dir, "data.heap")
-			tc.damage(t, heap)
+			tc.damage(t, heap, saved)
 			before, err := os.ReadFile(heap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if db, err := Open(dir); !errors.Is(err, ErrCorrupt) {
 				if err == nil {
+					t.Errorf("reopened with %d documents", db.NumDocuments())
 					db.Close()
 				}
 				t.Fatalf("Open = %v, want ErrCorrupt", err)
@@ -388,6 +411,57 @@ func TestOpenKeepsCorruptHeap(t *testing.T) {
 				t.Errorf("Open changed data.heap: %d bytes before, %d after (%v)", len(before), len(after), err)
 			}
 		})
+	}
+}
+
+// TestOpenCatchesUpDeletes closes a database whose only batch since the
+// checkpoint deletes a document, so the heap holds no record the index
+// lacks. Open removes the document's entries all the same, and
+// checkpoints; the next Open, whose index holds that delete, removes
+// nothing and writes nothing.
+func TestOpenCatchesUpDeletes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		if _, err := db.AddDocumentString(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.BuildIndex(IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	saved := db.index.Entries()
+	if err := db.DeleteDocument(1); err != nil {
+		t.Fatal(err)
+	}
+	want := db.index.Entries()
+	if want >= saved {
+		t.Fatalf("fixture: the delete left %d entries of %d", want, saved)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, reopen := range []string{"first", "second"} {
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.index.Entries(); got != want || db.IndexHealth() != nil {
+			t.Errorf("%s reopen: %d entries (%v), want %d", reopen, got, db.IndexHealth(), want)
+		}
+		if got := db.Metrics().BTree.PageWrites; (reopen == "first") != (got > 0) {
+			t.Errorf("%s reopen wrote %d pages", reopen, got)
+		}
+		queriesMatchScan(t, db, reopen+" reopen", []string{"//article[author]/title", "//book/title", "//title"})
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -151,39 +151,66 @@ func (f *trackedFile) Close() error {
 	return f.File.Close()
 }
 
-// TestOpenClosesFilesWhenItFails opens, through the fileOpen seam, a copy
-// of unabsorbedFixture whose fix.tomb is corrupt: Open fails, and every
+// TestOpenClosesFilesWhenItFails opens, through the fileOpen seam, copies
+// of unabsorbedFixture that Open cannot open: one whose fix.tomb is
+// corrupt, and one for each write, sync, truncation and file removal of
+// the conversion — the heap's cut, its trailer and syncs, the replay's
+// group commit, the checkpoint — failing there. Open fails, and every
 // file it opened is closed.
 func TestOpenClosesFilesWhenItFails(t *testing.T) {
+	// openTracked opens dir under pl and returns the files Open opened,
+	// the writes it made and its error.
+	openTracked := func(dir string, pl *storage.FaultPlan) ([]*trackedFile, int, error) {
+		var (
+			mu     sync.Mutex
+			opened []*trackedFile
+		)
+		restore := withFaultFiles(pl)
+		wrapped := fileOpen
+		fileOpen = func(path string) (storage.File, error) {
+			f, err := wrapped(path)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			tf := &trackedFile{File: f}
+			opened = append(opened, tf)
+			return tf, nil
+		}
+		defer restore()
+		db, err := Open(dir)
+		writes := pl.Writes()
+		if err == nil {
+			_ = db.Close()
+		}
+		return opened, writes, err
+	}
+	check := func(ctx string, opened []*trackedFile, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: Open succeeded", ctx)
+		}
+		if len(opened) == 0 {
+			t.Fatalf("%s: Open opened no file through the seam", ctx)
+		}
+		for i, f := range opened {
+			if !f.closed {
+				t.Errorf("%s: file %d of %d Open opened is still open", ctx, i+1, len(opened))
+			}
+		}
+	}
 	dir := copyFixture(t, unabsorbedFixture)
 	flipByte(t, filepath.Join(dir, "fix.tomb"), 9)
-	var (
-		mu     sync.Mutex
-		opened []*trackedFile
-	)
-	orig := fileOpen
-	fileOpen = func(path string) (storage.File, error) {
-		f, err := orig(path)
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		tf := &trackedFile{File: f}
-		opened = append(opened, tf)
-		return tf, nil
+	opened, _, err := openTracked(dir, &storage.FaultPlan{})
+	check("a corrupt fix.tomb", opened, err)
+
+	_, writes, err := openTracked(copyFixture(t, unabsorbedFixture), &storage.FaultPlan{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() { fileOpen = orig }()
-	if db, err := Open(dir); err == nil {
-		_ = db.Close()
-		t.Fatal("Open of a directory with a corrupt fix.tomb succeeded")
-	}
-	if len(opened) == 0 {
-		t.Fatal("Open opened no file through the seam")
-	}
-	for i, f := range opened {
-		if !f.closed {
-			t.Errorf("file %d of %d Open opened is still open", i+1, len(opened))
-		}
+	for n := 1; n <= writes; n++ {
+		opened, _, err := openTracked(copyFixture(t, unabsorbedFixture), &storage.FaultPlan{FailWrite: n})
+		check(fmt.Sprintf("write %d of %d failing", n, writes), opened, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/fix-index/fix/internal/btree"
 	"github.com/fix-index/fix/internal/matrix"
@@ -184,8 +185,8 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		return nil, err
 	}
 	ix.bt = bt
-	if records < st.NumRecords() && ix.Health() == nil {
-		ix.catchUp(records)
+	if dels := st.DeletedSince(records); (records < st.NumRecords() || len(dels) > 0) && ix.Health() == nil {
+		ix.catchUp(records, dels)
 	}
 	return ix, nil
 }
@@ -193,23 +194,27 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 // catchUp brings an index committed over the first records records of
 // the heap up to all of it: the live records past its count are inserted
 // — extracted as a build extracts them, with no parse — and the entries
-// of every tombstoned record below it removed in one DeleteDocuments pass,
-// which walks every chunk whatever it is given, so it need not know which
-// batches came after the commit. A failure degrades the index; queries
-// stay exact through the scan fallback.
-func (ix *Index) catchUp(records int) {
-	var add, del []uint32
-	for rec := uint32(0); int(rec) < ix.store.NumRecords(); rec++ {
-		if !ix.store.IsDeleted(rec) && int(rec) >= records {
+// of dels, the records deleted by the batches that may have followed its
+// commit (Store.DeletedSince), removed in one DeleteDocuments pass. A
+// delete the commit already held removes nothing, so the pass need not
+// know where the commit fell among those batches. A failure degrades the
+// index; queries stay exact through the scan fallback.
+func (ix *Index) catchUp(records int, dels []uint32) {
+	var add []uint32
+	for rec := uint32(records); int(rec) < ix.store.NumRecords(); rec++ {
+		if !ix.store.IsDeleted(rec) {
 			add = append(add, rec)
-		} else if ix.store.IsDeleted(rec) && int(rec) < records {
-			del = append(del, rec)
 		}
 	}
-	if len(del) > 0 {
-		if _, err := ix.DeleteDocuments(del); err != nil {
+	dels = slices.DeleteFunc(dels, func(rec uint32) bool { return int(rec) >= records })
+	if len(dels) > 0 {
+		removed, err := ix.DeleteDocuments(dels)
+		if err != nil {
 			ix.setHealth(fmt.Errorf("catching up the deletes since the commit: %w", err))
 			return
+		}
+		if removed == 0 {
+			dels = nil
 		}
 	}
 	if err := ix.InsertDocuments(add...); err != nil {
@@ -219,11 +224,12 @@ func (ix *Index) catchUp(records int) {
 		ix.setHealth(err)
 		return
 	}
-	ix.caughtUp = len(add) + len(del)
+	ix.caughtUp = len(add) + len(dels)
 }
 
 // CaughtUp returns the operations Open brought the index up to the heap
-// with: the documents it inserted and the tombstones it applied.
+// with: the documents it inserted and, when the delete pass removed any
+// entry, the deletes it applied.
 func (ix *Index) CaughtUp() int { return ix.caughtUp }
 
 // readMeta reads fix.meta under ix.opts.Dir into ix and returns the fields

@@ -147,8 +147,9 @@ func (r *Registry) ObserveIngestBatch(docs, deletes, fsyncs int) {
 func (r *Registry) ObserveIngestQueueFull(ops int) { r.ingestQueueFull.Add(int64(ops)) }
 
 // ObserveIngestReplayed records operations Open brought an index up to its
-// heap with: the documents inserted past its commit and the tombstones applied,
-// or the operations of an ingest log a conversion replayed.
+// heap with: the documents inserted past its commit and the deletes of the
+// batches sealed since it applied, or the operations of an ingest log a
+// conversion replayed.
 func (r *Registry) ObserveIngestReplayed(ops int) { r.ingestReplayed.Add(int64(ops)) }
 
 // ObserveCheckpoint records one checkpoint attempt and whether it

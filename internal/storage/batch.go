@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 )
 
@@ -92,22 +94,26 @@ func (s *Store) LabelsSaved(n int) {
 
 // heapCursor decodes a heap file's first size bytes from pos on through
 // one reused window, so stepping over small records costs one read per
-// window, not one per record. A read past size sets bad, a failed one err
-// as well.
+// window, not one per record. A read past size sets bad and short, a
+// failed one bad and err.
 type heapCursor struct {
 	f         File
 	size, pos int64
 	buf       []byte // the file's bytes from off
 	off       int64
 	bad       bool
+	short     bool // bad because an item runs past size
 	err       error
 }
 
 // bytes returns the n bytes at pos and moves past them; they are valid
 // until the next call.
 func (c *heapCursor) bytes(n int) []byte {
-	if c.bad || n < 0 || c.pos+int64(n) > c.size {
-		c.bad = true
+	if c.bad {
+		return nil
+	}
+	if n < 0 || c.pos+int64(n) > c.size {
+		c.bad, c.short = true, n >= 0
 		return nil
 	}
 	if c.pos < c.off || c.pos+int64(n) > c.off+int64(len(c.buf)) {
@@ -130,6 +136,15 @@ func (c *heapCursor) ReadByte() (byte, error) {
 		return b[0], nil
 	}
 	return 0, io.ErrUnexpectedEOF
+}
+
+// runsPast reports, and marks the cursor bad and short, when fewer than n
+// bytes are left: n counts what each take at least a byte.
+func (c *heapCursor) runsPast(n uint64) bool {
+	if !c.bad && n > uint64(c.size-c.pos) {
+		c.bad, c.short = true, true
+	}
+	return c.bad
 }
 
 func (c *heapCursor) uvarint() uint64 {
@@ -157,9 +172,10 @@ type trailer struct {
 
 // next steps over the item at pos in a heap of records records by then:
 // a record, whose length it returns, or a trailer, which it returns
-// decoded. It sets bad when the item runs past the end or does not decode
-// — a delete out of order or out of range, an unknown tag bit, a count of
-// zero or one the file cannot hold.
+// decoded. It sets bad when the item does not decode — a delete out of
+// order or out of range, an unknown tag bit, a count of zero — and short
+// as well when it runs past the end: a length, a count or a label the
+// bytes left cannot hold.
 func (c *heapCursor) next(records int) (n int, t *trailer) {
 	b := c.bytes(1)
 	if b == nil {
@@ -169,7 +185,8 @@ func (c *heapCursor) next(records int) (n int, t *trailer) {
 		c.pos--
 		if b = c.bytes(4); b != nil {
 			n = int(binary.BigEndian.Uint32(b))
-			c.bad = c.pos+int64(n) > c.size
+			c.short = c.pos+int64(n) > c.size
+			c.bad = c.short
 			c.pos += int64(n)
 		}
 		return n, nil
@@ -180,6 +197,7 @@ func (c *heapCursor) next(records int) (n int, t *trailer) {
 		if tag&trailerDeletes != 0 {
 			count, prev := c.uvarint(), uint64(0)
 			c.bad = c.bad || count == 0 || count > uint64(records)
+			c.runsPast(count)
 			for i := uint64(0); i < count && !c.bad; i++ {
 				d := c.uvarint()
 				c.bad = c.bad || (i > 0 && d == 0) || prev+d >= uint64(records)
@@ -189,12 +207,11 @@ func (c *heapCursor) next(records int) (n int, t *trailer) {
 		}
 		if tag&trailerLabels != 0 {
 			count := c.uvarint()
-			c.bad = c.bad || count == 0 || count > uint64(c.size-c.pos)
+			c.bad = c.bad || count == 0
+			c.runsPast(count)
 			for i := uint64(0); i < count && !c.bad; i++ {
-				if l := c.uvarint(); l <= uint64(c.size-c.pos) {
+				if l := c.uvarint(); !c.runsPast(l) {
 					t.labels = append(t.labels, string(c.bytes(int(l))))
-				} else {
-					c.bad = true
 				}
 			}
 		}
@@ -208,11 +225,18 @@ func (c *heapCursor) next(records int) (n int, t *trailer) {
 // records, the tombstones and the dictionary labels of every batch up to
 // the last trailer that checks. Every trailer before the last was synced
 // before anything after it was written, so only the trailers from the end
-// back to the first that checks are checksummed; what follows it is a
-// batch a crash cut short, and is left in the file as the torn tail. A
-// heap written before trailers (old) is records up to the first item that
-// is not one, all in the open batch.
-func (s *Store) scan(size int64, old bool) error {
+// back to the first that checks are checksummed. What follows that one is
+// left in the file as the torn tail.
+//
+// A crash cuts short the open batch alone, which holds no trailer yet: its
+// records, then at most one item — a record or the trailer — the end of
+// the file cuts off. Anything else past the good trailer may hold a
+// sealed batch, and so acknowledged writes: a trailer, an item that does
+// not decode, or a record running past the end of a file that ends in
+// bytes that decode as a trailer — a damaged length hiding the batches
+// after it. scan marks such a tail sealed, and DropTornTail then refuses
+// it.
+func (s *Store) scan(size int64) error {
 	c := &heapCursor{f: s.own, size: size, pos: int64(len(storeMagic))}
 	type seal struct {
 		start, crcAt          int64
@@ -220,13 +244,13 @@ func (s *Store) scan(size int64, old bool) error {
 	}
 	var (
 		seals  []seal
-		dels   []uint32
+		dels   []deletion
 		labels []string
 	)
 	for start := c.pos; c.pos < size; {
 		pos := c.pos
 		n, t := c.next(len(s.offs))
-		if c.bad || old && t != nil {
+		if c.bad {
 			c.pos = pos
 			break
 		}
@@ -234,42 +258,85 @@ func (s *Store) scan(size int64, old bool) error {
 			s.offs, s.lens = append(s.offs, pos), append(s.lens, uint32(n))
 			continue
 		}
-		dels, labels = append(dels, t.dels...), append(labels, t.labels...)
+		for _, rec := range t.dels {
+			dels = append(dels, deletion{rec, len(s.offs)})
+		}
+		labels = append(labels, t.labels...)
 		seals = append(seals, seal{start, t.crcAt, len(s.offs), len(dels), len(labels)})
 		start = c.pos
 	}
-	good := seal{crcAt: int64(len(storeMagic)) - 4}
-	if old {
-		good = seal{crcAt: c.pos - 4, records: len(s.offs)}
-		s.crc = c.sum(int64(len(storeMagic)), c.pos)
+	stop, short, cutRecord := c.pos, c.short, false
+	if c.bad = false; short {
+		b := c.bytes(1)
+		cutRecord = b != nil && b[0] < trailerTag
 	}
+	good, kept := seal{crcAt: int64(len(storeMagic)) - 4}, 0
 	for i := len(seals) - 1; i >= 0 && c.err == nil; i-- {
 		c.bad = false
 		sum := c.sum(seals[i].start, seals[i].crcAt)
 		if b := c.bytes(4); b != nil && binary.BigEndian.Uint32(b) == sum {
-			good = seals[i]
+			good, kept = seals[i], i+1
 			break
 		}
 	}
+	s.sealedTail = kept < len(seals) || stop < size && (!short || cutRecord && c.trailerEnds(stop+4))
 	if c.err != nil {
 		return c.err
 	}
 	s.offs, s.lens = s.offs[:good.records], s.lens[:good.records]
 	s.end = good.crcAt + 4
-	if s.sealed, s.torn = s.end, size-s.end; old {
-		s.sealed = int64(len(storeMagic))
-	}
+	s.sealed, s.torn = s.end, size-s.end
 	for _, l := range labels[:good.labels] {
 		s.dict.ID(l)
 	}
 	s.labels = s.dict.Len()
-	for _, rec := range dels[:good.dels] {
+	s.opened = dels[:good.dels]
+	for _, d := range s.opened {
 		if s.deleted == nil {
 			s.deleted = make(map[uint32]bool)
 		}
-		s.deleted[rec] = true
+		s.deleted[d.rec] = true
 	}
 	return nil
+}
+
+// trailerEnds reports whether the bytes from some offset at or past from
+// decode as a whole trailer that ends where the file does.
+func (c *heapCursor) trailerEnds(from int64) bool {
+	for p := from; p+5 <= c.size && c.err == nil; p++ {
+		c.bad, c.pos = false, p
+		if b := c.bytes(1); b == nil || b[0] < trailerTag {
+			continue
+		}
+		c.pos = p
+		if _, t := c.next(math.MaxInt32); !c.bad && t.crcAt+4 == c.size {
+			return true
+		}
+	}
+	return false
+}
+
+// deletion is a delete a trailer OpenStore read carries, with the record
+// count of the heap its batch sealed.
+type deletion struct {
+	rec     uint32
+	records int
+}
+
+// DeletedSince returns the records deleted by the batches OpenStore read
+// that sealed records records or more: the batch that sealed record
+// records-1 and every batch after it. An index committed over the first
+// records records holds the deletes of every batch before that one, which
+// its commit followed; of that batch and those after, it may hold none.
+func (s *Store) DeletedSince(records int) []uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(s.opened, records, func(d deletion, r int) int { return cmp.Compare(d.records, r) })
+	var recs []uint32
+	for _, d := range s.opened[i:] {
+		recs = append(recs, d.rec)
+	}
+	return recs
 }
 
 // Walk reads the sealed part of the heap, front to back, from the

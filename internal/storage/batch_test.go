@@ -65,7 +65,9 @@ func playBatches(t *testing.T, script []byte) ([]byte, []committed) {
 // make OpenStore panic, and never yield a record that runs past the file
 // or past the last trailer that checks. A heap of sealed batches (the
 // input read as playBatches's script), cut at any byte, reopens to the
-// whole batches before the cut: their records, tombstones and labels.
+// whole batches before the cut: their records, tombstones and labels; and
+// what follows them, a crash's cut, DropTornTail drops (the records are
+// zeros, so no run of their bytes reads as a trailer).
 func FuzzHeapScan(f *testing.F) {
 	f.Add([]byte{0, 4, 3})             // records only
 	f.Add([]byte{0, 4, 3, 1, 3})       // a batch of deletes only
@@ -117,6 +119,9 @@ func FuzzHeapScan(f *testing.F) {
 		if st.Size() != want.end || st.NumRecords() != want.records || !slices.Equal(dels, want.deleted) || !slices.Equal(labels, want.labels) {
 			t.Fatalf("cut at %d of %d: reopened to %d bytes, %d records, deleted %v, labels %v; want %+v",
 				cut, len(heap), st.Size(), st.NumRecords(), dels, labels, want)
+		}
+		if err := st.DropTornTail(); err != nil {
+			t.Fatalf("cut at %d of %d: %v", cut, len(heap), err)
 		}
 	})
 }

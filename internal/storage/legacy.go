@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -15,34 +14,59 @@ import (
 // the next format generation, as core.IngestLog's reader does.
 const oldStoreMagic = "FIXSTOR1"
 
-// ErrOldHeap reports a heap written before batch trailers: OpenStore
-// does not read it, ConvertStore does.
-var ErrOldHeap = errors.New("storage: data.heap was written before batch trailers and must be converted")
-
-// ConvertStore makes a heap of either magic whose first bytes are records
-// only — all of a FIXSTOR1 heap, or the part before the trailer a
-// conversion a crash interrupted wrote — a heap with trailers. It cuts
-// the file at base, which must end a record (or, when base is negative,
-// at the last whole record), tombstones deleted, seals every record with
-// one trailer — dict is labels.dict, so it names no label — syncs, and
-// only then writes the new magic and syncs again: a crash before that
-// leaves a FIXSTOR1 heap, which converts again. The store it returns
-// appends after the trailer.
+// ConvertStore makes f, a heap whose first bytes after the magic are
+// records only — all of a FIXSTOR1 heap, or the part before the trailer a
+// conversion a crash interrupted wrote — a heap with trailers. It walks
+// the records up to base (to the last whole record when base is
+// negative), cuts the file there, tombstones deleted, seals every record
+// with one trailer — dict is labels.dict, so it names no label — and
+// syncs, and only then writes the new magic and syncs again: a crash
+// before that leaves a FIXSTOR1 heap, which converts again. The file is
+// mapped only once every write is done, so a failure leaves nothing open
+// but f, which stays the caller's. The store it returns appends after the
+// trailer.
 func ConvertStore(f File, dict *xmltree.Dict, base int64, deleted []uint32) (*Store, error) {
-	s, err := openStore(f, dict, base, true)
+	hdr := make([]byte, len(storeMagic))
+	if _, err := f.ReadAt(hdr, 0); err != nil {
+		return nil, fmt.Errorf("storage: reading header: %w", err)
+	}
+	if m := string(hdr); m != oldStoreMagic && m != storeMagic {
+		return nil, fmt.Errorf("storage: bad magic %q", hdr)
+	}
+	fsize, err := f.Size()
 	if err != nil {
 		return nil, err
 	}
-	if base >= 0 && s.end != base {
-		return nil, fmt.Errorf("storage: converting data.heap: its records end at %d, not at the ingest log's base %d", s.end, base)
+	size := fsize
+	if base >= 0 {
+		size = min(size, base)
 	}
-	if size, err := f.Size(); err != nil {
-		return nil, err
-	} else {
-		s.torn = size - s.end
+	s := &Store{f: f, own: f, dict: dict, labels: dict.Len()}
+	c := &heapCursor{f: f, size: size, pos: int64(len(storeMagic))}
+	end := c.pos
+	for b := c.bytes(4); b != nil; b = c.bytes(4) {
+		n := binary.BigEndian.Uint32(b)
+		if c.pos += int64(n); c.pos > size {
+			break
+		}
+		s.offs, s.lens = append(s.offs, end), append(s.lens, n)
+		end = c.pos
 	}
-	if err := s.DropTornTail(); err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, c.err
+	}
+	if base >= 0 && end != base {
+		return nil, fmt.Errorf("storage: converting data.heap: its records end at %d, not at the ingest log's base %d", end, base)
+	}
+	c.bad = false
+	s.sealed, s.end, s.crc = int64(len(storeMagic)), end, c.sum(int64(len(storeMagic)), end)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if end < fsize {
+		if err := f.Truncate(end); err != nil {
+			return nil, fmt.Errorf("storage: converting data.heap: %w", err)
+		}
 	}
 	for _, rec := range deleted {
 		if _, err := s.MarkDeleted(rec); err != nil {
@@ -52,15 +76,16 @@ func ConvertStore(f File, dict *xmltree.Dict, base int64, deleted []uint32) (*St
 	if err := s.Seal(); err != nil {
 		return nil, err
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return nil, fmt.Errorf("storage: converting data.heap: %w", err)
 	}
-	if _, err := s.f.WriteAt([]byte(storeMagic), 0); err != nil {
+	if _, err := f.WriteAt([]byte(storeMagic), 0); err != nil {
 		return nil, fmt.Errorf("storage: converting data.heap: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return nil, fmt.Errorf("storage: converting data.heap: %w", err)
 	}
+	s.f = mapHeap(f)
 	return s, nil
 }
 

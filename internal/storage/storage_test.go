@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -178,10 +179,14 @@ func sealedBatch(t *testing.T, f *MemFile, dict *xmltree.Dict, recs ...string) [
 
 // TestStoreOpenTornRecord reopens a heap whose last batch a crash cut
 // short — inside a length prefix, inside a body, before the trailer,
-// inside the trailer — or whose trailer fails its CRC. OpenStore keeps
-// the batches before it, leaves the file alone, reports the torn bytes
-// and refuses to append amid them; once DropTornTail cuts them, the next
-// append lands where the torn batch began.
+// inside the trailer — and heaps whose bytes past the last good trailer
+// may hold a sealed batch: a whole trailer that fails its CRC, a length
+// running past the end of a file that ends in a trailer, an item that
+// does not decode. OpenStore keeps the batches before the torn bytes,
+// leaves the file alone, reports them and refuses to append amid them.
+// DropTornTail cuts a crash's tail, and the next batch lands where the
+// torn one began: sealed and reopened, every record reads back. Any other
+// tail it refuses with ErrSealedTail and leaves in place.
 func TestStoreOpenTornRecord(t *testing.T) {
 	dict := xmltree.NewDict()
 	f := NewMemFile()
@@ -201,9 +206,23 @@ func TestStoreOpenTornRecord(t *testing.T) {
 	whole := sealedBatch(t, f, dict, "third", "fourth")
 	badCRC := slices.Clone(whole)
 	badCRC[len(badCRC)-1] ^= 1
-	for _, tail := range [][]byte{
-		whole[:1], whole[:4], whole[:9], whole[:len(whole)-5], whole[:len(whole)-4], whole[:len(whole)-1], badCRC,
+	badLength := slices.Clone(whole)
+	badLength[0] = 0x40
+	for _, tc := range []struct {
+		tail   []byte
+		sealed bool
+	}{
+		{whole[:1], false},
+		{whole[:4], false},
+		{whole[:9], false},
+		{whole[:len(whole)-5], false},
+		{whole[:len(whole)-4], false},
+		{whole[:len(whole)-1], false},
+		{badCRC, true},
+		{badLength, true},
+		{[]byte{0x84, 0, 0, 0, 0}, true},
 	} {
+		tail := tc.tail
 		g := &MemFile{buf: append(slices.Clone(f.buf), tail...)}
 		re, err := OpenStore(g, dict)
 		if err != nil {
@@ -217,14 +236,36 @@ func TestStoreOpenTornRecord(t *testing.T) {
 		if _, err := re.AppendBytes([]byte("third")); err == nil {
 			t.Fatalf("tail %q: an append amid the torn bytes succeeded", tail)
 		}
+		if tc.sealed {
+			before := slices.Clone(g.buf)
+			if err := re.DropTornTail(); !errors.Is(err, ErrSealedTail) {
+				t.Fatalf("tail %q: DropTornTail = %v, want ErrSealedTail", tail, err)
+			}
+			if !bytes.Equal(g.buf, before) || re.TornTail() != int64(len(tail)) {
+				t.Fatalf("tail %q: the refused DropTornTail changed the heap", tail)
+			}
+			continue
+		}
 		if err := re.DropTornTail(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("tail %q: %v", tail, err)
 		}
 		if size, _ := g.Size(); re.TornTail() != 0 || size != end {
 			t.Fatalf("tail %q: after DropTornTail torn %d, file %d bytes; want 0, %d", tail, re.TornTail(), size, end)
 		}
-		if _, err := re.AppendBytes([]byte("third")); err != nil {
+		if rec, err := re.AppendBytes([]byte("third")); err != nil || rec != 2 || re.offs[rec] != end {
+			t.Fatalf("tail %q: the next append is record %d at %d (%v), want record 2 at %d", tail, rec, re.offs[rec], err, end)
+		}
+		if err := re.Seal(); err != nil {
 			t.Fatal(err)
+		}
+		again, err := OpenStore(&MemFile{buf: slices.Clone(g.buf)}, dict)
+		if err != nil || again.NumRecords() != 3 || again.TornTail() != 0 {
+			t.Fatalf("tail %q: reopened after the append: %v", tail, err)
+		}
+		for rec, want := range []string{"first", "second", "third"} {
+			if got, err := again.ReadRecord(nil, uint32(rec)); err != nil || string(got) != want {
+				t.Errorf("tail %q: record %d = %q, %v; want %q", tail, rec, got, err, want)
+			}
 		}
 	}
 	g := &MemFile{buf: append(slices.Clone(f.buf), whole...)}
@@ -234,9 +275,10 @@ func TestStoreOpenTornRecord(t *testing.T) {
 }
 
 // TestStoreOpenCorruptPrefix reopens a heap whose second batch has a
-// length prefix pointing past the end of the file. To OpenStore that
-// looks like a batch a crash cut short; it keeps the first batch, reports
-// the rest as torn and leaves every byte in place for the caller to judge.
+// length prefix pointing past the end of the file. OpenStore keeps the
+// first batch and reports the rest as torn; as the file ends in the
+// second batch's trailer, the torn bytes may hold a sealed batch, and
+// DropTornTail refuses to cut them.
 func TestStoreOpenCorruptPrefix(t *testing.T) {
 	f := NewMemFile()
 	st, err := NewStore(f, xmltree.NewDict())
@@ -266,8 +308,11 @@ func TestStoreOpenCorruptPrefix(t *testing.T) {
 		t.Errorf("reopened with %d records, end %d, torn %d; want 1, %d, %d",
 			re.NumRecords(), re.Size(), re.TornTail(), second, int64(len(before))-second)
 	}
+	if err := re.DropTornTail(); !errors.Is(err, ErrSealedTail) {
+		t.Errorf("DropTornTail = %v, want ErrSealedTail", err)
+	}
 	if got := f.buf; len(got) != len(before) || !bytes.Equal(got[second+4:], before[second+4:]) {
-		t.Error("OpenStore changed the heap past the corrupt prefix")
+		t.Error("OpenStore or DropTornTail changed the heap past the corrupt prefix")
 	}
 }
 

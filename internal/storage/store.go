@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -89,13 +90,18 @@ type Store struct {
 	// the scan at open and Record (indexing a document just appended,
 	// scrub, Document) read a record once, and through the mapping would
 	// leave every page they touch resident in the process.
-	f       File
-	own     File
-	dict    *xmltree.Dict
-	offs    []int64 // offset of each record's length prefix
-	lens    []uint32
-	end     int64 // next append position
-	torn    int64 // bytes of the file past end at open (see TornTail)
+	f    File
+	own  File
+	dict *xmltree.Dict
+	offs []int64 // offset of each record's length prefix
+	lens []uint32
+	end  int64 // next append position
+	torn int64 // bytes of the file past end at open (see TornTail)
+	// sealedTail says the torn bytes may hold a sealed batch (see scan).
+	sealedTail bool
+	// opened lists the deletes of the trailers OpenStore read, in order
+	// (DeletedSince).
+	opened  []deletion
 	lastEnd int64 // end offset of the last physical read, for seq/random
 	stats   Stats
 	rs      readStats // shared with every ReadView frozen from this store
@@ -134,34 +140,22 @@ func NewStore(f File, dict *xmltree.Dict) (*Store, error) {
 // OpenStore opens an existing store, rebuilding the record offset table,
 // the tombstones and the dictionary's labels from the batches whose
 // trailer checks (see scan). It never writes the file: whatever follows
-// the last good trailer — a batch a crash cut short, never acknowledged —
-// is left for the caller to drop (TornTail, DropTornTail). A heap written
-// before batch trailers fails with ErrOldHeap.
+// the last good trailer is left for the caller to judge (TornTail) and,
+// when it can only be a batch a crash cut short, to drop (DropTornTail).
 func OpenStore(f File, dict *xmltree.Dict) (*Store, error) {
-	return openStore(f, dict, -1, false)
-}
-
-// openStore opens the store over the first limit bytes of f (all of it
-// when limit is negative), a heap written before batch trailers when old.
-func openStore(f File, dict *xmltree.Dict, limit int64, old bool) (*Store, error) {
 	hdr := make([]byte, len(storeMagic))
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("storage: reading header: %w", err)
 	}
-	if m := string(hdr); m == oldStoreMagic && !old {
-		return nil, ErrOldHeap
-	} else if m != storeMagic && m != oldStoreMagic {
+	if string(hdr) != storeMagic {
 		return nil, fmt.Errorf("storage: bad magic %q", hdr)
 	}
 	size, err := f.Size()
 	if err != nil {
 		return nil, err
 	}
-	if limit >= 0 {
-		size = min(size, limit)
-	}
 	s := &Store{own: f, dict: dict}
-	if err := s.scan(size, old); err != nil {
+	if err := s.scan(size); err != nil {
 		return nil, err
 	}
 	s.f = mapHeap(f)
@@ -177,14 +171,24 @@ func (s *Store) TornTail() int64 {
 	return s.torn
 }
 
+// ErrSealedTail is DropTornTail's refusal: the bytes past the last good
+// trailer may hold a sealed batch (see scan), and so a write that was
+// acknowledged.
+var ErrSealedTail = errors.New("storage: the bytes past the last good trailer may hold a sealed batch")
+
 // DropTornTail cuts the file back to its last good trailer and syncs it,
-// so the next append lands where the torn batch began. The caller
-// decides the batch was never acknowledged; the bytes are gone for good.
+// so the next append lands where the torn batch began. It does so only
+// when the torn bytes can be no more than the one batch a crash cut short,
+// which was never acknowledged: otherwise it fails with ErrSealedTail and
+// leaves the file alone. The bytes it cuts are gone for good.
 func (s *Store) DropTornTail() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.torn == 0 {
 		return nil
+	}
+	if s.sealedTail {
+		return fmt.Errorf("%w: %d bytes past the trailer that ends at %d", ErrSealedTail, s.torn, s.end)
 	}
 	if err := s.f.Truncate(s.end); err != nil {
 		return fmt.Errorf("storage: dropping the torn batch at %d: %w", s.end, err)
