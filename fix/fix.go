@@ -268,14 +268,16 @@ func Create(dir string) (*DB, error) {
 //
 // The heap is the log: Open keeps data.heap up to the last batch whose
 // trailer checks — every acknowledged write — and drops a batch a crash
-// cut short, which was never acknowledged. The trailers restore the
-// tombstones and the labels assigned since the last checkpoint. An index
-// committed before the last batches is brought up to the heap by
-// inserting the records past its count, with no XML parse, and removing
-// what those batches deleted; Open then checkpoints it. If the index
-// turns out to be corrupt or stale, the database still opens, IndexHealth
-// reports the problem, and queries answer via the scan fallback. A
-// directory written before batch trailers is converted first (convert).
+// cut short, which was never acknowledged; bytes past that trailer that a
+// crash cannot have left make it fail with ErrCorrupt (openIndex). The
+// trailers restore the tombstones and the labels assigned since the last
+// checkpoint. An index committed before the last batches is brought up to
+// the heap by inserting the records past its count, with no XML parse,
+// and removing what those batches deleted; Open then checkpoints it. If
+// the index turns out to be corrupt or stale, the database still opens,
+// IndexHealth reports the problem, and queries answer via the scan
+// fallback. A directory written before batch trailers is converted first
+// (convert).
 func Open(dir string) (_ *DB, err error) {
 	if err := core.Recover(dir); err != nil {
 		return nil, fmt.Errorf("fix: recovering index journal: %w", err)
