@@ -22,7 +22,8 @@ import (
 // acknowledged operations since the last checkpoint, as raw XML, which
 // DB.Close did not absorb. Open converts it once, in this order:
 //
-//  1. cut the heap back to the log's base (storage.ConvertStore);
+//  1. cut the heap back to the log's base, or, without a log, to its
+//     last whole record (oldHeapEnd; storage.ConvertStore);
 //  2. seal it with one trailer holding fix.tomb's deletes, and write the
 //     new heap magic;
 //  3. replay the log's operations through the group commit;
@@ -55,12 +56,16 @@ func (db *DB) convert(f storage.File) (bool, error) {
 	} else if !os.IsNotExist(err) {
 		return false, err
 	}
+	_, err := os.Stat(filepath.Join(db.dir, "fix.meta"))
+	hasIndex := err == nil
 	if !haveLog {
 		hdr := make([]byte, 8)
 		if _, err := f.ReadAt(hdr, 0); err != nil || string(hdr) != "FIXSTOR1" {
 			return false, err
 		}
-		base = -1
+		if base, err = db.oldHeapEnd(f, hasIndex); err != nil {
+			return false, err
+		}
 	}
 	if _, err := os.Stat(filepath.Join(db.dir, "labels.dict")); err != nil {
 		return false, fmt.Errorf("fix: converting %s: %w", db.dir, err)
@@ -78,12 +83,9 @@ func (db *DB) convert(f storage.File) (bool, error) {
 	} else if !os.IsNotExist(err) {
 		return false, err
 	}
-	var err error
 	if db.store, err = storage.ConvertStore(f, db.dict, base, tombs); err != nil {
 		return false, err
 	}
-	_, err = os.Stat(filepath.Join(db.dir, "fix.meta"))
-	hasIndex := err == nil
 	// A checkpoint commits the index and then resets the log; a crash
 	// between the two leaves a log whose every operation the committed
 	// index holds already. It shows in the index covering the documents
@@ -125,6 +127,34 @@ func (db *DB) convert(f storage.File) (bool, error) {
 	}
 	db.checkpointed()
 	return true, db.dropOldFiles()
+}
+
+// oldHeapEnd returns where the records of f, a FIXSTOR1 heap without an
+// ingest log, end. Only Save acknowledged a document then, syncing the
+// heap and then committing the index's record count, so a record at or
+// past that count that runs past the end of the file is an append a crash
+// cut short, and the conversion cuts it. One the index covers, or any
+// when no index records a count, is damage: Open fails with ErrCorrupt
+// and leaves the heap as it found it.
+func (db *DB) oldHeapEnd(f storage.File, hasIndex bool) (int64, error) {
+	records, end, err := storage.OldRecords(f)
+	if err != nil {
+		return 0, err
+	}
+	if size, err := f.Size(); err != nil || end == size {
+		return end, err
+	}
+	if !hasIndex {
+		return 0, fmt.Errorf("%w: heap: record %d runs past the end of data.heap, and without an index nothing records how many documents were saved", ErrCorrupt, records)
+	}
+	committed, err := core.CommittedRecords(db.dir)
+	if err != nil {
+		return 0, fmt.Errorf("fix: opening index: %w", err)
+	}
+	if records < committed {
+		return 0, fmt.Errorf("%w: heap: record %d runs past the end of data.heap, and the index covers %d saved documents", ErrCorrupt, records, committed)
+	}
+	return end, nil
 }
 
 // countAdds returns how many of ops add a document.

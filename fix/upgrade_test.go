@@ -214,3 +214,83 @@ func TestOpenClosesFilesWhenItFails(t *testing.T) {
 		check(fmt.Sprintf("write %d of %d failing", n, writes), opened, err)
 	}
 }
+
+// TestOldHeapTornTail converts copies of index-written-by-pr39 with no
+// ingest log whose FIXSTOR1 heap has a record running past its end. Only
+// Save acknowledged a document in that format, so a torn append past the
+// index's count is cut and the 28 saved documents convert; a corrupt
+// length prefix on a record the index covers, or any such record without
+// an index, fails Open with ErrCorrupt and leaves data.heap as it was.
+func TestOldHeapTornTail(t *testing.T) {
+	tornAppend := func(t *testing.T, heap string) {
+		f, err := os.OpenFile(heap, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Write([]byte{0, 0, 0, 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corruptRecord1 := func(t *testing.T, heap string) {
+		b, err := os.ReadFile(heap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[8+4+binary.BigEndian.Uint32(b[8:])] = 0x40
+		if err := os.WriteFile(heap, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		indexed bool
+		damage  func(t *testing.T, heap string)
+		corrupt bool
+	}{
+		{"torn append past the index", true, tornAppend, false},
+		{"corrupt prefix of record 1", true, corruptRecord1, true},
+		{"corrupt prefix of record 1 without an index", false, corruptRecord1, true},
+		{"torn append without an index", false, tornAppend, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := copyFixture(t, "index-written-by-pr39")
+			drop := []string{"fix.ingest"}
+			if !tc.indexed {
+				drop = append(drop, "fix.meta", "fix.btree", "fix.edges")
+			}
+			for _, name := range drop {
+				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			heap := filepath.Join(dir, "data.heap")
+			tc.damage(t, heap)
+			before, err := os.ReadFile(heap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(dir)
+			if !tc.corrupt {
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				if db.NumDocuments() != 28 || db.IndexHealth() != nil {
+					t.Errorf("converted to %d documents (%v), want 28", db.NumDocuments(), db.IndexHealth())
+				}
+				return
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				if err == nil {
+					t.Errorf("converted to %d documents", db.NumDocuments())
+					db.Close()
+				}
+				t.Fatalf("Open = %v, want ErrCorrupt", err)
+			}
+			if after, err := os.ReadFile(heap); err != nil || !bytes.Equal(after, before) {
+				t.Errorf("Open changed data.heap: %d bytes before, %d after (%v)", len(before), len(after), err)
+			}
+		})
+	}
+}

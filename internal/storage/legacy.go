@@ -14,17 +14,45 @@ import (
 // the next format generation, as core.IngestLog's reader does.
 const oldStoreMagic = "FIXSTOR1"
 
+// oldRecords walks the records in the first size bytes of f, a heap of
+// records only, and returns where each starts, its length, and where the
+// last whole one ends.
+func oldRecords(f File, size int64) (offs []int64, lens []uint32, end int64, err error) {
+	c := &heapCursor{f: f, size: size, pos: int64(len(storeMagic))}
+	end = c.pos
+	for b := c.bytes(4); b != nil; b = c.bytes(4) {
+		n := binary.BigEndian.Uint32(b)
+		if c.pos += int64(n); c.pos > size {
+			break
+		}
+		offs, lens = append(offs, end), append(lens, n)
+		end = c.pos
+	}
+	return offs, lens, end, c.err
+}
+
+// OldRecords returns how many whole records f, a FIXSTOR1 heap, holds
+// and where the last of them ends: before the end of the file when a
+// record runs past it.
+func OldRecords(f File) (int, int64, error) {
+	size, err := f.Size()
+	if err != nil {
+		return 0, 0, err
+	}
+	offs, _, end, err := oldRecords(f, size)
+	return len(offs), end, err
+}
+
 // ConvertStore makes f, a heap whose first bytes after the magic are
 // records only — all of a FIXSTOR1 heap, or the part before the trailer a
-// conversion a crash interrupted wrote — a heap with trailers. It walks
-// the records up to base (to the last whole record when base is
-// negative), cuts the file there, tombstones deleted, seals every record
-// with one trailer — dict is labels.dict, so it names no label — and
-// syncs, and only then writes the new magic and syncs again: a crash
-// before that leaves a FIXSTOR1 heap, which converts again. The file is
-// mapped only once every write is done, so a failure leaves nothing open
-// but f, which stays the caller's. The store it returns appends after the
-// trailer.
+// conversion a crash interrupted wrote — a heap with trailers. It cuts
+// the file at base, which must end a record, tombstones deleted, seals
+// every record with one trailer — dict is labels.dict, so it names no
+// label — and syncs, and only then writes the new magic and syncs again:
+// a crash before that leaves a FIXSTOR1 heap, which converts again. The
+// file is mapped only once every write is done, so a failure leaves
+// nothing open but f, which stays the caller's. The store it returns
+// appends after the trailer.
 func ConvertStore(f File, dict *xmltree.Dict, base int64, deleted []uint32) (*Store, error) {
 	hdr := make([]byte, len(storeMagic))
 	if _, err := f.ReadAt(hdr, 0); err != nil {
@@ -33,37 +61,23 @@ func ConvertStore(f File, dict *xmltree.Dict, base int64, deleted []uint32) (*St
 	if m := string(hdr); m != oldStoreMagic && m != storeMagic {
 		return nil, fmt.Errorf("storage: bad magic %q", hdr)
 	}
-	fsize, err := f.Size()
+	size, err := f.Size()
 	if err != nil {
 		return nil, err
 	}
-	size := fsize
-	if base >= 0 {
-		size = min(size, base)
+	offs, lens, end, err := oldRecords(f, min(size, base))
+	if err != nil {
+		return nil, err
 	}
-	s := &Store{f: f, own: f, dict: dict, labels: dict.Len()}
-	c := &heapCursor{f: f, size: size, pos: int64(len(storeMagic))}
-	end := c.pos
-	for b := c.bytes(4); b != nil; b = c.bytes(4) {
-		n := binary.BigEndian.Uint32(b)
-		if c.pos += int64(n); c.pos > size {
-			break
-		}
-		s.offs, s.lens = append(s.offs, end), append(s.lens, n)
-		end = c.pos
+	if end != base {
+		return nil, fmt.Errorf("storage: converting data.heap: its records end at %d, not at %d", end, base)
 	}
-	if c.err != nil {
+	c := &heapCursor{f: f, size: end}
+	s := &Store{f: f, own: f, dict: dict, labels: dict.Len(), offs: offs, lens: lens, end: end, sealed: int64(len(storeMagic))}
+	if s.crc = c.sum(s.sealed, end); c.err != nil {
 		return nil, c.err
 	}
-	if base >= 0 && end != base {
-		return nil, fmt.Errorf("storage: converting data.heap: its records end at %d, not at the ingest log's base %d", end, base)
-	}
-	c.bad = false
-	s.sealed, s.end, s.crc = int64(len(storeMagic)), end, c.sum(int64(len(storeMagic)), end)
-	if c.err != nil {
-		return nil, c.err
-	}
-	if end < fsize {
+	if end < size {
 		if err := f.Truncate(end); err != nil {
 			return nil, fmt.Errorf("storage: converting data.heap: %w", err)
 		}
