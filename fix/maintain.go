@@ -413,7 +413,7 @@ func (m *Maintainer) run() {
 		case <-m.ctx.Done():
 			return
 		case reply := <-m.kick:
-			reply <- m.checkpoint() // sendcheck: bounded
+			reply <- m.checkpoint()
 		case <-ticker.C:
 			m.tick(time.Now())
 		}

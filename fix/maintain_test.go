@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -885,4 +886,59 @@ func TestNonQueryReadsDoNotCount(t *testing.T) {
 	if st.SeqReads != 0 || st.RandomReads != 0 || st.CachedReads != 0 || st.BytesRead != 0 || st.SubtreeReads != 0 || st.SubtreeBytes != 0 {
 		t.Errorf("read counters after a build, an ingest and a scrub: %+v, want 0", st)
 	}
+}
+
+// TestAbandonedCheckpointLeavesNoGoroutine: a Checkpoint caller that
+// gives up while the loop checkpoints gets its ctx error, the loop's
+// reply lands in the caller's buffered channel instead of blocking the
+// loop, and closing the ingester and the maintainer leaves no goroutine
+// of theirs behind.
+func TestAbandonedCheckpointLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	db, err := Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ing := db.NewIngester(IngestConfig{})
+	if _, err := ing.Add(context.Background(), "<a/>"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := db.StartMaintainer(context.Background(), MaintainConfig{
+		WALOps: -1, WALBytes: -1, MaxAge: -1, ScrubInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The loop's checkpoint waits for the ingest lock while the caller's
+	// deadline passes.
+	db.ingestMu.Lock()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	err = m.Checkpoint(ctx)
+	cancel()
+	db.ingestMu.Unlock()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Checkpoint = %v, want the caller's deadline", err)
+	}
+	waitFor(t, 10*time.Second, "the loop to finish the abandoned checkpoint", func() bool {
+		return m.Health().Checkpoints == 1
+	})
+
+	closed := make(chan error, 1)
+	go func() {
+		m.Close()
+		closed <- ing.Close()
+	}()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: the maintenance loop is stuck on its reply")
+	}
+	waitFor(t, 10*time.Second, fmt.Sprintf("the goroutine count to fall back to %d", before), func() bool {
+		return runtime.NumGoroutine() <= before
+	})
 }

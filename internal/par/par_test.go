@@ -3,8 +3,10 @@ package par
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestDoRunsEveryIndexOnce(t *testing.T) {
@@ -54,6 +56,43 @@ func TestDoObservesCancellation(t *testing.T) {
 	// pool runs at most a few in-flight calls, not the full range.
 	if n := ran.Load(); n > 100 {
 		t.Fatalf("ran %d items on a cancelled context", n)
+	}
+}
+
+// TestDoCancelledMidRunLeavesNoWorker: a pool whose context is cancelled
+// while items run returns ctx.Err() only after its in-flight calls
+// finish, and leaves none of its workers behind.
+func TestDoCancelledMidRunLeavesNoWorker(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var running atomic.Int32
+	err := Do(ctx, 4, 1000, func(i int) error {
+		running.Add(1)
+		defer running.Add(-1)
+		switch {
+		case i < 3:
+			// Three workers hold an item until the cancel, then take a
+			// moment to wind down.
+			<-ctx.Done()
+			time.Sleep(20 * time.Millisecond)
+		case i == 10:
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("Do returned with %d calls still running", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Do, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,50 +1,27 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Severity levels order findings for output formats and exit policy.
-// Everything fails the build by default; the level picks the GitHub
-// annotation kind and lets -severity=error relax heuristic passes.
-const (
-	SevError   = "error"
-	SevWarning = "warning"
-)
-
-// Finding is one rule violation at a source position. The triple
-// (Analyzer, File, Message) identifies a finding for baseline matching;
-// the line number is display-only so a baseline survives unrelated edits
-// above the flagged line.
+// Finding is one rule violation at a source position.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"`
-	File     string `json:"file"` // module-root-relative, slash-separated
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string // module-root-relative, slash-separated
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the finding in the classic file:line:col form.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-}
-
-// key is the baseline-matching identity of the finding.
-func (f Finding) key() string {
-	return f.Analyzer + "\t" + f.File + "\t" + f.Message
 }
 
 // Pass is everything one analyzer sees for one package.
@@ -59,11 +36,10 @@ type Pass struct {
 	Root    string // module root, for rendering relative paths
 
 	analyzer string
-	severity string
 	findings *[]Finding
 }
 
-// Reportf records a finding at pos with the analyzer's severity.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	file := position.Filename
@@ -72,7 +48,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	}
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.analyzer,
-		Severity: p.severity,
 		File:     filepath.ToSlash(file),
 		Line:     position.Line,
 		Col:      position.Column,
@@ -96,8 +71,7 @@ func (p *Pass) inLibrary() bool {
 
 // ModulePass is what a module-level analyzer sees: every loaded package
 // at once, for rules that need a cross-package view (lockorder's call
-// graph). Module passes run single-threaded after the per-package
-// phase.
+// graph). Module passes run after the per-package phase.
 type ModulePass struct {
 	Fset    *token.FileSet
 	Pkgs    []*Pass // one per package, sharing the module-wide finding sink
@@ -105,23 +79,13 @@ type ModulePass struct {
 	Root    string
 }
 
-// Analyzer is one named rule set. Run analyzes one package at a time
-// (and must be safe to call concurrently for different packages);
+// Analyzer is one named rule set. Run analyzes one package at a time;
 // RunModule, when set instead, sees the whole module at once.
 type Analyzer struct {
 	Name      string
 	Doc       string
-	Severity  string // SevError (default) or SevWarning
 	Run       func(*Pass)
 	RunModule func(*ModulePass)
-}
-
-// severity returns the analyzer's effective severity.
-func (a *Analyzer) severityLevel() string {
-	if a.Severity == "" {
-		return SevError
-	}
-	return a.Severity
 }
 
 // analyzers is the full suite, in the order findings are attributed.
@@ -131,47 +95,10 @@ var analyzers = []*Analyzer{
 	lockorderAnalyzer,
 	paircheckAnalyzer,
 	atomiccheckAnalyzer,
-	sendcheckAnalyzer,
 	ctxcheckAnalyzer,
 	obscheckAnalyzer,
 	depcheckAnalyzer,
 	doccheckAnalyzer,
-}
-
-// passTimes accumulates per-analyzer wall time (nanoseconds) across the
-// parallel package fan-out, for the -v report.
-type passTimes struct {
-	names []string
-	nanos map[string]*atomic.Int64
-}
-
-func newPassTimes(selected []*Analyzer) *passTimes {
-	pt := &passTimes{nanos: map[string]*atomic.Int64{}}
-	for _, a := range selected {
-		pt.names = append(pt.names, a.Name)
-		pt.nanos[a.Name] = &atomic.Int64{}
-	}
-	return pt
-}
-
-func (pt *passTimes) add(name string, d time.Duration) {
-	pt.nanos[name].Add(int64(d))
-}
-
-// report prints one line per analyzer, slowest first.
-func (pt *passTimes) report(w *os.File) {
-	type row struct {
-		name string
-		d    time.Duration
-	}
-	rows := make([]row, 0, len(pt.names))
-	for _, n := range pt.names {
-		rows = append(rows, row{n, time.Duration(pt.nanos[n].Load())})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].d > rows[j].d })
-	for _, r := range rows {
-		fmt.Fprintf(w, "fixvet: pass %-12s %8.1fms\n", r.name, float64(r.d)/1e6)
-	}
 }
 
 // newPass builds a per-package Pass for one analyzer writing into sink.
@@ -186,76 +113,32 @@ func newPass(l *Loader, pkg *Package, a *Analyzer, sink *[]Finding) *Pass {
 		ModPath:  l.ModPath,
 		Root:     l.Root,
 		analyzer: a.Name,
-		severity: a.severityLevel(),
 		findings: sink,
 	}
 }
 
 // runAnalyzers applies the selected analyzers to every package and
-// returns the merged findings sorted by position. Per-package analyzers
-// fan out over a bounded worker pool (the loader's type-checked
-// packages are immutable by then); findings are collected per package
-// and merged in deterministic order, so the output is identical to a
-// sequential run. Module-level analyzers run once, afterwards, over the
-// whole package set.
-func runAnalyzers(l *Loader, pkgs []*Package, selected []*Analyzer, times *passTimes) []Finding {
-	var perPkg, module []*Analyzer
-	for _, a := range selected {
-		if a.RunModule != nil {
-			module = append(module, a)
-		} else {
-			perPkg = append(perPkg, a)
+// returns the findings sorted by position. Per-package analyzers run
+// package by package; module-level analyzers run once, afterwards, over
+// the whole package set.
+func runAnalyzers(l *Loader, pkgs []*Package, selected []*Analyzer) []Finding {
+	var findings []Finding
+	for _, pkg := range pkgs {
+		for _, a := range selected {
+			if a.Run != nil {
+				a.Run(newPass(l, pkg, a, &findings))
+			}
 		}
 	}
-
-	results := make([][]Finding, len(pkgs))
-	workers := runtime.NumCPU()
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pkgs) {
-					return
-				}
-				var local []Finding
-				for _, a := range perPkg {
-					start := time.Now()
-					a.Run(newPass(l, pkgs[i], a, &local))
-					if times != nil {
-						times.add(a.Name, time.Since(start))
-					}
-				}
-				results[i] = local
-			}
-		}()
-	}
-	wg.Wait()
-
-	var findings []Finding
-	for _, r := range results {
-		findings = append(findings, r...)
-	}
-
-	for _, a := range module {
-		start := time.Now()
+	for _, a := range selected {
+		if a.RunModule == nil {
+			continue
+		}
 		mp := &ModulePass{Fset: l.Fset, ModPath: l.ModPath, Root: l.Root}
 		for _, pkg := range pkgs {
 			mp.Pkgs = append(mp.Pkgs, newPass(l, pkg, a, &findings))
 		}
 		a.RunModule(mp)
-		if times != nil {
-			times.add(a.Name, time.Since(start))
-		}
 	}
 
 	sort.Slice(findings, func(i, j int) bool {
@@ -269,51 +152,10 @@ func runAnalyzers(l *Loader, pkgs []*Package, selected []*Analyzer, times *passT
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.key() < b.key()
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return findings
-}
-
-// loadBaseline reads the allowlist file: one finding key per line in the
-// rendered "analyzer<TAB>file<TAB>message" form, '#' comments and blank
-// lines ignored. A missing file is an empty baseline.
-func loadBaseline(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]bool{}, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	base := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		base[line] = false // value flips to true when matched
-	}
-	return base, sc.Err()
-}
-
-// applyBaseline splits findings into new ones and baselined ones, and
-// returns any stale baseline entries that no longer match a finding.
-func applyBaseline(findings []Finding, base map[string]bool) (fresh []Finding, suppressed int, stale []string) {
-	for _, f := range findings {
-		if _, ok := base[f.key()]; ok {
-			base[f.key()] = true
-			suppressed++
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	for k, matched := range base {
-		if !matched {
-			stale = append(stale, k)
-		}
-	}
-	sort.Strings(stale)
-	return fresh, suppressed, stale
 }

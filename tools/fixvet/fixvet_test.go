@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,7 +115,6 @@ var fixtureCases = []struct {
 	{"lockorder", "lockorder", "internal/fixture"},
 	{"paircheck", "paircheck", "internal/fixture"},
 	{"atomiccheck", "atomiccheck", "internal/fixture"},
-	{"sendcheck", "sendcheck", "internal/fixture"},
 	{"ctxcheck", "ctxcheck", "internal/core"},
 	{"obscheck", "obscheck", "internal/fixture"},
 	{"obscheck_obs", "obscheck", "internal/obs"},
@@ -141,7 +141,7 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			findings := runAnalyzers(l, []*Package{pkg}, []*Analyzer{analyzerByName(t, tc.analyzer)}, nil)
+			findings := runAnalyzers(l, []*Package{pkg}, []*Analyzer{analyzerByName(t, tc.analyzer)})
 			if len(findings) == 0 {
 				t.Fatalf("fixture %s seeds violations but produced no findings", tc.dir)
 			}
@@ -196,9 +196,6 @@ func TestRegistryComplete(t *testing.T) {
 		if !strings.Contains(listing, a.Name) {
 			t.Errorf("analyzer %q missing from -list output", a.Name)
 		}
-		if !strings.Contains(listing, "["+a.severityLevel()+"]") {
-			t.Errorf("analyzer %q severity %q missing from -list output", a.Name, a.severityLevel())
-		}
 		if !covered[a.Name] {
 			t.Errorf("analyzer %q has no golden fixture under testdata/src", a.Name)
 		}
@@ -213,8 +210,9 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestRepoClean asserts the live tree has no findings beyond the
-// committed baseline — the same invariant `make lint` enforces in CI.
+// TestRepoClean asserts the live tree type-checks as the host platform
+// builds it and has no findings — the same invariant `make lint`
+// enforces in CI.
 func TestRepoClean(t *testing.T) {
 	root := repoRoot(t)
 	l, err := NewLoader(root)
@@ -225,40 +223,26 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := runAnalyzers(l, pkgs, analyzers, nil)
-	base, err := loadBaseline(filepath.Join(root, "tools", "fixvet", "baseline.txt"))
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range runAnalyzers(l, pkgs, analyzers) {
+		t.Errorf("finding: %s", f)
 	}
-	fresh, _, stale := applyBaseline(findings, base)
-	for _, f := range fresh {
-		t.Errorf("finding not in baseline: %s", f)
-	}
-	for _, s := range stale {
-		t.Errorf("stale baseline entry (fix no longer needed, delete the line): %s", strings.ReplaceAll(s, "\t", " | "))
-	}
-}
 
-// TestBaselineSuppression checks the baseline identity: keyed by
-// analyzer+file+message so line drift from unrelated edits does not
-// resurrect suppressed findings, while stale entries are surfaced.
-func TestBaselineSuppression(t *testing.T) {
-	findings := []Finding{
-		{Analyzer: "errcmp", File: "a.go", Line: 10, Message: "m1"},
-		{Analyzer: "errcmp", File: "a.go", Line: 99, Message: "m2"},
+	// The record heap has one file per platform family; only the one
+	// `go build` picks may be type-checked, or its declarations clash.
+	for _, pkg := range pkgs {
+		if pkg.Path != l.ModPath+"/internal/storage" {
+			continue
+		}
+		var heapFiles []string
+		for _, f := range pkg.Files {
+			if name := filepath.Base(l.Fset.Position(f.Pos()).Filename); strings.HasPrefix(name, "heap_") {
+				heapFiles = append(heapFiles, name)
+			}
+		}
+		if len(heapFiles) != 1 || (runtime.GOOS == "linux" && heapFiles[0] != "heap_unix.go") {
+			t.Errorf("internal/storage loaded %v on %s, want heap_unix.go or heap_other.go alone", heapFiles, runtime.GOOS)
+		}
+		return
 	}
-	base := map[string]bool{
-		"errcmp\ta.go\tm2":    false, // suppresses regardless of line
-		"errcmp\tgone.go\tmx": false, // stale
-	}
-	fresh, suppressed, stale := applyBaseline(findings, base)
-	if len(fresh) != 1 || fresh[0].Message != "m1" {
-		t.Errorf("fresh = %v, want only m1", fresh)
-	}
-	if suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1", suppressed)
-	}
-	if len(stale) != 1 || !strings.Contains(stale[0], "gone.go") {
-		t.Errorf("stale = %v, want the gone.go entry", stale)
-	}
+	t.Error("internal/storage was not loaded")
 }

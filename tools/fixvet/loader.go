@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -14,10 +16,7 @@ import (
 	"strings"
 )
 
-// Package is one loaded, parsed, and (best-effort) type-checked package.
-// Type errors are collected rather than fatal so that analyzers can run
-// over fixture packages with deliberately unresolvable imports; `go
-// build` remains the authority on compilability.
+// Package is one loaded, parsed, and type-checked package.
 type Package struct {
 	Path  string // import path ("github.com/fix-index/fix/internal/btree")
 	Dir   string // absolute directory
@@ -25,23 +24,25 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// TypeErrors holds every error the type checker reported; analyses
-	// degrade gracefully when type information is partial.
-	TypeErrors []error
 }
 
 // Loader discovers, parses, and type-checks every package of one module
 // using only the standard library: go/parser for syntax, go/types with
 // the toolchain's default importer for the standard library, and its own
 // directory walk for module-internal imports. No x/tools dependency.
+// Files are selected as `go build` selects them for the host platform
+// (file-name suffixes and //go:build lines). A type error does not stop
+// the check, so analyzers can run over fixture packages with
+// deliberately unresolvable imports, but LoadAll fails on one.
 type Loader struct {
 	Root    string // absolute module root
 	ModPath string // module path from go.mod
 	Fset    *token.FileSet
 
-	std     types.Importer
-	pkgs    map[string]*Package // by import path, fully loaded
-	loading map[string]bool     // cycle guard
+	std      types.Importer
+	pkgs     map[string]*Package // by import path, fully loaded
+	loading  map[string]bool     // cycle guard
+	typeErrs []error             // every error the type checker reported
 }
 
 // NewLoader reads go.mod under root and prepares a loader.
@@ -81,7 +82,7 @@ func modulePath(gomod string) (string, error) {
 
 // LoadAll loads every package in the module, skipping testdata, hidden
 // directories, and _test.go files, and returns them sorted by import
-// path.
+// path. It fails when any of them does not type-check.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -128,6 +129,9 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			out = append(out, pkg)
 		}
 	}
+	if len(l.typeErrs) > 0 {
+		return nil, fmt.Errorf("the tree does not type-check:\n%w", errors.Join(l.typeErrs...))
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
@@ -155,7 +159,13 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") && !e.IsDir() {
+		n := e.Name()
+		if !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") || e.IsDir() {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if ok {
 			names = append(names, n)
 		}
 	}
@@ -180,7 +190,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	}
 	conf := types.Config{
 		Importer: (*loaderImporter)(l),
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+		Error:    func(err error) { l.typeErrs = append(l.typeErrs, err) },
 	}
 	l.loading[path] = true
 	tpkg, _ := conf.Check(path, l.Fset, pkg.Files, pkg.Info)
@@ -193,8 +203,8 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 // loaderImporter resolves imports during type checking: module-internal
 // paths load recursively from the module tree, everything else goes to
 // the toolchain importer, and anything unresolvable becomes an empty
-// marker package so checking can continue (the miss is still visible as
-// a collected type error and, for non-stdlib paths, a depcheck finding).
+// marker package so checking can continue (the miss is still a type
+// error and, for non-stdlib paths, a depcheck finding).
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {

@@ -10,8 +10,8 @@
 //     no self-deadlock, leaf mutexes never held across storage/os I/O
 //   - ctxcheck: ctx first and named ctx, context.Background() only in
 //     Foo → FooCtx delegating wrappers, Foo/FooCtx pairs stay thin
-//   - obscheck: nil-guarded *obs.Trace writes, paired phase timers,
-//     centralized unique expvar registration
+//   - obscheck: nil-guarded *obs.Trace writes, centralized unique
+//     expvar registration, process-wide counters only in internal/obs
 //   - depcheck: stdlib-or-module-internal imports only, one-way layering
 //   - doccheck: package and exported docs (covers tools/ too)
 //
@@ -26,154 +26,85 @@
 //   - atomiccheck: atomically-accessed fields are never touched
 //     non-atomically; `// immutable after publish` fields are written
 //     only in builders
-//   - sendcheck: channel operations inside spawned goroutines are
-//     cancellable or provably bounded (goroutine-leak heuristics)
 //
 // Usage (normally via `make lint`):
 //
-//	go run ./tools/fixvet [-root dir] [-run a,b] [-format text|json|github]
-//	                      [-baseline file] [-severity error|warning] [-list] [-v]
+//	go run ./tools/fixvet [-root dir] [-run a,b] [-list]
 //
-// Exits 1 with one finding per line when anything outside the baseline
-// is flagged. The baseline (tools/fixvet/baseline.txt) holds justified,
-// commented allowlist entries in "analyzer<TAB>file<TAB>message" form;
-// stale entries are reported so the file can only shrink.
+// Exits 1 with one finding per line when anything is flagged, and 2
+// when the tree does not load or type-check. Under GitHub Actions
+// (GITHUB_ACTIONS=true) the findings are workflow annotations on stdout
+// instead. A deliberate exception is an annotation at the site that
+// owns the obligation (`paircheck: ignore(X)`), never a suppression
+// list.
 //
 // See docs/STATIC_ANALYSIS.md for each rule's motivating bug and the
 // annotation vocabulary.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
 func main() {
 	var (
-		root     = flag.String("root", ".", "module root to analyze")
-		runList  = flag.String("run", "", "comma-separated analyzer names (default: all)")
-		format   = flag.String("format", "text", "output format: text, json (array on stdout), or github (workflow annotations)")
-		jsonOut  = flag.Bool("json", false, "shorthand for -format=json")
-		baseline = flag.String("baseline", "", "baseline file (default: <root>/tools/fixvet/baseline.txt)")
-		sevGate  = flag.String("severity", SevWarning, "minimum severity that fails the run: 'warning' (default, everything fails) or 'error'")
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		verbose  = flag.Bool("v", false, "report per-pass wall time on stderr")
+		root    = flag.String("root", ".", "module root to analyze")
+		runList = flag.String("run", "", "comma-separated analyzer names (default: all)")
+		list    = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Parse()
-
-	if *jsonOut {
-		*format = "json"
-	}
-	switch *format {
-	case "text", "json", "github":
-	default:
-		fmt.Fprintf(os.Stderr, "fixvet: unknown -format %q (text, json, github)\n", *format)
-		os.Exit(2)
-	}
 
 	if *list {
 		listAnalyzers(os.Stdout)
 		return
 	}
-
 	selected, err := selectAnalyzers(*runList)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixvet:", err)
-		os.Exit(2)
+		die(err)
 	}
-
 	l, err := NewLoader(*root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixvet:", err)
-		os.Exit(2)
+		die(err)
 	}
 	pkgs, err := l.LoadAll()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixvet:", err)
-		os.Exit(2)
+		die(err)
 	}
 
-	times := newPassTimes(selected)
-	findings := runAnalyzers(l, pkgs, selected, times)
-
-	basePath := *baseline
-	if basePath == "" {
-		basePath = filepath.Join(l.Root, "tools", "fixvet", "baseline.txt")
-	}
-	base, err := loadBaseline(basePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fixvet:", err)
-		os.Exit(2)
-	}
-	fresh, suppressed, stale := applyBaseline(findings, base)
-
-	switch *format {
-	case "json":
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if fresh == nil {
-			fresh = []Finding{}
-		}
-		if err := enc.Encode(fresh); err != nil {
-			fmt.Fprintln(os.Stderr, "fixvet:", err)
-			os.Exit(2)
-		}
-	case "github":
-		for _, f := range fresh {
-			kind := "error"
-			if f.Severity == SevWarning {
-				kind = "warning"
-			}
+	findings := runAnalyzers(l, pkgs, selected)
+	github := os.Getenv("GITHUB_ACTIONS") == "true"
+	for _, f := range findings {
+		if github {
 			// https://docs.github.com/actions/reference/workflow-commands :
 			// property values need %, CR and LF percent-escaped.
-			fmt.Printf("::%s file=%s,line=%d,col=%d,title=fixvet %s::%s\n",
-				kind, f.File, f.Line, f.Col, f.Analyzer, githubEscape(f.Message))
-		}
-	default:
-		for _, f := range fresh {
+			fmt.Printf("::error file=%s,line=%d,col=%d,title=fixvet %s::%s\n",
+				f.File, f.Line, f.Col, f.Analyzer, githubEscape(f.Message))
+		} else {
 			fmt.Fprintln(os.Stderr, f)
 		}
 	}
-	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "fixvet: stale baseline entry (fixed? remove it): %s\n", strings.ReplaceAll(s, "\t", " | "))
-	}
-	if *verbose {
-		times.report(os.Stderr)
-	}
-
-	failing := 0
-	for _, f := range fresh {
-		if *sevGate == SevError && f.Severity != SevError {
-			continue
-		}
-		failing++
-	}
-	if failing > 0 {
-		fmt.Fprintf(os.Stderr, "fixvet: %d finding(s)\n", len(fresh))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "fixvet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-	if *format == "text" {
-		msg := fmt.Sprintf("fixvet: %d packages clean (%d analyzers)", len(pkgs), len(selected))
-		if suppressed > 0 {
-			msg += fmt.Sprintf(", %d baselined finding(s)", suppressed)
-		}
-		if len(fresh) > 0 {
-			msg += fmt.Sprintf(", %d sub-threshold warning(s)", len(fresh))
-		}
-		fmt.Println(msg)
-	}
+	fmt.Printf("fixvet: %d packages clean (%d analyzers)\n", len(pkgs), len(selected))
+}
+
+// die reports an error that stops the run before any analysis.
+func die(err error) {
+	fmt.Fprintln(os.Stderr, "fixvet:", err)
+	os.Exit(2)
 }
 
 // listAnalyzers writes the -list table: one line per registered pass
-// with its severity and doc string.
+// with its doc string.
 func listAnalyzers(w io.Writer) {
 	for _, a := range analyzers {
-		fmt.Fprintf(w, "%-12s [%s] %s\n", a.Name, a.severityLevel(), a.Doc)
+		fmt.Fprintf(w, "%-12s %s\n", a.Name, a.Doc)
 	}
 }
 

@@ -7,90 +7,29 @@ import (
 	"strings"
 )
 
-// obscheckAnalyzer guards the observability layer's two contracts: a nil
-// *obs.Trace disables collection (so every write through a Trace pointer
-// must sit behind a nil check), and phase timers are strictly paired (a
-// fooStart := time.Now() that is never fed to time.Since leaves a phase
-// silently unmeasured). It also keeps expvar registration centralized in
-// internal/obs with unique literal names, because expvar names are
-// process-global and collide with a runtime panic.
+// obscheckAnalyzer guards the observability layer's contract that a nil
+// *obs.Trace disables collection, so every write through a Trace pointer
+// must sit behind a nil check. It also keeps expvar registration
+// centralized in internal/obs with unique literal names, because expvar
+// names are process-global and collide with a runtime panic, and keeps
+// process-wide counters in the obs registry. Phase timers are
+// paircheck's.
 var obscheckAnalyzer = &Analyzer{
 	Name: "obscheck",
-	Doc: "writes through *obs.Trace need a nil guard; *Start timers must " +
-		"be observed with time.Since; expvar registration only in " +
-		"internal/obs, with unique literal names; package-level atomic " +
-		"counters only in internal/obs",
+	Doc: "writes through *obs.Trace need a nil guard; expvar " +
+		"registration only in internal/obs, with unique literal names; " +
+		"package-level atomic counters only in internal/obs",
 	Run: runObscheck,
 }
 
 func runObscheck(pass *Pass) {
 	for _, f := range pass.Files {
 		funcsIn(f, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
-			checkTimerPairs(pass, fd)
 			checkTraceWrites(pass, fd)
 		})
 	}
 	checkExpvarRegistration(pass)
 	checkCounterVars(pass)
-}
-
-// checkTimerPairs flags `x := time.Now()` locals following the phase-
-// timer naming convention (xxxStart / start) that are never observed
-// through time.Since(x) or t.Sub(x) in the same declaration.
-func checkTimerPairs(pass *Pass, fd *ast.FuncDecl) {
-	type timer struct {
-		id   *ast.Ident
-		used bool
-	}
-	var timers []*timer
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || !strings.HasSuffix(strings.ToLower(id.Name), "start") {
-			return true
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !isPkgCall(pass.Info, call, "time", "Now") {
-			return true
-		}
-		timers = append(timers, &timer{id: id})
-		return true
-	})
-	if len(timers) == 0 {
-		return
-	}
-	consumed := func(arg ast.Expr) {
-		id, ok := arg.(*ast.Ident)
-		if !ok {
-			return
-		}
-		for _, t := range timers {
-			if t.id.Name == id.Name {
-				t.used = true
-			}
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		if isPkgCall(pass.Info, call, "time", "Since") {
-			consumed(call.Args[0])
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sub" {
-			consumed(call.Args[0])
-		}
-		return true
-	})
-	for _, t := range timers {
-		if !t.used {
-			pass.Reportf(t.id.Pos(), "phase timer %s is started but never observed with time.Since; the phase goes unmeasured", t.id.Name)
-		}
-	}
 }
 
 // checkTraceWrites requires every write through a *obs.Trace-typed

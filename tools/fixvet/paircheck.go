@@ -30,9 +30,9 @@ import (
 //     WithDeadline, and the release func returned by Acquire* APIs, must
 //     be called (the classic lostcancel bug)
 //   - phase timers: t := time.Now() observed via time.Since(t)/x.Sub(t)
-//     on some paths must be observed on all of them (obscheck keeps the
-//     flat never-observed rule; error returns and panic paths are exempt
-//     for timers only)
+//     on some paths must be observed on all of them (error returns and
+//     panic paths are exempt for timers only); one named as a phase
+//     timer (start, xxxStart) must be observed on some path
 //
 // A release inside `defer` (directly or in a deferred closure) satisfies
 // every path. Handing the resource off — returning it, storing it in a
@@ -48,7 +48,7 @@ import (
 //     functions.
 //   - `// paircheck: ignore(X)` — stop tracking resources matching X in
 //     this function; bare `paircheck: ignore` skips the whole function.
-//     Every use needs a justifying comment, like baseline entries.
+//     Every use needs a justifying comment.
 var paircheckAnalyzer = &Analyzer{
 	Name: "paircheck",
 	Doc: "acquire/release pairs (Lock/Unlock, Pin/Unpin, View/Close, " +
@@ -89,9 +89,10 @@ type pairResource struct {
 	pos     token.Pos
 	errVar  string // handle acquired alongside an error result: error path exempt
 
-	releases int
-	deferred bool
-	escaped  bool
+	releases        int
+	deferred        bool
+	escaped         bool
+	closureObserved bool // timer: a time.Since/Sub of it inside a closure
 }
 
 // pairEvent is an acquire or release at a point in a block.
@@ -711,13 +712,30 @@ func (st *pairState) scanEscapes(body *ast.BlockStmt) {
 		if len(rs) == 0 {
 			return true
 		}
-		if st.identEscapes(id, parents) {
-			for _, r := range rs {
-				r.escaped = true
+		escapes := st.identEscapes(id, parents)
+		for _, r := range rs {
+			r.escaped = r.escaped || escapes
+			if r.kind == pairTimer && !r.closureObserved {
+				r.closureObserved = st.observedInClosure(id, parents)
 			}
 		}
 		return true
 	})
+}
+
+// observedInClosure reports whether a use of a timer is a time.Since or
+// x.Sub argument inside a function literal.
+func (st *pairState) observedInClosure(id *ast.Ident, parents parentMap) bool {
+	call, ok := parents[id].(*ast.CallExpr)
+	if !ok || st.releaseTarget(call) == nil {
+		return false
+	}
+	for n := parents[call]; n != nil; n = parents[n] {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // identEscapes classifies one use of a tracked identifier.
@@ -765,13 +783,19 @@ func (st *pairState) identEscapes(id *ast.Ident, parents parentMap) bool {
 func (st *pairState) report() {
 	var tracked []*pairResource
 	for _, r := range st.list {
+		if r.kind == pairTimer && r.releases == 0 {
+			// Handing a timer on observes nothing, so escapes do not
+			// excuse a phase timer that no path observes.
+			if !r.deferred && !r.closureObserved && strings.HasSuffix(strings.ToLower(r.key), "start") {
+				st.pass.Reportf(r.pos, "phase timer %s in %s is started but never observed with time.Since; the phase goes unmeasured",
+					r.key, st.name)
+			}
+			continue
+		}
 		if r.deferred || r.escaped {
 			continue
 		}
 		if r.releases == 0 {
-			if r.kind == pairTimer {
-				continue // obscheck owns the flat never-observed rule
-			}
 			st.pass.Reportf(r.pos, "%s %s in %s is never released (no %s on any path)",
 				r.kind, r.desc, st.name, r.relVerb)
 			continue

@@ -27,9 +27,7 @@ func localAtomicOK() int64 {
 	return inFlight.Load() + h.next.Load()
 }
 
-func unpaired(tr *obs.Trace) {
-	probeStart := time.Now() // want `phase timer probeStart is started but never observed`
-	_ = probeStart
+func unguarded(tr *obs.Trace) {
 	tr.Count = 1 // want `write through \*obs\.Trace tr without a nil guard`
 	if tr != nil {
 		tr.Matched++ // ok: guarded by the enclosing if
@@ -46,13 +44,6 @@ func guarded(tr *obs.Trace, n int) time.Duration {
 		tr.Scanned += n // ok: && conjunct guard
 	}
 	return tr.Phase[obs.PhaseProbe]
-}
-
-func subConsumes() time.Duration {
-	fetchStart := time.Now()
-	refineStart := time.Now()
-	_ = time.Since(refineStart)
-	return refineStart.Sub(fetchStart) // ok: Sub observes the timer
 }
 
 func register() {

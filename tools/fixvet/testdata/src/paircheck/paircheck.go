@@ -1,7 +1,7 @@
 // Package fixture seeds every paircheck rule: unpaired mutexes on early
 // returns and panics, pins and handles forgotten on some path, lost
-// context cancel funcs, half-observed phase timers, and annotation
-// obligations with no matching call.
+// context cancel funcs, phase timers observed on some paths or on none,
+// and annotation obligations with no matching call.
 package fixture
 
 import (
@@ -192,6 +192,44 @@ func TimerPartial(ok bool) time.Duration {
 		return 0
 	}
 	return time.Since(start)
+}
+
+// TimerNeverObserved starts a phase timer and observes it on no path,
+// so the phase goes unmeasured.
+func TimerNeverObserved() {
+	probeStart := time.Now() // want `phase timer probeStart in TimerNeverObserved is started but never observed`
+	_ = probeStart
+}
+
+// TimerSubObserves observes both timers, one through Sub.
+func TimerSubObserves() time.Duration {
+	fetchStart := time.Now()
+	refineStart := time.Now()
+	_ = time.Since(refineStart)
+	return refineStart.Sub(fetchStart)
+}
+
+// TimerHandedOn passes its phase timer on instead of observing it:
+// handing a time on measures nothing.
+func TimerHandedOn() {
+	parseStart := time.Now() // want `phase timer parseStart in TimerHandedOn is started but never observed`
+	keep(parseStart)
+}
+
+func keep(time.Time) {}
+
+// TimerInClosure observes its timer inside a closure, which counts.
+func TimerInClosure() time.Duration {
+	start := time.Now()
+	elapsed := func() time.Duration { return time.Since(start) }
+	return elapsed()
+}
+
+// NotATimer keeps a time.Now() that is not named as a phase timer
+// (start, xxxStart), so it owes no observation.
+func NotATimer() {
+	deadline := time.Now()
+	_ = deadline
 }
 
 // TimerErrExit drops the timer only on the error return: exempt, the
