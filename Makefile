@@ -53,7 +53,7 @@ bench-build:
 
 # loc prints the size of the product: lines of non-test Go outside the
 # benchmark harness. It is the number every deletion PR quotes
-# (ROADMAP item 2), so it goes into every `make check` and CI log.
+# (ROADMAP item 8), so it goes into every `make check` and CI log.
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 

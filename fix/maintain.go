@@ -328,14 +328,14 @@ type Maintainer struct {
 
 	closeOnce sync.Once
 
-	mu sync.Mutex // lockcheck: leaf
-	h  MaintainerHealth
-	// guarded by mu: scheduling state the loop and Health share.
-	notBefore        time.Time // no automatic checkpoint before this (backoff)
-	nextProbe        time.Time // next half-open probe while suspended
-	nextScrub        time.Time // next scheduled scrub pass
-	rebuildNotBefore time.Time // auto-rebuild backoff
-	rebuildFailures  int
+	mu sync.Mutex       // lockcheck: leaf
+	h  MaintainerHealth // guarded by mu
+	// The scheduling state the loop and Health share.
+	notBefore        time.Time // guarded by mu (no automatic checkpoint before this: backoff)
+	nextProbe        time.Time // guarded by mu (next half-open probe while suspended)
+	nextScrub        time.Time // guarded by mu (next scheduled scrub pass)
+	rebuildNotBefore time.Time // guarded by mu (auto-rebuild backoff)
+	rebuildFailures  int       // guarded by mu
 }
 
 // StartMaintainer starts the background maintenance loop over db. It is

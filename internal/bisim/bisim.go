@@ -12,9 +12,10 @@
 package bisim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"io"
-	"sort"
+	"slices"
 
 	"github.com/fix-index/fix/internal/matrix"
 	"github.com/fix-index/fix/internal/xmltree"
@@ -35,26 +36,12 @@ type EventStream interface {
 	Next() (Event, error)
 }
 
-// Features caches the σ — the largest eigenvalue magnitude — and the edge
-// pair sketch of the depth-limited subpattern rooted at a vertex. Oversize marks subpatterns
-// whose unfolding exceeded the edge budget; they are indexed under σ =
-// +Inf so they are always candidates (paper §6.1).
-type Features struct {
-	Set      bool
-	Oversize bool
-	Sigma    float64
-	// Sketch caches the index layer's sketch of the subpattern's edge
-	// label pairs.
-	Sketch uint32
-}
-
 // Vertex is one equivalence class of the bisimulation graph.
 type Vertex struct {
 	ID       int32
 	Label    uint32
 	Children []*Vertex // sorted by ID; a set, no duplicates
 	Depth    int32     // height of the unfolding: leaf = 1
-	Feats    Features  // managed by the index layer
 }
 
 // Graph is a bisimulation graph. Vertices are in creation (bottom-up)
@@ -90,13 +77,17 @@ type OnElement func(v *Vertex, ptr uint64)
 type builder struct {
 	bySig    map[string]*Vertex
 	vertices []*Vertex
+	// kids holds the children of the open elements, closed so far: an
+	// element's after its parent's, so closing one pops its own.
+	kids []*Vertex
+	key  []byte // the signature being interned
 }
 
 type sigFrame struct {
-	label    uint32
-	ptr      uint64
-	isValue  bool
-	children map[int32]*Vertex
+	label   uint32
+	ptr     uint64
+	isValue bool
+	kids    int // where the element's children start in builder.kids
 }
 
 // Build constructs the bisimulation graph of the event stream. If onClose
@@ -114,18 +105,14 @@ func Build(s EventStream, onClose OnElement) (*Graph, error) {
 			return nil, err
 		}
 		if ev.Open {
-			stack = append(stack, sigFrame{label: ev.Label, ptr: ev.Ptr, isValue: ev.IsValue})
+			stack = append(stack, sigFrame{label: ev.Label, ptr: ev.Ptr, isValue: ev.IsValue, kids: len(b.kids)})
 			continue
 		}
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		u := b.intern(top.label, top.children)
-		if len(stack) > 0 {
-			parent := &stack[len(stack)-1]
-			if parent.children == nil {
-				parent.children = make(map[int32]*Vertex, 4)
-			}
-			parent.children[u.ID] = u
+		u := b.intern(top.label, b.kids[top.kids:])
+		if b.kids = b.kids[:top.kids]; len(stack) > 0 {
+			b.kids = append(b.kids, u)
 		} else {
 			root = u
 		}
@@ -136,40 +123,28 @@ func Build(s EventStream, onClose OnElement) (*Graph, error) {
 	return &Graph{Root: root, Vertices: b.vertices}, nil
 }
 
-// intern finds or creates the vertex with the given signature.
-func (b *builder) intern(label uint32, children map[int32]*Vertex) *Vertex {
-	ids := make([]int32, 0, len(children))
-	for id := range children {
-		ids = append(ids, id)
+// intern finds or creates the vertex with the given label and children,
+// which it sorts by ID and rids of repeats in place.
+func (b *builder) intern(label uint32, kids []*Vertex) *Vertex {
+	slices.SortFunc(kids, func(x, y *Vertex) int { return cmp.Compare(x.ID, y.ID) })
+	kids = slices.Compact(kids)
+	b.key = binary.AppendUvarint(b.key[:0], uint64(label))
+	for _, c := range kids {
+		b.key = binary.AppendUvarint(b.key, uint64(c.ID))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	key := sigKey(label, ids)
-	if v, ok := b.bySig[key]; ok {
+	if v, ok := b.bySig[string(b.key)]; ok {
 		return v
 	}
 	v := &Vertex{ID: int32(len(b.vertices)), Label: label, Depth: 1}
-	if len(ids) > 0 {
-		v.Children = make([]*Vertex, len(ids))
-		for i, id := range ids {
-			c := children[id]
-			v.Children[i] = c
-			if c.Depth+1 > v.Depth {
-				v.Depth = c.Depth + 1
-			}
+	if len(kids) > 0 {
+		v.Children = slices.Clone(kids)
+		for _, c := range kids {
+			v.Depth = max(v.Depth, c.Depth+1)
 		}
 	}
 	b.vertices = append(b.vertices, v)
-	b.bySig[key] = v
+	b.bySig[string(b.key)] = v
 	return v
-}
-
-func sigKey(label uint32, ids []int32) string {
-	buf := make([]byte, 0, 8+len(ids)*5)
-	buf = binary.AppendUvarint(buf, uint64(label))
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, uint64(id))
-	}
-	return string(buf)
 }
 
 // MatrixGraph converts g into the compact form used for the skew-symmetric

@@ -45,6 +45,9 @@ type Tree struct {
 	root   uint32   // guarded by mu
 	height uint32   // guarded by mu
 	count  uint64   // guarded by mu
+	// lastBufs are the key buffers of EditLast's walk: the walk's own, and
+	// the key of the entry in range it read last.
+	lastBufs [2][]byte // guarded by mu
 	// viewHits counts the page accesses of every View frozen from the
 	// tree. Views are read without any lock, so it is atomic, and the
 	// views share it, so the tree's Stats stay cumulative across them.
@@ -257,6 +260,12 @@ func (t *Tree) Put(key, val []byte) error {
 	if err != nil {
 		return err
 	}
+	return t.put(leaf, at, key, val)
+}
+
+// put writes the entry of key and val into leaf, on which locate found at,
+// as Put describes.
+func (t *Tree) put(leaf cells, at slot, key, val []byte) error {
 	// A leaf without the room is split below, so the copy is not wasted.
 	leaf.buf = t.own(leaf.id)
 	if at.found && leaf.overwriteAt(at, key, val) {
@@ -466,12 +475,41 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	return true, nil
 }
 
-// Last returns a copy of the greatest entry with from <= key < to; a nil to
-// is open. ok is false when the range holds no entry.
-func (t *Tree) Last(from, to []byte) (key, val []byte, ok bool, err error) {
+// EditLast hands edit the greatest entry with from <= key < to — a nil to
+// is open — and reports whether the range holds one; edit is not called
+// when it does not. It is one descent, as Put's: to the leaf that holds the
+// entry, where edit reads the key and the value as they lie, valid only
+// for the length of the call and not to be modified. A value edit returns
+// replaces the entry's, written as Put(key, value) writes it; a nil one
+// leaves the tree as it is, and so does an error, which EditLast returns.
+// The tree lock is held throughout, so edit must not call back into the
+// Tree.
+func (t *Tree) EditLast(from, to []byte, edit func(key, val []byte) ([]byte, error)) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return last(t, t.root, 1, t.height, from, to)
+	id, key, ok, err := last(t, t.root, 1, t.height, from, to, &t.lastBufs)
+	if err != nil || !ok {
+		return false, err
+	}
+	leaf, err := t.cells(id)
+	if err != nil {
+		return true, err
+	}
+	at, err := leaf.locate(key)
+	if err != nil {
+		return true, err
+	}
+	if !at.found {
+		return true, fmt.Errorf("%w: page %d lost the key %x a walk of it just read", ErrCorrupt, id, key)
+	}
+	val, err := edit(key, leaf.valueAt(at))
+	if err != nil || val == nil {
+		return true, err
+	}
+	if err := t.checkEntry(key, val); err != nil {
+		return true, err
+	}
+	return true, t.put(leaf, at, key, val)
 }
 
 // Scan calls fn for every entry with from <= key < to in key order. A nil

@@ -574,9 +574,13 @@ func (m *modelTree) check(what string) {
 		sameEntries(m.t, desc+": View.Scan", collect(view.Scan, from, to, limit), want)
 		sameEntries(m.t, desc+": Tree.Scan", collect(m.tr.Scan, from, to, limit), want)
 		if limit == 0 {
-			k, v, ok, err := m.tr.Last(from, to)
+			var k, v []byte
+			ok, err := m.tr.EditLast(from, to, func(key, val []byte) ([]byte, error) {
+				k, v = append([]byte(nil), key...), append([]byte(nil), val...)
+				return nil, nil
+			})
 			if err != nil || ok != (len(want) > 0) || ok && (!bytes.Equal(k, want[len(want)-1].k) || !bytes.Equal(v, want[len(want)-1].v)) {
-				m.t.Fatalf("%s: Tree.Last = %q, %x, %v, %v; the last of %d entries in range", desc, k, v, ok, err, len(want))
+				m.t.Fatalf("%s: Tree.EditLast hands out %q, %x, %v, %v; the last of %d entries in range", desc, k, v, ok, err, len(want))
 			}
 		}
 
@@ -775,7 +779,9 @@ func referenceLeafEdit(t *testing.T, prev []byte, id, rightID uint32, key, val [
 
 // edit runs one Put (val != nil) or Delete (val == nil) on the tree and
 // the model and requires the leaf it touched — and the sibling a split
-// gave it — to be byte-equal to the reference's pages.
+// gave it — to be byte-equal to the reference's pages. An overwrite with a
+// value of even length goes through EditLast over the range that holds key
+// alone, which must write what Put writes.
 func (m *modelTree) edit(key, val []byte) {
 	m.t.Helper()
 	c, err := findLeaf(m.tr, m.tr.root, m.tr.height, key)
@@ -792,6 +798,18 @@ func (m *modelTree) edit(key, val []byte) {
 			m.t.Fatalf("%s = %v, %v; model has it: %v", what, ok, err, had)
 		}
 		delete(m.model, string(key))
+	} else if had && len(val)%2 == 0 {
+		what = fmt.Sprintf("EditLast over [%q, %q\\x00) to %d bytes", key, key, len(val))
+		ok, err := m.tr.EditLast(key, append(append([]byte(nil), key...), 0), func(k, v []byte) ([]byte, error) {
+			if !bytes.Equal(k, key) || !bytes.Equal(v, m.model[string(key)]) {
+				m.t.Fatalf("%s: handed %q, %x; the entry is %x", what, k, v, m.model[string(key)])
+			}
+			return val, nil
+		})
+		if err != nil || !ok {
+			m.t.Fatalf("%s = %v, %v", what, ok, err)
+		}
+		m.model[string(key)] = val
 	} else {
 		if err := m.tr.Put(key, val); err != nil {
 			m.t.Fatalf("%s: %v", what, err)

@@ -377,6 +377,13 @@ func (c *cells) removeAt(at slot) {
 	clear(buf[pos:at.end])
 }
 
+// valueAt returns, in place, the value of the cell locate found at at.
+func (c *cells) valueAt(at slot) []byte {
+	h, body := readLeafHead(c.buf, at.off) // passed locate's tests
+	v := body + h.unshared
+	return c.buf[v : v+h.vlen : v+h.vlen]
+}
+
 // setCount records that an edit in place left the page with n cells.
 func (c *cells) setCount(n int) { binary.BigEndian.PutUint16(c.buf[1:3], uint16(n)) }
 
@@ -456,44 +463,45 @@ func get(src pageSource, root, height uint32, key []byte) ([]byte, bool, error) 
 	return append([]byte(nil), c.val()...), true, nil
 }
 
-// last returns a copy of the greatest entry with from <= key < to in the
-// subtree under page id, on level level of height. In a leaf that is the
-// last cell in range, which a seek to from and a walk up to to find. In an
-// internal page it is the descent to the greatest key below to: the child
-// right of the last separator below to, and — leaves may have lost every
-// cell to deletes — when that subtree holds nothing in range, the children
-// left of it in turn, until one does or the separator left of a child is at
-// most from.
-func last(src pageSource, id, level, height uint32, from, to []byte) (key, val []byte, ok bool, err error) {
+// last finds the greatest entry with from <= key < to in the subtree under
+// page id, on level level of height, and returns the leaf that holds it and
+// its key, rebuilt in bufs[1]; ok is false when the range holds none. bufs[0]
+// is the buffer the leaf walk rebuilds keys in; both keep their capacity for
+// the next call. In a leaf the entry is the last cell in range, which a seek
+// to from and a walk up to to find. In an internal page it is the descent to
+// the greatest key below to: the child right of the last separator below
+// to, and — leaves may have lost every cell to deletes — when that subtree
+// holds nothing in range, the children left of it in turn, until one does
+// or the separator left of a child is at most from.
+func last(src pageSource, id, level, height uint32, from, to []byte, bufs *[2][]byte) (leaf uint32, key []byte, ok bool, err error) {
 	c, err := src.cells(id)
 	if err != nil {
-		return nil, nil, false, err
+		return 0, nil, false, err
 	}
 	if c.leaf {
+		c.key = bufs[0][:0]
 		if len(from) > 0 {
 			at, err := c.seek(from)
 			if err != nil {
-				return nil, nil, false, err
+				return 0, nil, false, err
 			}
 			c.key = append(c.key, from[:at.pred]...)
 		}
 		for c.more() {
-			k, v, _, err := c.cell()
+			k, _, _, err := c.cell()
 			if err != nil {
-				return nil, nil, false, err
+				return 0, nil, false, err
 			}
 			if to != nil && bytes.Compare(k, to) >= 0 {
 				break
 			}
-			key, val, ok = append(key[:0], k...), v, true
+			bufs[1], ok = append(bufs[1][:0], k...), true
 		}
-		if ok {
-			val = append([]byte(nil), val...)
-		}
-		return key, val, ok, nil
+		bufs[0] = c.key
+		return id, bufs[1], ok, nil
 	}
 	if level >= height {
-		return nil, nil, false, fmt.Errorf("%w: page %d on level %d of a tree of height %d is not a leaf", ErrCorrupt, id, level, height)
+		return 0, nil, false, fmt.Errorf("%w: page %d on level %d of a tree of height %d is not a leaf", ErrCorrupt, id, level, height)
 	}
 	// Child j is the leftmost child or the one right of separator j-1, and
 	// holds the keys from that separator on.
@@ -501,7 +509,7 @@ func last(src pageSource, id, level, height uint32, from, to []byte) (key, val [
 	for c.more() {
 		k, _, right, err := c.cell()
 		if err != nil {
-			return nil, nil, false, err
+			return 0, nil, false, err
 		}
 		if to != nil && bytes.Compare(k, to) >= 0 {
 			break
@@ -509,18 +517,18 @@ func last(src pageSource, id, level, height uint32, from, to []byte) (key, val [
 		j, child, sep = j+1, right, k
 	}
 	for {
-		if key, val, ok, err = last(src, child, level+1, height, from, to); ok || err != nil {
-			return key, val, ok, err
+		if leaf, key, ok, err = last(src, child, level+1, height, from, to, bufs); ok || err != nil {
+			return leaf, key, ok, err
 		}
 		if j == 0 || bytes.Compare(sep, from) <= 0 {
-			return nil, nil, false, nil
+			return 0, nil, false, nil
 		}
 		j--
 		w := page
 		child, sep = w.next, nil
 		for range j {
 			if sep, _, child, err = w.cell(); err != nil {
-				return nil, nil, false, err
+				return 0, nil, false, err
 			}
 		}
 	}

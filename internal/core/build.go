@@ -359,47 +359,70 @@ func (ix *Index) buildUnitGraph(rec uint32, vh bisim.ValueHash, timers *phaseTim
 
 // buildUnitFeatures computes the unit's index entries: features — σ and
 // the pair sketch — for the whole document, or one per element under a
-// depth limit. All edge pairs were assigned at the merge
-// point, so the encoder is only read here.
+// depth limit, each taken from the index's shape table when its shape is
+// there and computed and put there when not. All edge pairs were assigned
+// at the merge point, so the encoder is only read here.
 func (ix *Index) buildUnitFeatures(u *buildUnit, timers *phaseTimers) error {
 	eigenStart := time.Now()
 	defer func() { timers.eigen.Add(int64(time.Since(eigenStart))) }()
-	g := u.graph
-	if ix.opts.DepthLimit == 0 {
+	g, limit := u.graph, ix.opts.DepthLimit
+	if limit == 0 {
 		// The whole document is one indexable unit.
-		var f Features
-		if ix.opts.EdgeBudget > 0 && g.NumEdges() > ix.opts.EdgeBudget {
-			f = oversizeFeatures()
-		} else {
-			var ok bool
-			var err error
-			f, ok, err = graphFeatures(g, ix.enc, false)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("core: internal: record %d uses an edge pair missing after pre-assignment", u.rec)
-			}
-			for _, p := range u.pairs {
-				f.Sketch |= pairSketch(ix.enc, p.Parent, p.Child)
-			}
+		id, gen, ok := ix.shapes.graphID(g)
+		f, err := ix.shapes.features(gen, id<<1, ok, func() (Features, error) { return ix.documentFeatures(u) })
+		if err != nil {
+			return err
 		}
-		base := storage.MakePointer(u.rec, 0)
-		u.entries = []pendingEntry{{label: g.Root.Label, f: f, ptr: base}}
+		u.entries = []pendingEntry{{label: g.Root.Label, f: f, ptr: storage.MakePointer(u.rec, 0)}}
 		return nil
 	}
 	// Enumerate one depth-limited subpattern per element (Theorem 4: with
 	// a positive depth limit the number of entries equals the number of
 	// elements).
+	ids, gen, ok := ix.shapes.cutIDs(g, limit)
+	// The units of one vertex are alike, so each vertex is looked up or
+	// computed once: what keeps a record whose cuts the table cannot hold —
+	// one large document — from computing a vertex per element.
+	type slot struct {
+		f   Features
+		set bool
+	}
+	memo := make([]slot, len(g.Vertices)) // by vertex ID
 	u.entries = make([]pendingEntry, 0, len(u.elems))
 	for _, e := range u.elems {
-		f, err := subpatternFeatures(e.v, ix.opts.DepthLimit, ix.opts.EdgeBudget, ix.enc, false)
-		if err != nil {
-			return err
+		m := &memo[e.v.ID]
+		if !m.set {
+			f, err := ix.shapes.features(gen, unitKey(ids, e.v, limit), ok, func() (Features, error) {
+				return subpatternFeatures(e.v, limit, ix.opts.EdgeBudget, ix.enc)
+			})
+			if err != nil {
+				return err
+			}
+			*m = slot{f, true}
 		}
-		u.entries = append(u.entries, pendingEntry{label: e.v.Label, f: f, ptr: storage.Pointer(e.ptr)})
+		u.entries = append(u.entries, pendingEntry{label: e.v.Label, f: m.f, ptr: storage.Pointer(e.ptr)})
 	}
 	return nil
+}
+
+// documentFeatures computes the features of the unit of a whole-document
+// index: its record's graph.
+func (ix *Index) documentFeatures(u *buildUnit) (Features, error) {
+	g := u.graph
+	if ix.opts.EdgeBudget > 0 && g.NumEdges() > ix.opts.EdgeBudget {
+		return oversizeFeatures(), nil
+	}
+	f, ok, err := graphFeatures(g, ix.enc, false)
+	if err != nil {
+		return Features{}, err
+	}
+	if !ok {
+		return Features{}, fmt.Errorf("core: internal: record %d uses an edge pair missing after pre-assignment", u.rec)
+	}
+	for _, p := range u.pairs {
+		f.Sketch |= pairSketch(ix.enc, p.Parent, p.Child)
+	}
+	return f, nil
 }
 
 // graphPairs lists the distinct (parent label, child label) pairs of g in

@@ -107,40 +107,28 @@ func graphFeatures(g *bisim.Graph, enc *matrix.EdgeEncoder, assign bool) (Featur
 	return Features{Sigma: sigma}, true, nil
 }
 
-// subpatternFeatures returns the (memoized) features — σ and the pair
-// sketch — of the depth-limited subpattern rooted at vertex v, falling
-// back to the artificial range when the unfolding exceeds the edge
-// budget. With assign=true unseen edge pairs are added to the encoder
-// (the sequential incremental-insert path); the parallel build passes
-// assign=false because every pair of the record's graph was assigned at
-// the pipeline's merge point, keeping the encoder read-only across
-// workers — a missing pair then is an internal invariant violation, not a
-// data property.
-func subpatternFeatures(v *bisim.Vertex, depthLimit, budget int, enc *matrix.EdgeEncoder, assign bool) (Features, error) {
-	if v.Feats.Set {
-		if v.Feats.Oversize {
-			return oversizeFeatures(), nil
-		}
-		return Features{Sigma: v.Feats.Sigma, Sketch: v.Feats.Sketch}, nil
-	}
+// subpatternFeatures computes the features — σ and the pair sketch — of
+// the depth-limited subpattern rooted at vertex v, falling back to the
+// artificial range when the unfolding exceeds the edge budget. Every pair of
+// the record's graph was assigned at the pipeline's merge point, and the
+// encoder is read-only across workers: a missing pair is an internal
+// invariant violation, not a data property.
+func subpatternFeatures(v *bisim.Vertex, depthLimit, budget int, enc *matrix.EdgeEncoder) (Features, error) {
 	g, ok, err := bisim.Subpattern(v, depthLimit, budget)
 	if err != nil {
 		return Features{}, err
 	}
-	var f Features
 	if !ok {
-		f = oversizeFeatures()
-	} else {
-		f, ok, err = graphFeatures(g, enc, assign)
-		if err != nil {
-			return Features{}, err
-		}
-		if !ok {
-			return Features{}, fmt.Errorf("core: internal: subpattern uses an edge pair missing after pre-assignment")
-		}
-		f.Sketch = graphSketch(g, enc)
+		return oversizeFeatures(), nil
 	}
-	v.Feats = bisim.Features{Set: true, Oversize: f.Oversize, Sigma: f.Sigma, Sketch: f.Sketch}
+	f, ok, err := graphFeatures(g, enc, false)
+	if err != nil {
+		return Features{}, err
+	}
+	if !ok {
+		return Features{}, fmt.Errorf("core: internal: subpattern uses an edge pair missing after pre-assignment")
+	}
+	f.Sketch = graphSketch(g, enc)
 	return f, nil
 }
 

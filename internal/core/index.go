@@ -127,6 +127,9 @@ type Index struct {
 	// them, and the latest one larger than that; nil until the first
 	// append, and only the writer touches it.
 	units *unitReader
+	// shapes holds the features of the shapes the index has extracted
+	// (shapes.go); empty when the index is built or opened.
+	shapes shapeTable
 
 	// healthMu serializes health transitions because concurrent queries
 	// may detect corruption simultaneously. It is a leaf lock: never

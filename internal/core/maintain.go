@@ -87,14 +87,15 @@ func (ix *Index) InsertDocumentsCtx(ctx context.Context, recs []uint32) error {
 
 // addPostings files entries into the B-tree run by run. Records are
 // appended, so a run's new pointers lie above every pointer it holds: they
-// go onto the end of its last chunk, one Put, or, once that is full, into
-// new chunks after it — the chunks a bulk build of the same postings packs.
-// A pointer that does not, a record indexed already, is an error. A posting
+// go onto the end of its last chunk, edited where it lies (Tree.EditLast,
+// the run's one descent), or, once that is full, into new chunks after it,
+// one Put each — the chunks a bulk build of the same postings packs. A
+// pointer that does not, a record indexed already, is an error. A posting
 // that joins a chunk is compared with the chunk's last unit only as deep as
 // the chunk's units agree, which it lowers to where they differ, so the
 // agreement is the bulk build's too; the comparisons read ix.units, and
 // every 64 of them poll ctx.
-func (ix *Index) addPostings(ctx context.Context, entries []pendingEntry) (err error) {
+func (ix *Index) addPostings(ctx context.Context, entries []pendingEntry) error {
 	slices.SortFunc(entries, func(a, b pendingEntry) int {
 		return cmp.Or(cmp.Compare(a.label, b.label), cmp.Compare(encodeFloat(a.f.Sigma), encodeFloat(b.f.Sigma)), cmp.Compare(a.ptr, b.ptr))
 	})
@@ -103,6 +104,28 @@ func (ix *Index) addPostings(ctx context.Context, entries []pendingEntry) (err e
 	var c chunk
 	var val []byte
 	compared := 0
+	// fill adds the postings of run to c until one does not fit and returns
+	// how many it added: at least one when c is empty.
+	fill := func(run []pendingEntry) (int, error) {
+		for i, e := range run {
+			last := c.last
+			if !c.fits(e.ptr, e.f.Sketch, limit) {
+				return i, nil
+			}
+			if c.n > 1 && c.alike > 0 {
+				if compared++; compared%64 == 0 {
+					if err := ctx.Err(); err != nil {
+						return i, err
+					}
+				}
+				var err error
+				if c.alike, err = ix.units.agree(last, e.ptr, c.alike); err != nil {
+					return i, err
+				}
+			}
+		}
+		return len(run), nil
+	}
 	for lo := 0; lo < len(entries); {
 		label, sigma := entries[lo].label, encodeFloat(entries[lo].f.Sigma)
 		hi := lo + 1
@@ -112,48 +135,35 @@ func (ix *Index) addPostings(ctx context.Context, entries []pendingEntry) (err e
 		run := entries[lo:hi]
 		lo = hi
 		from, to := runBounds(label, sigma)
-		k, v, found, err := ix.bt.Last(from, to)
+		took := 0 // the postings of run the run's last chunk took
+		_, err := ix.bt.EditLast(from, to, func(k, v []byte) ([]byte, error) {
+			if !c.load(keyPointer(k), v) {
+				return nil, errBadValue(k, v)
+			}
+			if run[0].ptr <= c.last {
+				return nil, fmt.Errorf("core: entry at %v is not above %v, which its run holds: the record was indexed already", run[0].ptr, c.last)
+			}
+			var err error
+			if took, err = fill(run); err != nil || took == 0 {
+				return nil, err
+			}
+			val = c.appendTo(val[:0])
+			return val, nil
+		})
 		if err != nil {
 			return err
 		}
-		c.reset()
-		loaded := 0 // postings of the chunk Put last, which the run holds already
-		if found {
-			if !c.load(keyPointer(k), v) {
-				return errBadValue(k, v)
-			}
-			if run[0].ptr <= c.last {
-				return fmt.Errorf("core: entry at %v is not above %v, which its run holds: the record was indexed already", run[0].ptr, c.last)
-			}
-			loaded = c.n
-		}
-		for _, e := range run {
-			if last := c.last; c.fits(e.ptr, e.f.Sketch, limit) {
-				if c.n > 1 && c.alike > 0 {
-					if compared++; compared%64 == 0 {
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-					}
-					if c.alike, err = ix.units.agree(last, e.ptr, c.alike); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			if c.n > loaded {
-				putKey(key, label, sigma, c.first)
-				if err := ix.bt.Put(key, c.appendTo(val[:0])); err != nil {
-					return err
-				}
-			}
+		for rest := run[took:]; len(rest) > 0; {
 			c.reset()
-			c.add(e.ptr, e.f.Sketch)
-			loaded = 0
-		}
-		putKey(key, label, sigma, c.first)
-		if err := ix.bt.Put(key, c.appendTo(val[:0])); err != nil {
-			return err
+			n, err := fill(rest)
+			if err != nil {
+				return err
+			}
+			rest = rest[n:]
+			putKey(key, label, sigma, c.first)
+			if err := ix.bt.Put(key, c.appendTo(val[:0])); err != nil {
+				return err
+			}
 		}
 		ix.entries.Add(int64(len(run)))
 	}

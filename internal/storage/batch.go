@@ -292,10 +292,7 @@ func (s *Store) scan(size int64) error {
 	s.labels = s.dict.Len()
 	s.opened = dels[:good.dels]
 	for _, d := range s.opened {
-		if s.deleted == nil {
-			s.deleted = make(map[uint32]bool)
-		}
-		s.deleted[d.rec] = true
+		s.deleted.set(d.rec)
 	}
 	return nil
 }

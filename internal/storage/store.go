@@ -117,7 +117,8 @@ type Store struct {
 	// append-only, so deletion is a tombstone: the bytes stay on disk
 	// but every scan and refinement path skips the record. The next
 	// trailer records it; OpenStore restores the set from the trailers.
-	deleted map[uint32]bool
+	// TombSnapshot copies its bitmap.
+	deleted tombstones
 	// tombSnap is the snapshot TombSnapshot last built; everything that
 	// sets or clears a tombstone resets it to nil.
 	tombSnap *TombSet
@@ -248,11 +249,18 @@ func (s *Store) ResetStats() {
 // AppendTree encodes and appends a document tree, returning its record
 // number.
 func (s *Store) AppendTree(n *xmltree.Node) (uint32, error) {
-	return s.AppendBytes(xmltree.EncodeBinary(n, s.dict))
+	return s.appendRecord(xmltree.AppendBinary(make([]byte, 4, 64), n, s.dict))
 }
 
 // AppendBytes appends a pre-encoded record to the open batch.
 func (s *Store) AppendBytes(b []byte) (uint32, error) {
+	return s.appendRecord(append(make([]byte, 4, 4+len(b)), b...))
+}
+
+// appendRecord appends the record rec[4:] to the open batch, its length
+// prefix in the four bytes before it, with one write.
+func (s *Store) appendRecord(rec []byte) (uint32, error) {
+	b := rec[4:]
 	if len(b) > maxRecordBytes {
 		return 0, fmt.Errorf("storage: append: a record of %d bytes, the most is %d", len(b), maxRecordBytes)
 	}
@@ -261,22 +269,18 @@ func (s *Store) AppendBytes(b []byte) (uint32, error) {
 	if s.torn > 0 {
 		return 0, fmt.Errorf("storage: append: %d bytes past the last good trailer at %d", s.torn, s.end)
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(b)))
-	if _, err := s.f.WriteAt(lenBuf[:], s.end); err != nil {
+	binary.BigEndian.PutUint32(rec, uint32(len(b)))
+	if _, err := s.f.WriteAt(rec, s.end); err != nil {
 		return 0, fmt.Errorf("storage: append: %w", err)
 	}
-	if _, err := s.f.WriteAt(b, s.end+4); err != nil {
-		return 0, fmt.Errorf("storage: append: %w", err)
-	}
-	s.crc = crc32.Update(crc32.Update(s.crc, castagnoli, lenBuf[:]), castagnoli, b)
-	rec := uint32(len(s.offs))
+	s.crc = crc32.Update(s.crc, castagnoli, rec)
+	n := uint32(len(s.offs))
 	s.offs = append(s.offs, s.end)
 	s.lens = append(s.lens, uint32(len(b)))
-	s.end += 4 + int64(len(b))
+	s.end += int64(len(rec))
 	s.stats.RecordsWritten++
-	s.stats.BytesWritten += int64(len(b)) + 4
-	return rec, nil
+	s.stats.BytesWritten += int64(len(rec))
+	return n, nil
 }
 
 // ReadRecord reads record rec into buf's storage, grown as needed, and
@@ -383,13 +387,9 @@ func (s *Store) MarkDeleted(rec uint32) (bool, error) {
 	if int(rec) >= len(s.offs) {
 		return false, fmt.Errorf("storage: record %d out of range (have %d)", rec, len(s.offs))
 	}
-	if s.deleted[rec] {
+	if !s.deleted.set(rec) {
 		return false, nil
 	}
-	if s.deleted == nil {
-		s.deleted = make(map[uint32]bool)
-	}
-	s.deleted[rec] = true
 	s.pending = append(s.pending, rec)
 	s.tombSnap = nil
 	return true, nil
@@ -401,8 +401,7 @@ func (s *Store) MarkDeleted(rec uint32) (bool, error) {
 func (s *Store) UnmarkDeleted(rec uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.deleted[rec] {
-		delete(s.deleted, rec)
+	if s.deleted.unset(rec) {
 		s.tombSnap = nil
 	}
 }
@@ -411,14 +410,14 @@ func (s *Store) UnmarkDeleted(rec uint32) {
 func (s *Store) IsDeleted(rec uint32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.deleted[rec]
+	return s.deleted.has(rec)
 }
 
 // NumDeleted returns the number of tombstoned records.
 func (s *Store) NumDeleted() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.deleted)
+	return s.deleted.n
 }
 
 // Mark is the tail of a store that Rollback restores.
@@ -459,11 +458,8 @@ func (s *Store) Rollback(m Mark) error {
 	s.end, s.sealed, s.crc, s.labels = m.end, m.sealed, m.crc, m.labels
 	s.rolls++
 	s.pending = append(s.pending[:0], m.pending...)
-	for r := range s.deleted {
-		if int(r) >= m.records {
-			delete(s.deleted, r)
-			s.tombSnap = nil
-		}
+	if s.deleted.cut(m.records) {
+		s.tombSnap = nil
 	}
 	s.hasCache = false
 	s.cacheBuf = nil

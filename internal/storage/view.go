@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"github.com/fix-index/fix/internal/xmltree"
@@ -322,23 +324,67 @@ type TombSet struct {
 }
 
 // TombSnapshot returns the current tombstone set as an immutable
-// snapshot. It is the previous call's snapshot for as long as no
+// snapshot: a copy of the store's bitmap, whatever the number of
+// tombstones in it. It is the previous call's snapshot for as long as no
 // tombstone has been set or cleared since, so publishing a generation
 // costs nothing here unless a delete came in between.
 func (s *Store) TombSnapshot() *TombSet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tombSnap == nil {
-		var bits []uint64
-		if len(s.deleted) > 0 {
-			bits = make([]uint64, (len(s.offs)+63)/64)
-			for r := range s.deleted {
-				bits[r/64] |= 1 << (r % 64)
-			}
-		}
-		s.tombSnap = &TombSet{bits: bits, n: len(s.deleted)}
+		s.tombSnap = &TombSet{bits: slices.Clone(s.deleted.bits), n: s.deleted.n}
 	}
 	return s.tombSnap
+}
+
+// tombstones is the store's own tombstone set, which it changes in place: a
+// bitmap over record numbers and the number of bits set.
+type tombstones struct {
+	bits []uint64
+	n    int
+}
+
+func (t *tombstones) has(rec uint32) bool {
+	return int(rec/64) < len(t.bits) && t.bits[rec/64]&(1<<(rec%64)) != 0
+}
+
+// set tombstones rec and reports whether it was live.
+func (t *tombstones) set(rec uint32) bool {
+	if t.has(rec) {
+		return false
+	}
+	for int(rec/64) >= len(t.bits) {
+		t.bits = append(t.bits, 0)
+	}
+	t.bits[rec/64] |= 1 << (rec % 64)
+	t.n++
+	return true
+}
+
+// unset clears the tombstone of rec and reports whether it had one.
+func (t *tombstones) unset(rec uint32) bool {
+	if !t.has(rec) {
+		return false
+	}
+	t.bits[rec/64] &^= 1 << (rec % 64)
+	t.n--
+	return true
+}
+
+// cut clears the tombstones of the records numbered records and above and
+// reports whether there were any.
+func (t *tombstones) cut(records int) bool {
+	before, w := t.n, (records+63)/64
+	for _, b := range t.bits[min(w, len(t.bits)):] {
+		t.n -= bits.OnesCount64(b)
+	}
+	t.bits = t.bits[:min(w, len(t.bits))]
+	if r := records % 64; r != 0 && w <= len(t.bits) {
+		keep := uint64(1)<<r - 1
+		t.n -= bits.OnesCount64(t.bits[w-1] &^ keep)
+		t.bits[w-1] &= keep
+	}
+	return t.n != before
 }
 
 // Has reports whether the record carried a tombstone at snapshot time.

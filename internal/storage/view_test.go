@@ -231,6 +231,66 @@ func TestTombSnapshotMatchesModel(t *testing.T) {
 	}
 }
 
+// TestTombSnapshotCostIsPerRecordNotPerTombstone: a snapshot copies the
+// store's bitmap, so over two stores of 20 000 records, one with 10
+// tombstones and one with 10 000, each ending at the last record, a
+// snapshot after a delete allocates as often and copies as many words.
+// Rollback and UnmarkDeleted then revive records as before.
+func TestTombSnapshotCostIsPerRecordNotPerTombstone(t *testing.T) {
+	const records = 20000
+	snapshot := func(tombs int) (allocs float64, words int, st *Store) {
+		st, err := NewStore(NewMemFile(), xmltree.NewDict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < records; i++ {
+			if _, err := st.AppendBytes([]byte{0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for rec := records - tombs; rec < records; rec++ {
+			if _, err := st.MarkDeleted(uint32(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			st.UnmarkDeleted(0)
+			if _, err := st.MarkDeleted(0); err != nil {
+				t.Fatal(err)
+			}
+			if ts := st.TombSnapshot(); ts.Len() != tombs+1 {
+				t.Fatalf("snapshot holds %d tombstones, want %d", ts.Len(), tombs+1)
+			}
+		})
+		return allocs, len(st.TombSnapshot().bits), st
+	}
+	fewAllocs, fewWords, _ := snapshot(10)
+	manyAllocs, manyWords, st := snapshot(10000)
+	if fewAllocs != manyAllocs || fewWords != manyWords {
+		t.Fatalf("a snapshot after 10 tombstones: %v allocs, %d words; after 10 000: %v allocs, %d words", fewAllocs, fewWords, manyAllocs, manyWords)
+	}
+
+	m := st.Mark()
+	rec, err := st.AppendBytes([]byte{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []uint32{rec, records - 1} {
+		if _, err := st.MarkDeleted(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Rollback(m); err != nil {
+		t.Fatal(err)
+	}
+	st.UnmarkDeleted(records - 1)
+	ts := st.TombSnapshot()
+	if ts.Has(rec) || ts.Has(records-1) || !ts.Has(records-2) || ts.Len() != 10000 || st.NumDeleted() != 10000 {
+		t.Fatalf("after rollback and UnmarkDeleted: Has(%d) %v, Has(%d) %v, Has(%d) %v, Len %d, NumDeleted %d; want false, false, true, 10000, 10000",
+			rec, ts.Has(rec), records-1, ts.Has(records-1), records-2, ts.Has(records-2), ts.Len(), st.NumDeleted())
+	}
+}
+
 // TestGuardFaultPassesOtherPanics: GuardFault turns only a memory fault
 // into an error; any other panic keeps unwinding, to the caller's own
 // barrier.

@@ -2,6 +2,8 @@ package xmltree
 
 import (
 	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -88,14 +90,39 @@ func TestParseLimitErrorsAreNotSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestParseLimitBytes runs the byte limit over a source that is an
+// io.ByteReader, which the limit reader passes through to the decoder, and
+// over one that is not, which the decoder buffers itself.
 func TestParseLimitBytes(t *testing.T) {
 	doc := "<a>12345</a>"
-	if _, err := ParseWithLimits(strings.NewReader(doc), ParseLimits{MaxBytes: len(doc)}); err != nil {
-		t.Fatalf("input exactly at the byte limit: %v", err)
+	for name, src := range map[string]func() io.Reader{
+		"ByteReader":   func() io.Reader { return strings.NewReader(doc) },
+		"plain Reader": func() io.Reader { return struct{ io.Reader }{strings.NewReader(doc)} },
+	} {
+		if _, err := ParseWithLimits(src(), ParseLimits{MaxBytes: len(doc)}); err != nil {
+			t.Fatalf("%s: input exactly at the byte limit: %v", name, err)
+		}
+		_, err := ParseWithLimits(src(), ParseLimits{MaxBytes: len(doc) - 1})
+		if !errors.Is(err, ErrLimit) {
+			t.Fatalf("%s: input over the byte limit = %v, want ErrLimit", name, err)
+		}
 	}
-	_, err := ParseWithLimits(strings.NewReader(doc), ParseLimits{MaxBytes: len(doc) - 1})
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("input over the byte limit = %v, want ErrLimit", err)
+}
+
+// TestParseAllocatesNoReadBuffer holds the parse of a document from an
+// io.ByteReader under the byte limit to less than the 4 KB bufio.Reader the
+// decoder makes for a source that is not one.
+func TestParseAllocatesNoReadBuffer(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		if _, err := ParseString("<a><b>x</b></a>"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per >= 4096 {
+		t.Fatalf("a parse of a 15-byte document allocates %d bytes, want less than 4096", per)
 	}
 }
 

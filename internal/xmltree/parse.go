@@ -90,6 +90,11 @@ func ParseWithLimits(r io.Reader, lim ParseLimits) (*Node, error) {
 	if lim.MaxBytes > 0 {
 		lr = &byteLimitReader{r: r, left: int64(lim.MaxBytes)}
 		r = lr
+		if br, ok := lr.r.(io.ByteReader); ok {
+			// The decoder reads an io.ByteReader as it is, and wraps
+			// anything else in a bufio.Reader of its own.
+			r = byteLimitByteReader{lr, br}
+		}
 	}
 	dec := xml.NewDecoder(r)
 	var stack []*Node
@@ -219,6 +224,26 @@ func (l *byteLimitReader) Read(p []byte) (int, error) {
 	n, err := l.r.Read(p)
 	l.left -= int64(n)
 	return n, err
+}
+
+// byteLimitByteReader is a byteLimitReader over a source that is an
+// io.ByteReader, which it is too.
+type byteLimitByteReader struct {
+	*byteLimitReader
+	br io.ByteReader
+}
+
+func (l byteLimitByteReader) ReadByte() (byte, error) {
+	b, err := l.br.ReadByte()
+	if err != nil {
+		return 0, err
+	}
+	if l.left <= 0 {
+		l.exceeded = true
+		return 0, fmt.Errorf("%w: document input over byte limit", ErrLimit)
+	}
+	l.left--
+	return b, nil
 }
 
 // ReadDocument buffers all of r, bounded by the effective MaxBytes of

@@ -212,7 +212,8 @@ func TestRegistryComplete(t *testing.T) {
 
 // TestRepoClean asserts the live tree type-checks as the host platform
 // builds it and has no findings — the same invariant `make lint`
-// enforces in CI.
+// enforces in CI — and that no package of bench/, a module of its own, is
+// among those loaded.
 func TestRepoClean(t *testing.T) {
 	root := repoRoot(t)
 	l, err := NewLoader(root)
@@ -225,6 +226,11 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, f := range runAnalyzers(l, pkgs, analyzers) {
 		t.Errorf("finding: %s", f)
+	}
+	for _, pkg := range pkgs {
+		if pkg.Path == l.ModPath+"/bench" || strings.HasPrefix(pkg.Path, l.ModPath+"/bench/") {
+			t.Errorf("loaded %s, a package of the bench module", pkg.Path)
+		}
 	}
 
 	// The record heap has one file per platform family; only the one

@@ -81,8 +81,9 @@ func modulePath(gomod string) (string, error) {
 }
 
 // LoadAll loads every package in the module, skipping testdata, hidden
-// directories, and _test.go files, and returns them sorted by import
-// path. It fails when any of them does not type-check.
+// directories, directories below the root that hold a go.mod (another
+// module, such as bench/), and _test.go files, and returns them sorted by
+// import path. It fails when any of them does not type-check.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -92,7 +93,13 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != l.Root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			if path == l.Root {
+				return nil
+			}
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
