@@ -125,14 +125,15 @@ stress:
 # crash at every heap write, trailer, fsync and rollback truncation of the
 # group commit — once over a window that changes more than 256 pages of a
 # large index — checking that acknowledged operations survive reopen and
-# unacknowledged ones vanish; the same at every write, sync, truncation
-# and file removal of the conversion of a directory written before batch
-# trailers; Open's choice between a crash's torn batch, which it cuts, and
-# damage, which it refuses; the heap's own torn-batch and trailer tests;
+# unacknowledged ones vanish; Open's refusal of a directory written before
+# batch trailers, with every file left as it was; every file a failing
+# Open opened closed, at each write of its catch-up; Open's choice between
+# a crash's torn batch, which it cuts, and damage, which it refuses; the
+# heap's own torn-batch and trailer tests;
 # and the per-file log of a Save's writes and fsyncs: nothing reaches
 # fix.btree between two Saves, nor inside one before the journal's fsync.
 ingest-crash:
-	$(GO) test -run 'TestIngestCrashSweep|TestIngestBatchRollbackTransient|TestConversionCrashSweep|TestUnabsorbedLogConverts|TestTombstonesPastLogBaseDroppedOnOpen|TestOpenDropsTornAppend|TestOpenKeepsCorruptHeap|TestOldHeapTornTail' -v ./fix/
+	$(GO) test -run 'TestIngestCrashSweep|TestIngestBatchRollbackTransient|TestOpenRefusesOldFormat|TestOpenClosesFilesWhenItFails|TestOpenDropsTornAppend|TestOpenKeepsCorruptHeap' -v ./fix/
 	$(GO) test -run 'TestStoreOpenTornRecord|TestStoreOpenCorruptPrefix|TestTrailersRestoreDeletesAndLabels' -v ./internal/storage/
 	$(GO) test -run 'TestCrashDuring|TestCrashPointRecovery|TestStreamedJournal|TestStaleIndexDegrades|TestIngestLog' -v ./internal/core/
 

@@ -490,16 +490,14 @@ func BenchmarkIngestRequest(b *testing.B) {
 	ing := db.NewIngester(fix.IngestConfig{})
 	defer func() { _ = ing.Close() }()
 	// Every request below lands before a checkpoint: the bytes they make
-	// the write path append — to data.heap, and to fix.ingest where there
-	// is one — per byte of XML ingested are its write amplification.
+	// the write path append to data.heap, the log, per byte of XML
+	// ingested are its write amplification.
 	written := func() int64 {
-		var n int64
-		for _, name := range []string{"data.heap", "fix.ingest"} {
-			if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
-				n += fi.Size()
-			}
+		fi, err := os.Stat(filepath.Join(dir, "data.heap"))
+		if err != nil {
+			b.Fatal(err)
 		}
-		return n
+		return fi.Size()
 	}
 	before, xmlBytes := written(), 0
 	next := 0

@@ -29,13 +29,12 @@ func output(t *testing.T, dir string, args ...string) string {
 	return string(out)
 }
 
-// TestVerifyAndRepairOldFormatIndex is what an operator sees of an index
-// written before fix.meta version 8 (fix/testdata/index-written-by-pr20,
-// whose page format FIXBT002 is older still, but fix.meta is read first):
-// verify says which version the index is, which one this version reads, and
-// what to do; repair does it.
-func TestVerifyAndRepairOldFormatIndex(t *testing.T) {
-	const fixture = "../../fix/testdata/index-written-by-pr20"
+// TestVerifyAndRepairDamagedIndex is what an operator sees of an index
+// Open degrades: a copy of fix/testdata/index-written-by-pr42 with a byte
+// of fix.btree's meta page flipped. verify names the damage and the
+// repair; repair rebuilds it.
+func TestVerifyAndRepairDamagedIndex(t *testing.T) {
+	const fixture = "../../fix/testdata/index-written-by-pr42"
 	dir := t.TempDir()
 	files, err := os.ReadDir(fixture)
 	if err != nil {
@@ -46,14 +45,17 @@ func TestVerifyAndRepairOldFormatIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if f.Name() == "fix.btree" {
+			b[100] ^= 0xff
+		}
 		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	out := output(t, dir, "verify")
-	for _, want := range []string{"index degraded", "version 2", "writes 8", "repair"} {
+	for _, want := range []string{"index degraded", "page 0 checksum", "repair"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("verify on the old-format index does not mention %q:\n%s", want, out)
+			t.Errorf("verify on the damaged index does not mention %q:\n%s", want, out)
 		}
 	}
 	if out := output(t, dir, "repair"); !strings.Contains(out, "index rebuilt: 528 entries") {

@@ -276,9 +276,12 @@ func Create(dir string) (*DB, error) {
 // and removing what those batches deleted; Open then checkpoints it. If
 // the index turns out to be corrupt or stale, the database still opens,
 // IndexHealth reports the problem, and queries answer via the scan
-// fallback. A directory written before batch trailers is converted first
-// (convert).
+// fallback. A directory written before batch trailers fails with
+// ErrOldFormat before Open writes anything (checkFormat).
 func Open(dir string) (_ *DB, err error) {
+	if err := checkFormat(dir); err != nil {
+		return nil, err
+	}
 	if err := core.Recover(dir); err != nil {
 		return nil, fmt.Errorf("fix: recovering index journal: %w", err)
 	}
@@ -311,20 +314,11 @@ func Open(dir string) (_ *DB, err error) {
 			_ = f.Close()
 		}
 	}()
-	converted, err := db.convert(f)
-	if err != nil {
+	if db.store, err = storage.OpenStore(f, dict); err != nil {
 		return nil, err
 	}
-	if !converted {
-		if db.store, err = storage.OpenStore(f, dict); err != nil {
-			return nil, err
-		}
-		if err := db.openIndex(); err != nil {
-			return nil, err
-		}
-		if err := db.dropOldFiles(); err != nil {
-			return nil, err
-		}
+	if err := db.openIndex(); err != nil {
+		return nil, err
 	}
 	db.ckptEnd = db.store.Size()
 	// Publish exactly one generation for the recovered state; the
@@ -332,6 +326,38 @@ func Open(dir string) (_ *DB, err error) {
 	// database never transiently exposes two.
 	db.publish()
 	return db, nil
+}
+
+// ErrOldFormat reports a directory written before batch trailers: a
+// data.heap that starts with FIXSTOR1, or a fix.tomb or fix.ingest beside
+// the heap, which a conversion a crash interrupted leaves. This version
+// does not read it; Open fails and leaves every file as it found it.
+var ErrOldFormat = errors.New("fix: the directory was written before batch trailers; " +
+	"open it once with commit 3802ee0 (\"Extract each shape once and edit a run's tail in one descent\"), " +
+	"the last that converts it, then with this version")
+
+// checkFormat returns ErrOldFormat for a directory written before batch
+// trailers. It only reads, so it runs before anything that writes.
+func checkFormat(dir string) error {
+	for _, name := range []string{"fix.tomb", "fix.ingest"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return fmt.Errorf("%w (%s holds a %s)", ErrOldFormat, dir, name)
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+	}
+	f, err := os.Open(filepath.Join(dir, "data.heap"))
+	if os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	defer f.Close()
+	magic := make([]byte, 8)
+	if _, err := io.ReadFull(f, magic); err == nil && string(magic) == "FIXSTOR1" {
+		return fmt.Errorf("%w (%s has a FIXSTOR1 data.heap)", ErrOldFormat, dir)
+	}
+	return nil
 }
 
 // openIndex drops a torn batch from the heap and opens the index, if one
@@ -674,8 +700,7 @@ func (db *DB) VerifyIndex() error {
 
 // RebuildIndex reconstructs the index from the primary store using the
 // options it was built with, replacing the B-tree file. It is the repair
-// path for a corrupt or stale index, and for one built with the retired
-// clustered option, whose leftover fix.clustered heap it deletes.
+// path for a corrupt or stale index.
 func (db *DB) RebuildIndex() error {
 	return db.RebuildIndexCtx(context.Background())
 }

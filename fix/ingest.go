@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -56,15 +55,12 @@ var ErrUnknownDocument = errors.New("fix: unknown document")
 // keep answering exactly via the scan fallback until RebuildIndex.
 var ErrRebuildRequired = core.ErrRebuildRequired
 
-// fileCreate, fileOpen and fileRemove are the seams through which the DB
-// creates and opens its record heap (and, converting a directory of the
-// format before batch trailers, reads its ingest log and removes it and
-// the tombstone sidecar); crash tests swap them for fault-injecting
+// fileCreate and fileOpen are the seams through which the DB creates and
+// opens its record heap; crash tests swap them for fault-injecting
 // variants, mirroring the core index's indexFS seam.
 var (
 	fileCreate = storage.Create
 	fileOpen   = storage.Open
-	fileRemove = os.Remove
 )
 
 // IngestConfig tunes an Ingester. The zero value is ready to use.

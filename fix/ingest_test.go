@@ -17,12 +17,12 @@ import (
 	"github.com/fix-index/fix/internal/storage"
 )
 
-// withFaultFiles routes the DB's own file I/O (the record heap, and the
-// files a conversion reads and removes) through pl, mirroring the core crash tests' faultFS seam, and
-// returns a restore function standing in for the process reboot: after
-// the "crash", recovery runs against the real files.
+// withFaultFiles routes the DB's own file I/O (the record heap) through
+// pl, mirroring the core crash tests' faultFS seam, and returns a restore
+// function standing in for the process reboot: after the "crash",
+// recovery runs against the real files.
 func withFaultFiles(pl *storage.FaultPlan) (restore func()) {
-	origCreate, origOpen, origRemove := fileCreate, fileOpen, fileRemove
+	origCreate, origOpen := fileCreate, fileOpen
 	fileCreate = func(path string) (storage.File, error) {
 		f, err := storage.Create(path)
 		if err != nil {
@@ -37,14 +37,7 @@ func withFaultFiles(pl *storage.FaultPlan) (restore func()) {
 		}
 		return pl.Wrap(f), nil
 	}
-	fileRemove = func(path string) error {
-		// A removal is a write of the plan's: it fails, or not, in turn.
-		if err := pl.Wrap(storage.NewMemFile()).Sync(); err != nil {
-			return err
-		}
-		return os.Remove(path)
-	}
-	return func() { fileCreate, fileOpen, fileRemove = origCreate, origOpen, origRemove }
+	return func() { fileCreate, fileOpen = origCreate, origOpen }
 }
 
 func mustExist(t *testing.T, db *DB, expr string, want bool) {
@@ -967,26 +960,6 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	if idx.Count != want {
 		t.Fatalf("count = %d, want %d", idx.Count, want)
 	}
-}
-
-// TestTombstonesPastLogBaseDroppedOnOpen converts a directory of the
-// format before batch trailers in which a checkpoint crashed after it
-// rewrote the tombstone sidecar and before it reset the ingest log:
-// fix.tomb then carries tombstones for records at or past the log's
-// base, which the conversion cuts from the heap. Open must drop those
-// tombstones (the deletes are still in the log and are replayed) instead
-// of failing.
-func TestTombstonesPastLogBaseDroppedOnOpen(t *testing.T) {
-	dir := copyFixture(t, unabsorbedFixture)
-	// The log is based at 12 records; record 13 is deleted by the log, and
-	// record 1 before it.
-	writeOldTombstones(t, dir, 1, 13)
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open after a checkpoint crashed before the log reset: %v", err)
-	}
-	defer db.Close()
-	checkUnabsorbedFixture(t, dir, db)
 }
 
 // TestIngestReplayHonorsLooseParseLimits: a document admitted under

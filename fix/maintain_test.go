@@ -338,20 +338,14 @@ func TestMaintainerRepairsCorruptIndex(t *testing.T) {
 	}
 }
 
-// TestMaintainerRebuildsOldFormatIndex serves the fixtures of
-// TestIndexWrittenBeforeRunSplitsStillServes,
-// TestIndexWrittenBeforeUvarintValuesStillServes,
-// TestIndexWrittenBeforeOneSigmaKeysStillServes,
-// TestClusteredIndexStillServes, TestIndexWrittenBeforeChunksStillServes,
-// TestIndexWrittenBeforeSketchesStillServes,
-// TestIndexWrittenBeforeAgreementStillServes and
-// TestIndexWrittenBeforeOneSpellingStillServes:
-// the maintainer's first tick finds the index degraded and rebuilds it, with
-// no scrub and no operator.
-func TestMaintainerRebuildsOldFormatIndex(t *testing.T) {
-	for _, fixture := range []string{"index-written-by-pr20", "index-written-by-pr23", "index-written-by-pr25", "clustered-index-written-by-pr26", "index-written-by-pr32", "index-written-by-pr34", "index-written-by-pr35", "index-written-by-pr38", "tails-index-written-by-pr38"} {
-		t.Run(fixture, func(t *testing.T) {
-			dir, db := oldFormatIndex(t, fixture)
+// TestMaintainerRebuildsIndexDegradedAtOpen serves copies of
+// index-written-by-pr42 whose index Open degrades (indexDamage): the
+// maintainer's first tick finds it degraded and rebuilds it, with no
+// scrub and no operator.
+func TestMaintainerRebuildsIndexDegradedAtOpen(t *testing.T) {
+	for name, damage := range indexDamage {
+		t.Run(name, func(t *testing.T) {
+			dir, db := degradedIndex(t, damage)
 			m, err := db.StartMaintainer(context.Background(), MaintainConfig{
 				Interval: 2 * time.Millisecond,
 				WALOps:   -1, WALBytes: -1, MaxAge: -1, ScrubInterval: -1, // isolate the rebuild trigger
@@ -360,11 +354,11 @@ func TestMaintainerRebuildsOldFormatIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, 10*time.Second, "the maintainer to rebuild the old-format index", func() bool {
+			waitFor(t, 10*time.Second, "the maintainer to rebuild the degraded index", func() bool {
 				return m.Health().AutoRebuilds >= 1 && db.IndexHealth() == nil
 			})
 			m.Close()
-			rebuiltIndexSurvives(t, fixture, dir, db)
+			rebuiltIndexSurvives(t, dir, db)
 		})
 	}
 }

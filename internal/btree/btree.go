@@ -86,9 +86,6 @@ func Open(f storage.File) (*Tree, error) {
 		return nil, fmt.Errorf("%w: reading meta: %v", ErrCorrupt, err)
 	}
 	raw := hdr[pageHeaderSize:]
-	if string(raw[:8]) == "FIXBT002" {
-		return nil, fmt.Errorf("%w: the file is in page format FIXBT002, this version reads and writes %s (prefix-compressed leaf cells): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, magic)
-	}
 	if string(raw[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, raw[:8])
 	}

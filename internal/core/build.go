@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -133,9 +131,7 @@ func Build(st *storage.Store, opts Options) (*Index, error) {
 // A cancelled on-disk build leaves the fix.btree it truncated behind,
 // empty; it is harmless — the committed fix.meta still describes the
 // previous index (or none), so a later Open degrades to the scan fallback
-// (or finds no index), and rebuilding fills the file. An on-disk build
-// also deletes the fix.clustered heap an index built with the retired
-// clustered option left beside its B-tree: nothing reads it any more.
+// (or finds no index), and rebuilding fills the file.
 func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, err error) {
 	opts.setDefaults()
 	workers := par.Workers(opts.Workers)
@@ -143,12 +139,6 @@ func BuildCtx(ctx context.Context, st *storage.Store, opts Options) (_ *Index, e
 	btFile, err := indexFile(opts, "fix.btree")
 	if err != nil {
 		return nil, err
-	}
-	if opts.Dir != "" {
-		if err := os.Remove(filepath.Join(opts.Dir, "fix.clustered")); err != nil && !os.IsNotExist(err) {
-			_ = btFile.Close()
-			return nil, err
-		}
 	}
 	ix := &Index{
 		opts:  opts,

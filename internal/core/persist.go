@@ -26,29 +26,14 @@ import (
 // are persisted by it; the index only records the parameters needed to
 // interpret its keys against them.
 
-// metaVersion 2 adds the records field, which ties the committed index to
-// the number of primary-store records it covers. Versions 3 to 6 spell the
-// B-tree anew: version 3 a value as two uvarints a pointer and no flag
-// byte, version 4 a key as (label, σ, sequence number) without λmin,
-// version 5 a run of equal (label, σ) as chunks keyed by their first
-// pointer — and its entries field counts the postings, where earlier
-// versions' seq field numbered the entries ever inserted — and version 6
-// a chunk with its pair sketch after the head and a head bit for "no
-// posting has a tail" (the chunk codec, key.go), version 7 a head that
-// also holds the depth to which the chunk's units agree, and version 8 a
-// chunk with no spectrum tails: a head of the count and the agreement, and
-// one spelling of a posting. Version 8 also drops the spectrumk line and
-// the clustered one, always false since the clustered option went (an
-// index written with it is version 3). Nothing in an entry tells the
-// spellings apart, so the version does. Open reads the fields of any
-// version from minMetaVersion on — so the database layer's recovery still
-// finds the records an index covers — and degrades an index older than
-// metaVersion, which a rebuild writes anew. A format change bumps
-// metaVersion only.
+// metaVersion is the version of fix.meta and of the B-tree spelling it
+// describes: a run of equal (label, σ) as chunks keyed (label, σ, first
+// pointer), a chunk's head the posting count and the depth to which its
+// units agree, then a pair sketch of their edge labels and the pointers
+// delta-coded (key.go). Nothing in an entry tells spellings apart, so the
+// version does; Open reads this version only, and a format change bumps
+// it.
 const metaVersion = 8
-
-// minMetaVersion is the oldest fix.meta Open reads.
-const minMetaVersion = 2
 
 // encodeMeta renders the fix.meta payload.
 func (ix *Index) encodeMeta() []byte {
@@ -124,9 +109,8 @@ func (ix *Index) Save() error {
 //
 // Open first lets Recover resolve any half-finished commit, then
 // validates the metadata. Detectable damage that does not compromise
-// query correctness — a corrupt B-tree, an index written in the spelling
-// of a version before metaVersion, or an index covering more records than
-// the store holds — degrades the index instead of failing: Health reports
+// query correctness — a corrupt or missing B-tree, or an index covering
+// more records than the store holds — degrades the index instead of failing: Health reports
 // the cause and queries fall back to a full scan of the primary store
 // until RebuildIndex runs. An index covering fewer records than the store
 // holds is caught up with the batches sealed after its commit (catchUp).
@@ -136,7 +120,7 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 	}
 	ix := &Index{store: st, dict: st.Dict()}
 	ix.opts.Dir = dir
-	version, alpha, records, err := ix.readMeta()
+	alpha, records, err := ix.readMeta()
 	if err != nil {
 		return nil, err
 	}
@@ -144,12 +128,6 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		return nil, err
 	}
 	ix.vh = valueHasher{alpha: alpha, beta: ix.opts.Beta}
-	if version < metaVersion {
-		// Its entries are in a spelling nothing reads any more. Only the
-		// first health problem is kept, so a directory older still — a
-		// FIXBT002 page format — is reported by its meta version too.
-		ix.setHealth(fmt.Errorf("%w: the index is version %d, this version reads and writes %d (runs of one (label, σ) in chunks of delta-coded pointers, each with a sketch of its units' edge label pairs and the depth to which they agree): rebuild the index — fixindex repair, or the maintainer of a served database does it", ErrCorrupt, version, metaVersion))
-	}
 
 	ef, err := os.Open(filepath.Join(dir, "fix.edges"))
 	if err != nil {
@@ -232,13 +210,13 @@ func (ix *Index) catchUp(records int, dels []uint32) {
 // entry, the deletes it applied.
 func (ix *Index) CaughtUp() int { return ix.caughtUp }
 
-// readMeta reads fix.meta under ix.opts.Dir into ix and returns the fields
-// ix does not hold: the version, from minMetaVersion to metaVersion, the
-// value-hash α and the number of primary-store records the commit covers.
-func (ix *Index) readMeta() (version int, alpha uint32, records int, err error) {
+// readMeta reads fix.meta under ix.opts.Dir, which must be metaVersion,
+// into ix and returns the fields ix does not hold: the value-hash α and
+// the number of primary-store records the commit covers.
+func (ix *Index) readMeta() (alpha uint32, records int, err error) {
 	mf, err := os.Open(filepath.Join(ix.opts.Dir, "fix.meta"))
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	defer mf.Close()
 	r := bufio.NewReader(mf)
@@ -252,67 +230,50 @@ func (ix *Index) readMeta() (version int, alpha uint32, records int, err error) 
 		}
 		return nil
 	}
+	var version int
 	if err := readField("version", &version); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	if version < minMetaVersion || version > metaVersion {
-		return 0, 0, 0, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
+	if version != metaVersion {
+		return 0, 0, fmt.Errorf("core: unsupported index version %d (want %d)", version, metaVersion)
 	}
-	// The count of entries of an index before version 5, whose B-tree
-	// nothing reads, is whatever its seq says. Before version 8 the meta
-	// also spells clustered and spectrumk, which an index of such a
-	// version — degraded by it — need not keep.
 	var entries int64
-	count := "entries"
-	if version < 5 {
-		count = "seq"
-	}
-	var clustered bool
-	var spectrumK int
 	fields := []struct {
-		name  string
-		dst   interface{}
-		until int // when not 0, the version from which the field is gone
+		name string
+		dst  interface{}
 	}{
-		{"depthlimit", &ix.opts.DepthLimit, 0},
-		{"clustered", &clustered, 8},
-		{"values", &ix.opts.Values, 0},
-		{"beta", &ix.opts.Beta, 0},
-		{"edgebudget", &ix.opts.EdgeBudget, 0},
-		{"spectrumk", &spectrumK, 8},
-		{"paperpruning", &ix.opts.PaperPruning, 0},
-		{"norootlabel", &ix.opts.NoRootLabel, 0},
-		{"alpha", &alpha, 0},
-		{count, &entries, 0},
-		{"oversize", &ix.oversize, 0},
-		{"maxdocdepth", &ix.maxDocDepth, 0},
-		{"records", &records, 0},
+		{"depthlimit", &ix.opts.DepthLimit},
+		{"values", &ix.opts.Values},
+		{"beta", &ix.opts.Beta},
+		{"edgebudget", &ix.opts.EdgeBudget},
+		{"paperpruning", &ix.opts.PaperPruning},
+		{"norootlabel", &ix.opts.NoRootLabel},
+		{"alpha", &alpha},
+		{"entries", &entries},
+		{"oversize", &ix.oversize},
+		{"maxdocdepth", &ix.maxDocDepth},
+		{"records", &records},
 	}
 	for _, f := range fields {
-		if f.until != 0 && version >= f.until {
-			continue
-		}
 		if err := readField(f.name, f.dst); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
 	ix.entries.Store(entries)
-	return version, alpha, records, nil
+	return alpha, records, nil
 }
 
 // CommittedRecords returns how many primary-store records the index
-// committed under dir covers, in a fix.meta of any version Open reads.
-// The database layer reads it before it opens the heap's store: a torn
-// batch whose records the index covers is damage, not a crash, and the
-// conversion of a directory written before batch trailers finds an
-// ingest log the index already covers by it.
+// committed under dir covers. The database layer reads it before it opens
+// the heap's store: a torn batch whose records the index covers is
+// damage, not a crash.
 func CommittedRecords(dir string) (int, error) {
 	if err := Recover(dir); err != nil {
 		return 0, err
 	}
 	ix := &Index{}
 	ix.opts.Dir = dir
-	_, _, records, err := ix.readMeta()
+	_, records, err := ix.readMeta()
 	return records, err
 }
 

@@ -148,8 +148,7 @@ func (r *Registry) ObserveIngestQueueFull(ops int) { r.ingestQueueFull.Add(int64
 
 // ObserveIngestReplayed records operations Open brought an index up to its
 // heap with: the documents inserted past its commit and the deletes of the
-// batches sealed since it applied, or the operations of an ingest log a
-// conversion replayed.
+// batches sealed since it applied.
 func (r *Registry) ObserveIngestReplayed(ops int) { r.ingestReplayed.Add(int64(ops)) }
 
 // ObserveCheckpoint records one checkpoint attempt and whether it

@@ -17,9 +17,9 @@ import (
 )
 
 // File is the minimal random-access file interface needed by the storage
-// heap, the B-tree pager, and the ingest write-ahead log. Truncate
-// discards everything past the given size; the ingest log uses it to
-// drop a torn tail on recovery and to roll back a failed batch.
+// heap and the B-tree pager. Truncate discards everything past the given
+// size; the heap uses it to drop a torn tail on recovery and to roll back
+// a failed batch.
 type File interface {
 	io.ReaderAt
 	io.WriterAt
