@@ -130,8 +130,11 @@ stress:
 # Open opened closed, at each write of its catch-up; Open's choice between
 # a crash's torn batch, which it cuts, and damage, which it refuses; the
 # heap's own torn-batch and trailer tests;
-# and the per-file log of a Save's writes and fsyncs: nothing reaches
-# fix.btree between two Saves, nor inside one before the journal's fsync.
+# and the per-file log of a Save's writes, fsyncs, renames and directory
+# syncs: nothing reaches fix.btree between two Saves, nor inside one
+# before the journal's name is synced, and every rename is followed by a
+# sync of its directory. tools/norace fails when an alternative of a -run
+# list below matches no test its package declares.
 ingest-crash:
 	$(GO) test -run 'TestIngestCrashSweep|TestIngestBatchRollbackTransient|TestOpenRefusesOldFormat|TestOpenClosesFilesWhenItFails|TestOpenDropsTornAppend|TestOpenKeepsCorruptHeap' -v ./fix/
 	$(GO) test -run 'TestStoreOpenTornRecord|TestStoreOpenCorruptPrefix|TestTrailersRestoreDeletesAndLabels' -v ./internal/storage/

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -111,15 +112,11 @@ func run(ds datagen.Dataset, cfg datagen.Config, out string, asXML, verify bool)
 	if err := dst.Sync(); err != nil {
 		return err
 	}
-	df, err := os.Create(filepath.Join(out, "labels.dict"))
-	if err != nil {
+	var dict bytes.Buffer
+	if _, err := st.Dict().WriteTo(&dict); err != nil {
 		return err
 	}
-	if _, err := st.Dict().WriteTo(df); err != nil {
-		_ = df.Close()
-		return err
-	}
-	if err := df.Close(); err != nil {
+	if err := storage.WriteAtomic(storage.Disk, filepath.Join(out, "labels.dict"), dict.Bytes()); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %d documents, %d elements, %d labels\n",

@@ -65,6 +65,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,8 +248,14 @@ func Create(dir string) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	f, err := fileCreate(filepath.Join(dir, "data.heap"))
+	f, err := storage.Disk.Create(filepath.Join(dir, "data.heap"))
 	if err != nil {
+		return nil, err
+	}
+	// data.heap's name must survive a power loss before a write to it is
+	// acknowledged: a group commit's fsync covers the file, not its name.
+	if err := storage.Disk.SyncDir(dir); err != nil {
+		_ = f.Close()
 		return nil, err
 	}
 	dict := xmltree.NewDict()
@@ -286,16 +293,14 @@ func Open(dir string) (_ *DB, err error) {
 		return nil, fmt.Errorf("fix: recovering index journal: %w", err)
 	}
 	dict := xmltree.NewDict()
-	if df, err := os.Open(filepath.Join(dir, "labels.dict")); err == nil {
-		dict, err = xmltree.ReadDict(df)
-		_ = df.Close()
-		if err != nil {
+	if buf, err := storage.Disk.ReadFile(filepath.Join(dir, "labels.dict")); err == nil {
+		if dict, err = xmltree.ReadDict(bytes.NewReader(buf)); err != nil {
 			return nil, err
 		}
-	} else if !os.IsNotExist(err) {
+	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	f, err := fileOpen(filepath.Join(dir, "data.heap"))
+	f, err := storage.Disk.Open(filepath.Join(dir, "data.heap"))
 	if err != nil {
 		return nil, err
 	}
@@ -340,21 +345,22 @@ var ErrOldFormat = errors.New("fix: the directory was written before batch trail
 // trailers. It only reads, so it runs before anything that writes.
 func checkFormat(dir string) error {
 	for _, name := range []string{"fix.tomb", "fix.ingest"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+		if f, err := storage.Disk.Open(filepath.Join(dir, name)); err == nil {
+			_ = f.Close()
 			return fmt.Errorf("%w (%s holds a %s)", ErrOldFormat, dir, name)
-		} else if !os.IsNotExist(err) {
+		} else if !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
 	}
-	f, err := os.Open(filepath.Join(dir, "data.heap"))
-	if os.IsNotExist(err) {
+	f, err := storage.Disk.Open(filepath.Join(dir, "data.heap"))
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	} else if err != nil {
 		return err
 	}
 	defer f.Close()
 	magic := make([]byte, 8)
-	if _, err := io.ReadFull(f, magic); err == nil && string(magic) == "FIXSTOR1" {
+	if _, err := f.ReadAt(magic, 0); err == nil && string(magic) == "FIXSTOR1" {
 		return fmt.Errorf("%w (%s has a FIXSTOR1 data.heap)", ErrOldFormat, dir)
 	}
 	return nil
@@ -368,17 +374,14 @@ func checkFormat(dir string) error {
 // and Open then fails with ErrCorrupt and leaves the heap as it found it.
 func (db *DB) openIndex() error {
 	st := db.store
-	_, err := os.Stat(filepath.Join(db.dir, "fix.meta"))
+	committed, err := core.CommittedRecords(db.dir)
 	hasIndex := err == nil
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("fix: opening index: %w", err)
+	}
 	if st.TornTail() > 0 {
-		if hasIndex {
-			committed, err := core.CommittedRecords(db.dir)
-			if err != nil {
-				return fmt.Errorf("fix: opening index: %w", err)
-			}
-			if committed > st.NumRecords() {
-				return fmt.Errorf("%w: heap: the batches whose trailer checks end at record %d, and the index covers %d saved documents", ErrCorrupt, st.NumRecords(), committed)
-			}
+		if hasIndex && committed > st.NumRecords() {
+			return fmt.Errorf("%w: heap: the batches whose trailer checks end at record %d, and the index covers %d saved documents", ErrCorrupt, st.NumRecords(), committed)
 		}
 		if err := st.DropTornTail(); errors.Is(err, storage.ErrSealedTail) {
 			return fmt.Errorf("%w: heap: %w; the batches whose trailer checks hold %d documents", ErrCorrupt, err, st.NumRecords())
@@ -478,32 +481,16 @@ func (db *DB) checkpointed() {
 	db.lastCheckpoint.Store(time.Now().UnixNano())
 }
 
-// saveDict writes labels.dict atomically: temp file, fsync, rename. The
+// saveDict writes labels.dict atomically (storage.WriteAtomic). The
 // dictionary maps every stored record's label IDs, so a torn write here
 // would make the whole database unreadable — the same crash-safety bar
 // as fix.meta applies.
 func (db *DB) saveDict() error {
-	path := filepath.Join(db.dir, "labels.dict")
-	tmp := path + ".tmp"
-	df, err := os.Create(tmp)
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := db.dict.WriteTo(&buf); err != nil {
 		return err
 	}
-	if _, err := db.dict.WriteTo(df); err != nil {
-		_ = df.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := df.Sync(); err != nil {
-		_ = df.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := df.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return storage.WriteAtomic(storage.Disk, filepath.Join(db.dir, "labels.dict"), buf.Bytes())
 }
 
 // Close seals what was appended since the last trailer, syncs the heap

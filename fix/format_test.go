@@ -106,6 +106,7 @@ func TestOpenRefusesOldFormat(t *testing.T) {
 // trackedFile records whether it was closed.
 type trackedFile struct {
 	storage.File
+	name   string
 	closed bool
 }
 
@@ -114,13 +115,15 @@ func (f *trackedFile) Close() error {
 	return f.File.Close()
 }
 
-// TestOpenClosesFilesWhenItFails opens, through the fileOpen seam, copies
-// of index-written-by-pr42 with two batches sealed after its checkpoint
-// and a torn append after them, which Open cuts, catches up and
-// checkpoints: once for each write, sync and truncation of that catch-up
+// TestOpenClosesFilesWhenItFails opens copies of index-written-by-pr42
+// with two batches sealed after its checkpoint and a torn append after
+// them, which Open cuts, catches up and checkpoints: once for each write,
+// sync, truncation, rename, removal and directory sync of that catch-up
 // the plan sees failing there, and once with the last batch's trailer
-// damaged, which is ErrCorrupt. Open fails, and every file it opened is
-// closed.
+// damaged, which is ErrCorrupt. Open fails, and every file it created or
+// opened through the seam — data.heap, fix.btree, the journal and the
+// temp files of the dictionary's and the index metadata's replaces — is
+// closed. The seam's ReadFile holds no file open.
 func TestOpenClosesFilesWhenItFails(t *testing.T) {
 	behind := t.TempDir()
 	copyFiles(t, filepath.Join("testdata", "index-written-by-pr42"), behind)
@@ -151,27 +154,20 @@ func TestOpenClosesFilesWhenItFails(t *testing.T) {
 		return dir
 	}
 
-	// openTracked opens dir under pl and returns the files Open opened,
-	// the writes it made and its error.
+	// openTracked opens dir under pl and returns the files Open created or
+	// opened, the writes it made and its error.
 	openTracked := func(dir string, pl *storage.FaultPlan) ([]*trackedFile, int, error) {
 		var (
 			mu     sync.Mutex
 			opened []*trackedFile
 		)
-		restore := withFaultFiles(pl)
-		wrapped := fileOpen
-		fileOpen = func(path string) (storage.File, error) {
-			f, err := wrapped(path)
-			if err != nil {
-				return nil, err
-			}
+		defer useFS(t, storage.WrapFiles(pl.WrapFS(storage.Disk), func(path string, f storage.File) storage.File {
 			mu.Lock()
 			defer mu.Unlock()
-			tf := &trackedFile{File: f}
+			tf := &trackedFile{File: f, name: filepath.Base(path)}
 			opened = append(opened, tf)
-			return tf, nil
-		}
-		defer restore()
+			return tf
+		}))()
 		db, err := Open(dir)
 		writes := pl.Writes()
 		if err == nil {
@@ -179,6 +175,7 @@ func TestOpenClosesFilesWhenItFails(t *testing.T) {
 		}
 		return opened, writes, err
 	}
+	seen := map[string]bool{} // the files the failing Opens opened, by name
 	check := func(ctx string, opened []*trackedFile, err error) {
 		t.Helper()
 		if err == nil {
@@ -188,8 +185,9 @@ func TestOpenClosesFilesWhenItFails(t *testing.T) {
 			t.Fatalf("%s: Open opened no file through the seam", ctx)
 		}
 		for i, f := range opened {
+			seen[f.name] = true
 			if !f.closed {
-				t.Errorf("%s: file %d of %d Open opened is still open", ctx, i+1, len(opened))
+				t.Errorf("%s: %s, file %d of %d Open opened, is still open", ctx, f.name, i+1, len(opened))
 			}
 		}
 	}
@@ -216,5 +214,10 @@ func TestOpenClosesFilesWhenItFails(t *testing.T) {
 	for n := 1; n <= writes; n++ {
 		opened, _, err := openTracked(copyBehind(), &storage.FaultPlan{FailWrite: n})
 		check(fmt.Sprintf("write %d of %d failing", n, writes), opened, err)
+	}
+	for _, name := range []string{"data.heap", "fix.btree", "fix.journal", "labels.dict.tmp", "fix.meta.tmp", "fix.edges.tmp"} {
+		if !seen[name] {
+			t.Errorf("no failing Open opened %s through the seam", name)
+		}
 	}
 }

@@ -55,14 +55,6 @@ var ErrUnknownDocument = errors.New("fix: unknown document")
 // keep answering exactly via the scan fallback until RebuildIndex.
 var ErrRebuildRequired = core.ErrRebuildRequired
 
-// fileCreate and fileOpen are the seams through which the DB creates and
-// opens its record heap; crash tests swap them for fault-injecting
-// variants, mirroring the core index's indexFS seam.
-var (
-	fileCreate = storage.Create
-	fileOpen   = storage.Open
-)
-
 // IngestConfig tunes an Ingester. The zero value is ready to use.
 type IngestConfig struct {
 	// QueueDepth bounds the ingest queue, counted in submissions (one

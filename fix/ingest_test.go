@@ -17,27 +17,15 @@ import (
 	"github.com/fix-index/fix/internal/storage"
 )
 
-// withFaultFiles routes the DB's own file I/O (the record heap) through
-// pl, mirroring the core crash tests' faultFS seam, and returns a restore
-// function standing in for the process reboot: after the "crash",
-// recovery runs against the real files.
-func withFaultFiles(pl *storage.FaultPlan) (restore func()) {
-	origCreate, origOpen := fileCreate, fileOpen
-	fileCreate = func(path string) (storage.File, error) {
-		f, err := storage.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		return pl.Wrap(f), nil
-	}
-	fileOpen = func(path string) (storage.File, error) {
-		f, err := storage.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		return pl.Wrap(f), nil
-	}
-	return func() { fileCreate, fileOpen = origCreate, origOpen }
+// useFS makes fsys the filesystem seam (storage.Disk) every file of a DB
+// goes through until restore runs — the reboot after a crash, after
+// which recovery sees the real files — or the test ends.
+func useFS(t *testing.T, fsys storage.FS) (restore func()) {
+	real := storage.Disk
+	restore = func() { storage.Disk = real }
+	t.Cleanup(restore)
+	storage.Disk = fsys
+	return restore
 }
 
 func mustExist(t *testing.T, db *DB, expr string, want bool) {
@@ -678,7 +666,7 @@ func sweepIngestCrashes(t *testing.T, setup func(*testing.T, string) *DB, script
 	check func(t *testing.T, db *DB, ackedSteps int, ctx string)) {
 	// Dry run: learn the deterministic write-op count of the window.
 	dry := &storage.FaultPlan{}
-	restore := withFaultFiles(dry)
+	restore := useFS(t, dry.WrapFS(storage.Disk))
 	dir := t.TempDir()
 	db := setup(t, dir)
 	w1 := dry.Writes()
@@ -705,7 +693,7 @@ func sweepIngestCrashes(t *testing.T, setup func(*testing.T, string) *DB, script
 	for n := w1 + 1; n <= w2; n++ {
 		for _, torn := range []bool{false, true} {
 			pl := &storage.FaultPlan{FailWrite: n, Torn: torn}
-			restore := withFaultFiles(pl)
+			restore := useFS(t, pl.WrapFS(storage.Disk))
 			dir := t.TempDir()
 			db := setup(t, dir)
 			acked, err := script(db)
@@ -814,7 +802,7 @@ func checkMixedOutcome(t *testing.T, db *DB, ackedSteps int, ctx string) {
 // keeps accepting ingest afterwards (the disk recovered).
 func TestIngestBatchRollbackTransient(t *testing.T) {
 	dry := &storage.FaultPlan{}
-	restore := withFaultFiles(dry)
+	restore := useFS(t, dry.WrapFS(storage.Disk))
 	dir := t.TempDir()
 	db := setupIngestBase(t, dir)
 	w1 := dry.Writes()
@@ -829,7 +817,7 @@ func TestIngestBatchRollbackTransient(t *testing.T) {
 
 	for n := w1 + 1; n <= w2; n++ {
 		pl := &storage.FaultPlan{FailWrite: n, OneShot: true}
-		restore := withFaultFiles(pl)
+		restore := useFS(t, pl.WrapFS(storage.Disk))
 		dir := t.TempDir()
 		db := setupIngestBase(t, dir)
 		_, err := db.IngestBatchCtx(context.Background(), []string{"<u0/>", "<u1/>"})
@@ -1053,15 +1041,12 @@ func (f stalledFile) Sync() error {
 func newStalledDB(t *testing.T) (*DB, *Ingester, *walStall) {
 	t.Helper()
 	ws := &walStall{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	orig := fileCreate
-	fileCreate = func(path string) (storage.File, error) {
-		f, err := storage.Create(path)
-		if err != nil || filepath.Base(path) != "data.heap" {
-			return f, err
+	useFS(t, storage.WrapFiles(storage.Disk, func(path string, f storage.File) storage.File {
+		if filepath.Base(path) != "data.heap" {
+			return f
 		}
-		return stalledFile{f, ws}, nil
-	}
-	t.Cleanup(func() { fileCreate = orig })
+		return stalledFile{f, ws}
+	}))
 	db, err := Create(filepath.Join(t.TempDir(), "db"))
 	if err != nil {
 		t.Fatal(err)

@@ -134,9 +134,16 @@ func TestCheckpointCrashSweep(t *testing.T) {
 // script on the database setup makes.
 func sweepCheckpointCrashes(t *testing.T, setup func(*testing.T, string) *DB, script func(*DB) (int, error), steps int,
 	check func(t *testing.T, db *DB, ackedSteps int, ctx string)) {
-	// Dry run: learn the deterministic write-op count of the window.
+	// Dry run: learn the deterministic write-op count of the window, and
+	// which of its write-ops write a page of fix.btree.
 	dry := &storage.FaultPlan{}
-	restore := withFaultFiles(dry)
+	pageWrites := map[int]bool{}
+	restore := useFS(t, storage.WrapFiles(dry.WrapFS(storage.Disk), func(path string, f storage.File) storage.File {
+		if filepath.Base(path) != "fix.btree" {
+			return f
+		}
+		return pageLog{f, dry, pageWrites}
+	}))
 	dir := t.TempDir()
 	db := setup(t, dir)
 	if acked, err := script(db); err != nil || acked != steps {
@@ -156,10 +163,15 @@ func sweepCheckpointCrashes(t *testing.T, setup func(*testing.T, string) *DB, sc
 	}
 
 	for n := w1 + 1; n <= w2; n++ {
+		// The page writes of a Flush differ in nothing but the page a
+		// crash tears, and the core crash sweeps fail them: one in 64.
+		if pageWrites[n] && n%64 != 0 {
+			continue
+		}
 		for _, torn := range []bool{false, true} {
 			ctx := fmt.Sprintf("write %d (torn=%t)", n, torn)
 			pl := &storage.FaultPlan{FailWrite: n, Torn: torn}
-			restore := withFaultFiles(pl)
+			restore := useFS(t, pl.WrapFS(storage.Disk))
 			dir := t.TempDir()
 			db := setup(t, dir)
 			if acked, err := script(db); err != nil || acked != steps {
@@ -200,6 +212,19 @@ func sweepCheckpointCrashes(t *testing.T, setup func(*testing.T, string) *DB, sc
 			_ = re2.Close()
 		}
 	}
+}
+
+// pageLog marks, in pages, the number of the plan's write-op each page
+// write of the file it wraps will be.
+type pageLog struct {
+	storage.File
+	plan  *storage.FaultPlan
+	pages map[int]bool
+}
+
+func (f pageLog) WriteAt(p []byte, off int64) (int, error) {
+	f.pages[f.plan.Writes()+1] = true
+	return f.File.WriteAt(p, off)
 }
 
 // scrubCorpus builds a persistent indexed DB big enough that its B-tree

@@ -519,16 +519,22 @@ func TestHeapTruncatedUnderOpenDB(t *testing.T) {
 	}
 }
 
-// TestHeapReadFault injects a fault into one read of the record heap,
-// wrapped the way the crash sweeps wrap it: the query that makes that
-// read returns the injected error, and the next one answers.
+// TestHeapReadFault injects a fault into one read of the record heap: the
+// query that makes that read returns the injected error, and the next one
+// answers.
 func TestHeapReadFault(t *testing.T) {
 	dir, want := buildPersistentDB(t)
-	// Open reads the heap's header twice — the first read tells its
-	// format — and then the whole heap, which is smaller than the scan's
-	// window, in one read; the read after those is the query's.
-	pl := &storage.FaultPlan{FailRead: 4}
-	restore := withFaultFiles(pl)
+	// Open reads the heap's magic (checkFormat), its header twice — the
+	// first read tells its format — and then the whole heap, which is
+	// smaller than the scan's window, in one read; the read after those
+	// is the query's.
+	pl := &storage.FaultPlan{FailRead: 5}
+	restore := useFS(t, storage.WrapFiles(storage.Disk, func(path string, f storage.File) storage.File {
+		if filepath.Base(path) != "data.heap" {
+			return f
+		}
+		return pl.Wrap(f)
+	}))
 	db, err := Open(dir)
 	restore()
 	if err != nil {
@@ -565,16 +571,14 @@ func (f panickyHeap) ReadAt(p []byte, off int64) (int, error) {
 func TestRefinementPanicDegrades(t *testing.T) {
 	dir, want := buildPersistentDB(t)
 	var armed atomic.Bool
-	origOpen := fileOpen
-	fileOpen = func(path string) (storage.File, error) {
-		f, err := storage.Open(path)
-		if err != nil || filepath.Base(path) != "data.heap" {
-			return f, err
+	restore := useFS(t, storage.WrapFiles(storage.Disk, func(path string, f storage.File) storage.File {
+		if filepath.Base(path) != "data.heap" {
+			return f
 		}
-		return panickyHeap{File: f, armed: &armed}, nil
-	}
+		return panickyHeap{File: f, armed: &armed}
+	}))
 	db, err := Open(dir)
-	fileOpen = origOpen
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,5 +593,33 @@ func TestRefinementPanicDegrades(t *testing.T) {
 	armed.Store(false)
 	if got, err := db.Query("//article[author]/title"); err != nil || got.Count != want.Count || !got.ScanFallback {
 		t.Errorf("query after the panic = %+v, %v; want count %d from the scan fallback", got, err, want.Count)
+	}
+}
+
+// dirSyncs records the directories synced through the seam it wraps.
+type dirSyncs struct {
+	storage.FS
+	dirs *[]string
+}
+
+func (s dirSyncs) SyncDir(dir string) error {
+	*s.dirs = append(*s.dirs, dir)
+	return s.FS.SyncDir(dir)
+}
+
+// TestCreateSyncsItsDirectory: data.heap's name is durable before Create
+// returns, so a group commit's fsync, which covers the file alone, never
+// acknowledges a write to a heap a power loss can unlink.
+func TestCreateSyncsItsDirectory(t *testing.T) {
+	var synced []string
+	useFS(t, dirSyncs{storage.Disk, &synced})
+	dir := filepath.Join(t.TempDir(), "db")
+	db, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if len(synced) != 1 || synced[0] != dir {
+		t.Errorf("Create synced the directories %q, want %q", synced, dir)
 	}
 }

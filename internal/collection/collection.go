@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -37,6 +38,7 @@ import (
 	"github.com/fix-index/fix/fix"
 	"github.com/fix-index/fix/internal/obs"
 	"github.com/fix-index/fix/internal/par"
+	"github.com/fix-index/fix/internal/storage"
 )
 
 // ManifestName is the file that marks a directory as a collection and
@@ -221,8 +223,11 @@ func Create(ctx context.Context, dir string, spec Spec, opts Options) (*Collecti
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
+	if f, err := storage.Disk.Open(filepath.Join(dir, ManifestName)); err == nil {
+		_ = f.Close()
 		return nil, fmt.Errorf("collection: %s already holds a collection", dir)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err // unknown: creating shards over a collection would truncate their heaps
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -249,7 +254,11 @@ func Create(ctx context.Context, dir string, spec Spec, opts Options) (*Collecti
 			return nil, err
 		}
 	}
-	if err := writeManifest(dir, spec); err != nil {
+	data, err := json.MarshalIndent(spec, "", "  ")
+	if err == nil {
+		err = storage.WriteAtomic(storage.Disk, filepath.Join(dir, ManifestName), append(data, '\n'))
+	}
+	if err != nil {
 		c.closeShards()
 		return nil, err
 	}
@@ -324,43 +333,13 @@ func ShardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
-// writeManifest writes collection.json atomically (temp + fsync +
-// rename), the same crash-safety bar as every other metadata file.
-func writeManifest(dir string, spec Spec) error {
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, ManifestName)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // ReadManifest reads and validates a collection manifest from dir. A
 // directory without one returns ErrNoManifest (test with errors.Is) so
 // callers can distinguish "not a collection" from a broken manifest.
 func ReadManifest(dir string) (Spec, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	data, err := storage.Disk.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return Spec{}, fmt.Errorf("%w: %s", ErrNoManifest, dir)
 		}
 		return Spec{}, err

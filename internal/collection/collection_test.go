@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -545,5 +546,63 @@ func TestApplyMixedSubmission(t *testing.T) {
 	}
 	if ids, err := c.Apply(ctx, nil); err != nil || ids != nil {
 		t.Fatalf("empty request = %v, %v", ids, err)
+	}
+}
+
+// deniedManifest is a filesystem on which collection.json exists but
+// cannot be opened.
+type deniedManifest struct{ storage.FS }
+
+func (d deniedManifest) Open(path string) (storage.File, error) {
+	if filepath.Base(path) == ManifestName {
+		return nil, &fs.PathError{Op: "open", Path: path, Err: fs.ErrPermission}
+	}
+	return d.FS.Open(path)
+}
+
+// TestCreateRefusesOverACollection: Create over an existing collection
+// fails and leaves every shard's heap as it was, also when the manifest
+// cannot be opened, since creating a shard truncates its heap.
+func TestCreateRefusesOverACollection(t *testing.T) {
+	const nshards = 2
+	dir := filepath.Join(t.TempDir(), "cr")
+	ctx := context.Background()
+	c, err := Create(ctx, dir, Spec{Name: "cr", Shards: nshards}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []string
+	for sh := 0; sh < nshards; sh++ {
+		docs = append(docs, doc(labelFor(t, sh, nshards), 1))
+	}
+	if _, err := c.AddBatch(ctx, docs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	heaps := func() (sizes []int64) {
+		for sh := 0; sh < nshards; sh++ {
+			info, err := os.Stat(filepath.Join(ShardDir(dir, sh), "data.heap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, info.Size())
+		}
+		return sizes
+	}
+	before := heaps()
+	if _, err := Create(ctx, dir, Spec{Name: "cr", Shards: nshards}, Options{}); err == nil {
+		t.Error("Create over a collection succeeded")
+	}
+	real := storage.Disk
+	t.Cleanup(func() { storage.Disk = real })
+	storage.Disk = deniedManifest{real}
+	if _, err := Create(ctx, dir, Spec{Name: "cr", Shards: nshards}, Options{}); !errors.Is(err, fs.ErrPermission) {
+		t.Errorf("Create over a collection whose manifest cannot be opened = %v, want ErrPermission", err)
+	}
+	storage.Disk = real
+	if after := heaps(); !slices.Equal(after, before) {
+		t.Errorf("the shards' heaps went from %v to %v bytes", before, after)
 	}
 }

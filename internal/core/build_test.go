@@ -314,16 +314,11 @@ func TestFailedBuildClosesFiles(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var created, closed atomic.Int32
-			inner := faultFS(tc.plan)
-			fsys := &indexFS{open: inner.open, create: func(path string) (storage.File, error) {
-				f, err := inner.create(path)
-				if err != nil {
-					return nil, err
-				}
+			useFS(t, storage.WrapFiles(tc.plan.WrapFS(storage.Disk), func(_ string, f storage.File) storage.File {
 				created.Add(1)
-				return countedFile{f, &closed}, nil
-			}}
-			opts := Options{DepthLimit: 2, PageSize: 256, Dir: t.TempDir(), fs: fsys}
+				return countedFile{f, &closed}
+			}))
+			opts := Options{DepthLimit: 2, PageSize: 256, Dir: t.TempDir()}
 			_, err := BuildCtx(tc.ctx, st, opts)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("BuildCtx = %v, want %v", err, tc.want)

@@ -22,52 +22,43 @@ import (
 	"github.com/fix-index/fix/internal/xpath"
 )
 
-// faultFS routes the index's own file I/O through pl, so a test can
-// crash Build/Save at any chosen write operation.
-func faultFS(pl *storage.FaultPlan) *indexFS {
-	return &indexFS{
-		create: func(path string) (storage.File, error) {
-			f, err := storage.Create(path)
-			if err != nil {
-				return nil, err
-			}
-			return pl.Wrap(f), nil
-		},
-		open: func(path string) (storage.File, error) {
-			f, err := storage.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			return pl.Wrap(f), nil
-		},
-	}
+// useFS makes fsys the filesystem seam (storage.Disk) until restore runs,
+// which stands in for the reboot after a crash, or the test ends.
+func useFS(t *testing.T, fsys storage.FS) (restore func()) {
+	real := storage.Disk
+	restore = func() { storage.Disk = real }
+	t.Cleanup(restore)
+	storage.Disk = fsys
+	return restore
 }
 
-// ioEvent is one write (at off) or sync the index made on one of its files.
+// ioEvent is one operation the index made through the seam: a write (at
+// off) or sync of a file, or a rename (to path), remove or directory sync.
 type ioEvent struct {
-	file string // base name
-	sync bool
+	op   string // "write", "sync", "rename", "remove" or "syncdir"
+	path string
 	off  int64
 }
 
-// ioLog records, in order, the writes and syncs that go through the file
-// seam it wraps: who wrote which file, and on which side of which fsync.
+func (e ioEvent) name() string { return filepath.Base(e.path) }
+
+// ioLog records, in order, the operations that go through the seam it
+// wraps: who wrote which file, and on which side of which fsync.
 type ioLog struct {
 	mu     sync.Mutex
 	events []ioEvent
 }
 
-func (l *ioLog) wrap(inner *indexFS) *indexFS {
-	logged := func(open func(string) (storage.File, error)) func(string) (storage.File, error) {
-		return func(path string) (storage.File, error) {
-			f, err := open(path)
-			if err != nil {
-				return nil, err
-			}
-			return loggedFile{f, l, filepath.Base(path)}, nil
-		}
-	}
-	return &indexFS{create: logged(inner.create), open: logged(inner.open)}
+func (l *ioLog) wrap(inner storage.FS) storage.FS {
+	return loggedFS{storage.WrapFiles(inner, func(path string, f storage.File) storage.File {
+		return loggedFile{f, l, path}
+	}), l}
+}
+
+func (l *ioLog) add(op, path string, off int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, ioEvent{op, path, off})
 }
 
 // since returns the events from the n-th on.
@@ -77,25 +68,39 @@ func (l *ioLog) since(n int) []ioEvent {
 	return append([]ioEvent(nil), l.events[n:]...)
 }
 
+type loggedFS struct {
+	storage.FS
+	log *ioLog
+}
+
+func (fsys loggedFS) Rename(oldpath, newpath string) error {
+	fsys.log.add("rename", newpath, 0)
+	return fsys.FS.Rename(oldpath, newpath)
+}
+
+func (fsys loggedFS) Remove(path string) error {
+	fsys.log.add("remove", path, 0)
+	return fsys.FS.Remove(path)
+}
+
+func (fsys loggedFS) SyncDir(dir string) error {
+	fsys.log.add("syncdir", dir, 0)
+	return fsys.FS.SyncDir(dir)
+}
+
 type loggedFile struct {
 	storage.File
 	log  *ioLog
-	name string
-}
-
-func (f loggedFile) add(e ioEvent) {
-	f.log.mu.Lock()
-	defer f.log.mu.Unlock()
-	f.log.events = append(f.log.events, e)
+	path string
 }
 
 func (f loggedFile) WriteAt(p []byte, off int64) (int, error) {
-	f.add(ioEvent{file: f.name, off: off})
+	f.log.add("write", f.path, off)
 	return f.File.WriteAt(p, off)
 }
 
 func (f loggedFile) Sync() error {
-	f.add(ioEvent{file: f.name, sync: true})
+	f.log.add("sync", f.path, 0)
 	return f.File.Sync()
 }
 
@@ -107,10 +112,10 @@ func checkOneFlush(t *testing.T, events []ioEvent, ix *Index, pageSize int64) {
 	next := int64(0)
 	for _, e := range events {
 		switch {
-		case e.file != "fix.btree":
-		case e.sync && next == ix.bt.Size():
+		case e.name() != "fix.btree":
+		case e.op == "sync" && next == ix.bt.Size():
 			next = -1
-		case e.sync || e.off != next:
+		case e.op != "write" || e.off != next:
 			t.Fatalf("fix.btree: event %+v with the file written up to %d of %d: not the one Flush of a build", e, next, ix.bt.Size())
 		default:
 			next += pageSize
@@ -220,7 +225,7 @@ func TestCrashPointRecovery(t *testing.T) {
 			dry, log := &storage.FaultPlan{}, &ioLog{}
 			opts := tc.opts
 			opts.Dir = t.TempDir()
-			opts.fs = log.wrap(faultFS(dry))
+			restore := useFS(t, log.wrap(dry.WrapFS(storage.Disk)))
 			ix, err := Build(st, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -233,6 +238,7 @@ func TestCrashPointRecovery(t *testing.T) {
 			if err := ix.Save(); err != nil {
 				t.Fatal(err)
 			}
+			restore()
 			total := dry.Writes()
 			if total < 4 {
 				t.Fatalf("implausible write-op count %d", total)
@@ -243,11 +249,12 @@ func TestCrashPointRecovery(t *testing.T) {
 					pl := &storage.FaultPlan{FailWrite: n, Torn: torn}
 					o := tc.opts
 					o.Dir = t.TempDir()
-					o.fs = faultFS(pl)
+					restore := useFS(t, pl.WrapFS(storage.Disk))
 					ix, err := Build(st, o)
 					if err == nil {
 						err = ix.Save()
 					}
+					restore()
 					if err == nil {
 						t.Fatalf("write %d (torn=%t): expected an injected failure", n, torn)
 					}
@@ -335,7 +342,9 @@ func TestCrashDuringIncrementalSave(t *testing.T) {
 			} else if err := ix.Save(); err != nil {
 				t.Fatal(err)
 			}
-			open := func(fsys *indexFS) (*storage.Store, *Index, string) {
+			// open opens a copy under fsys, which stays the seam until the
+			// returned reboot.
+			open := func(fsys storage.FS) (*storage.Store, *Index, string, func()) {
 				dir := t.TempDir()
 				for _, name := range []string{"fix.btree", "fix.meta", "fix.edges"} {
 					b, err := os.ReadFile(filepath.Join(base.Dir, name))
@@ -346,15 +355,13 @@ func TestCrashDuringIncrementalSave(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				defer func(real *indexFS) { osFS = real }(osFS)
-				osFS = fsys
+				reboot := useFS(t, fsys)
 				st := memStoreFromDocs(t, tc.base)
 				ix, err := Open(st, dir)
 				if err != nil || ix.Health() != nil {
 					t.Fatal(err, ix.Health())
 				}
-				ix.opts.fs = fsys
-				return st, ix, dir
+				return st, ix, dir, reboot
 			}
 			addDoc := func(st *storage.Store, ix *Index) error {
 				n, err := xmltree.ParseString(tc.newDoc)
@@ -374,23 +381,31 @@ func TestCrashDuringIncrementalSave(t *testing.T) {
 			// Dry run: find the write-ops of the incremental phase, and see
 			// which file is written when.
 			dry, log := &storage.FaultPlan{}, &ioLog{}
-			st, ix, _ := open(log.wrap(faultFS(dry)))
+			st, ix, dir, reboot := open(log.wrap(dry.WrapFS(storage.Disk)))
 			if err := addDoc(st, ix); err != nil {
 				t.Fatal(err)
 			}
+			reboot()
 			events := log.since(0) // the n-th is the fault plan's n-th write-op
 			if len(events) != dry.Writes() {
 				t.Fatalf("logged %d of %d write-ops", len(events), dry.Writes())
 			}
-			committed, pages := false, 0
-			for _, e := range events {
+			// The journal's name is synced before fix.btree changes, and
+			// every rename and removal is followed at once by a sync of
+			// its directory.
+			journaled, committed, pages := false, false, 0
+			for i, e := range events {
 				switch {
-				case e.file == journalName && e.sync:
+				case e.op == "sync" && e.name() == journalName:
+					journaled = true
+				case e.op == "syncdir" && journaled && e.path == dir:
 					committed = true
-				case e.file == "fix.btree" && !committed:
-					t.Fatalf("%+v reached fix.btree before the journal's fsync", e)
-				case e.file == "fix.btree" && !e.sync:
+				case e.name() == "fix.btree" && !committed:
+					t.Fatalf("%+v reached fix.btree before the journal's name was synced", e)
+				case e.name() == "fix.btree" && e.op == "write":
 					pages++
+				case (e.op == "rename" || e.op == "remove") && (i+1 == len(events) || events[i+1] != ioEvent{"syncdir", filepath.Dir(e.path), 0}):
+					t.Fatalf("%+v is not followed by a sync of its directory", e)
 				}
 			}
 			if pages < tc.dirtied {
@@ -402,12 +417,14 @@ func TestCrashDuringIncrementalSave(t *testing.T) {
 				// Flush's page writes differ in nothing but the page a crash
 				// tears, and each run costs four fsyncs: one in nine, which
 				// alternates plain and torn.
-				if n++; e.file == "fix.btree" && !e.sync && n%9 != 0 {
+				if n++; e.name() == "fix.btree" && e.op == "write" && n%9 != 0 {
 					continue
 				}
 				pl := &storage.FaultPlan{FailWrite: n, Torn: n%2 == 0}
-				st, ix, dir := open(faultFS(pl))
-				if err := addDoc(st, ix); err == nil {
+				st, ix, dir, reboot := open(pl.WrapFS(storage.Disk))
+				err := addDoc(st, ix)
+				reboot()
+				if err == nil {
 					t.Fatalf("write %d: expected an injected failure", n)
 				} else if !errors.Is(err, storage.ErrInjected) {
 					t.Fatalf("write %d: unexpected error: %v", n, err)
@@ -437,9 +454,12 @@ func TestCrashDuringIncrementalSave(t *testing.T) {
 func TestCrashDuringDelete(t *testing.T) {
 	const target = uint32(1)
 
-	build := func(pl *storage.FaultPlan) (*storage.Store, *Index, string) {
+	// build builds and saves under pl, which stays the seam until the
+	// returned reboot.
+	build := func(pl *storage.FaultPlan) (*storage.Store, *Index, string, func()) {
+		reboot := useFS(t, pl.WrapFS(storage.Disk))
 		st := memStoreFromDocs(t, bibDocs)
-		o := Options{Dir: t.TempDir(), fs: faultFS(pl)}
+		o := Options{Dir: t.TempDir()}
 		ix, err := Build(st, o)
 		if err != nil {
 			t.Fatal(err)
@@ -447,7 +467,7 @@ func TestCrashDuringDelete(t *testing.T) {
 		if err := ix.Save(); err != nil {
 			t.Fatal(err)
 		}
-		return st, ix, o.Dir
+		return st, ix, o.Dir, reboot
 	}
 	// delDoc mirrors the database layer's apply path: tombstone the
 	// store, drop the index entries, persist; an index error degrades.
@@ -464,11 +484,12 @@ func TestCrashDuringDelete(t *testing.T) {
 
 	// Dry run: find the write-op window of the delete phase.
 	dry := &storage.FaultPlan{}
-	st, ix, _ := build(dry)
+	st, ix, _, reboot := build(dry)
 	w1 := dry.Writes()
 	if err := delDoc(st, ix); err != nil {
 		t.Fatal(err)
 	}
+	reboot()
 	w2 := dry.Writes()
 	if w2 <= w1 {
 		t.Fatalf("delete+save did no writes (%d..%d)", w1, w2)
@@ -481,8 +502,9 @@ func TestCrashDuringDelete(t *testing.T) {
 	for n := w1 + 1; n <= w2; n++ {
 		for _, torn := range []bool{false, true} {
 			pl := &storage.FaultPlan{FailWrite: n, Torn: torn}
-			st, ix, dir := build(pl)
+			st, ix, dir, reboot := build(pl)
 			err := delDoc(st, ix)
+			reboot()
 			if err == nil {
 				t.Fatalf("write %d (torn=%t): expected an injected failure", n, torn)
 			}

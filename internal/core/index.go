@@ -76,17 +76,6 @@ type Options struct {
 	// Dir, when non-empty, stores the B-tree in files under this
 	// directory; otherwise everything index-side lives in memory files.
 	Dir string
-	// fs overrides how the index creates and opens its own files; the
-	// crash tests inject storage faults through it. Nil means the real
-	// filesystem.
-	fs *indexFS
-}
-
-func (o *Options) filesystem() *indexFS {
-	if o.fs != nil {
-		return o.fs
-	}
-	return osFS
 }
 
 func (o *Options) setDefaults() {
@@ -211,7 +200,7 @@ func indexFile(opts Options, name string) (storage.File, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	return opts.filesystem().create(filepath.Join(opts.Dir, name))
+	return storage.Disk.Create(filepath.Join(opts.Dir, name))
 }
 
 // Entries returns the number of index entries (ent in the paper's

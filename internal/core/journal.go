@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 
 	"github.com/fix-index/fix/internal/btree"
@@ -18,8 +17,8 @@ import (
 // Shadow-commit protocol. Save does not overwrite the committed index in
 // place: it first writes everything the commit will change — the dirty
 // B-tree pages and the full new contents of fix.meta and fix.edges — to a
-// side journal (fix.journal) and fsyncs it, and only then applies the
-// changes to the real files and removes the journal. The journal ends in
+// side journal (fix.journal) and fsyncs it and its directory, and only
+// then applies the changes to the real files and removes the journal. The journal ends in
 // a CRC-32C over its entire contents, so after a crash Recover can decide
 // with certainty whether the commit happened:
 //
@@ -148,8 +147,9 @@ func decodeJournal(buf []byte) (*journal, bool) {
 // idempotent, a no-op when no journal is present, and must run before the
 // index files are read; Open and fix.Open call it automatically.
 func Recover(dir string) error {
+	fsys := storage.Disk
 	jpath := filepath.Join(dir, journalName)
-	buf, err := os.ReadFile(jpath)
+	buf, err := fsys.ReadFile(jpath)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
@@ -160,63 +160,50 @@ func Recover(dir string) error {
 	if !ok {
 		// The commit never became durable: discard it and keep the
 		// previous committed state.
-		return os.Remove(jpath)
+		return fsys.Remove(jpath)
 	}
 	bpath := filepath.Join(dir, "fix.btree")
-	bf, err := os.OpenFile(bpath, os.O_RDWR|os.O_CREATE, 0o644)
+	bf, err := fsys.Open(bpath)
+	if errors.Is(err, fs.ErrNotExist) {
+		bf, err = fsys.Create(bpath)
+	}
 	if err != nil {
 		return fmt.Errorf("core: replaying journal: %w", err)
 	}
 	for _, pg := range j.pages {
-		if _, err := bf.WriteAt(pg.data, int64(pg.id)*int64(j.pageSize)); err != nil {
-			_ = bf.Close()
-			return fmt.Errorf("core: replaying page %d: %w", pg.id, err)
+		if _, err = bf.WriteAt(pg.data, int64(pg.id)*int64(j.pageSize)); err != nil {
+			err = fmt.Errorf("core: replaying page %d: %w", pg.id, err)
+			break
 		}
 	}
-	if err := bf.Sync(); err != nil {
-		_ = bf.Close()
-		return err
+	if err == nil {
+		err = bf.Sync()
 	}
-	if err := bf.Close(); err != nil {
-		return err
+	if cerr := bf.Close(); err == nil {
+		err = cerr
 	}
-	if err := atomicWrite(osFS, filepath.Join(dir, "fix.edges"), j.edges); err != nil {
-		return err
-	}
-	if err := atomicWrite(osFS, filepath.Join(dir, "fix.meta"), j.meta); err != nil {
-		return err
-	}
-	return os.Remove(jpath)
-}
-
-// indexFS is the seam through which the index touches its own files;
-// tests swap it for a fault-injecting variant to exercise every crash
-// point of the commit protocol.
-type indexFS struct {
-	create func(path string) (storage.File, error)
-	open   func(path string) (storage.File, error)
-}
-
-var osFS = &indexFS{create: storage.Create, open: storage.Open}
-
-// atomicWrite replaces path with data via a temp file, fsync, and rename,
-// so readers observe either the old contents or the new, never a prefix.
-func atomicWrite(fsys *indexFS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fsys.create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		_ = f.Close()
+	return finishCommit(dir, j.meta, j.edges)
+}
+
+// finishCommit ends a commit whose journal is durable and whose pages are
+// in fix.btree, in Save and in Recover alike: fix.edges and fix.meta are
+// replaced — each rename synced with its directory, which also makes a
+// fix.btree created before it durable — and the journal is removed, and
+// the removal synced. A journal a power loss brought back would be
+// replayed over whatever wrote fix.btree since: a rebuild (BuildCtx)
+// rewrites it in place under the committed fix.meta.
+func finishCommit(dir string, meta, edges []byte) error {
+	if err := storage.WriteAtomic(storage.Disk, filepath.Join(dir, "fix.edges"), edges); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
+	if err := storage.WriteAtomic(storage.Disk, filepath.Join(dir, "fix.meta"), meta); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
+	if err := storage.Disk.Remove(filepath.Join(dir, journalName)); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return storage.Disk.SyncDir(dir)
 }

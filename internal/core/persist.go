@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"slices"
 
@@ -55,8 +54,9 @@ func (ix *Index) encodeMeta() []byte {
 
 // Save commits the index durably using the shadow-commit protocol: the
 // dirty B-tree pages and the new fix.meta/fix.edges contents are first
-// written and fsynced to fix.journal, then applied to the real files, and
-// the journal is removed. Nothing else writes fix.btree between two Saves,
+// written and fsynced to fix.journal, whose name is then synced with its
+// directory, then applied to the real files, and the journal is removed
+// (finishCommit), and the removal synced before Save returns,
 // so a crash at any point leaves a state that Open (via Recover) resolves
 // to exactly the previous or the new commit. For in-memory indexes (empty
 // Dir) Save reduces to a flush.
@@ -72,21 +72,24 @@ func (ix *Index) Save() error {
 		return err
 	}
 	meta, edges := ix.encodeMeta(), eb.Bytes()
-	fsys := ix.opts.filesystem()
-	jpath := filepath.Join(ix.opts.Dir, journalName)
-	jf, err := fsys.create(jpath)
+	jf, err := storage.Disk.Create(filepath.Join(ix.opts.Dir, journalName))
 	if err != nil {
 		return err
 	}
-	if err := writeJournal(jf, ix.bt, meta, edges); err != nil {
-		_ = jf.Close()
+	err = writeJournal(jf, ix.bt, meta, edges)
+	if err == nil {
+		err = jf.Sync() // commit point
+	}
+	if cerr := jf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := jf.Sync(); err != nil { // commit point
-		_ = jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
+	// The journal's name must survive a power loss before fix.btree
+	// changes: a Flush the crash cut short is repaired only by replaying
+	// the journal.
+	if err := storage.Disk.SyncDir(ix.opts.Dir); err != nil {
 		return err
 	}
 	// Apply. Any failure from here on leaves the valid journal in place;
@@ -94,13 +97,7 @@ func (ix *Index) Save() error {
 	if err := ix.bt.Flush(); err != nil {
 		return err
 	}
-	if err := atomicWrite(fsys, filepath.Join(ix.opts.Dir, "fix.edges"), edges); err != nil {
-		return err
-	}
-	if err := atomicWrite(fsys, filepath.Join(ix.opts.Dir, "fix.meta"), meta); err != nil {
-		return err
-	}
-	return os.Remove(jpath)
+	return finishCommit(ix.opts.Dir, meta, edges)
 }
 
 // Open loads a persisted index from dir and attaches it to the primary
@@ -129,13 +126,11 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 	}
 	ix.vh = valueHasher{alpha: alpha, beta: ix.opts.Beta}
 
-	ef, err := os.Open(filepath.Join(dir, "fix.edges"))
+	eb, err := storage.Disk.ReadFile(filepath.Join(dir, "fix.edges"))
 	if err != nil {
 		return nil, err
 	}
-	ix.enc, err = matrix.ReadEdgeEncoder(ef)
-	_ = ef.Close()
-	if err != nil {
+	if ix.enc, err = matrix.ReadEdgeEncoder(bytes.NewReader(eb)); err != nil {
 		return nil, err
 	}
 
@@ -145,9 +140,9 @@ func Open(st *storage.Store, dir string) (*Index, error) {
 		ix.setHealth(fmt.Errorf("index covers %d records but the store holds %d", records, st.NumRecords()))
 	}
 
-	bf, err := osFS.open(filepath.Join(dir, "fix.btree"))
+	bf, err := storage.Disk.Open(filepath.Join(dir, "fix.btree"))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			ix.setHealth(fmt.Errorf("%w: fix.btree is missing", ErrCorrupt))
 			return ix, nil
 		}
@@ -214,12 +209,11 @@ func (ix *Index) CaughtUp() int { return ix.caughtUp }
 // into ix and returns the fields ix does not hold: the value-hash α and
 // the number of primary-store records the commit covers.
 func (ix *Index) readMeta() (alpha uint32, records int, err error) {
-	mf, err := os.Open(filepath.Join(ix.opts.Dir, "fix.meta"))
+	buf, err := storage.Disk.ReadFile(filepath.Join(ix.opts.Dir, "fix.meta"))
 	if err != nil {
 		return 0, 0, err
 	}
-	defer mf.Close()
-	r := bufio.NewReader(mf)
+	r := bytes.NewReader(buf)
 	readField := func(name string, dst interface{}) error {
 		var got string
 		if _, err := fmt.Fscan(r, &got, dst); err != nil {
@@ -264,13 +258,11 @@ func (ix *Index) readMeta() (alpha uint32, records int, err error) {
 }
 
 // CommittedRecords returns how many primary-store records the index
-// committed under dir covers. The database layer reads it before it opens
-// the heap's store: a torn batch whose records the index covers is
+// committed under dir covers, or an fs.ErrNotExist error when dir holds
+// no committed index. Recover must have run. The database layer reads it
+// before it cuts a torn batch: one whose records the index covers is
 // damage, not a crash.
 func CommittedRecords(dir string) (int, error) {
-	if err := Recover(dir); err != nil {
-		return 0, err
-	}
 	ix := &Index{}
 	ix.opts.Dir = dir
 	_, records, err := ix.readMeta()

@@ -12,10 +12,12 @@ import (
 var ErrInjected = errors.New("storage: injected fault")
 
 // FaultPlan deterministically schedules faults across every FaultFile
-// created from it with Wrap. Write operations (WriteAt and Sync — the
-// durability-relevant crash points) share one counter across all wrapped
-// files, so "fail the Nth write" simulates a crash at the Nth step of a
-// multi-file commit protocol; reads have their own counter.
+// created from it with Wrap, and every file and directory operation of an
+// FS wrapped with WrapFS. Write operations (WriteAt, Sync and Truncate,
+// and an FS's Rename, Remove and SyncDir — the durability-relevant crash
+// points) share one counter, so "fail the Nth write" simulates a crash at
+// the Nth step of a multi-file commit protocol; reads have their own
+// counter. Creating or opening a file is not counted.
 //
 // Unless OneShot is set, every write operation after the failing one also
 // fails: a crashed process persists nothing further, so recovery code
@@ -40,6 +42,38 @@ type FaultPlan struct {
 
 // Wrap returns a File that applies the plan's schedule around f.
 func (pl *FaultPlan) Wrap(f File) File { return &FaultFile{inner: f, plan: pl} }
+
+// WrapFS returns an FS whose files apply the plan's schedule and whose
+// Rename, Remove and SyncDir count as write operations.
+func (pl *FaultPlan) WrapFS(fsys FS) FS {
+	return faultFS{WrapFiles(fsys, func(_ string, f File) File { return pl.Wrap(f) }), pl}
+}
+
+type faultFS struct {
+	FS
+	plan *FaultPlan
+}
+
+func (f faultFS) Rename(oldpath, newpath string) error {
+	return f.plan.write("rename "+newpath, func() error { return f.FS.Rename(oldpath, newpath) })
+}
+
+func (f faultFS) Remove(path string) error {
+	return f.plan.write("remove "+path, func() error { return f.FS.Remove(path) })
+}
+
+func (f faultFS) SyncDir(dir string) error {
+	return f.plan.write("sync of directory "+dir, func() error { return f.FS.SyncDir(dir) })
+}
+
+// write runs op as one write operation: it fails with ErrInjected,
+// naming it, where the plan says.
+func (pl *FaultPlan) write(name string, op func() error) error {
+	if _, fail := pl.nextWrite(); fail {
+		return fmt.Errorf("%s: %w", name, ErrInjected)
+	}
+	return op()
+}
 
 // Writes returns how many write operations the plan has observed; a dry
 // run with no faults scheduled uses it to size a crash-point sweep.
@@ -79,6 +113,31 @@ func (pl *FaultPlan) nextRead() bool {
 	return pl.FailRead > 0 && pl.reads == pl.FailRead
 }
 
+// WrapFiles returns fsys with every file its Create and Open return
+// passed through wrap, for tests that watch or alter a database's files.
+func WrapFiles(fsys FS, wrap func(path string, f File) File) FS { return fileWrapper{fsys, wrap} }
+
+type fileWrapper struct {
+	FS
+	wrap func(path string, f File) File
+}
+
+func (w fileWrapper) Create(path string) (File, error) {
+	f, err := w.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return w.wrap(path, f), nil
+}
+
+func (w fileWrapper) Open(path string) (File, error) {
+	f, err := w.FS.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return w.wrap(path, f), nil
+}
+
 // FaultFile wraps a File and injects the faults its FaultPlan schedules.
 // It implements File, so it can stand in for any index or heap file.
 type FaultFile struct {
@@ -107,20 +166,12 @@ func (f *FaultFile) WriteAt(p []byte, off int64) (int, error) {
 	return f.inner.WriteAt(p, off)
 }
 
-func (f *FaultFile) Sync() error {
-	if _, fail := f.plan.nextWrite(); fail {
-		return fmt.Errorf("sync: %w", ErrInjected)
-	}
-	return f.inner.Sync()
-}
+func (f *FaultFile) Sync() error { return f.plan.write("sync", f.inner.Sync) }
 
 // Truncate counts as a write operation: log resets and rollback
 // truncations are durability-relevant crash points just like appends.
 func (f *FaultFile) Truncate(size int64) error {
-	if _, fail := f.plan.nextWrite(); fail {
-		return fmt.Errorf("truncate to %d: %w", size, ErrInjected)
-	}
-	return f.inner.Truncate(size)
+	return f.plan.write(fmt.Sprintf("truncate to %d", size), func() error { return f.inner.Truncate(size) })
 }
 
 func (f *FaultFile) Size() (int64, error) { return f.inner.Size() }

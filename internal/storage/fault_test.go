@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -110,5 +112,38 @@ func TestFaultPlanFailsNthRead(t *testing.T) {
 	}
 	if _, err := f.ReadAt(out, 0); err != nil {
 		t.Fatalf("read faults are one-shot by design: %v", err)
+	}
+}
+
+// TestWriteAtomicFailures fails each write and sync of a WriteAtomic, the
+// rename and the directory sync included, once: the target holds the old
+// bytes or the new, and no temp file is left beside it.
+func TestWriteAtomicFailures(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "labels.dict")
+	before, after := []byte("old contents"), []byte("the new, longer contents")
+	dry := &FaultPlan{}
+	if err := WriteAtomic(dry.WrapFS(Disk), path, before); err != nil {
+		t.Fatal(err)
+	}
+	if dry.Writes() != 4 {
+		t.Fatalf("WriteAtomic made %d write-ops, want 4: write, sync, rename, directory sync", dry.Writes())
+	}
+	for n := 1; n <= dry.Writes(); n++ {
+		for _, torn := range []bool{false, true} {
+			if err := WriteAtomic(Disk, path, before); err != nil {
+				t.Fatal(err)
+			}
+			pl := &FaultPlan{FailWrite: n, Torn: torn, OneShot: true}
+			if err := WriteAtomic(pl.WrapFS(Disk), path, after); !errors.Is(err, ErrInjected) {
+				t.Fatalf("write-op %d (torn=%t) failing: WriteAtomic = %v, want ErrInjected", n, torn, err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, before) && !bytes.Equal(got, after) {
+				t.Errorf("write-op %d (torn=%t) failing: the target holds %q, %v", n, torn, got, err)
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+				t.Errorf("write-op %d (torn=%t) failing: the directory holds %v, %v; want the target alone", n, torn, entries, err)
+			}
+		}
 	}
 }

@@ -1,12 +1,14 @@
 // Package storage implements the primary XML data storage used by FIX: an
 // append-only record heap holding binary-encoded document trees, addressed
 // by stable pointers (record, offset) that index entries carry as their
-// payload. It also provides the File abstraction shared with the B-tree
-// pager, with OS-file and in-memory implementations and, for the heap on
-// unix, a file whose views read records in place in a shared mapping, and I/O
-// accounting that distinguishes sequential from random reads so the
-// experiments can report implementation-independent costs for clustered
-// versus unclustered indexes (paper §4.1).
+// payload. It also provides FS, the one seam through which a database's
+// durable files are created, opened, renamed and removed (Disk), with
+// WriteAtomic, the one atomic replace; and the File abstraction shared
+// with the B-tree pager, with OS-file and in-memory implementations and,
+// for the heap on unix, a file whose views read records in place in a
+// shared mapping, and I/O accounting that distinguishes sequential from
+// random reads so the experiments can report implementation-independent
+// costs for clustered versus unclustered indexes (paper §4.1).
 package storage
 
 import (

@@ -18,7 +18,8 @@ var depcheckAnalyzer = &Analyzer{
 	Name: "depcheck",
 	Doc: "imports must be stdlib or module-internal; cmd/tools/examples " +
 		"may not be imported; internal/ may not import the public fix " +
-		"package (service-layer packages excepted)",
+		"package (service-layer packages excepted); fix, internal/core " +
+		"and internal/collection reach files through storage.Disk only",
 	Run: runDepcheck,
 }
 
@@ -36,6 +37,11 @@ var serviceLayer = map[string]bool{
 	"internal/experiments": true,
 }
 
+// seamBypasses are the os calls that reach a file around storage.Disk,
+// the one filesystem seam of fix, internal/core and internal/collection:
+// a rename the seam does not see is one a crash model cannot lose.
+var seamBypasses = []string{"Create", "Open", "OpenFile", "ReadFile", "WriteFile", "Rename", "Remove", "Stat"}
+
 func runDepcheck(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
@@ -44,6 +50,18 @@ func runDepcheck(pass *Pass) {
 				continue
 			}
 			checkImport(pass, imp, path)
+		}
+		if rel := pass.relPkg(); rel == "fix" || rel == "internal/core" || rel == "internal/collection" {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					for _, name := range seamBypasses {
+						if isPkgCall(pass.Info, call, "os", name) {
+							pass.Reportf(call.Pos(), "os.%s bypasses the filesystem seam; go through storage.Disk", name)
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 }

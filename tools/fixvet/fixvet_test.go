@@ -118,7 +118,7 @@ var fixtureCases = []struct {
 	{"ctxcheck", "ctxcheck", "internal/core"},
 	{"obscheck", "obscheck", "internal/fixture"},
 	{"obscheck_obs", "obscheck", "internal/obs"},
-	{"depcheck", "depcheck", "internal/fixture"},
+	{"depcheck", "depcheck", "internal/core"},
 	{"doccheck_nodoc", "doccheck", "internal/nodoc"},
 	{"doccheck_fix", "doccheck", "fix"},
 }

@@ -1,7 +1,8 @@
 // Package norace checks that `make norace` runs every test the race
 // detector build leaves out. CI's main test step is `go test -race
 // ./...`, which never compiles a //go:build !race file, so a test in one
-// runs only if the norace target names it.
+// runs only if the norace target names it. It also checks that the crash
+// targets' -run lists name only tests that exist.
 package norace
 
 import (
