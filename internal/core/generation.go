@@ -34,16 +34,14 @@ import (
 // generation's memory becomes collectable; the heap file itself is shared
 // with the live store and is never reclaimed per generation.
 type Generation struct {
-	id        uint64                     // immutable after publish
-	ix        *Index                     // immutable after publish (plan state is read-only and shared)
-	view      *btree.View                // immutable after publish (nil when degraded or index-less)
-	store     *storage.ReadView          // immutable after publish
-	clustered *storage.ReadView          // immutable after publish (nil unless frozen by Clustered.Freeze)
-	copies    map[storage.Pointer]uint32 // immutable after publish (with clustered)
-	tombs     *storage.TombSet           // immutable after publish
-	dict      *xmltree.Dict              // immutable after publish
-	entries   int                        // immutable after publish
-	health    error                      // immutable after publish (frozen at freeze time)
+	id      uint64            // immutable after publish
+	ix      *Index            // immutable after publish (plan state is read-only and shared)
+	view    *btree.View       // immutable after publish (nil when degraded or index-less)
+	store   *storage.ReadView // immutable after publish
+	tombs   *storage.TombSet  // immutable after publish
+	dict    *xmltree.Dict     // immutable after publish
+	entries int               // immutable after publish
+	health  error             // immutable after publish (frozen at freeze time)
 
 	refs      atomic.Int64
 	onRelease func() // immutable after publish
@@ -114,17 +112,14 @@ func (g *Generation) Pin() bool {
 	}
 }
 
-// Unpin drops a reference. The last drop releases the heap views, so the
-// mapping they read goes once no newer view holds it, and runs the
-// release hook.
+// Unpin drops a reference. The last drop releases the heap view, so the
+// mapping it reads goes once no newer view holds it, and runs the release
+// hook.
 func (g *Generation) Unpin() {
 	if g.refs.Add(-1) != 0 {
 		return
 	}
 	g.store.Release()
-	if g.clustered != nil {
-		g.clustered.Release()
-	}
 	if g.onRelease != nil {
 		g.onRelease()
 	}
@@ -355,11 +350,13 @@ func (g *Generation) probe(ctx context.Context, pq *Prepared, tr *obs.Trace, lim
 
 // workItems is what a refinement pass walks: n candidates of a probe, in
 // stretches of which one match answers every live one (spans), or, with
-// scan set, the n records of the frozen heap.
+// scan set, the n records of the frozen heap. A non-nil read fetches every
+// live candidate in place of the generation's heap (QueryRead).
 type workItems struct {
 	n            int
 	cands        []Candidate
 	spans        []alikeSpan
+	read         func(storage.Pointer) (xmltree.Cursor, xmltree.Ref, error)
 	rootAnchored bool // a /-anchored query only matches document roots
 	scan         bool
 }
@@ -379,8 +376,8 @@ func (g *Generation) scanItems() workItems {
 // evaluate, reading the heap through the pass's rd, or reports ok=false
 // to skip it: tombstoned records are not part of the collection, and
 // their entries may outlive the delete until a rebuild. A candidate is
-// read from the clustered copy when the generation holds one
-// (Clustered.Freeze), and by following its primary pointer otherwise.
+// read by following its primary pointer, or through the items' read
+// function when they have one.
 func (g *Generation) fetch(rd *storage.ReadPass, w workItems, i int) (cur xmltree.Cursor, ref xmltree.Ref, ok bool, err error) {
 	if !g.live(w, i) {
 		return
@@ -389,13 +386,10 @@ func (g *Generation) fetch(rd *storage.ReadPass, w workItems, i int) (cur xmltre
 		cur, err = rd.Cursor(uint32(i))
 		return cur, 0, true, err
 	}
-	c := w.cands[i]
-	if g.clustered == nil {
-		cur, ref, err = rd.ReadSubtree(c.Primary)
-	} else if rec, copied := g.copies[c.Primary]; copied {
-		cur, err = g.clustered.Cursor(rec)
+	if w.read != nil {
+		cur, ref, err = w.read(w.cands[i].Primary)
 	} else {
-		err = fmt.Errorf("core: entry at %v has no clustered copy", c.Primary)
+		cur, ref, err = rd.ReadSubtree(w.cands[i].Primary)
 	}
 	return cur, ref, true, err
 }
@@ -453,6 +447,17 @@ func (sc *spanCursor) at(i int) int {
 // When the index is degraded the answer comes from ScanCount with
 // Fallback set: exact, only slower.
 func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits) (Result, error) {
+	return g.QueryRead(ctx, pq, tr, lim, nil)
+}
+
+// QueryRead is QueryPrepared whose refinement fetches each live candidate
+// by calling read with its primary pointer, in key order, instead of
+// reading the generation's heap: read returns the candidate's subtree and
+// the reference of its root. It sees every live candidate, those an alike
+// span answers too. The experiments pass a read of the paper's clustered
+// copy (§4.1); a trace's storage delta counts the generation's heap only,
+// and the scan that answers for a degraded index reads that heap.
+func (g *Generation) QueryRead(ctx context.Context, pq *Prepared, tr *obs.Trace, lim Limits, read func(storage.Pointer) (xmltree.Cursor, xmltree.Ref, error)) (Result, error) {
 	buf := probePool.Get().(*probeBuf)
 	cands, scanned, pruned, useScan, err := g.probe(ctx, pq, tr, lim, buf)
 	// Deferred past refine, which reads cands and the spans until then.
@@ -473,7 +478,9 @@ func (g *Generation) QueryPrepared(ctx context.Context, pq *Prepared, tr *obs.Tr
 	if pq.nested {
 		distinct = distinctOutputs(cands)
 	}
-	res.Matched, res.Count, res.SharedMatches, err = g.refine(ctx, candidateItems(pq, cands, buf.spans), pq.refine, lim, tr, distinct)
+	w := candidateItems(pq, cands, buf.spans)
+	w.read = read
+	res.Matched, res.Count, res.SharedMatches, err = g.refine(ctx, w, pq.refine, lim, tr, distinct)
 	if err != nil {
 		return Result{}, err
 	}
@@ -547,8 +554,9 @@ type distinctFunc func(i int, ref xmltree.Ref, outs []xmltree.Ref) int
 
 // distinctOutputs is the distinctFunc of candidates that nest (a
 // Prepared's nested): it remembers every output binding by its position in
-// the primary heap. A clustered copy's offsets are relative to the
-// candidate's root, whose primary offset then rebases them.
+// the primary heap, as its offset from the candidate's root rebased on the
+// root's primary offset, so a subtree a read function hands out at another
+// offset binds the same positions.
 func distinctOutputs(cands []Candidate) distinctFunc {
 	seen := make(map[storage.Pointer]struct{})
 	return func(i int, ref xmltree.Ref, outs []xmltree.Ref) (n int) {
@@ -596,7 +604,7 @@ func ctxDone(ctx context.Context) error {
 // MaxRefineNodes, which polls ctx, and the running total is checked
 // against MaxResults. In an alike span the first live item is matched and
 // every later live one takes its (matched, count) with no visit, and no
-// fetch but from a clustered copy; shared counts those. ctx is also polled
+// fetch but through a read function; shared counts those. ctx is also polled
 // (ctxDone) every ctxPollItems items and once more at the end, so an
 // expired context fails even a pass with nothing to do. A non-nil tr
 // accumulates the fetch and refinement wall time, the visit count and the
@@ -629,10 +637,10 @@ func (g *Generation) refine(ctx context.Context, w workItems, nq *nok.Query, lim
 		}
 		if i < answered {
 			if g.live(w, i) {
-				if g.clustered != nil {
-					// A clustered copy is read all the same: the copies lie
-					// back to back, and one passed over would turn the next
-					// read into a seek.
+				if w.read != nil {
+					// A read function sees it all the same: a clustered
+					// copy passed over would turn the next read into a
+					// seek.
 					if _, _, _, err = g.fetch(&rd, w, i); err != nil {
 						continue
 					}

@@ -322,6 +322,36 @@ func (ix *Index) verify(agreement bool) error {
 	return err
 }
 
+// Postings calls fn with the primary pointer of every posting, in key
+// order, until fn returns an error, which Postings returns. The
+// experiments lay out the paper's clustered copy (§4.1) with it.
+func (ix *Index) Postings(fn func(storage.Pointer) error) error {
+	if ix.bt == nil {
+		return fmt.Errorf("%w: B-tree unavailable", ErrCorrupt)
+	}
+	var bad error
+	err := ix.bt.Scan(nil, nil, func(k, v []byte) bool {
+		if len(k) != keySize {
+			bad = errBadKey(k)
+			return false
+		}
+		r := openPostings(keyPointer(k), v)
+		for r.next() {
+			if bad = fn(r.ptr); bad != nil {
+				return false
+			}
+		}
+		if !r.ok() {
+			bad = errBadValue(k, v)
+		}
+		return bad == nil
+	})
+	if err == nil {
+		err = bad
+	}
+	return err
+}
+
 // Close closes the index's own file, fix.btree. It commits nothing: what
 // Save has not committed is the ingest log's to replay. A Generation stays
 // readable — it holds the B-tree's image and follows primary pointers.

@@ -147,19 +147,14 @@ func TestCollectionIndexMatchesBruteForce(t *testing.T) {
 
 func TestCollectionClusteredEquivalent(t *testing.T) {
 	_, plain := buildCollection(t, bibDocs, Options{})
-	clustered, err := plain.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, cg := freeze(t, plain), clustered.Freeze()
-	defer cg.Unpin()
+	pg, read := freeze(t, plain), cluster(t, plain).read(t)
 	for _, qs := range []string{"//author[email]", "//article[author]/title", "/book/title"} {
 		q := xpath.MustParse(qs)
 		a, err := query(pg, q)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
-		b, err := query(cg, q)
+		b, err := queryRead(pg, q, read)
 		if err != nil {
 			t.Fatalf("%s clustered: %v", qs, err)
 		}
@@ -243,17 +238,12 @@ func TestDepthLimitedIndexMatchesBruteForce(t *testing.T) {
 // each candidate.
 func TestDepthLimitedNestedCandidatesCountOnce(t *testing.T) {
 	st, ix := buildSingleDoc(t, `<b><c><c><b/><d/></c></c><c><b/></c></b>`, Options{DepthLimit: 3})
-	clustered, err := ix.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg := clustered.Freeze()
-	defer cg.Unpin()
+	g, read := freeze(t, ix), cluster(t, ix).read(t)
 	for _, qs := range []string{"//c[.//b]//b", "//c//b", "//b//c//b", "//c/c/b"} {
 		q := xpath.MustParse(qs)
 		_, want := bruteCount(t, st, q)
-		for name, g := range map[string]*Generation{"primary": freeze(t, ix), "clustered": cg} {
-			res, err := query(g, q)
+		for name, read := range map[string]func(storage.Pointer) (xmltree.Cursor, xmltree.Ref, error){"primary": nil, "clustered": read} {
+			res, err := queryRead(g, q, read)
 			if err != nil || res.Count != want {
 				t.Errorf("%s, %s: count = %d, %v; want %d (candidates=%d matched=%d)", qs, name, res.Count, err, want, res.Candidates, res.Matched)
 			}

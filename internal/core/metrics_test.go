@@ -68,12 +68,8 @@ func TestBuildTimeAndSizes(t *testing.T) {
 	if ix.BuildTime() <= 0 {
 		t.Error("BuildTime not positive")
 	}
-	c, err := ix.Cluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.SizeBytes() != ix.BTree().Size() || c.SizeBytes() <= ix.SizeBytes() {
-		t.Errorf("index %d B, B-tree %d B, clustered %d B: want the B-tree alone, and more for the clustered copy", ix.SizeBytes(), ix.BTree().Size(), c.SizeBytes())
+	if ix.SizeBytes() != ix.BTree().Size() {
+		t.Errorf("index %d B, B-tree %d B: want the B-tree alone", ix.SizeBytes(), ix.BTree().Size())
 	}
 	if ix.EdgePairs() == 0 {
 		t.Error("no edge pairs assigned")

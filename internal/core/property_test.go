@@ -259,9 +259,10 @@ func TestNoRootLabelStillCorrect(t *testing.T) {
 }
 
 // TestClusteredGenerationMatchesPrimary runs 200 seeded random queries
-// through the offline executor of an index and of its clustered copy: both
-// must agree with each other and with the scan, and the clustered
-// generation must read the heap of copies only — never a primary pointer.
+// through the offline executor of an index, once reading the primary heap
+// and once reading its clustered copy through QueryRead: both must agree
+// with each other and with the scan, and the clustered run must read the
+// heap of copies only — never a primary pointer.
 func TestClusteredGenerationMatchesPrimary(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
 	labels := []string{"a", "b", "c", "d"}
@@ -280,13 +281,9 @@ func TestClusteredGenerationMatchesPrimary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clustered, err := plain.Cluster()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg, cg := freeze(t, plain), clustered.Freeze()
-		t.Cleanup(cg.Unpin)
-		heap := clustered.Heap()
+		c := cluster(t, plain)
+		pg, read := freeze(t, plain), c.read(t)
+		heap := c.heap
 		heapReads := func() int64 {
 			s := heap.Stats()
 			return s.SeqReads + s.RandomReads + s.CachedReads
@@ -303,7 +300,7 @@ func TestClusteredGenerationMatchesPrimary(t *testing.T) {
 				t.Fatalf("L=%d %s: %v", depthLimit, qs, err)
 			}
 			primary0, heap0 := st.Stats().SubtreeReads, heapReads()
-			b, err := query(cg, q)
+			b, err := queryRead(pg, q, read)
 			if err != nil {
 				t.Fatalf("L=%d %s clustered: %v", depthLimit, qs, err)
 			}

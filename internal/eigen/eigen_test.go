@@ -1,8 +1,11 @@
 package eigen
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -294,4 +297,61 @@ func TestLargeRandomSymmetricStaysFinite(t *testing.T) {
 			t.Fatal("eigenvalues not sorted")
 		}
 	}
+}
+
+// JacobiEigenvalues computes the eigenvalues of the dense symmetric matrix
+// a by cyclic Jacobi rotations, in ascending order: slower than
+// SymEigenvalues, an independent implementation to cross-validate it.
+func JacobiEigenvalues(a [][]float64) ([]float64, error) {
+	n := len(a)
+	if n == 0 {
+		return nil, nil
+	}
+	w := make([][]float64, n)
+	flat := make([]float64, n*n)
+	for i := range w {
+		w[i] = flat[i*n : (i+1)*n]
+		if len(a[i]) != n {
+			return nil, fmt.Errorf("eigen: row %d has %d columns, want %d", i, len(a[i]), n)
+		}
+		copy(w[i], a[i])
+	}
+	for sweep := 0; sweep < 128; sweep++ {
+		off := 0.0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += w[i][j] * w[i][j]
+			}
+		}
+		if off < 1e-28 {
+			d := make([]float64, n)
+			for i := range d {
+				d[i] = w[i][i]
+			}
+			sort.Float64s(d)
+			return d, nil
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				if math.Abs(w[p][q]) < 1e-18 {
+					continue
+				}
+				theta := (w[q][q] - w[p][p]) / (2 * w[p][q])
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < n; k++ {
+					wkp, wkq := w[k][p], w[k][q]
+					w[k][p] = c*wkp - s*wkq
+					w[k][q] = s*wkp + c*wkq
+				}
+				for k := 0; k < n; k++ {
+					wpk, wqk := w[p][k], w[q][k]
+					w[p][k] = c*wpk - s*wqk
+					w[q][k] = s*wpk + c*wqk
+				}
+			}
+		}
+	}
+	return nil, errors.New("eigen: Jacobi iteration did not converge")
 }

@@ -16,7 +16,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/datagen"
 	"github.com/fix-index/fix/internal/storage"
 )
@@ -29,8 +28,8 @@ import (
 // being the entry's position in build order, each key and each value
 // preceded by its length as a big-endian u32, each key as metaVersion 3
 // spelled it (oldKey), each value as metaVersion 2 did (oldSpelling), a
-// clustered one with the pointer of the entry's copy after the primary one
-// (withCopy). It was recorded at the commit before page format FIXBT003,
+// clustered one with the pointer of the entry's copy after the primary one:
+// its record, which is the entry's key-order position (Cluster). It was recorded at the commit before page format FIXBT003,
 // whose leaves stored keys whole: neither how a page spells a key, nor how
 // a key spells σ, nor how a value spells its pointers, nor how a run is cut
 // into chunks may change what an entry holds — its label, σ, order and
@@ -48,9 +47,9 @@ var recordedEntries = map[datagen.Dataset]struct {
 	datagen.TreebankDataset: {483836, "8a26b5b45fc54621765b90a1fa79a44cba28f11a2df65c8521acc7504e43aede", "13ae1c895b9047503d3ba71e94553dc2a5742313a6bbfa5b1b9ac13f86a85d32"},
 }
 
-// TestIndexEntriesAreTheRecordedOnes builds the experiments' index and its
-// clustered copy and requires a full scan of the B-tree to yield the
-// recorded entries, byte for byte, in both spellings.
+// TestIndexEntriesAreTheRecordedOnes builds the experiments' index and
+// requires a full scan of the B-tree to yield the recorded entries, byte for
+// byte, in both spellings.
 func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds four indexes at scale 1.0")
@@ -61,10 +60,6 @@ func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 			t.Fatal(err)
 		}
 		ix, err := env.Unclustered()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := env.Clustered()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +77,7 @@ func TestIndexEntriesAreTheRecordedOnes(t *testing.T) {
 		old, entries := sha256.New(), 0
 		for _, clustered := range []bool{false, true} {
 			for _, p := range postings {
-				writeEntry(old, p.oldKey(), p.oldSpelling(t, c, clustered))
+				writeEntry(old, p.oldKey(), p.oldSpelling(clustered))
 				entries++
 			}
 		}
@@ -108,10 +103,12 @@ func writeEntry(h hash.Hash, k, v []byte) {
 }
 
 // posting is one entry read out of a chunk: the first 12 bytes of its key —
-// label and σ — its pointer, and its position in build order.
+// label and σ — its pointer, its position in key order and its position in
+// build order.
 type posting struct {
 	run [12]byte
 	ptr storage.Pointer
+	key uint32
 	seq uint64
 }
 
@@ -133,7 +130,7 @@ func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 		v = v[n:]
 		return x
 	}
-	p := posting{ptr: storage.Pointer(binary.BigEndian.Uint64(k[12:]))}
+	p := posting{ptr: storage.Pointer(binary.BigEndian.Uint64(k[12:])), key: uint32(len(ps))}
 	copy(p.run[:], k)
 	head := uvarint()
 	if len(v) < 3 {
@@ -147,6 +144,7 @@ func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
 		} else {
 			p.ptr = storage.MakePointer(p.ptr.Rec()+uint32(h>>1), uint32(uvarint()))
 		}
+		p.key = uint32(len(ps))
 		ps = append(ps, p)
 	}
 	if len(v) != 0 {
@@ -196,17 +194,13 @@ func (p posting) oldKey() []byte {
 // oldSpelling spells the posting's value the way metaVersion 2 did: a flag
 // byte — bit 0 set when a clustered pointer follows, bits 4-7 the number of
 // spectrum components, none here — then each pointer as a big-endian u64,
-// rec<<32 | off, the clustered one that of the entry's copy in c (its
-// record, offset 0).
-func (p posting) oldSpelling(t *testing.T, c *core.Clustered, clustered bool) []byte {
+// rec<<32 | off, the clustered one that of the entry's copy (its record,
+// the entry's key-order position, offset 0).
+func (p posting) oldSpelling(clustered bool) []byte {
 	out := binary.BigEndian.AppendUint64([]byte{0}, uint64(p.ptr))
 	if clustered {
-		copied, ok := c.Copy(p.ptr)
-		if !ok {
-			t.Fatalf("%v names no copied subtree", p.ptr)
-		}
 		out[0] |= 1
-		out = binary.BigEndian.AppendUint64(out, uint64(storage.MakePointer(copied, 0)))
+		out = binary.BigEndian.AppendUint64(out, uint64(storage.MakePointer(p.key, 0)))
 	}
 	return out
 }

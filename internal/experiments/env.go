@@ -12,7 +12,7 @@ import (
 
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/datagen"
-	"github.com/fix-index/fix/internal/fbindex"
+	"github.com/fix-index/fix/internal/experiments/internal/fbindex"
 	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/storage"
 	"github.com/fix-index/fix/internal/xpath"
@@ -33,17 +33,16 @@ type Env struct {
 
 	elements int
 
-	uidx  *core.Index     // structural, paper pruning bound
-	cidx  *core.Clustered // the clustered copy of uidx
-	vidx  *core.Index     // with values, paper pruning bound
-	vclus *core.Clustered // the clustered copy of vidx
-	sound *core.Index     // provably complete bound
+	uidx  *core.Index // structural, paper pruning bound
+	cidx  *Clustered  // the clustered copy of uidx
+	vidx  *core.Index // with values, paper pruning bound
+	vclus *Clustered  // the clustered copy of vidx
+	sound *core.Index // provably complete bound
 	fb    *fbindex.Index
 
-	// gens holds the frozen query executor of every index and clustered
-	// copy handed to Frozen or FrozenClustered: frozen once, shared by all
-	// experiments, released by Close.
-	gens map[any]*core.Generation
+	// gens holds the frozen query executor of every index handed to
+	// Frozen: frozen once, shared by all experiments, released by Close.
+	gens map[*core.Index]*core.Generation
 
 	uidxTime, fbTime time.Duration
 }
@@ -58,7 +57,7 @@ func Setup(ds datagen.Dataset, cfg datagen.Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Env{Dataset: ds, Cfg: cfg, Store: st, elements: elems, gens: map[any]*core.Generation{}}, nil
+	return &Env{Dataset: ds, Cfg: cfg, Store: st, elements: elems, gens: map[*core.Index]*core.Generation{}}, nil
 }
 
 // Frozen returns (freezing on first use) the query executor over ix. The
@@ -73,18 +72,7 @@ func (e *Env) Frozen(ix *core.Index) *core.Generation {
 	return g
 }
 
-// FrozenClustered is Frozen for the executor that reads the clustered
-// copy c.
-func (e *Env) FrozenClustered(c *core.Clustered) *core.Generation {
-	g, ok := e.gens[c]
-	if !ok {
-		g = c.Freeze()
-		e.gens[c] = g
-	}
-	return g
-}
-
-// Close releases the generations Frozen and FrozenClustered handed out.
+// Close releases the generations Frozen handed out.
 func (e *Env) Close() {
 	for k, g := range e.gens {
 		g.Unpin()
@@ -141,7 +129,7 @@ func (e *Env) SoundIndex() (*core.Index, error) {
 
 // Clustered returns (laying it out on first use) the clustered copy of
 // the Unclustered index: the paper's clustered FIX (§4.1).
-func (e *Env) Clustered() (*core.Clustered, error) {
+func (e *Env) Clustered() (*Clustered, error) {
 	if e.cidx != nil {
 		return e.cidx, nil
 	}
@@ -149,7 +137,7 @@ func (e *Env) Clustered() (*core.Clustered, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.cidx, err = ix.Cluster(); err != nil {
+	if e.cidx, err = Cluster(ix); err != nil {
 		return nil, err
 	}
 	return e.cidx, nil
@@ -157,7 +145,7 @@ func (e *Env) Clustered() (*core.Clustered, error) {
 
 // ValueIndex returns (building on first use) the FIX index with the value
 // extension enabled, and its clustered copy.
-func (e *Env) ValueIndex(beta uint32) (*core.Index, *core.Clustered, error) {
+func (e *Env) ValueIndex(beta uint32) (*core.Index, *Clustered, error) {
 	if e.vidx != nil {
 		return e.vidx, e.vclus, nil
 	}
@@ -171,7 +159,7 @@ func (e *Env) ValueIndex(beta uint32) (*core.Index, *core.Clustered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := ix.Cluster()
+	c, err := Cluster(ix)
 	if err != nil {
 		return nil, nil, err
 	}

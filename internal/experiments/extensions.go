@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/fix-index/fix/internal/joins"
-	"github.com/fix-index/fix/internal/tagindex"
+	"github.com/fix-index/fix/internal/experiments/internal/joins"
+	"github.com/fix-index/fix/internal/experiments/internal/tagindex"
 	"github.com/fix-index/fix/internal/xpath"
 )
 

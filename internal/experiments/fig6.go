@@ -7,6 +7,7 @@ import (
 
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/storage"
+	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
 )
 
@@ -113,35 +114,44 @@ func runCold(clear func() error, run func() (int, error), io func() IOStats) (Sy
 	}, nil
 }
 
-// runColdFIX is runCold for a FIX index: q runs once on the frozen
-// executor of ix — of its clustered copy c when c is not nil — with the
-// heap refinement reads, c's or the primary store, and the B-tree counters
-// cleared. The probe is charged one random access per node access of the
-// frozen B-tree image: the image is resident, and a tree that read its
-// pages from a cold disk would read each page a range scan touches exactly
-// once, so the count is the same.
-func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, c *core.Clustered, q *xpath.Path) (SystemRun, error) {
-	g, heap := e.Frozen(ix), e.Store
+// runColdFIX is runCold for a FIX index: q runs once, planned afresh, on
+// a generation of ix frozen for the run, so no heap view carries a read of
+// an earlier run into it. With a clustered copy c it reads the candidates
+// from c's heap (QueryRead), and otherwise from the primary store; that
+// heap's counters and the B-tree's are cleared. The probe is charged one
+// random access per node access of the frozen B-tree image: the image is
+// resident, and a tree that read its pages from a cold disk would read
+// each page a range scan touches exactly once, so the count is the same.
+func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, c *Clustered, q *xpath.Path) (SystemRun, error) {
+	g, heap := ix.Freeze(), e.Store
+	defer g.Unpin()
+	var read func(storage.Pointer) (xmltree.Cursor, xmltree.Ref, error)
 	if c != nil {
-		g, heap = e.FrozenClustered(c), c.Heap()
+		var release func()
+		read, release = c.reader()
+		defer release()
+		heap = c.heap
 	}
 	var shared int
 	run, err := runCold(
 		func() error {
-			heap.ClearCache()
 			heap.ResetStats()
 			ix.BTree().ResetStats()
 			return nil
 		},
 		func() (int, error) {
-			res, err := count(ctx, g, q)
+			pq, err := g.PreparePath(q, nil)
+			if err != nil {
+				return 0, err
+			}
+			res, err := g.QueryRead(ctx, pq, nil, core.Limits{}, read)
 			shared = res.SharedMatches
 			return res.Count, err
 		},
 		func() IOStats {
 			st := heap.Stats()
 			io := IOStats{Random: st.RandomReads, SeqBytes: st.BytesRead}
-			if heap == e.Store {
+			if c == nil {
 				// Unclustered refinement dereferences one pointer per
 				// candidate: a seek plus the subtree's bytes.
 				io = IOStats{Random: st.SubtreeReads, SeqBytes: st.SubtreeBytes}

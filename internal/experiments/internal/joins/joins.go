@@ -10,7 +10,7 @@ package joins
 import (
 	"fmt"
 
-	"github.com/fix-index/fix/internal/tagindex"
+	"github.com/fix-index/fix/internal/experiments/internal/tagindex"
 	"github.com/fix-index/fix/internal/xpath"
 )
 

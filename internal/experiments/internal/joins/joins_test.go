@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/fix-index/fix/internal/experiments/internal/tagindex"
 	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/storage"
-	"github.com/fix-index/fix/internal/tagindex"
 	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
 )

@@ -7,7 +7,7 @@ import (
 
 	"github.com/fix-index/fix/internal/core"
 	"github.com/fix-index/fix/internal/datagen"
-	"github.com/fix-index/fix/internal/fbindex"
+	"github.com/fix-index/fix/internal/experiments/internal/fbindex"
 )
 
 // TestProfileBuild is a manual driver: FIXPROFILE=1 go test -run ProfileBuild -v -cpuprofile cpu.out

@@ -30,23 +30,26 @@ func TestQueryCountersRepeat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds, err)
 		}
+		ix := c.ix
 		refined := 0
 		for _, rq := range queries {
 			q := xpath.MustParse(rq.XPath)
 			// run returns the query's trace and the heap reads it made.
 			run := func() (obs.Trace, storage.Stats) {
-				g := c.Freeze()
+				g := ix.Freeze()
 				defer g.Unpin()
+				read, release := c.reader()
+				defer release()
 				var tr obs.Trace
-				heap0 := c.Heap().Stats()
+				heap0 := c.heap.Stats()
 				pq, err := g.PreparePath(q, &tr)
 				if err != nil {
 					t.Fatalf("%s: %v", rq.Name, err)
 				}
-				if _, err := g.QueryPrepared(context.Background(), pq, &tr, core.Limits{}); err != nil {
+				if _, err := g.QueryRead(context.Background(), pq, &tr, core.Limits{}, read); err != nil {
 					t.Fatalf("%s: %v", rq.Name, err)
 				}
-				return tr, c.Heap().Stats().Sub(heap0)
+				return tr, c.heap.Stats().Sub(heap0)
 			}
 			// The heap classifies a read as sequential by where the previous
 			// one ended, so the first run starts from another query's

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // CollectionStats aggregates the activity of one named collection in the
 // sharded serving layer (internal/collection). Like the Registry it
@@ -73,18 +70,6 @@ func (r *Registry) Collection(name string) *CollectionStats {
 	}
 	v, _ := r.collections.LoadOrStore(name, &CollectionStats{})
 	return v.(*CollectionStats)
-}
-
-// CollectionNames returns the collection names with recorded activity,
-// sorted.
-func (r *Registry) CollectionNames() []string {
-	var names []string
-	r.collections.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
-	})
-	sort.Strings(names)
-	return names
 }
 
 // snapshotCollections copies every collection's counters, keyed by name.

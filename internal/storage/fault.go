@@ -20,8 +20,9 @@ var ErrInjected = errors.New("storage: injected fault")
 // counter. Creating or opening a file is not counted.
 //
 // Unless OneShot is set, every write operation after the failing one also
-// fails: a crashed process persists nothing further, so recovery code
-// must cope with the prefix of writes alone. Reads keep working either
+// fails, and so does an FS's Create, which would truncate: a crashed
+// process persists nothing further, so recovery code must cope with the
+// prefix of writes alone. Reads keep working either
 // way, letting the aborting code path run to completion.
 //
 // A Store over a wrapped heap does not map it (see mapHeap): a FaultFile
@@ -43,8 +44,9 @@ type FaultPlan struct {
 // Wrap returns a File that applies the plan's schedule around f.
 func (pl *FaultPlan) Wrap(f File) File { return &FaultFile{inner: f, plan: pl} }
 
-// WrapFS returns an FS whose files apply the plan's schedule and whose
-// Rename, Remove and SyncDir count as write operations.
+// WrapFS returns an FS whose files apply the plan's schedule, whose
+// Rename, Remove and SyncDir count as write operations, and whose Create
+// fails once a plan that is not OneShot has tripped.
 func (pl *FaultPlan) WrapFS(fsys FS) FS {
 	return faultFS{WrapFiles(fsys, func(_ string, f File) File { return pl.Wrap(f) }), pl}
 }
@@ -52,6 +54,13 @@ func (pl *FaultPlan) WrapFS(fsys FS) FS {
 type faultFS struct {
 	FS
 	plan *FaultPlan
+}
+
+func (f faultFS) Create(path string) (File, error) {
+	if !f.plan.OneShot && f.plan.Tripped() {
+		return nil, fmt.Errorf("create %s: %w", path, ErrInjected)
+	}
+	return f.FS.Create(path)
 }
 
 func (f faultFS) Rename(oldpath, newpath string) error {

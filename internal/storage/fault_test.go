@@ -147,3 +147,41 @@ func TestWriteAtomicFailures(t *testing.T) {
 		}
 	}
 }
+
+// TestTrippedPlanRefusesCreate trips a plan on a Remove: from then on a
+// Create through the wrapped FS fails and leaves the file it names as it
+// was, because a crashed process truncates nothing. Before the trip a
+// Create succeeds and moves no crash point.
+func TestTrippedPlanRefusesCreate(t *testing.T) {
+	dir := t.TempDir()
+	kept, doomed := filepath.Join(dir, "kept"), filepath.Join(dir, "doomed")
+	for _, path := range []string{kept, doomed} {
+		if err := os.WriteFile(path, []byte("abc"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pl := &FaultPlan{FailWrite: 1}
+	fsys := pl.WrapFS(Disk)
+	f, err := fsys.Create(filepath.Join(dir, "before"))
+	if err != nil {
+		t.Fatalf("Create before the trip: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pl.Writes() != 0 {
+		t.Fatalf("a Create counted %d write-ops, want 0", pl.Writes())
+	}
+	if err := fsys.Remove(doomed); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Remove at the crash point = %v, want ErrInjected", err)
+	}
+	if f, err := fsys.Create(kept); !errors.Is(err, ErrInjected) {
+		if f != nil {
+			f.Close()
+		}
+		t.Errorf("Create after the trip = %v, want ErrInjected", err)
+	}
+	if got, err := os.ReadFile(kept); err != nil || string(got) != "abc" {
+		t.Errorf("after a refused Create the file holds %q, %v; want \"abc\"", got, err)
+	}
+}

@@ -473,14 +473,13 @@ func (s *Store) Sync() error { return s.f.Sync() }
 // Close closes the underlying file.
 func (s *Store) Close() error { return s.f.Close() }
 
-// ClearCache drops the one-record read cache of the store and of every
-// view frozen from it, so a following query measures cold I/O.
+// ClearCache drops the store's own one-record read cache and read
+// position, so a following read through the store measures cold I/O. A
+// view keeps its previous read; a fresh view has none.
 func (s *Store) ClearCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hasCache = false
 	s.cacheBuf = nil
 	s.lastEnd = -1
-	s.rs.cacheEpoch.Add(1)
-	s.rs.lastEnd.Store(-1)
 }

@@ -27,10 +27,6 @@ type readStats struct {
 	subtreeReads atomic.Int64
 	subtreeBytes atomic.Int64
 	lastEnd      atomic.Int64
-	// cacheEpoch is bumped by Store.ClearCache; a view's previous read
-	// from an older epoch does not make the next one cached, so clearing
-	// the store's cache also makes every frozen view read cold.
-	cacheEpoch atomic.Int64
 }
 
 // load returns the counters as a Stats snapshot.
@@ -70,12 +66,12 @@ func (rs *readStats) reset() {
 // single-document datasets. That cache is an atomic pointer to an
 // immutable entry, so a racing fill just loses the publication.
 //
-// Either way a read of the same record as the view's previous read,
-// under the same cache epoch, counts as cached, and every other read as
-// sequential or random, so the counters do not depend on the file. A
-// query reads through a ReadPass, which adds its counts to the store's
-// once, when it flushes; Record, Cursor and ReadSubtree are passes of one
-// read.
+// Either way a read of the same record as the view's previous read counts
+// as cached, and every other read as sequential or random, so the counters
+// do not depend on the file. A fresh view has no previous read: a caller
+// that measures cold reads freezes one. A query reads through a ReadPass,
+// which adds its counts to the store's once, when it flushes; Record,
+// Cursor and ReadSubtree are passes of one read.
 type ReadView struct {
 	f    File
 	reg  *region // nil: records are copied out of f
@@ -83,27 +79,23 @@ type ReadView struct {
 	offs []int64  // immutable after publish
 	lens []uint32 // immutable after publish
 	rs   *readStats
-	// last is the (record, epoch) of the previous read, as lastKey packs
-	// it; 0 before the first.
+	// last is the record of the previous read, as lastKey packs it; 0
+	// before the first.
 	last atomic.Uint64
 	// copied is the copy path's last record and its bytes.
 	copied atomic.Pointer[viewCached]
 }
 
 // viewCached is one published (record, bytes) entry of the copy path's
-// cache, valid while the store's cache epoch is the one it was filled
-// under. The fields are immutable after publish; replacing the entry
-// swaps the pointer.
+// cache. The fields are immutable after publish; replacing the entry swaps
+// the pointer.
 type viewCached struct {
-	rec   uint32
-	buf   []byte
-	epoch int64
+	rec uint32
+	buf []byte
 }
 
-// lastKey packs a record and a cache epoch into a word that is never 0.
-func lastKey(rec uint32, epoch int64) uint64 {
-	return uint64(epoch)<<33 | uint64(rec)<<1 | 1
-}
+// lastKey packs a record into a word that is never 0.
+func lastKey(rec uint32) uint64 { return uint64(rec)<<1 | 1 }
 
 // Freeze returns an immutable view of the store's current records,
 // sharing the offset table's backing array (safe: the table is
@@ -178,14 +170,12 @@ func (v *ReadView) ReadSubtree(ptr Pointer) (xmltree.Cursor, xmltree.Ref, error)
 
 // ReadPass reads records of one view for one query pass and tallies the
 // I/O locally: a read classifies itself against the pass's own copy of
-// the view's previous read and of the store's last read position, under
-// the cache epoch read once when the pass began, exactly as a read of the
-// view would; Flush adds the tally to the store's counters and hands the
+// the view's previous read and of the store's last read position, exactly
+// as a read of the view would; Flush adds the tally to the store's counters and hands the
 // position back. A ReadPass is a value, not safe for concurrent use; its
 // reads follow the view's rules (see ReadView.Record).
 type ReadPass struct {
 	v       *ReadView
-	epoch   int64
 	last    uint64 // the previous read, as lastKey packs it; 0: none
 	lastEnd int64  // where the previous read that was not cached ended
 	moved   bool   // a read that was not cached: last and lastEnd changed
@@ -196,11 +186,11 @@ type ReadPass struct {
 // Pass starts a pass over the view. The caller calls Flush once its
 // last read is done.
 func (v *ReadView) Pass() ReadPass {
-	p := ReadPass{v: v, epoch: v.rs.cacheEpoch.Load(), lastEnd: v.rs.lastEnd.Load()}
+	p := ReadPass{v: v, lastEnd: v.rs.lastEnd.Load()}
 	if v.reg != nil {
 		p.last = v.last.Load()
 	} else if c := v.copied.Load(); c != nil {
-		p.last, p.copied = lastKey(c.rec, c.epoch), c
+		p.last, p.copied = lastKey(c.rec), c
 	}
 	return p
 }
@@ -219,7 +209,7 @@ func (p *ReadPass) Record(rec uint32) ([]byte, error) {
 	}
 	off := v.offs[rec] + 4
 	end := off + int64(v.lens[rec])
-	if key := lastKey(rec, p.epoch); p.last == key {
+	if key := lastKey(rec); p.last == key {
 		p.n.CachedReads++
 	} else {
 		p.last = key
@@ -244,7 +234,7 @@ func (p *ReadPass) count(rec uint32, end int64) {
 // copyRecord is Record over a file with no region: a read copies the
 // record into a fresh buffer, and the view keeps the last one.
 func (p *ReadPass) copyRecord(rec uint32) ([]byte, error) {
-	key := lastKey(rec, p.epoch)
+	key := lastKey(rec)
 	if p.last == key {
 		p.n.CachedReads++
 		return p.copied.buf, nil
@@ -255,7 +245,7 @@ func (p *ReadPass) copyRecord(rec uint32) ([]byte, error) {
 		p.lastEnd, p.moved = off+int64(len(buf)), true
 		return nil, fmt.Errorf("storage: reading record %d: %w", rec, err)
 	}
-	p.last, p.copied = key, &viewCached{rec: rec, buf: buf, epoch: p.epoch}
+	p.last, p.copied = key, &viewCached{rec: rec, buf: buf}
 	p.count(rec, off+int64(len(buf)))
 	return buf, nil
 }

@@ -36,16 +36,6 @@ func (s BitSet) Clone() BitSet {
 	return c
 }
 
-// Empty reports whether no bit is set.
-func (s BitSet) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Forward solves a forward may-analysis over g with union at merge
 // points: in[entry] = ∅, in[b] = ⋃ out[pred], out[b] = transfer(b,
 // in[b]). The transfer function must be monotone (it may only add or
