@@ -42,11 +42,11 @@ func AblationRootLabel(ctx context.Context, env *Env) ([]RootLabelRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		resW, err := count(ctx, withGen, q)
+		resW, err := count(ctx, withGen, q, nil)
 		if err != nil {
 			return nil, err
 		}
-		resWo, err := count(ctx, withoutGen, q)
+		resWo, err := count(ctx, withoutGen, q, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -163,11 +163,11 @@ func AblationPruningMode(ctx context.Context, env *Env) ([]PruningModeRow, error
 		if err != nil {
 			return nil, err
 		}
-		pres, err := count(ctx, pgen, q)
+		pres, err := count(ctx, pgen, q, nil)
 		if err != nil {
 			return nil, err
 		}
-		sres, err := count(ctx, sgen, q)
+		sres, err := count(ctx, sgen, q, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -102,57 +102,6 @@ func writeEntry(h hash.Hash, k, v []byte) {
 	}
 }
 
-// posting is one entry read out of a chunk: the first 12 bytes of its key —
-// label and σ — its pointer, its position in key order and its position in
-// build order.
-type posting struct {
-	run [12]byte
-	ptr storage.Pointer
-	key uint32
-	seq uint64
-}
-
-// appendPostings appends the postings of the chunk (k, v) to ps. It reads
-// the chunk the way internal/core/key.go states the codec, on its own: a
-// uvarint n<<3 | d, three bytes of pair sketch, then per posting after the
-// first (whose pointer is the key's) a uvarint Δoff<<1 in the same record
-// or Δrec<<1 | 1 and a uvarint offset in a later one.
-func appendPostings(t *testing.T, ps []posting, k, v []byte) []posting {
-	if len(k) != 20 {
-		t.Fatalf("key %x is %d bytes, want 20", k, len(k))
-	}
-	fail := func() { t.Fatalf("chunk %x: value %x does not decode", k, v) }
-	uvarint := func() uint64 {
-		x, n := binary.Uvarint(v)
-		if n <= 0 {
-			fail()
-		}
-		v = v[n:]
-		return x
-	}
-	p := posting{ptr: storage.Pointer(binary.BigEndian.Uint64(k[12:])), key: uint32(len(ps))}
-	copy(p.run[:], k)
-	head := uvarint()
-	if len(v) < 3 {
-		fail()
-	}
-	v = v[3:]
-	ps = append(ps, p)
-	for n := head >> 3; n > 1; n-- {
-		if h := uvarint(); h&1 == 0 {
-			p.ptr += storage.Pointer(h >> 1)
-		} else {
-			p.ptr = storage.MakePointer(p.ptr.Rec()+uint32(h>>1), uint32(uvarint()))
-		}
-		p.key = uint32(len(ps))
-		ps = append(ps, p)
-	}
-	if len(v) != 0 {
-		fail()
-	}
-	return ps
-}
-
 // inBuildOrder sets every posting's seq to its position in the order a
 // build collected the entries — records in order, and in a record the
 // elements in the order they close (bisim.Build's callback): by the end of

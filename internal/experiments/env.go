@@ -15,6 +15,7 @@ import (
 	"github.com/fix-index/fix/internal/experiments/internal/fbindex"
 	"github.com/fix-index/fix/internal/nok"
 	"github.com/fix-index/fix/internal/storage"
+	"github.com/fix-index/fix/internal/xmltree"
 	"github.com/fix-index/fix/internal/xpath"
 )
 
@@ -81,13 +82,14 @@ func (e *Env) Close() {
 }
 
 // count plans q afresh on g — the paper charges planning to every query —
-// and runs it with no trace and no limits.
-func count(ctx context.Context, g *core.Generation, q *xpath.Path) (core.Result, error) {
+// and runs it with no trace and no limits, fetching the candidates through
+// read (core.Generation.QueryRead); a nil read reads g's heap.
+func count(ctx context.Context, g *core.Generation, q *xpath.Path, read func(storage.Pointer) (xmltree.Cursor, xmltree.Ref, error)) (core.Result, error) {
 	pq, err := g.PreparePath(q, nil)
 	if err != nil {
 		return core.Result{}, err
 	}
-	return g.QueryPrepared(ctx, pq, nil, core.Limits{})
+	return g.QueryRead(ctx, pq, nil, core.Limits{}, read)
 }
 
 // Elements returns the dataset's element count.

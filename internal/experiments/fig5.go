@@ -67,7 +67,7 @@ func Fig5(ctx context.Context, env *Env, numQueries int) (Fig5Row, error) {
 		if exact.Rst == 0 || exact.Rst == exact.Ent {
 			continue // sel 1 or 0: uninformative, excluded as in the paper
 		}
-		if res, err = count(ctx, pgen, q); err != nil {
+		if res, err = count(ctx, pgen, q, nil); err != nil {
 			return Fig5Row{}, err
 		}
 		pm := res.Metrics()

@@ -140,11 +140,7 @@ func (e *Env) runColdFIX(ctx context.Context, ix *core.Index, c *Clustered, q *x
 			return nil
 		},
 		func() (int, error) {
-			pq, err := g.PreparePath(q, nil)
-			if err != nil {
-				return 0, err
-			}
-			res, err := g.QueryRead(ctx, pq, nil, core.Limits{}, read)
+			res, err := count(ctx, g, q, read)
 			shared = res.SharedMatches
 			return res.Count, err
 		},

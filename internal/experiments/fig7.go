@@ -44,7 +44,7 @@ func Fig7(ctx context.Context, env *Env) ([]Fig7Row, error) {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}
 		row := Fig7Row{Query: rq.Name}
-		res, err := count(ctx, env.Frozen(vidx), q)
+		res, err := count(ctx, env.Frozen(vidx), q, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s (metrics): %w", rq.Name, err)
 		}

@@ -34,7 +34,7 @@ func Table2(ctx context.Context, env *Env) ([]Table2Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}
-		res, err := count(ctx, g, q)
+		res, err := count(ctx, g, q, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", rq.Name, err)
 		}
